@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast bench bench-plan bench-sim experiments examples repro fuzz-short clean
+.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast bench bench-plan bench-sim bench-smoke experiments examples repro fuzz-short clean
 
-all: build vet lint test test-race test-serve
+all: build vet lint test test-race test-serve bench-smoke
 
 build:
 	go build ./...
@@ -85,6 +85,14 @@ record:
 
 bench:
 	go test -bench=. -benchmem
+
+# The end-to-end benchmark (bench/) is a module of its own, outside
+# `go build ./...` and `go test ./...`: vet it and run its own test (a
+# small run of every workload, about 3 s) so an API change in serve or
+# harness cannot break it silently.
+bench-smoke:
+	go -C bench vet .
+	go -C bench test .
 
 # Planning hot-path benchmark: sim.Estimate, planner.PlanElastic and the
 # replanning decision at samples {20,100} under all three estimator

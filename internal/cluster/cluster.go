@@ -32,8 +32,11 @@ type Manager struct {
 	instType cloud.InstanceType
 	clock    *vclock.Clock
 
-	nextID  NodeID
-	ready   map[NodeID]*Node
+	nextID NodeID
+	ready  map[NodeID]*Node
+	// sorted caches Nodes(): the ready nodes in ID order, nil after any
+	// membership change until the next Nodes call rebuilds it.
+	sorted  []*Node
 	pending int
 	target  int // desired ready-node count; reconcile provisions up to it
 	// waiters are WhenSize callbacks fired as nodes become ready.
@@ -83,6 +86,7 @@ func NewManager(provider *cloud.Provider, it cloud.InstanceType, clock *vclock.C
 		}
 		delete(m.ready, node.ID)
 		delete(m.byInstance, in.ID)
+		m.sorted = nil
 		m.reconcile()
 		if m.onPreempt != nil {
 			m.onPreempt(node)
@@ -113,14 +117,19 @@ func (m *Manager) Size() int { return len(m.ready) }
 // Pending returns the number of nodes requested but not yet ready.
 func (m *Manager) Pending() int { return m.pending }
 
-// Nodes returns the ready nodes sorted by ID.
+// Nodes returns the ready nodes sorted by ID. The slice is cached until
+// the next membership change and shared between callers, who must not
+// modify it; a membership change replaces it rather than editing it, so a
+// slice already returned stays a consistent snapshot.
 func (m *Manager) Nodes() []*Node {
-	out := make([]*Node, 0, len(m.ready))
-	for _, n := range m.ready {
-		out = append(out, n)
+	if m.sorted == nil {
+		m.sorted = make([]*Node, 0, len(m.ready))
+		for _, n := range m.ready {
+			m.sorted = append(m.sorted, n)
+		}
+		sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i].ID < m.sorted[j].ID })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return m.sorted
 }
 
 // ScaleUpTo raises the desired ready-node count to target (it never
@@ -147,6 +156,7 @@ func (m *Manager) reconcile() int {
 			m.nextID++
 			m.ready[node.ID] = node
 			m.byInstance[in.ID] = node
+			m.sorted = nil
 			m.notify()
 		})
 	}
@@ -163,6 +173,7 @@ func (m *Manager) Release(id NodeID) error {
 	}
 	delete(m.ready, id)
 	delete(m.byInstance, node.Instance.ID)
+	m.sorted = nil
 	m.provider.Terminate(node.Instance)
 	if m.target > len(m.ready)+m.pending {
 		m.target = len(m.ready) + m.pending

@@ -243,3 +243,36 @@ func TestProvisionFailureRetried(t *testing.T) {
 		t.Fatalf("retries %d != failures %d", m.Retries(), provider.ProvisionFailures())
 	}
 }
+
+// TestNodesCacheFollowsMembership: Nodes is cached between membership
+// changes, and every change — a node becoming ready, a release, a
+// preemption — yields a fresh view while slices returned earlier stay the
+// snapshots they were.
+func TestNodesCacheFollowsMembership(t *testing.T) {
+	m, clock, provider := testManager(t, 0, 0)
+	m.ScaleUpTo(3)
+	clock.Run(0)
+	first := m.Nodes()
+	if again := m.Nodes(); len(again) != 3 || &again[0] != &first[0] {
+		t.Fatalf("unchanged membership rebuilt the view: %v vs %v", again, first)
+	}
+	if err := m.Release(first[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Nodes(); len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
+		t.Fatalf("after release: %v", got)
+	}
+	if len(first) != 3 || first[1].ID != 1 {
+		t.Fatalf("release edited an earlier view: %v", first)
+	}
+	if !provider.Preempt(first[0].Instance) {
+		t.Fatal("node 0 not preemptible")
+	}
+	if got := m.Nodes(); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("after preemption: %v", got)
+	}
+	clock.Run(0) // the replacement becomes ready
+	if got := m.Nodes(); len(got) != 2 || got[0].ID != 2 || got[1].ID != 3 {
+		t.Fatalf("after replacement: %v", got)
+	}
+}

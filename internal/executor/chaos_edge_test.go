@@ -47,23 +47,13 @@ func newHarnessOn(t *testing.T, instName string, seed uint64) *harness {
 // preemptGangNode reclaims one node of the trial's current gang.
 func preemptGangNode(t *testing.T, h *harness, job *Job, id trial.ID) {
 	t.Helper()
-	asg := job.r.plan[placement.TrialID(id)]
-	if len(asg) == 0 {
-		t.Fatalf("trial %d has no assignment", id)
+	gang := job.r.gang[id]
+	if len(gang) == 0 {
+		t.Fatalf("trial %d has no gang", id)
 	}
-	best := cluster.NodeID(-1)
-	for nid := range asg {
-		if best < 0 || nid < best {
-			//rbvet:ignore maporder — strict minimum by NodeID, a total order independent of iteration order
-			best = nid
-		}
-	}
-	node := job.r.nodeByID[best]
-	if node == nil {
-		t.Fatalf("node %d missing from executor view", best)
-	}
+	node := gang[0].node // the gang's lowest node ID
 	if !h.provider.Preempt(node.Instance) {
-		t.Fatalf("node %d (instance %d) was not preemptible", best, node.Instance.ID)
+		t.Fatalf("node %d (instance %d) was not preemptible", node.ID, node.Instance.ID)
 	}
 }
 

@@ -13,8 +13,10 @@
 package executor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cloud"
@@ -156,19 +158,26 @@ type run struct {
 	cfg    Config
 	tr     *trace.Recorder
 	trials []*trial.Trial
-	ctrl   *placement.Controller
-	store  *trial.Store
+	// asym is each trial's accuracy asymptote: fixed by its config, so
+	// computed once at Start rather than per observed iteration.
+	asym  []float64
+	ctrl  *placement.Controller
+	store *trial.Store
 
 	stage     int
 	need      int // node target of the current stage
 	plan      placement.Plan
-	nodeByID  map[cluster.NodeID]*cluster.Node
 	remaining int
 	queue     []trial.ID
 	stageSet  []trial.ID // trials participating in the current stage
 	// soa is the dense per-trial scheduler state (allocations, iteration
 	// budgets, barrier marks, restart generations).
 	soa trialSoA
+	// gang is each running trial's placement resolved to its nodes, in
+	// node-ID order: startTrial fills it from the live plan, so metering an
+	// iteration never walks an Assignment map. Placement preserves a
+	// running gang until the trial restarts, which refills it.
+	gang [][]gangSlot
 	// dispID is the run's opcode dispatcher on the shared clock: the
 	// training hot loop schedules (opcode, trial, gen) events instead of
 	// closures, so steady-state iteration events allocate nothing.
@@ -200,6 +209,12 @@ type run struct {
 	done              bool
 	finishedAt        vclock.Time
 	err               error
+}
+
+// gangSlot is the share of a trial's gang on one node.
+type gangSlot struct {
+	node *cluster.Node
+	gpus int
 }
 
 // restartEntry is one preempted trial queued for recovery.
@@ -279,13 +294,29 @@ func Start(cfg Config) (*Job, error) {
 		execPlan: cfg.Plan.Clone(),
 	}
 	r.soa.init(cfg.Spec.TotalTrials())
+	r.gang = make([][]gangSlot, cfg.Spec.TotalTrials())
 	for i := 0; i < cfg.Spec.TotalTrials(); i++ {
 		r.trials = append(r.trials, trial.New(trial.ID(i), cfg.Configs[i]))
+		r.asym = append(r.asym, cfg.Model.Asymptote(cfg.Configs[i]))
 	}
+	tr.Grow(expectedEvents(cfg.Spec))
 	r.dispID = cfg.Clock.RegisterDispatcher(r.dispatch)
 	cfg.Cluster.SetPreemptionHandler(r.onPreemption)
 	r.startStage(0)
 	return &Job{r: r}, nil
+}
+
+// expectedEvents estimates the trace events of a run without faults or
+// replans: per stage its start, end and scaling events, and per
+// participating trial its start, restore, iterations, done and barrier
+// (checkpoint or kill) events. Start reserves that much trace room.
+func expectedEvents(sp *spec.ExperimentSpec) int {
+	n := 0
+	for i := 0; i < sp.NumStages(); i++ {
+		st := sp.Stage(i)
+		n += 3 + st.Trials*(st.Iters+4)
+	}
+	return n
 }
 
 // Done reports whether the job has completed (successfully or not).
@@ -428,12 +459,6 @@ func (r *run) beginTraining() {
 		return
 	}
 
-	nodes := r.cfg.Cluster.Nodes()
-	r.nodeByID = make(map[cluster.NodeID]*cluster.Node, len(nodes))
-	for _, n := range nodes {
-		r.nodeByID[n.ID] = n
-	}
-
 	per := sim.GPUsPerTrial(alloc, st.Trials)
 	runnable := surv
 	r.queue = nil
@@ -547,12 +572,10 @@ func scatter(allocs map[placement.TrialID]int, nodes []*cluster.Node, prev place
 		if !ok {
 			continue // a gang node vanished (preemption); re-place below
 		}
-		kept := make(placement.Assignment, len(asg))
 		for nid, g := range asg {
 			free[nid] -= g
-			kept[nid] = g
 		}
-		plan[t] = kept
+		plan[t] = asg // assignments are immutable: share, don't clone
 	}
 	for _, t := range ids {
 		if _, done := plan[t]; done {
@@ -584,6 +607,10 @@ func scatter(allocs map[placement.TrialID]int, nodes []*cluster.Node, prev place
 func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 	asg := r.plan[placement.TrialID(t.ID())]
 	gpus, nodes := asg.GPUs(), asg.Nodes()
+	if err := r.resolveGang(t.ID(), asg); err != nil {
+		r.fail(err)
+		return
+	}
 	if err := t.Start(gpus, nodes); err != nil {
 		r.fail(err)
 		return
@@ -608,26 +635,45 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 		return
 	}
 	r.store.Put(ck)
-	r.tr.RecordGang(now, trace.KindTrialStart, r.stage, int(t.ID()), gpus, nodes,
-		fmt.Sprintf("%d GPUs on %d nodes", gpus, nodes))
+	r.tr.RecordGang(now, trace.KindTrialStart, r.stage, int(t.ID()), gpus, nodes)
 	r.soa.left[t.ID()] = int32(iters)
 	r.cfg.Clock.AtOp(now+vclock.Time(restore), r.dispID, opBegin,
 		packTrial(t.ID(), r.soa.gen[t.ID()]), 0)
 }
 
+// resolveGang fills the trial's gang from its assignment, looking each
+// node up among the ready nodes the assignment was just placed on.
+func (r *run) resolveGang(id trial.ID, asg placement.Assignment) error {
+	ready := r.cfg.Cluster.Nodes()
+	gang := r.gang[id][:0]
+	for nid, g := range asg {
+		i, ok := slices.BinarySearchFunc(ready, nid, func(n *cluster.Node, want cluster.NodeID) int {
+			return cmp.Compare(n.ID, want)
+		})
+		if !ok {
+			return fmt.Errorf("executor: trial %d placed on missing node %d", id, nid)
+		}
+		gang = append(gang, gangSlot{node: ready[i], gpus: g})
+	}
+	slices.SortFunc(gang, func(a, b gangSlot) int { return cmp.Compare(a.node.ID, b.node.ID) })
+	r.gang[id] = gang
+	return nil
+}
+
 // runIteration schedules one training iteration of the trial: it draws
 // the iteration latency and enqueues the opIterEnd event that completes
-// it. Reading the gang from the live plan at both ends is sound because
-// placement preserves running gangs (the contract documented on scatter
-// and placement.Controller.Update); any move implies a restart, which
-// bumps the generation and strands this event.
+// it. Reading the gang at both ends — its GPU count from the trial's
+// allocation, its spread from the trial, its nodes from r.gang — is
+// sound because placement gives every trial exactly its allocation and
+// preserves running gangs (the contract documented on scatter and
+// placement.Controller.Update); any move implies a restart, which bumps
+// the generation and strands this event.
 func (r *run) runIteration(id trial.ID) {
 	if r.err != nil {
 		return
 	}
-	asg := r.plan[placement.TrialID(id)]
-	gpus, spread := asg.GPUs(), asg.Nodes()
-	dur := r.cfg.Model.IterLatencyDist(r.cfg.Batch, gpus, spread).Sample(r.cfg.RNG)
+	gpus, spread := r.soa.allocOf(id), r.trials[id].Nodes()
+	dur := r.cfg.Model.SampleIterLatency(r.cfg.Batch, gpus, spread, r.cfg.RNG)
 	if r.cfg.LatencyScale != nil {
 		// Drift injection: scale after the draw so the RNG stream is
 		// byte-identical with and without drift.
@@ -641,28 +687,21 @@ func (r *run) runIteration(id trial.ID) {
 // metric, feed the drift detector, then either schedule the next
 // iteration or report the trial done with its stage budget.
 func (r *run) iterEnd(id trial.ID, dur float64) {
-	t := r.trials[int(id)]
-	asg := r.plan[placement.TrialID(id)]
-	gpus := asg.GPUs()
+	t := r.trials[id]
+	gpus := r.soa.allocOf(id)
 	// Meter usage for per-function billing and utilization.
-	for nid, g := range asg {
-		node := r.nodeByID[nid]
-		if node == nil {
-			r.fail(fmt.Errorf("executor: trial %d placed on missing node %d", id, nid))
-			return
-		}
-		r.cfg.Provider.RecordUsage(node.Instance, float64(g)*dur)
+	for _, s := range r.gang[id] {
+		r.cfg.Provider.RecordUsage(s.node.Instance, float64(s.gpus)*dur)
 	}
 	r.tr.AddBusy(float64(gpus) * dur)
 
-	acc := r.cfg.Model.ObserveAccuracy(t.Config(), t.CumIters()+1, r.cfg.RNG)
+	acc := r.cfg.Model.ObserveOn(r.asym[id], t.CumIters()+1, r.cfg.RNG)
 	now := r.cfg.Clock.Now()
 	if err := t.RecordIteration(acc, now); err != nil {
 		r.fail(err)
 		return
 	}
-	r.tr.Record(now, trace.KindTrialIter, r.stage, int(id),
-		fmt.Sprintf("acc=%.4f", acc))
+	r.tr.RecordIter(now, r.stage, int(id), acc)
 	if rc := r.cfg.Replan; rc != nil {
 		// Feed the observation unconditionally; only replan when a
 		// future stage remains to be rewritten.
@@ -751,21 +790,16 @@ func (r *run) trialStageDone(t *trial.Trial) {
 		// Reassign the freed slot to the next queued trial.
 		nextID := r.queue[0]
 		r.queue = r.queue[1:]
+		// The finished trial leaves the allocation, so the Update in
+		// place drops its gang without a separate Remove.
 		per := r.soa.allocOf(t.ID())
 		r.soa.clearAlloc(t.ID())
-		r.ctrl.Remove(placement.TrialID(t.ID()))
 		r.soa.setAlloc(nextID, per)
 		if err := r.place(); err != nil {
 			r.fail(err)
 			return
 		}
-		var next *trial.Trial
-		for _, cand := range r.trials {
-			if cand.ID() == nextID {
-				next = cand
-			}
-		}
-		r.startTrial(next, r.cfg.Spec.Stage(r.stage).Iters, r.stage > 0)
+		r.startTrial(r.trials[nextID], r.cfg.Spec.Stage(r.stage).Iters, r.stage > 0)
 	}
 
 	if r.remaining == 0 {
@@ -851,11 +885,6 @@ func (r *run) recoverPreempted() {
 	pending := r.pendingRestart
 	r.pendingRestart = nil
 
-	nodes := r.cfg.Cluster.Nodes()
-	r.nodeByID = make(map[cluster.NodeID]*cluster.Node, len(nodes))
-	for _, n := range nodes {
-		r.nodeByID[n.ID] = n
-	}
 	for _, e := range pending {
 		r.soa.setAlloc(e.id, e.alloc)
 	}

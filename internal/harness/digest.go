@@ -61,12 +61,13 @@ func ComputeDigest(a *Artifacts) Digest {
 	}
 	h.f64(a.Deadline)
 
-	// Event trace, in recorded order. Indexed access into the columnar
-	// recorder: digesting is the hottest full-trace scan, and copying the
-	// log out first would double its footprint at fleet scale.
+	// Event trace, in recorded order. Indexed, note-free access into the
+	// columnar recorder: digesting is the hottest full-trace scan, copying
+	// the log out first would double its footprint at fleet scale, and
+	// notes are presentation-only.
 	h.i64(int64(a.Recorder.Len()))
 	for i := 0; i < a.Recorder.Len(); i++ {
-		e := a.Recorder.EventAt(i)
+		e := a.Recorder.FieldsAt(i)
 		h.f64(float64(e.At))
 		h.kind(e.Kind)
 		h.i64(int64(e.Stage))

@@ -104,7 +104,7 @@ func TestOraclesCatchMutations(t *testing.T) {
 		}},
 		{"gang shape mismatch", "gang-integrity", func(a *Artifacts) {
 			per := a.Result.Schedule[0].GPUsPerTrial
-			a.Recorder.RecordGang(0, trace.KindTrialStart, 0, 0, per+1, 1, "tampered")
+			a.Recorder.RecordGang(0, trace.KindTrialStart, 0, 0, per+1, 1)
 		}},
 		{"winner also killed", "no-lost-trials", func(a *Artifacts) {
 			a.Recorder.Record(a.finishedAt(), trace.KindTrialKill, a.Scenario.Spec.NumStages()-1,

@@ -124,8 +124,9 @@ func kindCode(k trace.Kind) (byte, bool) {
 	return 0, false
 }
 
-// FromTrace converts a trace event to its journal record, dropping the
-// presentation note.
+// FromTrace converts a trace event to its journal record. Observed events
+// carry no note (notes are rendered on read, for display only), and a
+// note on any other event is dropped.
 func FromTrace(e trace.Event) *TraceEvent {
 	return &TraceEvent{
 		At: float64(e.At), Kind: e.Kind,

@@ -112,12 +112,32 @@ func (m *Model) IterLatencyMean(batch, gpus, nodes int) float64 {
 // proportionally with the mean, so relative straggler severity is
 // allocation independent.
 func (m *Model) IterLatencyDist(batch, gpus, nodes int) stats.Dist {
+	d, noisy := m.iterLatency(batch, gpus, nodes)
+	if !noisy {
+		return stats.Deterministic{Value: d.Mu}
+	}
+	return d
+}
+
+// SampleIterLatency draws one iteration latency from IterLatencyDist
+// without boxing the distribution in an interface: the executor draws
+// one per training iteration.
+func (m *Model) SampleIterLatency(batch, gpus, nodes int, r *stats.RNG) float64 {
+	d, noisy := m.iterLatency(batch, gpus, nodes)
+	if !noisy {
+		return d.Mu
+	}
+	return d.Sample(r)
+}
+
+// iterLatency returns the iteration latency distribution as a Normal, and
+// whether it has any noise (without, it is the constant d.Mu).
+func (m *Model) iterLatency(batch, gpus, nodes int) (d stats.Normal, noisy bool) {
 	mean := m.IterLatencyMean(batch, gpus, nodes)
 	if m.IterNoiseStd == 0 {
-		return stats.Deterministic{Value: mean}
+		return stats.Normal{Mu: mean}, false
 	}
-	sigma := m.IterNoiseStd * mean / m.BaseIterSeconds
-	return stats.Normal{Mu: mean, Sigma: sigma}
+	return stats.Normal{Mu: mean, Sigma: m.IterNoiseStd * mean / m.BaseIterSeconds}, true
 }
 
 // quality maps a hyperparameter configuration to (0, 1]: 1 at the ideal
@@ -165,17 +185,28 @@ func (m *Model) Asymptote(cfg searchspace.Config) float64 {
 // AccuracyAt returns the noiseless validation accuracy after cumIters
 // training iterations for cfg.
 func (m *Model) AccuracyAt(cfg searchspace.Config, cumIters int) float64 {
+	return m.accuracyOn(m.Asymptote(cfg), cumIters)
+}
+
+// accuracyOn is AccuracyAt for a configuration whose asymptote is asym.
+func (m *Model) accuracyOn(asym float64, cumIters int) float64 {
 	if cumIters < 0 {
 		panic("model: negative iterations")
 	}
-	asym := m.Asymptote(cfg)
 	return asym * (1 - math.Exp(-float64(cumIters)/m.Curve.Tau))
 }
 
 // ObserveAccuracy returns AccuracyAt plus observation noise drawn from r,
 // clamped to [0, 1].
 func (m *Model) ObserveAccuracy(cfg searchspace.Config, cumIters int, r *stats.RNG) float64 {
-	acc := m.AccuracyAt(cfg, cumIters) + m.Curve.NoiseStd*r.NormFloat64()
+	return m.ObserveOn(m.Asymptote(cfg), cumIters, r)
+}
+
+// ObserveOn is ObserveAccuracy for a configuration whose Asymptote is
+// asym. A configuration's asymptote never changes, so callers observing
+// one configuration every iteration compute it once and call this.
+func (m *Model) ObserveOn(asym float64, cumIters int, r *stats.RNG) float64 {
+	acc := m.accuracyOn(asym, cumIters) + m.Curve.NoiseStd*r.NormFloat64()
 	if acc < 0 {
 		return 0
 	}

@@ -17,7 +17,10 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -27,6 +30,9 @@ import (
 type TrialID int
 
 // Assignment is one trial's physical placement: GPUs held per node.
+// Assignments are immutable once a Controller.Update has returned them:
+// plans share the gangs they preserve, so every holder treats them as
+// read-only.
 type Assignment map[cluster.NodeID]int
 
 // GPUs returns the total GPUs in the assignment.
@@ -41,26 +47,10 @@ func (a Assignment) GPUs() int {
 // Nodes returns the number of distinct nodes the assignment spans.
 func (a Assignment) Nodes() int { return len(a) }
 
-// clone returns a deep copy.
-func (a Assignment) clone() Assignment {
-	c := make(Assignment, len(a))
-	for n, g := range a {
-		c[n] = g
-	}
-	return c
-}
-
-// Plan maps trials to their assignments.
+// Plan maps trials to their assignments. A plan Update returns is shared
+// with the Controller and read-only for both: later epochs build new
+// maps, and Remove edits a copy.
 type Plan map[TrialID]Assignment
-
-// clone returns a deep copy.
-func (p Plan) clone() Plan {
-	c := make(Plan, len(p))
-	for t, a := range p {
-		c[t] = a.clone()
-	}
-	return c
-}
 
 // equal reports whether two assignments hold the same GPUs on the same
 // nodes.
@@ -93,8 +83,12 @@ func Moves(prev, next Plan) int {
 // Controller computes placement plans over scheduling epochs.
 type Controller struct {
 	nodeGPUs int
-	current  Plan
-	locked   map[TrialID]bool
+	// current is the latest plan. Update hands the same map to its caller,
+	// so it is shared (and copied on Remove's first edit) until the next
+	// Update replaces it.
+	current Plan
+	shared  bool
+	locked  map[TrialID]bool
 }
 
 // NewController returns a controller for nodes with nodeGPUs accelerators
@@ -110,8 +104,16 @@ func NewController(nodeGPUs int) *Controller {
 	}
 }
 
-// Current returns a deep copy of the current placement plan.
-func (c *Controller) Current() Plan { return c.current.clone() }
+// Current returns a deep copy of the current placement plan, which the
+// caller may modify. It is an inspection accessor, off the scheduling
+// path.
+func (c *Controller) Current() Plan {
+	out := make(Plan, len(c.current))
+	for t, a := range c.current {
+		out[t] = maps.Clone(a)
+	}
+	return out
+}
 
 // Lock marks a trial's placement as in-flight: it cannot be displaced
 // until Unlock (§4.4.1 "reserved" list).
@@ -123,23 +125,27 @@ func (c *Controller) Unlock(t TrialID) { delete(c.locked, t) }
 // Remove drops a trial (terminated or finished) from the plan, freeing its
 // resources for the next Update.
 func (c *Controller) Remove(t TrialID) {
-	delete(c.current, t)
+	if _, ok := c.current[t]; ok {
+		if c.shared {
+			c.current, c.shared = maps.Clone(c.current), false
+		}
+		delete(c.current, t)
+	}
 	delete(c.locked, t)
-}
-
-// node tracks capacity during one Update pass.
-type node struct {
-	id   cluster.NodeID
-	free int
 }
 
 // Update computes a placement plan satisfying allocs (trial -> GPUs) over
 // the given nodes, implementing Algorithm 3. Trials already placed with an
 // unchanged allocation keep their assignment; others are (re)placed
 // best-fit in descending allocation order, displacing smaller unlocked
-// trials when necessary. It returns the new plan, which also becomes the
-// controller's current plan. An error is returned if total demand exceeds
-// capacity or a locked trial's allocation changed.
+// trials when necessary; trials absent from allocs are dropped. It
+// returns the new plan, which also becomes the controller's current
+// plan. Later Remove and Update calls never change a returned plan:
+// Remove copies the plan before its first edit, and Update builds a new
+// one, sharing the preserved assignments rather than cloning them. An
+// error is returned if total demand exceeds capacity or a locked trial's
+// allocation changed. Node IDs are non-negative, as cluster.Manager
+// assigns them.
 func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan, error) {
 	demand := 0
 	for t, g := range allocs {
@@ -148,21 +154,29 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 		}
 		demand += g
 	}
-	capacity := 0
+	capacity, maxID := 0, cluster.NodeID(-1)
 	for _, n := range nodes {
 		capacity += n.GPUs
+		maxID = max(maxID, n.ID)
 	}
 	if demand > capacity {
 		return nil, fmt.Errorf("placement: demand %d GPUs exceeds capacity %d", demand, capacity)
 	}
 
+	// free holds each node's free GPUs, indexed by NodeID; -1 marks IDs
+	// that are not live nodes. Until the preserved gangs are charged
+	// below, it holds full capacities.
+	free := make([]int, maxID+1)
+	for i := range free {
+		free[i] = -1
+	}
+	for _, n := range nodes {
+		free[n.ID] = n.GPUs
+	}
+
 	// Start from assignments that can be preserved: trials present in the
 	// current plan with an unchanged allocation and whose nodes all still
 	// exist (remove_discrepancies).
-	nodeSet := make(map[cluster.NodeID]int, len(nodes)) // id -> capacity
-	for _, n := range nodes {
-		nodeSet[n.ID] = n.GPUs
-	}
 	plan := make(Plan, len(allocs))
 	for t, a := range c.current {
 		want, live := allocs[t]
@@ -172,14 +186,13 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 			}
 			continue
 		}
-		ok := a.GPUs() == want
-		for nid := range a {
-			if _, exists := nodeSet[nid]; !exists {
-				ok = false
-			}
+		held, onLive := 0, true
+		for nid, g := range a {
+			held += g
+			onLive = onLive && int(nid) < len(free) && free[nid] >= 0
 		}
-		if ok {
-			plan[t] = a.clone()
+		if held == want && onLive {
+			plan[t] = a
 		} else if c.locked[t] {
 			return nil, fmt.Errorf("placement: locked trial %d needs reallocation", t)
 		}
@@ -187,15 +200,11 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 
 	// Fast path: everything preserved.
 	if len(plan) == len(allocs) {
-		c.current = plan
-		return plan.clone(), nil
+		c.current, c.shared = plan, true
+		return plan, nil
 	}
 
-	// Compute free capacity under the preserved assignments.
-	free := make(map[cluster.NodeID]int, len(nodes))
-	for id, cap := range nodeSet {
-		free[id] = cap
-	}
+	// Charge the preserved assignments against free capacity.
 	for _, a := range plan {
 		for nid, g := range a {
 			free[nid] -= g
@@ -233,15 +242,15 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 			sortTrials(queue, allocs)
 		}
 	}
-	c.current = plan
-	return plan.clone(), nil
+	c.current, c.shared = plan, true
+	return plan, nil
 }
 
 // place assigns want GPUs to trial t, mutating plan and free. It may
 // displace smaller trials — excluding locked trials and trials already
 // placed this epoch — which are removed from plan (their capacity returned
 // to free) and returned for re-queueing.
-func (c *Controller) place(t TrialID, want int, plan Plan, free map[cluster.NodeID]int, placedNow map[TrialID]bool) (Assignment, []TrialID, error) {
+func (c *Controller) place(t TrialID, want int, plan Plan, free []int, placedNow map[TrialID]bool) (Assignment, []TrialID, error) {
 	asg := make(Assignment)
 	remaining := want
 	var displaced []TrialID
@@ -276,14 +285,14 @@ func (c *Controller) place(t TrialID, want int, plan Plan, free map[cluster.Node
 }
 
 // bestFit returns the node with the least free capacity that still fits
-// unit GPUs.
-func bestFit(free map[cluster.NodeID]int, unit int) (cluster.NodeID, bool) {
+// unit GPUs, the smallest NodeID among equals. Absent nodes (free -1)
+// never fit.
+func bestFit(free []int, unit int) (cluster.NodeID, bool) {
 	best := cluster.NodeID(-1)
 	bestFree := int(^uint(0) >> 1)
 	for nid, f := range free {
-		if f >= unit && (f < bestFree || (f == bestFree && nid < best)) {
-			//rbvet:ignore maporder — ties on free capacity resolve to the smallest NodeID, a strict total order independent of iteration order
-			best, bestFree = nid, f
+		if f >= unit && f < bestFree {
+			best, bestFree = cluster.NodeID(nid), f
 		}
 	}
 	return best, best >= 0
@@ -294,7 +303,7 @@ func bestFit(free map[cluster.NodeID]int, unit int) (cluster.NodeID, bool) {
 // the smallest TrialID (mirroring bestFit and sortTrials) so the victim
 // is independent of map iteration order. Locked trials and trials placed
 // this epoch are not displaceable.
-func (c *Controller) pickVictim(plan Plan, free map[cluster.NodeID]int, unit int, t TrialID, placedNow map[TrialID]bool) (TrialID, bool) {
+func (c *Controller) pickVictim(plan Plan, free []int, unit int, t TrialID, placedNow map[TrialID]bool) (TrialID, bool) {
 	victim := TrialID(-1)
 	victimGPUs := int(^uint(0) >> 1)
 	for cand, asg := range plan {
@@ -323,11 +332,11 @@ func (c *Controller) pickVictim(plan Plan, free map[cluster.NodeID]int, unit int
 // sortTrials orders trials by allocation descending, breaking ties by ID
 // for determinism.
 func sortTrials(ts []TrialID, allocs map[TrialID]int) {
-	sort.Slice(ts, func(i, j int) bool {
-		if allocs[ts[i]] != allocs[ts[j]] {
-			return allocs[ts[i]] > allocs[ts[j]]
+	slices.SortFunc(ts, func(a, b TrialID) int {
+		if allocs[a] != allocs[b] {
+			return cmp.Compare(allocs[b], allocs[a])
 		}
-		return ts[i] < ts[j]
+		return cmp.Compare(a, b)
 	})
 }
 

@@ -1,10 +1,13 @@
 package placement
 
 import (
+	"fmt"
+	"maps"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/stats"
 )
 
 // mkNodes builds n nodes with gpus GPUs each.
@@ -554,5 +557,306 @@ func TestMoves(t *testing.T) {
 	// Trials dropped from next don't count: only next's gangs migrate.
 	if got := Moves(prev, Plan{0: {0: 4}}); got != 0 {
 		t.Fatalf("Moves after termination = %d, want 0", got)
+	}
+}
+
+// refController is a direct, unoptimized formulation of Algorithm 3: it
+// deep-clones every preserved gang and every plan it returns, and tracks
+// free capacity in maps keyed by NodeID. It is the oracle
+// TestUpdateMatchesReference holds Controller.Update to.
+type refController struct {
+	nodeGPUs int
+	current  Plan
+	locked   map[TrialID]bool
+}
+
+func newRefController(nodeGPUs int) *refController {
+	return &refController{nodeGPUs: nodeGPUs, current: make(Plan), locked: make(map[TrialID]bool)}
+}
+
+func cloneAssignment(a Assignment) Assignment {
+	c := make(Assignment, len(a))
+	for n, g := range a {
+		c[n] = g
+	}
+	return c
+}
+
+func clonePlan(p Plan) Plan {
+	c := make(Plan, len(p))
+	for t, a := range p {
+		c[t] = cloneAssignment(a)
+	}
+	return c
+}
+
+func (c *refController) Lock(t TrialID)   { c.locked[t] = true }
+func (c *refController) Unlock(t TrialID) { delete(c.locked, t) }
+func (c *refController) Remove(t TrialID) {
+	delete(c.current, t)
+	delete(c.locked, t)
+}
+
+func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan, error) {
+	demand := 0
+	for t, g := range allocs {
+		if g < 1 {
+			return nil, fmt.Errorf("placement: trial %d allocated %d GPUs", t, g)
+		}
+		demand += g
+	}
+	capacity := 0
+	for _, n := range nodes {
+		capacity += n.GPUs
+	}
+	if demand > capacity {
+		return nil, fmt.Errorf("placement: demand %d GPUs exceeds capacity %d", demand, capacity)
+	}
+	nodeSet := make(map[cluster.NodeID]int, len(nodes))
+	for _, n := range nodes {
+		nodeSet[n.ID] = n.GPUs
+	}
+	plan := make(Plan, len(allocs))
+	for t, a := range c.current {
+		want, live := allocs[t]
+		if !live {
+			if c.locked[t] {
+				return nil, fmt.Errorf("placement: locked trial %d removed from allocation", t)
+			}
+			continue
+		}
+		ok := a.GPUs() == want
+		for nid := range a {
+			if _, exists := nodeSet[nid]; !exists {
+				ok = false
+			}
+		}
+		if ok {
+			plan[t] = cloneAssignment(a)
+		} else if c.locked[t] {
+			return nil, fmt.Errorf("placement: locked trial %d needs reallocation", t)
+		}
+	}
+	if len(plan) == len(allocs) {
+		c.current = plan
+		return clonePlan(plan), nil
+	}
+	free := make(map[cluster.NodeID]int, len(nodes))
+	for id, cap := range nodeSet {
+		free[id] = cap
+	}
+	for _, a := range plan {
+		for nid, g := range a {
+			free[nid] -= g
+			if free[nid] < 0 {
+				return nil, fmt.Errorf("placement: preserved plan oversubscribes node %d", nid)
+			}
+		}
+	}
+	var queue []TrialID
+	for t := range allocs {
+		if _, done := plan[t]; !done {
+			queue = append(queue, t)
+		}
+	}
+	sortTrials(queue, allocs)
+	placedNow := make(map[TrialID]bool)
+	for len(queue) > 0 {
+		t := queue[0]
+		queue = queue[1:]
+		asg, displaced, err := c.place(t, allocs[t], plan, free, placedNow)
+		if err != nil {
+			return nil, err
+		}
+		plan[t] = asg
+		placedNow[t] = true
+		if len(displaced) > 0 {
+			queue = append(queue, displaced...)
+			sortTrials(queue, allocs)
+		}
+	}
+	c.current = plan
+	return clonePlan(plan), nil
+}
+
+func (c *refController) place(t TrialID, want int, plan Plan, free map[cluster.NodeID]int, placedNow map[TrialID]bool) (Assignment, []TrialID, error) {
+	asg := make(Assignment)
+	remaining := want
+	var displaced []TrialID
+	for remaining > 0 {
+		unit := min(remaining, c.nodeGPUs)
+		nid, ok := refBestFit(free, unit)
+		if !ok {
+			victim, vok := c.pickVictim(plan, free, unit, t, placedNow)
+			if !vok {
+				return nil, nil, fmt.Errorf("placement: cannot fit %d GPUs for trial %d", unit, t)
+			}
+			for nid, g := range plan[victim] {
+				free[nid] += g
+			}
+			delete(plan, victim)
+			displaced = append(displaced, victim)
+			continue
+		}
+		free[nid] -= unit
+		asg[nid] += unit
+		remaining -= unit
+	}
+	return asg, displaced, nil
+}
+
+func refBestFit(free map[cluster.NodeID]int, unit int) (cluster.NodeID, bool) {
+	best := cluster.NodeID(-1)
+	bestFree := int(^uint(0) >> 1)
+	for nid, f := range free {
+		if f >= unit && (f < bestFree || (f == bestFree && nid < best)) {
+			//rbvet:ignore maporder — ties on free capacity resolve to the smallest NodeID, a strict total order independent of iteration order
+			best, bestFree = nid, f
+		}
+	}
+	return best, best >= 0
+}
+
+func (c *refController) pickVictim(plan Plan, free map[cluster.NodeID]int, unit int, t TrialID, placedNow map[TrialID]bool) (TrialID, bool) {
+	victim := TrialID(-1)
+	victimGPUs := int(^uint(0) >> 1)
+	for cand, asg := range plan {
+		if cand == t || c.locked[cand] || placedNow[cand] {
+			continue
+		}
+		g := asg.GPUs()
+		if g > victimGPUs || (g == victimGPUs && cand > victim) {
+			continue
+		}
+		for nid, held := range asg {
+			if free[nid]+held >= unit {
+				//rbvet:ignore maporder — selection follows the strict (GPUs, TrialID) total order established by the guard above
+				victim, victimGPUs = cand, g
+				break
+			}
+		}
+	}
+	return victim, victim >= 0
+}
+
+// TestUpdateMatchesReference drives the controller and the deep-cloning
+// reference through the same seeded random sequences of Update, Remove,
+// Lock/Unlock and node churn (preemption-style loss, replacement, scale
+// up), and requires identical plans — and identical success or failure —
+// at every Update. Every plan Update returned must also still equal its
+// snapshot at the end: sharing assignments must never let a later epoch
+// rewrite an earlier plan.
+func TestUpdateMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := stats.NewRNG(seed)
+		gpn := []int{1, 2, 4, 8}[r.Intn(4)]
+		c, ref := NewController(gpn), newRefController(gpn)
+		nodes := mkNodes(2+r.Intn(6), gpn)
+		nextNode := cluster.NodeID(len(nodes))
+		allocs := map[TrialID]int{}
+		nextTrial := TrialID(0)
+		type kept struct{ got, snap Plan }
+		var returned []kept
+		updates, failures := 0, 0
+		for op := 0; op < 300; op++ {
+			switch k := r.Intn(10); {
+			case k < 5: // reshape the allocation, then Update
+				switch r.Intn(3) {
+				case 0:
+					allocs[nextTrial] = 1 + r.Intn(2*gpn)
+					nextTrial++
+				case 1:
+					if len(allocs) > 0 {
+						allocs[TrialID(r.Intn(int(nextTrial)))] = 1 + r.Intn(2*gpn)
+					}
+				case 2:
+					delete(allocs, TrialID(r.Intn(int(nextTrial)+1)))
+				}
+				got, err := c.Update(maps.Clone(allocs), nodes)
+				want, werr := ref.Update(maps.Clone(allocs), nodes)
+				updates++
+				if (err == nil) != (werr == nil) {
+					t.Fatalf("seed %d op %d: error %v, reference %v", seed, op, err, werr)
+				}
+				if err != nil {
+					failures++
+					continue
+				}
+				if !plansEqual(got, want) {
+					t.Fatalf("seed %d op %d: plan %v, reference %v", seed, op, got, want)
+				}
+				returned = append(returned, kept{got, clonePlan(got)})
+			case k < 7: // a trial finishes or is terminated
+				id := TrialID(r.Intn(int(nextTrial) + 1))
+				c.Remove(id)
+				ref.Remove(id)
+				delete(allocs, id)
+			case k < 8:
+				id := TrialID(r.Intn(int(nextTrial) + 1))
+				if r.Intn(2) == 0 {
+					c.Lock(id)
+					ref.Lock(id)
+				} else {
+					c.Unlock(id)
+					ref.Unlock(id)
+				}
+			default: // node churn
+				if r.Intn(2) == 0 && len(nodes) > 1 {
+					i := r.Intn(len(nodes))
+					nodes = append(nodes[:i:i], nodes[i+1:]...)
+				} else {
+					nodes = append(nodes[:len(nodes):len(nodes)], &cluster.Node{ID: nextNode, GPUs: gpn})
+					nextNode++
+				}
+			}
+		}
+		if updates == failures {
+			t.Fatalf("seed %d: no Update succeeded", seed)
+		}
+		for i, p := range returned {
+			if !plansEqual(p.got, p.snap) {
+				t.Fatalf("seed %d: plan %d changed after it was returned: %v, was %v", seed, i, p.got, p.snap)
+			}
+		}
+	}
+}
+
+// TestReturnedPlanNotAliased: a plan Update returned stays exactly as it
+// was through later Remove and Update calls — including ones that keep
+// its gangs, displace them, or drop their nodes. The executor's
+// Moves(prev, next) migration count reads the previous plan after the
+// next Update, so any aliasing would silently zero it.
+func TestReturnedPlanNotAliased(t *testing.T) {
+	c := NewController(4)
+	nodes := mkNodes(3, 4)
+	prev, err := c.Update(map[TrialID]int{0: 2, 1: 2, 2: 1, 3: 1}, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := clonePlan(prev)
+
+	c.Remove(2)
+	c.Remove(0)
+	if !plansEqual(prev, snap) {
+		t.Fatalf("Remove changed a returned plan: %v, was %v", prev, snap)
+	}
+	// Trial 1 keeps its gang, trial 4 needs a whole node (displacing trial
+	// 3 if it sits in the way), and node 2 is gone.
+	next, err := c.Update(map[TrialID]int{1: 2, 3: 1, 4: 4}, nodes[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plansEqual(prev, snap) {
+		t.Fatalf("Update changed a returned plan: %v, was %v", prev, snap)
+	}
+	if got, want := Moves(prev, next), Moves(snap, next); got != want || got == 0 {
+		t.Fatalf("Moves(prev, next) = %d, want %d (> 0)", got, want)
+	}
+	if !next[1].equal(prev[1]) {
+		t.Fatalf("trial 1 moved: %v -> %v", prev[1], next[1])
+	}
+	c.Remove(1)
+	if len(next) != 3 {
+		t.Fatalf("Remove after Update shrank the returned plan to %v", next)
 	}
 }

@@ -204,7 +204,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents is GET /v1/experiments/{id}/events: the event feed as
 // chunked ndjson, streamed live until the experiment reaches a final
-// state or the client disconnects. ?from=N resumes from sequence N.
+// state or the client disconnects. ?from=N resumes from sequence N, which
+// may be at most the number of events published so far (N equal to it
+// waits for the next event); a larger N is a 400.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
@@ -219,6 +221,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		from = n
+	}
+	if from > exp.published() {
+		writeJSON(w, http.StatusBadRequest, errBody{Error: "from beyond end of feed"})
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -239,6 +245,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if final {
 			return
+		}
+		if fl != nil && i == from {
+			// Nothing sent yet (a resume at the feed's end): deliver the
+			// headers before waiting for the first event.
+			fl.Flush()
 		}
 		select {
 		case <-ctx.Done():

@@ -456,3 +456,82 @@ func TestServerHundredConcurrentExperiments(t *testing.T) {
 		t.Fatalf("fleet oracle: %v", vs)
 	}
 }
+
+// TestEventsFromBounds: ?from=N resumes anywhere up to the number of
+// events published so far — N equal to it is an empty (finished) or
+// waiting (running) feed — and one past it is refused with a 400 rather
+// than an empty 200 or a stream that blocks until the run ends.
+func TestEventsFromBounds(t *testing.T) {
+	s, ts := newTestServer(t, Config{Capacity: 8, DataDir: t.TempDir()})
+	admitted := make(chan string)
+	proceed := make(chan struct{})
+	s.armJournal = func(id string, jw *journal.Writer) {
+		admitted <- id
+		<-proceed
+	}
+	submit := func(seed uint64) *Experiment {
+		t.Helper()
+		if resp, body := postSub(t, ts, smallSub("acme", seed)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		}
+		exp, ok := s.reg.Get(<-admitted)
+		if !ok {
+			t.Fatal("admitted experiment not registered")
+		}
+		return exp
+	}
+	finished := submit(5)
+	proceed <- struct{}{}
+	finished.Wait()
+	running := submit(6) // parked before its first stage
+	defer func() {
+		close(proceed)
+		s.Drain()
+	}()
+
+	zero := func(int) int { return 0 }
+	end := func(n int) int { return n }
+	past := func(n int) int { return n + 1 }
+	for _, c := range []struct {
+		name  string
+		exp   *Experiment
+		from  func(published int) int
+		code  int
+		lines int // events expected before the feed ends; -1 for a live feed
+	}{
+		{"finished/0", finished, zero, http.StatusOK, finished.published()},
+		{"finished/len", finished, end, http.StatusOK, 0},
+		{"finished/len+1", finished, past, http.StatusBadRequest, 0},
+		{"running/0", running, zero, http.StatusOK, -1},
+		{"running/len", running, end, http.StatusOK, -1},
+		{"running/len+1", running, past, http.StatusBadRequest, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			from := c.from(c.exp.published())
+			resp, err := http.Get(fmt.Sprintf("%s/v1/experiments/%s/events?from=%d", ts.URL, c.exp.ID, from))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != c.code {
+				t.Fatalf("from=%d: status %d, want %d", from, resp.StatusCode, c.code)
+			}
+			if c.code != http.StatusOK {
+				var eb errBody
+				if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error != "from beyond end of feed" {
+					t.Fatalf("from=%d: body %+v (%v)", from, eb, err)
+				}
+				return
+			}
+			if c.lines < 0 {
+				return // a live feed: the headers arrived, which is the contract
+			}
+			n := 0
+			for sc := bufio.NewScanner(resp.Body); sc.Scan(); n++ {
+			}
+			if n != c.lines {
+				t.Fatalf("from=%d: %d events, want %d", from, n, c.lines)
+			}
+		})
+	}
+}

@@ -129,6 +129,13 @@ func (e *Experiment) next(i int) (Event, bool, <-chan struct{}, bool) {
 	return Event{}, false, e.notify, final
 }
 
+// published returns the number of events in the feed so far.
+func (e *Experiment) published() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.events)
+}
+
 // markAdmitted transitions to running. It precedes plan construction so
 // the event feed shows the admission before the first stage's grant
 // (which fires inside StartScenario).

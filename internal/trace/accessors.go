@@ -6,7 +6,8 @@ import "sort"
 // checks system-wide invariants over recorded traces, and needs cheap,
 // allocation-honest views of the event log without re-implementing
 // filtering at every call site. Filters scan single columns of the
-// columnar log and materialize only the matching events.
+// columnar log and materialize only the matching events, note-free
+// (FieldsAt): oracles judge fields, never presentation text.
 
 // Filter returns the recorded events of the given kind, in record order.
 // Nil on a nil recorder.
@@ -17,7 +18,7 @@ func (r *Recorder) Filter(kind Kind) []Event {
 	var out []Event
 	for i, k := range r.kind {
 		if k == kind {
-			out = append(out, r.EventAt(i))
+			out = append(out, r.FieldsAt(i))
 		}
 	}
 	return out
@@ -35,7 +36,7 @@ func (r *Recorder) ByTrial() map[int][]Event {
 		if id < 0 {
 			continue
 		}
-		out[int(id)] = append(out[int(id)], r.EventAt(i))
+		out[int(id)] = append(out[int(id)], r.FieldsAt(i))
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/vclock"
 )
@@ -43,7 +44,11 @@ type Event struct {
 	Kind  Kind        `json:"kind"`
 	Stage int         `json:"stage"`
 	Trial int         `json:"trial"`
-	Note  string      `json:"note,omitempty"`
+	// Note is presentation-only text for humans: it is rendered when an
+	// event is read for display (EventAt, Events, WriteCSV, WriteJSON),
+	// and is empty in the note-free views (FieldsAt, the oracle
+	// accessors, the observer) that digests and journals consume.
+	Note string `json:"note,omitempty"`
 	// GPUs and Nodes carry the structured gang shape for events that
 	// describe a placement (KindTrialStart): the trial's total GPU count
 	// and the number of distinct nodes its workers span. Zero for events
@@ -52,21 +57,43 @@ type Event struct {
 	Nodes int `json:"nodes,omitempty"`
 }
 
+// noteForm says how an event's note is rendered on read.
+type noteForm uint8
+
+const (
+	// noteText: the free-form text given to Record, if any.
+	noteText noteForm = iota
+	// noteAcc: "acc=%.4f" of the acc column (RecordIter).
+	noteAcc
+	// noteGang: "%d GPUs on %d nodes" of the gpus and nodes columns
+	// (RecordGang).
+	noteGang
+)
+
 // Recorder accumulates events and GPU-usage accounting. Events are
 // stored column-wise (struct-of-arrays): fleet-scale runs record
 // millions of events, and the digest and oracle passes that dominate
 // read traffic scan one or two fields of every event — columnar layout
 // keeps those scans inside a few contiguous arrays instead of striding
-// over full structs. The zero value is ready to use; a nil *Recorder is
-// also valid and discards everything, so callers need no nil checks.
+// over full structs. Recording never formats text: hot-path notes are
+// kept as typed columns and rendered on read, and the few cold-path
+// events with free-form text store it in a sparse side table. The zero
+// value is ready to use; a nil *Recorder is also valid and discards
+// everything, so callers need no nil checks.
 type Recorder struct {
 	at    []vclock.Time
 	kind  []Kind
 	stage []int32
 	trial []int32
-	note  []string
 	gpus  []int32
 	nodes []int32
+	form  []noteForm
+	// acc is the observed accuracy of noteAcc events (0 for others).
+	acc []float64
+	// textAt lists, ascending, the indices of the events recorded with
+	// free-form text; texts holds that text in the same order.
+	textAt []int32
+	texts  []string
 	// busyGPUSeconds accumulates task-occupied GPU time, for utilization.
 	busyGPUSeconds float64
 	// observer, when non-nil, receives every event as it is recorded —
@@ -78,9 +105,9 @@ type Recorder struct {
 func New() *Recorder { return &Recorder{} }
 
 // SetObserver registers fn to receive every subsequently recorded event,
-// synchronously and in record order. The journal writer subscribes here
-// so executor state transitions hit the write-ahead log as they happen.
-// No-op on a nil recorder.
+// synchronously and in record order, without its note. The journal
+// writer subscribes here so executor state transitions hit the
+// write-ahead log as they happen. No-op on a nil recorder.
 func (r *Recorder) SetObserver(fn func(Event)) {
 	if r == nil {
 		return
@@ -88,39 +115,71 @@ func (r *Recorder) SetObserver(fn func(Event)) {
 	r.observer = fn
 }
 
-// add appends an event to every column and notifies the observer.
-func (r *Recorder) add(e Event) {
+// add appends a note-free event and its note form to every column and
+// notifies the observer.
+func (r *Recorder) add(e Event, form noteForm, acc float64) {
 	r.at = append(r.at, e.At)
 	r.kind = append(r.kind, e.Kind)
 	r.stage = append(r.stage, int32(e.Stage))
 	r.trial = append(r.trial, int32(e.Trial))
-	r.note = append(r.note, e.Note)
 	r.gpus = append(r.gpus, int32(e.GPUs))
 	r.nodes = append(r.nodes, int32(e.Nodes))
+	r.form = append(r.form, form)
+	r.acc = append(r.acc, acc)
 	if r.observer != nil {
 		r.observer(e)
 	}
 }
 
-// Record appends an event. No-op on a nil recorder.
+// Grow reserves room for n more events, so a recorder whose caller can
+// estimate its event count fills its columns without reallocating them.
+// No-op on a nil recorder.
+func (r *Recorder) Grow(n int) {
+	if r == nil {
+		return
+	}
+	r.at = slices.Grow(r.at, n)
+	r.kind = slices.Grow(r.kind, n)
+	r.stage = slices.Grow(r.stage, n)
+	r.trial = slices.Grow(r.trial, n)
+	r.gpus = slices.Grow(r.gpus, n)
+	r.nodes = slices.Grow(r.nodes, n)
+	r.form = slices.Grow(r.form, n)
+	r.acc = slices.Grow(r.acc, n)
+}
+
+// Record appends an event with free-form note text. It is for cold-path
+// events: the text is stored as given, so callers on a per-iteration
+// path use RecordIter or RecordGang instead. No-op on a nil recorder.
 func (r *Recorder) Record(at vclock.Time, kind Kind, stage, trial int, note string) {
 	if r == nil {
 		return
 	}
-	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, Note: note})
+	if note != "" {
+		r.textAt = append(r.textAt, int32(len(r.at)))
+		r.texts = append(r.texts, note)
+	}
+	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial}, noteText, 0)
+}
+
+// RecordIter appends a KindTrialIter event observing accuracy acc; its
+// note, "acc=%.4f", is rendered on read. No-op on a nil recorder.
+func (r *Recorder) RecordIter(at vclock.Time, stage, trial int, acc float64) {
+	if r == nil {
+		return
+	}
+	r.add(Event{At: at, Kind: KindTrialIter, Stage: stage, Trial: trial}, noteAcc, acc)
 }
 
 // RecordGang appends an event carrying a structured gang shape (total
 // GPUs and distinct node count), for oracle-facing consumers that must
-// not parse free-form notes. No-op on a nil recorder.
-func (r *Recorder) RecordGang(at vclock.Time, kind Kind, stage, trial, gpus, nodes int, note string) {
+// not parse free-form notes. Its note, "%d GPUs on %d nodes", is
+// rendered on read. No-op on a nil recorder.
+func (r *Recorder) RecordGang(at vclock.Time, kind Kind, stage, trial, gpus, nodes int) {
 	if r == nil {
 		return
 	}
-	r.add(Event{
-		At: at, Kind: kind, Stage: stage, Trial: trial,
-		Note: note, GPUs: gpus, Nodes: nodes,
-	})
+	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, GPUs: gpus, Nodes: nodes}, noteGang, 0)
 }
 
 // AddBusy accumulates gpuSeconds of productive GPU time.
@@ -147,22 +206,45 @@ func (r *Recorder) Len() int {
 	return len(r.at)
 }
 
-// EventAt materializes event i (in record order) from the columns.
-func (r *Recorder) EventAt(i int) Event {
+// FieldsAt materializes event i (in record order) from the columns
+// without its note: the view for digests, oracles and other consumers
+// that must not depend on presentation text.
+func (r *Recorder) FieldsAt(i int) Event {
 	return Event{
 		At:    r.at[i],
 		Kind:  r.kind[i],
 		Stage: int(r.stage[i]),
 		Trial: int(r.trial[i]),
-		Note:  r.note[i],
 		GPUs:  int(r.gpus[i]),
 		Nodes: int(r.nodes[i]),
 	}
 }
 
-// Events returns a copy of the recorded events in order. Nil on a nil
-// recorder. Scans should prefer Len/EventAt (or the accessors), which
-// avoid materializing the whole log.
+// EventAt materializes event i (in record order) with its note rendered,
+// for display.
+func (r *Recorder) EventAt(i int) Event {
+	e := r.FieldsAt(i)
+	e.Note = r.note(i)
+	return e
+}
+
+// note renders event i's note from its typed columns or text entry.
+func (r *Recorder) note(i int) string {
+	switch r.form[i] {
+	case noteAcc:
+		return fmt.Sprintf("acc=%.4f", r.acc[i])
+	case noteGang:
+		return fmt.Sprintf("%d GPUs on %d nodes", r.gpus[i], r.nodes[i])
+	}
+	if j, ok := slices.BinarySearch(r.textAt, int32(i)); ok {
+		return r.texts[j]
+	}
+	return ""
+}
+
+// Events returns a copy of the recorded events in order, notes rendered.
+// Nil on a nil recorder. Scans should prefer Len/FieldsAt (or the
+// accessors), which avoid materializing the whole log.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil

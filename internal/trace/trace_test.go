@@ -87,3 +87,33 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("note not quoted: %q", lines[1])
 	}
 }
+
+// TestNotesRenderedOnRead: typed notes render only when an event is read
+// for display; FieldsAt, the oracle accessors and the observer see every
+// field but no note.
+func TestNotesRenderedOnRead(t *testing.T) {
+	r := New()
+	var observed []Event
+	r.SetObserver(func(e Event) { observed = append(observed, e) })
+	r.Grow(4)
+	r.Record(1, KindStageStart, 0, -1, "2 trials")
+	r.RecordGang(2, KindTrialStart, 0, 3, 4, 2)
+	r.RecordIter(3, 0, 3, 0.123456)
+	r.Record(4, KindTrialDone, 0, 3, "")
+	want := []string{"2 trials", "4 GPUs on 2 nodes", "acc=0.1235", ""}
+	for i, ev := range r.Events() {
+		if ev.Note != want[i] {
+			t.Errorf("event %d note %q, want %q", i, ev.Note, want[i])
+		}
+		bare := r.FieldsAt(i)
+		if bare.Note != "" || observed[i] != bare {
+			t.Errorf("event %d: FieldsAt %+v, observed %+v, want equal and note-free", i, bare, observed[i])
+		}
+		if ev.GPUs != bare.GPUs || ev.Kind != bare.Kind || ev.At != bare.At {
+			t.Errorf("event %d: rendered %+v differs from fields %+v", i, ev, bare)
+		}
+	}
+	if f := r.Filter(KindTrialIter); len(f) != 1 || f[0].Note != "" || f[0].Trial != 3 {
+		t.Errorf("Filter = %+v, want one note-free trial_iter", f)
+	}
+}
