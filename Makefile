@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast bench bench-plan bench-sim bench-smoke experiments examples repro fuzz-short clean
+.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast bench bench-smoke experiments examples repro record fuzz-short clean
 
 all: build vet lint test test-race test-serve bench-smoke
 
@@ -57,7 +57,6 @@ test-recovery:
 test-serve:
 	go test -race -count=1 ./internal/serve ./cmd/rbserve
 	go test -race -count=1 ./internal/harness -run 'TestCheckFleet|TestArbitrated|TestGated|TestRunningStepwise'
-	go test -race -count=1 ./internal/core -run 'TestRunMultiJobShared'
 	go test -race -count=1 ./internal/executor -run 'TestStageGate'
 
 # Bounded chaos pass for CI: a fixed scenario batch through every
@@ -72,6 +71,7 @@ fuzz-short:
 	go test ./internal/harness -run='^$$' -fuzz=FuzzRecover -fuzztime=30s
 	go test ./internal/journal -run='^$$' -fuzz=FuzzJournalRoundTrip -fuzztime=30s
 	go test ./internal/planner -run='^$$' -fuzz=FuzzPlanElastic -fuzztime=30s
+	go test ./internal/serve -run='^$$' -fuzz=FuzzSubmission -fuzztime=30s
 
 # Deterministic reproducibility harness (see tools/repro/run.sh for the
 # RB_RUN_REPEATABILITY / RB_RUN_BENCH gates).
@@ -93,26 +93,6 @@ bench:
 bench-smoke:
 	go -C bench vet .
 	go -C bench test .
-
-# Planning hot-path benchmark: sim.Estimate, planner.PlanElastic and the
-# replanning decision at samples {20,100} under all three estimator
-# modes, workers=1, plus the analytic fast-path rows (plan_frontier,
-# replan_prescreen). Rewrites BENCH_plan.json and fails if any warm
-# plan_elastic row regressed more than 25% against the committed
-# baseline; the human-readable record lives in
-# results/analytic_bench.md and results/estimator_bench.md.
-bench-plan:
-	go run ./cmd/rbbench -baseline BENCH_plan.json -out BENCH_plan.json
-
-# Simulation-kernel scale benchmark: a 10^6-concurrent-trial fleet on
-# the timer wheel (events/sec, trials held, allocs/event — the dispatch
-# path must measure 0), the heap reference at comparison scale, the
-# schedule+cancel cycle against a 128k backlog on both kernels, and a
-# cross-kernel digest check. Emits BENCH_sim.json and exits nonzero on
-# an alloc or equivalence regression; the human-readable record lives
-# in results/sim_bench.md.
-bench-sim:
-	go run ./cmd/rbsimbench -out BENCH_sim.json
 
 # Regenerate every paper table/figure at full size (see EXPERIMENTS.md).
 experiments:

@@ -20,9 +20,11 @@ import (
 	"repro/internal/model"
 	"repro/internal/placement"
 	"repro/internal/planner"
+	"repro/internal/replan"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
+	"repro/internal/vclock"
 )
 
 // benchCfg matches the experiment tests' fast configuration.
@@ -162,19 +164,28 @@ func BenchmarkExtensionInstances(b *testing.B) {
 // --- micro-benchmarks of the hot paths ---
 
 func benchSimulator(b *testing.B, samples int) *sim.Simulator {
-	return benchSimulatorWorkers(b, samples, 0) // 0 = GOMAXPROCS
+	return benchSimulatorMode(b, samples, 0, sim.EstimatorSegment) // 0 = GOMAXPROCS
 }
 
-func benchSimulatorWorkers(b *testing.B, samples, workers int) *sim.Simulator {
-	b.Helper()
-	s := spec.MustSHA(64, 4, 508, 2)
+// benchWorkload is the planning workload every planner, estimator and
+// replan micro-benchmark runs on: ResNet50 on a 64-trial, 4-stage SHA
+// under deterministic provisioning overheads.
+func benchWorkload() (*spec.ExperimentSpec, sim.ModelTrainProfile, sim.CloudProfile) {
 	prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 	cp := sim.DefaultCloudProfile()
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	sm, err := sim.New(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers))
+	return spec.MustSHA(64, 4, 508, 2), prof, cp
+}
+
+// benchSimulatorMode builds the benchmark workload's simulator with an
+// explicit estimator mode.
+func benchSimulatorMode(b *testing.B, samples, workers int, mode sim.EstimatorMode) *sim.Simulator {
+	b.Helper()
+	s, prof, cp := benchWorkload()
+	sm, err := sim.New(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers), sim.WithEstimator(mode))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,16 +202,24 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkSimEstimate measures one plan evaluation — the unit of work
-// the greedy planner spends its budget on.
+// BenchmarkSimEstimate measures one warm plan evaluation — the unit of
+// work the greedy planner spends its budget on — per estimator mode.
 func BenchmarkSimEstimate(b *testing.B) {
-	sm := benchSimulator(b, 20)
-	plan := sim.Uniform(32, sm.Spec().NumStages())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sm.Estimate(plan); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range benchEstimatorModes() {
+		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
+			sm := benchSimulatorMode(b, 20, 1, mode)
+			plan := sim.Uniform(32, sm.Spec().NumStages())
+			if _, err := sm.Estimate(plan); err != nil { // warm caches once
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sm.Estimate(plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -248,7 +267,7 @@ func BenchmarkPlanElastic(b *testing.B) {
 func BenchmarkSimEstimateWorkers(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("samples=200/workers=%d", w), func(b *testing.B) {
-			sm := benchSimulatorWorkers(b, 200, w)
+			sm := benchSimulatorMode(b, 200, w, sim.EstimatorSegment)
 			plan := sim.Uniform(32, sm.Spec().NumStages())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -267,7 +286,7 @@ func BenchmarkSimEstimateWorkers(b *testing.B) {
 func BenchmarkPlanElastic100(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			sm := benchSimulatorWorkers(b, 100, w)
+			sm := benchSimulatorMode(b, 100, w, sim.EstimatorSegment)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: w}
@@ -279,26 +298,8 @@ func BenchmarkPlanElastic100(b *testing.B) {
 	}
 }
 
-// benchSimulatorMode is benchSimulatorWorkers with an explicit estimator
-// mode.
-func benchSimulatorMode(b *testing.B, samples, workers int, mode sim.EstimatorMode) *sim.Simulator {
-	b.Helper()
-	s := spec.MustSHA(64, 4, 508, 2)
-	prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-	cp := sim.DefaultCloudProfile()
-	cp.Overheads = cloud.Overheads{
-		QueueDelay:  stats.Deterministic{Value: 5},
-		InitLatency: stats.Deterministic{Value: 15},
-	}
-	sm, err := sim.New(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers), sim.WithEstimator(mode))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sm
-}
-
 func benchEstimatorModes() []sim.EstimatorMode {
-	return []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorFull}
+	return []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorFull, sim.EstimatorAnalytic}
 }
 
 // BenchmarkPlanElastic100Estimator compares the estimator modes on the
@@ -335,6 +336,97 @@ func BenchmarkPlanElastic100Cold(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchController builds a replanning controller over the benchmark
+// workload and feeds it a drifted observation window (iterations 1.5x
+// slower than predicted), so each Replan call exercises the full warm
+// path: profile refit, tail re-plan under the remaining deadline, and
+// splice.
+func benchController(b *testing.B, samples int, mode sim.EstimatorMode) (*replan.Controller, replan.State) {
+	b.Helper()
+	s, prof, cp := benchWorkload()
+	ctl, err := replan.NewController(replan.Config{
+		Spec:      s,
+		Profile:   prof,
+		Cloud:     cp,
+		Deadline:  900,
+		MaxGPUs:   128,
+		Samples:   samples,
+		Workers:   1,
+		Estimator: mode,
+		RNG:       stats.NewRNG(2),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := sim.Uniform(32, s.NumStages())
+	gpus := sim.GPUsPerTrial(plan.Alloc[0], s.Stage(0).Trials)
+	pred := prof.IterDist(gpus).Mean()
+	for i := 0; i < 8; i++ {
+		ctl.ObserveIteration(gpus, 1.5*pred, vclock.Time(i))
+	}
+	return ctl, replan.State{Stage: 0, Now: 100, RemainingIters: s.Stage(0).Iters, Plan: plan}
+}
+
+// BenchmarkReplan measures one warm online replanning decision per
+// estimator mode.
+func BenchmarkReplan(b *testing.B) {
+	for _, mode := range benchEstimatorModes() {
+		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
+			ctl, state := benchController(b, 100, mode)
+			if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil { // warm once
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReplanPreScreen measures one read-only analytic drift screen:
+// refit, stale-tail rescore and analytic mini-plan.
+func BenchmarkReplanPreScreen(b *testing.B) {
+	ctl, state := benchController(b, 20, sim.EstimatorAnalytic)
+	if _, err := ctl.PreScreen(state); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctl.PreScreen(state); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanFrontier measures one analytic batch-score of a
+// 128-candidate uniform frontier — the planner's phase-one workload.
+func BenchmarkPlanFrontier(b *testing.B) {
+	const frontier = 128
+	sm := benchSimulatorMode(b, 20, 1, sim.EstimatorAnalytic)
+	plans := make([]sim.Plan, frontier)
+	for g := 1; g <= frontier; g++ {
+		plans[g-1] = sim.Uniform(g, sm.Spec().NumStages())
+	}
+	eval := sm.NewAnalyticEval()
+	ests := make([]sim.Estimate, frontier)
+	oks := make([]bool, frontier)
+	if err := eval.EstimateBatch(plans, ests, oks); err != nil { // warm caches
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eval.EstimateBatch(plans, ests, oks); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

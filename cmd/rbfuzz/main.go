@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/harness"
@@ -53,6 +54,40 @@ func verifyServeReplay(path string) int {
 	return 0
 }
 
+// scenarioOverrides turns the -replan and -drift-threshold flags into a
+// per-scenario mutation (nil when both keep the per-scenario draws).
+// Forcing replanning on skips scenarios that carry arbiter caps: a gated
+// run cannot also replan (both rewrite the live plan), so those keep
+// their drawn configuration instead of failing before they start.
+func scenarioOverrides(rpl string, drift float64) (func(*harness.Scenario), error) {
+	var mutate func(*harness.Scenario)
+	switch rpl {
+	case "auto":
+	case "on":
+		mutate = func(sc *harness.Scenario) {
+			if len(sc.ArbiterCaps) == 0 {
+				sc.ReplanEnabled = true
+			}
+		}
+	case "off":
+		mutate = func(sc *harness.Scenario) { sc.ReplanEnabled = false }
+	default:
+		return nil, fmt.Errorf("-replan must be auto, on or off (got %q)", rpl)
+	}
+	if drift == 0 {
+		return mutate, nil
+	}
+	if !(drift > 0) || math.IsInf(drift, 1) {
+		return nil, fmt.Errorf("-drift-threshold must be a finite positive number (got %v)", drift)
+	}
+	return func(sc *harness.Scenario) {
+		if mutate != nil {
+			mutate(sc)
+		}
+		sc.DriftThreshold = drift
+	}, nil
+}
+
 func main() {
 	var (
 		seed    = flag.Uint64("seed", 1, "batch seed; scenario i is a pure function of (seed, i)")
@@ -72,28 +107,10 @@ func main() {
 		os.Exit(verifyServeReplay(*srvRep))
 	}
 
-	var mutate func(*harness.Scenario)
-	switch *rpl {
-	case "auto":
-	case "on", "off":
-		on := *rpl == "on"
-		mutate = func(sc *harness.Scenario) { sc.ReplanEnabled = on }
-	default:
-		fmt.Fprintf(os.Stderr, "rbfuzz: -replan must be auto, on or off (got %q)\n", *rpl)
+	mutate, err := scenarioOverrides(*rpl, *drift)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rbfuzz:", err)
 		os.Exit(2)
-	}
-	if *drift != 0 {
-		if *drift < 0 {
-			fmt.Fprintf(os.Stderr, "rbfuzz: -drift-threshold must be positive (got %v)\n", *drift)
-			os.Exit(2)
-		}
-		prev := mutate
-		mutate = func(sc *harness.Scenario) {
-			if prev != nil {
-				prev(sc)
-			}
-			sc.DriftThreshold = *drift
-		}
 	}
 
 	opts := harness.Options{Seed: *seed, Scenarios: *n, Workers: *workers, Replay: *replay, CrashCheck: *crash, Mutate: mutate}

@@ -18,9 +18,6 @@ type BracketResult struct {
 	Plan      sim.Plan
 	Predicted sim.Estimate
 	Actual    *executor.Result
-	// Grants records the per-stage GPU grants a shared-capacity run gave
-	// this bracket (nil for unconstrained multi-jobs).
-	Grants []int
 }
 
 // MultiResult aggregates a concurrently executed multi-job (Figure 6's
@@ -111,142 +108,24 @@ func (e *Experiment) RunMultiJob(brackets []*spec.ExperimentSpec) (*MultiResult,
 		return true
 	})
 
-	return collectMulti(brackets, plans, preds, jobs, nil)
-}
-
-// RunMultiJobShared is RunMultiJob on a capacity-constrained cluster:
-// the brackets still share one virtual timeline, but their stage-
-// boundary allocations are arbitrated against a single GPU capacity — a
-// bracket entering a stage exchanges its current hold for min(planned,
-// free) GPUs, never below 1, and a finished bracket releases its hold
-// for the others. This is the single-process seed of the serve control
-// plane's cross-experiment arbiter: same exchange rule, same capacity
-// invariant (Σ holds ≤ capacity after every grant), no wall clock.
-// capacity must be at least len(brackets) so every live bracket can hold
-// its 1-GPU minimum.
-func (e *Experiment) RunMultiJobShared(brackets []*spec.ExperimentSpec, capacity int) (*MultiResult, error) {
-	if len(brackets) == 0 {
-		return nil, fmt.Errorf("core: no brackets")
-	}
-	if capacity < len(brackets) {
-		return nil, fmt.Errorf("core: capacity %d < %d brackets (each live bracket holds >= 1 GPU)", capacity, len(brackets))
-	}
-	plans := make([]sim.Plan, len(brackets))
-	preds := make([]sim.Estimate, len(brackets))
-	for i, b := range brackets {
-		be := *e
-		be.Spec = b
-		be.Seed = e.Seed + uint64(i)*7919
-		res, _, err := be.Plan()
-		if err != nil {
-			return nil, fmt.Errorf("core: bracket %d: %w", i, err)
-		}
-		plans[i] = res.Plan
-		preds[i] = res.Estimate
-	}
-
-	clock := vclock.New()
-	cp := e.cloudProfile()
-	jobs := make([]*executor.Job, len(brackets))
-	grants := make([][]int, len(brackets))
-	// holds is the shared ledger: every un-finished bracket's current GPU
-	// hold, seeded at the 1-GPU minimum. The gates below run serially on
-	// the shared virtual clock, so plain slice updates keep the invariant.
-	holds := make([]int, len(brackets))
-	for i := range holds {
-		holds[i] = 1
-	}
-	for i, b := range brackets {
-		seed := e.Seed + uint64(i)*7919
-		rng := stats.NewRNG(seed + 2)
-		provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cp.Overheads, cp.DatasetGB)
-		if err != nil {
-			return nil, err
-		}
-		if err := provider.SetFaults(e.Faults); err != nil {
-			return nil, err
-		}
-		mgr, err := cluster.NewManager(provider, cp.Instance, clock)
-		if err != nil {
-			return nil, err
-		}
-		configs := e.Space.SampleN(stats.NewRNG(seed+3), b.TotalTrials())
-		idx := i
-		gate := func(stage, planned int) int {
-			free := capacity
-			for j, h := range holds {
-				if j != idx {
-					free -= h
-				}
-			}
-			g := planned
-			if g > free {
-				g = free
-			}
-			if g < 1 {
-				g = 1
-			}
-			holds[idx] = g
-			grants[idx] = append(grants[idx], g)
-			return g
-		}
-		job, err := executor.Start(executor.Config{
-			Spec:             b,
-			Plan:             plans[i],
-			Model:            e.Model,
-			Batch:            e.batch(),
-			Configs:          configs,
-			Provider:         provider,
-			Cluster:          mgr,
-			Clock:            clock,
-			RNG:              rng,
-			DisablePlacement: e.DisablePlacement,
-			RestoreSeconds:   e.RestoreSeconds,
-			StageGate:        gate,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: bracket %d: %w", i, err)
-		}
-		jobs[i] = job
-	}
-
-	// Step the shared timeline, releasing each bracket's hold the moment
-	// it finishes so the remaining brackets can grow into the freed GPUs
-	// at their next stage boundary.
-	clock.RunUntil(func() bool {
-		done := true
-		for i, j := range jobs {
-			if j.Done() {
-				holds[i] = 0
-			} else {
-				done = false
-			}
-		}
-		return done
-	})
-
-	return collectMulti(brackets, plans, preds, jobs, grants)
+	return collectMulti(brackets, plans, preds, jobs)
 }
 
 // collectMulti aggregates the brackets' outcomes.
 func collectMulti(brackets []*spec.ExperimentSpec, plans []sim.Plan, preds []sim.Estimate,
-	jobs []*executor.Job, grants [][]int) (*MultiResult, error) {
+	jobs []*executor.Job) (*MultiResult, error) {
 	out := &MultiResult{}
 	for i, j := range jobs {
 		actual, err := j.Result()
 		if err != nil {
 			return nil, fmt.Errorf("core: bracket %d: %w", i, err)
 		}
-		br := BracketResult{
+		out.Brackets = append(out.Brackets, BracketResult{
 			Spec:      brackets[i],
 			Plan:      plans[i],
 			Predicted: preds[i],
 			Actual:    actual,
-		}
-		if grants != nil {
-			br.Grants = grants[i]
-		}
-		out.Brackets = append(out.Brackets, br)
+		})
 		out.TotalCost += actual.Cost
 		if actual.JCT > out.JCT {
 			out.JCT = actual.JCT

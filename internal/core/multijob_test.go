@@ -75,90 +75,3 @@ func TestRunMultiJobDeterministic(t *testing.T) {
 		t.Fatal("multi-job not deterministic")
 	}
 }
-
-func TestRunMultiJobSharedCapacityInvariant(t *testing.T) {
-	e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 44)
-	brackets, err := spec.Hyperband(9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const capacity = 6
-	res, err := e.RunMultiJobShared(brackets, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range res.Brackets {
-		if len(b.Grants) != b.Spec.NumStages() {
-			t.Fatalf("bracket %d: %d grants for %d stages", i, len(b.Grants), b.Spec.NumStages())
-		}
-		for s, g := range b.Grants {
-			if g < 1 {
-				t.Errorf("bracket %d stage %d granted %d GPUs, want >= 1", i, s, g)
-			}
-			if g > b.Plan.Alloc[s] {
-				t.Errorf("bracket %d stage %d granted %d > planned %d", i, s, g, b.Plan.Alloc[s])
-			}
-			if g > capacity {
-				t.Errorf("bracket %d stage %d granted %d > capacity %d", i, s, g, capacity)
-			}
-		}
-		// The executed plan must be the granted one.
-		for s, g := range b.Grants {
-			if b.Actual.FinalPlan.Alloc[s] != g {
-				t.Errorf("bracket %d stage %d executed %d GPUs, granted %d", i, s, b.Actual.FinalPlan.Alloc[s], g)
-			}
-		}
-	}
-	// The constrained fleet can be no faster than the unconstrained one.
-	free, err := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 44).RunMultiJob(brackets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.JCT < free.JCT {
-		t.Errorf("shared-capacity JCT %v beat unconstrained JCT %v", res.JCT, free.JCT)
-	}
-}
-
-func TestRunMultiJobSharedValidation(t *testing.T) {
-	e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 45)
-	brackets, err := spec.Hyperband(9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunMultiJobShared(nil, 8); err == nil {
-		t.Error("empty bracket list accepted")
-	}
-	if _, err := e.RunMultiJobShared(brackets, len(brackets)-1); err == nil {
-		t.Error("capacity below bracket count accepted")
-	}
-}
-
-func TestRunMultiJobSharedDeterministic(t *testing.T) {
-	brackets, err := spec.Hyperband(9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runOnce := func() *MultiResult {
-		e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 46)
-		res, err := e.RunMultiJobShared(brackets, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := runOnce(), runOnce()
-	if a.TotalCost != b.TotalCost || a.JCT != b.JCT || a.BestAccuracy != b.BestAccuracy {
-		t.Fatal("shared multi-job not deterministic")
-	}
-	for i := range a.Brackets {
-		ga, gb := a.Brackets[i].Grants, b.Brackets[i].Grants
-		if len(ga) != len(gb) {
-			t.Fatalf("bracket %d grant counts differ", i)
-		}
-		for s := range ga {
-			if ga[s] != gb[s] {
-				t.Fatalf("bracket %d stage %d grants differ: %d vs %d", i, s, ga[s], gb[s])
-			}
-		}
-	}
-}

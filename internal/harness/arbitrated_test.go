@@ -37,11 +37,11 @@ func TestArbitratedReplayBitIdentical(t *testing.T) {
 	// gate (the caps must not be consulted: Gate overrides them).
 	grants := a.Grants
 	i := 0
-	replayed, err := RunScenarioArbitrated(sc, func(req GrantRequest) int {
+	replayed, err := Run(sc, RunConfig{Gate: func(req GrantRequest) int {
 		g := grants[i].Granted
 		i++
 		return g
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestArbitratedDigestDiffersFromUngated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	squeezed, err := RunScenarioArbitrated(sc, func(req GrantRequest) int { return 1 })
+	squeezed, err := Run(sc, RunConfig{Gate: func(req GrantRequest) int { return 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestArbitratedRejectsReplan(t *testing.T) {
 	sc := Generate(103, 0)
 	sc.ReplanEnabled = true
 	sc.ArbiterCaps = nil
-	if _, err := RunScenarioArbitrated(sc, func(req GrantRequest) int { return req.Want }); err == nil {
+	if _, err := Run(sc, RunConfig{Gate: func(req GrantRequest) int { return req.Want }}); err == nil {
 		t.Fatal("gate + replan accepted")
 	}
 }
@@ -192,7 +192,7 @@ func TestGatedCrashRecovery(t *testing.T) {
 	// Uninterrupted journaled reference.
 	base := journal.NewMemBackend()
 	wb := journal.NewWriter(base, 8)
-	ref, err := runWith(sc, RunConfig{Journal: wb, Gate: gateFor(sc.ArbiterCaps)})
+	ref, err := Run(sc, RunConfig{Journal: wb, Gate: gateFor(sc.ArbiterCaps)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestGatedCrashRecovery(t *testing.T) {
 		crashed := journal.NewMemBackend()
 		wc := journal.NewWriter(crashed, 8)
 		wc.SetCrashPoint(seq, 0)
-		if _, err := runWith(sc, RunConfig{Journal: wc, Gate: gateFor(sc.ArbiterCaps)}); !errors.Is(err, journal.ErrCrash) {
+		if _, err := Run(sc, RunConfig{Journal: wc, Gate: gateFor(sc.ArbiterCaps)}); !errors.Is(err, journal.ErrCrash) {
 			t.Fatalf("crash at %d: err = %v", seq, err)
 		}
 
@@ -241,7 +241,7 @@ func TestGatedCrashRecovery(t *testing.T) {
 		}
 		i := 0
 		live := gateFor(sc.ArbiterCaps)
-		rec, err := runWith(sc, RunConfig{Journal: w2, Gate: func(req GrantRequest) int {
+		rec, err := Run(sc, RunConfig{Journal: w2, Gate: func(req GrantRequest) int {
 			if i < len(prefix) {
 				g := prefix[i].Granted
 				i++

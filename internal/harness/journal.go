@@ -13,19 +13,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// RunScenarioJournaled runs sc end-to-end with every executor state
-// transition and replan decision streamed through w, snapshots captured
-// at w's interval, and an End record on completion. With a fresh writer
-// this journals an uninterrupted run; with a writer from journal.Resume
-// it performs verified recovery: the re-executed prefix is byte-compared
-// against the journal, then the run continues by appending.
-//
-// Journaling is digest-invisible: the returned artifacts are
-// bit-identical to RunScenario's for the same scenario.
-func RunScenarioJournaled(sc Scenario, w *journal.Writer) (*Artifacts, error) {
-	return runScenario(sc, w)
-}
-
 // allocI64 widens a plan allocation for its fixed-width journal encoding.
 func allocI64(alloc []int) []int64 {
 	if len(alloc) == 0 {
@@ -160,7 +147,7 @@ func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) C
 	}
 	defer base.Close()
 	wb := journal.NewWriter(base, interval)
-	ab, err := RunScenarioJournaled(sc, wb)
+	ab, err := Run(sc, RunConfig{Journal: wb})
 	if err != nil {
 		return out, nil, fmt.Errorf("baseline journaled run: %w", err)
 	}
@@ -177,7 +164,7 @@ func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) C
 	defer crashed.Close()
 	wc := journal.NewWriter(crashed, interval)
 	wc.SetCrashPoint(out.Crash.Seq, out.Crash.Torn)
-	if _, err := RunScenarioJournaled(sc, wc); !errors.Is(err, journal.ErrCrash) {
+	if _, err := Run(sc, RunConfig{Journal: wc}); !errors.Is(err, journal.ErrCrash) {
 		return out, nil, fmt.Errorf("crash at record %d did not kill the run (err=%v)", out.Crash.Seq, err)
 	}
 
@@ -195,7 +182,7 @@ func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) C
 			hdr.BatchSeed, hdr.Index, sc.BatchSeed, sc.Index))
 		return out, problems, nil
 	}
-	ar, err := RunScenarioJournaled(sc, w2)
+	ar, err := Run(sc, RunConfig{Journal: w2})
 	if err != nil {
 		return out, nil, fmt.Errorf("recovery from crash at record %d (torn %d, damage %q): %w",
 			out.Crash.Seq, out.Crash.Torn, damage, err)

@@ -42,11 +42,11 @@ func kernelCorpus() []Scenario {
 // decisions.
 func TestKernelEquivalenceOnCorpus(t *testing.T) {
 	for _, sc := range kernelCorpus() {
-		wheel, err := RunScenarioOnKernel(sc, vclock.New)
+		wheel, err := Run(sc, RunConfig{NewClock: vclock.New})
 		if err != nil {
 			t.Fatalf("wheel kernel: %v\n  %s", err, sc)
 		}
-		heap, err := RunScenarioOnKernel(sc, vclock.NewHeap)
+		heap, err := Run(sc, RunConfig{NewClock: vclock.NewHeap})
 		if err != nil {
 			t.Fatalf("heap kernel: %v\n  %s", err, sc)
 		}
@@ -73,11 +73,11 @@ func TestKernelEquivalenceSweep(t *testing.T) {
 	for _, seed := range []uint64{7, 11} {
 		for idx := 0; idx < 8; idx++ {
 			sc := Generate(seed, idx)
-			wheel, err := RunScenarioOnKernel(sc, vclock.New)
+			wheel, err := Run(sc, RunConfig{NewClock: vclock.New})
 			if err != nil {
 				t.Fatalf("wheel kernel: %v\n  %s", err, sc)
 			}
-			heap, err := RunScenarioOnKernel(sc, vclock.NewHeap)
+			heap, err := Run(sc, RunConfig{NewClock: vclock.NewHeap})
 			if err != nil {
 				t.Fatalf("heap kernel: %v\n  %s", err, sc)
 			}
@@ -98,11 +98,11 @@ func TestKernelJournalByteEquivalence(t *testing.T) {
 	const interval = 7
 	for _, sc := range kernelCorpus() {
 		bw := journal.NewMemBackend()
-		if _, err := runScenarioOn(sc, journal.NewWriter(bw, interval), vclock.New); err != nil {
+		if _, err := Run(sc, RunConfig{Journal: journal.NewWriter(bw, interval), NewClock: vclock.New}); err != nil {
 			t.Fatalf("wheel journaled run: %v\n  %s", err, sc)
 		}
 		bh := journal.NewMemBackend()
-		if _, err := runScenarioOn(sc, journal.NewWriter(bh, interval), vclock.NewHeap); err != nil {
+		if _, err := Run(sc, RunConfig{Journal: journal.NewWriter(bh, interval), NewClock: vclock.NewHeap}); err != nil {
 			t.Fatalf("heap journaled run: %v\n  %s", err, sc)
 		}
 		diff, err := journal.Diff(bw, bh)
@@ -134,7 +134,7 @@ func TestKernelCrossRecovery(t *testing.T) {
 			// Reference run to learn the journal length.
 			ref := journal.NewMemBackend()
 			w := journal.NewWriter(ref, interval)
-			a, err := runScenarioOn(sc, w, dir.first)
+			a, err := Run(sc, RunConfig{Journal: w, NewClock: dir.first})
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -144,7 +144,7 @@ func TestKernelCrossRecovery(t *testing.T) {
 			crashed := journal.NewMemBackend()
 			wc := journal.NewWriter(crashed, interval)
 			wc.SetCrashPoint(total/2, 0)
-			if _, err := runScenarioOn(sc, wc, dir.first); err == nil {
+			if _, err := Run(sc, RunConfig{Journal: wc, NewClock: dir.first}); err == nil {
 				t.Fatal("crash point did not kill the run")
 			}
 
@@ -157,7 +157,7 @@ func TestKernelCrossRecovery(t *testing.T) {
 			if damage != "" {
 				t.Fatalf("unexpected damage on clean crash: %q", damage)
 			}
-			ar, err := runScenarioOn(sc, w2, dir.resumed)
+			ar, err := Run(sc, RunConfig{Journal: w2, NewClock: dir.resumed})
 			if err != nil {
 				t.Fatalf("cross-kernel recovery: %v", err)
 			}

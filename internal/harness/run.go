@@ -89,8 +89,11 @@ type GrantDecision struct {
 
 // RunConfig bundles the optional knobs of a scenario run.
 type RunConfig struct {
-	// Journal, if non-nil, streams every state transition through the
-	// writer (write-ahead) exactly as RunScenarioJournaled does.
+	// Journal, if non-nil, streams every executor state transition and
+	// replan decision through the writer (write-ahead), captures
+	// snapshots at its interval, and closes the run with an End record.
+	// A crash or divergence latched by the writer aborts the run at the
+	// next step boundary.
 	Journal *journal.Writer
 	// Gate, if non-nil, arbitrates every stage-boundary allocation. The
 	// decisions are recorded in Artifacts.Grants, journaled as Grant
@@ -147,44 +150,18 @@ func (a *Artifacts) finishedAt() vclock.Time { return vclock.Time(a.Result.JCT) 
 // cluster manager on a fresh virtual clock, and drives the executor to
 // completion. Every random stream is derived from (BatchSeed, Index), so
 // repeated calls produce bit-identical artifacts.
-func RunScenario(sc Scenario) (*Artifacts, error) { return runScenario(sc, nil) }
+func RunScenario(sc Scenario) (*Artifacts, error) { return Run(sc, RunConfig{}) }
 
-// RunScenarioOnKernel is RunScenario on a caller-chosen simulation
-// kernel: newClock supplies the virtual clock (vclock.New for the
-// production timer wheel, vclock.NewHeap for the reference binary
-// heap). The differential kernel suite runs every corpus scenario under
-// both and requires bit-identical artifacts; everything downstream of
-// the clock is kernel-agnostic.
-func RunScenarioOnKernel(sc Scenario, newClock func() *vclock.Clock) (*Artifacts, error) {
-	return runWith(sc, RunConfig{NewClock: newClock})
-}
-
-// RunScenarioArbitrated runs sc with every stage-boundary allocation
-// arbitrated by gate — the offline replay path for multi-tenant runs: a
-// scripted gate re-issuing a recorded grant sequence reproduces the
-// server-side digest bit for bit.
-func RunScenarioArbitrated(sc Scenario, gate GrantFn) (*Artifacts, error) {
-	return runWith(sc, RunConfig{Gate: gate})
-}
-
-// runScenario is RunScenario with an optional journal writer: when jw is
-// non-nil, every executor state transition and replan decision streams
-// through it (write-ahead), snapshots are captured at its interval, and
-// a crash or divergence latched by the writer aborts the run between
-// clock steps. Journaling draws no randomness and mutates no run state,
-// so a journaled run's artifacts are bit-identical to a plain run's.
-func runScenario(sc Scenario, jw *journal.Writer) (*Artifacts, error) {
-	return runWith(sc, RunConfig{Journal: jw})
-}
-
-// runScenarioOn is the journaled kernel-parameterized entry the
-// differential suites use.
-func runScenarioOn(sc Scenario, jw *journal.Writer, newClock func() *vclock.Clock) (*Artifacts, error) {
-	return runWith(sc, RunConfig{Journal: jw, NewClock: newClock})
-}
-
-// runWith starts the scenario and drives it to completion.
-func runWith(sc Scenario, rc RunConfig) (*Artifacts, error) {
+// Run starts sc under rc and drives it to completion. With rc.Journal
+// set it journals the run write-ahead; a writer from journal.Resume
+// makes it verified recovery (the re-executed prefix is byte-compared
+// against the journal, then the run continues by appending). Journaling
+// is digest-invisible. With rc.Gate set it is the offline replay path
+// for arbitrated runs: a gate re-issuing a recorded grant sequence
+// reproduces the server-side digest bit for bit. rc.NewClock picks the
+// simulation kernel; the differential suites run every scenario on both
+// and require bit-identical artifacts.
+func Run(sc Scenario, rc RunConfig) (*Artifacts, error) {
 	r, err := StartScenario(sc, rc)
 	if err != nil {
 		return nil, err

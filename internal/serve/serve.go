@@ -248,7 +248,7 @@ func VerifyReplay(t ReplayTuple) (harness.Digest, error) {
 	if err != nil {
 		return 0, err
 	}
-	a, err := harness.RunScenarioArbitrated(sc, ScriptedGrants(t.Grants))
+	a, err := harness.Run(sc, harness.RunConfig{Gate: ScriptedGrants(t.Grants)})
 	if err != nil {
 		return 0, fmt.Errorf("serve: replay run: %w", err)
 	}

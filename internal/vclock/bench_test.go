@@ -99,28 +99,40 @@ func TestCancelAllocs(t *testing.T) {
 
 // TestDispatchAllocs pins the full schedule→fire→dispatch cycle through
 // AtOp at zero allocations per event on both kernels — the property the
-// executor hot loop depends on at fleet scale.
+// executor hot loop depends on at fleet scale — both on an otherwise
+// empty queue and behind a warm standing backlog of populationScale
+// events.
 func TestDispatchAllocs(t *testing.T) {
 	perKernel(t, func(t *testing.T, mk func() *Clock) {
-		c := mk()
-		var fired int64
-		id := c.RegisterDispatcher(func(op uint8, a, b int64) { fired += a })
-		// Warm slab, ready heap, and wheel cursor.
-		for i := 0; i < 64; i++ {
-			c.AtOp(c.Now()+Time(i)*0.001, id, 0, 1, 0)
-		}
-		c.Run(0)
-		allocs := testing.AllocsPerRun(2000, func() {
-			c.AtOp(c.Now()+0.0005, id, 0, 1, 0)
-			if !c.Step() {
-				t.Fatal("no event to fire")
+		for _, backlog := range []int{0, populationScale} {
+			c := mk()
+			var fired int64
+			id := c.RegisterDispatcher(func(op uint8, a, b int64) { fired += a })
+			// Warm slab, ready heap, and wheel cursor.
+			for i := 0; i < 64; i++ {
+				c.AtOp(c.Now()+Time(i)*0.001, id, 0, 1, 0)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("dispatch path allocates %.1f objects/event, want 0", allocs)
-		}
-		if fired == 0 {
-			t.Fatal("dispatcher never ran")
+			c.Run(0)
+			// The backlog sits beyond the measured window (2000 events of
+			// 0.5 ms each), so every measured Step fires a measured event.
+			for i := 0; i < backlog; i++ {
+				c.AtOp(c.Now()+60+Time(i)*0.001, id, 0, 0, 0)
+			}
+			allocs := testing.AllocsPerRun(2000, func() {
+				c.AtOp(c.Now()+0.0005, id, 0, 1, 0)
+				if !c.Step() {
+					t.Fatal("no event to fire")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("dispatch path allocates %.1f objects/event behind a %d-event backlog, want 0", allocs, backlog)
+			}
+			if fired == 0 {
+				t.Fatal("dispatcher never ran")
+			}
+			if c.Pending() != backlog {
+				t.Fatalf("pending = %d, want the %d-event backlog", c.Pending(), backlog)
+			}
 		}
 	})
 }

@@ -22,6 +22,9 @@ type scriptResult struct {
 	now     Time
 	pending int
 	seq     uint64
+	// peak is the largest number of events pending at once between
+	// script ops; it is reported, not digested.
+	peak int
 }
 
 // digest folds a result into an FNV-1a hash over the exact float bits
@@ -51,17 +54,24 @@ func (r scriptResult) digest() uint64 {
 // (near, same-tick, and far-future), opcode-dispatch scheduling,
 // cancellation of both closure and opcode events, single steps, bounded
 // Advance, horizon Run, and RunUntil — every public way to move the
-// clock. Interpretation depends only on data, so running the same
-// script on the wheel and heap kernels must produce bit-identical
-// results; the differential and fuzz suites assert exactly that.
+// clock. An opcode event scheduled with an odd payload also arms a
+// watchdog opcode event (logged with tag -1-tag) that the event cancels
+// when it fires, the executor's schedule/cancel churn pattern.
+// Interpretation depends only on data, so running the same script on
+// the wheel and heap kernels must produce bit-identical results; the
+// differential and fuzz suites assert exactly that.
 func runScript(mk func() *Clock, data []byte) scriptResult {
 	c := mk()
 	var fires []fireRec
 	var timers []Timer
 	var ophs []Handle
-	nextTag := 0
+	dogs := map[int64]Handle{}
+	nextTag, peak := 0, 0
 	const maxFires = 1 << 15
 	id := c.RegisterDispatcher(func(op uint8, a, b int64) {
+		if op == 1 {
+			c.Cancel(dogs[a])
+		}
 		fires = append(fires, fireRec{tag: int(a), at: c.Now()})
 	})
 	schedule := func(delay float64, spawn bool) {
@@ -92,7 +102,11 @@ func runScript(mk func() *Clock, data []byte) scriptResult {
 		case 2: // schedule an opcode event; also exercises far-future when arg is large
 			tag := nextTag
 			nextTag++
-			ophs = append(ophs, c.AtOp(c.Now()+Time(arg)*0.03, id, 1, int64(tag), 0))
+			at := c.Now() + Time(arg)*0.03
+			ophs = append(ophs, c.AtOp(at, id, 1, int64(tag), 0))
+			if arg&1 == 1 {
+				dogs[int64(tag)] = c.AtOp(at+90, id, 2, int64(-1-tag), 0)
+			}
 		case 3: // schedule far in the future: high wheel levels / overflow
 			schedule(float64(arg)*97.0, false)
 		case 4: // cancel a closure timer
@@ -116,12 +130,15 @@ func runScript(mk func() *Clock, data []byte) scriptResult {
 				c.RunUntil(func() bool { return len(fires) >= target })
 			}
 		}
+		if p := c.Pending(); p > peak {
+			peak = p
+		}
 		if len(fires) > maxFires {
 			break
 		}
 	}
 	c.Run(0) // drain everything still pending
-	return scriptResult{fires: fires, now: c.Now(), pending: c.Pending(), seq: c.Seq()}
+	return scriptResult{fires: fires, now: c.Now(), pending: c.Pending(), seq: c.Seq(), peak: peak}
 }
 
 // diffScripts runs one script on both kernels and reports the first
@@ -144,9 +161,33 @@ func diffScripts(t *testing.T, data []byte) {
 	}
 }
 
+// populationScale is the concurrent event population the kernel tests
+// hold at once: large enough that every wheel level and a deep heap are
+// occupied while events fire and cancel.
+const populationScale = 2048
+
+// populationScript is a seeded script that schedules populationScale
+// watchdogged opcode events (each cancels its watchdog when it fires)
+// before draining any, interleaved with short advances so firing,
+// cancelling and scheduling all happen at population scale.
+func populationScript(seed uint64) []byte {
+	var data []byte
+	for i := 0; i < populationScale; i++ {
+		seed += 0x9e3779b97f4a7c15
+		z := (seed ^ (seed >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		data = append(data, 2, byte(z)|1, byte(z>>8)) // odd payload: watchdogged
+		if i%64 == 63 {
+			data = append(data, 6, byte(z>>16), 0) // advance < 1 s
+		}
+	}
+	return append(data, 7, 2, 0) // RunUntil a small fire quota
+}
+
 // TestKernelDifferentialRandomScripts drives both kernels through
-// randomized schedule/cancel/advance scripts and requires bit-identical
-// firing logs, final time, and pending counts.
+// randomized schedule/cancel/advance scripts, plus one seeded
+// population-scale script, and requires bit-identical firing logs, final
+// time, and pending counts.
 func TestKernelDifferentialRandomScripts(t *testing.T) {
 	f := func(data []byte) bool {
 		w := runScript(New, data)
@@ -164,6 +205,18 @@ func TestKernelDifferentialRandomScripts(t *testing.T) {
 			}
 		}
 		t.Fatal(err)
+	}
+
+	pop := populationScript(7)
+	diffScripts(t, pop)
+	r := runScript(New, pop)
+	if r.peak < populationScale {
+		t.Fatalf("population script peaked at %d pending events, want >= %d", r.peak, populationScale)
+	}
+	for _, f := range r.fires {
+		if f.tag < 0 {
+			t.Fatalf("watchdog %d fired: its event was lost or reordered", -1-f.tag)
+		}
 	}
 }
 
