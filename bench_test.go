@@ -406,7 +406,7 @@ func BenchmarkReplanPreScreen(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanFrontier measures one analytic batch-score of a
+// BenchmarkPlanFrontier measures one warm analytic score of a
 // 128-candidate uniform frontier — the planner's phase-one workload.
 func BenchmarkPlanFrontier(b *testing.B) {
 	const frontier = 128
@@ -416,17 +416,18 @@ func BenchmarkPlanFrontier(b *testing.B) {
 		plans[g-1] = sim.Uniform(g, sm.Spec().NumStages())
 	}
 	eval := sm.NewAnalyticEval()
-	ests := make([]sim.Estimate, frontier)
-	oks := make([]bool, frontier)
-	if err := eval.EstimateBatch(plans, ests, oks); err != nil { // warm caches
-		b.Fatal(err)
+	score := func() {
+		for _, p := range plans {
+			if _, _, err := eval.Estimate(p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	score() // fill the segment table
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eval.EstimateBatch(plans, ests, oks); err != nil {
-			b.Fatal(err)
-		}
+		score()
 	}
 }
 

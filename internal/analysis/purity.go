@@ -42,7 +42,7 @@ import (
 // Purity verifies //rbvet:pure claims and the memoization registry.
 var Purity = &Analyzer{
 	Name:   "purity",
-	Doc:    "prove //rbvet:pure and LRU-memoized functions pure modulo arguments (effect inference over the call graph)",
+	Doc:    "prove //rbvet:pure and memoized functions pure modulo arguments (effect inference over the call graph)",
 	RunAll: runPurity,
 }
 
@@ -75,18 +75,18 @@ var effectNames = []struct {
 	{effExternal, "calls an external function with unknown effects"},
 }
 
-// memoizedRoots are the functions the sim/planner LRU caches memoize
-// (PR 4): their results are stored and replayed, so they MUST be pure
-// modulo arguments, and must say so in source with //rbvet:pure. Keyed
-// by types.Func.FullName.
+// memoizedRoots are the functions the sim segment table and the planner
+// memo memoize: their results are stored and replayed, so they MUST be
+// pure modulo arguments, and must say so in source with //rbvet:pure.
+// Keyed by types.Func.FullName.
 var memoizedRoots = map[string]string{
-	"(*repro/internal/sim.Simulator).buildSegment":   "segment LRU (sim.segs)",
-	"(*repro/internal/sim.Simulator).segmentMoments": "segment-moment LRU (sim.segMoments)",
-	"(*repro/internal/sim.segment).eval":             "segment-sample LRU (sim.segSamples)",
+	"(*repro/internal/sim.Simulator).buildSegment":   "segment table (sim.segs)",
+	"(*repro/internal/sim.Simulator).segmentMoments": "segment table's moments (segment.mom)",
+	"(*repro/internal/sim.segment).eval":             "segment table's sample vectors (segment.samples)",
 	"(*repro/internal/sim.Simulator).Estimate":       "planner memo cache (Planner.memo)",
-	"(repro/internal/sim.Plan).Key":                  "plan LRU / memo keys",
-	"(*repro/internal/dag.Program).SampleInto":       "compiled programs sampled under the segment caches",
-	"(*repro/internal/dag.Program).MomentsInto":      "compiled programs moment-propagated under the segment-moment cache",
+	"(repro/internal/sim.Plan).Key":                  "planner memo keys",
+	"(*repro/internal/dag.Program).SampleInto":       "compiled programs sampled into segment.samples",
+	"(*repro/internal/dag.Program).MomentsInto":      "compiled programs moment-propagated into segment.mom",
 }
 
 // pureExternalPkgs are standard-library packages whose functions are

@@ -1,6 +1,6 @@
 //rbvet:pkgpath repro/internal/sim
 
-// A function in the memoization registry (sim's segment LRU) must carry
+// A function in the memoization registry (sim's segment table) must carry
 // //rbvet:pure; the registry is keyed by FullName, so the pinned package
 // path makes this fixture's buildSegment the registered root.
 package memoroot
@@ -9,6 +9,6 @@ type Simulator struct {
 	segs map[string]int
 }
 
-func (s *Simulator) buildSegment(key string) int { // want `\[purity\] memoroot\.\(\*Simulator\)\.buildSegment is memoized by the segment LRU \(sim\.segs\) but not annotated //rbvet:pure`
+func (s *Simulator) buildSegment(key string) int { // want `\[purity\] memoroot\.\(\*Simulator\)\.buildSegment is memoized by the segment table \(sim\.segs\) but not annotated //rbvet:pure`
 	return len(key)
 }

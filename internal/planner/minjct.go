@@ -27,7 +27,6 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 	}
 	stages := p.Sim.Spec().NumStages()
 	scr := p.newScreen()
-	defer scr.release(p)
 
 	// Warm start: the fastest static allocation within budget. The
 	// frontier is analytically screened first (minimize JCT subject to

@@ -62,11 +62,6 @@ type Planner struct {
 	// reduction instead of Equation 1's JCT-normalized marginal benefit;
 	// exposed for the design-choice ablation.
 	RawCostSelection bool
-	// ShortlistK is the minimum number of frontier candidates the
-	// analytic pre-screen keeps for Monte-Carlo estimation (phase two of
-	// the search). Zero selects a small default. Larger values trade
-	// planning latency for extra safety margin against analytic bias.
-	ShortlistK int
 	// DisableAnalyticPrune turns off the analytic batch-scoring phase
 	// entirely: every candidate is Monte-Carlo estimated, as in the
 	// single-phase search. Exposed as the reference mode for the
@@ -85,11 +80,12 @@ type Planner struct {
 	// worker count.
 	Workers int
 
-	// memo caches plan evaluations across the whole search, keyed by the
-	// plan's compact byte encoding (sim.Plan.Key — collision-free and
-	// cheaper than formatting), so the greedy loop never re-simulates an
-	// allocation it has already scored (successive iterations share most
-	// of their candidate sets, as do overlapping warm-start descents).
+	// memo caches plan evaluations across the whole search, keyed by
+	// memoKey (a compact byte encoding of the plan), so the greedy loop
+	// never re-simulates an allocation it has already scored (successive
+	// iterations share most of their candidate sets, as do overlapping
+	// warm-start descents). It is the only plan-level memo: the simulator
+	// memoizes per stage segment.
 	memoMu sync.Mutex
 	memo   map[string]sim.Estimate
 	// estCalls counts estimate() invocations (hits + misses), for the
@@ -188,13 +184,12 @@ func (p *Planner) PlanStatic() (Result, error) {
 		return Result{}, err
 	}
 	scr := p.newScreen()
-	defer scr.release(p)
 	return p.planStatic(scr)
 }
 
 // planStatic is PlanStatic's body with the search's analytic screen
-// threaded in, so PlanElastic shares one screen (and its warm caches)
-// across the warm-start enumeration and every greedy descent.
+// threaded in, so PlanElastic shares one screen (and its evaluator's
+// scratch) across the warm-start enumeration and every greedy descent.
 func (p *Planner) planStatic(scr *frontierScreen) (Result, error) {
 	stages := p.Sim.Spec().NumStages()
 	n := p.maxGPUs()
@@ -292,7 +287,6 @@ func (p *Planner) PlanElastic() (Result, error) {
 		return Result{}, err
 	}
 	scr := p.newScreen()
-	defer scr.release(p)
 	staticBest, err := p.planStatic(scr)
 	if err != nil {
 		return Result{}, err

@@ -46,26 +46,14 @@ type frontierScreen struct {
 // newScreen returns the search's analytic screen, or nil when pruning is
 // disabled. Under the analytic estimator the screen is also nil: phase
 // two already evaluates candidates analytically (memoized), so a scoring
-// pre-pass would compute every moment twice to save nothing. The
-// evaluator comes from the simulator's pool, so repeated searches over
-// one simulator score warm frontiers at map-probe cost; callers must
-// release the screen when the search returns.
+// pre-pass would compute every moment twice to save nothing.
 func (p *Planner) newScreen() *frontierScreen {
 	if p.DisableAnalyticPrune || p.Sim.Estimator() == sim.EstimatorAnalytic {
 		return nil
 	}
 	return &frontierScreen{
-		eval:  p.Sim.AcquireAnalyticEval(),
+		eval:  p.Sim.NewAnalyticEval(),
 		sqrtN: math.Sqrt(float64(p.Sim.Samples())),
-	}
-}
-
-// release returns the screen's evaluator to the simulator's pool. Safe
-// on a nil screen.
-func (s *frontierScreen) release(p *Planner) {
-	if s != nil {
-		p.Sim.ReleaseAnalyticEval(s.eval)
-		s.eval = nil
 	}
 }
 
@@ -92,14 +80,6 @@ func (s *frontierScreen) costMargin(e sim.Estimate) float64 {
 	return pruneKappa*e.CostStd/s.sqrtN + pruneBias*e.Cost
 }
 
-// shortlistK returns the configured Monte-Carlo shortlist floor.
-func (p *Planner) shortlistK() int {
-	if p.ShortlistK > 0 {
-		return p.ShortlistK
-	}
-	return defaultShortlistK
-}
-
 // pruneEnumeration analytically prunes a one-dimensional enumeration
 // frontier in place, clearing keep[i] for candidates that provably cannot
 // win: minimize cost subject to JCT ≤ bound when objJCT is false (the
@@ -107,9 +87,10 @@ func (p *Planner) shortlistK() int {
 // when true (the budgeted dual). A candidate is dropped when it is surely
 // infeasible (constraint minus margin past the bound) or surely dominated
 // (objective minus margin above the best surely-feasible candidate's
-// objective plus margin). At least shortlistK survivors are kept — the
-// cheapest dropped candidates by analytic objective are restored — so the
-// Monte-Carlo phase always sees a frontier even under aggressive margins.
+// objective plus margin). At least defaultShortlistK survivors are kept —
+// the cheapest dropped candidates by analytic objective are restored — so
+// the Monte-Carlo phase always sees a frontier even under aggressive
+// margins.
 func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep []bool, bound float64, objJCT bool) {
 	if scr == nil || !p.worthScreening(keep) {
 		return
@@ -193,16 +174,15 @@ func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep [
 }
 
 // worthScreening reports whether a shortlist-restoring prune can
-// possibly shrink the Monte-Carlo set: with at most shortlistK live
+// possibly shrink the Monte-Carlo set: with at most defaultShortlistK live
 // candidates the restore step would re-admit every drop, so scoring the
 // frontier is a provable no-op and is skipped outright.
 func (p *Planner) worthScreening(keep []bool) bool {
 	live := 0
-	want := p.shortlistK()
 	for _, k := range keep {
 		if k {
 			live++
-			if live > want {
+			if live > defaultShortlistK {
 				return true
 			}
 		}
@@ -211,9 +191,9 @@ func (p *Planner) worthScreening(keep []bool) bool {
 }
 
 // restoreShortlist re-adds the best dropped candidates (by analytic
-// objective, ties broken by frontier order) until at least shortlistK
-// candidates survive. Restoring can only widen the Monte-Carlo phase, so
-// it preserves the safety of every individual prune.
+// objective, ties broken by frontier order) until at least
+// defaultShortlistK candidates survive. Restoring can only widen the
+// Monte-Carlo phase, so it preserves the safety of every individual prune.
 func (p *Planner) restoreShortlist(keep []bool, dropped []int, obj func(int) float64) {
 	if len(dropped) == 0 {
 		return
@@ -224,14 +204,13 @@ func (p *Planner) restoreShortlist(keep []bool, dropped []int, obj func(int) flo
 			kept++
 		}
 	}
-	want := p.shortlistK()
-	if kept >= want {
+	if kept >= defaultShortlistK {
 		atomic.AddInt64(&p.prunedCands, int64(len(dropped)))
 		return
 	}
 	sort.SliceStable(dropped, func(a, b int) bool { return obj(dropped[a]) < obj(dropped[b]) })
 	for _, i := range dropped {
-		if kept >= want {
+		if kept >= defaultShortlistK {
 			break
 		}
 		keep[i] = true

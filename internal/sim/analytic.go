@@ -23,22 +23,22 @@ type segMoment struct {
 	ok                      bool
 }
 
-// segmentMoments returns the segment's analytic moments, filling and
-// caching them on a miss. The value is a pure function of the segment
-// (itself a pure function of the simulator configuration and the key),
-// so benign double computation under concurrent misses is harmless.
-// sc is the caller's scratch for the propagation pass.
+// segmentMoments returns the segment's analytic moments, filling sg.mom
+// on first use. The value is a pure function of the segment (itself a
+// pure function of the simulator configuration and the key), so benign
+// double computation under concurrent misses is harmless. sc is the
+// caller's scratch for the propagation pass.
 //
 //rbvet:pure
-func (s *Simulator) segmentMoments(sg *segment, sc *dag.MomentScratch) segMoment {
+func (s *Simulator) segmentMoments(sg *segment, sc *dag.MomentScratch) *segMoment {
 	s.mu.Lock()
-	v, ok := s.segMoments.get(sg.key)
+	v := sg.mom
 	s.mu.Unlock()
-	if ok {
+	if v != nil {
 		return v
 	}
 	mk, okm := sg.prog.MomentsInto(sc)
-	v = segMoment{ok: okm}
+	v = &segMoment{ok: okm}
 	if okm {
 		v.dur = mk
 		if sg.scaleIdx >= 0 {
@@ -51,7 +51,10 @@ func (s *Simulator) segmentMoments(sg *segment, sc *dag.MomentScratch) segMoment
 		}
 	}
 	s.mu.Lock()
-	s.segMoments.put(sg.key, v)
+	if sg.mom == nil {
+		sg.mom = v
+	}
+	v = sg.mom
 	s.mu.Unlock()
 	return v
 }
@@ -66,63 +69,20 @@ type birthGroup struct {
 }
 
 // AnalyticEval evaluates plans analytically against one Simulator. It
-// owns the propagation scratch and the billing stack, so it is cheap to
-// reuse and must not be shared across goroutines concurrently; create
-// one per worker (NewAnalyticEval) or let Simulator.Estimate pool them.
+// owns the propagation scratch, the compiled-plan buffer and the billing
+// stack, so it is cheap to reuse and must not be shared across goroutines
+// concurrently; create one per search or worker (NewAnalyticEval).
 type AnalyticEval struct {
 	sim    *Simulator
 	sc     dag.MomentScratch
+	cp     compiledPlan
 	groups []birthGroup
-	moms   []segMoment
-	// plans is a per-evaluator view of the simulator's plan compilation,
-	// keyed by the same encoding as Plan.Key but probed through a reused
-	// byte buffer so a warm evaluation allocates nothing. It only ever
-	// holds pointers the shared LRU also produced (pure values), and its
-	// size is bounded by the frontiers one evaluator scores.
-	plans map[string]*compiledPlan
-	// scores memoizes whole evaluations under the same key: Estimate is
-	// deterministic, so a repeat call returns the cached (Estimate, ok)
-	// pair from one map probe without touching the moment caches at all.
-	// Both maps are dropped together past maxAnalyticCached entries, a
-	// backstop no planner frontier approaches.
-	scores map[string]analyticScore
-	key    []byte
+	moms   []*segMoment
 }
-
-// analyticScore is one memoized Estimate outcome (errors are not cached;
-// they only arise from invalid plans on the cold path).
-type analyticScore struct {
-	est Estimate
-	ok  bool
-}
-
-// maxAnalyticCached bounds the per-evaluator plan and score maps.
-const maxAnalyticCached = 1 << 14
 
 // NewAnalyticEval returns a fresh analytic evaluator bound to s.
 func (s *Simulator) NewAnalyticEval() *AnalyticEval {
 	return &AnalyticEval{sim: s}
-}
-
-// AcquireAnalyticEval returns an analytic evaluator from the simulator's
-// pool, creating one when none is idle. Pair it with ReleaseAnalyticEval
-// so the evaluator's warm caches (compiled plans, memoized scores) carry
-// over to the next acquirer — this is what keeps repeated planner
-// searches over one simulator at map-probe cost. Evaluations are pure,
-// so reuse can never change a result.
-func (s *Simulator) AcquireAnalyticEval() *AnalyticEval {
-	if e, _ := s.anaPool.Get().(*AnalyticEval); e != nil {
-		return e
-	}
-	return s.NewAnalyticEval()
-}
-
-// ReleaseAnalyticEval returns an evaluator obtained from
-// AcquireAnalyticEval to the pool. Releasing nil is a no-op.
-func (s *Simulator) ReleaseAnalyticEval(e *AnalyticEval) {
-	if e != nil {
-		s.anaPool.Put(e)
-	}
 }
 
 // Estimate analytically predicts JCT and cost for the plan: E[JCT] and
@@ -136,81 +96,25 @@ func (s *Simulator) ReleaseAnalyticEval(e *AnalyticEval) {
 // moment-matched otherwise (see dag.Program.MomentsInto); CostStd
 // additionally treats per-group instance charges as independent, which
 // the validation tests bound. It is deterministic — no RNG is consulted
-// — and a warm call (cached plan and segment moments) allocates nothing.
+// — and a warm call (every segment and its moments in the table)
+// allocates nothing.
 func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
-	e.key = appendPlanKey(e.key[:0], p)
-	if s, hit := e.scores[string(e.key)]; hit { // no allocation: direct map probe
-		return s.est, s.ok, nil
+	if err := e.sim.compile(p, &e.cp); err != nil {
+		return Estimate{}, false, err
 	}
-	cp := e.plans[string(e.key)]
-	if cp == nil {
-		var err error
-		cp, err = e.sim.compile(p)
-		if err != nil {
-			return Estimate{}, false, err
-		}
-		if e.plans == nil {
-			e.plans = make(map[string]*compiledPlan)
-		}
-		e.plans[string(e.key)] = cp
-	}
-	if cap(e.moms) < len(cp.segs) {
-		e.moms = make([]segMoment, len(cp.segs))
-	}
-	moms := e.moms[:len(cp.segs)]
-	sc := analyticScore{}
-	for i, sg := range cp.segs {
-		moms[i] = e.sim.segmentMoments(sg, &e.sc)
-		if !moms[i].ok {
-			e.memoize(sc)
+	e.moms = e.moms[:0]
+	for _, sg := range e.cp.segs {
+		m := e.sim.segmentMoments(sg, &e.sc)
+		if !m.ok {
 			return Estimate{}, false, nil
 		}
+		e.moms = append(e.moms, m)
 	}
-	jct, cost := e.price(cp, moms)
-	sc = analyticScore{est: Estimate{
+	jct, cost := e.price(&e.cp, e.moms)
+	return Estimate{
 		JCT: jct.Mean, JCTStd: jct.Std(),
 		Cost: cost.Mean, CostStd: cost.Std(),
-	}, ok: true}
-	e.memoize(sc)
-	return sc.est, sc.ok, nil
-}
-
-// memoize records the just-computed outcome for the plan key currently
-// in e.key, resetting both per-evaluator maps if they have grown past
-// the backstop bound.
-func (e *AnalyticEval) memoize(sc analyticScore) {
-	if e.scores == nil {
-		e.scores = make(map[string]analyticScore)
-	} else if len(e.scores) >= maxAnalyticCached {
-		e.scores = make(map[string]analyticScore)
-		e.plans = nil
-	}
-	e.scores[string(e.key)] = sc
-}
-
-// EstimateBatch scores a whole candidate frontier in one pass over the
-// shared cached segment moments, filling ests[i] and oks[i] for plans[i]
-// (all three slices must have equal length). With warm caches the loop
-// allocates nothing and each candidate costs microseconds — this is the
-// planner's batch-scoring primitive.
-func (e *AnalyticEval) EstimateBatch(plans []Plan, ests []Estimate, oks []bool) error {
-	for i, p := range plans {
-		est, ok, err := e.Estimate(p)
-		if err != nil {
-			return err
-		}
-		ests[i], oks[i] = est, ok
-	}
-	return nil
-}
-
-// appendPlanKey appends the Plan.Key encoding (4 big-endian bytes per
-// stage) to dst, reusing its capacity.
-func appendPlanKey(dst []byte, p Plan) []byte {
-	for _, a := range p.Alloc {
-		dst = append(dst, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	return dst
+	}, true, nil
 }
 
 // price mirrors priceSchedule with moments: stage durations chain into
@@ -220,7 +124,7 @@ func appendPlanKey(dst []byte, p Plan) []byte {
 // duration decomposes as its SCALE finish plus an independent remainder)
 // with the minimum charge applied via the Gaussian clamp; per-function
 // billing sums training GPU-seconds.
-func (e *AnalyticEval) price(cp *compiledPlan, moms []segMoment) (jct, cost stats.Moment) {
+func (e *AnalyticEval) price(cp *compiledPlan, moms []*segMoment) (jct, cost stats.Moment) {
 	pr := e.sim.cloud.Pricing
 	cost = stats.Moment{Mean: float64(cp.maxInstances) * pr.DataIngressCost(e.sim.cloud.DatasetGB)}
 

@@ -140,8 +140,8 @@ func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
 }
 
 // TestAnalyticPureAcrossCacheState: analytic estimates are pure — they
-// must not depend on what the plan, segment, or moment caches hold, and a
-// cold simulator must agree with a warm one bit for bit.
+// must not depend on what the segment table holds, and a cold simulator
+// must agree with a warm one bit for bit.
 func TestAnalyticPureAcrossCacheState(t *testing.T) {
 	warm := modeSim(t, 30, 2, 13, EstimatorAnalytic)
 	plan := testPlans(warm)[1]
@@ -213,7 +213,7 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segsBefore := sm.segs.len()
+		segsBefore, _, _ := tableCounts(sm)
 		eb, err := sm.Estimate(b)
 		if err != nil {
 			t.Fatal(err)
@@ -221,34 +221,34 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 		if ea != eb {
 			t.Fatalf("%v: equivalent allocations estimate differently: %+v != %+v", mode, ea, eb)
 		}
-		if got := sm.segs.len(); got != segsBefore {
-			t.Fatalf("%v: segment cache grew from %d to %d on an equivalent allocation", mode, segsBefore, got)
+		if got, _, _ := tableCounts(sm); got != segsBefore {
+			t.Fatalf("%v: segment table grew from %d to %d on an equivalent allocation", mode, segsBefore, got)
 		}
 	}
 }
 
-// TestAnalyticMomentCacheReusesAcrossPlans: like the segment sample cache,
-// the moment cache is keyed by segment tuple — re-estimating a plan that
-// shares all but one stage builds exactly one new moment entry.
+// TestAnalyticMomentCacheReusesAcrossPlans: like the sample vectors, the
+// moments live on the tuple-keyed segments — re-estimating a plan that
+// shares all but one stage fills exactly one new moment entry.
 func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
 	sm := modeSim(t, 10, 1, 21, EstimatorAnalytic)
 	stages := sm.Spec().NumStages()
 	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
 	}
-	before := sm.segMoments.len()
+	_, _, before := tableCounts(sm)
 	alloc := Uniform(16, stages).Alloc
 	alloc[stages-1] = 8
 	if _, err := sm.Estimate(Plan{Alloc: alloc}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sm.segMoments.len(); got != before+1 {
-		t.Fatalf("moment cache grew from %d to %d, want exactly one new entry", before, got)
+	if _, _, got := tableCounts(sm); got != before+1 {
+		t.Fatalf("filled moments grew from %d to %d, want exactly one new entry", before, got)
 	}
 }
 
-// TestAnalyticEvalWarmZeroAlloc pins the warm analytic path — the batched
-// frontier evaluator's per-candidate cost — at zero heap allocations, for
+// TestAnalyticEvalWarmZeroAlloc pins the warm analytic path — the
+// frontier screen's per-candidate cost — at zero heap allocations, for
 // both billing models.
 func TestAnalyticEvalWarmZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
@@ -256,23 +256,20 @@ func TestAnalyticEvalWarmZeroAlloc(t *testing.T) {
 		sm.cloud.Pricing.Billing = billing
 		plans := testPlans(sm)
 		e := sm.NewAnalyticEval()
-		ests := make([]Estimate, len(plans))
-		oks := make([]bool, len(plans))
-		if err := e.EstimateBatch(plans, ests, oks); err != nil { // warm caches
-			t.Fatal(err)
-		}
-		for i, ok := range oks {
-			if !ok {
-				t.Fatalf("billing %v plan %v: unsupported", billing, plans[i])
+		for _, p := range plans { // fill the segment table
+			if _, ok, err := e.Estimate(p); err != nil || !ok {
+				t.Fatalf("billing %v plan %v: ok=%v err=%v", billing, p, ok, err)
 			}
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := e.EstimateBatch(plans, ests, oks); err != nil {
-				t.Fatal(err)
+			for _, p := range plans {
+				if _, _, err := e.Estimate(p); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("billing %v: warm EstimateBatch allocates %v per run, want 0", billing, allocs)
+			t.Fatalf("billing %v: warm Estimate allocates %v per frontier, want 0", billing, allocs)
 		}
 	}
 }

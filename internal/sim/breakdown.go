@@ -33,11 +33,11 @@ type StageEstimate struct {
 // aggregate estimate, and repeated or concurrent calls return identical
 // results.
 func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
-	cp, err := s.compile(p)
-	if err != nil {
+	var cp compiledPlan
+	if err := s.compile(p, &cp); err != nil {
 		return nil, err
 	}
-	vecs := s.sampleVectors(cp, p)
+	vecs := s.sampleVectors(&cp, p)
 	n := len(cp.segs)
 	durSum := make([]float64, n)
 	costSum := make([]float64, n)

@@ -8,15 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Cache capacities. Segments are shared across plans (a job with S stages
-// and A feasible allocations has at most S·A·|instance counts| distinct
-// segments, but the greedy planner's working set is far smaller), so the
-// segment caches are sized larger than the plan cache.
-const (
-	planCacheCap = 512
-	segCacheCap  = 4096
-)
-
 // segStreamDomain separates the segment-keyed RNG stream family from the
 // plan-keyed family used by EstimatorFull and from any other Hash64 users.
 const segStreamDomain = 0x7365676d656e7431 // "segment1"
@@ -37,8 +28,9 @@ type segKey struct {
 // the billing rules. All cross-stage edges of the full execution DAG pass
 // through the single SYNC barrier closing each stage, so a segment
 // evaluates zero-based (the barrier is the implicit time-zero source) and
-// plan-level quantities recombine from per-segment samples. A segment is
-// immutable after construction and safe for concurrent use.
+// plan-level quantities recombine from per-segment samples. A segment's
+// program and metadata are immutable after construction and safe for
+// concurrent use.
 type segment struct {
 	key  segKey
 	prog *dag.Program
@@ -51,6 +43,11 @@ type segment struct {
 	// trainGPUs is the per-trial GPU count shared by every node in it.
 	trainLo, trainHi int
 	trainGPUs        int
+
+	// samples (segment mode) and mom (analytic mode) are filled on first
+	// use under Simulator.mu and never change afterwards.
+	samples []segSample
+	mom     *segMoment
 }
 
 // segSample is the sufficient statistic one Monte-Carlo draw of one
@@ -89,35 +86,24 @@ type compiledPlan struct {
 	maxInstances int
 }
 
-// compile resolves a plan to its compiled form, consulting the plan LRU
-// first and composing cache-shared segments on a miss. The result is a
-// pure function of the simulator's configuration and the plan, so benign
-// double computation under concurrent misses is harmless.
-func (s *Simulator) compile(p Plan) (*compiledPlan, error) {
+// compile resolves a plan into cp, a buffer the caller owns, composing
+// table-shared segments and reusing cp.segs' capacity, so a warm compile
+// into a reused buffer allocates nothing.
+func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 	if err := p.Validate(s.spec.NumStages()); err != nil {
-		return nil, err
+		return err
 	}
-	key := p.Key()
-	s.mu.Lock()
-	cp, ok := s.plans.get(key)
-	s.mu.Unlock()
-	if ok {
-		return cp, nil
-	}
-	cp = &compiledPlan{segs: make([]*segment, len(p.Alloc))}
+	cp.segs, cp.maxInstances = cp.segs[:0], 0
 	prev := 0
 	for i, alloc := range p.Alloc {
 		sg := s.segmentFor(segKey{stage: i, alloc: canonAlloc(alloc, s.spec.Stage(i).Trials), prev: prev})
-		cp.segs[i] = sg
+		cp.segs = append(cp.segs, sg)
 		prev = sg.instances
 		if sg.instances > cp.maxInstances {
 			cp.maxInstances = sg.instances
 		}
 	}
-	s.mu.Lock()
-	s.plans.put(key, cp)
-	s.mu.Unlock()
-	return cp, nil
+	return nil
 }
 
 // canonAlloc maps a stage allocation to its behavioral representative:
@@ -157,18 +143,22 @@ func (s *Simulator) CanonicalPlanKey(p Plan) string {
 	return string(b)
 }
 
-// segmentFor returns the compiled segment for key, building it on a cache
-// miss.
+// segmentFor returns the table's segment for key, building it on a miss.
+// The first stored segment wins, so every caller shares one segment per
+// key and with it the segment's lazily filled samples and moments.
 func (s *Simulator) segmentFor(key segKey) *segment {
 	s.mu.Lock()
-	sg, ok := s.segs.get(key)
+	sg := s.segs[key]
 	s.mu.Unlock()
-	if ok {
+	if sg != nil {
 		return sg
 	}
-	sg = s.buildSegment(key)
+	built := s.buildSegment(key)
 	s.mu.Lock()
-	s.segs.put(key, sg)
+	if sg = s.segs[key]; sg == nil {
+		sg = built
+		s.segs[key] = sg
+	}
 	s.mu.Unlock()
 	return sg
 }
@@ -264,15 +254,14 @@ func (s *Simulator) segStream(key segKey) *stats.RNG {
 }
 
 // segmentSamples returns the segment's s.samples-long sample vector,
-// filling and caching it on a miss. Sample k always draws from the k-th
+// filling sg.samples on first use. Sample k always draws from the k-th
 // stream of the tuple's family and slots are index-addressed, so the
-// vector is bit-identical at any worker count; eviction merely forces a
-// recomputation of the same values.
+// vector is bit-identical at any worker count.
 func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	s.mu.Lock()
-	v, ok := s.segSamples.get(sg.key)
+	v := sg.samples
 	s.mu.Unlock()
-	if ok {
+	if v != nil {
 		return v
 	}
 	v = make([]segSample, s.samples)
@@ -282,7 +271,10 @@ func (s *Simulator) segmentSamples(sg *segment) []segSample {
 		v[k], scratch[w] = sg.eval(base.Stream(uint64(k)), scratch[w])
 	})
 	s.mu.Lock()
-	s.segSamples.put(sg.key, v)
+	if sg.samples == nil {
+		sg.samples = v
+	}
+	v = sg.samples
 	s.mu.Unlock()
 	return v
 }

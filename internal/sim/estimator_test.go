@@ -173,10 +173,10 @@ func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 }
 
 // TestSegmentEstimatesPureAcrossCacheState: an estimate must not depend
-// on what the segment and plan caches happen to hold — evaluating many
-// other plans (sharing and evicting segments) between two estimates of
-// the same plan must not change a bit, and a cold simulator must agree
-// with a warm one.
+// on what the segment table happens to hold — evaluating many other
+// plans (sharing and adding segments) between two estimates of the same
+// plan must not change a bit, and a cold simulator must agree with a
+// warm one.
 func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
 	warm := modeSim(t, 30, 2, 13, EstimatorSegment)
 	plan := testPlans(warm)[1]
@@ -241,15 +241,15 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
 		sm := deterministicSim(t, 8, 1, EstimatorSegment, billing)
 		plan := testPlans(sm)[1]
-		cp, err := sm.compile(plan)
-		if err != nil {
+		var cp compiledPlan
+		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
 		}
-		vecs := sm.sampleVectors(cp, plan)
+		vecs := sm.sampleVectors(&cp, plan)
 		var births []float64
-		_, _, births = sm.priceSchedule(cp, vecs, 0, births) // warm the buffer
+		_, _, births = sm.priceSchedule(&cp, vecs, 0, births) // warm the buffer
 		allocs := testing.AllocsPerRun(100, func() {
-			_, _, births = sm.priceSchedule(cp, vecs, 1, births)
+			_, _, births = sm.priceSchedule(&cp, vecs, 1, births)
 		})
 		if allocs != 0 {
 			t.Fatalf("billing %v: priceSchedule allocates %v per sample, want 0", billing, allocs)
@@ -276,8 +276,24 @@ func TestGraphSampleZeroAlloc(t *testing.T) {
 	}
 }
 
+// tableCounts returns the size of sm's segment table and how many of its
+// segments have their sample vector and analytic moments filled.
+func tableCounts(sm *Simulator) (segs, samples, moms int) {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	for _, sg := range sm.segs {
+		if sg.samples != nil {
+			samples++
+		}
+		if sg.mom != nil {
+			moms++
+		}
+	}
+	return len(sm.segs), samples, moms
+}
+
 // TestSegmentCacheReusesAcrossPlans: two plans sharing a stage tuple
-// must consult the profile only once for that tuple — the segment cache
+// must consult the profile only once for that tuple — the segment table
 // is what makes greedy candidate evaluation incremental.
 func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	sm := modeSim(t, 10, 1, 21, EstimatorSegment)
@@ -285,7 +301,7 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
 	}
-	segsBefore, samplesBefore := sm.segs.len(), sm.segSamples.len()
+	segsBefore, samplesBefore, _ := tableCounts(sm)
 	// Decrement only the final stage: every earlier (stage, alloc, prev)
 	// tuple is unchanged, so exactly one new segment may be built.
 	alloc := Uniform(16, stages).Alloc
@@ -293,10 +309,11 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	if _, err := sm.Estimate(Plan{Alloc: alloc}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sm.segs.len(); got != segsBefore+1 {
-		t.Fatalf("segment cache grew from %d to %d, want exactly one new segment", segsBefore, got)
+	segs, samples, _ := tableCounts(sm)
+	if segs != segsBefore+1 {
+		t.Fatalf("segment table grew from %d to %d, want exactly one new segment", segsBefore, segs)
 	}
-	if got := sm.segSamples.len(); got != samplesBefore+1 {
-		t.Fatalf("sample cache grew from %d to %d, want exactly one new vector", samplesBefore, got)
+	if samples != samplesBefore+1 {
+		t.Fatalf("filled sample vectors grew from %d to %d, want exactly one new vector", samplesBefore, samples)
 	}
 }

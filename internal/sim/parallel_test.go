@@ -106,47 +106,51 @@ func TestEstimateIndependentOfCallOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentEstimateRace hammers one shared Simulator from many
-// goroutines (run under -race) and checks every result against the serial
-// reference.
+// TestConcurrentEstimateRace hammers one cold shared Simulator from many
+// goroutines (run under -race), so the segment table's first-write-wins
+// fills race each other, and checks every result against a serial
+// reference computed on a twin simulator with the same seed.
 func TestConcurrentEstimateRace(t *testing.T) {
-	sm := stochasticSim(t, 20, 4, 99)
-	plans := testPlans(sm)
-	want := make([]Estimate, len(plans))
-	for i, p := range plans {
-		est, err := sm.Estimate(p)
-		if err != nil {
+	for _, mode := range []EstimatorMode{EstimatorSegment, EstimatorAnalytic} {
+		ref := modeSim(t, 20, 4, 99, mode)
+		plans := testPlans(ref)
+		want := make([]Estimate, len(plans))
+		for i, p := range plans {
+			est, err := ref.Estimate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = est
+		}
+
+		sm := modeSim(t, 20, 4, 99, mode)
+		const goroutines = 8
+		const rounds = 10
+		errc := make(chan error, goroutines)
+		var wg sync.WaitGroup
+		wg.Add(goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					i := (g + r) % len(plans)
+					got, err := sm.Estimate(plans[i])
+					if err != nil {
+						errc <- err
+						return
+					}
+					if got != want[i] {
+						t.Errorf("%v goroutine %d round %d plan %v: %+v != %+v", mode, g, r, plans[i], got, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
 			t.Fatal(err)
 		}
-		want[i] = est
-	}
-
-	const goroutines = 8
-	const rounds = 10
-	errc := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				i := (g + r) % len(plans)
-				got, err := sm.Estimate(plans[i])
-				if err != nil {
-					errc <- err
-					return
-				}
-				if got != want[i] {
-					t.Errorf("goroutine %d round %d plan %v: %+v != %+v", g, r, plans[i], got, want[i])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
 	}
 }
 

@@ -27,14 +27,13 @@ type Estimate struct {
 //
 // A Simulator's configuration is immutable after construction and it is
 // safe for concurrent use by multiple goroutines. Its only mutable state
-// is a set of mutex-guarded bounded LRU caches memoizing pure
-// computations — compiled stage-segment programs, compiled plans, and
-// (under EstimatorSegment) segment sample vectors — so Estimate and
-// Breakdown remain pure functions of the simulator's configuration and
-// the plan: every Monte-Carlo draw derives a private RNG stream from the
-// construction-time seed state, keyed by (stream family, sample index),
-// and results do not depend on cache state, call order, goroutine, or
-// worker count.
+// is one mutex-guarded segment table memoizing pure computations — each
+// stage segment's compiled program plus its lazily filled sample vector
+// (segment mode) and analytic moments — so Estimate and Breakdown remain
+// pure functions of the simulator's configuration and the plan: every
+// Monte-Carlo draw derives a private RNG stream from the construction-time
+// seed state, keyed by (stream family, sample index), and results do not
+// depend on table state, call order, goroutine, or worker count.
 type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
@@ -50,19 +49,18 @@ type Simulator struct {
 	// stats.RNG.Stream, which is pure, so concurrent derivation is safe.
 	root stats.RNG
 
-	// mu guards the caches below. Misses are computed outside the lock
-	// and inserted last-write-wins: every cached value is a pure function
-	// of its key and the configuration, so double computation is benign.
-	mu         sync.Mutex
-	plans      *lru[string, *compiledPlan]
-	segs       *lru[segKey, *segment]
-	segSamples *lru[segKey, []segSample]
-	segMoments *lru[segKey, segMoment]
+	// mu guards segs and the lazily filled fields of its segments. Misses
+	// are computed outside the lock and stored first-write-wins: every
+	// value is a pure function of its key and the configuration, so
+	// double computation under concurrent misses is benign. The table is
+	// unbounded; one search touches at most a few thousand segments.
+	mu   sync.Mutex
+	segs map[segKey]*segment
 
-	// anaPool recycles AnalyticEval scratch for Estimate's analytic mode;
-	// evaluators are stateless between uses, so pooling only saves
-	// allocations and cannot affect results.
-	anaPool sync.Pool
+	// evalPool recycles AnalyticEval scratch for Estimate's analytic mode;
+	// evaluators carry no results between uses, so pooling only saves
+	// allocations and cannot affect estimates.
+	evalPool sync.Pool
 }
 
 // Option configures optional Simulator behavior in New.
@@ -100,15 +98,12 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 		rng = stats.NewRNG(0)
 	}
 	sm := &Simulator{
-		spec:       s,
-		profile:    profile,
-		cloud:      cp,
-		samples:    samples,
-		root:       *rng,
-		plans:      newLRU[string, *compiledPlan](planCacheCap),
-		segs:       newLRU[segKey, *segment](segCacheCap),
-		segSamples: newLRU[segKey, []segSample](segCacheCap),
-		segMoments: newLRU[segKey, segMoment](segCacheCap),
+		spec:    s,
+		profile: profile,
+		cloud:   cp,
+		samples: samples,
+		root:    *rng,
+		segs:    make(map[segKey]*segment),
 	}
 	for _, o := range opts {
 		o(sm)
@@ -267,9 +262,12 @@ func (s *Simulator) build(p Plan) (*buildResult, error) {
 //rbvet:pure
 func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 	if s.estimator == EstimatorAnalytic {
-		e := s.AcquireAnalyticEval()
+		e, _ := s.evalPool.Get().(*AnalyticEval)
+		if e == nil {
+			e = s.NewAnalyticEval()
+		}
 		est, ok, err := e.Estimate(p)
-		s.ReleaseAnalyticEval(e)
+		s.evalPool.Put(e)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -279,16 +277,16 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 		// Some latency lacks finite moments: fall back to segment-mode
 		// Monte-Carlo below (sampleVectors treats non-Full as segment).
 	}
-	cp, err := s.compile(p)
-	if err != nil {
+	var cp compiledPlan
+	if err := s.compile(p, &cp); err != nil {
 		return Estimate{}, err
 	}
-	vecs := s.sampleVectors(cp, p)
+	vecs := s.sampleVectors(&cp, p)
 	jcts := make([]float64, s.samples)
 	costs := make([]float64, s.samples)
 	var births []float64
 	for k := 0; k < s.samples; k++ {
-		jcts[k], costs[k], births = s.priceSchedule(cp, vecs, k, births)
+		jcts[k], costs[k], births = s.priceSchedule(&cp, vecs, k, births)
 	}
 	js, cs := stats.Summarize(jcts), stats.Summarize(costs)
 	return Estimate{JCT: js.Mean, JCTStd: js.Std, Cost: cs.Mean, CostStd: cs.Std}, nil
