@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateNotes = flag.Bool("update", false, "rewrite the golden trace renderings under testdata/")
+var updateNotes = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // noteGoldens pins the rendered event log (CSV and JSON, notes included)
 // of three corpus scenarios, one per note-producing executor path.

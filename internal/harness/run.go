@@ -101,8 +101,6 @@ type RunConfig struct {
 	// function of (scenario, grant sequence). Gated scenarios must not
 	// enable the replan controller: both rewrite the live plan.
 	Gate GrantFn
-	// NewClock supplies the simulation kernel (default vclock.New).
-	NewClock func() *vclock.Clock
 }
 
 // Artifacts bundles everything a run produced that oracles inspect: the
@@ -158,9 +156,7 @@ func RunScenario(sc Scenario) (*Artifacts, error) { return Run(sc, RunConfig{}) 
 // against the journal, then the run continues by appending). Journaling
 // is digest-invisible. With rc.Gate set it is the offline replay path
 // for arbitrated runs: a gate re-issuing a recorded grant sequence
-// reproduces the server-side digest bit for bit. rc.NewClock picks the
-// simulation kernel; the differential suites run every scenario on both
-// and require bit-identical artifacts.
+// reproduces the server-side digest bit for bit.
 func Run(sc Scenario, rc RunConfig) (*Artifacts, error) {
 	r, err := StartScenario(sc, rc)
 	if err != nil {
@@ -196,10 +192,7 @@ type Running struct {
 // substrate, executor — and returns it un-driven: the first Step
 // executes the first virtual-clock event. See RunConfig for the knobs.
 func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
-	jw, gate, newClock := rc.Journal, rc.Gate, rc.NewClock
-	if newClock == nil {
-		newClock = vclock.New
-	}
+	jw, gate := rc.Journal, rc.Gate
 	if gate == nil && len(sc.ArbiterCaps) > 0 {
 		gate = capGate(sc.ArbiterCaps)
 	}
@@ -310,7 +303,7 @@ func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
 	// Execute on a fresh substrate. The executor and provider RNG streams
 	// are held by name so control-plane snapshots can capture their
 	// cursors (Stream is pure: these are the same streams the run uses).
-	clock := newClock()
+	clock := vclock.New()
 	execRNG := root.Stream(streamExecutor)
 	provRNG := root.Stream(streamProvider)
 	provider, err := cloud.NewProvider(clock, provRNG,

@@ -8,14 +8,11 @@
 // scheduling order, and a Run loop that advances virtual time to each
 // event.
 //
-// Two interchangeable kernels implement the queue. New returns the
-// production kernel, a hierarchical timer wheel with O(1) schedule and
-// cancel, sized for fleet-scale runs holding millions of concurrent
-// events. NewHeap returns the original binary-heap kernel, kept as the
-// executable reference implementation: the differential kernel suite
-// runs every scenario on both and requires bit-identical behaviour.
-// Both kernels fire events in exactly (time, sequence) order, so a
-// program observes no difference beyond speed.
+// The queue is a binary min-heap of slab indices ordered by exact
+// (time, sequence). Schedule, cancel and fire are O(log n) in the
+// number of pending events, which in a real experiment is a few dozen
+// at most. Cancel removes the event eagerly, so the heap holds only
+// pending events and pops them in exactly (time, sequence) order.
 //
 // Events are stored in a slab indexed by small integer handles; firing
 // an event performs no heap allocation. Callbacks come in two forms:
@@ -52,59 +49,26 @@ func (t Time) String() string {
 	return fmt.Sprintf("%02d:%06.3f", m, s)
 }
 
-// Event lifecycle states within the slab.
-const (
-	stateFree    uint8 = iota // slot on the free list
-	statePending              // scheduled, not yet fired or cancelled
-	stateDead                 // cancelled, awaiting lazy reclaim (wheel)
-)
-
-// Queue-location tags (wheel kernel bookkeeping).
-const (
-	whereNone   uint8 = iota
-	whereBucket       // linked into a wheel bucket
-	whereReady        // in the current-tick ready heap
-	whereOver         // parked on the overflow list
-)
-
-// event is one slab slot: a scheduled callback plus the intrusive
-// linkage both kernels use to order it. Slots are reused through a free
-// list; gen increments on every release so stale handles cannot cancel
-// a recycled slot.
+// event is one slab slot: a scheduled callback and its heap position.
+// Slots are reused through a free list; gen increments on every release
+// so stale handles cannot cancel a recycled slot.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among simultaneous events
 	fn  func() // closure payload (nil for opcode events)
 	a,
 	b int64 // opcode arguments
-	next    int32  // bucket chain / free-list link (-1 end)
-	prev    int32  // bucket back-link for O(1) unlink (-1 head)
-	pos     int32  // heap position (heap kernel)
-	disp    int32  // dispatcher id (-1 for closure events)
-	gen     uint32 // handle generation, bumped on release
-	slotRef uint16 // wheel bucket address: level*64+slot
-	op      uint8  // opcode
-	state   uint8
-	where   uint8
-}
-
-// queue is the kernel contract: order pending slab events by (at, seq).
-// next may mutate internal structure (cascade wheel levels, reclaim
-// cancelled slots) but never observable ordering.
-type queue interface {
-	// push inserts a freshly scheduled pending event.
-	push(idx int32)
-	// next returns the earliest pending event, or -1 when none remain.
-	next() int32
-	// pop removes the event just returned by next (it is about to fire).
-	pop(idx int32)
-	// cancel removes a pending event; the slot may be reclaimed lazily.
-	cancel(idx int32)
+	next int32  // free-list link as slab index + 1 (0 end)
+	pos  int32  // heap position while pending
+	disp int32  // dispatcher id (-1 for closure events)
+	gen  uint32 // handle generation, bumped on release
+	op   uint8  // opcode
 }
 
 // Handle identifies a scheduled event without allocating. The zero
 // Handle is invalid. Handles stay safe across slot reuse: cancelling a
-// fired or already-cancelled event is a no-op returning false.
+// fired or already-cancelled event is a no-op returning false, because
+// its generation no longer matches the slot's.
 type Handle struct {
 	ref int32 // slab index + 1; 0 = no event
 	gen uint32
@@ -138,41 +102,18 @@ type Dispatcher func(op uint8, a, b int64)
 type DispatchID int32
 
 // Clock is a virtual clock with an event queue. The zero value is ready
-// to use at time 0 (it lazily initializes the default wheel kernel).
+// to use at time 0.
 type Clock struct {
-	now     Time
-	seq     uint64
-	pending int
-	events  []event
-	free    int32 // free-list head (-1 none)
-	disp    []Dispatcher
-	q       queue
+	now    Time
+	seq    uint64
+	events []event
+	free   int32   // free-list head as slab index + 1 (0 none)
+	heap   []int32 // pending slab indices, a min-heap by (at, seq)
+	disp   []Dispatcher
 }
 
-// New returns a Clock at virtual time zero backed by the hierarchical
-// timer-wheel kernel.
-func New() *Clock {
-	c := &Clock{}
-	c.ensure()
-	return c
-}
-
-// NewHeap returns a Clock backed by the binary-heap reference kernel.
-// It is bit-identical in behaviour to New's wheel kernel and exists so
-// differential tests can hold the wheel to the simpler implementation.
-func NewHeap() *Clock {
-	c := &Clock{free: -1}
-	c.q = newHeapQueue(c)
-	return c
-}
-
-// ensure lazily initializes the default kernel so the zero Clock works.
-func (c *Clock) ensure() {
-	if c.q == nil {
-		c.free = -1
-		c.q = newWheelQueue(c)
-	}
-}
+// New returns a Clock at virtual time zero.
+func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
@@ -183,13 +124,12 @@ func (c *Clock) Now() Time { return c.now }
 func (c *Clock) Seq() uint64 { return c.seq }
 
 // Pending returns the number of events still queued.
-func (c *Clock) Pending() int { return c.pending }
+func (c *Clock) Pending() int { return len(c.heap) }
 
 // RegisterDispatcher adds d to the clock's dispatch table and returns
 // its id for use with AtOp. Several components (one per executor job,
 // say) can register independently on a shared clock.
 func (c *Clock) RegisterDispatcher(d Dispatcher) DispatchID {
-	c.ensure()
 	c.disp = append(c.disp, d)
 	return DispatchID(len(c.disp) - 1)
 }
@@ -221,32 +161,33 @@ func (c *Clock) AtOp(at Time, id DispatchID, op uint8, a, b int64) Handle {
 	return c.schedule(at, nil, int32(id), op, a, b)
 }
 
+// finite reports whether t is a real instant: neither NaN nor ±Inf.
+func finite(t Time) bool {
+	return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0)
+}
+
 // schedule validates, claims a slab slot, and enqueues.
 func (c *Clock) schedule(at Time, fn func(), disp int32, op uint8, a, b int64) Handle {
-	c.ensure()
 	if at < c.now {
 		panic(fmt.Sprintf("vclock: scheduling at %v before now %v", at, c.now))
 	}
-	if math.IsNaN(float64(at)) || math.IsInf(float64(at), 0) {
+	if !finite(at) {
 		panic(fmt.Sprintf("vclock: invalid time %v", at))
 	}
 	idx := c.alloc()
 	e := &c.events[idx]
 	e.at, e.seq = at, c.seq
 	e.fn, e.disp, e.op, e.a, e.b = fn, disp, op, a, b
-	e.next, e.prev, e.pos = -1, -1, -1
-	e.state, e.where = statePending, whereNone
 	c.seq++
-	c.pending++
-	c.q.push(idx)
+	c.push(idx)
 	return Handle{ref: idx + 1, gen: e.gen}
 }
 
 // alloc claims a slab slot from the free list, growing the slab when it
 // is exhausted.
 func (c *Clock) alloc() int32 {
-	if c.free >= 0 {
-		idx := c.free
+	if c.free > 0 {
+		idx := c.free - 1
 		c.free = c.events[idx].next
 		return idx
 	}
@@ -264,28 +205,22 @@ func (c *Clock) grow() int32 {
 func (c *Clock) release(idx int32) {
 	e := &c.events[idx]
 	e.fn = nil
-	e.state = stateFree
-	e.where = whereNone
 	e.gen++
 	e.next = c.free
-	c.free = idx
+	c.free = idx + 1
 }
 
 // Cancel cancels the event h refers to if it is still pending. It
-// reports whether the event was cancelled. O(1) on the wheel kernel.
+// reports whether the event was cancelled. O(log n).
 //
 //rbvet:noalloc
 func (c *Clock) Cancel(h Handle) bool {
 	idx := h.ref - 1
-	if idx < 0 || int(idx) >= len(c.events) {
+	if idx < 0 || int(idx) >= len(c.events) || c.events[idx].gen != h.gen {
 		return false
 	}
-	e := &c.events[idx]
-	if e.state != statePending || e.gen != h.gen {
-		return false
-	}
-	c.pending--
-	c.q.cancel(idx)
+	c.remove(c.events[idx].pos)
+	c.release(idx)
 	return true
 }
 
@@ -294,19 +229,15 @@ func (c *Clock) Cancel(h Handle) bool {
 //
 //rbvet:noalloc
 func (c *Clock) Step() bool {
-	if c.q == nil {
+	if len(c.heap) == 0 {
 		return false
 	}
-	idx := c.q.next()
-	if idx < 0 {
-		return false
-	}
-	c.q.pop(idx)
+	idx := c.heap[0]
+	c.remove(0)
 	e := &c.events[idx]
 	c.now = e.at
 	fn, disp, op, a, b := e.fn, e.disp, e.op, e.a, e.b
 	c.release(idx)
-	c.pending--
 	if disp >= 0 {
 		c.disp[disp](op, a, b)
 	} else {
@@ -317,22 +248,17 @@ func (c *Clock) Step() bool {
 
 // Run executes events until the queue drains or until virtual time would
 // exceed horizon (events at exactly horizon still run). It returns the
-// number of events executed. A non-positive horizon means no limit.
+// number of events executed. A non-positive horizon means no limit; a
+// NaN horizon panics.
 //
 //rbvet:noalloc
 func (c *Clock) Run(horizon Time) int {
-	if c.q == nil {
-		return 0
+	if math.IsNaN(float64(horizon)) {
+		//rbvet:ignore noalloc — cold path: a NaN horizon is a caller bug and ends the run
+		panic("vclock: Run with NaN horizon")
 	}
 	n := 0
-	for {
-		idx := c.q.next()
-		if idx < 0 {
-			break
-		}
-		if horizon > 0 && c.events[idx].at > horizon {
-			break
-		}
+	for len(c.heap) > 0 && (horizon <= 0 || c.events[c.heap[0]].at <= horizon) {
 		c.Step()
 		n++
 	}
@@ -356,25 +282,89 @@ func (c *Clock) RunUntil(cond func() bool) bool {
 
 // Advance moves the clock forward by d seconds, executing any events
 // that fall within the window (including events at exactly the current
-// time when d is 0). It panics on negative d. Unlike Run, Advance is
-// always bounded — even at a target of 0 — so it is safe against
-// self-renewing event chains such as spot preemption with automatic
-// replacement.
+// time when d is 0). It panics on negative d and on a target that is
+// NaN or infinite. Unlike Run, Advance is always bounded — even at a
+// target of 0 — so it is safe against self-renewing event chains such
+// as spot preemption with automatic replacement.
 func (c *Clock) Advance(d float64) {
 	if d < 0 {
 		panic("vclock: Advance with negative duration")
 	}
 	target := c.now + Time(d)
-	if c.q != nil {
-		for {
-			idx := c.q.next()
-			if idx < 0 || c.events[idx].at > target {
-				break
-			}
-			c.Step()
-		}
+	if !finite(target) {
+		panic(fmt.Sprintf("vclock: Advance(%v) to invalid time %v", d, target))
+	}
+	for len(c.heap) > 0 && c.events[c.heap[0]].at <= target {
+		c.Step()
 	}
 	if c.now < target {
 		c.now = target
+	}
+}
+
+// push adds a freshly scheduled event to the heap. The append grows the
+// heap only until it has held the run's peak pending count.
+func (c *Clock) push(idx int32) {
+	i := int32(len(c.heap))
+	c.heap = append(c.heap, idx)
+	c.events[idx].pos = i
+	c.up(i)
+}
+
+// remove deletes heap position i, moving the tail into the hole and
+// restoring the heap order around it.
+func (c *Clock) remove(i int32) {
+	n := int32(len(c.heap)) - 1
+	c.swap(i, n)
+	c.heap = c.heap[:n]
+	if i < n {
+		c.down(i)
+		c.up(i)
+	}
+}
+
+// less orders heap positions i and j by their events' (at, seq): the
+// kernel's total firing order.
+func (c *Clock) less(i, j int32) bool {
+	a, b := &c.events[c.heap[i]], &c.events[c.heap[j]]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (c *Clock) swap(i, j int32) {
+	h := c.heap
+	h[i], h[j] = h[j], h[i]
+	c.events[h[i]].pos = i
+	c.events[h[j]].pos = j
+}
+
+func (c *Clock) up(i int32) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !c.less(i, p) {
+			return
+		}
+		c.swap(i, p)
+		i = p
+	}
+}
+
+func (c *Clock) down(i int32) {
+	n := int32(len(c.heap))
+	for {
+		m := 2*i + 1
+		if m >= n {
+			return
+		}
+		if r := m + 1; r < n && c.less(r, m) {
+			m = r
+		}
+		if !c.less(m, i) {
+			return
+		}
+		c.swap(i, m)
+		i = m
 	}
 }
