@@ -223,21 +223,6 @@ func BenchmarkSimEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkDAGSample measures one Monte-Carlo draw over the execution
-// DAG.
-func BenchmarkDAGSample(b *testing.B) {
-	sm := benchSimulator(b, 1)
-	g, err := sm.BuildDAG(sim.Uniform(32, sm.Spec().NumStages()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := stats.NewRNG(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Sample(rng)
-	}
-}
-
 // BenchmarkPlanStatic measures the warm-start enumeration.
 func BenchmarkPlanStatic(b *testing.B) {
 	p := &planner.Planner{Sim: benchSimulator(b, 5), Deadline: 900, MaxGPUs: 128}
@@ -299,7 +284,7 @@ func BenchmarkPlanElastic100(b *testing.B) {
 }
 
 func benchEstimatorModes() []sim.EstimatorMode {
-	return []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorFull, sim.EstimatorAnalytic}
+	return []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic}
 }
 
 // BenchmarkPlanElastic100Estimator compares the estimator modes on the
@@ -463,21 +448,4 @@ func BenchmarkDistSample(b *testing.B) {
 		sink += d.Sample(rng)
 	}
 	_ = sink
-}
-
-// BenchmarkCriticalPath measures critical-path extraction from a sampled
-// schedule.
-func BenchmarkCriticalPath(b *testing.B) {
-	sm := benchSimulator(b, 1)
-	g, err := sm.BuildDAG(sim.Uniform(32, sm.Spec().NumStages()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	timings, _ := g.Sample(stats.NewRNG(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p := g.CriticalPath(timings); len(p) == 0 {
-			b.Fatal("empty path")
-		}
-	}
 }

@@ -45,7 +45,7 @@ func main() {
 		samples   = flag.Int("samples", 20, "simulator Monte-Carlo samples per plan")
 		workers   = flag.Int("workers", 0, "planning concurrency: Monte-Carlo and candidate-evaluation workers (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 		breakdown = flag.Bool("breakdown", false, "print the RubberBand plan's per-stage time/cost decomposition")
-		estimator = flag.String("estimator", "segment", "plan estimator: segment (incremental Monte-Carlo, cached stage segments), full (reference full-DAG streams) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
+		estimator = flag.String("estimator", "segment", "plan estimator: segment (incremental Monte-Carlo, cached stage segments) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
 		replanOn  = flag.Bool("replan", false, "demo the online replanning controller against an injected slowdown")
 		drift     = flag.Float64("drift", 2.0, "observed/predicted latency ratio the replan demo injects")
 		threshold = flag.Float64("drift-threshold", 0.25, "replan controller EWMA trigger threshold")

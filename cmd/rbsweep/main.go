@@ -37,7 +37,7 @@ func main() {
 		samples   = flag.Int("samples", 10, "simulator Monte-Carlo samples per plan")
 		workers   = flag.Int("workers", 0, "planning concurrency: Monte-Carlo and candidate-evaluation workers (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 		format    = flag.String("format", "text", "output format: text or csv")
-		estimator = flag.String("estimator", "segment", "plan estimator: segment (incremental Monte-Carlo, cached stage segments), full (reference full-DAG streams) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
+		estimator = flag.String("estimator", "segment", "plan estimator: segment (incremental Monte-Carlo, cached stage segments) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
 	)
 	flag.Parse()
 	mode, err := sim.ParseEstimator(*estimator)

@@ -90,10 +90,10 @@ type Experiment struct {
 	// pool. Zero selects GOMAXPROCS; 1 forces fully serial planning.
 	// Planning output is bit-identical at any worker count.
 	Workers int
-	// Estimator selects the simulator's Monte-Carlo estimator mode. The
-	// zero value is sim.EstimatorSegment (incremental stage-segment
-	// sampling with common random numbers); sim.EstimatorFull selects the
-	// reference full-DAG stream discipline.
+	// Estimator selects the simulator's estimator mode. The zero value is
+	// sim.EstimatorSegment (incremental stage-segment sampling with common
+	// random numbers); sim.EstimatorAnalytic propagates moments instead of
+	// sampling.
 	Estimator sim.EstimatorMode
 	// MaxGPUs caps cluster size during planning (default per planner).
 	MaxGPUs int
@@ -167,7 +167,7 @@ func (e *Experiment) buildPlanner() (*planner.Planner, float64, error) {
 	)
 	if e.UseProfiler {
 		rep, err := profiler.Profile(e.Model, e.batch(), profiler.Options{
-			MaxGPUs:     maxProbe(e.Spec, cp.Instance.GPUs),
+			MaxGPUs:     maxProbe(cp.Instance.GPUs),
 			GPUsPerNode: cp.Instance.GPUs,
 		}, stats.NewRNG(e.Seed^0x9e3779b97f4a7c15))
 		if err != nil {
@@ -192,7 +192,7 @@ func (e *Experiment) buildPlanner() (*planner.Planner, float64, error) {
 
 // maxProbe sizes the profiler sweep: enough to cover the largest per-trial
 // allocation plans are likely to use.
-func maxProbe(s *spec.ExperimentSpec, gpn int) int {
+func maxProbe(gpn int) int {
 	probe := 4 * gpn
 	if probe < 16 {
 		probe = 16

@@ -148,24 +148,6 @@ func (g *Graph) Node(id int) *Node { return g.nodes[id] }
 // Nodes returns the node list in topological (insertion) order.
 func (g *Graph) Nodes() []*Node { return g.nodes }
 
-// Frontier returns the IDs of nodes with no dependents (out-degree zero) —
-// the set new stage nodes extend from during construction.
-func (g *Graph) Frontier() []int {
-	hasDependent := make([]bool, len(g.nodes))
-	for _, n := range g.nodes {
-		for _, d := range n.deps {
-			hasDependent[d] = true
-		}
-	}
-	var out []int
-	for id, dep := range hasDependent {
-		if !dep {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Timing records one sampled execution of a node.
 type Timing struct {
 	Start, Finish float64
@@ -206,59 +188,4 @@ func (g *Graph) SampleInto(r *stats.RNG, buf []Timing) ([]Timing, float64) {
 		}
 	}
 	return timings, makespan
-}
-
-// MeanMakespan estimates the expected makespan by averaging samples draws
-// (Algorithm 1's outer loop). It panics if samples < 1.
-func (g *Graph) MeanMakespan(r *stats.RNG, samples int) float64 {
-	if samples < 1 {
-		panic("dag: MeanMakespan needs at least one sample")
-	}
-	var sum float64
-	for i := 0; i < samples; i++ {
-		_, m := g.Sample(r)
-		sum += m
-	}
-	return sum / float64(samples)
-}
-
-// CriticalPath returns the node IDs on the critical path of one sampled
-// schedule, from first to last, along with the makespan. Deterministic
-// given the timings produced by Sample.
-func (g *Graph) CriticalPath(timings []Timing) []int {
-	if len(timings) != len(g.nodes) || len(g.nodes) == 0 {
-		return nil
-	}
-	// Find the node with the latest finish, then walk back through the
-	// dependency whose finish equals this node's start.
-	last := 0
-	for i := range timings {
-		if timings[i].Finish > timings[last].Finish {
-			last = i
-		}
-	}
-	var rev []int
-	cur := last
-	for {
-		rev = append(rev, cur)
-		n := g.nodes[cur]
-		if len(n.deps) == 0 {
-			break
-		}
-		next := -1
-		for _, d := range n.deps {
-			if next == -1 || timings[d].Finish > timings[next].Finish {
-				next = d
-			}
-		}
-		if timings[next].Finish < timings[cur].Start-1e-12 {
-			break // this node waited on nothing; path starts here
-		}
-		cur = next
-	}
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

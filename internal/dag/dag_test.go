@@ -27,9 +27,6 @@ func TestEmptyGraph(t *testing.T) {
 	if m != 0 {
 		t.Fatalf("empty makespan %v", m)
 	}
-	if f := g.Frontier(); len(f) != 0 {
-		t.Fatalf("empty frontier %v", f)
-	}
 }
 
 func TestLinearChain(t *testing.T) {
@@ -79,45 +76,6 @@ func TestNilLatencyDefaultsToZero(t *testing.T) {
 	}
 }
 
-func TestFrontier(t *testing.T) {
-	g := New()
-	a := g.AddNode(Train, 0, 0, 1, det(1))
-	b := g.AddNode(Train, 0, 1, 1, det(1))
-	c := g.AddNode(Sync, 0, -1, 0, det(1), a.ID, b.ID)
-	f := g.Frontier()
-	if len(f) != 1 || f[0] != c.ID {
-		t.Fatalf("frontier %v, want [%d]", f, c.ID)
-	}
-}
-
-func TestMeanMakespanDeterministicGraph(t *testing.T) {
-	g := New()
-	a := g.AddNode(Scale, 0, -1, 0, det(4))
-	g.AddNode(InitInstance, 0, -1, 0, det(6), a.ID)
-	m := g.MeanMakespan(stats.NewRNG(1), 10)
-	if math.Abs(m-10) > 1e-12 {
-		t.Fatalf("mean makespan %v, want 10", m)
-	}
-}
-
-func TestMeanMakespanStochasticConverges(t *testing.T) {
-	g := New()
-	g.AddNode(Train, 0, 0, 1, stats.Normal{Mu: 10, Sigma: 1})
-	m := g.MeanMakespan(stats.NewRNG(7), 20000)
-	if math.Abs(m-10) > 0.05 {
-		t.Fatalf("mean makespan %v, want ~10", m)
-	}
-}
-
-func TestMeanMakespanPanicsOnZeroSamples(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New().MeanMakespan(stats.NewRNG(1), 0)
-}
-
 func TestStragglerRaisesExpectedMakespan(t *testing.T) {
 	// Jensen's inequality in action: the expected max of n noisy trials
 	// exceeds the max of expectations — this is why synchronization
@@ -130,7 +88,14 @@ func TestStragglerRaisesExpectedMakespan(t *testing.T) {
 			deps = append(deps, n.ID)
 		}
 		g.AddNode(Sync, 0, -1, 0, det(0), deps...)
-		return g.MeanMakespan(stats.NewRNG(3), 5000)
+		const draws = 5000
+		r := stats.NewRNG(3)
+		var sum float64
+		for i := 0; i < draws; i++ {
+			_, m := g.Sample(r)
+			sum += m
+		}
+		return sum / draws
 	}
 	low, high := makespan(0.1), makespan(3)
 	if high <= low {
@@ -138,29 +103,6 @@ func TestStragglerRaisesExpectedMakespan(t *testing.T) {
 	}
 	if high < 12 {
 		t.Fatalf("high-variance makespan %v suspiciously low", high)
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	g := New()
-	a := g.AddNode(Train, 0, 0, 1, det(2))
-	b := g.AddNode(Train, 0, 1, 1, det(7))
-	s := g.AddNode(Sync, 0, -1, 0, det(1), a.ID, b.ID)
-	timings, _ := g.Sample(stats.NewRNG(1))
-	path := g.CriticalPath(timings)
-	if len(path) != 2 || path[0] != b.ID || path[1] != s.ID {
-		t.Fatalf("critical path %v, want [%d %d]", path, b.ID, s.ID)
-	}
-}
-
-func TestCriticalPathEmptyAndMismatched(t *testing.T) {
-	g := New()
-	if p := g.CriticalPath(nil); p != nil {
-		t.Fatalf("empty graph path %v", p)
-	}
-	g.AddNode(Train, 0, 0, 1, det(1))
-	if p := g.CriticalPath([]Timing{{}, {}}); p != nil {
-		t.Fatalf("mismatched timings path %v", p)
 	}
 }
 

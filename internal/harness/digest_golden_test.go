@@ -18,7 +18,7 @@ func pinnedCorpus() []Scenario {
 		{2, 52},  // scatter double-booking regression
 		{3, 195}, // scatter + spot preemptions
 		{42, 13},
-		{4, 2},   // drift-triggered replan, tail adopted
+		{4, 50},  // drift-triggered replan, tail adopted
 		{4, 17},  // drift classified infeasible, replan declines
 		{4, 143}, // preemption-triggered replan
 	}

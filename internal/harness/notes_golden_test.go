@@ -20,7 +20,7 @@ var noteGoldens = []struct {
 	index       int
 	mustContain string // a note the scenario exists to cover
 }{
-	{"replan", 4, 2, "gang(s) moved"},
+	{"replan", 4, 50, "gang(s) moved"},
 	{"preemption", 4, 143, "preempted; will restart stage"},
 	{"scatter", 2, 52, "GPUs on"},
 }

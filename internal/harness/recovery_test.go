@@ -15,7 +15,7 @@ import (
 func sweepScenarios() []Scenario {
 	return []Scenario{
 		Generate(1, 0),
-		Generate(4, 2), // drift-triggered replan, tail adopted
+		Generate(4, 50), // drift-triggered replan, tail adopted
 	}
 }
 
@@ -138,7 +138,7 @@ func TestCrashPointSweepMem(t *testing.T) {
 // backend; disk covers the representative seams.
 func TestCrashPointSweepFile(t *testing.T) {
 	const interval = 7
-	sc := Generate(4, 2) // replan-adopting scenario: hardest recovery
+	sc := Generate(4, 50) // replan-adopting scenario: hardest recovery
 	ref := journal.NewMemBackend()
 	w := journal.NewWriter(ref, interval)
 	a, err := Run(sc, RunConfig{Journal: w})
@@ -164,13 +164,13 @@ func TestCrashPointSweepFile(t *testing.T) {
 }
 
 // TestReplanScenarioJournalsAdoptedDecision guards the sweep's pinned
-// replan scenario against corpus drift: (4, 2) must actually journal an
+// replan scenario against corpus drift: (4, 50) must actually journal an
 // adopted replan decision, or the "recovery rebuilds controller state"
 // coverage silently evaporates.
 func TestReplanScenarioJournalsAdoptedDecision(t *testing.T) {
 	b := journal.NewMemBackend()
 	w := journal.NewWriter(b, 7)
-	if _, err := Run(Generate(4, 2), RunConfig{Journal: w}); err != nil {
+	if _, err := Run(Generate(4, 50), RunConfig{Journal: w}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := b.Load()
@@ -188,7 +188,7 @@ func TestReplanScenarioJournalsAdoptedDecision(t *testing.T) {
 		}
 	}
 	if !adopted {
-		t.Fatal("scenario (4, 2) journaled no adopted replan decision; pick a new replan-adopting pin")
+		t.Fatal("scenario (4, 50) journaled no adopted replan decision; pick a new replan-adopting pin")
 	}
 }
 
@@ -198,7 +198,7 @@ func TestReplanScenarioJournalsAdoptedDecision(t *testing.T) {
 // unjournaled run. Run under -race by `make test-recovery`, this also
 // catches snapshot capture racing the executor.
 func TestSnapshotIntervalInvisible(t *testing.T) {
-	for _, sc := range []Scenario{Generate(1, 0), Generate(1, 1), Generate(4, 2)} {
+	for _, sc := range []Scenario{Generate(1, 0), Generate(1, 1), Generate(4, 50)} {
 		plain, err := RunScenario(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -264,8 +264,8 @@ func TestResumeRefusesForeignJournal(t *testing.T) {
 func FuzzRecover(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0), uint64(3), uint64(1))
 	f.Add(uint64(1), uint64(0), uint64(1), uint64(0), uint64(2))
-	f.Add(uint64(4), uint64(2), uint64(48), uint64(17), uint64(2)) // replan mid-journal
-	f.Add(uint64(4), uint64(2), uint64(96), uint64(0), uint64(0))  // one record short of End
+	f.Add(uint64(4), uint64(50), uint64(48), uint64(17), uint64(2)) // replan mid-journal
+	f.Add(uint64(4), uint64(50), uint64(136), uint64(0), uint64(0)) // one record short of End
 	f.Add(uint64(42), uint64(13), uint64(7), uint64(39), uint64(3))
 	f.Fuzz(func(t *testing.T, seed, rawIndex, rawSeq, rawTorn, rawInterval uint64) {
 		sc := Generate(seed, int(rawIndex%64))

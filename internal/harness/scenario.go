@@ -54,9 +54,9 @@ type Scenario struct {
 	// the job deadline. Factors near or below 1 are often infeasible,
 	// deliberately exercising the planner-failure fallback path.
 	DeadlineFactor float64
-	// Estimator selects the simulator's Monte-Carlo estimator mode, so
-	// the chaos sweep exercises both the incremental segment estimator
-	// and the full-DAG reference.
+	// Estimator selects the simulator's estimator mode, so the chaos
+	// sweep exercises both the incremental segment estimator and the
+	// analytic one.
 	Estimator sim.EstimatorMode
 	// Drift injects a mid-run latency regime change the planner did not
 	// see: every iteration starting after the drift onset runs Factor×
@@ -210,10 +210,10 @@ func Generate(seed uint64, index int) Scenario {
 		MaxGPUs:          maxGPUs,
 		Samples:          4,
 		DeadlineFactor:   uniform(r, 0.8, 2.5),
-		// Drawn after the fields above so pre-existing scenario corpora
-		// keep every other field for a given (seed, index).
-		Estimator: pick(r, sim.EstimatorSegment, sim.EstimatorFull),
 	}
+	// This draw selects nothing any more. It is still consumed so every
+	// later field keeps its value for a given (seed, index).
+	r.Intn(2)
 
 	// Drift and replanning draws come last, after every pre-existing
 	// field, for the same corpus-stability reason. A third of scenarios

@@ -27,7 +27,6 @@ package journal
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/trace"
 )
@@ -374,13 +373,4 @@ func DecodeRecord(payload []byte) (Record, error) {
 		return nil, err
 	}
 	return rec, nil
-}
-
-// isNaNCanonical guards float round-trips: encoding folds floats by their
-// IEEE-754 bit pattern, so every payload — NaNs included — survives
-// encode→decode→encode bit-identically. Exported codecs rely on this;
-// the helper exists to document the invariant where it matters.
-func isNaNCanonical(bits uint64) bool {
-	f := math.Float64frombits(bits)
-	return !math.IsNaN(f) || math.Float64bits(f) == bits
 }

@@ -77,7 +77,7 @@ func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 // determinism check under each estimator mode explicitly: within a mode
 // the chosen plan and bitwise estimate must not vary with worker count or
 // repetition. (The default-mode test above covers EstimatorSegment; this
-// pins EstimatorFull and guards the default against silent drift.)
+// pins EstimatorAnalytic and guards the default against silent drift.)
 func TestPlanElasticDeterministicPerEstimator(t *testing.T) {
 	build := func(workers int, mode sim.EstimatorMode) *Planner {
 		s := spec.MustSHA(16, 2, 16, 2)
@@ -93,7 +93,7 @@ func TestPlanElasticDeterministicPerEstimator(t *testing.T) {
 		}
 		return &Planner{Sim: sm, Deadline: 1200, MaxGPUs: 32, Workers: workers}
 	}
-	for _, mode := range []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorFull} {
+	for _, mode := range []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic} {
 		want, err := build(1, mode).PlanElastic()
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)

@@ -32,7 +32,7 @@ func FuzzPlanElastic(f *testing.F) {
 		// Deadline factor in [0.5, 3.0): both infeasible and slack.
 		factor := 0.5 + float64(rawFactor%25)/10
 		maxGPUs := int(rawMax%32) + 1
-		estimator := []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorFull, sim.EstimatorAnalytic}[rawEst%3]
+		estimator := []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic}[rawEst%2]
 
 		s := spec.Empty()
 		for i := 0; i < nStages; i++ {

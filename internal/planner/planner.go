@@ -97,14 +97,13 @@ type Planner struct {
 }
 
 // memoKey returns the memo key for a plan: its canonical-allocation key
-// when frontier deduplication applies, so behaviorally identical
-// candidates share one evaluation. Deduplication is sound exactly when
-// estimates are a function of the canonical allocation — true for the
-// segment and analytic estimators, whose RNG streams are keyed by
-// canonical segment tuples, and false for the full-DAG estimator, whose
-// streams are keyed by the raw plan.
+// unless frontier deduplication is disabled, so behaviorally identical
+// candidates share one evaluation. Deduplication is sound because every
+// estimate is a function of the canonical allocation: both estimator
+// modes key segments, sample streams and moments by canonical segment
+// tuples.
 func (p *Planner) memoKey(plan sim.Plan) string {
-	if p.DisableFrontierDedupe || p.Sim.Estimator() == sim.EstimatorFull {
+	if p.DisableFrontierDedupe {
 		return plan.Key()
 	}
 	return p.Sim.CanonicalPlanKey(plan)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/planner"
-	"repro/internal/sim"
 )
 
 // referencePlanner mirrors newPlanner with the two-phase machinery
@@ -64,15 +63,12 @@ func TestShortlistSafetyOnCorpus(t *testing.T) {
 
 // TestFrontierDedupeGridEquivalence: canonical-allocation deduplication
 // alone (pruning disabled on both sides) must not change any planning
-// outcome in the stream-sharing estimator modes, while memoizing strictly
-// fewer distinct evaluations somewhere on the corpus.
+// outcome in either estimator mode, while memoizing strictly fewer
+// distinct evaluations somewhere on the corpus.
 func TestFrontierDedupeGridEquivalence(t *testing.T) {
 	const seed, n = 61, 8
 	sharedFewer := false
 	for _, sc := range metamorphicScenarios(t, seed, n) {
-		if sc.Estimator == sim.EstimatorFull {
-			continue // dedupe is (correctly) inert for plan-keyed streams
-		}
 		dedup, _ := newPlanner(t, sc, sc.Profile, seed, 0.01)
 		dedup.DisableAnalyticPrune = true
 		plain, _ := referencePlanner(t, sc, seed)

@@ -110,7 +110,7 @@ func TestPreScreenPassesMaterialSlowdown(t *testing.T) {
 // cheaper tail — the mini-plan condition must classify that as material
 // and hand the call to the Monte-Carlo replan, whose decision stays
 // bit-identical to the screen-disabled controller's. (The harness pin
-// (4, 2) covers the end-to-end case where such a replan adopts.)
+// (4, 50) covers the end-to-end case where such a replan adopts.)
 func TestPreScreenPassesSpeedupSlack(t *testing.T) {
 	run := func(disable bool) Decision {
 		c := screenTestController(t, disable)

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -190,4 +191,87 @@ func mustGet(t *testing.T, s *Server, id string) *Experiment {
 		t.Fatalf("experiment %s not registered", id)
 	}
 	return exp
+}
+
+// TestZeroSnapshotIntervalSelectsDefault: a zero Config.SnapshotInterval
+// selects the default of 64 rather than disabling snapshots, so a
+// journaled experiment's run header records interval 64.
+func TestZeroSnapshotIntervalSelectsDefault(t *testing.T) {
+	dataDir := t.TempDir()
+	s, ts := newTestServer(t, Config{Capacity: 8, DataDir: dataDir})
+	sub := smallSub("acme", 401)
+	resp, body := postSub(t, ts, sub)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	s.Close()
+
+	fb, err := journal.NewFileBackend(filepath.Join(dataDir, sub.Tenant, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	raw, err := fb.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Records) == 0 {
+		t.Fatal("empty journal")
+	}
+	rec, err := journal.DecodeRecord(raw.Records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, ok := rec.(*journal.Header)
+	if !ok {
+		t.Fatalf("first record is %T, not a run header", rec)
+	}
+	if hdr.Interval != 64 {
+		t.Fatalf("journaled snapshot interval %d, want the default 64", hdr.Interval)
+	}
+}
+
+// TestRecoverFailsRetiredEstimator: an unfinished run whose
+// submission.json names the retired "full" estimator cannot be rebuilt
+// into a scenario, so recovery reports it in Failed instead of resuming
+// it.
+func TestRecoverFailsRetiredEstimator(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Capacity: 8, DataDir: dataDir}
+	sub := smallSub("acme", 402)
+	_, total := refRun(t, sub)
+	sA, tsA := newTestServer(t, cfg)
+	sA.armJournal = func(_ string, jw *journal.Writer) { jw.SetCrashPoint(total/2, 0) }
+	resp, body := postSub(t, tsA, sub)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	sA.Drain()
+	sA.Close()
+
+	sub.Estimator = "full"
+	side, err := json.Marshal(subSidecar{ID: st.ID, Submission: sub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, sub.Tenant, st.ID, "submission.json"), side, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sB, _ := newTestServer(t, cfg)
+	rep, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != 0 || len(rep.Failed) != 1 || rep.Failed[0] != st.ID {
+		t.Fatalf("recover report = %+v, want %s failed", rep, st.ID)
+	}
 }

@@ -59,8 +59,8 @@ type Submission struct {
 	DeadlineFactor float64 `json:"deadline_factor"`
 	// Samples is the simulator's Monte-Carlo sample count (default 4).
 	Samples int `json:"samples,omitempty"`
-	// Estimator selects the estimator mode: "segment" (default), "full"
-	// or "analytic".
+	// Estimator selects the estimator mode: "segment" (the default when
+	// empty) or "analytic".
 	Estimator string `json:"estimator,omitempty"`
 	// Instance names the cloud catalog worker type (default p3.2xlarge).
 	Instance string `json:"instance,omitempty"`
@@ -109,7 +109,7 @@ func (s *Submission) Validate() error {
 	if s.Samples < 0 || s.Samples > maxSamples {
 		return fmt.Errorf("samples %d, want 0-%d", s.Samples, maxSamples)
 	}
-	if _, err := estimatorMode(s.Estimator); err != nil {
+	if _, err := s.estimator(); err != nil {
 		return err
 	}
 	if _, err := cloud.DefaultCatalog().Lookup(instanceName(s.Instance)); err != nil {
@@ -132,18 +132,13 @@ func zooModel(name string) (*model.Model, error) {
 	return nil, fmt.Errorf("unknown model %q", name)
 }
 
-// estimatorMode parses the estimator field ("" defaults to segment).
-func estimatorMode(s string) (sim.EstimatorMode, error) {
-	switch s {
-	case "", "segment":
+// estimator parses the estimator field with sim.ParseEstimator; empty
+// selects the segment estimator.
+func (s *Submission) estimator() (sim.EstimatorMode, error) {
+	if s.Estimator == "" {
 		return sim.EstimatorSegment, nil
-	case "full":
-		return sim.EstimatorFull, nil
-	case "analytic":
-		return sim.EstimatorAnalytic, nil
-	default:
-		return 0, fmt.Errorf("unknown estimator %q (want segment, full or analytic)", s)
 	}
+	return sim.ParseEstimator(s.Estimator)
 }
 
 // instanceName applies the worker-type default.
@@ -179,7 +174,7 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 	if err != nil {
 		return harness.Scenario{}, err
 	}
-	est, err := estimatorMode(sub.Estimator)
+	est, err := sub.estimator()
 	if err != nil {
 		return harness.Scenario{}, err
 	}

@@ -29,9 +29,8 @@ type Config struct {
 	// experiment journals under DataDir/<tenant>/<id>/ with submission and
 	// replay sidecars, and Recover resumes unfinished runs from it.
 	DataDir string
-	// SnapshotInterval is the journal snapshot interval in records
-	// (default 64; 0 after explicit set means disabled — use -1 sentinel
-	// via cmd flag handling, the server takes the value as-is when >= 0).
+	// SnapshotInterval is the journal snapshot interval in records; 0
+	// selects the default of 64.
 	SnapshotInterval uint64
 }
 

@@ -207,6 +207,13 @@ func TestServerRejections(t *testing.T) {
 		t.Fatalf("unknown model: %d %s", resp.StatusCode, body)
 	}
 
+	retired := smallSub("acme", 1)
+	retired.Estimator = "full"
+	if resp, body := postSub(t, ts, retired); resp.StatusCode != http.StatusBadRequest ||
+		!bytes.Contains(body, []byte("segment")) || !bytes.Contains(body, []byte("analytic")) {
+		t.Fatalf("retired estimator: %d %s", resp.StatusCode, body)
+	}
+
 	greedy := smallSub("acme", 1)
 	greedy.MaxGPUs = 64 // above the tenant quota
 	if resp, body := postSub(t, ts, greedy); resp.StatusCode != http.StatusBadRequest {

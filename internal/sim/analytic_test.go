@@ -60,22 +60,17 @@ func TestAnalyticAgreesExactlyUnderDeterministicLatencies(t *testing.T) {
 
 // TestAnalyticWithinMonteCarloTolerance: under stochastic latencies the
 // analytic estimator is a (slightly biased) closed form of the same
-// quantities EstimatorFull samples; at 400 samples its means must sit
-// within a few standard errors plus the documented moment-matching bias
-// allowance, for both billing models.
+// quantities Algorithm 1 samples over the full DAG; at 400 samples its
+// means must sit within a few standard errors plus the documented
+// moment-matching bias allowance, for both billing models.
 func TestAnalyticWithinMonteCarloTolerance(t *testing.T) {
 	const samples = 400
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
 		ana := modeSim(t, samples, 4, 9, EstimatorAnalytic)
-		full := modeSim(t, samples, 4, 9, EstimatorFull)
 		ana.cloud.Pricing.Billing = billing
-		full.cloud.Pricing.Billing = billing
 		for _, plan := range testPlans(ana) {
 			ae := analyticEstimate(t, ana, plan)
-			fe, err := full.Estimate(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fe := algorithm1Estimate(t, ana, plan)
 			if ae.JCTStd <= 0 {
 				t.Fatalf("billing %v plan %v: degenerate analytic spread %+v", billing, plan, ae)
 			}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/cloud"
-	"repro/internal/stats"
-)
+import "repro/internal/cloud"
 
 // StageEstimate decomposes a plan prediction into per-stage terms: where
 // the time goes and where the money goes. Useful for inspecting why the
@@ -27,17 +24,24 @@ type StageEstimate struct {
 }
 
 // Breakdown predicts per-stage durations and compute-cost attribution for
-// a plan, using the same compiled segments, RNG streams and estimator
-// mode as Estimate. Sample k condenses exactly the draws Estimate's k-th
-// sample averaged over, so the decomposition is consistent with the
-// aggregate estimate, and repeated or concurrent calls return identical
-// results.
+// a plan. It is always the segment Monte-Carlo decomposition, under the
+// analytic mode too: it averages the segment table's cached sample
+// vectors, so under EstimatorSegment sample k condenses exactly the draws
+// Estimate's k-th sample averaged over and the decomposition is
+// consistent with the aggregate estimate. Repeated or concurrent calls
+// return identical results.
 func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
 	var cp compiledPlan
 	if err := s.compile(p, &cp); err != nil {
 		return nil, err
 	}
-	vecs := s.sampleVectors(&cp, p)
+	return s.breakdown(&cp, s.sampleVectors(&cp), p), nil
+}
+
+// breakdown averages per-stage durations and compute-cost attribution
+// over the s.samples Monte-Carlo rows of a compiled plan (vecs[i][k] is
+// stage i's draw k).
+func (s *Simulator) breakdown(cp *compiledPlan, vecs [][]segSample, p Plan) []StageEstimate {
 	n := len(cp.segs)
 	durSum := make([]float64, n)
 	costSum := make([]float64, n)
@@ -83,28 +87,5 @@ func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
 			Cost:         costSum[i] / float64(s.samples),
 		}
 	}
-	return out, nil
-}
-
-// CriticalPathKinds samples one schedule and reports how much of the
-// critical path each node kind contributes — a quick diagnostic for
-// whether a plan is provisioning-bound or training-bound.
-func (s *Simulator) CriticalPathKinds(p Plan, rng *stats.RNG) (map[string]float64, error) {
-	b, err := s.build(p)
-	if err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		// Derive a deterministic stream for the plan rather than sharing
-		// mutable state, keeping the Simulator safe for concurrent use.
-		rng = s.planStream(p)
-	}
-	timings, _ := b.graph.Sample(rng)
-	path := b.graph.CriticalPath(timings)
-	out := make(map[string]float64)
-	for _, id := range path {
-		nd := b.graph.Node(id)
-		out[nd.Kind.String()] += timings[id].Finish - timings[id].Start
-	}
-	return out, nil
+	return out
 }

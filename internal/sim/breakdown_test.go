@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/spec"
-	"repro/internal/stats"
 )
 
 func TestBreakdownSumsToEstimate(t *testing.T) {
@@ -69,23 +68,5 @@ func TestBreakdownRejectsBadPlan(t *testing.T) {
 	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0), 2)
 	if _, err := sm.Breakdown(NewPlan(4, 4)); err == nil {
 		t.Fatal("bad plan accepted")
-	}
-}
-
-func TestCriticalPathKinds(t *testing.T) {
-	s := spec.Empty().AddStage(2, 10)
-	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 5, 15), 2)
-	kinds, err := sm.CriticalPathKinds(NewPlan(2), stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The critical path must include provisioning (20 s) and training
-	// (10 s).
-	if math.Abs(kinds["TRAIN"]-10) > 1e-9 {
-		t.Errorf("TRAIN share %v, want 10", kinds["TRAIN"])
-	}
-	total := kinds["SCALE"] + kinds["INIT_INSTANCE"]
-	if math.Abs(total-20) > 1e-9 {
-		t.Errorf("provisioning share %v, want 20", total)
 	}
 }

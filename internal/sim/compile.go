@@ -8,8 +8,8 @@ import (
 	"repro/internal/stats"
 )
 
-// segStreamDomain separates the segment-keyed RNG stream family from the
-// plan-keyed family used by EstimatorFull and from any other Hash64 users.
+// segStreamDomain separates the segment-keyed RNG stream family from any
+// other Hash64 users.
 const segStreamDomain = 0x7365676d656e7431 // "segment1"
 
 // segKey identifies one stage segment of an execution DAG up to
@@ -125,12 +125,11 @@ func canonAlloc(alloc, trials int) int {
 // CanonicalPlanKey returns the Plan.Key encoding of p's behavioral
 // representative under this simulator's spec: each stage allocation
 // mapped through canonAlloc. Two plans with equal canonical keys produce
-// bit-identical estimates in the segment and analytic modes, which derive
-// programs, sample vectors and RNG streams from the canonical segment
-// tuples; the full-DAG mode keys its streams by the raw plan and is
-// excluded from the guarantee. The planner's frontier deduplication memos
-// on this key. Stages beyond the spec pass through unmapped (such plans
-// fail validation at estimation time anyway).
+// bit-identical estimates in both estimator modes, which derive programs,
+// sample vectors, moments and RNG streams from the canonical segment
+// tuples only. The planner's frontier deduplication memos on this key.
+// Stages beyond the spec pass through unmapped (such plans fail
+// validation at estimation time anyway).
 func (s *Simulator) CanonicalPlanKey(p Plan) string {
 	stages := s.spec.NumStages()
 	b := make([]byte, 0, 4*len(p.Alloc))
@@ -163,9 +162,16 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 	return sg
 }
 
-// buildSegment constructs one stage's zero-based sub-DAG — mirroring the
-// stage structure of build, with the previous stage's SYNC barrier as the
-// implicit time-zero source — and compiles it to a flat program.
+// buildSegment constructs one stage's zero-based sub-DAG of the execution
+// DAG (§4.2, Figure 7) and compiles it to a flat program. The stage opens
+// with a blocking SCALE node plus parallel INIT_INSTANCE nodes if the
+// cluster must grow, runs parallel TRAIN nodes (chained serially when the
+// stage has fewer GPUs than trials), and closes with a SYNC barrier; the
+// previous stage's SYNC is the implicit time-zero source. The cluster is
+// sized the way the placement controller packs it (co-located trials), so
+// predicted instance counts, and with them per-instance cost, match
+// execution. Deprovisioning is a zero-latency, zero-cost event and is not
+// represented (the cost model's per-stage instance counts account for it).
 //
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) *segment {
@@ -292,34 +298,14 @@ func (s *Simulator) workerSlots() int {
 	return n
 }
 
-// sampleVectors produces the per-stage sample vectors for a compiled
-// plan under the simulator's estimator mode. vecs[i][k] is stage i's
-// segSample for Monte-Carlo draw k.
-//
-// EstimatorSegment composes cached tuple-keyed vectors; EstimatorFull
-// draws every stage fresh from the plan's own stream family, with sample
-// k's single stream threaded through the stages in order (the draw order
-// of sampling the full DAG). Both modes evaluate the same compiled
-// programs, so they differ only in which RNG stream feeds each segment.
-func (s *Simulator) sampleVectors(cp *compiledPlan, p Plan) [][]segSample {
+// sampleVectors composes the per-stage sample vectors of a compiled plan
+// from the segment table: vecs[i][k] is stage i's segSample for
+// Monte-Carlo draw k.
+func (s *Simulator) sampleVectors(cp *compiledPlan) [][]segSample {
 	vecs := make([][]segSample, len(cp.segs))
-	if s.estimator != EstimatorFull {
-		for i, sg := range cp.segs {
-			vecs[i] = s.segmentSamples(sg)
-		}
-		return vecs
+	for i, sg := range cp.segs {
+		vecs[i] = s.segmentSamples(sg)
 	}
-	for i := range vecs {
-		vecs[i] = make([]segSample, s.samples)
-	}
-	base := s.planStream(p)
-	scratch := make([][]dag.Timing, s.workerSlots())
-	par.ForEachWorker(s.samples, s.Workers(), func(w, k int) {
-		r := base.Stream(uint64(k))
-		for i, sg := range cp.segs {
-			vecs[i][k], scratch[w] = sg.eval(r, scratch[w])
-		}
-	})
 	return vecs
 }
 

@@ -2,12 +2,12 @@ package sim
 
 import "fmt"
 
-// EstimatorMode selects how Estimate and Breakdown source Monte-Carlo
-// draws for a plan's stage segments. Both modes evaluate the same compiled
-// segment programs with the same arithmetic — they differ only in RNG
-// stream discipline — so under fully deterministic latency profiles they
-// return exactly equal estimates, and under stochastic profiles they agree
-// to Monte-Carlo tolerance.
+// EstimatorMode selects how Estimate evaluates a plan's compiled stage
+// segments: by recombining their cached Monte-Carlo sample vectors, or by
+// propagating analytic moments through them. Both modes read the same
+// compiled segment programs, so under fully deterministic latency
+// profiles they agree to float round-off, and under stochastic profiles
+// to Monte-Carlo tolerance plus the moment-matching bias.
 type EstimatorMode int
 
 const (
@@ -20,16 +20,11 @@ const (
 	// (common random numbers), the noise in greedy pairwise comparisons
 	// is correlated away rather than added in quadrature.
 	EstimatorSegment EstimatorMode = iota
-	// EstimatorFull draws every segment fresh from the plan's own stream
-	// family, sample by sample in stage order — the reference estimator,
-	// statistically identical to sampling the full execution DAG with no
-	// cross-plan draw sharing and no cache dependence.
-	EstimatorFull
 	// EstimatorAnalytic draws no samples at all: it propagates
 	// (mean, variance) moments through the compiled segment programs
 	// (dag.Program.MomentsInto) and recombines them against an analytic
 	// billing model, yielding an estimate in microseconds. It agrees with
-	// the sampling modes exactly under deterministic latencies and to
+	// the segment mode exactly under deterministic latencies and to
 	// statistical tolerance otherwise. Plans whose latencies lack finite
 	// moments (Pareto alpha <= 2, opaque dists without Var) fall back to
 	// EstimatorSegment Monte-Carlo transparently.
@@ -41,29 +36,25 @@ func (m EstimatorMode) String() string {
 	switch m {
 	case EstimatorSegment:
 		return "segment"
-	case EstimatorFull:
-		return "full"
 	case EstimatorAnalytic:
 		return "analytic"
 	}
 	return fmt.Sprintf("EstimatorMode(%d)", int(m))
 }
 
-// ParseEstimator parses a -estimator flag value ("segment", "full", or
+// ParseEstimator parses a -estimator flag value ("segment" or
 // "analytic").
 func ParseEstimator(s string) (EstimatorMode, error) {
 	switch s {
 	case "segment":
 		return EstimatorSegment, nil
-	case "full":
-		return EstimatorFull, nil
 	case "analytic":
 		return EstimatorAnalytic, nil
 	}
-	return 0, fmt.Errorf("sim: unknown estimator %q (want \"segment\", \"full\", or \"analytic\")", s)
+	return 0, fmt.Errorf("sim: unknown estimator %q (want \"segment\" or \"analytic\")", s)
 }
 
-// WithEstimator selects the Monte-Carlo estimator mode. The default is
+// WithEstimator selects the estimator mode. The default is
 // EstimatorSegment; see EstimatorMode for the trade-off.
 func WithEstimator(m EstimatorMode) Option { return func(s *Simulator) { s.estimator = m } }
 

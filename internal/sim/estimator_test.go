@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cloud"
@@ -53,10 +54,11 @@ func deterministicSim(t testing.TB, samples, workers int, mode EstimatorMode, bi
 }
 
 func estimatorModes() []EstimatorMode {
-	return []EstimatorMode{EstimatorSegment, EstimatorFull, EstimatorAnalytic}
+	return []EstimatorMode{EstimatorSegment, EstimatorAnalytic}
 }
 
-// TestParseEstimator round-trips both flag spellings and rejects others.
+// TestParseEstimator round-trips both flag spellings and rejects others,
+// including the retired "full", with an error naming the valid modes.
 func TestParseEstimator(t *testing.T) {
 	for _, m := range estimatorModes() {
 		got, err := ParseEstimator(m.String())
@@ -64,8 +66,14 @@ func TestParseEstimator(t *testing.T) {
 			t.Fatalf("ParseEstimator(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := ParseEstimator("fast"); err == nil {
-		t.Fatal("ParseEstimator accepted an unknown mode")
+	for _, bad := range []string{"fast", "full", ""} {
+		_, err := ParseEstimator(bad)
+		if err == nil {
+			t.Fatalf("ParseEstimator accepted %q", bad)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "segment") || !strings.Contains(msg, "analytic") {
+			t.Fatalf("ParseEstimator(%q) error %q does not name the valid modes", bad, msg)
+		}
 	}
 }
 
@@ -101,26 +109,23 @@ func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestEstimatorsAgreeExactlyUnderDeterministicLatencies: with point-mass
-// latencies everywhere the segment estimator's recombined samples carry
-// no randomness to diverge on, so both modes — which share the same
-// compiled programs and recombination arithmetic — must return exactly
-// equal estimates and breakdowns, under both billing models and for all
-// plan shapes (static, shrinking, queued waves).
+// latencies everywhere no draw carries randomness to diverge on, so the
+// segment estimator must return Algorithm 1's estimates and breakdowns
+// over the full DAG, up to the float round-off of zero-based versus
+// absolute stage times, under both billing models and for all plan
+// shapes (static, shrinking, queued waves).
 func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
+	const rel = 1e-12
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
 		seg := deterministicSim(t, 5, 2, EstimatorSegment, billing)
-		full := deterministicSim(t, 5, 2, EstimatorFull, billing)
 		for _, plan := range testPlans(seg) {
 			se, err := seg.Estimate(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fe, err := full.Estimate(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if se != fe {
-				t.Fatalf("billing %v plan %v: segment %+v != full %+v", billing, plan, se, fe)
+			fe := algorithm1Estimate(t, seg, plan)
+			if !near(se.JCT, fe.JCT, rel) || !near(se.Cost, fe.Cost, rel) || se.JCTStd != 0 || fe.JCTStd != 0 {
+				t.Fatalf("billing %v plan %v: segment %+v != Algorithm 1 %+v", billing, plan, se, fe)
 			}
 			if se.JCT <= 0 || se.Cost <= 0 {
 				t.Fatalf("billing %v plan %v: degenerate estimate %+v", billing, plan, se)
@@ -129,13 +134,12 @@ func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb, err := full.Breakdown(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fb := algorithm1Breakdown(t, seg, plan)
 			for i := range sb {
-				if sb[i] != fb[i] {
-					t.Fatalf("billing %v plan %v stage %d: segment %+v != full %+v", billing, plan, i, sb[i], fb[i])
+				a, b := sb[i], fb[i]
+				if a.Stage != b.Stage || a.Trials != b.Trials || a.GPUsPerTrial != b.GPUsPerTrial || a.Instances != b.Instances ||
+					!near(a.Duration, b.Duration, rel) || !near(a.Cost, b.Cost, rel) {
+					t.Fatalf("billing %v plan %v stage %d: segment %+v != Algorithm 1 %+v", billing, plan, i, a, b)
 				}
 			}
 		}
@@ -143,22 +147,19 @@ func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 }
 
 // TestEstimatorsAgreeToMonteCarloTolerance: under stochastic latencies
-// the two modes draw different streams, so they are distinct unbiased
-// estimators of the same quantities; at a large sample count their means
-// must agree to a few standard errors.
+// the segment estimator and Algorithm 1 over the full DAG draw different
+// streams, so they are distinct unbiased estimators of the same
+// quantities; at a large sample count their means must agree to a few
+// standard errors.
 func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 	const samples = 400
 	seg := modeSim(t, samples, 4, 9, EstimatorSegment)
-	full := modeSim(t, samples, 4, 9, EstimatorFull)
 	for _, plan := range testPlans(seg) {
 		se, err := seg.Estimate(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := full.Estimate(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fe := algorithm1Estimate(t, seg, plan)
 		// 5 standard errors of the larger spread, plus a small absolute
 		// floor for near-deterministic components.
 		jctTol := 5*math.Max(se.JCTStd, fe.JCTStd)/math.Sqrt(samples) + 1e-9
@@ -245,7 +246,7 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
 		}
-		vecs := sm.sampleVectors(&cp, plan)
+		vecs := sm.sampleVectors(&cp)
 		var births []float64
 		_, _, births = sm.priceSchedule(&cp, vecs, 0, births) // warm the buffer
 		allocs := testing.AllocsPerRun(100, func() {
@@ -262,10 +263,11 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 // nothing per draw.
 func TestGraphSampleZeroAlloc(t *testing.T) {
 	sm := stochasticSim(t, 8, 1, 3)
-	g, err := sm.BuildDAG(testPlans(sm)[1])
+	b, err := buildFullDAG(sm, testPlans(sm)[1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.graph
 	rng := stats.NewRNG(5)
 	buf, _ := g.SampleInto(rng, nil)
 	allocs := testing.AllocsPerRun(100, func() {

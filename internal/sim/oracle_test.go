@@ -1,0 +1,261 @@
+package sim
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/dag"
+	"repro/internal/placement"
+	"repro/internal/stats"
+)
+
+// This file holds the reference estimator the production segment path is
+// checked against: Algorithm 1 run over a plan's whole execution DAG, the
+// graph Figure 7 draws, sampled node by node from the plan's own RNG
+// stream family with no segment table, no compiled programs and no
+// cross-plan draw sharing.
+
+// fullDAG is a plan's whole execution DAG plus the per-stage node IDs
+// that condense one sampled schedule into per-stage segSamples.
+type fullDAG struct {
+	graph *dag.Graph
+	// lo[i] is stage i's first node ID; lo[stages] is the node count.
+	lo []int
+	// scaleID[i] is the SCALE node issued before stage i, -1 if the
+	// cluster does not grow into it.
+	scaleID []int
+	// syncID[i] is stage i's closing SYNC barrier.
+	syncID []int
+	// instances[i] is the cluster size (instance count) during stage i.
+	instances []int
+	// trainIDs[i] lists stage i's TRAIN nodes.
+	trainIDs [][]int
+}
+
+// buildFullDAG synthesizes the execution DAG for a plan (§4.2, Figure 7):
+// per stage, an optional blocking SCALE node plus parallel INIT_INSTANCE
+// nodes if the cluster must grow, parallel TRAIN nodes (chained serially
+// when the stage has fewer GPUs than trials), and a closing SYNC barrier
+// that the next stage extends from.
+func buildFullDAG(s *Simulator, p Plan) (*fullDAG, error) {
+	if err := p.Validate(s.spec.NumStages()); err != nil {
+		return nil, err
+	}
+	g := dag.New()
+	b := &fullDAG{graph: g}
+	gpn := s.cloud.Instance.GPUs
+
+	curInstances := 0
+	frontier := []int(nil) // node IDs the next stage depends on
+	trial0 := 0            // global index of the stage's first trial
+	for i := 0; i < s.spec.NumStages(); i++ {
+		st := s.spec.Stage(i)
+		alloc := p.Alloc[i]
+		b.lo = append(b.lo, g.Len())
+		var need int
+		if alloc >= st.Trials {
+			need = placement.NodesNeeded(st.Trials, alloc/st.Trials, gpn)
+		} else {
+			need = placement.NodesNeeded(alloc, 1, gpn)
+		}
+
+		scaleID := -1
+		stageDeps := frontier
+		if need > curInstances {
+			scale := g.AddNode(dag.Scale, i, -1, 0, s.cloud.Overheads.QueueDelay, frontier...)
+			scaleID = scale.ID
+			inits := make([]int, 0, need-curInstances)
+			for k := curInstances; k < need; k++ {
+				init := g.AddNode(dag.InitInstance, i, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
+				inits = append(inits, init.ID)
+			}
+			// Training can begin only when both the previous stage is
+			// complete and the new instances are ready.
+			stageDeps = append(append([]int(nil), frontier...), inits...)
+		}
+		curInstances = need
+		b.scaleID = append(b.scaleID, scaleID)
+		b.instances = append(b.instances, need)
+
+		var trains []int
+		if alloc >= st.Trials {
+			per := alloc / st.Trials
+			trainDist := sumIters(s.profile.IterDist(per), st.Iters)
+			for tr := 0; tr < st.Trials; tr++ {
+				n := g.AddNode(dag.Train, i, trial0+tr, per, trainDist, stageDeps...)
+				trains = append(trains, n.ID)
+			}
+		} else {
+			trainDist := sumIters(s.profile.IterDist(1), st.Iters)
+			slotTail := make([]int, alloc) // last node ID per slot
+			for k := range slotTail {
+				slotTail[k] = -1
+			}
+			for tr := 0; tr < st.Trials; tr++ {
+				slot := tr % alloc
+				deps := stageDeps
+				if slotTail[slot] >= 0 {
+					deps = []int{slotTail[slot]}
+				}
+				n := g.AddNode(dag.Train, i, trial0+tr, 1, trainDist, deps...)
+				slotTail[slot] = n.ID
+				trains = append(trains, n.ID)
+			}
+		}
+		b.trainIDs = append(b.trainIDs, trains)
+
+		sync := g.AddNode(dag.Sync, i, -1, 0, stats.Deterministic{Value: 0}, trains...)
+		b.syncID = append(b.syncID, sync.ID)
+		frontier = []int{sync.ID}
+		trial0 += st.Trials
+	}
+	b.lo = append(b.lo, g.Len())
+	return b, nil
+}
+
+// planStream returns the root of the plan's own stream family, keyed by a
+// hash of its raw allocation vector.
+func planStream(s *Simulator, p Plan) *stats.RNG {
+	words := make([]uint64, len(p.Alloc))
+	for i, a := range p.Alloc {
+		words[i] = uint64(a)
+	}
+	root := s.root
+	return root.Stream(stats.Hash64(words...))
+}
+
+// algorithm1 draws s.samples schedules of the plan's full DAG, draw k from
+// the k-th stream of the plan's family, and condenses each stage of each
+// draw to a segSample: the sync-to-sync duration, the SCALE finish
+// relative to the stage start, and the TRAIN GPU-slot seconds. rows[i][k]
+// is stage i's draw k. The returned compiledPlan carries only the DAG's
+// billing metadata (instances, SCALE presence, per-trial GPUs), so
+// pricing it never consults the segment table.
+func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSample) {
+	t.Helper()
+	b, err := buildFullDAG(s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := len(b.syncID)
+	cp := &compiledPlan{}
+	for i := 0; i < stages; i++ {
+		cp.segs = append(cp.segs, &segment{
+			instances: b.instances[i],
+			scaleIdx:  b.scaleID[i],
+			trainGPUs: b.graph.Node(b.trainIDs[i][0]).GPUs,
+		})
+		cp.maxInstances = max(cp.maxInstances, b.instances[i])
+	}
+	rows := make([][]segSample, stages)
+	for i := range rows {
+		rows[i] = make([]segSample, s.samples)
+	}
+	base := planStream(s, p)
+	var buf []dag.Timing
+	for k := 0; k < s.samples; k++ {
+		buf, _ = b.graph.SampleInto(base.Stream(uint64(k)), buf)
+		start := 0.0
+		for i := 0; i < stages; i++ {
+			row := segSample{dur: buf[b.syncID[i]].Finish - start}
+			if b.scaleID[i] >= 0 {
+				row.scaleFin = buf[b.scaleID[i]].Finish - start
+			}
+			for _, id := range b.trainIDs[i] {
+				row.trainSec += buf[id].Finish - buf[id].Start
+			}
+			rows[i][k] = row
+			start = buf[b.syncID[i]].Finish
+		}
+	}
+	return cp, rows
+}
+
+// algorithm1Estimate is the reference Estimate: every Algorithm 1 draw
+// priced with priceSchedule and reduced like Estimate's own samples.
+func algorithm1Estimate(t testing.TB, s *Simulator, p Plan) Estimate {
+	t.Helper()
+	cp, rows := algorithm1(t, s, p)
+	return s.summarize(cp, rows)
+}
+
+// algorithm1Breakdown is the reference Breakdown over Algorithm 1 draws.
+func algorithm1Breakdown(t testing.TB, s *Simulator, p Plan) []StageEstimate {
+	t.Helper()
+	cp, rows := algorithm1(t, s, p)
+	return s.breakdown(cp, rows, p)
+}
+
+// fullDAGChecked builds the plan's full execution DAG and checks that
+// each stage's compiled segment holds exactly that stage's nodes.
+func fullDAGChecked(t *testing.T, sm *Simulator, p Plan) *dag.Graph {
+	t.Helper()
+	b, err := buildFullDAG(sm, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp compiledPlan
+	if err := sm.compile(p, &cp); err != nil {
+		t.Fatal(err)
+	}
+	for i, sg := range cp.segs {
+		if got, want := sg.prog.Len(), b.lo[i+1]-b.lo[i]; got != want {
+			t.Errorf("plan %v stage %d: segment has %d nodes, full DAG stage has %d", p, i, got, want)
+		}
+	}
+	return b.graph
+}
+
+// near reports whether a and b agree to rel relative to the larger
+// magnitude, with an absolute floor of rel for values near zero.
+func near(a, b, rel float64) bool {
+	return math.Abs(a-b) <= rel*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// TestSegmentDrawsMatchFullDAG: threading one RNG stream through a plan's
+// compiled stage segments in stage order reproduces Algorithm 1's draw
+// over the plan's full execution DAG, stage by stage and draw by draw, to
+// 1e-12 relative. This checks buildSegment against the paper's DAG on
+// every plan shape: each segment must hold its stage's nodes, consume
+// draws in the full graph's node order, carry the same billing metadata,
+// and condense to the same sync-to-sync duration, SCALE finish and
+// training GPU-seconds.
+func TestSegmentDrawsMatchFullDAG(t *testing.T) {
+	sm := stochasticSim(t, 60, 1, 19)
+	stages := sm.Spec().NumStages()
+	grow := Uniform(3, stages) // scales up mid-job: a second SCALE
+	for i := stages / 2; i < stages; i++ {
+		grow.Alloc[i] = 16
+	}
+	for _, plan := range append(testPlans(sm), grow) {
+		fullDAGChecked(t, sm, plan)
+		ref, want := algorithm1(t, sm, plan)
+		var cp compiledPlan
+		if err := sm.compile(plan, &cp); err != nil {
+			t.Fatal(err)
+		}
+		for i, sg := range cp.segs {
+			r := ref.segs[i]
+			if sg.instances != r.instances || (sg.scaleIdx >= 0) != (r.scaleIdx >= 0) || sg.trainGPUs != r.trainGPUs {
+				t.Fatalf("plan %v stage %d: segment metadata {inst %d scale %d gpus %d}, full DAG {inst %d scale %d gpus %d}",
+					plan, i, sg.instances, sg.scaleIdx, sg.trainGPUs, r.instances, r.scaleIdx, r.trainGPUs)
+			}
+		}
+		if cp.maxInstances != ref.maxInstances {
+			t.Fatalf("plan %v: peak instances %d, full DAG %d", plan, cp.maxInstances, ref.maxInstances)
+		}
+		base := planStream(sm, plan)
+		var buf []dag.Timing
+		for k := 0; k < sm.samples; k++ {
+			r := base.Stream(uint64(k))
+			for i, sg := range cp.segs {
+				var got segSample
+				got, buf = sg.eval(r, buf)
+				w := want[i][k]
+				if !near(got.dur, w.dur, 1e-12) || !near(got.scaleFin, w.scaleFin, 1e-12) || !near(got.trainSec, w.trainSec, 1e-12) {
+					t.Fatalf("plan %v draw %d stage %d: segment %+v, full DAG %+v", plan, k, i, got, w)
+				}
+			}
+		}
+	}
+}

@@ -189,29 +189,6 @@ func TestBreakdownDeterministicAndConsistent(t *testing.T) {
 	}
 }
 
-// TestCriticalPathKindsDeterministic covers the nil-RNG path, which used
-// to share the simulator's mutable generator.
-func TestCriticalPathKindsDeterministic(t *testing.T) {
-	sm := stochasticSim(t, 10, 2, 3)
-	plan := testPlans(sm)[0]
-	a, err := sm.CriticalPathKinds(plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sm.CriticalPathKinds(plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("kind sets differ: %v vs %v", a, b)
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("kind %s: %v != %v across calls", k, v, b[k])
-		}
-	}
-}
-
 // TestEstimateHeavyRepeatability is the gated heavy check run by
 // tools/repro/run.sh: large sample counts, high worker counts, many
 // repetitions, all bit-identical.

@@ -5,9 +5,7 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/dag"
 	"repro/internal/par"
-	"repro/internal/placement"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -41,7 +39,7 @@ type Simulator struct {
 	samples int
 	// workers bounds the Monte-Carlo fan-out; <= 0 selects GOMAXPROCS.
 	workers int
-	// estimator selects the Monte-Carlo stream discipline (see
+	// estimator selects sampling or moment propagation (see
 	// EstimatorMode).
 	estimator EstimatorMode
 	// root is a snapshot of the seeding generator's state at construction.
@@ -118,138 +116,11 @@ func (s *Simulator) Workers() int { return par.Workers(s.workers) }
 // margins around sampled means divide the spread by its square root.
 func (s *Simulator) Samples() int { return s.samples }
 
-// planKey hashes a plan's allocation vector into the index of its
-// dedicated stream family.
-func planKey(p Plan) uint64 {
-	words := make([]uint64, len(p.Alloc))
-	for i, a := range p.Alloc {
-		words[i] = uint64(a)
-	}
-	return stats.Hash64(words...)
-}
-
-// planStream returns the root generator of the plan's stream family. The
-// returned RNG is freshly allocated, so callers may advance it or derive
-// per-sample sub-streams from it without synchronization.
-func (s *Simulator) planStream(p Plan) *stats.RNG {
-	root := s.root
-	return root.Stream(planKey(p))
-}
-
 // Spec returns the simulated job's specification.
 func (s *Simulator) Spec() *spec.ExperimentSpec { return s.spec }
 
 // Cloud returns the simulator's cloud profile.
 func (s *Simulator) Cloud() CloudProfile { return s.cloud }
-
-// buildResult carries the DAG along with the stage metadata the cost model
-// needs to replay a sampled schedule against the billing rules.
-type buildResult struct {
-	graph *dag.Graph
-	// syncID[i] is the node ID of stage i's SYNC barrier.
-	syncID []int
-	// scaleID[i] is the node ID of the SCALE request issued before stage
-	// i, or -1 if the stage needed no scale-up.
-	scaleID []int
-	// instances[i] is the cluster size (instance count) during stage i.
-	instances []int
-	// trainIDs[i] lists stage i's TRAIN node IDs.
-	trainIDs [][]int
-}
-
-// BuildDAG synthesizes the execution DAG for a plan (§4.2, Figure 7):
-// per stage, an optional blocking SCALE node plus parallel INIT_INSTANCE
-// nodes if the cluster must grow, parallel TRAIN nodes (chained serially
-// when the stage has fewer GPUs than trials), and a closing SYNC barrier
-// that the next stage extends from. Deprovisioning is a zero-latency,
-// zero-cost event and is not represented (it is accounted for by the cost
-// model's per-stage instance counts).
-func (s *Simulator) BuildDAG(p Plan) (*dag.Graph, error) {
-	b, err := s.build(p)
-	if err != nil {
-		return nil, err
-	}
-	return b.graph, nil
-}
-
-func (s *Simulator) build(p Plan) (*buildResult, error) {
-	if err := p.Validate(s.spec.NumStages()); err != nil {
-		return nil, err
-	}
-	g := dag.New()
-	b := &buildResult{graph: g}
-	gpn := s.cloud.Instance.GPUs
-
-	curInstances := 0
-	frontier := []int(nil) // node IDs the next stage depends on
-	trial0 := 0            // global index of the stage's first trial
-	for i := 0; i < s.spec.NumStages(); i++ {
-		st := s.spec.Stage(i)
-		alloc := p.Alloc[i]
-		// Size the cluster the way the placement controller will pack it
-		// (co-located trials), so predicted instance counts — and
-		// therefore per-instance cost — match execution.
-		var need int
-		if alloc >= st.Trials {
-			need = placement.NodesNeeded(st.Trials, alloc/st.Trials, gpn)
-		} else {
-			need = placement.NodesNeeded(alloc, 1, gpn)
-		}
-
-		scaleID := -1
-		stageDeps := frontier
-		if need > curInstances {
-			scale := g.AddNode(dag.Scale, i, -1, 0, s.cloud.Overheads.QueueDelay, frontier...)
-			scaleID = scale.ID
-			inits := make([]int, 0, need-curInstances)
-			for k := curInstances; k < need; k++ {
-				init := g.AddNode(dag.InitInstance, i, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
-				inits = append(inits, init.ID)
-			}
-			// Training can begin only when both the previous stage is
-			// complete and the new instances are ready.
-			stageDeps = append(append([]int(nil), frontier...), inits...)
-		}
-		curInstances = need
-		b.scaleID = append(b.scaleID, scaleID)
-		b.instances = append(b.instances, need)
-
-		var trains []int
-		if alloc >= st.Trials {
-			per := alloc / st.Trials
-			trainDist := sumIters(s.profile.IterDist(per), st.Iters)
-			for tr := 0; tr < st.Trials; tr++ {
-				n := g.AddNode(dag.Train, i, trial0+tr, per, trainDist, stageDeps...)
-				trains = append(trains, n.ID)
-			}
-		} else {
-			// Fewer GPUs than trials: single-GPU slots with queued
-			// trials chained serially behind them.
-			trainDist := sumIters(s.profile.IterDist(1), st.Iters)
-			slotTail := make([]int, alloc) // last node ID per slot
-			for k := range slotTail {
-				slotTail[k] = -1
-			}
-			for tr := 0; tr < st.Trials; tr++ {
-				slot := tr % alloc
-				deps := stageDeps
-				if slotTail[slot] >= 0 {
-					deps = []int{slotTail[slot]}
-				}
-				n := g.AddNode(dag.Train, i, trial0+tr, 1, trainDist, deps...)
-				slotTail[slot] = n.ID
-				trains = append(trains, n.ID)
-			}
-		}
-		b.trainIDs = append(b.trainIDs, trains)
-
-		sync := g.AddNode(dag.Sync, i, -1, 0, stats.Deterministic{Value: 0}, trains...)
-		b.syncID = append(b.syncID, sync.ID)
-		frontier = []int{sync.ID}
-		trial0 += st.Trials
-	}
-	return b, nil
-}
 
 // Estimate predicts JCT and cost for the plan by drawing s.samples
 // Monte-Carlo samples of each stage segment's compiled program and
@@ -275,21 +146,27 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 			return est, nil
 		}
 		// Some latency lacks finite moments: fall back to segment-mode
-		// Monte-Carlo below (sampleVectors treats non-Full as segment).
+		// Monte-Carlo below.
 	}
 	var cp compiledPlan
 	if err := s.compile(p, &cp); err != nil {
 		return Estimate{}, err
 	}
-	vecs := s.sampleVectors(&cp, p)
+	return s.summarize(&cp, s.sampleVectors(&cp)), nil
+}
+
+// summarize prices each of the s.samples Monte-Carlo rows of a compiled
+// plan (vecs[i][k] is stage i's draw k) and reduces them, in index order,
+// to the estimate's means and standard deviations.
+func (s *Simulator) summarize(cp *compiledPlan, vecs [][]segSample) Estimate {
 	jcts := make([]float64, s.samples)
 	costs := make([]float64, s.samples)
 	var births []float64
 	for k := 0; k < s.samples; k++ {
-		jcts[k], costs[k], births = s.priceSchedule(&cp, vecs, k, births)
+		jcts[k], costs[k], births = s.priceSchedule(cp, vecs, k, births)
 	}
 	js, cs := stats.Summarize(jcts), stats.Summarize(costs)
-	return Estimate{JCT: js.Mean, JCTStd: js.Std, Cost: cs.Mean, CostStd: cs.Std}, nil
+	return Estimate{JCT: js.Mean, JCTStd: js.Std, Cost: cs.Mean, CostStd: cs.Std}
 }
 
 // instanceCharge bills one instance held from birth to death.

@@ -165,10 +165,7 @@ func TestGPUsPerTrial(t *testing.T) {
 func TestBuildDAGStructure(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10).AddStage(2, 20)
 	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 5, 15), 4)
-	g, err := sm.BuildDAG(NewPlan(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fullDAGChecked(t, sm, NewPlan(4, 2))
 	var counts [4]int
 	for _, n := range g.Nodes() {
 		counts[n.Kind]++
@@ -191,10 +188,7 @@ func TestBuildDAGScaleUpMidJob(t *testing.T) {
 	// INIT nodes (p3.8xlarge: 4 GPUs per instance).
 	s := spec.Empty().AddStage(2, 1).AddStage(2, 1)
 	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0), 4)
-	g, err := sm.BuildDAG(NewPlan(4, 16)) // 1 instance -> 4 instances
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fullDAGChecked(t, sm, NewPlan(4, 16)) // 1 instance -> 4 instances
 	scales, inits := 0, 0
 	for _, n := range g.Nodes() {
 		switch n.Kind {
@@ -476,12 +470,12 @@ func TestQuickEstimateSane(t *testing.T) {
 		if !(est.JCT > 0) || !(est.Cost > 0) || math.IsInf(est.JCT, 0) || math.IsInf(est.Cost, 0) {
 			return false
 		}
-		g, err := sm.BuildDAG(Uniform(gpus, s.NumStages()))
+		b, err := buildFullDAG(sm, Uniform(gpus, s.NumStages()))
 		if err != nil {
 			return false
 		}
 		syncs := 0
-		for _, nd := range g.Nodes() {
+		for _, nd := range b.graph.Nodes() {
 			if nd.Kind == dag.Sync {
 				syncs++
 			}

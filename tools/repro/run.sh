@@ -24,7 +24,7 @@ printf "\n== RNG stream derivation (golden values, independence) ==\n"
 go test ./internal/stats -run "^(TestSplit|TestStream|TestHash64)" -count=1 -timeout=10m -v
 
 printf "\n== Simulator determinism across worker counts ==\n"
-go test ./internal/sim -run "^(TestEstimateDeterministic|TestEstimateIndependentOfCallOrder|TestBreakdownDeterministic|TestCriticalPathKindsDeterministic)" -count=1 -timeout=10m -v
+go test ./internal/sim -run "^(TestEstimateDeterministic|TestEstimateIndependentOfCallOrder|TestBreakdownDeterministic|TestSegmentDrawsMatchFullDAG)" -count=1 -timeout=10m -v
 
 printf "\n== Planner determinism and memo cache ==\n"
 go test ./internal/planner -run "^(TestPlanDeterministicAcrossWorkers|TestPlanMinJCTDeterministicAcrossWorkers|TestMemoCache)" -count=1 -timeout=10m -v
