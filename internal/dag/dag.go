@@ -71,41 +71,19 @@ type Node struct {
 // Deps returns a copy of the node's dependency IDs.
 func (n *Node) Deps() []int { return append([]int(nil), n.deps...) }
 
-// Graph is a DAG of tasks. Nodes are added in topological order by
-// construction: a node may only depend on previously added nodes, which
-// both guarantees acyclicity and makes sampling a single linear pass.
+// Graph is a DAG of tasks: the reference model of the execution DAG.
+// Nodes are added in topological order by construction: a node may only
+// depend on previously added nodes, which both guarantees acyclicity and
+// makes sampling a single linear pass. Production code emits compiled
+// Programs directly (NewProgram, Program.Add); graphs are built by tests
+// and by the oracle that checks those programs, and bridged into
+// programs by Compile and CompileRange.
 type Graph struct {
 	nodes []*Node
-	// block is the current chunk of the node arena. Nodes live in
-	// fixed-capacity chunks that are never regrown, so *Node pointers
-	// stay stable while amortizing one heap allocation over
-	// graphBlockSize nodes — graph construction is the planner's
-	// cold-path allocator hot spot.
-	block []Node
-	// depArena backs every node's dependency list. Growth may relocate
-	// the arena, which is safe: already-issued deps slices keep their
-	// values in the old array, and full-capacity slicing prevents any
-	// aliased append.
-	depArena []int
 }
-
-// graphBlockSize is the node-arena chunk size.
-const graphBlockSize = 64
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
-
-// NewSized returns an empty graph presized for about nodes nodes and
-// deps total dependency edges. Exact counts make construction
-// allocation-flat (one block, one arena, no relocation); the graph
-// still grows past either hint correctly.
-func NewSized(nodes, deps int) *Graph {
-	return &Graph{
-		nodes:    make([]*Node, 0, nodes),
-		block:    make([]Node, 0, nodes),
-		depArena: make([]int, 0, deps),
-	}
-}
 
 // AddNode appends a node with the given dependencies and returns it.
 // It panics if a dependency refers to a node not yet added (which would
@@ -120,21 +98,15 @@ func (g *Graph) AddNode(kind Kind, stage, trial, gpus int, latency stats.Dist, d
 	if latency == nil {
 		latency = stats.Deterministic{Value: 0}
 	}
-	lo := len(g.depArena)
-	g.depArena = append(g.depArena, deps...)
-	if len(g.block) == cap(g.block) {
-		g.block = make([]Node, 0, graphBlockSize)
-	}
-	g.block = append(g.block, Node{
+	n := &Node{
 		ID:      id,
 		Kind:    kind,
 		Stage:   stage,
 		Trial:   trial,
 		GPUs:    gpus,
 		Latency: latency,
-		deps:    g.depArena[lo:len(g.depArena):len(g.depArena)],
-	})
-	n := &g.block[len(g.block)-1]
+		deps:    append([]int(nil), deps...),
+	}
 	g.nodes = append(g.nodes, n)
 	return n
 }

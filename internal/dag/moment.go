@@ -61,29 +61,29 @@ type MomentScratch struct {
 
 // reset sizes the scratch for an n-node program and clears the pass
 // state. The barrier arrays hold at most 2n+1 entries: one root, at most
-// one promotion per node, at most one fork barrier per node.
+// one promotion per node, at most one fork barrier per node. All int32
+// columns share one backing array and all moment columns another; both
+// grow geometrically, so a sequence of ever-larger programs regrows the
+// scratch only logarithmically often.
 //
 //rbvet:noalloc
 func (sc *MomentScratch) reset(n int) {
-	if cap(sc.barID) < n {
-		//rbvet:ignore noalloc — cold path: runs once per program size; steady-state passes reuse the buffers
-		sc.barID = make([]int32, n)
+	if c := cap(sc.barID); c < n {
+		c = max(n, 2*c)
+		b := 2*c + 1
+		//rbvet:ignore noalloc — cold path: runs once per geometric growth step; steady-state passes reuse the buffers
+		ints := make([]int32, 2*c+3*b)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.promoted = make([]int32, n)
-		//rbvet:ignore noalloc — cold path (see above)
-		sc.rel = make([]stats.Moment, n)
-		//rbvet:ignore noalloc — cold path (see above)
-		sc.lat = make([]stats.Moment, n)
-		//rbvet:ignore noalloc — cold path (see above)
-		sc.barParent = make([]int32, 2*n+1)
-		//rbvet:ignore noalloc — cold path (see above)
-		sc.barAbs = make([]stats.Moment, 2*n+1)
-		//rbvet:ignore noalloc — cold path (see above)
-		sc.barDepth = make([]int32, 2*n+1)
-		//rbvet:ignore noalloc — cold path (see above)
-		sc.barStamp = make([]int32, 2*n+1)
-		//rbvet:ignore noalloc — cold path (see above)
-		sc.items = make([]stats.Moment, 0, n)
+		moms := make([]stats.Moment, 3*c+b)
+		sc.barID, ints = ints[:c:c], ints[c:]
+		sc.promoted, ints = ints[:c:c], ints[c:]
+		sc.barParent, ints = ints[:b:b], ints[b:]
+		sc.barDepth, ints = ints[:b:b], ints[b:]
+		sc.barStamp = ints[:b:b]
+		sc.rel, moms = moms[:c:c], moms[c:]
+		sc.lat, moms = moms[:c:c], moms[c:]
+		sc.barAbs, moms = moms[:b:b], moms[b:]
+		sc.items = moms[:0:c]
 	}
 	sc.barID = sc.barID[:n]
 	sc.promoted = sc.promoted[:n]

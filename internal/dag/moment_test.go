@@ -160,6 +160,19 @@ func TestMomentsSerialAgainstMC(t *testing.T) {
 // TestMomentsMixedDists: every supported latency opcode propagates to
 // Monte-Carlo tolerance, including opRepeat and opaque Varer dists.
 func TestMomentsMixedDists(t *testing.T) {
+	p := Compile(momentMixedGraph())
+	var sc MomentScratch
+	mk, ok := p.MomentsInto(&sc)
+	if !ok {
+		t.Fatal("mixed program unsupported")
+	}
+	want, _ := sampleMakespan(p, 400000, p.Len()-1)
+	checkMoments(t, "mixed", mk, want, 0.02, 0.35)
+}
+
+// momentMixedGraph builds a fork-join stage whose latencies cover every
+// opcode with finite moments, including opRepeat and an opaque Varer.
+func momentMixedGraph() *Graph {
 	g := New()
 	a := g.AddNode(Scale, 0, -1, 0, stats.Uniform{Lo: 2, Hi: 8})
 	b := g.AddNode(InitInstance, 0, -1, 0, stats.Exponential{MeanValue: 4}, a.ID)
@@ -168,15 +181,7 @@ func TestMomentsMixedDists(t *testing.T) {
 	e := g.AddNode(Train, 0, 1, 1, stats.Pareto{Scale: 5, Alpha: 4}, b.ID, c.ID)
 	f := g.AddNode(Train, 0, 2, 1, stats.Shifted{D: stats.Uniform{Lo: 0, Hi: 6}, Offset: 50}, b.ID, c.ID)
 	g.AddNode(Sync, 0, -1, 0, stats.Deterministic{Value: 0}, d.ID, e.ID, f.ID)
-
-	p := Compile(g)
-	var sc MomentScratch
-	mk, ok := p.MomentsInto(&sc)
-	if !ok {
-		t.Fatal("mixed program unsupported")
-	}
-	want, _ := sampleMakespan(p, 400000, p.Len()-1)
-	checkMoments(t, "mixed", mk, want, 0.02, 0.35)
+	return g
 }
 
 // TestMomentsTrackedNodes: the accessors sim relies on — the SCALE

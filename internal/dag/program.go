@@ -24,13 +24,15 @@ const (
 	opDist                    // opaque: dists[aux].Sample
 )
 
-// Program is a Graph compiled into a flat structure-of-arrays form for
-// repeated Monte-Carlo sampling: dependency edges in CSR layout and
-// latency distributions as tagged-union opcodes with inline parameters.
-// Sampling a Program visits nodes in one linear pass with no per-node
-// pointer chasing and, for the built-in distribution types, no interface
-// calls. A Program is immutable after Compile and safe for concurrent use
-// by any number of goroutines (each with its own RNG and scratch buffer).
+// Program is a DAG in flat structure-of-arrays form for repeated
+// Monte-Carlo sampling: dependency edges in CSR layout and latency
+// distributions as tagged-union opcodes with inline parameters. Sampling
+// a Program visits nodes in one linear pass with no per-node pointer
+// chasing and, for the built-in distribution types, no interface calls.
+// Programs are built node by node (NewProgram, Add) or compiled from a
+// reference Graph (Compile, CompileRange). Once built, a Program is
+// immutable and safe for concurrent use by any number of goroutines (each
+// with its own RNG and scratch buffer).
 type Program struct {
 	// depStart[i]..depStart[i+1] indexes deps, the CSR edge array of
 	// node i's dependencies (local node indices).
@@ -43,11 +45,64 @@ type Program struct {
 	aux   []int32
 	cnt   []int32
 	dists []stats.Dist
-	// outdeg[i] is node i's successor count within the compiled range —
-	// the moment pass promotes multi-consumer finishes to shared barriers
-	// and takes the makespan over the outdeg-zero sinks.
+	// outdeg[i] is node i's successor count within the program — the
+	// moment pass promotes multi-consumer finishes to shared barriers and
+	// takes the makespan over the outdeg-zero sinks.
 	outdeg []int32
 	n      int
+}
+
+// NewProgram returns an empty program presized for nodes nodes and edges
+// dependency edges. One backing array serves every int32 column and the
+// edge list, and one serves both float parameter columns, so programs
+// built on the planner's cold path cost a handful of allocations. Exact
+// counts keep it at that; a program still grows past either hint
+// correctly (only the overflowing column is reallocated).
+func NewProgram(nodes, edges int) *Program {
+	back := make([]int32, 4*nodes+1+edges)
+	take := func(k int) []int32 {
+		s := back[:k:k]
+		back = back[k:]
+		return s[:0]
+	}
+	params := make([]float64, 2*nodes)
+	p := &Program{
+		depStart: take(nodes + 1),
+		aux:      take(nodes),
+		cnt:      take(nodes),
+		outdeg:   take(nodes),
+		deps:     take(edges),
+		op:       make([]opcode, 0, nodes),
+		p0:       params[:0:nodes],
+		p1:       params[nodes:nodes],
+	}
+	p.depStart = append(p.depStart, 0)
+	return p
+}
+
+// Add appends a node with latency lat and the given dependencies (local
+// indices of earlier nodes) and returns its index. It panics if a
+// dependency refers to a node not yet added, which would create a cycle
+// or a dangling edge.
+func (p *Program) Add(lat stats.Dist, deps ...int32) int32 {
+	id := int32(p.n)
+	for _, d := range deps {
+		if d < 0 || d >= id {
+			panic(fmt.Sprintf("dag: node %d depends on invalid node %d", id, d))
+		}
+		p.outdeg[d]++
+	}
+	p.deps = append(p.deps, deps...)
+	p.depStart = append(p.depStart, int32(len(p.deps)))
+	p.op = append(p.op, 0)
+	p.p0 = append(p.p0, 0)
+	p.p1 = append(p.p1, 0)
+	p.aux = append(p.aux, 0)
+	p.cnt = append(p.cnt, 0)
+	p.outdeg = append(p.outdeg, 0)
+	p.compileOp(int(id), lat)
+	p.n++
+	return id
 }
 
 // Compile translates a whole graph into a Program. Sampling the Program
@@ -66,48 +121,24 @@ func CompileRange(g *Graph, lo, hi int) *Program {
 	if lo < 0 || hi < lo || hi > g.Len() {
 		panic(fmt.Sprintf("dag: CompileRange [%d, %d) out of bounds for %d nodes", lo, hi, g.Len()))
 	}
-	n := hi - lo
 	edges := 0
-	for i := 0; i < n; i++ {
-		for _, d := range g.nodes[lo+i].deps {
+	for _, n := range g.nodes[lo:hi] {
+		for _, d := range n.deps {
 			if d >= lo {
 				edges++
 			}
 		}
 	}
-	// One backing array serves every int32 column (and the edge list):
-	// programs are built in bulk on the planner's cold path, where a
-	// single allocation per program beats six.
-	back := make([]int32, 0, (n+1)+edges+3*n)
-	take := func(k int) []int32 {
-		s := len(back)
-		back = back[:s+k]
-		return back[s : s+k : s+k]
-	}
-	p := &Program{
-		depStart: take(n + 1),
-		op:       make([]opcode, n),
-		p0:       make([]float64, 2*n),
-		aux:      take(n),
-		cnt:      take(n),
-		n:        n,
-	}
-	p.p1 = p.p0[n : 2*n : 2*n]
-	p.p0 = p.p0[:n:n]
-	p.deps = take(edges)[:0]
-	for i := 0; i < n; i++ {
-		p.depStart[i] = int32(len(p.deps))
-		for _, d := range g.nodes[lo+i].deps {
+	p := NewProgram(hi-lo, edges)
+	var local []int32
+	for _, n := range g.nodes[lo:hi] {
+		local = local[:0]
+		for _, d := range n.deps {
 			if d >= lo {
-				p.deps = append(p.deps, int32(d-lo))
+				local = append(local, int32(d-lo))
 			}
 		}
-		p.compileOp(i, g.nodes[lo+i].Latency)
-	}
-	p.depStart[n] = int32(len(p.deps))
-	p.outdeg = take(n)
-	for _, d := range p.deps {
-		p.outdeg[d]++
+		p.Add(n.Latency, local...)
 	}
 	return p
 }

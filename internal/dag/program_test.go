@@ -57,6 +57,91 @@ func TestProgramMatchesGraphSample(t *testing.T) {
 	}
 }
 
+// addGraph builds g's program node by node with Add, starting from zero
+// size hints so every column grows past its presized capacity.
+func addGraph(g *Graph) *Program {
+	p := NewProgram(0, 0)
+	for _, n := range g.Nodes() {
+		var deps []int32
+		for _, d := range n.Deps() {
+			deps = append(deps, int32(d))
+		}
+		if id := p.Add(n.Latency, deps...); int(id) != n.ID {
+			panic("Add returned a non-sequential index")
+		}
+	}
+	return p
+}
+
+// TestAddMatchesCompile: a program built node by node with Add samples
+// and propagates moments bit-identically to Compile of the same graph,
+// for every opcode (Repeat and opaque dists included) and for the gang
+// and serial stage shapes the simulator emits.
+func TestAddMatchesCompile(t *testing.T) {
+	graphs := map[string]*Graph{
+		"mixed":        mixedGraph(),
+		"momentMixed":  momentMixedGraph(),
+		"gang":         gangGraph(4, 6, stats.Normal{Mu: 15, Sigma: 2}, stats.Normal{Mu: 120, Sigma: 8}),
+		"gangNoScale":  gangGraph(0, 8, nil, stats.LogNormal{Mu: 4, Sigma: 0.2}),
+		"serial":       serialGraph(2, 11, 3, stats.Normal{Mu: 15, Sigma: 2}, stats.Repeat{D: stats.Exponential{MeanValue: 2}, N: 5}),
+		"serialNoInit": serialGraph(0, 7, 2, nil, stats.Uniform{Lo: 10, Hi: 14}),
+	}
+	for name, g := range graphs {
+		want, got := Compile(g), addGraph(g)
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: Add built %d nodes, Compile %d", name, got.Len(), want.Len())
+		}
+		root := stats.NewRNG(11)
+		var wbuf, gbuf []Timing
+		for k := 0; k < 100; k++ {
+			var wm, gm float64
+			wbuf, wm = want.SampleInto(root.Stream(uint64(k)), wbuf)
+			gbuf, gm = got.SampleInto(root.Stream(uint64(k)), gbuf)
+			if gm != wm {
+				t.Fatalf("%s draw %d: makespan %v, Compile %v", name, k, gm, wm)
+			}
+			for i := range wbuf {
+				if gbuf[i] != wbuf[i] {
+					t.Fatalf("%s draw %d node %d: timing %+v, Compile %+v", name, k, i, gbuf[i], wbuf[i])
+				}
+			}
+		}
+		var wsc, gsc MomentScratch
+		wmk, wok := want.MomentsInto(&wsc)
+		gmk, gok := got.MomentsInto(&gsc)
+		if gok != wok || gmk != wmk {
+			t.Fatalf("%s: moments (%+v, %v), Compile (%+v, %v)", name, gmk, gok, wmk, wok)
+		}
+		if !wok {
+			continue
+		}
+		for i := 0; i < want.Len(); i++ {
+			if gsc.Finish(i) != wsc.Finish(i) || gsc.Latency(i) != wsc.Latency(i) {
+				t.Fatalf("%s node %d: finish %+v latency %+v, Compile finish %+v latency %+v",
+					name, i, gsc.Finish(i), gsc.Latency(i), wsc.Finish(i), wsc.Latency(i))
+			}
+		}
+	}
+}
+
+// TestProgramAddPanicsOnForwardDep: a self-dependency, a forward
+// dependency or a negative index panics instead of building a cycle or a
+// dangling edge.
+func TestProgramAddPanicsOnForwardDep(t *testing.T) {
+	for _, dep := range []int32{1, 2, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add with dependency %d on node 1 did not panic", dep)
+				}
+			}()
+			p := NewProgram(2, 1)
+			p.Add(stats.Deterministic{Value: 1})
+			p.Add(stats.Deterministic{Value: 1}, dep)
+		}()
+	}
+}
+
 // TestCompileRangeDropsExternalDeps: a sub-program whose only external
 // edges come from a single barrier samples the same schedule as the full
 // graph shifted to start at zero — with deterministic latencies, exactly.

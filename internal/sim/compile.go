@@ -23,7 +23,7 @@ type segKey struct {
 	stage, alloc, prev int
 }
 
-// segment is one stage's sub-DAG compiled into a flat program, plus the
+// segment is one stage's sub-DAG emitted as a flat program, plus the
 // node metadata the cost model needs to replay a sampled segment against
 // the billing rules. All cross-stage edges of the full execution DAG pass
 // through the single SYNC barrier closing each stage, so a segment
@@ -44,8 +44,9 @@ type segment struct {
 	trainLo, trainHi int
 	trainGPUs        int
 
-	// samples (segment mode) and mom (analytic mode) are filled on first
-	// use under Simulator.mu and never change afterwards.
+	// samples (segment mode) and mom are filled on first use under
+	// Simulator.mu and never change afterwards. mom is filled in analytic
+	// mode and, in segment mode, by the planner's analytic frontier screen.
 	samples []segSample
 	mom     *segMoment
 }
@@ -162,10 +163,10 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 	return sg
 }
 
-// buildSegment constructs one stage's zero-based sub-DAG of the execution
-// DAG (§4.2, Figure 7) and compiles it to a flat program. The stage opens
-// with a blocking SCALE node plus parallel INIT_INSTANCE nodes if the
-// cluster must grow, runs parallel TRAIN nodes (chained serially when the
+// buildSegment emits one stage's zero-based sub-DAG of the execution DAG
+// (§4.2, Figure 7) directly as a flat program. The stage opens with a
+// blocking SCALE node plus parallel INIT_INSTANCE nodes if the cluster
+// must grow, runs parallel TRAIN nodes (chained serially by slot when the
 // stage has fewer GPUs than trials), and closes with a SYNC barrier; the
 // previous stage's SYNC is the implicit time-zero source. The cluster is
 // sized the way the placement controller packs it (co-located trials), so
@@ -177,76 +178,63 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 func (s *Simulator) buildSegment(key segKey) *segment {
 	st := s.spec.Stage(key.stage)
 	gpn := s.cloud.Instance.GPUs
+	per := 1 // GPUs per TRAIN node
 	var need int
 	if key.alloc >= st.Trials {
-		need = placement.NodesNeeded(st.Trials, key.alloc/st.Trials, gpn)
+		per = key.alloc / st.Trials
+		need = placement.NodesNeeded(st.Trials, per, gpn)
 	} else {
 		need = placement.NodesNeeded(key.alloc, 1, gpn)
 	}
+	grow := max(need-key.prev, 0)
 
-	// Presize the graph: scale + inits, one train per trial, one sync;
-	// every train depends on each init (or one chained predecessor), the
-	// sync on every train.
-	grow := 0
-	if need > key.prev {
-		grow = need - key.prev
+	// Node IDs are contiguous: SCALE, grow INITs, the TRAINs, then SYNC.
+	// Every dependency list is therefore a run of consecutive IDs, sliced
+	// from one ascending ID table: the INITs for a stage-opening TRAIN,
+	// one slot predecessor for a chained TRAIN, every TRAIN for SYNC.
+	trainLo := 0
+	if grow > 0 {
+		trainLo = 1 + grow
 	}
-	fan := grow
-	if fan == 0 {
-		fan = 1
-	}
-	g := dag.NewSized(grow+st.Trials+2, grow+st.Trials*fan+st.Trials)
-	scaleIdx := -1
-	var stageDeps []int
-	if need > key.prev {
-		scale := g.AddNode(dag.Scale, key.stage, -1, 0, s.cloud.Overheads.QueueDelay)
-		scaleIdx = scale.ID
-		for k := key.prev; k < need; k++ {
-			init := g.AddNode(dag.InitInstance, key.stage, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
-			stageDeps = append(stageDeps, init.ID)
-		}
-	}
-
-	trainLo := g.Len()
-	var trainGPUs int
-	var trains []int
+	trainHi := trainLo + st.Trials
+	edges := grow + st.Trials // INIT -> SCALE, SYNC -> every TRAIN
 	if key.alloc >= st.Trials {
-		per := key.alloc / st.Trials
-		trainGPUs = per
-		trainDist := sumIters(s.profile.IterDist(per), st.Iters)
-		for tr := 0; tr < st.Trials; tr++ {
-			n := g.AddNode(dag.Train, key.stage, tr, per, trainDist, stageDeps...)
-			trains = append(trains, n.ID)
-		}
+		edges += st.Trials * grow
 	} else {
-		trainGPUs = 1
-		trainDist := sumIters(s.profile.IterDist(1), st.Iters)
-		slotTail := make([]int, key.alloc)
-		for k := range slotTail {
-			slotTail[k] = -1
+		edges += key.alloc*grow + st.Trials - key.alloc
+	}
+	ids := make([]int32, trainHi)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	prog := dag.NewProgram(trainHi+1, edges)
+	scaleIdx := -1
+	var stageDeps []int32
+	if grow > 0 {
+		scaleIdx = int(prog.Add(s.cloud.Overheads.QueueDelay))
+		for k := 0; k < grow; k++ {
+			prog.Add(s.cloud.Overheads.InitLatency, ids[scaleIdx])
 		}
-		for tr := 0; tr < st.Trials; tr++ {
-			slot := tr % key.alloc
-			deps := stageDeps
-			if slotTail[slot] >= 0 {
-				deps = []int{slotTail[slot]}
-			}
-			n := g.AddNode(dag.Train, key.stage, tr, 1, trainDist, deps...)
-			slotTail[slot] = n.ID
-			trains = append(trains, n.ID)
+		stageDeps = ids[1:trainLo]
+	}
+	trainDist := sumIters(s.profile.IterDist(per), st.Iters)
+	for tr := 0; tr < st.Trials; tr++ {
+		if key.alloc < st.Trials && tr >= key.alloc {
+			prog.Add(trainDist, ids[trainLo+tr-key.alloc])
+		} else {
+			prog.Add(trainDist, stageDeps...)
 		}
 	}
-	trainHi := g.Len()
-	g.AddNode(dag.Sync, key.stage, -1, 0, stats.Deterministic{Value: 0}, trains...)
+	prog.Add(stats.Deterministic{Value: 0}, ids[trainLo:trainHi]...)
 
 	return &segment{
 		key:       key,
-		prog:      dag.Compile(g),
+		prog:      prog,
 		instances: need,
 		scaleIdx:  scaleIdx,
 		trainLo:   trainLo,
 		trainHi:   trainHi,
-		trainGPUs: trainGPUs,
+		trainGPUs: per,
 	}
 }
 

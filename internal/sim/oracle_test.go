@@ -259,3 +259,66 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentProgramsMatchFullDAG: the program buildSegment emits for
+// each stage is the program CompileRange cuts from the plan's full
+// execution DAG at that stage's bounds, exactly. Driven from the same
+// stream, both give the same segSample bit for bit, and both propagate
+// the same duration, SCALE-finish and training-time moments.
+func TestSegmentProgramsMatchFullDAG(t *testing.T) {
+	sm := stochasticSim(t, 60, 1, 19)
+	stages := sm.Spec().NumStages()
+	grow := Uniform(3, stages) // scales up mid-job: a second SCALE
+	for i := stages / 2; i < stages; i++ {
+		grow.Alloc[i] = 16
+	}
+	var sc dag.MomentScratch
+	analytic := 0
+	for _, plan := range append(testPlans(sm), grow) {
+		b, err := buildFullDAG(sm, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp compiledPlan
+		if err := sm.compile(plan, &cp); err != nil {
+			t.Fatal(err)
+		}
+		for i, sg := range cp.segs {
+			lo := b.lo[i]
+			ref := &segment{
+				key:      sg.key,
+				prog:     dag.CompileRange(b.graph, lo, b.lo[i+1]),
+				scaleIdx: b.scaleID[i],
+				trainLo:  b.trainIDs[i][0] - lo,
+				trainHi:  b.trainIDs[i][len(b.trainIDs[i])-1] + 1 - lo,
+			}
+			if ref.scaleIdx >= 0 {
+				ref.scaleIdx -= lo
+			}
+			if sg.prog.Len() != ref.prog.Len() || sg.scaleIdx != ref.scaleIdx || sg.trainLo != ref.trainLo || sg.trainHi != ref.trainHi {
+				t.Fatalf("plan %v stage %d: segment {len %d scale %d train [%d,%d)}, full DAG {len %d scale %d train [%d,%d)}",
+					plan, i, sg.prog.Len(), sg.scaleIdx, sg.trainLo, sg.trainHi, ref.prog.Len(), ref.scaleIdx, ref.trainLo, ref.trainHi)
+			}
+			base := sm.segStream(sg.key)
+			var gbuf, wbuf []dag.Timing
+			for k := 0; k < sm.samples; k++ {
+				var got, want segSample
+				got, gbuf = sg.eval(base.Stream(uint64(k)), gbuf)
+				want, wbuf = ref.eval(base.Stream(uint64(k)), wbuf)
+				if got != want {
+					t.Fatalf("plan %v stage %d draw %d: segment %+v, CompileRange %+v", plan, i, k, got, want)
+				}
+			}
+			got, want := sm.segmentMoments(sg, &sc), sm.segmentMoments(ref, &sc)
+			if *got != *want {
+				t.Fatalf("plan %v stage %d: segment moments %+v, CompileRange %+v", plan, i, *got, *want)
+			}
+			if got.ok {
+				analytic++
+			}
+		}
+	}
+	if analytic == 0 {
+		t.Fatal("no segment supported analytic moments; the moment comparison is vacuous")
+	}
+}

@@ -128,8 +128,8 @@ func DefaultCloudProfile() CloudProfile {
 // collapse analytically (sum of n normals is N(nμ, √n·σ)), which keeps
 // simulation cost independent of iteration counts; other distributions
 // fall back to stats.Repeat, drawing n samples per evaluation. Every
-// returned type is one the DAG compiler (dag.Compile) encodes as an
-// inline opcode, keeping interface dispatch off the Monte-Carlo hot path.
+// returned type is one dag.Program.Add encodes as an inline opcode,
+// keeping interface dispatch off the Monte-Carlo hot path.
 func sumIters(d stats.Dist, n int) stats.Dist {
 	if n < 0 {
 		panic("sim: negative iteration count")
