@@ -80,13 +80,14 @@ var effectNames = []struct {
 // pure modulo arguments, and must say so in source with //rbvet:pure.
 // Keyed by types.Func.FullName.
 var memoizedRoots = map[string]string{
-	"(*repro/internal/sim.Simulator).buildSegment":   "segment table (sim.segs)",
-	"(*repro/internal/sim.Simulator).segmentMoments": "segment table's moments (segment.mom)",
-	"(*repro/internal/sim.segment).eval":             "segment table's sample vectors (segment.samples)",
-	"(*repro/internal/sim.Simulator).Estimate":       "planner memo cache (Planner.memo)",
-	"(repro/internal/sim.Plan).Key":                  "planner memo keys",
-	"(*repro/internal/dag.Program).SampleInto":       "compiled programs sampled into segment.samples",
-	"(*repro/internal/dag.Program).MomentsInto":      "compiled programs moment-propagated into segment.mom",
+	"(*repro/internal/sim.Simulator).buildSegment":           "segment table (sim.segs)",
+	"(*repro/internal/sim.Simulator).segmentMoments":         "segment table's moments (segment.mom)",
+	"(*repro/internal/sim.segment).eval":                     "segment table's sample vectors (segment.samples)",
+	"(*repro/internal/sim.Simulator).Estimate":               "planner memo cache (Planner.memo)",
+	"(repro/internal/sim.Plan).AppendKey":                    "planner memo keys",
+	"(*repro/internal/sim.Simulator).AppendCanonicalPlanKey": "planner memo keys",
+	"(*repro/internal/dag.Program).SampleInto":               "compiled programs sampled into segment.samples",
+	"(*repro/internal/dag.Program).MomentsInto":              "compiled programs moment-propagated into segment.mom",
 }
 
 // pureExternalPkgs are standard-library packages whose functions are

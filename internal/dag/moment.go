@@ -247,7 +247,7 @@ func (p *Program) MomentsInto(sc *MomentScratch) (stats.Moment, bool) {
 	}
 
 	for i := 0; i < p.n; i++ {
-		lo, hi := p.depStart[i], p.depStart[i+1]
+		lo, hi := p.depLo[i], p.depHi[i]
 		switch hi - lo {
 		case 0:
 			// Source: starts at time zero.
@@ -273,10 +273,11 @@ func (p *Program) MomentsInto(sc *MomentScratch) (stats.Moment, bool) {
 			}
 		default:
 			// Fork join: start at the max over dep finishes. Consecutive
-			// siblings with identical dep ranges share the fork barrier.
+			// siblings with identical dep lists (a shared range, or equal
+			// contents) share the fork barrier.
 			var b int32
-			if sc.prevBar >= 0 && hi-lo == sc.prevHi-sc.prevLo &&
-				eqDeps(p.deps[lo:hi], p.deps[sc.prevLo:sc.prevHi]) {
+			if sc.prevBar >= 0 && (lo == sc.prevLo && hi == sc.prevHi ||
+				eqDeps(p.deps[lo:hi], p.deps[sc.prevLo:sc.prevHi])) {
 				b = sc.prevBar
 			} else {
 				a, m, ok := sc.maxOverDeps(p, lo, hi, allNonneg)
@@ -310,8 +311,11 @@ func (p *Program) MomentsInto(sc *MomentScratch) (stats.Moment, bool) {
 	return mk, true
 }
 
-// eqDeps reports whether two equal-length dep ranges list the same nodes.
+// eqDeps reports whether two dep lists list the same nodes in order.
 func eqDeps(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			return false

@@ -34,12 +34,14 @@ const (
 // immutable and safe for concurrent use by any number of goroutines (each
 // with its own RNG and scratch buffer).
 type Program struct {
-	// depStart[i]..depStart[i+1] indexes deps, the CSR edge array of
-	// node i's dependencies (local node indices).
-	depStart []int32
-	deps     []int32
-	op       []opcode
-	p0, p1   []float64
+	// deps[depLo[i]:depHi[i]] lists node i's dependencies (local node
+	// indices). Consecutive nodes with identical dependency lists share
+	// one range, so a gang of TRAINs over the same INITs stores those
+	// edges once and SampleInto computes their common start once.
+	depLo, depHi []int32
+	deps         []int32
+	op           []opcode
+	p0, p1       []float64
 	// aux indexes dists for opRepeat/opDist nodes (-1 otherwise); cnt is
 	// the draw count for opRepeat nodes.
 	aux   []int32
@@ -53,37 +55,38 @@ type Program struct {
 }
 
 // NewProgram returns an empty program presized for nodes nodes and edges
-// dependency edges. One backing array serves every int32 column and the
-// edge list, and one serves both float parameter columns, so programs
-// built on the planner's cold path cost a handful of allocations. Exact
-// counts keep it at that; a program still grows past either hint
-// correctly (only the overflowing column is reallocated).
+// stored dependency edges (a run of consecutive nodes with one shared
+// dependency list stores it once). One backing array serves every int32
+// column and the edge list, and one serves both float parameter columns,
+// so programs built on the planner's cold path cost a handful of
+// allocations. Exact counts keep it at that; a program still grows past
+// either hint correctly (only the overflowing column is reallocated).
 func NewProgram(nodes, edges int) *Program {
-	back := make([]int32, 4*nodes+1+edges)
+	back := make([]int32, 5*nodes+edges)
 	take := func(k int) []int32 {
 		s := back[:k:k]
 		back = back[k:]
 		return s[:0]
 	}
 	params := make([]float64, 2*nodes)
-	p := &Program{
-		depStart: take(nodes + 1),
-		aux:      take(nodes),
-		cnt:      take(nodes),
-		outdeg:   take(nodes),
-		deps:     take(edges),
-		op:       make([]opcode, 0, nodes),
-		p0:       params[:0:nodes],
-		p1:       params[nodes:nodes],
+	return &Program{
+		depLo:  take(nodes),
+		depHi:  take(nodes),
+		aux:    take(nodes),
+		cnt:    take(nodes),
+		outdeg: take(nodes),
+		deps:   take(edges),
+		op:     make([]opcode, 0, nodes),
+		p0:     params[:0:nodes],
+		p1:     params[nodes:nodes],
 	}
-	p.depStart = append(p.depStart, 0)
-	return p
 }
 
 // Add appends a node with latency lat and the given dependencies (local
-// indices of earlier nodes) and returns its index. It panics if a
-// dependency refers to a node not yet added, which would create a cycle
-// or a dangling edge.
+// indices of earlier nodes) and returns its index. A dependency list
+// equal to the previous node's shares that node's edge range. It panics
+// if a dependency refers to a node not yet added, which would create a
+// cycle or a dangling edge.
 func (p *Program) Add(lat stats.Dist, deps ...int32) int32 {
 	id := int32(p.n)
 	for _, d := range deps {
@@ -92,8 +95,63 @@ func (p *Program) Add(lat stats.Dist, deps ...int32) int32 {
 		}
 		p.outdeg[d]++
 	}
-	p.deps = append(p.deps, deps...)
-	p.depStart = append(p.depStart, int32(len(p.deps)))
+	lo, hi := p.prevRange()
+	if !eqDeps(deps, p.deps[lo:hi]) {
+		lo = int32(len(p.deps))
+		p.deps = append(p.deps, deps...)
+		hi = int32(len(p.deps))
+	}
+	return p.push(lat, lo, hi)
+}
+
+// AddSpan appends a node with latency lat that depends on the
+// consecutive nodes lo..hi-1 and returns its index — Add without a
+// dependency slice, for the fork-join shapes whose dependency lists are
+// runs of IDs. A span equal to the previous node's dependency list shares
+// its edge range. It panics unless 0 <= lo <= hi <= the new node's index.
+func (p *Program) AddSpan(lat stats.Dist, lo, hi int32) int32 {
+	id := int32(p.n)
+	if lo < 0 || hi < lo || hi > id {
+		panic(fmt.Sprintf("dag: node %d depends on invalid span [%d, %d)", id, lo, hi))
+	}
+	for d := lo; d < hi; d++ {
+		p.outdeg[d]++
+	}
+	plo, phi := p.prevRange()
+	if phi-plo != hi-lo || !isSpan(p.deps[plo:phi], lo) {
+		plo = int32(len(p.deps))
+		for d := lo; d < hi; d++ {
+			p.deps = append(p.deps, d)
+		}
+		phi = int32(len(p.deps))
+	}
+	return p.push(lat, plo, phi)
+}
+
+// prevRange returns the last node's dependency range, or an empty range
+// when the program has no nodes.
+func (p *Program) prevRange() (lo, hi int32) {
+	if p.n == 0 {
+		return 0, 0
+	}
+	return p.depLo[p.n-1], p.depHi[p.n-1]
+}
+
+// isSpan reports whether deps lists lo, lo+1, … in order.
+func isSpan(deps []int32, lo int32) bool {
+	for k, d := range deps {
+		if d != lo+int32(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// push appends node p.n with latency lat and dependency range [lo, hi).
+func (p *Program) push(lat stats.Dist, lo, hi int32) int32 {
+	id := int32(p.n)
+	p.depLo = append(p.depLo, lo)
+	p.depHi = append(p.depHi, hi)
 	p.op = append(p.op, 0)
 	p.p0 = append(p.p0, 0)
 	p.p1 = append(p.p1, 0)
@@ -188,8 +246,10 @@ func (p *Program) Sample(r *stats.RNG) ([]Timing, float64) {
 
 // SampleInto draws one execution of the compiled graph into buf (reused
 // when it has sufficient capacity): each node starts at the max finish
-// time of its compiled dependencies and its latency is sampled from the
-// node's opcode. It returns the per-node timings and the makespan.
+// time of its compiled dependencies — computed once per shared
+// dependency range, since a node sharing the previous node's range
+// starts when it did — and its latency is sampled from the node's
+// opcode. It returns the per-node timings and the makespan.
 // Latency opcodes consume RNG draws exactly as the distributions they
 // encode, so for a full-graph Program the result is bit-identical to
 // Graph.SampleInto with the same generator.
@@ -204,13 +264,17 @@ func (p *Program) SampleInto(r *stats.RNG, buf []Timing) ([]Timing, float64) {
 		//rbvet:ignore noalloc — cold path: runs once per buffer size; steady-state calls reuse buf
 		timings = make([]Timing, p.n)
 	}
-	var makespan float64
+	var makespan, start float64
+	prevLo, prevHi := int32(-1), int32(-1)
 	for i := 0; i < p.n; i++ {
-		start := 0.0
-		for _, d := range p.deps[p.depStart[i]:p.depStart[i+1]] {
-			if f := timings[d].Finish; f > start {
-				start = f
+		if lo, hi := p.depLo[i], p.depHi[i]; lo != prevLo || hi != prevHi {
+			start = 0
+			for _, d := range p.deps[lo:hi] {
+				if f := timings[d].Finish; f > start {
+					start = f
+				}
 			}
+			prevLo, prevHi = lo, hi
 		}
 		var lat float64
 		switch p.op[i] {

@@ -73,10 +73,42 @@ func addGraph(g *Graph) *Program {
 	return p
 }
 
-// TestAddMatchesCompile: a program built node by node with Add samples
-// and propagates moments bit-identically to Compile of the same graph,
-// for every opcode (Repeat and opaque dists included) and for the gang
-// and serial stage shapes the simulator emits.
+// spanGraph builds g's program with AddSpan wherever a node's dependency
+// list is a run of consecutive IDs (every node of the stage shapes the
+// simulator emits) and with Add elsewhere, from zero size hints.
+func spanGraph(g *Graph) *Program {
+	p := NewProgram(0, 0)
+	for _, n := range g.Nodes() {
+		deps := n.Deps()
+		span := true
+		for k, d := range deps {
+			span = span && d == deps[0]+k
+		}
+		var id int32
+		switch {
+		case len(deps) == 0:
+			id = p.AddSpan(n.Latency, 0, 0)
+		case span:
+			id = p.AddSpan(n.Latency, int32(deps[0]), int32(deps[0]+len(deps)))
+		default:
+			local := make([]int32, len(deps))
+			for k, d := range deps {
+				local[k] = int32(d)
+			}
+			id = p.Add(n.Latency, local...)
+		}
+		if int(id) != n.ID {
+			panic("AddSpan returned a non-sequential index")
+		}
+	}
+	return p
+}
+
+// TestAddMatchesCompile: programs built node by node with Add or with
+// shared AddSpan ranges sample and propagate moments bit-identically to
+// Compile of the same graph, and sample bit-identically to the graph
+// itself, for every opcode (Repeat and opaque dists included) and for the
+// gang and serial stage shapes the simulator emits.
 func TestAddMatchesCompile(t *testing.T) {
 	graphs := map[string]*Graph{
 		"mixed":        mixedGraph(),
@@ -87,39 +119,63 @@ func TestAddMatchesCompile(t *testing.T) {
 		"serialNoInit": serialGraph(0, 7, 2, nil, stats.Uniform{Lo: 10, Hi: 14}),
 	}
 	for name, g := range graphs {
-		want, got := Compile(g), addGraph(g)
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: Add built %d nodes, Compile %d", name, got.Len(), want.Len())
-		}
-		root := stats.NewRNG(11)
-		var wbuf, gbuf []Timing
-		for k := 0; k < 100; k++ {
-			var wm, gm float64
-			wbuf, wm = want.SampleInto(root.Stream(uint64(k)), wbuf)
-			gbuf, gm = got.SampleInto(root.Stream(uint64(k)), gbuf)
-			if gm != wm {
-				t.Fatalf("%s draw %d: makespan %v, Compile %v", name, k, gm, wm)
+		want := Compile(g)
+		for _, b := range []struct {
+			how string
+			got *Program
+		}{{"Add", addGraph(g)}, {"AddSpan", spanGraph(g)}} {
+			got := b.got
+			if got.Len() != want.Len() {
+				t.Fatalf("%s/%s: built %d nodes, Compile %d", name, b.how, got.Len(), want.Len())
 			}
-			for i := range wbuf {
-				if gbuf[i] != wbuf[i] {
-					t.Fatalf("%s draw %d node %d: timing %+v, Compile %+v", name, k, i, gbuf[i], wbuf[i])
+			root := stats.NewRNG(11)
+			var wbuf, gbuf, rbuf []Timing
+			for k := 0; k < 100; k++ {
+				var wm, gm, rm float64
+				wbuf, wm = want.SampleInto(root.Stream(uint64(k)), wbuf)
+				gbuf, gm = got.SampleInto(root.Stream(uint64(k)), gbuf)
+				rbuf, rm = g.SampleInto(root.Stream(uint64(k)), rbuf)
+				if gm != wm || gm != rm {
+					t.Fatalf("%s/%s draw %d: makespan %v, Compile %v, graph %v", name, b.how, k, gm, wm, rm)
+				}
+				for i := range wbuf {
+					if gbuf[i] != wbuf[i] || gbuf[i] != rbuf[i] {
+						t.Fatalf("%s/%s draw %d node %d: timing %+v, Compile %+v, graph %+v", name, b.how, k, i, gbuf[i], wbuf[i], rbuf[i])
+					}
+				}
+			}
+			var wsc, gsc MomentScratch
+			wmk, wok := want.MomentsInto(&wsc)
+			gmk, gok := got.MomentsInto(&gsc)
+			if gok != wok || gmk != wmk {
+				t.Fatalf("%s/%s: moments (%+v, %v), Compile (%+v, %v)", name, b.how, gmk, gok, wmk, wok)
+			}
+			if !wok {
+				continue
+			}
+			for i := 0; i < want.Len(); i++ {
+				if gsc.Finish(i) != wsc.Finish(i) || gsc.Latency(i) != wsc.Latency(i) {
+					t.Fatalf("%s/%s node %d: finish %+v latency %+v, Compile finish %+v latency %+v",
+						name, b.how, i, gsc.Finish(i), gsc.Latency(i), wsc.Finish(i), wsc.Latency(i))
 				}
 			}
 		}
-		var wsc, gsc MomentScratch
-		wmk, wok := want.MomentsInto(&wsc)
-		gmk, gok := got.MomentsInto(&gsc)
-		if gok != wok || gmk != wmk {
-			t.Fatalf("%s: moments (%+v, %v), Compile (%+v, %v)", name, gmk, gok, wmk, wok)
-		}
-		if !wok {
-			continue
-		}
-		for i := 0; i < want.Len(); i++ {
-			if gsc.Finish(i) != wsc.Finish(i) || gsc.Latency(i) != wsc.Latency(i) {
-				t.Fatalf("%s node %d: finish %+v latency %+v, Compile finish %+v latency %+v",
-					name, i, gsc.Finish(i), gsc.Latency(i), wsc.Finish(i), wsc.Latency(i))
-			}
+	}
+}
+
+// TestSharedRangesStoreEdgesOnce: consecutive nodes with one dependency
+// list share a single edge range, so a gang stage stores its INIT edges
+// once rather than once per TRAIN.
+func TestSharedRangesStoreEdgesOnce(t *testing.T) {
+	const inits, trials = 4, 6
+	for how, p := range map[string]*Program{
+		"Add":     addGraph(gangGraph(inits, trials, stats.Normal{Mu: 15, Sigma: 2}, stats.Deterministic{Value: 9})),
+		"AddSpan": spanGraph(gangGraph(inits, trials, stats.Normal{Mu: 15, Sigma: 2}, stats.Deterministic{Value: 9})),
+	} {
+		// SCALE stores none, the INITs share one, the TRAINs share the
+		// INIT span, SYNC lists every TRAIN.
+		if want := 1 + inits + trials; len(p.deps) != want {
+			t.Errorf("%s: gang stage stores %d edges, want %d", how, len(p.deps), want)
 		}
 	}
 }
@@ -138,6 +194,24 @@ func TestProgramAddPanicsOnForwardDep(t *testing.T) {
 			p := NewProgram(2, 1)
 			p.Add(stats.Deterministic{Value: 1})
 			p.Add(stats.Deterministic{Value: 1}, dep)
+		}()
+	}
+}
+
+// TestProgramAddSpanPanicsOnInvalidSpan: a span reaching the new node
+// itself or past it, starting below zero, or ending before it starts
+// panics instead of building a cycle or a dangling edge.
+func TestProgramAddSpanPanicsOnInvalidSpan(t *testing.T) {
+	for _, sp := range [][2]int32{{1, 2}, {0, 3}, {-1, 1}, {1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddSpan [%d, %d) on node 1 did not panic", sp[0], sp[1])
+				}
+			}()
+			p := NewProgram(2, 1)
+			p.AddSpan(stats.Deterministic{Value: 1}, 0, 0)
+			p.AddSpan(stats.Deterministic{Value: 1}, sp[0], sp[1])
 		}()
 	}
 }

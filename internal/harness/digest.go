@@ -26,13 +26,29 @@ type hasher uint64
 
 func newHasher() hasher { return fnvOffset }
 
+// fnvPow[k] is fnvPrime^k (mod 2^64): folding k zero bytes is
+// x ^= 0, x *= fnvPrime, k times, which is one multiply by fnvPow[k].
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// u64 folds v's eight bytes, least significant first. Bytes up to the
+// highest non-zero one fold one at a time; the run of zero bytes above it
+// folds in one multiply, so small integers and characters cost one or two
+// multiplies instead of eight.
 func (h *hasher) u64(v uint64) {
 	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= (v >> (8 * i)) & 0xff
+	n := 0
+	for ; v != 0; n++ {
+		x ^= v & 0xff
 		x *= fnvPrime
+		v >>= 8
 	}
-	*h = hasher(x)
+	*h = hasher(x * fnvPow[8-n])
 }
 
 func (h *hasher) i64(v int64)   { h.u64(uint64(v)) }

@@ -3,7 +3,6 @@ package planner
 import (
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
@@ -33,20 +32,15 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 	// the budget), then sizes are evaluated concurrently and reduced in
 	// ascending order, matching the serial enumeration exactly.
 	n := p.maxGPUs()
-	cands := make([]sim.Plan, n)
+	cands := staticPlans(n, stages)
 	keep := make([]bool, n)
-	for i := range cands {
-		cands[i] = sim.Uniform(i+1, stages)
+	for i := range keep {
 		keep[i] = true
 	}
 	p.pruneEnumeration(scr, cands, keep, budget, true)
 	ests := make([]sim.Estimate, n)
 	errs := make([]error, n)
-	par.ForEach(n, par.Workers(p.Workers), func(i int) {
-		if keep[i] {
-			ests[i], errs[i] = p.estimate(cands[i])
-		}
-	})
+	p.estimateAll(cands, keep, ests, errs)
 	best := Result{}
 	found := false
 	for i := 0; i < n; i++ {
@@ -81,11 +75,7 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 		p.pruneDescentStep(scr, cands, ckeep, cur, budget, true)
 		candEsts := make([]sim.Estimate, len(cands))
 		candErrs := make([]error, len(cands))
-		par.ForEach(len(cands), par.Workers(p.Workers), func(i int) {
-			if ckeep[i] {
-				candEsts[i], candErrs[i] = p.estimate(cands[i])
-			}
-		})
+		p.estimateAll(cands, ckeep, candEsts, candErrs)
 		bestIdx := -1
 		bestBenefit := math.Inf(-1)
 		var bestEst sim.Estimate
@@ -140,29 +130,21 @@ func jctBenefit(cur, cand sim.Estimate) float64 {
 // loop-invariant spec, instance size and cap are passed in so the greedy
 // loop resolves them once rather than per iteration.
 func generateUpCandidates(cur sim.Plan, sp *spec.ExperimentSpec, gpn, maxGPUs int) []sim.Plan {
-	var out []sim.Plan
-	add := func(i, v int) {
-		for _, existing := range out {
-			if existing.Equal(withAlloc(cur, i, v)) {
-				return
-			}
-		}
-		out = append(out, withAlloc(cur, i, v))
-	}
+	c := newCandSet(cur)
 	for i := range cur.Alloc {
 		trials := sp.Stage(i).Trials
 		if v, ok := fairStepUp(cur.Alloc[i], trials, maxGPUs); ok {
-			add(i, v)
+			c.add(i, v)
 		}
 		if gpn > 0 {
 			curInstances := (cur.Alloc[i] + gpn - 1) / gpn
 			target := curInstances*gpn + 1 // first allocation on a new instance
 			if v, ok := fairCeil(target, trials, maxGPUs); ok && v > cur.Alloc[i] {
-				add(i, v)
+				c.add(i, v)
 			}
 		}
 	}
-	return out
+	return c.plans
 }
 
 // fairStepUp returns the smallest allocation strictly above alloc (and at

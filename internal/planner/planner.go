@@ -96,27 +96,30 @@ type Planner struct {
 	prunedCands int64
 }
 
-// memoKey returns the memo key for a plan: its canonical-allocation key
-// unless frontier deduplication is disabled, so behaviorally identical
-// candidates share one evaluation. Deduplication is sound because every
-// estimate is a function of the canonical allocation: both estimator
-// modes key segments, sample streams and moments by canonical segment
-// tuples.
-func (p *Planner) memoKey(plan sim.Plan) string {
+// appendMemoKey appends the memo key for a plan to b: its
+// canonical-allocation key unless frontier deduplication is disabled, so
+// behaviorally identical candidates share one evaluation. Deduplication
+// is sound because every estimate is a function of the canonical
+// allocation: both estimator modes key segments, sample streams and
+// moments by canonical segment tuples.
+func (p *Planner) appendMemoKey(b []byte, plan sim.Plan) []byte {
 	if p.DisableFrontierDedupe {
-		return plan.Key()
+		return plan.AppendKey(b)
 	}
-	return p.Sim.CanonicalPlanKey(plan)
+	return p.Sim.AppendCanonicalPlanKey(b, plan)
 }
 
-// estimate evaluates a plan through the memo cache. Concurrent callers may
-// race to fill the same entry; that is benign because Estimate is pure —
-// both compute the identical value.
+// estimate evaluates a plan through the memo cache. The key is built in
+// a stack buffer and looked up without conversion, so a hit allocates
+// nothing; only a miss's insertion allocates the key string. Concurrent
+// callers may race to fill the same entry; that is benign because
+// Estimate is pure — both compute the identical value.
 func (p *Planner) estimate(plan sim.Plan) (sim.Estimate, error) {
 	atomic.AddInt64(&p.estCalls, 1)
-	key := p.memoKey(plan)
+	var buf [64]byte
+	key := p.appendMemoKey(buf[:0], plan)
 	p.memoMu.Lock()
-	est, ok := p.memo[key]
+	est, ok := p.memo[string(key)]
 	p.memoMu.Unlock()
 	if ok {
 		return est, nil
@@ -129,9 +132,29 @@ func (p *Planner) estimate(plan sim.Plan) (sim.Estimate, error) {
 	if p.memo == nil {
 		p.memo = make(map[string]sim.Estimate)
 	}
-	p.memo[key] = est
+	p.memo[string(key)] = est
 	p.memoMu.Unlock()
 	return est, nil
+}
+
+// estimateAll estimates every kept candidate into the index-addressed
+// ests and errs, fanning out across p.Workers. A single worker loops
+// inline, without the fan-out's escaping closure.
+func (p *Planner) estimateAll(cands []sim.Plan, keep []bool, ests []sim.Estimate, errs []error) {
+	workers := par.Workers(p.Workers)
+	if workers == 1 {
+		for i := range cands {
+			if keep[i] {
+				ests[i], errs[i] = p.estimate(cands[i])
+			}
+		}
+		return
+	}
+	par.ForEach(len(cands), workers, func(i int) {
+		if keep[i] {
+			ests[i], errs[i] = p.estimate(cands[i])
+		}
+	})
 }
 
 // ErrInfeasible is returned when no plan within MaxGPUs meets the deadline.
@@ -190,12 +213,10 @@ func (p *Planner) PlanStatic() (Result, error) {
 // threaded in, so PlanElastic shares one screen (and its evaluator's
 // scratch) across the warm-start enumeration and every greedy descent.
 func (p *Planner) planStatic(scr *frontierScreen) (Result, error) {
-	stages := p.Sim.Spec().NumStages()
 	n := p.maxGPUs()
-	cands := make([]sim.Plan, n)
+	cands := staticPlans(n, p.Sim.Spec().NumStages())
 	keep := make([]bool, n)
 	for i := range cands {
-		cands[i] = sim.Uniform(i+1, stages)
 		// The closed-form mean JCT ignores provisioning overheads and
 		// straggler inflation, so it lower-bounds the estimate: anything
 		// already over the deadline cannot become feasible.
@@ -203,26 +224,19 @@ func (p *Planner) planStatic(scr *frontierScreen) (Result, error) {
 	}
 	p.pruneEnumeration(scr, cands, keep, p.Deadline, false)
 	ests := make([]sim.Estimate, n)
-	oks := make([]bool, n)
 	errs := make([]error, n)
-	par.ForEach(n, par.Workers(p.Workers), func(i int) {
-		if !keep[i] {
-			return
-		}
-		ests[i], errs[i] = p.estimate(cands[i])
-		oks[i] = errs[i] == nil
-	})
+	p.estimateAll(cands, keep, ests, errs)
 	best := Result{}
 	found := false
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return Result{}, errs[i]
 		}
-		if !oks[i] || ests[i].JCT > p.Deadline {
+		if !keep[i] || ests[i].JCT > p.Deadline {
 			continue
 		}
 		if !found || ests[i].Cost < best.Estimate.Cost {
-			best = Result{Plan: sim.Uniform(i+1, stages), Estimate: ests[i]}
+			best = Result{Plan: cands[i], Estimate: ests[i]}
 			found = true
 		}
 	}
@@ -347,11 +361,7 @@ func (p *Planner) optimize(scr *frontierScreen, start Result) (Result, error) {
 		p.pruneDescentStep(scr, cands, keep, cur, p.Deadline, false)
 		ests := make([]sim.Estimate, len(cands))
 		errs := make([]error, len(cands))
-		par.ForEach(len(cands), par.Workers(p.Workers), func(i int) {
-			if keep[i] {
-				ests[i], errs[i] = p.estimate(cands[i])
-			}
-		})
+		p.estimateAll(cands, keep, ests, errs)
 		bestIdx := -1
 		bestBenefit := math.Inf(-1)
 		var bestEst sim.Estimate
@@ -412,37 +422,82 @@ func marginalBenefit(cur, cand sim.Estimate) float64 {
 // sub-instance decrements that lengthen the stage without releasing any
 // billed machine.
 func generateCandidates(cur sim.Plan, sp *spec.ExperimentSpec, gpusPerNode int) []sim.Plan {
-	var out []sim.Plan
-	add := func(i, v int) {
-		for _, existing := range out {
-			if existing.Alloc[i] == v && existing.Equal(withAlloc(cur, i, v)) {
-				return
-			}
-		}
-		out = append(out, withAlloc(cur, i, v))
-	}
+	c := newCandSet(cur)
 	for i := range cur.Alloc {
 		trials := sp.Stage(i).Trials
 		if v, ok := fairStepDown(cur.Alloc[i], trials); ok {
-			add(i, v)
+			c.add(i, v)
 		}
 		if gpusPerNode > 0 {
 			curInstances := (cur.Alloc[i] + gpusPerNode - 1) / gpusPerNode
 			if curInstances > 1 {
 				target := (curInstances - 1) * gpusPerNode
 				if v, ok := fairFloor(target, trials); ok && v < cur.Alloc[i] {
-					add(i, v)
+					c.add(i, v)
 				}
 			}
 		}
 	}
-	return out
+	return c.plans
 }
 
-func withAlloc(p sim.Plan, i, v int) sim.Plan {
-	q := p.Clone()
-	q.Alloc[i] = v
-	return q
+// candSet collects distinct single-stage variants of one plan — at most
+// two per stage — in one backing array.
+type candSet struct {
+	cur   sim.Plan
+	back  []int
+	plans []sim.Plan
+}
+
+// newCandSet returns an empty set of cur's variants, presized for two
+// per stage so adding never reallocates.
+func newCandSet(cur sim.Plan) candSet {
+	n := len(cur.Alloc)
+	return candSet{cur: cur, back: make([]int, 0, 2*n*n), plans: make([]sim.Plan, 0, 2*n)}
+}
+
+// add appends cur with stage i set to v unless an equal candidate is
+// already in the set.
+func (c *candSet) add(i, v int) {
+	for _, q := range c.plans {
+		if isVariant(q, c.cur, i, v) {
+			return
+		}
+	}
+	lo := len(c.back)
+	c.back = append(c.back, c.cur.Alloc...)
+	c.back[lo+i] = v
+	c.plans = append(c.plans, sim.Plan{Alloc: c.back[lo:len(c.back):len(c.back)]})
+}
+
+// isVariant reports whether q equals cur with stage i set to v, without
+// building that plan.
+func isVariant(q, cur sim.Plan, i, v int) bool {
+	for j, a := range q.Alloc {
+		want := cur.Alloc[j]
+		if j == i {
+			want = v
+		}
+		if a != want {
+			return false
+		}
+	}
+	return true
+}
+
+// staticPlans returns the static plans of 1..n GPUs over stages stages,
+// carved from one backing array.
+func staticPlans(n, stages int) []sim.Plan {
+	back := make([]int, n*stages)
+	plans := make([]sim.Plan, n)
+	for i := range plans {
+		a := back[i*stages : (i+1)*stages : (i+1)*stages]
+		for j := range a {
+			a[j] = i + 1
+		}
+		plans[i] = sim.Plan{Alloc: a}
+	}
+	return plans
 }
 
 // fairStepDown returns the largest allocation strictly below alloc that is

@@ -278,3 +278,66 @@ func TestQuickCandidatesWellFormed(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCandidatesDistinctAndUnaliased: descent and ascent candidates are
+// pairwise distinct, and though they share one backing array, writing
+// or appending to one reaches neither another candidate nor the current
+// plan.
+func TestCandidatesDistinctAndUnaliased(t *testing.T) {
+	s := spec.MustSHA(32, 2, 16, 2)
+	cur := sim.NewPlan(48, 24, 6)
+	for name, gen := range map[string]func() []sim.Plan{
+		"down": func() []sim.Plan { return generateCandidates(cur, s, 4) },
+		"up":   func() []sim.Plan { return generateUpCandidates(cur, s, 4, 64) },
+	} {
+		want := gen()
+		if len(want) < 2 {
+			t.Fatalf("%s: only %d candidates", name, len(want))
+		}
+		for i := range want {
+			for j := i + 1; j < len(want); j++ {
+				if want[i].Equal(want[j]) {
+					t.Fatalf("%s: candidates %d and %d are both %v", name, i, j, want[i])
+				}
+			}
+		}
+		for i := range want {
+			cands := gen()
+			for j := range cands[i].Alloc {
+				cands[i].Alloc[j] = -1
+			}
+			cands[i].Alloc = append(cands[i].Alloc, -1)
+			for j := range cands {
+				if j != i && !cands[j].Equal(want[j]) {
+					t.Fatalf("%s: writing candidate %d changed candidate %d to %v", name, i, j, cands[j])
+				}
+			}
+			if !cur.Equal(sim.NewPlan(48, 24, 6)) {
+				t.Fatalf("%s: writing candidate %d changed the current plan to %v", name, i, cur)
+			}
+		}
+	}
+}
+
+// TestMemoHitZeroAlloc: a memo hit builds its key in a stack buffer and
+// looks it up without converting it, so it allocates nothing, with and
+// without frontier deduplication.
+func TestMemoHitZeroAlloc(t *testing.T) {
+	s := spec.MustSHA(16, 2, 16, 2)
+	for _, dedupe := range []bool{true, false} {
+		p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 1e6, DisableFrontierDedupe: !dedupe}
+		plan := sim.NewPlan(16, 8, 4, 2)
+		want, err := p.estimate(plan) // miss: fills the memo
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if got, err := p.estimate(plan); err != nil || got != want {
+				t.Fatalf("memo hit = (%+v, %v), want %+v", got, err, want)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("dedupe=%v: memo hit allocates %v, want 0", dedupe, allocs)
+		}
+	}
+}

@@ -532,17 +532,20 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	return d, nil
 }
 
-// analyticTail analytically estimates a tail plan under the given
-// profiles. The evaluation consults no RNG (the seed below is never
-// drawn from), so it is a pure function of its arguments. ok=false means
+// analyticSim returns a simulator that evaluates tails under the given
+// profiles analytically. Its seed is never drawn from while every latency
+// has finite moments (analytic estimates consult no RNG), so what it
+// estimates is a pure function of its arguments.
+func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) (*sim.Simulator, error) {
+	return sim.New(suffix, prof, cp, c.cfg.Samples, stats.NewRNG(1),
+		sim.WithWorkers(1), sim.WithEstimator(sim.EstimatorAnalytic))
+}
+
+// analyticTail analytically estimates a tail plan on sm. ok=false means
 // the profile's latencies lack finite moments.
-func (c *Controller) analyticTail(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile, tail sim.Plan) (sim.Estimate, bool) {
-	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, stats.NewRNG(1), sim.WithWorkers(1))
-	if err != nil {
-		return sim.Estimate{}, false
-	}
-	est, ok, eerr := sm.NewAnalyticEval().Estimate(tail)
-	return est, eerr == nil && ok
+func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
+	est, ok, err := sm.NewAnalyticEval().Estimate(tail)
+	return est, err == nil && ok
 }
 
 // screenTail is the analytic drift pre-screen. material is true when a
@@ -562,8 +565,16 @@ func (c *Controller) analyticTail(suffix *spec.ExperimentSpec, prof sim.TrainPro
 // ok=false means the screen could not score the tail (no finite moments)
 // and the caller must run the full replan.
 func (c *Controller) screenTail(prof sim.TrainProfile, cp sim.CloudProfile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
-	refit, ok1 := c.analyticTail(suffix, prof, cp, staleTail)
-	base, ok2 := c.analyticTail(suffix, c.cfg.Profile, c.cfg.Cloud, staleTail)
+	refitSim, err := c.analyticSim(suffix, prof, cp)
+	if err != nil {
+		return sim.Estimate{}, false, false
+	}
+	baseSim, err := c.analyticSim(suffix, c.cfg.Profile, c.cfg.Cloud)
+	if err != nil {
+		return sim.Estimate{}, false, false
+	}
+	refit, ok1 := analyticTail(refitSim, staleTail)
+	base, ok2 := analyticTail(baseSim, staleTail)
 	if !ok1 || !ok2 {
 		return sim.Estimate{}, false, false
 	}
@@ -573,17 +584,12 @@ func (c *Controller) screenTail(prof sim.TrainProfile, cp sim.CloudProfile, suff
 		math.Abs(refit.Cost-base.Cost) > tol*base.Cost {
 		return refit, true, true
 	}
-	// Conditions 1–2 are quiet; check 3 with an analytic-only replan. The
-	// fixed seed is never drawn from (every estimate stays on the moment
-	// path — the stale tail just scored analytically above), so the
-	// mini-plan is deterministic and costs microseconds per candidate.
-	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, stats.NewRNG(1),
-		sim.WithWorkers(1), sim.WithEstimator(sim.EstimatorAnalytic))
-	if err != nil {
-		return refit, true, true
-	}
+	// Conditions 1–2 are quiet; check 3 with an analytic-only replan on
+	// the refit simulator, whose segment table already holds the stale
+	// tail's moments. The mini-plan is deterministic and costs
+	// microseconds per candidate.
 	p := &planner.Planner{
-		Sim:      sm,
+		Sim:      refitSim,
 		Deadline: remaining,
 		MaxGPUs:  c.cfg.MaxGPUs,
 		Workers:  1,

@@ -26,17 +26,19 @@ type segMoment struct {
 // segmentMoments returns the segment's analytic moments, filling sg.mom
 // on first use. The value is a pure function of the segment (itself a
 // pure function of the simulator configuration and the key), so benign
-// double computation under concurrent misses is harmless. sc is the
-// caller's scratch for the propagation pass.
+// double computation under concurrent misses is harmless. A miss runs
+// its propagation pass on scratch from momentPool.
 //
 //rbvet:pure
-func (s *Simulator) segmentMoments(sg *segment, sc *dag.MomentScratch) *segMoment {
+func (s *Simulator) segmentMoments(sg *segment) *segMoment {
 	s.mu.Lock()
 	v := sg.mom
 	s.mu.Unlock()
 	if v != nil {
 		return v
 	}
+	sc := momentPool.Get().(*dag.MomentScratch)
+	defer momentPool.Put(sc)
 	mk, okm := sg.prog.MomentsInto(sc)
 	v = &segMoment{ok: okm}
 	if okm {
@@ -69,12 +71,12 @@ type birthGroup struct {
 }
 
 // AnalyticEval evaluates plans analytically against one Simulator. It
-// owns the propagation scratch, the compiled-plan buffer and the billing
-// stack, so it is cheap to reuse and must not be shared across goroutines
-// concurrently; create one per search or worker (NewAnalyticEval).
+// owns the compiled-plan buffer and the billing stack (moment misses
+// draw their propagation scratch from momentPool), so it is cheap to
+// reuse and must not be shared across goroutines concurrently; create
+// one per search or worker (NewAnalyticEval).
 type AnalyticEval struct {
 	sim    *Simulator
-	sc     dag.MomentScratch
 	cp     compiledPlan
 	groups []birthGroup
 	moms   []*segMoment
@@ -83,6 +85,15 @@ type AnalyticEval struct {
 // NewAnalyticEval returns a fresh analytic evaluator bound to s.
 func (s *Simulator) NewAnalyticEval() *AnalyticEval {
 	return &AnalyticEval{sim: s}
+}
+
+// release drops the evaluator's Simulator and segment references and
+// returns it to evalPool.
+func (e *AnalyticEval) release() {
+	e.sim = nil
+	clear(e.cp.segs)
+	clear(e.moms)
+	evalPool.Put(e)
 }
 
 // Estimate analytically predicts JCT and cost for the plan: E[JCT] and
@@ -104,7 +115,7 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 	}
 	e.moms = e.moms[:0]
 	for _, sg := range e.cp.segs {
-		m := e.sim.segmentMoments(sg, &e.sc)
+		m := e.sim.segmentMoments(sg)
 		if !m.ok {
 			return Estimate{}, false, nil
 		}

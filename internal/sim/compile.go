@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+
 	"repro/internal/cloud"
 	"repro/internal/dag"
 	"repro/internal/par"
@@ -123,24 +125,25 @@ func canonAlloc(alloc, trials int) int {
 	return alloc
 }
 
-// CanonicalPlanKey returns the Plan.Key encoding of p's behavioral
-// representative under this simulator's spec: each stage allocation
-// mapped through canonAlloc. Two plans with equal canonical keys produce
-// bit-identical estimates in both estimator modes, which derive programs,
-// sample vectors, moments and RNG streams from the canonical segment
-// tuples only. The planner's frontier deduplication memos on this key.
-// Stages beyond the spec pass through unmapped (such plans fail
-// validation at estimation time anyway).
-func (s *Simulator) CanonicalPlanKey(p Plan) string {
+// AppendCanonicalPlanKey appends the Plan.AppendKey encoding of p's
+// behavioral representative under this simulator's spec — each stage
+// allocation mapped through canonAlloc — to b. Two plans with equal
+// canonical keys produce bit-identical estimates in both estimator modes,
+// which derive programs, sample vectors, moments and RNG streams from the
+// canonical segment tuples only. The planner's frontier deduplication
+// memos on this key. Stages beyond the spec pass through unmapped (such
+// plans fail validation at estimation time anyway).
+//
+//rbvet:pure
+func (s *Simulator) AppendCanonicalPlanKey(b []byte, p Plan) []byte {
 	stages := s.spec.NumStages()
-	b := make([]byte, 0, 4*len(p.Alloc))
 	for i, a := range p.Alloc {
 		if i < stages {
 			a = canonAlloc(a, s.spec.Stage(i).Trials)
 		}
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		b = binary.BigEndian.AppendUint32(b, uint32(a))
 	}
-	return string(b)
+	return b
 }
 
 // segmentFor returns the table's segment for key, building it on a miss.
@@ -189,51 +192,46 @@ func (s *Simulator) buildSegment(key segKey) *segment {
 	grow := max(need-key.prev, 0)
 
 	// Node IDs are contiguous: SCALE, grow INITs, the TRAINs, then SYNC.
-	// Every dependency list is therefore a run of consecutive IDs, sliced
-	// from one ascending ID table: the INITs for a stage-opening TRAIN,
-	// one slot predecessor for a chained TRAIN, every TRAIN for SYNC.
-	trainLo := 0
+	// Every dependency list is therefore a span of consecutive IDs: the
+	// SCALE for an INIT, the INITs for a stage-opening TRAIN, one slot
+	// predecessor for a queued TRAIN, every TRAIN for SYNC. Runs of
+	// consecutive nodes with the same span (the INITs, the stage-opening
+	// TRAINs) store it once.
+	var initLo, trainLo int32 // the INITs are [initLo, trainLo), empty without growth
 	if grow > 0 {
-		trainLo = 1 + grow
+		initLo, trainLo = 1, int32(1+grow)
 	}
-	trainHi := trainLo + st.Trials
-	edges := grow + st.Trials // INIT -> SCALE, SYNC -> every TRAIN
-	if key.alloc >= st.Trials {
-		edges += st.Trials * grow
-	} else {
-		edges += key.alloc*grow + st.Trials - key.alloc
+	trainHi := trainLo + int32(st.Trials)
+	opening := min(key.alloc, st.Trials) // TRAINs starting on the INITs; the rest queue
+	edges := 2*st.Trials - opening       // SYNC span, queued TRAINs
+	if grow > 0 {
+		edges += 1 + grow // INIT -> SCALE, opening TRAIN -> INITs
 	}
-	ids := make([]int32, trainHi)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	prog := dag.NewProgram(trainHi+1, edges)
+	prog := dag.NewProgram(int(trainHi)+1, edges)
 	scaleIdx := -1
-	var stageDeps []int32
 	if grow > 0 {
-		scaleIdx = int(prog.Add(s.cloud.Overheads.QueueDelay))
+		scaleIdx = int(prog.AddSpan(s.cloud.Overheads.QueueDelay, 0, 0))
 		for k := 0; k < grow; k++ {
-			prog.Add(s.cloud.Overheads.InitLatency, ids[scaleIdx])
+			prog.AddSpan(s.cloud.Overheads.InitLatency, 0, 1)
 		}
-		stageDeps = ids[1:trainLo]
 	}
 	trainDist := sumIters(s.profile.IterDist(per), st.Iters)
-	for tr := 0; tr < st.Trials; tr++ {
-		if key.alloc < st.Trials && tr >= key.alloc {
-			prog.Add(trainDist, ids[trainLo+tr-key.alloc])
+	for tr := int32(0); tr < int32(st.Trials); tr++ {
+		if slot := tr - int32(opening); slot >= 0 {
+			prog.AddSpan(trainDist, trainLo+slot, trainLo+slot+1) // after the slot's previous TRAIN
 		} else {
-			prog.Add(trainDist, stageDeps...)
+			prog.AddSpan(trainDist, initLo, trainLo)
 		}
 	}
-	prog.Add(stats.Deterministic{Value: 0}, ids[trainLo:trainHi]...)
+	prog.AddSpan(stats.Deterministic{Value: 0}, trainLo, trainHi)
 
 	return &segment{
 		key:       key,
 		prog:      prog,
 		instances: need,
 		scaleIdx:  scaleIdx,
-		trainLo:   trainLo,
-		trainHi:   trainHi,
+		trainLo:   int(trainLo),
+		trainHi:   int(trainHi),
 		trainGPUs: per,
 	}
 }
@@ -242,15 +240,16 @@ func (s *Simulator) buildSegment(key segKey) *segment {
 // family. Deriving streams from the tuple rather than the plan is what
 // makes segment samples reusable across plans: every plan that executes
 // this tuple sees the same draws (common random numbers).
-func (s *Simulator) segStream(key segKey) *stats.RNG {
-	root := s.root
-	return root.Stream(stats.Hash64(segStreamDomain, uint64(key.stage), uint64(key.alloc), uint64(key.prev)))
+func (s *Simulator) segStream(key segKey) (r stats.RNG) {
+	s.root.StreamInto(stats.Hash64(segStreamDomain, uint64(key.stage), uint64(key.alloc), uint64(key.prev)), &r)
+	return r
 }
 
 // segmentSamples returns the segment's s.samples-long sample vector,
 // filling sg.samples on first use. Sample k always draws from the k-th
 // stream of the tuple's family and slots are index-addressed, so the
-// vector is bit-identical at any worker count.
+// vector is bit-identical at any worker count. The vector is the fill's
+// only allocation: streams and timing buffers come from fillPool.
 func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	s.mu.Lock()
 	v := sg.samples
@@ -258,15 +257,25 @@ func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	if v != nil {
 		return v
 	}
-	v = make([]segSample, s.samples)
-	base := s.segStream(sg.key)
-	scratch := make([][]dag.Timing, s.workerSlots())
-	par.ForEachWorker(s.samples, s.Workers(), func(w, k int) {
-		v[k], scratch[w] = sg.eval(base.Stream(uint64(k)), scratch[w])
-	})
+	fresh := make([]segSample, s.samples)
+	fs := fillPool.Get().(*fillScratch)
+	fs.base = s.segStream(sg.key)
+	n := s.workerSlots()
+	if len(fs.slots) < n {
+		fs.slots = append(fs.slots, make([]fillSlot, n-len(fs.slots))...)
+	}
+	if n == 1 {
+		// Serial fill without the fan-out's closure, which would escape.
+		for k := range fresh {
+			fs.draw(sg, fresh, 0, k)
+		}
+	} else {
+		par.ForEachWorker(s.samples, s.Workers(), func(w, k int) { fs.draw(sg, fresh, w, k) })
+	}
+	fillPool.Put(fs)
 	s.mu.Lock()
 	if sg.samples == nil {
-		sg.samples = v
+		sg.samples = fresh
 	}
 	v = sg.samples
 	s.mu.Unlock()
@@ -286,13 +295,12 @@ func (s *Simulator) workerSlots() int {
 	return n
 }
 
-// sampleVectors composes the per-stage sample vectors of a compiled plan
-// from the segment table: vecs[i][k] is stage i's segSample for
-// Monte-Carlo draw k.
-func (s *Simulator) sampleVectors(cp *compiledPlan) [][]segSample {
-	vecs := make([][]segSample, len(cp.segs))
-	for i, sg := range cp.segs {
-		vecs[i] = s.segmentSamples(sg)
+// sampleVectors appends the per-stage sample vectors of a compiled plan,
+// composed from the segment table, to vecs: vecs[i][k] is stage i's
+// segSample for Monte-Carlo draw k.
+func (s *Simulator) sampleVectors(cp *compiledPlan, vecs [][]segSample) [][]segSample {
+	for _, sg := range cp.segs {
+		vecs = append(vecs, s.segmentSamples(sg))
 	}
 	return vecs
 }

@@ -208,8 +208,9 @@ func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
 	}
 }
 
-// TestPlanKeyCollisionFree: Key is injective over plans that differ in
-// any allocation or in stage count, and agrees exactly when Equal does.
+// TestPlanKeyCollisionFree: AppendKey is injective over plans that
+// differ in any allocation or in stage count, and agrees exactly when
+// Equal does.
 func TestPlanKeyCollisionFree(t *testing.T) {
 	plans := []Plan{
 		NewPlan(1),
@@ -223,15 +224,16 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 		NewPlan(1, 2, 8, 5),
 		Uniform(64, 4),
 	}
+	key := func(p Plan) string { return string(p.AppendKey(nil)) }
 	for i, a := range plans {
 		for j, b := range plans {
-			if (a.Key() == b.Key()) != a.Equal(b) {
-				t.Fatalf("Key collision/mismatch between %v (#%d) and %v (#%d)", a, i, b, j)
+			if (key(a) == key(b)) != a.Equal(b) {
+				t.Fatalf("key collision/mismatch between %v (#%d) and %v (#%d)", a, i, b, j)
 			}
 		}
 	}
-	if len(NewPlan(7, 9).Key()) != 8 {
-		t.Fatalf("Key length %d, want 4 bytes per stage", len(NewPlan(7, 9).Key()))
+	if got := NewPlan(7, 9).AppendKey([]byte("x")); len(got) != 9 || got[0] != 'x' {
+		t.Fatalf("AppendKey(\"x\") = %q, want the prefix then 4 bytes per stage", got)
 	}
 }
 
@@ -246,7 +248,7 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
 		}
-		vecs := sm.sampleVectors(&cp)
+		vecs := sm.sampleVectors(&cp, nil)
 		var births []float64
 		_, _, births = sm.priceSchedule(&cp, vecs, 0, births) // warm the buffer
 		allocs := testing.AllocsPerRun(100, func() {

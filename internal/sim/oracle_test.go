@@ -176,7 +176,7 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 func algorithm1Estimate(t testing.TB, s *Simulator, p Plan) Estimate {
 	t.Helper()
 	cp, rows := algorithm1(t, s, p)
-	return s.summarize(cp, rows)
+	return s.summarize(&estScratch{cp: *cp, vecs: rows})
 }
 
 // algorithm1Breakdown is the reference Breakdown over Algorithm 1 draws.
@@ -272,7 +272,6 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 	for i := stages / 2; i < stages; i++ {
 		grow.Alloc[i] = 16
 	}
-	var sc dag.MomentScratch
 	analytic := 0
 	for _, plan := range append(testPlans(sm), grow) {
 		b, err := buildFullDAG(sm, plan)
@@ -309,7 +308,7 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 					t.Fatalf("plan %v stage %d draw %d: segment %+v, CompileRange %+v", plan, i, k, got, want)
 				}
 			}
-			got, want := sm.segmentMoments(sg, &sc), sm.segmentMoments(ref, &sc)
+			got, want := sm.segmentMoments(sg), sm.segmentMoments(ref)
 			if *got != *want {
 				t.Fatalf("plan %v stage %d: segment moments %+v, CompileRange %+v", plan, i, *got, *want)
 			}

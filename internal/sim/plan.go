@@ -88,19 +88,19 @@ func (p Plan) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Key returns a compact, collision-free encoding of the allocation vector
-// for use as a map or cache key: each allocation as a fixed-width
-// big-endian 32-bit word, so two plans share a Key iff they are Equal
-// (the length distinguishes stage counts). Unlike String it performs no
-// formatting and its size is exactly 4 bytes per stage.
+// AppendKey appends a compact, collision-free encoding of the
+// allocation vector to b and returns the extended buffer — a map or
+// cache key built in a reused buffer: each allocation as a fixed-width
+// big-endian 32-bit word, so two plans' keys are equal iff the plans are
+// Equal (the length distinguishes stage counts). Unlike String it
+// performs no formatting and appends exactly 4 bytes per stage.
 //
 //rbvet:pure
-func (p Plan) Key() string {
-	b := make([]byte, 4*len(p.Alloc))
-	for i, a := range p.Alloc {
-		binary.BigEndian.PutUint32(b[i*4:], uint32(a))
+func (p Plan) AppendKey(b []byte) []byte {
+	for _, a := range p.Alloc {
+		b = binary.BigEndian.AppendUint32(b, uint32(a))
 	}
-	return string(b)
+	return b
 }
 
 // Equal reports whether two plans are identical.

@@ -1,0 +1,74 @@
+package sim
+
+import (
+	"sync"
+
+	"repro/internal/dag"
+	"repro/internal/stats"
+)
+
+// Pooled scratch. One job's planning builds several short-lived
+// Simulators (the initial plan, each online replan, each replan's
+// analytic screen), so scratch owned by a Simulator would be allocated
+// afresh by every one of them; these pools are package-level and outlive
+// any Simulator. No pooled value carries a result from one use to the
+// next: each is fully overwritten before it is read, so pooling saves
+// allocations and cannot change an estimate.
+var (
+	// estPool holds segment-mode Estimate's compiled plan, sample rows
+	// and pricing columns.
+	estPool = sync.Pool{New: func() any { return new(estScratch) }}
+	// fillPool holds a sample fill's per-worker RNG and timing slots.
+	fillPool = sync.Pool{New: func() any { return new(fillScratch) }}
+	// momentPool holds the propagation pass of a segment-moment miss.
+	momentPool = sync.Pool{New: func() any { return new(dag.MomentScratch) }}
+	// evalPool holds analytic-mode Estimate's evaluators, rebound to the
+	// calling Simulator on every use.
+	evalPool = sync.Pool{New: func() any { return new(AnalyticEval) }}
+)
+
+// estScratch is one segment-mode estimate in flight: the plan resolved
+// to segments, its per-stage sample rows (vecs[i][k] is stage i's draw
+// k), and the per-draw columns summarize reduces.
+type estScratch struct {
+	cp                  compiledPlan
+	vecs                [][]segSample
+	jcts, costs, births []float64
+}
+
+// release drops the scratch's segment references and returns it to the
+// pool.
+func (es *estScratch) release() {
+	clear(es.cp.segs)
+	clear(es.vecs)
+	estPool.Put(es)
+}
+
+// fillSlot is one sampling worker's private stream and timing buffer.
+type fillSlot struct {
+	rng stats.RNG
+	buf []dag.Timing
+}
+
+// fillScratch holds one sample fill: the segment tuple's root stream and
+// a slot per worker.
+type fillScratch struct {
+	base  stats.RNG
+	slots []fillSlot
+}
+
+// draw fills v[k] with draw k of sg, on worker slot w's stream and buffer.
+func (fs *fillScratch) draw(sg *segment, v []segSample, w, k int) {
+	sl := &fs.slots[w]
+	fs.base.StreamInto(uint64(k), &sl.rng)
+	v[k], sl.buf = sg.eval(&sl.rng, sl.buf)
+}
+
+// resize returns s with length n, reusing its capacity when it suffices.
+// Callers overwrite every element before reading it.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -24,14 +24,28 @@ type Estimate struct {
 // Construct with New; the zero value is not usable.
 //
 // A Simulator's configuration is immutable after construction and it is
-// safe for concurrent use by multiple goroutines. Its only mutable state
-// is one mutex-guarded segment table memoizing pure computations — each
-// stage segment's compiled program plus its lazily filled sample vector
-// (segment mode) and analytic moments — so Estimate and Breakdown remain
-// pure functions of the simulator's configuration and the plan: every
-// Monte-Carlo draw derives a private RNG stream from the construction-time
-// seed state, keyed by (stream family, sample index), and results do not
-// depend on table state, call order, goroutine, or worker count.
+// safe for concurrent use by multiple goroutines. The state it mutates is
+// of two kinds, and neither can change a result:
+//
+//   - One mutex-guarded segment table memoizing pure computations: each
+//     stage segment's compiled program plus its lazily filled sample
+//     vector (segment mode) and analytic moments. Every Monte-Carlo draw
+//     derives a private RNG stream from the construction-time seed
+//     state, keyed by (stream family, sample index), so Estimate and
+//     Breakdown are pure functions of the configuration and the plan,
+//     independent of table state, call order, goroutine or worker count.
+//   - Scratch borrowed from package-level pools that every Simulator
+//     shares, because one job's planning creates several short-lived
+//     Simulators (see scratch.go): estPool (segment-mode Estimate's
+//     compiled plan, sample rows, and the per-draw JCT, cost and birth
+//     columns summarize reduces), fillPool (a sample fill's per-worker
+//     RNG and timing buffer), momentPool (the dag.MomentScratch of a
+//     moment miss) and evalPool (analytic-mode Estimate's evaluators).
+//     Pooled scratch cannot carry a result from one call into another:
+//     every use fully overwrites what it reads before reading it.
+//
+// A warm Estimate therefore allocates nothing, and a search allocates
+// only what the segment table and its caller's memo keep.
 type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
@@ -54,11 +68,6 @@ type Simulator struct {
 	// unbounded; one search touches at most a few thousand segments.
 	mu   sync.Mutex
 	segs map[segKey]*segment
-
-	// evalPool recycles AnalyticEval scratch for Estimate's analytic mode;
-	// evaluators carry no results between uses, so pooling only saves
-	// allocations and cannot affect estimates.
-	evalPool sync.Pool
 }
 
 // Option configures optional Simulator behavior in New.
@@ -133,12 +142,10 @@ func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 //rbvet:pure
 func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 	if s.estimator == EstimatorAnalytic {
-		e, _ := s.evalPool.Get().(*AnalyticEval)
-		if e == nil {
-			e = s.NewAnalyticEval()
-		}
+		e := evalPool.Get().(*AnalyticEval)
+		e.sim = s
 		est, ok, err := e.Estimate(p)
-		s.evalPool.Put(e)
+		e.release()
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -148,25 +155,26 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 		// Some latency lacks finite moments: fall back to segment-mode
 		// Monte-Carlo below.
 	}
-	var cp compiledPlan
-	if err := s.compile(p, &cp); err != nil {
+	es := estPool.Get().(*estScratch)
+	defer es.release()
+	if err := s.compile(p, &es.cp); err != nil {
 		return Estimate{}, err
 	}
-	return s.summarize(&cp, s.sampleVectors(&cp)), nil
+	es.vecs = s.sampleVectors(&es.cp, es.vecs[:0])
+	return s.summarize(es), nil
 }
 
-// summarize prices each of the s.samples Monte-Carlo rows of a compiled
-// plan (vecs[i][k] is stage i's draw k) and reduces them, in index order,
-// to the estimate's means and standard deviations.
-func (s *Simulator) summarize(cp *compiledPlan, vecs [][]segSample) Estimate {
-	jcts := make([]float64, s.samples)
-	costs := make([]float64, s.samples)
-	var births []float64
+// summarize prices each of the s.samples Monte-Carlo rows of es's
+// compiled plan and reduces them to the estimate's means and standard
+// deviations, summed in sorted order as stats.Summarize does.
+func (s *Simulator) summarize(es *estScratch) Estimate {
+	es.jcts, es.costs = resize(es.jcts, s.samples), resize(es.costs, s.samples)
 	for k := 0; k < s.samples; k++ {
-		jcts[k], costs[k], births = s.priceSchedule(cp, vecs, k, births)
+		es.jcts[k], es.costs[k], es.births = s.priceSchedule(&es.cp, es.vecs, k, es.births)
 	}
-	js, cs := stats.Summarize(jcts), stats.Summarize(costs)
-	return Estimate{JCT: js.Mean, JCTStd: js.Std, Cost: cs.Mean, CostStd: cs.Std}
+	jct, jctStd := stats.MeanStdInPlace(es.jcts)
+	cost, costStd := stats.MeanStdInPlace(es.costs)
+	return Estimate{JCT: jct, JCTStd: jctStd, Cost: cost, CostStd: costStd}
 }
 
 // instanceCharge bills one instance held from birth to death.

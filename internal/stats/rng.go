@@ -31,11 +31,15 @@ func splitmix64(state *uint64) uint64 {
 // seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
-	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
-	}
+	r.seed(seed)
 	return r
+}
+
+// seed expands seed into r's state.
+func (r *RNG) seed(seed uint64) {
+	for i := range r.s {
+		r.s[i] = splitmix64(&seed)
+	}
 }
 
 // Split derives a new independent generator from r, consuming exactly one
@@ -63,11 +67,23 @@ func (r *RNG) Split() *RNG {
 // output. Stream is safe for concurrent use as long as no goroutine
 // advances r itself.
 func (r *RNG) Stream(i uint64) *RNG {
+	c := &RNG{}
+	r.StreamInto(i, c)
+	return c
+}
+
+// StreamInto writes the i-th child generator of r (the generator Stream(i)
+// returns) into dst, a value the caller owns, so Monte-Carlo loops that
+// derive one stream per draw reuse one generator instead of allocating
+// each. dst may be r itself.
+//
+//rbvet:noalloc
+func (r *RNG) StreamInto(i uint64, dst *RNG) {
 	h := i
 	for _, w := range r.s {
 		h = splitmix64(&h) ^ w
 	}
-	return NewRNG(splitmix64(&h))
+	dst.seed(splitmix64(&h))
 }
 
 // State returns the generator's 256-bit internal state — the stream

@@ -163,3 +163,26 @@ func TestHash64(t *testing.T) {
 		t.Error("Hash64 not deterministic")
 	}
 }
+
+// TestStreamIntoMatchesStream: StreamInto writes exactly the generator
+// Stream returns, into a reused value or into the parent itself, without
+// allocating.
+func TestStreamIntoMatchesStream(t *testing.T) {
+	root := NewRNG(0x5eed)
+	var dst RNG
+	for i := uint64(0); i < 64; i++ {
+		root.StreamInto(i, &dst)
+		if want := root.Stream(i); dst != *want {
+			t.Fatalf("StreamInto(%d) state %v, Stream %v", i, dst.State(), want.State())
+		}
+	}
+	self := *root
+	want := root.Stream(9)
+	self.StreamInto(9, &self)
+	if self != *want {
+		t.Fatalf("StreamInto onto its own receiver: %v, want %v", self.State(), want.State())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { root.StreamInto(3, &dst) }); allocs != 0 {
+		t.Fatalf("StreamInto allocates %v, want 0", allocs)
+	}
+}

@@ -27,21 +27,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{}
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	mean := sum / float64(len(sorted))
-	var ss float64
-	for _, x := range sorted {
-		d := x - mean
-		ss += d * d
-	}
-	std := 0.0
-	if len(sorted) > 1 {
-		std = math.Sqrt(ss / float64(len(sorted)-1))
-	}
+	mean, std := MeanStdInPlace(sorted)
 	return Summary{
 		N:      len(sorted),
 		Mean:   mean,
@@ -88,4 +74,31 @@ func (s Summary) String() string {
 func MeanStd(xs []float64) (mean, std float64) {
 	s := Summarize(xs)
 	return s.Mean, s.Std
+}
+
+// MeanStdInPlace sorts xs ascending in place and returns its mean and
+// sample standard deviation (n-1 denominator), both summed in sorted
+// order — the arithmetic of Summarize, bit for bit, without its copy. It
+// returns zeros when xs is empty.
+//
+//rbvet:noalloc
+func MeanStdInPlace(xs []float64) (mean, std float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	sort.Float64s(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean = sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	if len(xs) > 1 {
+		std = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return mean, std
 }

@@ -127,3 +127,24 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMeanStdInPlaceMatchesSummarize: the in-place reduction is
+// Summarize's mean and std bit for bit, including on unsorted input,
+// and leaves its argument sorted.
+func TestMeanStdInPlaceMatchesSummarize(t *testing.T) {
+	r := NewRNG(5)
+	for n := 0; n < 40; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Exp(3 * r.NormFloat64())
+		}
+		want := Summarize(xs)
+		mean, std := MeanStdInPlace(xs)
+		if mean != want.Mean || std != want.Std {
+			t.Fatalf("n=%d: MeanStdInPlace (%v, %v), Summarize (%v, %v)", n, mean, std, want.Mean, want.Std)
+		}
+		if !sort.Float64sAreSorted(xs) {
+			t.Fatalf("n=%d: input not left sorted", n)
+		}
+	}
+}
