@@ -86,8 +86,7 @@ var memoizedRoots = map[string]string{
 	"(*repro/internal/sim.Simulator).Estimate":               "planner memo cache (Planner.memo)",
 	"(repro/internal/sim.Plan).AppendKey":                    "planner memo keys",
 	"(*repro/internal/sim.Simulator).AppendCanonicalPlanKey": "planner memo keys",
-	"(*repro/internal/dag.Program).SampleInto":               "compiled programs sampled into segment.samples",
-	"(*repro/internal/dag.Program).MomentsInto":              "compiled programs moment-propagated into segment.mom",
+	"(*repro/internal/sim.segment).moments":                  "stage kernel's moments (segment.mom)",
 }
 
 // pureExternalPkgs are standard-library packages whose functions are

@@ -55,7 +55,6 @@ type MomentScratch struct {
 	items          []stats.Moment
 	prevLo, prevHi int32
 	prevBar        int32
-	makespanM      stats.Moment
 	n              int
 }
 
@@ -99,7 +98,6 @@ func (sc *MomentScratch) reset(n int) {
 	sc.barStamp[0] = 0
 	sc.nBar = 1
 	sc.prevBar = -1
-	sc.makespanM = stats.Moment{}
 }
 
 // newBarrier appends a barrier with the given parent and independent
@@ -123,91 +121,13 @@ func (sc *MomentScratch) Finish(i int) stats.Moment {
 // Latency returns node i's latency moment after a successful pass.
 func (sc *MomentScratch) Latency(i int) stats.Moment { return sc.lat[i] }
 
-// Makespan returns the makespan moment of the last successful pass.
-func (sc *MomentScratch) Makespan() stats.Moment { return sc.makespanM }
-
-// latMoment returns node i's latency moment, whether the latency is
-// provably non-negative (the precondition for dominance pruning), and
-// whether analytic moments exist at all (Pareto needs alpha > 2, opaque
-// dists must implement stats.Varer).
-func (p *Program) latMoment(i int) (m stats.Moment, nonneg, ok bool) {
-	switch p.op[i] {
-	case opDet:
-		return stats.Moment{Mean: p.p0[i]}, p.p0[i] >= 0, true
-	case opNormal:
-		// Sampling truncates at zero; like stats.Normal.Mean, the moment
-		// ignores the truncation bias (negligible at the sigma/mu ratios
-		// the profiles use, and covered by the tolerance property tests).
-		return stats.Moment{Mean: p.p0[i], Var: p.p1[i] * p.p1[i]}, true, true
-	case opLogNormal:
-		s2 := p.p1[i] * p.p1[i]
-		mean := math.Exp(p.p0[i] + s2/2)
-		return stats.Moment{Mean: mean, Var: (math.Exp(s2) - 1) * mean * mean}, true, true
-	case opUniform:
-		w := p.p1[i] - p.p0[i]
-		return stats.Moment{Mean: (p.p0[i] + p.p1[i]) / 2, Var: w * w / 12}, p.p0[i] >= 0, true
-	case opExp:
-		return stats.Moment{Mean: p.p0[i], Var: p.p0[i] * p.p0[i]}, p.p0[i] >= 0, true
-	case opPareto:
-		al := p.p1[i]
-		if al <= 2 {
-			return stats.Moment{}, false, false
-		}
-		am1 := al - 1
-		return stats.Moment{
-			Mean: p.p0[i] * al / am1,
-			Var:  p.p0[i] * p.p0[i] * al / (am1 * am1 * (al - 2)),
-		}, true, true
-	case opRepeat:
-		d := p.dists[p.aux[i]]
-		base, ok := stats.DistMoment(d)
-		if !ok {
-			return stats.Moment{}, false, false
-		}
-		n := float64(p.cnt[i])
-		return stats.Moment{Mean: base.Mean * n, Var: base.Var * n}, distNonNeg(d), true
-	default:
-		d := p.dists[p.aux[i]]
-		m, ok := stats.DistMoment(d)
-		return m, distNonNeg(d), ok
-	}
-}
-
-// distNonNeg reports whether a distribution provably never samples below
-// zero. Unknown types answer false, which only disables dominance
-// pruning (forcing Monte-Carlo fallback when a pruning step would have
-// been required), never a wrong moment.
-func distNonNeg(d stats.Dist) bool {
-	switch v := d.(type) {
-	case stats.Deterministic:
-		return v.Value >= 0
-	case stats.Normal:
-		return true // Sample truncates at zero
-	case stats.LogNormal:
-		return true
-	case stats.Uniform:
-		return v.Lo >= 0
-	case stats.Exponential:
-		return v.MeanValue >= 0
-	case stats.Pareto:
-		return true
-	case stats.Repeat:
-		return distNonNeg(v.D)
-	case stats.Scaled:
-		return v.Factor >= 0 && distNonNeg(v.D)
-	case stats.Shifted:
-		return v.Offset >= 0 && distNonNeg(v.D)
-	}
-	return false
-}
-
 // SupportsMoments reports whether every latency opcode in the program has
 // finite analytic moments. It is a pure function of the program.
 //
 //rbvet:pure
 func (p *Program) SupportsMoments() bool {
-	for i := 0; i < p.n; i++ {
-		if _, _, ok := p.latMoment(i); !ok {
+	for i := range p.lat {
+		if _, ok := p.lat[i].Moment(); !ok {
 			return false
 		}
 	}
@@ -237,13 +157,13 @@ func (p *Program) SupportsMoments() bool {
 func (p *Program) MomentsInto(sc *MomentScratch) (stats.Moment, bool) {
 	sc.reset(p.n)
 	allNonneg := true
-	for i := 0; i < p.n; i++ {
-		m, nn, ok := p.latMoment(i)
+	for i := range p.lat {
+		m, ok := p.lat[i].Moment()
 		if !ok {
 			return stats.Moment{}, false
 		}
 		sc.lat[i] = m
-		allNonneg = allNonneg && nn
+		allNonneg = allNonneg && p.lat[i].NonNeg()
 	}
 
 	for i := 0; i < p.n; i++ {
@@ -307,7 +227,6 @@ func (p *Program) MomentsInto(sc *MomentScratch) (stats.Moment, bool) {
 			mk = stats.MaxIndep(mk, f)
 		}
 	}
-	sc.makespanM = mk
 	return mk, true
 }
 

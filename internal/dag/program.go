@@ -2,37 +2,20 @@ package dag
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/stats"
 )
 
-// opcode tags one node's latency distribution in a compiled Program. The
-// common distributions are inlined as opcodes with their parameters in
-// flat float64 arrays, so sampling them is a branch-predictable switch
-// with no interface dispatch; anything else falls back to the dist table.
-type opcode uint8
-
-const (
-	opDet       opcode = iota // point mass: p0
-	opNormal                  // max(0, N(p0, p1))
-	opLogNormal               // exp(N(p0, p1))
-	opUniform                 // uniform [p0, p1)
-	opExp                     // exponential with mean p0
-	opPareto                  // pareto(scale=p0, alpha=p1)
-	opRepeat                  // sum of cnt draws from dists[aux]
-	opDist                    // opaque: dists[aux].Sample
-)
-
 // Program is a DAG in flat structure-of-arrays form for repeated
 // Monte-Carlo sampling: dependency edges in CSR layout and latency
-// distributions as tagged-union opcodes with inline parameters. Sampling
-// a Program visits nodes in one linear pass with no per-node pointer
-// chasing and, for the built-in distribution types, no interface calls.
-// Programs are built node by node (NewProgram, Add) or compiled from a
-// reference Graph (Compile, CompileRange). Once built, a Program is
-// immutable and safe for concurrent use by any number of goroutines (each
-// with its own RNG and scratch buffer).
+// distributions compiled to stats.Lat opcodes. Sampling a Program visits
+// nodes in one linear pass with no per-node pointer chasing and, for the
+// built-in distribution types, no interface calls. It is the general
+// reference the simulator's closed-form stage kernel is checked against
+// bit for bit. Programs are built node by node (NewProgram, Add) or
+// compiled from a reference Graph (Compile, CompileRange). Once built, a
+// Program is immutable and safe for concurrent use by any number of
+// goroutines (each with its own RNG and scratch buffer).
 type Program struct {
 	// deps[depLo[i]:depHi[i]] lists node i's dependencies (local node
 	// indices). Consecutive nodes with identical dependency lists share
@@ -40,13 +23,7 @@ type Program struct {
 	// edges once and SampleInto computes their common start once.
 	depLo, depHi []int32
 	deps         []int32
-	op           []opcode
-	p0, p1       []float64
-	// aux indexes dists for opRepeat/opDist nodes (-1 otherwise); cnt is
-	// the draw count for opRepeat nodes.
-	aux   []int32
-	cnt   []int32
-	dists []stats.Dist
+	lat          []stats.Lat
 	// outdeg[i] is node i's successor count within the program — the
 	// moment pass promotes multi-consumer finishes to shared barriers and
 	// takes the makespan over the outdeg-zero sinks.
@@ -57,28 +34,22 @@ type Program struct {
 // NewProgram returns an empty program presized for nodes nodes and edges
 // stored dependency edges (a run of consecutive nodes with one shared
 // dependency list stores it once). One backing array serves every int32
-// column and the edge list, and one serves both float parameter columns,
-// so programs built on the planner's cold path cost a handful of
-// allocations. Exact counts keep it at that; a program still grows past
-// either hint correctly (only the overflowing column is reallocated).
+// column and the edge list, and one the latencies. Exact counts keep a
+// build at a handful of allocations; a program still grows past either
+// hint correctly (only the overflowing column is reallocated).
 func NewProgram(nodes, edges int) *Program {
-	back := make([]int32, 5*nodes+edges)
+	back := make([]int32, 3*nodes+edges)
 	take := func(k int) []int32 {
 		s := back[:k:k]
 		back = back[k:]
 		return s[:0]
 	}
-	params := make([]float64, 2*nodes)
 	return &Program{
 		depLo:  take(nodes),
 		depHi:  take(nodes),
-		aux:    take(nodes),
-		cnt:    take(nodes),
 		outdeg: take(nodes),
 		deps:   take(edges),
-		op:     make([]opcode, 0, nodes),
-		p0:     params[:0:nodes],
-		p1:     params[nodes:nodes],
+		lat:    make([]stats.Lat, 0, nodes),
 	}
 }
 
@@ -152,13 +123,8 @@ func (p *Program) push(lat stats.Dist, lo, hi int32) int32 {
 	id := int32(p.n)
 	p.depLo = append(p.depLo, lo)
 	p.depHi = append(p.depHi, hi)
-	p.op = append(p.op, 0)
-	p.p0 = append(p.p0, 0)
-	p.p1 = append(p.p1, 0)
-	p.aux = append(p.aux, 0)
-	p.cnt = append(p.cnt, 0)
+	p.lat = append(p.lat, stats.CompileLat(lat))
 	p.outdeg = append(p.outdeg, 0)
-	p.compileOp(int(id), lat)
 	p.n++
 	return id
 }
@@ -201,40 +167,6 @@ func CompileRange(g *Graph, lo, hi int) *Program {
 	return p
 }
 
-// compileOp encodes one latency distribution at node slot i.
-func (p *Program) compileOp(i int, d stats.Dist) {
-	p.aux[i] = -1
-	switch v := d.(type) {
-	case stats.Deterministic:
-		p.op[i] = opDet
-		p.p0[i] = v.Value
-	case stats.Normal:
-		p.op[i] = opNormal
-		p.p0[i], p.p1[i] = v.Mu, v.Sigma
-	case stats.LogNormal:
-		p.op[i] = opLogNormal
-		p.p0[i], p.p1[i] = v.Mu, v.Sigma
-	case stats.Uniform:
-		p.op[i] = opUniform
-		p.p0[i], p.p1[i] = v.Lo, v.Hi
-	case stats.Exponential:
-		p.op[i] = opExp
-		p.p0[i] = v.MeanValue
-	case stats.Pareto:
-		p.op[i] = opPareto
-		p.p0[i], p.p1[i] = v.Scale, v.Alpha
-	case stats.Repeat:
-		p.op[i] = opRepeat
-		p.aux[i] = int32(len(p.dists))
-		p.cnt[i] = int32(v.N)
-		p.dists = append(p.dists, v.D)
-	default:
-		p.op[i] = opDist
-		p.aux[i] = int32(len(p.dists))
-		p.dists = append(p.dists, d)
-	}
-}
-
 // Len returns the compiled node count.
 func (p *Program) Len() int { return p.n }
 
@@ -249,8 +181,8 @@ func (p *Program) Sample(r *stats.RNG) ([]Timing, float64) {
 // time of its compiled dependencies — computed once per shared
 // dependency range, since a node sharing the previous node's range
 // starts when it did — and its latency is sampled from the node's
-// opcode. It returns the per-node timings and the makespan.
-// Latency opcodes consume RNG draws exactly as the distributions they
+// compiled stats.Lat. It returns the per-node timings and the makespan.
+// Compiled latencies consume RNG draws exactly as the distributions they
 // encode, so for a full-graph Program the result is bit-identical to
 // Graph.SampleInto with the same generator.
 //
@@ -276,40 +208,7 @@ func (p *Program) SampleInto(r *stats.RNG, buf []Timing) ([]Timing, float64) {
 			}
 			prevLo, prevHi = lo, hi
 		}
-		var lat float64
-		switch p.op[i] {
-		case opDet:
-			lat = p.p0[i]
-		case opNormal:
-			lat = p.p0[i] + p.p1[i]*r.NormFloat64()
-			if lat < 0 {
-				lat = 0
-			}
-		case opLogNormal:
-			lat = math.Exp(p.p0[i] + p.p1[i]*r.NormFloat64())
-		case opUniform:
-			lat = p.p0[i] + (p.p1[i]-p.p0[i])*r.Float64()
-		case opExp:
-			u := r.Float64()
-			if u >= 1 {
-				u = math.Nextafter(1, 0)
-			}
-			lat = -p.p0[i] * math.Log(1-u)
-		case opPareto:
-			u := r.Float64()
-			if u == 0 {
-				u = math.Nextafter(0, 1)
-			}
-			lat = p.p0[i] / math.Pow(u, 1/p.p1[i])
-		case opRepeat:
-			d := p.dists[p.aux[i]]
-			for j := int32(0); j < p.cnt[i]; j++ {
-				lat += d.Sample(r)
-			}
-		default:
-			lat = p.dists[p.aux[i]].Sample(r)
-		}
-		f := start + lat
+		f := start + p.lat[i].Sample(r)
 		timings[i] = Timing{Start: start, Finish: f}
 		if f > makespan {
 			makespan = f

@@ -223,7 +223,7 @@ type restartEntry struct {
 	alloc int
 }
 
-// Opcodes for the run's event dispatcher — the dag.Program compilation
+// Opcodes for the run's event dispatcher — the stats.Lat opcode
 // pattern applied to the training hot loop. Every steady-state event a
 // trial schedules is one of these, carrying (trial, generation) packed
 // into the first operand; firing one goes through vclock's zero-alloc

@@ -155,6 +155,7 @@ func (c Config) validate() error {
 
 // allocStat is the detector state for one per-trial allocation.
 type allocStat struct {
+	pred  float64 // the profile's mean iteration latency, fixed for the controller's life
 	ewma  float64 // EWMA of observed/predicted latency ratio
 	count int     // observations folded in
 }
@@ -333,14 +334,19 @@ func (c *Controller) cooldownOver(now vclock.Time) bool {
 // threshold, cooldown elapsed. The caller decides whether a trigger
 // becomes a Replan (there is nothing to replan in the last stage).
 func (c *Controller) ObserveIteration(gpus int, observed float64, now vclock.Time) bool {
-	pred := c.cfg.Profile.IterDist(gpus).Mean()
+	st := c.stats[gpus]
+	var pred float64
+	if st != nil {
+		pred = st.pred
+	} else {
+		pred = c.cfg.Profile.IterDist(gpus).Mean()
+	}
 	if pred <= 0 || observed < 0 {
 		return false
 	}
 	ratio := observed / pred
-	st := c.stats[gpus]
 	if st == nil {
-		st = &allocStat{ewma: ratio}
+		st = &allocStat{pred: pred, ewma: ratio}
 		c.stats[gpus] = st
 		c.keys = append(c.keys, gpus)
 		sort.Ints(c.keys)
@@ -403,7 +409,7 @@ func (c *Controller) observations() []profiler.Observation {
 		st := c.stats[g]
 		out = append(out, profiler.Observation{
 			GPUs:  g,
-			Mean:  st.ewma * c.cfg.Profile.IterDist(g).Mean(),
+			Mean:  st.ewma * st.pred,
 			Count: st.count,
 		})
 	}

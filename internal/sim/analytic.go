@@ -2,7 +2,6 @@ package sim
 
 import (
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/stats"
 )
 
@@ -26,8 +25,8 @@ type segMoment struct {
 // segmentMoments returns the segment's analytic moments, filling sg.mom
 // on first use. The value is a pure function of the segment (itself a
 // pure function of the simulator configuration and the key), so benign
-// double computation under concurrent misses is harmless. A miss runs
-// its propagation pass on scratch from momentPool.
+// double computation under concurrent misses is harmless. A miss
+// allocates the segMoment it stores and nothing else.
 //
 //rbvet:pure
 func (s *Simulator) segmentMoments(sg *segment) *segMoment {
@@ -37,27 +36,115 @@ func (s *Simulator) segmentMoments(sg *segment) *segMoment {
 	if v != nil {
 		return v
 	}
-	sc := momentPool.Get().(*dag.MomentScratch)
-	defer momentPool.Put(sc)
-	mk, okm := sg.prog.MomentsInto(sc)
-	v = &segMoment{ok: okm}
-	if okm {
-		v.dur = mk
-		if sg.scaleIdx >= 0 {
-			v.scaleFin = sc.Finish(sg.scaleIdx)
-		}
-		// Training GPU-time is the sum of the (independent) train-node
-		// latencies; moments add.
-		for i := sg.trainLo; i < sg.trainHi; i++ {
-			v.trainSec = v.trainSec.AddIndep(sc.Latency(i))
-		}
-	}
+	m := sg.moments()
+	v = &m
 	s.mu.Lock()
 	if sg.mom == nil {
 		sg.mom = v
 	}
 	v = sg.mom
 	s.mu.Unlock()
+	return v
+}
+
+// moments propagates (mean, variance) pairs through the segment's stage
+// in closed form: the analytic counterpart of eval. The propagation
+// treats each finish as a shared barrier plus an independent remainder
+// (see "Barrier decomposition" in DESIGN.md), so a join never
+// double-counts the variance its inputs share, and it reproduces that
+// general barrier pass over the stage's sub-DAG bit for bit. The opening
+// TRAINs start from one barrier b0:
+//
+//   - no growth: time zero;
+//   - one INIT feeding one slot: a plain chain SCALE → INIT → TRAIN,
+//     summed into the TRAIN's own moment;
+//   - one INIT feeding several slots: the INIT's finish;
+//   - several INITs: the SCALE finish plus the iid max over the INITs.
+//
+// The SYNC join over the TRAINs is a single TRAIN's finish, the iid max
+// of the gang when every trial has its own slot, and otherwise a max
+// over the slot tails only: a slot's earlier TRAINs finish no later than
+// its tail when every latency is non-negative, and without that proof
+// the segment reports ok=false. Stochastic joins are moment-matched
+// (stats.MaxIIDMoment for bit-equal siblings, stats.MaxIndep across
+// distinct ones); deterministic stages propagate exactly. ok=false also
+// marks a latency without finite moments. The additions of a zero
+// moment repeat the general pass's arithmetic (time zero as a barrier,
+// the SYNC's zero latency), which can turn −0 into +0.
+//
+//rbvet:pure
+func (sg *segment) moments() segMoment {
+	train, ok := sg.train.Moment()
+	if !ok {
+		return segMoment{}
+	}
+	nonneg := sg.train.NonNeg()
+	var scale, init stats.Moment
+	if sg.grow > 0 {
+		var oks, oki bool
+		scale, oks = sg.scale.Moment()
+		init, oki = sg.init.Moment()
+		if !oks || !oki {
+			return segMoment{}
+		}
+		nonneg = nonneg && sg.scale.NonNeg() && sg.init.NonNeg()
+	}
+
+	v := segMoment{ok: true}
+	// b0 is the opening TRAINs' start barrier and rel0 each opening
+	// TRAIN's finish relative to it.
+	var b0 stats.Moment
+	rel0 := train
+	switch {
+	case sg.grow == 0:
+	case sg.grow == 1 && sg.opening == 1:
+		rel0 = scale.AddIndep(init).AddIndep(train)
+	case sg.grow == 1:
+		b0 = stats.Moment{}.AddIndep(scale.AddIndep(init))
+	default:
+		b0 = stats.Moment{}.AddIndep(scale).AddIndep(stats.MaxIIDMoment(init, sg.grow))
+	}
+	if sg.grow > 0 {
+		v.scaleFin = stats.Moment{}.AddIndep(scale)
+	}
+	// Training GPU-time is the sum of the (independent) TRAIN latencies.
+	for tr := 0; tr < sg.trials; tr++ {
+		v.trainSec = v.trainSec.AddIndep(train)
+	}
+
+	var join stats.Moment // the SYNC's start relative to b0
+	switch {
+	case sg.trials == 1:
+		v.dur = b0.AddIndep(rel0.AddIndep(stats.Moment{}))
+		return v
+	case sg.opening == sg.trials:
+		join = stats.MaxIIDMoment(train, sg.trials)
+	default:
+		if !nonneg {
+			return segMoment{}
+		}
+		// Slots [0, deep) hold q+1 TRAINs, the rest q. Each slot tail's
+		// finish, lifted above b0, is its slot's chain of barriers; the
+		// shallow tails come first in TRAIN order. Bit-equal tails of
+		// both depths form one iid group, as in the general pass.
+		q, deep := sg.trials/sg.opening, sg.trials%sg.opening
+		abs, rel := b0, rel0
+		for k := 1; k < q; k++ {
+			abs, rel = abs.AddIndep(rel), train
+		}
+		shallow := abs.SubIndepPrefix(b0).AddIndep(rel)
+		join = stats.MaxIIDMoment(shallow, sg.opening-deep)
+		if deep > 0 {
+			abs, rel = abs.AddIndep(rel), train
+			tail := abs.SubIndepPrefix(b0).AddIndep(rel)
+			if tail == shallow {
+				join = stats.MaxIIDMoment(shallow, sg.opening)
+			} else {
+				join = stats.MaxIndep(join, stats.MaxIIDMoment(tail, deep))
+			}
+		}
+	}
+	v.dur = b0.AddIndep(join).AddIndep(stats.Moment{})
 	return v
 }
 
@@ -71,8 +158,7 @@ type birthGroup struct {
 }
 
 // AnalyticEval evaluates plans analytically against one Simulator. It
-// owns the compiled-plan buffer and the billing stack (moment misses
-// draw their propagation scratch from momentPool), so it is cheap to
+// owns the compiled-plan buffer and the billing stack, so it is cheap to
 // reuse and must not be shared across goroutines concurrently; create
 // one per search or worker (NewAnalyticEval).
 type AnalyticEval struct {
@@ -104,7 +190,7 @@ func (e *AnalyticEval) release() {
 // Simulator.Estimate's plan validation.
 //
 // The evaluation is exact under deterministic latencies and
-// moment-matched otherwise (see dag.Program.MomentsInto); CostStd
+// moment-matched otherwise (see segment.moments); CostStd
 // additionally treats per-group instance charges as independent, which
 // the validation tests bound. It is deterministic — no RNG is consulted
 // — and a warm call (every segment and its moments in the table)
@@ -156,7 +242,7 @@ func (e *AnalyticEval) price(cp *compiledPlan, moms []*segMoment) (jct, cost sta
 		want := sg.instances
 		if want > alive {
 			sf := stats.Moment{}
-			if sg.scaleIdx >= 0 {
+			if sg.grow > 0 {
 				sf = moms[i].scaleFin
 			}
 			groups = append(groups, birthGroup{pre: pre, sf: sf, count: want - alive})

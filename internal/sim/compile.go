@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/stats"
@@ -25,26 +24,33 @@ type segKey struct {
 	stage, alloc, prev int
 }
 
-// segment is one stage's sub-DAG emitted as a flat program, plus the
-// node metadata the cost model needs to replay a sampled segment against
-// the billing rules. All cross-stage edges of the full execution DAG pass
-// through the single SYNC barrier closing each stage, so a segment
-// evaluates zero-based (the barrier is the implicit time-zero source) and
-// plan-level quantities recombine from per-segment samples. A segment's
-// program and metadata are immutable after construction and safe for
-// concurrent use.
+// segment is one stage's sub-DAG of the execution DAG (§4.2, Figure 7)
+// held in closed form: the stage's fork-join shape and its three
+// compiled latencies, plus the metadata the cost model needs to replay a
+// sampled segment against the billing rules. Every stage has the same
+// shape: a SCALE request and grow parallel INIT_INSTANCEs after it when
+// the cluster grows, trials TRAINs in opening slots, and a closing SYNC
+// barrier. All cross-stage edges of the full execution DAG pass through
+// that single SYNC, so a segment evaluates zero-based (the previous
+// barrier is time zero) and plan-level quantities recombine from
+// per-segment samples. A segment's shape and latencies are immutable
+// after construction and safe for concurrent use.
 type segment struct {
-	key  segKey
-	prog *dag.Program
+	key segKey
+	// grow is the INIT_INSTANCE count, one per instance the cluster
+	// grows by; 0 means the stage opens without a SCALE request.
+	grow int
+	// trials TRAINs run in opening slots: TRAIN tr runs in slot
+	// tr % opening, the first opening TRAINs after every INIT and each
+	// later one after its slot's previous TRAIN.
+	trials, opening int
+	// trainGPUs is the per-trial GPU count every TRAIN shares.
+	trainGPUs int
 	// instances is the cluster size (machines) during the stage.
 	instances int
-	// scaleIdx is the program-local index of the SCALE node, -1 when the
-	// cluster does not grow into this stage.
-	scaleIdx int
-	// trainLo/trainHi bound the contiguous program-local TRAIN node range;
-	// trainGPUs is the per-trial GPU count shared by every node in it.
-	trainLo, trainHi int
-	trainGPUs        int
+	// scale, init and train are the SCALE, INIT_INSTANCE and TRAIN
+	// latencies (SYNC takes none).
+	scale, init, train stats.Lat
 
 	// samples (segment mode) and mom are filled on first use under
 	// Simulator.mu and never change afterwards. mom is filled in analytic
@@ -64,20 +70,64 @@ type segSample struct {
 	dur, scaleFin, trainSec float64
 }
 
-// eval draws one execution of the segment, reusing buf as scratch, and
-// condenses it to its segSample.
+// eval draws one execution of the segment and condenses it to its
+// segSample. It samples the stage's nodes in DAG order — SCALE, the
+// INITs, then the TRAINs — and, exactly as a node-by-node pass over the
+// sub-DAG would, starts each node at the largest of zero and its
+// dependencies' finishes and takes the span as the largest finish. fin
+// is scratch for each slot's latest TRAIN finish, reused when it holds
+// opening slots and returned for the next draw.
 //
 //rbvet:pure
-func (sg *segment) eval(r *stats.RNG, buf []dag.Timing) (segSample, []dag.Timing) {
-	timings, dur := sg.prog.SampleInto(r, buf)
-	out := segSample{dur: dur}
-	if sg.scaleIdx >= 0 {
-		out.scaleFin = timings[sg.scaleIdx].Finish
+//rbvet:noalloc
+func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
+	if cap(fin) < sg.opening {
+		//rbvet:ignore noalloc — cold path: grows once per worker slot to the widest stage; steady-state draws reuse fin
+		fin = make([]float64, sg.opening)
 	}
-	for _, t := range timings[sg.trainLo:sg.trainHi] {
-		out.trainSec += t.Finish - t.Start
+	fin = fin[:sg.opening]
+	var out segSample
+	var span, open float64 // largest finish so far; the opening TRAINs' start
+	if sg.grow > 0 {
+		var start float64 // the INITs' start, once the SCALE finishes
+		out.scaleFin = start + sg.scale.Sample(r)
+		if out.scaleFin > start {
+			start = out.scaleFin
+		}
+		span = start
+		for k := 0; k < sg.grow; k++ {
+			f := start + sg.init.Sample(r)
+			if f > open {
+				open = f
+			}
+		}
+		if open > span {
+			span = open
+		}
 	}
-	return out, timings
+	slot := 0
+	for tr := 0; tr < sg.trials; tr++ {
+		start := open
+		if tr >= sg.opening {
+			start = 0
+			if f := fin[slot]; f > 0 {
+				start = f
+			}
+		}
+		f := start + sg.train.Sample(r)
+		fin[slot] = f
+		out.trainSec += f - start
+		if f > span {
+			span = f
+		}
+		if slot++; slot == sg.opening {
+			slot = 0
+		}
+	}
+	// The SYNC barrier finishes at the latest TRAIN finish, already in
+	// span.
+	out.dur = span
+	return out, fin
 }
 
 // compiledPlan is a plan resolved to its per-stage segments plus the
@@ -114,7 +164,7 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 // ever used (by the DAG builder, the placement sizing, and the billing),
 // so every allocation in [k·trials, (k+1)·trials) executes identically
 // to k·trials. Keying segments by the representative makes equivalent
-// allocations share compiled programs, sample vectors, and — because
+// allocations share segments, sample vectors, and — because
 // segStream hashes the key — the exact same common random numbers, which
 // is what lets the planner deduplicate symmetric frontier candidates
 // without changing any estimate.
@@ -129,7 +179,7 @@ func canonAlloc(alloc, trials int) int {
 // behavioral representative under this simulator's spec — each stage
 // allocation mapped through canonAlloc — to b. Two plans with equal
 // canonical keys produce bit-identical estimates in both estimator modes,
-// which derive programs, sample vectors, moments and RNG streams from the
+// which derive segments, sample vectors, moments and RNG streams from the
 // canonical segment tuples only. The planner's frontier deduplication
 // memos on this key. Stages beyond the spec pass through unmapped (such
 // plans fail validation at estimation time anyway).
@@ -166,22 +216,23 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 	return sg
 }
 
-// buildSegment emits one stage's zero-based sub-DAG of the execution DAG
-// (§4.2, Figure 7) directly as a flat program. The stage opens with a
-// blocking SCALE node plus parallel INIT_INSTANCE nodes if the cluster
-// must grow, runs parallel TRAIN nodes (chained serially by slot when the
-// stage has fewer GPUs than trials), and closes with a SYNC barrier; the
-// previous stage's SYNC is the implicit time-zero source. The cluster is
-// sized the way the placement controller packs it (co-located trials), so
-// predicted instance counts, and with them per-instance cost, match
-// execution. Deprovisioning is a zero-latency, zero-cost event and is not
-// represented (the cost model's per-stage instance counts account for it).
+// buildSegment resolves one stage's zero-based sub-DAG of the execution
+// DAG (§4.2, Figure 7) to its shape and compiled latencies. The stage
+// opens with a blocking SCALE request plus parallel INIT_INSTANCEs if the
+// cluster must grow, runs parallel TRAINs (chained serially by slot when
+// the stage has fewer GPUs than trials), and closes with a SYNC barrier;
+// the previous stage's SYNC is the implicit time-zero source. The cluster
+// is sized the way the placement controller packs it (co-located
+// trials), so predicted instance counts, and with them per-instance cost,
+// match execution. Deprovisioning is a zero-latency, zero-cost event and
+// is not represented (the cost model's per-stage instance counts account
+// for it). The segment record is the build's only allocation.
 //
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) *segment {
 	st := s.spec.Stage(key.stage)
 	gpn := s.cloud.Instance.GPUs
-	per := 1 // GPUs per TRAIN node
+	per := 1 // GPUs per TRAIN
 	var need int
 	if key.alloc >= st.Trials {
 		per = key.alloc / st.Trials
@@ -189,50 +240,16 @@ func (s *Simulator) buildSegment(key segKey) *segment {
 	} else {
 		need = placement.NodesNeeded(key.alloc, 1, gpn)
 	}
-	grow := max(need-key.prev, 0)
-
-	// Node IDs are contiguous: SCALE, grow INITs, the TRAINs, then SYNC.
-	// Every dependency list is therefore a span of consecutive IDs: the
-	// SCALE for an INIT, the INITs for a stage-opening TRAIN, one slot
-	// predecessor for a queued TRAIN, every TRAIN for SYNC. Runs of
-	// consecutive nodes with the same span (the INITs, the stage-opening
-	// TRAINs) store it once.
-	var initLo, trainLo int32 // the INITs are [initLo, trainLo), empty without growth
-	if grow > 0 {
-		initLo, trainLo = 1, int32(1+grow)
-	}
-	trainHi := trainLo + int32(st.Trials)
-	opening := min(key.alloc, st.Trials) // TRAINs starting on the INITs; the rest queue
-	edges := 2*st.Trials - opening       // SYNC span, queued TRAINs
-	if grow > 0 {
-		edges += 1 + grow // INIT -> SCALE, opening TRAIN -> INITs
-	}
-	prog := dag.NewProgram(int(trainHi)+1, edges)
-	scaleIdx := -1
-	if grow > 0 {
-		scaleIdx = int(prog.AddSpan(s.cloud.Overheads.QueueDelay, 0, 0))
-		for k := 0; k < grow; k++ {
-			prog.AddSpan(s.cloud.Overheads.InitLatency, 0, 1)
-		}
-	}
-	trainDist := sumIters(s.profile.IterDist(per), st.Iters)
-	for tr := int32(0); tr < int32(st.Trials); tr++ {
-		if slot := tr - int32(opening); slot >= 0 {
-			prog.AddSpan(trainDist, trainLo+slot, trainLo+slot+1) // after the slot's previous TRAIN
-		} else {
-			prog.AddSpan(trainDist, initLo, trainLo)
-		}
-	}
-	prog.AddSpan(stats.Deterministic{Value: 0}, trainLo, trainHi)
-
 	return &segment{
 		key:       key,
-		prog:      prog,
-		instances: need,
-		scaleIdx:  scaleIdx,
-		trainLo:   int(trainLo),
-		trainHi:   int(trainHi),
+		grow:      max(need-key.prev, 0),
+		trials:    st.Trials,
+		opening:   min(key.alloc, st.Trials),
 		trainGPUs: per,
+		instances: need,
+		scale:     stats.CompileLat(s.cloud.Overheads.QueueDelay),
+		init:      stats.CompileLat(s.cloud.Overheads.InitLatency),
+		train:     stats.SumLat(s.profile.IterDist(per), st.Iters),
 	}
 }
 
@@ -249,7 +266,7 @@ func (s *Simulator) segStream(key segKey) (r stats.RNG) {
 // filling sg.samples on first use. Sample k always draws from the k-th
 // stream of the tuple's family and slots are index-addressed, so the
 // vector is bit-identical at any worker count. The vector is the fill's
-// only allocation: streams and timing buffers come from fillPool.
+// only allocation: streams and slot-finish buffers come from fillPool.
 func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	s.mu.Lock()
 	v := sg.samples
@@ -336,7 +353,7 @@ func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, b
 		want := sg.instances
 		if want > len(alive) {
 			birth := stageStart
-			if sg.scaleIdx >= 0 {
+			if sg.grow > 0 {
 				birth = stageStart + row.scaleFin // after queueing
 			}
 			for len(alive) < want {

@@ -2,10 +2,10 @@ package sim
 
 import "fmt"
 
-// EstimatorMode selects how Estimate evaluates a plan's compiled stage
-// segments: by recombining their cached Monte-Carlo sample vectors, or by
+// EstimatorMode selects how Estimate evaluates a plan's stage segments:
+// by recombining their cached Monte-Carlo sample vectors, or by
 // propagating analytic moments through them. Both modes read the same
-// compiled segment programs, so under fully deterministic latency
+// stage kernels, so under fully deterministic latency
 // profiles they agree to float round-off, and under stochastic profiles
 // to Monte-Carlo tolerance plus the moment-matching bias.
 type EstimatorMode int
@@ -21,8 +21,8 @@ const (
 	// is correlated away rather than added in quadrature.
 	EstimatorSegment EstimatorMode = iota
 	// EstimatorAnalytic draws no samples at all: it propagates
-	// (mean, variance) moments through the compiled segment programs
-	// (dag.Program.MomentsInto) and recombines them against an analytic
+	// (mean, variance) moments through the stage segments in closed form
+	// (segment.moments) and recombines them against an analytic
 	// billing model, yielding an estimate in microseconds. It agrees with
 	// the segment mode exactly under deterministic latencies and to
 	// statistical tolerance otherwise. Plans whose latencies lack finite

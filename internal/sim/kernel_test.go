@@ -1,0 +1,334 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/dag"
+	"repro/internal/placement"
+	"repro/internal/spec"
+	"repro/internal/stats"
+)
+
+// This file checks the closed-form stage kernel (segment.eval and
+// segment.moments) against the general reference it replaced: the same
+// stage emitted node by node as a dag.Program, sampled by
+// Program.SampleInto and moment-propagated by Program.MomentsInto.
+
+// refSegment is one stage as a general dag.Program, with the node
+// indices that condense a sampled schedule to a segSample.
+type refSegment struct {
+	prog *dag.Program
+	// scaleIdx is the SCALE node, -1 when the cluster does not grow;
+	// [trainLo, trainHi) are the TRAIN nodes.
+	scaleIdx, trainLo, trainHi int
+}
+
+// refProgram emits key's stage as a program in DAG node order: SCALE and
+// the INITs when the cluster grows, the TRAINs (queued ones after their
+// slot's previous TRAIN), then SYNC over every TRAIN.
+func refProgram(s *Simulator, key segKey) *refSegment {
+	st := s.spec.Stage(key.stage)
+	gpn := s.cloud.Instance.GPUs
+	per := 1
+	var need int
+	if key.alloc >= st.Trials {
+		per = key.alloc / st.Trials
+		need = placement.NodesNeeded(st.Trials, per, gpn)
+	} else {
+		need = placement.NodesNeeded(key.alloc, 1, gpn)
+	}
+	grow := max(need-key.prev, 0)
+	var initLo, trainLo int32 // the INITs are [initLo, trainLo)
+	if grow > 0 {
+		initLo, trainLo = 1, int32(1+grow)
+	}
+	trainHi := trainLo + int32(st.Trials)
+	opening := min(key.alloc, st.Trials)
+	edges := 2*st.Trials - opening
+	if grow > 0 {
+		edges += 1 + grow
+	}
+	prog := dag.NewProgram(int(trainHi)+1, edges)
+	rs := &refSegment{prog: prog, scaleIdx: -1, trainLo: int(trainLo), trainHi: int(trainHi)}
+	if grow > 0 {
+		rs.scaleIdx = int(prog.AddSpan(s.cloud.Overheads.QueueDelay, 0, 0))
+		for k := 0; k < grow; k++ {
+			prog.AddSpan(s.cloud.Overheads.InitLatency, 0, 1)
+		}
+	}
+	trainDist := sumIters(s.profile.IterDist(per), st.Iters)
+	for tr := int32(0); tr < int32(st.Trials); tr++ {
+		if slot := tr - int32(opening); slot >= 0 {
+			prog.AddSpan(trainDist, trainLo+slot, trainLo+slot+1)
+		} else {
+			prog.AddSpan(trainDist, initLo, trainLo)
+		}
+	}
+	prog.AddSpan(stats.Deterministic{Value: 0}, trainLo, trainHi)
+	return rs
+}
+
+// eval samples the program and condenses the schedule to a segSample.
+func (rs *refSegment) eval(r *stats.RNG, buf []dag.Timing) (segSample, []dag.Timing) {
+	timings, dur := rs.prog.SampleInto(r, buf)
+	out := segSample{dur: dur}
+	if rs.scaleIdx >= 0 {
+		out.scaleFin = timings[rs.scaleIdx].Finish
+	}
+	for _, t := range timings[rs.trainLo:rs.trainHi] {
+		out.trainSec += t.Finish - t.Start
+	}
+	return out, timings
+}
+
+// moments propagates the program's moments and condenses them to a
+// segMoment.
+func (rs *refSegment) moments() segMoment {
+	var sc dag.MomentScratch
+	mk, ok := rs.prog.MomentsInto(&sc)
+	if !ok {
+		return segMoment{}
+	}
+	v := segMoment{ok: true, dur: mk}
+	if rs.scaleIdx >= 0 {
+		v.scaleFin = sc.Finish(rs.scaleIdx)
+	}
+	for i := rs.trainLo; i < rs.trainHi; i++ {
+		v.trainSec = v.trainSec.AddIndep(sc.Latency(i))
+	}
+	return v
+}
+
+// distProfile is a training profile with one stored iteration latency at
+// every allocation; returning the stored interface boxes nothing.
+type distProfile struct{ d stats.Dist }
+
+func (p distProfile) IterDist(int) stats.Dist { return p.d }
+
+// kernelSim returns a simulator over a four-stage spec of 24, 9, 2 and 1
+// trials on gpn-GPU instances.
+func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Simulator {
+	t.Helper()
+	s, err := spec.New(spec.Stage{Trials: 24, Iters: 3}, spec.Stage{Trials: 9, Iters: 2},
+		spec.Stage{Trials: 2, Iters: 4}, spec.Stage{Trials: 1, Iters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := DefaultCloudProfile()
+	cp.Instance.GPUs = gpn
+	cp.Overheads = oh
+	sm, err := New(s, distProfile{train}, cp, 3, stats.NewRNG(uint64(gpn)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sm
+}
+
+// sameBits reports whether two moments are bitwise equal.
+func sameBits(a, b stats.Moment) bool {
+	return math.Float64bits(a.Mean) == math.Float64bits(b.Mean) && math.Float64bits(a.Var) == math.Float64bits(b.Var)
+}
+
+// TestStageKernelMatchesProgram: for every stage shape the simulator can
+// emit — each allocation up to three times the trial count, every carried
+// instance count up to 10, three instance sizes — and for every latency
+// opcode, the kernel draws the same segSample as the reference program
+// bitwise on several streams, and propagates the same moments bitwise,
+// including ok=false where moments do not exist or a queued stage cannot
+// prove its latencies non-negative.
+func TestStageKernelMatchesProgram(t *testing.T) {
+	trains := []stats.Dist{
+		stats.Normal{Mu: 30, Sigma: 4},
+		stats.LogNormal{Mu: 3, Sigma: 0.3},
+		stats.Deterministic{Value: 20},
+		stats.Deterministic{Value: 0}, // slot tails of both depths are bit-equal: the groups merge
+		stats.Uniform{Lo: 5, Hi: 9},
+		stats.Uniform{Lo: -2, Hi: 6}, // not provably non-negative
+		stats.Exponential{MeanValue: 10},
+		stats.Pareto{Scale: 2, Alpha: 3},
+		stats.Pareto{Scale: 2, Alpha: 1.5}, // no finite variance
+	}
+	overheads := []cloud.Overheads{
+		{QueueDelay: stats.Exponential{MeanValue: 5}, InitLatency: stats.Normal{Mu: 15, Sigma: 3}},
+		{QueueDelay: stats.Deterministic{Value: 0}, InitLatency: stats.Deterministic{Value: 0}},
+		{QueueDelay: stats.LogNormal{Mu: 1, Sigma: 0.5}, InitLatency: stats.Uniform{Lo: 2, Hi: 4}},
+		{QueueDelay: stats.Pareto{Scale: 1, Alpha: 3}, InitLatency: stats.Exponential{MeanValue: 3}},
+		{QueueDelay: stats.Deterministic{Value: 4}, InitLatency: stats.Uniform{Lo: -1, Hi: 3}},
+	}
+	const streams = 3
+	var shapes, finite int
+	for _, gpn := range []int{1, 4, 8} {
+		for ti, train := range trains {
+			for oi, oh := range overheads {
+				sm := kernelSim(t, gpn, train, oh)
+				for stage := 0; stage < sm.spec.NumStages(); stage++ {
+					trials := sm.spec.Stage(stage).Trials
+					for alloc := 1; alloc <= 3*trials; alloc++ {
+						for prev := 0; prev <= 10; prev++ {
+							key := segKey{stage: stage, alloc: alloc, prev: prev}
+							name := fmt.Sprintf("gpn %d train %d overheads %d key %+v", gpn, ti, oi, key)
+							sg, ref := sm.buildSegment(key), refProgram(sm, key)
+							if sg.nodes() != ref.prog.Len() {
+								t.Fatalf("%s: kernel has %d nodes, program %d", name, sg.nodes(), ref.prog.Len())
+							}
+							base := sm.segStream(key)
+							var fin []float64
+							var buf []dag.Timing
+							for k := uint64(0); k < streams; k++ {
+								var got, want segSample
+								got, fin = sg.eval(base.Stream(k), fin)
+								want, buf = ref.eval(base.Stream(k), buf)
+								if math.Float64bits(got.dur) != math.Float64bits(want.dur) ||
+									math.Float64bits(got.scaleFin) != math.Float64bits(want.scaleFin) ||
+									math.Float64bits(got.trainSec) != math.Float64bits(want.trainSec) {
+									t.Fatalf("%s stream %d: kernel draws %+v, program %+v", name, k, got, want)
+								}
+							}
+							got, want := sg.moments(), ref.moments()
+							if got.ok != want.ok || !sameBits(got.dur, want.dur) ||
+								!sameBits(got.scaleFin, want.scaleFin) || !sameBits(got.trainSec, want.trainSec) {
+								t.Fatalf("%s: kernel moments %+v, program %+v", name, got, want)
+							}
+							if u, isU := train.(stats.Uniform); isU && u.Lo < 0 && sg.opening < sg.trials && got.ok {
+								t.Fatalf("%s: queued stage with a possibly negative TRAIN reports moments", name)
+							}
+							shapes++
+							if got.ok {
+								finite++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if finite == 0 || finite == shapes {
+		t.Fatalf("%d of %d shapes have finite moments; the sweep must cover both outcomes", finite, shapes)
+	}
+	t.Logf("%d segment shapes, %d with finite moments", shapes, finite)
+}
+
+// TestSumLatMatchesSumIters: the compiled iteration total draws and
+// propagates exactly what compiling the reference distribution does.
+func TestSumLatMatchesSumIters(t *testing.T) {
+	for _, d := range []stats.Dist{
+		stats.Deterministic{Value: 2}, stats.Normal{Mu: 3, Sigma: 1},
+		stats.Exponential{MeanValue: 1}, stats.LogNormal{Mu: 1, Sigma: 0.2},
+	} {
+		for _, n := range []int{0, 1, 7, 100} {
+			got, want := stats.SumLat(d, n), stats.CompileLat(sumIters(d, n))
+			if got != want {
+				t.Fatalf("%v x %d: SumLat %+v, compiled sumIters %+v", d, n, got, want)
+			}
+		}
+	}
+}
+
+// TestColdSegmentBuildAllocatesOnlySegment: building a segment allocates
+// the segment record and nothing else (the profile here returns a stored
+// distribution, so the profile boxes nothing either).
+func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
+	sm := kernelSim(t, 4, stats.Normal{Mu: 30, Sigma: 4}, cloud.DefaultOverheads())
+	for _, key := range []segKey{{0, 24, 0}, {0, 7, 3}, {1, 18, 2}, {3, 1, 0}} {
+		if allocs := testing.AllocsPerRun(50, func() { sm.buildSegment(key) }); allocs != 1 {
+			t.Fatalf("building segment %+v allocates %v, want 1", key, allocs)
+		}
+	}
+}
+
+// TestColdMomentFillAllocatesOnlySegMoment: a moment miss allocates the
+// segMoment it stores and nothing else.
+func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
+	sm := modeSim(t, 20, 1, 31, EstimatorAnalytic)
+	var segs []*segment
+	for _, p := range testPlans(sm) {
+		var cp compiledPlan
+		if err := sm.compile(p, &cp); err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, cp.segs...)
+	}
+	fill := func() {
+		for _, sg := range segs {
+			sg.mom = nil
+			sm.segmentMoments(sg)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, fill); allocs != float64(len(segs)) {
+		t.Fatalf("cold moment fills of %d segments allocate %v, want one segMoment each", len(segs), allocs)
+	}
+}
+
+// benchSegments returns the distinct segments of the test plans on a
+// stochastic simulator.
+func benchSegments(b *testing.B) (*Simulator, []segKey) {
+	sm := stochasticSim(b, 20, 1, 7)
+	var keys []segKey
+	for _, p := range testPlans(sm) {
+		var cp compiledPlan
+		if err := sm.compile(p, &cp); err != nil {
+			b.Fatal(err)
+		}
+		for _, sg := range cp.segs {
+			keys = append(keys, sg.key)
+		}
+	}
+	return sm, keys
+}
+
+// Benchmark results land in these package-level sinks so the compiler
+// cannot drop the measured calls.
+var (
+	segSink    *segment
+	sampleSink segSample
+	momentSink segMoment
+)
+
+// BenchmarkSegmentBuild measures resolving a stage to its kernel.
+func BenchmarkSegmentBuild(b *testing.B) {
+	sm, keys := benchSegments(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, key := range keys {
+			segSink = sm.buildSegment(key)
+		}
+	}
+}
+
+// BenchmarkSegmentSample measures one Monte-Carlo draw of each segment.
+func BenchmarkSegmentSample(b *testing.B) {
+	sm, keys := benchSegments(b)
+	segs := make([]*segment, len(keys))
+	for i, key := range keys {
+		segs[i] = sm.buildSegment(key)
+	}
+	r := stats.NewRNG(1)
+	var fin []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sg := range segs {
+			sampleSink, fin = sg.eval(r, fin)
+		}
+	}
+}
+
+// BenchmarkSegmentMoments measures one moment propagation per segment.
+func BenchmarkSegmentMoments(b *testing.B) {
+	sm, keys := benchSegments(b)
+	segs := make([]*segment, len(keys))
+	for i, key := range keys {
+		segs[i] = sm.buildSegment(key)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sg := range segs {
+			momentSink = sg.moments()
+		}
+	}
+}

@@ -22,8 +22,8 @@ type fullDAG struct {
 	// lo[i] is stage i's first node ID; lo[stages] is the node count.
 	lo []int
 	// scaleID[i] is the SCALE node issued before stage i, -1 if the
-	// cluster does not grow into it.
-	scaleID []int
+	// cluster does not grow into it, and grow[i] its INIT_INSTANCE count.
+	scaleID, grow []int
 	// syncID[i] is stage i's closing SYNC barrier.
 	syncID []int
 	// instances[i] is the cluster size (instance count) during stage i.
@@ -73,6 +73,7 @@ func buildFullDAG(s *Simulator, p Plan) (*fullDAG, error) {
 			// complete and the new instances are ready.
 			stageDeps = append(append([]int(nil), frontier...), inits...)
 		}
+		b.grow = append(b.grow, max(need-curInstances, 0))
 		curInstances = need
 		b.scaleID = append(b.scaleID, scaleID)
 		b.instances = append(b.instances, need)
@@ -142,7 +143,7 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 	for i := 0; i < stages; i++ {
 		cp.segs = append(cp.segs, &segment{
 			instances: b.instances[i],
-			scaleIdx:  b.scaleID[i],
+			grow:      b.grow[i],
 			trainGPUs: b.graph.Node(b.trainIDs[i][0]).GPUs,
 		})
 		cp.maxInstances = max(cp.maxInstances, b.instances[i])
@@ -186,8 +187,35 @@ func algorithm1Breakdown(t testing.TB, s *Simulator, p Plan) []StageEstimate {
 	return s.breakdown(cp, rows, p)
 }
 
+// sumIters is the latency distribution of n i.i.d. iterations drawn from
+// d, the reference for stats.SumLat: normal and deterministic iteration
+// latencies collapse analytically, others sum draws via stats.Repeat.
+func sumIters(d stats.Dist, n int) stats.Dist {
+	if n < 0 {
+		panic("sim: negative iteration count")
+	}
+	switch v := d.(type) {
+	case stats.Deterministic:
+		return stats.Deterministic{Value: float64(n) * v.Value}
+	case stats.Normal:
+		return stats.Normal{Mu: float64(n) * v.Mu, Sigma: math.Sqrt(float64(n)) * v.Sigma}
+	default:
+		return stats.Repeat{D: d, N: n}
+	}
+}
+
+// nodes returns the node count of the segment's stage: SCALE and the
+// INITs when the cluster grows, the TRAINs, and SYNC.
+func (sg *segment) nodes() int {
+	n := sg.trials + 1
+	if sg.grow > 0 {
+		n += 1 + sg.grow
+	}
+	return n
+}
+
 // fullDAGChecked builds the plan's full execution DAG and checks that
-// each stage's compiled segment holds exactly that stage's nodes.
+// each stage's segment has exactly that stage's nodes.
 func fullDAGChecked(t *testing.T, sm *Simulator, p Plan) *dag.Graph {
 	t.Helper()
 	b, err := buildFullDAG(sm, p)
@@ -199,7 +227,7 @@ func fullDAGChecked(t *testing.T, sm *Simulator, p Plan) *dag.Graph {
 		t.Fatal(err)
 	}
 	for i, sg := range cp.segs {
-		if got, want := sg.prog.Len(), b.lo[i+1]-b.lo[i]; got != want {
+		if got, want := sg.nodes(), b.lo[i+1]-b.lo[i]; got != want {
 			t.Errorf("plan %v stage %d: segment has %d nodes, full DAG stage has %d", p, i, got, want)
 		}
 	}
@@ -236,16 +264,16 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 		}
 		for i, sg := range cp.segs {
 			r := ref.segs[i]
-			if sg.instances != r.instances || (sg.scaleIdx >= 0) != (r.scaleIdx >= 0) || sg.trainGPUs != r.trainGPUs {
-				t.Fatalf("plan %v stage %d: segment metadata {inst %d scale %d gpus %d}, full DAG {inst %d scale %d gpus %d}",
-					plan, i, sg.instances, sg.scaleIdx, sg.trainGPUs, r.instances, r.scaleIdx, r.trainGPUs)
+			if sg.instances != r.instances || sg.grow != r.grow || sg.trainGPUs != r.trainGPUs {
+				t.Fatalf("plan %v stage %d: segment metadata {inst %d grow %d gpus %d}, full DAG {inst %d grow %d gpus %d}",
+					plan, i, sg.instances, sg.grow, sg.trainGPUs, r.instances, r.grow, r.trainGPUs)
 			}
 		}
 		if cp.maxInstances != ref.maxInstances {
 			t.Fatalf("plan %v: peak instances %d, full DAG %d", plan, cp.maxInstances, ref.maxInstances)
 		}
 		base := planStream(sm, plan)
-		var buf []dag.Timing
+		var buf []float64
 		for k := 0; k < sm.samples; k++ {
 			r := base.Stream(uint64(k))
 			for i, sg := range cp.segs {
@@ -260,9 +288,9 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 	}
 }
 
-// TestSegmentProgramsMatchFullDAG: the program buildSegment emits for
-// each stage is the program CompileRange cuts from the plan's full
-// execution DAG at that stage's bounds, exactly. Driven from the same
+// TestSegmentProgramsMatchFullDAG: each stage's kernel draws and
+// propagates exactly what the program CompileRange cuts from the plan's
+// full execution DAG at that stage's bounds does. Driven from the same
 // stream, both give the same segSample bit for bit, and both propagate
 // the same duration, SCALE-finish and training-time moments.
 func TestSegmentProgramsMatchFullDAG(t *testing.T) {
@@ -284,8 +312,7 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 		}
 		for i, sg := range cp.segs {
 			lo := b.lo[i]
-			ref := &segment{
-				key:      sg.key,
+			ref := &refSegment{
 				prog:     dag.CompileRange(b.graph, lo, b.lo[i+1]),
 				scaleIdx: b.scaleID[i],
 				trainLo:  b.trainIDs[i][0] - lo,
@@ -294,23 +321,24 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 			if ref.scaleIdx >= 0 {
 				ref.scaleIdx -= lo
 			}
-			if sg.prog.Len() != ref.prog.Len() || sg.scaleIdx != ref.scaleIdx || sg.trainLo != ref.trainLo || sg.trainHi != ref.trainHi {
-				t.Fatalf("plan %v stage %d: segment {len %d scale %d train [%d,%d)}, full DAG {len %d scale %d train [%d,%d)}",
-					plan, i, sg.prog.Len(), sg.scaleIdx, sg.trainLo, sg.trainHi, ref.prog.Len(), ref.scaleIdx, ref.trainLo, ref.trainHi)
+			if sg.nodes() != ref.prog.Len() || sg.trials != ref.trainHi-ref.trainLo {
+				t.Fatalf("plan %v stage %d: segment {nodes %d trials %d}, full DAG {nodes %d trials %d}",
+					plan, i, sg.nodes(), sg.trials, ref.prog.Len(), ref.trainHi-ref.trainLo)
 			}
 			base := sm.segStream(sg.key)
-			var gbuf, wbuf []dag.Timing
+			var fin []float64
+			var wbuf []dag.Timing
 			for k := 0; k < sm.samples; k++ {
 				var got, want segSample
-				got, gbuf = sg.eval(base.Stream(uint64(k)), gbuf)
+				got, fin = sg.eval(base.Stream(uint64(k)), fin)
 				want, wbuf = ref.eval(base.Stream(uint64(k)), wbuf)
 				if got != want {
-					t.Fatalf("plan %v stage %d draw %d: segment %+v, CompileRange %+v", plan, i, k, got, want)
+					t.Fatalf("plan %v stage %d draw %d: kernel %+v, CompileRange %+v", plan, i, k, got, want)
 				}
 			}
-			got, want := sm.segmentMoments(sg), sm.segmentMoments(ref)
-			if *got != *want {
-				t.Fatalf("plan %v stage %d: segment moments %+v, CompileRange %+v", plan, i, *got, *want)
+			got, want := sm.segmentMoments(sg), ref.moments()
+			if *got != want {
+				t.Fatalf("plan %v stage %d: kernel moments %+v, CompileRange %+v", plan, i, *got, want)
 			}
 			if got.ok {
 				analytic++

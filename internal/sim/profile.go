@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cloud"
 	"repro/internal/model"
@@ -65,7 +64,7 @@ func (p MeasuredTrainProfile) IterDist(gpus int) stats.Dist {
 // plan against it. Deterministic and Normal base distributions scale in
 // closed form (multiplying a truncated normal's sample by a positive
 // factor equals sampling the scaled parameters), so scaled profiles stay
-// on the DAG compiler's inline opcodes; anything else falls back to
+// on stats.Lat's inline opcodes; anything else falls back to
 // stats.Scaled.
 type ScaledTrainProfile struct {
 	Base   TrainProfile
@@ -120,28 +119,5 @@ func DefaultCloudProfile() CloudProfile {
 		Instance:  it,
 		Pricing:   cloud.DefaultPricing(),
 		Overheads: cloud.DefaultOverheads(),
-	}
-}
-
-// sumIters returns the distribution of the total latency of n i.i.d.
-// iterations drawn from d. Normal and deterministic iteration latencies
-// collapse analytically (sum of n normals is N(nμ, √n·σ)), which keeps
-// simulation cost independent of iteration counts; other distributions
-// fall back to stats.Repeat, drawing n samples per evaluation. Every
-// returned type is one dag.Program.Add encodes as an inline opcode,
-// keeping interface dispatch off the Monte-Carlo hot path.
-func sumIters(d stats.Dist, n int) stats.Dist {
-	if n < 0 {
-		panic("sim: negative iteration count")
-	}
-	switch v := d.(type) {
-	case stats.Deterministic:
-		return stats.Deterministic{Value: float64(n) * v.Value}
-	case stats.Normal:
-		// Truncation at zero matches stats.Normal.Sample, which is what
-		// the per-iteration draw would have applied n times.
-		return stats.Normal{Mu: float64(n) * v.Mu, Sigma: math.Sqrt(float64(n)) * v.Sigma}
-	default:
-		return stats.Repeat{D: d, N: n}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"sync"
 
-	"repro/internal/dag"
 	"repro/internal/stats"
 )
 
@@ -18,10 +17,9 @@ var (
 	// estPool holds segment-mode Estimate's compiled plan, sample rows
 	// and pricing columns.
 	estPool = sync.Pool{New: func() any { return new(estScratch) }}
-	// fillPool holds a sample fill's per-worker RNG and timing slots.
+	// fillPool holds a sample fill's per-worker RNG and slot-finish
+	// buffers.
 	fillPool = sync.Pool{New: func() any { return new(fillScratch) }}
-	// momentPool holds the propagation pass of a segment-moment miss.
-	momentPool = sync.Pool{New: func() any { return new(dag.MomentScratch) }}
 	// evalPool holds analytic-mode Estimate's evaluators, rebound to the
 	// calling Simulator on every use.
 	evalPool = sync.Pool{New: func() any { return new(AnalyticEval) }}
@@ -44,10 +42,11 @@ func (es *estScratch) release() {
 	estPool.Put(es)
 }
 
-// fillSlot is one sampling worker's private stream and timing buffer.
+// fillSlot is one sampling worker's private stream and slot-finish
+// buffer.
 type fillSlot struct {
 	rng stats.RNG
-	buf []dag.Timing
+	fin []float64
 }
 
 // fillScratch holds one sample fill: the segment tuple's root stream and
@@ -61,7 +60,7 @@ type fillScratch struct {
 func (fs *fillScratch) draw(sg *segment, v []segSample, w, k int) {
 	sl := &fs.slots[w]
 	fs.base.StreamInto(uint64(k), &sl.rng)
-	v[k], sl.buf = sg.eval(&sl.rng, sl.buf)
+	v[k], sl.fin = sg.eval(&sl.rng, sl.fin)
 }
 
 // resize returns s with length n, reusing its capacity when it suffices.

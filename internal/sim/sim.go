@@ -28,8 +28,8 @@ type Estimate struct {
 // of two kinds, and neither can change a result:
 //
 //   - One mutex-guarded segment table memoizing pure computations: each
-//     stage segment's compiled program plus its lazily filled sample
-//     vector (segment mode) and analytic moments. Every Monte-Carlo draw
+//     stage segment's shape and compiled latencies plus its lazily filled
+//     sample vector (segment mode) and analytic moments. Every Monte-Carlo draw
 //     derives a private RNG stream from the construction-time seed
 //     state, keyed by (stream family, sample index), so Estimate and
 //     Breakdown are pure functions of the configuration and the plan,
@@ -39,8 +39,8 @@ type Estimate struct {
 //     Simulators (see scratch.go): estPool (segment-mode Estimate's
 //     compiled plan, sample rows, and the per-draw JCT, cost and birth
 //     columns summarize reduces), fillPool (a sample fill's per-worker
-//     RNG and timing buffer), momentPool (the dag.MomentScratch of a
-//     moment miss) and evalPool (analytic-mode Estimate's evaluators).
+//     RNG and per-slot finish buffer) and evalPool (analytic-mode
+//     Estimate's evaluators). A moment miss needs no scratch.
 //     Pooled scratch cannot carry a result from one call into another:
 //     every use fully overwrites what it reads before reading it.
 //
@@ -132,7 +132,7 @@ func (s *Simulator) Spec() *spec.ExperimentSpec { return s.spec }
 func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 
 // Estimate predicts JCT and cost for the plan by drawing s.samples
-// Monte-Carlo samples of each stage segment's compiled program and
+// Monte-Carlo samples of each stage segment and
 // replaying every sample against the billing model. Segment draws fan
 // out across the simulator's worker pool (WithWorkers) into
 // index-addressed slots and the recombination reduces in fixed index

@@ -173,7 +173,7 @@ func (p Pareto) String() string { return fmt.Sprintf("pareto(xm=%g, alpha=%g)", 
 // Repeat is the distribution of the sum of N independent draws from D. It
 // is the general-case form of "run N iterations of latency D back to
 // back"; callers with normal or deterministic D should collapse the sum
-// analytically instead (see sim.sumIters), which keeps sampling cost
+// analytically instead (see SumLat), which keeps sampling cost
 // independent of N.
 type Repeat struct {
 	D Dist

@@ -18,7 +18,7 @@
 // an event performs no heap allocation. Callbacks come in two forms:
 // closures (At, After) for control-plane convenience, and pre-resolved
 // opcode dispatch (RegisterDispatcher, AtOp) for hot loops that must
-// not allocate per event — the dag.Program compilation pattern applied
+// not allocate per event — the stats.Lat opcode pattern applied
 // to event scheduling.
 //
 // Virtual time is expressed in float64 seconds. The kernel is
