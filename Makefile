@@ -72,6 +72,7 @@ fuzz-short:
 	go test ./internal/journal -run='^$$' -fuzz=FuzzJournalRoundTrip -fuzztime=30s
 	go test ./internal/planner -run='^$$' -fuzz=FuzzPlanElastic -fuzztime=30s
 	go test ./internal/serve -run='^$$' -fuzz=FuzzSubmission -fuzztime=30s
+	go test ./internal/placement -run='^$$' -fuzz=FuzzUpdateMatchesReference -fuzztime=30s
 
 # Deterministic reproducibility harness (see tools/repro/run.sh for the
 # RB_RUN_REPEATABILITY / RB_RUN_BENCH gates).

@@ -416,20 +416,48 @@ func BenchmarkPlanFrontier(b *testing.B) {
 	}
 }
 
-// BenchmarkPlacementUpdate measures one placement epoch: 32 trials
-// reassigned across 16 nodes (Algorithm 3).
-func BenchmarkPlacementUpdate(b *testing.B) {
+// placementShape is 32 trials of 4 GPUs over 16 nodes of 8 GPUs, as an
+// allocation column of 64 trials whose first 32 are live.
+func placementShape() ([]int32, []*cluster.Node) {
 	cnodes := make([]*cluster.Node, 16)
 	for i := range cnodes {
 		cnodes[i] = &cluster.Node{ID: cluster.NodeID(i), GPUs: 8}
 	}
-	allocs := make(map[placement.TrialID]int, 32)
-	for i := 0; i < 32; i++ {
-		allocs[placement.TrialID(i)] = 4
+	allocs := make([]int32, 64)
+	for i := range allocs {
+		allocs[i] = -1
+		if i < 32 {
+			allocs[i] = 4
+		}
 	}
+	return allocs, cnodes
+}
+
+// BenchmarkPlacementUpdate measures one cold placement epoch: 32 trials
+// placed across 16 nodes by a fresh controller (Algorithm 3).
+func BenchmarkPlacementUpdate(b *testing.B) {
+	allocs, cnodes := placementShape()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := placement.NewController(8)
+		if _, err := c.Update(allocs, cnodes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlacementHandoff measures the executor's most frequent epoch,
+// a warm queue hand-off on the same shape: one trial leaves its slot and
+// a queued trial of the same size joins.
+func BenchmarkPlacementHandoff(b *testing.B) {
+	allocs, cnodes := placementShape()
+	c := placement.NewController(8)
+	if _, err := c.Update(allocs, cnodes); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		allocs[i%64], allocs[(i+32)%64] = -1, 4
 		if _, err := c.Update(allocs, cnodes); err != nil {
 			b.Fatal(err)
 		}

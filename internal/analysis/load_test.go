@@ -51,17 +51,23 @@ func paths(pkgs []*Package) []string {
 	return out
 }
 
-// TestRunOnCleanTree runs the full suite on the deterministic core and
-// expects zero diagnostics — the tree must stay rbvet-clean.
+// TestRunOnCleanTree runs the full suite, with compiler escape facts for
+// the noalloc gate, on the deterministic core and expects zero
+// diagnostics — the tree must stay rbvet-clean.
 func TestRunOnCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks module packages")
 	}
-	pkgs, err := Load("../..", []string{"./internal/placement", "./internal/cluster"})
+	patterns := []string{"./internal/placement", "./internal/cluster"}
+	pkgs, err := Load("../..", patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run(pkgs, All); len(diags) != 0 {
+	escapes, err := LoadEscapes("../..", patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := Run(pkgs, All, WithEscapes(escapes)); len(diags) != 0 {
 		for _, d := range diags {
 			t.Errorf("unexpected: %s", d)
 		}

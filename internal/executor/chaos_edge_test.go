@@ -7,6 +7,7 @@ package executor
 // usage-metering oracle caught (see TestScatterPreservesRunningGangs).
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cloud"
@@ -82,22 +83,22 @@ func TestScatterPreservesRunningGangs(t *testing.T) {
 	// the next trial — double-booking hardware. A re-place must keep
 	// live gangs pinned.
 	nodes := []*cluster.Node{{ID: 0, GPUs: 1}, {ID: 1, GPUs: 1}}
-	prev := placement.Plan{1: placement.Assignment{1: 1}}
-	got := scatter(map[placement.TrialID]int{1: 1, 2: 1}, nodes, prev)
+	prev := placement.Plan{1: {{Node: 1, GPUs: 1}}}
+	got := scatter([]int32{-1, 1, 1}, nodes, prev)
 	if got == nil {
 		t.Fatal("scatter failed")
 	}
-	if got[1][1] != 1 {
+	if !slices.Equal(got[1], placement.Assignment{{Node: 1, GPUs: 1}}) {
 		t.Fatalf("running trial 1 moved off node 1: %v", got[1])
 	}
-	if got[2][0] != 1 {
+	if !slices.Equal(got[2], placement.Assignment{{Node: 0, GPUs: 1}}) {
 		t.Fatalf("new trial 2 not placed on the freed node 0: %v", got[2])
 	}
 
 	// A gang whose node vanished (preemption) must be re-placed.
-	gone := placement.Plan{1: placement.Assignment{9: 1}}
-	got = scatter(map[placement.TrialID]int{1: 1}, nodes, gone)
-	if got == nil || got[1][9] != 0 || got[1].GPUs() != 1 {
+	gone := placement.Plan{1: {{Node: 9, GPUs: 1}}}
+	got = scatter([]int32{-1, 1}, nodes, gone)
+	if got == nil || got[1].GPUs() != 1 || got[1][0].Node == 9 {
 		t.Fatalf("vanished-node gang not re-placed: %v", got)
 	}
 }
@@ -274,4 +275,58 @@ func TestRepeatedPreemptionOfRecoveringTrial(t *testing.T) {
 		t.Fatalf("trial ended %v with %d iterations, want completed/2", tr().State(), tr().CumIters())
 	}
 	checkLedgerCapacity(t, h, vclock.Time(res.JCT))
+}
+
+// TestBarrierSnapshotMatchesReturnedPlan: the controller's Remove edits
+// the live plan in place, so syncBarrier snapshots it first. Stepping
+// runs event by event — both placement modes, queue hand-offs, changing
+// allocations, preemptions — the snapshot must equal a deep copy of the
+// plan as the stage's last placement epoch returned it, and so yield the
+// same migration count at the next stage start.
+func TestBarrierSnapshotMatchesReturnedPlan(t *testing.T) {
+	for _, scatter := range []bool{false, true} {
+		h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 200}, 31)
+		s := spec.MustSHA(8, 2, 16, 2)
+		cfg := runConfig(t, h, s, sim.NewPlan(4, 8, 8, 4), quietModel(), 31)
+		cfg.RestoreSeconds = 3
+		cfg.DisablePlacement = scatter
+		job, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := job.r
+		var ref placement.Plan // deep copy of the plan while a stage runs
+		checked, moved := 0, 0
+		for !job.Done() {
+			if r.remaining > 0 {
+				ref = make(placement.Plan, len(r.plan))
+				for i, a := range r.plan {
+					ref[i] = slices.Clone(a)
+				}
+			}
+			rows := len(r.rows)
+			if !h.clock.Step() {
+				t.Fatal("event queue drained before completion")
+			}
+			if len(r.rows) == rows || rows == 0 {
+				continue
+			}
+			if !slices.EqualFunc(r.prevPlan, ref, slices.Equal) {
+				t.Fatalf("scatter=%v stage %d: barrier snapshot %v, last returned plan %v", scatter, r.stage, r.prevPlan, ref)
+			}
+			got, want := placement.Moves(r.prevPlan, r.plan), placement.Moves(ref, r.plan)
+			if got != want {
+				t.Fatalf("scatter=%v stage %d: Moves = %d, reference %d", scatter, r.stage, got, want)
+			}
+			checked++
+			moved += got
+		}
+		if _, err := job.Result(); err != nil {
+			t.Fatal(err)
+		}
+		if checked != s.NumStages()-1 || moved == 0 || r.preemptions == 0 {
+			t.Fatalf("scatter=%v: %d stage starts checked, %d moves, %d preemptions; want %d, > 0, > 0",
+				scatter, checked, moved, r.preemptions, s.NumStages()-1)
+		}
+	}
 }

@@ -164,9 +164,12 @@ type run struct {
 	ctrl  *placement.Controller
 	store *trial.Store
 
-	stage     int
-	need      int // node target of the current stage
+	stage int
+	need  int // node target of the current stage
+	// plan is the live placement, which the controller's Remove edits in
+	// place; prevPlan is syncBarrier's copy for the migration count.
 	plan      placement.Plan
+	prevPlan  placement.Plan
 	remaining int
 	queue     []trial.ID
 	stageSet  []trial.ID // trials participating in the current stage
@@ -479,7 +482,6 @@ func (r *run) beginTraining() {
 		r.soa.setAlloc(t.ID(), per)
 	}
 
-	prev := r.plan
 	if err := r.place(); err != nil {
 		r.fail(err)
 		return
@@ -501,7 +503,7 @@ func (r *run) beginTraining() {
 		// Annotate the migration churn a spliced plan induced. Notes are
 		// excluded from run digests, so the annotation cannot perturb
 		// replay or worker-invariance checks.
-		note += fmt.Sprintf(", %d gang(s) moved", placement.Moves(prev, r.plan))
+		note += fmt.Sprintf(", %d gang(s) moved", placement.Moves(r.prevPlan, r.plan))
 	}
 	r.tr.Record(start, trace.KindStageStart, r.stage, -1, note)
 
@@ -524,15 +526,14 @@ func (r *run) cumItersBefore(stage int) int {
 // placement controller (co-locating) or by deliberate scattering (the
 // ablation baseline).
 func (r *run) place() error {
-	allocs := r.allocsMap()
 	if r.cfg.DisablePlacement {
-		r.plan = scatter(allocs, r.cfg.Cluster.Nodes(), r.plan)
+		r.plan = scatter(r.soa.alloc, r.cfg.Cluster.Nodes(), r.plan)
 		if r.plan == nil {
 			return fmt.Errorf("executor: scatter placement failed")
 		}
 		return nil
 	}
-	plan, err := r.ctrl.Update(allocs, r.cfg.Cluster.Nodes())
+	plan, err := r.ctrl.Update(r.soa.alloc, r.cfg.Cluster.Nodes())
 	if err != nil {
 		return err
 	}
@@ -547,42 +548,40 @@ func (r *run) place() error {
 // recovery re-place must not teleport a running gang to different GPUs
 // mid-iteration, or the freed-looking GPUs get double-booked (the same
 // preservation contract as placement.Controller.Update).
-func scatter(allocs map[placement.TrialID]int, nodes []*cluster.Node, prev placement.Plan) placement.Plan {
-	free := make(map[cluster.NodeID]int, len(nodes))
+func scatter(allocs []int32, nodes []*cluster.Node, prev placement.Plan) placement.Plan {
+	maxID := cluster.NodeID(-1)
+	for _, n := range nodes {
+		maxID = max(maxID, n.ID)
+	}
+	free := make([]int, maxID+1)
 	for _, n := range nodes {
 		free[n.ID] = n.GPUs
 	}
-	ids := make([]placement.TrialID, 0, len(allocs))
-	for t := range allocs {
-		ids = append(ids, t)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	plan := make(placement.Plan, len(allocs))
-	for _, t := range ids {
-		asg, ok := prev[t]
-		if !ok || asg.GPUs() != allocs[t] {
+	for t, want := range allocs {
+		if want < 0 || t >= len(prev) || prev[t].GPUs() != int(want) {
 			continue
 		}
-		for nid, g := range asg {
-			if free[nid] < g {
-				ok = false
-			}
+		asg := prev[t]
+		ok := true
+		for _, s := range asg {
+			ok = ok && int(s.Node) < len(free) && free[s.Node] >= s.GPUs
 		}
 		if !ok {
 			continue // a gang node vanished (preemption); re-place below
 		}
-		for nid, g := range asg {
-			free[nid] -= g
+		for _, s := range asg {
+			free[s.Node] -= s.GPUs
 		}
-		plan[t] = asg // assignments are immutable: share, don't clone
+		plan[t] = asg // assignments are never edited: share, don't clone
 	}
-	for _, t := range ids {
-		if _, done := plan[t]; done {
+	for t, want := range allocs {
+		if want < 0 || plan[t] != nil {
 			continue
 		}
-		asg := make(placement.Assignment)
-		for g := 0; g < allocs[t]; g++ {
+		took := make([]int, len(free))
+		for g := int32(0); g < want; g++ {
 			best := cluster.NodeID(-1)
 			bestFree := -1
 			for _, n := range nodes {
@@ -594,7 +593,13 @@ func scatter(allocs map[placement.TrialID]int, nodes []*cluster.Node, prev place
 				return nil
 			}
 			free[best]--
-			asg[best]++
+			took[best]++
+		}
+		var asg placement.Assignment
+		for nid, g := range took {
+			if g > 0 {
+				asg = append(asg, placement.Slot{Node: cluster.NodeID(nid), GPUs: g})
+			}
 		}
 		plan[t] = asg
 	}
@@ -615,6 +620,7 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 		r.fail(err)
 		return
 	}
+	t.Reserve(iters)
 	now := r.cfg.Clock.Now()
 	restore := 0.0
 	if withRestore {
@@ -642,20 +648,20 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 }
 
 // resolveGang fills the trial's gang from its assignment, looking each
-// node up among the ready nodes the assignment was just placed on.
+// node up among the ready nodes the assignment was just placed on. The
+// slots come in node order, so the gang does too.
 func (r *run) resolveGang(id trial.ID, asg placement.Assignment) error {
 	ready := r.cfg.Cluster.Nodes()
 	gang := r.gang[id][:0]
-	for nid, g := range asg {
-		i, ok := slices.BinarySearchFunc(ready, nid, func(n *cluster.Node, want cluster.NodeID) int {
+	for _, s := range asg {
+		i, ok := slices.BinarySearchFunc(ready, s.Node, func(n *cluster.Node, want cluster.NodeID) int {
 			return cmp.Compare(n.ID, want)
 		})
 		if !ok {
-			return fmt.Errorf("executor: trial %d placed on missing node %d", id, nid)
+			return fmt.Errorf("executor: trial %d placed on missing node %d", id, s.Node)
 		}
-		gang = append(gang, gangSlot{node: ready[i], gpus: g})
+		gang = append(gang, gangSlot{node: ready[i], gpus: s.GPUs})
 	}
-	slices.SortFunc(gang, func(a, b gangSlot) int { return cmp.Compare(a.node.ID, b.node.ID) })
 	r.gang[id] = gang
 	return nil
 }
@@ -831,18 +837,15 @@ func (r *run) onPreemption(node *cluster.Node) {
 
 	var affected []trial.ID
 	for pid, asg := range r.plan {
-		if _, hit := asg[node.ID]; !hit {
-			continue
-		}
 		id := trial.ID(pid)
-		if r.soa.done[id] {
-			continue // finished this stage; nothing running was lost
+		hit := slices.ContainsFunc(asg, func(s placement.Slot) bool { return s.Node == node.ID })
+		if !hit || r.soa.done[id] {
+			continue // untouched, or finished this stage: nothing running was lost
 		}
-		if r.trials[int(id)].State() == trial.Running {
+		if r.trials[id].State() == trial.Running {
 			affected = append(affected, id)
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
 
 	for _, id := range affected {
 		t := r.trials[int(id)]
@@ -924,6 +927,9 @@ func (r *run) syncBarrier() {
 		return ranked[i].ID() < ranked[j].ID()
 	})
 
+	// The Removes below edit r.plan in place; keep the stage's gangs for
+	// the next stage start's migration count.
+	r.prevPlan = append(r.prevPlan[:0], r.plan...)
 	last := r.stage == r.cfg.Spec.NumStages()-1
 	keep := 0
 	if !last {

@@ -1,9 +1,6 @@
 package executor
 
-import (
-	"repro/internal/placement"
-	"repro/internal/trial"
-)
+import "repro/internal/trial"
 
 // trialSoA holds the scheduler's per-trial state as dense parallel
 // arrays indexed by trial ID — struct-of-arrays instead of the former
@@ -17,7 +14,9 @@ type trialSoA struct {
 	// under and return early on mismatch.
 	gen []uint32
 	// alloc is the trial's GPU allocation in the current stage, -1 when
-	// it holds no slot (queued, finished, or between stages).
+	// it holds no slot (queued, finished, or between stages). Every
+	// placement epoch passes it to the controller as is: at tight budgets
+	// that is a stage start plus one hand-off per finishing trial.
 	alloc []int32
 	// left is the trial's remaining iteration budget in the current
 	// stage, maintained by the opcode dispatch loop.
@@ -107,18 +106,4 @@ func (s *trialSoA) fold() uint64 {
 		}
 	}
 	return h
-}
-
-// allocsMap materializes the active allocations as the map form the
-// placement controller consumes. Placement runs only at stage starts,
-// slot hand-offs, and preemption recoveries — cold paths — so the
-// transient map costs nothing where it matters.
-func (r *run) allocsMap() map[placement.TrialID]int {
-	m := make(map[placement.TrialID]int, r.soa.slots)
-	for id, g := range r.soa.alloc {
-		if g >= 0 {
-			m[placement.TrialID(id)] = int(g)
-		}
-	}
-	return m
 }

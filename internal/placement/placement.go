@@ -19,9 +19,7 @@ package placement
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/cluster"
 )
@@ -29,17 +27,22 @@ import (
 // TrialID identifies a trial within one experiment.
 type TrialID int
 
-// Assignment is one trial's physical placement: GPUs held per node.
-// Assignments are immutable once a Controller.Update has returned them:
-// plans share the gangs they preserve, so every holder treats them as
-// read-only.
-type Assignment map[cluster.NodeID]int
+// Slot is the share of a trial's gang on one node.
+type Slot struct {
+	Node cluster.NodeID
+	GPUs int
+}
+
+// Assignment is one trial's physical placement: one slot per node it
+// uses, sorted by node. Plans share the assignments they preserve, so no
+// holder ever edits one.
+type Assignment []Slot
 
 // GPUs returns the total GPUs in the assignment.
 func (a Assignment) GPUs() int {
 	total := 0
-	for _, g := range a {
-		total += g
+	for _, s := range a {
+		total += s.GPUs
 	}
 	return total
 }
@@ -47,24 +50,9 @@ func (a Assignment) GPUs() int {
 // Nodes returns the number of distinct nodes the assignment spans.
 func (a Assignment) Nodes() int { return len(a) }
 
-// Plan maps trials to their assignments. A plan Update returns is shared
-// with the Controller and read-only for both: later epochs build new
-// maps, and Remove edits a copy.
-type Plan map[TrialID]Assignment
-
-// equal reports whether two assignments hold the same GPUs on the same
-// nodes.
-func (a Assignment) equal(b Assignment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for n, g := range a {
-		if b[n] != g {
-			return false
-		}
-	}
-	return true
-}
+// Plan holds each trial's assignment, indexed by TrialID; nil marks a
+// trial without one.
+type Plan []Assignment
 
 // Moves counts the trials in next whose gang differs from their gang in
 // prev (absent, or placed on different nodes/GPU counts) — the migration
@@ -73,22 +61,27 @@ func (a Assignment) equal(b Assignment) bool {
 func Moves(prev, next Plan) int {
 	moved := 0
 	for t, asg := range next {
-		if !asg.equal(prev[t]) {
+		if asg != nil && (t >= len(prev) || !slices.Equal(asg, prev[t])) {
 			moved++
 		}
 	}
 	return moved
 }
 
-// Controller computes placement plans over scheduling epochs.
+// Controller computes placement plans over scheduling epochs. It owns
+// every buffer an epoch needs, so a warm Update allocates only the
+// assignments of the trials it (re)places.
 type Controller struct {
 	nodeGPUs int
-	// current is the latest plan. Update hands the same map to its caller,
-	// so it is shared (and copied on Remove's first edit) until the next
-	// Update replaces it.
-	current Plan
-	shared  bool
-	locked  map[TrialID]bool
+	// current is the latest plan; spare is the buffer the next Update
+	// builds into, swapped with current on success.
+	current, spare Plan
+	locked         []bool
+	// Update's scratch: free GPUs by NodeID (-1: not a live node), the
+	// placement queue, and the trials placed this epoch.
+	free      []int
+	queue     []TrialID
+	placedNow []bool
 }
 
 // NewController returns a controller for nodes with nodeGPUs accelerators
@@ -97,62 +90,60 @@ func NewController(nodeGPUs int) *Controller {
 	if nodeGPUs < 1 {
 		panic(fmt.Sprintf("placement: nodeGPUs = %d", nodeGPUs))
 	}
-	return &Controller{
-		nodeGPUs: nodeGPUs,
-		current:  make(Plan),
-		locked:   make(map[TrialID]bool),
-	}
-}
-
-// Current returns a deep copy of the current placement plan, which the
-// caller may modify. It is an inspection accessor, off the scheduling
-// path.
-func (c *Controller) Current() Plan {
-	out := make(Plan, len(c.current))
-	for t, a := range c.current {
-		out[t] = maps.Clone(a)
-	}
-	return out
+	return &Controller{nodeGPUs: nodeGPUs}
 }
 
 // Lock marks a trial's placement as in-flight: it cannot be displaced
 // until Unlock (§4.4.1 "reserved" list).
-func (c *Controller) Lock(t TrialID) { c.locked[t] = true }
-
-// Unlock clears a trial's in-flight mark.
-func (c *Controller) Unlock(t TrialID) { delete(c.locked, t) }
-
-// Remove drops a trial (terminated or finished) from the plan, freeing its
-// resources for the next Update.
-func (c *Controller) Remove(t TrialID) {
-	if _, ok := c.current[t]; ok {
-		if c.shared {
-			c.current, c.shared = maps.Clone(c.current), false
-		}
-		delete(c.current, t)
+func (c *Controller) Lock(t TrialID) {
+	if n := int(t) + 1; n > len(c.locked) {
+		c.locked = append(c.locked, make([]bool, n-len(c.locked))...)
 	}
-	delete(c.locked, t)
+	c.locked[t] = true
 }
 
-// Update computes a placement plan satisfying allocs (trial -> GPUs) over
-// the given nodes, implementing Algorithm 3. Trials already placed with an
-// unchanged allocation keep their assignment; others are (re)placed
-// best-fit in descending allocation order, displacing smaller unlocked
-// trials when necessary; trials absent from allocs are dropped. It
-// returns the new plan, which also becomes the controller's current
-// plan. Later Remove and Update calls never change a returned plan:
-// Remove copies the plan before its first edit, and Update builds a new
-// one, sharing the preserved assignments rather than cloning them. An
-// error is returned if total demand exceeds capacity or a locked trial's
-// allocation changed. Node IDs are non-negative, as cluster.Manager
-// assigns them.
-func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan, error) {
-	demand := 0
+// Unlock clears a trial's in-flight mark.
+func (c *Controller) Unlock(t TrialID) {
+	if int(t) < len(c.locked) {
+		c.locked[t] = false
+	}
+}
+
+func (c *Controller) isLocked(t TrialID) bool {
+	return int(t) < len(c.locked) && c.locked[t]
+}
+
+// Remove drops a trial (terminated or finished) from the plan, freeing its
+// resources for the next Update. It edits the current plan in place.
+func (c *Controller) Remove(t TrialID) {
+	if int(t) < len(c.current) {
+		c.current[t] = nil
+	}
+	c.Unlock(t)
+}
+
+// Update computes a placement plan satisfying allocs (GPUs by TrialID,
+// negative for absent trials) over the given nodes, implementing
+// Algorithm 3. Trials already placed with an unchanged allocation keep
+// their assignment; others are (re)placed best-fit in descending
+// allocation order, displacing smaller unlocked trials when necessary;
+// absent trials are dropped. The returned plan, indexed like allocs,
+// becomes the current plan and stays valid until the next Update or
+// Remove. Update builds into a spare buffer, so a failed Update leaves
+// the current plan untouched. An error, naming the lowest TrialID at
+// fault, is returned if an allocation is zero, demand exceeds capacity
+// or a locked trial's allocation changed. Node IDs are non-negative, as
+// cluster.Manager assigns them.
+func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error) {
+	demand, live := 0, 0
 	for t, g := range allocs {
-		if g < 1 {
+		if g == 0 {
 			return nil, fmt.Errorf("placement: trial %d allocated %d GPUs", t, g)
 		}
-		demand += g
+		if g > 0 {
+			demand += int(g)
+			live++
+		}
 	}
 	capacity, maxID := 0, cluster.NodeID(-1)
 	for _, n := range nodes {
@@ -163,10 +154,10 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 		return nil, fmt.Errorf("placement: demand %d GPUs exceeds capacity %d", demand, capacity)
 	}
 
-	// free holds each node's free GPUs, indexed by NodeID; -1 marks IDs
-	// that are not live nodes. Until the preserved gangs are charged
-	// below, it holds full capacities.
-	free := make([]int, maxID+1)
+	// Until the preserved gangs are charged below, free holds full
+	// capacities.
+	c.free = resize(c.free, int(maxID)+1)
+	free := c.free
 	for i := range free {
 		free[i] = -1
 	}
@@ -177,39 +168,46 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 	// Start from assignments that can be preserved: trials present in the
 	// current plan with an unchanged allocation and whose nodes all still
 	// exist (remove_discrepancies).
-	plan := make(Plan, len(allocs))
-	for t, a := range c.current {
-		want, live := allocs[t]
-		if !live {
-			if c.locked[t] {
-				return nil, fmt.Errorf("placement: locked trial %d removed from allocation", t)
-			}
+	c.spare = resize(c.spare, len(allocs))
+	plan := c.spare
+	kept := 0
+	for i, a := range c.current {
+		if a == nil {
 			continue
 		}
-		held, onLive := 0, true
-		for nid, g := range a {
-			held += g
-			onLive = onLive && int(nid) < len(free) && free[nid] >= 0
+		t, want := TrialID(i), -1
+		if i < len(allocs) {
+			want = int(allocs[i])
 		}
-		if held == want && onLive {
+		held, onLive := 0, true
+		for _, s := range a {
+			held += s.GPUs
+			onLive = onLive && int(s.Node) < len(free) && free[s.Node] >= 0
+		}
+		switch {
+		case held == want && onLive:
 			plan[t] = a
-		} else if c.locked[t] {
+			kept++
+		case !c.isLocked(t):
+		case want < 0:
+			return nil, fmt.Errorf("placement: locked trial %d removed from allocation", t)
+		default:
 			return nil, fmt.Errorf("placement: locked trial %d needs reallocation", t)
 		}
 	}
 
 	// Fast path: everything preserved.
-	if len(plan) == len(allocs) {
-		c.current, c.shared = plan, true
+	if kept == live {
+		c.current, c.spare = plan, c.current
 		return plan, nil
 	}
 
 	// Charge the preserved assignments against free capacity.
 	for _, a := range plan {
-		for nid, g := range a {
-			free[nid] -= g
-			if free[nid] < 0 {
-				return nil, fmt.Errorf("placement: preserved plan oversubscribes node %d", nid)
+		for _, s := range a {
+			free[s.Node] -= s.GPUs
+			if free[s.Node] < 0 {
+				return nil, fmt.Errorf("placement: preserved plan oversubscribes node %d", s.Node)
 			}
 		}
 	}
@@ -218,75 +216,81 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 	// sort_by_alloc descending). Trials placed during this epoch cannot
 	// themselves be displaced — each queued trial gets exactly one
 	// placement opportunity, which guarantees termination.
-	var queue []TrialID
-	for t := range allocs {
-		if _, done := plan[t]; !done {
-			queue = append(queue, t)
+	c.queue = c.queue[:0]
+	for t, g := range allocs {
+		if g >= 0 && plan[t] == nil {
+			c.queue = append(c.queue, TrialID(t))
 		}
 	}
-	sortTrials(queue, allocs)
+	sortTrials(c.queue, allocs)
 
-	placedNow := make(map[TrialID]bool)
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		want := allocs[t]
-		asg, displaced, err := c.place(t, want, plan, free, placedNow)
+	c.placedNow = resize(c.placedNow, len(allocs))
+	for head := 0; head < len(c.queue); head++ {
+		t, queued := c.queue[head], len(c.queue)
+		asg, err := c.place(t, int(allocs[t]), plan)
 		if err != nil {
 			return nil, err
 		}
 		plan[t] = asg
-		placedNow[t] = true
-		if len(displaced) > 0 {
-			queue = append(queue, displaced...)
-			sortTrials(queue, allocs)
+		c.placedNow[t] = true
+		if len(c.queue) > queued {
+			sortTrials(c.queue[head+1:], allocs)
 		}
 	}
-	c.current, c.shared = plan, true
+	c.current, c.spare = plan, c.current
 	return plan, nil
 }
 
-// place assigns want GPUs to trial t, mutating plan and free. It may
+// resize returns buf with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// place assigns want GPUs to trial t, mutating plan and c.free. It may
 // displace smaller trials — excluding locked trials and trials already
 // placed this epoch — which are removed from plan (their capacity returned
-// to free) and returned for re-queueing.
-func (c *Controller) place(t TrialID, want int, plan Plan, free []int, placedNow map[TrialID]bool) (Assignment, []TrialID, error) {
-	asg := make(Assignment)
-	remaining := want
-	var displaced []TrialID
-
-	for remaining > 0 {
+// to c.free) and appended to c.queue for their own placement attempt.
+// Nodes hold nodeGPUs GPUs, so each unit lands on a node of its own.
+func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
+	asg := make(Assignment, 0, (want+c.nodeGPUs-1)/c.nodeGPUs)
+	for remaining := want; remaining > 0; {
 		// The unit is a full node for whole-node chunks, or the entire
 		// remainder (which must then be co-located on a single node).
-		unit := remaining
-		if unit > c.nodeGPUs {
-			unit = c.nodeGPUs
-		}
-		nid, ok := bestFit(free, unit)
+		unit := min(remaining, c.nodeGPUs)
+		nid, ok := bestFit(c.free, unit)
 		if !ok {
 			// Displace: free the smallest displaceable trial whose
 			// removal opens a node with enough room.
-			victim, vok := c.pickVictim(plan, free, unit, t, placedNow)
+			victim, vok := c.pickVictim(plan, unit, t)
 			if !vok {
-				return nil, nil, fmt.Errorf("placement: cannot fit %d GPUs for trial %d", unit, t)
+				return nil, fmt.Errorf("placement: cannot fit %d GPUs for trial %d", unit, t)
 			}
-			for nid, g := range plan[victim] {
-				free[nid] += g
+			for _, s := range plan[victim] {
+				c.free[s.Node] += s.GPUs
 			}
-			delete(plan, victim)
-			displaced = append(displaced, victim)
+			plan[victim] = nil
+			c.queue = append(c.queue, victim)
 			continue
 		}
-		free[nid] -= unit
-		asg[nid] += unit
+		c.free[nid] -= unit
+		asg = append(asg, Slot{Node: nid, GPUs: unit})
 		remaining -= unit
 	}
-	return asg, displaced, nil
+	slices.SortFunc(asg, func(a, b Slot) int { return cmp.Compare(a.Node, b.Node) })
+	return asg, nil
 }
 
 // bestFit returns the node with the least free capacity that still fits
 // unit GPUs, the smallest NodeID among equals. Absent nodes (free -1)
 // never fit.
+//
+//rbvet:noalloc
 func bestFit(free []int, unit int) (cluster.NodeID, bool) {
 	best := cluster.NodeID(-1)
 	bestFree := int(^uint(0) >> 1)
@@ -300,27 +304,27 @@ func bestFit(free []int, unit int) (cluster.NodeID, bool) {
 
 // pickVictim chooses the smallest displaceable trial (other than t) whose
 // removal would let some node fit unit GPUs, breaking equal-GPU ties by
-// the smallest TrialID (mirroring bestFit and sortTrials) so the victim
-// is independent of map iteration order. Locked trials and trials placed
-// this epoch are not displaceable.
-func (c *Controller) pickVictim(plan Plan, free []int, unit int, t TrialID, placedNow map[TrialID]bool) (TrialID, bool) {
+// the smallest TrialID (mirroring bestFit and sortTrials). Locked trials
+// and trials placed this epoch are not displaceable.
+//
+//rbvet:noalloc
+func (c *Controller) pickVictim(plan Plan, unit int, t TrialID) (TrialID, bool) {
 	victim := TrialID(-1)
 	victimGPUs := int(^uint(0) >> 1)
-	for cand, asg := range plan {
-		if cand == t || c.locked[cand] || placedNow[cand] {
+	for i, asg := range plan {
+		cand := TrialID(i)
+		if asg == nil || cand == t || c.isLocked(cand) || c.placedNow[cand] {
 			continue
 		}
+		// Candidates come in TrialID order, so an equal-GPU candidate
+		// never beats the victim already chosen.
 		g := asg.GPUs()
-		// Keep the minimum under the (GPUs, TrialID) total order; a
-		// strict order admits exactly one minimum, so any iteration
-		// order converges on the same victim.
-		if g > victimGPUs || (g == victimGPUs && cand > victim) {
+		if g >= victimGPUs {
 			continue
 		}
 		// Would removing cand open enough room somewhere?
-		for nid, held := range asg {
-			if free[nid]+held >= unit {
-				//rbvet:ignore maporder — selection follows the strict (GPUs, TrialID) total order established by the guard above
+		for _, s := range asg {
+			if c.free[s.Node]+s.GPUs >= unit {
 				victim, victimGPUs = cand, g
 				break
 			}
@@ -331,10 +335,10 @@ func (c *Controller) pickVictim(plan Plan, free []int, unit int, t TrialID, plac
 
 // sortTrials orders trials by allocation descending, breaking ties by ID
 // for determinism.
-func sortTrials(ts []TrialID, allocs map[TrialID]int) {
+func sortTrials(ts []TrialID, allocs []int32) {
 	slices.SortFunc(ts, func(a, b TrialID) int {
-		if allocs[a] != allocs[b] {
-			return cmp.Compare(allocs[b], allocs[a])
+		if c := cmp.Compare(allocs[b], allocs[a]); c != 0 {
+			return c
 		}
 		return cmp.Compare(a, b)
 	})
@@ -368,21 +372,25 @@ func NodesNeeded(trials, gpusPerTrial, nodeGPUs int) int {
 // cluster scale-down to bin-pack trials away from the nodes about to be
 // released.
 func (c *Controller) DrainOrder(nodes []*cluster.Node) []cluster.NodeID {
-	used := make(map[cluster.NodeID]int)
-	for _, a := range c.current {
-		for nid, g := range a {
-			used[nid] += g
-		}
-	}
 	ids := make([]cluster.NodeID, len(nodes))
+	maxID := cluster.NodeID(-1)
 	for i, n := range nodes {
 		ids[i] = n.ID
+		maxID = max(maxID, n.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if used[ids[i]] != used[ids[j]] {
-			return used[ids[i]] < used[ids[j]]
+	used := make([]int, maxID+1)
+	for _, a := range c.current {
+		for _, s := range a {
+			if int(s.Node) < len(used) {
+				used[s.Node] += s.GPUs
+			}
 		}
-		return ids[i] > ids[j] // prefer releasing newest nodes on ties
+	}
+	slices.SortFunc(ids, func(a, b cluster.NodeID) int {
+		if c := cmp.Compare(used[a], used[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(b, a) // prefer releasing newest nodes on ties
 	})
 	return ids
 }

@@ -1,8 +1,11 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,12 +22,64 @@ func mkNodes(n, gpus int) []*cluster.Node {
 	return out
 }
 
-// checkPlan verifies structural invariants: exact allocations, no node
-// oversubscription, and co-location of sub-node trials.
+// column turns a trial → GPUs map into the allocation column Update
+// reads: indexed by TrialID, at least n long, -1 for absent trials.
+func column(allocs map[TrialID]int, n int) []int32 {
+	for t := range allocs {
+		n = max(n, int(t)+1)
+	}
+	col := make([]int32, n)
+	for i := range col {
+		col[i] = -1
+	}
+	for t, g := range allocs {
+		col[t] = int32(g)
+	}
+	return col
+}
+
+// update runs c.Update on the column form of allocs.
+func update(c *Controller, allocs map[TrialID]int, nodes []*cluster.Node) (Plan, error) {
+	return c.Update(column(allocs, 0), nodes)
+}
+
+// at returns trial t's assignment, nil when t lies beyond the plan.
+func (p Plan) at(t TrialID) Assignment {
+	if int(t) < len(p) {
+		return p[t]
+	}
+	return nil
+}
+
+// placed counts the trials a plan assigns.
+func placed(p Plan) int {
+	n := 0
+	for _, a := range p {
+		if a != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Current returns a deep copy of the current placement plan.
+func (c *Controller) Current() Plan { return clonePlan(c.current) }
+
+func clonePlan(p Plan) Plan {
+	out := make(Plan, len(p))
+	for t, a := range p {
+		out[t] = slices.Clone(a)
+	}
+	return out
+}
+
+// checkPlan verifies structural invariants: exact allocations, slots in
+// strictly increasing node order, no node oversubscription, and
+// co-location of sub-node trials.
 func checkPlan(t *testing.T, plan Plan, allocs map[TrialID]int, nodes []*cluster.Node, nodeGPUs int) {
 	t.Helper()
-	if len(plan) != len(allocs) {
-		t.Fatalf("plan covers %d trials, want %d", len(plan), len(allocs))
+	if placed(plan) != len(allocs) {
+		t.Fatalf("plan covers %d trials, want %d", placed(plan), len(allocs))
 	}
 	used := make(map[cluster.NodeID]int)
 	capacity := make(map[cluster.NodeID]int)
@@ -32,8 +87,8 @@ func checkPlan(t *testing.T, plan Plan, allocs map[TrialID]int, nodes []*cluster
 		capacity[n.ID] = n.GPUs
 	}
 	for tr, want := range allocs {
-		asg, ok := plan[tr]
-		if !ok {
+		asg := plan.at(tr)
+		if asg == nil {
 			t.Fatalf("trial %d unplaced", tr)
 		}
 		if asg.GPUs() != want {
@@ -42,11 +97,14 @@ func checkPlan(t *testing.T, plan Plan, allocs map[TrialID]int, nodes []*cluster
 		if want <= nodeGPUs && asg.Nodes() != 1 {
 			t.Fatalf("trial %d (%d GPUs) spans %d nodes, want 1", tr, want, asg.Nodes())
 		}
-		for nid, g := range asg {
-			if _, exists := capacity[nid]; !exists {
-				t.Fatalf("trial %d placed on unknown node %d", tr, nid)
+		for i, s := range asg {
+			if _, exists := capacity[s.Node]; !exists {
+				t.Fatalf("trial %d placed on unknown node %d", tr, s.Node)
 			}
-			used[nid] += g
+			if i > 0 && asg[i-1].Node >= s.Node {
+				t.Fatalf("trial %d slots out of node order: %v", tr, asg)
+			}
+			used[s.Node] += s.GPUs
 		}
 	}
 	for nid, u := range used {
@@ -69,7 +127,7 @@ func TestSimplePlacement(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
 	allocs := map[TrialID]int{0: 2, 1: 2, 2: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := update(c, allocs, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +142,7 @@ func TestWholeNodeTrials(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(3, 4)
 	allocs := map[TrialID]int{0: 8, 1: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := update(c, allocs, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +154,14 @@ func TestWholeNodeTrials(t *testing.T) {
 
 func TestDemandExceedsCapacity(t *testing.T) {
 	c := NewController(4)
-	if _, err := c.Update(map[TrialID]int{0: 9}, mkNodes(2, 4)); err == nil {
+	if _, err := update(c, map[TrialID]int{0: 9}, mkNodes(2, 4)); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
 }
 
 func TestZeroAllocationRejected(t *testing.T) {
 	c := NewController(4)
-	if _, err := c.Update(map[TrialID]int{0: 0}, mkNodes(1, 4)); err == nil {
+	if _, err := update(c, map[TrialID]int{0: 0}, mkNodes(1, 4)); err == nil {
 		t.Fatal("zero allocation accepted")
 	}
 }
@@ -112,22 +170,21 @@ func TestPreservationAcrossEpochs(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(4, 4)
 	allocs := map[TrialID]int{0: 4, 1: 4, 2: 4, 3: 4}
-	plan1, err := c.Update(allocs, nodes)
+	plan1, err := update(c, allocs, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan1 = clonePlan(plan1) // valid only until the next Update
 	// Trial 3 finishes; the rest keep their allocation. Their placements
 	// must be untouched.
 	delete(allocs, 3)
-	plan2, err := c.Update(allocs, nodes)
+	plan2, err := update(c, allocs, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for tr := TrialID(0); tr < 3; tr++ {
-		for nid, g := range plan1[tr] {
-			if plan2[tr][nid] != g {
-				t.Fatalf("trial %d moved: %v -> %v", tr, plan1[tr], plan2[tr])
-			}
+		if !slices.Equal(plan1[tr], plan2[tr]) {
+			t.Fatalf("trial %d moved: %v -> %v", tr, plan1[tr], plan2[tr])
 		}
 	}
 }
@@ -135,21 +192,21 @@ func TestPreservationAcrossEpochs(t *testing.T) {
 func TestReallocationTriggersMove(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(4, 4)
-	plan1, err := c.Update(map[TrialID]int{0: 2, 1: 2, 2: 2, 3: 2}, nodes)
+	plan1, err := update(c, map[TrialID]int{0: 2, 1: 2, 2: 2, 3: 2}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = plan1
 	// Stage transition: two survivors double their allocation.
 	allocs := map[TrialID]int{0: 4, 1: 4}
-	plan2, err := c.Update(allocs, nodes)
+	plan2, err := update(c, allocs, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPlan(t, plan2, allocs, nodes, 4)
 	// Each survivor is co-located on a single node (Table 1's property).
 	for tr, asg := range plan2 {
-		if asg.Nodes() != 1 {
+		if asg != nil && asg.Nodes() != 1 {
 			t.Fatalf("trial %d not co-located: %v", tr, asg)
 		}
 	}
@@ -159,13 +216,13 @@ func TestDisplacementMakesRoom(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
 	// Two small trials land anywhere.
-	if _, err := c.Update(map[TrialID]int{10: 1, 11: 1}, nodes); err != nil {
+	if _, err := update(c, map[TrialID]int{10: 1, 11: 1}, nodes); err != nil {
 		t.Fatal(err)
 	}
 	// Now a 4-GPU trial arrives; if the small trials sit on different
 	// nodes, one must be displaced so the big trial gets a full node.
 	allocs := map[TrialID]int{10: 1, 11: 1, 12: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := update(c, allocs, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +235,13 @@ func TestDisplacementMakesRoom(t *testing.T) {
 func TestLockedTrialNotDisplaced(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
-	if _, err := c.Update(map[TrialID]int{0: 3, 1: 3}, nodes); err != nil {
+	if _, err := update(c, map[TrialID]int{0: 3, 1: 3}, nodes); err != nil {
 		t.Fatal(err)
 	}
 	c.Lock(0)
 	c.Lock(1)
 	// A 4-GPU trial cannot be placed without displacing a locked trial.
-	if _, err := c.Update(map[TrialID]int{0: 3, 1: 3, 2: 4}, nodes); err == nil {
+	if _, err := update(c, map[TrialID]int{0: 3, 1: 3, 2: 4}, nodes); err == nil {
 		t.Fatal("placement succeeded despite locked trials blocking")
 	}
 	// After unlocking, displacement succeeds... but capacity (3+3+4=10)
@@ -192,7 +249,7 @@ func TestLockedTrialNotDisplaced(t *testing.T) {
 	c.Unlock(0)
 	c.Unlock(1)
 	allocs := map[TrialID]int{0: 3, 2: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := update(c, allocs, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +259,14 @@ func TestLockedTrialNotDisplaced(t *testing.T) {
 func TestLockedTrialReallocationErrors(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(1, 4)
-	if _, err := c.Update(map[TrialID]int{0: 2}, nodes); err != nil {
+	if _, err := update(c, map[TrialID]int{0: 2}, nodes); err != nil {
 		t.Fatal(err)
 	}
 	c.Lock(0)
-	if _, err := c.Update(map[TrialID]int{0: 4}, nodes); err == nil {
+	if _, err := update(c, map[TrialID]int{0: 4}, nodes); err == nil {
 		t.Fatal("locked reallocation accepted")
 	}
-	if _, err := c.Update(map[TrialID]int{}, nodes); err == nil {
+	if _, err := update(c, map[TrialID]int{}, nodes); err == nil {
 		t.Fatal("locked removal accepted")
 	}
 }
@@ -217,15 +274,15 @@ func TestLockedTrialReallocationErrors(t *testing.T) {
 func TestRemove(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(1, 4)
-	if _, err := c.Update(map[TrialID]int{0: 4}, nodes); err != nil {
+	if _, err := update(c, map[TrialID]int{0: 4}, nodes); err != nil {
 		t.Fatal(err)
 	}
 	c.Remove(0)
-	if len(c.Current()) != 0 {
+	if placed(c.Current()) != 0 {
 		t.Fatal("Remove left placement behind")
 	}
 	// Freed capacity is immediately reusable.
-	plan, err := c.Update(map[TrialID]int{1: 4}, nodes)
+	plan, err := update(c, map[TrialID]int{1: 4}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +294,12 @@ func TestRemove(t *testing.T) {
 func TestNodeRemovalForcesReplacement(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
-	if _, err := c.Update(map[TrialID]int{0: 4, 1: 4}, nodes); err != nil {
+	if _, err := update(c, map[TrialID]int{0: 4, 1: 4}, nodes); err != nil {
 		t.Fatal(err)
 	}
 	// Node 1 is drained away; trial on it must be replaced onto node 0.
 	allocs := map[TrialID]int{0: 4}
-	plan, err := c.Update(allocs, nodes[:1])
+	plan, err := update(c, allocs, nodes[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +309,7 @@ func TestNodeRemovalForcesReplacement(t *testing.T) {
 func TestDrainOrderPrefersEmptyNodes(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(3, 4)
-	if _, err := c.Update(map[TrialID]int{0: 4, 1: 2}, nodes); err != nil {
+	if _, err := update(c, map[TrialID]int{0: 4, 1: 2}, nodes); err != nil {
 		t.Fatal(err)
 	}
 	order := c.DrainOrder(nodes)
@@ -262,8 +319,8 @@ func TestDrainOrderPrefersEmptyNodes(t *testing.T) {
 	// First node to drain must be the one with no placement.
 	used := map[cluster.NodeID]int{}
 	for _, a := range c.Current() {
-		for nid, g := range a {
-			used[nid] += g
+		for _, s := range a {
+			used[s.Node] += s.GPUs
 		}
 	}
 	if used[order[0]] != 0 {
@@ -277,12 +334,12 @@ func TestDrainOrderPrefersEmptyNodes(t *testing.T) {
 func TestCurrentIsCopy(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(1, 4)
-	if _, err := c.Update(map[TrialID]int{0: 2}, nodes); err != nil {
+	if _, err := update(c, map[TrialID]int{0: 2}, nodes); err != nil {
 		t.Fatal(err)
 	}
 	snap := c.Current()
-	snap[0][cluster.NodeID(0)] = 99
-	if c.Current()[0][cluster.NodeID(0)] != 2 {
+	snap[0][0].GPUs = 99
+	if c.Current()[0][0].GPUs != 2 {
 		t.Fatal("Current exposed internal state")
 	}
 }
@@ -314,21 +371,21 @@ func TestQuickPlacementInvariants(t *testing.T) {
 		if len(allocs) == 0 {
 			return true
 		}
-		plan, err := c.Update(allocs, nodes)
+		plan, err := update(c, allocs, nodes)
 		if err != nil {
 			return true // fragmentation can make co-location impossible
 		}
 		used := make(map[cluster.NodeID]int)
 		for tr, want := range allocs {
-			asg := plan[tr]
+			asg := plan.at(tr)
 			if asg.GPUs() != want {
 				return false
 			}
 			if want <= nodeGPUs && asg.Nodes() != 1 {
 				return false
 			}
-			for nid, g := range asg {
-				used[nid] += g
+			for _, s := range asg {
+				used[s.Node] += s.GPUs
 			}
 		}
 		for _, u := range used {
@@ -356,7 +413,7 @@ func TestQuickFairWorkloadsAlwaysPlace(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			allocs[TrialID(i)] = per
 		}
-		plan, err := c.Update(allocs, nodes)
+		plan, err := update(c, allocs, nodes)
 		if err != nil {
 			return false
 		}
@@ -437,26 +494,16 @@ func TestQuickPlacementStable(t *testing.T) {
 		if len(allocs) == 0 {
 			return true
 		}
-		p1, err := c.Update(allocs, nodes)
+		p1, err := update(c, allocs, nodes)
 		if err != nil {
 			return false
 		}
-		p2, err := c.Update(allocs, nodes)
+		p1 = clonePlan(p1)
+		p2, err := update(c, allocs, nodes)
 		if err != nil {
 			return false
 		}
-		for tr, a1 := range p1 {
-			a2 := p2[tr]
-			if len(a1) != len(a2) {
-				return false
-			}
-			for nid, g := range a1 {
-				if a2[nid] != g {
-					return false
-				}
-			}
-		}
-		return true
+		return slices.EqualFunc(p1, p2, slices.Equal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -466,9 +513,9 @@ func TestQuickPlacementStable(t *testing.T) {
 // TestPickVictimTieDeterministic forces a displacement whose two victim
 // candidates hold the same GPU count and checks that the controller
 // breaks the tie by TrialID — the same victim on every run, regardless
-// of map iteration order. (Before the (GPUs, TrialID) total order,
-// first-seen-in-map-order won and identical inputs produced different
-// plans across runs.)
+// of iteration order. (Before the (GPUs, TrialID) total order, the
+// map-based controller let first-seen-in-map-order win, and identical
+// inputs produced different plans across runs.)
 func TestPickVictimTieDeterministic(t *testing.T) {
 	var ref Plan
 	for run := 0; run < 50; run++ {
@@ -478,7 +525,7 @@ func TestPickVictimTieDeterministic(t *testing.T) {
 		// Epoch 1 fills both nodes so that trial 10 lands on node 0 and
 		// trial 98 on node 1.
 		first := map[TrialID]int{10: 1, 20: 1, 98: 1, 99: 1}
-		if _, err := c.Update(first, nodes); err != nil {
+		if _, err := update(c, first, nodes); err != nil {
 			t.Fatal(err)
 		}
 		c.Remove(20)
@@ -488,18 +535,12 @@ func TestPickVictimTieDeterministic(t *testing.T) {
 		// 10 or trial 98 (1 GPU each — a tie) would free one. The victim
 		// must always be trial 10, the smaller ID.
 		second := map[TrialID]int{10: 1, 98: 1, 30: 2}
-		plan, err := c.Update(second, nodes)
+		plan, err := update(c, second, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkPlan(t, plan, second, nodes, 2)
-		var tenNode, ninetyEightNode cluster.NodeID = -1, -1
-		for nid := range plan[10] {
-			tenNode = nid
-		}
-		for nid := range plan[98] {
-			ninetyEightNode = nid
-		}
+		tenNode, ninetyEightNode := plan[10][0].Node, plan[98][0].Node
 		if ninetyEightNode != 1 {
 			t.Fatalf("run %d: trial 98 moved to node %d; only trial 10 (smaller ID) should be displaced", run, ninetyEightNode)
 		}
@@ -507,43 +548,24 @@ func TestPickVictimTieDeterministic(t *testing.T) {
 			t.Fatalf("run %d: trial 10 on node %d, want displaced to node 1", run, tenNode)
 		}
 		if ref == nil {
-			ref = plan
-		} else if !plansEqual(ref, plan) {
+			ref = clonePlan(plan)
+		} else if !slices.EqualFunc(ref, plan, slices.Equal) {
 			t.Fatalf("run %d: plan differs from run 0:\n  got  %v\n  want %v", run, plan, ref)
 		}
 	}
 }
 
-// plansEqual compares two plans structurally.
-func plansEqual(a, b Plan) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for tr, asg := range a {
-		other, ok := b[tr]
-		if !ok || len(asg) != len(other) {
-			return false
-		}
-		for nid, g := range asg {
-			if other[nid] != g {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func TestMoves(t *testing.T) {
 	prev := Plan{
-		0: {0: 4},
-		1: {1: 2},
-		2: {1: 2},
+		0: {{0, 4}},
+		1: {{1, 2}},
+		2: {{1, 2}},
 	}
 	next := Plan{
-		0: {0: 4},       // unchanged
-		1: {2: 2},       // moved node
-		2: {1: 2, 2: 2}, // grew
-		3: {3: 4},       // new trial
+		0: {{0, 4}},         // unchanged
+		1: {{2, 2}},         // moved node
+		2: {{1, 2}, {2, 2}}, // grew
+		3: {{3, 4}},         // new trial
 	}
 	if got := Moves(prev, next); got != 3 {
 		t.Fatalf("Moves = %d, want 3", got)
@@ -555,39 +577,86 @@ func TestMoves(t *testing.T) {
 		t.Fatalf("Moves from empty = %d, want %d", got, len(prev))
 	}
 	// Trials dropped from next don't count: only next's gangs migrate.
-	if got := Moves(prev, Plan{0: {0: 4}}); got != 0 {
+	if got := Moves(prev, Plan{0: {{0, 4}}}); got != 0 {
 		t.Fatalf("Moves after termination = %d, want 0", got)
 	}
 }
 
-// refController is a direct, unoptimized formulation of Algorithm 3: it
-// deep-clones every preserved gang and every plan it returns, and tracks
-// free capacity in maps keyed by NodeID. It is the oracle
-// TestUpdateMatchesReference holds Controller.Update to.
+// refController is a direct, unoptimized formulation of Algorithm 3 —
+// the map-based controller the dense one replaced: it deep-clones every
+// preserved gang and every plan it returns, and keys allocations, plans
+// and free capacity by ID in maps. It is the oracle
+// TestUpdateMatchesReference and FuzzUpdateMatchesReference hold
+// Controller.Update to.
 type refController struct {
 	nodeGPUs int
-	current  Plan
+	current  mapPlan
 	locked   map[TrialID]bool
 }
 
-func newRefController(nodeGPUs int) *refController {
-	return &refController{nodeGPUs: nodeGPUs, current: make(Plan), locked: make(map[TrialID]bool)}
+// mapAssignment and mapPlan are the reference's forms of Assignment and
+// Plan: GPUs by node, and assignments by trial.
+type (
+	mapAssignment map[cluster.NodeID]int
+	mapPlan       map[TrialID]mapAssignment
+)
+
+func (a mapAssignment) GPUs() int {
+	total := 0
+	for _, g := range a {
+		total += g
+	}
+	return total
 }
 
-func cloneAssignment(a Assignment) Assignment {
-	c := make(Assignment, len(a))
+func newRefController(nodeGPUs int) *refController {
+	return &refController{nodeGPUs: nodeGPUs, current: make(mapPlan), locked: make(map[TrialID]bool)}
+}
+
+func cloneAssignment(a mapAssignment) mapAssignment {
+	c := make(mapAssignment, len(a))
 	for n, g := range a {
 		c[n] = g
 	}
 	return c
 }
 
-func clonePlan(p Plan) Plan {
-	c := make(Plan, len(p))
+func cloneMapPlan(p mapPlan) mapPlan {
+	c := make(mapPlan, len(p))
 	for t, a := range p {
 		c[t] = cloneAssignment(a)
 	}
 	return c
+}
+
+// refSortTrials orders trials by allocation descending, then by ID.
+func refSortTrials(ts []TrialID, allocs map[TrialID]int) {
+	slices.SortFunc(ts, func(a, b TrialID) int {
+		if allocs[a] != allocs[b] {
+			return cmp.Compare(allocs[b], allocs[a])
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// matchesRef reports whether a dense plan assigns exactly what the
+// reference plan does.
+func matchesRef(got Plan, want mapPlan) bool {
+	if placed(got) != len(want) {
+		return false
+	}
+	for t, w := range want {
+		g := got.at(t)
+		if len(g) != len(w) {
+			return false
+		}
+		for _, s := range g {
+			if w[s.Node] != s.GPUs {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (c *refController) Lock(t TrialID)   { c.locked[t] = true }
@@ -597,7 +666,7 @@ func (c *refController) Remove(t TrialID) {
 	delete(c.locked, t)
 }
 
-func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan, error) {
+func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (mapPlan, error) {
 	demand := 0
 	for t, g := range allocs {
 		if g < 1 {
@@ -616,7 +685,7 @@ func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (P
 	for _, n := range nodes {
 		nodeSet[n.ID] = n.GPUs
 	}
-	plan := make(Plan, len(allocs))
+	plan := make(mapPlan, len(allocs))
 	for t, a := range c.current {
 		want, live := allocs[t]
 		if !live {
@@ -639,7 +708,7 @@ func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (P
 	}
 	if len(plan) == len(allocs) {
 		c.current = plan
-		return clonePlan(plan), nil
+		return cloneMapPlan(plan), nil
 	}
 	free := make(map[cluster.NodeID]int, len(nodes))
 	for id, cap := range nodeSet {
@@ -659,7 +728,7 @@ func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (P
 			queue = append(queue, t)
 		}
 	}
-	sortTrials(queue, allocs)
+	refSortTrials(queue, allocs)
 	placedNow := make(map[TrialID]bool)
 	for len(queue) > 0 {
 		t := queue[0]
@@ -672,15 +741,15 @@ func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (P
 		placedNow[t] = true
 		if len(displaced) > 0 {
 			queue = append(queue, displaced...)
-			sortTrials(queue, allocs)
+			refSortTrials(queue, allocs)
 		}
 	}
 	c.current = plan
-	return clonePlan(plan), nil
+	return cloneMapPlan(plan), nil
 }
 
-func (c *refController) place(t TrialID, want int, plan Plan, free map[cluster.NodeID]int, placedNow map[TrialID]bool) (Assignment, []TrialID, error) {
-	asg := make(Assignment)
+func (c *refController) place(t TrialID, want int, plan mapPlan, free map[cluster.NodeID]int, placedNow map[TrialID]bool) (mapAssignment, []TrialID, error) {
+	asg := make(mapAssignment)
 	remaining := want
 	var displaced []TrialID
 	for remaining > 0 {
@@ -717,7 +786,7 @@ func refBestFit(free map[cluster.NodeID]int, unit int) (cluster.NodeID, bool) {
 	return best, best >= 0
 }
 
-func (c *refController) pickVictim(plan Plan, free map[cluster.NodeID]int, unit int, t TrialID, placedNow map[TrialID]bool) (TrialID, bool) {
+func (c *refController) pickVictim(plan mapPlan, free map[cluster.NodeID]int, unit int, t TrialID, placedNow map[TrialID]bool) (TrialID, bool) {
 	victim := TrialID(-1)
 	victimGPUs := int(^uint(0) >> 1)
 	for cand, asg := range plan {
@@ -739,124 +808,279 @@ func (c *refController) pickVictim(plan Plan, free map[cluster.NodeID]int, unit 
 	return victim, victim >= 0
 }
 
-// TestUpdateMatchesReference drives the controller and the deep-cloning
-// reference through the same seeded random sequences of Update, Remove,
-// Lock/Unlock and node churn (preemption-style loss, replacement, scale
-// up), and requires identical plans — and identical success or failure —
-// at every Update. Every plan Update returned must also still equal its
-// snapshot at the end: sharing assignments must never let a later epoch
-// rewrite an earlier plan.
+// intner is the op-stream source shared by the seeded test (a stats.RNG)
+// and the fuzz target (the fuzzer's bytes).
+type intner interface{ Intn(n int) int }
+
+// byteOps draws op-stream choices from fuzz input, 0 once it runs out.
+type byteOps []byte
+
+func (b *byteOps) Intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0])
+	*b = (*b)[1:]
+	return v % n
+}
+
+// checkAgainstReference drives the controller and the map-based
+// reference through ops random steps — Update after reshaping the
+// allocation, queue hand-offs (one trial leaves and one of the same size
+// joins), Remove, Lock/Unlock and node churn (preemption-style loss,
+// replacement, scale-up) — and requires identical plans, and identical
+// success or failure, at every Update. It also holds the plan lifetime
+// contract: the last plan Update returned stays intact until the next
+// Update or Remove, including across a failed Update. It returns the
+// Update and failure counts.
+func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures int) {
+	t.Helper()
+	gpn := []int{1, 2, 4, 8}[r.Intn(4)]
+	c, ref := NewController(gpn), newRefController(gpn)
+	nodes := mkNodes(2+r.Intn(6), gpn)
+	nextNode := cluster.NodeID(len(nodes))
+	allocs := map[TrialID]int{}
+	nextTrial := TrialID(0)
+	var last, snap Plan // the live returned plan and its deep copy
+	checkLast := func(op int, what string) {
+		t.Helper()
+		if last != nil && !slices.EqualFunc(last, snap, slices.Equal) {
+			t.Fatalf("op %d: returned plan changed before %s: %v, was %v", op, what, last, snap)
+		}
+	}
+	doUpdate := func(op int) {
+		t.Helper()
+		checkLast(op, "the next Update")
+		got, err := c.Update(column(allocs, int(nextTrial)+r.Intn(3)), nodes)
+		want, werr := ref.Update(maps.Clone(allocs), nodes)
+		updates++
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("op %d: error %v, reference %v", op, err, werr)
+		}
+		if err != nil {
+			failures++
+			checkLast(op, "a failed Update returned")
+			return
+		}
+		if !matchesRef(got, want) {
+			t.Fatalf("op %d: plan %v, reference %v", op, got, want)
+		}
+		last, snap = got, clonePlan(got)
+	}
+	for op := 0; op < ops; op++ {
+		switch k := r.Intn(12); {
+		case k < 5: // reshape the allocation, then Update
+			switch r.Intn(3) {
+			case 0:
+				allocs[nextTrial] = 1 + r.Intn(2*gpn)
+				nextTrial++
+			case 1:
+				if len(allocs) > 0 {
+					allocs[TrialID(r.Intn(int(nextTrial)))] = 1 + r.Intn(2*gpn)
+				}
+			case 2:
+				delete(allocs, TrialID(r.Intn(int(nextTrial)+1)))
+			}
+			doUpdate(op)
+		case k < 7: // a queue hand-off: one trial leaves, a same-size one joins
+			if len(allocs) == 0 {
+				continue
+			}
+			ids := make([]TrialID, 0, len(allocs))
+			for id := range allocs {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			leaver := ids[r.Intn(len(ids))]
+			allocs[nextTrial] = allocs[leaver]
+			nextTrial++
+			delete(allocs, leaver)
+			doUpdate(op)
+		case k < 9: // a trial finishes or is terminated
+			checkLast(op, "Remove")
+			last = nil
+			id := TrialID(r.Intn(int(nextTrial) + 1))
+			c.Remove(id)
+			ref.Remove(id)
+			delete(allocs, id)
+		case k < 10:
+			id := TrialID(r.Intn(int(nextTrial) + 1))
+			if r.Intn(2) == 0 {
+				c.Lock(id)
+				ref.Lock(id)
+			} else {
+				c.Unlock(id)
+				ref.Unlock(id)
+			}
+		default: // node churn
+			if r.Intn(2) == 0 && len(nodes) > 1 {
+				i := r.Intn(len(nodes))
+				nodes = append(nodes[:i:i], nodes[i+1:]...)
+			} else {
+				nodes = append(nodes[:len(nodes):len(nodes)], &cluster.Node{ID: nextNode, GPUs: gpn})
+				nextNode++
+			}
+		}
+	}
+	checkLast(ops, "the end")
+	return updates, failures
+}
+
+// TestUpdateMatchesReference runs checkAgainstReference over seeded op
+// streams, each of which must see some Update succeed.
 func TestUpdateMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
-		r := stats.NewRNG(seed)
-		gpn := []int{1, 2, 4, 8}[r.Intn(4)]
-		c, ref := NewController(gpn), newRefController(gpn)
-		nodes := mkNodes(2+r.Intn(6), gpn)
-		nextNode := cluster.NodeID(len(nodes))
-		allocs := map[TrialID]int{}
-		nextTrial := TrialID(0)
-		type kept struct{ got, snap Plan }
-		var returned []kept
-		updates, failures := 0, 0
-		for op := 0; op < 300; op++ {
-			switch k := r.Intn(10); {
-			case k < 5: // reshape the allocation, then Update
-				switch r.Intn(3) {
-				case 0:
-					allocs[nextTrial] = 1 + r.Intn(2*gpn)
-					nextTrial++
-				case 1:
-					if len(allocs) > 0 {
-						allocs[TrialID(r.Intn(int(nextTrial)))] = 1 + r.Intn(2*gpn)
-					}
-				case 2:
-					delete(allocs, TrialID(r.Intn(int(nextTrial)+1)))
-				}
-				got, err := c.Update(maps.Clone(allocs), nodes)
-				want, werr := ref.Update(maps.Clone(allocs), nodes)
-				updates++
-				if (err == nil) != (werr == nil) {
-					t.Fatalf("seed %d op %d: error %v, reference %v", seed, op, err, werr)
-				}
-				if err != nil {
-					failures++
-					continue
-				}
-				if !plansEqual(got, want) {
-					t.Fatalf("seed %d op %d: plan %v, reference %v", seed, op, got, want)
-				}
-				returned = append(returned, kept{got, clonePlan(got)})
-			case k < 7: // a trial finishes or is terminated
-				id := TrialID(r.Intn(int(nextTrial) + 1))
-				c.Remove(id)
-				ref.Remove(id)
-				delete(allocs, id)
-			case k < 8:
-				id := TrialID(r.Intn(int(nextTrial) + 1))
-				if r.Intn(2) == 0 {
-					c.Lock(id)
-					ref.Lock(id)
-				} else {
-					c.Unlock(id)
-					ref.Unlock(id)
-				}
-			default: // node churn
-				if r.Intn(2) == 0 && len(nodes) > 1 {
-					i := r.Intn(len(nodes))
-					nodes = append(nodes[:i:i], nodes[i+1:]...)
-				} else {
-					nodes = append(nodes[:len(nodes):len(nodes)], &cluster.Node{ID: nextNode, GPUs: gpn})
-					nextNode++
-				}
-			}
-		}
-		if updates == failures {
+		if updates, failures := checkAgainstReference(t, stats.NewRNG(seed), 300); updates == failures {
 			t.Fatalf("seed %d: no Update succeeded", seed)
-		}
-		for i, p := range returned {
-			if !plansEqual(p.got, p.snap) {
-				t.Fatalf("seed %d: plan %d changed after it was returned: %v, was %v", seed, i, p.got, p.snap)
-			}
 		}
 	}
 }
 
-// TestReturnedPlanNotAliased: a plan Update returned stays exactly as it
-// was through later Remove and Update calls — including ones that keep
-// its gangs, displace them, or drop their nodes. The executor's
-// Moves(prev, next) migration count reads the previous plan after the
-// next Update, so any aliasing would silently zero it.
+// FuzzUpdateMatchesReference runs checkAgainstReference over op streams
+// the fuzzer mutates: one op per three input bytes (a typical op's draw
+// count), at most 300. Seeds live in
+// testdata/fuzz/FuzzUpdateMatchesReference.
+func FuzzUpdateMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := byteOps(data)
+		checkAgainstReference(t, &ops, min(len(data)/3, 300))
+	})
+}
+
+// TestReturnedPlanNotAliased pins the plan lifetime contract: a plan
+// Update returned survives lock changes, node churn and failed Updates
+// untouched, and stays valid until the next Update or Remove — Remove
+// edits it in place, and a successful Update reuses its buffer. So the
+// executor copies the plan before the barrier's Removes, and its
+// migration count reads that copy.
 func TestReturnedPlanNotAliased(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(3, 4)
-	prev, err := c.Update(map[TrialID]int{0: 2, 1: 2, 2: 1, 3: 1}, nodes)
+	prev, err := update(c, map[TrialID]int{0: 2, 1: 2, 2: 1, 3: 1}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := clonePlan(prev)
+	c.Lock(0)
+	if _, err := update(c, map[TrialID]int{1: 2, 2: 1, 3: 1}, nodes); err == nil {
+		t.Fatal("dropping locked trial 0 accepted")
+	}
+	if _, err := update(c, map[TrialID]int{0: 2, 1: 2, 2: 1, 3: 1, 4: 9}, nodes); err == nil {
+		t.Fatal("oversubscription accepted")
+	}
+	c.Unlock(0)
+	if !slices.EqualFunc(prev, snap, slices.Equal) {
+		t.Fatalf("a failed Update changed the returned plan: %v, was %v", prev, snap)
+	}
 
+	// The barrier snapshot: a shallow copy taken before Remove keeps every
+	// gang, because Remove only drops trials from the plan.
+	barrier := slices.Clone(prev)
 	c.Remove(2)
 	c.Remove(0)
-	if !plansEqual(prev, snap) {
-		t.Fatalf("Remove changed a returned plan: %v, was %v", prev, snap)
+	if prev[0] != nil || prev[2] != nil || !slices.Equal(prev[1], snap[1]) {
+		t.Fatalf("Remove did not edit the returned plan in place: %v", prev)
 	}
 	// Trial 1 keeps its gang, trial 4 needs a whole node (displacing trial
 	// 3 if it sits in the way), and node 2 is gone.
-	next, err := c.Update(map[TrialID]int{1: 2, 3: 1, 4: 4}, nodes[:2])
+	next, err := update(c, map[TrialID]int{1: 2, 3: 1, 4: 4}, nodes[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plansEqual(prev, snap) {
-		t.Fatalf("Update changed a returned plan: %v, was %v", prev, snap)
+	if got, want := Moves(barrier, next), Moves(snap, next); got != want || got == 0 {
+		t.Fatalf("Moves(barrier, next) = %d, want %d (> 0)", got, want)
 	}
-	if got, want := Moves(prev, next), Moves(snap, next); got != want || got == 0 {
-		t.Fatalf("Moves(prev, next) = %d, want %d (> 0)", got, want)
-	}
-	if !next[1].equal(prev[1]) {
-		t.Fatalf("trial 1 moved: %v -> %v", prev[1], next[1])
+	if !slices.Equal(next[1], snap[1]) {
+		t.Fatalf("trial 1 moved: %v -> %v", snap[1], next[1])
 	}
 	c.Remove(1)
-	if len(next) != 3 {
-		t.Fatalf("Remove after Update shrank the returned plan to %v", next)
+	if next[1] != nil || placed(next) != 2 {
+		t.Fatalf("Remove after Update left %v", next)
+	}
+}
+
+// TestUpdateErrorNamesLowestTrial: when several trials are at fault at
+// once, the error names the lowest TrialID on every run. (The map-based
+// controller reported whichever trial map iteration reached first.)
+func TestUpdateErrorNamesLowestTrial(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		c := NewController(4)
+		nodes := mkNodes(2, 4)
+		if _, err := update(c, map[TrialID]int{3: 1, 5: 2, 7: 2}, nodes); err != nil {
+			t.Fatal(err)
+		}
+		c.Lock(7)
+		c.Lock(5)
+		// Both locked trials dropped together.
+		_, err := update(c, map[TrialID]int{3: 1}, nodes)
+		if err == nil || !strings.Contains(err.Error(), "locked trial 5 ") {
+			t.Fatalf("run %d: error %v, want locked trial 5", run, err)
+		}
+		// Both locked trials reallocated together.
+		_, err = update(c, map[TrialID]int{3: 1, 5: 1, 7: 1}, nodes)
+		if err == nil || !strings.Contains(err.Error(), "locked trial 5 ") {
+			t.Fatalf("run %d: error %v, want locked trial 5", run, err)
+		}
+		_, err = update(c, map[TrialID]int{3: 1, 5: 2, 7: 2, 8: 0, 9: 0}, nodes)
+		if err == nil || !strings.Contains(err.Error(), "trial 8 ") {
+			t.Fatalf("run %d: error %v, want trial 8", run, err)
+		}
+	}
+}
+
+// handoffShape is the executor's tight-budget stage on 8-GPU nodes: 32
+// trials of 4 GPUs over 16 nodes, with as many again queued behind them.
+// The live trials are a window over a 64-trial column; handoff slides it
+// by one, so trial k leaves and trial k+32 joins, as when a finished
+// trial hands its slot to the head of the queue.
+type handoffShape struct {
+	allocs []int32
+	nodes  []*cluster.Node
+	k      int
+}
+
+func newHandoffShape() *handoffShape {
+	h := &handoffShape{allocs: make([]int32, 64), nodes: mkNodes(16, 8)}
+	for i := range h.allocs {
+		h.allocs[i] = -1
+		if i < 32 {
+			h.allocs[i] = 4
+		}
+	}
+	return h
+}
+
+func (h *handoffShape) handoff() {
+	h.allocs[h.k%64], h.allocs[(h.k+32)%64] = -1, 4
+	h.k++
+}
+
+// TestUpdateHandoffAllocs: once both plan buffers and the scratch exist,
+// a hand-off Update allocates exactly the newcomer's Assignment, and an
+// Update that preserves everything allocates nothing.
+func TestUpdateHandoffAllocs(t *testing.T) {
+	h := newHandoffShape()
+	c := NewController(8)
+	var err error
+	for i := 0; i < 4 && err == nil; i++ {
+		_, err = c.Update(h.allocs, h.nodes)
+		h.handoff()
+	}
+	handoff := testing.AllocsPerRun(100, func() {
+		if err == nil {
+			h.handoff()
+			_, err = c.Update(h.allocs, h.nodes)
+		}
+	})
+	preserved := testing.AllocsPerRun(100, func() {
+		if err == nil {
+			_, err = c.Update(h.allocs, h.nodes)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if handoff != 1 || preserved != 0 {
+		t.Fatalf("hand-off Update allocated %v objects (want 1), preserving Update %v (want 0)", handoff, preserved)
 	}
 }

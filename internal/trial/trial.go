@@ -6,6 +6,7 @@ package trial
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/searchspace"
 	"repro/internal/vclock"
@@ -121,6 +122,12 @@ func (t *Trial) RecordIteration(accuracy float64, at vclock.Time) error {
 	t.cumIters++
 	t.metrics = append(t.metrics, Metric{CumIters: t.cumIters, Accuracy: accuracy, At: at})
 	return nil
+}
+
+// Reserve makes room for n more metric records, so a stage of n
+// iterations records its history without regrowing it.
+func (t *Trial) Reserve(n int) {
+	t.metrics = slices.Grow(t.metrics, n)
 }
 
 // Pause checkpoints the trial at a stage boundary, destroying its workers.
