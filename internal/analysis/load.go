@@ -96,6 +96,51 @@ func exportMap(dir string, patterns []string) (map[string]string, error) {
 	return m, nil
 }
 
+// testVariants locates export data for the test binaries of the given
+// packages. A test binary recompiles the package under test with its
+// in-package _test.go files, and every dependency that imports it, as
+// "path [pkg.test]"; those entries land in variants[pkg][path], so an
+// external test package can be checked against what the in-package test
+// files add (the export_test.go idiom).
+func testVariants(dir string, pkgs []string) (map[string]map[string]string, error) {
+	variants := make(map[string]map[string]string)
+	if len(pkgs) == 0 {
+		return variants, nil
+	}
+	entries, err := goList(dir, append([]string{"-deps", "-export", "-test", "--"}, pkgs...)...)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		path, variant, ok := strings.Cut(e.ImportPath, " [")
+		if !ok || e.Export == "" {
+			continue
+		}
+		pkg := strings.TrimSuffix(variant, ".test]")
+		if variants[pkg] == nil {
+			variants[pkg] = make(map[string]string)
+		}
+		variants[pkg][path] = e.Export
+	}
+	return variants, nil
+}
+
+// withVariant returns exports with pkg's test variants in place of the
+// plain packages they recompile.
+func withVariant(exports map[string]string, variant map[string]string) map[string]string {
+	if len(variant) == 0 {
+		return exports
+	}
+	m := make(map[string]string, len(exports))
+	for path, file := range exports {
+		m[path] = file
+	}
+	for path, file := range variant {
+		m[path] = file
+	}
+	return m
+}
+
 // exportImporter resolves every import from compiler export data. Using
 // export data uniformly — even for intra-module imports of packages that
 // are themselves being source-checked — keeps each package's type
@@ -192,6 +237,16 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	var xtested []string
+	for _, t := range targets {
+		if len(t.XTestGoFiles) > 0 {
+			xtested = append(xtested, t.ImportPath)
+		}
+	}
+	variants, err := testVariants(dir, xtested)
+	if err != nil {
+		return nil, err
+	}
 
 	fset := token.NewFileSet()
 	ei := newExportImporter(fset, exports)
@@ -226,8 +281,12 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 			if err != nil {
 				return nil, err
 			}
+			// The external test package sees the package under test as
+			// its test binary compiles it, in-package test files
+			// included, through a type universe of its own.
+			xi := newExportImporter(fset, withVariant(exports, variants[t.ImportPath]))
 			xpath := t.ImportPath + "_test"
-			tpkg, info, err := checkFiles(fset, xpath, files, ei)
+			tpkg, info, err := checkFiles(fset, xpath, files, xi)
 			if err != nil {
 				return nil, err
 			}

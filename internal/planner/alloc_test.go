@@ -1,0 +1,79 @@
+package planner
+
+import (
+	"testing"
+
+	"repro/internal/spec"
+)
+
+// The allocation contract of a search: its working memory comes from
+// the search pool, so a search on a warm Planner (every estimate in the
+// memo, every segment in the simulator's table) allocates only the plans
+// it keeps.
+
+// skipUnderRace skips pooled-path allocation counts, which the race
+// detector's random sync.Pool discards would inflate.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool discards items at random under the race detector")
+	}
+}
+
+// warmPlanner returns a serial planner, after one search, over the
+// micro-benchmarks' 64-trial, four-stage job: its static enumeration is
+// screened and its descents take a dozen steps.
+func warmPlanner(t *testing.T) *Planner {
+	s := spec.MustSHA(64, 4, 508, 2)
+	p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 3000, Workers: 1}
+	if _, err := p.PlanElastic(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPlanStaticAllocs: a second PlanStatic on a warm Planner allocates
+// only its returned plan.
+func TestPlanStaticAllocs(t *testing.T) {
+	skipUnderRace(t)
+	p := warmPlanner(t)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.PlanStatic(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("warm PlanStatic allocates %v, want 1 (the returned plan)", allocs)
+	}
+}
+
+// TestPlanElasticWarmAllocs: a second PlanElastic on the same warm
+// Planner allocates at most one plan per accepted descent step (the
+// walked-path record's entries past each descent's warm start), plus the
+// returned plan.
+func TestPlanElasticWarmAllocs(t *testing.T) {
+	skipUnderRace(t)
+	p := warmPlanner(t)
+	ss := p.newSearch()
+	if _, err := p.planElastic(ss); err != nil {
+		t.Fatal(err)
+	}
+	steps := len(ss.walked)
+	for i, w := range ss.walked {
+		if i == 0 || w.descent != ss.walked[i-1].descent {
+			steps-- // a descent's first walked plan is its warm start
+		}
+	}
+	ss.release()
+	if steps == 0 {
+		t.Fatal("no descent took a step; the pin would not cover step plans")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.PlanElastic(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(steps+1) {
+		t.Fatalf("warm PlanElastic allocates %v, want at most %d (%d steps + the returned plan)", allocs, steps+1, steps)
+	}
+	t.Logf("%d accepted steps, %v allocations", steps, allocs)
+}

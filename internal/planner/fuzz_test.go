@@ -16,10 +16,11 @@ import (
 // shapes, deadlines and estimator modes and checks its contract: any
 // returned plan is valid for the spec, fits under MaxGPUs, meets the
 // deadline by its own estimate, replanning from an identical simulator is
-// bit-identical, and the default two-phase search (analytic pruning +
-// frontier deduplication) selects exactly the plan the exhaustive
-// single-phase search selects. ErrInfeasible is the only acceptable
-// refusal.
+// bit-identical, the merged search agrees exactly with the unmerged
+// reference (referencePlanElastic), and the default two-phase search
+// (analytic pruning + frontier deduplication) selects exactly the plan
+// the exhaustive single-phase search selects. ErrInfeasible is the only
+// acceptable refusal.
 func FuzzPlanElastic(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(8), uint64(4), uint64(12), uint64(16), uint64(0))
 	f.Add(uint64(7), uint64(4), uint64(10), uint64(2), uint64(8), uint64(32), uint64(1))
@@ -60,7 +61,22 @@ func FuzzPlanElastic(f *testing.F) {
 		sm := newSim()
 		deadline := sm.StaticClusterJCT(maxGPUs) * factor
 		p := &Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
-		res, err := p.PlanElastic()
+		res, descents, err := p.mergedSearch()
+
+		// Merged descents: the unmerged reference search, each warm-start
+		// descent run to its end on its own allocations, must agree
+		// exactly, descent by descent and refusal included. The
+		// comparison follows a second merged search on another planner,
+		// which reuses the pooled scratch the first one released.
+		indep := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
+		ires, idescents, ierr := indep.referenceSearch()
+		other := &Planner{Sim: newSim(), Deadline: 2 * deadline, MaxGPUs: maxGPUs + 3, Workers: 1}
+		_, _ = other.PlanElastic()
+		if !sameResult(res, err, ires, ierr) || !sameDescents(descents, idescents) {
+			t.Fatalf("merged search gave %v %+v (err %v, descents %v), independent descents %v %+v (err %v, descents %v)",
+				res.Plan, res.Estimate, err, descents, ires.Plan, ires.Estimate, ierr, idescents)
+		}
+
 		if err != nil {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("unexpected planner error: %v", err)

@@ -24,22 +24,17 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 	if budget <= 0 {
 		return Result{}, ErrInfeasible
 	}
-	stages := p.Sim.Spec().NumStages()
-	scr := p.newScreen()
+	ss := p.newSearch()
+	defer ss.release()
 
 	// Warm start: the fastest static allocation within budget. The
 	// frontier is analytically screened first (minimize JCT subject to
 	// the budget), then sizes are evaluated concurrently and reduced in
 	// ascending order, matching the serial enumeration exactly.
 	n := p.maxGPUs()
-	cands := staticPlans(n, stages)
-	keep := make([]bool, n)
-	for i := range keep {
-		keep[i] = true
-	}
-	p.pruneEnumeration(scr, cands, keep, budget, true)
-	ests := make([]sim.Estimate, n)
-	errs := make([]error, n)
+	cands := ss.staticPlans(n, p.Sim.Spec().NumStages())
+	keep, ests, errs := ss.columns(n)
+	p.pruneEnumeration(ss.screen, cands, keep, budget, true)
 	p.estimateAll(cands, keep, ests, errs)
 	best := Result{}
 	found := false
@@ -62,31 +57,25 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 	cur := best
 	sp := p.Sim.Spec()
 	gpn := p.Sim.Cloud().Instance.GPUs
-	maxGPUs := p.maxGPUs()
 	for {
-		cands := generateUpCandidates(cur.Plan, sp, gpn, maxGPUs)
+		cands := generateUpCandidates(&ss.cands, cur.Plan, sp, gpn, n)
 		if len(cands) == 0 {
 			break
 		}
-		ckeep := make([]bool, len(cands))
-		for i := range ckeep {
-			ckeep[i] = true
-		}
-		p.pruneDescentStep(scr, cands, ckeep, cur, budget, true)
-		candEsts := make([]sim.Estimate, len(cands))
-		candErrs := make([]error, len(cands))
-		p.estimateAll(cands, ckeep, candEsts, candErrs)
+		keep, ests, errs := ss.columns(len(cands))
+		p.pruneDescentStep(ss.screen, cands, keep, cur, budget, true)
+		p.estimateAll(cands, keep, ests, errs)
 		bestIdx := -1
 		bestBenefit := math.Inf(-1)
 		var bestEst sim.Estimate
 		for i := range cands {
-			if candErrs[i] != nil {
-				return Result{}, candErrs[i]
+			if errs[i] != nil {
+				return Result{}, errs[i]
 			}
-			if !ckeep[i] {
+			if !keep[i] {
 				continue
 			}
-			est := candEsts[i]
+			est := ests[i]
 			if est.Cost > budget {
 				continue
 			}
@@ -101,11 +90,14 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 		if cur.Estimate.JCT-bestEst.JCT < 1 { // < 1 s of improvement
 			break
 		}
-		cur = Result{Plan: cands[bestIdx], Estimate: bestEst}
+		// The candidate set is scratch the next step overwrites.
+		cur = Result{Plan: cands[bestIdx].Clone(), Estimate: bestEst}
 	}
 	if cur.Estimate.JCT < best.Estimate.JCT {
 		best = cur
 	}
+	// best may alias the static plans, which are scratch.
+	best.Plan = best.Plan.Clone()
 	return best, nil
 }
 
@@ -128,9 +120,10 @@ func jctBenefit(cur, cand sim.Estimate) float64 {
 // the next higher fair value, and the smallest fair value that adds a
 // whole instance (the ascent mirror of generateCandidates). The
 // loop-invariant spec, instance size and cap are passed in so the greedy
-// loop resolves them once rather than per iteration.
-func generateUpCandidates(cur sim.Plan, sp *spec.ExperimentSpec, gpn, maxGPUs int) []sim.Plan {
-	c := newCandSet(cur)
+// loop resolves them once rather than per iteration. Like
+// generateCandidates it replaces c's contents.
+func generateUpCandidates(c *candSet, cur sim.Plan, sp *spec.ExperimentSpec, gpn, maxGPUs int) []sim.Plan {
+	c.reset(cur)
 	for i := range cur.Alloc {
 		trials := sp.Stage(i).Trials
 		if v, ok := fairStepUp(cur.Alloc[i], trials, maxGPUs); ok {

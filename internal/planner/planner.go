@@ -36,7 +36,12 @@ type Result struct {
 	Estimate sim.Estimate
 }
 
-// Planner searches the allocation-plan space for one job.
+// Planner searches the allocation-plan space for one job. A Planner runs
+// one search at a time (no caller shares one across goroutines); within
+// a search, candidate estimation fans out across Workers, which is why
+// the memo is mutex-guarded. Separate Planners may share a Simulator.
+// Each search borrows its working memory from a pool (searchScratch) and
+// returns only plans it cloned out of it.
 type Planner struct {
 	// Sim predicts JCT and cost for candidate plans.
 	Sim *sim.Simulator
@@ -83,9 +88,11 @@ type Planner struct {
 	// memo caches plan evaluations across the whole search, keyed by
 	// memoKey (a compact byte encoding of the plan), so the greedy loop
 	// never re-simulates an allocation it has already scored (successive
-	// iterations share most of their candidate sets, as do overlapping
-	// warm-start descents). It is the only plan-level memo: the simulator
-	// memoizes per stage segment.
+	// iterations share most of their candidate sets). It outlives a
+	// search; the other plan-level memo, each search's walked-path record
+	// (searchScratch.walked), lets a warm-start descent that reaches an
+	// earlier descent's plan skip the rest of the walk entirely. The
+	// simulator memoizes per stage segment.
 	memoMu sync.Mutex
 	memo   map[string]sim.Estimate
 	// estCalls counts estimate() invocations (hits + misses), for the
@@ -200,31 +207,38 @@ func (p *Planner) validate() error {
 // §4.3 and the paper's fixed-cluster baseline). Cluster sizes are
 // evaluated concurrently and reduced in ascending order, so the result
 // matches the serial enumeration exactly (ties go to the smallest
-// cluster).
+// cluster). On a warm Planner it allocates only the returned plan.
 func (p *Planner) PlanStatic() (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	scr := p.newScreen()
-	return p.planStatic(scr)
+	ss := p.newSearch()
+	defer ss.release()
+	res, err := p.planStatic(ss)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Plan = res.Plan.Clone()
+	return res, nil
 }
 
-// planStatic is PlanStatic's body with the search's analytic screen
-// threaded in, so PlanElastic shares one screen (and its evaluator's
-// scratch) across the warm-start enumeration and every greedy descent.
-func (p *Planner) planStatic(scr *frontierScreen) (Result, error) {
+// planStatic is PlanStatic's body on the search's scratch, so PlanElastic
+// shares one screen (and its evaluator) and one set of candidate columns
+// across the warm-start enumeration and every greedy descent. The
+// returned plan aliases ss.static: callers clone it before it leaves the
+// search.
+func (p *Planner) planStatic(ss *searchScratch) (Result, error) {
 	n := p.maxGPUs()
-	cands := staticPlans(n, p.Sim.Spec().NumStages())
-	keep := make([]bool, n)
-	for i := range cands {
-		// The closed-form mean JCT ignores provisioning overheads and
-		// straggler inflation, so it lower-bounds the estimate: anything
-		// already over the deadline cannot become feasible.
-		keep[i] = p.Sim.StaticClusterJCT(i+1) <= p.Deadline
+	cands := ss.staticPlans(n, p.Sim.Spec().NumStages())
+	// The closed-form mean JCT ignores provisioning overheads and
+	// straggler inflation, so it lower-bounds the estimate: anything
+	// already over the deadline cannot become feasible.
+	ss.jcts = p.Sim.StaticClusterJCTs(n, ss.jcts)
+	keep, ests, errs := ss.columns(n)
+	for i, jct := range ss.jcts {
+		keep[i] = jct <= p.Deadline
 	}
-	p.pruneEnumeration(scr, cands, keep, p.Deadline, false)
-	ests := make([]sim.Estimate, n)
-	errs := make([]error, n)
+	p.pruneEnumeration(ss.screen, cands, keep, p.Deadline, false)
 	p.estimateAll(cands, keep, ests, errs)
 	best := Result{}
 	found := false
@@ -294,26 +308,29 @@ func (p *Planner) PlanNaiveElastic() (Result, error) {
 // PlanElastic runs RubberBand's greedy optimizer (Algorithm 2) from each
 // warm start and returns the cheapest feasible plan found. The result is
 // guaranteed to predict no worse than the cost-optimal static allocation,
-// since that allocation is itself a warm start.
+// since that allocation is itself a warm start. On a warm Planner it
+// allocates at most one plan per accepted descent step plus the returned
+// plan.
 func (p *Planner) PlanElastic() (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	scr := p.newScreen()
-	staticBest, err := p.planStatic(scr)
+	ss := p.newSearch()
+	defer ss.release()
+	return p.planElastic(ss)
+}
+
+// planElastic is PlanElastic's body on the search's scratch.
+func (p *Planner) planElastic(ss *searchScratch) (Result, error) {
+	staticBest, err := p.planStatic(ss)
 	if err != nil {
 		return Result{}, err
 	}
 	best := staticBest
-	maxGPUs := p.maxGPUs()
-	for _, mult := range p.warmStarts() {
-		warm := staticBest.Plan.Clone()
-		for i := range warm.Alloc {
-			warm.Alloc[i] *= mult
-			if warm.Alloc[i] > maxGPUs {
-				warm.Alloc[i] = maxGPUs
-			}
-		}
+	mults := p.warmStarts()
+	warms := ss.warmStarts(staticBest.Plan, mults, p.maxGPUs())
+	for d, mult := range mults {
+		warm := warms[d]
 		warmEst, err := p.estimate(warm)
 		if err != nil {
 			return Result{}, err
@@ -325,7 +342,7 @@ func (p *Planner) PlanElastic() (Result, error) {
 				continue
 			}
 		}
-		res, err := p.optimize(scr, Result{Plan: warm, Estimate: warmEst})
+		res, err := p.optimize(ss, Result{Plan: warm, Estimate: warmEst})
 		if err != nil {
 			return Result{}, err
 		}
@@ -333,6 +350,8 @@ func (p *Planner) PlanElastic() (Result, error) {
 			best = res
 		}
 	}
+	// best may alias the static plans or a warm start, both scratch.
+	best.Plan = best.Plan.Clone()
 	return best, nil
 }
 
@@ -342,7 +361,17 @@ func (p *Planner) PlanElastic() (Result, error) {
 // the shortlist concurrently (memoized, so candidates shared with earlier
 // iterations cost nothing), and selects the winner serially in candidate
 // order, keeping the descent deterministic at any worker count.
-func (p *Planner) optimize(scr *frontierScreen, start Result) (Result, error) {
+//
+// A descent is a pure function of its current plan: the candidates come
+// from the raw allocation, every score and estimate is pure, and the
+// selection runs in a fixed order. So once cur is a plan an earlier
+// descent of the same search had as its current plan, the rest of this
+// descent would replay that one step for step; optimize returns the
+// earlier descent's result instead. Plans are matched raw, not by memo
+// key: canonically equal plans generate different candidate sets.
+func (p *Planner) optimize(ss *searchScratch, start Result) (Result, error) {
+	earlier := len(ss.walked) // the walked plans of earlier descents
+	descent := len(ss.done)
 	cur := start
 	gpn := p.Sim.Cloud().Instance.GPUs
 	if p.DisableInstanceStep {
@@ -350,17 +379,18 @@ func (p *Planner) optimize(scr *frontierScreen, start Result) (Result, error) {
 	}
 	sp := p.Sim.Spec()
 	for {
-		cands := generateCandidates(cur.Plan, sp, gpn)
+		for _, w := range ss.walked[:earlier] {
+			if w.plan.Equal(cur.Plan) {
+				return ss.finish(ss.done[w.descent]), nil
+			}
+		}
+		ss.walked = append(ss.walked, walkedPlan{plan: cur.Plan, descent: descent})
+		cands := generateCandidates(&ss.cands, cur.Plan, sp, gpn)
 		if len(cands) == 0 {
-			return cur, nil
+			return ss.finish(cur), nil
 		}
-		keep := make([]bool, len(cands))
-		for i := range keep {
-			keep[i] = true
-		}
-		p.pruneDescentStep(scr, cands, keep, cur, p.Deadline, false)
-		ests := make([]sim.Estimate, len(cands))
-		errs := make([]error, len(cands))
+		keep, ests, errs := ss.columns(len(cands))
+		p.pruneDescentStep(ss.screen, cands, keep, cur, p.Deadline, false)
 		p.estimateAll(cands, keep, ests, errs)
 		bestIdx := -1
 		bestBenefit := math.Inf(-1)
@@ -387,12 +417,13 @@ func (p *Planner) optimize(scr *frontierScreen, start Result) (Result, error) {
 			}
 		}
 		if bestIdx < 0 {
-			return cur, nil // every candidate violates the constraint
+			return ss.finish(cur), nil // every candidate violates the constraint
 		}
 		if cur.Estimate.Cost-bestEst.Cost < p.delta() {
-			return cur, nil // no candidate improves cost enough
+			return ss.finish(cur), nil // no candidate improves cost enough
 		}
-		cur = Result{Plan: cands[bestIdx], Estimate: bestEst}
+		// The candidate set is scratch the next step overwrites.
+		cur = Result{Plan: cands[bestIdx].Clone(), Estimate: bestEst}
 	}
 }
 
@@ -413,16 +444,17 @@ func marginalBenefit(cur, cand sim.Estimate) float64 {
 }
 
 // generateCandidates produces per-stage decrements of the current plan
-// (§4.3). For each stage it proposes (a) the next lower fair value — the
-// smallest decrement keeping the stage allocation a factor or multiple of
-// the trial count, so resources always divide evenly — and (b) the largest
-// fair value that releases at least one whole instance of gpusPerNode
-// GPUs. Candidate (b) matters under per-instance billing, where cost only
-// falls at instance boundaries: without it the greedy search stalls on
-// sub-instance decrements that lengthen the stage without releasing any
-// billed machine.
-func generateCandidates(cur sim.Plan, sp *spec.ExperimentSpec, gpusPerNode int) []sim.Plan {
-	c := newCandSet(cur)
+// (§4.3) into c, replacing its previous contents. For each stage it
+// proposes (a) the next lower fair value — the smallest decrement keeping
+// the stage allocation a factor or multiple of the trial count, so
+// resources always divide evenly — and (b) the largest fair value that
+// releases at least one whole instance of gpusPerNode GPUs. Candidate (b)
+// matters under per-instance billing, where cost only falls at instance
+// boundaries: without it the greedy search stalls on sub-instance
+// decrements that lengthen the stage without releasing any billed
+// machine.
+func generateCandidates(c *candSet, cur sim.Plan, sp *spec.ExperimentSpec, gpusPerNode int) []sim.Plan {
+	c.reset(cur)
 	for i := range cur.Alloc {
 		trials := sp.Stage(i).Trials
 		if v, ok := fairStepDown(cur.Alloc[i], trials); ok {
@@ -442,18 +474,21 @@ func generateCandidates(cur sim.Plan, sp *spec.ExperimentSpec, gpusPerNode int) 
 }
 
 // candSet collects distinct single-stage variants of one plan — at most
-// two per stage — in one backing array.
+// two per stage — in one backing array. A search reuses one candSet for
+// every step, so the plans it holds are valid only until the next reset.
 type candSet struct {
 	cur   sim.Plan
 	back  []int
 	plans []sim.Plan
 }
 
-// newCandSet returns an empty set of cur's variants, presized for two
-// per stage so adding never reallocates.
-func newCandSet(cur sim.Plan) candSet {
+// reset empties the set for cur's variants, presized for two per stage
+// so adding never reallocates.
+func (c *candSet) reset(cur sim.Plan) {
 	n := len(cur.Alloc)
-	return candSet{cur: cur, back: make([]int, 0, 2*n*n), plans: make([]sim.Plan, 0, 2*n)}
+	c.cur = cur
+	c.back = grow(c.back, 2*n*n)[:0]
+	c.plans = grow(c.plans, 2*n)[:0]
 }
 
 // add appends cur with stage i set to v unless an equal candidate is
@@ -483,21 +518,6 @@ func isVariant(q, cur sim.Plan, i, v int) bool {
 		}
 	}
 	return true
-}
-
-// staticPlans returns the static plans of 1..n GPUs over stages stages,
-// carved from one backing array.
-func staticPlans(n, stages int) []sim.Plan {
-	back := make([]int, n*stages)
-	plans := make([]sim.Plan, n)
-	for i := range plans {
-		a := back[i*stages : (i+1)*stages : (i+1)*stages]
-		for j := range a {
-			a[j] = i + 1
-		}
-		plans[i] = sim.Plan{Alloc: a}
-	}
-	return plans
 }
 
 // fairStepDown returns the largest allocation strictly below alloc that is

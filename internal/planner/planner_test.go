@@ -61,7 +61,7 @@ func TestFairStepDown(t *testing.T) {
 func TestGenerateCandidates(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10).AddStage(2, 20)
 	cur := sim.NewPlan(8, 4)
-	cands := generateCandidates(cur, s, 4)
+	cands := generateCandidates(new(candSet), cur, s, 4)
 	if len(cands) != 2 {
 		t.Fatalf("got %d candidates", len(cands))
 	}
@@ -73,7 +73,7 @@ func TestGenerateCandidates(t *testing.T) {
 		t.Errorf("candidate 1 = %v", cands[1])
 	}
 	// Floor plan yields no candidates.
-	if got := generateCandidates(sim.NewPlan(1, 1), s, 4); len(got) != 0 {
+	if got := generateCandidates(new(candSet), sim.NewPlan(1, 1), s, 4); len(got) != 0 {
 		t.Errorf("floor plan produced candidates: %v", got)
 	}
 }
@@ -258,7 +258,7 @@ func TestQuickCandidatesWellFormed(t *testing.T) {
 			alloc[i] = int(raw[i]%64) + 1
 		}
 		cur := sim.Plan{Alloc: alloc}
-		for _, cand := range generateCandidates(cur, s, 4) {
+		for _, cand := range generateCandidates(new(candSet), cur, s, 4) {
 			diff := 0
 			for i := range cand.Alloc {
 				if cand.Alloc[i] != cur.Alloc[i] {
@@ -287,8 +287,8 @@ func TestCandidatesDistinctAndUnaliased(t *testing.T) {
 	s := spec.MustSHA(32, 2, 16, 2)
 	cur := sim.NewPlan(48, 24, 6)
 	for name, gen := range map[string]func() []sim.Plan{
-		"down": func() []sim.Plan { return generateCandidates(cur, s, 4) },
-		"up":   func() []sim.Plan { return generateUpCandidates(cur, s, 4, 64) },
+		"down": func() []sim.Plan { return generateCandidates(new(candSet), cur, s, 4) },
+		"up":   func() []sim.Plan { return generateUpCandidates(new(candSet), cur, s, 4, 64) },
 	} {
 		want := gen()
 		if len(want) < 2 {

@@ -95,7 +95,7 @@ func TestQuickGenerateCandidatesInvariants(t *testing.T) {
 		for i := range cur.Alloc {
 			cur.Alloc[i] = int(allocRaw[i%len(allocRaw)]%maxGPUs) + 1
 		}
-		for _, cand := range generateCandidates(cur, sp, gpn) {
+		for _, cand := range generateCandidates(new(candSet), cur, sp, gpn) {
 			if len(cand.Alloc) != len(cur.Alloc) {
 				return false
 			}
@@ -137,7 +137,7 @@ func TestQuickGenerateCandidatesInstanceStep(t *testing.T) {
 		for i := range cur.Alloc {
 			cur.Alloc[i] = int(allocRaw[i%len(allocRaw)]%64) + 1
 		}
-		cands := generateCandidates(cur, sp, gpn)
+		cands := generateCandidates(new(candSet), cur, sp, gpn)
 		for i := range cur.Alloc {
 			curInstances := (cur.Alloc[i] + gpn - 1) / gpn
 			if curInstances <= 1 {

@@ -1,0 +1,143 @@
+package planner
+
+import (
+	"math"
+	"sync"
+
+	"repro/internal/sim"
+)
+
+// searchPool holds the working memory of finished searches. Planning a
+// job runs several short searches (the initial plan and every online
+// replan, each on a fresh Planner), so scratch owned by a Planner would be
+// allocated afresh by each of them; the pool outlives them all, the idiom
+// of the simulator's estimation scratch.
+var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// searchScratch is one plan search's working memory: everything a
+// search needs that it does not return. It holds
+//
+//   - the analytic screen and its evaluator (screen is nil when pruning
+//     is off) and the screen's per-candidate columns;
+//   - the current candidate set and its keep/estimate/error columns;
+//   - the static plans 1..n GPUs, their closed-form JCT column, and the
+//     warm starts;
+//   - the walked-path record: every plan a descent had as its current
+//     plan, with the descent's index into done, the descents' results.
+//
+// Every plan the search returns is cloned out of it, so nothing the
+// caller holds aliases scratch; release clears every plan, result and
+// evaluator reference before the scratch goes back to the pool.
+type searchScratch struct {
+	scr    frontierScreen
+	screen *frontierScreen
+
+	cands candSet
+	keep  []bool
+	ests  []sim.Estimate
+	errs  []error
+
+	staticBack []int
+	static     []sim.Plan
+	jcts       []float64
+	warmBack   []int
+	warms      []sim.Plan
+
+	walked []walkedPlan
+	done   []Result
+}
+
+// walkedPlan is one current plan of a descent: descent indexes the
+// search's done results.
+type walkedPlan struct {
+	plan    sim.Plan
+	descent int
+}
+
+// newSearch draws a search's scratch from the pool and binds its
+// analytic screen to p: nil when pruning is disabled, and under the
+// analytic estimator, whose phase two already evaluates candidates
+// analytically (memoized), so a scoring pre-pass would compute every
+// moment twice to save nothing.
+func (p *Planner) newSearch() *searchScratch {
+	ss := searchPool.Get().(*searchScratch)
+	if !p.DisableAnalyticPrune && p.Sim.Estimator() != sim.EstimatorAnalytic {
+		ss.scr.eval = p.Sim.NewAnalyticEval()
+		ss.scr.sqrtN = math.Sqrt(float64(p.Sim.Samples()))
+		ss.screen = &ss.scr
+	}
+	return ss
+}
+
+// release drops the scratch's references to plans, results, errors and
+// the simulator and returns it to the pool.
+func (ss *searchScratch) release() {
+	if ss.screen != nil {
+		ss.scr.eval.Release()
+		ss.scr.eval, ss.screen = nil, nil
+	}
+	ss.cands.cur = sim.Plan{}
+	clear(ss.errs[:cap(ss.errs)])
+	clear(ss.walked)
+	clear(ss.done)
+	ss.walked, ss.done = ss.walked[:0], ss.done[:0]
+	searchPool.Put(ss)
+}
+
+// finish records a descent's result for the descents after it.
+func (ss *searchScratch) finish(r Result) Result {
+	ss.done = append(ss.done, r)
+	return r
+}
+
+// columns returns the keep, estimate and error columns for n
+// candidates: every candidate kept, no error recorded. Estimates are
+// written before they are read.
+func (ss *searchScratch) columns(n int) ([]bool, []sim.Estimate, []error) {
+	ss.keep, ss.ests, ss.errs = grow(ss.keep, n), grow(ss.ests, n), grow(ss.errs, n)
+	for i := range ss.keep {
+		ss.keep[i] = true
+	}
+	clear(ss.errs)
+	return ss.keep, ss.ests, ss.errs
+}
+
+// staticPlans returns the static plans of 1..n GPUs over stages stages,
+// carved from one backing array.
+func (ss *searchScratch) staticPlans(n, stages int) []sim.Plan {
+	ss.staticBack = grow(ss.staticBack, n*stages)
+	ss.static = grow(ss.static, n)
+	for i := range ss.static {
+		a := ss.staticBack[i*stages : (i+1)*stages : (i+1)*stages]
+		for j := range a {
+			a[j] = i + 1
+		}
+		ss.static[i] = sim.Plan{Alloc: a}
+	}
+	return ss.static
+}
+
+// warmStarts returns base scaled by each multiplier and capped at
+// maxGPUs, carved from one backing array.
+func (ss *searchScratch) warmStarts(base sim.Plan, mults []int, maxGPUs int) []sim.Plan {
+	stages := len(base.Alloc)
+	ss.warmBack = grow(ss.warmBack, len(mults)*stages)
+	ss.warms = grow(ss.warms, len(mults))
+	for d, mult := range mults {
+		a := ss.warmBack[d*stages : (d+1)*stages : (d+1)*stages]
+		for i, v := range base.Alloc {
+			a[i] = min(v*mult, maxGPUs)
+		}
+		ss.warms[d] = sim.Plan{Alloc: a}
+	}
+	return ss.warms
+}
+
+// grow returns s with length n, reusing its capacity when it suffices.
+// Callers overwrite every element they read.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

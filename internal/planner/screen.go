@@ -14,7 +14,7 @@ package planner
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -34,27 +34,19 @@ const (
 	defaultShortlistK = 8
 )
 
-// frontierScreen wraps one analytic evaluator for a single search. A nil
-// screen disables pruning (every candidate goes to Monte-Carlo). It is
-// not safe for concurrent use; scoring is so cheap it runs serially
-// before the concurrent Monte-Carlo fan-out.
+// frontierScreen wraps one analytic evaluator for a single search, plus
+// the enumeration prune's per-candidate columns. A nil screen disables
+// pruning (every candidate goes to Monte-Carlo). It lives in the
+// search's scratch (see newSearch) and is not safe for concurrent use;
+// scoring is so cheap it runs serially before the concurrent Monte-Carlo
+// fan-out.
 type frontierScreen struct {
 	eval  *sim.AnalyticEval
 	sqrtN float64
-}
 
-// newScreen returns the search's analytic screen, or nil when pruning is
-// disabled. Under the analytic estimator the screen is also nil: phase
-// two already evaluates candidates analytically (memoized), so a scoring
-// pre-pass would compute every moment twice to save nothing.
-func (p *Planner) newScreen() *frontierScreen {
-	if p.DisableAnalyticPrune || p.Sim.Estimator() == sim.EstimatorAnalytic {
-		return nil
-	}
-	return &frontierScreen{
-		eval:  p.Sim.NewAnalyticEval(),
-		sqrtN: math.Sqrt(float64(p.Sim.Samples())),
-	}
+	aests   []sim.Estimate
+	aok     []bool
+	dropped []int
 }
 
 // score analytically evaluates plan. ok=false means the candidate cannot
@@ -96,18 +88,13 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 		return
 	}
 	n := len(cands)
-	aests := make([]sim.Estimate, n)
-	aok := make([]bool, n)
+	aests, aok := grow(scr.aests, n), grow(scr.aok, n)
+	scr.aests, scr.aok = aests, aok
 	for i := range cands {
+		aok[i] = false
 		if keep[i] {
 			aests[i], aok[i] = scr.score(cands[i])
 		}
-	}
-	split := func(e sim.Estimate) (obj, objM, con, conM float64) {
-		if objJCT {
-			return e.JCT, scr.jctMargin(e), e.Cost, scr.costMargin(e)
-		}
-		return e.Cost, scr.costMargin(e), e.JCT, scr.jctMargin(e)
 	}
 	// Upper bound on the optimum: the best surely-feasible candidate's
 	// objective, overestimated by its own margin.
@@ -116,23 +103,33 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 		if !keep[i] || !aok[i] {
 			continue
 		}
-		obj, objM, con, conM := split(aests[i])
+		obj, objM, con, conM := scr.split(aests[i], objJCT)
 		if con+conM <= bound && obj+objM < bestUp {
 			bestUp = obj + objM
 		}
 	}
-	var dropped []int
+	dropped := scr.dropped[:0]
 	for i := range cands {
 		if !keep[i] || !aok[i] {
 			continue
 		}
-		obj, objM, con, conM := split(aests[i])
+		obj, objM, con, conM := scr.split(aests[i], objJCT)
 		if con-conM > bound || obj-objM > bestUp {
 			keep[i] = false
 			dropped = append(dropped, i)
 		}
 	}
-	p.restoreShortlist(keep, dropped, func(i int) float64 { obj, _, _, _ := split(aests[i]); return obj })
+	scr.dropped = dropped
+	p.restoreShortlist(keep, dropped, aests, objJCT)
+}
+
+// split returns an analytic estimate's objective and constraint with
+// their margins: cost subject to JCT, or JCT subject to cost when objJCT.
+func (s *frontierScreen) split(e sim.Estimate, objJCT bool) (obj, objM, con, conM float64) {
+	if objJCT {
+		return e.JCT, s.jctMargin(e), e.Cost, s.costMargin(e)
+	}
+	return e.Cost, s.costMargin(e), e.JCT, s.jctMargin(e)
 }
 
 // pruneDescentStep analytically prunes one greedy candidate set in place:
@@ -191,10 +188,10 @@ func (p *Planner) worthScreening(keep []bool) bool {
 }
 
 // restoreShortlist re-adds the best dropped candidates (by analytic
-// objective, ties broken by frontier order) until at least
+// objective in aests, ties broken by frontier order) until at least
 // defaultShortlistK candidates survive. Restoring can only widen the
 // Monte-Carlo phase, so it preserves the safety of every individual prune.
-func (p *Planner) restoreShortlist(keep []bool, dropped []int, obj func(int) float64) {
+func (p *Planner) restoreShortlist(keep []bool, dropped []int, aests []sim.Estimate, objJCT bool) {
 	if len(dropped) == 0 {
 		return
 	}
@@ -208,7 +205,21 @@ func (p *Planner) restoreShortlist(keep []bool, dropped []int, obj func(int) flo
 		atomic.AddInt64(&p.prunedCands, int64(len(dropped)))
 		return
 	}
-	sort.SliceStable(dropped, func(a, b int) bool { return obj(dropped[a]) < obj(dropped[b]) })
+	obj := func(i int) float64 {
+		if objJCT {
+			return aests[i].JCT
+		}
+		return aests[i].Cost
+	}
+	slices.SortStableFunc(dropped, func(a, b int) int {
+		switch oa, ob := obj(a), obj(b); {
+		case oa < ob:
+			return -1
+		case ob < oa:
+			return 1
+		}
+		return 0
+	})
 	for _, i := range dropped {
 		if kept >= defaultShortlistK {
 			break

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/planner"
 	"repro/internal/profiler"
@@ -216,19 +217,34 @@ type Decision struct {
 	Screened bool
 }
 
-// Note renders the decision compactly for trace events.
+// Note renders the decision compactly for trace events. It appends into
+// one buffer, with floats as %.0f would render them, so the text is the
+// same as the fmt format beside each case.
 func (d Decision) Note() string {
+	b := make([]byte, 0, 128)
+	b = append(append(b, d.Reason...), ": "...)
 	switch {
-	case d.Screened:
-		return fmt.Sprintf("%s: pre-screen immaterial, kept %v (analytic tail JCT %.0fs ≤ %.0fs)",
-			d.Reason, d.OldPlan, d.StaleEstimate.JCT, d.RemainingDeadline)
-	case d.Infeasible:
-		return fmt.Sprintf("%s: infeasible under remaining deadline %.0fs, kept %v", d.Reason, d.RemainingDeadline, d.OldPlan)
-	case d.Adopted:
-		return fmt.Sprintf("%s: adopted %v (stale %v), tail JCT %.0fs ≤ %.0fs", d.Reason, d.NewPlan, d.OldPlan, d.NewEstimate.JCT, d.RemainingDeadline)
-	default:
-		return fmt.Sprintf("%s: kept %v", d.Reason, d.OldPlan)
+	case d.Screened: // "%s: pre-screen immaterial, kept %v (analytic tail JCT %.0fs ≤ %.0fs)"
+		b = d.OldPlan.AppendString(append(b, "pre-screen immaterial, kept "...))
+		b = appendSeconds(append(b, " (analytic tail JCT "...), d.StaleEstimate.JCT)
+		b = append(appendSeconds(append(b, " ≤ "...), d.RemainingDeadline), ')')
+	case d.Infeasible: // "%s: infeasible under remaining deadline %.0fs, kept %v"
+		b = appendSeconds(append(b, "infeasible under remaining deadline "...), d.RemainingDeadline)
+		b = d.OldPlan.AppendString(append(b, ", kept "...))
+	case d.Adopted: // "%s: adopted %v (stale %v), tail JCT %.0fs ≤ %.0fs"
+		b = d.NewPlan.AppendString(append(b, "adopted "...))
+		b = d.OldPlan.AppendString(append(b, " (stale "...))
+		b = appendSeconds(append(b, "), tail JCT "...), d.NewEstimate.JCT)
+		b = appendSeconds(append(b, " ≤ "...), d.RemainingDeadline)
+	default: // "%s: kept %v"
+		b = d.OldPlan.AppendString(append(b, "kept "...))
 	}
+	return string(b)
+}
+
+// appendSeconds appends v rendered as fmt's %.0fs: no decimals, then "s".
+func appendSeconds(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'f', 0, 64), 's')
 }
 
 // Controller is the online replanning state machine. It is driven
@@ -550,7 +566,9 @@ func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProf
 // analyticTail analytically estimates a tail plan on sm. ok=false means
 // the profile's latencies lack finite moments.
 func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
-	est, ok, err := sm.NewAnalyticEval().Estimate(tail)
+	e := sm.NewAnalyticEval()
+	est, ok, err := e.Estimate(tail)
+	e.Release()
 	return est, err == nil && ok
 }
 

@@ -1,8 +1,10 @@
 package replan
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -250,5 +252,72 @@ func TestDecisionsReplayable(t *testing.T) {
 	}
 	if len(a) != 2 || a[0].Seq != 0 || a[1].Seq != 1 {
 		t.Fatalf("unexpected decision sequence: %+v", a)
+	}
+}
+
+// fmtNote is the fmt rendering Decision.Note must reproduce byte for
+// byte.
+func fmtNote(d Decision) string {
+	switch {
+	case d.Screened:
+		return fmt.Sprintf("%s: pre-screen immaterial, kept %v (analytic tail JCT %.0fs ≤ %.0fs)",
+			d.Reason, fmtPlan(d.OldPlan), d.StaleEstimate.JCT, d.RemainingDeadline)
+	case d.Infeasible:
+		return fmt.Sprintf("%s: infeasible under remaining deadline %.0fs, kept %v", d.Reason, d.RemainingDeadline, fmtPlan(d.OldPlan))
+	case d.Adopted:
+		return fmt.Sprintf("%s: adopted %v (stale %v), tail JCT %.0fs ≤ %.0fs", d.Reason, fmtPlan(d.NewPlan), fmtPlan(d.OldPlan), d.NewEstimate.JCT, d.RemainingDeadline)
+	default:
+		return fmt.Sprintf("%s: kept %v", d.Reason, fmtPlan(d.OldPlan))
+	}
+}
+
+// fmtPlan renders a plan as "(8, 8, 4, 2)" through fmt.
+func fmtPlan(p sim.Plan) string {
+	parts := make([]string, len(p.Alloc))
+	for i, a := range p.Alloc {
+		parts[i] = fmt.Sprint(a)
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
+}
+
+// TestNoteMatchesFmt: Note renders every decision kind exactly as the fmt
+// formats would, for random plans and for estimates and deadlines that
+// are NaN, infinite, negative zero, halfway cases or huge.
+func TestNoteMatchesFmt(t *testing.T) {
+	r := stats.NewRNG(3)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 0.5, 1.5, 2.5, -0.5, -2.5, 1e21, -3.7e300, 123.456}
+	plan := func() sim.Plan {
+		a := make([]int, r.Intn(5))
+		for i := range a {
+			a[i] = r.Intn(2000) - 100
+		}
+		return sim.Plan{Alloc: a}
+	}
+	val := func() float64 {
+		if r.Intn(2) == 0 {
+			return specials[r.Intn(len(specials))]
+		}
+		return (r.Float64() - 0.3) * math.Pow(10, float64(r.Intn(8)))
+	}
+	for i := 0; i < 2000; i++ {
+		d := Decision{
+			Reason:            []Reason{ReasonDrift, ReasonPreemption}[r.Intn(2)],
+			RemainingDeadline: val(),
+			OldPlan:           plan(),
+			NewPlan:           plan(),
+			StaleEstimate:     sim.Estimate{JCT: val()},
+			NewEstimate:       sim.Estimate{JCT: val()},
+		}
+		switch i % 4 {
+		case 0:
+			d.Screened = true
+		case 1:
+			d.Infeasible = true
+		case 2:
+			d.Adopted = true
+		}
+		if got, want := d.Note(), fmtNote(d); got != want {
+			t.Fatalf("decision %d: Note() = %q, fmt renders %q", i, got, want)
+		}
 	}
 }

@@ -74,20 +74,21 @@ func (s *Simulator) segmentMoments(sg *segment) *segMoment {
 //
 //rbvet:pure
 func (sg *segment) moments() segMoment {
+	grow, trials, opening := int(sg.grow), int(sg.trials), int(sg.opening)
 	train, ok := sg.train.Moment()
 	if !ok {
 		return segMoment{}
 	}
 	nonneg := sg.train.NonNeg()
 	var scale, init stats.Moment
-	if sg.grow > 0 {
+	if grow > 0 {
 		var oks, oki bool
-		scale, oks = sg.scale.Moment()
-		init, oki = sg.init.Moment()
+		scale, oks = sg.prov.scale.Moment()
+		init, oki = sg.prov.init.Moment()
 		if !oks || !oki {
 			return segMoment{}
 		}
-		nonneg = nonneg && sg.scale.NonNeg() && sg.init.NonNeg()
+		nonneg = nonneg && sg.prov.scale.NonNeg() && sg.prov.init.NonNeg()
 	}
 
 	v := segMoment{ok: true}
@@ -96,29 +97,29 @@ func (sg *segment) moments() segMoment {
 	var b0 stats.Moment
 	rel0 := train
 	switch {
-	case sg.grow == 0:
-	case sg.grow == 1 && sg.opening == 1:
+	case grow == 0:
+	case grow == 1 && opening == 1:
 		rel0 = scale.AddIndep(init).AddIndep(train)
-	case sg.grow == 1:
+	case grow == 1:
 		b0 = stats.Moment{}.AddIndep(scale.AddIndep(init))
 	default:
-		b0 = stats.Moment{}.AddIndep(scale).AddIndep(stats.MaxIIDMoment(init, sg.grow))
+		b0 = stats.Moment{}.AddIndep(scale).AddIndep(stats.MaxIIDMoment(init, grow))
 	}
-	if sg.grow > 0 {
+	if grow > 0 {
 		v.scaleFin = stats.Moment{}.AddIndep(scale)
 	}
 	// Training GPU-time is the sum of the (independent) TRAIN latencies.
-	for tr := 0; tr < sg.trials; tr++ {
+	for tr := 0; tr < trials; tr++ {
 		v.trainSec = v.trainSec.AddIndep(train)
 	}
 
 	var join stats.Moment // the SYNC's start relative to b0
 	switch {
-	case sg.trials == 1:
+	case trials == 1:
 		v.dur = b0.AddIndep(rel0.AddIndep(stats.Moment{}))
 		return v
-	case sg.opening == sg.trials:
-		join = stats.MaxIIDMoment(train, sg.trials)
+	case opening == trials:
+		join = stats.MaxIIDMoment(train, trials)
 	default:
 		if !nonneg {
 			return segMoment{}
@@ -127,18 +128,18 @@ func (sg *segment) moments() segMoment {
 		// finish, lifted above b0, is its slot's chain of barriers; the
 		// shallow tails come first in TRAIN order. Bit-equal tails of
 		// both depths form one iid group, as in the general pass.
-		q, deep := sg.trials/sg.opening, sg.trials%sg.opening
+		q, deep := trials/opening, trials%opening
 		abs, rel := b0, rel0
 		for k := 1; k < q; k++ {
 			abs, rel = abs.AddIndep(rel), train
 		}
 		shallow := abs.SubIndepPrefix(b0).AddIndep(rel)
-		join = stats.MaxIIDMoment(shallow, sg.opening-deep)
+		join = stats.MaxIIDMoment(shallow, opening-deep)
 		if deep > 0 {
 			abs, rel = abs.AddIndep(rel), train
 			tail := abs.SubIndepPrefix(b0).AddIndep(rel)
 			if tail == shallow {
-				join = stats.MaxIIDMoment(shallow, sg.opening)
+				join = stats.MaxIIDMoment(shallow, opening)
 			} else {
 				join = stats.MaxIndep(join, stats.MaxIIDMoment(tail, deep))
 			}
@@ -168,14 +169,19 @@ type AnalyticEval struct {
 	moms   []*segMoment
 }
 
-// NewAnalyticEval returns a fresh analytic evaluator bound to s.
+// NewAnalyticEval returns an analytic evaluator bound to s, drawn from
+// the package's evaluator pool. A caller that is done with it may hand it
+// back with Release; one that does not simply leaves it to the garbage
+// collector.
 func (s *Simulator) NewAnalyticEval() *AnalyticEval {
-	return &AnalyticEval{sim: s}
+	e := evalPool.Get().(*AnalyticEval)
+	e.sim = s
+	return e
 }
 
-// release drops the evaluator's Simulator and segment references and
-// returns it to evalPool.
-func (e *AnalyticEval) release() {
+// Release drops the evaluator's Simulator and segment references and
+// returns it to the pool. The evaluator must not be used afterwards.
+func (e *AnalyticEval) Release() {
 	e.sim = nil
 	clear(e.cp.segs)
 	clear(e.moms)
@@ -239,7 +245,7 @@ func (e *AnalyticEval) price(cp *compiledPlan, moms []*segMoment) (jct, cost sta
 	alive := 0
 	var pre stats.Moment // absolute start moment of the current stage
 	for i, sg := range cp.segs {
-		want := sg.instances
+		want := int(sg.instances)
 		if want > alive {
 			sf := stats.Moment{}
 			if sg.grow > 0 {

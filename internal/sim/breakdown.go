@@ -49,7 +49,7 @@ func (s *Simulator) breakdown(cp *compiledPlan, vecs [][]segSample, p Plan) []St
 	it := s.cloud.Instance
 
 	for k := 0; k < s.samples; k++ {
-		prev := 0
+		var prev int32
 		for i, sg := range cp.segs {
 			row := vecs[i][k]
 			durSum[i] += row.dur
@@ -82,7 +82,7 @@ func (s *Simulator) breakdown(cp *compiledPlan, vecs [][]segSample, p Plan) []St
 			Stage:        i,
 			Trials:       st.Trials,
 			GPUsPerTrial: GPUsPerTrial(p.Alloc[i], st.Trials),
-			Instances:    sg.instances,
+			Instances:    int(sg.instances),
 			Duration:     durSum[i] / float64(s.samples),
 			Cost:         costSum[i] / float64(s.samples),
 		}

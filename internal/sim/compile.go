@@ -19,9 +19,17 @@ const segStreamDomain = 0x7365676d656e7431 // "segment1"
 // cluster size, and prev — the instance count carried in from the previous
 // stage — whether the segment opens with a SCALE request and how many
 // INIT_INSTANCE nodes follow it. Two plans whose stage i agrees on
-// (alloc, prev) execute bit-identical segments there.
+// (alloc, prev) execute bit-identical segments there. The fields are
+// int32 to keep the key, and the segment record that embeds it, compact.
 type segKey struct {
-	stage, alloc, prev int
+	stage, alloc, prev int32
+}
+
+// provLats are the cloud profile's SCALE (queueing) and INIT_INSTANCE
+// latencies, compiled once per Simulator. They depend on nothing else,
+// so every segment of the Simulator refers to the one copy.
+type provLats struct {
+	scale, init stats.Lat
 }
 
 // segment is one stage's sub-DAG of the execution DAG (§4.2, Figure 7)
@@ -35,22 +43,28 @@ type segKey struct {
 // barrier is time zero) and plan-level quantities recombine from
 // per-segment samples. A segment's shape and latencies are immutable
 // after construction and safe for concurrent use.
+//
+// The record is kept to 112 bytes (TestSegmentRecordSize): the shape is
+// int32, and the SCALE and INIT latencies, which only the cloud profile
+// fixes, are shared through prov rather than copied into every segment.
 type segment struct {
 	key segKey
 	// grow is the INIT_INSTANCE count, one per instance the cluster
 	// grows by; 0 means the stage opens without a SCALE request.
-	grow int
+	grow int32
 	// trials TRAINs run in opening slots: TRAIN tr runs in slot
 	// tr % opening, the first opening TRAINs after every INIT and each
 	// later one after its slot's previous TRAIN.
-	trials, opening int
+	trials, opening int32
 	// trainGPUs is the per-trial GPU count every TRAIN shares.
-	trainGPUs int
+	trainGPUs int32
 	// instances is the cluster size (machines) during the stage.
-	instances int
-	// scale, init and train are the SCALE, INIT_INSTANCE and TRAIN
-	// latencies (SYNC takes none).
-	scale, init, train stats.Lat
+	instances int32
+	// prov holds the SCALE and INIT_INSTANCE latencies, shared by every
+	// segment of the Simulator; train is the TRAIN latency (SYNC takes
+	// none).
+	prov  *provLats
+	train stats.Lat
 
 	// samples (segment mode) and mom are filled on first use under
 	// Simulator.mu and never change afterwards. mom is filled in analytic
@@ -81,7 +95,7 @@ type segSample struct {
 //rbvet:pure
 //rbvet:noalloc
 func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
-	if cap(fin) < sg.opening {
+	if cap(fin) < int(sg.opening) {
 		//rbvet:ignore noalloc — cold path: grows once per worker slot to the widest stage; steady-state draws reuse fin
 		fin = make([]float64, sg.opening)
 	}
@@ -90,13 +104,13 @@ func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
 	var span, open float64 // largest finish so far; the opening TRAINs' start
 	if sg.grow > 0 {
 		var start float64 // the INITs' start, once the SCALE finishes
-		out.scaleFin = start + sg.scale.Sample(r)
+		out.scaleFin = start + sg.prov.scale.Sample(r)
 		if out.scaleFin > start {
 			start = out.scaleFin
 		}
 		span = start
-		for k := 0; k < sg.grow; k++ {
-			f := start + sg.init.Sample(r)
+		for k := int32(0); k < sg.grow; k++ {
+			f := start + sg.prov.init.Sample(r)
 			if f > open {
 				open = f
 			}
@@ -105,8 +119,8 @@ func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
 			span = open
 		}
 	}
-	slot := 0
-	for tr := 0; tr < sg.trials; tr++ {
+	var slot int32
+	for tr := int32(0); tr < sg.trials; tr++ {
 		start := open
 		if tr >= sg.opening {
 			start = 0
@@ -136,7 +150,7 @@ type compiledPlan struct {
 	segs []*segment
 	// maxInstances is the peak cluster size, which fixes the data-ingress
 	// charge under LIFO deprovisioning.
-	maxInstances int
+	maxInstances int32
 }
 
 // compile resolves a plan into cp, a buffer the caller owns, composing
@@ -147,9 +161,9 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 		return err
 	}
 	cp.segs, cp.maxInstances = cp.segs[:0], 0
-	prev := 0
+	var prev int32
 	for i, alloc := range p.Alloc {
-		sg := s.segmentFor(segKey{stage: i, alloc: canonAlloc(alloc, s.spec.Stage(i).Trials), prev: prev})
+		sg := s.segmentFor(segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev})
 		cp.segs = append(cp.segs, sg)
 		prev = sg.instances
 		if sg.instances > cp.maxInstances {
@@ -226,29 +240,29 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 // trials), so predicted instance counts, and with them per-instance cost,
 // match execution. Deprovisioning is a zero-latency, zero-cost event and
 // is not represented (the cost model's per-stage instance counts account
-// for it). The segment record is the build's only allocation.
+// for it). The segment record is the build's only allocation: the
+// provisioning latencies were compiled once, in New.
 //
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) *segment {
-	st := s.spec.Stage(key.stage)
-	gpn := s.cloud.Instance.GPUs
+	st := s.spec.Stage(int(key.stage))
+	alloc, gpn := int(key.alloc), s.cloud.Instance.GPUs
 	per := 1 // GPUs per TRAIN
 	var need int
-	if key.alloc >= st.Trials {
-		per = key.alloc / st.Trials
+	if alloc >= st.Trials {
+		per = alloc / st.Trials
 		need = placement.NodesNeeded(st.Trials, per, gpn)
 	} else {
-		need = placement.NodesNeeded(key.alloc, 1, gpn)
+		need = placement.NodesNeeded(alloc, 1, gpn)
 	}
 	return &segment{
 		key:       key,
-		grow:      max(need-key.prev, 0),
-		trials:    st.Trials,
-		opening:   min(key.alloc, st.Trials),
-		trainGPUs: per,
-		instances: need,
-		scale:     stats.CompileLat(s.cloud.Overheads.QueueDelay),
-		init:      stats.CompileLat(s.cloud.Overheads.InitLatency),
+		grow:      int32(max(need-int(key.prev), 0)),
+		trials:    int32(st.Trials),
+		opening:   int32(min(alloc, st.Trials)),
+		trainGPUs: int32(per),
+		instances: int32(need),
+		prov:      s.prov,
 		train:     stats.SumLat(s.profile.IterDist(per), st.Iters),
 	}
 }
@@ -350,7 +364,7 @@ func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, b
 	stageStart := 0.0
 	for i, sg := range cp.segs {
 		row := vecs[i][k]
-		want := sg.instances
+		want := int(sg.instances)
 		if want > len(alive) {
 			birth := stageStart
 			if sg.grow > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
@@ -30,23 +31,24 @@ type refSegment struct {
 // the INITs when the cluster grows, the TRAINs (queued ones after their
 // slot's previous TRAIN), then SYNC over every TRAIN.
 func refProgram(s *Simulator, key segKey) *refSegment {
-	st := s.spec.Stage(key.stage)
+	alloc := int(key.alloc)
+	st := s.spec.Stage(int(key.stage))
 	gpn := s.cloud.Instance.GPUs
 	per := 1
 	var need int
-	if key.alloc >= st.Trials {
-		per = key.alloc / st.Trials
+	if alloc >= st.Trials {
+		per = alloc / st.Trials
 		need = placement.NodesNeeded(st.Trials, per, gpn)
 	} else {
-		need = placement.NodesNeeded(key.alloc, 1, gpn)
+		need = placement.NodesNeeded(alloc, 1, gpn)
 	}
-	grow := max(need-key.prev, 0)
+	grow := max(need-int(key.prev), 0)
 	var initLo, trainLo int32 // the INITs are [initLo, trainLo)
 	if grow > 0 {
 		initLo, trainLo = 1, int32(1+grow)
 	}
 	trainHi := trainLo + int32(st.Trials)
-	opening := min(key.alloc, st.Trials)
+	opening := min(alloc, st.Trials)
 	edges := 2*st.Trials - opening
 	if grow > 0 {
 		edges += 1 + grow
@@ -164,10 +166,10 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 		for ti, train := range trains {
 			for oi, oh := range overheads {
 				sm := kernelSim(t, gpn, train, oh)
-				for stage := 0; stage < sm.spec.NumStages(); stage++ {
-					trials := sm.spec.Stage(stage).Trials
-					for alloc := 1; alloc <= 3*trials; alloc++ {
-						for prev := 0; prev <= 10; prev++ {
+				for stage := int32(0); stage < int32(sm.spec.NumStages()); stage++ {
+					trials := int32(sm.spec.Stage(int(stage)).Trials)
+					for alloc := int32(1); alloc <= 3*trials; alloc++ {
+						for prev := int32(0); prev <= 10; prev++ {
 							key := segKey{stage: stage, alloc: alloc, prev: prev}
 							name := fmt.Sprintf("gpn %d train %d overheads %d key %+v", gpn, ti, oi, key)
 							sg, ref := sm.buildSegment(key), refProgram(sm, key)
@@ -236,6 +238,19 @@ func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { sm.buildSegment(key) }); allocs != 1 {
 			t.Fatalf("building segment %+v allocates %v, want 1", key, allocs)
 		}
+	}
+}
+
+// TestSegmentRecordSize pins the segment record at 112 bytes on 64-bit
+// targets: the int32 shape and the shared provisioning latencies keep it
+// in the 112-byte size class rather than 224. The record holds pointers,
+// so its size on other word sizes differs and is not pinned.
+func TestSegmentRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record size is pinned for 64-bit targets only")
+	}
+	if got := unsafe.Sizeof(segment{}); got != 112 {
+		t.Fatalf("segment record is %d bytes, want 112", got)
 	}
 }
 

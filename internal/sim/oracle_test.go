@@ -142,11 +142,11 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 	cp := &compiledPlan{}
 	for i := 0; i < stages; i++ {
 		cp.segs = append(cp.segs, &segment{
-			instances: b.instances[i],
-			grow:      b.grow[i],
-			trainGPUs: b.graph.Node(b.trainIDs[i][0]).GPUs,
+			instances: int32(b.instances[i]),
+			grow:      int32(b.grow[i]),
+			trainGPUs: int32(b.graph.Node(b.trainIDs[i][0]).GPUs),
 		})
-		cp.maxInstances = max(cp.maxInstances, b.instances[i])
+		cp.maxInstances = max(cp.maxInstances, int32(b.instances[i]))
 	}
 	rows := make([][]segSample, stages)
 	for i := range rows {
@@ -207,9 +207,9 @@ func sumIters(d stats.Dist, n int) stats.Dist {
 // nodes returns the node count of the segment's stage: SCALE and the
 // INITs when the cluster grows, the TRAINs, and SYNC.
 func (sg *segment) nodes() int {
-	n := sg.trials + 1
+	n := int(sg.trials) + 1
 	if sg.grow > 0 {
-		n += 1 + sg.grow
+		n += 1 + int(sg.grow)
 	}
 	return n
 }
@@ -321,7 +321,7 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 			if ref.scaleIdx >= 0 {
 				ref.scaleIdx -= lo
 			}
-			if sg.nodes() != ref.prog.Len() || sg.trials != ref.trainHi-ref.trainLo {
+			if sg.nodes() != ref.prog.Len() || int(sg.trials) != ref.trainHi-ref.trainLo {
 				t.Fatalf("plan %v stage %d: segment {nodes %d trials %d}, full DAG {nodes %d trials %d}",
 					plan, i, sg.nodes(), sg.trials, ref.prog.Len(), ref.trainHi-ref.trainLo)
 			}

@@ -80,12 +80,19 @@ func (p Plan) Validate(stages int) error {
 }
 
 // String renders the plan as "(8, 8, 4, 2)".
-func (p Plan) String() string {
-	parts := make([]string, len(p.Alloc))
+func (p Plan) String() string { return string(p.AppendString(nil)) }
+
+// AppendString appends the plan's String rendering to b and returns the
+// extended buffer.
+func (p Plan) AppendString(b []byte) []byte {
+	b = append(b, '(')
 	for i, a := range p.Alloc {
-		parts[i] = fmt.Sprint(a)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, int64(a), 10)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(b, ')')
 }
 
 // AppendKey appends a compact, collision-free encoding of the

@@ -28,8 +28,11 @@ type Estimate struct {
 // of two kinds, and neither can change a result:
 //
 //   - One mutex-guarded segment table memoizing pure computations: each
-//     stage segment's shape and compiled latencies plus its lazily filled
-//     sample vector (segment mode) and analytic moments. Every Monte-Carlo draw
+//     stage segment's shape and compiled TRAIN latency plus its lazily
+//     filled sample vector (segment mode) and analytic moments, and
+//     beside it the mean iteration latency per per-trial share that
+//     StaticClusterJCTs reads. The provisioning latencies every segment
+//     shares are compiled once, at construction. Every Monte-Carlo draw
 //     derives a private RNG stream from the construction-time seed
 //     state, keyed by (stream family, sample index), so Estimate and
 //     Breakdown are pure functions of the configuration and the plan,
@@ -60,14 +63,21 @@ type Simulator struct {
 	// It is never advanced: streams are derived from it with
 	// stats.RNG.Stream, which is pure, so concurrent derivation is safe.
 	root stats.RNG
+	// prov is the cloud profile's provisioning latencies, compiled once
+	// here and shared by every segment of the table.
+	prov *provLats
 
-	// mu guards segs and the lazily filled fields of its segments. Misses
-	// are computed outside the lock and stored first-write-wins: every
-	// value is a pure function of its key and the configuration, so
-	// double computation under concurrent misses is benign. The table is
-	// unbounded; one search touches at most a few thousand segments.
+	// mu guards segs, the lazily filled fields of its segments, and
+	// means. Misses are computed outside the lock and stored
+	// first-write-wins: every value is a pure function of its key and the
+	// configuration, so double computation under concurrent misses is
+	// benign. The table is unbounded; one search touches at most a few
+	// thousand segments.
 	mu   sync.Mutex
 	segs map[segKey]*segment
+	// means is the profile's mean iteration latency by per-trial share
+	// (see meanLats).
+	means []float64
 }
 
 // Option configures optional Simulator behavior in New.
@@ -110,7 +120,11 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 		cloud:   cp,
 		samples: samples,
 		root:    *rng,
-		segs:    make(map[segKey]*segment),
+		prov: &provLats{
+			scale: stats.CompileLat(cp.Overheads.QueueDelay),
+			init:  stats.CompileLat(cp.Overheads.InitLatency),
+		},
+		segs: make(map[segKey]*segment),
 	}
 	for _, o := range opts {
 		o(sm)
@@ -142,10 +156,9 @@ func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 //rbvet:pure
 func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 	if s.estimator == EstimatorAnalytic {
-		e := evalPool.Get().(*AnalyticEval)
-		e.sim = s
+		e := s.NewAnalyticEval()
 		est, ok, err := e.Estimate(p)
-		e.release()
+		e.Release()
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -196,20 +209,75 @@ func (s *Simulator) MeanIterLatency(gpus int) float64 {
 	return s.profile.IterDist(gpus).Mean()
 }
 
+// StaticClusterJCTs returns StaticClusterJCT(g) for every cluster size
+// g = 1..n (entry g-1) as one column in buf's storage (grown when it is
+// too short). It takes each per-trial share's mean latency from the
+// Simulator's mean column (see meanLats) rather than boxing a
+// distribution per (size, stage), and accumulates the column stage by
+// stage. With the mean column filled and buf large enough it allocates
+// nothing.
+func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
+	minTrials := s.spec.Stage(0).Trials
+	for i := 1; i < s.spec.NumStages(); i++ {
+		minTrials = min(minTrials, s.spec.Stage(i).Trials)
+	}
+	means := s.meanLats(max(n/minTrials, 1)) // every share 1..n/minTrials occurs
+	mean := func(per int) float64 { return means[per-1] }
+	jcts := resize(buf, n)
+	clear(jcts)
+	for i := 0; i < s.spec.NumStages(); i++ {
+		st := s.spec.Stage(i)
+		for g := 1; g <= n; g++ {
+			jcts[g-1] += staticStageJCT(st, g, mean)
+		}
+	}
+	return jcts
+}
+
+// meanLats returns the profile's mean iteration latency at per-trial
+// shares 1..n (entry per-1). The column is computed once per Simulator:
+// a miss fills a fresh column outside the lock and the longest stored
+// column wins, the segment table's rule, since every entry is a pure
+// function of the profile.
+func (s *Simulator) meanLats(n int) []float64 {
+	s.mu.Lock()
+	m := s.means
+	s.mu.Unlock()
+	if len(m) >= n {
+		return m[:n]
+	}
+	fresh := make([]float64, n)
+	for per := range fresh {
+		fresh[per] = s.MeanIterLatency(per + 1)
+	}
+	s.mu.Lock()
+	if len(s.means) < n {
+		s.means = fresh
+	}
+	m = s.means
+	s.mu.Unlock()
+	return m[:n]
+}
+
 // StaticClusterJCT is a quick analytic lower-bound estimate of a static
 // plan's JCT using mean latencies only (no straggler inflation); used for
 // bracketing enumeration ranges, not for plan selection.
 func (s *Simulator) StaticClusterJCT(gpus int) float64 {
 	var total float64
 	for i := 0; i < s.spec.NumStages(); i++ {
-		st := s.spec.Stage(i)
-		if gpus >= st.Trials {
-			per := gpus / st.Trials
-			total += float64(st.Iters) * s.MeanIterLatency(per)
-		} else {
-			waves := math.Ceil(float64(st.Trials) / float64(gpus))
-			total += waves * float64(st.Iters) * s.MeanIterLatency(1)
-		}
+		total += staticStageJCT(s.spec.Stage(i), gpus, s.MeanIterLatency)
 	}
 	return total
+}
+
+// staticStageJCT is stage st's term of StaticClusterJCT on gpus GPUs,
+// given the mean iteration latency at per GPUs per trial: a stage with at
+// least one GPU per trial runs in one wave at gpus/trials GPUs each, a
+// smaller cluster in ceil(trials/gpus) waves at one GPU each.
+func staticStageJCT(st spec.Stage, gpus int, mean func(per int) float64) float64 {
+	if gpus >= st.Trials {
+		return float64(st.Iters) * mean(gpus/st.Trials)
+	}
+	waves := math.Ceil(float64(st.Trials) / float64(gpus))
+	return waves * float64(st.Iters) * mean(1)
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +83,15 @@ func TestPlanHelpers(t *testing.T) {
 	}
 	if p.String() != "(8, 4, 2)" {
 		t.Errorf("String = %q", p.String())
+	}
+	for _, q := range []Plan{{}, NewPlan(1), NewPlan(0, -3, 1<<40)} {
+		parts := make([]string, len(q.Alloc))
+		for i, a := range q.Alloc {
+			parts[i] = fmt.Sprint(a)
+		}
+		if got, want := string(q.AppendString([]byte("x"))), "x("+strings.Join(parts, ", ")+")"; got != want {
+			t.Errorf("AppendString = %q, want %q", got, want)
+		}
 	}
 }
 
