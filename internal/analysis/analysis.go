@@ -130,7 +130,6 @@ var DeterministicCore = []string{
 	ModulePath + "/internal/sim",
 	ModulePath + "/internal/planner",
 	ModulePath + "/internal/placement",
-	ModulePath + "/internal/dag",
 	ModulePath + "/internal/stats",
 	ModulePath + "/internal/executor",
 	ModulePath + "/internal/replan",

@@ -13,7 +13,7 @@ import (
 func screenTestController(t *testing.T, disable bool) *Controller {
 	t.Helper()
 	cfg := testConfig(t, 1)
-	cfg.DisablePreScreen = disable
+	cfg.disablePreScreen = disable
 	c, err := NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestPreScreenSkipsImmaterialTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rd.Screened {
-		t.Fatal("DisablePreScreen did not disable the screen")
+		t.Fatal("disablePreScreen did not disable the screen")
 	}
 	if rd.Adopted || !rd.NewPlan.Equal(fd.NewPlan) {
 		t.Fatalf("screen diverged from the full replan: screened %+v, full %+v", fd, rd)

@@ -88,28 +88,31 @@ type Config struct {
 	// Threshold is the relative EWMA deviation |ewma−1| that triggers a
 	// replan. Zero selects 0.25.
 	Threshold float64
-	// Alpha is the EWMA smoothing factor in (0, 1]. Zero selects 0.3.
-	Alpha float64
-	// MinObservations is the number of iteration observations required
-	// before the detector may trigger. Zero selects 3.
-	MinObservations int
 	// CooldownSeconds is the minimum virtual time between replan
 	// decisions. Zero selects 60.
 	CooldownSeconds float64
-	// Delta is the planner's minimum cost improvement in dollars, also
-	// used as the stale-vs-new adoption margin. Zero selects the
-	// planner's default (0.01).
-	Delta float64
-	// PreScreenTolerance is the relative movement in the stale tail's
+
+	// disablePreScreen turns the analytic drift pre-screen off: every
+	// drift trigger runs the full Monte-Carlo replan. The pre-screen tests
+	// set it to get the reference decision.
+	disablePreScreen bool
+}
+
+const (
+	// ewmaAlpha is the drift detector's EWMA smoothing factor.
+	ewmaAlpha = 0.3
+	// minObservations is the number of iteration observations required
+	// before the detector may trigger.
+	minObservations = 3
+	// adoptDelta is the planner's minimum cost improvement in dollars,
+	// also used as the stale-vs-new adoption margin.
+	adoptDelta = 0.01
+	// preScreenTolerance is the relative movement in the stale tail's
 	// analytic JCT or cost (re-fitted vs planning-time profile) below
 	// which a drift trigger is judged immaterial and the Monte-Carlo
-	// replan is skipped. Zero selects 0.05.
-	PreScreenTolerance float64
-	// DisablePreScreen turns the analytic drift pre-screen off: every
-	// drift trigger runs the full Monte-Carlo replan, as before the
-	// two-phase fast path. Exposed for ablation and benchmarks.
-	DisablePreScreen bool
-}
+	// replan is skipped.
+	preScreenTolerance = 0.05
+)
 
 func (c Config) withDefaults() Config {
 	if c.Samples <= 0 {
@@ -118,20 +121,8 @@ func (c Config) withDefaults() Config {
 	if c.Threshold <= 0 {
 		c.Threshold = 0.25
 	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.3
-	}
-	if c.MinObservations <= 0 {
-		c.MinObservations = 3
-	}
 	if c.CooldownSeconds <= 0 {
 		c.CooldownSeconds = 60
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.01
-	}
-	if c.PreScreenTolerance <= 0 {
-		c.PreScreenTolerance = 0.05
 	}
 	return c
 }
@@ -148,8 +139,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("replan: deadline %v", c.Deadline)
 	case c.MaxGPUs < 1:
 		return fmt.Errorf("replan: max GPUs %d", c.MaxGPUs)
-	case c.Alpha > 1:
-		return fmt.Errorf("replan: EWMA alpha %v > 1", c.Alpha)
+	case math.IsNaN(c.Threshold) || math.IsInf(c.Threshold, 0):
+		return fmt.Errorf("replan: drift threshold %v", c.Threshold)
+	case math.IsNaN(c.CooldownSeconds) || math.IsInf(c.CooldownSeconds, 0):
+		return fmt.Errorf("replan: cooldown %v", c.CooldownSeconds)
 	}
 	return c.Cloud.Validate()
 }
@@ -367,11 +360,11 @@ func (c *Controller) ObserveIteration(gpus int, observed float64, now vclock.Tim
 		c.keys = append(c.keys, gpus)
 		sort.Ints(c.keys)
 	} else {
-		st.ewma = c.cfg.Alpha*ratio + (1-c.cfg.Alpha)*st.ewma
+		st.ewma = ewmaAlpha*ratio + (1-ewmaAlpha)*st.ewma
 	}
 	st.count++
 	c.totalObs++
-	return c.totalObs >= c.cfg.MinObservations &&
+	return c.totalObs >= minObservations &&
 		math.Abs(st.ewma-1) >= c.cfg.Threshold &&
 		c.cooldownOver(now)
 }
@@ -390,7 +383,7 @@ func (c *Controller) ObserveProvision(observed float64) {
 	if c.overheadCount == 0 {
 		c.overheadEWMA = ratio
 	} else {
-		c.overheadEWMA = c.cfg.Alpha*ratio + (1-c.cfg.Alpha)*c.overheadEWMA
+		c.overheadEWMA = ewmaAlpha*ratio + (1-ewmaAlpha)*c.overheadEWMA
 	}
 	c.overheadCount++
 }
@@ -456,9 +449,10 @@ func (c *Controller) refitProfiles() (sim.TrainProfile, sim.CloudProfile, error)
 // Replan computes and commits one replan decision for the given executor
 // state: re-fit from observations, re-plan the remaining stages under the
 // remaining deadline, splice. The stale tail is kept unless it misses the
-// remaining deadline or the replanned tail is cheaper by at least Delta —
-// so a spurious trigger under zero drift is a no-op on the executed plan.
-// The caller must guarantee state.Stage is not the last stage.
+// remaining deadline or the replanned tail is cheaper by at least
+// adoptDelta — so a spurious trigger under zero drift is a no-op on the
+// executed plan. The caller must guarantee state.Stage is not the last
+// stage.
 func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	if state.Stage < 0 || state.Stage >= c.cfg.Spec.NumStages()-1 {
 		return Decision{}, fmt.Errorf("replan: stage %d of %d has no tail to replan", state.Stage, c.cfg.Spec.NumStages())
@@ -507,7 +501,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	// profiles; when neither its feasibility nor its economics moved
 	// materially, a full replan would re-derive the same tail the original
 	// planner chose, so the decision is committed without Monte-Carlo.
-	if reason == ReasonDrift && !c.cfg.DisablePreScreen {
+	if reason == ReasonDrift && !c.cfg.disablePreScreen {
 		if est, material, ok := c.screenTail(prof, cp, suffix, staleTail, d.RemainingDeadline); ok && !material {
 			d.StaleEstimate = est
 			d.Screened = true
@@ -533,7 +527,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 		Deadline: d.RemainingDeadline,
 		MaxGPUs:  c.cfg.MaxGPUs,
 		Workers:  c.cfg.Workers,
-		Delta:    c.cfg.Delta,
+		Delta:    adoptDelta,
 	}
 	res, perr := p.PlanElastic()
 	switch {
@@ -544,7 +538,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	case perr != nil:
 		return Decision{}, perr
 	default:
-		if !staleFeasible || res.Estimate.Cost < staleEst.Cost-c.cfg.Delta {
+		if !staleFeasible || res.Estimate.Cost < staleEst.Cost-adoptDelta {
 			d.Adopted = true
 			d.NewEstimate = res.Estimate
 			d.NewPlan = state.Plan.Splice(state.Stage+1, res.Plan)
@@ -578,13 +572,13 @@ func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
 //  1. the stale tail's re-fitted analytic JCT approaches the remaining
 //     deadline (feasibility is at risk, a faster tail may be needed);
 //  2. the tail's analytic JCT or cost moved by more than
-//     PreScreenTolerance between the planning-time and re-fitted
+//     preScreenTolerance between the planning-time and re-fitted
 //     profiles (the latency regime the plan was optimized for is gone);
 //  3. an analytic-only replan of the suffix finds a tail whose cost is
 //     within tolerance of beating the stale tail by the adoption margin
-//     Delta — this catches slack accumulated by a speed-up drift, where
-//     the profiles barely move but a cheaper tail now fits the remaining
-//     deadline.
+//     adoptDelta — this catches slack accumulated by a speed-up drift,
+//     where the profiles barely move but a cheaper tail now fits the
+//     remaining deadline.
 //
 // ok=false means the screen could not score the tail (no finite moments)
 // and the caller must run the full replan.
@@ -602,7 +596,7 @@ func (c *Controller) screenTail(prof sim.TrainProfile, cp sim.CloudProfile, suff
 	if !ok1 || !ok2 {
 		return sim.Estimate{}, false, false
 	}
-	tol := c.cfg.PreScreenTolerance
+	const tol = preScreenTolerance
 	if refit.JCT*(1+tol) >= remaining ||
 		math.Abs(refit.JCT-base.JCT) > tol*base.JCT ||
 		math.Abs(refit.Cost-base.Cost) > tol*base.Cost {
@@ -617,7 +611,7 @@ func (c *Controller) screenTail(prof sim.TrainProfile, cp sim.CloudProfile, suff
 		Deadline: remaining,
 		MaxGPUs:  c.cfg.MaxGPUs,
 		Workers:  1,
-		Delta:    c.cfg.Delta,
+		Delta:    adoptDelta,
 	}
 	res, perr := p.PlanElastic()
 	switch {
@@ -629,11 +623,12 @@ func (c *Controller) screenTail(prof sim.TrainProfile, cp sim.CloudProfile, suff
 	default:
 		// An analytic optimum that IS the stale tail can never be adopted:
 		// the full replan estimates both through the same memoized
-		// simulator, and a plan is never cheaper than itself by Delta. A
-		// different optimum is material when its cost is within tolerance
-		// of beating the stale tail by the adoption margin.
+		// simulator, and a plan is never cheaper than itself by
+		// adoptDelta. A different optimum is material when its cost is
+		// within tolerance of beating the stale tail by the adoption
+		// margin.
 		material = !res.Plan.Equal(staleTail) &&
-			res.Estimate.Cost < refit.Cost-c.cfg.Delta+tol*refit.Cost
+			res.Estimate.Cost < refit.Cost-adoptDelta+tol*refit.Cost
 	}
 	return refit, material, true
 }

@@ -68,7 +68,10 @@ func TestConfigValidation(t *testing.T) {
 		{"nan deadline", func(c *Config) { c.Deadline = math.NaN() }},
 		{"inf deadline", func(c *Config) { c.Deadline = math.Inf(1) }},
 		{"zero max gpus", func(c *Config) { c.MaxGPUs = 0 }},
-		{"alpha over 1", func(c *Config) { c.Alpha = 1.5 }},
+		{"nan threshold", func(c *Config) { c.Threshold = math.NaN() }},
+		{"inf threshold", func(c *Config) { c.Threshold = math.Inf(1) }},
+		{"nan cooldown", func(c *Config) { c.CooldownSeconds = math.NaN() }},
+		{"inf cooldown", func(c *Config) { c.CooldownSeconds = math.Inf(1) }},
 		{"bad cloud", func(c *Config) { c.Cloud.Instance.GPUs = 0 }},
 	}
 	for _, tc := range cases {
@@ -90,8 +93,7 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := c.Config()
-	if cfg.Threshold != 0.25 || cfg.Alpha != 0.3 || cfg.MinObservations != 3 ||
-		cfg.CooldownSeconds != 60 || cfg.Delta != 0.01 || cfg.Samples != sim.DefaultSamples {
+	if cfg.Threshold != 0.25 || cfg.CooldownSeconds != 60 || cfg.Samples != sim.DefaultSamples {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }

@@ -74,6 +74,9 @@ const (
 	maxIters         = 50
 	maxSamples       = 64
 	maxDeadlineScale = 100.0
+	// maxGPUs bounds max_gpus where no tenant quota applies (replay
+	// verification and recovery): plan search is linear in it.
+	maxGPUs = 4096
 )
 
 // Validate checks the submission's structural limits. The tenant name
@@ -100,8 +103,8 @@ func (s *Submission) Validate() error {
 		}
 		prev = trials
 	}
-	if s.MaxGPUs < 1 {
-		return fmt.Errorf("max_gpus %d, want >= 1", s.MaxGPUs)
+	if s.MaxGPUs < 1 || s.MaxGPUs > maxGPUs {
+		return fmt.Errorf("max_gpus %d, want 1-%d", s.MaxGPUs, maxGPUs)
 	}
 	if !(s.DeadlineFactor > 0 && s.DeadlineFactor <= maxDeadlineScale) {
 		return fmt.Errorf("deadline_factor %v, want (0, %v]", s.DeadlineFactor, maxDeadlineScale)

@@ -16,15 +16,14 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Capacity is the shared simulated cluster size in GPUs.
+	// Capacity is the shared simulated cluster size in GPUs. It also
+	// bounds globally-live experiments, so every live experiment can hold
+	// its 1-GPU minimum.
 	Capacity int
 	// Policy selects the arbitration rule (default PolicySlack).
 	Policy Policy
 	// Quota is the per-tenant admission quota (zero value: DefaultQuota).
 	Quota Quota
-	// MaxLive bounds globally-live experiments (default Capacity, so every
-	// live experiment can hold its 1-GPU minimum).
-	MaxLive int
 	// DataDir, when non-empty, is the durable root: every admitted
 	// experiment journals under DataDir/<tenant>/<id>/ with submission and
 	// replay sidecars, and Recover resumes unfinished runs from it.
@@ -65,9 +64,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Quota == (Quota{}) {
 		cfg.Quota = DefaultQuota()
 	}
-	if cfg.MaxLive == 0 {
-		cfg.MaxLive = cfg.Capacity
-	}
 	if cfg.SnapshotInterval == 0 {
 		cfg.SnapshotInterval = 64
 	}
@@ -77,7 +73,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg,
-		reg: NewRegistry(cfg.Quota, cfg.MaxLive),
+		reg: NewRegistry(cfg.Quota, cfg.Capacity),
 		arb: arb,
 		mux: http.NewServeMux(),
 	}

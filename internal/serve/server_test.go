@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -218,6 +219,18 @@ func TestServerRejections(t *testing.T) {
 	greedy.MaxGPUs = 64 // above the tenant quota
 	if resp, body := postSub(t, ts, greedy); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-quota gpus: %d %s", resp.StatusCode, body)
+	}
+	// Replay verification and recovery see no tenant quota, so Validate
+	// itself bounds max_gpus: a replayed submission past the limit fails
+	// before any plan search.
+	huge := smallSub("acme", 1)
+	huge.MaxGPUs = maxGPUs
+	if err := huge.Validate(); err != nil {
+		t.Fatalf("max_gpus at the limit: %v", err)
+	}
+	huge.MaxGPUs = maxGPUs + 1
+	if _, err := VerifyReplay(ReplayTuple{Submission: huge}); err == nil || !strings.Contains(err.Error(), "max_gpus") {
+		t.Fatalf("replay past the max_gpus limit: %v", err)
 	}
 
 	if code := getJSON(t, ts, "/v1/experiments/exp-9999", nil); code != http.StatusNotFound {

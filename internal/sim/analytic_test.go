@@ -75,8 +75,8 @@ func TestAnalyticWithinMonteCarloTolerance(t *testing.T) {
 				t.Fatalf("billing %v plan %v: degenerate analytic spread %+v", billing, plan, ae)
 			}
 			// 5 standard errors of the Monte-Carlo mean plus 1.5% for the
-			// max-approximation bias (the dag-level validation bounds the
-			// per-stage mean error at 1%).
+			// max-approximation bias (the Program-level validation in
+			// moment_test.go bounds the per-stage mean error at 1%).
 			jctTol := 5*fe.JCTStd/math.Sqrt(samples) + 0.015*fe.JCT
 			costTol := 5*fe.CostStd/math.Sqrt(samples) + 0.015*fe.Cost
 			if d := math.Abs(ae.JCT - fe.JCT); d > jctTol {

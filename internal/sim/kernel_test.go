@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/placement"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -15,13 +14,13 @@ import (
 
 // This file checks the closed-form stage kernel (segment.eval and
 // segment.moments) against the general reference it replaced: the same
-// stage emitted node by node as a dag.Program, sampled by
+// stage emitted node by node as a Program, sampled by
 // Program.SampleInto and moment-propagated by Program.MomentsInto.
 
-// refSegment is one stage as a general dag.Program, with the node
+// refSegment is one stage as a general Program, with the node
 // indices that condense a sampled schedule to a segSample.
 type refSegment struct {
-	prog *dag.Program
+	prog *Program
 	// scaleIdx is the SCALE node, -1 when the cluster does not grow;
 	// [trainLo, trainHi) are the TRAIN nodes.
 	scaleIdx, trainLo, trainHi int
@@ -53,7 +52,7 @@ func refProgram(s *Simulator, key segKey) *refSegment {
 	if grow > 0 {
 		edges += 1 + grow
 	}
-	prog := dag.NewProgram(int(trainHi)+1, edges)
+	prog := NewProgram(int(trainHi)+1, edges)
 	rs := &refSegment{prog: prog, scaleIdx: -1, trainLo: int(trainLo), trainHi: int(trainHi)}
 	if grow > 0 {
 		rs.scaleIdx = int(prog.AddSpan(s.cloud.Overheads.QueueDelay, 0, 0))
@@ -74,7 +73,7 @@ func refProgram(s *Simulator, key segKey) *refSegment {
 }
 
 // eval samples the program and condenses the schedule to a segSample.
-func (rs *refSegment) eval(r *stats.RNG, buf []dag.Timing) (segSample, []dag.Timing) {
+func (rs *refSegment) eval(r *stats.RNG, buf []Timing) (segSample, []Timing) {
 	timings, dur := rs.prog.SampleInto(r, buf)
 	out := segSample{dur: dur}
 	if rs.scaleIdx >= 0 {
@@ -89,7 +88,7 @@ func (rs *refSegment) eval(r *stats.RNG, buf []dag.Timing) (segSample, []dag.Tim
 // moments propagates the program's moments and condenses them to a
 // segMoment.
 func (rs *refSegment) moments() segMoment {
-	var sc dag.MomentScratch
+	var sc MomentScratch
 	mk, ok := rs.prog.MomentsInto(&sc)
 	if !ok {
 		return segMoment{}
@@ -178,7 +177,7 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 							}
 							base := sm.segStream(key)
 							var fin []float64
-							var buf []dag.Timing
+							var buf []Timing
 							for k := uint64(0); k < streams; k++ {
 								var got, want segSample
 								got, fin = sg.eval(base.Stream(k), fin)

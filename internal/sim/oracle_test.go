@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/placement"
 	"repro/internal/stats"
 )
@@ -18,7 +17,7 @@ import (
 // fullDAG is a plan's whole execution DAG plus the per-stage node IDs
 // that condense one sampled schedule into per-stage segSamples.
 type fullDAG struct {
-	graph *dag.Graph
+	graph *Graph
 	// lo[i] is stage i's first node ID; lo[stages] is the node count.
 	lo []int
 	// scaleID[i] is the SCALE node issued before stage i, -1 if the
@@ -41,7 +40,7 @@ func buildFullDAG(s *Simulator, p Plan) (*fullDAG, error) {
 	if err := p.Validate(s.spec.NumStages()); err != nil {
 		return nil, err
 	}
-	g := dag.New()
+	g := newGraph()
 	b := &fullDAG{graph: g}
 	gpn := s.cloud.Instance.GPUs
 
@@ -62,11 +61,11 @@ func buildFullDAG(s *Simulator, p Plan) (*fullDAG, error) {
 		scaleID := -1
 		stageDeps := frontier
 		if need > curInstances {
-			scale := g.AddNode(dag.Scale, i, -1, 0, s.cloud.Overheads.QueueDelay, frontier...)
+			scale := g.AddNode(Scale, i, -1, 0, s.cloud.Overheads.QueueDelay, frontier...)
 			scaleID = scale.ID
 			inits := make([]int, 0, need-curInstances)
 			for k := curInstances; k < need; k++ {
-				init := g.AddNode(dag.InitInstance, i, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
+				init := g.AddNode(InitInstance, i, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
 				inits = append(inits, init.ID)
 			}
 			// Training can begin only when both the previous stage is
@@ -83,7 +82,7 @@ func buildFullDAG(s *Simulator, p Plan) (*fullDAG, error) {
 			per := alloc / st.Trials
 			trainDist := sumIters(s.profile.IterDist(per), st.Iters)
 			for tr := 0; tr < st.Trials; tr++ {
-				n := g.AddNode(dag.Train, i, trial0+tr, per, trainDist, stageDeps...)
+				n := g.AddNode(Train, i, trial0+tr, per, trainDist, stageDeps...)
 				trains = append(trains, n.ID)
 			}
 		} else {
@@ -98,14 +97,14 @@ func buildFullDAG(s *Simulator, p Plan) (*fullDAG, error) {
 				if slotTail[slot] >= 0 {
 					deps = []int{slotTail[slot]}
 				}
-				n := g.AddNode(dag.Train, i, trial0+tr, 1, trainDist, deps...)
+				n := g.AddNode(Train, i, trial0+tr, 1, trainDist, deps...)
 				slotTail[slot] = n.ID
 				trains = append(trains, n.ID)
 			}
 		}
 		b.trainIDs = append(b.trainIDs, trains)
 
-		sync := g.AddNode(dag.Sync, i, -1, 0, stats.Deterministic{Value: 0}, trains...)
+		sync := g.AddNode(Sync, i, -1, 0, stats.Deterministic{Value: 0}, trains...)
 		b.syncID = append(b.syncID, sync.ID)
 		frontier = []int{sync.ID}
 		trial0 += st.Trials
@@ -153,7 +152,7 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 		rows[i] = make([]segSample, s.samples)
 	}
 	base := planStream(s, p)
-	var buf []dag.Timing
+	var buf []Timing
 	for k := 0; k < s.samples; k++ {
 		buf, _ = b.graph.SampleInto(base.Stream(uint64(k)), buf)
 		start := 0.0
@@ -216,7 +215,7 @@ func (sg *segment) nodes() int {
 
 // fullDAGChecked builds the plan's full execution DAG and checks that
 // each stage's segment has exactly that stage's nodes.
-func fullDAGChecked(t *testing.T, sm *Simulator, p Plan) *dag.Graph {
+func fullDAGChecked(t *testing.T, sm *Simulator, p Plan) *Graph {
 	t.Helper()
 	b, err := buildFullDAG(sm, p)
 	if err != nil {
@@ -313,7 +312,7 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 		for i, sg := range cp.segs {
 			lo := b.lo[i]
 			ref := &refSegment{
-				prog:     dag.CompileRange(b.graph, lo, b.lo[i+1]),
+				prog:     CompileRange(b.graph, lo, b.lo[i+1]),
 				scaleIdx: b.scaleID[i],
 				trainLo:  b.trainIDs[i][0] - lo,
 				trainHi:  b.trainIDs[i][len(b.trainIDs[i])-1] + 1 - lo,
@@ -327,7 +326,7 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 			}
 			base := sm.segStream(sg.key)
 			var fin []float64
-			var wbuf []dag.Timing
+			var wbuf []Timing
 			for k := 0; k < sm.samples; k++ {
 				var got, want segSample
 				got, fin = sg.eval(base.Stream(uint64(k)), fin)

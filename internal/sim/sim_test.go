@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -183,14 +182,14 @@ func TestBuildDAGStructure(t *testing.T) {
 	}
 	// 4 GPUs on p3.8xlarge = 1 instance: one SCALE, one INIT for stage 0;
 	// stage 1 shrinks so no more scaling. 4+2 TRAIN nodes, 2 SYNCs.
-	if counts[dag.Scale] != 1 || counts[dag.InitInstance] != 1 {
-		t.Errorf("scale/init = %d/%d, want 1/1", counts[dag.Scale], counts[dag.InitInstance])
+	if counts[Scale] != 1 || counts[InitInstance] != 1 {
+		t.Errorf("scale/init = %d/%d, want 1/1", counts[Scale], counts[InitInstance])
 	}
-	if counts[dag.Train] != 6 {
-		t.Errorf("train = %d, want 6", counts[dag.Train])
+	if counts[Train] != 6 {
+		t.Errorf("train = %d, want 6", counts[Train])
 	}
-	if counts[dag.Sync] != 2 {
-		t.Errorf("sync = %d, want 2", counts[dag.Sync])
+	if counts[Sync] != 2 {
+		t.Errorf("sync = %d, want 2", counts[Sync])
 	}
 }
 
@@ -203,9 +202,9 @@ func TestBuildDAGScaleUpMidJob(t *testing.T) {
 	scales, inits := 0, 0
 	for _, n := range g.Nodes() {
 		switch n.Kind {
-		case dag.Scale:
+		case Scale:
 			scales++
-		case dag.InitInstance:
+		case InitInstance:
 			inits++
 		}
 	}
@@ -487,7 +486,7 @@ func TestQuickEstimateSane(t *testing.T) {
 		}
 		syncs := 0
 		for _, nd := range b.graph.Nodes() {
-			if nd.Kind == dag.Sync {
+			if nd.Kind == Sync {
 				syncs++
 			}
 		}

@@ -51,18 +51,3 @@ func (r *Recorder) Trials() []int {
 	sort.Ints(ids)
 	return ids
 }
-
-// CountTrial returns the number of events of the given kind recorded for
-// one trial.
-func (r *Recorder) CountTrial(kind Kind, trial int) int {
-	if r == nil {
-		return 0
-	}
-	n := 0
-	for i, k := range r.kind {
-		if k == kind && int(r.trial[i]) == trial {
-			n++
-		}
-	}
-	return n
-}
