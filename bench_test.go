@@ -324,6 +324,26 @@ func BenchmarkPlanElastic100Cold(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanElasticLifecycle measures the short-lived Simulator of
+// the replanner and the harness: New, one cold PlanElastic, Release. From
+// the second iteration on, each Simulator fills the segment table the
+// previous one released.
+func BenchmarkPlanElasticLifecycle(b *testing.B) {
+	for _, mode := range benchEstimatorModes() {
+		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sm := benchSimulatorMode(b, 20, 1, mode)
+				p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
+				if _, err := p.PlanElastic(); err != nil {
+					b.Fatal(err)
+				}
+				sm.Release()
+			}
+		})
+	}
+}
+
 // benchController builds a replanning controller over the benchmark
 // workload and feeds it a drifted observation window (iterations 1.5x
 // slower than predicted), so each Replan call exercises the full warm

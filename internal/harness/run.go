@@ -227,6 +227,7 @@ func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
 		}
 		a.Plan = sim.Plan{Alloc: alloc}
 	}
+	sm.Release()
 
 	// Classify the injected drift against the deadline: if even the full
 	// static cluster running the whole job at the drifted latency misses
@@ -244,6 +245,7 @@ func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
 			if deadline < dsm.StaticClusterJCT(sc.MaxGPUs) {
 				a.DriftClass = DriftInfeasible
 			}
+			dsm.Release()
 		}
 	}
 

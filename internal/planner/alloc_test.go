@@ -77,3 +77,41 @@ func TestPlanElasticWarmAllocs(t *testing.T) {
 	}
 	t.Logf("%d accepted steps, %v allocations", steps, allocs)
 }
+
+// lifecycleAllocs is the allocation count of a cold search on a
+// recycled table in TestPlanElasticLifecycleAllocs, measured with Go
+// 1.24 on linux/amd64. Most of it is the profile boxing one iteration
+// distribution per per-trial share the search reads (about 270); the
+// rest is the Simulator, the planner memo and the plans the search keeps.
+const lifecycleAllocs = 365
+
+// TestPlanElasticLifecycleAllocs pins the cold search of a short-lived
+// Simulator, the replanner's and the harness's pattern: New, PlanElastic,
+// Release, New. The second Simulator's search runs on the table the
+// first one released, so it allocates nothing for segment records,
+// sample vectors or moments, and fewer objects than the same search on
+// a fresh table, which allocates the slabs' chunks.
+func TestPlanElasticLifecycleAllocs(t *testing.T) {
+	skipUnderRace(t)
+	s := spec.MustSHA(64, 4, 508, 2)
+	search := func(release bool) func() {
+		return func() {
+			sm := resnetSim(t, s, 8, 3)
+			p := &Planner{Sim: sm, Deadline: 3000, Workers: 1}
+			if _, err := p.PlanElastic(); err != nil {
+				t.Fatal(err)
+			}
+			if release {
+				sm.Release()
+			}
+		}
+	}
+	search(true)() // leave a released table in the pool
+	recycled := testing.AllocsPerRun(10, search(true))
+	fresh := testing.AllocsPerRun(10, search(false))
+	if recycled > lifecycleAllocs || recycled >= fresh {
+		t.Fatalf("cold search allocates %v on a recycled table and %v on a fresh one, want at most %d and fewer than on a fresh table",
+			recycled, fresh, lifecycleAllocs)
+	}
+	t.Logf("cold search: %v allocations on a recycled table, %v on a fresh one", recycled, fresh)
+}

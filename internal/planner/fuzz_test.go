@@ -20,7 +20,9 @@ import (
 // reference (referencePlanElastic), and the default two-phase search
 // (analytic pruning + frontier deduplication) selects exactly the plan
 // the exhaustive single-phase search selects. ErrInfeasible is the only
-// acceptable refusal.
+// acceptable refusal. Every Simulator releases its segment table after
+// its last search, so each search runs on a table earlier searches, of
+// this input or of earlier ones, used and released.
 func FuzzPlanElastic(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(8), uint64(4), uint64(12), uint64(16), uint64(0))
 	f.Add(uint64(7), uint64(4), uint64(10), uint64(2), uint64(8), uint64(32), uint64(1))
@@ -62,6 +64,7 @@ func FuzzPlanElastic(f *testing.F) {
 		deadline := sm.StaticClusterJCT(maxGPUs) * factor
 		p := &Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
 		res, descents, err := p.mergedSearch()
+		sm.Release()
 
 		// Merged descents: the unmerged reference search, each warm-start
 		// descent run to its end on its own allocations, must agree
@@ -70,8 +73,10 @@ func FuzzPlanElastic(f *testing.F) {
 		// which reuses the pooled scratch the first one released.
 		indep := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
 		ires, idescents, ierr := indep.referenceSearch()
+		indep.Sim.Release()
 		other := &Planner{Sim: newSim(), Deadline: 2 * deadline, MaxGPUs: maxGPUs + 3, Workers: 1}
 		_, _ = other.PlanElastic()
+		other.Sim.Release()
 		if !sameResult(res, err, ires, ierr) || !sameDescents(descents, idescents) {
 			t.Fatalf("merged search gave %v %+v (err %v, descents %v), independent descents %v %+v (err %v, descents %v)",
 				res.Plan, res.Estimate, err, descents, ires.Plan, ires.Estimate, ierr, idescents)
@@ -100,6 +105,7 @@ func FuzzPlanElastic(f *testing.F) {
 		// bit-identical.
 		p2 := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
 		res2, err2 := p2.PlanElastic()
+		p2.Sim.Release()
 		if err2 != nil {
 			t.Fatalf("replan failed: %v", err2)
 		}
@@ -119,6 +125,7 @@ func FuzzPlanElastic(f *testing.F) {
 			DisableAnalyticPrune: true, DisableFrontierDedupe: true,
 		}
 		rres, rerr := ref.PlanElastic()
+		ref.Sim.Release()
 		if rerr != nil {
 			t.Fatalf("reference search failed where two-phase succeeded: %v", rerr)
 		}

@@ -37,29 +37,70 @@ func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestColdSampleFillAllocatesOnlyVector: filling a segment's samples
-// allocates the sample vector it keeps and nothing else — streams and
-// timing buffers come from the fill pool.
-func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
-	skipUnderRace(t)
-	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
+// recycledTable returns the storage of a table a first Simulator filled
+// with every test plan's segments, sample vectors and moments, reset as
+// Release resets it. Tests hand it to a Simulator directly rather than
+// through tablePool, whose items a garbage collection may drop.
+func recycledTable(t *testing.T) *segTable {
+	donor := modeSim(t, 20, 1, 31, EstimatorSegment)
+	e := donor.NewAnalyticEval()
+	for _, p := range testPlans(donor) {
+		if _, err := donor.Estimate(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.Estimate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Release()
+	tab := donor.detachTable()
+	if len(tab.index) != 0 {
+		t.Fatalf("a reset table indexes %d segments, want 0", len(tab.index))
+	}
+	return tab
+}
+
+// tableSegments builds the segments of plans in sm's table and returns
+// them in plan order.
+func tableSegments(t *testing.T, sm *Simulator, plans []Plan) []*segment {
+	t.Helper()
 	var segs []*segment
-	for _, p := range testPlans(sm) {
+	for _, p := range plans {
 		var cp compiledPlan
 		if err := sm.compile(p, &cp); err != nil {
 			t.Fatal(err)
 		}
 		segs = append(segs, cp.segs...)
 	}
-	fill := func() {
-		for _, sg := range segs {
-			sg.samples = nil
-			sm.segmentSamples(sg)
-		}
+	return segs
+}
+
+// TestColdSampleFillAllocatesOnlyVector: a segment's sample vector is
+// the only storage its fill takes, and it comes from the table's sample
+// slab — streams and timing buffers come from the fill pool. On a
+// recycled table cold fills allocate nothing; on a fresh table they
+// allocate the slab's first chunk and nothing else.
+func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
+	skipUnderRace(t)
+	fill := func(sm *Simulator, segs []*segment) uint64 {
+		return mallocs(func() {
+			for _, sg := range segs {
+				sm.segmentSamples(sg)
+			}
+		})
 	}
-	fill() // warm the fill pool
-	if allocs := testing.AllocsPerRun(20, fill); allocs != float64(len(segs)) {
-		t.Fatalf("cold fills of %d segments allocate %v, want one sample vector each", len(segs), allocs)
+	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
+	sm.tab = recycledTable(t)
+	segs := tableSegments(t, sm, testPlans(sm))
+	if allocs := fill(sm, segs); allocs != 0 {
+		t.Fatalf("cold fills of %d segments on a recycled table allocate %d, want 0", len(segs), allocs)
+	}
+
+	sm = modeSim(t, 20, 1, 31, EstimatorSegment)
+	sm.tab = newSegTable()
+	segs = tableSegments(t, sm, testPlans(sm)[1:2])
+	if allocs, chunks := fill(sm, segs), sm.tab.samples.n; allocs != 1 || chunks != 1 {
+		t.Fatalf("cold fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)
 	}
 }
 
@@ -73,29 +114,32 @@ func mallocs(f func()) uint64 {
 }
 
 // TestFreshAnalyticEstimatePoolsScratch: on a fresh Simulator whose
-// segments are built, an analytic Estimate allocates each segment's
-// moments and nothing else — no evaluator and no moment scratch, which
-// come from pools that outlive any one Simulator.
+// segments are built, an analytic Estimate takes storage only for each
+// segment's moments, carved from the table's moment slab — no evaluator
+// and no moment scratch, which come from pools that outlive any one
+// Simulator. On a recycled table it allocates nothing; on a fresh table
+// only the moment slab's first chunk.
 func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 	skipUnderRace(t)
 	plan := testPlans(modeSim(t, 20, 1, 31, EstimatorAnalytic))[1]
-	run := func() (allocs uint64, segs int) {
+	run := func(tab *segTable) (allocs uint64, segs int) {
 		sm := modeSim(t, 20, 1, 31, EstimatorAnalytic)
-		var cp compiledPlan
-		if err := sm.compile(plan, &cp); err != nil { // build the segments uncounted
-			t.Fatal(err)
-		}
+		sm.tab = tab
+		segs = len(tableSegments(t, sm, []Plan{plan})) // build the segments uncounted
 		allocs = mallocs(func() {
 			if _, err := sm.Estimate(plan); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return allocs, len(cp.segs)
+		return allocs, segs
 	}
-	run() // warm the pools
+	run(newSegTable()) // warm the evaluator pool
 	for i := 0; i < 5; i++ {
-		if allocs, segs := run(); allocs != uint64(segs) {
-			t.Fatalf("fresh analytic Estimate over %d segments allocates %d objects, want one moment record each", segs, allocs)
+		if allocs, segs := run(recycledTable(t)); allocs != 0 {
+			t.Fatalf("analytic Estimate over %d segments on a recycled table allocates %d objects, want 0", segs, allocs)
+		}
+		if allocs, segs := run(newSegTable()); allocs != 1 {
+			t.Fatalf("analytic Estimate over %d segments on a fresh table allocates %d objects, want the moment slab's first chunk", segs, allocs)
 		}
 	}
 }

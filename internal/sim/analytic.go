@@ -25,8 +25,8 @@ type segMoment struct {
 // segmentMoments returns the segment's analytic moments, filling sg.mom
 // on first use. The value is a pure function of the segment (itself a
 // pure function of the simulator configuration and the key), so benign
-// double computation under concurrent misses is harmless. A miss
-// allocates the segMoment it stores and nothing else.
+// double computation under concurrent misses is harmless. A miss stores
+// the moments in a record carved from the table's moment slab.
 //
 //rbvet:pure
 func (s *Simulator) segmentMoments(sg *segment) *segMoment {
@@ -37,9 +37,10 @@ func (s *Simulator) segmentMoments(sg *segment) *segMoment {
 		return v
 	}
 	m := sg.moments()
-	v = &m
 	s.mu.Lock()
 	if sg.mom == nil {
+		v = &s.tableLocked().moms.take(1)[0]
+		*v = m
 		sg.mom = v
 	}
 	v = sg.mom

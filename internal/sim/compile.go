@@ -212,19 +212,22 @@ func (s *Simulator) AppendCanonicalPlanKey(b []byte, p Plan) []byte {
 
 // segmentFor returns the table's segment for key, building it on a miss.
 // The first stored segment wins, so every caller shares one segment per
-// key and with it the segment's lazily filled samples and moments.
+// key and with it the segment's lazily filled samples and moments. The
+// stored record is carved from the table's segment slab.
 func (s *Simulator) segmentFor(key segKey) *segment {
 	s.mu.Lock()
-	sg := s.segs[key]
+	sg := s.tableLocked().index[key]
 	s.mu.Unlock()
 	if sg != nil {
 		return sg
 	}
 	built := s.buildSegment(key)
 	s.mu.Lock()
-	if sg = s.segs[key]; sg == nil {
-		sg = built
-		s.segs[key] = sg
+	t := s.tab
+	if sg = t.index[key]; sg == nil {
+		sg = &t.segs.take(1)[0]
+		*sg = built
+		t.index[key] = sg
 	}
 	s.mu.Unlock()
 	return sg
@@ -240,11 +243,13 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 // trials), so predicted instance counts, and with them per-instance cost,
 // match execution. Deprovisioning is a zero-latency, zero-cost event and
 // is not represented (the cost model's per-stage instance counts account
-// for it). The segment record is the build's only allocation: the
-// provisioning latencies were compiled once, in New.
+// for it). The build allocates nothing: the record is returned by value
+// for segmentFor to store, the provisioning latencies were compiled once,
+// in New, and the iteration distribution comes from the table's share
+// column.
 //
 //rbvet:pure
-func (s *Simulator) buildSegment(key segKey) *segment {
+func (s *Simulator) buildSegment(key segKey) segment {
 	st := s.spec.Stage(int(key.stage))
 	alloc, gpn := int(key.alloc), s.cloud.Instance.GPUs
 	per := 1 // GPUs per TRAIN
@@ -255,7 +260,7 @@ func (s *Simulator) buildSegment(key segKey) *segment {
 	} else {
 		need = placement.NodesNeeded(alloc, 1, gpn)
 	}
-	return &segment{
+	return segment{
 		key:       key,
 		grow:      int32(max(need-int(key.prev), 0)),
 		trials:    int32(st.Trials),
@@ -263,7 +268,7 @@ func (s *Simulator) buildSegment(key segKey) *segment {
 		trainGPUs: int32(per),
 		instances: int32(need),
 		prov:      s.prov,
-		train:     stats.SumLat(s.profile.IterDist(per), st.Iters),
+		train:     stats.SumLat(s.iterShare(per).dist, st.Iters),
 	}
 }
 
@@ -279,16 +284,20 @@ func (s *Simulator) segStream(key segKey) (r stats.RNG) {
 // segmentSamples returns the segment's s.samples-long sample vector,
 // filling sg.samples on first use. Sample k always draws from the k-th
 // stream of the tuple's family and slots are index-addressed, so the
-// vector is bit-identical at any worker count. The vector is the fill's
-// only allocation: streams and slot-finish buffers come from fillPool.
+// vector is bit-identical at any worker count. A miss carves the vector
+// from the table's sample slab under the lock and fills it outside;
+// streams and slot-finish buffers come from fillPool.
 func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	s.mu.Lock()
 	v := sg.samples
+	var fresh []segSample
+	if v == nil {
+		fresh = s.tableLocked().samples.take(s.samples)
+	}
 	s.mu.Unlock()
 	if v != nil {
 		return v
 	}
-	fresh := make([]segSample, s.samples)
 	fs := fillPool.Get().(*fillScratch)
 	fs.base = s.segStream(sg.key)
 	n := s.workerSlots()
@@ -336,17 +345,32 @@ func (s *Simulator) sampleVectors(cp *compiledPlan, vecs [][]segSample) [][]segS
 	return vecs
 }
 
+// cohort is count instances born together at birth: one growth event on
+// priceSchedule's LIFO billing stack.
+type cohort struct {
+	birth float64
+	count int
+}
+
 // priceSchedule replays Monte-Carlo draw k of a compiled plan's segment
 // rows against the billing model: stage durations chain into absolute
 // time, per-instance billing replays LIFO instance lifetimes (births
 // derived from each growth stage's SCALE finish, deaths at stage
 // boundaries or job completion, subject to the minimum charge), and
 // per-function billing sums training GPU-seconds. It returns the
-// recombined JCT and total cost including data ingress. births is a
+// recombined JCT and total cost including data ingress. stack is a
 // reusable scratch buffer, returned (emptied) for the next call.
 //
+// The per-instance replay keeps the alive instances as a LIFO stack of
+// cohorts, AnalyticEval.price's birthGroup stack: the instances of one
+// cohort die together, so their charges are equal and the replay
+// computes each once. It still adds a charge once per instance, in the
+// order a per-instance stack pops them (a shrink from the top, the
+// survivors from the bottom), so the cost is bit-identical to billing
+// every instance separately.
+//
 //rbvet:noalloc
-func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, births []float64) (jct, cost float64, _ []float64) {
+func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, stack []cohort) (jct, cost float64, _ []cohort) {
 	pr := s.cloud.Pricing
 	cost = float64(cp.maxInstances) * pr.DataIngressCost(s.cloud.DatasetGB)
 
@@ -357,33 +381,42 @@ func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, b
 			jct += row.dur
 			cost += row.trainSec * float64(sg.trainGPUs) * pg
 		}
-		return jct, cost, births
+		return jct, cost, stack
 	}
 
-	alive := births[:0] // birth time per alive instance, LIFO order
+	alive := 0
+	stack = stack[:0]
 	stageStart := 0.0
 	for i, sg := range cp.segs {
 		row := vecs[i][k]
 		want := int(sg.instances)
-		if want > len(alive) {
+		if want > alive {
 			birth := stageStart
 			if sg.grow > 0 {
 				birth = stageStart + row.scaleFin // after queueing
 			}
-			for len(alive) < want {
-				alive = append(alive, birth)
+			stack = append(stack, cohort{birth: birth, count: want - alive})
+			alive = want
+		}
+		for alive > want {
+			top := &stack[len(stack)-1]
+			n := min(top.count, alive-want)
+			charge := s.instanceCharge(top.birth, stageStart)
+			for j := 0; j < n; j++ {
+				cost += charge
 			}
-		} else {
-			for len(alive) > want {
-				b := alive[len(alive)-1]
-				alive = alive[:len(alive)-1]
-				cost += s.instanceCharge(b, stageStart)
+			if top.count -= n; top.count == 0 {
+				stack = stack[:len(stack)-1]
 			}
+			alive -= n
 		}
 		stageStart += row.dur
 	}
-	for _, b := range alive {
-		cost += s.instanceCharge(b, stageStart)
+	for _, c := range stack {
+		charge := s.instanceCharge(c.birth, stageStart)
+		for j := 0; j < c.count; j++ {
+			cost += charge
+		}
 	}
-	return stageStart, cost, alive[:0]
+	return stageStart, cost, stack[:0]
 }

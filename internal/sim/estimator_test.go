@@ -239,7 +239,7 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 
 // TestPriceScheduleZeroAlloc pins the steady-state allocation count of
 // the billing replay to zero under both billing models: with a warm
-// births buffer, pricing a sample must not allocate.
+// cohort stack, pricing a sample must not allocate.
 func TestPriceScheduleZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
 		sm := deterministicSim(t, 8, 1, EstimatorSegment, billing)
@@ -249,10 +249,10 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		vecs := sm.sampleVectors(&cp, nil)
-		var births []float64
-		_, _, births = sm.priceSchedule(&cp, vecs, 0, births) // warm the buffer
+		var stack []cohort
+		_, _, stack = sm.priceSchedule(&cp, vecs, 0, stack) // warm the buffer
 		allocs := testing.AllocsPerRun(100, func() {
-			_, _, births = sm.priceSchedule(&cp, vecs, 1, births)
+			_, _, stack = sm.priceSchedule(&cp, vecs, 1, stack)
 		})
 		if allocs != 0 {
 			t.Fatalf("billing %v: priceSchedule allocates %v per sample, want 0", billing, allocs)
@@ -285,7 +285,10 @@ func TestGraphSampleZeroAlloc(t *testing.T) {
 func tableCounts(sm *Simulator) (segs, samples, moms int) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	for _, sg := range sm.segs {
+	if sm.tab == nil {
+		return 0, 0, 0
+	}
+	for _, sg := range sm.tab.index {
 		if sg.samples != nil {
 			samples++
 		}
@@ -293,7 +296,7 @@ func tableCounts(sm *Simulator) (segs, samples, moms int) {
 			moms++
 		}
 	}
-	return len(sm.segs), samples, moms
+	return len(sm.tab.index), samples, moms
 }
 
 // TestSegmentCacheReusesAcrossPlans: two plans sharing a stage tuple

@@ -229,14 +229,38 @@ func TestSumLatMatchesSumIters(t *testing.T) {
 }
 
 // TestColdSegmentBuildAllocatesOnlySegment: building a segment allocates
-// the segment record and nothing else (the profile here returns a stored
-// distribution, so the profile boxes nothing either).
+// nothing (the profile here returns a stored distribution, so the
+// profile boxes nothing either, and the share column already holds it
+// after AllocsPerRun's warm-up call); the segment record is the only
+// storage a miss takes, carved from the table's segment slab. Storing
+// the segments of a fresh table takes that slab's first chunk and the
+// index map's first bucket, and storing them again on the same table,
+// recycled, allocates nothing.
 func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 	sm := kernelSim(t, 4, stats.Normal{Mu: 30, Sigma: 4}, cloud.DefaultOverheads())
-	for _, key := range []segKey{{0, 24, 0}, {0, 7, 3}, {1, 18, 2}, {3, 1, 0}} {
-		if allocs := testing.AllocsPerRun(50, func() { sm.buildSegment(key) }); allocs != 1 {
-			t.Fatalf("building segment %+v allocates %v, want 1", key, allocs)
+	keys := []segKey{{0, 24, 0}, {0, 7, 3}, {1, 18, 2}, {3, 1, 0}}
+	for _, key := range keys {
+		if allocs := testing.AllocsPerRun(50, func() { sm.buildSegment(key) }); allocs != 0 {
+			t.Fatalf("building segment %+v allocates %v, want 0", key, allocs)
 		}
+	}
+	store := func() uint64 {
+		return mallocs(func() {
+			for _, key := range keys {
+				sm.segmentFor(key)
+			}
+		})
+	}
+	tab := sm.tab
+	sm.tab = newSegTable()
+	sm.tab.shares = tab.shares // the share column is not under test
+	sm.tab.full = tab.full
+	if allocs, chunks := store(), sm.tab.segs.n; allocs > 2 || chunks != 1 {
+		t.Fatalf("storing %d segments on a fresh table allocates %d objects into %d slab chunks, want the first chunk and the index map's first bucket", len(keys), allocs, chunks)
+	}
+	sm.tab = sm.detachTable()
+	if allocs := store(); allocs != 0 {
+		t.Fatalf("storing %d segments on a recycled table allocates %d, want 0", len(keys), allocs)
 	}
 }
 
@@ -253,26 +277,30 @@ func TestSegmentRecordSize(t *testing.T) {
 	}
 }
 
-// TestColdMomentFillAllocatesOnlySegMoment: a moment miss allocates the
-// segMoment it stores and nothing else.
+// TestColdMomentFillAllocatesOnlySegMoment: a moment miss stores its
+// segMoment in a record carved from the table's moment slab and takes
+// nothing else. On a recycled table moment misses allocate nothing; on
+// a fresh table, the slab's first chunk.
 func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
+	fill := func(sm *Simulator, segs []*segment) uint64 {
+		return mallocs(func() {
+			for _, sg := range segs {
+				sm.segmentMoments(sg)
+			}
+		})
+	}
 	sm := modeSim(t, 20, 1, 31, EstimatorAnalytic)
-	var segs []*segment
-	for _, p := range testPlans(sm) {
-		var cp compiledPlan
-		if err := sm.compile(p, &cp); err != nil {
-			t.Fatal(err)
-		}
-		segs = append(segs, cp.segs...)
+	sm.tab = recycledTable(t)
+	segs := tableSegments(t, sm, testPlans(sm))
+	if allocs := fill(sm, segs); allocs != 0 {
+		t.Fatalf("cold moment fills of %d segments on a recycled table allocate %d, want 0", len(segs), allocs)
 	}
-	fill := func() {
-		for _, sg := range segs {
-			sg.mom = nil
-			sm.segmentMoments(sg)
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, fill); allocs != float64(len(segs)) {
-		t.Fatalf("cold moment fills of %d segments allocate %v, want one segMoment each", len(segs), allocs)
+
+	sm = modeSim(t, 20, 1, 31, EstimatorAnalytic)
+	sm.tab = newSegTable()
+	segs = tableSegments(t, sm, testPlans(sm)[1:2])
+	if allocs, chunks := fill(sm, segs), sm.tab.moms.n; allocs != 1 || chunks != 1 {
+		t.Fatalf("cold moment fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)
 	}
 }
 
@@ -296,7 +324,7 @@ func benchSegments(b *testing.B) (*Simulator, []segKey) {
 // Benchmark results land in these package-level sinks so the compiler
 // cannot drop the measured calls.
 var (
-	segSink    *segment
+	segSink    segment
 	sampleSink segSample
 	momentSink segMoment
 )
@@ -318,7 +346,7 @@ func BenchmarkSegmentSample(b *testing.B) {
 	sm, keys := benchSegments(b)
 	segs := make([]*segment, len(keys))
 	for i, key := range keys {
-		segs[i] = sm.buildSegment(key)
+		segs[i] = sm.segmentFor(key)
 	}
 	r := stats.NewRNG(1)
 	var fin []float64
@@ -336,7 +364,7 @@ func BenchmarkSegmentMoments(b *testing.B) {
 	sm, keys := benchSegments(b)
 	segs := make([]*segment, len(keys))
 	for i, key := range keys {
-		segs[i] = sm.buildSegment(key)
+		segs[i] = sm.segmentFor(key)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -107,8 +108,9 @@ func TestEstimateIndependentOfCallOrder(t *testing.T) {
 }
 
 // TestConcurrentEstimateRace hammers one cold shared Simulator from many
-// goroutines (run under -race), so the segment table's first-write-wins
-// fills race each other, and checks every result against a serial
+// goroutines (run under -race) with estimates and StaticClusterJCTs
+// columns, so the segment table's first-write-wins fills, share column
+// included, race each other, and checks every result against a serial
 // reference computed on a twin simulator with the same seed.
 func TestConcurrentEstimateRace(t *testing.T) {
 	for _, mode := range []EstimatorMode{EstimatorSegment, EstimatorAnalytic} {
@@ -121,6 +123,11 @@ func TestConcurrentEstimateRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			want[i] = est
+		}
+		sizes := []int{6, 17, 32, 48, 64}
+		wantJCTs := make([][]float64, len(sizes))
+		for i, n := range sizes {
+			wantJCTs[i] = ref.StaticClusterJCTs(n, nil)
 		}
 
 		sm := modeSim(t, 20, 4, 99, mode)
@@ -141,6 +148,11 @@ func TestConcurrentEstimateRace(t *testing.T) {
 					}
 					if got != want[i] {
 						t.Errorf("%v goroutine %d round %d plan %v: %+v != %+v", mode, g, r, plans[i], got, want[i])
+						return
+					}
+					j := (g + 2*r) % len(sizes)
+					if got := sm.StaticClusterJCTs(sizes[j], nil); !slices.Equal(got, wantJCTs[j]) {
+						t.Errorf("%v goroutine %d round %d: StaticClusterJCTs(%d) = %v, want %v", mode, g, r, sizes[j], got, wantJCTs[j])
 						return
 					}
 				}

@@ -14,6 +14,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -65,14 +66,16 @@ func (p Plan) IsStatic() bool {
 	return true
 }
 
-// Validate checks the plan against a stage count: one positive allocation
-// per stage.
+// Validate checks the plan against a stage count: one allocation per
+// stage, each in [1, math.MaxInt32]. The bound keeps every allocation
+// exact in the 32-bit segment keys and plan keys that estimates are
+// memoized under, so no two valid plans share a key.
 func (p Plan) Validate(stages int) error {
 	if len(p.Alloc) != stages {
 		return fmt.Errorf("sim: plan covers %d stages, spec has %d", len(p.Alloc), stages)
 	}
 	for i, a := range p.Alloc {
-		if a < 1 {
+		if a < 1 || a > math.MaxInt32 {
 			return fmt.Errorf("sim: stage %d allocated %d GPUs", i, a)
 		}
 	}

@@ -1,0 +1,145 @@
+package sim_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/model"
+	"repro/internal/planner"
+	"repro/internal/sim"
+	"repro/internal/spec"
+	"repro/internal/stats"
+)
+
+// recycleCase is one Simulator configuration of the recycle-equivalence
+// test. The cases differ in spec, training batch, sample count,
+// estimator mode and billing model, so a recycled table meets keys,
+// vector lengths and iteration distributions its previous owner never
+// had.
+type recycleCase struct {
+	spec      *spec.ExperimentSpec
+	batch     int
+	samples   int
+	mode      sim.EstimatorMode
+	billing   cloud.BillingModel
+	minCharge float64
+	maxGPUs   int
+}
+
+func recycleCases() []recycleCase {
+	return []recycleCase{
+		{spec.MustSHA(16, 2, 16, 2), 512, 20, sim.EstimatorSegment, cloud.PerInstance, 60, 32},
+		{spec.MustSHA(8, 2, 12, 2), 256, 7, sim.EstimatorAnalytic, cloud.PerFunction, 0, 24},
+		{spec.MustSHA(12, 3, 10, 3), 1024, 13, sim.EstimatorSegment, cloud.PerFunction, 0, 36},
+		{spec.MustSHA(32, 4, 6, 4), 512, 5, sim.EstimatorAnalytic, cloud.PerInstance, 0, 48},
+		{spec.MustSHA(6, 2, 20, 3), 128, 9, sim.EstimatorSegment, cloud.PerInstance, 600, 16},
+	}
+}
+
+// newSim builds the case's simulator at the given worker count.
+func (c recycleCase) newSim(t *testing.T, workers int) *sim.Simulator {
+	t.Helper()
+	m := model.ResNet50()
+	m.IterNoiseStd = 0.1
+	cp := sim.DefaultCloudProfile()
+	cp.Pricing.Billing = c.billing
+	cp.Pricing.MinChargeSeconds = c.minCharge
+	cp.DatasetGB = 2
+	cp.Overheads = cloud.Overheads{
+		QueueDelay:  stats.Exponential{MeanValue: 5},
+		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
+	}
+	sm, err := sim.New(c.spec, sim.ModelTrainProfile{Model: m, Batch: c.batch, GPUsPerNode: 4}, cp, c.samples,
+		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers), sim.WithEstimator(c.mode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sm
+}
+
+// searches runs the case's workload on sm — an elastic plan search
+// under a deadline half again the static full-cluster plan's JCT, then
+// Estimate and Breakdown of the planner's result, a static plan, a
+// shrinking plan and a sub-trial plan — and renders every result. The
+// rendering prints floats in their shortest round-tripping form, so two
+// renderings are equal exactly when every value is bit-identical.
+func (c recycleCase) searches(sm *sim.Simulator, workers int) string {
+	stages := c.spec.NumStages()
+	full, err := sm.Estimate(sim.Uniform(c.maxGPUs, stages))
+	if err != nil {
+		return err.Error()
+	}
+	p := &planner.Planner{Sim: sm, Deadline: 1.5 * full.JCT, MaxGPUs: c.maxGPUs, Workers: workers}
+	res, err := p.PlanElastic()
+	out := fmt.Sprintf("plan %v %+v %v\n", res.Plan, res.Estimate, err)
+	shrink := make([]int, stages)
+	for i := range shrink {
+		shrink[i] = c.spec.Stage(i).Trials
+	}
+	plans := []sim.Plan{sim.Uniform(c.maxGPUs, stages), {Alloc: shrink}, sim.Uniform(3, stages)}
+	if err == nil {
+		plans = append(plans, res.Plan)
+	}
+	for _, pl := range plans {
+		est, err := sm.Estimate(pl)
+		bd, berr := sm.Breakdown(pl)
+		out += fmt.Sprintf("%v: %+v %v %+v %v\n", pl, est, err, bd, berr)
+	}
+	return out
+}
+
+// TestRecycledTablesMatchFresh: a Simulator on a table another
+// Simulator used and released returns exactly what it returns on a
+// fresh table — Estimate, Breakdown and PlanElastic — whatever spec,
+// sample count, estimator mode and billing model the table's previous
+// owners had, at one worker and at four.
+func TestRecycledTablesMatchFresh(t *testing.T) {
+	cases := recycleCases()
+	for _, workers := range []int{1, 4} {
+		want := make([]string, len(cases))
+		for i, c := range cases {
+			sm := c.newSim(t, workers)
+			sim.UseFreshTable(sm)
+			want[i] = c.searches(sm, workers)
+			if !strings.HasPrefix(want[i], "plan (") || strings.HasPrefix(want[i], "plan ()") {
+				t.Fatalf("workers %d case %d: the search found no plan:\n%s", workers, i, want[i])
+			}
+		}
+		check := func(i int, sm *sim.Simulator, how string) {
+			t.Helper()
+			if got := cases[i].searches(sm, workers); got != want[i] {
+				t.Fatalf("workers %d case %d on a %s table:\n%s\nfresh table:\n%s", workers, i, how, got, want[i])
+			}
+		}
+		// One table passes through every case, forwards then backwards,
+		// so each case inherits a table from both of its neighbours.
+		order := make([]int, 0, 2*len(cases))
+		for i := range cases {
+			order = append(order, i)
+		}
+		for i := len(cases) - 1; i >= 0; i-- {
+			order = append(order, i)
+		}
+		var prev *sim.Simulator
+		for _, i := range order {
+			sm := cases[i].newSim(t, workers)
+			if prev != nil {
+				sim.RecycleInto(prev, sm)
+			}
+			check(i, sm, "recycled")
+			prev = sm
+		}
+		// The same through Release and the package pool; a Simulator
+		// used again after Release draws a table anew.
+		prev.Release()
+		for i := range cases {
+			sm := cases[i].newSim(t, workers)
+			check(i, sm, "pooled")
+			sm.Release()
+			check(i, sm, "re-drawn")
+			sm.Release()
+		}
+	}
+}

@@ -27,11 +27,13 @@ var (
 
 // estScratch is one segment-mode estimate in flight: the plan resolved
 // to segments, its per-stage sample rows (vecs[i][k] is stage i's draw
-// k), and the per-draw columns summarize reduces.
+// k), the per-draw columns summarize reduces, and priceSchedule's
+// billing stack.
 type estScratch struct {
-	cp                  compiledPlan
-	vecs                [][]segSample
-	jcts, costs, births []float64
+	cp          compiledPlan
+	vecs        [][]segSample
+	jcts, costs []float64
+	stack       []cohort
 }
 
 // release drops the scratch's segment references and returns it to the

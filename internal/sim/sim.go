@@ -30,25 +30,31 @@ type Estimate struct {
 //   - One mutex-guarded segment table memoizing pure computations: each
 //     stage segment's shape and compiled TRAIN latency plus its lazily
 //     filled sample vector (segment mode) and analytic moments, and
-//     beside it the mean iteration latency per per-trial share that
-//     StaticClusterJCTs reads. The provisioning latencies every segment
-//     shares are compiled once, at construction. Every Monte-Carlo draw
-//     derives a private RNG stream from the construction-time seed
-//     state, keyed by (stream family, sample index), so Estimate and
-//     Breakdown are pure functions of the configuration and the plan,
-//     independent of table state, call order, goroutine or worker count.
-//   - Scratch borrowed from package-level pools that every Simulator
+//     beside them the profile's iteration distribution and mean per
+//     per-trial share, which segment builds and StaticClusterJCTs read.
+//     The provisioning latencies every segment shares are compiled once,
+//     at construction. Every Monte-Carlo draw derives a private RNG
+//     stream from the construction-time seed state, keyed by (stream
+//     family, sample index), so Estimate and Breakdown are pure
+//     functions of the configuration and the plan, independent of table
+//     state, call order, goroutine or worker count.
+//   - Storage borrowed from package-level pools that every Simulator
 //     shares, because one job's planning creates several short-lived
-//     Simulators (see scratch.go): estPool (segment-mode Estimate's
-//     compiled plan, sample rows, and the per-draw JCT, cost and birth
-//     columns summarize reduces), fillPool (a sample fill's per-worker
-//     RNG and per-slot finish buffer) and evalPool (analytic-mode
-//     Estimate's evaluators). A moment miss needs no scratch.
-//     Pooled scratch cannot carry a result from one call into another:
-//     every use fully overwrites what it reads before reading it.
+//     Simulators. The table's storage (its key index, and slabs its
+//     segment records, sample vectors and moments are carved from; see
+//     table.go) is drawn on the first estimate and handed back by
+//     Release. Scratch is borrowed per call (see scratch.go): estPool
+//     (segment-mode Estimate's compiled plan, sample rows, and the
+//     per-draw JCT, cost and billing-cohort columns summarize reduces),
+//     fillPool (a sample fill's per-worker RNG and per-slot finish
+//     buffer) and evalPool (analytic-mode Estimate's evaluators).
+//     Neither can carry a result from one use into another: a table
+//     comes back empty, and every use of scratch fully overwrites what
+//     it reads before reading it.
 //
-// A warm Estimate therefore allocates nothing, and a search allocates
-// only what the segment table and its caller's memo keep.
+// A warm Estimate therefore allocates nothing, a search on a recycled
+// table allocates only what its caller's memo keeps, and a Simulator
+// that never estimates draws no table at all.
 type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
@@ -67,17 +73,15 @@ type Simulator struct {
 	// here and shared by every segment of the table.
 	prov *provLats
 
-	// mu guards segs, the lazily filled fields of its segments, and
-	// means. Misses are computed outside the lock and stored
-	// first-write-wins: every value is a pure function of its key and the
-	// configuration, so double computation under concurrent misses is
-	// benign. The table is unbounded; one search touches at most a few
-	// thousand segments.
-	mu   sync.Mutex
-	segs map[segKey]*segment
-	// means is the profile's mean iteration latency by per-trial share
-	// (see meanLats).
-	means []float64
+	// mu guards tab and everything in it, including the lazily filled
+	// fields of its segments. Misses are computed outside the lock and
+	// stored first-write-wins: every value is a pure function of its key
+	// and the configuration, so double computation under concurrent
+	// misses is benign. The table is unbounded; one search touches at
+	// most a few thousand segments. tab is nil until the first use and
+	// after Release.
+	mu  sync.Mutex
+	tab *segTable
 }
 
 // Option configures optional Simulator behavior in New.
@@ -124,7 +128,6 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 			scale: stats.CompileLat(cp.Overheads.QueueDelay),
 			init:  stats.CompileLat(cp.Overheads.InitLatency),
 		},
-		segs: make(map[segKey]*segment),
 	}
 	for _, o := range opts {
 		o(sm)
@@ -183,7 +186,7 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 func (s *Simulator) summarize(es *estScratch) Estimate {
 	es.jcts, es.costs = resize(es.jcts, s.samples), resize(es.costs, s.samples)
 	for k := 0; k < s.samples; k++ {
-		es.jcts[k], es.costs[k], es.births = s.priceSchedule(&es.cp, es.vecs, k, es.births)
+		es.jcts[k], es.costs[k], es.stack = s.priceSchedule(&es.cp, es.vecs, k, es.stack)
 	}
 	jct, jctStd := stats.MeanStdInPlace(es.jcts)
 	cost, costStd := stats.MeanStdInPlace(es.costs)
@@ -212,17 +215,17 @@ func (s *Simulator) MeanIterLatency(gpus int) float64 {
 // StaticClusterJCTs returns StaticClusterJCT(g) for every cluster size
 // g = 1..n (entry g-1) as one column in buf's storage (grown when it is
 // too short). It takes each per-trial share's mean latency from the
-// Simulator's mean column (see meanLats) rather than boxing a
+// segment table's share column (see meanLats) rather than boxing a
 // distribution per (size, stage), and accumulates the column stage by
-// stage. With the mean column filled and buf large enough it allocates
+// stage. With the shares filled and buf large enough it allocates
 // nothing.
 func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
 	minTrials := s.spec.Stage(0).Trials
 	for i := 1; i < s.spec.NumStages(); i++ {
 		minTrials = min(minTrials, s.spec.Stage(i).Trials)
 	}
-	means := s.meanLats(max(n/minTrials, 1)) // every share 1..n/minTrials occurs
-	mean := func(per int) float64 { return means[per-1] }
+	shares := s.meanLats(max(n/minTrials, 1)) // every share 1..n/minTrials occurs
+	mean := func(per int) float64 { return shares[per-1].mean }
 	jcts := resize(buf, n)
 	clear(jcts)
 	for i := 0; i < s.spec.NumStages(); i++ {
@@ -234,29 +237,52 @@ func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
 	return jcts
 }
 
-// meanLats returns the profile's mean iteration latency at per-trial
-// shares 1..n (entry per-1). The column is computed once per Simulator:
-// a miss fills a fresh column outside the lock and the longest stored
-// column wins, the segment table's rule, since every entry is a pure
-// function of the profile.
-func (s *Simulator) meanLats(n int) []float64 {
+// meanLats returns the table's share column for per-trial shares 1..n
+// (entry per-1), every entry filled: its mean is the profile's mean
+// iteration latency at that share, MeanIterLatency(per). The profile is
+// asked outside the lock, and a filled entry never changes, so the
+// returned column may be read without the lock.
+func (s *Simulator) meanLats(n int) []iterShare {
 	s.mu.Lock()
-	m := s.means
+	t := s.tableLocked()
+	for per := t.full + 1; per <= n; per++ {
+		if t.share(per).dist != nil {
+			continue
+		}
+		s.mu.Unlock()
+		d := s.profile.IterDist(per)
+		fresh := iterShare{dist: d, mean: d.Mean()}
+		s.mu.Lock()
+		if sh := t.share(per); sh.dist == nil {
+			*sh = fresh
+		}
+	}
+	t.full = max(t.full, n)
+	col := t.shares[:n]
 	s.mu.Unlock()
-	if len(m) >= n {
-		return m[:n]
-	}
-	fresh := make([]float64, n)
-	for per := range fresh {
-		fresh[per] = s.MeanIterLatency(per + 1)
-	}
+	return col
+}
+
+// iterShare returns the table's entry for per GPUs per trial. A miss
+// asks the profile outside the lock and stores first-write-wins: the
+// entry is a pure function of the profile.
+func (s *Simulator) iterShare(per int) iterShare {
 	s.mu.Lock()
-	if len(s.means) < n {
-		s.means = fresh
-	}
-	m = s.means
+	sh := *s.tableLocked().share(per)
 	s.mu.Unlock()
-	return m[:n]
+	if sh.dist != nil {
+		return sh
+	}
+	d := s.profile.IterDist(per)
+	fresh := iterShare{dist: d, mean: d.Mean()}
+	s.mu.Lock()
+	e := s.tab.share(per)
+	if e.dist == nil {
+		*e = fresh
+	}
+	sh = *e
+	s.mu.Unlock()
+	return sh
 }
 
 // StaticClusterJCT is a quick analytic lower-bound estimate of a static

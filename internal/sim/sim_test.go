@@ -159,6 +159,41 @@ func TestPlanValidate(t *testing.T) {
 	if err := NewPlan(1, 2).Validate(2); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
+	if err := NewPlan(1, math.MaxInt32).Validate(2); err != nil {
+		t.Errorf("allocation of math.MaxInt32 rejected: %v", err)
+	}
+}
+
+// TestOversizedAllocRejected: an allocation above math.MaxInt32 does not
+// fit the 32-bit segment and plan keys. Truncated, 2^32+16 GPUs would
+// alias 16 GPUs: the same segments, the same estimate and the same
+// canonical plan key. Validation, and with it Estimate, Breakdown and
+// the analytic evaluator, must reject it.
+func TestOversizedAllocRejected(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int cannot exceed math.MaxInt32 on this target")
+	}
+	big := math.MaxInt32
+	big++ // a variable, so the test still compiles where int is 32 bits
+	if err := NewPlan(1, big).Validate(2); err == nil || !strings.Contains(err.Error(), "stage 1 allocated 2147483648 GPUs") {
+		t.Fatalf("Validate(2^31) = %v, want the stage-1 allocation error", err)
+	}
+	for _, mode := range estimatorModes() {
+		sm := modeSim(t, 4, 1, 31, mode)
+		plan := Plan{Alloc: []int{big<<1 + 16, 8, 4, 2}}
+		if est, err := sm.Estimate(plan); err == nil {
+			t.Fatalf("%v: Estimate(%v) = %+v, want a validation error", mode, plan, est)
+		}
+		if _, err := sm.Breakdown(plan); err == nil {
+			t.Fatalf("%v: Breakdown(%v) accepted the plan", mode, plan)
+		}
+		e := sm.NewAnalyticEval()
+		_, _, err := e.Estimate(plan)
+		e.Release()
+		if err == nil {
+			t.Fatalf("%v: analytic Estimate(%v) accepted the plan", mode, plan)
+		}
+	}
 }
 
 func TestGPUsPerTrial(t *testing.T) {

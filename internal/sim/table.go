@@ -1,0 +1,178 @@
+package sim
+
+import (
+	"sync"
+
+	"repro/internal/stats"
+)
+
+// tablePool holds the storage of segment tables that Simulators handed
+// back with Release. One job's planning builds several short-lived
+// Simulators (the initial plan, each online replan, each replan's
+// analytic screens), and each of them fills a table of a few segments;
+// recycling the storage keeps those fills from allocating. A table
+// comes back empty (see segTable.reset), so a recycled table cannot
+// carry a result from one Simulator into another.
+var tablePool = sync.Pool{New: func() any { return newSegTable() }}
+
+// slabFirst is the number of requests a slab's first chunk holds; each
+// later chunk holds twice as many as the one before it. slabChunks
+// bounds the chunk count: 24 doublings hold 2^27 requests, far past any
+// table that fits in memory.
+const (
+	slabFirst  = 8
+	slabChunks = 24
+)
+
+// segTable is the storage behind one Simulator's segment table: the key
+// index, the segment records and the sample vectors and moments they
+// point to, and the profile's iteration distribution per per-trial
+// share. Records, vectors and moments are carved from slabs, so a
+// recycled table fills without allocating. Every field is guarded by
+// the owning Simulator's mu.
+type segTable struct {
+	index   map[segKey]*segment
+	segs    slab[segment]
+	samples slab[segSample]
+	moms    slab[segMoment]
+	// shares[per-1] is the profile's iteration latency at per GPUs per
+	// trial (dist nil: not yet asked for). buildSegment compiles a
+	// segment's TRAIN latency from it and meanLats reads its means, so
+	// the profile builds each distribution once per table. full counts
+	// the leading shares known to be filled.
+	shares []iterShare
+	full   int
+}
+
+// newSegTable returns an empty table without storage.
+func newSegTable() *segTable { return &segTable{index: make(map[segKey]*segment)} }
+
+// iterShare is one per-trial share's iteration distribution and its
+// mean.
+type iterShare struct {
+	dist stats.Dist
+	mean float64
+}
+
+// reset empties the table for its next Simulator. It touches only what
+// the table used: it deletes the index keys the segment slab recorded
+// rather than clearing the map, whose cost would follow the largest
+// table the map ever held, and clears the records and shares it filled
+// so the pool keeps no profile or latency alive. Sample vectors and
+// moments hold no pointers and are overwritten before they are read, so
+// their slabs only rewind.
+func (t *segTable) reset() {
+	for i := 0; i < t.segs.chunksUsed(); i++ {
+		recs := t.segs.usedOf(i)
+		for j := range recs {
+			delete(t.index, recs[j].key)
+		}
+		clear(recs)
+	}
+	t.segs.rewind()
+	t.samples.rewind()
+	t.moms.rewind()
+	clear(t.shares)
+	t.shares, t.full = t.shares[:0], 0
+}
+
+// share returns the entry for per GPUs per trial, growing the column to
+// hold it.
+func (t *segTable) share(per int) *iterShare {
+	if per > len(t.shares) {
+		if per > cap(t.shares) {
+			t.shares = append(t.shares[:cap(t.shares)], make([]iterShare, per-cap(t.shares))...)
+		}
+		t.shares = t.shares[:per]
+	}
+	return &t.shares[per-1]
+}
+
+// slab hands out runs of T carved from chunks it keeps. A chunk is
+// never moved or shrunk, so a run stays valid until rewind; rewind makes
+// every chunk available again without freeing any. The chunk directory
+// is an array, so a new chunk is the slab's only allocation.
+type slab[T any] struct {
+	chunks [slabChunks][]T
+	// n counts the chunks; cur is the chunk being carved and off its
+	// first free slot.
+	n, cur, off int
+}
+
+// take returns a run of n values, each holding whatever it held last:
+// callers overwrite a run before reading it. A request that does not
+// fit the current chunk moves on to the next one, and when none is left
+// the slab adds a chunk of n·slabFirst·2^k values, k being the number
+// of chunks it already has.
+func (sl *slab[T]) take(n int) []T {
+	for ; sl.cur < sl.n; sl.cur, sl.off = sl.cur+1, 0 {
+		if c := sl.chunks[sl.cur]; sl.off+n <= len(c) {
+			run := c[sl.off : sl.off+n : sl.off+n]
+			sl.off += n
+			return run
+		}
+	}
+	sl.chunks[sl.n] = make([]T, n*slabFirst<<sl.n)
+	sl.n++
+	sl.off = n
+	return sl.chunks[sl.cur][:n:n]
+}
+
+// chunksUsed returns how many chunks hold taken values.
+func (sl *slab[T]) chunksUsed() int {
+	if sl.cur < sl.n && sl.off > 0 {
+		return sl.cur + 1
+	}
+	return sl.cur
+}
+
+// usedOf returns the taken prefix of chunk i < chunksUsed(). A chunk
+// before the current one counts whole: a run that did not fit its tail
+// left that tail as rewind found it.
+func (sl *slab[T]) usedOf(i int) []T {
+	if i == sl.cur {
+		return sl.chunks[i][:sl.off]
+	}
+	return sl.chunks[i]
+}
+
+// rewind makes every chunk available again.
+func (sl *slab[T]) rewind() { sl.cur, sl.off = 0, 0 }
+
+// tableLocked returns s's table, drawing one from the pool on first use.
+// The caller holds s.mu.
+func (s *Simulator) tableLocked() *segTable {
+	if s.tab == nil {
+		s.tab = tablePool.Get().(*segTable)
+	}
+	return s.tab
+}
+
+// Release hands the Simulator's segment table back to the package pool
+// for a later Simulator to reuse. A caller that is done with a Simulator
+// may call it after its last use; one that keeps the Simulator simply
+// leaves the table to the garbage collector. Release must not overlap
+// any other call on s, and nothing obtained from s may be used after
+// it — results returned by value (estimates, plans, breakdowns) are the
+// caller's own and stay valid. The table only memoizes, so a Simulator
+// used again after Release draws a fresh table and returns exactly what
+// it would have returned before; Release on a Simulator that never
+// estimated is a no-op.
+func (s *Simulator) Release() {
+	if t := s.detachTable(); t != nil {
+		tablePool.Put(t)
+	}
+}
+
+// detachTable takes s's table away from it and resets it, returning nil
+// when s holds none.
+func (s *Simulator) detachTable() *segTable {
+	s.mu.Lock()
+	t := s.tab
+	s.tab = nil
+	s.mu.Unlock()
+	if t != nil {
+		t.reset()
+	}
+	return t
+}
