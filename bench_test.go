@@ -202,8 +202,9 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkSimEstimate measures one warm plan evaluation — the unit of
-// work the greedy planner spends its budget on — per estimator mode.
+// BenchmarkSimEstimate measures one repeated plan evaluation per
+// estimator mode: a hit in the Simulator's plan memo, which is how a
+// search meets a candidate it has already scored.
 func BenchmarkSimEstimate(b *testing.B) {
 	for _, mode := range benchEstimatorModes() {
 		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
@@ -248,7 +249,9 @@ func BenchmarkPlanElastic(b *testing.B) {
 
 // BenchmarkSimEstimateWorkers measures the Monte-Carlo fan-out at a
 // planning-heavy sample count across worker counts; the estimate is
-// bit-identical at every setting, only wall-clock changes.
+// bit-identical at every setting, only wall-clock changes. Each
+// iteration releases the table first, so every estimate builds and
+// samples its segments anew on recycled storage.
 func BenchmarkSimEstimateWorkers(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("samples=200/workers=%d", w), func(b *testing.B) {
@@ -256,6 +259,7 @@ func BenchmarkSimEstimateWorkers(b *testing.B) {
 			plan := sim.Uniform(32, sm.Spec().NumStages())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				sm.Release()
 				if _, err := sm.Estimate(plan); err != nil {
 					b.Fatal(err)
 				}
@@ -265,9 +269,10 @@ func BenchmarkSimEstimateWorkers(b *testing.B) {
 }
 
 // BenchmarkPlanElastic100 measures a full greedy compilation at
-// samples=100 — the configuration the PR's speedup claim is recorded
-// against. A fresh Planner per iteration keeps the memo cache scoped to
-// one compilation, exactly as rbplan/rbsweep use it.
+// samples=100 on a shared Simulator, a fresh Planner per iteration.
+// The Simulator's segment table and plan memo stay warm across
+// iterations; BenchmarkPlanElastic100Cold and
+// BenchmarkPlanElasticLifecycle measure cold compilations.
 func BenchmarkPlanElastic100(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -289,8 +294,9 @@ func benchEstimatorModes() []sim.EstimatorMode {
 
 // BenchmarkPlanElastic100Estimator compares the estimator modes on the
 // speedup-claim configuration (samples=100, workers=1, shared simulator).
-// The segment mode's caches stay warm across iterations, mirroring how a
-// long-lived simulator serves successive plan compilations.
+// Both modes' caches, the plan memo among them, stay warm across
+// iterations, mirroring how a long-lived simulator serves successive
+// plan compilations.
 func BenchmarkPlanElastic100Estimator(b *testing.B) {
 	for _, mode := range benchEstimatorModes() {
 		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {

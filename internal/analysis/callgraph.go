@@ -192,7 +192,7 @@ func sigKey(sig *types.Signature) string {
 }
 
 // shortFuncName renders a function for chain diagnostics:
-// "time.Now", "sim.(*Simulator).buildSegment", "sim.Plan.AppendKey".
+// "time.Now", "sim.(*Simulator).buildSegment", "sim.Plan.Equal".
 func shortFuncName(fn *types.Func) string {
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {

@@ -75,18 +75,16 @@ var effectNames = []struct {
 	{effExternal, "calls an external function with unknown effects"},
 }
 
-// memoizedRoots are the functions the sim segment table and the planner
+// memoizedRoots are the functions the sim segment table and its plan
 // memo memoize: their results are stored and replayed, so they MUST be
 // pure modulo arguments, and must say so in source with //rbvet:pure.
 // Keyed by types.Func.FullName.
 var memoizedRoots = map[string]string{
-	"(*repro/internal/sim.Simulator).buildSegment":           "segment table (sim.segs)",
-	"(*repro/internal/sim.Simulator).segmentMoments":         "segment table's moments (segment.mom)",
-	"(*repro/internal/sim.segment).eval":                     "segment table's sample vectors (segment.samples)",
-	"(*repro/internal/sim.Simulator).Estimate":               "planner memo cache (Planner.memo)",
-	"(repro/internal/sim.Plan).AppendKey":                    "planner memo keys",
-	"(*repro/internal/sim.Simulator).AppendCanonicalPlanKey": "planner memo keys",
-	"(*repro/internal/sim.segment).moments":                  "stage kernel's moments (segment.mom)",
+	"(*repro/internal/sim.Simulator).buildSegment":   "segment table (sim.segs)",
+	"(*repro/internal/sim.Simulator).segmentMoments": "segment table's moments (segment.mom)",
+	"(*repro/internal/sim.segment).eval":             "segment table's sample vectors (segment.samples)",
+	"(*repro/internal/sim.Simulator).estimate":       "plan memo (segTable.plans)",
+	"(*repro/internal/sim.segment).moments":          "stage kernel's moments (segment.mom)",
 }
 
 // pureExternalPkgs are standard-library packages whose functions are

@@ -620,7 +620,6 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 		r.fail(err)
 		return
 	}
-	t.Reserve(iters)
 	now := r.cfg.Clock.Now()
 	restore := 0.0
 	if withRestore {

@@ -152,8 +152,8 @@ func TestTrialRestore(t *testing.T) {
 	if err := tr.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
-	if tr.CumIters() != 0 || len(tr.Metrics()) != 0 {
-		t.Fatalf("restore did not rewind: iters=%d metrics=%d", tr.CumIters(), len(tr.Metrics()))
+	if _, ok := tr.LatestAccuracy(); tr.CumIters() != 0 || ok {
+		t.Fatalf("restore did not rewind: iters=%d, latest metric kept=%v", tr.CumIters(), ok)
 	}
 	// Cannot restore forward.
 	if err := tr.Restore(trial.Checkpoint{Trial: 5, CumIters: 10}); err == nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -88,6 +89,7 @@ func table1Throughput(cfg Config, gpusPerTrial int, scatter bool) (Stat, error) 
 			return Stat{}, err
 		}
 		s := spec.Empty().AddStage(trials, iters)
+		tr := trace.New()
 		res, err := executor.Run(executor.Config{
 			Spec:             s,
 			Plan:             sim.NewPlan(trials * gpusPerTrial),
@@ -98,6 +100,7 @@ func table1Throughput(cfg Config, gpusPerTrial int, scatter bool) (Stat, error) 
 			Cluster:          mgr,
 			Clock:            clock,
 			RNG:              rng,
+			Trace:            tr,
 			DisablePlacement: scatter,
 		})
 		if err != nil {
@@ -105,18 +108,20 @@ func table1Throughput(cfg Config, gpusPerTrial int, scatter bool) (Stat, error) 
 		}
 		// Per-trial throughput: each trial processed iters batches over
 		// the stage span; stragglers make individual trials vary, so use
-		// the stage span per trial via its metric timestamps.
-		for _, tr := range res.Trials {
-			ms := tr.Metrics()
-			if len(ms) == 0 {
-				continue
+		// the stage span per trial via its iteration timestamps (the
+		// trace's trial_iter events; the run has no preemptions, so no
+		// iteration is ever rolled back).
+		iterTimes := make([][]float64, len(res.Trials))
+		for i := 0; i < tr.Len(); i++ {
+			if e := tr.FieldsAt(i); e.Kind == trace.KindTrialIter {
+				iterTimes[e.Trial] = append(iterTimes[e.Trial], float64(e.At))
 			}
-			span := float64(ms[len(ms)-1].At)
-			first := float64(ms[0].At)
-			if len(ms) > 1 {
+		}
+		for _, t := range res.Trials {
+			if ts := iterTimes[t.ID()]; len(ts) > 1 {
 				// Exclude the first iteration's start offset by
 				// averaging over completed iterations.
-				perIter := (span - first) / float64(len(ms)-1)
+				perIter := (ts[len(ts)-1] - ts[0]) / float64(len(ts)-1)
 				if perIter > 0 {
 					throughputs = append(throughputs, float64(batch)/perIter)
 				}

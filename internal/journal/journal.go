@@ -104,23 +104,13 @@ type TraceEvent struct {
 	Nodes int64
 }
 
-// kindCodes fixes the wire code of every trace kind. Appending new kinds
-// is forward-compatible; reordering is not.
-var kindCodes = []trace.Kind{
-	trace.KindStageStart, trace.KindStageEnd, trace.KindTrialStart,
-	trace.KindTrialIter, trace.KindTrialPause, trace.KindTrialKill,
-	trace.KindTrialDone, trace.KindScaleUp, trace.KindScaleDown,
-	trace.KindNodeReady, trace.KindCheckpoint, trace.KindRestore,
-	trace.KindProfilePoint, trace.KindDriftTrigger, trace.KindReplan,
-}
-
+// kindCode returns the wire code of a known trace kind: its trace code
+// plus one, so 0 stays free for kinds that travel as strings. The trace
+// package fixes the code order; appending new kinds there is
+// forward-compatible, reordering is not.
 func kindCode(k trace.Kind) (byte, bool) {
-	for i, c := range kindCodes {
-		if c == k {
-			return byte(i + 1), true
-		}
-	}
-	return 0, false
+	c, ok := trace.KindCode(k)
+	return c + 1, ok
 }
 
 // FromTrace converts a trace event to its journal record. Observed events
@@ -289,8 +279,8 @@ func DecodeRecord(payload []byte) (Record, error) {
 					return nil, fmt.Errorf("journal: non-canonical kind string %q", s)
 				}
 				e.Kind = trace.Kind(s)
-			} else if int(c) <= len(kindCodes) {
-				e.Kind = kindCodes[c-1]
+			} else if k, ok := trace.KnownKind(c - 1); ok {
+				e.Kind = k
 			} else {
 				return nil, fmt.Errorf("journal: unknown kind code %d", c)
 			}

@@ -8,8 +8,8 @@ import (
 
 // The allocation contract of a search: its working memory comes from
 // the search pool, so a search on a warm Planner (every estimate in the
-// memo, every segment in the simulator's table) allocates only the plans
-// it keeps.
+// simulator's plan memo, every segment in its table) allocates only the
+// plans it keeps.
 
 // skipUnderRace skips pooled-path allocation counts, which the race
 // detector's random sync.Pool discards would inflate.
@@ -82,8 +82,9 @@ func TestPlanElasticWarmAllocs(t *testing.T) {
 // recycled table in TestPlanElasticLifecycleAllocs, measured with Go
 // 1.24 on linux/amd64. Most of it is the profile boxing one iteration
 // distribution per per-trial share the search reads (about 270); the
-// rest is the Simulator, the planner memo and the plans the search keeps.
-const lifecycleAllocs = 365
+// rest is the Simulator and the plans the search keeps. The plan memo
+// lives in the recycled table, so it adds nothing.
+const lifecycleAllocs = 281
 
 // TestPlanElasticLifecycleAllocs pins the cold search of a short-lived
 // Simulator, the replanner's and the harness's pattern: New, PlanElastic,

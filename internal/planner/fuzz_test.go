@@ -118,11 +118,11 @@ func FuzzPlanElastic(f *testing.F) {
 		}
 
 		// Shortlist safety: the exhaustive single-phase search (no
-		// analytic pruning, no frontier deduplication) must select the
-		// same plan with a bit-identical estimate.
+		// analytic pruning) must select the same plan with a
+		// bit-identical estimate.
 		ref := &Planner{
 			Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1,
-			DisableAnalyticPrune: true, DisableFrontierDedupe: true,
+			DisableAnalyticPrune: true,
 		}
 		rres, rerr := ref.PlanElastic()
 		ref.Sim.Release()

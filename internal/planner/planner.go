@@ -21,7 +21,6 @@ package planner
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -38,10 +37,12 @@ type Result struct {
 
 // Planner searches the allocation-plan space for one job. A Planner runs
 // one search at a time (no caller shares one across goroutines); within
-// a search, candidate estimation fans out across Workers, which is why
-// the memo is mutex-guarded. Separate Planners may share a Simulator.
-// Each search borrows its working memory from a pool (searchScratch) and
-// returns only plans it cloned out of it.
+// a search, candidate estimation fans out across Workers, and the
+// Simulator's plan memo, which every search reads through Estimate, is
+// guarded by the Simulator's own lock. Separate Planners may share a
+// Simulator, and with it its memo. Each search borrows its working
+// memory from a pool (searchScratch) and returns only plans it cloned
+// out of it.
 type Planner struct {
 	// Sim predicts JCT and cost for candidate plans.
 	Sim *sim.Simulator
@@ -72,11 +73,6 @@ type Planner struct {
 	// single-phase search. Exposed as the reference mode for the
 	// shortlist-safety tests and the planning benchmarks.
 	DisableAnalyticPrune bool
-	// DisableFrontierDedupe turns off canonical-allocation memo sharing:
-	// behaviorally identical candidates (allocations rounded to the same
-	// fair per-trial share) are re-estimated instead of reusing each
-	// other's estimates. Exposed for the grid-equivalence ablation.
-	DisableFrontierDedupe bool
 	// Workers bounds the goroutines that evaluate candidate plans
 	// concurrently (independent of the simulator's own Monte-Carlo worker
 	// pool). Zero selects GOMAXPROCS; 1 forces serial evaluation. Because
@@ -85,63 +81,25 @@ type Planner struct {
 	// worker count.
 	Workers int
 
-	// memo caches plan evaluations across the whole search, keyed by
-	// memoKey (a compact byte encoding of the plan), so the greedy loop
-	// never re-simulates an allocation it has already scored (successive
-	// iterations share most of their candidate sets). It outlives a
-	// search; the other plan-level memo, each search's walked-path record
-	// (searchScratch.walked), lets a warm-start descent that reaches an
-	// earlier descent's plan skip the rest of the walk entirely. The
-	// simulator memoizes per stage segment.
-	memoMu sync.Mutex
-	memo   map[string]sim.Estimate
-	// estCalls counts estimate() invocations (hits + misses), for the
-	// search-efficiency diagnostics exposed by EstimateCalls/MemoLen.
+	// estCalls counts estimate() invocations, for the search-efficiency
+	// diagnostic exposed by EstimateCalls.
 	estCalls int64
 	// prunedCands counts frontier candidates the analytic screen excluded
 	// from Monte-Carlo estimation (see PrunedCandidates).
 	prunedCands int64
 }
 
-// appendMemoKey appends the memo key for a plan to b: its
-// canonical-allocation key unless frontier deduplication is disabled, so
-// behaviorally identical candidates share one evaluation. Deduplication
-// is sound because every estimate is a function of the canonical
-// allocation: both estimator modes key segments, sample streams and
-// moments by canonical segment tuples.
-func (p *Planner) appendMemoKey(b []byte, plan sim.Plan) []byte {
-	if p.DisableFrontierDedupe {
-		return plan.AppendKey(b)
-	}
-	return p.Sim.AppendCanonicalPlanKey(b, plan)
-}
-
-// estimate evaluates a plan through the memo cache. The key is built in
-// a stack buffer and looked up without conversion, so a hit allocates
-// nothing; only a miss's insertion allocates the key string. Concurrent
-// callers may race to fill the same entry; that is benign because
-// Estimate is pure — both compute the identical value.
+// estimate evaluates a plan, counting the call. The Simulator memoizes
+// whole-plan estimates under canonical allocations, so the greedy loop
+// never re-simulates an allocation it has already scored (successive
+// iterations share most of their candidate sets), and behaviorally
+// identical candidates share one evaluation. The other plan-level memo,
+// each search's walked-path record (searchScratch.walked), lets a
+// warm-start descent that reaches an earlier descent's plan skip the
+// rest of the walk entirely.
 func (p *Planner) estimate(plan sim.Plan) (sim.Estimate, error) {
 	atomic.AddInt64(&p.estCalls, 1)
-	var buf [64]byte
-	key := p.appendMemoKey(buf[:0], plan)
-	p.memoMu.Lock()
-	est, ok := p.memo[string(key)]
-	p.memoMu.Unlock()
-	if ok {
-		return est, nil
-	}
-	est, err := p.Sim.Estimate(plan)
-	if err != nil {
-		return sim.Estimate{}, err
-	}
-	p.memoMu.Lock()
-	if p.memo == nil {
-		p.memo = make(map[string]sim.Estimate)
-	}
-	p.memo[string(key)] = est
-	p.memoMu.Unlock()
-	return est, nil
+	return p.Sim.Estimate(plan)
 }
 
 // estimateAll estimates every kept candidate into the index-addressed
@@ -556,16 +514,7 @@ func fairFloor(max, trials int) (int, bool) {
 	return best, true
 }
 
-// MemoLen reports the number of distinct plans the search has simulated so
-// far; together with EstimateCalls it quantifies how much work the memo
-// cache saved.
-func (p *Planner) MemoLen() int {
-	p.memoMu.Lock()
-	defer p.memoMu.Unlock()
-	return len(p.memo)
-}
-
 // EstimateCalls reports the total number of plan evaluations requested by
-// the search, counting memo hits. EstimateCalls - MemoLen evaluations were
-// answered from cache without re-simulation.
+// the Planner's searches, counting those the Simulator answered from its
+// memo.
 func (p *Planner) EstimateCalls() int64 { return atomic.LoadInt64(&p.estCalls) }

@@ -319,25 +319,26 @@ func TestCandidatesDistinctAndUnaliased(t *testing.T) {
 	}
 }
 
-// TestMemoHitZeroAlloc: a memo hit builds its key in a stack buffer and
-// looks it up without converting it, so it allocates nothing, with and
-// without frontier deduplication.
+// TestMemoHitZeroAlloc: a hit in the Simulator's plan memo, on the plan
+// itself or on a canonically equal one, builds its key in a stack
+// buffer and allocates nothing.
 func TestMemoHitZeroAlloc(t *testing.T) {
 	s := spec.MustSHA(16, 2, 16, 2)
-	for _, dedupe := range []bool{true, false} {
-		p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 1e6, DisableFrontierDedupe: !dedupe}
-		plan := sim.NewPlan(16, 8, 4, 2)
-		want, err := p.estimate(plan) // miss: fills the memo
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if got, err := p.estimate(plan); err != nil || got != want {
-				t.Fatalf("memo hit = (%+v, %v), want %+v", got, err, want)
+	p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 1e6}
+	plan := sim.NewPlan(16, 8, 4, 2)
+	want, err := p.estimate(plan) // miss: fills the memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := sim.NewPlan(17, 9, 5, 3) // canonically equal: the same entry
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, q := range []sim.Plan{plan, twin} {
+			if got, err := p.estimate(q); err != nil || got != want {
+				t.Fatalf("memo hit on %v = (%+v, %v), want %+v", q, got, err, want)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("dedupe=%v: memo hit allocates %v, want 0", dedupe, allocs)
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memo hits allocate %v, want 0", allocs)
 	}
 }

@@ -1,7 +1,7 @@
-// Shortlist-safety and frontier-deduplication corpus tests: the
-// two-phase search (analytic batch scoring + margin pruning + canonical
-// dedupe) must select exactly the plan the exhaustive single-phase
-// Monte-Carlo search selects, across generated harness scenarios. Like
+// Shortlist-safety corpus tests: the two-phase search (analytic batch
+// scoring + margin pruning) must select exactly the plan the exhaustive
+// single-phase Monte-Carlo search selects, across generated harness
+// scenarios. Like
 // the metamorphic suite, these live in an external package so they can
 // reuse the chaos harness's scenario generator.
 package planner_test
@@ -20,7 +20,6 @@ func referencePlanner(t *testing.T, sc harness.Scenario, seed uint64) (*planner.
 	t.Helper()
 	p, deadline := newPlanner(t, sc, sc.Profile, seed, 0.01)
 	p.DisableAnalyticPrune = true
-	p.DisableFrontierDedupe = true
 	return p, deadline
 }
 
@@ -58,41 +57,6 @@ func TestShortlistSafetyOnCorpus(t *testing.T) {
 	}
 	if saved <= 0 {
 		t.Errorf("two-phase search did not reduce estimate calls (saved %d)", saved)
-	}
-}
-
-// TestFrontierDedupeGridEquivalence: canonical-allocation deduplication
-// alone (pruning disabled on both sides) must not change any planning
-// outcome in either estimator mode, while memoizing strictly fewer
-// distinct evaluations somewhere on the corpus.
-func TestFrontierDedupeGridEquivalence(t *testing.T) {
-	const seed, n = 61, 8
-	sharedFewer := false
-	for _, sc := range metamorphicScenarios(t, seed, n) {
-		dedup, _ := newPlanner(t, sc, sc.Profile, seed, 0.01)
-		dedup.DisableAnalyticPrune = true
-		plain, _ := referencePlanner(t, sc, seed)
-		dres, derr := dedup.PlanElastic()
-		pres, perr := plain.PlanElastic()
-		if (derr == nil) != (perr == nil) {
-			t.Fatalf("%v: feasibility diverged: dedupe %v, plain %v", sc, derr, perr)
-		}
-		if derr != nil {
-			continue
-		}
-		if !dres.Plan.Equal(pres.Plan) || dres.Estimate != pres.Estimate {
-			t.Fatalf("%v: dedupe changed the plan: %v %+v vs %v %+v",
-				sc, dres.Plan, dres.Estimate, pres.Plan, pres.Estimate)
-		}
-		if dedup.MemoLen() > plain.MemoLen() {
-			t.Fatalf("%v: dedupe memoized more plans (%d) than plain (%d)", sc, dedup.MemoLen(), plain.MemoLen())
-		}
-		if dedup.MemoLen() < plain.MemoLen() {
-			sharedFewer = true
-		}
-	}
-	if !sharedFewer {
-		t.Error("dedupe never merged a duplicate candidate across the corpus")
 	}
 }
 

@@ -19,7 +19,9 @@ func skipUnderRace(t *testing.T) {
 }
 
 // TestWarmSegmentEstimateZeroAlloc: with every segment's samples in the
-// table and the pools warm, a segment-mode Estimate allocates nothing.
+// table and the pools warm, a segment-mode estimate allocates nothing,
+// whether the plan memo answers it (Estimate) or it is recombined from
+// the segments' samples (estimate).
 func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
@@ -27,6 +29,9 @@ func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 	estimate := func() {
 		for _, p := range plans {
 			if _, err := sm.Estimate(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sm.estimate(p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -54,8 +59,8 @@ func recycledTable(t *testing.T) *segTable {
 	}
 	e.Release()
 	tab := donor.detachTable()
-	if len(tab.index) != 0 {
-		t.Fatalf("a reset table indexes %d segments, want 0", len(tab.index))
+	if len(tab.index) != 0 || len(tab.plans) != 0 {
+		t.Fatalf("a reset table indexes %d segments and %d plan hashes, want 0", len(tab.index), len(tab.plans))
 	}
 	return tab
 }
@@ -115,10 +120,12 @@ func mallocs(f func()) uint64 {
 
 // TestFreshAnalyticEstimatePoolsScratch: on a fresh Simulator whose
 // segments are built, an analytic Estimate takes storage only for each
-// segment's moments, carved from the table's moment slab — no evaluator
-// and no moment scratch, which come from pools that outlive any one
-// Simulator. On a recycled table it allocates nothing; on a fresh table
-// only the moment slab's first chunk.
+// segment's moments, carved from the table's moment slab, and for its
+// plan-memo entry — no evaluator and no moment scratch, which come from
+// pools that outlive any one Simulator. On a recycled table it
+// allocates nothing; on a fresh table four objects: the moment slab's
+// first chunk, and the memo's first hash group, entry column and
+// allocation column.
 func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 	skipUnderRace(t)
 	plan := testPlans(modeSim(t, 20, 1, 31, EstimatorAnalytic))[1]
@@ -138,8 +145,8 @@ func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 		if allocs, segs := run(recycledTable(t)); allocs != 0 {
 			t.Fatalf("analytic Estimate over %d segments on a recycled table allocates %d objects, want 0", segs, allocs)
 		}
-		if allocs, segs := run(newSegTable()); allocs != 1 {
-			t.Fatalf("analytic Estimate over %d segments on a fresh table allocates %d objects, want the moment slab's first chunk", segs, allocs)
+		if allocs, segs := run(newSegTable()); allocs != 4 {
+			t.Fatalf("analytic Estimate over %d segments on a fresh table allocates %d objects, want 4: the moment slab's first chunk and the memo's first storage", segs, allocs)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
-
 	"repro/internal/cloud"
 	"repro/internal/par"
 	"repro/internal/placement"
@@ -180,34 +178,13 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 // to k·trials. Keying segments by the representative makes equivalent
 // allocations share segments, sample vectors, and — because
 // segStream hashes the key — the exact same common random numbers, which
-// is what lets the planner deduplicate symmetric frontier candidates
-// without changing any estimate.
+// is what lets Estimate's plan memo key whole plans by their canonical
+// allocations without changing any estimate.
 func canonAlloc(alloc, trials int) int {
 	if alloc >= trials {
 		return alloc - alloc%trials
 	}
 	return alloc
-}
-
-// AppendCanonicalPlanKey appends the Plan.AppendKey encoding of p's
-// behavioral representative under this simulator's spec — each stage
-// allocation mapped through canonAlloc — to b. Two plans with equal
-// canonical keys produce bit-identical estimates in both estimator modes,
-// which derive segments, sample vectors, moments and RNG streams from the
-// canonical segment tuples only. The planner's frontier deduplication
-// memos on this key. Stages beyond the spec pass through unmapped (such
-// plans fail validation at estimation time anyway).
-//
-//rbvet:pure
-func (s *Simulator) AppendCanonicalPlanKey(b []byte, p Plan) []byte {
-	stages := s.spec.NumStages()
-	for i, a := range p.Alloc {
-		if i < stages {
-			a = canonAlloc(a, s.spec.Stage(i).Trials)
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(a))
-	}
-	return b
 }
 
 // segmentFor returns the table's segment for key, building it on a miss.

@@ -208,9 +208,11 @@ func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
 	}
 }
 
-// TestPlanKeyCollisionFree: AppendKey is injective over plans that
-// differ in any allocation or in stage count, and agrees exactly when
-// Equal does.
+// TestPlanKeyCollisionFree: the plan memo answers a plan only with its
+// own entry, even when every plan hashes alike: entries that share a
+// hash chain, and a lookup compares canonical allocations, so plans
+// that differ in any allocation or in stage count never share an
+// estimate.
 func TestPlanKeyCollisionFree(t *testing.T) {
 	plans := []Plan{
 		NewPlan(1),
@@ -224,16 +226,34 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 		NewPlan(1, 2, 8, 5),
 		Uniform(64, 4),
 	}
-	key := func(p Plan) string { return string(p.AppendKey(nil)) }
-	for i, a := range plans {
-		for j, b := range plans {
-			if (key(a) == key(b)) != a.Equal(b) {
-				t.Fatalf("key collision/mismatch between %v (#%d) and %v (#%d)", a, i, b, j)
+	key := func(p Plan) []int32 {
+		var k []int32
+		for _, a := range p.Alloc {
+			k = append(k, int32(a))
+		}
+		return k
+	}
+	for _, hash := range []func([]int32) uint64{planHash, func([]int32) uint64 { return 7 }} {
+		tab := newSegTable()
+		for i, p := range plans {
+			tab.storePlan(hash(key(p)), key(p), Estimate{JCT: float64(i)})
+		}
+		for i, p := range plans {
+			if est, ok := tab.plan(hash(key(p)), key(p)); !ok || est.JCT != float64(i) {
+				t.Fatalf("plan %v (#%d) reads entry %v/%v", p, i, est.JCT, ok)
 			}
 		}
-	}
-	if got := NewPlan(7, 9).AppendKey([]byte("x")); len(got) != 9 || got[0] != 'x' {
-		t.Fatalf("AppendKey(\"x\") = %q, want the prefix then 4 bytes per stage", got)
+		if _, ok := tab.plan(hash(key(NewPlan(16, 8, 6))), key(NewPlan(16, 8, 6))); ok {
+			t.Fatal("a plan never stored has an entry")
+		}
+		tab.storePlan(hash(key(plans[2])), key(plans[2]), Estimate{JCT: -1})
+		if est, _ := tab.plan(hash(key(plans[2])), key(plans[2])); est.JCT != 2 {
+			t.Fatalf("a second store replaced the first entry: JCT %v", est.JCT)
+		}
+		tab.reset()
+		if len(tab.plans) != 0 || len(tab.entries) != 0 || len(tab.allocs) != 0 {
+			t.Fatalf("reset left %d hashes, %d entries, %d allocations", len(tab.plans), len(tab.entries), len(tab.allocs))
+		}
 	}
 }
 

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -96,21 +95,6 @@ func (p Plan) AppendString(b []byte) []byte {
 		b = strconv.AppendInt(b, int64(a), 10)
 	}
 	return append(b, ')')
-}
-
-// AppendKey appends a compact, collision-free encoding of the
-// allocation vector to b and returns the extended buffer — a map or
-// cache key built in a reused buffer: each allocation as a fixed-width
-// big-endian 32-bit word, so two plans' keys are equal iff the plans are
-// Equal (the length distinguishes stage counts). Unlike String it
-// performs no formatting and appends exactly 4 bytes per stage.
-//
-//rbvet:pure
-func (p Plan) AppendKey(b []byte) []byte {
-	for _, a := range p.Alloc {
-		b = binary.BigEndian.AppendUint32(b, uint32(a))
-	}
-	return b
 }
 
 // Equal reports whether two plans are identical.

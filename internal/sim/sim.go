@@ -29,9 +29,10 @@ type Estimate struct {
 //
 //   - One mutex-guarded segment table memoizing pure computations: each
 //     stage segment's shape and compiled TRAIN latency plus its lazily
-//     filled sample vector (segment mode) and analytic moments, and
-//     beside them the profile's iteration distribution and mean per
-//     per-trial share, which segment builds and StaticClusterJCTs read.
+//     filled sample vector (segment mode) and analytic moments, beside
+//     them the profile's iteration distribution and mean per per-trial
+//     share, which segment builds and StaticClusterJCTs read, and the
+//     plan memo of whole-plan estimates keyed by canonical allocations.
 //     The provisioning latencies every segment shares are compiled once,
 //     at construction. Every Monte-Carlo draw derives a private RNG
 //     stream from the construction-time seed state, keyed by (stream
@@ -40,21 +41,22 @@ type Estimate struct {
 //     state, call order, goroutine or worker count.
 //   - Storage borrowed from package-level pools that every Simulator
 //     shares, because one job's planning creates several short-lived
-//     Simulators. The table's storage (its key index, and slabs its
-//     segment records, sample vectors and moments are carved from; see
-//     table.go) is drawn on the first estimate and handed back by
-//     Release. Scratch is borrowed per call (see scratch.go): estPool
-//     (segment-mode Estimate's compiled plan, sample rows, and the
-//     per-draw JCT, cost and billing-cohort columns summarize reduces),
-//     fillPool (a sample fill's per-worker RNG and per-slot finish
-//     buffer) and evalPool (analytic-mode Estimate's evaluators).
+//     Simulators. The table's storage (its key index, the slabs its
+//     segment records, sample vectors and moments are carved from, and
+//     the plan memo's columns; see table.go) is drawn on the first
+//     estimate and handed back by Release. Scratch is borrowed per call
+//     (see scratch.go): estPool (segment-mode Estimate's compiled plan,
+//     sample rows, and the per-draw JCT, cost and billing-cohort columns
+//     summarize reduces), fillPool (a sample fill's per-worker RNG and
+//     per-slot finish buffer) and evalPool (analytic-mode Estimate's
+//     evaluators).
 //     Neither can carry a result from one use into another: a table
 //     comes back empty, and every use of scratch fully overwrites what
 //     it reads before reading it.
 //
 // A warm Estimate therefore allocates nothing, a search on a recycled
-// table allocates only what its caller's memo keeps, and a Simulator
-// that never estimates draws no table at all.
+// table allocates only the plans it keeps, and a Simulator that never
+// estimates draws no table at all.
 type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
@@ -77,9 +79,9 @@ type Simulator struct {
 	// fields of its segments. Misses are computed outside the lock and
 	// stored first-write-wins: every value is a pure function of its key
 	// and the configuration, so double computation under concurrent
-	// misses is benign. The table is unbounded; one search touches at
-	// most a few thousand segments. tab is nil until the first use and
-	// after Release.
+	// misses is benign. The table, plan memo included, is unbounded; one
+	// search touches at most a few thousand segments and plans. tab is
+	// nil until the first use and after Release.
 	mu  sync.Mutex
 	tab *segTable
 }
@@ -156,8 +158,44 @@ func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 // order, so the estimate is bit-identical at any worker count and across
 // repeated or concurrent calls, in both estimator modes.
 //
+// The table memoizes each estimate under the plan's canonical
+// allocations (canonAlloc per stage), which is all an estimate depends
+// on in either mode: plans that differ only within a fair share's
+// representative class share one entry, and a search that scores a
+// candidate again reads it back without allocating. A plan that fails
+// validation returns its error and is not memoized.
+//
 //rbvet:pure
 func (s *Simulator) Estimate(p Plan) (Estimate, error) {
+	if err := p.Validate(s.spec.NumStages()); err != nil {
+		return Estimate{}, err
+	}
+	var buf [16]int32
+	key := buf[:0]
+	for i, a := range p.Alloc {
+		key = append(key, int32(canonAlloc(a, s.spec.Stage(i).Trials)))
+	}
+	h := planHash(key)
+	s.mu.Lock()
+	est, ok := s.tableLocked().plan(h, key)
+	s.mu.Unlock()
+	if ok {
+		return est, nil
+	}
+	est, err := s.estimate(p)
+	if err != nil {
+		return Estimate{}, err
+	}
+	s.mu.Lock()
+	s.tableLocked().storePlan(h, key, est)
+	s.mu.Unlock()
+	return est, nil
+}
+
+// estimate computes Estimate's answer without the plan memo.
+//
+//rbvet:pure
+func (s *Simulator) estimate(p Plan) (Estimate, error) {
 	if s.estimator == EstimatorAnalytic {
 		e := s.NewAnalyticEval()
 		est, ok, err := e.Estimate(p)

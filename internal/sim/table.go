@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/stats"
@@ -26,15 +27,25 @@ const (
 
 // segTable is the storage behind one Simulator's segment table: the key
 // index, the segment records and the sample vectors and moments they
-// point to, and the profile's iteration distribution per per-trial
-// share. Records, vectors and moments are carved from slabs, so a
-// recycled table fills without allocating. Every field is guarded by
-// the owning Simulator's mu.
+// point to, the profile's iteration distribution per per-trial share,
+// and the plan memo. Records, vectors and moments are carved from
+// slabs, and the memo's columns keep their capacity, so a recycled
+// table fills without allocating. Every field is guarded by the owning
+// Simulator's mu.
 type segTable struct {
 	index   map[segKey]*segment
 	segs    slab[segment]
 	samples slab[segSample]
 	moms    slab[segMoment]
+	// plans is the plan memo's index: a hash of a plan's canonical
+	// allocations (see planHash) maps to the newest entry with that
+	// hash, and each entry links to the previous one, so a collision
+	// costs a comparison of allocations rather than a wrong answer.
+	// Entries are numbered in insertion order, and each keeps its
+	// canonical allocations in the allocs column.
+	plans   map[uint64]int32
+	entries []planEntry
+	allocs  []int32
 	// shares[per-1] is the profile's iteration latency at per GPUs per
 	// trial (dist nil: not yet asked for). buildSegment compiles a
 	// segment's TRAIN latency from it and meanLats reads its means, so
@@ -45,7 +56,59 @@ type segTable struct {
 }
 
 // newSegTable returns an empty table without storage.
-func newSegTable() *segTable { return &segTable{index: make(map[segKey]*segment)} }
+func newSegTable() *segTable {
+	return &segTable{index: make(map[segKey]*segment), plans: make(map[uint64]int32)}
+}
+
+// planEntry is one memoized whole-plan estimate: its canonical
+// allocations are allocs[off:off+n] of the table, and prev numbers the
+// previous entry with the same hash (-1: none).
+type planEntry struct {
+	hash   uint64
+	off, n int32
+	prev   int32
+	est    Estimate
+}
+
+// planHash hashes a plan's canonical allocations (FNV-1a over their
+// 32-bit words).
+func planHash(allocs []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, a := range allocs {
+		h = (h ^ uint64(uint32(a))) * 1099511628211
+	}
+	return h
+}
+
+// plan returns the memoized estimate of the plan with canonical
+// allocations allocs, whose hash is h.
+func (t *segTable) plan(h uint64, allocs []int32) (Estimate, bool) {
+	i, ok := t.plans[h]
+	for ok && i >= 0 {
+		e := &t.entries[i]
+		if slices.Equal(t.allocs[e.off:e.off+e.n], allocs) {
+			return e.est, true
+		}
+		i = e.prev
+	}
+	return Estimate{}, false
+}
+
+// storePlan memoizes est for the plan with canonical allocations allocs,
+// whose hash is h, unless an estimate is already stored: the first
+// write wins.
+func (t *segTable) storePlan(h uint64, allocs []int32, est Estimate) {
+	if _, ok := t.plan(h, allocs); ok {
+		return
+	}
+	prev, ok := t.plans[h]
+	if !ok {
+		prev = -1
+	}
+	t.entries = append(t.entries, planEntry{hash: h, off: int32(len(t.allocs)), n: int32(len(allocs)), prev: prev, est: est})
+	t.allocs = append(t.allocs, allocs...)
+	t.plans[h] = int32(len(t.entries) - 1)
+}
 
 // iterShare is one per-trial share's iteration distribution and its
 // mean.
@@ -56,12 +119,17 @@ type iterShare struct {
 
 // reset empties the table for its next Simulator. It touches only what
 // the table used: it deletes the index keys the segment slab recorded
-// rather than clearing the map, whose cost would follow the largest
-// table the map ever held, and clears the records and shares it filled
-// so the pool keeps no profile or latency alive. Sample vectors and
-// moments hold no pointers and are overwritten before they are read, so
-// their slabs only rewind.
+// and the plan hashes the memo entries recorded rather than clearing
+// the maps, whose cost would follow the largest table a map ever held,
+// and clears the records and shares it filled so the pool keeps no
+// profile or latency alive. Sample vectors, moments and memo entries
+// hold no pointers and are overwritten before they are read, so their
+// storage only rewinds.
 func (t *segTable) reset() {
+	for i := range t.entries {
+		delete(t.plans, t.entries[i].hash)
+	}
+	t.entries, t.allocs = t.entries[:0], t.allocs[:0]
 	for i := 0; i < t.segs.chunksUsed(); i++ {
 		recs := t.segs.usedOf(i)
 		for j := range recs {

@@ -1,7 +1,5 @@
 package trace
 
-import "sort"
-
 // Oracle-facing event accessors: the chaos harness (internal/harness)
 // checks system-wide invariants over recorded traces, and needs cheap,
 // allocation-honest views of the event log without re-implementing
@@ -15,9 +13,13 @@ func (r *Recorder) Filter(kind Kind) []Event {
 	if r == nil {
 		return nil
 	}
+	c, ok := r.lookup(kind)
+	if !ok {
+		return nil
+	}
 	var out []Event
 	for i, k := range r.kind {
-		if k == kind {
+		if k == c {
 			out = append(out, r.FieldsAt(i))
 		}
 	}
@@ -39,15 +41,4 @@ func (r *Recorder) ByTrial() map[int][]Event {
 		out[int(id)] = append(out[int(id)], r.FieldsAt(i))
 	}
 	return out
-}
-
-// Trials returns the sorted set of trial IDs that appear in the log.
-func (r *Recorder) Trials() []int {
-	byTrial := r.ByTrial()
-	ids := make([]int, 0, len(byTrial))
-	for id := range byTrial {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

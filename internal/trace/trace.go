@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"repro/internal/vclock"
@@ -57,16 +58,49 @@ type Event struct {
 	Nodes int `json:"nodes,omitempty"`
 }
 
+// known lists the event kinds every recorder codes without interning,
+// in declaration order: kind code c < len(known) is known[c]. The
+// journal's wire code of a known kind is its code plus one (see
+// KindCode), so the order is fixed: append new kinds, never reorder.
+var known = [...]Kind{
+	KindStageStart, KindStageEnd, KindTrialStart,
+	KindTrialIter, KindTrialPause, KindTrialKill,
+	KindTrialDone, KindScaleUp, KindScaleDown,
+	KindNodeReady, KindCheckpoint, KindRestore,
+	KindProfilePoint, KindDriftTrigger, KindReplan,
+}
+
+// KindCode returns the code of a known kind, which KnownKind maps back
+// to it, or false for a kind outside the known set.
+func KindCode(k Kind) (uint8, bool) {
+	for c, kk := range known {
+		if kk == k {
+			return uint8(c), true
+		}
+	}
+	return 0, false
+}
+
+// KnownKind returns the known kind with code c, or false when c codes no
+// known kind.
+func KnownKind(c uint8) (Kind, bool) {
+	if int(c) < len(known) {
+		return known[c], true
+	}
+	return "", false
+}
+
 // noteForm says how an event's note is rendered on read.
 type noteForm uint8
 
 const (
 	// noteText: the free-form text given to Record, if any.
 	noteText noteForm = iota
-	// noteAcc: "acc=%.4f" of the acc column (RecordIter).
+	// noteAcc: "acc=%.4f" of the accuracy bits in the arg column
+	// (RecordIter).
 	noteAcc
-	// noteGang: "%d GPUs on %d nodes" of the gpus and nodes columns
-	// (RecordGang).
+	// noteGang: "%d GPUs on %d nodes" of the gang shape packed into the
+	// arg column (RecordGang).
 	noteGang
 )
 
@@ -75,21 +109,25 @@ const (
 // millions of events, and the digest and oracle passes that dominate
 // read traffic scan one or two fields of every event — columnar layout
 // keeps those scans inside a few contiguous arrays instead of striding
-// over full structs. Recording never formats text: hot-path notes are
-// kept as typed columns and rendered on read, and the few cold-path
-// events with free-form text store it in a sparse side table. The zero
-// value is ready to use; a nil *Recorder is also valid and discards
-// everything, so callers need no nil checks.
+// over full structs. An event takes 26 bytes of column storage: its
+// time (8), kind code (1), stage and trial (4 each), note form (1) and
+// one argument word (8) that holds whatever its note form renders — the
+// accuracy's bits for RecordIter, the gang shape for RecordGang, zero
+// otherwise. Recording never formats text: hot-path notes are kept in
+// the typed argument and rendered on read, and the few cold-path events
+// with free-form text store it in a sparse side table. The zero value is
+// ready to use; a nil *Recorder is also valid and discards everything,
+// so callers need no nil checks.
 type Recorder struct {
 	at    []vclock.Time
-	kind  []Kind
+	kind  []uint8
 	stage []int32
 	trial []int32
-	gpus  []int32
-	nodes []int32
 	form  []noteForm
-	// acc is the observed accuracy of noteAcc events (0 for others).
-	acc []float64
+	arg   []uint64
+	// interned holds the kinds outside the known set this recorder has
+	// seen, in first-use order: code len(known)+i is interned[i].
+	interned []Kind
 	// textAt lists, ascending, the indices of the events recorded with
 	// free-form text; texts holds that text in the same order.
 	textAt []int32
@@ -115,17 +153,63 @@ func (r *Recorder) SetObserver(fn func(Event)) {
 	r.observer = fn
 }
 
-// add appends a note-free event and its note form to every column and
-// notifies the observer.
-func (r *Recorder) add(e Event, form noteForm, acc float64) {
+// code returns kind's code in this recorder, interning a kind outside
+// the known set on its first use. A recorder codes at most 256 kinds.
+func (r *Recorder) code(kind Kind) uint8 {
+	if c, ok := r.lookup(kind); ok {
+		return c
+	}
+	if len(known)+len(r.interned) > math.MaxUint8 {
+		panic(fmt.Sprintf("trace: recorder holds too many event kinds to code %q", kind))
+	}
+	r.interned = append(r.interned, kind)
+	return uint8(len(known) + len(r.interned) - 1)
+}
+
+// lookup returns kind's code in this recorder without interning it, or
+// false when no recorded event has that kind.
+func (r *Recorder) lookup(kind Kind) (uint8, bool) {
+	if c, ok := KindCode(kind); ok {
+		return c, true
+	}
+	for i, k := range r.interned {
+		if k == kind {
+			return uint8(len(known) + i), true
+		}
+	}
+	return 0, false
+}
+
+// kindOf returns the kind coded c in this recorder.
+func (r *Recorder) kindOf(c uint8) Kind {
+	if int(c) < len(known) {
+		return known[c]
+	}
+	return r.interned[int(c)-len(known)]
+}
+
+// packGang packs a gang shape into an argument word, each count
+// truncated to 32 bits.
+func packGang(gpus, nodes int) uint64 {
+	return uint64(uint32(gpus))<<32 | uint64(uint32(nodes))
+}
+
+// gangOf unpacks the gang shape of argument word a.
+func gangOf(a uint64) (gpus, nodes int32) { return int32(a >> 32), int32(a) }
+
+// iterCode is KindTrialIter's code, which RecordIter stores without a
+// lookup.
+const iterCode = 3
+
+// add appends a note-free event with kind code c, its note form and
+// argument word to every column and notifies the observer.
+func (r *Recorder) add(e Event, c uint8, form noteForm, arg uint64) {
 	r.at = append(r.at, e.At)
-	r.kind = append(r.kind, e.Kind)
+	r.kind = append(r.kind, c)
 	r.stage = append(r.stage, int32(e.Stage))
 	r.trial = append(r.trial, int32(e.Trial))
-	r.gpus = append(r.gpus, int32(e.GPUs))
-	r.nodes = append(r.nodes, int32(e.Nodes))
 	r.form = append(r.form, form)
-	r.acc = append(r.acc, acc)
+	r.arg = append(r.arg, arg)
 	if r.observer != nil {
 		r.observer(e)
 	}
@@ -142,10 +226,8 @@ func (r *Recorder) Grow(n int) {
 	r.kind = slices.Grow(r.kind, n)
 	r.stage = slices.Grow(r.stage, n)
 	r.trial = slices.Grow(r.trial, n)
-	r.gpus = slices.Grow(r.gpus, n)
-	r.nodes = slices.Grow(r.nodes, n)
 	r.form = slices.Grow(r.form, n)
-	r.acc = slices.Grow(r.acc, n)
+	r.arg = slices.Grow(r.arg, n)
 }
 
 // Record appends an event with free-form note text. It is for cold-path
@@ -159,7 +241,7 @@ func (r *Recorder) Record(at vclock.Time, kind Kind, stage, trial int, note stri
 		r.textAt = append(r.textAt, int32(len(r.at)))
 		r.texts = append(r.texts, note)
 	}
-	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial}, noteText, 0)
+	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial}, r.code(kind), noteText, 0)
 }
 
 // RecordIter appends a KindTrialIter event observing accuracy acc; its
@@ -168,18 +250,19 @@ func (r *Recorder) RecordIter(at vclock.Time, stage, trial int, acc float64) {
 	if r == nil {
 		return
 	}
-	r.add(Event{At: at, Kind: KindTrialIter, Stage: stage, Trial: trial}, noteAcc, acc)
+	r.add(Event{At: at, Kind: KindTrialIter, Stage: stage, Trial: trial}, iterCode, noteAcc, math.Float64bits(acc))
 }
 
 // RecordGang appends an event carrying a structured gang shape (total
 // GPUs and distinct node count), for oracle-facing consumers that must
 // not parse free-form notes. Its note, "%d GPUs on %d nodes", is
-// rendered on read. No-op on a nil recorder.
+// rendered on read. Each count is kept to 32 bits. No-op on a nil
+// recorder.
 func (r *Recorder) RecordGang(at vclock.Time, kind Kind, stage, trial, gpus, nodes int) {
 	if r == nil {
 		return
 	}
-	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, GPUs: gpus, Nodes: nodes}, noteGang, 0)
+	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, GPUs: gpus, Nodes: nodes}, r.code(kind), noteGang, packGang(gpus, nodes))
 }
 
 // AddBusy accumulates gpuSeconds of productive GPU time.
@@ -210,14 +293,17 @@ func (r *Recorder) Len() int {
 // without its note: the view for digests, oracles and other consumers
 // that must not depend on presentation text.
 func (r *Recorder) FieldsAt(i int) Event {
-	return Event{
+	e := Event{
 		At:    r.at[i],
-		Kind:  r.kind[i],
+		Kind:  r.kindOf(r.kind[i]),
 		Stage: int(r.stage[i]),
 		Trial: int(r.trial[i]),
-		GPUs:  int(r.gpus[i]),
-		Nodes: int(r.nodes[i]),
 	}
+	if r.form[i] == noteGang {
+		gpus, nodes := gangOf(r.arg[i])
+		e.GPUs, e.Nodes = int(gpus), int(nodes)
+	}
+	return e
 }
 
 // EventAt materializes event i (in record order) with its note rendered,
@@ -232,9 +318,10 @@ func (r *Recorder) EventAt(i int) Event {
 func (r *Recorder) note(i int) string {
 	switch r.form[i] {
 	case noteAcc:
-		return fmt.Sprintf("acc=%.4f", r.acc[i])
+		return fmt.Sprintf("acc=%.4f", math.Float64frombits(r.arg[i]))
 	case noteGang:
-		return fmt.Sprintf("%d GPUs on %d nodes", r.gpus[i], r.nodes[i])
+		gpus, nodes := gangOf(r.arg[i])
+		return fmt.Sprintf("%d GPUs on %d nodes", gpus, nodes)
 	}
 	if j, ok := slices.BinarySearch(r.textAt, int32(i)); ok {
 		return r.texts[j]
@@ -261,9 +348,13 @@ func (r *Recorder) Count(kind Kind) int {
 	if r == nil {
 		return 0
 	}
+	c, ok := r.lookup(kind)
+	if !ok {
+		return 0
+	}
 	n := 0
 	for _, k := range r.kind {
-		if k == kind {
+		if k == c {
 			n++
 		}
 	}

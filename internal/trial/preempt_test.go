@@ -43,9 +43,8 @@ func TestRestoreTruncatesMetrics(t *testing.T) {
 	if tr.CumIters() != 2 {
 		t.Fatalf("CumIters = %d, want 2", tr.CumIters())
 	}
-	ms := tr.Metrics()
-	if len(ms) != 2 || ms[1].Accuracy != 0.4 {
-		t.Fatalf("metrics = %v", ms)
+	if tr.latest != (Metric{CumIters: 2, Accuracy: 0.4}) {
+		t.Fatalf("latest metric = %+v, want the checkpoint's", tr.latest)
 	}
 	if acc, ok := tr.LatestAccuracy(); !ok || acc != 0.4 {
 		t.Fatalf("latest = %v/%v", acc, ok)
@@ -63,7 +62,7 @@ func TestRestoreAtZero(t *testing.T) {
 	if err := tr.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
-	if tr.CumIters() != 0 || len(tr.Metrics()) != 0 {
+	if tr.CumIters() != 0 || tr.latest != (Metric{}) {
 		t.Fatal("restore to zero left state behind")
 	}
 	if _, ok := tr.LatestAccuracy(); ok {
@@ -107,5 +106,20 @@ func TestResumeAfterRestoreRetrains(t *testing.T) {
 	}
 	if err := tr.Complete(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsNegativeProgress: a checkpoint with negative progress
+// is refused and leaves the trial as it was.
+func TestRestoreRejectsNegativeProgress(t *testing.T) {
+	tr := New(1, cfg())
+	_ = tr.Start(1, 1)
+	_ = tr.RecordIteration(0.3, 1)
+	_ = tr.Pause()
+	if err := tr.Restore(Checkpoint{Trial: 1, CumIters: -3}); err == nil {
+		t.Fatal("Restore to CumIters -3 succeeded")
+	}
+	if acc, ok := tr.LatestAccuracy(); tr.CumIters() != 1 || !ok || acc != 0.3 {
+		t.Fatalf("after refused restore: CumIters %d, latest %v/%v", tr.CumIters(), acc, ok)
 	}
 }

@@ -6,7 +6,6 @@ package trial
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/searchspace"
 	"repro/internal/vclock"
@@ -68,7 +67,9 @@ type Trial struct {
 
 	state    State
 	cumIters int
-	metrics  []Metric
+	// latest is the most recent observation; CumIters 0 means none. The
+	// run's trace keeps the whole history (its trial_iter events).
+	latest Metric
 
 	// gpus and nodes describe the current worker gang: total workers and
 	// the node spread the placement gave them.
@@ -120,14 +121,8 @@ func (t *Trial) RecordIteration(accuracy float64, at vclock.Time) error {
 		return fmt.Errorf("trial %d: RecordIteration while %v", t.id, t.state)
 	}
 	t.cumIters++
-	t.metrics = append(t.metrics, Metric{CumIters: t.cumIters, Accuracy: accuracy, At: at})
+	t.latest = Metric{CumIters: t.cumIters, Accuracy: accuracy, At: at}
 	return nil
-}
-
-// Reserve makes room for n more metric records, so a stage of n
-// iterations records its history without regrowing it.
-func (t *Trial) Reserve(n int) {
-	t.metrics = slices.Grow(t.metrics, n)
 }
 
 // Pause checkpoints the trial at a stage boundary, destroying its workers.
@@ -176,9 +171,10 @@ func (t *Trial) Preempt() error {
 }
 
 // Restore rewinds the trial to a checkpoint: progress made after the
-// checkpoint (lost to a preemption) is discarded, including any metrics
-// observed past the checkpointed iteration. Valid only while Paused, and
-// only to a checkpoint at or before the current progress.
+// checkpoint (lost to a preemption) is discarded, and the checkpoint's
+// accuracy becomes the latest observation again (none at iteration 0).
+// Valid only while Paused, and only to a checkpoint in [0, current
+// progress].
 func (t *Trial) Restore(ck Checkpoint) error {
 	if t.state != Paused {
 		return fmt.Errorf("trial %d: Restore while %v", t.id, t.state)
@@ -186,32 +182,32 @@ func (t *Trial) Restore(ck Checkpoint) error {
 	if ck.Trial != t.id {
 		return fmt.Errorf("trial %d: Restore from checkpoint of trial %d", t.id, ck.Trial)
 	}
+	if ck.CumIters < 0 {
+		return fmt.Errorf("trial %d: Restore to negative progress %d", t.id, ck.CumIters)
+	}
 	if ck.CumIters > t.cumIters {
 		return fmt.Errorf("trial %d: Restore forward to %d from %d", t.id, ck.CumIters, t.cumIters)
 	}
 	t.cumIters = ck.CumIters
-	kept := t.metrics[:0]
-	for _, m := range t.metrics {
-		if m.CumIters <= ck.CumIters {
-			kept = append(kept, m)
+	if t.latest.CumIters > ck.CumIters {
+		// Checkpoint records the latest accuracy at its CumIters, so
+		// this is the observation the trial last made at that
+		// iteration.
+		t.latest = Metric{CumIters: ck.CumIters, Accuracy: ck.Accuracy}
+		if ck.CumIters == 0 {
+			t.latest = Metric{}
 		}
 	}
-	t.metrics = kept
 	return nil
 }
 
 // LatestAccuracy returns the most recent observed accuracy, or 0 and false
 // if no metric has been recorded.
 func (t *Trial) LatestAccuracy() (float64, bool) {
-	if len(t.metrics) == 0 {
+	if t.latest.CumIters == 0 {
 		return 0, false
 	}
-	return t.metrics[len(t.metrics)-1].Accuracy, true
-}
-
-// Metrics returns a copy of the metric history.
-func (t *Trial) Metrics() []Metric {
-	return append([]Metric(nil), t.metrics...)
+	return t.latest.Accuracy, true
 }
 
 // Checkpoint is a serialized trial state persisted in the shared object

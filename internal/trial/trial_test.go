@@ -96,37 +96,6 @@ func TestTerminateFromAnyLiveState(t *testing.T) {
 	}
 }
 
-func TestMetricsCopied(t *testing.T) {
-	tr := New(0, cfg())
-	_ = tr.Start(1, 1)
-	_ = tr.RecordIteration(0.5, 1)
-	m := tr.Metrics()
-	m[0].Accuracy = 99
-	if tr.Metrics()[0].Accuracy != 0.5 {
-		t.Fatal("Metrics exposed internal slice")
-	}
-}
-
-// TestReserveRecordsWithoutRegrowth: after Reserve(n), a stage of n
-// iterations records its metric history in the reserved storage.
-func TestReserveRecordsWithoutRegrowth(t *testing.T) {
-	tr := New(0, cfg())
-	if err := tr.Start(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	const iters = 11
-	tr.Reserve(iters)
-	reserved := cap(tr.metrics)
-	for i := 0; i < iters; i++ {
-		if err := tr.RecordIteration(0.5, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if reserved < iters || cap(tr.metrics) != reserved {
-		t.Fatalf("Reserve(%d) gave capacity %d; %d records regrew it to %d", iters, reserved, iters, cap(tr.metrics))
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	tr := New(7, cfg())
 	_ = tr.Start(2, 1)
