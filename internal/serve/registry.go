@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -48,6 +49,8 @@ type Registry struct {
 	maxLive int // global live bound
 	exps    map[string]*Experiment
 	tenants map[string]*tenantState
+	// names lists every tenant in sorted order: the round-robin order.
+	names []string
 	// rrCursor is the tenant name the round-robin drain last admitted
 	// from; the next pick starts strictly after it in sorted order.
 	rrCursor string
@@ -76,11 +79,7 @@ func NewRegistry(quota Quota, maxLive int) *Registry {
 func (r *Registry) Submit(sub Submission, accepted func(*Experiment)) (*Experiment, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.tenants[sub.Tenant]
-	if t == nil {
-		t = &tenantState{}
-		r.tenants[sub.Tenant] = t
-	}
+	t := r.tenantLocked(sub.Tenant)
 	if len(t.queue) >= r.quota.MaxQueued {
 		return nil, &ErrBacklog{
 			Tenant: sub.Tenant, Queued: len(t.queue),
@@ -96,6 +95,19 @@ func (r *Registry) Submit(sub Submission, accepted func(*Experiment)) (*Experime
 		accepted(exp)
 	}
 	return exp, nil
+}
+
+// tenantLocked returns the named tenant's state, registering a new
+// tenant in the sorted round-robin order. Callers hold mu.
+func (r *Registry) tenantLocked(name string) *tenantState {
+	t := r.tenants[name]
+	if t == nil {
+		t = &tenantState{}
+		r.tenants[name] = t
+		i, _ := slices.BinarySearch(r.names, name)
+		r.names = slices.Insert(r.names, i, name)
+	}
+	return t
 }
 
 // Get looks an experiment up by id.
@@ -117,11 +129,7 @@ func (r *Registry) adopt(exp *Experiment, live bool) {
 	if _, err := fmt.Sscanf(exp.ID, "exp-%d", &n); err == nil && n >= r.nextID {
 		r.nextID = n + 1
 	}
-	t := r.tenants[exp.Sub.Tenant]
-	if t == nil {
-		t = &tenantState{}
-		r.tenants[exp.Sub.Tenant] = t
-	}
+	t := r.tenantLocked(exp.Sub.Tenant)
 	if live {
 		t.live++
 		r.live++
@@ -141,18 +149,14 @@ func (r *Registry) NextRunnable() *Experiment {
 	if r.live >= r.maxLive {
 		return nil
 	}
-	names := make([]string, 0, len(r.tenants))
-	for name := range r.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := r.names
 	// Rotate so the scan starts after the round-robin cursor.
-	start := 0
-	for i, name := range names {
-		if name > r.rrCursor {
-			start = i
-			break
-		}
+	start, found := slices.BinarySearch(names, r.rrCursor)
+	if found {
+		start++
+	}
+	if start == len(names) {
+		start = 0
 	}
 	for i := 0; i < len(names); i++ {
 		name := names[(start+i)%len(names)]

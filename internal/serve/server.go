@@ -201,7 +201,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // chunked ndjson, streamed live until the experiment reaches a final
 // state or the client disconnects. ?from=N resumes from sequence N, which
 // may be at most the number of events published so far (N equal to it
-// waits for the next event); a larger N is a 400.
+// waits for the next event); a larger N is a 400. Each pass writes every
+// event published so far and flushes once, before it waits, so a live
+// client sees each event as soon as the handler catches up, and a
+// finished feed leaves in one write when the handler returns.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
@@ -223,33 +226,30 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	ctx := r.Context()
 	for i := from; ; {
-		ev, ok, ch, final := exp.next(i)
-		if ok {
-			if err := enc.Encode(ev); err != nil {
+		evs, wake, final := exp.feed(i)
+		for k := range evs {
+			if err := enc.Encode(&evs[k]); err != nil {
 				return // client gone
 			}
-			if fl != nil {
-				fl.Flush()
-			}
-			i++
-			continue
 		}
 		if final {
 			return
 		}
-		if fl != nil && i == from {
-			// Nothing sent yet (a resume at the feed's end): deliver the
-			// headers before waiting for the first event.
-			fl.Flush()
+		i += len(evs)
+		// Caught up: deliver what is written (on a resume at the feed's
+		// end, just the headers) before waiting. The controller reaches
+		// a Flusher behind any wrapper that implements Unwrap; a writer
+		// with none streams when the handler returns.
+		if err := http.NewResponseController(w).Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return // client gone
 		}
 		select {
 		case <-ctx.Done():
 			return
-		case <-ch:
+		case <-wake:
 		}
 	}
 }

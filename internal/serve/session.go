@@ -58,15 +58,17 @@ type Event struct {
 // Experiment is one submitted experiment's full service-side record:
 // identity, live progress mirror, event feed, and final outcome. The
 // mutex guards everything; the session goroutine writes, HTTP handlers
-// read, and streamers wait on the notify channel (closed and replaced on
-// every event append).
+// read. The feed is append-only and a published event is never changed,
+// so a reader may keep a slice of it past the lock. Waiters block on the
+// notify channel, which the first waiter after a publish makes and the
+// next publish closes.
 type Experiment struct {
 	ID  string
 	Sub Submission
 
 	mu     sync.Mutex
 	state  ExpState
-	notify chan struct{}
+	notify chan struct{} // nil while nobody waits
 	events []Event
 
 	// Live progress mirror, updated by the session at stage boundaries
@@ -95,19 +97,36 @@ type Experiment struct {
 
 // newExperiment builds a queued experiment record.
 func newExperiment(id string, sub Submission) *Experiment {
-	e := &Experiment{ID: id, Sub: sub, state: StateQueued, notify: make(chan struct{})}
+	e := &Experiment{ID: id, Sub: sub, state: StateQueued}
 	e.submittedAt = wallNow()
 	e.publishLocked(Event{Type: "queued"})
 	return e
 }
 
-// publishLocked appends an event and wakes streamers. Callers hold mu or
-// have exclusive access (constructor).
+// publishLocked appends an event and wakes waiters, if any. Callers hold
+// mu or have exclusive access (constructor).
 func (e *Experiment) publishLocked(ev Event) {
 	ev.Seq = len(e.events)
 	e.events = append(e.events, ev)
-	close(e.notify)
-	e.notify = make(chan struct{})
+	if e.notify != nil {
+		close(e.notify)
+		e.notify = nil
+	}
+}
+
+// waitLocked returns the channel the next publish closes, making it for
+// the first waiter. Callers hold mu.
+func (e *Experiment) waitLocked() <-chan struct{} {
+	if e.notify == nil {
+		e.notify = make(chan struct{})
+	}
+	return e.notify
+}
+
+// finalLocked reports whether the feed is finished: no more events will
+// come. Callers hold mu.
+func (e *Experiment) finalLocked() bool {
+	return e.state == StateDone || e.state == StateFailed
 }
 
 // publish appends an event under the lock.
@@ -117,16 +136,20 @@ func (e *Experiment) publish(ev Event) {
 	e.publishLocked(ev)
 }
 
-// next returns the event at index i when available, else the channel to
-// wait on and whether the feed is finished (no more events will come).
-func (e *Experiment) next(i int) (Event, bool, <-chan struct{}, bool) {
+// feed returns every event published from index i on, as a slice capped
+// at its length that the caller reads without the lock, and whether the
+// feed is finished (no more events will come). A feed that is not
+// finished also returns the channel the next publish closes.
+func (e *Experiment) feed(i int) (evs []Event, wake <-chan struct{}, final bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if i < len(e.events) {
-		return e.events[i], true, nil, false
+	if n := len(e.events); i < n {
+		evs = e.events[i:n:n]
 	}
-	final := e.state == StateDone || e.state == StateFailed
-	return Event{}, false, e.notify, final
+	if e.finalLocked() {
+		return evs, nil, true
+	}
+	return evs, e.waitLocked(), false
 }
 
 // published returns the number of events in the feed so far.
@@ -220,11 +243,11 @@ func (e *Experiment) State() ExpState {
 func (e *Experiment) Wait() {
 	for {
 		e.mu.Lock()
-		if e.state == StateDone || e.state == StateFailed {
+		if e.finalLocked() {
 			e.mu.Unlock()
 			return
 		}
-		ch := e.notify
+		ch := e.waitLocked()
 		e.mu.Unlock()
 		<-ch
 	}
@@ -233,7 +256,7 @@ func (e *Experiment) Wait() {
 // newRecoveredDone rebuilds a completed experiment from its replay tuple
 // (restart path: the run finished in a previous process generation).
 func newRecoveredDone(t ReplayTuple) *Experiment {
-	e := &Experiment{ID: t.ID, Sub: t.Submission, state: StateDone, notify: make(chan struct{})}
+	e := &Experiment{ID: t.ID, Sub: t.Submission, state: StateDone}
 	e.finishedAt = wallNow()
 	e.vnow, e.jct, e.cost = t.JCT, t.JCT, t.Cost
 	e.digest = t.Digest
