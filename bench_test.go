@@ -233,6 +233,15 @@ func BenchmarkPlanStatic(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportSearchWork(b, p)
+}
+
+// reportSearchWork reports p's Monte-Carlo work per search: the plan
+// estimates it requested (memo hits included) and the candidates its
+// analytic screen kept from Monte-Carlo estimation.
+func reportSearchWork(b *testing.B, p *planner.Planner) {
+	b.ReportMetric(float64(p.EstimateCalls())/float64(b.N), "estimates/op")
+	b.ReportMetric(float64(p.PrunedCandidates())/float64(b.N), "pruned/op")
 }
 
 // BenchmarkPlanElastic measures a full greedy plan compilation
@@ -245,6 +254,7 @@ func BenchmarkPlanElastic(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportSearchWork(b, p)
 }
 
 // BenchmarkSimEstimateWorkers measures the Monte-Carlo fan-out at a

@@ -13,6 +13,7 @@ package cloud
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // InstanceType describes one compute offering from the provider's catalog.
@@ -122,7 +123,11 @@ func (c *Catalog) Names() []string {
 // evaluation, at the prices it reports (p3.2xlarge ~$3/hr with 1 V100,
 // p3.16xlarge ~$24/hr with 8 V100s; the ablation in §6.2 quotes $7.50/hr
 // spot-like pricing for p3.16xlarge which we expose as the spot tier).
-func DefaultCatalog() *Catalog {
+// A Catalog has no mutators, so every call returns one shared instance,
+// built on first use.
+func DefaultCatalog() *Catalog { return defaultCatalog() }
+
+var defaultCatalog = sync.OnceValue(func() *Catalog {
 	c, err := NewCatalog(
 		InstanceType{
 			Name: "p3.2xlarge", GPUs: 1, VCPUs: 8, MemoryGB: 61,
@@ -145,4 +150,4 @@ func DefaultCatalog() *Catalog {
 		panic(err) // static data; unreachable
 	}
 	return c
-}
+})

@@ -19,6 +19,22 @@ func TestDefaultCatalog(t *testing.T) {
 	}
 }
 
+// TestDefaultCatalogShared: DefaultCatalog hands out one instance, and a
+// hit on it allocates nothing.
+func TestDefaultCatalogShared(t *testing.T) {
+	if DefaultCatalog() != DefaultCatalog() {
+		t.Fatal("DefaultCatalog built a second catalog")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DefaultCatalog().Lookup("p3.8xlarge"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DefaultCatalog().Lookup allocates %v, want 0", allocs)
+	}
+}
+
 func TestCatalogLookup(t *testing.T) {
 	c := DefaultCatalog()
 	it, err := c.Lookup("p3.8xlarge")

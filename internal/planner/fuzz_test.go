@@ -28,6 +28,9 @@ func FuzzPlanElastic(f *testing.F) {
 	f.Add(uint64(7), uint64(4), uint64(10), uint64(2), uint64(8), uint64(32), uint64(1))
 	f.Add(uint64(42), uint64(1), uint64(3), uint64(5), uint64(25), uint64(4), uint64(2))
 	f.Add(uint64(99), uint64(3), uint64(6), uint64(1), uint64(10), uint64(6), uint64(2))
+	// Six GPUs: a static frontier of at most 8 live candidates, which
+	// the enumeration prune still cuts (4 of 6 dropped).
+	f.Add(uint64(5), uint64(1), uint64(6), uint64(3), uint64(20), uint64(5), uint64(0))
 	f.Fuzz(func(t *testing.T, seed, rawStages, rawTrials, rawIters, rawFactor, rawMax, rawEst uint64) {
 		nStages := int(rawStages%4) + 1
 		trials := int(rawTrials%10) + 2

@@ -14,7 +14,6 @@ package planner
 
 import (
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -29,9 +28,6 @@ const (
 	// moment-matching bias (the dag-level validation bounds the per-stage
 	// mean error near 1%; 2% is conservative for whole plans).
 	pruneBias = 0.02
-	// defaultShortlistK is the minimum number of candidates kept for the
-	// Monte-Carlo phase when pruning would cut deeper.
-	defaultShortlistK = 8
 )
 
 // frontierScreen wraps one analytic evaluator for a single search, plus
@@ -44,9 +40,8 @@ type frontierScreen struct {
 	eval  *sim.AnalyticEval
 	sqrtN float64
 
-	aests   []sim.Estimate
-	aok     []bool
-	dropped []int
+	aests []sim.Estimate
+	aok   []bool
 }
 
 // score analytically evaluates plan. ok=false means the candidate cannot
@@ -79,12 +74,13 @@ func (s *frontierScreen) costMargin(e sim.Estimate) float64 {
 // when true (the budgeted dual). A candidate is dropped when it is surely
 // infeasible (constraint minus margin past the bound) or surely dominated
 // (objective minus margin above the best surely-feasible candidate's
-// objective plus margin). At least defaultShortlistK survivors are kept —
-// the cheapest dropped candidates by analytic objective are restored — so
-// the Monte-Carlo phase always sees a frontier even under aggressive
-// margins.
+// objective plus margin). Like pruneDescentStep it keeps no minimum
+// frontier, so every certified drop skips its Monte-Carlo estimate. The
+// best surely-feasible candidate always survives, so the frontier
+// empties only when every scored candidate is surely infeasible, and the
+// search then returns ErrInfeasible as the exhaustive one does.
 func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep []bool, bound float64, objJCT bool) {
-	if scr == nil || !p.worthScreening(keep) {
+	if scr == nil {
 		return
 	}
 	n := len(cands)
@@ -108,7 +104,7 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 			bestUp = obj + objM
 		}
 	}
-	dropped := scr.dropped[:0]
+	var dropped int64
 	for i := range cands {
 		if !keep[i] || !aok[i] {
 			continue
@@ -116,11 +112,10 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 		obj, objM, con, conM := scr.split(aests[i], objJCT)
 		if con-conM > bound || obj-objM > bestUp {
 			keep[i] = false
-			dropped = append(dropped, i)
+			dropped++
 		}
 	}
-	scr.dropped = dropped
-	p.restoreShortlist(keep, dropped, aests, objJCT)
+	atomic.AddInt64(&p.prunedCands, dropped)
 }
 
 // split returns an analytic estimate's objective and constraint with
@@ -141,11 +136,11 @@ func (s *frontierScreen) split(e sim.Estimate, objJCT bool) (obj, objM, con, con
 // budget and a candidate surely not faster than the current plan is
 // unselectable.
 //
-// Unlike the enumeration prune, no shortlist is restored: the descent
-// needs no minimum frontier (an empty survivor set simply terminates the
-// step, exactly as the exhaustive search would after estimating and
-// rejecting every candidate), so every margin-certified drop converts
-// directly into a skipped Monte-Carlo evaluation.
+// It shares the enumeration prune's rule: no minimum frontier (an empty
+// survivor set simply terminates the step, exactly as the exhaustive
+// search would after estimating and rejecting every candidate), so every
+// margin-certified drop converts directly into a skipped Monte-Carlo
+// evaluation.
 func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep []bool, cur Result, bound float64, minimizeJCT bool) {
 	if scr == nil {
 		return
@@ -168,72 +163,6 @@ func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep [
 			atomic.AddInt64(&p.prunedCands, 1)
 		}
 	}
-}
-
-// worthScreening reports whether a shortlist-restoring prune can
-// possibly shrink the Monte-Carlo set: with at most defaultShortlistK live
-// candidates the restore step would re-admit every drop, so scoring the
-// frontier is a provable no-op and is skipped outright.
-func (p *Planner) worthScreening(keep []bool) bool {
-	live := 0
-	for _, k := range keep {
-		if k {
-			live++
-			if live > defaultShortlistK {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// restoreShortlist re-adds the best dropped candidates (by analytic
-// objective in aests, ties broken by frontier order) until at least
-// defaultShortlistK candidates survive. Restoring can only widen the
-// Monte-Carlo phase, so it preserves the safety of every individual prune.
-func (p *Planner) restoreShortlist(keep []bool, dropped []int, aests []sim.Estimate, objJCT bool) {
-	if len(dropped) == 0 {
-		return
-	}
-	kept := 0
-	for _, k := range keep {
-		if k {
-			kept++
-		}
-	}
-	if kept >= defaultShortlistK {
-		atomic.AddInt64(&p.prunedCands, int64(len(dropped)))
-		return
-	}
-	obj := func(i int) float64 {
-		if objJCT {
-			return aests[i].JCT
-		}
-		return aests[i].Cost
-	}
-	slices.SortStableFunc(dropped, func(a, b int) int {
-		switch oa, ob := obj(a), obj(b); {
-		case oa < ob:
-			return -1
-		case ob < oa:
-			return 1
-		}
-		return 0
-	})
-	for _, i := range dropped {
-		if kept >= defaultShortlistK {
-			break
-		}
-		keep[i] = true
-		kept++
-	}
-	remaining := 0
-	for _, i := range dropped {
-		if !keep[i] {
-			remaining++
-		}
-	}
-	atomic.AddInt64(&p.prunedCands, int64(remaining))
 }
 
 // PrunedCandidates reports how many frontier candidates the analytic

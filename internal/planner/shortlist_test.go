@@ -7,11 +7,13 @@
 package planner_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/planner"
+	"repro/internal/sim"
 )
 
 // referencePlanner mirrors newPlanner with the two-phase machinery
@@ -91,4 +93,117 @@ func TestMinJCTPruneSafetyOnCorpus(t *testing.T) {
 			t.Fatalf("%v: two-phase estimate %+v != exhaustive %+v", sc, fres.Estimate, rres.Estimate)
 		}
 	}
+}
+
+// enumerationRun is one enumeration search run twice on a scenario, once
+// pruned and once exhaustive: the frontier's live candidate count, what
+// the pruned run dropped and estimated, and its error.
+type enumerationRun struct {
+	live, pruned, estimates int64
+	err                     error
+}
+
+// compareEnumeration runs search on a default planner and on the
+// exhaustive reference for sc at deadline, and fails unless both return
+// the same plan with a bit-identical estimate, or both return
+// ErrInfeasible.
+func compareEnumeration(t *testing.T, sc harness.Scenario, name string, deadline float64, live int64, search func(*planner.Planner) (planner.Result, error)) enumerationRun {
+	t.Helper()
+	fast, _ := newPlanner(t, sc, sc.Profile, sc.BatchSeed, 0.01)
+	ref, _ := referencePlanner(t, sc, sc.BatchSeed)
+	fast.Deadline, ref.Deadline = deadline, deadline
+	fres, ferr := search(fast)
+	rres, rerr := search(ref)
+	defer fast.Sim.Release()
+	defer ref.Sim.Release()
+	switch {
+	case ferr != nil || rerr != nil:
+		if !errors.Is(ferr, planner.ErrInfeasible) || !errors.Is(rerr, planner.ErrInfeasible) {
+			t.Fatalf("%d/%d %v %s: pruned error %v, exhaustive error %v", sc.BatchSeed, sc.Index, sc.Estimator, name, ferr, rerr)
+		}
+	case !fres.Plan.Equal(rres.Plan):
+		t.Fatalf("%d/%d %v %s: pruned chose %v, exhaustive chose %v", sc.BatchSeed, sc.Index, sc.Estimator, name, fres.Plan, rres.Plan)
+	case math.Float64bits(fres.Estimate.JCT) != math.Float64bits(rres.Estimate.JCT) ||
+		math.Float64bits(fres.Estimate.Cost) != math.Float64bits(rres.Estimate.Cost):
+		t.Fatalf("%d/%d %v %s: pruned estimate %+v != exhaustive %+v", sc.BatchSeed, sc.Index, sc.Estimator, name, fres.Estimate, rres.Estimate)
+	}
+	return enumerationRun{live: live, pruned: fast.PrunedCandidates(), estimates: fast.EstimateCalls(), err: ferr}
+}
+
+// TestEnumerationPruneSafetyOnCorpus: the static enumeration prune drops
+// every margin-certified candidate, however few are live, so it is held
+// to the exhaustive search on its own. Over the harness corpus, in both
+// estimator modes, PlanStatic at the scenario's deadline and at the
+// tightest deadline any static cluster's closed-form JCT meets, and
+// PlanMinJCT at a budget around the static plan's cost, return the same
+// plan with a bit-identical estimate as with DisableAnalyticPrune, or
+// ErrInfeasible both ways. The corpus must prune on a frontier of at
+// most 8 live candidates, which a shortlist floor of 8 would have
+// restored whole, and must contain a frontier the prune empties as
+// surely infeasible.
+func TestEnumerationPruneSafetyOnCorpus(t *testing.T) {
+	const seed, n = 211, 128
+	var smallPruned, emptied int
+	// PlanMinJCT's count includes its ascent's prunes, so only
+	// PlanStatic, which is the enumeration alone, counts as a small
+	// frontier pruned.
+	check := func(r enumerationRun, enumerationOnly bool) {
+		if enumerationOnly && r.live <= 8 && r.pruned > 0 {
+			smallPruned++
+		}
+		if r.live > 0 && r.pruned == r.live && r.estimates == 0 && errors.Is(r.err, planner.ErrInfeasible) {
+			emptied++
+		}
+	}
+	for i := 0; i < n; i++ {
+		for _, mode := range []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic} {
+			sc := harness.Generate(seed, i)
+			sc.Estimator = mode
+			probe, deadline := referencePlanner(t, sc, seed)
+			jcts := probe.Sim.StaticClusterJCTs(sc.MaxGPUs, nil)
+			live := func(d float64) (k int64) {
+				for _, jct := range jcts {
+					if jct <= d {
+						k++
+					}
+				}
+				return k
+			}
+			tightest := math.Inf(1)
+			for _, jct := range jcts {
+				tightest = min(tightest, jct)
+			}
+			static := (*planner.Planner).PlanStatic
+			check(compareEnumeration(t, sc, "PlanStatic", deadline, live(deadline), static), true)
+			check(compareEnumeration(t, sc, "PlanStatic tight", tightest, live(tightest), static), true)
+
+			// A budget 1.5x the static plan's cost leaves the ascent room;
+			// without a static plan, the widest cluster's cost.
+			budget := 0.0
+			if res, err := probe.PlanStatic(); err == nil {
+				budget = 1.5 * res.Estimate.Cost
+			} else if est, err := probe.Sim.Estimate(sim.Uniform(sc.MaxGPUs, sc.Spec.NumStages())); err == nil {
+				budget = est.Cost
+			} else {
+				t.Fatal(err)
+			}
+			probe.Sim.Release()
+			minJCT := func(p *planner.Planner) (planner.Result, error) { return p.PlanMinJCT(budget) }
+			check(compareEnumeration(t, sc, "PlanMinJCT", deadline, int64(sc.MaxGPUs), minJCT), false)
+		}
+	}
+	// Every cluster's cost is far above a budget of a millionth of a
+	// cent, so the whole dual frontier is surely infeasible.
+	sc := harness.Generate(seed, 0)
+	sc.Estimator = sim.EstimatorSegment
+	_, deadline := referencePlanner(t, sc, seed)
+	broke := func(p *planner.Planner) (planner.Result, error) { return p.PlanMinJCT(1e-8) }
+	check(compareEnumeration(t, sc, "PlanMinJCT broke", deadline, int64(sc.MaxGPUs), broke), false)
+	if smallPruned == 0 {
+		t.Error("no frontier of at most 8 live candidates was pruned")
+	}
+	if emptied == 0 {
+		t.Error("no frontier was pruned empty as surely infeasible")
+	}
+	t.Logf("%d small frontiers pruned, %d frontiers emptied", smallPruned, emptied)
 }

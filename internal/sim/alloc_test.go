@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -16,6 +17,24 @@ func skipUnderRace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards items at random under the race detector")
 	}
+}
+
+// exactAllocs runs the rest of the test on one P with the collector
+// off, so that mallocs counts exactly what the code under test
+// allocates. The pools the simulator draws scratch from keep an item in
+// the P that put it, where a Get on another P does not look, and a
+// collection empties them; either turns a warm pool cold between a
+// test's warm-up and its window. With one P, the world restart inside
+// ReadMemStats also has no idle P to wake, which under load can start
+// an OS thread (five runtime allocations) inside the window.
+//
+//rbvet:impure(GOMAXPROCS only pins an allocation count to one P; no scheduler state reaches an estimate)
+func exactAllocs(t *testing.T) {
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	})
 }
 
 // TestWarmSegmentEstimateZeroAlloc: with every segment's samples in the
@@ -87,6 +106,7 @@ func tableSegments(t *testing.T, sm *Simulator, plans []Plan) []*segment {
 // allocate the slab's first chunk and nothing else.
 func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
 	skipUnderRace(t)
+	exactAllocs(t)
 	fill := func(sm *Simulator, segs []*segment) uint64 {
 		return mallocs(func() {
 			for _, sg := range segs {
@@ -109,7 +129,8 @@ func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
 	}
 }
 
-// mallocs returns the heap objects f allocates.
+// mallocs returns the heap objects f allocates. MemStats.Mallocs counts
+// the whole process; a test that calls it runs under exactAllocs.
 func mallocs(f func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -128,6 +149,7 @@ func mallocs(f func()) uint64 {
 // allocation column.
 func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 	skipUnderRace(t)
+	exactAllocs(t)
 	plan := testPlans(modeSim(t, 20, 1, 31, EstimatorAnalytic))[1]
 	run := func(tab *segTable) (allocs uint64, segs int) {
 		sm := modeSim(t, 20, 1, 31, EstimatorAnalytic)

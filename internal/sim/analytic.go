@@ -167,7 +167,6 @@ type AnalyticEval struct {
 	sim    *Simulator
 	cp     compiledPlan
 	groups []birthGroup
-	moms   []*segMoment
 }
 
 // NewAnalyticEval returns an analytic evaluator bound to s, drawn from
@@ -184,8 +183,7 @@ func (s *Simulator) NewAnalyticEval() *AnalyticEval {
 // returns it to the pool. The evaluator must not be used afterwards.
 func (e *AnalyticEval) Release() {
 	e.sim = nil
-	clear(e.cp.segs)
-	clear(e.moms)
+	e.cp.clear()
 	evalPool.Put(e)
 }
 
@@ -206,15 +204,16 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 	if err := e.sim.compile(p, &e.cp); err != nil {
 		return Estimate{}, false, err
 	}
-	e.moms = e.moms[:0]
-	for _, sg := range e.cp.segs {
-		m := e.sim.segmentMoments(sg)
+	for i, m := range e.cp.moms {
+		if m == nil {
+			m = e.sim.segmentMoments(e.cp.segs[i])
+			e.cp.moms[i] = m
+		}
 		if !m.ok {
 			return Estimate{}, false, nil
 		}
-		e.moms = append(e.moms, m)
 	}
-	jct, cost := e.price(&e.cp, e.moms)
+	jct, cost := e.price(&e.cp)
 	return Estimate{
 		JCT: jct.Mean, JCTStd: jct.Std(),
 		Cost: cost.Mean, CostStd: cost.Std(),
@@ -228,7 +227,8 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 // duration decomposes as its SCALE finish plus an independent remainder)
 // with the minimum charge applied via the Gaussian clamp; per-function
 // billing sums training GPU-seconds.
-func (e *AnalyticEval) price(cp *compiledPlan, moms []*segMoment) (jct, cost stats.Moment) {
+func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
+	moms := cp.moms
 	pr := e.sim.cloud.Pricing
 	cost = stats.Moment{Mean: float64(cp.maxInstances) * pr.DataIngressCost(e.sim.cloud.DatasetGB)}
 

@@ -92,7 +92,7 @@ func checkCohortBilling(t testing.TB, sm *Simulator, plan Plan) billingPattern {
 	if err := sm.compile(plan, &cp); err != nil {
 		t.Fatal(err)
 	}
-	vecs := sm.sampleVectors(&cp, nil)
+	vecs := sm.sampleVectors(&cp)
 	var pat billingPattern
 	shrunk := false
 	for i := 1; i < len(cp.segs); i++ {

@@ -35,7 +35,7 @@ func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
 	if err := s.compile(p, &cp); err != nil {
 		return nil, err
 	}
-	return s.breakdown(&cp, s.sampleVectors(&cp, nil), p), nil
+	return s.breakdown(&cp, s.sampleVectors(&cp), p), nil
 }
 
 // breakdown averages per-stage durations and compute-cost attribution

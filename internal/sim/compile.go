@@ -143,31 +143,56 @@ func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
 }
 
 // compiledPlan is a plan resolved to its per-stage segments plus the
-// plan-level constants the cost model needs.
+// plan-level constants the cost model needs, and each segment's sample
+// vector and moments as compile found them: nil until filled (see
+// sampleVectors and AnalyticEval.Estimate).
 type compiledPlan struct {
 	segs []*segment
+	vecs [][]segSample
+	moms []*segMoment
 	// maxInstances is the peak cluster size, which fixes the data-ingress
 	// charge under LIFO deprovisioning.
 	maxInstances int32
 }
 
+// clear drops the plan's segment, vector and moment references, keeping
+// the columns' capacity.
+func (cp *compiledPlan) clear() {
+	clear(cp.segs)
+	clear(cp.vecs)
+	clear(cp.moms)
+}
+
 // compile resolves a plan into cp, a buffer the caller owns, composing
-// table-shared segments and reusing cp.segs' capacity, so a warm compile
-// into a reused buffer allocates nothing.
+// table-shared segments and reusing cp's columns, so a warm compile into
+// a reused buffer allocates nothing. The whole plan resolves under one
+// acquisition of s.mu, which also snapshots each segment's filled sample
+// vector and moments. A segment missing from the table is built outside
+// the lock and stored first-write-wins when the walk resumes under it.
 func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 	if err := p.Validate(s.spec.NumStages()); err != nil {
 		return err
 	}
-	cp.segs, cp.maxInstances = cp.segs[:0], 0
+	cp.segs, cp.vecs, cp.moms, cp.maxInstances = cp.segs[:0], cp.vecs[:0], cp.moms[:0], 0
 	var prev int32
+	s.mu.Lock()
+	t := s.tableLocked()
 	for i, alloc := range p.Alloc {
-		sg := s.segmentFor(segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev})
-		cp.segs = append(cp.segs, sg)
-		prev = sg.instances
-		if sg.instances > cp.maxInstances {
-			cp.maxInstances = sg.instances
+		key := segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev}
+		sg := t.index[key]
+		if sg == nil {
+			s.mu.Unlock()
+			built := s.buildSegment(key)
+			s.mu.Lock()
+			sg = t.storeLocked(&built)
 		}
+		cp.segs = append(cp.segs, sg)
+		cp.vecs = append(cp.vecs, sg.samples)
+		cp.moms = append(cp.moms, sg.mom)
+		prev = sg.instances
+		cp.maxInstances = max(cp.maxInstances, sg.instances)
 	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -187,26 +212,18 @@ func canonAlloc(alloc, trials int) int {
 	return alloc
 }
 
-// segmentFor returns the table's segment for key, building it on a miss.
-// The first stored segment wins, so every caller shares one segment per
-// key and with it the segment's lazily filled samples and moments. The
-// stored record is carved from the table's segment slab.
-func (s *Simulator) segmentFor(key segKey) *segment {
-	s.mu.Lock()
-	sg := s.tableLocked().index[key]
-	s.mu.Unlock()
-	if sg != nil {
-		return sg
-	}
-	built := s.buildSegment(key)
-	s.mu.Lock()
-	t := s.tab
-	if sg = t.index[key]; sg == nil {
+// storeLocked stores built under its key unless another caller stored
+// that key first, and returns the stored segment: the first write wins,
+// so every caller shares one segment per key and with it the segment's
+// lazily filled samples and moments. The record is carved from the
+// table's segment slab. The caller holds the Simulator's lock.
+func (t *segTable) storeLocked(built *segment) *segment {
+	sg := t.index[built.key]
+	if sg == nil {
 		sg = &t.segs.take(1)[0]
-		*sg = built
-		t.index[key] = sg
+		*sg = *built
+		t.index[built.key] = sg
 	}
-	s.mu.Unlock()
 	return sg
 }
 
@@ -221,7 +238,7 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 // match execution. Deprovisioning is a zero-latency, zero-cost event and
 // is not represented (the cost model's per-stage instance counts account
 // for it). The build allocates nothing: the record is returned by value
-// for segmentFor to store, the provisioning latencies were compiled once,
+// for compile to store, the provisioning latencies were compiled once,
 // in New, and the iteration distribution comes from the table's share
 // column.
 //
@@ -312,14 +329,16 @@ func (s *Simulator) workerSlots() int {
 	return n
 }
 
-// sampleVectors appends the per-stage sample vectors of a compiled plan,
-// composed from the segment table, to vecs: vecs[i][k] is stage i's
-// segSample for Monte-Carlo draw k.
-func (s *Simulator) sampleVectors(cp *compiledPlan, vecs [][]segSample) [][]segSample {
-	for _, sg := range cp.segs {
-		vecs = append(vecs, s.segmentSamples(sg))
+// sampleVectors fills the sample vectors compile found unfilled and
+// returns the compiled plan's rows: vecs[i][k] is stage i's segSample
+// for Monte-Carlo draw k.
+func (s *Simulator) sampleVectors(cp *compiledPlan) [][]segSample {
+	for i, v := range cp.vecs {
+		if v == nil {
+			cp.vecs[i] = s.segmentSamples(cp.segs[i])
+		}
 	}
-	return vecs
+	return cp.vecs
 }
 
 // cohort is count instances born together at birth: one growth event on

@@ -268,7 +268,7 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
 		}
-		vecs := sm.sampleVectors(&cp, nil)
+		vecs := sm.sampleVectors(&cp)
 		var stack []cohort
 		_, _, stack = sm.priceSchedule(&cp, vecs, 0, stack) // warm the buffer
 		allocs := testing.AllocsPerRun(100, func() {
@@ -342,5 +342,43 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	}
 	if samples != samplesBefore+1 {
 		t.Fatalf("filled sample vectors grew from %d to %d, want exactly one new vector", samplesBefore, samples)
+	}
+}
+
+// TestCompileSnapshotsFills: compile resolves a plan under one table
+// lock and snapshots under it each segment's sample vector and moments
+// as far as they are filled. A plan no estimate has touched snapshots
+// none; once it has been estimated in both modes, a compile carries
+// every stage's fill, so neither sampleVectors nor AnalyticEval.Estimate
+// goes back to the table for it.
+func TestCompileSnapshotsFills(t *testing.T) {
+	for _, p := range testPlans(modeSim(t, 20, 1, 31, EstimatorSegment)) {
+		sm := modeSim(t, 20, 1, 31, EstimatorSegment)
+		var cp compiledPlan
+		if err := sm.compile(p, &cp); err != nil {
+			t.Fatal(err)
+		}
+		for i := range cp.segs {
+			if cp.vecs[i] != nil || cp.moms[i] != nil {
+				t.Fatalf("plan %v stage %d: cold compile snapshot a fill", p, i)
+			}
+		}
+		e := sm.NewAnalyticEval()
+		if _, _, err := e.Estimate(p); err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+		if _, err := sm.estimate(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.compile(p, &cp); err != nil {
+			t.Fatal(err)
+		}
+		for i, sg := range cp.segs {
+			if len(cp.vecs[i]) != sm.samples || &cp.vecs[i][0] != &sg.samples[0] || cp.moms[i] != sg.mom || sg.mom == nil {
+				t.Fatalf("plan %v stage %d: warm compile snapshot vector %p moments %p, table holds %p and %p",
+					p, i, cp.vecs[i], cp.moms[i], sg.samples, sg.mom)
+			}
+		}
 	}
 }

@@ -128,6 +128,22 @@ func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Sim
 	return sm
 }
 
+// segmentFor returns the table's segment for key, building it outside
+// the lock on a miss and storing it first-write-wins, as compile does
+// for each stage of a plan.
+func (s *Simulator) segmentFor(key segKey) *segment {
+	s.mu.Lock()
+	sg := s.tableLocked().index[key]
+	s.mu.Unlock()
+	if sg != nil {
+		return sg
+	}
+	built := s.buildSegment(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tab.storeLocked(&built)
+}
+
 // sameBits reports whether two moments are bitwise equal.
 func sameBits(a, b stats.Moment) bool {
 	return math.Float64bits(a.Mean) == math.Float64bits(b.Mean) && math.Float64bits(a.Var) == math.Float64bits(b.Var)
@@ -237,6 +253,7 @@ func TestSumLatMatchesSumIters(t *testing.T) {
 // index map's first bucket, and storing them again on the same table,
 // recycled, allocates nothing.
 func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
+	exactAllocs(t)
 	sm := kernelSim(t, 4, stats.Normal{Mu: 30, Sigma: 4}, cloud.DefaultOverheads())
 	keys := []segKey{{0, 24, 0}, {0, 7, 3}, {1, 18, 2}, {3, 1, 0}}
 	for _, key := range keys {
@@ -282,6 +299,7 @@ func TestSegmentRecordSize(t *testing.T) {
 // nothing else. On a recycled table moment misses allocate nothing; on
 // a fresh table, the slab's first chunk.
 func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
+	exactAllocs(t)
 	fill := func(sm *Simulator, segs []*segment) uint64 {
 		return mallocs(func() {
 			for _, sg := range segs {

@@ -176,7 +176,8 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 func algorithm1Estimate(t testing.TB, s *Simulator, p Plan) Estimate {
 	t.Helper()
 	cp, rows := algorithm1(t, s, p)
-	return s.summarize(&estScratch{cp: *cp, vecs: rows})
+	cp.vecs = rows
+	return s.summarize(&estScratch{cp: *cp})
 }
 
 // algorithm1Breakdown is the reference Breakdown over Algorithm 1 draws.

@@ -26,12 +26,10 @@ var (
 )
 
 // estScratch is one segment-mode estimate in flight: the plan resolved
-// to segments, its per-stage sample rows (vecs[i][k] is stage i's draw
-// k), the per-draw columns summarize reduces, and priceSchedule's
-// billing stack.
+// to segments and their sample rows, the per-draw columns summarize
+// reduces, and priceSchedule's billing stack.
 type estScratch struct {
 	cp          compiledPlan
-	vecs        [][]segSample
 	jcts, costs []float64
 	stack       []cohort
 }
@@ -39,8 +37,7 @@ type estScratch struct {
 // release drops the scratch's segment references and returns it to the
 // pool.
 func (es *estScratch) release() {
-	clear(es.cp.segs)
-	clear(es.vecs)
+	es.cp.clear()
 	estPool.Put(es)
 }
 

@@ -33,7 +33,12 @@ type Estimate struct {
 //     them the profile's iteration distribution and mean per per-trial
 //     share, which segment builds and StaticClusterJCTs read, and the
 //     plan memo of whole-plan estimates keyed by canonical allocations.
-//     The provisioning latencies every segment shares are compiled once,
+//     A plan resolves against the table under one acquisition of its
+//     lock (compile), which also snapshots each segment's filled sample
+//     vector and moments, so a warm Monte-Carlo estimate takes the lock
+//     three times (memo lookup, compile, memo store) and a warm analytic
+//     evaluation once; only misses are filled outside it. The
+//     provisioning latencies every segment shares are compiled once,
 //     at construction. Every Monte-Carlo draw derives a private RNG
 //     stream from the construction-time seed state, keyed by (stream
 //     family, sample index), so Estimate and Breakdown are pure
@@ -214,17 +219,17 @@ func (s *Simulator) estimate(p Plan) (Estimate, error) {
 	if err := s.compile(p, &es.cp); err != nil {
 		return Estimate{}, err
 	}
-	es.vecs = s.sampleVectors(&es.cp, es.vecs[:0])
 	return s.summarize(es), nil
 }
 
-// summarize prices each of the s.samples Monte-Carlo rows of es's
-// compiled plan and reduces them to the estimate's means and standard
+// summarize fills es's compiled plan's missing sample vectors, prices
+// each of its s.samples Monte-Carlo rows and reduces them to the estimate's means and standard
 // deviations, summed in sorted order as stats.Summarize does.
 func (s *Simulator) summarize(es *estScratch) Estimate {
+	vecs := s.sampleVectors(&es.cp)
 	es.jcts, es.costs = resize(es.jcts, s.samples), resize(es.costs, s.samples)
 	for k := 0; k < s.samples; k++ {
-		es.jcts[k], es.costs[k], es.stack = s.priceSchedule(&es.cp, es.vecs, k, es.stack)
+		es.jcts[k], es.costs[k], es.stack = s.priceSchedule(&es.cp, vecs, k, es.stack)
 	}
 	jct, jctStd := stats.MeanStdInPlace(es.jcts)
 	cost, costStd := stats.MeanStdInPlace(es.costs)

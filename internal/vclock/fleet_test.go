@@ -180,6 +180,10 @@ func TestFleetKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestFleetSteadyStateAllocs counts the steady-state event loop's heap
+// allocations exactly.
+//
+//rbvet:impure(GOMAXPROCS only pins the measurement window to one P; no scheduler state reaches the clock)
 func TestFleetSteadyStateAllocs(t *testing.T) {
 	// Once the slab and heap have grown to capacity (one full round of
 	// iteration events), the event loop must allocate nothing.
@@ -187,6 +191,13 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 	for f.events < fleetTrials {
 		f.step(t)
 	}
+	// MemStats.Mallocs counts the whole process, so the window runs on
+	// one P. ReadMemStats restarts the world by waking an idle P, and
+	// when no idle thread is parked to run it, as under a parallel
+	// `go test ./...`, the runtime starts one: its m, g0, signal stack
+	// and two profiling stacks are five allocations inside the window.
+	// With one P there is no idle P to wake.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
