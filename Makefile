@@ -72,6 +72,7 @@ fuzz-short:
 	go test ./internal/journal -run='^$$' -fuzz=FuzzJournalRoundTrip -fuzztime=30s
 	go test ./internal/planner -run='^$$' -fuzz=FuzzPlanElastic -fuzztime=30s
 	go test ./internal/sim -run='^$$' -fuzz=FuzzCohortBilling -fuzztime=10s
+	go test ./internal/sim -run='^$$' -fuzz=FuzzIndexMatchesMap -fuzztime=10s
 	go test ./internal/trace -run='^$$' -fuzz=FuzzRecorderMatchesReference -fuzztime=10s
 	go test ./internal/serve -run='^$$' -fuzz=FuzzSubmission -fuzztime=30s
 	go test ./internal/placement -run='^$$' -fuzz=FuzzUpdateMatchesReference -fuzztime=30s

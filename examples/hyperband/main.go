@@ -50,5 +50,5 @@ func main() {
 	fmt.Printf("\nmulti-job: total cost $%.2f, JCT %.0fs (slowest bracket, not the sum)\n",
 		res.TotalCost, res.JCT)
 	fmt.Printf("global winner: %.1f%% accuracy, lr=%.4f\n",
-		res.BestAccuracy*100, res.BestConfig["lr"])
+		res.BestAccuracy*100, res.BestConfig.Float("lr"))
 }

@@ -112,7 +112,7 @@ func TestRunCompletes(t *testing.T) {
 	if res.Promotions == 0 {
 		t.Error("no promotions occurred")
 	}
-	if res.BestAccuracy <= 0 || res.BestConfig == nil {
+	if res.BestAccuracy <= 0 || res.BestConfig.Len() == 0 {
 		t.Error("no best configuration")
 	}
 	// The cluster is fully released afterwards.

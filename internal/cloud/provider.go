@@ -131,8 +131,9 @@ type Provider struct {
 	overheads Overheads
 	datasetGB float64
 
-	nextID    int
-	instances map[int]*Instance
+	// instances holds every instance ever requested, indexed by ID: IDs
+	// are issued 0, 1, 2, … and an instance is never removed.
+	instances []*Instance
 	// dataCost accumulates ingress charges as instances provision.
 	dataCost float64
 
@@ -165,7 +166,6 @@ func NewProvider(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads
 		pricing:   pricing,
 		overheads: overheads,
 		datasetGB: datasetGB,
-		instances: make(map[int]*Instance),
 	}, nil
 }
 
@@ -180,13 +180,12 @@ func (p *Provider) Overheads() Overheads { return p.overheads }
 // state Requested.
 func (p *Provider) Request(it InstanceType, onReady func(*Instance)) *Instance {
 	in := &Instance{
-		ID:          p.nextID,
+		ID:          len(p.instances),
 		Type:        it,
 		State:       Requested,
 		RequestedAt: p.clock.Now(),
 	}
-	p.nextID++
-	p.instances[in.ID] = in
+	p.instances = append(p.instances, in)
 
 	queue := p.overheads.QueueDelay.Sample(p.rng)
 	p.clock.After(queue, func() {
@@ -270,21 +269,16 @@ func (p *Provider) RecordUsage(in *Instance, gpuSeconds float64) {
 }
 
 // Instances returns all instances ever requested, in ID order.
+// The slice is the caller's own.
 func (p *Provider) Instances() []*Instance {
-	out := make([]*Instance, 0, len(p.instances))
-	for id := 0; id < p.nextID; id++ {
-		if in, ok := p.instances[id]; ok {
-			out = append(out, in)
-		}
-	}
-	return out
+	return append(make([]*Instance, 0, len(p.instances)), p.instances...)
 }
 
 // ComputeCost returns the total compute charge across all instances as of
 // virtual time now, under the provider's billing model.
 func (p *Provider) ComputeCost(now vclock.Time) float64 {
 	var total float64
-	for _, in := range p.Instances() {
+	for _, in := range p.instances {
 		if !in.billing {
 			continue // cancelled while queued: hardware never allocated
 		}

@@ -143,6 +143,36 @@ func TestProviderInstancesOrdered(t *testing.T) {
 	}
 }
 
+// TestProviderInstancesIsACopy: the slice Instances returns is the
+// caller's own, so overwriting, truncating or appending to it leaves the
+// ledger, its count and its cost unchanged.
+func TestProviderInstancesIsACopy(t *testing.T) {
+	p, clock := testProvider(t, DefaultPricing(), detOverheads(0, 0), 0)
+	it, _ := DefaultCatalog().Lookup("p3.2xlarge")
+	for i := 0; i < 4; i++ {
+		p.Request(it, nil)
+	}
+	clock.Run(0)
+	clock.Advance(3600)
+	cost := p.ComputeCost(clock.Now())
+	ins := p.Instances()
+	ins[0], ins[3] = ins[3], nil
+	ins = append(ins[:1], &Instance{ID: 99, Type: it, billing: true})
+	_ = append(ins, ins...)
+	got := p.Instances()
+	if len(got) != 4 {
+		t.Fatalf("ledger holds %d instances after the copy was edited, want 4", len(got))
+	}
+	for i, in := range got {
+		if in == nil || in.ID != i {
+			t.Fatalf("ledger entry %d is %+v after the copy was edited", i, in)
+		}
+	}
+	if c := p.ComputeCost(clock.Now()); c != cost {
+		t.Fatalf("compute cost %v after the copy was edited, want %v", c, cost)
+	}
+}
+
 func TestProviderRejectsBadConfig(t *testing.T) {
 	clock := vclock.New()
 	if _, err := NewProvider(clock, stats.NewRNG(1), Pricing{MinChargeSeconds: -1}, Overheads{}, 0); err == nil {

@@ -5,8 +5,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cloud"
 	"repro/internal/vclock"
@@ -33,17 +34,19 @@ type Manager struct {
 	clock    *vclock.Clock
 
 	nextID NodeID
-	ready  map[NodeID]*Node
-	// sorted caches Nodes(): the ready nodes in ID order, nil after any
-	// membership change until the next Nodes call rebuilds it.
-	sorted  []*Node
+	// ready holds the ready nodes in ascending ID order: IDs are issued
+	// in increasing order, so a node that becomes ready appends. shared
+	// marks the slice as handed out by Nodes, so the next removal copies
+	// it rather than editing what a caller holds.
+	ready   []*Node
+	shared  bool
 	pending int
 	target  int // desired ready-node count; reconcile provisions up to it
 	// waiters are WhenSize callbacks fired as nodes become ready.
 	waiters []waiter
-	// byInstance maps provider instance IDs to ready nodes, for
-	// preemption routing.
-	byInstance map[int]*Node
+	// byInstance holds the ready node on each provider instance, indexed
+	// by instance ID (nil: none), for preemption routing.
+	byInstance []*Node
 	// onPreempt is the executor's preemption handler (may be nil).
 	onPreempt func(*Node)
 	// retries counts provisioning requests reissued after failures.
@@ -64,13 +67,7 @@ func NewManager(provider *cloud.Provider, it cloud.InstanceType, clock *vclock.C
 	if it.GPUs < 1 {
 		return nil, fmt.Errorf("cluster: worker type %q has no GPUs", it.Name)
 	}
-	m := &Manager{
-		provider:   provider,
-		instType:   it,
-		clock:      clock,
-		ready:      make(map[NodeID]*Node),
-		byInstance: make(map[int]*Node),
-	}
+	m := &Manager{provider: provider, instType: it, clock: clock}
 	// Heal capacity automatically: failed requests are reissued so that
 	// the ready count still converges on the target, and preemptions are
 	// both replaced and surfaced to the scheduler for trial recovery.
@@ -80,13 +77,11 @@ func NewManager(provider *cloud.Provider, it cloud.InstanceType, clock *vclock.C
 		m.reconcile()
 	})
 	provider.OnPreemption(func(in *cloud.Instance) {
-		node, ok := m.byInstance[in.ID]
-		if !ok {
+		if in.ID >= len(m.byInstance) || m.byInstance[in.ID] == nil {
 			return // not one of ours, or already released
 		}
-		delete(m.ready, node.ID)
-		delete(m.byInstance, in.ID)
-		m.sorted = nil
+		node := m.byInstance[in.ID]
+		m.remove(node)
 		m.reconcile()
 		if m.onPreempt != nil {
 			m.onPreempt(node)
@@ -117,19 +112,33 @@ func (m *Manager) Size() int { return len(m.ready) }
 // Pending returns the number of nodes requested but not yet ready.
 func (m *Manager) Pending() int { return m.pending }
 
-// Nodes returns the ready nodes sorted by ID. The slice is cached until
-// the next membership change and shared between callers, who must not
-// modify it; a membership change replaces it rather than editing it, so a
-// slice already returned stays a consistent snapshot.
+// Nodes returns the ready nodes sorted by ID. The slice is shared
+// between callers, who must not modify it; a membership change never
+// edits a slice already returned, so it stays a consistent snapshot.
 func (m *Manager) Nodes() []*Node {
-	if m.sorted == nil {
-		m.sorted = make([]*Node, 0, len(m.ready))
-		for _, n := range m.ready {
-			m.sorted = append(m.sorted, n)
-		}
-		sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i].ID < m.sorted[j].ID })
+	m.shared = true
+	return m.ready[:len(m.ready):len(m.ready)]
+}
+
+// find returns the position of node id in the ready slice, and whether
+// it is there.
+func (m *Manager) find(id NodeID) (int, bool) {
+	return slices.BinarySearchFunc(m.ready, id, func(n *Node, id NodeID) int { return cmp.Compare(n.ID, id) })
+}
+
+// remove takes node out of the ready set and the instance index. A
+// ready slice Nodes handed out is copied rather than edited; a new node
+// only ever appends past the end of a returned slice, which its holder
+// cannot see.
+func (m *Manager) remove(node *Node) {
+	i, _ := m.find(node.ID)
+	if m.shared {
+		m.ready = slices.Concat(m.ready[:i], m.ready[i+1:])
+		m.shared = false
+	} else {
+		m.ready = slices.Delete(m.ready, i, i+1)
 	}
-	return m.sorted
+	m.byInstance[node.Instance.ID] = nil
 }
 
 // ScaleUpTo raises the desired ready-node count to target (it never
@@ -154,9 +163,11 @@ func (m *Manager) reconcile() int {
 			m.pending--
 			node := &Node{ID: m.nextID, Instance: in, GPUs: in.Type.GPUs}
 			m.nextID++
-			m.ready[node.ID] = node
+			m.ready = append(m.ready, node)
+			if in.ID >= len(m.byInstance) {
+				m.byInstance = append(m.byInstance, make([]*Node, in.ID+1-len(m.byInstance))...)
+			}
 			m.byInstance[in.ID] = node
-			m.sorted = nil
 			m.notify()
 		})
 	}
@@ -167,25 +178,23 @@ func (m *Manager) reconcile() int {
 // the desired capacity accordingly. Releasing an unknown node is an
 // error.
 func (m *Manager) Release(id NodeID) error {
-	node, ok := m.ready[id]
+	i, ok := m.find(id)
 	if !ok {
 		return fmt.Errorf("cluster: release of unknown node %d", id)
 	}
-	delete(m.ready, id)
-	delete(m.byInstance, node.Instance.ID)
-	m.sorted = nil
+	node := m.ready[i]
+	m.remove(node)
 	m.provider.Terminate(node.Instance)
-	if m.target > len(m.ready)+m.pending {
-		m.target = len(m.ready) + m.pending
-	}
+	m.target = min(m.target, len(m.ready)+m.pending)
 	return nil
 }
 
-// ReleaseAll deprovisions every ready node (end of experiment).
+// ReleaseAll deprovisions every ready node (end of experiment), in ID
+// order.
 func (m *Manager) ReleaseAll() {
-	for id := range m.ready {
-		//rbvet:ignore droppederr — id comes from the ready map itself, so Release cannot fail
-		_ = m.Release(id)
+	for _, node := range m.Nodes() {
+		//rbvet:ignore droppederr — the ID comes from the ready set itself, so Release cannot fail
+		_ = m.Release(node.ID)
 	}
 }
 

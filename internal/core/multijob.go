@@ -6,6 +6,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/cluster"
 	"repro/internal/executor"
+	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -31,7 +32,7 @@ type MultiResult struct {
 	JCT float64
 	// BestAccuracy/BestConfig identify the global winner.
 	BestAccuracy float64
-	BestConfig   map[string]any
+	BestConfig   searchspace.Config
 }
 
 // RunMultiJob plans each bracket independently under the template

@@ -39,7 +39,7 @@ func TestRunMultiJobHyperband(t *testing.T) {
 	if res.JCT != maxJCT {
 		t.Errorf("JCT %v != max bracket JCT %v", res.JCT, maxJCT)
 	}
-	if res.BestAccuracy <= 0 || res.BestConfig == nil {
+	if res.BestAccuracy <= 0 || res.BestConfig.Len() == 0 {
 		t.Error("no global winner")
 	}
 	// The global winner is at least as good as every bracket's winner.

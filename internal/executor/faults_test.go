@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/trial"
@@ -132,7 +133,7 @@ func TestFaultModelValidation(t *testing.T) {
 }
 
 func TestTrialRestore(t *testing.T) {
-	tr := trial.New(5, nil)
+	tr := trial.New(5, searchspace.Config{})
 	if err := tr.Start(2, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -36,19 +36,21 @@ var fnvPow = func() (p [9]uint64) {
 	return p
 }()
 
-// u64 folds v's eight bytes, least significant first. Bytes up to the
-// highest non-zero one fold one at a time; the run of zero bytes above it
-// folds in one multiply, so small integers and characters cost one or two
-// multiplies instead of eight.
+// u64 folds v's eight bytes, least significant first. Bytes below the
+// highest non-zero one fold one at a time; that byte's own multiply and
+// the run of zero bytes above it fold into one multiply by fnvPow[9-n],
+// n counting the bytes up to it, so small integers and characters cost
+// one or two multiplies instead of eight. (v = 0 is eight zero bytes:
+// n = 1 and one multiply by fnvPow[8].)
 func (h *hasher) u64(v uint64) {
 	x := uint64(*h)
-	n := 0
-	for ; v != 0; n++ {
+	n := 1
+	for ; v > 0xff; n++ {
 		x ^= v & 0xff
 		x *= fnvPrime
 		v >>= 8
 	}
-	*h = hasher(x * fnvPow[8-n])
+	*h = hasher((x ^ v) * fnvPow[9-n])
 }
 
 func (h *hasher) i64(v int64)   { h.u64(uint64(v)) }

@@ -146,28 +146,24 @@ func (m *Model) iterLatency(batch, gpus, nodes int) (d stats.Normal, noisy bool)
 // contribute neutral values.
 func (c CurveParams) quality(cfg searchspace.Config) float64 {
 	q := 1.0
-	if v, ok := cfg["lr"]; ok {
-		lr, _ := v.(float64)
+	if lr, ok := cfg.Lookup("lr"); ok {
 		if lr <= 0 {
 			return 0.01
 		}
 		d := (math.Log(lr) - c.OptLogLR) / c.LRWidth
 		q *= math.Exp(-d * d / 2)
 	}
-	if v, ok := cfg["momentum"]; ok {
-		mom, _ := v.(float64)
+	if mom, ok := cfg.Lookup("momentum"); ok {
 		d := (mom - 0.9) / 0.3
 		q *= 1 - 0.1*d*d
 	}
-	if v, ok := cfg["weight_decay"]; ok {
-		wd, _ := v.(float64)
+	if wd, ok := cfg.Lookup("weight_decay"); ok {
 		if wd > 0 {
 			d := (math.Log(wd) - math.Log(5e-4)) / 6
 			q *= 1 - 0.1*d*d
 		}
 	}
-	if v, ok := cfg["dropout"]; ok {
-		dr, _ := v.(float64)
+	if dr, ok := cfg.Lookup("dropout"); ok {
 		d := (dr - 0.1) / 0.5
 		q *= 1 - 0.1*d*d
 	}

@@ -108,7 +108,7 @@ func TestIterLatencyDist(t *testing.T) {
 
 func TestLearningCurveShape(t *testing.T) {
 	m := ResNet101()
-	cfg := searchspace.Config{"lr": math.Exp(m.Curve.OptLogLR)}
+	cfg := lrConfig(math.Exp(m.Curve.OptLogLR))
 	// Monotone increasing with diminishing returns over equal-width
 	// iteration windows.
 	prev := m.AccuracyAt(cfg, 0)
@@ -136,12 +136,12 @@ func TestLearningCurveShape(t *testing.T) {
 
 func TestBadLRHurtsAccuracy(t *testing.T) {
 	m := ResNet101()
-	good := searchspace.Config{"lr": math.Exp(m.Curve.OptLogLR)}
-	bad := searchspace.Config{"lr": math.Exp(m.Curve.OptLogLR + 6)}
+	good := lrConfig(math.Exp(m.Curve.OptLogLR))
+	bad := lrConfig(math.Exp(m.Curve.OptLogLR + 6))
 	if m.Asymptote(bad) >= m.Asymptote(good) {
 		t.Error("bad lr not penalized")
 	}
-	terrible := searchspace.Config{"lr": -1.0}
+	terrible := lrConfig(-1.0)
 	if a := m.Asymptote(terrible); a > m.Curve.AccFloor+0.05 {
 		t.Errorf("non-positive lr asymptote %v too high", a)
 	}
@@ -149,7 +149,7 @@ func TestBadLRHurtsAccuracy(t *testing.T) {
 
 func TestAccuracyAtZeroIters(t *testing.T) {
 	m := ResNet101()
-	cfg := searchspace.Config{"lr": 0.1}
+	cfg := lrConfig(0.1)
 	if acc := m.AccuracyAt(cfg, 0); acc != 0 {
 		t.Errorf("accuracy at 0 iters = %v, want 0", acc)
 	}
@@ -166,7 +166,7 @@ func TestAccuracyPanicsOnNegativeIters(t *testing.T) {
 
 func TestObserveAccuracyNoisyButClose(t *testing.T) {
 	m := ResNet101()
-	cfg := searchspace.Config{"lr": 0.1}
+	cfg := lrConfig(0.1)
 	r := stats.NewRNG(1)
 	truth := m.AccuracyAt(cfg, 20)
 	var sum float64
@@ -233,4 +233,10 @@ func TestQuickAccuracyBounds(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// lrConfig returns a configuration whose only value is lr: a sample of
+// the one-point space [lr, lr].
+func lrConfig(lr float64) searchspace.Config {
+	return searchspace.MustNew(searchspace.Uniform{Key: "lr", Lo: lr, Hi: lr}).Sample(stats.NewRNG(1))
 }

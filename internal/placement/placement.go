@@ -77,8 +77,11 @@ type Controller struct {
 	// builds into, swapped with current on success.
 	current, spare Plan
 	locked         []bool
-	// Update's scratch: free GPUs by NodeID (-1: not a live node), the
-	// placement queue, and the trials placed this epoch.
+	// Update's scratch: the live nodes' IDs in ascending order and their
+	// free GPUs by position in it (see pos), the placement queue, and the
+	// trials placed this epoch. Both node columns are sized by the live
+	// node count, however large the IDs grow under churn.
+	ids       []cluster.NodeID
 	free      []int
 	queue     []TrialID
 	placedNow []bool
@@ -132,8 +135,8 @@ func (c *Controller) Remove(t TrialID) {
 // Remove. Update builds into a spare buffer, so a failed Update leaves
 // the current plan untouched. An error, naming the lowest TrialID at
 // fault, is returned if an allocation is zero, demand exceeds capacity
-// or a locked trial's allocation changed. Node IDs are non-negative, as
-// cluster.Manager assigns them.
+// or a locked trial's allocation changed. Node IDs are distinct, in any
+// order.
 func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error) {
 	demand, live := 0, 0
 	for t, g := range allocs {
@@ -145,10 +148,11 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 			live++
 		}
 	}
-	capacity, maxID := 0, cluster.NodeID(-1)
-	for _, n := range nodes {
+	capacity := 0
+	c.ids = resize(c.ids, len(nodes))
+	for i, n := range nodes {
 		capacity += n.GPUs
-		maxID = max(maxID, n.ID)
+		c.ids[i] = n.ID
 	}
 	if demand > capacity {
 		return nil, fmt.Errorf("placement: demand %d GPUs exceeds capacity %d", demand, capacity)
@@ -156,13 +160,13 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 
 	// Until the preserved gangs are charged below, free holds full
 	// capacities.
-	c.free = resize(c.free, int(maxID)+1)
-	free := c.free
-	for i := range free {
-		free[i] = -1
+	if !slices.IsSorted(c.ids) {
+		slices.Sort(c.ids)
 	}
+	c.free = resize(c.free, len(nodes))
+	free := c.free
 	for _, n := range nodes {
-		free[n.ID] = n.GPUs
+		free[c.pos(n.ID)] = n.GPUs
 	}
 
 	// Start from assignments that can be preserved: trials present in the
@@ -182,7 +186,7 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 		held, onLive := 0, true
 		for _, s := range a {
 			held += s.GPUs
-			onLive = onLive && int(s.Node) < len(free) && free[s.Node] >= 0
+			onLive = onLive && c.pos(s.Node) >= 0
 		}
 		switch {
 		case held == want && onLive:
@@ -205,8 +209,9 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 	// Charge the preserved assignments against free capacity.
 	for _, a := range plan {
 		for _, s := range a {
-			free[s.Node] -= s.GPUs
-			if free[s.Node] < 0 {
+			i := c.pos(s.Node)
+			free[i] -= s.GPUs
+			if free[i] < 0 {
 				return nil, fmt.Errorf("placement: preserved plan oversubscribes node %d", s.Node)
 			}
 		}
@@ -241,6 +246,15 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 	return plan, nil
 }
 
+// pos returns the position of node id in the live node columns, or -1
+// when id is not a live node.
+func (c *Controller) pos(id cluster.NodeID) int {
+	if i, ok := slices.BinarySearch(c.ids, id); ok {
+		return i
+	}
+	return -1
+}
+
 // resize returns buf with length n and every element zero, reusing its
 // storage when it is large enough.
 func resize[S ~[]E, E any](buf S, n int) S {
@@ -263,7 +277,7 @@ func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
 		// The unit is a full node for whole-node chunks, or the entire
 		// remainder (which must then be co-located on a single node).
 		unit := min(remaining, c.nodeGPUs)
-		nid, ok := bestFit(c.free, unit)
+		at, ok := bestFit(c.free, unit)
 		if !ok {
 			// Displace: free the smallest displaceable trial whose
 			// removal opens a node with enough room.
@@ -272,31 +286,30 @@ func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
 				return nil, fmt.Errorf("placement: cannot fit %d GPUs for trial %d", unit, t)
 			}
 			for _, s := range plan[victim] {
-				c.free[s.Node] += s.GPUs
+				c.free[c.pos(s.Node)] += s.GPUs
 			}
 			plan[victim] = nil
 			c.queue = append(c.queue, victim)
 			continue
 		}
-		c.free[nid] -= unit
-		asg = append(asg, Slot{Node: nid, GPUs: unit})
+		c.free[at] -= unit
+		asg = append(asg, Slot{Node: c.ids[at], GPUs: unit})
 		remaining -= unit
 	}
 	slices.SortFunc(asg, func(a, b Slot) int { return cmp.Compare(a.Node, b.Node) })
 	return asg, nil
 }
 
-// bestFit returns the node with the least free capacity that still fits
-// unit GPUs, the smallest NodeID among equals. Absent nodes (free -1)
-// never fit.
+// bestFit returns the position, in the ID-ordered node columns, of the
+// node with the least free capacity that still fits unit GPUs, the
+// smallest NodeID among equals.
 //
 //rbvet:noalloc
-func bestFit(free []int, unit int) (cluster.NodeID, bool) {
-	best := cluster.NodeID(-1)
-	bestFree := int(^uint(0) >> 1)
-	for nid, f := range free {
+func bestFit(free []int, unit int) (int, bool) {
+	best, bestFree := -1, int(^uint(0)>>1)
+	for i, f := range free {
 		if f >= unit && f < bestFree {
-			best, bestFree = cluster.NodeID(nid), f
+			best, bestFree = i, f
 		}
 	}
 	return best, best >= 0
@@ -324,7 +337,7 @@ func (c *Controller) pickVictim(plan Plan, unit int, t TrialID) (TrialID, bool) 
 		}
 		// Would removing cand open enough room somewhere?
 		for _, s := range asg {
-			if c.free[s.Node]+s.GPUs >= unit {
+			if c.free[c.pos(s.Node)]+s.GPUs >= unit {
 				victim, victimGPUs = cand, g
 				break
 			}
@@ -372,25 +385,31 @@ func NodesNeeded(trials, gpusPerTrial, nodeGPUs int) int {
 // cluster scale-down to bin-pack trials away from the nodes about to be
 // released.
 func (c *Controller) DrainOrder(nodes []*cluster.Node) []cluster.NodeID {
-	ids := make([]cluster.NodeID, len(nodes))
-	maxID := cluster.NodeID(-1)
-	for i, n := range nodes {
-		ids[i] = n.ID
-		maxID = max(maxID, n.ID)
+	type load struct {
+		id   cluster.NodeID
+		used int
 	}
-	used := make([]int, maxID+1)
+	loads := make([]load, len(nodes))
+	for i, n := range nodes {
+		loads[i].id = n.ID
+	}
+	slices.SortFunc(loads, func(a, b load) int { return cmp.Compare(a.id, b.id) })
 	for _, a := range c.current {
 		for _, s := range a {
-			if int(s.Node) < len(used) {
-				used[s.Node] += s.GPUs
+			if i, ok := slices.BinarySearchFunc(loads, s.Node, func(l load, id cluster.NodeID) int { return cmp.Compare(l.id, id) }); ok {
+				loads[i].used += s.GPUs
 			}
 		}
 	}
-	slices.SortFunc(ids, func(a, b cluster.NodeID) int {
-		if c := cmp.Compare(used[a], used[b]); c != 0 {
+	slices.SortFunc(loads, func(a, b load) int {
+		if c := cmp.Compare(a.used, b.used); c != 0 {
 			return c
 		}
-		return cmp.Compare(b, a) // prefer releasing newest nodes on ties
+		return cmp.Compare(b.id, a.id) // prefer releasing newest nodes on ties
 	})
+	ids := make([]cluster.NodeID, len(loads))
+	for i, l := range loads {
+		ids[i] = l.id
+	}
 	return ids
 }

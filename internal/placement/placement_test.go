@@ -1084,3 +1084,45 @@ func TestUpdateHandoffAllocs(t *testing.T) {
 		t.Fatalf("hand-off Update allocated %v objects (want 1), preserving Update %v (want 0)", handoff, preserved)
 	}
 }
+
+// TestUpdateScratchFollowsLiveNodes: under spot churn every replacement
+// node gets a fresh ID, so IDs climb without bound while the cluster
+// stays small. Update's scratch, and with it bestFit's scan, must be
+// sized by the live node count, not by the largest ID; placements on
+// sparse IDs, in any order, must match the same cluster renumbered
+// densely.
+func TestUpdateScratchFollowsLiveNodes(t *testing.T) {
+	const base = 3_000_000
+	sparse := []*cluster.Node{
+		{ID: base + 40, GPUs: 4}, {ID: 7, GPUs: 4}, {ID: base + 900_000, GPUs: 4}, {ID: base, GPUs: 4},
+	}
+	dense := mkNodes(4, 4) // the same cluster, IDs 0..3 in ascending sparse order
+	allocs := map[TrialID]int{0: 3, 1: 2, 2: 4, 3: 1, 4: 2, 5: 1}
+	cs, cd := NewController(4), NewController(4)
+	got, err := update(cs, allocs, sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := update(cd, allocs, dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := []cluster.NodeID{7, base, base + 40, base + 900_000}
+	for tr, asg := range want {
+		for i, s := range asg {
+			if g := got[tr][i]; g.Node != order[s.Node] || g.GPUs != s.GPUs {
+				t.Fatalf("trial %d slot %d on sparse IDs is %+v, dense placement %+v", tr, i, g, s)
+			}
+		}
+	}
+	if cap(cs.free) > len(sparse) || cap(cs.ids) > len(sparse) {
+		t.Fatalf("scratch sized %d free / %d ids for %d live nodes", cap(cs.free), cap(cs.ids), len(sparse))
+	}
+	drain := cs.DrainOrder(sparse)
+	wantDrain := cd.DrainOrder(dense)
+	for i, id := range wantDrain {
+		if drain[i] != order[id] {
+			t.Fatalf("drain order %v, dense %v", drain, wantDrain)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package profiler
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -46,44 +47,43 @@ func Refit(base sim.TrainProfile, maxGPUs int, obs []Observation) (sim.MeasuredT
 		return sim.MeasuredTrainProfile{}, fmt.Errorf("profiler: refit without observations")
 	}
 
-	observed := make(map[int]float64, len(obs))
+	// observed holds the observations in ascending GPU order.
+	observed := make([]Observation, 0, len(obs))
 	var ratioSum, weight float64
 	for _, o := range obs {
 		if o.GPUs < 1 || o.Count < 1 || o.Mean <= 0 {
 			return sim.MeasuredTrainProfile{}, fmt.Errorf("profiler: invalid observation %+v", o)
 		}
-		if _, dup := observed[o.GPUs]; dup {
+		at, dup := slices.BinarySearchFunc(observed, o.GPUs, byGPUs)
+		if dup {
 			return sim.MeasuredTrainProfile{}, fmt.Errorf("profiler: duplicate observation at %d GPUs", o.GPUs)
 		}
 		pred := base.IterDist(o.GPUs).Mean()
 		if pred <= 0 {
 			return sim.MeasuredTrainProfile{}, fmt.Errorf("profiler: base profile predicts %v at %d GPUs", pred, o.GPUs)
 		}
-		observed[o.GPUs] = o.Mean
+		observed = slices.Insert(observed, at, o)
 		ratioSum += float64(o.Count) * (o.Mean / pred)
 		weight += float64(o.Count)
 	}
 	ratio := ratioSum / weight
 
-	// Fit grid: the profiler's powers-of-two ladder up to maxGPUs, plus
-	// every observed allocation and the 1-GPU anchor.
-	gridSet := map[int]bool{1: true}
+	// Fit grid: the profiler's powers-of-two ladder up to maxGPUs (which
+	// starts at the 1-GPU anchor), plus every observed allocation.
+	grid := make([]int, 0, len(observed)+8)
 	for g := 1; g <= maxGPUs; g *= 2 {
-		gridSet[g] = true
-	}
-	for g := range observed {
-		gridSet[g] = true
-	}
-	grid := make([]int, 0, len(gridSet))
-	for g := range gridSet {
 		grid = append(grid, g)
 	}
-	sort.Ints(grid)
+	for _, o := range observed {
+		grid = append(grid, o.GPUs)
+	}
+	slices.Sort(grid)
+	grid = slices.Compact(grid)
 
 	means := make([]float64, len(grid))
 	for i, g := range grid {
-		if m, ok := observed[g]; ok {
-			means[i] = m
+		if j, ok := slices.BinarySearchFunc(observed, g, byGPUs); ok {
+			means[i] = observed[j].Mean
 			continue
 		}
 		means[i] = base.IterDist(g).Mean() * ratio
@@ -108,6 +108,9 @@ func Refit(base sim.TrainProfile, maxGPUs int, obs []Observation) (sim.MeasuredT
 		Scaling:  scaling,
 	}, nil
 }
+
+// byGPUs orders an observation against a GPU count.
+func byGPUs(o Observation, gpus int) int { return cmp.Compare(o.GPUs, gpus) }
 
 // baseStd carries the base profile's 1-GPU latency spread through a refit,
 // scaled by the drift ratio so relative noise is preserved (the same σ∝μ

@@ -29,9 +29,10 @@
 package replan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/planner"
@@ -149,6 +150,7 @@ func (c Config) validate() error {
 
 // allocStat is the detector state for one per-trial allocation.
 type allocStat struct {
+	gpus  int     // the per-trial allocation
 	pred  float64 // the profile's mean iteration latency, fixed for the controller's life
 	ewma  float64 // EWMA of observed/predicted latency ratio
 	count int     // observations folded in
@@ -246,10 +248,9 @@ func appendSeconds(b []byte, v float64) []byte {
 type Controller struct {
 	cfg Config
 
-	// stats holds per-allocation detector state; keys mirrors its key
-	// set in ascending order so no decision ever iterates a map.
-	stats map[int]*allocStat
-	keys  []int
+	// stats holds per-allocation detector state in ascending allocation
+	// order.
+	stats []allocStat
 	// totalObs counts iteration observations across allocations.
 	totalObs int
 
@@ -276,7 +277,7 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg, stats: make(map[int]*allocStat)}, nil
+	return &Controller{cfg: cfg}, nil
 }
 
 // Config returns the controller's effective (defaulted) configuration.
@@ -325,9 +326,8 @@ func (c *Controller) DetectorState() DetectorState {
 		LastReplan:    c.lastReplan,
 		Decisions:     len(c.decisions),
 	}
-	for _, g := range c.keys {
-		st := c.stats[g]
-		ds.Allocs = append(ds.Allocs, AllocState{GPUs: g, EWMA: st.ewma, Count: st.count})
+	for _, st := range c.stats {
+		ds.Allocs = append(ds.Allocs, AllocState{GPUs: st.gpus, EWMA: st.ewma, Count: st.count})
 	}
 	return ds
 }
@@ -343,10 +343,10 @@ func (c *Controller) cooldownOver(now vclock.Time) bool {
 // threshold, cooldown elapsed. The caller decides whether a trigger
 // becomes a Replan (there is nothing to replan in the last stage).
 func (c *Controller) ObserveIteration(gpus int, observed float64, now vclock.Time) bool {
-	st := c.stats[gpus]
+	i, seen := slices.BinarySearchFunc(c.stats, gpus, func(st allocStat, g int) int { return cmp.Compare(st.gpus, g) })
 	var pred float64
-	if st != nil {
-		pred = st.pred
+	if seen {
+		pred = c.stats[i].pred
 	} else {
 		pred = c.cfg.Profile.IterDist(gpus).Mean()
 	}
@@ -354,14 +354,12 @@ func (c *Controller) ObserveIteration(gpus int, observed float64, now vclock.Tim
 		return false
 	}
 	ratio := observed / pred
-	if st == nil {
-		st = &allocStat{pred: pred, ewma: ratio}
-		c.stats[gpus] = st
-		c.keys = append(c.keys, gpus)
-		sort.Ints(c.keys)
+	if seen {
+		c.stats[i].ewma = ewmaAlpha*ratio + (1-ewmaAlpha)*c.stats[i].ewma
 	} else {
-		st.ewma = ewmaAlpha*ratio + (1-ewmaAlpha)*st.ewma
+		c.stats = slices.Insert(c.stats, i, allocStat{gpus: gpus, pred: pred, ewma: ratio})
 	}
+	st := &c.stats[i]
 	st.count++
 	c.totalObs++
 	return c.totalObs >= minObservations &&
@@ -400,8 +398,7 @@ func (c *Controller) ratio() float64 {
 		return 1
 	}
 	var sum, weight float64
-	for _, g := range c.keys {
-		st := c.stats[g]
+	for _, st := range c.stats {
 		sum += float64(st.count) * st.ewma
 		weight += float64(st.count)
 	}
@@ -413,11 +410,10 @@ func (c *Controller) ratio() float64 {
 // re-fit is the EWMA ratio × the profiled mean, so the fit reflects the
 // current latency regime rather than the whole history.
 func (c *Controller) observations() []profiler.Observation {
-	out := make([]profiler.Observation, 0, len(c.keys))
-	for _, g := range c.keys {
-		st := c.stats[g]
+	out := make([]profiler.Observation, 0, len(c.stats))
+	for _, st := range c.stats {
 		out = append(out, profiler.Observation{
-			GPUs:  g,
+			GPUs:  st.gpus,
 			Mean:  st.ewma * st.pred,
 			Count: st.count,
 		})

@@ -24,7 +24,7 @@ func (s *Space) Grid(pointsPerDim, maxConfigs int) ([]Config, error) {
 	dims := append([]Dimension(nil), s.dims...)
 	sort.Slice(dims, func(i, j int) bool { return dims[i].Name() < dims[j].Name() })
 
-	values := make([][]any, len(dims))
+	values := make([][]float64, len(dims))
 	total := 1
 	for i, d := range dims {
 		vs, err := gridValues(d, pointsPerDim)
@@ -41,12 +41,15 @@ func (s *Space) Grid(pointsPerDim, maxConfigs int) ([]Config, error) {
 		}
 	}
 
+	lay := newLayout(dims)
+	d := len(dims)
+	vals := make([]float64, total*d)
 	out := make([]Config, 0, total)
 	idx := make([]int, len(dims))
 	for {
-		c := make(Config, len(dims))
-		for i, d := range dims {
-			c[d.Name()] = values[i][idx[i]]
+		c := Config{lay: lay, vals: vals[len(out)*d : (len(out)+1)*d : (len(out)+1)*d]}
+		for i := range dims {
+			c.vals[i] = values[i][idx[i]]
 		}
 		out = append(out, c)
 		// Odometer increment.
@@ -66,8 +69,9 @@ func (s *Space) Grid(pointsPerDim, maxConfigs int) ([]Config, error) {
 	return out, nil
 }
 
-// gridValues returns the grid points of one dimension.
-func gridValues(d Dimension, n int) ([]any, error) {
+// gridValues returns the grid points of one dimension: numbers, or for a
+// Choice the index of every option.
+func gridValues(d Dimension, n int) ([]float64, error) {
 	switch v := d.(type) {
 	case Uniform:
 		return linspace(v.Lo, v.Hi, n), nil
@@ -75,13 +79,13 @@ func gridValues(d Dimension, n int) ([]any, error) {
 		lo, hi := math.Log(v.Lo), math.Log(v.Hi)
 		pts := linspace(lo, hi, n)
 		for i := range pts {
-			pts[i] = math.Exp(pts[i].(float64))
+			pts[i] = math.Exp(pts[i])
 		}
 		return pts, nil
 	case IntRange:
 		span := v.Hi - v.Lo
 		if span+1 <= n {
-			out := make([]any, 0, span+1)
+			out := make([]float64, 0, span+1)
 			for x := v.Lo; x <= v.Hi; x++ {
 				out = append(out, float64(x))
 			}
@@ -89,13 +93,13 @@ func gridValues(d Dimension, n int) ([]any, error) {
 		}
 		pts := linspace(float64(v.Lo), float64(v.Hi), n)
 		for i := range pts {
-			pts[i] = math.Round(pts[i].(float64))
+			pts[i] = math.Round(pts[i])
 		}
 		return dedupe(pts), nil
 	case Choice:
-		out := make([]any, len(v.Options))
-		for i, o := range v.Options {
-			out[i] = o
+		out := make([]float64, len(v.Options))
+		for i := range out {
+			out[i] = float64(i)
 		}
 		return out, nil
 	default:
@@ -105,11 +109,11 @@ func gridValues(d Dimension, n int) ([]any, error) {
 
 // linspace returns n evenly spaced points from lo to hi inclusive (the
 // midpoint for n == 1).
-func linspace(lo, hi float64, n int) []any {
+func linspace(lo, hi float64, n int) []float64 {
 	if n == 1 {
-		return []any{(lo + hi) / 2}
+		return []float64{(lo + hi) / 2}
 	}
-	out := make([]any, n)
+	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
 		out[i] = lo + float64(i)*step
@@ -118,7 +122,7 @@ func linspace(lo, hi float64, n int) []any {
 }
 
 // dedupe removes consecutive duplicates (from integer rounding).
-func dedupe(xs []any) []any {
+func dedupe(xs []float64) []float64 {
 	out := xs[:0]
 	for i, x := range xs {
 		if i == 0 || x != xs[i-1] {

@@ -123,7 +123,7 @@ func TestDimensionsSorted(t *testing.T) {
 }
 
 func TestConfigPanics(t *testing.T) {
-	c := Config{"x": 1.0, "s": "v"}
+	c := MustNew(Uniform{Key: "x", Lo: 1, Hi: 1}, Choice{Key: "s", Options: []string{"v"}}).Sample(stats.NewRNG(1))
 	for name, fn := range map[string]func(){
 		"missing float":  func() { c.Float("nope") },
 		"wrong type":     func() { c.Float("s") },
@@ -158,7 +158,7 @@ func TestQuickSampleComplete(t *testing.T) {
 	f := func(seed uint64) bool {
 		s := DefaultVisionSpace()
 		cfg := s.Sample(stats.NewRNG(seed))
-		if len(cfg) != 3 {
+		if cfg.Len() != 3 {
 			return false
 		}
 		lr := cfg.Float("lr")

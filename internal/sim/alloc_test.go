@@ -78,8 +78,8 @@ func recycledTable(t *testing.T) *segTable {
 	}
 	e.Release()
 	tab := donor.detachTable()
-	if len(tab.index) != 0 || len(tab.plans) != 0 {
-		t.Fatalf("a reset table indexes %d segments and %d plan hashes, want 0", len(tab.index), len(tab.plans))
+	if tab.index.len() != 0 || tab.plans.len() != 0 {
+		t.Fatalf("a reset table indexes %d segments and %d plan hashes, want 0", tab.index.len(), tab.plans.len())
 	}
 	return tab
 }

@@ -23,6 +23,13 @@ type segKey struct {
 	stage, alloc, prev int32
 }
 
+// hash packs the stage and allocation into one word and mixes in the
+// previous instance count; the index spreads it with a Fibonacci
+// multiply.
+func (k segKey) hash() uint64 {
+	return (uint64(uint32(k.stage)) | uint64(uint32(k.alloc))<<32) ^ uint64(uint32(k.prev))*0xff51afd7ed558ccd
+}
+
 // provLats are the cloud profile's SCALE (queueing) and INIT_INSTANCE
 // latencies, compiled once per Simulator. They depend on nothing else,
 // so every segment of the Simulator refers to the one copy.
@@ -179,7 +186,7 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 	t := s.tableLocked()
 	for i, alloc := range p.Alloc {
 		key := segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev}
-		sg := t.index[key]
+		sg, _ := t.index.get(key)
 		if sg == nil {
 			s.mu.Unlock()
 			built := s.buildSegment(key)
@@ -218,13 +225,12 @@ func canonAlloc(alloc, trials int) int {
 // lazily filled samples and moments. The record is carved from the
 // table's segment slab. The caller holds the Simulator's lock.
 func (t *segTable) storeLocked(built *segment) *segment {
-	sg := t.index[built.key]
-	if sg == nil {
-		sg = &t.segs.take(1)[0]
-		*sg = *built
-		t.index[built.key] = sg
+	p, found := t.index.put(built.key)
+	if !found {
+		*p = &t.segs.take(1)[0]
+		**p = *built
 	}
-	return sg
+	return *p
 }
 
 // buildSegment resolves one stage's zero-based sub-DAG of the execution

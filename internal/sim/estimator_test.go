@@ -251,8 +251,8 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 			t.Fatalf("a second store replaced the first entry: JCT %v", est.JCT)
 		}
 		tab.reset()
-		if len(tab.plans) != 0 || len(tab.entries) != 0 || len(tab.allocs) != 0 {
-			t.Fatalf("reset left %d hashes, %d entries, %d allocations", len(tab.plans), len(tab.entries), len(tab.allocs))
+		if tab.plans.len() != 0 || len(tab.entries) != 0 || len(tab.allocs) != 0 {
+			t.Fatalf("reset left %d hashes, %d entries, %d allocations", tab.plans.len(), len(tab.entries), len(tab.allocs))
 		}
 	}
 }
@@ -308,15 +308,17 @@ func tableCounts(sm *Simulator) (segs, samples, moms int) {
 	if sm.tab == nil {
 		return 0, 0, 0
 	}
-	for _, sg := range sm.tab.index {
-		if sg.samples != nil {
-			samples++
-		}
-		if sg.mom != nil {
-			moms++
+	for i := 0; i < sm.tab.segs.chunksUsed(); i++ {
+		for _, sg := range sm.tab.segs.usedOf(i) {
+			if sg.samples != nil {
+				samples++
+			}
+			if sg.mom != nil {
+				moms++
+			}
 		}
 	}
-	return len(sm.tab.index), samples, moms
+	return sm.tab.index.len(), samples, moms
 }
 
 // TestSegmentCacheReusesAcrossPlans: two plans sharing a stage tuple

@@ -133,7 +133,7 @@ func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Sim
 // for each stage of a plan.
 func (s *Simulator) segmentFor(key segKey) *segment {
 	s.mu.Lock()
-	sg := s.tableLocked().index[key]
+	sg, _ := s.tableLocked().index.get(key)
 	s.mu.Unlock()
 	if sg != nil {
 		return sg
@@ -250,7 +250,7 @@ func TestSumLatMatchesSumIters(t *testing.T) {
 // after AllocsPerRun's warm-up call); the segment record is the only
 // storage a miss takes, carved from the table's segment slab. Storing
 // the segments of a fresh table takes that slab's first chunk and the
-// index map's first bucket, and storing them again on the same table,
+// index's first slot array, and storing them again on the same table,
 // recycled, allocates nothing.
 func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 	exactAllocs(t)
@@ -273,7 +273,7 @@ func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 	sm.tab.shares = tab.shares // the share column is not under test
 	sm.tab.full = tab.full
 	if allocs, chunks := store(), sm.tab.segs.n; allocs > 2 || chunks != 1 {
-		t.Fatalf("storing %d segments on a fresh table allocates %d objects into %d slab chunks, want the first chunk and the index map's first bucket", len(keys), allocs, chunks)
+		t.Fatalf("storing %d segments on a fresh table allocates %d objects into %d slab chunks, want the first chunk and the index's first slot array", len(keys), allocs, chunks)
 	}
 	sm.tab = sm.detachTable()
 	if allocs := store(); allocs != 0 {

@@ -149,8 +149,8 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 			}
 			recycled := modeSim(t, 20, workers, 31, mode)
 			recycled.tab = donor.detachTable()
-			if len(recycled.tab.plans) != 0 {
-				t.Fatalf("a reset table indexes %d plan hashes, want 0", len(recycled.tab.plans))
+			if recycled.tab.plans.len() != 0 {
+				t.Fatalf("a reset table indexes %d plan hashes, want 0", recycled.tab.plans.len())
 			}
 			fresh := modeSim(t, 20, workers, 31, mode)
 			for round := 0; round < 2; round++ { // misses, then memo hits

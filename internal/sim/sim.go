@@ -46,10 +46,12 @@ type Estimate struct {
 //     state, call order, goroutine or worker count.
 //   - Storage borrowed from package-level pools that every Simulator
 //     shares, because one job's planning creates several short-lived
-//     Simulators. The table's storage (its key index, the slabs its
-//     segment records, sample vectors and moments are carved from, and
-//     the plan memo's columns; see table.go) is drawn on the first
-//     estimate and handed back by Release. Scratch is borrowed per call
+//     Simulators. The table's storage (its key index and plan memo
+//     index, epoch-stamped open-addressing tables that reset in O(1);
+//     the slabs its segment records, sample vectors and moments are
+//     carved from; and the plan memo's columns; see table.go and
+//     index.go) is drawn on the first estimate and handed back by
+//     Release. Scratch is borrowed per call
 //     (see scratch.go): estPool (segment-mode Estimate's compiled plan,
 //     sample rows, and the per-draw JCT, cost and billing-cohort columns
 //     summarize reduces), fillPool (a sample fill's per-worker RNG and

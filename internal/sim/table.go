@@ -28,12 +28,14 @@ const (
 // segTable is the storage behind one Simulator's segment table: the key
 // index, the segment records and the sample vectors and moments they
 // point to, the profile's iteration distribution per per-trial share,
-// and the plan memo. Records, vectors and moments are carved from
-// slabs, and the memo's columns keep their capacity, so a recycled
-// table fills without allocating. Every field is guarded by the owning
-// Simulator's mu.
+// and the plan memo. Both indexes are epoch-stamped open-addressing
+// tables (see index), and records, vectors and moments are carved from
+// slabs; all of them, and the memo's columns, keep their capacity, so a
+// recycled table fills without allocating and resets in time
+// independent of the largest table it ever held. Every field is guarded
+// by the owning Simulator's mu.
 type segTable struct {
-	index   map[segKey]*segment
+	index   index[segKey, *segment]
 	segs    slab[segment]
 	samples slab[segSample]
 	moms    slab[segMoment]
@@ -43,7 +45,7 @@ type segTable struct {
 	// costs a comparison of allocations rather than a wrong answer.
 	// Entries are numbered in insertion order, and each keeps its
 	// canonical allocations in the allocs column.
-	plans   map[uint64]int32
+	plans   index[planKey, int32]
 	entries []planEntry
 	allocs  []int32
 	// shares[per-1] is the profile's iteration latency at per GPUs per
@@ -56,15 +58,19 @@ type segTable struct {
 }
 
 // newSegTable returns an empty table without storage.
-func newSegTable() *segTable {
-	return &segTable{index: make(map[segKey]*segment), plans: make(map[uint64]int32)}
-}
+func newSegTable() *segTable { return new(segTable) }
+
+// planKey is a plan memo key: the hash of a plan's canonical
+// allocations.
+type planKey uint64
+
+// hash is the key itself, already a hash.
+func (k planKey) hash() uint64 { return uint64(k) }
 
 // planEntry is one memoized whole-plan estimate: its canonical
 // allocations are allocs[off:off+n] of the table, and prev numbers the
 // previous entry with the same hash (-1: none).
 type planEntry struct {
-	hash   uint64
 	off, n int32
 	prev   int32
 	est    Estimate
@@ -83,13 +89,20 @@ func planHash(allocs []int32) uint64 {
 // plan returns the memoized estimate of the plan with canonical
 // allocations allocs, whose hash is h.
 func (t *segTable) plan(h uint64, allocs []int32) (Estimate, bool) {
-	i, ok := t.plans[h]
-	for ok && i >= 0 {
-		e := &t.entries[i]
-		if slices.Equal(t.allocs[e.off:e.off+e.n], allocs) {
+	head, ok := t.plans.get(planKey(h))
+	if !ok {
+		return Estimate{}, false
+	}
+	return t.chain(head, allocs)
+}
+
+// chain walks the memo entries with one hash, newest first from entry i,
+// for the one whose canonical allocations are allocs.
+func (t *segTable) chain(i int32, allocs []int32) (Estimate, bool) {
+	for ; i >= 0; i = t.entries[i].prev {
+		if e := &t.entries[i]; slices.Equal(t.allocs[e.off:e.off+e.n], allocs) {
 			return e.est, true
 		}
-		i = e.prev
 	}
 	return Estimate{}, false
 }
@@ -98,16 +111,17 @@ func (t *segTable) plan(h uint64, allocs []int32) (Estimate, bool) {
 // whose hash is h, unless an estimate is already stored: the first
 // write wins.
 func (t *segTable) storePlan(h uint64, allocs []int32, est Estimate) {
-	if _, ok := t.plan(h, allocs); ok {
-		return
+	head, found := t.plans.put(planKey(h))
+	prev := int32(-1)
+	if found {
+		if _, ok := t.chain(*head, allocs); ok {
+			return
+		}
+		prev = *head
 	}
-	prev, ok := t.plans[h]
-	if !ok {
-		prev = -1
-	}
-	t.entries = append(t.entries, planEntry{hash: h, off: int32(len(t.allocs)), n: int32(len(allocs)), prev: prev, est: est})
+	t.entries = append(t.entries, planEntry{off: int32(len(t.allocs)), n: int32(len(allocs)), prev: prev, est: est})
 	t.allocs = append(t.allocs, allocs...)
-	t.plans[h] = int32(len(t.entries) - 1)
+	*head = int32(len(t.entries) - 1)
 }
 
 // iterShare is one per-trial share's iteration distribution and its
@@ -117,25 +131,18 @@ type iterShare struct {
 	mean float64
 }
 
-// reset empties the table for its next Simulator. It touches only what
-// the table used: it deletes the index keys the segment slab recorded
-// and the plan hashes the memo entries recorded rather than clearing
-// the maps, whose cost would follow the largest table a map ever held,
-// and clears the records and shares it filled so the pool keeps no
-// profile or latency alive. Sample vectors, moments and memo entries
-// hold no pointers and are overwritten before they are read, so their
-// storage only rewinds.
+// reset empties the table for its next Simulator. Both indexes empty in
+// O(1) (see index.reset), and the records and shares the table filled
+// are cleared so the pool keeps no profile or latency alive; the stale
+// index slots still point into the segment slab, which the table owns
+// anyway. Sample vectors, moments and memo entries hold no pointers and
+// are overwritten before they are read, so their storage only rewinds.
 func (t *segTable) reset() {
-	for i := range t.entries {
-		delete(t.plans, t.entries[i].hash)
-	}
+	t.index.reset()
+	t.plans.reset()
 	t.entries, t.allocs = t.entries[:0], t.allocs[:0]
 	for i := 0; i < t.segs.chunksUsed(); i++ {
-		recs := t.segs.usedOf(i)
-		for j := range recs {
-			delete(t.index, recs[j].key)
-		}
-		clear(recs)
+		clear(t.segs.usedOf(i))
 	}
 	t.segs.rewind()
 	t.samples.rewind()

@@ -233,25 +233,60 @@ func (t *Trial) Checkpoint() (Checkpoint, error) {
 
 // Store is the driver-side checkpoint store, standing in for Ray's
 // shared-memory object store: checkpoints are persisted by reference and
-// fetched by newly placed workers during migration.
+// fetched by newly placed workers during migration. Trial IDs are dense,
+// so the store is a column indexed by ID (negative IDs interleaved with
+// the others, see slot) rather than a map.
 type Store struct {
-	ckpts map[ID]Checkpoint
+	ckpts []storeSlot
+	n     int
+}
+
+// storeSlot is one trial's entry: its checkpoint, if has.
+type storeSlot struct {
+	ck  Checkpoint
+	has bool
 }
 
 // NewStore returns an empty checkpoint store.
-func NewStore() *Store { return &Store{ckpts: make(map[ID]Checkpoint)} }
+func NewStore() *Store { return &Store{} }
+
+// slot returns the column index of trial id: 2·id for id ≥ 0 and
+// -2·id-1 for the rest, so every ID has a slot and small IDs of either
+// sign stay near the front.
+func slot(id ID) int {
+	if id >= 0 {
+		return 2 * int(id)
+	}
+	return -2*int(id) - 1
+}
 
 // Put persists a checkpoint, replacing any previous one for the trial.
-func (s *Store) Put(c Checkpoint) { s.ckpts[c.Trial] = c }
+func (s *Store) Put(c Checkpoint) {
+	i := slot(c.Trial)
+	if i >= len(s.ckpts) {
+		s.ckpts = append(s.ckpts, make([]storeSlot, i+1-len(s.ckpts))...)
+	}
+	if !s.ckpts[i].has {
+		s.n++
+	}
+	s.ckpts[i] = storeSlot{ck: c, has: true}
+}
 
 // Get fetches the latest checkpoint for a trial.
 func (s *Store) Get(id ID) (Checkpoint, bool) {
-	c, ok := s.ckpts[id]
-	return c, ok
+	if i := slot(id); i < len(s.ckpts) && s.ckpts[i].has {
+		return s.ckpts[i].ck, true
+	}
+	return Checkpoint{}, false
 }
 
 // Delete drops a trial's checkpoint (after termination).
-func (s *Store) Delete(id ID) { delete(s.ckpts, id) }
+func (s *Store) Delete(id ID) {
+	if i := slot(id); i < len(s.ckpts) && s.ckpts[i].has {
+		s.ckpts[i] = storeSlot{}
+		s.n--
+	}
+}
 
 // Len returns the number of stored checkpoints.
-func (s *Store) Len() int { return len(s.ckpts) }
+func (s *Store) Len() int { return s.n }

@@ -4,9 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/searchspace"
+	"repro/internal/stats"
 )
 
-func cfg() searchspace.Config { return searchspace.Config{"lr": 0.1} }
+func cfg() searchspace.Config {
+	return searchspace.MustNew(searchspace.Uniform{Key: "lr", Lo: 0.1, Hi: 0.1}).Sample(stats.NewRNG(1))
+}
 
 func TestLifecycleHappyPath(t *testing.T) {
 	tr := New(3, cfg())
