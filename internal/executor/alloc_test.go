@@ -50,3 +50,31 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 		t.Fatalf("%.3f allocations per steady-state iteration event, want < 0.05", per)
 	}
 }
+
+// BenchmarkWavedStage runs one stage of 32 trials through 8 GPU slots,
+// so trials train in four waves, each finishing trial handing its slot
+// to the next in the queue: the executor's per-iteration path (metering,
+// the accuracy observation, the trace) and a placement epoch per
+// hand-off. It reports the time per trial-iteration.
+func BenchmarkWavedStage(b *testing.B) {
+	s, err := spec.New(spec.Stage{Trials: 32, Iters: 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	iters := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := newHarness(b, cloud.PerFunction, 0, 0, 1)
+		cfg := runConfig(b, h, s, sim.Uniform(8, 1), quietModel(), uint64(i))
+		b.StartTimer()
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tr := range res.Trials {
+			iters += tr.CumIters()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
+}

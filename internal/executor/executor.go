@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
@@ -159,10 +158,13 @@ type run struct {
 	tr     *trace.Recorder
 	trials []*trial.Trial
 	// asym is each trial's accuracy asymptote: fixed by its config, so
-	// computed once at Start rather than per observed iteration.
-	asym  []float64
-	ctrl  *placement.Controller
-	store *trial.Store
+	// computed once at Start rather than per observed iteration. growth
+	// is the learning curve's progress by cumulative iteration count,
+	// 0..Spec.MaxIters(): every trial of a stage observes the same counts,
+	// so each exp is taken once per run. Both are carved from one block.
+	asym, growth []float64
+	ctrl         *placement.Controller
+	store        *trial.Store
 
 	stage int
 	need  int // node target of the current stage
@@ -173,6 +175,8 @@ type run struct {
 	remaining int
 	queue     []trial.ID
 	stageSet  []trial.ID // trials participating in the current stage
+	// ranked is syncBarrier's ranking buffer, reused at every barrier.
+	ranked []*trial.Trial
 	// soa is the dense per-trial scheduler state (allocations, iteration
 	// budgets, barrier marks, restart generations).
 	soa trialSoA
@@ -293,14 +297,21 @@ func Start(cfg Config) (*Job, error) {
 		cfg:      cfg,
 		tr:       tr,
 		ctrl:     placement.NewController(cfg.Cluster.GPUsPerNode()),
-		store:    trial.NewStore(),
+		store:    trial.NewStore(cfg.Spec.TotalTrials()),
 		execPlan: cfg.Plan.Clone(),
 	}
-	r.soa.init(cfg.Spec.TotalTrials())
-	r.gang = make([][]gangSlot, cfg.Spec.TotalTrials())
-	for i := 0; i < cfg.Spec.TotalTrials(); i++ {
-		r.trials = append(r.trials, trial.New(trial.ID(i), cfg.Configs[i]))
-		r.asym = append(r.asym, cfg.Model.Asymptote(cfg.Configs[i]))
+	n := cfg.Spec.TotalTrials()
+	r.soa.init(n)
+	r.gang = make([][]gangSlot, n)
+	r.trials = make([]*trial.Trial, n)
+	curve := make([]float64, n+cfg.Spec.MaxIters()+1)
+	r.asym, r.growth = curve[:n:n], curve[n:]
+	for i := range r.trials {
+		r.trials[i] = trial.New(trial.ID(i), cfg.Configs[i])
+		r.asym[i] = cfg.Model.Asymptote(cfg.Configs[i])
+	}
+	for k := range r.growth {
+		r.growth[k] = cfg.Model.Growth(k)
 	}
 	tr.Grow(expectedEvents(cfg.Spec))
 	r.dispID = cfg.Clock.RegisterDispatcher(r.dispatch)
@@ -549,13 +560,14 @@ func (r *run) place() error {
 // mid-iteration, or the freed-looking GPUs get double-booked (the same
 // preservation contract as placement.Controller.Update).
 func scatter(allocs []int32, nodes []*cluster.Node, prev placement.Plan) placement.Plan {
-	maxID := cluster.NodeID(-1)
-	for _, n := range nodes {
-		maxID = max(maxID, n.ID)
+	// free and took are indexed by position in nodes, so both are sized
+	// by the live node count however large the IDs grow under churn.
+	free := make([]int, len(nodes))
+	for i, n := range nodes {
+		free[i] = n.GPUs
 	}
-	free := make([]int, maxID+1)
-	for _, n := range nodes {
-		free[n.ID] = n.GPUs
+	at := func(id cluster.NodeID) int {
+		return slices.IndexFunc(nodes, func(n *cluster.Node) bool { return n.ID == id })
 	}
 
 	plan := make(placement.Plan, len(allocs))
@@ -566,27 +578,28 @@ func scatter(allocs []int32, nodes []*cluster.Node, prev placement.Plan) placeme
 		asg := prev[t]
 		ok := true
 		for _, s := range asg {
-			ok = ok && int(s.Node) < len(free) && free[s.Node] >= s.GPUs
+			i := at(s.Node)
+			ok = ok && i >= 0 && free[i] >= s.GPUs
 		}
 		if !ok {
 			continue // a gang node vanished (preemption); re-place below
 		}
 		for _, s := range asg {
-			free[s.Node] -= s.GPUs
+			free[at(s.Node)] -= s.GPUs
 		}
 		plan[t] = asg // assignments are never edited: share, don't clone
 	}
+	took := make([]int, len(nodes))
 	for t, want := range allocs {
 		if want < 0 || plan[t] != nil {
 			continue
 		}
-		took := make([]int, len(free))
+		clear(took)
 		for g := int32(0); g < want; g++ {
-			best := cluster.NodeID(-1)
-			bestFree := -1
-			for _, n := range nodes {
-				if free[n.ID] > bestFree {
-					best, bestFree = n.ID, free[n.ID]
+			best, bestFree := -1, -1
+			for i, f := range free {
+				if f > bestFree {
+					best, bestFree = i, f
 				}
 			}
 			if bestFree < 1 {
@@ -596,11 +609,12 @@ func scatter(allocs []int32, nodes []*cluster.Node, prev placement.Plan) placeme
 			took[best]++
 		}
 		var asg placement.Assignment
-		for nid, g := range took {
+		for i, g := range took {
 			if g > 0 {
-				asg = append(asg, placement.Slot{Node: cluster.NodeID(nid), GPUs: g})
+				asg = append(asg, placement.Slot{Node: nodes[i].ID, GPUs: g})
 			}
 		}
+		slices.SortFunc(asg, func(a, b placement.Slot) int { return cmp.Compare(a.Node, b.Node) })
 		plan[t] = asg
 	}
 	return plan
@@ -700,7 +714,7 @@ func (r *run) iterEnd(id trial.ID, dur float64) {
 	}
 	r.tr.AddBusy(float64(gpus) * dur)
 
-	acc := r.cfg.Model.ObserveOn(r.asym[id], t.CumIters()+1, r.cfg.RNG)
+	acc := r.cfg.Model.ObserveGrown(r.asym[id], r.growth[t.CumIters()+1], r.cfg.RNG)
 	now := r.cfg.Clock.Now()
 	if err := t.RecordIteration(acc, now); err != nil {
 		r.fail(err)
@@ -905,26 +919,21 @@ func (r *run) recoverPreempted() {
 // stage or finish.
 func (r *run) syncBarrier() {
 	now := r.cfg.Clock.Now()
-	st := r.cfg.Spec.Stage(r.stage)
 	r.rows[len(r.rows)-1].End = now
 	cum := r.cfg.Provider.TotalCost(now)
 	r.rows[len(r.rows)-1].Cost = cum - r.costAtLastBarrier
 	r.costAtLastBarrier = cum
 	r.tr.Record(now, trace.KindStageEnd, r.stage, -1, "")
 
-	// Rank this stage's participants by their latest observed accuracy.
-	ranked := make([]*trial.Trial, 0, st.Trials)
+	// Rank this stage's participants by their latest observed accuracy,
+	// descending, then by ID: accuracies are clamped to [0, 1] and IDs are
+	// distinct, so the order is total and any sort gives the same ranking.
+	ranked := slices.Grow(r.ranked[:0], len(r.stageSet))
 	for _, id := range r.stageSet {
 		ranked = append(ranked, r.trials[int(id)])
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		ai, _ := ranked[i].LatestAccuracy()
-		aj, _ := ranked[j].LatestAccuracy()
-		if ai != aj {
-			return ai > aj
-		}
-		return ranked[i].ID() < ranked[j].ID()
-	})
+	r.ranked = ranked
+	slices.SortFunc(ranked, byAccuracy)
 
 	// The Removes below edit r.plan in place; keep the stage's gangs for
 	// the next stage start's migration count.
@@ -971,6 +980,17 @@ func (r *run) syncBarrier() {
 		return
 	}
 	r.startStage(r.stage + 1)
+}
+
+// byAccuracy orders trials by latest accuracy descending, then by ID
+// ascending.
+func byAccuracy(a, b *trial.Trial) int {
+	aa, _ := a.LatestAccuracy()
+	ab, _ := b.LatestAccuracy()
+	if c := cmp.Compare(ab, aa); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID(), b.ID())
 }
 
 // finish releases the cluster and marks completion.

@@ -23,7 +23,7 @@ type harness struct {
 	cluster  *cluster.Manager
 }
 
-func newHarness(t *testing.T, billing cloud.BillingModel, queue, initLat float64, seed uint64) *harness {
+func newHarness(t testing.TB, billing cloud.BillingModel, queue, initLat float64, seed uint64) *harness {
 	t.Helper()
 	clock := vclock.New()
 	pricing := cloud.DefaultPricing()
@@ -57,7 +57,7 @@ func quietModel() *model.Model {
 	return m
 }
 
-func runConfig(t *testing.T, h *harness, s *spec.ExperimentSpec, plan sim.Plan, m *model.Model, seed uint64) Config {
+func runConfig(t testing.TB, h *harness, s *spec.ExperimentSpec, plan sim.Plan, m *model.Model, seed uint64) Config {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	space := searchspace.DefaultVisionSpace()

@@ -181,15 +181,20 @@ func (m *Model) Asymptote(cfg searchspace.Config) float64 {
 // AccuracyAt returns the noiseless validation accuracy after cumIters
 // training iterations for cfg.
 func (m *Model) AccuracyAt(cfg searchspace.Config, cumIters int) float64 {
-	return m.accuracyOn(m.Asymptote(cfg), cumIters)
+	return m.Asymptote(cfg) * m.Growth(cumIters)
 }
 
-// accuracyOn is AccuracyAt for a configuration whose asymptote is asym.
-func (m *Model) accuracyOn(asym float64, cumIters int) float64 {
+// Growth returns the learning curve's progress after cumIters training
+// iterations, 1 − exp(−cumIters/Tau): the share of its asymptote a
+// configuration has reached. It depends on nothing else, so a caller
+// observing many trials at the same iteration counts can tabulate it.
+//
+//rbvet:pure
+func (m *Model) Growth(cumIters int) float64 {
 	if cumIters < 0 {
 		panic("model: negative iterations")
 	}
-	return asym * (1 - math.Exp(-float64(cumIters)/m.Curve.Tau))
+	return 1 - math.Exp(-float64(cumIters)/m.Curve.Tau)
 }
 
 // ObserveAccuracy returns AccuracyAt plus observation noise drawn from r,
@@ -202,7 +207,15 @@ func (m *Model) ObserveAccuracy(cfg searchspace.Config, cumIters int, r *stats.R
 // asym. A configuration's asymptote never changes, so callers observing
 // one configuration every iteration compute it once and call this.
 func (m *Model) ObserveOn(asym float64, cumIters int, r *stats.RNG) float64 {
-	acc := m.accuracyOn(asym, cumIters) + m.Curve.NoiseStd*r.NormFloat64()
+	return m.ObserveGrown(asym, m.Growth(cumIters), r)
+}
+
+// ObserveGrown is ObserveOn with the learning curve's progress already
+// computed: asym·growth plus observation noise drawn from r, clamped to
+// [0, 1]. ObserveOn(asym, k, r) is ObserveGrown(asym, Growth(k), r), bit
+// for bit.
+func (m *Model) ObserveGrown(asym, growth float64, r *stats.RNG) float64 {
+	acc := asym*growth + m.Curve.NoiseStd*r.NormFloat64()
 	if acc < 0 {
 		return 0
 	}

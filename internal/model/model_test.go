@@ -240,3 +240,42 @@ func TestQuickAccuracyBounds(t *testing.T) {
 func lrConfig(lr float64) searchspace.Config {
 	return searchspace.MustNew(searchspace.Uniform{Key: "lr", Lo: lr, Hi: lr}).Sample(stats.NewRNG(1))
 }
+
+// refObserveOn is ObserveOn as it was before the growth factor was
+// exposed: the curve and the noise in one expression. It is the oracle
+// TestObserveOnMatchesReference holds the growth-factor path to.
+func refObserveOn(m *Model, asym float64, cumIters int, r *stats.RNG) float64 {
+	acc := asym*(1-math.Exp(-float64(cumIters)/m.Curve.Tau)) + m.Curve.NoiseStd*r.NormFloat64()
+	if acc < 0 {
+		return 0
+	}
+	if acc > 1 {
+		return 1
+	}
+	return acc
+}
+
+// TestObserveOnMatchesReference: on every zoo model, ObserveOn and
+// ObserveGrown over Growth give the reference's accuracy bit for bit and
+// consume the same draws, and AccuracyAt is Asymptote times Growth.
+func TestObserveOnMatchesReference(t *testing.T) {
+	cfg := searchspace.DefaultVisionSpace().Sample(stats.NewRNG(3))
+	for _, m := range Zoo() {
+		got, grown, want := stats.NewRNG(5), stats.NewRNG(5), stats.NewRNG(5)
+		for k := 0; k <= 400; k++ {
+			for _, asym := range []float64{0, 0.42, 0.97, 1.3} {
+				w := refObserveOn(m, asym, k, want)
+				g := m.ObserveOn(asym, k, got)
+				gg := m.ObserveGrown(asym, m.Growth(k), grown)
+				if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(gg) != math.Float64bits(w) ||
+					*got != *want || *grown != *want {
+					t.Fatalf("%s k=%d asym=%v: ObserveOn %v, ObserveGrown %v, reference %v", m.Name, k, asym, g, gg, w)
+				}
+			}
+			a := m.Asymptote(cfg)
+			if got, want := m.AccuracyAt(cfg, k), a*(1-math.Exp(-float64(k)/m.Curve.Tau)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s k=%d: AccuracyAt %v, reference %v", m.Name, k, got, want)
+			}
+		}
+	}
+}

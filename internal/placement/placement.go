@@ -77,14 +77,29 @@ type Controller struct {
 	// builds into, swapped with current on success.
 	current, spare Plan
 	locked         []bool
-	// Update's scratch: the live nodes' IDs in ascending order and their
-	// free GPUs by position in it (see pos), the placement queue, and the
-	// trials placed this epoch. Both node columns are sized by the live
-	// node count, however large the IDs grow under churn.
-	ids       []cluster.NodeID
-	free      []int
+	// cols are the nodes of the latest successful Update, with their free
+	// GPUs kept in step with current: Remove returns a trial's slots, so
+	// the next Update only applies what changed (see nodes). next is the
+	// buffer an Update builds the new columns in, swapped with cols on
+	// success, so a failed Update leaves them untouched.
+	cols, next nodeCols
+	// Update's scratch: the placement queue and the trials placed this
+	// epoch.
 	queue     []TrialID
 	placedNow []bool
+}
+
+// nodeCols are the live nodes' columns in one slab of three equal parts:
+// their IDs in ascending order, then each node's capacity, then its free
+// GPUs, by position among the IDs (see pos). One slab keeps a column set
+// to one allocation and one slice header. It is sized by the live node
+// count, however large the IDs grow under churn.
+type nodeCols []int
+
+// split returns the ID, capacity and free-GPU columns.
+func (n nodeCols) split() (ids, caps, free []int) {
+	k := len(n) / 3
+	return n[:k], n[k : 2*k], n[2*k:]
 }
 
 // NewController returns a controller for nodes with nodeGPUs accelerators
@@ -120,6 +135,7 @@ func (c *Controller) isLocked(t TrialID) bool {
 // resources for the next Update. It edits the current plan in place.
 func (c *Controller) Remove(t TrialID) {
 	if int(t) < len(c.current) {
+		c.cols.release(c.current[t])
 		c.current[t] = nil
 	}
 	c.Unlock(t)
@@ -137,6 +153,11 @@ func (c *Controller) Remove(t TrialID) {
 // fault, is returned if an allocation is zero, demand exceeds capacity
 // or a locked trial's allocation changed. Node IDs are distinct, in any
 // order.
+//
+// Free capacity is carried over from the previous epoch rather than
+// rebuilt: the nodes' columns start from the current plan's, a gang that
+// is not preserved returns its slots, and only a changed node set costs
+// a merge (see nodes).
 func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error) {
 	demand, live := 0, 0
 	for t, g := range allocs {
@@ -149,29 +170,19 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 		}
 	}
 	capacity := 0
-	c.ids = resize(c.ids, len(nodes))
-	for i, n := range nodes {
+	for _, n := range nodes {
 		capacity += n.GPUs
-		c.ids[i] = n.ID
 	}
 	if demand > capacity {
 		return nil, fmt.Errorf("placement: demand %d GPUs exceeds capacity %d", demand, capacity)
 	}
-
-	// Until the preserved gangs are charged below, free holds full
-	// capacities.
-	if !slices.IsSorted(c.ids) {
-		slices.Sort(c.ids)
-	}
-	c.free = resize(c.free, len(nodes))
-	free := c.free
-	for _, n := range nodes {
-		free[c.pos(n.ID)] = n.GPUs
-	}
+	same := c.nodes(nodes)
 
 	// Start from assignments that can be preserved: trials present in the
 	// current plan with an unchanged allocation and whose nodes all still
-	// exist (remove_discrepancies).
+	// exist (remove_discrepancies). Every other gang returns its slots.
+	// The current plan's slots all lie on c.cols's nodes, so on an
+	// unchanged node set every gang is on live nodes.
 	c.spare = resize(c.spare, len(allocs))
 	plan := c.spare
 	kept := 0
@@ -186,13 +197,14 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 		held, onLive := 0, true
 		for _, s := range a {
 			held += s.GPUs
-			onLive = onLive && c.pos(s.Node) >= 0
+			onLive = onLive && (same || c.next.pos(s.Node) >= 0)
 		}
 		switch {
 		case held == want && onLive:
 			plan[t] = a
 			kept++
 		case !c.isLocked(t):
+			c.next.release(a)
 		case want < 0:
 			return nil, fmt.Errorf("placement: locked trial %d removed from allocation", t)
 		default:
@@ -202,18 +214,16 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 
 	// Fast path: everything preserved.
 	if kept == live {
-		c.current, c.spare = plan, c.current
+		c.commit(plan)
 		return plan, nil
 	}
 
-	// Charge the preserved assignments against free capacity.
-	for _, a := range plan {
-		for _, s := range a {
-			i := c.pos(s.Node)
-			free[i] -= s.GPUs
-			if free[i] < 0 {
-				return nil, fmt.Errorf("placement: preserved plan oversubscribes node %d", s.Node)
-			}
+	// Free capacity now excludes exactly the preserved slots. It can be
+	// negative only where a node's capacity shrank under them.
+	ids, _, free := c.next.split()
+	for j, f := range free {
+		if f < 0 {
+			return nil, fmt.Errorf("placement: preserved plan oversubscribes node %d", ids[j])
 		}
 	}
 
@@ -242,17 +252,90 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 			sortTrials(c.queue[head+1:], allocs)
 		}
 	}
-	c.current, c.spare = plan, c.current
+	c.commit(plan)
 	return plan, nil
 }
 
-// pos returns the position of node id in the live node columns, or -1
-// when id is not a live node.
-func (c *Controller) pos(id cluster.NodeID) int {
-	if i, ok := slices.BinarySearch(c.ids, id); ok {
+// commit makes plan the current plan and the columns built for it the
+// current columns.
+func (c *Controller) commit(plan Plan) {
+	c.current, c.spare = plan, c.current
+	c.cols, c.next = c.next, c.cols
+}
+
+// nodes fills c.next with the columns of nodes and the free capacity the
+// current plan leaves on them, and reports whether the node set is the
+// one c.cols holds: the same IDs and capacities, in ascending order. Then
+// the columns are copied; otherwise carry merges them with c.cols. Gangs
+// on removed nodes are for Update to drop.
+func (c *Controller) nodes(nodes []*cluster.Node) bool {
+	ids, caps, _ := c.cols.split()
+	same := len(nodes) == len(ids)
+	for i := 0; same && i < len(nodes); i++ {
+		same = int(nodes[i].ID) == ids[i] && nodes[i].GPUs == caps[i]
+	}
+	if same {
+		c.next = append(c.next[:0], c.cols...)
+		return true
+	}
+	c.next = resize(c.next, 3*len(nodes))
+	c.next.carry(nodes, c.cols)
+	return false
+}
+
+// carry fills the columns, already sized for nodes, with the nodes' IDs
+// in ascending order and their capacities, and carries free capacity over
+// from prev: a node among prev keeps the GPUs prev's plan uses on it, an
+// added node starts empty.
+//
+//rbvet:noalloc
+func (n nodeCols) carry(nodes []*cluster.Node, prev nodeCols) {
+	ids, caps, free := n.split()
+	for i, node := range nodes {
+		ids[i] = int(node.ID)
+	}
+	if !slices.IsSorted(ids) {
+		slices.Sort(ids)
+	}
+	for _, node := range nodes {
+		caps[n.pos(node.ID)] = node.GPUs
+	}
+	prevIDs, prevCaps, prevFree := prev.split()
+	i := 0
+	for j, id := range ids {
+		for i < len(prevIDs) && prevIDs[i] < id {
+			i++
+		}
+		free[j] = caps[j]
+		if i < len(prevIDs) && prevIDs[i] == id {
+			free[j] -= prevCaps[i] - prevFree[i]
+		}
+	}
+}
+
+// pos returns the position of node id in the columns, or -1 when id is
+// not among them.
+//
+//rbvet:noalloc
+func (n nodeCols) pos(id cluster.NodeID) int {
+	ids, _, _ := n.split()
+	if i, ok := slices.BinarySearch(ids, int(id)); ok {
 		return i
 	}
 	return -1
+}
+
+// release returns a gang's slots to free capacity, skipping slots on
+// nodes no longer among the columns.
+//
+//rbvet:noalloc
+func (n nodeCols) release(a Assignment) {
+	_, _, free := n.split()
+	for _, s := range a {
+		if i := n.pos(s.Node); i >= 0 {
+			free[i] += s.GPUs
+		}
+	}
 }
 
 // resize returns buf with length n and every element zero, reusing its
@@ -266,18 +349,19 @@ func resize[S ~[]E, E any](buf S, n int) S {
 	return buf
 }
 
-// place assigns want GPUs to trial t, mutating plan and c.free. It may
+// place assigns want GPUs to trial t, mutating plan and c.next's free GPUs. It may
 // displace smaller trials — excluding locked trials and trials already
 // placed this epoch — which are removed from plan (their capacity returned
-// to c.free) and appended to c.queue for their own placement attempt.
+// to c.next) and appended to c.queue for their own placement attempt.
 // Nodes hold nodeGPUs GPUs, so each unit lands on a node of its own.
 func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
+	ids, _, free := c.next.split()
 	asg := make(Assignment, 0, (want+c.nodeGPUs-1)/c.nodeGPUs)
 	for remaining := want; remaining > 0; {
 		// The unit is a full node for whole-node chunks, or the entire
 		// remainder (which must then be co-located on a single node).
 		unit := min(remaining, c.nodeGPUs)
-		at, ok := bestFit(c.free, unit)
+		at, ok := bestFit(free, unit)
 		if !ok {
 			// Displace: free the smallest displaceable trial whose
 			// removal opens a node with enough room.
@@ -285,15 +369,13 @@ func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
 			if !vok {
 				return nil, fmt.Errorf("placement: cannot fit %d GPUs for trial %d", unit, t)
 			}
-			for _, s := range plan[victim] {
-				c.free[c.pos(s.Node)] += s.GPUs
-			}
+			c.next.release(plan[victim])
 			plan[victim] = nil
 			c.queue = append(c.queue, victim)
 			continue
 		}
-		c.free[at] -= unit
-		asg = append(asg, Slot{Node: c.ids[at], GPUs: unit})
+		free[at] -= unit
+		asg = append(asg, Slot{Node: cluster.NodeID(ids[at]), GPUs: unit})
 		remaining -= unit
 	}
 	slices.SortFunc(asg, func(a, b Slot) int { return cmp.Compare(a.Node, b.Node) })
@@ -322,6 +404,7 @@ func bestFit(free []int, unit int) (int, bool) {
 //
 //rbvet:noalloc
 func (c *Controller) pickVictim(plan Plan, unit int, t TrialID) (TrialID, bool) {
+	_, _, free := c.next.split()
 	victim := TrialID(-1)
 	victimGPUs := int(^uint(0) >> 1)
 	for i, asg := range plan {
@@ -337,7 +420,7 @@ func (c *Controller) pickVictim(plan Plan, unit int, t TrialID) (TrialID, bool) 
 		}
 		// Would removing cand open enough room somewhere?
 		for _, s := range asg {
-			if c.free[c.pos(s.Node)]+s.GPUs >= unit {
+			if free[c.next.pos(s.Node)]+s.GPUs >= unit {
 				victim, victimGPUs = cand, g
 				break
 			}

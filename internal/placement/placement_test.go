@@ -808,6 +808,38 @@ func (c *refController) pickVictim(plan mapPlan, free map[cluster.NodeID]int, un
 	return victim, victim >= 0
 }
 
+// rebuiltFree is the per-epoch rebuild Update made before free capacity
+// was carried across epochs: every node of cols at full capacity, less
+// each slot of plan, found by binary search. It is the oracle
+// checkFreeColumn holds the carried column to.
+func rebuiltFree(plan Plan, cols nodeCols) ([]int, error) {
+	ids, caps, _ := cols.split()
+	free := slices.Clone(caps)
+	for t, a := range plan {
+		for _, s := range a {
+			i := cols.pos(s.Node)
+			if i < 0 {
+				return nil, fmt.Errorf("trial %d holds a slot on node %d, not among the columns %v", t, s.Node, ids)
+			}
+			free[i] -= s.GPUs
+		}
+	}
+	return free, nil
+}
+
+// checkFreeColumn requires the controller's carried free capacity to be
+// the rebuild from its current plan.
+func checkFreeColumn(t *testing.T, c *Controller, op int) {
+	t.Helper()
+	want, err := rebuiltFree(c.current, c.cols)
+	if err != nil {
+		t.Fatalf("op %d: %v", op, err)
+	}
+	if ids, _, free := c.cols.split(); !slices.Equal(free, want) {
+		t.Fatalf("op %d: carried free capacity %v on nodes %v, rebuilt %v", op, free, ids, want)
+	}
+}
+
 // intner is the op-stream source shared by the seeded test (a stats.RNG)
 // and the fuzz target (the fuzzer's bytes).
 type intner interface{ Intn(n int) int }
@@ -831,8 +863,10 @@ func (b *byteOps) Intn(n int) int {
 // replacement, scale-up) — and requires identical plans, and identical
 // success or failure, at every Update. It also holds the plan lifetime
 // contract: the last plan Update returned stays intact until the next
-// Update or Remove, including across a failed Update. It returns the
-// Update and failure counts.
+// Update or Remove, including across a failed Update, and requires the
+// free capacity the controller carries across epochs to equal the
+// per-epoch rebuild after every op. It returns the Update and failure
+// counts.
 func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures int) {
 	t.Helper()
 	gpn := []int{1, 2, 4, 8}[r.Intn(4)]
@@ -921,6 +955,7 @@ func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures i
 				nextNode++
 			}
 		}
+		checkFreeColumn(t, c, op)
 	}
 	checkLast(ops, "the end")
 	return updates, failures
@@ -1115,8 +1150,10 @@ func TestUpdateScratchFollowsLiveNodes(t *testing.T) {
 			}
 		}
 	}
-	if cap(cs.free) > len(sparse) || cap(cs.ids) > len(sparse) {
-		t.Fatalf("scratch sized %d free / %d ids for %d live nodes", cap(cs.free), cap(cs.ids), len(sparse))
+	for _, cols := range []nodeCols{cs.cols, cs.next} {
+		if cap(cols) > 3*len(sparse) {
+			t.Fatalf("node columns sized %d for %d live nodes (3 columns each)", cap(cols), len(sparse))
+		}
 	}
 	drain := cs.DrainOrder(sparse)
 	wantDrain := cd.DrainOrder(dense)
@@ -1124,5 +1161,51 @@ func TestUpdateScratchFollowsLiveNodes(t *testing.T) {
 		if drain[i] != order[id] {
 			t.Fatalf("drain order %v, dense %v", drain, wantDrain)
 		}
+	}
+}
+
+// TestUpdateMatchesReferenceOnResizedNodes: a node that keeps its ID but
+// changes its GPU count (at most nodeGPUs, the controller's contract)
+// keeps the gangs it can still hold, and a
+// preserved plan that no longer fits fails the Update, exactly as the
+// map-based reference decides, on node lists in any order. The carried
+// free capacity stays the rebuild throughout.
+func TestUpdateMatchesReferenceOnResizedNodes(t *testing.T) {
+	r := stats.NewRNG(17)
+	updates, failures := 0, 0
+	for run := 0; run < 50; run++ {
+		c, ref := NewController(4), newRefController(4)
+		allocs := map[TrialID]int{}
+		for op := 0; op < 60; op++ {
+			allocs[TrialID(r.Intn(10))] = 1 + r.Intn(6)
+			if r.Intn(3) == 0 {
+				id := TrialID(r.Intn(10))
+				delete(allocs, id)
+				c.Remove(id)
+				ref.Remove(id)
+			}
+			nodes := make([]*cluster.Node, 5)
+			for i := range nodes {
+				nodes[i] = &cluster.Node{ID: cluster.NodeID(3 * i), GPUs: 1 + r.Intn(4)}
+			}
+			if r.Intn(2) == 0 {
+				r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+			}
+			got, err := update(c, allocs, nodes)
+			want, werr := ref.Update(maps.Clone(allocs), nodes)
+			updates++
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("run %d op %d: error %v, reference %v", run, op, err, werr)
+			}
+			if err != nil {
+				failures++
+			} else if !matchesRef(got, want) {
+				t.Fatalf("run %d op %d: plan %v, reference %v", run, op, got, want)
+			}
+			checkFreeColumn(t, c, op)
+		}
+	}
+	if failures == 0 || failures == updates {
+		t.Fatalf("%d of %d Updates failed: the stream must exercise both outcomes", failures, updates)
 	}
 }

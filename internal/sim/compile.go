@@ -93,18 +93,21 @@ type segSample struct {
 // segSample. It samples the stage's nodes in DAG order — SCALE, the
 // INITs, then the TRAINs — and, exactly as a node-by-node pass over the
 // sub-DAG would, starts each node at the largest of zero and its
-// dependencies' finishes and takes the span as the largest finish. fin
-// is scratch for each slot's latest TRAIN finish, reused when it holds
-// opening slots and returned for the next draw.
+// dependencies' finishes and takes the span as the largest finish. The
+// INITs and the TRAINs are each drawn into lat in one batch (one opcode
+// dispatch, the same stream consumption as a draw per node); each TRAIN's
+// latency is then overwritten by its finish, so TRAIN tr starts at the
+// finish of TRAIN tr−opening, the previous one in its slot. lat is
+// scratch, reused when it holds max(grow, trials) and returned for the
+// next draw.
 //
 //rbvet:pure
 //rbvet:noalloc
-func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
-	if cap(fin) < int(sg.opening) {
-		//rbvet:ignore noalloc — cold path: grows once per worker slot to the widest stage; steady-state draws reuse fin
-		fin = make([]float64, sg.opening)
+func (sg *segment) eval(r *stats.RNG, lat []float64) (segSample, []float64) {
+	if n := int(max(sg.grow, sg.trials)); cap(lat) < n {
+		//rbvet:ignore noalloc — cold path: grows once per worker slot to the widest stage; steady-state draws reuse lat
+		lat = make([]float64, n)
 	}
-	fin = fin[:sg.opening]
 	var out segSample
 	var span, open float64 // largest finish so far; the opening TRAINs' start
 	if sg.grow > 0 {
@@ -114,9 +117,10 @@ func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
 			start = out.scaleFin
 		}
 		span = start
-		for k := int32(0); k < sg.grow; k++ {
-			f := start + sg.prov.init.Sample(r)
-			if f > open {
+		inits := lat[:sg.grow]
+		sg.prov.init.SampleInto(r, inits)
+		for _, d := range inits {
+			if f := start + d; f > open {
 				open = f
 			}
 		}
@@ -124,29 +128,27 @@ func (sg *segment) eval(r *stats.RNG, fin []float64) (segSample, []float64) {
 			span = open
 		}
 	}
-	var slot int32
-	for tr := int32(0); tr < sg.trials; tr++ {
+	fin := lat[:sg.trials]
+	sg.train.SampleInto(r, fin)
+	for tr := range fin {
 		start := open
-		if tr >= sg.opening {
+		if prev := tr - int(sg.opening); prev >= 0 {
 			start = 0
-			if f := fin[slot]; f > 0 {
+			if f := fin[prev]; f > 0 {
 				start = f
 			}
 		}
-		f := start + sg.train.Sample(r)
-		fin[slot] = f
+		f := start + fin[tr]
+		fin[tr] = f
 		out.trainSec += f - start
 		if f > span {
 			span = f
-		}
-		if slot++; slot == sg.opening {
-			slot = 0
 		}
 	}
 	// The SYNC barrier finishes at the latest TRAIN finish, already in
 	// span.
 	out.dur = span
-	return out, fin
+	return out, lat
 }
 
 // compiledPlan is a plan resolved to its per-stage segments plus the
@@ -286,7 +288,7 @@ func (s *Simulator) segStream(key segKey) (r stats.RNG) {
 // stream of the tuple's family and slots are index-addressed, so the
 // vector is bit-identical at any worker count. A miss carves the vector
 // from the table's sample slab under the lock and fills it outside;
-// streams and slot-finish buffers come from fillPool.
+// streams and latency buffers come from fillPool.
 func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	s.mu.Lock()
 	v := sg.samples

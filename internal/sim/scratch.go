@@ -17,7 +17,7 @@ var (
 	// estPool holds segment-mode Estimate's compiled plan, sample rows
 	// and pricing columns.
 	estPool = sync.Pool{New: func() any { return new(estScratch) }}
-	// fillPool holds a sample fill's per-worker RNG and slot-finish
+	// fillPool holds a sample fill's per-worker RNG and latency
 	// buffers.
 	fillPool = sync.Pool{New: func() any { return new(fillScratch) }}
 	// evalPool holds analytic-mode Estimate's evaluators, rebound to the
@@ -41,11 +41,11 @@ func (es *estScratch) release() {
 	estPool.Put(es)
 }
 
-// fillSlot is one sampling worker's private stream and slot-finish
-// buffer.
+// fillSlot is one sampling worker's private stream and the buffer
+// segment.eval draws a segment's INIT and TRAIN latencies into.
 type fillSlot struct {
 	rng stats.RNG
-	fin []float64
+	lat []float64
 }
 
 // fillScratch holds one sample fill: the segment tuple's root stream and
@@ -59,7 +59,7 @@ type fillScratch struct {
 func (fs *fillScratch) draw(sg *segment, v []segSample, w, k int) {
 	sl := &fs.slots[w]
 	fs.base.StreamInto(uint64(k), &sl.rng)
-	v[k], sl.fin = sg.eval(&sl.rng, sl.fin)
+	v[k], sl.lat = sg.eval(&sl.rng, sl.lat)
 }
 
 // resize returns s with length n, reusing its capacity when it suffices.

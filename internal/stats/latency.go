@@ -80,44 +80,72 @@ func SumLat(d Dist, n int) Lat {
 	return Lat{op: opRepeat, n: int32(n), d: d}
 }
 
-// Sample draws one latency.
+// Sample draws one latency: the one-draw case of SampleInto.
 //
 //rbvet:pure
 //rbvet:noalloc
 func (l *Lat) Sample(r *RNG) float64 {
+	var v [1]float64
+	l.SampleInto(r, v[:])
+	return v[0]
+}
+
+// SampleInto fills dst with consecutive draws under one opcode dispatch,
+// consuming r exactly as len(dst) calls of Sample would, in order.
+//
+//rbvet:pure
+//rbvet:noalloc
+func (l *Lat) SampleInto(r *RNG, dst []float64) {
 	switch l.op {
 	case opDet:
-		return l.p0
+		for i := range dst {
+			dst[i] = l.p0
+		}
 	case opNormal:
-		v := l.p0 + l.p1*r.NormFloat64()
-		if v < 0 {
-			return 0
+		for i := range dst {
+			v := l.p0 + l.p1*r.NormFloat64()
+			if v < 0 {
+				v = 0
+			}
+			dst[i] = v
 		}
-		return v
 	case opLogNormal:
-		return math.Exp(l.p0 + l.p1*r.NormFloat64())
+		for i := range dst {
+			dst[i] = math.Exp(l.p0 + l.p1*r.NormFloat64())
+		}
 	case opUniform:
-		return l.p0 + (l.p1-l.p0)*r.Float64()
+		for i := range dst {
+			dst[i] = l.p0 + (l.p1-l.p0)*r.Float64()
+		}
 	case opExp:
-		u := r.Float64()
-		if u >= 1 {
-			u = math.Nextafter(1, 0)
+		for i := range dst {
+			u := r.Float64()
+			if u >= 1 {
+				u = math.Nextafter(1, 0)
+			}
+			dst[i] = -l.p0 * math.Log(1-u)
 		}
-		return -l.p0 * math.Log(1-u)
 	case opPareto:
-		u := r.Float64()
-		if u == 0 {
-			u = math.Nextafter(0, 1)
+		for i := range dst {
+			u := r.Float64()
+			if u == 0 {
+				u = math.Nextafter(0, 1)
+			}
+			dst[i] = l.p0 / math.Pow(u, 1/l.p1)
 		}
-		return l.p0 / math.Pow(u, 1/l.p1)
 	case opRepeat:
-		var sum float64
-		for j := int32(0); j < l.n; j++ {
-			sum += l.d.Sample(r)
+		for i := range dst {
+			var sum float64
+			for j := int32(0); j < l.n; j++ {
+				sum += l.d.Sample(r)
+			}
+			dst[i] = sum
 		}
-		return sum
+	default:
+		for i := range dst {
+			dst[i] = l.d.Sample(r)
+		}
 	}
-	return l.d.Sample(r)
 }
 
 // Moment returns the latency's (mean, variance) and whether finite

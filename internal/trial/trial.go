@@ -234,11 +234,11 @@ func (t *Trial) Checkpoint() (Checkpoint, error) {
 // Store is the driver-side checkpoint store, standing in for Ray's
 // shared-memory object store: checkpoints are persisted by reference and
 // fetched by newly placed workers during migration. Trial IDs are dense,
-// so the store is a column indexed by ID (negative IDs interleaved with
-// the others, see slot) rather than a map.
+// so the store is a column indexed by ID (negative IDs in a column of
+// their own, see column) rather than a map.
 type Store struct {
-	ckpts []storeSlot
-	n     int
+	ckpts, neg []storeSlot
+	n          int
 }
 
 // storeSlot is one trial's entry: its checkpoint, if has.
@@ -247,43 +247,44 @@ type storeSlot struct {
 	has bool
 }
 
-// NewStore returns an empty checkpoint store.
-func NewStore() *Store { return &Store{} }
+// NewStore returns an empty checkpoint store sized for trials 0..n-1, so
+// that storing their checkpoints never grows it. Other IDs are stored
+// too, growing it on first use.
+func NewStore(n int) *Store { return &Store{ckpts: make([]storeSlot, max(n, 0))} }
 
-// slot returns the column index of trial id: 2·id for id ≥ 0 and
-// -2·id-1 for the rest, so every ID has a slot and small IDs of either
-// sign stay near the front.
-func slot(id ID) int {
+// column returns the column that holds trial id and its index there:
+// ckpts[id] for id ≥ 0, neg[-id-1] for the rest.
+func (s *Store) column(id ID) (*[]storeSlot, int) {
 	if id >= 0 {
-		return 2 * int(id)
+		return &s.ckpts, int(id)
 	}
-	return -2*int(id) - 1
+	return &s.neg, -int(id) - 1
 }
 
 // Put persists a checkpoint, replacing any previous one for the trial.
 func (s *Store) Put(c Checkpoint) {
-	i := slot(c.Trial)
-	if i >= len(s.ckpts) {
-		s.ckpts = append(s.ckpts, make([]storeSlot, i+1-len(s.ckpts))...)
+	col, i := s.column(c.Trial)
+	if i >= len(*col) {
+		*col = append(*col, make([]storeSlot, i+1-len(*col))...)
 	}
-	if !s.ckpts[i].has {
+	if !(*col)[i].has {
 		s.n++
 	}
-	s.ckpts[i] = storeSlot{ck: c, has: true}
+	(*col)[i] = storeSlot{ck: c, has: true}
 }
 
 // Get fetches the latest checkpoint for a trial.
 func (s *Store) Get(id ID) (Checkpoint, bool) {
-	if i := slot(id); i < len(s.ckpts) && s.ckpts[i].has {
-		return s.ckpts[i].ck, true
+	if col, i := s.column(id); i < len(*col) && (*col)[i].has {
+		return (*col)[i].ck, true
 	}
 	return Checkpoint{}, false
 }
 
 // Delete drops a trial's checkpoint (after termination).
 func (s *Store) Delete(id ID) {
-	if i := slot(id); i < len(s.ckpts) && s.ckpts[i].has {
-		s.ckpts[i] = storeSlot{}
+	if col, i := s.column(id); i < len(*col) && (*col)[i].has {
+		(*col)[i] = storeSlot{}
 		s.n--
 	}
 }

@@ -117,7 +117,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestStore(t *testing.T) {
-	s := NewStore()
+	s := NewStore(0)
 	if s.Len() != 0 {
 		t.Fatal("new store not empty")
 	}
