@@ -80,7 +80,9 @@ func heapDecision(msg string) bool {
 }
 
 // parseEscapes decodes -m output: "# pkg" section headers followed by
-// "file:line:col: message" lines with file paths relative to dir.
+// "file:line:col: message" lines with file paths relative to dir. Facts
+// are keyed by absolute path, whether dir is relative or not, so they
+// match the loaded files however either side was named.
 func parseEscapes(dir string, r io.Reader) *EscapeFacts {
 	e := &EscapeFacts{heap: make(map[string][]escFact), covered: make(map[string]bool)}
 	sc := bufio.NewScanner(r)
@@ -105,9 +107,21 @@ func parseEscapes(dir string, r io.Reader) *EscapeFacts {
 		if !filepath.IsAbs(file) {
 			file = filepath.Join(dir, file)
 		}
+		file = absFile(file)
 		e.heap[file] = append(e.heap[file], escFact{line: ln, msg: msg})
 	}
 	return e
+}
+
+// absFile returns the absolute form of a file name, relative names
+// taken against the working directory: the one key escape facts and
+// loaded positions are compared under. A name that cannot be made
+// absolute is only cleaned.
+func absFile(name string) string {
+	if abs, err := filepath.Abs(name); err == nil {
+		return abs
+	}
+	return filepath.Clean(name)
 }
 
 // splitDiagLine parses "file:line:col: message".
@@ -159,7 +173,7 @@ func runNoalloc(p *AllPass) {
 			p.Reportf(start, "//rbvet:noalloc on %s not verified: escape analysis produced no output for %s", n.name, basePath(n.pkg.Path))
 			continue
 		}
-		for _, f := range p.Escapes.heap[start.Filename] {
+		for _, f := range p.Escapes.heap[absFile(start.Filename)] {
 			if f.line < start.Line || f.line > end.Line {
 				continue
 			}

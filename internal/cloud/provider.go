@@ -132,8 +132,14 @@ type Provider struct {
 	datasetGB float64
 
 	// instances holds every instance ever requested, indexed by ID: IDs
-	// are issued 0, 1, 2, … and an instance is never removed.
+	// are issued 0, 1, 2, … and an instance is never removed. onReady
+	// holds each one's Request callback, by the same index.
 	instances []*Instance
+	onReady   []func(*Instance)
+	// dispID is the provider's opcode dispatcher on its clock: the
+	// provisioning lifecycle schedules (opcode, instance ID) events
+	// rather than a closure per instance and step.
+	dispID vclock.DispatchID
 	// dataCost accumulates ingress charges as instances provision.
 	dataCost float64
 
@@ -160,13 +166,43 @@ func NewProvider(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads
 	if overheads.InitLatency == nil {
 		overheads.InitLatency = stats.Deterministic{Value: 0}
 	}
-	return &Provider{
+	p := &Provider{
 		clock:     clock,
 		rng:       rng,
 		pricing:   pricing,
 		overheads: overheads,
 		datasetGB: datasetGB,
-	}, nil
+	}
+	p.dispID = clock.RegisterDispatcher(p.dispatch)
+	return p, nil
+}
+
+// Opcodes of the provider's event dispatcher; the first operand is the
+// instance ID.
+const (
+	// opQueued ends an instance's queueing delay: the request fails or
+	// the instance starts initializing.
+	opQueued uint8 = iota
+	// opInitDone ends its initialization: the instance becomes Ready.
+	opInitDone
+	// opPreempt is the fault model's spot reclamation of a Ready
+	// instance.
+	opPreempt
+)
+
+// dispatch is the provider's opcode handler.
+//
+//rbvet:noalloc
+func (p *Provider) dispatch(op uint8, a, _ int64) {
+	in := p.instances[a]
+	switch op {
+	case opQueued:
+		p.queued(in)
+	case opInitDone:
+		p.initDone(in)
+	case opPreempt:
+		p.Preempt(in)
+	}
 }
 
 // Pricing returns the provider's pricing parameters.
@@ -179,55 +215,100 @@ func (p *Provider) Overheads() Overheads { return p.overheads }
 // vclock loop) when the instance reaches Ready. The returned Instance is in
 // state Requested.
 func (p *Provider) Request(it InstanceType, onReady func(*Instance)) *Instance {
-	in := &Instance{
+	in := new(Instance)
+	p.request(in, it, onReady)
+	return in
+}
+
+// RequestN asks for n instances of type it, exactly as n Request calls
+// in a row would: the same IDs, events and draws. Their records share
+// one allocation.
+func (p *Provider) RequestN(it InstanceType, n int, onReady func(*Instance)) {
+	burst := make([]Instance, n)
+	for i := range burst {
+		p.request(&burst[i], it, onReady)
+	}
+}
+
+// request issues the request for the record in and schedules the end of
+// its queueing delay.
+func (p *Provider) request(in *Instance, it InstanceType, onReady func(*Instance)) {
+	*in = Instance{
 		ID:          len(p.instances),
 		Type:        it,
 		State:       Requested,
 		RequestedAt: p.clock.Now(),
 	}
 	p.instances = append(p.instances, in)
+	p.onReady = append(p.onReady, onReady)
 
 	queue := p.overheads.QueueDelay.Sample(p.rng)
-	p.clock.After(queue, func() {
-		if in.State == Terminated {
-			return // cancelled while queued
+	p.after(queue, opQueued, in)
+}
+
+// after schedules the provider's opcode op for instance in d seconds
+// from now, exactly where clock.After(d, …) would: a negative d panics.
+//
+//rbvet:noalloc
+func (p *Provider) after(d float64, op uint8, in *Instance) {
+	if d < 0 {
+		//rbvet:ignore noalloc — cold path: a negative latency sample is a distribution bug and ends the run
+		panic(fmt.Sprintf("cloud: negative delay %v", d))
+	}
+	p.clock.AtOp(p.clock.Now()+vclock.Time(d), p.dispID, op, int64(in.ID), 0)
+}
+
+// queued ends an instance's queueing delay: unless it was cancelled
+// while queued, the request fails under the fault model or the instance
+// starts billing and initializing.
+//
+//rbvet:noalloc
+func (p *Provider) queued(in *Instance) {
+	if in.State == Terminated {
+		return // cancelled while queued
+	}
+	if p.faults.ProvisionFailureProb > 0 && p.rng.Float64() < p.faults.ProvisionFailureProb {
+		in.State = Failed
+		p.failures++
+		if p.onFail != nil {
+			p.onFail(in)
 		}
-		if p.faults.ProvisionFailureProb > 0 && p.rng.Float64() < p.faults.ProvisionFailureProb {
-			in.State = Failed
-			p.failures++
-			if p.onFail != nil {
-				p.onFail(in)
-			}
-			return
-		}
-		in.State = Initializing
-		in.billStart = p.clock.Now()
-		in.billing = true
-		p.dataCost += p.pricing.DataIngressCost(p.datasetGB)
-		initDelay := p.overheads.InitLatency.Sample(p.rng)
-		p.clock.After(initDelay, func() {
-			if in.State == Terminated {
-				return // cancelled during init
-			}
-			in.State = Ready
-			in.ReadyAt = p.clock.Now()
-			p.armPreemption(in)
-			if onReady != nil {
-				onReady(in)
-			}
-		})
-	})
-	return in
+		return
+	}
+	in.State = Initializing
+	in.billStart = p.clock.Now()
+	in.billing = true
+	p.dataCost += p.pricing.DataIngressCost(p.datasetGB)
+	p.after(p.overheads.InitLatency.Sample(p.rng), opInitDone, in)
+}
+
+// initDone ends an instance's initialization: unless it was cancelled
+// meanwhile, it becomes Ready, its preemption is armed and its Request
+// callback runs.
+//
+//rbvet:noalloc
+func (p *Provider) initDone(in *Instance) {
+	if in.State == Terminated {
+		return // cancelled during init
+	}
+	in.State = Ready
+	in.ReadyAt = p.clock.Now()
+	p.armPreemption(in)
+	if fn := p.onReady[in.ID]; fn != nil {
+		fn(in)
+	}
 }
 
 // armPreemption schedules a spot-style reclamation for a Ready instance
 // when the fault model enables it.
+//
+//rbvet:noalloc
 func (p *Provider) armPreemption(in *Instance) {
 	if p.faults.PreemptionMeanSeconds <= 0 {
 		return
 	}
 	delay := stats.Exponential{MeanValue: p.faults.PreemptionMeanSeconds}.Sample(p.rng)
-	p.clock.After(delay, func() { p.Preempt(in) })
+	p.after(delay, opPreempt, in)
 }
 
 // Preempt forcibly reclaims a Ready instance, as the stochastic fault

@@ -49,6 +49,12 @@ type Manager struct {
 	byInstance []*Node
 	// onPreempt is the executor's preemption handler (may be nil).
 	onPreempt func(*Node)
+	// readyFn is m.ready bound once, the callback of every provisioning
+	// request the manager issues.
+	readyFn func(*cloud.Instance)
+	// slab is the chunk new nodes are carved from; a chunk is never
+	// moved or reused, so a node's pointer stays valid.
+	slab []Node
 	// retries counts provisioning requests reissued after failures.
 	retries int
 }
@@ -68,6 +74,7 @@ func NewManager(provider *cloud.Provider, it cloud.InstanceType, clock *vclock.C
 		return nil, fmt.Errorf("cluster: worker type %q has no GPUs", it.Name)
 	}
 	m := &Manager{provider: provider, instType: it, clock: clock}
+	m.readyFn = m.nodeReady
 	// Heal capacity automatically: failed requests are reissued so that
 	// the ready count still converges on the target, and preemptions are
 	// both replaced and surfaced to the scheduler for trial recovery.
@@ -155,23 +162,39 @@ func (m *Manager) ScaleUpTo(target int) int {
 // reconcile issues provisioning requests until ready+pending covers the
 // target.
 func (m *Manager) reconcile() int {
-	requested := 0
-	for len(m.ready)+m.pending < m.target {
-		m.pending++
-		requested++
-		m.provider.Request(m.instType, func(in *cloud.Instance) {
-			m.pending--
-			node := &Node{ID: m.nextID, Instance: in, GPUs: in.Type.GPUs}
-			m.nextID++
-			m.ready = append(m.ready, node)
-			if in.ID >= len(m.byInstance) {
-				m.byInstance = append(m.byInstance, make([]*Node, in.ID+1-len(m.byInstance))...)
-			}
-			m.byInstance[in.ID] = node
-			m.notify()
-		})
+	gap := m.target - len(m.ready) - m.pending
+	if gap <= 0 {
+		return 0
 	}
-	return requested
+	m.pending += gap
+	m.provider.RequestN(m.instType, gap, m.readyFn)
+	return gap
+}
+
+// nodeReady adds the node on a freshly ready instance to the pool and
+// fires the waiters its arrival satisfies.
+func (m *Manager) nodeReady(in *cloud.Instance) {
+	m.pending--
+	node := m.newNode()
+	*node = Node{ID: m.nextID, Instance: in, GPUs: in.Type.GPUs}
+	m.nextID++
+	m.ready = append(m.ready, node)
+	if in.ID >= len(m.byInstance) {
+		m.byInstance = append(m.byInstance, make([]*Node, in.ID+1-len(m.byInstance))...)
+	}
+	m.byInstance[in.ID] = node
+	m.notify()
+}
+
+// newNode carves a node record from the manager's slab. A full slab
+// moves on to a fresh chunk, twice its size; nodes carved earlier keep
+// the old one.
+func (m *Manager) newNode() *Node {
+	if len(m.slab) == cap(m.slab) {
+		m.slab = make([]Node, 0, max(2*cap(m.slab), 1))
+	}
+	m.slab = m.slab[:len(m.slab)+1]
+	return &m.slab[len(m.slab)-1]
 }
 
 // Release deprovisions a ready node, stopping its billing and lowering
@@ -209,17 +232,26 @@ func (m *Manager) WhenSize(target int, fn func()) {
 	m.waiters = append(m.waiters, waiter{target: target, fn: fn})
 }
 
-// notify fires waiters whose size condition is now satisfied.
+// notify fires waiters whose size condition is now satisfied, in
+// registration order, and keeps the rest in place. A waiter registered by
+// a fired callback lands after the waiters kept, as it would have landed
+// after every waiter notify found.
+//
+//rbvet:noalloc
 func (m *Manager) notify() {
-	var kept []waiter
-	fired := m.waiters
-	m.waiters = nil
-	for _, w := range fired {
+	n, kept := len(m.waiters), 0
+	for i := 0; i < n; i++ {
+		// Index afresh: a fired callback may append to m.waiters and
+		// move it.
+		w := m.waiters[i]
 		if len(m.ready) >= w.target {
 			w.fn()
-		} else {
-			kept = append(kept, w)
+			continue
 		}
+		m.waiters[kept] = w
+		kept++
 	}
-	m.waiters = append(kept, m.waiters...)
+	added := copy(m.waiters[kept:], m.waiters[n:])
+	clear(m.waiters[kept+added:])
+	m.waiters = m.waiters[:kept+added]
 }

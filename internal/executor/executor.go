@@ -183,8 +183,13 @@ type run struct {
 	// gang is each running trial's placement resolved to its nodes, in
 	// node-ID order: startTrial fills it from the live plan, so metering an
 	// iteration never walks an Assignment map. Placement preserves a
-	// running gang until the trial restarts, which refills it.
-	gang [][]gangSlot
+	// running gang until the trial restarts, which refills it. Gangs are
+	// carved from gangSlab (see resolveGang).
+	gang     [][]gangSlot
+	gangSlab []gangSlot
+	// beginFn is beginTraining bound once, the callback of every stage
+	// start's WhenSize.
+	beginFn func()
 	// dispID is the run's opcode dispatcher on the shared clock: the
 	// training hot loop schedules (opcode, trial, gen) events instead of
 	// closures, so steady-state iteration events allocate nothing.
@@ -199,8 +204,6 @@ type run struct {
 	// replans splice new tails into. The executor never reads
 	// cfg.Plan.Alloc after Start so the caller's copy stays pristine.
 	execPlan sim.Plan
-	// replans accumulates the controller's decisions in order.
-	replans []replan.Decision
 	// replanAdopted marks that at least one replan changed the plan;
 	// subsequent stage starts annotate their placement churn.
 	replanAdopted bool
@@ -304,16 +307,20 @@ func Start(cfg Config) (*Job, error) {
 	r.soa.init(n)
 	r.gang = make([][]gangSlot, n)
 	r.trials = make([]*trial.Trial, n)
+	block := make([]trial.Trial, n) // the run's trials, carved from one block
 	curve := make([]float64, n+cfg.Spec.MaxIters()+1)
 	r.asym, r.growth = curve[:n:n], curve[n:]
 	for i := range r.trials {
-		r.trials[i] = trial.New(trial.ID(i), cfg.Configs[i])
+		r.trials[i] = &block[i]
+		r.trials[i].Init(trial.ID(i), cfg.Configs[i])
 		r.asym[i] = cfg.Model.Asymptote(cfg.Configs[i])
 	}
 	for k := range r.growth {
 		r.growth[k] = cfg.Model.Growth(k)
 	}
+	r.beginFn = r.beginTraining
 	tr.Grow(expectedEvents(cfg.Spec))
+	cfg.Clock.Reserve(expectedPending(cfg.Spec, cfg.Plan, cfg.Cluster.GPUsPerNode()))
 	r.dispID = cfg.Clock.RegisterDispatcher(r.dispatch)
 	cfg.Cluster.SetPreemptionHandler(r.onPreemption)
 	r.startStage(0)
@@ -331,6 +338,24 @@ func expectedEvents(sp *spec.ExperimentSpec) int {
 		n += 3 + st.Trials*(st.Iters+4)
 	}
 	return n
+}
+
+// expectedPending estimates the events a run keeps pending at once on
+// its clock: the most trials any stage of the plan runs at once (one
+// iteration event each) or the most nodes any stage provisions (one
+// provisioning step each), whichever is more, and a stage-boundary
+// callback. Start reserves that much clock room, so the clock's event
+// slab does not grow one event at a time. It leaves out preemption
+// events and replans, so a run with faults can outgrow it; the slab then
+// grows as before (DESIGN.md, "Memory on the per-experiment path").
+func expectedPending(sp *spec.ExperimentSpec, p sim.Plan, gpn int) int {
+	running, nodes := 0, 0
+	for i := 0; i < sp.NumStages(); i++ {
+		st, alloc := sp.Stage(i), p.Alloc[i]
+		running = max(running, min(alloc, st.Trials))
+		nodes = max(nodes, placement.NodesNeeded(min(alloc, st.Trials), max(alloc/st.Trials, 1), gpn))
+	}
+	return max(running, nodes) + 1
 }
 
 // Done reports whether the job has completed (successfully or not).
@@ -388,14 +413,17 @@ func (r *run) fail(err error) {
 }
 
 // survivors returns trials eligible for the given stage: Pending before
-// stage 0, Paused afterwards.
+// stage 0, Paused afterwards. The list lives in the barrier's ranking
+// buffer, which is idle from one barrier to the next stage start, and
+// is valid until the next barrier.
 func (r *run) survivors() []*trial.Trial {
-	var out []*trial.Trial
+	out := r.ranked[:0]
 	for _, t := range r.trials {
 		if t.State() == trial.Pending || t.State() == trial.Paused {
 			out = append(out, t)
 		}
 	}
+	r.ranked = out
 	return out
 }
 
@@ -452,7 +480,7 @@ func (r *run) startStage(i int) {
 	} else {
 		r.scaledUp = false
 	}
-	r.cfg.Cluster.WhenSize(need, func() { r.beginTraining() })
+	r.cfg.Cluster.WhenSize(need, r.beginFn)
 }
 
 // beginTraining places and starts the stage's trials once capacity is
@@ -474,20 +502,19 @@ func (r *run) beginTraining() {
 	}
 
 	per := sim.GPUsPerTrial(alloc, st.Trials)
-	runnable := surv
-	r.queue = nil
-	if alloc < st.Trials {
-		runnable = surv[:alloc]
-		for _, t := range surv[alloc:] {
-			r.queue = append(r.queue, t.ID())
-		}
-	}
-
-	r.stageSet = nil
+	r.stageSet = r.stageSet[:0]
 	r.soa.resetStage()
 	r.pendingRestart = nil
 	for _, t := range surv {
 		r.stageSet = append(r.stageSet, t.ID())
+	}
+	// Trials beyond the stage's slots queue for one in survivor order:
+	// the queue is the stage set's tail, consumed from the front.
+	runnable := surv
+	r.queue = nil
+	if alloc < st.Trials {
+		runnable = surv[:alloc]
+		r.queue = r.stageSet[alloc:len(r.stageSet):len(r.stageSet)]
 	}
 	for _, t := range runnable {
 		r.soa.setAlloc(t.ID(), per)
@@ -662,9 +689,13 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 
 // resolveGang fills the trial's gang from its assignment, looking each
 // node up among the ready nodes the assignment was just placed on. The
-// slots come in node order, so the gang does too.
+// slots come in node order, so the gang does too. A gang too short for
+// the assignment is carved afresh from the run's gang slab.
 func (r *run) resolveGang(id trial.ID, asg placement.Assignment) error {
 	ready := r.cfg.Cluster.Nodes()
+	if cap(r.gang[id]) < len(asg) {
+		r.gang[id] = r.carveGang(len(asg))
+	}
 	gang := r.gang[id][:0]
 	for _, s := range asg {
 		i, ok := slices.BinarySearchFunc(ready, s.Node, func(n *cluster.Node, want cluster.NodeID) int {
@@ -677,6 +708,18 @@ func (r *run) resolveGang(id trial.ID, asg placement.Assignment) error {
 	}
 	r.gang[id] = gang
 	return nil
+}
+
+// carveGang returns an empty gang with room for n slots, carved from the
+// run's gang slab. A full slab moves on to a fresh chunk, at least twice
+// its size; gangs carved earlier keep the old one.
+func (r *run) carveGang(n int) []gangSlot {
+	b := r.gangSlab
+	if len(b)+n > cap(b) {
+		b = make([]gangSlot, 0, max(2*cap(b), n, len(r.trials)))
+	}
+	r.gangSlab = b[:len(b)+n]
+	return b[len(b) : len(b) : len(b)+n]
 }
 
 // runIteration schedules one training iteration of the trial: it draws
@@ -753,13 +796,12 @@ func (r *run) doReplan(reason replan.Reason) {
 		Stage:          r.stage,
 		Now:            now,
 		RemainingIters: r.remainingStageIters(),
-		Plan:           r.execPlan.Clone(),
+		Plan:           r.execPlan, // Replan keeps only a copy
 	}, reason)
 	if err != nil {
 		r.fail(err)
 		return
 	}
-	r.replans = append(r.replans, d)
 	r.tr.Record(now, trace.KindReplan, r.stage, -1, d.Note())
 	if d.Adopted {
 		r.execPlan = d.NewPlan.Clone()
@@ -1011,8 +1053,10 @@ func (r *run) buildResult() *Result {
 		Schedule:    append([]StageRow(nil), r.rows...),
 		Preemptions: r.preemptions,
 		Trials:      r.trials,
-		Replans:     append([]replan.Decision(nil), r.replans...),
 		FinalPlan:   r.execPlan.Clone(),
+	}
+	if rc := r.cfg.Replan; rc != nil {
+		res.Replans = rc.Decisions()
 	}
 	res.BestTrial = -1
 	for _, t := range r.trials {

@@ -34,8 +34,7 @@ type Slot struct {
 }
 
 // Assignment is one trial's physical placement: one slot per node it
-// uses, sorted by node. Plans share the assignments they preserve, so no
-// holder ever edits one.
+// uses, sorted by node. No holder ever edits one.
 type Assignment []Slot
 
 // GPUs returns the total GPUs in the assignment.
@@ -87,6 +86,12 @@ type Controller struct {
 	// epoch.
 	queue     []TrialID
 	placedNow []bool
+	// slots and spareSlots back the assignments of current and spare:
+	// Update carves every assignment of the plan it builds, preserved
+	// gangs copied, from spareSlots, and commit swaps the two. A plan's
+	// assignments therefore stay put until the Update after next, and a
+	// failed Update leaves current's untouched.
+	slots, spareSlots []Slot
 }
 
 // nodeCols are the live nodes' columns in one slab of three equal parts:
@@ -159,7 +164,7 @@ func (c *Controller) Remove(t TrialID) {
 // is not preserved returns its slots, and only a changed node set costs
 // a merge (see nodes).
 func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error) {
-	demand, live := 0, 0
+	demand, live, slots := 0, 0, 0
 	for t, g := range allocs {
 		if g == 0 {
 			return nil, fmt.Errorf("placement: trial %d allocated %d GPUs", t, g)
@@ -167,6 +172,7 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 		if g > 0 {
 			demand += int(g)
 			live++
+			slots += (int(g) + c.nodeGPUs - 1) / c.nodeGPUs
 		}
 	}
 	capacity := 0
@@ -184,6 +190,12 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 	// The current plan's slots all lie on c.cols's nodes, so on an
 	// unchanged node set every gang is on live nodes.
 	c.spare = resize(c.spare, len(allocs))
+	if cap(c.spareSlots) < slots {
+		// Room for every gang at its fewest slots: unless a trial is
+		// displaced and placed again, the plan fits.
+		c.spareSlots = make([]Slot, 0, slots)
+	}
+	c.spareSlots = c.spareSlots[:0]
 	plan := c.spare
 	kept := 0
 	for i, a := range c.current {
@@ -201,7 +213,7 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 		}
 		switch {
 		case held == want && onLive:
-			plan[t] = a
+			plan[t] = append(c.carve(len(a)), a...)
 			kept++
 		case !c.isLocked(t):
 			c.next.release(a)
@@ -261,6 +273,24 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 func (c *Controller) commit(plan Plan) {
 	c.current, c.spare = plan, c.current
 	c.cols, c.next = c.next, c.cols
+	c.slots, c.spareSlots = c.spareSlots, c.slots
+}
+
+// carve returns an empty assignment with room for n slots, carved from
+// the storage of the plan being built, which Update sizes for the
+// plan's gangs. When the storage is full (a displaced trial placed
+// again) it moves on to a fresh array at least twice as large;
+// assignments already carved keep the old one.
+//
+//rbvet:noalloc
+func (c *Controller) carve(n int) Assignment {
+	b := c.spareSlots
+	if len(b)+n > cap(b) {
+		//rbvet:ignore noalloc — cold path: grows until the storage holds an epoch's widest plan
+		b = make([]Slot, 0, max(2*cap(b), n))
+	}
+	c.spareSlots = b[:len(b)+n]
+	return b[len(b) : len(b) : len(b)+n]
 }
 
 // nodes fills c.next with the columns of nodes and the free capacity the
@@ -356,7 +386,7 @@ func resize[S ~[]E, E any](buf S, n int) S {
 // Nodes hold nodeGPUs GPUs, so each unit lands on a node of its own.
 func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
 	ids, _, free := c.next.split()
-	asg := make(Assignment, 0, (want+c.nodeGPUs-1)/c.nodeGPUs)
+	asg := c.carve((want + c.nodeGPUs - 1) / c.nodeGPUs)
 	for remaining := want; remaining > 0; {
 		// The unit is a full node for whole-node chunks, or the entire
 		// remainder (which must then be co-located on a single node).

@@ -1090,9 +1090,10 @@ func (h *handoffShape) handoff() {
 	h.k++
 }
 
-// TestUpdateHandoffAllocs: once both plan buffers and the scratch exist,
-// a hand-off Update allocates exactly the newcomer's Assignment, and an
-// Update that preserves everything allocates nothing.
+// TestUpdateHandoffAllocs: once both plan buffers, both slot buffers and
+// the scratch exist, a hand-off Update carves the newcomer's Assignment
+// from the slot storage and allocates nothing, and neither does an
+// Update that preserves everything.
 func TestUpdateHandoffAllocs(t *testing.T) {
 	h := newHandoffShape()
 	c := NewController(8)
@@ -1115,8 +1116,8 @@ func TestUpdateHandoffAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if handoff != 1 || preserved != 0 {
-		t.Fatalf("hand-off Update allocated %v objects (want 1), preserving Update %v (want 0)", handoff, preserved)
+	if handoff != 0 || preserved != 0 {
+		t.Fatalf("hand-off Update allocated %v objects (want 0), preserving Update %v (want 0)", handoff, preserved)
 	}
 }
 

@@ -21,6 +21,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -110,16 +111,27 @@ func (p *Planner) estimateAll(cands []sim.Plan, keep []bool, ests []sim.Estimate
 	if workers == 1 {
 		for i := range cands {
 			if keep[i] {
-				ests[i], errs[i] = p.estimate(cands[i])
+				p.estimateInto(cands, ests, errs, i)
 			}
 		}
 		return
 	}
 	par.ForEach(len(cands), workers, func(i int) {
 		if keep[i] {
-			ests[i], errs[i] = p.estimate(cands[i])
+			p.estimateInto(cands, ests, errs, i)
 		}
 	})
+}
+
+// estimateInto estimates candidate i into ests[i], writing errs[i] only
+// for an error: the error column holds nil everywhere else (see
+// searchScratch.columns), so a clean estimate stores no pointer.
+func (p *Planner) estimateInto(cands []sim.Plan, ests []sim.Estimate, errs []error, i int) {
+	est, err := p.estimate(cands[i])
+	ests[i] = est
+	if err != nil {
+		errs[i] = err
+	}
 }
 
 // ErrInfeasible is returned when no plan within MaxGPUs meets the deadline.
@@ -338,11 +350,11 @@ func (p *Planner) optimize(ss *searchScratch, start Result) (Result, error) {
 	sp := p.Sim.Spec()
 	for {
 		for _, w := range ss.walked[:earlier] {
-			if w.plan.Equal(cur.Plan) {
+			if slices.Equal(ss.walkedPlan(w), cur.Plan.Alloc) {
 				return ss.finish(ss.done[w.descent]), nil
 			}
 		}
-		ss.walked = append(ss.walked, walkedPlan{plan: cur.Plan, descent: descent})
+		ss.walk(cur.Plan, descent)
 		cands := generateCandidates(&ss.cands, cur.Plan, sp, gpn)
 		if len(cands) == 0 {
 			return ss.finish(cur), nil

@@ -23,11 +23,16 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 //   - the static plans 1..n GPUs, their closed-form JCT column, and the
 //     warm starts;
 //   - the walked-path record: every plan a descent had as its current
-//     plan, with the descent's index into done, the descents' results.
+//     plan, its allocations copied into one column, with the descent's
+//     index into done, the descents' results.
 //
 // Every plan the search returns is cloned out of it, so nothing the
-// caller holds aliases scratch; release clears every plan, result and
-// evaluator reference before the scratch goes back to the pool.
+// caller holds aliases scratch. Columns that hold no pointer (keep,
+// ests, the walked record, the static and warm-start allocations) are
+// overwritten before they are read and never cleared; release drops
+// only what can hold a foreign pointer — the results, the current
+// candidate, any error recorded, and the evaluator — before the scratch
+// goes back to the pool.
 type searchScratch struct {
 	scr    frontierScreen
 	screen *frontierScreen
@@ -43,15 +48,28 @@ type searchScratch struct {
 	warmBack   []int
 	warms      []sim.Plan
 
-	walked []walkedPlan
-	done   []Result
+	walked       []walkedPlan
+	walkedAllocs []int
+	done         []Result
 }
 
-// walkedPlan is one current plan of a descent: descent indexes the
+// walkedPlan is one current plan of a descent: its allocations are
+// walkedAllocs[off:off+n] of the scratch, and descent indexes the
 // search's done results.
 type walkedPlan struct {
-	plan    sim.Plan
+	off, n  int32
 	descent int
+}
+
+// walk records plan as a current plan of the given descent.
+func (ss *searchScratch) walk(plan sim.Plan, descent int) {
+	ss.walked = append(ss.walked, walkedPlan{off: int32(len(ss.walkedAllocs)), n: int32(len(plan.Alloc)), descent: descent})
+	ss.walkedAllocs = append(ss.walkedAllocs, plan.Alloc...)
+}
+
+// walkedPlan returns the allocations of a walked plan.
+func (ss *searchScratch) walkedPlan(w walkedPlan) []int {
+	return ss.walkedAllocs[w.off : w.off+w.n]
 }
 
 // newSearch draws a search's scratch from the pool and binds its
@@ -77,11 +95,20 @@ func (ss *searchScratch) release() {
 		ss.scr.eval, ss.screen = nil, nil
 	}
 	ss.cands.cur = sim.Plan{}
-	clear(ss.errs[:cap(ss.errs)])
-	clear(ss.walked)
+	clearErrs(ss.errs[:cap(ss.errs)])
 	clear(ss.done)
-	ss.walked, ss.done = ss.walked[:0], ss.done[:0]
+	ss.walked, ss.walkedAllocs, ss.done = ss.walked[:0], ss.walkedAllocs[:0], ss.done[:0]
 	searchPool.Put(ss)
+}
+
+// clearErrs sets every recorded error to nil. Errors are rare, so it
+// reads the column and writes only where one was recorded.
+func clearErrs(errs []error) {
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = nil
+		}
+	}
 }
 
 // finish records a descent's result for the descents after it.
@@ -92,13 +119,14 @@ func (ss *searchScratch) finish(r Result) Result {
 
 // columns returns the keep, estimate and error columns for n
 // candidates: every candidate kept, no error recorded. Estimates are
-// written before they are read.
+// written before they are read; errors only where one occurs (see
+// estimateInto), so the column stays nil between searches' errors.
 func (ss *searchScratch) columns(n int) ([]bool, []sim.Estimate, []error) {
 	ss.keep, ss.ests, ss.errs = grow(ss.keep, n), grow(ss.ests, n), grow(ss.errs, n)
 	for i := range ss.keep {
 		ss.keep[i] = true
 	}
-	clear(ss.errs)
+	clearErrs(ss.errs)
 	return ss.keep, ss.ests, ss.errs
 }
 

@@ -58,7 +58,7 @@ func Refit(base sim.TrainProfile, maxGPUs int, obs []Observation) (sim.MeasuredT
 		if dup {
 			return sim.MeasuredTrainProfile{}, fmt.Errorf("profiler: duplicate observation at %d GPUs", o.GPUs)
 		}
-		pred := base.IterDist(o.GPUs).Mean()
+		pred := sim.IterMean(base, o.GPUs)
 		if pred <= 0 {
 			return sim.MeasuredTrainProfile{}, fmt.Errorf("profiler: base profile predicts %v at %d GPUs", pred, o.GPUs)
 		}
@@ -86,7 +86,7 @@ func Refit(base sim.TrainProfile, maxGPUs int, obs []Observation) (sim.MeasuredT
 			means[i] = observed[j].Mean
 			continue
 		}
-		means[i] = base.IterDist(g).Mean() * ratio
+		means[i] = sim.IterMean(base, g) * ratio
 	}
 	baseMean := means[0]
 

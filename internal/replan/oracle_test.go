@@ -1,0 +1,177 @@
+package replan
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/vclock"
+)
+
+// refPreScreen is PreScreen over the three-Simulator screen.
+func (c *Controller) refPreScreen(state State) (PreScreenResult, error) {
+	prof, cp, err := c.refitProfiles()
+	if err != nil {
+		return PreScreenResult{}, err
+	}
+	st := c.cfg.Spec.Stage(state.Stage)
+	per := sim.GPUsPerTrial(state.Plan.Alloc[state.Stage], st.Trials)
+	remaining := c.cfg.Deadline - float64(state.Now) - float64(state.RemainingIters)*prof.IterDist(per).Mean()
+	if remaining <= 0 {
+		return PreScreenResult{Supported: true, Material: true, RemainingDeadline: remaining}, nil
+	}
+	suffix := c.cfg.Spec.Suffix(state.Stage + 1)
+	stale, material, ok := c.refScreenTail(prof, cp, suffix, state.Plan.Suffix(state.Stage+1), remaining)
+	return PreScreenResult{Supported: ok, Material: material, RemainingDeadline: remaining, Stale: stale}, nil
+}
+
+// oracleDriver runs one controller through a script, deciding either
+// with Replan and PreScreen or with their three-Simulator oracles.
+type oracleDriver struct {
+	t   *testing.T
+	c   *Controller
+	ref bool
+	// screens records every pre-screen the script asked for.
+	screens []PreScreenResult
+}
+
+func (d *oracleDriver) observe(gpus int, factor float64, from vclock.Time, n int) {
+	pred := d.c.Config().Profile.IterDist(gpus).Mean()
+	for i := 0; i < n; i++ {
+		d.c.ObserveIteration(gpus, factor*pred, from+vclock.Time(i))
+	}
+}
+
+func (d *oracleDriver) decide(st State, reason Reason) Decision {
+	d.t.Helper()
+	var ps PreScreenResult
+	var err error
+	if d.ref {
+		ps, err = d.c.refPreScreen(st)
+	} else {
+		ps, err = d.c.PreScreen(st)
+	}
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.screens = append(d.screens, ps)
+	var dec Decision
+	if d.ref {
+		dec, err = d.c.refReplan(st, reason)
+	} else {
+		dec, err = d.c.Replan(st, reason)
+	}
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	return dec
+}
+
+// last returns the plan the driver's latest decision left in force.
+func (d *oracleDriver) last() sim.Plan {
+	ds := d.c.Decisions()
+	return ds[len(ds)-1].NewPlan
+}
+
+// oracleScripts are the decision sequences Replan is held to its oracle
+// on: drift slowdowns across stages, a preemption, a quiet regime whose
+// conditions 1–2 leave the call to the analytic mini-plan (twice at one
+// stage and tail, so the second reads the cached base score), a speed-up
+// that accumulates slack, a lost deadline, and provisioning drift.
+var oracleScripts = map[string]func(d *oracleDriver){
+	"slowdown": func(d *oracleDriver) {
+		d.observe(4, 2, 0, 5)
+		d.decide(State{Stage: 0, Now: 30, RemainingIters: 3, Plan: sim.NewPlan(4, 4, 4)}, ReasonDrift)
+		d.observe(1, 2.2, 200, 3)
+		d.decide(State{Stage: 1, Now: 300, RemainingIters: 2, Plan: d.last()}, ReasonDrift)
+		d.decide(State{Stage: 1, Now: 400, RemainingIters: 1, Plan: d.last()}, ReasonDrift)
+	},
+	"preemption": func(d *oracleDriver) {
+		d.decide(State{Stage: 0, Now: 5, RemainingIters: 4, Plan: sim.NewPlan(8, 4, 2)}, ReasonPreemption)
+		d.observe(2, 1, 10, 4)
+		d.decide(State{Stage: 1, Now: 90, RemainingIters: 3, Plan: d.last()}, ReasonPreemption)
+	},
+	"quiet": func(d *oracleDriver) {
+		st := optimalState(d.t)
+		d.observe(4, 1, 0, 4)
+		for i := 0; i < 2; i++ {
+			if dec := d.decide(st, ReasonDrift); !dec.Screened {
+				d.t.Fatalf("quiet regime was not screened: %+v", dec)
+			}
+		}
+	},
+	"speedup": func(d *oracleDriver) {
+		d.observe(4, 0.4, 0, 5)
+		d.decide(State{Stage: 0, Now: 30, RemainingIters: 3, Plan: sim.NewPlan(4, 4, 4)}, ReasonDrift)
+		d.decide(State{Stage: 0, Now: 40, RemainingIters: 2, Plan: d.last()}, ReasonDrift)
+	},
+	"lost-deadline": func(d *oracleDriver) {
+		d.observe(4, 1.5, 0, 4)
+		d.decide(State{Stage: 0, Now: 1990, RemainingIters: 4, Plan: sim.NewPlan(4, 4, 4)}, ReasonDrift)
+	},
+	"provisioning": func(d *oracleDriver) {
+		d.c.ObserveProvision(60)
+		d.observe(4, 1.3, 0, 4)
+		d.decide(State{Stage: 0, Now: 30, RemainingIters: 3, Plan: sim.NewPlan(16, 8, 4)}, ReasonDrift)
+		d.c.ObserveProvision(10)
+		d.decide(State{Stage: 1, Now: 200, RemainingIters: 3, Plan: d.last()}, ReasonPreemption)
+	},
+}
+
+// TestReplanMatchesThreeSimulatorOracle: a controller deciding with one
+// Simulator per decision, a cached base score and a shared decision
+// list commits exactly the decisions, pre-screens and detector state of
+// the three-Simulator controller, under both estimators and at one and
+// four workers, and leaves its random stream where it found it.
+func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {
+	for name, script := range oracleScripts {
+		for _, est := range []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic} {
+			for _, workers := range []int{1, 4} {
+				var runs [2]*oracleDriver
+				for i := range runs {
+					cfg := testConfig(t, workers)
+					cfg.Estimator = est
+					c, err := NewController(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs[i] = &oracleDriver{t: t, c: c, ref: i == 1}
+					script(runs[i])
+					if *c.cfg.RNG != *stats.NewRNG(7) {
+						t.Fatalf("%s: the controller's random stream moved", name)
+					}
+				}
+				got, want := runs[0], runs[1]
+				if !reflect.DeepEqual(got.c.Decisions(), want.c.Decisions()) {
+					t.Fatalf("%s estimator %v workers %d: decisions\n %+v\noracle\n %+v",
+						name, est, workers, got.c.Decisions(), want.c.Decisions())
+				}
+				if !reflect.DeepEqual(got.screens, want.screens) {
+					t.Fatalf("%s estimator %v workers %d: pre-screens %+v, oracle %+v", name, est, workers, got.screens, want.screens)
+				}
+				if !reflect.DeepEqual(got.c.DetectorState(), want.c.DetectorState()) {
+					t.Fatalf("%s: detector state %+v, oracle %+v", name, got.c.DetectorState(), want.c.DetectorState())
+				}
+			}
+		}
+	}
+}
+
+// TestDecisionPlansShareStorage: an unadopted decision's NewPlan is its
+// OldPlan, storage included, and neither aliases the caller's plan.
+func TestDecisionPlansShareStorage(t *testing.T) {
+	c := newTestController(t, 1)
+	live := sim.NewPlan(4, 4, 4)
+	d, err := c.Replan(State{Stage: 0, Now: 1990, RemainingIters: 4, Plan: live}, ReasonDrift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Adopted || &d.NewPlan.Alloc[0] != &d.OldPlan.Alloc[0] {
+		t.Fatalf("unadopted decision does not share its plan: %+v", d)
+	}
+	live.Alloc[2] = 1
+	if d.OldPlan.Alloc[2] != 4 {
+		t.Fatal("the decision aliases the caller's plan")
+	}
+}

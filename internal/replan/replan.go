@@ -191,7 +191,9 @@ type Decision struct {
 	// current stage. May be ≤ 0 when the deadline is already lost.
 	RemainingDeadline float64
 	// OldPlan is the full plan before the decision; NewPlan after it
-	// (equal to OldPlan unless Adopted).
+	// (equal to OldPlan, and sharing its storage, unless Adopted). Both
+	// are read-only: the journal, the trace note and the digest only read
+	// them, and a caller that wants to edit one clones it first.
 	OldPlan, NewPlan sim.Plan
 	// StaleEstimate prices OldPlan's remaining tail under the re-fitted
 	// profile (zero Estimate when the remaining deadline was already
@@ -264,6 +266,13 @@ type Controller struct {
 	armed      bool // a replan happened; cooldown applies
 	lastReplan vclock.Time
 	decisions  []Decision
+
+	// obs is observations' buffer, reused by every re-fit (Refit copies
+	// what it keeps).
+	obs []profiler.Observation
+	// base caches the pre-screen's planning-time score of the last stale
+	// tail it screened.
+	base baseScore
 
 	// observer, when non-nil, receives every committed decision — the
 	// write-ahead journaling hook.
@@ -348,7 +357,7 @@ func (c *Controller) ObserveIteration(gpus int, observed float64, now vclock.Tim
 	if seen {
 		pred = c.stats[i].pred
 	} else {
-		pred = c.cfg.Profile.IterDist(gpus).Mean()
+		pred = sim.IterMean(c.cfg.Profile, gpus)
 	}
 	if pred <= 0 || observed < 0 {
 		return false
@@ -410,7 +419,7 @@ func (c *Controller) ratio() float64 {
 // re-fit is the EWMA ratio × the profiled mean, so the fit reflects the
 // current latency regime rather than the whole history.
 func (c *Controller) observations() []profiler.Observation {
-	out := make([]profiler.Observation, 0, len(c.stats))
+	out := c.obs[:0]
 	for _, st := range c.stats {
 		out = append(out, profiler.Observation{
 			GPUs:  st.gpus,
@@ -418,6 +427,7 @@ func (c *Controller) observations() []profiler.Observation {
 			Count: st.count,
 		})
 	}
+	c.obs = out
 	return out
 }
 
@@ -449,6 +459,17 @@ func (c *Controller) refitProfiles() (sim.TrainProfile, sim.CloudProfile, error)
 // adoptDelta — so a spurious trigger under zero drift is a no-op on the
 // executed plan. The caller must guarantee state.Stage is not the last
 // stage.
+//
+// Replan reads state.Plan and keeps only a copy of it, so the caller may
+// pass its live plan. The decision's plans are read-only: NewPlan shares
+// OldPlan's storage unless the decision adopted a new tail.
+//
+// One Simulator, under the re-fitted profiles and seeded from the
+// decision's stream, serves the whole decision: the pre-screen's
+// analytic score of the stale tail, the Monte-Carlo stale estimate and
+// the replan. Moments, segments and shares are pure functions of the
+// Simulator's configuration, so what one step leaves in its table cannot
+// change another's answer.
 func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	if state.Stage < 0 || state.Stage >= c.cfg.Spec.NumStages()-1 {
 		return Decision{}, fmt.Errorf("replan: stage %d of %d has no tail to replan", state.Stage, c.cfg.Spec.NumStages())
@@ -458,14 +479,15 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	}
 
 	seq := len(c.decisions)
+	old := state.Plan.Clone()
 	d := Decision{
 		Seq:     seq,
 		At:      state.Now,
 		Reason:  reason,
 		Stage:   state.Stage,
 		Ratio:   c.ratio(),
-		OldPlan: state.Plan.Clone(),
-		NewPlan: state.Plan.Clone(),
+		OldPlan: old,
+		NewPlan: old,
 	}
 
 	prof, cp, err := c.refitProfiles()
@@ -475,11 +497,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 
 	// Predict the remainder of the executing stage under the re-fitted
 	// profile; the tail's budget is what's left of the deadline after it.
-	st := c.cfg.Spec.Stage(state.Stage)
-	per := sim.GPUsPerTrial(state.Plan.Alloc[state.Stage], st.Trials)
-	curRemaining := float64(state.RemainingIters) * prof.IterDist(per).Mean()
-	d.RemainingDeadline = c.cfg.Deadline - float64(state.Now) - curRemaining
-
+	d.RemainingDeadline = c.remainingDeadline(state, prof)
 	if d.RemainingDeadline <= 0 {
 		// The deadline is already lost before the tail even starts; no
 		// plan can fix that.
@@ -489,7 +507,14 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	}
 
 	suffix := c.cfg.Spec.Suffix(state.Stage + 1)
-	staleTail := state.Plan.Suffix(state.Stage + 1)
+	staleTail := sim.Plan{Alloc: old.Alloc[state.Stage+1:]}
+
+	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)),
+		sim.WithWorkers(c.cfg.Workers), sim.WithEstimator(c.cfg.Estimator))
+	if err != nil {
+		return Decision{}, err
+	}
+	defer sm.Release()
 
 	// Analytic drift pre-screen (drift triggers only — a preemption
 	// changed the capacity itself and must always replan): rescore the
@@ -498,7 +523,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	// materially, a full replan would re-derive the same tail the original
 	// planner chose, so the decision is committed without Monte-Carlo.
 	if reason == ReasonDrift && !c.cfg.disablePreScreen {
-		if est, material, ok := c.screenTail(prof, cp, suffix, staleTail, d.RemainingDeadline); ok && !material {
+		if est, material, ok := c.screenTail(sm, prof, cp, state.Stage, suffix, staleTail, d.RemainingDeadline); ok && !material {
 			d.StaleEstimate = est
 			d.Screened = true
 			c.commit(d, state.Now)
@@ -506,12 +531,6 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 		}
 	}
 
-	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)),
-		sim.WithWorkers(c.cfg.Workers), sim.WithEstimator(c.cfg.Estimator))
-	if err != nil {
-		return Decision{}, err
-	}
-	defer sm.Release()
 	staleEst, err := sm.Estimate(staleTail)
 	if err != nil {
 		return Decision{}, err
@@ -538,11 +557,19 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 		if !staleFeasible || res.Estimate.Cost < staleEst.Cost-adoptDelta {
 			d.Adopted = true
 			d.NewEstimate = res.Estimate
-			d.NewPlan = state.Plan.Splice(state.Stage+1, res.Plan)
+			d.NewPlan = old.Splice(state.Stage+1, res.Plan)
 		}
 	}
 	c.commit(d, state.Now)
 	return d, nil
+}
+
+// remainingDeadline is the tail's budget at state: the deadline minus now
+// minus the executing stage's predicted remainder under prof.
+func (c *Controller) remainingDeadline(state State, prof sim.TrainProfile) float64 {
+	st := c.cfg.Spec.Stage(state.Stage)
+	per := sim.GPUsPerTrial(state.Plan.Alloc[state.Stage], st.Trials)
+	return c.cfg.Deadline - float64(state.Now) - float64(state.RemainingIters)*sim.IterMean(prof, per)
 }
 
 // analyticSim returns a simulator that evaluates tails under the given
@@ -563,6 +590,36 @@ func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
 	return est, err == nil && ok
 }
 
+// baseScore is the stale tail's analytic estimate under the
+// planning-time profiles: a pure function of (stage, tail) for the
+// controller's fixed spec, profile and cloud. The controller keeps the
+// last one, so repeated decisions at one stage with an unchanged tail
+// build no Simulator for it.
+type baseScore struct {
+	stage int
+	tail  []int
+	est   sim.Estimate
+	ok    bool
+}
+
+// baseTail returns the stale tail's analytic estimate under the
+// planning-time profiles, from the cache when it holds this (stage,
+// tail). ok=false means the profile's latencies lack finite moments or
+// no Simulator could be built.
+func (c *Controller) baseTail(stage int, suffix *spec.ExperimentSpec, tail sim.Plan) (sim.Estimate, bool) {
+	b := &c.base
+	if b.stage == stage && slices.Equal(b.tail, tail.Alloc) { // an empty cache holds no tail
+		return b.est, b.ok
+	}
+	est, ok := sim.Estimate{}, false
+	if baseSim, err := c.analyticSim(suffix, c.cfg.Profile, c.cfg.Cloud); err == nil {
+		est, ok = analyticTail(baseSim, tail)
+		baseSim.Release()
+	}
+	*b = baseScore{stage: stage, tail: append(b.tail[:0], tail.Alloc...), est: est, ok: ok}
+	return est, ok
+}
+
 // screenTail is the analytic drift pre-screen. material is true when a
 // full Monte-Carlo replan could plausibly change the executed plan:
 //
@@ -577,21 +634,15 @@ func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
 //     where the profiles barely move but a cheaper tail now fits the
 //     remaining deadline.
 //
-// ok=false means the screen could not score the tail (no finite moments)
-// and the caller must run the full replan.
-func (c *Controller) screenTail(prof sim.TrainProfile, cp sim.CloudProfile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
-	refitSim, err := c.analyticSim(suffix, prof, cp)
-	if err != nil {
-		return sim.Estimate{}, false, false
-	}
-	defer refitSim.Release()
-	baseSim, err := c.analyticSim(suffix, c.cfg.Profile, c.cfg.Cloud)
-	if err != nil {
-		return sim.Estimate{}, false, false
-	}
-	refit, ok1 := analyticTail(refitSim, staleTail)
-	base, ok2 := analyticTail(baseSim, staleTail)
-	baseSim.Release()
+// sm is a Simulator of the suffix under the re-fitted profiles prof and
+// cp; the stale tail's re-fitted score is taken on it analytically, whatever its
+// estimator. The mini-plan of condition 3 runs on an analytic Simulator
+// of its own, so its plan memo never mixes with sm's. ok=false means the
+// screen could not score the tail (no finite moments) and the caller
+// must run the full replan.
+func (c *Controller) screenTail(sm *sim.Simulator, prof sim.TrainProfile, cp sim.CloudProfile, stage int, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
+	refit, ok1 := analyticTail(sm, staleTail)
+	base, ok2 := c.baseTail(stage, suffix, staleTail)
 	if !ok1 || !ok2 {
 		return sim.Estimate{}, false, false
 	}
@@ -601,12 +652,16 @@ func (c *Controller) screenTail(prof sim.TrainProfile, cp sim.CloudProfile, suff
 		math.Abs(refit.Cost-base.Cost) > tol*base.Cost {
 		return refit, true, true
 	}
-	// Conditions 1–2 are quiet; check 3 with an analytic-only replan on
-	// the refit simulator, whose segment table already holds the stale
-	// tail's moments. The mini-plan is deterministic and costs
-	// microseconds per candidate.
+	// Conditions 1–2 are quiet; check 3 with an analytic-only replan
+	// under the re-fitted profiles. The mini-plan is deterministic and
+	// costs microseconds per candidate.
+	mini, err := c.analyticSim(suffix, prof, cp)
+	if err != nil {
+		return sim.Estimate{}, false, false
+	}
+	defer mini.Release()
 	p := &planner.Planner{
-		Sim:      refitSim,
+		Sim:      mini,
 		Deadline: remaining,
 		MaxGPUs:  c.cfg.MaxGPUs,
 		Workers:  1,
@@ -665,14 +720,17 @@ func (c *Controller) PreScreen(state State) (PreScreenResult, error) {
 	if err != nil {
 		return PreScreenResult{}, err
 	}
-	st := c.cfg.Spec.Stage(state.Stage)
-	per := sim.GPUsPerTrial(state.Plan.Alloc[state.Stage], st.Trials)
-	remaining := c.cfg.Deadline - float64(state.Now) - float64(state.RemainingIters)*prof.IterDist(per).Mean()
+	remaining := c.remainingDeadline(state, prof)
 	if remaining <= 0 {
 		return PreScreenResult{Supported: true, Material: true, RemainingDeadline: remaining}, nil
 	}
 	suffix := c.cfg.Spec.Suffix(state.Stage + 1)
-	stale, material, ok := c.screenTail(prof, cp, suffix, state.Plan.Suffix(state.Stage+1), remaining)
+	sm, err := c.analyticSim(suffix, prof, cp)
+	if err != nil {
+		return PreScreenResult{RemainingDeadline: remaining}, nil
+	}
+	defer sm.Release()
+	stale, material, ok := c.screenTail(sm, prof, cp, state.Stage, suffix, state.Plan.Suffix(state.Stage+1), remaining)
 	return PreScreenResult{Supported: ok, Material: material, RemainingDeadline: remaining, Stale: stale}, nil
 }
 

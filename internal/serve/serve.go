@@ -125,14 +125,13 @@ func (s *Submission) Validate() error {
 // journal's per-tenant layout.
 func validName(s string) bool { return journal.ValidName(s) }
 
-// zooModel resolves a zoo workload by name.
+// zooModel resolves a zoo workload by name, building only that model.
 func zooModel(name string) (*model.Model, error) {
-	for _, m := range model.Zoo() {
-		if m.Name == name {
-			return m, nil
-		}
+	m, err := model.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("unknown model %q", name)
 	}
-	return nil, fmt.Errorf("unknown model %q", name)
+	return m, nil
 }
 
 // estimator parses the estimator field with sim.ParseEstimator; empty

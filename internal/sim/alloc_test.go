@@ -85,10 +85,10 @@ func recycledTable(t *testing.T) *segTable {
 }
 
 // tableSegments builds the segments of plans in sm's table and returns
-// them in plan order.
-func tableSegments(t *testing.T, sm *Simulator, plans []Plan) []*segment {
+// their refs in plan order.
+func tableSegments(t *testing.T, sm *Simulator, plans []Plan) []ref {
 	t.Helper()
-	var segs []*segment
+	var segs []ref
 	for _, p := range plans {
 		var cp compiledPlan
 		if err := sm.compile(p, &cp); err != nil {
@@ -107,10 +107,10 @@ func tableSegments(t *testing.T, sm *Simulator, plans []Plan) []*segment {
 func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
 	skipUnderRace(t)
 	exactAllocs(t)
-	fill := func(sm *Simulator, segs []*segment) uint64 {
+	fill := func(sm *Simulator, segs []ref) uint64 {
 		return mallocs(func() {
-			for _, sg := range segs {
-				sm.segmentSamples(sg)
+			for _, h := range segs {
+				sm.segmentSamples(h)
 			}
 		})
 	}

@@ -22,26 +22,28 @@ type segMoment struct {
 	ok                      bool
 }
 
-// segmentMoments returns the segment's analytic moments, filling sg.mom
-// on first use. The value is a pure function of the segment (itself a
-// pure function of the simulator configuration and the key), so benign
-// double computation under concurrent misses is harmless. A miss stores
-// the moments in a record carved from the table's moment slab.
+// segmentMoments returns the ref of the analytic moments of the segment
+// h refers to, filling them on first use. The value is a pure function
+// of the segment (itself a pure function of the simulator configuration
+// and the key), so benign double computation under concurrent misses is
+// harmless. A miss stores the moments in a record carved from the
+// table's moment slab.
 //
 //rbvet:pure
-func (s *Simulator) segmentMoments(sg *segment) *segMoment {
+func (s *Simulator) segmentMoments(h ref) ref {
 	s.mu.Lock()
+	sg := s.tableLocked().segs.at(h)
 	v := sg.mom
 	s.mu.Unlock()
-	if v != nil {
+	if v != 0 {
 		return v
 	}
-	m := sg.moments()
+	m := sg.moments(s.prov)
 	s.mu.Lock()
-	if sg.mom == nil {
-		v = &s.tableLocked().moms.take(1)[0]
-		*v = m
-		sg.mom = v
+	if sg.mom == 0 {
+		var run []segMoment
+		run, sg.mom = s.tab.moms.take(1)
+		run[0] = m
 	}
 	v = sg.mom
 	s.mu.Unlock()
@@ -74,7 +76,7 @@ func (s *Simulator) segmentMoments(sg *segment) *segMoment {
 // the SYNC's zero latency), which can turn −0 into +0.
 //
 //rbvet:pure
-func (sg *segment) moments() segMoment {
+func (sg *segment) moments(prov *provLats) segMoment {
 	grow, trials, opening := int(sg.grow), int(sg.trials), int(sg.opening)
 	train, ok := sg.train.Moment()
 	if !ok {
@@ -84,12 +86,12 @@ func (sg *segment) moments() segMoment {
 	var scale, init stats.Moment
 	if grow > 0 {
 		var oks, oki bool
-		scale, oks = sg.prov.scale.Moment()
-		init, oki = sg.prov.init.Moment()
+		scale, oks = prov.scale.Moment()
+		init, oki = prov.init.Moment()
 		if !oks || !oki {
 			return segMoment{}
 		}
-		nonneg = nonneg && sg.prov.scale.NonNeg() && sg.prov.init.NonNeg()
+		nonneg = nonneg && prov.scale.NonNeg() && prov.init.NonNeg()
 	}
 
 	v := segMoment{ok: true}
@@ -179,11 +181,11 @@ func (s *Simulator) NewAnalyticEval() *AnalyticEval {
 	return e
 }
 
-// Release drops the evaluator's Simulator and segment references and
-// returns it to the pool. The evaluator must not be used afterwards.
+// Release drops the evaluator's Simulator and returns it to the pool.
+// Its compiled plan holds refs, not pointers, so nothing else needs
+// clearing. The evaluator must not be used afterwards.
 func (e *AnalyticEval) Release() {
 	e.sim = nil
-	e.cp.clear()
 	evalPool.Put(e)
 }
 
@@ -205,11 +207,10 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 		return Estimate{}, false, err
 	}
 	for i, m := range e.cp.moms {
-		if m == nil {
-			m = e.sim.segmentMoments(e.cp.segs[i])
-			e.cp.moms[i] = m
+		if m == 0 {
+			e.cp.moms[i] = e.sim.segmentMoments(e.cp.segs[i])
 		}
-		if !m.ok {
+		if !e.cp.mom(i).ok {
 			return Estimate{}, false, nil
 		}
 	}
@@ -228,15 +229,15 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 // with the minimum charge applied via the Gaussian clamp; per-function
 // billing sums training GPU-seconds.
 func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
-	moms := cp.moms
 	pr := e.sim.cloud.Pricing
 	cost = stats.Moment{Mean: float64(cp.maxInstances) * pr.DataIngressCost(e.sim.cloud.DatasetGB)}
 
 	if pr.Billing == cloud.PerFunction {
 		pg := e.sim.cloud.Instance.PricePerGPUSecond(pr.Market)
-		for i, sg := range cp.segs {
-			jct = jct.AddIndep(moms[i].dur)
-			cost = cost.AddIndep(moms[i].trainSec.Scale(float64(sg.trainGPUs) * pg))
+		for i := range cp.segs {
+			m := cp.mom(i)
+			jct = jct.AddIndep(m.dur)
+			cost = cost.AddIndep(m.trainSec.Scale(float64(cp.seg(i).trainGPUs) * pg))
 		}
 		return jct, cost
 	}
@@ -245,12 +246,13 @@ func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
 	groups := e.groups[:0]
 	alive := 0
 	var pre stats.Moment // absolute start moment of the current stage
-	for i, sg := range cp.segs {
+	for i := range cp.segs {
+		sg, m := cp.seg(i), cp.mom(i)
 		want := int(sg.instances)
 		if want > alive {
 			sf := stats.Moment{}
 			if sg.grow > 0 {
-				sf = moms[i].scaleFin
+				sf = m.scaleFin
 			}
 			groups = append(groups, birthGroup{pre: pre, sf: sf, count: want - alive})
 			alive = want
@@ -269,7 +271,7 @@ func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
 				}
 			}
 		}
-		pre = pre.AddIndep(moms[i].dur)
+		pre = pre.AddIndep(m.dur)
 	}
 	for _, g := range groups {
 		cost = cost.AddIndep(e.charge(g, pre, g.count, perHour))

@@ -17,13 +17,13 @@ import (
 // pushes one birth time per new instance, a shrink pops and charges
 // instances from the top one at a time, and the instances alive at the
 // end are charged from the bottom of the stack up.
-func refPriceSchedule(s *Simulator, cp *compiledPlan, vecs [][]segSample, k int) (jct, cost float64) {
+func refPriceSchedule(s *Simulator, cp *refCompiled, k int) (jct, cost float64) {
 	pr := s.cloud.Pricing
 	cost = float64(cp.maxInstances) * pr.DataIngressCost(s.cloud.DatasetGB)
 	var alive []float64
 	stageStart := 0.0
 	for i, sg := range cp.segs {
-		row := vecs[i][k]
+		row := cp.vecs[i][k]
 		want := int(sg.instances)
 		if want > len(alive) {
 			birth := stageStart
@@ -92,11 +92,12 @@ func checkCohortBilling(t testing.TB, sm *Simulator, plan Plan) billingPattern {
 	if err := sm.compile(plan, &cp); err != nil {
 		t.Fatal(err)
 	}
-	vecs := sm.sampleVectors(&cp)
+	sm.sampleVectors(&cp)
+	v := cp.view(sm.samples)
 	var pat billingPattern
 	shrunk := false
-	for i := 1; i < len(cp.segs); i++ {
-		switch prev, cur := cp.segs[i-1].instances, cp.segs[i].instances; {
+	for i := 1; i < len(v.segs); i++ {
+		switch prev, cur := v.segs[i-1].instances, v.segs[i].instances; {
 		case cur < prev:
 			shrunk = true
 		case cur > prev && shrunk:
@@ -106,15 +107,15 @@ func checkCohortBilling(t testing.TB, sm *Simulator, plan Plan) billingPattern {
 	var stack []cohort
 	for k := 0; k < sm.samples; k++ {
 		var jct, cost float64
-		jct, cost, stack = sm.priceSchedule(&cp, vecs, k, stack)
-		wantJCT, wantCost := refPriceSchedule(sm, &cp, vecs, k)
+		jct, cost, stack = sm.priceSchedule(&cp, k, stack)
+		wantJCT, wantCost := refPriceSchedule(sm, v, k)
 		if math.Float64bits(jct) != math.Float64bits(wantJCT) || math.Float64bits(cost) != math.Float64bits(wantCost) {
 			t.Fatalf("plan %v draw %d: cohort replay (%v, %v), per-instance replay (%v, %v)", plan, k, jct, cost, wantJCT, wantCost)
 		}
 		// A stage's duration bounds the lifetime of an instance born in
 		// it and dropped at its end.
 		for i := range cp.segs {
-			if vecs[i][k].dur < sm.cloud.Pricing.MinChargeSeconds {
+			if v.vecs[i][k].dur < sm.cloud.Pricing.MinChargeSeconds {
 				pat.short++
 			}
 		}

@@ -35,13 +35,14 @@ func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
 	if err := s.compile(p, &cp); err != nil {
 		return nil, err
 	}
-	return s.breakdown(&cp, s.sampleVectors(&cp), p), nil
+	s.sampleVectors(&cp)
+	return s.breakdown(&cp, p), nil
 }
 
 // breakdown averages per-stage durations and compute-cost attribution
-// over the s.samples Monte-Carlo rows of a compiled plan (vecs[i][k] is
-// stage i's draw k).
-func (s *Simulator) breakdown(cp *compiledPlan, vecs [][]segSample, p Plan) []StageEstimate {
+// over the s.samples Monte-Carlo rows of a compiled plan with its sample
+// vectors filled (cp.row(i, k) is stage i's draw k).
+func (s *Simulator) breakdown(cp *compiledPlan, p Plan) []StageEstimate {
 	n := len(cp.segs)
 	durSum := make([]float64, n)
 	costSum := make([]float64, n)
@@ -50,8 +51,8 @@ func (s *Simulator) breakdown(cp *compiledPlan, vecs [][]segSample, p Plan) []St
 
 	for k := 0; k < s.samples; k++ {
 		var prev int32
-		for i, sg := range cp.segs {
-			row := vecs[i][k]
+		for i := range cp.segs {
+			sg, row := cp.seg(i), cp.row(i, k)
 			durSum[i] += row.dur
 			if pr.Billing == cloud.PerFunction {
 				costSum[i] += row.trainSec * float64(sg.trainGPUs) * it.PricePerGPUSecond(pr.Market)
@@ -76,8 +77,8 @@ func (s *Simulator) breakdown(cp *compiledPlan, vecs [][]segSample, p Plan) []St
 	}
 
 	out := make([]StageEstimate, n)
-	for i, sg := range cp.segs {
-		st := s.spec.Stage(i)
+	for i := range cp.segs {
+		sg, st := cp.seg(i), s.spec.Stage(i)
 		out[i] = StageEstimate{
 			Stage:        i,
 			Trials:       st.Trials,

@@ -49,9 +49,10 @@ type provLats struct {
 // per-segment samples. A segment's shape and latencies are immutable
 // after construction and safe for concurrent use.
 //
-// The record is kept to 112 bytes (TestSegmentRecordSize): the shape is
-// int32, and the SCALE and INIT latencies, which only the cloud profile
-// fixes, are shared through prov rather than copied into every segment.
+// The record is kept to 80 bytes (TestSegmentRecordSize): the shape is
+// int32, the SCALE and INIT latencies, which only the cloud profile
+// fixes, stay with the Simulator (provLats), and the filled sample
+// vector and moments are refs into the table's slabs.
 type segment struct {
 	key segKey
 	// grow is the INIT_INSTANCE count, one per instance the cluster
@@ -65,17 +66,15 @@ type segment struct {
 	trainGPUs int32
 	// instances is the cluster size (machines) during the stage.
 	instances int32
-	// prov holds the SCALE and INIT_INSTANCE latencies, shared by every
-	// segment of the Simulator; train is the TRAIN latency (SYNC takes
-	// none).
-	prov  *provLats
+	// train is the TRAIN latency (SYNC takes none).
 	train stats.Lat
 
-	// samples (segment mode) and mom are filled on first use under
-	// Simulator.mu and never change afterwards. mom is filled in analytic
-	// mode and, in segment mode, by the planner's analytic frontier screen.
-	samples []segSample
-	mom     *segMoment
+	// samples (segment mode) and mom refer to the segment's sample
+	// vector and moments in the table's slabs, 0 until filled. Each is
+	// filled on first use under Simulator.mu and never changes
+	// afterwards. mom is filled in analytic mode and, in segment mode, by
+	// the planner's analytic frontier screen.
+	samples, mom ref
 }
 
 // segSample is the sufficient statistic one Monte-Carlo draw of one
@@ -97,13 +96,13 @@ type segSample struct {
 // INITs and the TRAINs are each drawn into lat in one batch (one opcode
 // dispatch, the same stream consumption as a draw per node); each TRAIN's
 // latency is then overwritten by its finish, so TRAIN tr starts at the
-// finish of TRAIN tr−opening, the previous one in its slot. lat is
-// scratch, reused when it holds max(grow, trials) and returned for the
-// next draw.
+// finish of TRAIN tr−opening, the previous one in its slot. prov holds
+// the Simulator's SCALE and INIT latencies. lat is scratch, reused when
+// it holds max(grow, trials) and returned for the next draw.
 //
 //rbvet:pure
 //rbvet:noalloc
-func (sg *segment) eval(r *stats.RNG, lat []float64) (segSample, []float64) {
+func (sg *segment) eval(prov *provLats, r *stats.RNG, lat []float64) (segSample, []float64) {
 	if n := int(max(sg.grow, sg.trials)); cap(lat) < n {
 		//rbvet:ignore noalloc — cold path: grows once per worker slot to the widest stage; steady-state draws reuse lat
 		lat = make([]float64, n)
@@ -112,13 +111,13 @@ func (sg *segment) eval(r *stats.RNG, lat []float64) (segSample, []float64) {
 	var span, open float64 // largest finish so far; the opening TRAINs' start
 	if sg.grow > 0 {
 		var start float64 // the INITs' start, once the SCALE finishes
-		out.scaleFin = start + sg.prov.scale.Sample(r)
+		out.scaleFin = start + prov.scale.Sample(r)
 		if out.scaleFin > start {
 			start = out.scaleFin
 		}
 		span = start
 		inits := lat[:sg.grow]
-		sg.prov.init.SampleInto(r, inits)
+		prov.init.SampleInto(r, inits)
 		for _, d := range inits {
 			if f := start + d; f > open {
 				open = f
@@ -153,24 +152,29 @@ func (sg *segment) eval(r *stats.RNG, lat []float64) (segSample, []float64) {
 
 // compiledPlan is a plan resolved to its per-stage segments plus the
 // plan-level constants the cost model needs, and each segment's sample
-// vector and moments as compile found them: nil until filled (see
-// sampleVectors and AnalyticEval.Estimate).
+// vector and moments as compile found them: 0 until filled (see
+// sampleVectors and AnalyticEval.Estimate). Its columns are refs into
+// tab's slabs, not pointers, so a compiled plan in pooled scratch is
+// never cleared and storing into it takes no write barrier.
 type compiledPlan struct {
-	segs []*segment
-	vecs [][]segSample
-	moms []*segMoment
+	tab  *segTable
+	segs []ref
+	vecs []ref
+	moms []ref
 	// maxInstances is the peak cluster size, which fixes the data-ingress
 	// charge under LIFO deprovisioning.
 	maxInstances int32
 }
 
-// clear drops the plan's segment, vector and moment references, keeping
-// the columns' capacity.
-func (cp *compiledPlan) clear() {
-	clear(cp.segs)
-	clear(cp.vecs)
-	clear(cp.moms)
-}
+// seg returns stage i's segment. Its shape and latencies are immutable,
+// so it may be read without the lock.
+func (cp *compiledPlan) seg(i int) *segment { return cp.tab.segs.at(cp.segs[i]) }
+
+// row returns stage i's Monte-Carlo draw k; stage i's vector is filled.
+func (cp *compiledPlan) row(i, k int) segSample { return *cp.tab.samples.at(cp.vecs[i] + ref(k)) }
+
+// mom returns stage i's moments; they are filled.
+func (cp *compiledPlan) mom(i int) *segMoment { return cp.tab.moms.at(cp.moms[i]) }
 
 // compile resolves a plan into cp, a buffer the caller owns, composing
 // table-shared segments and reusing cp's columns, so a warm compile into
@@ -178,6 +182,8 @@ func (cp *compiledPlan) clear() {
 // acquisition of s.mu, which also snapshots each segment's filled sample
 // vector and moments. A segment missing from the table is built outside
 // the lock and stored first-write-wins when the walk resumes under it.
+//
+//rbvet:noalloc
 func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 	if err := p.Validate(s.spec.NumStages()); err != nil {
 		return err
@@ -186,16 +192,18 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 	var prev int32
 	s.mu.Lock()
 	t := s.tableLocked()
+	cp.tab = t
 	for i, alloc := range p.Alloc {
 		key := segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev}
-		sg, _ := t.index.get(key)
-		if sg == nil {
+		h, _ := t.index.get(key)
+		if h == 0 {
 			s.mu.Unlock()
 			built := s.buildSegment(key)
 			s.mu.Lock()
-			sg = t.storeLocked(&built)
+			h = t.storeLocked(&built)
 		}
-		cp.segs = append(cp.segs, sg)
+		sg := t.segs.at(h)
+		cp.segs = append(cp.segs, h)
 		cp.vecs = append(cp.vecs, sg.samples)
 		cp.moms = append(cp.moms, sg.mom)
 		prev = sg.instances
@@ -222,17 +230,18 @@ func canonAlloc(alloc, trials int) int {
 }
 
 // storeLocked stores built under its key unless another caller stored
-// that key first, and returns the stored segment: the first write wins,
-// so every caller shares one segment per key and with it the segment's
-// lazily filled samples and moments. The record is carved from the
-// table's segment slab. The caller holds the Simulator's lock.
-func (t *segTable) storeLocked(built *segment) *segment {
-	p, found := t.index.put(built.key)
+// that key first, and returns the stored segment's ref: the first write
+// wins, so every caller shares one segment per key and with it the
+// segment's lazily filled samples and moments. The record is carved from
+// the table's segment slab. The caller holds the Simulator's lock.
+func (t *segTable) storeLocked(built *segment) ref {
+	h, found := t.index.put(built.key)
 	if !found {
-		*p = &t.segs.take(1)[0]
-		**p = *built
+		run, r := t.segs.take(1)
+		run[0] = *built
+		*h = r
 	}
-	return *p
+	return *h
 }
 
 // buildSegment resolves one stage's zero-based sub-DAG of the execution
@@ -247,8 +256,8 @@ func (t *segTable) storeLocked(built *segment) *segment {
 // is not represented (the cost model's per-stage instance counts account
 // for it). The build allocates nothing: the record is returned by value
 // for compile to store, the provisioning latencies were compiled once,
-// in New, and the iteration distribution comes from the table's share
-// column.
+// in New and stay with the Simulator, and the iteration distribution
+// comes from the table's share column.
 //
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) segment {
@@ -269,7 +278,6 @@ func (s *Simulator) buildSegment(key segKey) segment {
 		opening:   int32(min(alloc, st.Trials)),
 		trainGPUs: int32(per),
 		instances: int32(need),
-		prov:      s.prov,
 		train:     stats.SumLat(s.iterShare(per).dist, st.Iters),
 	}
 }
@@ -283,21 +291,23 @@ func (s *Simulator) segStream(key segKey) (r stats.RNG) {
 	return r
 }
 
-// segmentSamples returns the segment's s.samples-long sample vector,
-// filling sg.samples on first use. Sample k always draws from the k-th
-// stream of the tuple's family and slots are index-addressed, so the
-// vector is bit-identical at any worker count. A miss carves the vector
-// from the table's sample slab under the lock and fills it outside;
-// streams and latency buffers come from fillPool.
-func (s *Simulator) segmentSamples(sg *segment) []segSample {
+// segmentSamples returns the ref of the s.samples-long sample vector of
+// the segment h refers to, filling it on first use. Sample k always
+// draws from the k-th stream of the tuple's family and slots are
+// index-addressed, so the vector is bit-identical at any worker count. A
+// miss carves the vector from the table's sample slab under the lock and
+// fills it outside; streams and latency buffers come from fillPool.
+func (s *Simulator) segmentSamples(h ref) ref {
 	s.mu.Lock()
+	t := s.tableLocked()
+	sg := t.segs.at(h)
 	v := sg.samples
 	var fresh []segSample
-	if v == nil {
-		fresh = s.tableLocked().samples.take(s.samples)
+	if v == 0 {
+		fresh, v = t.samples.take(s.samples)
 	}
 	s.mu.Unlock()
-	if v != nil {
+	if fresh == nil {
 		return v
 	}
 	fs := fillPool.Get().(*fillScratch)
@@ -309,15 +319,15 @@ func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	if n == 1 {
 		// Serial fill without the fan-out's closure, which would escape.
 		for k := range fresh {
-			fs.draw(sg, fresh, 0, k)
+			fs.draw(sg, s.prov, fresh, 0, k)
 		}
 	} else {
-		par.ForEachWorker(s.samples, s.Workers(), func(w, k int) { fs.draw(sg, fresh, w, k) })
+		par.ForEachWorker(s.samples, s.Workers(), func(w, k int) { fs.draw(sg, s.prov, fresh, w, k) })
 	}
 	fillPool.Put(fs)
 	s.mu.Lock()
-	if sg.samples == nil {
-		sg.samples = fresh
+	if sg.samples == 0 {
+		sg.samples = v
 	}
 	v = sg.samples
 	s.mu.Unlock()
@@ -337,16 +347,14 @@ func (s *Simulator) workerSlots() int {
 	return n
 }
 
-// sampleVectors fills the sample vectors compile found unfilled and
-// returns the compiled plan's rows: vecs[i][k] is stage i's segSample
-// for Monte-Carlo draw k.
-func (s *Simulator) sampleVectors(cp *compiledPlan) [][]segSample {
+// sampleVectors fills the sample vectors compile found unfilled, so
+// every cp.row may be read.
+func (s *Simulator) sampleVectors(cp *compiledPlan) {
 	for i, v := range cp.vecs {
-		if v == nil {
+		if v == 0 {
 			cp.vecs[i] = s.segmentSamples(cp.segs[i])
 		}
 	}
-	return cp.vecs
 }
 
 // cohort is count instances born together at birth: one growth event on
@@ -356,8 +364,8 @@ type cohort struct {
 	count int
 }
 
-// priceSchedule replays Monte-Carlo draw k of a compiled plan's segment
-// rows against the billing model: stage durations chain into absolute
+// priceSchedule replays Monte-Carlo draw k of a compiled plan's filled
+// segment rows against the billing model: stage durations chain into absolute
 // time, per-instance billing replays LIFO instance lifetimes (births
 // derived from each growth stage's SCALE finish, deaths at stage
 // boundaries or job completion, subject to the minimum charge), and
@@ -374,14 +382,14 @@ type cohort struct {
 // every instance separately.
 //
 //rbvet:noalloc
-func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, stack []cohort) (jct, cost float64, _ []cohort) {
+func (s *Simulator) priceSchedule(cp *compiledPlan, k int, stack []cohort) (jct, cost float64, _ []cohort) {
 	pr := s.cloud.Pricing
 	cost = float64(cp.maxInstances) * pr.DataIngressCost(s.cloud.DatasetGB)
 
 	if pr.Billing == cloud.PerFunction {
 		pg := s.cloud.Instance.PricePerGPUSecond(pr.Market)
-		for i, sg := range cp.segs {
-			row := vecs[i][k]
+		for i := range cp.segs {
+			sg, row := cp.seg(i), cp.row(i, k)
 			jct += row.dur
 			cost += row.trainSec * float64(sg.trainGPUs) * pg
 		}
@@ -391,8 +399,8 @@ func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, s
 	alive := 0
 	stack = stack[:0]
 	stageStart := 0.0
-	for i, sg := range cp.segs {
-		row := vecs[i][k]
+	for i := range cp.segs {
+		sg, row := cp.seg(i), cp.row(i, k)
 		want := int(sg.instances)
 		if want > alive {
 			birth := stageStart

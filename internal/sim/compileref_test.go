@@ -1,0 +1,245 @@
+package sim
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/stats"
+)
+
+// refCompiled is the compiled plan as it was before handles: per-stage
+// segment, sample-vector and moment pointers.
+type refCompiled struct {
+	segs         []*segment
+	vecs         [][]segSample
+	moms         []*segMoment
+	maxInstances int32
+}
+
+// view resolves a compiled plan's refs to the pointers the pointer-based
+// compiled plan held: nil for an unfilled vector or moment.
+func (cp *compiledPlan) view(samples int) *refCompiled {
+	v := &refCompiled{maxInstances: cp.maxInstances}
+	for i := range cp.segs {
+		v.segs = append(v.segs, cp.seg(i))
+		var vec []segSample
+		if h := cp.vecs[i]; h != 0 {
+			vec = make([]segSample, samples)
+			for k := range vec {
+				vec[k] = cp.row(i, k)
+			}
+		}
+		v.vecs = append(v.vecs, vec)
+		var m *segMoment
+		if cp.moms[i] != 0 {
+			m = cp.mom(i)
+		}
+		v.moms = append(v.moms, m)
+	}
+	return v
+}
+
+// refCompile is the pointer-based compile: every stage's segment built
+// afresh, outside any table, its sample vector drawn serially from the
+// tuple's stream family and its moments computed, all held by pointer.
+func (s *Simulator) refCompile(p Plan) (*refCompiled, error) {
+	if err := p.Validate(s.spec.NumStages()); err != nil {
+		return nil, err
+	}
+	cp := &refCompiled{}
+	var prev int32
+	for i, alloc := range p.Alloc {
+		key := segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev}
+		sg := s.buildSegment(key)
+		vec := make([]segSample, s.samples)
+		base := s.segStream(key)
+		var r stats.RNG
+		var lat []float64
+		for k := range vec {
+			base.StreamInto(uint64(k), &r)
+			vec[k], lat = sg.eval(s.prov, &r, lat)
+		}
+		m := sg.moments(s.prov)
+		cp.segs = append(cp.segs, &sg)
+		cp.vecs = append(cp.vecs, vec)
+		cp.moms = append(cp.moms, &m)
+		prev = sg.instances
+		cp.maxInstances = max(cp.maxInstances, sg.instances)
+	}
+	return cp, nil
+}
+
+// refEstimate is Estimate over the pointer-based compile, without the
+// plan memo or any table: the Monte-Carlo replay through
+// refPriceSchedule, or, under the analytic estimator with every moment
+// finite, refPrice.
+func (s *Simulator) refEstimate(p Plan) (Estimate, error) {
+	cp, err := s.refCompile(p)
+	if err != nil {
+		return Estimate{}, err
+	}
+	if s.estimator == EstimatorAnalytic {
+		ok := true
+		for _, m := range cp.moms {
+			ok = ok && m.ok
+		}
+		if ok {
+			jct, cost := s.refPrice(cp)
+			return Estimate{JCT: jct.Mean, JCTStd: jct.Std(), Cost: cost.Mean, CostStd: cost.Std()}, nil
+		}
+	}
+	jcts, costs := make([]float64, s.samples), make([]float64, s.samples)
+	for k := range jcts {
+		if s.cloud.Pricing.Billing == cloud.PerFunction {
+			jcts[k], costs[k] = refPricePerFunction(s, cp, k)
+		} else {
+			jcts[k], costs[k] = refPriceSchedule(s, cp, k)
+		}
+	}
+	jct, jctStd := stats.MeanStdInPlace(jcts)
+	cost, costStd := stats.MeanStdInPlace(costs)
+	return Estimate{JCT: jct, JCTStd: jctStd, Cost: cost, CostStd: costStd}, nil
+}
+
+// refPricePerFunction prices draw k under per-function billing: the
+// stages' durations chain into the JCT, and each TRAIN's GPU-seconds
+// bill at the per-GPU rate, plus data ingress.
+func refPricePerFunction(s *Simulator, cp *refCompiled, k int) (jct, cost float64) {
+	pr := s.cloud.Pricing
+	cost = float64(cp.maxInstances) * pr.DataIngressCost(s.cloud.DatasetGB)
+	pg := s.cloud.Instance.PricePerGPUSecond(pr.Market)
+	for i, sg := range cp.segs {
+		row := cp.vecs[i][k]
+		jct += row.dur
+		cost += row.trainSec * float64(sg.trainGPUs) * pg
+	}
+	return jct, cost
+}
+
+// refPrice is AnalyticEval.price over the pointer-based compile.
+func (s *Simulator) refPrice(cp *refCompiled) (jct, cost stats.Moment) {
+	e := &AnalyticEval{sim: s}
+	pr := s.cloud.Pricing
+	cost = stats.Moment{Mean: float64(cp.maxInstances) * pr.DataIngressCost(s.cloud.DatasetGB)}
+	if pr.Billing == cloud.PerFunction {
+		pg := s.cloud.Instance.PricePerGPUSecond(pr.Market)
+		for i, sg := range cp.segs {
+			jct = jct.AddIndep(cp.moms[i].dur)
+			cost = cost.AddIndep(cp.moms[i].trainSec.Scale(float64(sg.trainGPUs) * pg))
+		}
+		return jct, cost
+	}
+	perHour := s.cloud.Instance.PricePerHour(pr.Market)
+	var groups []birthGroup
+	alive := 0
+	var pre stats.Moment
+	for i, sg := range cp.segs {
+		want := int(sg.instances)
+		if want > alive {
+			sf := stats.Moment{}
+			if sg.grow > 0 {
+				sf = cp.moms[i].scaleFin
+			}
+			groups = append(groups, birthGroup{pre: pre, sf: sf, count: want - alive})
+			alive = want
+		} else {
+			for alive > want {
+				top := &groups[len(groups)-1]
+				n := min(top.count, alive-want)
+				cost = cost.AddIndep(e.charge(*top, pre, n, perHour))
+				top.count -= n
+				alive -= n
+				if top.count == 0 {
+					groups = groups[:len(groups)-1]
+				}
+			}
+		}
+		pre = pre.AddIndep(cp.moms[i].dur)
+	}
+	for _, g := range groups {
+		cost = cost.AddIndep(e.charge(g, pre, g.count, perHour))
+	}
+	return pre, cost
+}
+
+// sameEstimate reports whether two estimates are bit-identical.
+func sameEstimate(a, b Estimate) bool {
+	return math.Float64bits(a.JCT) == math.Float64bits(b.JCT) &&
+		math.Float64bits(a.JCTStd) == math.Float64bits(b.JCTStd) &&
+		math.Float64bits(a.Cost) == math.Float64bits(b.Cost) &&
+		math.Float64bits(a.CostStd) == math.Float64bits(b.CostStd)
+}
+
+// TestCompileMatchesPointerOracle holds the handle-based compile and
+// everything that reads it — sample fills, the Monte-Carlo replay, the
+// analytic evaluator and the plan memo — to the pointer-based oracle:
+// every estimate bit-identical, under both estimators and billing
+// models, at one and four workers, cold and warm, on a fresh and a
+// recycled table, and the Simulator's seed state untouched.
+func TestCompileMatchesPointerOracle(t *testing.T) {
+	for _, mode := range []EstimatorMode{EstimatorSegment, EstimatorAnalytic} {
+		for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
+			for _, workers := range []int{1, 4} {
+				sm := deterministicSim(t, 8, workers, mode, billing)
+				stoch := modeSim(t, 16, workers, 41, mode)
+				for _, s := range []*Simulator{sm, stoch} {
+					root := s.root
+					for pass := 0; pass < 2; pass++ { // cold, then memoized
+						for _, p := range testPlans(s) {
+							got, err := s.Estimate(p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err := s.refEstimate(p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !sameEstimate(got, want) {
+								t.Fatalf("mode %v billing %v workers %d pass %d plan %v: estimate %+v, pointer oracle %+v",
+									mode, billing, workers, pass, p, got, want)
+							}
+						}
+					}
+					if s.root != root {
+						t.Fatal("estimating moved the Simulator's seed state")
+					}
+					s.Release() // the next Simulator may draw this table, recycled
+				}
+			}
+		}
+	}
+}
+
+// FuzzCompileMatchesPointerOracle: random plans over a stochastic
+// Simulator estimate bit-identically through the handle-based compile
+// and the pointer-based oracle, in both estimator modes.
+func FuzzCompileMatchesPointerOracle(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(9), uint8(2), false)
+	f.Add(uint64(7), uint8(16), uint8(1), uint8(30), true)
+	f.Fuzz(func(t *testing.T, seed uint64, a, b, c uint8, analytic bool) {
+		mode := EstimatorSegment
+		if analytic {
+			mode = EstimatorAnalytic
+		}
+		sm := modeSim(t, 8, 2, seed, mode)
+		defer sm.Release()
+		n := sm.Spec().NumStages()
+		alloc := make([]int, n)
+		for i := range alloc {
+			alloc[i] = 1 + int([3]uint8{a, b, c}[i%3]+uint8(i))%32
+		}
+		p := Plan{Alloc: alloc}
+		got, err := sm.Estimate(p)
+		if err != nil {
+			t.Skip()
+		}
+		want, err := sm.refEstimate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEstimate(got, want) {
+			t.Fatalf("plan %v: estimate %+v, pointer oracle %+v", p, got, want)
+		}
+	})
+}

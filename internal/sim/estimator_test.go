@@ -268,11 +268,11 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
 		}
-		vecs := sm.sampleVectors(&cp)
+		sm.sampleVectors(&cp)
 		var stack []cohort
-		_, _, stack = sm.priceSchedule(&cp, vecs, 0, stack) // warm the buffer
+		_, _, stack = sm.priceSchedule(&cp, 0, stack) // warm the buffer
 		allocs := testing.AllocsPerRun(100, func() {
-			_, _, stack = sm.priceSchedule(&cp, vecs, 1, stack)
+			_, _, stack = sm.priceSchedule(&cp, 1, stack)
 		})
 		if allocs != 0 {
 			t.Fatalf("billing %v: priceSchedule allocates %v per sample, want 0", billing, allocs)
@@ -310,10 +310,10 @@ func tableCounts(sm *Simulator) (segs, samples, moms int) {
 	}
 	for i := 0; i < sm.tab.segs.chunksUsed(); i++ {
 		for _, sg := range sm.tab.segs.usedOf(i) {
-			if sg.samples != nil {
+			if sg.samples != 0 {
 				samples++
 			}
-			if sg.mom != nil {
+			if sg.mom != 0 {
 				moms++
 			}
 		}
@@ -361,7 +361,7 @@ func TestCompileSnapshotsFills(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range cp.segs {
-			if cp.vecs[i] != nil || cp.moms[i] != nil {
+			if cp.vecs[i] != 0 || cp.moms[i] != 0 {
 				t.Fatalf("plan %v stage %d: cold compile snapshot a fill", p, i)
 			}
 		}
@@ -376,9 +376,10 @@ func TestCompileSnapshotsFills(t *testing.T) {
 		if err := sm.compile(p, &cp); err != nil {
 			t.Fatal(err)
 		}
-		for i, sg := range cp.segs {
-			if len(cp.vecs[i]) != sm.samples || &cp.vecs[i][0] != &sg.samples[0] || cp.moms[i] != sg.mom || sg.mom == nil {
-				t.Fatalf("plan %v stage %d: warm compile snapshot vector %p moments %p, table holds %p and %p",
+		for i := range cp.segs {
+			sg := cp.seg(i)
+			if cp.vecs[i] != sg.samples || sg.samples == 0 || cp.moms[i] != sg.mom || sg.mom == 0 {
+				t.Fatalf("plan %v stage %d: warm compile snapshot vector %d moments %d, table holds %d and %d",
 					p, i, cp.vecs[i], cp.moms[i], sg.samples, sg.mom)
 			}
 		}

@@ -11,7 +11,7 @@ import (
 // Lat.Sample call, and with it one opcode dispatch, per INIT and per
 // TRAIN, with a per-slot finish column as scratch. It is the oracle
 // checkEval holds eval to.
-func (sg *segment) evalPerDraw(r *stats.RNG, fin []float64) (segSample, []float64) {
+func (sg *segment) evalPerDraw(prov *provLats, r *stats.RNG, fin []float64) (segSample, []float64) {
 	if cap(fin) < int(sg.opening) {
 		fin = make([]float64, sg.opening)
 	}
@@ -20,13 +20,13 @@ func (sg *segment) evalPerDraw(r *stats.RNG, fin []float64) (segSample, []float6
 	var span, open float64
 	if sg.grow > 0 {
 		var start float64
-		out.scaleFin = start + sg.prov.scale.Sample(r)
+		out.scaleFin = start + prov.scale.Sample(r)
 		if out.scaleFin > start {
 			start = out.scaleFin
 		}
 		span = start
 		for k := int32(0); k < sg.grow; k++ {
-			f := start + sg.prov.init.Sample(r)
+			f := start + prov.init.Sample(r)
 			if f > open {
 				open = f
 			}
@@ -75,14 +75,14 @@ var evalLats = []stats.Lat{
 // and through evalPerDraw, each reusing its scratch, and requires the
 // same segSample bit for bit at every draw and the same stream state
 // after it.
-func checkEval(t *testing.T, sg *segment, seed uint64, draws int) {
+func checkEval(t *testing.T, sg *segment, prov *provLats, seed uint64, draws int) {
 	t.Helper()
 	got, want := stats.NewRNG(seed), stats.NewRNG(seed)
 	var lat, fin []float64
 	for k := 0; k < draws; k++ {
 		var g, w segSample
-		g, lat = sg.eval(got, lat)
-		w, fin = sg.evalPerDraw(want, fin)
+		g, lat = sg.eval(prov, got, lat)
+		w, fin = sg.evalPerDraw(prov, want, fin)
 		if math.Float64bits(g.dur) != math.Float64bits(w.dur) ||
 			math.Float64bits(g.scaleFin) != math.Float64bits(w.scaleFin) ||
 			math.Float64bits(g.trainSec) != math.Float64bits(w.trainSec) {
@@ -96,13 +96,11 @@ func checkEval(t *testing.T, sg *segment, seed uint64, draws int) {
 	}
 }
 
-// evalSegment builds a segment of the given shape and latencies.
-func evalSegment(grow, trials, opening int32, init, train stats.Lat) *segment {
-	return &segment{
-		grow: grow, trials: trials, opening: opening,
-		prov:  &provLats{scale: stats.CompileLat(stats.Exponential{MeanValue: 5}), init: init},
-		train: train,
-	}
+// evalSegment builds a segment of the given shape and latencies, and
+// the provisioning latencies it is drawn with.
+func evalSegment(grow, trials, opening int32, init, train stats.Lat) (*segment, *provLats) {
+	return &segment{grow: grow, trials: trials, opening: opening, train: train},
+		&provLats{scale: stats.CompileLat(stats.Exponential{MeanValue: 5}), init: init}
 }
 
 // TestEvalMatchesPerDraw: over every TRAIN kind, clusters that do and do
@@ -114,7 +112,8 @@ func TestEvalMatchesPerDraw(t *testing.T) {
 		for _, init := range evalLats {
 			for _, grow := range []int32{0, 1, 3, 9} {
 				for _, shape := range [][2]int32{{1, 1}, {4, 4}, {9, 2}, {24, 8}, {5, 3}} {
-					checkEval(t, evalSegment(grow, shape[0], shape[1], init, train), seed, 5)
+					sg, prov := evalSegment(grow, shape[0], shape[1], init, train)
+					checkEval(t, sg, prov, seed, 5)
 					seed++
 				}
 			}
@@ -130,8 +129,8 @@ func FuzzEvalMatchesPerDraw(f *testing.F) {
 	f.Add(uint8(9), uint8(40), uint8(40), uint8(3), uint8(5), uint64(3))
 	f.Fuzz(func(t *testing.T, grow, trials, opening, initKind, trainKind uint8, seed uint64) {
 		n := 1 + int32(trials)%48
-		sg := evalSegment(int32(grow)%16, n, 1+int32(opening)%n,
+		sg, prov := evalSegment(int32(grow)%16, n, 1+int32(opening)%n,
 			evalLats[int(initKind)%len(evalLats)], evalLats[int(trainKind)%len(evalLats)])
-		checkEval(t, sg, seed, 4)
+		checkEval(t, sg, prov, seed, 4)
 	})
 }

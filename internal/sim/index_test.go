@@ -183,7 +183,7 @@ func BenchmarkSegTable(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if sg, _ := t.index.get(keys[i%len(keys)]); sg == nil {
+			if h, _ := t.index.get(keys[i%len(keys)]); h == 0 {
 				b.Fatal("miss on a stored key")
 			}
 		}
@@ -201,7 +201,7 @@ func BenchmarkSegTable(b *testing.B) {
 				t.reset()
 				b.StartTimer()
 			}
-			if sg, _ := t.index.get(keys[k]); sg == nil {
+			if h, _ := t.index.get(keys[k]); h == 0 {
 				t.storeLocked(&segs[k])
 			}
 		}

@@ -133,15 +133,17 @@ func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Sim
 // for each stage of a plan.
 func (s *Simulator) segmentFor(key segKey) *segment {
 	s.mu.Lock()
-	sg, _ := s.tableLocked().index.get(key)
+	h, _ := s.tableLocked().index.get(key)
 	s.mu.Unlock()
-	if sg != nil {
-		return sg
+	if h == 0 {
+		built := s.buildSegment(key)
+		s.mu.Lock()
+		h = s.tab.storeLocked(&built)
+		s.mu.Unlock()
 	}
-	built := s.buildSegment(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tab.storeLocked(&built)
+	return s.tab.segs.at(h)
 }
 
 // sameBits reports whether two moments are bitwise equal.
@@ -196,7 +198,7 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 							var buf []Timing
 							for k := uint64(0); k < streams; k++ {
 								var got, want segSample
-								got, fin = sg.eval(base.Stream(k), fin)
+								got, fin = sg.eval(sm.prov, base.Stream(k), fin)
 								want, buf = ref.eval(base.Stream(k), buf)
 								if math.Float64bits(got.dur) != math.Float64bits(want.dur) ||
 									math.Float64bits(got.scaleFin) != math.Float64bits(want.scaleFin) ||
@@ -204,7 +206,7 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 									t.Fatalf("%s stream %d: kernel draws %+v, program %+v", name, k, got, want)
 								}
 							}
-							got, want := sg.moments(), ref.moments()
+							got, want := sg.moments(sm.prov), ref.moments()
 							if got.ok != want.ok || !sameBits(got.dur, want.dur) ||
 								!sameBits(got.scaleFin, want.scaleFin) || !sameBits(got.trainSec, want.trainSec) {
 								t.Fatalf("%s: kernel moments %+v, program %+v", name, got, want)
@@ -281,16 +283,18 @@ func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 	}
 }
 
-// TestSegmentRecordSize pins the segment record at 112 bytes on 64-bit
-// targets: the int32 shape and the shared provisioning latencies keep it
-// in the 112-byte size class rather than 224. The record holds pointers,
-// so its size on other word sizes differs and is not pinned.
+// TestSegmentRecordSize pins the segment record at 80 bytes on 64-bit
+// targets: the int32 shape, the provisioning latencies kept by the
+// Simulator rather than referenced from every record, and 32-bit refs
+// for the filled sample vector and moments. The record's TRAIN latency
+// may hold a pointer, so its size on other word sizes differs and is
+// not pinned.
 func TestSegmentRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("record size is pinned for 64-bit targets only")
 	}
-	if got := unsafe.Sizeof(segment{}); got != 112 {
-		t.Fatalf("segment record is %d bytes, want 112", got)
+	if got := unsafe.Sizeof(segment{}); got != 80 {
+		t.Fatalf("segment record is %d bytes, want 80", got)
 	}
 }
 
@@ -300,10 +304,10 @@ func TestSegmentRecordSize(t *testing.T) {
 // a fresh table, the slab's first chunk.
 func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 	exactAllocs(t)
-	fill := func(sm *Simulator, segs []*segment) uint64 {
+	fill := func(sm *Simulator, segs []ref) uint64 {
 		return mallocs(func() {
-			for _, sg := range segs {
-				sm.segmentMoments(sg)
+			for _, h := range segs {
+				sm.segmentMoments(h)
 			}
 		})
 	}
@@ -332,8 +336,8 @@ func benchSegments(b *testing.B) (*Simulator, []segKey) {
 		if err := sm.compile(p, &cp); err != nil {
 			b.Fatal(err)
 		}
-		for _, sg := range cp.segs {
-			keys = append(keys, sg.key)
+		for i := range cp.segs {
+			keys = append(keys, cp.seg(i).key)
 		}
 	}
 	return sm, keys
@@ -372,7 +376,7 @@ func BenchmarkSegmentSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sg := range segs {
-			sampleSink, fin = sg.eval(r, fin)
+			sampleSink, fin = sg.eval(sm.prov, r, fin)
 		}
 	}
 }
@@ -388,7 +392,7 @@ func BenchmarkSegmentMoments(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sg := range segs {
-			momentSink = sg.moments()
+			momentSink = sg.moments(sm.prov)
 		}
 	}
 }

@@ -129,8 +129,9 @@ func planStream(s *Simulator, p Plan) *stats.RNG {
 // draw to a segSample: the sync-to-sync duration, the SCALE finish
 // relative to the stage start, and the TRAIN GPU-slot seconds. rows[i][k]
 // is stage i's draw k. The returned compiledPlan carries only the DAG's
-// billing metadata (instances, SCALE presence, per-trial GPUs), so
-// pricing it never consults the segment table.
+// billing metadata (instances, SCALE presence, per-trial GPUs) and the
+// rows, in a table of its own, so pricing it never consults the
+// Simulator's segment table.
 func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSample) {
 	t.Helper()
 	b, err := buildFullDAG(s, p)
@@ -138,14 +139,13 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 		t.Fatal(err)
 	}
 	stages := len(b.syncID)
-	cp := &compiledPlan{}
-	for i := 0; i < stages; i++ {
-		cp.segs = append(cp.segs, &segment{
+	segs := make([]segment, stages)
+	for i := range segs {
+		segs[i] = segment{
 			instances: int32(b.instances[i]),
 			grow:      int32(b.grow[i]),
 			trainGPUs: int32(b.graph.Node(b.trainIDs[i][0]).GPUs),
-		})
-		cp.maxInstances = max(cp.maxInstances, int32(b.instances[i]))
+		}
 	}
 	rows := make([][]segSample, stages)
 	for i := range rows {
@@ -168,23 +168,39 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 			start = buf[b.syncID[i]].Finish
 		}
 	}
-	return cp, rows
+	return tableCompiled(segs, rows), rows
+}
+
+// tableCompiled stores segments and their sample rows in a fresh table
+// of their own and returns the compiled plan referring to them, every
+// sample vector filled.
+func tableCompiled(segs []segment, rows [][]segSample) *compiledPlan {
+	t := newSegTable()
+	cp := &compiledPlan{tab: t}
+	for i := range segs {
+		run, h := t.segs.take(1)
+		run[0] = segs[i]
+		vec, v := t.samples.take(len(rows[i]))
+		copy(vec, rows[i])
+		cp.segs, cp.vecs, cp.moms = append(cp.segs, h), append(cp.vecs, v), append(cp.moms, 0)
+		cp.maxInstances = max(cp.maxInstances, segs[i].instances)
+	}
+	return cp
 }
 
 // algorithm1Estimate is the reference Estimate: every Algorithm 1 draw
 // priced with priceSchedule and reduced like Estimate's own samples.
 func algorithm1Estimate(t testing.TB, s *Simulator, p Plan) Estimate {
 	t.Helper()
-	cp, rows := algorithm1(t, s, p)
-	cp.vecs = rows
+	cp, _ := algorithm1(t, s, p)
 	return s.summarize(&estScratch{cp: *cp})
 }
 
 // algorithm1Breakdown is the reference Breakdown over Algorithm 1 draws.
 func algorithm1Breakdown(t testing.TB, s *Simulator, p Plan) []StageEstimate {
 	t.Helper()
-	cp, rows := algorithm1(t, s, p)
-	return s.breakdown(cp, rows, p)
+	cp, _ := algorithm1(t, s, p)
+	return s.breakdown(cp, p)
 }
 
 // sumIters is the latency distribution of n i.i.d. iterations drawn from
@@ -226,8 +242,8 @@ func fullDAGChecked(t *testing.T, sm *Simulator, p Plan) *Graph {
 	if err := sm.compile(p, &cp); err != nil {
 		t.Fatal(err)
 	}
-	for i, sg := range cp.segs {
-		if got, want := sg.nodes(), b.lo[i+1]-b.lo[i]; got != want {
+	for i := range cp.segs {
+		if got, want := cp.seg(i).nodes(), b.lo[i+1]-b.lo[i]; got != want {
 			t.Errorf("plan %v stage %d: segment has %d nodes, full DAG stage has %d", p, i, got, want)
 		}
 	}
@@ -262,8 +278,8 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
 		}
-		for i, sg := range cp.segs {
-			r := ref.segs[i]
+		for i := range cp.segs {
+			sg, r := cp.seg(i), ref.seg(i)
 			if sg.instances != r.instances || sg.grow != r.grow || sg.trainGPUs != r.trainGPUs {
 				t.Fatalf("plan %v stage %d: segment metadata {inst %d grow %d gpus %d}, full DAG {inst %d grow %d gpus %d}",
 					plan, i, sg.instances, sg.grow, sg.trainGPUs, r.instances, r.grow, r.trainGPUs)
@@ -276,9 +292,9 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 		var buf []float64
 		for k := 0; k < sm.samples; k++ {
 			r := base.Stream(uint64(k))
-			for i, sg := range cp.segs {
+			for i := range cp.segs {
 				var got segSample
-				got, buf = sg.eval(r, buf)
+				got, buf = cp.seg(i).eval(sm.prov, r, buf)
 				w := want[i][k]
 				if !near(got.dur, w.dur, 1e-12) || !near(got.scaleFin, w.scaleFin, 1e-12) || !near(got.trainSec, w.trainSec, 1e-12) {
 					t.Fatalf("plan %v draw %d stage %d: segment %+v, full DAG %+v", plan, k, i, got, w)
@@ -310,8 +326,8 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
 		}
-		for i, sg := range cp.segs {
-			lo := b.lo[i]
+		for i := range cp.segs {
+			sg, lo := cp.seg(i), b.lo[i]
 			ref := &refSegment{
 				prog:     CompileRange(b.graph, lo, b.lo[i+1]),
 				scaleIdx: b.scaleID[i],
@@ -330,15 +346,15 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 			var wbuf []Timing
 			for k := 0; k < sm.samples; k++ {
 				var got, want segSample
-				got, fin = sg.eval(base.Stream(uint64(k)), fin)
+				got, fin = sg.eval(sm.prov, base.Stream(uint64(k)), fin)
 				want, wbuf = ref.eval(base.Stream(uint64(k)), wbuf)
 				if got != want {
 					t.Fatalf("plan %v stage %d draw %d: kernel %+v, CompileRange %+v", plan, i, k, got, want)
 				}
 			}
-			got, want := sm.segmentMoments(sg), ref.moments()
-			if *got != want {
-				t.Fatalf("plan %v stage %d: kernel moments %+v, CompileRange %+v", plan, i, *got, want)
+			got, want := *sm.tab.moms.at(sm.segmentMoments(cp.segs[i])), ref.moments()
+			if got != want {
+				t.Fatalf("plan %v stage %d: kernel moments %+v, CompileRange %+v", plan, i, got, want)
 			}
 			if got.ok {
 				analytic++

@@ -18,6 +18,22 @@ type TrainProfile interface {
 	IterDist(gpus int) stats.Dist
 }
 
+// IterMean returns p.IterDist(gpus).Mean(), the mean iteration latency
+// at gpus, bit for bit. For the profile types this package defines it
+// computes the mean directly, without boxing a distribution in an
+// interface per call.
+func IterMean(p TrainProfile, gpus int) float64 {
+	switch p := p.(type) {
+	case ModelTrainProfile:
+		return p.Model.IterLatencyMean(p.Batch, gpus, model.MinNodes(gpus, p.GPUsPerNode))
+	case MeasuredTrainProfile:
+		return p.BaseMean / p.Scaling.Speedup(gpus)
+	case ScaledTrainProfile:
+		return IterMean(p.Base, gpus) * p.Factor
+	}
+	return p.IterDist(gpus).Mean()
+}
+
 // ModelTrainProfile derives iteration latencies analytically from a zoo
 // model — the ground truth used by the simulated experiments.
 type ModelTrainProfile struct {

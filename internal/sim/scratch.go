@@ -34,12 +34,9 @@ type estScratch struct {
 	stack       []cohort
 }
 
-// release drops the scratch's segment references and returns it to the
-// pool.
-func (es *estScratch) release() {
-	es.cp.clear()
-	estPool.Put(es)
-}
+// release returns the scratch to the pool. Its compiled plan holds refs,
+// not pointers, so nothing needs clearing.
+func (es *estScratch) release() { estPool.Put(es) }
 
 // fillSlot is one sampling worker's private stream and the buffer
 // segment.eval draws a segment's INIT and TRAIN latencies into.
@@ -55,11 +52,12 @@ type fillScratch struct {
 	slots []fillSlot
 }
 
-// draw fills v[k] with draw k of sg, on worker slot w's stream and buffer.
-func (fs *fillScratch) draw(sg *segment, v []segSample, w, k int) {
+// draw fills v[k] with draw k of sg, whose Simulator's provisioning
+// latencies are prov, on worker slot w's stream and buffer.
+func (fs *fillScratch) draw(sg *segment, prov *provLats, v []segSample, w, k int) {
 	sl := &fs.slots[w]
 	fs.base.StreamInto(uint64(k), &sl.rng)
-	v[k], sl.lat = sg.eval(&sl.rng, sl.lat)
+	v[k], sl.lat = sg.eval(prov, &sl.rng, sl.lat)
 }
 
 // resize returns s with length n, reusing its capacity when it suffices.

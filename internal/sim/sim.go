@@ -228,10 +228,10 @@ func (s *Simulator) estimate(p Plan) (Estimate, error) {
 // each of its s.samples Monte-Carlo rows and reduces them to the estimate's means and standard
 // deviations, summed in sorted order as stats.Summarize does.
 func (s *Simulator) summarize(es *estScratch) Estimate {
-	vecs := s.sampleVectors(&es.cp)
+	s.sampleVectors(&es.cp)
 	es.jcts, es.costs = resize(es.jcts, s.samples), resize(es.costs, s.samples)
 	for k := 0; k < s.samples; k++ {
-		es.jcts[k], es.costs[k], es.stack = s.priceSchedule(&es.cp, vecs, k, es.stack)
+		es.jcts[k], es.costs[k], es.stack = s.priceSchedule(&es.cp, k, es.stack)
 	}
 	jct, jctStd := stats.MeanStdInPlace(es.jcts)
 	cost, costStd := stats.MeanStdInPlace(es.costs)
@@ -254,7 +254,7 @@ func (s *Simulator) instanceCharge(birth, death float64) float64 {
 // given per-trial allocation — a convenience for planners sizing warm
 // starts.
 func (s *Simulator) MeanIterLatency(gpus int) float64 {
-	return s.profile.IterDist(gpus).Mean()
+	return IterMean(s.profile, gpus)
 }
 
 // StaticClusterJCTs returns StaticClusterJCT(g) for every cluster size
@@ -283,23 +283,23 @@ func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
 }
 
 // meanLats returns the table's share column for per-trial shares 1..n
-// (entry per-1), every entry filled: its mean is the profile's mean
-// iteration latency at that share, MeanIterLatency(per). The profile is
-// asked outside the lock, and a filled entry never changes, so the
-// returned column may be read without the lock.
+// (entry per-1), every entry's mean filled: the profile's mean iteration
+// latency at that share, MeanIterLatency(per). The means are taken with
+// IterMean outside the lock, so filling them boxes no distribution, and
+// a filled mean never changes, so the returned column's means may be
+// read without the lock.
 func (s *Simulator) meanLats(n int) []iterShare {
 	s.mu.Lock()
 	t := s.tableLocked()
 	for per := t.full + 1; per <= n; per++ {
-		if t.share(per).dist != nil {
+		if t.share(per).hasMean {
 			continue
 		}
 		s.mu.Unlock()
-		d := s.profile.IterDist(per)
-		fresh := iterShare{dist: d, mean: d.Mean()}
+		mean := IterMean(s.profile, per)
 		s.mu.Lock()
-		if sh := t.share(per); sh.dist == nil {
-			*sh = fresh
+		if sh := t.share(per); !sh.hasMean {
+			sh.mean, sh.hasMean = mean, true
 		}
 	}
 	t.full = max(t.full, n)
@@ -308,9 +308,11 @@ func (s *Simulator) meanLats(n int) []iterShare {
 	return col
 }
 
-// iterShare returns the table's entry for per GPUs per trial. A miss
-// asks the profile outside the lock and stores first-write-wins: the
-// entry is a pure function of the profile.
+// iterShare returns the table's entry for per GPUs per trial with its
+// distribution filled. A miss asks the profile outside the lock and
+// stores first-write-wins: the entry is a pure function of the profile.
+// A mean meanLats filled is left as it is, since callers of meanLats read
+// it without the lock.
 func (s *Simulator) iterShare(per int) iterShare {
 	s.mu.Lock()
 	sh := *s.tableLocked().share(per)
@@ -319,11 +321,14 @@ func (s *Simulator) iterShare(per int) iterShare {
 		return sh
 	}
 	d := s.profile.IterDist(per)
-	fresh := iterShare{dist: d, mean: d.Mean()}
+	mean := d.Mean()
 	s.mu.Lock()
 	e := s.tab.share(per)
 	if e.dist == nil {
-		*e = fresh
+		e.dist = d
+	}
+	if !e.hasMean {
+		e.mean, e.hasMean = mean, true
 	}
 	sh = *e
 	s.mu.Unlock()

@@ -492,6 +492,47 @@ func TestMeasuredTrainProfile(t *testing.T) {
 	}
 }
 
+// lognormalProfile is a TrainProfile defined outside the sim package's
+// own types, so IterMean takes its IterDist fallback.
+type lognormalProfile struct{ mu, sigma float64 }
+
+func (p lognormalProfile) IterDist(gpus int) stats.Dist {
+	return stats.LogNormal{Mu: p.mu - math.Log(float64(gpus)), Sigma: p.sigma}
+}
+
+// TestIterMeanMatchesIterDist holds IterMean to IterDist(g).Mean() bit
+// for bit for every profile type, noise-free and noisy, nested Scaled
+// profiles and a foreign type included.
+func TestIterMeanMatchesIterDist(t *testing.T) {
+	sc, err := model.NewInterpolatedScaling([]int{1, 2, 4, 16}, []float64{1, 1.9, 3.6, 11.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := model.ResNet101()
+	quiet.IterNoiseStd = 0
+	bases := map[string]TrainProfile{
+		"model-noisy":    ModelTrainProfile{Model: model.ResNet101(), Batch: 512, GPUsPerNode: 4},
+		"model-quiet":    ModelTrainProfile{Model: quiet, Batch: 384, GPUsPerNode: 8},
+		"measured-noisy": MeasuredTrainProfile{BaseMean: 4, BaseStd: 0.4, Scaling: sc},
+		"measured-quiet": MeasuredTrainProfile{BaseMean: 4.3, Scaling: sc},
+		"foreign":        lognormalProfile{mu: 0.7, sigma: 0.3},
+	}
+	profiles := map[string]TrainProfile{}
+	for name, p := range bases {
+		profiles[name] = p
+		profiles[name+"/scaled"] = ScaledTrainProfile{Base: p, Factor: 1.37}
+		profiles[name+"/scaled/scaled"] = ScaledTrainProfile{Base: ScaledTrainProfile{Base: p, Factor: 0.71}, Factor: 1.13}
+	}
+	for name, p := range profiles {
+		for g := 1; g <= 64; g++ {
+			got, want := IterMean(p, g), p.IterDist(g).Mean()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s at %d GPUs: IterMean %v, IterDist mean %v", name, g, got, want)
+			}
+		}
+	}
+}
+
 // Property: for any SHA job and any feasible static allocation, estimated
 // cost and JCT are positive and finite, and the DAG has one SYNC per
 // stage.

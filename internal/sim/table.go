@@ -27,15 +27,24 @@ const (
 
 // segTable is the storage behind one Simulator's segment table: the key
 // index, the segment records and the sample vectors and moments they
-// point to, the profile's iteration distribution per per-trial share,
+// refer to, the profile's iteration distribution per per-trial share,
 // and the plan memo. Both indexes are epoch-stamped open-addressing
 // tables (see index), and records, vectors and moments are carved from
 // slabs; all of them, and the memo's columns, keep their capacity, so a
 // recycled table fills without allocating and resets in time
 // independent of the largest table it ever held. Every field is guarded
 // by the owning Simulator's mu.
+//
+// The table links its parts by handles, never pointers: the index maps
+// a key to its record's ref, and a record refers to its sample vector
+// and moments by ref into their slabs, as a compiled plan does (see
+// compiledPlan). So the index, the vectors, the moments and every
+// compiled plan are pointer-free: storing into them takes no write
+// barrier and recycling them clears nothing. The one pointer a record
+// can hold is a TRAIN latency that boxes its distribution, which reset
+// clears.
 type segTable struct {
-	index   index[segKey, *segment]
+	index   index[segKey, ref]
 	segs    slab[segment]
 	samples slab[segSample]
 	moms    slab[segMoment]
@@ -49,10 +58,10 @@ type segTable struct {
 	entries []planEntry
 	allocs  []int32
 	// shares[per-1] is the profile's iteration latency at per GPUs per
-	// trial (dist nil: not yet asked for). buildSegment compiles a
-	// segment's TRAIN latency from it and meanLats reads its means, so
-	// the profile builds each distribution once per table. full counts
-	// the leading shares known to be filled.
+	// trial (dist nil, hasMean false: not yet asked for). buildSegment
+	// compiles a segment's TRAIN latency from it and meanLats reads its
+	// means, so the profile builds each distribution once per table.
+	// full counts the leading shares whose means are known to be filled.
 	shares []iterShare
 	full   int
 }
@@ -125,24 +134,31 @@ func (t *segTable) storePlan(h uint64, allocs []int32, est Estimate) {
 }
 
 // iterShare is one per-trial share's iteration distribution and its
-// mean.
+// mean. meanLats fills the mean alone (hasMean), a segment build the
+// distribution as well; the mean is the distribution's either way.
 type iterShare struct {
-	dist stats.Dist
-	mean float64
+	dist    stats.Dist
+	mean    float64
+	hasMean bool
 }
 
 // reset empties the table for its next Simulator. Both indexes empty in
-// O(1) (see index.reset), and the records and shares the table filled
-// are cleared so the pool keeps no profile or latency alive; the stale
-// index slots still point into the segment slab, which the table owns
-// anyway. Sample vectors, moments and memo entries hold no pointers and
-// are overwritten before they are read, so their storage only rewinds.
+// O(1) (see index.reset), and the slabs rewind. Records, vectors,
+// moments and memo entries are overwritten before they are read, so the
+// only storage cleared is what holds a pointer the pool must not keep
+// alive: a record's TRAIN latency when it boxes a distribution, and the
+// share column's distributions.
 func (t *segTable) reset() {
 	t.index.reset()
 	t.plans.reset()
 	t.entries, t.allocs = t.entries[:0], t.allocs[:0]
 	for i := 0; i < t.segs.chunksUsed(); i++ {
-		clear(t.segs.usedOf(i))
+		used := t.segs.usedOf(i)
+		for j := range used {
+			if used[j].train.Boxed() {
+				used[j].train = stats.Lat{}
+			}
+		}
 	}
 	t.segs.rewind()
 	t.samples.rewind()
@@ -174,23 +190,49 @@ type slab[T any] struct {
 	n, cur, off int
 }
 
-// take returns a run of n values, each holding whatever it held last:
-// callers overwrite a run before reading it. A request that does not
-// fit the current chunk moves on to the next one, and when none is left
-// the slab adds a chunk of n·slabFirst·2^k values, k being the number
-// of chunks it already has.
-func (sl *slab[T]) take(n int) []T {
+// ref is a handle to a value carved from a slab: its chunk in the top
+// refChunkBits bits and its offset in the chunk below them, plus one, so
+// the zero ref is no value. Element k of a run taken at h is at h+k.
+// Chunks never move, so a ref resolves to the same value until rewind,
+// from any goroutine that obtained it under the table's lock.
+type ref uint32
+
+// refOffBits is the width of a ref's offset: a chunk may hold up to
+// 2^27 values, as many as slabChunks doublings hold in all.
+const refOffBits = 27
+
+// take returns a run of n values and its ref, each value holding
+// whatever it held last: callers overwrite a run before reading it. A
+// request that does not fit the current chunk moves on to the next one,
+// and when none is left the slab adds a chunk of n·slabFirst·2^k values,
+// k being the number of chunks it already has.
+func (sl *slab[T]) take(n int) ([]T, ref) {
 	for ; sl.cur < sl.n; sl.cur, sl.off = sl.cur+1, 0 {
 		if c := sl.chunks[sl.cur]; sl.off+n <= len(c) {
 			run := c[sl.off : sl.off+n : sl.off+n]
+			h := sl.ref(sl.off)
 			sl.off += n
-			return run
+			return run, h
 		}
 	}
 	sl.chunks[sl.n] = make([]T, n*slabFirst<<sl.n)
 	sl.n++
 	sl.off = n
-	return sl.chunks[sl.cur][:n:n]
+	return sl.chunks[sl.cur][:n:n], sl.ref(0)
+}
+
+// ref returns the ref of offset off in the current chunk.
+func (sl *slab[T]) ref(off int) ref {
+	if off >= 1<<refOffBits {
+		panic("sim: slab chunk too large for a ref")
+	}
+	return ref(sl.cur<<refOffBits|off) + 1
+}
+
+// at returns the value h refers to.
+func (sl *slab[T]) at(h ref) *T {
+	h--
+	return &sl.chunks[h>>refOffBits][h&(1<<refOffBits-1)]
 }
 
 // chunksUsed returns how many chunks hold taken values.

@@ -80,6 +80,11 @@ func SumLat(d Dist, n int) Lat {
 	return Lat{op: opRepeat, n: int32(n), d: d}
 }
 
+// Boxed reports whether the latency holds a distribution in an
+// interface (a Repeat summand or an opaque distribution): the only case
+// in which a Lat holds a pointer.
+func (l *Lat) Boxed() bool { return l.d != nil }
+
 // Sample draws one latency: the one-draw case of SampleInto.
 //
 //rbvet:pure

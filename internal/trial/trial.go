@@ -79,7 +79,16 @@ type Trial struct {
 
 // New returns a pending trial for the given configuration.
 func New(id ID, config searchspace.Config) *Trial {
-	return &Trial{id: id, config: config, state: Pending}
+	t := new(Trial)
+	t.Init(id, config)
+	return t
+}
+
+// Init makes t a pending trial for the given configuration, as New does
+// for a trial of its own: a caller carving many trials from one block
+// initializes each in place.
+func (t *Trial) Init(id ID, config searchspace.Config) {
+	*t = Trial{id: id, config: config, state: Pending}
 }
 
 // ID returns the trial identifier.

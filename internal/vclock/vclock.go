@@ -29,6 +29,7 @@ package vclock
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -130,6 +131,10 @@ func (c *Clock) Pending() int { return len(c.heap) }
 // its id for use with AtOp. Several components (one per executor job,
 // say) can register independently on a shared clock.
 func (c *Clock) RegisterDispatcher(d Dispatcher) DispatchID {
+	if c.disp == nil {
+		// Room for a provider's and a job's dispatchers at once.
+		c.disp = make([]Dispatcher, 0, 2)
+	}
 	c.disp = append(c.disp, d)
 	return DispatchID(len(c.disp) - 1)
 }
@@ -181,6 +186,19 @@ func (c *Clock) schedule(at Time, fn func(), disp int32, op uint8, a, b int64) H
 	c.seq++
 	c.push(idx)
 	return Handle{ref: idx + 1, gen: e.gen}
+}
+
+// Reserve makes room for n pending events: the event slab and the heap
+// grow to hold n, so scheduling up to that many at once does not grow
+// them event by event. It never shrinks either, and it changes no
+// event's order or handle.
+func (c *Clock) Reserve(n int) {
+	if n > cap(c.events) {
+		c.events = slices.Grow(c.events, n-len(c.events))
+	}
+	if n > cap(c.heap) {
+		c.heap = slices.Grow(c.heap, n-len(c.heap))
+	}
 }
 
 // alloc claims a slab slot from the free list, growing the slab when it
