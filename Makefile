@@ -26,10 +26,12 @@ test:
 	go test ./...
 
 # Race-detector pass over the packages that fan work across goroutines
-# (Monte-Carlo sampling, candidate evaluation, stream derivation, and the
-# chaos harness's scenario fan-out).
+# (Monte-Carlo sampling, candidate evaluation, stream derivation, the
+# chaos harness's scenario fan-out) and the packages whose run state is
+# pooled and recycled across the serve driver goroutines.
 test-race:
-	go test -race -count=1 ./internal/sim ./internal/planner ./internal/stats ./internal/par ./internal/harness
+	go test -race -count=1 ./internal/sim ./internal/planner ./internal/stats ./internal/par ./internal/harness \
+		./internal/vclock ./internal/trace ./internal/executor ./internal/cloud ./internal/cluster ./internal/placement
 
 # Replanning suite: the controller's unit tests, the differential
 # replan-vs-stale/zero-drift tests, and the metamorphic planner tests,
@@ -69,6 +71,7 @@ fuzz-short:
 	go test ./internal/harness -run='^$$' -fuzz=FuzzEndToEnd -fuzztime=30s
 	go test ./internal/vclock -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=30s
 	go test ./internal/harness -run='^$$' -fuzz=FuzzRecover -fuzztime=30s
+	go test ./internal/harness -run='^$$' -fuzz=FuzzRecycledRun -fuzztime=30s
 	go test ./internal/journal -run='^$$' -fuzz=FuzzJournalRoundTrip -fuzztime=30s
 	go test ./internal/planner -run='^$$' -fuzz=FuzzPlanElastic -fuzztime=30s
 	go test ./internal/sim -run='^$$' -fuzz=FuzzCohortBilling -fuzztime=10s

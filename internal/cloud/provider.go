@@ -136,6 +136,10 @@ type Provider struct {
 	// holds each one's Request callback, by the same index.
 	instances []*Instance
 	onReady   []func(*Instance)
+	// slab is the chunk instance records are carved from. A full chunk is
+	// left to the records carved from it, and a burst moves on to a fresh
+	// one of its own size.
+	slab []Instance
 	// dispID is the provider's opcode dispatcher on its clock: the
 	// provisioning lifecycle schedules (opcode, instance ID) events
 	// rather than a closure per instance and step.
@@ -154,11 +158,22 @@ type Provider struct {
 // NewProvider returns a provider bound to the given virtual clock.
 // datasetGB is the training dataset size each instance must ingress once.
 func NewProvider(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads Overheads, datasetGB float64) (*Provider, error) {
-	if err := pricing.Validate(); err != nil {
+	p := new(Provider)
+	if err := p.Init(clock, rng, pricing, overheads, datasetGB); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// Init makes p the provider NewProvider returns for the same arguments,
+// reusing p's storage: a provider recycled across runs keeps its
+// instance slab, sized by its last run's ledger (see Reset).
+func (p *Provider) Init(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads Overheads, datasetGB float64) error {
+	if err := pricing.Validate(); err != nil {
+		return err
+	}
 	if datasetGB < 0 {
-		return nil, fmt.Errorf("cloud: negative dataset size %v", datasetGB)
+		return fmt.Errorf("cloud: negative dataset size %v", datasetGB)
 	}
 	if overheads.QueueDelay == nil {
 		overheads.QueueDelay = stats.Deterministic{Value: 0}
@@ -166,16 +181,36 @@ func NewProvider(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads
 	if overheads.InitLatency == nil {
 		overheads.InitLatency = stats.Deterministic{Value: 0}
 	}
-	p := &Provider{
-		clock:     clock,
-		rng:       rng,
-		pricing:   pricing,
-		overheads: overheads,
-		datasetGB: datasetGB,
-	}
+	p.Reset()
+	p.clock, p.rng = clock, rng
+	p.pricing, p.overheads, p.datasetGB = pricing, overheads, datasetGB
 	p.dispID = clock.RegisterDispatcher(p.dispatch)
-	return p, nil
+	return nil
 }
+
+// Reset drops the provider's run: its ledger, callbacks, fault model,
+// clock and counters. It keeps the ledger's storage, and a ledger that
+// outgrew its slab gets one slab that holds it whole, so the next run's
+// instance records come from one chunk. Records handed out before are
+// reused: the caller must be done with them. After DetachInstances there
+// is no slab to keep, and the next run carves each burst from a chunk of
+// its own size, as a new provider does.
+func (p *Provider) Reset() {
+	used := len(p.instances)
+	clear(p.instances)
+	clear(p.onReady)
+	clear(p.slab)
+	slab := p.slab[:0]
+	if slab != nil && cap(slab) < used {
+		slab = make([]Instance, 0, used)
+	}
+	*p = Provider{instances: p.instances[:0], onReady: p.onReady[:0], slab: slab}
+}
+
+// DetachInstances gives up the instance records issued so far: they stay
+// valid for whoever holds them after Reset, and later records come from
+// fresh storage.
+func (p *Provider) DetachInstances() { p.slab = nil }
 
 // Opcodes of the provider's event dispatcher; the first operand is the
 // instance ID.
@@ -215,19 +250,29 @@ func (p *Provider) Overheads() Overheads { return p.overheads }
 // vclock loop) when the instance reaches Ready. The returned Instance is in
 // state Requested.
 func (p *Provider) Request(it InstanceType, onReady func(*Instance)) *Instance {
-	in := new(Instance)
+	in := &p.carve(1)[0]
 	p.request(in, it, onReady)
 	return in
 }
 
 // RequestN asks for n instances of type it, exactly as n Request calls
-// in a row would: the same IDs, events and draws. Their records share
-// one allocation.
+// in a row would: the same IDs, events and draws. Their records are
+// carved from the provider's slab together.
 func (p *Provider) RequestN(it InstanceType, n int, onReady func(*Instance)) {
-	burst := make([]Instance, n)
+	burst := p.carve(n)
 	for i := range burst {
 		p.request(&burst[i], it, onReady)
 	}
+}
+
+// carve returns n instance records from the slab, moving on to a fresh
+// chunk of exactly n when the slab has no room for them.
+func (p *Provider) carve(n int) []Instance {
+	if len(p.slab)+n > cap(p.slab) {
+		p.slab = make([]Instance, 0, n)
+	}
+	p.slab = p.slab[:len(p.slab)+n]
+	return p.slab[len(p.slab)-n:]
 }
 
 // request issues the request for the record in and schedules the end of
@@ -353,6 +398,20 @@ func (p *Provider) RecordUsage(in *Instance, gpuSeconds float64) {
 // The slice is the caller's own.
 func (p *Provider) Instances() []*Instance {
 	return append(make([]*Instance, 0, len(p.instances)), p.instances...)
+}
+
+// NumInstances returns the number of instances ever requested.
+func (p *Provider) NumInstances() int { return len(p.instances) }
+
+// BilledGPUSeconds returns the GPU-seconds billed across all instances as
+// of virtual time now: each one's billed lifetime times its GPU count,
+// summed in ID order.
+func (p *Provider) BilledGPUSeconds(now vclock.Time) float64 {
+	total := 0.0
+	for _, in := range p.instances {
+		total += in.BilledLifetime(now) * float64(in.Type.GPUs)
+	}
+	return total
 }
 
 // ComputeCost returns the total compute charge across all instances as of

@@ -49,11 +49,12 @@ type Manager struct {
 	byInstance []*Node
 	// onPreempt is the executor's preemption handler (may be nil).
 	onPreempt func(*Node)
-	// readyFn is m.ready bound once, the callback of every provisioning
-	// request the manager issues.
-	readyFn func(*cloud.Instance)
-	// slab is the chunk new nodes are carved from; a chunk is never
-	// moved or reused, so a node's pointer stays valid.
+	// readyFn, failFn and preemptFn are m's provisioning callbacks, bound
+	// once: readyFn is passed with every request the manager issues, the
+	// others are registered with the provider.
+	readyFn, failFn, preemptFn func(*cloud.Instance)
+	// slab is the chunk new nodes are carved from; a chunk is never moved
+	// within a run, so a node's pointer stays valid until Reset.
 	slab []Node
 	// retries counts provisioning requests reissued after failures.
 	retries int
@@ -67,34 +68,71 @@ type waiter struct {
 // NewManager returns a manager provisioning workers of type it from the
 // provider.
 func NewManager(provider *cloud.Provider, it cloud.InstanceType, clock *vclock.Clock) (*Manager, error) {
+	m := new(Manager)
+	if err := m.Init(provider, it, clock); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Init makes m the manager NewManager returns for the same arguments,
+// reusing m's storage: a manager recycled across runs keeps its node
+// slab and its ready, index and waiter buffers.
+func (m *Manager) Init(provider *cloud.Provider, it cloud.InstanceType, clock *vclock.Clock) error {
 	if provider == nil || clock == nil {
-		return nil, fmt.Errorf("cluster: nil provider or clock")
+		return fmt.Errorf("cluster: nil provider or clock")
 	}
 	if it.GPUs < 1 {
-		return nil, fmt.Errorf("cluster: worker type %q has no GPUs", it.Name)
+		return fmt.Errorf("cluster: worker type %q has no GPUs", it.Name)
 	}
-	m := &Manager{provider: provider, instType: it, clock: clock}
-	m.readyFn = m.nodeReady
+	m.Reset()
+	m.provider, m.instType, m.clock = provider, it, clock
+	if m.readyFn == nil {
+		// Bound once per manager: the method values hold only m.
+		m.readyFn, m.failFn, m.preemptFn = m.nodeReady, m.provisionFailed, m.preempted
+	}
 	// Heal capacity automatically: failed requests are reissued so that
 	// the ready count still converges on the target, and preemptions are
 	// both replaced and surfaced to the scheduler for trial recovery.
-	provider.OnProvisionFailure(func(*cloud.Instance) {
-		m.pending--
-		m.retries++
-		m.reconcile()
-	})
-	provider.OnPreemption(func(in *cloud.Instance) {
-		if in.ID >= len(m.byInstance) || m.byInstance[in.ID] == nil {
-			return // not one of ours, or already released
-		}
-		node := m.byInstance[in.ID]
-		m.remove(node)
-		m.reconcile()
-		if m.onPreempt != nil {
-			m.onPreempt(node)
-		}
-	})
-	return m, nil
+	provider.OnProvisionFailure(m.failFn)
+	provider.OnPreemption(m.preemptFn)
+	return nil
+}
+
+// Reset drops the manager's run — its provider, clock, nodes, waiters
+// and handler — keeping its buffers' and its node slab's capacity. Node
+// records handed out before are reused, so the caller must be done with
+// them.
+func (m *Manager) Reset() {
+	clear(m.ready)
+	clear(m.waiters)
+	clear(m.byInstance)
+	clear(m.slab)
+	*m = Manager{
+		ready: m.ready[:0], waiters: m.waiters[:0], byInstance: m.byInstance[:0], slab: m.slab[:0],
+		readyFn: m.readyFn, failFn: m.failFn, preemptFn: m.preemptFn,
+	}
+}
+
+// provisionFailed reissues a failed provisioning request.
+func (m *Manager) provisionFailed(*cloud.Instance) {
+	m.pending--
+	m.retries++
+	m.reconcile()
+}
+
+// preempted removes the node on a preempted instance, requests its
+// replacement and hands the node to the preemption handler.
+func (m *Manager) preempted(in *cloud.Instance) {
+	if in.ID >= len(m.byInstance) || m.byInstance[in.ID] == nil {
+		return // not one of ours, or already released
+	}
+	node := m.byInstance[in.ID]
+	m.remove(node)
+	m.reconcile()
+	if m.onPreempt != nil {
+		m.onPreempt(node)
+	}
 }
 
 // SetPreemptionHandler registers fn to be invoked when a ready node is

@@ -188,8 +188,11 @@ type run struct {
 	gang     [][]gangSlot
 	gangSlab []gangSlot
 	// beginFn is beginTraining bound once, the callback of every stage
-	// start's WhenSize.
-	beginFn func()
+	// start's WhenSize; dispatchFn and preemptFn are dispatch and
+	// onPreemption, bound once for the clock and the cluster manager.
+	beginFn    func()
+	dispatchFn vclock.Dispatcher
+	preemptFn  func(*cluster.Node)
 	// dispID is the run's opcode dispatcher on the shared clock: the
 	// training hot loop schedules (opcode, trial, gen) events instead of
 	// closures, so steady-state iteration events allocate nothing.
@@ -283,10 +286,33 @@ type Job struct {
 	r *run
 }
 
+// Workspace is the storage one job runs on: its trial block, its dense
+// scheduler columns, its gang slab, its ranking, stage-set, row and plan
+// buffers, its placement controller and its checkpoint store. Start runs
+// each job on a workspace of its own; a caller that runs jobs one after
+// another can instead start each on the workspace the last one finished
+// on, after Reset, and reuse all of that storage. The zero value is ready
+// to use.
+type Workspace struct {
+	r     run
+	job   Job
+	ctrl  placement.Controller
+	store trial.Store
+	// block holds the trials r.trials points to; curve backs r.asym and
+	// r.growth.
+	block []trial.Trial
+	curve []float64
+}
+
 // Start validates the configuration and schedules the job's first stage
 // on the virtual clock without driving it. The caller advances the shared
 // clock (typically via Wait or vclock.Clock.RunUntil) until Done.
-func Start(cfg Config) (*Job, error) {
+func Start(cfg Config) (*Job, error) { return new(Workspace).Start(cfg) }
+
+// Start starts a job on w's storage, exactly as the package-level Start
+// does. w must be new or Reset; it belongs to the job, and its trials to
+// the job's Result, until the caller Resets w again.
+func (w *Workspace) Start(cfg Config) (*Job, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -296,35 +322,75 @@ func Start(cfg Config) (*Job, error) {
 		// works even when the caller doesn't want the event log.
 		tr = trace.New()
 	}
-	r := &run{
-		cfg:      cfg,
-		tr:       tr,
-		ctrl:     placement.NewController(cfg.Cluster.GPUsPerNode()),
-		store:    trial.NewStore(cfg.Spec.TotalTrials()),
-		execPlan: cfg.Plan.Clone(),
-	}
 	n := cfg.Spec.TotalTrials()
+	w.ctrl.Reset(cfg.Cluster.GPUsPerNode())
+	w.store.Reset(n)
+	r := &w.r
+	r.cfg, r.tr, r.ctrl, r.store = cfg, tr, &w.ctrl, &w.store
+	r.execPlan.Alloc = append(r.execPlan.Alloc[:0], cfg.Plan.Alloc...)
 	r.soa.init(n)
-	r.gang = make([][]gangSlot, n)
-	r.trials = make([]*trial.Trial, n)
-	block := make([]trial.Trial, n) // the run's trials, carved from one block
-	curve := make([]float64, n+cfg.Spec.MaxIters()+1)
-	r.asym, r.growth = curve[:n:n], curve[n:]
+	r.gang = zeroed(r.gang, n)
+	r.trials = zeroed(r.trials, n)
+	w.block = zeroed(w.block, n) // the run's trials, carved from one block
+	w.curve = zeroed(w.curve, n+cfg.Spec.MaxIters()+1)
+	r.asym, r.growth = w.curve[:n:n], w.curve[n:]
 	for i := range r.trials {
-		r.trials[i] = &block[i]
+		r.trials[i] = &w.block[i]
 		r.trials[i].Init(trial.ID(i), cfg.Configs[i])
 		r.asym[i] = cfg.Model.Asymptote(cfg.Configs[i])
 	}
 	for k := range r.growth {
 		r.growth[k] = cfg.Model.Growth(k)
 	}
-	r.beginFn = r.beginTraining
+	if r.beginFn == nil {
+		// Bound once per workspace: the method values hold only r.
+		r.beginFn, r.dispatchFn, r.preemptFn = r.beginTraining, r.dispatch, r.onPreemption
+	}
 	tr.Grow(expectedEvents(cfg.Spec))
-	cfg.Clock.Reserve(expectedPending(cfg.Spec, cfg.Plan, cfg.Cluster.GPUsPerNode()))
-	r.dispID = cfg.Clock.RegisterDispatcher(r.dispatch)
-	cfg.Cluster.SetPreemptionHandler(r.onPreemption)
+	r.dispID = cfg.Clock.RegisterDispatcher(r.dispatchFn)
+	cfg.Cluster.SetPreemptionHandler(r.preemptFn)
 	r.startStage(0)
-	return &Job{r: r}, nil
+	w.job.r = r
+	return &w.job, nil
+}
+
+// Reset drops the job w last ran: its configuration, substrate, trials,
+// plans and every pointer its buffers held, keeping the buffers' storage
+// for the next Start. The caller must be done with the job and its
+// Result, whose trials are w's, unless DetachTrials gave them away.
+func (w *Workspace) Reset() {
+	r := &w.r
+	clear(w.block)
+	clear(r.trials)
+	clear(r.ranked[:cap(r.ranked)])
+	clear(r.gang)
+	clear(r.gangSlab[:cap(r.gangSlab)])
+	clear(r.prevPlan[:cap(r.prevPlan)])
+	*r = run{
+		trials: r.trials[:0], ranked: r.ranked[:0], stageSet: r.stageSet[:0],
+		gang: r.gang[:0], gangSlab: r.gangSlab[:0], prevPlan: r.prevPlan[:0],
+		rows: r.rows[:0], soa: r.soa, execPlan: sim.Plan{Alloc: r.execPlan.Alloc[:0]},
+		beginFn: r.beginFn, dispatchFn: r.dispatchFn, preemptFn: r.preemptFn,
+	}
+	w.block = w.block[:0]
+	w.job = Job{}
+}
+
+// DetachTrials gives the job's trials to its Result for good: they stay
+// valid after Reset, and the next Start carves trials of its own.
+func (w *Workspace) DetachTrials() {
+	w.block, w.r.trials = nil, nil
+}
+
+// zeroed returns buf with length n and every element zero, reusing its
+// storage when it is large enough.
+func zeroed[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // expectedEvents estimates the trace events of a run without faults or
@@ -338,24 +404,6 @@ func expectedEvents(sp *spec.ExperimentSpec) int {
 		n += 3 + st.Trials*(st.Iters+4)
 	}
 	return n
-}
-
-// expectedPending estimates the events a run keeps pending at once on
-// its clock: the most trials any stage of the plan runs at once (one
-// iteration event each) or the most nodes any stage provisions (one
-// provisioning step each), whichever is more, and a stage-boundary
-// callback. Start reserves that much clock room, so the clock's event
-// slab does not grow one event at a time. It leaves out preemption
-// events and replans, so a run with faults can outgrow it; the slab then
-// grows as before (DESIGN.md, "Memory on the per-experiment path").
-func expectedPending(sp *spec.ExperimentSpec, p sim.Plan, gpn int) int {
-	running, nodes := 0, 0
-	for i := 0; i < sp.NumStages(); i++ {
-		st, alloc := sp.Stage(i), p.Alloc[i]
-		running = max(running, min(alloc, st.Trials))
-		nodes = max(nodes, placement.NodesNeeded(min(alloc, st.Trials), max(alloc/st.Trials, 1), gpn))
-	}
-	return max(running, nodes) + 1
 }
 
 // Done reports whether the job has completed (successfully or not).
@@ -1069,11 +1117,7 @@ func (r *run) buildResult() *Result {
 			res.BestConfig = t.Config()
 		}
 	}
-	provisioned := 0.0
-	for _, in := range r.cfg.Provider.Instances() {
-		provisioned += in.BilledLifetime(now) * float64(in.Type.GPUs)
-	}
-	if provisioned > 0 {
+	if provisioned := r.cfg.Provider.BilledGPUSeconds(now); provisioned > 0 {
 		res.Utilization = r.tr.BusyGPUSeconds() / provisioned
 	}
 	return res

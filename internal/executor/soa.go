@@ -6,8 +6,8 @@ import "repro/internal/trial"
 // arrays indexed by trial ID — struct-of-arrays instead of the former
 // map-per-field layout. At fleet scale (ROADMAP item 3: 10^6 concurrent
 // trials) the maps dominated both memory and cache misses in the event
-// hot loop; the arrays are allocated once at Start and never grow, so
-// every per-event touch is an index into a contiguous block.
+// hot loop; the arrays are sized once at Start and never grow during a
+// run, so every per-event touch is an index into a contiguous block.
 type trialSoA struct {
 	// gen invalidates in-flight iteration events when a trial restarts
 	// after a preemption: events carry the generation they were scheduled
@@ -29,11 +29,10 @@ type trialSoA struct {
 	doneCount int
 }
 
+// init sizes the columns for n trials, none holding a slot, reusing
+// their storage when it is large enough.
 func (s *trialSoA) init(n int) {
-	s.gen = make([]uint32, n)
-	s.alloc = make([]int32, n)
-	s.left = make([]int32, n)
-	s.done = make([]bool, n)
+	*s = trialSoA{gen: zeroed(s.gen, n), alloc: zeroed(s.alloc, n), left: zeroed(s.left, n), done: zeroed(s.done, n)}
 	for i := range s.alloc {
 		s.alloc[i] = -1
 	}

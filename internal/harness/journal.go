@@ -61,7 +61,7 @@ func captureSnapshot(clock *vclock.Clock, job *executor.Job, provider *cloud.Pro
 		Stage:          -1,
 		TotalCost:      provider.TotalCost(now),
 		DataCost:       provider.DataCost(),
-		Instances:      int64(len(provider.Instances())),
+		Instances:      int64(provider.NumInstances()),
 		BusyGPUSeconds: rec.BusyGPUSeconds(),
 		ExecRNG:        execRNG.State(),
 		ProviderRNG:    provRNG.State(),

@@ -167,7 +167,16 @@ func Run(sc Scenario, rc RunConfig) (*Artifacts, error) {
 			return nil, err
 		}
 	}
-	return r.Finish()
+	a, err := r.Finish()
+	if err != nil {
+		return nil, err
+	}
+	// The artifacts keep the recorder, the trials with their
+	// configurations and the instance records; everything else the run
+	// drew from its working set goes back.
+	r.ws.detachArtifacts()
+	r.release(putWorkingSet)
+	return a, nil
 }
 
 // Running is an in-flight scenario run driven by its caller: the serve
@@ -177,9 +186,12 @@ func Run(sc Scenario, rc RunConfig) (*Artifacts, error) {
 // concurrent callers (an HTTP status endpoint) must synchronize
 // externally.
 type Running struct {
-	sc       Scenario
-	a        *Artifacts
-	jw       *journal.Writer
+	sc Scenario
+	a  *Artifacts
+	jw *journal.Writer
+	// ws is the working set the run's state comes from; Release returns
+	// it to the pool and clears it and the pointers into it below.
+	ws       *workingSet
 	clock    *vclock.Clock
 	job      *executor.Job
 	provider *cloud.Provider
@@ -192,6 +204,12 @@ type Running struct {
 // substrate, executor — and returns it un-driven: the first Step
 // executes the first virtual-clock event. See RunConfig for the knobs.
 func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
+	return startOn(getWorkingSet(), sc, rc)
+}
+
+// startOn is StartScenario on the working set ws. A failed start drops
+// ws rather than return it.
+func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 	jw, gate := rc.Journal, rc.Gate
 	if gate == nil && len(sc.ArbiterCaps) > 0 {
 		gate = capGate(sc.ArbiterCaps)
@@ -302,25 +320,24 @@ func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
 		}
 	}
 
-	// Execute on a fresh substrate. The executor and provider RNG streams
-	// are held by name so control-plane snapshots can capture their
-	// cursors (Stream is pure: these are the same streams the run uses).
-	clock := vclock.New()
+	// Execute on the working set: a fresh substrate, or one a finished
+	// run was reset to. The executor and provider RNG streams are held by
+	// name so control-plane snapshots can capture their cursors (Stream
+	// is pure: these are the same streams the run uses).
+	clock, provider, mgr, rec := &ws.clock, &ws.provider, &ws.mgr, ws.rec
 	execRNG := root.Stream(streamExecutor)
 	provRNG := root.Stream(streamProvider)
-	provider, err := cloud.NewProvider(clock, provRNG,
-		sc.Profile.Pricing, sc.Profile.Overheads, sc.Profile.DatasetGB)
-	if err != nil {
+	if err := provider.Init(clock, provRNG,
+		sc.Profile.Pricing, sc.Profile.Overheads, sc.Profile.DatasetGB); err != nil {
 		return nil, fmt.Errorf("harness: provider: %w", err)
 	}
 	if err := provider.SetFaults(sc.Faults); err != nil {
 		return nil, fmt.Errorf("harness: faults: %w", err)
 	}
-	mgr, err := cluster.NewManager(provider, sc.Profile.Instance, clock)
-	if err != nil {
+	if err := mgr.Init(provider, sc.Profile.Instance, clock); err != nil {
 		return nil, fmt.Errorf("harness: cluster: %w", err)
 	}
-	rec := trace.New()
+	ws.configs, ws.vals = sc.Space.SampleNInto(root.Stream(streamConfigs), sc.Spec.TotalTrials(), ws.configs, ws.vals)
 
 	// Journal wiring. Observers latch errors inside the writer; the step
 	// loop below polls jw.Err so a crash or divergence inside an event
@@ -385,12 +402,12 @@ func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
 		}
 	}
 
-	job, err = executor.Start(executor.Config{
+	job, err = ws.exec.Start(executor.Config{
 		Spec:             sc.Spec,
 		Plan:             a.Plan,
 		Model:            sc.Model,
 		Batch:            sc.Model.BaseBatch,
-		Configs:          sc.Space.SampleN(root.Stream(streamConfigs), sc.Spec.TotalTrials()),
+		Configs:          ws.configs,
 		Provider:         provider,
 		Cluster:          mgr,
 		Clock:            clock,
@@ -406,7 +423,7 @@ func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
 		return nil, fmt.Errorf("harness: start: %w", err)
 	}
 	return &Running{
-		sc: sc, a: a, jw: jw, clock: clock, job: job,
+		sc: sc, a: a, jw: jw, ws: ws, clock: clock, job: job,
 		provider: provider, mgr: mgr, rec: rec,
 	}, nil
 }
@@ -475,7 +492,8 @@ func (r *Running) Grants() []GrantDecision {
 }
 
 // Finish completes the run's bookkeeping once Done: result extraction,
-// the journal End record, and artifact assembly.
+// the journal End record, and artifact assembly. The artifacts point
+// into the run's working set, so they are valid until Release.
 func (r *Running) Finish() (*Artifacts, error) {
 	if r.finished {
 		return r.a, nil
@@ -502,4 +520,31 @@ func (r *Running) Finish() (*Artifacts, error) {
 	r.a.Retries = r.mgr.Retries()
 	r.finished = true
 	return r.a, nil
+}
+
+// Release returns the run's working set to the pool the next
+// StartScenario draws from, the recorder, trials and instance ledger the
+// artifacts point into included, and clears the journal writer's
+// snapshot hook, which reads that state. Call it once, after Finish,
+// when the caller is done with the artifacts: they are invalid after
+// Release, and so is every accessor of r. Release must not overlap
+// another call on r. A second Release does nothing.
+func (r *Running) Release() {
+	if !r.finished {
+		panic("harness: Release before Finish")
+	}
+	if r.ws != nil {
+		r.release(putWorkingSet)
+	}
+}
+
+// release unhooks the journal writer, resets the working set, hands it
+// to put and drops r's pointers into it.
+func (r *Running) release(put func(*workingSet)) {
+	if r.jw != nil {
+		r.jw.SetSnapshotFunc(nil)
+	}
+	r.ws.reset()
+	put(r.ws)
+	r.ws, r.clock, r.job, r.provider, r.mgr, r.rec = nil, nil, nil, nil, nil, nil
 }

@@ -116,6 +116,25 @@ func NewController(nodeGPUs int) *Controller {
 	return &Controller{nodeGPUs: nodeGPUs}
 }
 
+// Reset makes c the controller NewController(nodeGPUs) returns, with no
+// placements and nothing locked, keeping its buffers' capacity: a
+// recycled controller's first epochs carve their plans from the storage
+// its last run grew. It panics if nodeGPUs < 1.
+func (c *Controller) Reset(nodeGPUs int) {
+	if nodeGPUs < 1 {
+		panic(fmt.Sprintf("placement: nodeGPUs = %d", nodeGPUs))
+	}
+	clear(c.current)
+	clear(c.spare)
+	*c = Controller{
+		nodeGPUs: nodeGPUs,
+		current:  c.current[:0], spare: c.spare[:0], locked: c.locked[:0],
+		cols: c.cols[:0], next: c.next[:0],
+		queue: c.queue[:0], placedNow: c.placedNow[:0],
+		slots: c.slots[:0], spareSlots: c.spareSlots[:0],
+	}
+}
+
 // Lock marks a trial's placement as in-flight: it cannot be displaced
 // until Unlock (§4.4.1 "reserved" list).
 func (c *Controller) Lock(t TrialID) {

@@ -142,3 +142,19 @@ func TestSampleNSharesOneSlab(t *testing.T) {
 		t.Fatalf("SampleN(50) allocates %v times, want 2 (the value slab and the configs)", allocs)
 	}
 }
+
+// TestSampleNIntoReusesStorage: SampleNInto draws what SampleN draws,
+// and into storage large enough it allocates nothing.
+func TestSampleNIntoReusesStorage(t *testing.T) {
+	s := DefaultVisionSpace()
+	want := s.SampleN(stats.NewRNG(5), 30)
+	cfgs, vals := s.SampleNInto(stats.NewRNG(9), 50, nil, nil)
+	cfgs, vals = s.SampleNInto(stats.NewRNG(5), 30, cfgs, vals)
+	if fmt.Sprint(cfgs) != fmt.Sprint(want) {
+		t.Fatalf("SampleNInto drew %v, SampleN %v", cfgs, want)
+	}
+	r := stats.NewRNG(1)
+	if allocs := testing.AllocsPerRun(20, func() { cfgs, vals = s.SampleNInto(r, 50, cfgs, vals) }); allocs != 0 {
+		t.Fatalf("SampleNInto into room for 50 allocates %v times, want 0", allocs)
+	}
+}

@@ -251,13 +251,28 @@ func (s *Space) Sample(r *stats.RNG) Config { return s.draw(r, make([]float64, l
 // SampleN draws n configurations, one after another. Their values share
 // one slab.
 func (s *Space) SampleN(r *stats.RNG, n int) []Config {
-	d := len(s.dims)
-	vals := make([]float64, n*d)
-	out := make([]Config, n)
-	for i := range out {
-		out[i] = s.draw(r, vals[i*d:(i+1)*d:(i+1)*d])
-	}
+	out, _ := s.SampleNInto(r, n, nil, nil)
 	return out
+}
+
+// SampleNInto draws n configurations exactly as SampleN does, into the
+// storage of cfgs and vals where it is large enough, and returns the
+// configurations and the value slab they share, for the next call to
+// reuse once the configurations are no longer needed.
+func (s *Space) SampleNInto(r *stats.RNG, n int, cfgs []Config, vals []float64) ([]Config, []float64) {
+	d := len(s.dims)
+	if cap(vals) < n*d {
+		vals = make([]float64, n*d)
+	}
+	vals = vals[:n*d]
+	if cap(cfgs) < n {
+		cfgs = make([]Config, n)
+	}
+	cfgs = cfgs[:n]
+	for i := range cfgs {
+		cfgs[i] = s.draw(r, vals[i*d:(i+1)*d:(i+1)*d])
+	}
+	return cfgs, vals
 }
 
 // draw fills vals, which holds one value per dimension, drawing them in

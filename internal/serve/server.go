@@ -457,6 +457,10 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 			}
 		}
 	}
+	// The digest, the experiment record and the sidecar copied what they
+	// keep out of the artifacts: the run's working set can serve the next
+	// experiment.
+	run.Release()
 }
 
 // subSidecar is the submission.json schema: the experiment's identity

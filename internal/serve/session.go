@@ -97,7 +97,9 @@ type Experiment struct {
 
 // newExperiment builds a queued experiment record.
 func newExperiment(id string, sub Submission) *Experiment {
-	e := &Experiment{ID: id, Sub: sub, state: StateQueued}
+	// The feed holds at most its queued, admitted, plan and done events
+	// and a grant and a stage event per stage.
+	e := &Experiment{ID: id, Sub: sub, state: StateQueued, events: make([]Event, 0, 4+2*len(sub.Stages))}
 	e.submittedAt = wallNow()
 	e.publishLocked(Event{Type: "queued"})
 	return e

@@ -142,6 +142,24 @@ type Recorder struct {
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
+// Reset empties the recorder, keeping its columns' capacity: a recycled
+// recorder records its next run without growing them again. It drops
+// the observer, the free-form texts and the interned kinds, so nothing
+// recorded before carries into what is recorded next. No-op on a nil
+// recorder.
+func (r *Recorder) Reset() {
+	if r == nil {
+		return
+	}
+	clear(r.interned)
+	clear(r.texts)
+	*r = Recorder{
+		at: r.at[:0], kind: r.kind[:0], stage: r.stage[:0], trial: r.trial[:0],
+		form: r.form[:0], arg: r.arg[:0],
+		interned: r.interned[:0], textAt: r.textAt[:0], texts: r.texts[:0],
+	}
+}
+
 // SetObserver registers fn to receive every subsequently recorded event,
 // synchronously and in record order, without its note. The journal
 // writer subscribes here so executor state transitions hit the

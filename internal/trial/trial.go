@@ -259,7 +259,25 @@ type storeSlot struct {
 // NewStore returns an empty checkpoint store sized for trials 0..n-1, so
 // that storing their checkpoints never grows it. Other IDs are stored
 // too, growing it on first use.
-func NewStore(n int) *Store { return &Store{ckpts: make([]storeSlot, max(n, 0))} }
+func NewStore(n int) *Store {
+	s := new(Store)
+	s.Reset(n)
+	return s
+}
+
+// Reset empties the store and sizes it for trials 0..n-1, as NewStore(n)
+// does, reusing its columns' storage when it is large enough.
+func (s *Store) Reset(n int) {
+	n = max(n, 0)
+	ckpts := s.ckpts
+	if cap(ckpts) < n {
+		ckpts = make([]storeSlot, n)
+	} else {
+		ckpts = ckpts[:n]
+		clear(ckpts)
+	}
+	*s = Store{ckpts: ckpts, neg: s.neg[:0]}
+}
 
 // column returns the column that holds trial id and its index there:
 // ckpts[id] for id ≥ 0, neg[-id-1] for the rest.

@@ -29,7 +29,6 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 )
 
@@ -116,6 +115,18 @@ type Clock struct {
 // New returns a Clock at virtual time zero.
 func New() *Clock { return &Clock{} }
 
+// Reset returns the clock to the state New gives — time zero, no events,
+// no dispatchers — keeping the event slab's and the heap's capacity, so a
+// recycled clock schedules its next run without growing them again. It
+// drops every callback it held, and it hands out the same handles, in
+// the same order, as a new clock would: a slot is claimed by appending
+// to the emptied slab, exactly as on a fresh one.
+func (c *Clock) Reset() {
+	clear(c.events)
+	clear(c.disp)
+	*c = Clock{events: c.events[:0], heap: c.heap[:0], disp: c.disp[:0]}
+}
+
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
@@ -186,19 +197,6 @@ func (c *Clock) schedule(at Time, fn func(), disp int32, op uint8, a, b int64) H
 	c.seq++
 	c.push(idx)
 	return Handle{ref: idx + 1, gen: e.gen}
-}
-
-// Reserve makes room for n pending events: the event slab and the heap
-// grow to hold n, so scheduling up to that many at once does not grow
-// them event by event. It never shrinks either, and it changes no
-// event's order or handle.
-func (c *Clock) Reserve(n int) {
-	if n > cap(c.events) {
-		c.events = slices.Grow(c.events, n-len(c.events))
-	}
-	if n > cap(c.heap) {
-		c.heap = slices.Grow(c.heap, n-len(c.heap))
-	}
 }
 
 // alloc claims a slab slot from the free list, growing the slab when it
