@@ -364,11 +364,12 @@ func BenchmarkPlanElasticLifecycle(b *testing.B) {
 // workload and feeds it a drifted observation window (iterations 1.5x
 // slower than predicted), so each Replan call exercises the full warm
 // path: profile refit, tail re-plan under the remaining deadline, and
-// splice.
-func benchController(b *testing.B, samples int, mode sim.EstimatorMode) (*replan.Controller, replan.State) {
+// splice. reset initialises the controller again and feeds it the same
+// window, so the next decision is its first again.
+func benchController(b *testing.B, samples int, mode sim.EstimatorMode) (ctl *replan.Controller, state replan.State, reset func()) {
 	b.Helper()
 	s, prof, cp := benchWorkload()
-	ctl, err := replan.NewController(replan.Config{
+	cfg := replan.Config{
 		Spec:      s,
 		Profile:   prof,
 		Cloud:     cp,
@@ -378,31 +379,46 @@ func benchController(b *testing.B, samples int, mode sim.EstimatorMode) (*replan
 		Workers:   1,
 		Estimator: mode,
 		RNG:       stats.NewRNG(2),
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 	plan := sim.Uniform(32, s.NumStages())
 	gpus := sim.GPUsPerTrial(plan.Alloc[0], s.Stage(0).Trials)
 	pred := prof.IterDist(gpus).Mean()
-	for i := 0; i < 8; i++ {
-		ctl.ObserveIteration(gpus, 1.5*pred, vclock.Time(i))
+	ctl = new(replan.Controller)
+	reset = func() {
+		if err := ctl.Init(cfg); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			ctl.ObserveIteration(gpus, 1.5*pred, vclock.Time(i))
+		}
 	}
-	return ctl, replan.State{Stage: 0, Now: 100, RemainingIters: s.Stage(0).Iters, Plan: plan}
+	reset()
+	return ctl, replan.State{Stage: 0, Now: 100, RemainingIters: s.Stage(0).Iters, Plan: plan}, reset
 }
 
 // BenchmarkReplan measures one warm online replanning decision per
-// estimator mode.
+// estimator mode: the controller's first decision after it is reset
+// and fed its observations again outside the timer, so every iteration
+// takes the same decision on recycled storage.
 func BenchmarkReplan(b *testing.B) {
 	for _, mode := range benchEstimatorModes() {
 		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
-			ctl, state := benchController(b, 100, mode)
-			if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil { // warm once
-				b.Fatal(err)
+			ctl, state, reset := benchController(b, 100, mode)
+			// Warm the controller and the package pools until their
+			// storage holds the decision: the tables the decision's
+			// Simulators draw reach their sizes over a few decisions.
+			for i := 0; i < 4; i++ {
+				reset()
+				if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				reset()
+				b.StartTimer()
 				if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil {
 					b.Fatal(err)
 				}
@@ -414,7 +430,7 @@ func BenchmarkReplan(b *testing.B) {
 // BenchmarkReplanPreScreen measures one read-only analytic drift screen:
 // refit, stale-tail rescore and analytic mini-plan.
 func BenchmarkReplanPreScreen(b *testing.B) {
-	ctl, state := benchController(b, 20, sim.EstimatorAnalytic)
+	ctl, state, _ := benchController(b, 20, sim.EstimatorAnalytic)
 	if _, err := ctl.PreScreen(state); err != nil {
 		b.Fatal(err)
 	}

@@ -203,9 +203,10 @@ type run struct {
 	// preemptions counts nodes lost during the run.
 	preemptions int
 
-	// execPlan is the live plan: a clone of cfg.Plan that adopted
-	// replans splice new tails into. The executor never reads
-	// cfg.Plan.Alloc after Start so the caller's copy stays pristine.
+	// execPlan is the live plan: a copy of cfg.Plan, in storage the
+	// workspace keeps, that adopted replans overwrite with their spliced
+	// plan. The executor never reads cfg.Plan.Alloc after Start so the
+	// caller's copy stays pristine.
 	execPlan sim.Plan
 	// replanAdopted marks that at least one replan changed the plan;
 	// subsequent stage starts annotate their placement churn.
@@ -852,7 +853,9 @@ func (r *run) doReplan(reason replan.Reason) {
 	}
 	r.tr.Record(now, trace.KindReplan, r.stage, -1, d.Note())
 	if d.Adopted {
-		r.execPlan = d.NewPlan.Clone()
+		// The decision's plan is the controller's; the live plan keeps
+		// its own recycled storage and takes a copy.
+		r.execPlan.Alloc = append(r.execPlan.Alloc[:0], d.NewPlan.Alloc...)
 		r.replanAdopted = true
 	}
 }

@@ -20,8 +20,8 @@ const (
 // per experiment fails TestRunAllocationBudget; one that allocates less
 // lowers these.
 const (
-	budgetAllocs = 67 * 105 / 100
-	budgetBytes  = 8036 * 105 / 100
+	budgetAllocs = 58 * 105 / 100
+	budgetBytes  = 7178 * 105 / 100
 )
 
 // budgetSet returns the budget scenarios and checks that they cover the

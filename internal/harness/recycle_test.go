@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -148,6 +149,43 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestReplansOutliveTheirWorkingSet: a finished run's Result.Replans is
+// its own. Running another replanning scenario — one that takes more
+// decisions — on the working set the run released, whose controller
+// reuses its decision storage, leaves every decision and plan of it as
+// it was.
+func TestReplansOutliveTheirWorkingSet(t *testing.T) {
+	first, next := Generate(1, 90), Generate(2, 34)
+	r, err := startOn(new(workingSet).ready(), first, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !r.Done() {
+		if err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.Result.Replans
+	if len(got) < 2 || !slices.ContainsFunc(got, func(d replan.Decision) bool { return d.Adopted }) {
+		t.Fatalf("scenario 1/90 takes %d decisions, want several with an adoption: %+v", len(got), got)
+	}
+	want := slices.Clone(got)
+	for i := range want {
+		want[i].OldPlan, want[i].NewPlan = want[i].OldPlan.Clone(), want[i].NewPlan.Clone()
+	}
+	r.ws.detachArtifacts()
+	var ws *workingSet
+	r.release(func(w *workingSet) { ws = w })
+	driveOn(t, ws, next)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Result.Replans changed when its working set ran 2/34:\n %+v\nwas\n %+v", got, want)
+	}
+}
+
 // TestReleaseContract: Release before Finish panics, a second Release is
 // a no-op, and a released run's journal writer no longer snapshots the
 // state it returned.
@@ -208,6 +246,8 @@ func FuzzRecycledRun(f *testing.F) {
 	f.Add(uint64(4), uint64(143), uint64(2), uint64(52))
 	f.Add(uint64(1), uint64(21), uint64(3), uint64(195))
 	f.Add(uint64(3), uint64(195), uint64(1), uint64(0))
+	f.Add(uint64(1), uint64(90), uint64(4), uint64(50))  // both replan: 6 decisions, then 2
+	f.Add(uint64(3), uint64(164), uint64(2), uint64(34)) // both replan: 2 decisions, then 11
 	f.Fuzz(func(t *testing.T, seedA, idxA, seedB, idxB uint64) {
 		a, b := Generate(seedA, int(idxA%1024)), Generate(seedB, int(idxB%1024))
 		if got, want := after(t, a, b), fresh(t, b); !got.equal(want) {

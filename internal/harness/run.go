@@ -11,6 +11,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/replan"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -221,17 +222,20 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 
 	// Plan. The simulator gets its own stream; planning runs serially so
 	// scenario-level parallelism composes without nested pools.
-	profile := sim.ModelTrainProfile{
+	var profile sim.TrainProfile = sim.ModelTrainProfile{
 		Model:       sc.Model,
 		Batch:       sc.Model.BaseBatch,
 		GPUsPerNode: sc.Profile.Instance.GPUs,
 	}
-	sm, err := sim.New(sc.Spec, profile, sc.Profile, sc.Samples, root.Stream(streamSim), sim.WithWorkers(1), sim.WithEstimator(sc.Estimator))
-	if err != nil {
+	var simRNG stats.RNG
+	root.StreamInto(streamSim, &simRNG)
+	sm := &ws.plan
+	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, &simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
 		return nil, fmt.Errorf("harness: simulator: %w", err)
 	}
 	deadline := sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor
-	p := &planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: sc.MaxGPUs, Workers: 1}
+	ws.planner = planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: sc.MaxGPUs, Workers: 1}
+	p := &ws.planner
 	a := &Artifacts{Scenario: sc, Deadline: deadline, GPN: sc.Profile.Instance.GPUs}
 	if pres, perr := p.PlanElastic(); perr == nil {
 		a.Plan, a.Estimate, a.Planned = pres.Plan, pres.Estimate, true
@@ -255,10 +259,10 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 	if sc.Drift.Active() {
 		a.DriftClass = DriftFeasible
 		if sc.Drift.Factor > 1 {
-			dsm, derr := sim.New(sc.Spec, sim.ScaledTrainProfile{Base: profile, Factor: sc.Drift.Factor},
-				sc.Profile, sc.Samples, root.Stream(streamSim), sim.WithWorkers(1), sim.WithEstimator(sc.Estimator))
-			if derr != nil {
-				return nil, fmt.Errorf("harness: drifted simulator: %w", derr)
+			dsm := &ws.drift
+			if err := dsm.Init(sc.Spec, sim.ScaledTrainProfile{Base: profile, Factor: sc.Drift.Factor},
+				sc.Profile, sc.Samples, &simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
+				return nil, fmt.Errorf("harness: drifted simulator: %w", err)
 			}
 			if deadline < dsm.StaticClusterJCT(sc.MaxGPUs) {
 				a.DriftClass = DriftInfeasible
@@ -302,7 +306,9 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 	// and there is no deadline budget to re-divide.
 	var ctl *replan.Controller
 	if sc.ReplanEnabled && a.Planned {
-		ctl, err = replan.NewController(replan.Config{
+		ctl = &ws.ctl
+		root.StreamInto(streamReplan, &ws.replanRNG)
+		if err := ctl.Init(replan.Config{
 			Spec:            sc.Spec,
 			Profile:         profile,
 			Cloud:           sc.Profile,
@@ -311,11 +317,10 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 			Samples:         sc.Samples,
 			Workers:         1,
 			Estimator:       sc.Estimator,
-			RNG:             root.Stream(streamReplan),
+			RNG:             &ws.replanRNG,
 			Threshold:       sc.DriftThreshold,
 			CooldownSeconds: sc.ReplanCooldown,
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, fmt.Errorf("harness: replan controller: %w", err)
 		}
 	}
@@ -402,7 +407,7 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 		}
 	}
 
-	job, err = ws.exec.Start(executor.Config{
+	job, err := ws.exec.Start(executor.Config{
 		Spec:             sc.Spec,
 		Plan:             a.Plan,
 		Model:            sc.Model,

@@ -6,24 +6,35 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/cluster"
 	"repro/internal/executor"
+	"repro/internal/planner"
+	"repro/internal/replan"
 	"repro/internal/searchspace"
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
-// workingSet is the state one run executes on: its clock, its trace
-// recorder, the executor's workspace (trials, scheduler columns, gang
-// slab, buffers, placement controller, checkpoint store), the cluster
-// manager, the provider and the sampled configurations. StartScenario
-// draws a set from workingSets; a finished run returns it reset, with
-// its capacity kept and every pointer cleared, so the next run neither
-// grows nor rebuilds any of it and inherits no state.
+// workingSet is the state one run executes on: its planning and
+// drift-classification Simulators and Planner, its replan controller,
+// its clock, its trace recorder, the executor's workspace (trials,
+// scheduler columns, gang slab, buffers, placement controller,
+// checkpoint store), the cluster manager, the provider and the sampled
+// configurations. StartScenario draws a set from workingSets; a
+// finished run returns it reset, with its capacity kept and every
+// pointer cleared, so the next run neither grows nor rebuilds any of it
+// and inherits no state.
 type workingSet struct {
-	clock    vclock.Clock
-	rec      *trace.Recorder
-	exec     executor.Workspace
-	provider cloud.Provider
-	mgr      cluster.Manager
+	plan, drift sim.Simulator
+	planner     planner.Planner
+	// ctl is the run's replan controller, replanRNG its root stream.
+	ctl       replan.Controller
+	replanRNG stats.RNG
+	clock     vclock.Clock
+	rec       *trace.Recorder
+	exec      executor.Workspace
+	provider  cloud.Provider
+	mgr       cluster.Manager
 	// configs and vals are the run's configurations and the value slab
 	// they share.
 	configs []searchspace.Config
@@ -62,6 +73,10 @@ func (ws *workingSet) detachArtifacts() {
 // reset resets every part of the set, keeping its capacity and clearing
 // every pointer it held.
 func (ws *workingSet) reset() {
+	ws.plan.Reset()
+	ws.drift.Reset()
+	ws.planner = planner.Planner{}
+	ws.ctl.Reset()
 	ws.clock.Reset()
 	ws.rec.Reset()
 	ws.exec.Reset()

@@ -80,27 +80,39 @@ type InterpolatedScaling struct {
 }
 
 // NewInterpolatedScaling builds an interpolated scaling function from
-// (gpus, speedup) samples. Samples must be in strictly increasing GPU
-// order, start at 1 GPU with speedup 1, and have positive speedups.
+// (gpus, speedup) samples: a new InterpolatedScaling put through Set.
 func NewInterpolatedScaling(gpus []int, speedups []float64) (*InterpolatedScaling, error) {
+	s := new(InterpolatedScaling)
+	if err := s.Set(gpus, speedups); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Set makes s the scaling function of the (gpus, speedup) samples,
+// copying them into columns s keeps, so an owner that re-fits one
+// function repeatedly allocates nothing once the columns hold the
+// longest sample set. Samples must be in strictly increasing GPU order,
+// start at 1 GPU with speedup 1, and have positive speedups; on error s
+// is left unchanged.
+func (s *InterpolatedScaling) Set(gpus []int, speedups []float64) error {
 	if len(gpus) == 0 || len(gpus) != len(speedups) {
-		return nil, fmt.Errorf("model: need matching non-empty samples, got %d/%d", len(gpus), len(speedups))
+		return fmt.Errorf("model: need matching non-empty samples, got %d/%d", len(gpus), len(speedups))
 	}
 	if gpus[0] != 1 {
-		return nil, fmt.Errorf("model: scaling samples must start at 1 GPU, got %d", gpus[0])
+		return fmt.Errorf("model: scaling samples must start at 1 GPU, got %d", gpus[0])
 	}
 	for i := range gpus {
 		if speedups[i] <= 0 {
-			return nil, fmt.Errorf("model: non-positive speedup %v at %d GPUs", speedups[i], gpus[i])
+			return fmt.Errorf("model: non-positive speedup %v at %d GPUs", speedups[i], gpus[i])
 		}
 		if i > 0 && gpus[i] <= gpus[i-1] {
-			return nil, fmt.Errorf("model: GPU samples not increasing at index %d", i)
+			return fmt.Errorf("model: GPU samples not increasing at index %d", i)
 		}
 	}
-	return &InterpolatedScaling{
-		gpus:    append([]int(nil), gpus...),
-		speedup: append([]float64(nil), speedups...),
-	}, nil
+	s.gpus = append(s.gpus[:0], gpus...)
+	s.speedup = append(s.speedup[:0], speedups...)
+	return nil
 }
 
 // Speedup returns the interpolated speedup at g GPUs (co-located).

@@ -91,12 +91,12 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 			break
 		}
 		// The candidate set is scratch the next step overwrites.
-		cur = Result{Plan: cands[bestIdx].Clone(), Estimate: bestEst}
+		cur = Result{Plan: ss.step(cands[bestIdx]), Estimate: bestEst}
 	}
 	if cur.Estimate.JCT < best.Estimate.JCT {
 		best = cur
 	}
-	// best may alias the static plans, which are scratch.
+	// best may alias the static plans or a step, both scratch.
 	best.Plan = best.Plan.Clone()
 	return best, nil
 }

@@ -279,8 +279,7 @@ func (p *Planner) PlanNaiveElastic() (Result, error) {
 // warm start and returns the cheapest feasible plan found. The result is
 // guaranteed to predict no worse than the cost-optimal static allocation,
 // since that allocation is itself a warm start. On a warm Planner it
-// allocates at most one plan per accepted descent step plus the returned
-// plan.
+// allocates only the returned plan.
 func (p *Planner) PlanElastic() (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
@@ -320,7 +319,8 @@ func (p *Planner) planElastic(ss *searchScratch) (Result, error) {
 			best = res
 		}
 	}
-	// best may alias the static plans or a warm start, both scratch.
+	// best may alias the static plans, a warm start or a step, all
+	// scratch.
 	best.Plan = best.Plan.Clone()
 	return best, nil
 }
@@ -393,7 +393,7 @@ func (p *Planner) optimize(ss *searchScratch, start Result) (Result, error) {
 			return ss.finish(cur), nil // no candidate improves cost enough
 		}
 		// The candidate set is scratch the next step overwrites.
-		cur = Result{Plan: cands[bestIdx].Clone(), Estimate: bestEst}
+		cur = Result{Plan: ss.step(cands[bestIdx]), Estimate: bestEst}
 	}
 }
 

@@ -24,15 +24,17 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 //     warm starts;
 //   - the walked-path record: every plan a descent had as its current
 //     plan, its allocations copied into one column, with the descent's
-//     index into done, the descents' results.
+//     index into done, the descents' results;
+//   - the accepted descent steps, each carved from one column that only
+//     grows during a search, so a step's plan stays valid until release.
 //
 // Every plan the search returns is cloned out of it, so nothing the
 // caller holds aliases scratch. Columns that hold no pointer (keep,
-// ests, the walked record, the static and warm-start allocations) are
-// overwritten before they are read and never cleared; release drops
-// only what can hold a foreign pointer — the results, the current
-// candidate, any error recorded, and the evaluator — before the scratch
-// goes back to the pool.
+// ests, the walked record, the steps, the static and warm-start
+// allocations) are overwritten before they are read and never cleared;
+// release drops only what can hold a foreign pointer — the results, the
+// current candidate, any error recorded, and the evaluator — before the
+// scratch goes back to the pool.
 type searchScratch struct {
 	scr    frontierScreen
 	screen *frontierScreen
@@ -51,6 +53,8 @@ type searchScratch struct {
 	walked       []walkedPlan
 	walkedAllocs []int
 	done         []Result
+
+	steps []int
 }
 
 // walkedPlan is one current plan of a descent: its allocations are
@@ -65,6 +69,16 @@ type walkedPlan struct {
 func (ss *searchScratch) walk(plan sim.Plan, descent int) {
 	ss.walked = append(ss.walked, walkedPlan{off: int32(len(ss.walkedAllocs)), n: int32(len(plan.Alloc)), descent: descent})
 	ss.walkedAllocs = append(ss.walkedAllocs, plan.Alloc...)
+}
+
+// step returns a copy of an accepted candidate carved from the steps
+// column. The column only grows until release, and a run it outgrows
+// stays with the plans carved from it, so earlier steps (the current
+// plans of finished descents among them) keep their values.
+func (ss *searchScratch) step(cand sim.Plan) sim.Plan {
+	lo := len(ss.steps)
+	ss.steps = append(ss.steps, cand.Alloc...)
+	return sim.Plan{Alloc: ss.steps[lo:len(ss.steps):len(ss.steps)]}
 }
 
 // walkedPlan returns the allocations of a walked plan.
@@ -97,7 +111,7 @@ func (ss *searchScratch) release() {
 	ss.cands.cur = sim.Plan{}
 	clearErrs(ss.errs[:cap(ss.errs)])
 	clear(ss.done)
-	ss.walked, ss.walkedAllocs, ss.done = ss.walked[:0], ss.walkedAllocs[:0], ss.done[:0]
+	ss.walked, ss.walkedAllocs, ss.done, ss.steps = ss.walked[:0], ss.walkedAllocs[:0], ss.done[:0], ss.steps[:0]
 	searchPool.Put(ss)
 }
 

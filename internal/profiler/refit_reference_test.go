@@ -133,3 +133,77 @@ func TestRefitMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// baseStd is the reference's 1-GPU spread: the base profile's 1-GPU σ
+// scaled by the drift ratio.
+func baseStd(base sim.TrainProfile, ratio float64) float64 {
+	if n, ok := base.IterDist(1).(stats.Normal); ok {
+		return n.Sigma * ratio
+	}
+	return 0
+}
+
+// TestFitRefitMatchesRefit: one Fit refitted in turn on random
+// observation lists — each larger or smaller than the one before, some
+// invalid — holds exactly the profile a fresh Refit returns, bit for
+// bit, or returns exactly its error and keeps the profile it held.
+func TestFitRefitMatchesRefit(t *testing.T) {
+	r := stats.NewRNG(uint64(2))
+	var f Fit
+	for trial := 0; trial < 5000; trial++ {
+		base := driftProfile{linearProfile{mean: 50 + 100*r.Float64(), sigma: float64(r.Intn(2)) * 5}, r.Intn(10) == 0}
+		maxGPUs := r.Intn(70)
+		obs := make([]Observation, r.Intn(7))
+		for i := range obs {
+			obs[i] = Observation{GPUs: 1 + r.Intn(40), Mean: 1 + 200*r.Float64(), Count: 1 + r.Intn(20)}
+			if r.Intn(40) == 0 {
+				obs[i].Count = 0
+			}
+		}
+		prev := f.Profile
+		if prev.Scaling != nil {
+			prev.Scaling = clonedScaling(t, prev.Scaling)
+		}
+		gotErr := f.Refit(base, BaseSigma(base), maxGPUs, obs)
+		want, wantErr := Refit(base, maxGPUs, obs)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("Fit.Refit(%d, %+v) error %v, Refit %v", maxGPUs, obs, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			want = prev
+		}
+		if !reflect.DeepEqual(f.Profile, want) {
+			t.Fatalf("Fit.Refit(%d, %+v) = %+v, want %+v", maxGPUs, obs, f.Profile, want)
+		}
+	}
+}
+
+// clonedScaling returns a copy of s that shares no storage with it.
+func clonedScaling(t *testing.T, s *model.InterpolatedScaling) *model.InterpolatedScaling {
+	t.Helper()
+	c, err := model.NewInterpolatedScaling(s.Samples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestFitRefitAllocatesNothing: a warm Fit refits a profile whose mean
+// latency sim.IterMean takes directly without allocating.
+func TestFitRefitAllocatesNothing(t *testing.T) {
+	sc, err := model.NewInterpolatedScaling([]int{1, 2, 4, 8}, []float64{1, 1.9, 3.5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base sim.TrainProfile = sim.MeasuredTrainProfile{BaseMean: 80, BaseStd: 4, Scaling: sc}
+	obs := []Observation{{GPUs: 4, Mean: 30, Count: 6}, {GPUs: 2, Mean: 50, Count: 3}, {GPUs: 3, Mean: 41, Count: 2}}
+	var f Fit
+	sigma := BaseSigma(base)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := f.Refit(base, sigma, 16, obs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm Fit.Refit allocates %v times, want 0", allocs)
+	}
+}

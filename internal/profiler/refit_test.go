@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,18 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// Refit is Fit.Refit on a new Fit: the one-shot refit the tests use.
+func Refit(base sim.TrainProfile, maxGPUs int, obs []Observation) (sim.MeasuredTrainProfile, error) {
+	if base == nil {
+		return sim.MeasuredTrainProfile{}, fmt.Errorf("profiler: refit of nil profile")
+	}
+	f := new(Fit)
+	if err := f.Refit(base, BaseSigma(base), maxGPUs, obs); err != nil {
+		return sim.MeasuredTrainProfile{}, err
+	}
+	return f.Profile, nil
+}
 
 // linearProfile predicts mean/gpus with optional 1-GPU noise.
 type linearProfile struct {

@@ -5,9 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
+
+// analyticSim returns a new Simulator that evaluates tails under the
+// given profiles analytically, as the controller's own analytic
+// Simulators do: the three-Simulator oracle builds one per use.
+func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) (*sim.Simulator, error) {
+	sm := new(sim.Simulator)
+	if err := c.initAnalytic(sm, suffix, prof, cp); err != nil {
+		return nil, err
+	}
+	return sm, nil
+}
 
 // refPreScreen is PreScreen over the three-Simulator screen.
 func (c *Controller) refPreScreen(state State) (PreScreenResult, error) {
@@ -77,8 +89,9 @@ func (d *oracleDriver) last() sim.Plan {
 // oracleScripts are the decision sequences Replan is held to its oracle
 // on: drift slowdowns across stages, a preemption, a quiet regime whose
 // conditions 1–2 leave the call to the analytic mini-plan (twice at one
-// stage and tail, so the second reads the cached base score), a speed-up
-// that accumulates slack, a lost deadline, and provisioning drift.
+// stage and tail, on the Simulators the first decision released), a
+// speed-up that accumulates slack, a lost deadline, and provisioning
+// drift.
 var oracleScripts = map[string]func(d *oracleDriver){
 	"slowdown": func(d *oracleDriver) {
 		d.observe(4, 2, 0, 5)
@@ -120,8 +133,8 @@ var oracleScripts = map[string]func(d *oracleDriver){
 }
 
 // TestReplanMatchesThreeSimulatorOracle: a controller deciding with one
-// Simulator per decision, a cached base score and a shared decision
-// list commits exactly the decisions, pre-screens and detector state of
+// Simulator per decision, its Simulators, re-fit and decision storage
+// recycled from decision to decision, commits exactly the decisions, pre-screens and detector state of
 // the three-Simulator controller, under both estimators and at one and
 // four workers, and leaves its random stream where it found it.
 func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {

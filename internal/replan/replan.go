@@ -12,7 +12,7 @@
 // the controller:
 //
 //  1. re-fits the profiled scaling function from the accumulated
-//     observations (profiler.Refit),
+//     observations (profiler.Fit),
 //  2. re-invokes planner.PlanElastic for the remaining stages under the
 //     remaining deadline via the (cheap, segment-estimator) simulator, and
 //  3. hands back a spliced plan — executed and executing stages keep
@@ -26,6 +26,16 @@
 // randomness; the replanning simulator for decision i seeds from
 // Config.RNG.Stream(i), a pure derivation, so decisions are bit-identical
 // across worker counts and across replays.
+//
+// Storage contract: a Controller keeps everything its decisions use —
+// the committed decisions and their plans, the re-fitted profile, the
+// per-stage suffix specs, its Simulators and its Planner — and Reset
+// keeps all of it for the next Init. So a decision on a recycled
+// controller allocates only the planner's returned plan per search and
+// the iteration distributions its Simulators' share columns box; what a
+// caller keeps (the trace note, the journal record) the caller copies,
+// and Decisions returns a deep copy that outlives the controller's next
+// run.
 package replan
 
 import (
@@ -42,6 +52,10 @@ import (
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
+
+// analyticRoot seeds the controller's analytic Simulators. Init copies
+// it and nothing advances it.
+var analyticRoot = stats.NewRNG(1)
 
 // Reason classifies what initiated a replan decision.
 type Reason string
@@ -265,14 +279,31 @@ type Controller struct {
 
 	armed      bool // a replan happened; cooldown applies
 	lastReplan vclock.Time
-	decisions  []Decision
+	// decisions are the committed decisions. Their plans are carved from
+	// plans, which only grows during a run: a run it outgrows stays with
+	// the decisions carved from it, so no decision's plan is ever
+	// overwritten before Reset.
+	decisions []Decision
+	plans     []int
 
-	// obs is observations' buffer, reused by every re-fit (Refit copies
-	// what it keeps).
-	obs []profiler.Observation
-	// base caches the pre-screen's planning-time score of the last stale
-	// tail it screened.
-	base baseScore
+	// obs is observations' buffer and fit the storage every re-fit
+	// writes the fitted profile into. sigma is the planning-time
+	// profile's 1-GPU σ, taken at the first re-fit (hasSigma).
+	obs      []profiler.Observation
+	fit      profiler.Fit
+	sigma    float64
+	hasSigma bool
+	// queueLat and initLat are the re-fitted provisioning latencies the
+	// re-fitted cloud profile points to.
+	queueLat, initLat stats.Scaled
+	// suffixes[i] is the spec of stages i.., built by Init.
+	suffixes []spec.ExperimentSpec
+	// decSim serves a decision (or a read-only pre-screen), baseSim the
+	// pre-screen's planning-time score and miniSim its analytic
+	// mini-plan; pl is the Planner of whichever search runs. Each
+	// Simulator is initialised for its use and released after it.
+	decSim, baseSim, miniSim sim.Simulator
+	pl                       planner.Planner
 
 	// observer, when non-nil, receives every committed decision — the
 	// write-ahead journaling hook.
@@ -280,27 +311,118 @@ type Controller struct {
 }
 
 // NewController validates the configuration and returns a fresh
-// controller with no observations.
+// controller with no observations: a new Controller put through Init.
 func NewController(cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	c := new(Controller)
+	if err := c.Init(cfg); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg}, nil
+	return c, nil
+}
+
+// Init validates the configuration and makes c a fresh controller for
+// it, with no observations, reusing the storage c kept from earlier
+// runs. On error c is left reset.
+func (c *Controller) Init(cfg Config) error {
+	c.Reset()
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	c.cfg = cfg
+	n := cfg.Spec.NumStages()
+	c.suffixes = slices.Grow(c.suffixes[:0], n)[:n]
+	for i := 1; i < n; i++ {
+		cfg.Spec.SuffixInto(i, &c.suffixes[i])
+	}
+	return nil
+}
+
+// Reset returns c to the zero controller, ready for the next Init,
+// keeping the capacity of every buffer: the detector's columns, the
+// decisions and their plan storage, the re-fit's columns and the suffix
+// specs. Its Simulators hand their tables back to the package pool. It
+// drops the observer, every decision and every pointer into the
+// finished run, so a Reset controller pins nothing of it. Reset must not
+// overlap another call on c, and Decisions taken before it stay valid:
+// they are copies.
+func (c *Controller) Reset() {
+	c.decSim.Reset()
+	c.baseSim.Reset()
+	c.miniSim.Reset()
+	clear(c.decisions)
+	*c = Controller{
+		stats:     c.stats[:0],
+		decisions: c.decisions[:0],
+		plans:     c.plans[:0],
+		obs:       c.obs[:0],
+		fit:       c.fit,
+		suffixes:  c.suffixes[:0],
+	}
 }
 
 // Config returns the controller's effective (defaulted) configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Decisions returns the replan decisions taken so far, in order.
+// Decisions returns the replan decisions taken so far, in order: one
+// deep copy, its plans in one array it shares with nothing the
+// controller keeps, an unadopted decision's NewPlan sharing its
+// OldPlan's copy as the original shares its storage. nil when no
+// decision was taken.
 func (c *Controller) Decisions() []Decision {
-	return append([]Decision(nil), c.decisions...)
+	if len(c.decisions) == 0 {
+		return nil
+	}
+	n := 0
+	for _, d := range c.decisions {
+		n += len(d.OldPlan.Alloc)
+		if !sharesPlan(d) {
+			n += len(d.NewPlan.Alloc)
+		}
+	}
+	out := append([]Decision(nil), c.decisions...)
+	back := make([]int, 0, n)
+	for i := range out {
+		d := &out[i]
+		shared := sharesPlan(*d)
+		d.OldPlan, back = copyPlan(back, d.OldPlan)
+		if shared {
+			d.NewPlan = d.OldPlan
+		} else {
+			d.NewPlan, back = copyPlan(back, d.NewPlan)
+		}
+	}
+	return out
+}
+
+// sharesPlan reports whether d's NewPlan is its OldPlan, storage and
+// all.
+func sharesPlan(d Decision) bool {
+	return len(d.NewPlan.Alloc) == len(d.OldPlan.Alloc) && len(d.OldPlan.Alloc) > 0 &&
+		&d.NewPlan.Alloc[0] == &d.OldPlan.Alloc[0]
+}
+
+// copyPlan appends p's allocations to back and returns the copy and the
+// extended array.
+func copyPlan(back []int, p sim.Plan) (sim.Plan, []int) {
+	lo := len(back)
+	back = append(back, p.Alloc...)
+	return sim.Plan{Alloc: back[lo:len(back):len(back)]}, back
+}
+
+// carve copies alloc into the controller's plan storage.
+func (c *Controller) carve(alloc []int) sim.Plan {
+	var p sim.Plan
+	p, c.plans = copyPlan(c.plans, sim.Plan{Alloc: alloc})
+	return p
 }
 
 // SetObserver registers fn to receive every subsequently committed
 // decision, synchronously and in decision order. The journal writer
 // subscribes here so replan decisions hit the write-ahead log with their
-// full payload (trace events only carry the rendered note).
+// full payload (trace events only carry the rendered note). The decision
+// fn receives refers to the controller's storage: fn copies what it
+// keeps.
 func (c *Controller) SetObserver(fn func(Decision)) { c.observer = fn }
 
 // AllocState is the drift detector's state for one per-trial allocation.
@@ -418,6 +540,8 @@ func (c *Controller) ratio() float64 {
 // ascending allocation order. The per-allocation mean handed to the
 // re-fit is the EWMA ratio × the profiled mean, so the fit reflects the
 // current latency regime rather than the whole history.
+//
+//rbvet:noalloc
 func (c *Controller) observations() []profiler.Observation {
 	out := c.obs[:0]
 	for _, st := range c.stats {
@@ -434,22 +558,44 @@ func (c *Controller) observations() []profiler.Observation {
 // refitProfiles re-fits the training profile and cloud overheads from the
 // observations accumulated so far. With no iteration observations (a
 // preemption before any iteration completed) the planning-time profile is
-// reused unchanged.
+// reused unchanged. The re-fitted profiles point into the controller's
+// storage: they are valid until the next re-fit.
 func (c *Controller) refitProfiles() (sim.TrainProfile, sim.CloudProfile, error) {
 	prof := c.cfg.Profile
 	if c.totalObs > 0 {
-		fitted, err := profiler.Refit(c.cfg.Profile, c.cfg.MaxGPUs, c.observations())
-		if err != nil {
+		if !c.hasSigma {
+			c.sigma, c.hasSigma = profiler.BaseSigma(c.cfg.Profile), true
+		}
+		if err := c.fit.Refit(c.cfg.Profile, c.sigma, c.cfg.MaxGPUs, c.observations()); err != nil {
 			return nil, sim.CloudProfile{}, err
 		}
-		prof = fitted
+		prof = &c.fit.Profile
 	}
 	cp := c.cfg.Cloud
 	if c.overheadCount > 0 && c.overheadEWMA > 0 && c.overheadEWMA != 1 {
-		cp.Overheads.QueueDelay = stats.Scaled{D: cp.Overheads.QueueDelay, Factor: c.overheadEWMA}
-		cp.Overheads.InitLatency = stats.Scaled{D: cp.Overheads.InitLatency, Factor: c.overheadEWMA}
+		c.queueLat = stats.Scaled{D: cp.Overheads.QueueDelay, Factor: c.overheadEWMA}
+		c.initLat = stats.Scaled{D: cp.Overheads.InitLatency, Factor: c.overheadEWMA}
+		cp.Overheads.QueueDelay, cp.Overheads.InitLatency = &c.queueLat, &c.initLat
 	}
 	return prof, cp, nil
+}
+
+// suffix returns the spec of stages from.. of the controller's job.
+//
+//rbvet:noalloc
+func (c *Controller) suffix(from int) *spec.ExperimentSpec { return &c.suffixes[from] }
+
+// planner returns the controller's Planner, set to search sm for a tail
+// meeting deadline on the given number of workers.
+func (c *Controller) planner(sm *sim.Simulator, deadline float64, workers int) *planner.Planner {
+	c.pl = planner.Planner{
+		Sim:      sm,
+		Deadline: deadline,
+		MaxGPUs:  c.cfg.MaxGPUs,
+		Workers:  workers,
+		Delta:    adoptDelta,
+	}
+	return &c.pl
 }
 
 // Replan computes and commits one replan decision for the given executor
@@ -461,8 +607,10 @@ func (c *Controller) refitProfiles() (sim.TrainProfile, sim.CloudProfile, error)
 // stage.
 //
 // Replan reads state.Plan and keeps only a copy of it, so the caller may
-// pass its live plan. The decision's plans are read-only: NewPlan shares
-// OldPlan's storage unless the decision adopted a new tail.
+// pass its live plan. The decision's plans are read-only and live in the
+// controller's storage until Reset: NewPlan shares OldPlan's storage
+// unless the decision adopted a new tail, and a caller that keeps either
+// past Reset copies it (Decisions does).
 //
 // One Simulator, under the re-fitted profiles and seeded from the
 // decision's stream, serves the whole decision: the pre-screen's
@@ -479,7 +627,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	}
 
 	seq := len(c.decisions)
-	old := state.Plan.Clone()
+	old := c.carve(state.Plan.Alloc)
 	d := Decision{
 		Seq:     seq,
 		At:      state.Now,
@@ -506,12 +654,14 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 		return d, nil
 	}
 
-	suffix := c.cfg.Spec.Suffix(state.Stage + 1)
+	suffix := c.suffix(state.Stage + 1)
 	staleTail := sim.Plan{Alloc: old.Alloc[state.Stage+1:]}
 
-	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)),
-		sim.WithWorkers(c.cfg.Workers), sim.WithEstimator(c.cfg.Estimator))
-	if err != nil {
+	var rng stats.RNG
+	c.cfg.RNG.StreamInto(uint64(seq), &rng)
+	sm := &c.decSim
+	if err := sm.Init(suffix, prof, cp, c.cfg.Samples, &rng,
+		sim.WithWorkers(c.cfg.Workers), sim.WithEstimator(c.cfg.Estimator)); err != nil {
 		return Decision{}, err
 	}
 	defer sm.Release()
@@ -523,7 +673,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	// materially, a full replan would re-derive the same tail the original
 	// planner chose, so the decision is committed without Monte-Carlo.
 	if reason == ReasonDrift && !c.cfg.disablePreScreen {
-		if est, material, ok := c.screenTail(sm, prof, cp, state.Stage, suffix, staleTail, d.RemainingDeadline); ok && !material {
+		if est, material, ok := c.screenTail(sm, prof, cp, suffix, staleTail, d.RemainingDeadline); ok && !material {
 			d.StaleEstimate = est
 			d.Screened = true
 			c.commit(d, state.Now)
@@ -538,14 +688,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	d.StaleEstimate = staleEst
 	staleFeasible := staleEst.JCT <= d.RemainingDeadline
 
-	p := &planner.Planner{
-		Sim:      sm,
-		Deadline: d.RemainingDeadline,
-		MaxGPUs:  c.cfg.MaxGPUs,
-		Workers:  c.cfg.Workers,
-		Delta:    adoptDelta,
-	}
-	res, perr := p.PlanElastic()
+	res, perr := c.planner(sm, d.RemainingDeadline, c.cfg.Workers).PlanElastic()
 	switch {
 	case perr == planner.ErrInfeasible:
 		// No planner tail fits; the job is infeasible-after-drift unless
@@ -557,7 +700,8 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 		if !staleFeasible || res.Estimate.Cost < staleEst.Cost-adoptDelta {
 			d.Adopted = true
 			d.NewEstimate = res.Estimate
-			d.NewPlan = old.Splice(state.Stage+1, res.Plan)
+			d.NewPlan = c.carve(old.Alloc)
+			copy(d.NewPlan.Alloc[state.Stage+1:], res.Plan.Alloc)
 		}
 	}
 	c.commit(d, state.Now)
@@ -572,12 +716,12 @@ func (c *Controller) remainingDeadline(state State, prof sim.TrainProfile) float
 	return c.cfg.Deadline - float64(state.Now) - float64(state.RemainingIters)*sim.IterMean(prof, per)
 }
 
-// analyticSim returns a simulator that evaluates tails under the given
-// profiles analytically. Its seed is never drawn from while every latency
-// has finite moments (analytic estimates consult no RNG), so what it
-// estimates is a pure function of its arguments.
-func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) (*sim.Simulator, error) {
-	return sim.New(suffix, prof, cp, c.cfg.Samples, stats.NewRNG(1),
+// initAnalytic makes sm a Simulator of suffix that evaluates tails under
+// the given profiles analytically. Its seed is never drawn from while
+// every latency has finite moments (analytic estimates consult no RNG),
+// so what it estimates is a pure function of its arguments.
+func (c *Controller) initAnalytic(sm *sim.Simulator, suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) error {
+	return sm.Init(suffix, prof, cp, c.cfg.Samples, analyticRoot,
 		sim.WithWorkers(1), sim.WithEstimator(sim.EstimatorAnalytic))
 }
 
@@ -590,34 +734,16 @@ func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
 	return est, err == nil && ok
 }
 
-// baseScore is the stale tail's analytic estimate under the
-// planning-time profiles: a pure function of (stage, tail) for the
-// controller's fixed spec, profile and cloud. The controller keeps the
-// last one, so repeated decisions at one stage with an unchanged tail
-// build no Simulator for it.
-type baseScore struct {
-	stage int
-	tail  []int
-	est   sim.Estimate
-	ok    bool
-}
-
 // baseTail returns the stale tail's analytic estimate under the
-// planning-time profiles, from the cache when it holds this (stage,
-// tail). ok=false means the profile's latencies lack finite moments or
-// no Simulator could be built.
-func (c *Controller) baseTail(stage int, suffix *spec.ExperimentSpec, tail sim.Plan) (sim.Estimate, bool) {
-	b := &c.base
-	if b.stage == stage && slices.Equal(b.tail, tail.Alloc) { // an empty cache holds no tail
-		return b.est, b.ok
+// planning-time profiles, taken on the controller's base Simulator.
+// ok=false means the profile's latencies lack finite moments or no
+// Simulator could be built.
+func (c *Controller) baseTail(suffix *spec.ExperimentSpec, tail sim.Plan) (sim.Estimate, bool) {
+	if err := c.initAnalytic(&c.baseSim, suffix, c.cfg.Profile, c.cfg.Cloud); err != nil {
+		return sim.Estimate{}, false
 	}
-	est, ok := sim.Estimate{}, false
-	if baseSim, err := c.analyticSim(suffix, c.cfg.Profile, c.cfg.Cloud); err == nil {
-		est, ok = analyticTail(baseSim, tail)
-		baseSim.Release()
-	}
-	*b = baseScore{stage: stage, tail: append(b.tail[:0], tail.Alloc...), est: est, ok: ok}
-	return est, ok
+	defer c.baseSim.Release()
+	return analyticTail(&c.baseSim, tail)
 }
 
 // screenTail is the analytic drift pre-screen. material is true when a
@@ -637,12 +763,12 @@ func (c *Controller) baseTail(stage int, suffix *spec.ExperimentSpec, tail sim.P
 // sm is a Simulator of the suffix under the re-fitted profiles prof and
 // cp; the stale tail's re-fitted score is taken on it analytically, whatever its
 // estimator. The mini-plan of condition 3 runs on an analytic Simulator
-// of its own, so its plan memo never mixes with sm's. ok=false means the
-// screen could not score the tail (no finite moments) and the caller
-// must run the full replan.
-func (c *Controller) screenTail(sm *sim.Simulator, prof sim.TrainProfile, cp sim.CloudProfile, stage int, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
+// of its own (the controller's miniSim), so its plan memo never mixes
+// with sm's. ok=false means the screen could not score the tail (no
+// finite moments) and the caller must run the full replan.
+func (c *Controller) screenTail(sm *sim.Simulator, prof sim.TrainProfile, cp sim.CloudProfile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
 	refit, ok1 := analyticTail(sm, staleTail)
-	base, ok2 := c.baseTail(stage, suffix, staleTail)
+	base, ok2 := c.baseTail(suffix, staleTail)
 	if !ok1 || !ok2 {
 		return sim.Estimate{}, false, false
 	}
@@ -655,19 +781,12 @@ func (c *Controller) screenTail(sm *sim.Simulator, prof sim.TrainProfile, cp sim
 	// Conditions 1–2 are quiet; check 3 with an analytic-only replan
 	// under the re-fitted profiles. The mini-plan is deterministic and
 	// costs microseconds per candidate.
-	mini, err := c.analyticSim(suffix, prof, cp)
-	if err != nil {
+	mini := &c.miniSim
+	if err := c.initAnalytic(mini, suffix, prof, cp); err != nil {
 		return sim.Estimate{}, false, false
 	}
 	defer mini.Release()
-	p := &planner.Planner{
-		Sim:      mini,
-		Deadline: remaining,
-		MaxGPUs:  c.cfg.MaxGPUs,
-		Workers:  1,
-		Delta:    adoptDelta,
-	}
-	res, perr := p.PlanElastic()
+	res, perr := c.planner(mini, remaining, 1).PlanElastic()
 	switch {
 	case perr == planner.ErrInfeasible:
 		// No planner tail fits analytically while the stale one does; the
@@ -724,17 +843,19 @@ func (c *Controller) PreScreen(state State) (PreScreenResult, error) {
 	if remaining <= 0 {
 		return PreScreenResult{Supported: true, Material: true, RemainingDeadline: remaining}, nil
 	}
-	suffix := c.cfg.Spec.Suffix(state.Stage + 1)
-	sm, err := c.analyticSim(suffix, prof, cp)
-	if err != nil {
+	suffix := c.suffix(state.Stage + 1)
+	sm := &c.decSim
+	if err := c.initAnalytic(sm, suffix, prof, cp); err != nil {
 		return PreScreenResult{RemainingDeadline: remaining}, nil
 	}
 	defer sm.Release()
-	stale, material, ok := c.screenTail(sm, prof, cp, state.Stage, suffix, state.Plan.Suffix(state.Stage+1), remaining)
+	stale, material, ok := c.screenTail(sm, prof, cp, suffix, sim.Plan{Alloc: state.Plan.Alloc[state.Stage+1:]}, remaining)
 	return PreScreenResult{Supported: ok, Material: material, RemainingDeadline: remaining, Stale: stale}, nil
 }
 
 // commit records the decision and arms the cooldown.
+//
+//rbvet:noalloc
 func (c *Controller) commit(d Decision, now vclock.Time) {
 	c.decisions = append(c.decisions, d)
 	c.armed = true

@@ -50,8 +50,8 @@ func exactAllocs(t *testing.T) {
 // plus 5 % slack. A serve path that stops releasing its runs' working
 // sets takes several times the bytes and fails it.
 const (
-	servedBudgetAllocs = 58 * 105 / 100
-	servedBudgetBytes  = 6430 * 105 / 100
+	servedBudgetAllocs = 52 * 105 / 100
+	servedBudgetBytes  = 5955 * 105 / 100
 )
 
 // TestServedRunAllocationBudget pins what a warm server allocates per

@@ -38,7 +38,7 @@ func (s *Simulator) segmentMoments(h ref) ref {
 	if v != 0 {
 		return v
 	}
-	m := sg.moments(s.prov)
+	m := sg.moments(&s.prov)
 	s.mu.Lock()
 	if sg.mom == 0 {
 		var run []segMoment

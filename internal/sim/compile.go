@@ -319,10 +319,10 @@ func (s *Simulator) segmentSamples(h ref) ref {
 	if n == 1 {
 		// Serial fill without the fan-out's closure, which would escape.
 		for k := range fresh {
-			fs.draw(sg, s.prov, fresh, 0, k)
+			fs.draw(sg, &s.prov, fresh, 0, k)
 		}
 	} else {
-		par.ForEachWorker(s.samples, s.Workers(), func(w, k int) { fs.draw(sg, s.prov, fresh, w, k) })
+		par.ForEachWorker(s.samples, s.Workers(), func(w, k int) { fs.draw(sg, &s.prov, fresh, w, k) })
 	}
 	fillPool.Put(fs)
 	s.mu.Lock()

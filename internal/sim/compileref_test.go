@@ -58,9 +58,9 @@ func (s *Simulator) refCompile(p Plan) (*refCompiled, error) {
 		var lat []float64
 		for k := range vec {
 			base.StreamInto(uint64(k), &r)
-			vec[k], lat = sg.eval(s.prov, &r, lat)
+			vec[k], lat = sg.eval(&s.prov, &r, lat)
 		}
-		m := sg.moments(s.prov)
+		m := sg.moments(&s.prov)
 		cp.segs = append(cp.segs, &sg)
 		cp.vecs = append(cp.vecs, vec)
 		cp.moms = append(cp.moms, &m)

@@ -198,7 +198,7 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 							var buf []Timing
 							for k := uint64(0); k < streams; k++ {
 								var got, want segSample
-								got, fin = sg.eval(sm.prov, base.Stream(k), fin)
+								got, fin = sg.eval(&sm.prov, base.Stream(k), fin)
 								want, buf = ref.eval(base.Stream(k), buf)
 								if math.Float64bits(got.dur) != math.Float64bits(want.dur) ||
 									math.Float64bits(got.scaleFin) != math.Float64bits(want.scaleFin) ||
@@ -206,7 +206,7 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 									t.Fatalf("%s stream %d: kernel draws %+v, program %+v", name, k, got, want)
 								}
 							}
-							got, want := sg.moments(sm.prov), ref.moments()
+							got, want := sg.moments(&sm.prov), ref.moments()
 							if got.ok != want.ok || !sameBits(got.dur, want.dur) ||
 								!sameBits(got.scaleFin, want.scaleFin) || !sameBits(got.trainSec, want.trainSec) {
 								t.Fatalf("%s: kernel moments %+v, program %+v", name, got, want)
@@ -376,7 +376,7 @@ func BenchmarkSegmentSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sg := range segs {
-			sampleSink, fin = sg.eval(sm.prov, r, fin)
+			sampleSink, fin = sg.eval(&sm.prov, r, fin)
 		}
 	}
 }
@@ -392,7 +392,7 @@ func BenchmarkSegmentMoments(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sg := range segs {
-			momentSink = sg.moments(sm.prov)
+			momentSink = sg.moments(&sm.prov)
 		}
 	}
 }

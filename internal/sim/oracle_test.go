@@ -294,7 +294,7 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 			r := base.Stream(uint64(k))
 			for i := range cp.segs {
 				var got segSample
-				got, buf = cp.seg(i).eval(sm.prov, r, buf)
+				got, buf = cp.seg(i).eval(&sm.prov, r, buf)
 				w := want[i][k]
 				if !near(got.dur, w.dur, 1e-12) || !near(got.scaleFin, w.scaleFin, 1e-12) || !near(got.trainSec, w.trainSec, 1e-12) {
 					t.Fatalf("plan %v draw %d stage %d: segment %+v, full DAG %+v", plan, k, i, got, w)
@@ -346,7 +346,7 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 			var wbuf []Timing
 			for k := 0; k < sm.samples; k++ {
 				var got, want segSample
-				got, fin = sg.eval(sm.prov, base.Stream(uint64(k)), fin)
+				got, fin = sg.eval(&sm.prov, base.Stream(uint64(k)), fin)
 				want, wbuf = ref.eval(base.Stream(uint64(k)), wbuf)
 				if got != want {
 					t.Fatalf("plan %v stage %d draw %d: kernel %+v, CompileRange %+v", plan, i, k, got, want)

@@ -28,6 +28,8 @@ func IterMean(p TrainProfile, gpus int) float64 {
 		return p.Model.IterLatencyMean(p.Batch, gpus, model.MinNodes(gpus, p.GPUsPerNode))
 	case MeasuredTrainProfile:
 		return p.BaseMean / p.Scaling.Speedup(gpus)
+	case *MeasuredTrainProfile:
+		return p.BaseMean / p.Scaling.Speedup(gpus)
 	case ScaledTrainProfile:
 		return IterMean(p.Base, gpus) * p.Factor
 	}

@@ -38,9 +38,8 @@ func recycleCases() []recycleCase {
 	}
 }
 
-// newSim builds the case's simulator at the given worker count.
-func (c recycleCase) newSim(t *testing.T, workers int) *sim.Simulator {
-	t.Helper()
+// job returns the case's training and cloud profiles.
+func (c recycleCase) job() (sim.TrainProfile, sim.CloudProfile) {
 	m := model.ResNet50()
 	m.IterNoiseStd = 0.1
 	cp := sim.DefaultCloudProfile()
@@ -51,12 +50,29 @@ func (c recycleCase) newSim(t *testing.T, workers int) *sim.Simulator {
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	sm, err := sim.New(c.spec, sim.ModelTrainProfile{Model: m, Batch: c.batch, GPUsPerNode: 4}, cp, c.samples,
+	return sim.ModelTrainProfile{Model: m, Batch: c.batch, GPUsPerNode: 4}, cp
+}
+
+// newSim builds the case's simulator at the given worker count.
+func (c recycleCase) newSim(t *testing.T, workers int) *sim.Simulator {
+	t.Helper()
+	prof, cp := c.job()
+	sm, err := sim.New(c.spec, prof, cp, c.samples,
 		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers), sim.WithEstimator(c.mode))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sm
+}
+
+// initSim makes sm the case's simulator in place.
+func (c recycleCase) initSim(t *testing.T, sm *sim.Simulator, workers int) {
+	t.Helper()
+	prof, cp := c.job()
+	if err := sm.Init(c.spec, prof, cp, c.samples,
+		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers), sim.WithEstimator(c.mode)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // searches runs the case's workload on sm — an elastic plan search
@@ -140,6 +156,42 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 			sm.Release()
 			check(i, sm, "re-drawn")
 			sm.Release()
+		}
+	}
+}
+
+// TestInitMatchesNew: one Simulator initialised in place for every case
+// in turn, forwards then backwards and without a Release between cases,
+// returns for each exactly what a Simulator from New returns —
+// StaticClusterJCTs, Estimate, Breakdown and PlanElastic — at one worker
+// and at four, whatever job, sample count, estimator, worker count and
+// billing model it was initialised for last. Reset leaves it ready for
+// another Init.
+func TestInitMatchesNew(t *testing.T) {
+	cases := recycleCases()
+	render := func(c recycleCase, sm *sim.Simulator, workers int) string {
+		return fmt.Sprintf("static %v %v\n", sm.StaticClusterJCTs(c.maxGPUs, nil), sm.StaticClusterJCT(c.maxGPUs)) +
+			c.searches(sm, workers)
+	}
+	for _, workers := range []int{1, 4} {
+		want := make([]string, len(cases))
+		for i, c := range cases {
+			sm := c.newSim(t, workers)
+			want[i] = render(c, sm, workers)
+			sm.Release()
+		}
+		var sm sim.Simulator
+		for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}} {
+			for _, i := range order {
+				cases[i].initSim(t, &sm, workers)
+				if got := render(cases[i], &sm, workers); got != want[i] {
+					t.Fatalf("workers %d case %d initialised in place:\n%s\nfrom New:\n%s", workers, i, got, want[i])
+				}
+			}
+			sm.Reset()
+			if sm.Spec() != nil {
+				t.Fatal("Reset kept the Simulator's job")
+			}
 		}
 	}
 }

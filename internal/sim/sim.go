@@ -21,7 +21,7 @@ type Estimate struct {
 }
 
 // Simulator predicts JCT and cost for allocation plans over one job.
-// Construct with New; the zero value is not usable.
+// Construct with New or Init; the zero value is not usable.
 //
 // A Simulator's configuration is immutable after construction and it is
 // safe for concurrent use by multiple goroutines. The state it mutates is
@@ -79,8 +79,8 @@ type Simulator struct {
 	// stats.RNG.Stream, which is pure, so concurrent derivation is safe.
 	root stats.RNG
 	// prov is the cloud profile's provisioning latencies, compiled once
-	// here and shared by every segment of the table.
-	prov *provLats
+	// by Init and shared by every segment of the table.
+	prov provLats
 
 	// mu guards tab and everything in it, including the lazily filled
 	// fields of its segments. Misses are computed outside the lock and
@@ -107,19 +107,36 @@ func WithWorkers(n int) Option { return func(s *Simulator) { s.workers = n } }
 // generated quickly (§5).
 const DefaultSamples = 20
 
-// New returns a simulator for the given job. samples <= 0 selects
-// DefaultSamples. The rng seeds every Monte-Carlo stream the simulator
-// will ever draw; its state is snapshotted, so the caller may keep using
-// (or discard) the generator afterwards without perturbing the simulator.
+// New returns a simulator for the given job: a new Simulator put through
+// Init.
 func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples int, rng *stats.RNG, opts ...Option) (*Simulator, error) {
-	if err := s.Validate(); err != nil {
+	sm := new(Simulator)
+	if err := sm.Init(s, profile, cp, samples, rng, opts...); err != nil {
 		return nil, err
+	}
+	return sm, nil
+}
+
+// Init makes s a simulator for the given job in place, so an owner that
+// builds Simulators repeatedly (a replan decision, a run's planning) can
+// keep one and allocate none. samples <= 0 selects DefaultSamples. The
+// rng seeds every Monte-Carlo stream the simulator will ever draw; its
+// state is copied, so the caller may keep using (or discard) the
+// generator afterwards without perturbing the simulator. A table s
+// still holds is released first (see Release), so an initialised
+// Simulator answers exactly as a new one would. Init must not overlap
+// any other call on s; on error s is left released and unusable until
+// the next successful Init.
+func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples int, rng *stats.RNG, opts ...Option) error {
+	s.Release()
+	if err := sp.Validate(); err != nil {
+		return err
 	}
 	if profile == nil {
-		return nil, fmt.Errorf("sim: nil train profile")
+		return fmt.Errorf("sim: nil train profile")
 	}
 	if err := cp.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if samples <= 0 {
 		samples = DefaultSamples
@@ -127,21 +144,30 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 	if rng == nil {
 		rng = stats.NewRNG(0)
 	}
-	sm := &Simulator{
-		spec:    s,
+	*s = Simulator{
+		spec:    sp,
 		profile: profile,
 		cloud:   cp,
 		samples: samples,
 		root:    *rng,
-		prov: &provLats{
+		prov: provLats{
 			scale: stats.CompileLat(cp.Overheads.QueueDelay),
 			init:  stats.CompileLat(cp.Overheads.InitLatency),
 		},
 	}
 	for _, o := range opts {
-		o(sm)
+		o(s)
 	}
-	return sm, nil
+	return nil
+}
+
+// Reset releases s's table and drops everything Init gave it, leaving
+// the zero Simulator: an owner that keeps a Simulator between uses calls
+// it so the Simulator pins no spec, profile or distribution. Reset must
+// not overlap any other call on s.
+func (s *Simulator) Reset() {
+	s.Release()
+	*s = Simulator{}
 }
 
 // Workers returns the resolved Monte-Carlo worker bound.

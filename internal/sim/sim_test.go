@@ -501,8 +501,8 @@ func (p lognormalProfile) IterDist(gpus int) stats.Dist {
 }
 
 // TestIterMeanMatchesIterDist holds IterMean to IterDist(g).Mean() bit
-// for bit for every profile type, noise-free and noisy, nested Scaled
-// profiles and a foreign type included.
+// for bit for every profile type, noise-free and noisy, a measured
+// profile by pointer, nested Scaled profiles and a foreign type included.
 func TestIterMeanMatchesIterDist(t *testing.T) {
 	sc, err := model.NewInterpolatedScaling([]int{1, 2, 4, 16}, []float64{1, 1.9, 3.6, 11.3})
 	if err != nil {
@@ -515,6 +515,7 @@ func TestIterMeanMatchesIterDist(t *testing.T) {
 		"model-quiet":    ModelTrainProfile{Model: quiet, Batch: 384, GPUsPerNode: 8},
 		"measured-noisy": MeasuredTrainProfile{BaseMean: 4, BaseStd: 0.4, Scaling: sc},
 		"measured-quiet": MeasuredTrainProfile{BaseMean: 4.3, Scaling: sc},
+		"measured-ptr":   &MeasuredTrainProfile{BaseMean: 4, BaseStd: 0.4, Scaling: sc},
 		"foreign":        lognormalProfile{mu: 0.7, sigma: 0.3},
 	}
 	profiles := map[string]TrainProfile{}

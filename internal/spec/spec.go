@@ -97,10 +97,18 @@ func (s *ExperimentSpec) MaxIters() int {
 // stages have executed. The suffix of a valid spec is itself valid (trial
 // counts stay non-increasing). It panics if from is out of [0, NumStages).
 func (s *ExperimentSpec) Suffix(from int) *ExperimentSpec {
+	return s.SuffixInto(from, new(ExperimentSpec))
+}
+
+// SuffixInto makes dst the specification Suffix(from) returns, copying
+// the stages into dst's own storage (reused when it is large enough),
+// and returns dst. dst must not be s.
+func (s *ExperimentSpec) SuffixInto(from int, dst *ExperimentSpec) *ExperimentSpec {
 	if from < 0 || from >= len(s.stages) {
 		panic(fmt.Sprintf("spec: suffix from stage %d of %d", from, len(s.stages)))
 	}
-	return &ExperimentSpec{stages: append([]Stage(nil), s.stages[from:]...)}
+	dst.stages = append(dst.stages[:0], s.stages[from:]...)
+	return dst
 }
 
 // Validate checks structural invariants: at least one stage, positive

@@ -318,3 +318,25 @@ func TestSuffix(t *testing.T) {
 		}()
 	}
 }
+
+// TestSuffixIntoReusesStorage: SuffixInto makes its destination the
+// spec Suffix returns, in the destination's own storage, whatever it
+// held before.
+func TestSuffixIntoReusesStorage(t *testing.T) {
+	s, err := New(Stage{Trials: 8, Iters: 2}, Stage{Trials: 4, Iters: 3}, Stage{Trials: 1, Iters: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst ExperimentSpec
+	for _, from := range []int{0, 2, 1} {
+		if got := s.SuffixInto(from, &dst); got != &dst || got.String() != s.Suffix(from).String() {
+			t.Fatalf("SuffixInto(%d) = %v, Suffix %v", from, got, s.Suffix(from))
+		}
+	}
+	if &dst.stages[0] == &s.stages[1] {
+		t.Fatal("SuffixInto aliases the receiver's stages")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.SuffixInto(0, &dst) }); allocs != 0 {
+		t.Fatalf("SuffixInto into a large enough spec allocates %v times", allocs)
+	}
+}

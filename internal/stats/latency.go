@@ -216,6 +216,8 @@ func (l *Lat) NonNeg() bool {
 	switch v := l.d.(type) {
 	case Scaled:
 		return v.Factor >= 0 && nonNeg(v.D)
+	case *Scaled:
+		return v.Factor >= 0 && nonNeg(v.D)
 	case Shifted:
 		return v.Offset >= 0 && nonNeg(v.D)
 	}

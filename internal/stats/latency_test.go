@@ -84,3 +84,32 @@ func TestSampleIntoMatchesPerDraw(t *testing.T) {
 		}
 	}
 }
+
+// TestScaledPointerMatchesValue: a latency compiled from a *Scaled —
+// how an owner passes a scaled distribution it rewrites in place without
+// boxing it anew — samples, reports moments and proves non-negativity
+// exactly as one compiled from the Scaled value.
+func TestScaledPointerMatchesValue(t *testing.T) {
+	for _, s := range []Scaled{
+		{D: Exponential{MeanValue: 2}, Factor: 3},
+		{D: Normal{Mu: 4, Sigma: 1}, Factor: 0.5},
+		{D: Uniform{Lo: -1, Hi: 2}, Factor: 2},
+		{D: Exponential{MeanValue: 2}, Factor: -1},
+	} {
+		byVal, byPtr := CompileLat(s), CompileLat(&s)
+		if got, want := byPtr.NonNeg(), byVal.NonNeg(); got != want {
+			t.Errorf("%v: NonNeg by pointer %v, by value %v", s, got, want)
+		}
+		gm, gok := byPtr.Moment()
+		wm, wok := byVal.Moment()
+		if gm != wm || gok != wok {
+			t.Errorf("%v: Moment by pointer %v %v, by value %v %v", s, gm, gok, wm, wok)
+		}
+		r1, r2 := NewRNG(5), NewRNG(5)
+		for i := 0; i < 16; i++ {
+			if a, b := byPtr.Sample(r1), byVal.Sample(r2); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%v: draw %d by pointer %v, by value %v", s, i, a, b)
+			}
+		}
+	}
+}
