@@ -264,7 +264,7 @@ func (r *runner) runChunk(t *trialState) {
 // ASHA's single-GPU trials make exact placement immaterial, but the
 // provider's per-function meter should still see the work.
 func (r *runner) meterUsage(gpuSeconds float64) {
-	nodes := r.cfg.Cluster.Nodes()
+	nodes := r.cfg.Cluster.Ready()
 	if len(nodes) == 0 {
 		return
 	}

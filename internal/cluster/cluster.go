@@ -165,6 +165,12 @@ func (m *Manager) Nodes() []*Node {
 	return m.ready[:len(m.ready):len(m.ready)]
 }
 
+// Ready returns the ready nodes sorted by ID for a caller done with the
+// slice before the next membership change: unlike Nodes it does not
+// share the slice, so removing a node edits it in place rather than
+// copying it. The executor reads the nodes this way within one event.
+func (m *Manager) Ready() []*Node { return m.ready[:len(m.ready):len(m.ready)] }
+
 // find returns the position of node id in the ready slice, and whether
 // it is there.
 func (m *Manager) find(id NodeID) (int, bool) {
@@ -253,9 +259,9 @@ func (m *Manager) Release(id NodeID) error {
 // ReleaseAll deprovisions every ready node (end of experiment), in ID
 // order.
 func (m *Manager) ReleaseAll() {
-	for _, node := range m.Nodes() {
+	for len(m.ready) > 0 {
 		//rbvet:ignore droppederr — the ID comes from the ready set itself, so Release cannot fail
-		_ = m.Release(node.ID)
+		_ = m.Release(m.ready[0].ID)
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 // clock steps, and holds it to a reference read off the provider's
 // ledger: the ready nodes are exactly the instances in state Ready, in
 // ascending node ID, one node per instance. Every Nodes snapshot taken
-// along the way must still read as it did when it was returned.
+// along the way must still read as it did when it was returned, though
+// the manager is read through Ready in between, and ReleaseAll must
+// keep them too.
 func TestMembershipMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := stats.NewRNG(uint64(seed))
@@ -34,13 +36,13 @@ func TestMembershipMatchesReference(t *testing.T) {
 			case op == 0:
 				m.ScaleUpTo(m.Size() + m.Pending() + 1 + r.Intn(3))
 			case op == 1 && m.Size() > 0:
-				n := m.Nodes()[r.Intn(m.Size())]
+				n := m.Ready()[r.Intn(m.Size())]
 				if err := m.Release(n.ID); err != nil {
 					t.Fatal(err)
 				}
 				released = append(released, n)
 			case op == 2 && m.Size() > 0:
-				if !provider.Preempt(m.Nodes()[r.Intn(m.Size())].Instance) {
+				if !provider.Preempt(m.Ready()[r.Intn(m.Size())].Instance) {
 					t.Fatalf("seed %d step %d: a ready node's instance was not preemptible", seed, step)
 				}
 			case op == 3 && len(released) > 0:
@@ -72,7 +74,7 @@ func TestMembershipMatchesReference(t *testing.T) {
 					want = append(want, in.ID)
 				}
 			}
-			nodes := m.Nodes()
+			nodes := m.Ready()
 			var got []int
 			for i, n := range nodes {
 				if i > 0 && nodes[i-1].ID >= n.ID {
@@ -96,10 +98,53 @@ func TestMembershipMatchesReference(t *testing.T) {
 		if m.Size() != 0 {
 			t.Fatalf("seed %d: %d nodes after ReleaseAll", seed, m.Size())
 		}
+		for _, s := range snaps {
+			for i, n := range s.nodes {
+				if n.ID != s.ids[i] {
+					t.Fatalf("seed %d: ReleaseAll changed a returned Nodes snapshot: %v", seed, s.ids)
+				}
+			}
+		}
 		for _, in := range provider.Instances() {
 			if in.State == cloud.Ready {
 				t.Fatalf("seed %d: instance %d still ready after ReleaseAll", seed, in.ID)
 			}
 		}
+	}
+}
+
+// TestReadyEditsInPlace: nodes read through Ready are not shared, so
+// releasing them edits the ready slice in place instead of copying it,
+// and ReleaseAll releases in ID order without copying either.
+func TestReadyEditsInPlace(t *testing.T) {
+	m, clock, _ := testManager(t, 1, 2)
+	m.ScaleUpTo(6)
+	clock.Run(clock.Now() + 1000)
+	if m.Size() != 6 {
+		t.Fatalf("size %d, want 6", m.Size())
+	}
+	ready := m.Ready()
+	base := &ready[0]
+	for _, id := range []NodeID{ready[4].ID, ready[0].ID} {
+		if err := m.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Ready(); &got[0] != base || len(got) != 4 {
+		t.Fatalf("release after Ready copied the ready slice (%d nodes left)", len(got))
+	}
+	var ids []NodeID
+	for _, n := range m.Ready() {
+		ids = append(ids, n.ID)
+	}
+	snap := m.Nodes()
+	m.ReleaseAll()
+	for i, n := range snap {
+		if n.ID != ids[i] {
+			t.Fatalf("ReleaseAll edited a Nodes snapshot: %v, was %v", snap, ids)
+		}
+	}
+	if m.Size() != 0 {
+		t.Fatalf("%d nodes after ReleaseAll", m.Size())
 	}
 }

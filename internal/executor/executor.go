@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
@@ -177,6 +178,9 @@ type run struct {
 	stageSet  []trial.ID // trials participating in the current stage
 	// ranked is syncBarrier's ranking buffer, reused at every barrier.
 	ranked []*trial.Trial
+	// note is the buffer every free-form trace note is built in; the
+	// recorder copies each one into its arena.
+	note []byte
 	// soa is the dense per-trial scheduler state (allocations, iteration
 	// budgets, barrier marks, restart generations).
 	soa trialSoA
@@ -347,7 +351,6 @@ func (w *Workspace) Start(cfg Config) (*Job, error) {
 		// Bound once per workspace: the method values hold only r.
 		r.beginFn, r.dispatchFn, r.preemptFn = r.beginTraining, r.dispatch, r.onPreemption
 	}
-	tr.Grow(expectedEvents(cfg.Spec))
 	r.dispID = cfg.Clock.RegisterDispatcher(r.dispatchFn)
 	cfg.Cluster.SetPreemptionHandler(r.preemptFn)
 	r.startStage(0)
@@ -370,7 +373,7 @@ func (w *Workspace) Reset() {
 	*r = run{
 		trials: r.trials[:0], ranked: r.ranked[:0], stageSet: r.stageSet[:0],
 		gang: r.gang[:0], gangSlab: r.gangSlab[:0], prevPlan: r.prevPlan[:0],
-		rows: r.rows[:0], soa: r.soa, execPlan: sim.Plan{Alloc: r.execPlan.Alloc[:0]},
+		rows: r.rows[:0], soa: r.soa, execPlan: sim.Plan{Alloc: r.execPlan.Alloc[:0]}, note: r.note[:0],
 		beginFn: r.beginFn, dispatchFn: r.dispatchFn, preemptFn: r.preemptFn,
 	}
 	w.block = w.block[:0]
@@ -394,17 +397,48 @@ func zeroed[S ~[]E, E any](buf S, n int) S {
 	return buf
 }
 
-// expectedEvents estimates the trace events of a run without faults or
-// replans: per stage its start, end and scaling events, and per
-// participating trial its start, restore, iterations, done and barrier
-// (checkpoint or kill) events. Start reserves that much trace room.
-func expectedEvents(sp *spec.ExperimentSpec) int {
-	n := 0
-	for i := 0; i < sp.NumStages(); i++ {
-		st := sp.Stage(i)
-		n += 3 + st.Trials*(st.Iters+4)
-	}
-	return n
+// Trace notes: each helper appends one note's text to b exactly as the
+// fmt format beside it renders it, so the executor builds every note in
+// its one reused buffer (run.note) and never formats text.
+
+// appendNodesNote appends a scaling note: "to %d nodes".
+//
+//rbvet:noalloc
+func appendNodesNote(b []byte, nodes int) []byte {
+	return append(strconv.AppendInt(append(b, "to "...), int64(nodes), 10), " nodes"...)
+}
+
+// appendStageNote appends a stage start's note: "%d trials x %d iters @
+// %d GPUs/trial".
+//
+//rbvet:noalloc
+func appendStageNote(b []byte, trials, iters, per int) []byte {
+	b = strconv.AppendInt(b, int64(trials), 10)
+	b = strconv.AppendInt(append(b, " trials x "...), int64(iters), 10)
+	b = strconv.AppendInt(append(b, " iters @ "...), int64(per), 10)
+	return append(b, " GPUs/trial"...)
+}
+
+// appendMovedNote appends the migration churn of a stage start after an
+// adopted replan: ", %d gang(s) moved".
+//
+//rbvet:noalloc
+func appendMovedNote(b []byte, moved int) []byte {
+	return append(strconv.AppendInt(append(b, ", "...), int64(moved), 10), " gang(s) moved"...)
+}
+
+// appendDriftNote appends a drift trigger's note: "gpus=%d".
+//
+//rbvet:noalloc
+func appendDriftNote(b []byte, gpus int) []byte {
+	return strconv.AppendInt(append(b, "gpus="...), int64(gpus), 10)
+}
+
+// appendPreemptedNote appends a preemption's note: "node %d preempted".
+//
+//rbvet:noalloc
+func appendPreemptedNote(b []byte, node cluster.NodeID) []byte {
+	return append(strconv.AppendInt(append(b, "node "...), int64(node), 10), " preempted"...)
 }
 
 // Done reports whether the job has completed (successfully or not).
@@ -512,18 +546,20 @@ func (r *run) startStage(i int) {
 		// Bin-pack-then-drain: release the emptiest nodes first. At a
 		// stage boundary all trials are paused (no live placements), so
 		// this releases the newest nodes deterministically.
-		order := r.ctrl.DrainOrder(r.cfg.Cluster.Nodes())
+		order := r.ctrl.DrainOrder(r.cfg.Cluster.Ready())
 		for _, id := range order[:cur-need] {
 			if err := r.cfg.Cluster.Release(id); err != nil {
 				r.fail(err)
 				return
 			}
 		}
-		r.tr.Record(now, trace.KindScaleDown, i, -1, fmt.Sprintf("to %d nodes", need))
+		r.note = appendNodesNote(r.note[:0], need)
+		r.tr.RecordBytes(now, trace.KindScaleDown, i, -1, r.note)
 		r.scaledUp = false
 	} else if cur < need {
 		r.cfg.Cluster.ScaleUpTo(need)
-		r.tr.Record(now, trace.KindScaleUp, i, -1, fmt.Sprintf("to %d nodes", need))
+		r.note = appendNodesNote(r.note[:0], need)
+		r.tr.RecordBytes(now, trace.KindScaleUp, i, -1, r.note)
 		r.scaledUp = true
 		r.scaleReqAt = now
 	} else {
@@ -585,14 +621,14 @@ func (r *run) beginTraining() {
 		ClusterNodes: r.cfg.Cluster.Size(),
 		Start:        start,
 	})
-	note := fmt.Sprintf("%d trials x %d iters @ %d GPUs/trial", st.Trials, st.Iters, per)
+	r.note = appendStageNote(r.note[:0], st.Trials, st.Iters, per)
 	if r.replanAdopted {
 		// Annotate the migration churn a spliced plan induced. Notes are
 		// excluded from run digests, so the annotation cannot perturb
 		// replay or worker-invariance checks.
-		note += fmt.Sprintf(", %d gang(s) moved", placement.Moves(r.prevPlan, r.plan))
+		r.note = appendMovedNote(r.note, placement.Moves(r.prevPlan, r.plan))
 	}
-	r.tr.Record(start, trace.KindStageStart, r.stage, -1, note)
+	r.tr.RecordBytes(start, trace.KindStageStart, r.stage, -1, r.note)
 
 	for _, t := range runnable {
 		r.startTrial(t, st.Iters, r.stage > 0)
@@ -614,13 +650,13 @@ func (r *run) cumItersBefore(stage int) int {
 // ablation baseline).
 func (r *run) place() error {
 	if r.cfg.DisablePlacement {
-		r.plan = scatter(r.soa.alloc, r.cfg.Cluster.Nodes(), r.plan)
+		r.plan = scatter(r.soa.alloc, r.cfg.Cluster.Ready(), r.plan)
 		if r.plan == nil {
 			return fmt.Errorf("executor: scatter placement failed")
 		}
 		return nil
 	}
-	plan, err := r.ctrl.Update(r.soa.alloc, r.cfg.Cluster.Nodes())
+	plan, err := r.ctrl.Update(r.soa.alloc, r.cfg.Cluster.Ready())
 	if err != nil {
 		return err
 	}
@@ -741,7 +777,7 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 // slots come in node order, so the gang does too. A gang too short for
 // the assignment is carved afresh from the run's gang slab.
 func (r *run) resolveGang(id trial.ID, asg placement.Assignment) error {
-	ready := r.cfg.Cluster.Nodes()
+	ready := r.cfg.Cluster.Ready()
 	if cap(r.gang[id]) < len(asg) {
 		r.gang[id] = r.carveGang(len(asg))
 	}
@@ -817,8 +853,8 @@ func (r *run) iterEnd(id trial.ID, dur float64) {
 		// Feed the observation unconditionally; only replan when a
 		// future stage remains to be rewritten.
 		if rc.ObserveIteration(gpus, dur, now) && r.stage < r.cfg.Spec.NumStages()-1 {
-			r.tr.Record(now, trace.KindDriftTrigger, r.stage, int(id),
-				fmt.Sprintf("gpus=%d", gpus))
+			r.note = appendDriftNote(r.note[:0], gpus)
+			r.tr.RecordBytes(now, trace.KindDriftTrigger, r.stage, int(id), r.note)
 			r.doReplan(replan.ReasonDrift)
 			if r.err != nil {
 				return
@@ -851,7 +887,8 @@ func (r *run) doReplan(reason replan.Reason) {
 		r.fail(err)
 		return
 	}
-	r.tr.Record(now, trace.KindReplan, r.stage, -1, d.Note())
+	r.note = d.AppendNote(r.note[:0])
+	r.tr.RecordBytes(now, trace.KindReplan, r.stage, -1, r.note)
 	if d.Adopted {
 		// The decision's plan is the controller's; the live plan keeps
 		// its own recycled storage and takes a copy.
@@ -930,8 +967,8 @@ func (r *run) onPreemption(node *cluster.Node) {
 	}
 	r.preemptions++
 	now := r.cfg.Clock.Now()
-	r.tr.Record(now, trace.KindScaleDown, r.stage, -1,
-		fmt.Sprintf("node %d preempted", node.ID))
+	r.note = appendPreemptedNote(r.note[:0], node.ID)
+	r.tr.RecordBytes(now, trace.KindScaleDown, r.stage, -1, r.note)
 	if rc := r.cfg.Replan; rc != nil && r.stage < r.cfg.Spec.NumStages()-1 && rc.PreemptionTrigger(now) {
 		// The scale_down event above is the trigger evidence; no separate
 		// drift_trigger record for preemption-initiated replans.

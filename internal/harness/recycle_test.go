@@ -10,6 +10,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/replan"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // outcome is everything a run decides that a recycled working set could
@@ -36,8 +37,8 @@ func (o outcome) equal(p outcome) bool {
 func driveOn(t testing.TB, ws *workingSet, sc Scenario) (out outcome, next *workingSet) {
 	t.Helper()
 	b := journal.NewMemBackend()
-	r, err := startOn(ws, sc, RunConfig{Journal: journal.NewWriter(b, 8)})
-	if err != nil {
+	r := &ws.running
+	if err := startOn(ws, sc, RunConfig{Journal: journal.NewWriter(b, 8)}, r); err != nil {
 		t.Fatalf("start: %v\n  %s", err, sc)
 	}
 	for !r.Done() {
@@ -70,13 +71,13 @@ func driveOn(t testing.TB, ws *workingSet, sc Scenario) (out outcome, next *work
 
 // fresh runs sc on a working set no run has used.
 func fresh(t testing.TB, sc Scenario) outcome {
-	out, _ := driveOn(t, new(workingSet).ready(), sc)
+	out, _ := driveOn(t, new(workingSet), sc)
 	return out
 }
 
 // after runs prev and then sc on the working set prev's run released.
 func after(t testing.TB, prev, sc Scenario) outcome {
-	_, ws := driveOn(t, new(workingSet).ready(), prev)
+	_, ws := driveOn(t, new(workingSet), prev)
 	out, _ := driveOn(t, ws, sc)
 	return out
 }
@@ -139,7 +140,7 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 		}
 	}
 	// One working set through every run of the set in turn.
-	ws := new(workingSet).ready()
+	ws := new(workingSet)
 	for i, sc := range scs {
 		var got outcome
 		got, ws = driveOn(t, ws, sc)
@@ -156,8 +157,8 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 // it was.
 func TestReplansOutliveTheirWorkingSet(t *testing.T) {
 	first, next := Generate(1, 90), Generate(2, 34)
-	r, err := startOn(new(workingSet).ready(), first, RunConfig{})
-	if err != nil {
+	r := new(Running)
+	if err := startOn(new(workingSet), first, RunConfig{}, r); err != nil {
 		t.Fatal(err)
 	}
 	for !r.Done() {
@@ -256,4 +257,48 @@ func FuzzRecycledRun(f *testing.F) {
 				got.notes == want.notes, bytes.Equal(got.journal, want.journal), b)
 		}
 	})
+}
+
+// TestTraceOutlivesItsWorkingSet: the trace a finished Run hands out is
+// its own. Running a larger scenario, with more events and more note
+// text, on the working set the run released — whose recorder, already
+// grown to that scenario's size, records over the same columns and
+// arena — leaves every event, note and digest of it as it was.
+func TestTraceOutlivesItsWorkingSet(t *testing.T) {
+	first, next := Generate(4, 12), Generate(2, 34)
+	var ws *workingSet
+	keep := func(w *workingSet) { ws = w }
+	if _, err := runOn(new(workingSet), next, RunConfig{}, keep); err != nil {
+		t.Fatal(err)
+	}
+	a, err := runOn(ws, first, RunConfig{}, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(a *Artifacts) (string, int) {
+		var csv bytes.Buffer
+		if err := a.Recorder.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		notes := 0
+		for _, e := range a.Recorder.Events() {
+			if e.Kind != trace.KindTrialIter && e.Kind != trace.KindTrialStart {
+				notes += len(e.Note)
+			}
+		}
+		return csv.String(), notes
+	}
+	want, wantNotes := render(a)
+	wantDigest, wantBusy := ComputeDigest(a), a.Recorder.BusyGPUSeconds()
+	b, err := runOn(ws, next, RunConfig{}, func(*workingSet) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, notes := render(b); b.Recorder.Len() <= a.Recorder.Len() || notes <= wantNotes {
+		t.Fatalf("scenario 2/34 records %d events and %d note bytes, 4/12 %d and %d: want a larger run",
+			b.Recorder.Len(), notes, a.Recorder.Len(), wantNotes)
+	}
+	if got, _ := render(a); got != want || ComputeDigest(a) != wantDigest || a.Recorder.BusyGPUSeconds() != wantBusy {
+		t.Fatalf("scenario 4/12's trace changed when its working set ran 2/34")
+	}
 }

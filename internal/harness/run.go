@@ -11,7 +11,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/replan"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -159,8 +158,14 @@ func RunScenario(sc Scenario) (*Artifacts, error) { return Run(sc, RunConfig{}) 
 // for arbitrated runs: a gate re-issuing a recorded grant sequence
 // reproduces the server-side digest bit for bit.
 func Run(sc Scenario, rc RunConfig) (*Artifacts, error) {
-	r, err := StartScenario(sc, rc)
-	if err != nil {
+	return runOn(getWorkingSet(), sc, rc, putWorkingSet)
+}
+
+// runOn is Run on the working set ws, which it hands to put once the
+// run is done. A failed run drops ws rather than hand it on.
+func runOn(ws *workingSet, sc Scenario, rc RunConfig, put func(*workingSet)) (*Artifacts, error) {
+	r := &ws.running
+	if err := startOn(ws, sc, rc, r); err != nil {
 		return nil, err
 	}
 	for !r.Done() {
@@ -172,11 +177,12 @@ func Run(sc Scenario, rc RunConfig) (*Artifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The artifacts keep the recorder, the trials with their
-	// configurations and the instance records; everything else the run
-	// drew from its working set goes back.
-	r.ws.detachArtifacts()
-	r.release(putWorkingSet)
+	// The artifacts keep a frozen copy of the trace, the trials with
+	// their configurations and the instance records; everything else the
+	// run drew from its working set, the recorder included, goes back.
+	a.Recorder = a.Recorder.Freeze()
+	ws.detachArtifacts()
+	r.release(put)
 	return a, nil
 }
 
@@ -205,20 +211,25 @@ type Running struct {
 // substrate, executor — and returns it un-driven: the first Step
 // executes the first virtual-clock event. See RunConfig for the knobs.
 func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
-	return startOn(getWorkingSet(), sc, rc)
+	r := new(Running)
+	if err := startOn(getWorkingSet(), sc, rc, r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// startOn is StartScenario on the working set ws. A failed start drops
-// ws rather than return it.
-func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
+// startOn is StartScenario on the working set ws, filling in dst. A
+// failed start drops ws rather than return it.
+func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 	jw, gate := rc.Journal, rc.Gate
 	if gate == nil && len(sc.ArbiterCaps) > 0 {
 		gate = capGate(sc.ArbiterCaps)
 	}
 	if gate != nil && sc.ReplanEnabled {
-		return nil, fmt.Errorf("harness: arbitrated runs require ReplanEnabled=false (both rewrite the live plan)")
+		return fmt.Errorf("harness: arbitrated runs require ReplanEnabled=false (both rewrite the live plan)")
 	}
-	root := scenarioRoot(sc.BatchSeed, sc.Index)
+	root := &ws.root
+	scenarioRootInto(sc.BatchSeed, sc.Index, root)
 
 	// Plan. The simulator gets its own stream; planning runs serially so
 	// scenario-level parallelism composes without nested pools.
@@ -227,11 +238,11 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 		Batch:       sc.Model.BaseBatch,
 		GPUsPerNode: sc.Profile.Instance.GPUs,
 	}
-	var simRNG stats.RNG
-	root.StreamInto(streamSim, &simRNG)
+	simRNG := &ws.simRNG
+	root.StreamInto(streamSim, simRNG)
 	sm := &ws.plan
-	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, &simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
-		return nil, fmt.Errorf("harness: simulator: %w", err)
+	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
+		return fmt.Errorf("harness: simulator: %w", err)
 	}
 	deadline := sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor
 	ws.planner = planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: sc.MaxGPUs, Workers: 1}
@@ -261,8 +272,8 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 		if sc.Drift.Factor > 1 {
 			dsm := &ws.drift
 			if err := dsm.Init(sc.Spec, sim.ScaledTrainProfile{Base: profile, Factor: sc.Drift.Factor},
-				sc.Profile, sc.Samples, &simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
-				return nil, fmt.Errorf("harness: drifted simulator: %w", err)
+				sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
+				return fmt.Errorf("harness: drifted simulator: %w", err)
 			}
 			if deadline < dsm.StaticClusterJCT(sc.MaxGPUs) {
 				a.DriftClass = DriftInfeasible
@@ -297,7 +308,7 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 			Planned:   a.Planned,
 			Alloc:     allocI64(a.Plan.Alloc),
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -321,7 +332,7 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 			Threshold:       sc.DriftThreshold,
 			CooldownSeconds: sc.ReplanCooldown,
 		}); err != nil {
-			return nil, fmt.Errorf("harness: replan controller: %w", err)
+			return fmt.Errorf("harness: replan controller: %w", err)
 		}
 	}
 
@@ -329,20 +340,22 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 	// run was reset to. The executor and provider RNG streams are held by
 	// name so control-plane snapshots can capture their cursors (Stream
 	// is pure: these are the same streams the run uses).
-	clock, provider, mgr, rec := &ws.clock, &ws.provider, &ws.mgr, ws.rec
-	execRNG := root.Stream(streamExecutor)
-	provRNG := root.Stream(streamProvider)
+	clock, provider, mgr, rec := &ws.clock, &ws.provider, &ws.mgr, &ws.rec
+	execRNG, provRNG := &ws.execRNG, &ws.provRNG
+	root.StreamInto(streamExecutor, execRNG)
+	root.StreamInto(streamProvider, provRNG)
 	if err := provider.Init(clock, provRNG,
 		sc.Profile.Pricing, sc.Profile.Overheads, sc.Profile.DatasetGB); err != nil {
-		return nil, fmt.Errorf("harness: provider: %w", err)
+		return fmt.Errorf("harness: provider: %w", err)
 	}
 	if err := provider.SetFaults(sc.Faults); err != nil {
-		return nil, fmt.Errorf("harness: faults: %w", err)
+		return fmt.Errorf("harness: faults: %w", err)
 	}
 	if err := mgr.Init(provider, sc.Profile.Instance, clock); err != nil {
-		return nil, fmt.Errorf("harness: cluster: %w", err)
+		return fmt.Errorf("harness: cluster: %w", err)
 	}
-	ws.configs, ws.vals = sc.Space.SampleNInto(root.Stream(streamConfigs), sc.Spec.TotalTrials(), ws.configs, ws.vals)
+	root.StreamInto(streamConfigs, &ws.cfgRNG)
+	ws.configs, ws.vals = sc.Space.SampleNInto(&ws.cfgRNG, sc.Spec.TotalTrials(), ws.configs, ws.vals)
 
 	// Journal wiring. Observers latch errors inside the writer; the step
 	// loop below polls jw.Err so a crash or divergence inside an event
@@ -425,12 +438,13 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig) (*Running, error) {
 		StageGate:        stageGate,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: start: %w", err)
+		return fmt.Errorf("harness: start: %w", err)
 	}
-	return &Running{
+	*dst = Running{
 		sc: sc, a: a, jw: jw, ws: ws, clock: clock, job: job,
 		provider: provider, mgr: mgr, rec: rec,
-	}, nil
+	}
+	return nil
 }
 
 // capGate is the scripted gate of cap-carrying scenarios: stage i is
@@ -543,13 +557,15 @@ func (r *Running) Release() {
 	}
 }
 
-// release unhooks the journal writer, resets the working set, hands it
-// to put and drops r's pointers into it.
+// release unhooks the journal writer, drops r's pointers into the
+// working set, resets the set and hands it to put. r may live in the
+// set (Run's does), so nothing touches r once the set is put.
 func (r *Running) release(put func(*workingSet)) {
 	if r.jw != nil {
 		r.jw.SetSnapshotFunc(nil)
 	}
-	r.ws.reset()
-	put(r.ws)
+	ws := r.ws
 	r.ws, r.clock, r.job, r.provider, r.mgr, r.rec = nil, nil, nil, nil, nil, nil
+	ws.reset()
+	put(ws)
 }

@@ -105,7 +105,14 @@ const (
 // scenarioRoot returns the root RNG of scenario (seed, index). Stream is
 // pure, so repeated calls yield identical children.
 func scenarioRoot(seed uint64, index int) *stats.RNG {
-	return stats.NewRNG(seed).Stream(uint64(index))
+	r := new(stats.RNG)
+	scenarioRootInto(seed, index, r)
+	return r
+}
+
+// scenarioRootInto writes scenario (seed, index)'s root RNG into dst.
+func scenarioRootInto(seed uint64, index int, dst *stats.RNG) {
+	stats.NewRNG(seed).StreamInto(uint64(index), dst)
 }
 
 // pick returns a uniformly chosen element of xs.

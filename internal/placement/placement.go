@@ -92,6 +92,10 @@ type Controller struct {
 	// assignments therefore stay put until the Update after next, and a
 	// failed Update leaves current's untouched.
 	slots, spareSlots []Slot
+	// loads and drain are DrainOrder's scratch: the nodes' loads and the
+	// order it returns.
+	loads []nodeLoad
+	drain []cluster.NodeID
 }
 
 // nodeCols are the live nodes' columns in one slab of three equal parts:
@@ -132,6 +136,7 @@ func (c *Controller) Reset(nodeGPUs int) {
 		cols: c.cols[:0], next: c.next[:0],
 		queue: c.queue[:0], placedNow: c.placedNow[:0],
 		slots: c.slots[:0], spareSlots: c.spareSlots[:0],
+		loads: c.loads[:0], drain: c.drain[:0],
 	}
 }
 
@@ -512,36 +517,43 @@ func NodesNeeded(trials, gpusPerTrial, nodeGPUs int) int {
 	return n
 }
 
+// nodeLoad is one node's placed GPUs, DrainOrder's sort key.
+type nodeLoad struct {
+	id   cluster.NodeID
+	used int
+}
+
 // DrainOrder returns the ready nodes ordered so that draining them in
 // sequence frees whole machines fastest: emptiest first. Used before
 // cluster scale-down to bin-pack trials away from the nodes about to be
-// released.
+// released. The order lives in c's scratch: it is valid until the next
+// DrainOrder.
+//
+//rbvet:noalloc
 func (c *Controller) DrainOrder(nodes []*cluster.Node) []cluster.NodeID {
-	type load struct {
-		id   cluster.NodeID
-		used int
+	loads := c.loads[:0]
+	for _, n := range nodes {
+		loads = append(loads, nodeLoad{id: n.ID})
 	}
-	loads := make([]load, len(nodes))
-	for i, n := range nodes {
-		loads[i].id = n.ID
-	}
-	slices.SortFunc(loads, func(a, b load) int { return cmp.Compare(a.id, b.id) })
+	c.loads = loads
+	slices.SortFunc(loads, func(a, b nodeLoad) int { return cmp.Compare(a.id, b.id) })
 	for _, a := range c.current {
 		for _, s := range a {
-			if i, ok := slices.BinarySearchFunc(loads, s.Node, func(l load, id cluster.NodeID) int { return cmp.Compare(l.id, id) }); ok {
+			if i, ok := slices.BinarySearchFunc(loads, s.Node, func(l nodeLoad, id cluster.NodeID) int { return cmp.Compare(l.id, id) }); ok {
 				loads[i].used += s.GPUs
 			}
 		}
 	}
-	slices.SortFunc(loads, func(a, b load) int {
+	slices.SortFunc(loads, func(a, b nodeLoad) int {
 		if c := cmp.Compare(a.used, b.used); c != 0 {
 			return c
 		}
 		return cmp.Compare(b.id, a.id) // prefer releasing newest nodes on ties
 	})
-	ids := make([]cluster.NodeID, len(loads))
-	for i, l := range loads {
-		ids[i] = l.id
+	ids := c.drain[:0]
+	for _, l := range loads {
+		ids = append(ids, l.id)
 	}
+	c.drain = ids
 	return ids
 }

@@ -306,6 +306,30 @@ func TestNodeRemovalForcesReplacement(t *testing.T) {
 	checkPlan(t, plan, allocs, nodes[:1], 4)
 }
 
+// TestDrainOrderReusesScratch: a warm DrainOrder allocates nothing and
+// orders the nodes exactly as a new controller with the same placement
+// does, over a larger node set and then a smaller one.
+func TestDrainOrderReusesScratch(t *testing.T) {
+	warm := NewController(4)
+	for _, n := range []int{6, 9, 2} {
+		nodes := mkNodes(n, 4)
+		allocs := map[TrialID]int{0: 4, 1: 2, 2: 1}
+		fresh := NewController(4)
+		for _, c := range []*Controller{warm, fresh} {
+			if _, err := update(c, allocs, nodes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := warm.DrainOrder(nodes)
+		if want := fresh.DrainOrder(nodes); !slices.Equal(got, want) {
+			t.Fatalf("%d nodes: warm drain order %v, new controller %v", n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { warm.DrainOrder(nodes) }); allocs != 0 {
+			t.Fatalf("%d nodes: warm DrainOrder allocates %v times", n, allocs)
+		}
+	}
+}
+
 func TestDrainOrderPrefersEmptyNodes(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(3, 4)

@@ -228,11 +228,17 @@ type Decision struct {
 	Screened bool
 }
 
-// Note renders the decision compactly for trace events. It appends into
-// one buffer, with floats as %.0f would render them, so the text is the
-// same as the fmt format beside each case.
-func (d Decision) Note() string {
-	b := make([]byte, 0, 128)
+// Note renders the decision compactly for trace events: the text
+// AppendNote appends.
+func (d Decision) Note() string { return string(d.AppendNote(nil)) }
+
+// AppendNote appends the decision's note to b, with floats as %.0f
+// would render them, so the text is the same as the fmt format beside
+// each case. The executor builds the note of each replan event in one
+// reused buffer this way.
+//
+//rbvet:noalloc
+func (d Decision) AppendNote(b []byte) []byte {
 	b = append(append(b, d.Reason...), ": "...)
 	switch {
 	case d.Screened: // "%s: pre-screen immaterial, kept %v (analytic tail JCT %.0fs ≤ %.0fs)"
@@ -250,7 +256,7 @@ func (d Decision) Note() string {
 	default: // "%s: kept %v"
 		b = d.OldPlan.AppendString(append(b, "kept "...))
 	}
-	return string(b)
+	return b
 }
 
 // appendSeconds appends v rendered as fmt's %.0fs: no decimals, then "s".

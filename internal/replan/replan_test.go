@@ -283,7 +283,7 @@ func fmtPlan(p sim.Plan) string {
 }
 
 // TestNoteMatchesFmt: Note renders every decision kind exactly as the fmt
-// formats would, for random plans and for estimates and deadlines that
+// formats would, and AppendNote appends that text, for random plans and for estimates and deadlines that
 // are NaN, infinite, negative zero, halfway cases or huge.
 func TestNoteMatchesFmt(t *testing.T) {
 	r := stats.NewRNG(3)
@@ -320,6 +320,9 @@ func TestNoteMatchesFmt(t *testing.T) {
 		}
 		if got, want := d.Note(), fmtNote(d); got != want {
 			t.Fatalf("decision %d: Note() = %q, fmt renders %q", i, got, want)
+		}
+		if got, want := string(d.AppendNote([]byte("prefix|"))), "prefix|"+fmtNote(d); got != want {
+			t.Fatalf("decision %d: AppendNote = %q, want %q", i, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/harness"
 )
@@ -74,8 +75,16 @@ type Arbiter struct {
 	policy   Policy
 	holds    map[string]*hold
 	admits   int
-	log      []harness.FleetEvent
+	// log holds the event log in chunks of logChunk events and logged
+	// counts its events. An append never copies what is already logged,
+	// so a long log does not move while a.mu is held.
+	log    [][]harness.FleetEvent
+	logged int
 }
+
+// logChunk is the number of events one chunk of the arbiter's log
+// holds: as many as fill a 32 KiB allocation.
+const logChunk = 32 << 10 / int(unsafe.Sizeof(harness.FleetEvent{}))
 
 // NewArbiter builds an arbiter for a cluster of capacity GPUs.
 func NewArbiter(capacity int, policy Policy) (*Arbiter, error) {
@@ -88,17 +97,31 @@ func NewArbiter(capacity int, policy Policy) (*Arbiter, error) {
 // Capacity returns the shared cluster size in GPUs.
 func (a *Arbiter) Capacity() int { return a.capacity }
 
-// record appends one event to the log with the next global sequence.
+// record appends one event to the log with the next global sequence,
+// starting a new chunk when the last one is full.
 func (a *Arbiter) record(e harness.FleetEvent) {
-	e.Seq = len(a.log)
-	a.log = append(a.log, e)
+	e.Seq = a.logged
+	if a.logged%logChunk == 0 {
+		a.log = append(a.log, make([]harness.FleetEvent, 0, logChunk))
+	}
+	last := &a.log[len(a.log)-1]
+	*last = append(*last, e)
+	a.logged++
 }
 
-// Log returns a copy of the arbiter's event log.
+// Log returns a copy of the arbiter's event log, in one slice (nil when
+// nothing is logged).
 func (a *Arbiter) Log() []harness.FleetEvent {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]harness.FleetEvent(nil), a.log...)
+	if a.logged == 0 {
+		return nil
+	}
+	out := make([]harness.FleetEvent, 0, a.logged)
+	for _, c := range a.log {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Note records a submission-side lifecycle event ("submit", "reject")

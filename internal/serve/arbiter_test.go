@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"fmt"
+	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/harness"
 )
@@ -187,5 +192,72 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("lifo"); err == nil {
 		t.Error("bad policy accepted")
+	}
+}
+
+// TestArbiterLogMatchesSlice: the chunked log reads exactly as a plain
+// slice appended the same events, before, at and past every chunk
+// boundary; Log returns a copy in one slice, and no logged event moves
+// when the log grows.
+func TestArbiterLogMatchesSlice(t *testing.T) {
+	kinds := []string{"submit", "reject", "admit", "grant", "done"}
+	var a Arbiter
+	var ref []harness.FleetEvent
+	if a.Log() != nil {
+		t.Fatal("an empty log is not nil")
+	}
+	var first *harness.FleetEvent
+	for i := 0; i < 3*logChunk+7; i++ {
+		e := harness.FleetEvent{
+			Seq: -1, Kind: kinds[i%len(kinds)], Exp: fmt.Sprint("exp-", i/3), Tenant: fmt.Sprint("t", i%4),
+			Stage: i % 5, Want: i % 9, Granted: i % 7, Held: i % 3,
+		}
+		a.record(e)
+		e.Seq = len(ref)
+		ref = append(ref, e)
+		if i == 0 {
+			first = &a.log[0][0]
+		}
+		if n := len(ref); n%logChunk <= 1 || n%logChunk == logChunk-1 || n%97 == 0 {
+			got := a.Log()
+			if !slices.Equal(got, ref) {
+				t.Fatalf("after %d events the log reads differently from the slice", n)
+			}
+			got[0].Kind = "tampered"
+			if a.log[0][0].Kind == "tampered" {
+				t.Fatal("Log exposed the arbiter's storage")
+			}
+		}
+	}
+	if &a.log[0][0] != first {
+		t.Fatal("the first logged event moved as the log grew")
+	}
+}
+
+// TestArbiterLogAllocs pins what logging N events allocates: one 32 KiB
+// chunk per logChunk events and the chunk index's doublings, and no
+// more bytes than those hold.
+func TestArbiterLogAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n = 5*logChunk + 3
+	chunks := (n + logChunk - 1) / logChunk
+	arbs := make([]Arbiter, 2)
+	exactAllocs(t)
+	e := harness.FleetEvent{Kind: "grant", Exp: "exp", Tenant: "t"}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		arbs[0].record(e)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	bytes := after.TotalAlloc - before.TotalAlloc
+	wantAllocs := uint64(chunks + bits.Len(uint(chunks-1)) + 1)
+	maxBytes := uint64(chunks)<<15 + uint64(4*chunks)*uint64(unsafe.Sizeof([]harness.FleetEvent{}))
+	t.Logf("%d events: %d allocations, %d bytes", n, allocs, bytes)
+	if allocs != wantAllocs || bytes > maxBytes {
+		t.Fatalf("logging %d events took %d allocations and %d bytes, want %d and at most %d", n, allocs, bytes, wantAllocs, maxBytes)
 	}
 }

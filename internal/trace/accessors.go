@@ -18,8 +18,8 @@ func (r *Recorder) Filter(kind Kind) []Event {
 		return nil
 	}
 	var out []Event
-	for i, k := range r.kind {
-		if k == c {
+	for i, m := range r.meta {
+		if metaCode(m) == c {
 			out = append(out, r.FieldsAt(i))
 		}
 	}

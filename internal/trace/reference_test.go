@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/vclock"
@@ -147,16 +148,25 @@ var refKinds = append(known[:len(known):len(known)], "custom", "", "replan_v2", 
 // ones and the extremes of the 32-bit columns and past them.
 var gangCounts = []int{0, 1, 2, 8, 64, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, 1<<32 + 5, math.MaxInt64, math.MinInt64}
 
+// frozenAt is a copy Freeze returned during a replay, with the event
+// count the reference held when it was taken.
+type frozenAt struct {
+	rec *Recorder
+	n   int
+}
+
 // replayOps decodes data into recording operations and applies each to
-// both recorders: Record with or without text, RecordIter, RecordGang
-// and Grow.
-func replayOps(data []byte, got *Recorder, want *refRecorder) {
+// both recorders: Record with or without text, RecordBytes from a
+// buffer it overwrites afterwards, RecordIter, RecordGang and Freeze. It returns the frozen copies in the order taken.
+func replayOps(data []byte, got *Recorder, want *refRecorder) []frozenAt {
+	var frozen []frozenAt
+	var buf []byte
 	for len(data) >= 8 {
 		op, kind, stage, trial := data[0], refKinds[int(data[1])%len(refKinds)], int(int8(data[2])), int(int8(data[3]))
 		at := vclock.Time(binary.LittleEndian.Uint16(data[4:])) / 8
 		arg := data[6:8]
 		data = data[8:]
-		switch op % 5 {
+		switch op % 6 {
 		case 0:
 			got.Record(at, kind, stage, trial, "")
 			want.Record(at, kind, stage, trial, "")
@@ -176,8 +186,30 @@ func replayOps(data []byte, got *Recorder, want *refRecorder) {
 			got.RecordGang(at, kind, stage, trial, gpus, nodes)
 			want.RecordGang(at, kind, stage, trial, gpus, nodes)
 		case 4:
-			got.Grow(int(arg[0]))
+			buf = buf[:0]
+			if arg[0]%4 != 0 {
+				buf = fmt.Appendf(buf, "bytes %d·%x", arg[1], arg[0])
+			}
+			got.RecordBytes(at, kind, stage, trial, buf)
+			want.Record(at, kind, stage, trial, string(buf))
+			for i := range buf {
+				buf[i] = '#'
+			}
+		case 5:
+			frozen = append(frozen, frozenAt{got.Freeze(), want.Len()})
 		}
+	}
+	return frozen
+}
+
+// prefix returns the reference as it stood after its first n events:
+// the reference only appends, so its columns' prefixes never change.
+func (r *refRecorder) prefix(n int) *refRecorder {
+	k, _ := slices.BinarySearch(r.textAt, int32(n))
+	return &refRecorder{
+		at: r.at[:n], kind: r.kind[:n], stage: r.stage[:n], trial: r.trial[:n],
+		gpus: r.gpus[:n], nodes: r.nodes[:n], form: r.form[:n], acc: r.acc[:n],
+		textAt: r.textAt[:k], texts: r.texts[:k],
 	}
 }
 
@@ -231,17 +263,23 @@ func runReference(t *testing.T, data []byte) {
 	var gotSeen, wantSeen []Event
 	got.SetObserver(func(e Event) { gotSeen = append(gotSeen, e) })
 	want.observer = func(e Event) { wantSeen = append(wantSeen, e) }
-	replayOps(data, got, want)
+	frozen := replayOps(data, got, want)
 	if !reflect.DeepEqual(gotSeen, wantSeen) {
 		t.Fatalf("observer saw %+v, reference %+v", gotSeen, wantSeen)
 	}
 	compareRecorders(t, got, want)
+	// Each frozen copy still holds exactly what had been recorded when
+	// it was taken, however much the recorder recorded since.
+	for _, f := range frozen {
+		compareRecorders(t, f.rec, want.prefix(f.n))
+	}
 }
 
 // TestRecorderMatchesReference: over random operation sequences that
-// record every known kind, interned unknown kinds, free-form notes,
-// non-finite accuracies and extreme gang shapes, the compact recorder
-// and the reference agree in every view.
+// record every known kind, interned unknown kinds, free-form notes from
+// strings and from reused buffers, non-finite accuracies and extreme
+// gang shapes, the compact recorder and the reference agree in every
+// view, and so does every copy Freeze took along the way.
 func TestRecorderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		data := make([]byte, 8*int(seed%97))
@@ -265,11 +303,11 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runReference(t, data) })
 }
 
-// TestRecorderEventBytes pins an event's column storage at 26 bytes:
+// TestRecorderEventBytes pins an event's column storage at 24 bytes:
 // the sum of the element sizes of the per-event columns. The sparse side
-// tables (interned kinds, free-form notes) hold nothing per event.
+// tables (interned kinds, the note arena) hold nothing per event.
 func TestRecorderEventBytes(t *testing.T) {
-	sparse := map[string]bool{"interned": true, "textAt": true, "texts": true}
+	sparse := map[string]bool{"interned": true, "text": true}
 	var size uintptr
 	rt := reflect.TypeOf(Recorder{})
 	for i := 0; i < rt.NumField(); i++ {
@@ -277,8 +315,88 @@ func TestRecorderEventBytes(t *testing.T) {
 			size += f.Type.Elem().Size()
 		}
 	}
-	if size != 26 {
-		t.Fatalf("an event takes %d bytes of column storage, want 26", size)
+	if size != 24 {
+		t.Fatalf("an event takes %d bytes of column storage, want 24", size)
+	}
+}
+
+// TestStageRange: the meta column holds every stage from MinStage to
+// MaxStage, and recording one outside them panics rather than wrap.
+func TestStageRange(t *testing.T) {
+	r := New()
+	for _, st := range []int{MinStage, -1, 0, 1, MaxStage} {
+		r.Record(1, KindStageStart, st, -1, "")
+		r.RecordIter(2, st, 3, 0.5)
+		r.RecordGang(3, KindTrialStart, st, 4, 2, 1)
+	}
+	for i := 0; i < r.Len(); i++ {
+		if want := []int{MinStage, -1, 0, 1, MaxStage}[i/3]; r.FieldsAt(i).Stage != want {
+			t.Fatalf("event %d has stage %d, want %d", i, r.FieldsAt(i).Stage, want)
+		}
+	}
+	for _, st := range []int{MinStage - 1, MaxStage + 1, math.MaxInt32, math.MinInt64} {
+		for name, rec := range map[string]func(){
+			"Record":     func() { r.Record(1, KindStageStart, st, -1, "x") },
+			"RecordIter": func() { r.RecordIter(1, st, 0, 0.5) },
+			"RecordGang": func() { r.RecordGang(1, KindTrialStart, st, 0, 1, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at stage %d did not panic", name, st)
+					}
+				}()
+				rec()
+			}()
+		}
+	}
+	if r.Len() != 15 || r.Count("never_recorded") != 0 {
+		t.Fatalf("a panicking record left %d events, want 15", r.Len())
+	}
+	r.Record(4, KindStageEnd, 0, -1, "")
+	if n := r.EventAt(r.Len() - 1).Note; n != "" {
+		t.Fatalf("an event after a refused one has note %q", n)
+	}
+}
+
+// TestFreezeIsExactAndIndependent: a frozen copy holds every column and
+// side table at exactly its length and renders what the recorder did,
+// and neither it nor the recorder sees what the other records next.
+func TestFreezeIsExactAndIndependent(t *testing.T) {
+	r := New()
+	for i := 0; i < 100; i++ {
+		r.Record(0, KindStageStart, 0, -1, "a note longer than any recorded below")
+	}
+	r.Reset() // columns and arena with room to spare
+	r.SetObserver(func(Event) {})
+	r.Record(1, KindStageStart, 0, -1, "4 trials")
+	r.RecordIter(2, 0, 3, 0.5)
+	r.Record(3, Kind("custom"), 1, 2, "")
+	r.RecordBytes(4, KindReplan, 1, -1, []byte("kept [4 2]"))
+	r.AddBusy(2)
+	f := r.Freeze()
+	for name, c := range map[string][2]int{
+		"at": {len(f.at), cap(f.at)}, "arg": {len(f.arg), cap(f.arg)}, "trial": {len(f.trial), cap(f.trial)},
+		"meta": {len(f.meta), cap(f.meta)}, "interned": {len(f.interned), cap(f.interned)},
+		"text": {len(f.text), cap(f.text)},
+	} {
+		if c[0] != c[1] {
+			t.Errorf("frozen %s has length %d, capacity %d", name, c[0], c[1])
+		}
+	}
+	want := r.Events()
+	if !reflect.DeepEqual(f.Events(), want) || f.BusyGPUSeconds() != 2 || f.observer != nil {
+		t.Fatalf("frozen copy %+v (busy %v), recorder %+v", f.Events(), f.BusyGPUSeconds(), want)
+	}
+	r.Reset()
+	r.Record(9, Kind("other"), 2, 5, "a much longer note than any before")
+	r.RecordIter(9, 2, 5, 0.25)
+	f.Record(5, KindStageEnd, 1, -1, "frozen's own")
+	if got := f.Events(); !reflect.DeepEqual(got[:len(want)], want) || len(got) != len(want)+1 || r.Len() != 2 {
+		t.Fatalf("frozen copy now %+v, was %+v; recorder holds %d events", got, want, r.Len())
+	}
+	if New().Freeze().Len() != 0 || (*Recorder)(nil).Freeze() != nil {
+		t.Fatal("freezing an empty or nil recorder")
 	}
 }
 
@@ -304,17 +422,61 @@ func TestKindCodes(t *testing.T) {
 	}
 }
 
+// truncate empties r's columns and arena in place, so a benchmark holds
+// a bounded log.
+func (r *Recorder) truncate() {
+	r.at, r.arg, r.trial, r.meta = r.at[:0], r.arg[:0], r.trial[:0], r.meta[:0]
+	r.text = r.text[:0]
+}
+
 // BenchmarkRecordIter measures recording one iteration event into warm
 // columns: the executor's per-iteration trace cost. The columns are
 // truncated every 4096 events, so the benchmark holds a bounded log.
 func BenchmarkRecordIter(b *testing.B) {
 	r := New()
-	r.Grow(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if r.Len() == 4096 {
-			r.at, r.kind, r.stage, r.trial, r.form, r.arg = r.at[:0], r.kind[:0], r.stage[:0], r.trial[:0], r.form[:0], r.arg[:0]
+			r.truncate()
 		}
 		r.RecordIter(vclock.Time(i), 2, i&63, 0.5)
+	}
+}
+
+// BenchmarkRecordNote measures recording one event with a note built in
+// a reused buffer into a warm arena: the executor's cold-path note cost,
+// 0 allocs/op once the arena holds 4096 notes.
+func BenchmarkRecordNote(b *testing.B) {
+	r := New()
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if r.Len() == 4096 {
+			r.truncate()
+		}
+		buf = strconv.AppendInt(append(buf[:0], "to "...), int64(i&63), 10)
+		buf = append(buf, " nodes"...)
+		r.RecordBytes(vclock.Time(i), KindScaleUp, 2, -1, buf)
+	}
+}
+
+// BenchmarkFreeze measures freezing a run-sized trace: 330 events, 12
+// of them with notes, about the batch-replan corpus's average run. Each
+// Freeze allocates the copy's header, its four columns and the arena.
+func BenchmarkFreeze(b *testing.B) {
+	r := New()
+	for i := 0; i < 330; i++ {
+		if i%28 == 0 {
+			r.Record(vclock.Time(i), KindStageStart, i/28, -1, "8 trials x 3 iters @ 2 GPUs/trial")
+			continue
+		}
+		r.RecordIter(vclock.Time(i), i/28, i&15, 0.5)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r.Freeze().Len() != 330 {
+			b.Fatal("short copy")
+		}
 	}
 }

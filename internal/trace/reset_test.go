@@ -6,7 +6,7 @@ import (
 )
 
 // TestResetMatchesNew: a reset recorder records exactly what a new one
-// does, with none of the events, texts, interned kinds, busy time or
+// does, with none of the events, notes, interned kinds, busy time or
 // observer it had.
 func TestResetMatchesNew(t *testing.T) {
 	script := func(r *Recorder) {
@@ -35,7 +35,10 @@ func TestResetMatchesNew(t *testing.T) {
 	if r.Count("custom_a") != 0 || r.BusyGPUSeconds() != want.BusyGPUSeconds() || len(r.interned) != len(want.interned) {
 		t.Fatalf("reset recorder kept state: custom_a %d, busy %v, interned %v", r.Count("custom_a"), r.BusyGPUSeconds(), r.interned)
 	}
-	if r.texts[:cap(r.texts)][1] != "" || r.interned[:cap(r.interned)][1] != "" {
-		t.Fatal("reset recorder still holds a string it dropped")
+	if r.interned[:cap(r.interned)][1] != "" {
+		t.Fatal("reset recorder still holds a kind it dropped")
+	}
+	if string(r.text) != string(want.text) {
+		t.Fatalf("reset recorder holds notes %q, new one %q", r.text, want.text)
 	}
 }

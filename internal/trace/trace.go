@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/vclock"
 )
@@ -104,34 +103,73 @@ const (
 	noteGang
 )
 
+// The meta column packs an event's kind code into bits 0–7, its note
+// form into bits 8–9 and its stage, signed, into bits 10–31.
+const (
+	formShift  = 8
+	stageShift = 10
+	// MinStage and MaxStage bound the stage an event records: the meta
+	// column keeps it in 22 signed bits. Recording a stage outside them
+	// panics.
+	MinStage = -1 << 21
+	MaxStage = 1<<21 - 1
+)
+
+// packMeta packs a note form and stage into a meta word, for the kind
+// code to be or-ed in.
+func packMeta(form noteForm, stage int) uint32 {
+	if stage < MinStage || stage > MaxStage {
+		stageOutOfRange(stage)
+	}
+	return uint32(form)<<formShift | uint32(stage)<<stageShift
+}
+
+// stageOutOfRange panics for a stage the meta column cannot hold.
+func stageOutOfRange(stage int) {
+	panic(fmt.Sprintf("trace: stage %d outside [%d, %d]", stage, MinStage, MaxStage))
+}
+
+// arenaOverflow panics for a note arena of n bytes, past the 4 GiB a
+// span holds.
+func arenaOverflow(n int) {
+	panic(fmt.Sprintf("trace: note arena of %d bytes past 4 GiB", n))
+}
+
+// metaCode, metaForm and metaStage unpack a meta word.
+func metaCode(m uint32) uint8    { return uint8(m) }
+func metaForm(m uint32) noteForm { return noteForm(m >> formShift & 3) }
+func metaStage(m uint32) int32   { return int32(m) >> stageShift }
+
 // Recorder accumulates events and GPU-usage accounting. Events are
 // stored column-wise (struct-of-arrays): fleet-scale runs record
 // millions of events, and the digest and oracle passes that dominate
 // read traffic scan one or two fields of every event — columnar layout
 // keeps those scans inside a few contiguous arrays instead of striding
-// over full structs. An event takes 26 bytes of column storage: its
-// time (8), kind code (1), stage and trial (4 each), note form (1) and
-// one argument word (8) that holds whatever its note form renders — the
-// accuracy's bits for RecordIter, the gang shape for RecordGang, zero
-// otherwise. Recording never formats text: hot-path notes are kept in
-// the typed argument and rendered on read, and the few cold-path events
-// with free-form text store it in a sparse side table. The zero value is
-// ready to use; a nil *Recorder is also valid and discards everything,
-// so callers need no nil checks.
+// over full structs. An event takes 24 bytes in four columns: its time
+// (8); one argument word (8) that holds whatever its note form renders
+// (the accuracy's bits for RecordIter, the gang shape for RecordGang,
+// the span of a free-form note in the note arena otherwise); its trial
+// (4); and a meta word (4) that packs its kind code (8 bits), note form
+// (2 bits) and stage (22 bits, signed: MinStage to MaxStage; a stage
+// outside them panics, as a 257th kind does). Recording never formats
+// text: hot-path notes are kept in the typed argument and rendered on
+// read, and the few events with free-form text copy it into a byte
+// arena, so a warm recorder records notes without allocating. The zero
+// value is ready to use; a nil *Recorder is also valid and discards
+// everything, so callers need no nil checks. Freeze hands out a copy at
+// exactly its size that shares nothing with the recorder, so one
+// recorder can record run after run.
 type Recorder struct {
 	at    []vclock.Time
-	kind  []uint8
-	stage []int32
-	trial []int32
-	form  []noteForm
 	arg   []uint64
+	trial []int32
+	meta  []uint32
 	// interned holds the kinds outside the known set this recorder has
 	// seen, in first-use order: code len(known)+i is interned[i].
 	interned []Kind
-	// textAt lists, ascending, the indices of the events recorded with
-	// free-form text; texts holds that text in the same order.
-	textAt []int32
-	texts  []string
+	// text is the arena free-form notes are copied into; a noted event's
+	// argument word holds its note's span there.
+	text []byte
 	// busyGPUSeconds accumulates task-occupied GPU time, for utilization.
 	busyGPUSeconds float64
 	// observer, when non-nil, receives every event as it is recorded —
@@ -142,22 +180,46 @@ type Recorder struct {
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Reset empties the recorder, keeping its columns' capacity: a recycled
-// recorder records its next run without growing them again. It drops
-// the observer, the free-form texts and the interned kinds, so nothing
-// recorded before carries into what is recorded next. No-op on a nil
-// recorder.
+// Reset empties the recorder, keeping its columns' and arena's
+// capacity: a recycled recorder records its next run without growing
+// them again. It drops the observer, the notes and the interned kinds,
+// so nothing recorded before carries into what is recorded next. No-op
+// on a nil recorder.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
 	clear(r.interned)
-	clear(r.texts)
 	*r = Recorder{
-		at: r.at[:0], kind: r.kind[:0], stage: r.stage[:0], trial: r.trial[:0],
-		form: r.form[:0], arg: r.arg[:0],
-		interned: r.interned[:0], textAt: r.textAt[:0], texts: r.texts[:0],
+		at: r.at[:0], arg: r.arg[:0], trial: r.trial[:0], meta: r.meta[:0],
+		interned: r.interned[:0], text: r.text[:0],
 	}
+}
+
+// Freeze returns a copy of r — its events, notes, interned kinds and
+// busy time, every column and side table at exactly its length —
+// without r's observer. The copy shares nothing with r, so r may be
+// reset and record another run while the copy lives on unchanged. Nil
+// on a nil recorder.
+func (r *Recorder) Freeze() *Recorder {
+	if r == nil {
+		return nil
+	}
+	return &Recorder{
+		at: exact(r.at), arg: exact(r.arg), trial: exact(r.trial), meta: exact(r.meta),
+		interned: exact(r.interned), text: exact(r.text),
+		busyGPUSeconds: r.busyGPUSeconds,
+	}
+}
+
+// exact returns a copy of s with capacity len(s), nil when s is empty.
+func exact[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make(S, len(s))
+	copy(out, s)
+	return out
 }
 
 // SetObserver registers fn to receive every subsequently recorded event,
@@ -219,56 +281,73 @@ func gangOf(a uint64) (gpus, nodes int32) { return int32(a >> 32), int32(a) }
 // lookup.
 const iterCode = 3
 
-// add appends a note-free event with kind code c, its note form and
-// argument word to every column and notifies the observer.
-func (r *Recorder) add(e Event, c uint8, form noteForm, arg uint64) {
+// add appends a note-free event with meta word m and argument word arg
+// to every column and notifies the observer.
+//
+//rbvet:noalloc
+func (r *Recorder) add(e Event, m uint32, arg uint64) {
 	r.at = append(r.at, e.At)
-	r.kind = append(r.kind, c)
-	r.stage = append(r.stage, int32(e.Stage))
-	r.trial = append(r.trial, int32(e.Trial))
-	r.form = append(r.form, form)
 	r.arg = append(r.arg, arg)
+	r.trial = append(r.trial, int32(e.Trial))
+	r.meta = append(r.meta, m)
 	if r.observer != nil {
 		r.observer(e)
 	}
 }
 
-// Grow reserves room for n more events, so a recorder whose caller can
-// estimate its event count fills its columns without reallocating them.
-// No-op on a nil recorder.
-func (r *Recorder) Grow(n int) {
-	if r == nil {
-		return
-	}
-	r.at = slices.Grow(r.at, n)
-	r.kind = slices.Grow(r.kind, n)
-	r.stage = slices.Grow(r.stage, n)
-	r.trial = slices.Grow(r.trial, n)
-	r.form = slices.Grow(r.form, n)
-	r.arg = slices.Grow(r.arg, n)
+// Record appends an event with free-form note text, which it copies
+// into the note arena. It is for cold-path events: callers on a
+// per-iteration path use RecordIter or RecordGang instead, and callers
+// that build their notes use RecordBytes. No-op on a nil recorder.
+func (r *Recorder) Record(at vclock.Time, kind Kind, stage, trial int, note string) {
+	recordText(r, at, kind, stage, trial, note)
 }
 
-// Record appends an event with free-form note text. It is for cold-path
-// events: the text is stored as given, so callers on a per-iteration
-// path use RecordIter or RecordGang instead. No-op on a nil recorder.
-func (r *Recorder) Record(at vclock.Time, kind Kind, stage, trial int, note string) {
+// RecordBytes is Record with the note given as bytes, which it copies,
+// so a caller can build each note in one reused buffer. Once the arena
+// holds as much text as the recorder has seen, it allocates nothing.
+// No-op on a nil recorder.
+func (r *Recorder) RecordBytes(at vclock.Time, kind Kind, stage, trial int, note []byte) {
+	recordText(r, at, kind, stage, trial, note)
+}
+
+// recordText appends an event whose note, copied into the arena, is
+// text. The event's meta word is packed first, so an event refused for
+// its stage leaves no note behind.
+//
+//rbvet:noalloc
+func recordText[T string | []byte](r *Recorder, at vclock.Time, kind Kind, stage, trial int, note T) {
 	if r == nil {
 		return
 	}
-	if note != "" {
-		r.textAt = append(r.textAt, int32(len(r.at)))
-		r.texts = append(r.texts, note)
+	m := packMeta(noteText, stage) | uint32(r.code(kind))
+	start := len(r.text)
+	r.text = append(r.text, note...)
+	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial}, m, r.span(start))
+}
+
+// span returns the argument word of the note the arena holds from
+// start to its end: start<<32 | end, or 0 for an empty note. The arena
+// holds at most 4 GiB.
+func (r *Recorder) span(start int) uint64 {
+	if start == len(r.text) {
+		return 0
 	}
-	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial}, r.code(kind), noteText, 0)
+	if len(r.text) > math.MaxUint32 {
+		arenaOverflow(len(r.text))
+	}
+	return uint64(start)<<32 | uint64(len(r.text))
 }
 
 // RecordIter appends a KindTrialIter event observing accuracy acc; its
 // note, "acc=%.4f", is rendered on read. No-op on a nil recorder.
+//
+//rbvet:noalloc
 func (r *Recorder) RecordIter(at vclock.Time, stage, trial int, acc float64) {
 	if r == nil {
 		return
 	}
-	r.add(Event{At: at, Kind: KindTrialIter, Stage: stage, Trial: trial}, iterCode, noteAcc, math.Float64bits(acc))
+	r.add(Event{At: at, Kind: KindTrialIter, Stage: stage, Trial: trial}, packMeta(noteAcc, stage)|iterCode, math.Float64bits(acc))
 }
 
 // RecordGang appends an event carrying a structured gang shape (total
@@ -276,11 +355,14 @@ func (r *Recorder) RecordIter(at vclock.Time, stage, trial int, acc float64) {
 // not parse free-form notes. Its note, "%d GPUs on %d nodes", is
 // rendered on read. Each count is kept to 32 bits. No-op on a nil
 // recorder.
+//
+//rbvet:noalloc
 func (r *Recorder) RecordGang(at vclock.Time, kind Kind, stage, trial, gpus, nodes int) {
 	if r == nil {
 		return
 	}
-	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, GPUs: gpus, Nodes: nodes}, r.code(kind), noteGang, packGang(gpus, nodes))
+	m := packMeta(noteGang, stage)
+	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, GPUs: gpus, Nodes: nodes}, m|uint32(r.code(kind)), packGang(gpus, nodes))
 }
 
 // AddBusy accumulates gpuSeconds of productive GPU time.
@@ -311,13 +393,14 @@ func (r *Recorder) Len() int {
 // without its note: the view for digests, oracles and other consumers
 // that must not depend on presentation text.
 func (r *Recorder) FieldsAt(i int) Event {
+	m := r.meta[i]
 	e := Event{
 		At:    r.at[i],
-		Kind:  r.kindOf(r.kind[i]),
-		Stage: int(r.stage[i]),
+		Kind:  r.kindOf(metaCode(m)),
+		Stage: int(metaStage(m)),
 		Trial: int(r.trial[i]),
 	}
-	if r.form[i] == noteGang {
+	if metaForm(m) == noteGang {
 		gpus, nodes := gangOf(r.arg[i])
 		e.GPUs, e.Nodes = int(gpus), int(nodes)
 	}
@@ -332,19 +415,17 @@ func (r *Recorder) EventAt(i int) Event {
 	return e
 }
 
-// note renders event i's note from its typed columns or text entry.
+// note renders event i's note from its typed columns or the arena.
 func (r *Recorder) note(i int) string {
-	switch r.form[i] {
+	switch metaForm(r.meta[i]) {
 	case noteAcc:
 		return fmt.Sprintf("acc=%.4f", math.Float64frombits(r.arg[i]))
 	case noteGang:
 		gpus, nodes := gangOf(r.arg[i])
 		return fmt.Sprintf("%d GPUs on %d nodes", gpus, nodes)
 	}
-	if j, ok := slices.BinarySearch(r.textAt, int32(i)); ok {
-		return r.texts[j]
-	}
-	return ""
+	a := r.arg[i]
+	return string(r.text[a>>32 : uint32(a)])
 }
 
 // Events returns a copy of the recorded events in order, notes rendered.
@@ -371,8 +452,8 @@ func (r *Recorder) Count(kind Kind) int {
 		return 0
 	}
 	n := 0
-	for _, k := range r.kind {
-		if k == c {
+	for _, m := range r.meta {
+		if metaCode(m) == c {
 			n++
 		}
 	}

@@ -95,7 +95,6 @@ func TestNotesRenderedOnRead(t *testing.T) {
 	r := New()
 	var observed []Event
 	r.SetObserver(func(e Event) { observed = append(observed, e) })
-	r.Grow(4)
 	r.Record(1, KindStageStart, 0, -1, "2 trials")
 	r.RecordGang(2, KindTrialStart, 0, 3, 4, 2)
 	r.RecordIter(3, 0, 3, 0.123456)
