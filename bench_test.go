@@ -184,12 +184,19 @@ func benchWorkload() (*spec.ExperimentSpec, sim.ModelTrainProfile, sim.CloudProf
 // explicit estimator mode.
 func benchSimulatorMode(b *testing.B, samples, workers int, mode sim.EstimatorMode) *sim.Simulator {
 	b.Helper()
+	sm := new(sim.Simulator)
+	initBenchSimulator(b, sm, samples, workers, mode)
+	return sm
+}
+
+// initBenchSimulator initialises sm in place as the Simulator
+// benchSimulatorMode returns for the same arguments.
+func initBenchSimulator(b *testing.B, sm *sim.Simulator, samples, workers int, mode sim.EstimatorMode) {
+	b.Helper()
 	s, prof, cp := benchWorkload()
-	sm, err := sim.New(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers), sim.WithEstimator(mode))
-	if err != nil {
+	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers), sim.WithEstimator(mode)); err != nil {
 		b.Fatal(err)
 	}
-	return sm
 }
 
 // benchWorkerCounts returns the worker counts the parallel benchmarks
@@ -260,8 +267,8 @@ func BenchmarkPlanElastic(b *testing.B) {
 // BenchmarkSimEstimateWorkers measures the Monte-Carlo fan-out at a
 // planning-heavy sample count across worker counts; the estimate is
 // bit-identical at every setting, only wall-clock changes. Each
-// iteration releases the table first, so every estimate builds and
-// samples its segments anew on recycled storage.
+// iteration re-initialises the Simulator first, so every estimate
+// builds and samples its segments anew on the kept table's storage.
 func BenchmarkSimEstimateWorkers(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("samples=200/workers=%d", w), func(b *testing.B) {
@@ -269,7 +276,7 @@ func BenchmarkSimEstimateWorkers(b *testing.B) {
 			plan := sim.Uniform(32, sm.Spec().NumStages())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sm.Release()
+				initBenchSimulator(b, sm, 200, w, sim.EstimatorSegment)
 				if _, err := sm.Estimate(plan); err != nil {
 					b.Fatal(err)
 				}
@@ -340,21 +347,21 @@ func BenchmarkPlanElastic100Cold(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanElasticLifecycle measures the short-lived Simulator of
-// the replanner and the harness: New, one cold PlanElastic, Release. From
-// the second iteration on, each Simulator fills the segment table the
-// previous one released.
+// BenchmarkPlanElasticLifecycle measures the kept Simulator of the
+// replanner and the harness: Init, then one cold PlanElastic. From the
+// second iteration on, each search fills the table the previous one
+// filled, emptied by Init.
 func BenchmarkPlanElasticLifecycle(b *testing.B) {
 	for _, mode := range benchEstimatorModes() {
 		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
 			b.ReportAllocs()
+			var sm sim.Simulator
 			for i := 0; i < b.N; i++ {
-				sm := benchSimulatorMode(b, 20, 1, mode)
-				p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
+				initBenchSimulator(b, &sm, 20, 1, mode)
+				p := &planner.Planner{Sim: &sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
 				if _, err := p.PlanElastic(); err != nil {
 					b.Fatal(err)
 				}
-				sm.Release()
 			}
 		})
 	}

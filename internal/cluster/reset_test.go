@@ -33,14 +33,14 @@ func TestManagerResetMatchesNew(t *testing.T) {
 		m.SetPreemptionHandler(func(n *Node) { log = append(log, fmt.Sprint("preempted ", n.ID)) })
 		for _, n := range sizes {
 			if n < m.Size() {
-				if err := m.Release(m.Nodes()[0].ID); err != nil {
+				if err := m.Release(m.Ready()[0].ID); err != nil {
 					t.Fatal(err)
 				}
 			}
 			m.ScaleUpTo(n)
 			m.WhenSize(n, func() { log = append(log, fmt.Sprint("size ", n, " at ", clock.Now())) })
 			clock.Run(clock.Now() + 120)
-			for _, node := range m.Nodes() {
+			for _, node := range m.Ready() {
 				log = append(log, fmt.Sprint(node.ID, "/", node.Instance.ID))
 			}
 		}

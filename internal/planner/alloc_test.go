@@ -3,6 +3,7 @@ package planner
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -78,41 +79,37 @@ func TestPlanElasticWarmAllocs(t *testing.T) {
 }
 
 // lifecycleAllocs bounds the allocation count of a cold search on a
-// recycled table in TestPlanElasticLifecycleAllocs: 265 measured with Go
-// 1.24 on linux/amd64, plus three. Most of it is the profile boxing one iteration
-// distribution per per-trial share the search reads (about 260); the
-// rest is the Simulator and the returned plan. The plan memo lives in
-// the recycled table and the descent steps in the search's scratch, so
-// neither adds anything.
+// re-initialised Simulator in TestPlanElasticLifecycleAllocs. Most of it
+// is the profile boxing one iteration distribution per per-trial share
+// the search reads (about 260); the rest is the returned plan. The plan
+// memo lives in the kept table and the descent steps in the search's
+// scratch, so neither adds anything.
 const lifecycleAllocs = 268
 
-// TestPlanElasticLifecycleAllocs pins the cold search of a short-lived
-// Simulator, the replanner's and the harness's pattern: New, PlanElastic,
-// Release, New. The second Simulator's search runs on the table the
-// first one released, so it allocates nothing for segment records,
-// sample vectors or moments, and fewer objects than the same search on
-// a fresh table, which allocates the slabs' chunks.
+// TestPlanElasticLifecycleAllocs pins the cold search of a kept
+// Simulator, the replanner's and the harness's pattern: Init,
+// PlanElastic, Init. The search after the second Init runs on the table
+// the first search filled, emptied, so it allocates nothing for segment
+// records, sample vectors or moments, and fewer objects than the same
+// search on a new Simulator, which allocates its table and the slabs'
+// chunks.
 func TestPlanElasticLifecycleAllocs(t *testing.T) {
 	skipUnderRace(t)
 	s := spec.MustSHA(64, 4, 508, 2)
-	search := func(release bool) func() {
-		return func() {
-			sm := resnetSim(t, s, 8, 3)
-			p := &Planner{Sim: sm, Deadline: 3000, Workers: 1}
-			if _, err := p.PlanElastic(); err != nil {
-				t.Fatal(err)
-			}
-			if release {
-				sm.Release()
-			}
+	search := func(sm *sim.Simulator) {
+		initResnetSim(t, sm, s, 8, 3)
+		p := &Planner{Sim: sm, Deadline: 3000, Workers: 1}
+		if _, err := p.PlanElastic(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	search(true)() // leave a released table in the pool
-	recycled := testing.AllocsPerRun(10, search(true))
-	fresh := testing.AllocsPerRun(10, search(false))
-	if recycled > lifecycleAllocs || recycled >= fresh {
-		t.Fatalf("cold search allocates %v on a recycled table and %v on a fresh one, want at most %d and fewer than on a fresh table",
-			recycled, fresh, lifecycleAllocs)
+	var kept sim.Simulator
+	search(&kept) // the first Init allocates the table
+	reinit := testing.AllocsPerRun(10, func() { search(&kept) })
+	fresh := testing.AllocsPerRun(10, func() { search(new(sim.Simulator)) })
+	if reinit > lifecycleAllocs || reinit >= fresh {
+		t.Fatalf("cold search allocates %v on a re-initialised Simulator and %v on a new one, want at most %d and fewer than on a new one",
+			reinit, fresh, lifecycleAllocs)
 	}
-	t.Logf("cold search: %v allocations on a recycled table, %v on a fresh one", recycled, fresh)
+	t.Logf("cold search: %v allocations on a re-initialised Simulator, %v on a new one", reinit, fresh)
 }

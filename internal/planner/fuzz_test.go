@@ -56,18 +56,20 @@ func FuzzPlanElastic(f *testing.F) {
 			QueueDelay:  stats.Deterministic{Value: 5},
 			InitLatency: stats.Deterministic{Value: 15},
 		}
+		// newSim re-initialises the one Simulator every search below
+		// runs on, so each search after the first runs on the table the
+		// one before it filled, emptied.
+		var kept sim.Simulator
 		newSim := func() *sim.Simulator {
-			sm, err := sim.New(s, prof, cp, 3, stats.NewRNG(seed), sim.WithWorkers(1), sim.WithEstimator(estimator))
-			if err != nil {
+			if err := kept.Init(s, prof, cp, 3, stats.NewRNG(seed), sim.WithWorkers(1), sim.WithEstimator(estimator)); err != nil {
 				t.Fatalf("sim: %v", err)
 			}
-			return sm
+			return &kept
 		}
 		sm := newSim()
 		deadline := sm.StaticClusterJCT(maxGPUs) * factor
 		p := &Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
 		res, descents, err := p.mergedSearch()
-		sm.Release()
 
 		// Merged descents: the unmerged reference search, each warm-start
 		// descent run to its end on its own allocations, must agree
@@ -76,10 +78,8 @@ func FuzzPlanElastic(f *testing.F) {
 		// which reuses the pooled scratch the first one released.
 		indep := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
 		ires, idescents, ierr := indep.referenceSearch()
-		indep.Sim.Release()
 		other := &Planner{Sim: newSim(), Deadline: 2 * deadline, MaxGPUs: maxGPUs + 3, Workers: 1}
 		_, _ = other.PlanElastic()
-		other.Sim.Release()
 		if !sameResult(res, err, ires, ierr) || !sameDescents(descents, idescents) {
 			t.Fatalf("merged search gave %v %+v (err %v, descents %v), independent descents %v %+v (err %v, descents %v)",
 				res.Plan, res.Estimate, err, descents, ires.Plan, ires.Estimate, ierr, idescents)
@@ -104,11 +104,10 @@ func FuzzPlanElastic(f *testing.F) {
 			t.Fatalf("estimate cost %v", res.Estimate.Cost)
 		}
 
-		// Replanning from a fresh but identically seeded simulator must be
-		// bit-identical.
+		// Replanning on the re-initialised, identically seeded simulator
+		// must be bit-identical.
 		p2 := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
 		res2, err2 := p2.PlanElastic()
-		p2.Sim.Release()
 		if err2 != nil {
 			t.Fatalf("replan failed: %v", err2)
 		}
@@ -128,7 +127,6 @@ func FuzzPlanElastic(f *testing.F) {
 			DisableAnalyticPrune: true,
 		}
 		rres, rerr := ref.PlanElastic()
-		ref.Sim.Release()
 		if rerr != nil {
 			t.Fatalf("reference search failed where two-phase succeeded: %v", rerr)
 		}

@@ -73,7 +73,6 @@ func SelectInstanceType(
 		}
 		p := &Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs}
 		res, err := p.PlanElastic()
-		sm.Release()
 		choice := InstanceChoice{Instance: it}
 		switch err {
 		case nil:

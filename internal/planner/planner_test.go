@@ -16,6 +16,15 @@ import (
 // style job for planner tests.
 func resnetSim(t *testing.T, s *spec.ExperimentSpec, samples int, seed uint64) *sim.Simulator {
 	t.Helper()
+	sm := new(sim.Simulator)
+	initResnetSim(t, sm, s, samples, seed)
+	return sm
+}
+
+// initResnetSim initialises sm in place as the Simulator resnetSim
+// returns for the same arguments.
+func initResnetSim(t *testing.T, sm *sim.Simulator, s *spec.ExperimentSpec, samples int, seed uint64) {
+	t.Helper()
 	m := model.ResNet50()
 	m.IterNoiseStd = 0.1
 	prof := sim.ModelTrainProfile{Model: m, Batch: 512, GPUsPerNode: 4}
@@ -25,11 +34,9 @@ func resnetSim(t *testing.T, s *spec.ExperimentSpec, samples int, seed uint64) *
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	sm, err := sim.New(s, prof, cp, samples, stats.NewRNG(seed))
-	if err != nil {
+	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed)); err != nil {
 		t.Fatal(err)
 	}
-	return sm
 }
 
 func TestFairStepDown(t *testing.T) {

@@ -114,8 +114,6 @@ func compareEnumeration(t *testing.T, sc harness.Scenario, name string, deadline
 	fast.Deadline, ref.Deadline = deadline, deadline
 	fres, ferr := search(fast)
 	rres, rerr := search(ref)
-	defer fast.Sim.Release()
-	defer ref.Sim.Release()
 	switch {
 	case ferr != nil || rerr != nil:
 		if !errors.Is(ferr, planner.ErrInfeasible) || !errors.Is(rerr, planner.ErrInfeasible) {
@@ -187,7 +185,6 @@ func TestEnumerationPruneSafetyOnCorpus(t *testing.T) {
 			} else {
 				t.Fatal(err)
 			}
-			probe.Sim.Release()
 			minJCT := func(p *planner.Planner) (planner.Result, error) { return p.PlanMinJCT(budget) }
 			check(compareEnumeration(t, sc, "PlanMinJCT", deadline, int64(sc.MaxGPUs), minJCT), false)
 		}

@@ -78,7 +78,6 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	defer sm.Release()
 	staleEst, err := sm.Estimate(staleTail)
 	if err != nil {
 		return Decision{}, err
@@ -120,14 +119,12 @@ func (c *Controller) refScreenTail(prof sim.TrainProfile, cp sim.CloudProfile, s
 	if err != nil {
 		return sim.Estimate{}, false, false
 	}
-	defer refitSim.Release()
 	baseSim, err := c.analyticSim(suffix, c.cfg.Profile, c.cfg.Cloud)
 	if err != nil {
 		return sim.Estimate{}, false, false
 	}
 	refit, ok1 := analyticTail(refitSim, staleTail)
 	base, ok2 := analyticTail(baseSim, staleTail)
-	baseSim.Release()
 	if !ok1 || !ok2 {
 		return sim.Estimate{}, false, false
 	}

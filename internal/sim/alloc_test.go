@@ -61,15 +61,15 @@ func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 	}
 }
 
-// recycledTable returns the storage of a table a first Simulator filled
-// with every test plan's segments, sample vectors and moments, reset as
-// Release resets it. Tests hand it to a Simulator directly rather than
-// through tablePool, whose items a garbage collection may drop.
-func recycledTable(t *testing.T) *segTable {
-	donor := modeSim(t, 20, 1, 31, EstimatorSegment)
-	e := donor.NewAnalyticEval()
-	for _, p := range testPlans(donor) {
-		if _, err := donor.Estimate(p); err != nil {
+// reinitSim returns modeSim(t, 20, 1, 31, mode)'s Simulator after a
+// first job: it filled its table with every test plan's segments, sample
+// vectors and moments in segment mode, and was then initialised in place
+// for mode, as an owner that keeps a Simulator re-initialises it.
+func reinitSim(t *testing.T, mode EstimatorMode) *Simulator {
+	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
+	e := sm.NewAnalyticEval()
+	for _, p := range testPlans(sm) {
+		if _, err := sm.Estimate(p); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := e.Estimate(p); err != nil {
@@ -77,11 +77,22 @@ func recycledTable(t *testing.T) *segTable {
 		}
 	}
 	e.Release()
-	tab := donor.detachTable()
-	if tab.index.len() != 0 || tab.plans.len() != 0 {
-		t.Fatalf("a reset table indexes %d segments and %d plan hashes, want 0", tab.index.len(), tab.plans.len())
+	initModeSim(t, sm, 20, 1, 31, mode)
+	if sm.tab.index.len() != 0 || sm.tab.plans.len() != 0 {
+		t.Fatalf("a re-initialised table indexes %d segments and %d plan hashes, want 0", sm.tab.index.len(), sm.tab.plans.len())
 	}
-	return tab
+	return sm
+}
+
+// reinit initialises s in place for the job it already simulates, as an
+// owner that keeps a Simulator does between jobs: its table is emptied
+// and kept.
+func reinit(t testing.TB, s *Simulator) {
+	t.Helper()
+	rng := s.root
+	if err := s.Init(s.spec, s.profile, s.cloud, s.samples, &rng, WithWorkers(s.workers), WithEstimator(s.estimator)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // tableSegments builds the segments of plans in sm's table and returns
@@ -102,8 +113,8 @@ func tableSegments(t *testing.T, sm *Simulator, plans []Plan) []ref {
 // TestColdSampleFillAllocatesOnlyVector: a segment's sample vector is
 // the only storage its fill takes, and it comes from the table's sample
 // slab — streams and timing buffers come from the fill pool. On a
-// recycled table cold fills allocate nothing; on a fresh table they
-// allocate the slab's first chunk and nothing else.
+// re-initialised Simulator's table cold fills allocate nothing; on a new
+// Simulator's they allocate the slab's first chunk and nothing else.
 func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
 	skipUnderRace(t)
 	exactAllocs(t)
@@ -114,15 +125,13 @@ func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
 			}
 		})
 	}
-	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
-	sm.tab = recycledTable(t)
+	sm := reinitSim(t, EstimatorSegment)
 	segs := tableSegments(t, sm, testPlans(sm))
 	if allocs := fill(sm, segs); allocs != 0 {
-		t.Fatalf("cold fills of %d segments on a recycled table allocate %d, want 0", len(segs), allocs)
+		t.Fatalf("cold fills of %d segments on a re-initialised table allocate %d, want 0", len(segs), allocs)
 	}
 
 	sm = modeSim(t, 20, 1, 31, EstimatorSegment)
-	sm.tab = newSegTable()
 	segs = tableSegments(t, sm, testPlans(sm)[1:2])
 	if allocs, chunks := fill(sm, segs), sm.tab.samples.n; allocs != 1 || chunks != 1 {
 		t.Fatalf("cold fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)
@@ -143,17 +152,15 @@ func mallocs(f func()) uint64 {
 // segments are built, an analytic Estimate takes storage only for each
 // segment's moments, carved from the table's moment slab, and for its
 // plan-memo entry — no evaluator and no moment scratch, which come from
-// pools that outlive any one Simulator. On a recycled table it
-// allocates nothing; on a fresh table four objects: the moment slab's
-// first chunk, and the memo's first hash group, entry column and
-// allocation column.
+// pools that outlive any one Simulator. On a re-initialised Simulator's
+// table it allocates nothing; on a new Simulator's four objects: the
+// moment slab's first chunk, and the memo's first hash group, entry
+// column and allocation column.
 func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 	skipUnderRace(t)
 	exactAllocs(t)
 	plan := testPlans(modeSim(t, 20, 1, 31, EstimatorAnalytic))[1]
-	run := func(tab *segTable) (allocs uint64, segs int) {
-		sm := modeSim(t, 20, 1, 31, EstimatorAnalytic)
-		sm.tab = tab
+	run := func(sm *Simulator) (allocs uint64, segs int) {
 		segs = len(tableSegments(t, sm, []Plan{plan})) // build the segments uncounted
 		allocs = mallocs(func() {
 			if _, err := sm.Estimate(plan); err != nil {
@@ -162,12 +169,13 @@ func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 		})
 		return allocs, segs
 	}
-	run(newSegTable()) // warm the evaluator pool
+	fresh := func() *Simulator { return modeSim(t, 20, 1, 31, EstimatorAnalytic) }
+	run(fresh()) // warm the evaluator pool
 	for i := 0; i < 5; i++ {
-		if allocs, segs := run(recycledTable(t)); allocs != 0 {
-			t.Fatalf("analytic Estimate over %d segments on a recycled table allocates %d objects, want 0", segs, allocs)
+		if allocs, segs := run(reinitSim(t, EstimatorAnalytic)); allocs != 0 {
+			t.Fatalf("analytic Estimate over %d segments on a re-initialised table allocates %d objects, want 0", segs, allocs)
 		}
-		if allocs, segs := run(newSegTable()); allocs != 4 {
+		if allocs, segs := run(fresh()); allocs != 4 {
 			t.Fatalf("analytic Estimate over %d segments on a fresh table allocates %d objects, want 4: the moment slab's first chunk and the memo's first storage", segs, allocs)
 		}
 	}

@@ -32,7 +32,7 @@ type segMoment struct {
 //rbvet:pure
 func (s *Simulator) segmentMoments(h ref) ref {
 	s.mu.Lock()
-	sg := s.tableLocked().segs.at(h)
+	sg := s.tab.segs.at(h)
 	v := sg.mom
 	s.mu.Unlock()
 	if v != 0 {

@@ -191,7 +191,7 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 	cp.segs, cp.vecs, cp.moms, cp.maxInstances = cp.segs[:0], cp.vecs[:0], cp.moms[:0], 0
 	var prev int32
 	s.mu.Lock()
-	t := s.tableLocked()
+	t := s.tab
 	cp.tab = t
 	for i, alloc := range p.Alloc {
 		key := segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev}
@@ -299,7 +299,7 @@ func (s *Simulator) segStream(key segKey) (r stats.RNG) {
 // fills it outside; streams and latency buffers come from fillPool.
 func (s *Simulator) segmentSamples(h ref) ref {
 	s.mu.Lock()
-	t := s.tableLocked()
+	t := s.tab
 	sg := t.segs.at(h)
 	v := sg.samples
 	var fresh []segSample

@@ -175,8 +175,9 @@ func sameEstimate(a, b Estimate) bool {
 // everything that reads it — sample fills, the Monte-Carlo replay, the
 // analytic evaluator and the plan memo — to the pointer-based oracle:
 // every estimate bit-identical, under both estimators and billing
-// models, at one and four workers, cold and warm, on a fresh and a
-// recycled table, and the Simulator's seed state untouched.
+// models, at one and four workers, cold and warm, on a new Simulator's
+// table and after re-initialising it over that table, and the
+// Simulator's seed state untouched.
 func TestCompileMatchesPointerOracle(t *testing.T) {
 	for _, mode := range []EstimatorMode{EstimatorSegment, EstimatorAnalytic} {
 		for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
@@ -185,7 +186,10 @@ func TestCompileMatchesPointerOracle(t *testing.T) {
 				stoch := modeSim(t, 16, workers, 41, mode)
 				for _, s := range []*Simulator{sm, stoch} {
 					root := s.root
-					for pass := 0; pass < 2; pass++ { // cold, then memoized
+					for pass := 0; pass < 3; pass++ { // cold, memoized, then cold again on the kept table
+						if pass == 2 {
+							reinit(t, s)
+						}
 						for _, p := range testPlans(s) {
 							got, err := s.Estimate(p)
 							if err != nil {
@@ -204,7 +208,6 @@ func TestCompileMatchesPointerOracle(t *testing.T) {
 					if s.root != root {
 						t.Fatal("estimating moved the Simulator's seed state")
 					}
-					s.Release() // the next Simulator may draw this table, recycled
 				}
 			}
 		}
@@ -223,7 +226,6 @@ func FuzzCompileMatchesPointerOracle(f *testing.F) {
 			mode = EstimatorAnalytic
 		}
 		sm := modeSim(t, 8, 2, seed, mode)
-		defer sm.Release()
 		n := sm.Spec().NumStages()
 		alloc := make([]int, n)
 		for i := range alloc {

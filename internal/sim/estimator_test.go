@@ -14,6 +14,15 @@ import (
 // modeSim is stochasticSim with an explicit estimator mode.
 func modeSim(t testing.TB, samples, workers int, seed uint64, mode EstimatorMode) *Simulator {
 	t.Helper()
+	sm := new(Simulator)
+	initModeSim(t, sm, samples, workers, seed, mode)
+	return sm
+}
+
+// initModeSim initialises sm in place as the Simulator modeSim returns
+// for the same arguments.
+func initModeSim(t testing.TB, sm *Simulator, samples, workers int, seed uint64, mode EstimatorMode) {
+	t.Helper()
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 	cp := DefaultCloudProfile()
@@ -21,11 +30,9 @@ func modeSim(t testing.TB, samples, workers int, seed uint64, mode EstimatorMode
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	sm, err := New(s, prof, cp, samples, stats.NewRNG(seed), WithWorkers(workers), WithEstimator(mode))
-	if err != nil {
+	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed), WithWorkers(workers), WithEstimator(mode)); err != nil {
 		t.Fatal(err)
 	}
-	return sm
 }
 
 // deterministicSim returns a simulator whose every latency source is a
@@ -234,7 +241,7 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 		return k
 	}
 	for _, hash := range []func([]int32) uint64{planHash, func([]int32) uint64 { return 7 }} {
-		tab := newSegTable()
+		tab := new(segTable)
 		for i, p := range plans {
 			tab.storePlan(hash(key(p)), key(p), Estimate{JCT: float64(i)})
 		}

@@ -178,7 +178,7 @@ func BenchmarkSegTable(b *testing.B) {
 		}
 	}
 	b.Run("hit", func(b *testing.B) {
-		t := newSegTable()
+		t := new(segTable)
 		fill(t)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -189,7 +189,7 @@ func BenchmarkSegTable(b *testing.B) {
 		}
 	})
 	b.Run("miss-store", func(b *testing.B) {
-		t := newSegTable()
+		t := new(segTable)
 		fill(t)
 		t.reset()
 		b.ReportAllocs()
@@ -207,7 +207,7 @@ func BenchmarkSegTable(b *testing.B) {
 		}
 	})
 	b.Run("reset-1000", func(b *testing.B) {
-		t := newSegTable()
+		t := new(segTable)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

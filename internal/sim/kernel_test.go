@@ -133,7 +133,7 @@ func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Sim
 // for each stage of a plan.
 func (s *Simulator) segmentFor(key segKey) *segment {
 	s.mu.Lock()
-	h, _ := s.tableLocked().index.get(key)
+	h, _ := s.tab.index.get(key)
 	s.mu.Unlock()
 	if h == 0 {
 		built := s.buildSegment(key)
@@ -252,8 +252,8 @@ func TestSumLatMatchesSumIters(t *testing.T) {
 // after AllocsPerRun's warm-up call); the segment record is the only
 // storage a miss takes, carved from the table's segment slab. Storing
 // the segments of a fresh table takes that slab's first chunk and the
-// index's first slot array, and storing them again on the same table,
-// recycled, allocates nothing.
+// index's first slot array, and storing them again after the Simulator
+// is re-initialised over that table allocates nothing.
 func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 	exactAllocs(t)
 	sm := kernelSim(t, 4, stats.Normal{Mu: 30, Sigma: 4}, cloud.DefaultOverheads())
@@ -271,15 +271,15 @@ func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 		})
 	}
 	tab := sm.tab
-	sm.tab = newSegTable()
+	sm.tab = new(segTable)
 	sm.tab.shares = tab.shares // the share column is not under test
 	sm.tab.full = tab.full
 	if allocs, chunks := store(), sm.tab.segs.n; allocs > 2 || chunks != 1 {
 		t.Fatalf("storing %d segments on a fresh table allocates %d objects into %d slab chunks, want the first chunk and the index's first slot array", len(keys), allocs, chunks)
 	}
-	sm.tab = sm.detachTable()
+	reinit(t, sm)
 	if allocs := store(); allocs != 0 {
-		t.Fatalf("storing %d segments on a recycled table allocates %d, want 0", len(keys), allocs)
+		t.Fatalf("storing %d segments on a re-initialised table allocates %d, want 0", len(keys), allocs)
 	}
 }
 
@@ -300,8 +300,8 @@ func TestSegmentRecordSize(t *testing.T) {
 
 // TestColdMomentFillAllocatesOnlySegMoment: a moment miss stores its
 // segMoment in a record carved from the table's moment slab and takes
-// nothing else. On a recycled table moment misses allocate nothing; on
-// a fresh table, the slab's first chunk.
+// nothing else. On a re-initialised Simulator's table moment misses
+// allocate nothing; on a new Simulator's, the slab's first chunk.
 func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 	exactAllocs(t)
 	fill := func(sm *Simulator, segs []ref) uint64 {
@@ -311,15 +311,13 @@ func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 			}
 		})
 	}
-	sm := modeSim(t, 20, 1, 31, EstimatorAnalytic)
-	sm.tab = recycledTable(t)
+	sm := reinitSim(t, EstimatorAnalytic)
 	segs := tableSegments(t, sm, testPlans(sm))
 	if allocs := fill(sm, segs); allocs != 0 {
-		t.Fatalf("cold moment fills of %d segments on a recycled table allocate %d, want 0", len(segs), allocs)
+		t.Fatalf("cold moment fills of %d segments on a re-initialised table allocate %d, want 0", len(segs), allocs)
 	}
 
 	sm = modeSim(t, 20, 1, 31, EstimatorAnalytic)
-	sm.tab = newSegTable()
 	segs = tableSegments(t, sm, testPlans(sm)[1:2])
 	if allocs, chunks := fill(sm, segs), sm.tab.moms.n; allocs != 1 || chunks != 1 {
 		t.Fatalf("cold moment fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)

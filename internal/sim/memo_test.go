@@ -104,10 +104,10 @@ func TestEstimateErrorsAreNotMemoized(t *testing.T) {
 	}
 }
 
-// TestRecycledPlanMemoMatchesFresh: a Simulator on a table whose plan
-// memo a Simulator of another spec and estimator mode filled and
-// released answers every plan exactly as a Simulator on a fresh table
-// does, at one worker and at four. The two specs have the same stage
+// TestRecycledPlanMemoMatchesFresh: a Simulator whose plan memo it
+// filled under another spec and estimator mode, re-initialised in place,
+// answers every plan exactly as a new Simulator does, at one worker and
+// at four. The two specs have the same stage
 // count, so every plan is valid under both and a memo entry that
 // survived the reset would be read back.
 func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
@@ -147,10 +147,10 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 			if len(donor.tab.entries) != len(plans) {
 				t.Fatalf("donor memoized %d plans, want %d", len(donor.tab.entries), len(plans))
 			}
-			recycled := modeSim(t, 20, workers, 31, mode)
-			recycled.tab = donor.detachTable()
+			recycled := donor
+			initModeSim(t, recycled, 20, workers, 31, mode)
 			if recycled.tab.plans.len() != 0 {
-				t.Fatalf("a reset table indexes %d plan hashes, want 0", recycled.tab.plans.len())
+				t.Fatalf("a re-initialised table indexes %d plan hashes, want 0", recycled.tab.plans.len())
 			}
 			fresh := modeSim(t, 20, workers, 31, mode)
 			for round := 0; round < 2; round++ { // misses, then memo hits
@@ -164,7 +164,7 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bitEqual(got, want) {
-						t.Fatalf("workers %d %v round %d: %v on a recycled table %+v, fresh %+v", workers, mode, round, p, got, want)
+						t.Fatalf("workers %d %v round %d: %v re-initialised %+v, new %+v", workers, mode, round, p, got, want)
 					}
 				}
 			}

@@ -175,7 +175,7 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 // of their own and returns the compiled plan referring to them, every
 // sample vector filled.
 func tableCompiled(segs []segment, rows [][]segSample) *compiledPlan {
-	t := newSegTable()
+	t := new(segTable)
 	cp := &compiledPlan{tab: t}
 	for i := range segs {
 		run, h := t.segs.take(1)

@@ -6,11 +6,11 @@ import (
 	"repro/internal/stats"
 )
 
-// Pooled scratch. One job's planning builds several short-lived
-// Simulators (the initial plan, each online replan, each replan's
-// analytic screen), so scratch owned by a Simulator would be allocated
-// afresh by every one of them; these pools are package-level and outlive
-// any Simulator. No pooled value carries a result from one use to the
+// Pooled scratch. Estimate and Breakdown run concurrently on one
+// Simulator (a planner's workers score candidates in parallel), so each
+// call needs scratch of its own for as long as it runs, and one per
+// Simulator would not do; these pools are package-level and hand each
+// call its own. No pooled value carries a result from one use to the
 // next: each is fully overwritten before it is read, so pooling saves
 // allocations and cannot change an estimate.
 var (

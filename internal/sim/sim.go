@@ -44,26 +44,27 @@ type Estimate struct {
 //     family, sample index), so Estimate and Breakdown are pure
 //     functions of the configuration and the plan, independent of table
 //     state, call order, goroutine or worker count.
-//   - Storage borrowed from package-level pools that every Simulator
-//     shares, because one job's planning creates several short-lived
-//     Simulators. The table's storage (its key index and plan memo
-//     index, epoch-stamped open-addressing tables that reset in O(1);
-//     the slabs its segment records, sample vectors and moments are
-//     carved from; and the plan memo's columns; see table.go and
-//     index.go) is drawn on the first estimate and handed back by
-//     Release. Scratch is borrowed per call
-//     (see scratch.go): estPool (segment-mode Estimate's compiled plan,
-//     sample rows, and the per-draw JCT, cost and billing-cohort columns
+//   - Storage the Simulator keeps for its whole life, and scratch
+//     borrowed per call. The table's storage (its key index and plan
+//     memo index, epoch-stamped open-addressing tables that reset in
+//     O(1); the slabs its segment records, sample vectors and moments
+//     are carved from; and the plan memo's columns; see table.go and
+//     index.go) is allocated by the first Init and emptied by every
+//     later Init and by Reset, so an owner that keeps a Simulator and
+//     re-initialises it for each job fills its table without
+//     allocating. Scratch comes from package-level pools (see
+//     scratch.go), because concurrent calls on one Simulator each need
+//     their own: estPool (segment-mode Estimate's compiled plan, sample
+//     rows, and the per-draw JCT, cost and billing-cohort columns
 //     summarize reduces), fillPool (a sample fill's per-worker RNG and
 //     per-slot finish buffer) and evalPool (analytic-mode Estimate's
 //     evaluators).
-//     Neither can carry a result from one use into another: a table
-//     comes back empty, and every use of scratch fully overwrites what
+//     Neither can carry a result from one use into another: Init
+//     empties the table, and every use of scratch fully overwrites what
 //     it reads before reading it.
 //
-// A warm Estimate therefore allocates nothing, a search on a recycled
-// table allocates only the plans it keeps, and a Simulator that never
-// estimates draws no table at all.
+// A warm Estimate therefore allocates nothing, and a search on a
+// re-initialised Simulator allocates only the plans it keeps.
 type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
@@ -88,7 +89,7 @@ type Simulator struct {
 	// and the configuration, so double computation under concurrent
 	// misses is benign. The table, plan memo included, is unbounded; one
 	// search touches at most a few thousand segments and plans. tab is
-	// nil until the first use and after Release.
+	// nil until the first Init.
 	mu  sync.Mutex
 	tab *segTable
 }
@@ -122,13 +123,16 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 // keep one and allocate none. samples <= 0 selects DefaultSamples. The
 // rng seeds every Monte-Carlo stream the simulator will ever draw; its
 // state is copied, so the caller may keep using (or discard) the
-// generator afterwards without perturbing the simulator. A table s
-// still holds is released first (see Release), so an initialised
-// Simulator answers exactly as a new one would. Init must not overlap
-// any other call on s; on error s is left released and unusable until
-// the next successful Init.
+// generator afterwards without perturbing the simulator. The table s
+// holds is emptied first, so an initialised Simulator answers exactly as
+// a new one would; the first Init allocates it. Init must not overlap
+// any other call on s; on error s is left reset (see Reset) and unusable
+// until the next successful Init.
 func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples int, rng *stats.RNG, opts ...Option) error {
-	s.Release()
+	s.Reset()
+	if s.tab == nil {
+		s.tab = new(segTable)
+	}
 	if err := sp.Validate(); err != nil {
 		return err
 	}
@@ -145,6 +149,7 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 		rng = stats.NewRNG(0)
 	}
 	*s = Simulator{
+		tab:     s.tab,
 		spec:    sp,
 		profile: profile,
 		cloud:   cp,
@@ -161,13 +166,17 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 	return nil
 }
 
-// Reset releases s's table and drops everything Init gave it, leaving
-// the zero Simulator: an owner that keeps a Simulator between uses calls
-// it so the Simulator pins no spec, profile or distribution. Reset must
-// not overlap any other call on s.
+// Reset empties s's table and drops everything Init gave it, leaving a
+// Simulator that differs from the zero one only in the table's storage:
+// an owner that keeps a Simulator between uses calls it so the
+// Simulator pins no spec, profile or distribution. Reset must not
+// overlap any other call on s.
 func (s *Simulator) Reset() {
-	s.Release()
-	*s = Simulator{}
+	tab := s.tab
+	if tab != nil {
+		tab.reset()
+	}
+	*s = Simulator{tab: tab}
 }
 
 // Workers returns the resolved Monte-Carlo worker bound.
@@ -210,7 +219,7 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 	}
 	h := planHash(key)
 	s.mu.Lock()
-	est, ok := s.tableLocked().plan(h, key)
+	est, ok := s.tab.plan(h, key)
 	s.mu.Unlock()
 	if ok {
 		return est, nil
@@ -220,7 +229,7 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 		return Estimate{}, err
 	}
 	s.mu.Lock()
-	s.tableLocked().storePlan(h, key, est)
+	s.tab.storePlan(h, key, est)
 	s.mu.Unlock()
 	return est, nil
 }
@@ -316,7 +325,7 @@ func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
 // read without the lock.
 func (s *Simulator) meanLats(n int) []iterShare {
 	s.mu.Lock()
-	t := s.tableLocked()
+	t := s.tab
 	for per := t.full + 1; per <= n; per++ {
 		if t.share(per).hasMean {
 			continue
@@ -341,7 +350,7 @@ func (s *Simulator) meanLats(n int) []iterShare {
 // it without the lock.
 func (s *Simulator) iterShare(per int) iterShare {
 	s.mu.Lock()
-	sh := *s.tableLocked().share(per)
+	sh := *s.tab.share(per)
 	s.mu.Unlock()
 	if sh.dist != nil {
 		return sh

@@ -2,19 +2,9 @@ package sim
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/stats"
 )
-
-// tablePool holds the storage of segment tables that Simulators handed
-// back with Release. One job's planning builds several short-lived
-// Simulators (the initial plan, each online replan, each replan's
-// analytic screens), and each of them fills a table of a few segments;
-// recycling the storage keeps those fills from allocating. A table
-// comes back empty (see segTable.reset), so a recycled table cannot
-// carry a result from one Simulator into another.
-var tablePool = sync.Pool{New: func() any { return newSegTable() }}
 
 // slabFirst is the number of requests a slab's first chunk holds; each
 // later chunk holds twice as many as the one before it. slabChunks
@@ -25,13 +15,13 @@ const (
 	slabChunks = 24
 )
 
-// segTable is the storage behind one Simulator's segment table: the key
-// index, the segment records and the sample vectors and moments they
+// segTable is one Simulator's segment table, kept for the Simulator's
+// whole life and emptied by each Init and Reset: the key index, the segment records and the sample vectors and moments they
 // refer to, the profile's iteration distribution per per-trial share,
 // and the plan memo. Both indexes are epoch-stamped open-addressing
 // tables (see index), and records, vectors and moments are carved from
 // slabs; all of them, and the memo's columns, keep their capacity, so a
-// recycled table fills without allocating and resets in time
+// re-initialised Simulator's table fills without allocating and resets in time
 // independent of the largest table it ever held. Every field is guarded
 // by the owning Simulator's mu.
 //
@@ -40,7 +30,7 @@ const (
 // and moments by ref into their slabs, as a compiled plan does (see
 // compiledPlan). So the index, the vectors, the moments and every
 // compiled plan are pointer-free: storing into them takes no write
-// barrier and recycling them clears nothing. The one pointer a record
+// barrier and emptying them clears nothing. The one pointer a record
 // can hold is a TRAIN latency that boxes its distribution, which reset
 // clears.
 type segTable struct {
@@ -65,9 +55,6 @@ type segTable struct {
 	shares []iterShare
 	full   int
 }
-
-// newSegTable returns an empty table without storage.
-func newSegTable() *segTable { return new(segTable) }
 
 // planKey is a plan memo key: the hash of a plan's canonical
 // allocations.
@@ -142,11 +129,11 @@ type iterShare struct {
 	hasMean bool
 }
 
-// reset empties the table for its next Simulator. Both indexes empty in
-// O(1) (see index.reset), and the slabs rewind. Records, vectors,
-// moments and memo entries are overwritten before they are read, so the
-// only storage cleared is what holds a pointer the pool must not keep
-// alive: a record's TRAIN latency when it boxes a distribution, and the
+// reset empties the table for its Simulator's next job. Both indexes
+// empty in O(1) (see index.reset), and the slabs rewind. Records,
+// vectors, moments and memo entries are overwritten before they are
+// read, so the only storage cleared is what holds a pointer the kept
+// table must not keep alive: a record's TRAIN latency when it boxes a distribution, and the
 // share column's distributions.
 func (t *segTable) reset() {
 	t.index.reset()
@@ -255,41 +242,3 @@ func (sl *slab[T]) usedOf(i int) []T {
 
 // rewind makes every chunk available again.
 func (sl *slab[T]) rewind() { sl.cur, sl.off = 0, 0 }
-
-// tableLocked returns s's table, drawing one from the pool on first use.
-// The caller holds s.mu.
-func (s *Simulator) tableLocked() *segTable {
-	if s.tab == nil {
-		s.tab = tablePool.Get().(*segTable)
-	}
-	return s.tab
-}
-
-// Release hands the Simulator's segment table back to the package pool
-// for a later Simulator to reuse. A caller that is done with a Simulator
-// may call it after its last use; one that keeps the Simulator simply
-// leaves the table to the garbage collector. Release must not overlap
-// any other call on s, and nothing obtained from s may be used after
-// it — results returned by value (estimates, plans, breakdowns) are the
-// caller's own and stay valid. The table only memoizes, so a Simulator
-// used again after Release draws a fresh table and returns exactly what
-// it would have returned before; Release on a Simulator that never
-// estimated is a no-op.
-func (s *Simulator) Release() {
-	if t := s.detachTable(); t != nil {
-		tablePool.Put(t)
-	}
-}
-
-// detachTable takes s's table away from it and resets it, returning nil
-// when s holds none.
-func (s *Simulator) detachTable() *segTable {
-	s.mu.Lock()
-	t := s.tab
-	s.tab = nil
-	s.mu.Unlock()
-	if t != nil {
-		t.reset()
-	}
-	return t
-}
