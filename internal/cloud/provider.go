@@ -137,8 +137,8 @@ type Provider struct {
 	instances []*Instance
 	onReady   []func(*Instance)
 	// slab is the chunk instance records are carved from. A full chunk is
-	// left to the records carved from it, and a burst moves on to a fresh
-	// one of its own size.
+	// left to the records carved from it, and the next record moves on to
+	// a fresh chunk of its own.
 	slab []Instance
 	// dispID is the provider's opcode dispatcher on its clock: the
 	// provisioning lifecycle schedules (opcode, instance ID) events
@@ -193,8 +193,8 @@ func (p *Provider) Init(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, ov
 // outgrew its slab gets one slab that holds it whole, so the next run's
 // instance records come from one chunk. Records handed out before are
 // reused: the caller must be done with them. After DetachInstances there
-// is no slab to keep, and the next run carves each burst from a chunk of
-// its own size, as a new provider does.
+// is no slab to keep, and the next run carves each record from a chunk of
+// its own, as a new provider does.
 func (p *Provider) Reset() {
 	used := len(p.instances)
 	clear(p.instances)
@@ -250,34 +250,7 @@ func (p *Provider) Overheads() Overheads { return p.overheads }
 // vclock loop) when the instance reaches Ready. The returned Instance is in
 // state Requested.
 func (p *Provider) Request(it InstanceType, onReady func(*Instance)) *Instance {
-	in := &p.carve(1)[0]
-	p.request(in, it, onReady)
-	return in
-}
-
-// RequestN asks for n instances of type it, exactly as n Request calls
-// in a row would: the same IDs, events and draws. Their records are
-// carved from the provider's slab together.
-func (p *Provider) RequestN(it InstanceType, n int, onReady func(*Instance)) {
-	burst := p.carve(n)
-	for i := range burst {
-		p.request(&burst[i], it, onReady)
-	}
-}
-
-// carve returns n instance records from the slab, moving on to a fresh
-// chunk of exactly n when the slab has no room for them.
-func (p *Provider) carve(n int) []Instance {
-	if len(p.slab)+n > cap(p.slab) {
-		p.slab = make([]Instance, 0, n)
-	}
-	p.slab = p.slab[:len(p.slab)+n]
-	return p.slab[len(p.slab)-n:]
-}
-
-// request issues the request for the record in and schedules the end of
-// its queueing delay.
-func (p *Provider) request(in *Instance, it InstanceType, onReady func(*Instance)) {
+	in := p.carve()
 	*in = Instance{
 		ID:          len(p.instances),
 		Type:        it,
@@ -289,6 +262,18 @@ func (p *Provider) request(in *Instance, it InstanceType, onReady func(*Instance
 
 	queue := p.overheads.QueueDelay.Sample(p.rng)
 	p.after(queue, opQueued, in)
+	return in
+}
+
+// carve returns a record from the slab, moving on to a fresh chunk of
+// one record when the slab is full; Reset then sizes the next run's slab
+// to the whole ledger.
+func (p *Provider) carve() *Instance {
+	if len(p.slab) == cap(p.slab) {
+		p.slab = make([]Instance, 0, 1)
+	}
+	p.slab = p.slab[:len(p.slab)+1]
+	return &p.slab[len(p.slab)-1]
 }
 
 // after schedules the provider's opcode op for instance in d seconds

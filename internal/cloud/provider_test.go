@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -206,63 +205,5 @@ func TestInstanceStateString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
 		}
-	}
-}
-
-// TestRequestNMatchesRequests holds a burst request to the same number
-// of Request calls in a row: the same IDs, lifecycle (queueing, failures,
-// readiness, preemption) and random draws.
-func TestRequestNMatchesRequests(t *testing.T) {
-	type ready struct {
-		id int
-		at vclock.Time
-	}
-	run := func(burst bool) ([]ready, []Instance, float64) {
-		clock := vclock.New()
-		rng := stats.NewRNG(7)
-		ov := Overheads{
-			QueueDelay:  stats.Exponential{MeanValue: 20},
-			InitLatency: stats.Normal{Mu: 60, Sigma: 15},
-		}
-		p, err := NewProvider(clock, rng, DefaultPricing(), ov, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.SetFaults(FaultModel{ProvisionFailureProb: 0.3, PreemptionMeanSeconds: 500}); err != nil {
-			t.Fatal(err)
-		}
-		it, _ := DefaultCatalog().Lookup("p3.8xlarge")
-		var got []ready
-		onReady := func(in *Instance) { got = append(got, ready{in.ID, clock.Now()}) }
-		for _, n := range []int{1, 5, 3} {
-			if burst {
-				p.RequestN(it, n, onReady)
-			} else {
-				for range n {
-					p.Request(it, onReady)
-				}
-			}
-			clock.Run(30)
-		}
-		clock.Run(0)
-		var ins []Instance
-		for _, in := range p.Instances() {
-			ins = append(ins, *in)
-		}
-		return got, ins, rng.Float64()
-	}
-	wantReady, wantIns, wantNext := run(false)
-	gotReady, gotIns, gotNext := run(true)
-	if !slices.Equal(gotReady, wantReady) {
-		t.Errorf("ready sequence %v, want %v", gotReady, wantReady)
-	}
-	if !slices.Equal(gotIns, wantIns) {
-		t.Errorf("instances %+v, want %+v", gotIns, wantIns)
-	}
-	if gotNext != wantNext {
-		t.Errorf("next draw %v, want %v", gotNext, wantNext)
-	}
-	if len(wantIns) != 9 {
-		t.Errorf("%d instances, want 9", len(wantIns))
 	}
 }

@@ -31,7 +31,9 @@ func TestProviderResetMatchesNew(t *testing.T) {
 		p.OnPreemption(func(in *Instance) { log = append(log, fmt.Sprint("preempt ", in.ID)) })
 		onReady := func(in *Instance) { log = append(log, fmt.Sprint("ready ", in.ID, " ", clock.Now())) }
 		for _, n := range bursts {
-			p.RequestN(it, n, onReady)
+			for range n {
+				p.Request(it, onReady)
+			}
 			clock.Run(clock.Now() + 30)
 		}
 		p.Request(it, onReady)
