@@ -15,8 +15,8 @@ import (
 	"repro/internal/vclock"
 )
 
-// workingSet is the state one run executes on: its planning and
-// drift-classification Simulators and Planner, its replan controller,
+// workingSet is the state one run executes on: its Simulator (planning,
+// then drift classification) and Planner, its replan controller,
 // its random streams, its clock, its trace recorder, the executor's
 // workspace (trials, scheduler columns, gang slab, buffers, placement
 // controller, checkpoint store), the cluster manager, the provider, the
@@ -25,8 +25,8 @@ import (
 // reset, with its capacity kept and every pointer cleared, so the next
 // run neither grows nor rebuilds any of it and inherits no state.
 type workingSet struct {
-	plan, drift sim.Simulator
-	planner     planner.Planner
+	plan    sim.Simulator
+	planner planner.Planner
 	// ctl is the run's replan controller, replanRNG its root stream.
 	ctl       replan.Controller
 	replanRNG stats.RNG
@@ -72,7 +72,6 @@ func (ws *workingSet) detachArtifacts() {
 // every pointer it held.
 func (ws *workingSet) reset() {
 	ws.plan.Reset()
-	ws.drift.Reset()
 	ws.planner = planner.Planner{}
 	ws.ctl.Reset()
 	ws.clock.Reset()
