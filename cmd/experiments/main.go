@@ -16,65 +16,87 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/experiments"
 )
 
+// options are the command's flags.
+type options struct {
+	which, format string
+	list          bool
+	cfg           experiments.Config
+}
+
+// register defines the command's flags on fs, writing into o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.which, "run", "all", "experiment to run (see -list), or \"all\"")
+	fs.BoolVar(&o.list, "list", false, "list available experiments and exit")
+	fs.Uint64Var(&o.cfg.Seed, "seed", 1, "base random seed")
+	fs.IntVar(&o.cfg.Seeds, "seeds", 3, "repetitions for mean±std cells")
+	fs.IntVar(&o.cfg.Samples, "samples", 20, "simulator Monte-Carlo samples per plan")
+	fs.BoolVar(&o.cfg.Fast, "fast", false, "reduced sweeps (smoke test)")
+	fs.StringVar(&o.format, "format", "text", "output format: text or csv")
+}
+
 func main() {
-	var (
-		run     = flag.String("run", "all", "experiment to run (see -list), or \"all\"")
-		list    = flag.Bool("list", false, "list available experiments and exit")
-		seed    = flag.Uint64("seed", 1, "base random seed")
-		seeds   = flag.Int("seeds", 3, "repetitions for mean±std cells")
-		samples = flag.Int("samples", 20, "simulator Monte-Carlo samples per plan")
-		fast    = flag.Bool("fast", false, "reduced sweeps (smoke test)")
-		format  = flag.String("format", "text", "output format: text or csv")
-	)
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
-	if *format != "text" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (want text or csv)\n", *format)
+	if o.format != "text" && o.format != "csv" {
+		fmt.Fprintf(os.Stderr, "unknown format %q (want text or csv)\n", o.format)
 		os.Exit(2)
 	}
+	if err := run(os.Stdout, o); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	if *list {
+// run writes the selected experiments' output to w.
+func run(w io.Writer, o options) error {
+	if o.list {
 		for _, r := range experiments.Registry() {
-			fmt.Printf("%-10s %s\n", r.Name, r.Description)
+			if _, err := fmt.Fprintf(w, "%-10s %s\n", r.Name, r.Description); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 
-	cfg := experiments.Config{Seed: *seed, Seeds: *seeds, Samples: *samples, Fast: *fast}
 	var runners []experiments.Runner
-	if *run == "all" {
+	if o.which == "all" {
 		runners = experiments.Registry()
 	} else {
-		r, err := experiments.Lookup(*run)
+		r, err := experiments.Lookup(o.which)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		runners = []experiments.Runner{r}
 	}
 
 	for _, r := range runners {
 		start := time.Now()
-		res, err := r.Run(cfg)
+		res, err := r.Run(o.cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.Name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %v", r.Name, err)
 		}
-		if *format == "csv" {
+		if o.format == "csv" {
 			c, ok := res.(experiments.CSVer)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "%s: no CSV rendering\n", r.Name)
-				os.Exit(1)
+				return fmt.Errorf("%s: no CSV rendering", r.Name)
 			}
-			fmt.Printf("# %s\n%s\n", r.Name, c.CSV())
+			if _, err := fmt.Fprintf(w, "# %s\n%s\n", r.Name, c.CSV()); err != nil {
+				return err
+			}
 			continue
 		}
-		fmt.Printf("== %s (%s) [%.1fs]\n\n%s\n", r.Name, r.Description,
-			time.Since(start).Seconds(), res)
+		if _, err := fmt.Fprintf(w, "== %s (%s) [%.1fs]\n\n%s\n", r.Name, r.Description,
+			time.Since(start).Seconds(), res); err != nil {
+			return err
+		}
 	}
+	return nil
 }
