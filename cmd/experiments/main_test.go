@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -80,4 +81,56 @@ func firstDiff(want, got []byte) string {
 		}
 	}
 	return ""
+}
+
+// cellGap separates the cells of a rendered table row.
+var cellGap = regexp.MustCompile(`\s{2,}`)
+
+// TestExperimentsTablesMatchOutput holds EXPERIMENTS.md to the program:
+// every numeric row of every table there must equal, cell for cell, a
+// row of the generated `-run all` output. EXPERIMENTS.md separates cells
+// with "|", the output with runs of two or more spaces.
+func TestExperimentsTablesMatchOutput(t *testing.T) {
+	generated := make(map[string]bool)
+	for _, line := range strings.Split(string(render(t, "-run", "all")), "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			generated[strings.Join(cellGap.Split(line, -1), "|")] = true
+		}
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, inTable, pastHeader := 0, false, false
+	for i, line := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			inTable, pastHeader = false, false
+			continue
+		}
+		if !inTable {
+			inTable = true // the header row
+			continue
+		}
+		if !pastHeader {
+			pastHeader = true // the |---| separator
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for j := range cells {
+			cells[j] = strings.TrimSpace(cells[j])
+		}
+		for len(cells) > 0 && cells[len(cells)-1] == "" {
+			cells = cells[:len(cells)-1]
+		}
+		if !strings.ContainsAny(line, "0123456789") {
+			continue
+		}
+		rows++
+		if !generated[strings.Join(cells, "|")] {
+			t.Errorf("EXPERIMENTS.md:%d: no row of the generated output matches %q", i+1, line)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("found no numeric table rows in EXPERIMENTS.md")
+	}
 }
