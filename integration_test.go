@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/model"
-	"repro/internal/planner"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -135,31 +134,6 @@ func TestIntegrationPolicyOrdering(t *testing.T) {
 	}
 	if costs[core.PolicyRubberBand] > costs[core.PolicyNaiveElastic]*1.02 {
 		t.Errorf("RubberBand %v above naive %v", costs[core.PolicyRubberBand], costs[core.PolicyNaiveElastic])
-	}
-}
-
-// TestIntegrationMinJCTDual verifies the dual planner against the primal:
-// the min-JCT plan at budget B must be at least as fast as the min-cost
-// plan whose cost it matches.
-func TestIntegrationMinJCTDual(t *testing.T) {
-	e := integrationExperiment(core.PolicyRubberBand, 79)
-	prof := sim.ModelTrainProfile{Model: e.Model, Batch: e.Model.BaseBatch, GPUsPerNode: e.Cloud.Instance.GPUs}
-	sm, err := sim.New(e.Spec, prof, e.Cloud, 10, stats.NewRNG(79))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &planner.Planner{Sim: sm, Deadline: e.Deadline.Seconds(), MaxGPUs: 64}
-	primal, err := p.PlanElastic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dual, err := p.PlanMinJCT(primal.Estimate.Cost * 1.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dual.Estimate.JCT > primal.Estimate.JCT*1.05 {
-		t.Errorf("dual plan (JCT %v) slower than primal (%v) at the primal's own budget",
-			dual.Estimate.JCT, primal.Estimate.JCT)
 	}
 }
 

@@ -112,24 +112,6 @@ func TestPlanElasticDeterministicPerEstimator(t *testing.T) {
 	}
 }
 
-// TestPlanMinJCTDeterministicAcrossWorkers covers the dual planner's
-// parallel paths the same way.
-func TestPlanMinJCTDeterministicAcrossWorkers(t *testing.T) {
-	want, err := detPlanner(t, 1).PlanMinJCT(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := detPlanner(t, workers).PlanMinJCT(20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Plan.Equal(want.Plan) || got.Estimate != want.Estimate {
-			t.Fatalf("workers=%d: %+v != serial %+v", workers, got, want)
-		}
-	}
-}
-
 // TestConcurrentPlannersShareSimulator runs several planners against one
 // shared simulator and cloud profile at once (run under -race); every
 // result must match the serial reference.

@@ -38,25 +38,3 @@ func TestFairFloorMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// TestFairCeilStillAgrees pins the ascent helper's semantics with spot
-// checks so the pair of helpers stays symmetric.
-func TestFairCeilStillAgrees(t *testing.T) {
-	cases := []struct {
-		min, trials, max int
-		want             int
-		ok               bool
-	}{
-		{5, 4, 64, 8, true},
-		{3, 4, 64, 4, true},
-		{1, 4, 64, 1, true},
-		{65, 4, 64, 0, false},
-		{5, 16, 64, 8, true},
-	}
-	for _, c := range cases {
-		got, ok := fairCeil(c.min, c.trials, c.max)
-		if got != c.want || ok != c.ok {
-			t.Fatalf("fairCeil(%d, %d, %d) = (%d, %v), want (%d, %v)", c.min, c.trials, c.max, got, ok, c.want, c.ok)
-		}
-	}
-}

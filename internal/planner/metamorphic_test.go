@@ -96,36 +96,6 @@ func TestPriceScalingElastic(t *testing.T) {
 	}
 }
 
-// TestPriceScalingMinJCT: the dual planner under budget B at prices P must
-// equal the planner under budget kB at prices kP — the feasible set is
-// identical and the stop rule is JCT-denominated.
-func TestPriceScalingMinJCT(t *testing.T) {
-	const k = 2.0
-	for _, sc := range metamorphicScenarios(t, 33, 5) {
-		base, _ := newPlanner(t, sc, sc.Profile, 33, 0)
-		scaled, _ := newPlanner(t, sc, scalePrices(sc.Profile, k), 33, 0)
-		el, err := base.PlanElastic()
-		if err != nil {
-			t.Fatalf("%d/%d: %v", sc.BatchSeed, sc.Index, err)
-		}
-		budget := 1.5 * el.Estimate.Cost
-		r1, err1 := base.PlanMinJCT(budget)
-		r2, err2 := scaled.PlanMinJCT(k * budget)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%d/%d: base err %v, scaled err %v", sc.BatchSeed, sc.Index, err1, err2)
-		}
-		if !r1.Plan.Equal(r2.Plan) {
-			t.Errorf("%d/%d: scaled-budget dual changed the plan: %v -> %v", sc.BatchSeed, sc.Index, r1.Plan, r2.Plan)
-		}
-		if r2.Estimate.JCT != r1.Estimate.JCT {
-			t.Errorf("%d/%d: scaled-budget dual changed JCT: %v -> %v", sc.BatchSeed, sc.Index, r1.Estimate.JCT, r2.Estimate.JCT)
-		}
-		if r2.Estimate.Cost != k*r1.Estimate.Cost {
-			t.Errorf("%d/%d: dual cost %v at %vx prices, want exactly %v", sc.BatchSeed, sc.Index, r2.Estimate.Cost, k, k*r1.Estimate.Cost)
-		}
-	}
-}
-
 // TestDeadlineTighteningNeverLowersCost: shrinking the deadline shrinks
 // the feasible set, so the optimal cost is non-decreasing as the deadline
 // tightens (an infeasible tight deadline satisfies the relation vacuously).

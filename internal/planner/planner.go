@@ -208,7 +208,7 @@ func (p *Planner) planStatic(ss *searchScratch) (Result, error) {
 	for i, jct := range ss.jcts {
 		keep[i] = jct <= p.Deadline
 	}
-	p.pruneEnumeration(ss.screen, cands, keep, p.Deadline, false)
+	p.pruneEnumeration(ss.screen, cands, keep, p.Deadline)
 	p.estimateAll(cands, keep, ests, errs)
 	best := Result{}
 	found := false
@@ -360,7 +360,7 @@ func (p *Planner) optimize(ss *searchScratch, start Result) (Result, error) {
 			return ss.finish(cur), nil
 		}
 		keep, ests, errs := ss.columns(len(cands))
-		p.pruneDescentStep(ss.screen, cands, keep, cur, p.Deadline, false)
+		p.pruneDescentStep(ss.screen, cands, keep, cur, p.Deadline)
 		p.estimateAll(cands, keep, ests, errs)
 		bestIdx := -1
 		bestBenefit := math.Inf(-1)

@@ -286,42 +286,38 @@ func TestQuickCandidatesWellFormed(t *testing.T) {
 	}
 }
 
-// TestCandidatesDistinctAndUnaliased: descent and ascent candidates are
-// pairwise distinct, and though they share one backing array, writing
+// TestCandidatesDistinctAndUnaliased: descent candidates are pairwise
+// distinct, and though they share one backing array, writing
 // or appending to one reaches neither another candidate nor the current
 // plan.
 func TestCandidatesDistinctAndUnaliased(t *testing.T) {
 	s := spec.MustSHA(32, 2, 16, 2)
 	cur := sim.NewPlan(48, 24, 6)
-	for name, gen := range map[string]func() []sim.Plan{
-		"down": func() []sim.Plan { return generateCandidates(new(candSet), cur, s, 4) },
-		"up":   func() []sim.Plan { return generateUpCandidates(new(candSet), cur, s, 4, 64) },
-	} {
-		want := gen()
-		if len(want) < 2 {
-			t.Fatalf("%s: only %d candidates", name, len(want))
-		}
-		for i := range want {
-			for j := i + 1; j < len(want); j++ {
-				if want[i].Equal(want[j]) {
-					t.Fatalf("%s: candidates %d and %d are both %v", name, i, j, want[i])
-				}
+	gen := func() []sim.Plan { return generateCandidates(new(candSet), cur, s, 4) }
+	want := gen()
+	if len(want) < 2 {
+		t.Fatalf("only %d candidates", len(want))
+	}
+	for i := range want {
+		for j := i + 1; j < len(want); j++ {
+			if want[i].Equal(want[j]) {
+				t.Fatalf("candidates %d and %d are both %v", i, j, want[i])
 			}
 		}
-		for i := range want {
-			cands := gen()
-			for j := range cands[i].Alloc {
-				cands[i].Alloc[j] = -1
+	}
+	for i := range want {
+		cands := gen()
+		for j := range cands[i].Alloc {
+			cands[i].Alloc[j] = -1
+		}
+		cands[i].Alloc = append(cands[i].Alloc, -1)
+		for j := range cands {
+			if j != i && !cands[j].Equal(want[j]) {
+				t.Fatalf("writing candidate %d changed candidate %d to %v", i, j, cands[j])
 			}
-			cands[i].Alloc = append(cands[i].Alloc, -1)
-			for j := range cands {
-				if j != i && !cands[j].Equal(want[j]) {
-					t.Fatalf("%s: writing candidate %d changed candidate %d to %v", name, i, j, cands[j])
-				}
-			}
-			if !cur.Equal(sim.NewPlan(48, 24, 6)) {
-				t.Fatalf("%s: writing candidate %d changed the current plan to %v", name, i, cur)
-			}
+		}
+		if !cur.Equal(sim.NewPlan(48, 24, 6)) {
+			t.Fatalf("writing candidate %d changed the current plan to %v", i, cur)
 		}
 	}
 }

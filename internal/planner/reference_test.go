@@ -93,7 +93,7 @@ func (p *Planner) referencePlanStatic(scr *frontierScreen) (Result, error) {
 		cands[i] = sim.Uniform(i+1, stages)
 		keep[i] = p.Sim.StaticClusterJCT(i+1) <= p.Deadline
 	}
-	p.pruneEnumeration(scr, cands, keep, p.Deadline, false)
+	p.pruneEnumeration(scr, cands, keep, p.Deadline)
 	ests := make([]sim.Estimate, n)
 	errs := make([]error, n)
 	p.estimateAll(cands, keep, ests, errs)
@@ -131,7 +131,7 @@ func (p *Planner) referenceDescent(scr *frontierScreen, cur Result) (Result, err
 		for i := range keep {
 			keep[i] = true
 		}
-		p.pruneDescentStep(scr, cands, keep, cur, p.Deadline, false)
+		p.pruneDescentStep(scr, cands, keep, cur, p.Deadline)
 		ests := make([]sim.Estimate, len(cands))
 		errs := make([]error, len(cands))
 		p.estimateAll(cands, keep, ests, errs)

@@ -67,19 +67,17 @@ func (s *frontierScreen) costMargin(e sim.Estimate) float64 {
 	return pruneKappa*e.CostStd/s.sqrtN + pruneBias*e.Cost
 }
 
-// pruneEnumeration analytically prunes a one-dimensional enumeration
-// frontier in place, clearing keep[i] for candidates that provably cannot
-// win: minimize cost subject to JCT ≤ bound when objJCT is false (the
-// static warm-start enumeration), minimize JCT subject to cost ≤ bound
-// when true (the budgeted dual). A candidate is dropped when it is surely
-// infeasible (constraint minus margin past the bound) or surely dominated
-// (objective minus margin above the best surely-feasible candidate's
-// objective plus margin). Like pruneDescentStep it keeps no minimum
+// pruneEnumeration analytically prunes the static warm-start enumeration
+// in place, clearing keep[i] for candidates that provably cannot win the
+// search for the cheapest plan with JCT ≤ deadline. A candidate is
+// dropped when it is surely infeasible (JCT minus margin past the
+// deadline) or surely dominated (cost minus margin above the best
+// surely-feasible candidate's cost plus margin). Like pruneDescentStep it keeps no minimum
 // frontier, so every certified drop skips its Monte-Carlo estimate. The
 // best surely-feasible candidate always survives, so the frontier
 // empties only when every scored candidate is surely infeasible, and the
 // search then returns ErrInfeasible as the exhaustive one does.
-func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep []bool, bound float64, objJCT bool) {
+func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep []bool, deadline float64) {
 	if scr == nil {
 		return
 	}
@@ -93,15 +91,15 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 		}
 	}
 	// Upper bound on the optimum: the best surely-feasible candidate's
-	// objective, overestimated by its own margin.
+	// cost, overestimated by its own margin.
 	bestUp := math.Inf(1)
 	for i := range cands {
 		if !keep[i] || !aok[i] {
 			continue
 		}
-		obj, objM, con, conM := scr.split(aests[i], objJCT)
-		if con+conM <= bound && obj+objM < bestUp {
-			bestUp = obj + objM
+		e := aests[i]
+		if up := e.Cost + scr.costMargin(e); e.JCT+scr.jctMargin(e) <= deadline && up < bestUp {
+			bestUp = up
 		}
 	}
 	var dropped int64
@@ -109,8 +107,8 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 		if !keep[i] || !aok[i] {
 			continue
 		}
-		obj, objM, con, conM := scr.split(aests[i], objJCT)
-		if con-conM > bound || obj-objM > bestUp {
+		e := aests[i]
+		if e.JCT-scr.jctMargin(e) > deadline || e.Cost-scr.costMargin(e) > bestUp {
 			keep[i] = false
 			dropped++
 		}
@@ -118,30 +116,18 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 	atomic.AddInt64(&p.prunedCands, dropped)
 }
 
-// split returns an analytic estimate's objective and constraint with
-// their margins: cost subject to JCT, or JCT subject to cost when objJCT.
-func (s *frontierScreen) split(e sim.Estimate, objJCT bool) (obj, objM, con, conM float64) {
-	if objJCT {
-		return e.JCT, s.jctMargin(e), e.Cost, s.costMargin(e)
-	}
-	return e.Cost, s.costMargin(e), e.JCT, s.jctMargin(e)
-}
-
 // pruneDescentStep analytically prunes one greedy candidate set in place:
 // a candidate whose JCT surely violates the deadline, or whose cost is
 // surely no better than the current plan's, can never be the selected
 // step (its benefit is −Inf, unselectable, and a sub-Delta improvement
-// terminates the descent identically). minimize=true mirrors the dual
-// ascent, where the roles of cost and JCT swap: the constraint is the
-// budget and a candidate surely not faster than the current plan is
-// unselectable.
+// terminates the descent identically).
 //
 // It shares the enumeration prune's rule: no minimum frontier (an empty
 // survivor set simply terminates the step, exactly as the exhaustive
 // search would after estimating and rejecting every candidate), so every
 // margin-certified drop converts directly into a skipped Monte-Carlo
 // evaluation.
-func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep []bool, cur Result, bound float64, minimizeJCT bool) {
+func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep []bool, cur Result, deadline float64) {
 	if scr == nil {
 		return
 	}
@@ -150,15 +136,8 @@ func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep [
 		if !ok {
 			continue
 		}
-		var drop bool
-		if minimizeJCT {
-			drop = est.Cost-scr.costMargin(est) > bound ||
-				est.JCT-scr.jctMargin(est) >= cur.Estimate.JCT
-		} else {
-			drop = est.JCT-scr.jctMargin(est) > bound ||
-				est.Cost-scr.costMargin(est) >= cur.Estimate.Cost
-		}
-		if drop {
+		if est.JCT-scr.jctMargin(est) > deadline ||
+			est.Cost-scr.costMargin(est) >= cur.Estimate.Cost {
 			keep[i] = false
 			atomic.AddInt64(&p.prunedCands, 1)
 		}

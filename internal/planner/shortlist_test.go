@@ -62,39 +62,6 @@ func TestShortlistSafetyOnCorpus(t *testing.T) {
 	}
 }
 
-// TestMinJCTPruneSafetyOnCorpus: the dual planner's two-phase search is
-// held to the same standard — identical plan and bit-identical estimate
-// versus the exhaustive search, with the budget set around each
-// scenario's elastic cost so the ascent has room to move.
-func TestMinJCTPruneSafetyOnCorpus(t *testing.T) {
-	const seed, n = 29, 6
-	for _, sc := range metamorphicScenarios(t, seed, n) {
-		probe, _ := referencePlanner(t, sc, seed)
-		base, err := probe.PlanElastic()
-		if err != nil {
-			continue
-		}
-		budget := 1.5 * base.Estimate.Cost
-		fast, _ := newPlanner(t, sc, sc.Profile, seed, 0.01)
-		ref, _ := referencePlanner(t, sc, seed)
-		fres, ferr := fast.PlanMinJCT(budget)
-		rres, rerr := ref.PlanMinJCT(budget)
-		if (ferr == nil) != (rerr == nil) {
-			t.Fatalf("%v: feasibility diverged: two-phase %v, exhaustive %v", sc, ferr, rerr)
-		}
-		if ferr != nil {
-			continue
-		}
-		if !fres.Plan.Equal(rres.Plan) {
-			t.Fatalf("%v: two-phase chose %v, exhaustive chose %v", sc, fres.Plan, rres.Plan)
-		}
-		if math.Float64bits(fres.Estimate.JCT) != math.Float64bits(rres.Estimate.JCT) ||
-			math.Float64bits(fres.Estimate.Cost) != math.Float64bits(rres.Estimate.Cost) {
-			t.Fatalf("%v: two-phase estimate %+v != exhaustive %+v", sc, fres.Estimate, rres.Estimate)
-		}
-	}
-}
-
 // enumerationRun is one enumeration search run twice on a scenario, once
 // pruned and once exhaustive: the frontier's live candidate count, what
 // the pruned run dropped and estimated, and its error.
@@ -132,21 +99,17 @@ func compareEnumeration(t *testing.T, sc harness.Scenario, name string, deadline
 // every margin-certified candidate, however few are live, so it is held
 // to the exhaustive search on its own. Over the harness corpus, in both
 // estimator modes, PlanStatic at the scenario's deadline and at the
-// tightest deadline any static cluster's closed-form JCT meets, and
-// PlanMinJCT at a budget around the static plan's cost, return the same
-// plan with a bit-identical estimate as with DisableAnalyticPrune, or
-// ErrInfeasible both ways. The corpus must prune on a frontier of at
-// most 8 live candidates, which a shortlist floor of 8 would have
-// restored whole, and must contain a frontier the prune empties as
-// surely infeasible.
+// tightest deadline any static cluster's closed-form JCT meets returns
+// the same plan with a bit-identical estimate as with
+// DisableAnalyticPrune, or ErrInfeasible both ways. The corpus must
+// prune on a frontier of at most 8 live candidates, which a shortlist
+// floor of 8 would have restored whole, and must contain a frontier the
+// prune empties as surely infeasible.
 func TestEnumerationPruneSafetyOnCorpus(t *testing.T) {
 	const seed, n = 211, 128
 	var smallPruned, emptied int
-	// PlanMinJCT's count includes its ascent's prunes, so only
-	// PlanStatic, which is the enumeration alone, counts as a small
-	// frontier pruned.
-	check := func(r enumerationRun, enumerationOnly bool) {
-		if enumerationOnly && r.live <= 8 && r.pruned > 0 {
+	check := func(r enumerationRun) {
+		if r.live <= 8 && r.pruned > 0 {
 			smallPruned++
 		}
 		if r.live > 0 && r.pruned == r.live && r.estimates == 0 && errors.Is(r.err, planner.ErrInfeasible) {
@@ -172,30 +135,10 @@ func TestEnumerationPruneSafetyOnCorpus(t *testing.T) {
 				tightest = min(tightest, jct)
 			}
 			static := (*planner.Planner).PlanStatic
-			check(compareEnumeration(t, sc, "PlanStatic", deadline, live(deadline), static), true)
-			check(compareEnumeration(t, sc, "PlanStatic tight", tightest, live(tightest), static), true)
-
-			// A budget 1.5x the static plan's cost leaves the ascent room;
-			// without a static plan, the widest cluster's cost.
-			budget := 0.0
-			if res, err := probe.PlanStatic(); err == nil {
-				budget = 1.5 * res.Estimate.Cost
-			} else if est, err := probe.Sim.Estimate(sim.Uniform(sc.MaxGPUs, sc.Spec.NumStages())); err == nil {
-				budget = est.Cost
-			} else {
-				t.Fatal(err)
-			}
-			minJCT := func(p *planner.Planner) (planner.Result, error) { return p.PlanMinJCT(budget) }
-			check(compareEnumeration(t, sc, "PlanMinJCT", deadline, int64(sc.MaxGPUs), minJCT), false)
+			check(compareEnumeration(t, sc, "PlanStatic", deadline, live(deadline), static))
+			check(compareEnumeration(t, sc, "PlanStatic tight", tightest, live(tightest), static))
 		}
 	}
-	// Every cluster's cost is far above a budget of a millionth of a
-	// cent, so the whole dual frontier is surely infeasible.
-	sc := harness.Generate(seed, 0)
-	sc.Estimator = sim.EstimatorSegment
-	_, deadline := referencePlanner(t, sc, seed)
-	broke := func(p *planner.Planner) (planner.Result, error) { return p.PlanMinJCT(1e-8) }
-	check(compareEnumeration(t, sc, "PlanMinJCT broke", deadline, int64(sc.MaxGPUs), broke), false)
 	if smallPruned == 0 {
 		t.Error("no frontier of at most 8 live candidates was pruned")
 	}
