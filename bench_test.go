@@ -498,7 +498,8 @@ func BenchmarkPlacementUpdate(b *testing.B) {
 	allocs, cnodes := placementShape()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := placement.NewController(8)
+		c := new(placement.Controller)
+		c.Reset(8)
 		if _, err := c.Update(allocs, cnodes); err != nil {
 			b.Fatal(err)
 		}
@@ -510,7 +511,8 @@ func BenchmarkPlacementUpdate(b *testing.B) {
 // a queued trial of the same size joins.
 func BenchmarkPlacementHandoff(b *testing.B) {
 	allocs, cnodes := placementShape()
-	c := placement.NewController(8)
+	c := new(placement.Controller)
+	c.Reset(8)
 	if _, err := c.Update(allocs, cnodes); err != nil {
 		b.Fatal(err)
 	}

@@ -16,87 +16,65 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"repro/internal/experiments"
 )
 
-// options are the command's flags.
-type options struct {
-	which, format string
-	list          bool
-	cfg           experiments.Config
-}
-
-// register defines the command's flags on fs, writing into o.
-func (o *options) register(fs *flag.FlagSet) {
-	fs.StringVar(&o.which, "run", "all", "experiment to run (see -list), or \"all\"")
-	fs.BoolVar(&o.list, "list", false, "list available experiments and exit")
-	fs.Uint64Var(&o.cfg.Seed, "seed", 1, "base random seed")
-	fs.IntVar(&o.cfg.Seeds, "seeds", 3, "repetitions for mean±std cells")
-	fs.IntVar(&o.cfg.Samples, "samples", 20, "simulator Monte-Carlo samples per plan")
-	fs.BoolVar(&o.cfg.Fast, "fast", false, "reduced sweeps (smoke test)")
-	fs.StringVar(&o.format, "format", "text", "output format: text or csv")
-}
-
 func main() {
-	var o options
-	o.register(flag.CommandLine)
+	var (
+		run     = flag.String("run", "all", "experiment to run (see -list), or \"all\"")
+		list    = flag.Bool("list", false, "list available experiments and exit")
+		seed    = flag.Uint64("seed", 1, "base random seed")
+		seeds   = flag.Int("seeds", 3, "repetitions for mean±std cells")
+		samples = flag.Int("samples", 20, "simulator Monte-Carlo samples per plan")
+		fast    = flag.Bool("fast", false, "reduced sweeps (smoke test)")
+		format  = flag.String("format", "text", "output format: text or csv")
+	)
 	flag.Parse()
-	if o.format != "text" && o.format != "csv" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (want text or csv)\n", o.format)
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "unknown format %q (want text or csv)\n", *format)
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, o); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
 
-// run writes the selected experiments' output to w.
-func run(w io.Writer, o options) error {
-	if o.list {
+	if *list {
 		for _, r := range experiments.Registry() {
-			if _, err := fmt.Fprintf(w, "%-10s %s\n", r.Name, r.Description); err != nil {
-				return err
-			}
+			fmt.Printf("%-10s %s\n", r.Name, r.Description)
 		}
-		return nil
+		return
 	}
 
+	cfg := experiments.Config{Seed: *seed, Seeds: *seeds, Samples: *samples, Fast: *fast}
 	var runners []experiments.Runner
-	if o.which == "all" {
+	if *run == "all" {
 		runners = experiments.Registry()
 	} else {
-		r, err := experiments.Lookup(o.which)
+		r, err := experiments.Lookup(*run)
 		if err != nil {
-			return err
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		runners = []experiments.Runner{r}
 	}
 
 	for _, r := range runners {
 		start := time.Now()
-		res, err := r.Run(o.cfg)
+		res, err := r.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %v", r.Name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", r.Name, err)
+			os.Exit(1)
 		}
-		if o.format == "csv" {
+		if *format == "csv" {
 			c, ok := res.(experiments.CSVer)
 			if !ok {
-				return fmt.Errorf("%s: no CSV rendering", r.Name)
+				fmt.Fprintf(os.Stderr, "%s: no CSV rendering\n", r.Name)
+				os.Exit(1)
 			}
-			if _, err := fmt.Fprintf(w, "# %s\n%s\n", r.Name, c.CSV()); err != nil {
-				return err
-			}
+			fmt.Printf("# %s\n%s\n", r.Name, c.CSV())
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "== %s (%s) [%.1fs]\n\n%s\n", r.Name, r.Description,
-			time.Since(start).Seconds(), res); err != nil {
-			return err
-		}
+		fmt.Printf("== %s (%s) [%.1fs]\n\n%s\n", r.Name, r.Description,
+			time.Since(start).Seconds(), res)
 	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -23,17 +24,14 @@ func goldenPath(name string) string { return filepath.Join("..", "..", "results"
 // header timings stripped.
 func render(t *testing.T, args ...string) []byte {
 	t.Helper()
-	var o options
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	o.register(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
+	cmd := exec.Command("go", append([]string{"run", "."}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("experiments %v: %v\n%s", args, err, stderr.Bytes())
 	}
-	var out bytes.Buffer
-	if err := run(&out, o); err != nil {
-		t.Fatal(err)
-	}
-	return timing.ReplaceAll(out.Bytes(), nil)
+	return timing.ReplaceAll(out, nil)
 }
 
 // TestPaperTablesGolden pins every paper table and figure: the full

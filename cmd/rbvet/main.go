@@ -81,6 +81,13 @@ func main() {
 		fatal(err)
 	}
 	var opts []analysis.RunOption
+	if len(patterns) == 1 && patterns[0] == "./..." { // the whole module: bench's binary is a root too
+		roots, err := analysis.LoadRoots(dir)
+		if err != nil {
+			fatal(err)
+		}
+		opts = append(opts, analysis.WithRoots(roots))
+	}
 	if !*fast {
 		escapes, err := analysis.LoadEscapes(dir, patterns)
 		if err != nil {

@@ -3,8 +3,8 @@
 // project-specific analyzers that machine-check the determinism and
 // purity invariants of the planning stack (see DESIGN.md, "Static
 // analysis"). Intraprocedural analyzers inspect one package at a time;
-// the interprocedural suite (dettaint, purity, noalloc) runs over a
-// CHA-style call graph of every loaded package. Violations are reported
+// the interprocedural suite (dettaint, purity, noalloc, unreached) runs
+// over a CHA-style call graph of every loaded package. Violations are reported
 // as file:line diagnostics; deliberate exceptions are suppressed per
 // line with
 //
@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -42,6 +43,10 @@ type Analyzer struct {
 	// RunAll inspects the whole loaded package set at once. Analyzers
 	// with RunAll decide per report site whether a package is in scope.
 	RunAll func(*AllPass)
+	// Enabled, when set, reports whether the loaded packages (root-only
+	// ones included) suffice; if not, the analyzer and the staleness of
+	// its ignore directives are skipped.
+	Enabled func(pkgs []*Package) bool
 }
 
 // Diagnostic is one reported violation.
@@ -49,11 +54,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-}
-
-// String formats the diagnostic as "file:line:col: [analyzer] message".
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
 // Pass carries one analyzer's view of one package.
@@ -87,6 +87,8 @@ type AllPass struct {
 	// Escapes holds compiler escape-analysis facts for the noalloc
 	// analyzer; nil when the escape pass was skipped (rbvet -fast).
 	Escapes *EscapeFacts
+	// Roots holds the packages of WithRoots.
+	Roots []*Package
 
 	diags *[]Diagnostic
 }
@@ -103,8 +105,8 @@ func (p *AllPass) Reportf(pos token.Position, format string, args ...any) {
 // All is the rbvet analyzer suite. Fast is the subset that needs no
 // compiler escape-analysis pass (rbvet -fast / make lint-fast).
 var (
-	All  = []*Analyzer{Maporder, Wallclock, Globalrand, Droppederr, Dettaint, Purity, Noalloc, Staleignore}
-	Fast = []*Analyzer{Maporder, Wallclock, Globalrand, Droppederr, Dettaint, Purity, Staleignore}
+	All  = []*Analyzer{Maporder, Wallclock, Globalrand, Droppederr, Dettaint, Purity, Noalloc, Unreached, Staleignore}
+	Fast = []*Analyzer{Maporder, Wallclock, Globalrand, Droppederr, Dettaint, Purity, Unreached, Staleignore}
 )
 
 // byName resolves analyzer names for directive validation.
@@ -170,6 +172,7 @@ type RunOption func(*runConfig)
 
 type runConfig struct {
 	escapes *EscapeFacts
+	roots   []*Package
 }
 
 // WithEscapes supplies compiler escape-analysis facts to the noalloc
@@ -177,6 +180,12 @@ type runConfig struct {
 // functions as unverifiable.
 func WithEscapes(e *EscapeFacts) RunOption {
 	return func(c *runConfig) { c.escapes = e }
+}
+
+// WithRoots supplies packages whose binaries are roots of the unreached
+// analyzer but which no analyzer reports on (see LoadRoots).
+func WithRoots(pkgs []*Package) RunOption {
+	return func(c *runConfig) { c.roots = pkgs }
 }
 
 // Run executes the analyzers over the packages, applies ignore
@@ -194,6 +203,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts ...RunOption) []Diagnostic
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+	all := append(append([]*Package(nil), pkgs...), cfg.roots...)
+	analyzers = slices.DeleteFunc(slices.Clone(analyzers), func(a *Analyzer) bool {
+		return a.Enabled != nil && !a.Enabled(all)
+	})
 	ran := byName(analyzers)
 
 	var diags []Diagnostic
@@ -225,14 +238,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts ...RunOption) []Diagnostic
 	}
 
 	if hasGraphAnalyzer(analyzers) {
-		graph := buildCallGraph(pkgs, anns)
+		graph := buildCallGraph(pkgs, anns, false)
 		for _, a := range analyzers {
 			if a.RunAll == nil {
 				continue
 			}
 			a.RunAll(&AllPass{
 				Analyzer: a, Pkgs: pkgs, Graph: graph, Anns: anns,
-				Escapes: cfg.escapes, diags: &diags,
+				Escapes: cfg.escapes, Roots: cfg.roots, diags: &diags,
 			})
 		}
 	}

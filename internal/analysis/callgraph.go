@@ -16,6 +16,9 @@
 //     function (the literal may run later, on another goroutine, but it
 //     was created — and its captures wired — here), so the graph gives
 //     the encloser an edge to each of its literals.
+//   - A reachability graph (unreached's) also has an edge to every
+//     function a body uses as a value, and a node per package for its
+//     variable initialisers.
 //
 // Functions whose bodies are outside the loaded packages (standard
 // library, export-data-only imports) become external nodes: they have no
@@ -32,7 +35,7 @@ import (
 	"strings"
 )
 
-// edgeKind records how a call edge was resolved, for diagnostics.
+// edgeKind records how a call edge was resolved.
 type edgeKind uint8
 
 const (
@@ -40,19 +43,8 @@ const (
 	edgeInterface
 	edgeFuncValue
 	edgeEncloses
+	edgeRef
 )
-
-func (k edgeKind) String() string {
-	switch k {
-	case edgeInterface:
-		return "via interface"
-	case edgeFuncValue:
-		return "via func value"
-	case edgeEncloses:
-		return "func literal"
-	}
-	return ""
-}
 
 // cgEdge is one resolved call site.
 type cgEdge struct {
@@ -62,9 +54,10 @@ type cgEdge struct {
 }
 
 // cgNode is one function in the call graph: a declared function or
-// method, a function literal, or an external (body-less) function.
+// method, a function literal, an external (body-less) function, or a
+// package's variable initialisers (fn and lit nil, doc synthesized).
 type cgNode struct {
-	fn  *types.Func   // nil for function literals
+	fn  *types.Func   // nil for function literals and initialisers
 	lit *ast.FuncLit  // nil for declared/external functions
 	pkg *Package      // package holding the body; nil for external nodes
 	doc *ast.FuncDecl // declaration, when the body is loaded
@@ -211,8 +204,9 @@ func shortFuncName(fn *types.Func) string {
 	return fn.Name()
 }
 
-// buildCallGraph constructs the call graph of the loaded packages.
-func buildCallGraph(pkgs []*Package, anns map[*types.Func]*FuncAnn) *CallGraph {
+// buildCallGraph constructs the call graph of the loaded packages, a
+// reachability graph when refs is set.
+func buildCallGraph(pkgs []*Package, anns map[*types.Func]*FuncAnn, refs bool) *CallGraph {
 	g := &CallGraph{
 		decls: make(map[string]*cgNode),
 		lits:  make(map[*ast.FuncLit]*cgNode),
@@ -234,9 +228,20 @@ func buildCallGraph(pkgs []*Package, anns map[*types.Func]*FuncAnn) *CallGraph {
 				if fn == nil {
 					continue
 				}
-				n := g.nodeFor(fn)
+				var n *cgNode
+				if fd.Recv == nil && fd.Name.Name == "init" {
+					// A package may declare several; nothing calls them.
+					n = &cgNode{fn: fn, name: shortFuncName(fn)}
+				} else {
+					n = g.nodeFor(fn)
+				}
 				n.pkg, n.doc = pkg, fd
 				n.pos = pkg.Fset.Position(fd.Pos())
+				g.all = append(g.all, n)
+			}
+		}
+		if refs {
+			if n := initialisers(pkg); n != nil {
 				g.all = append(g.all, n)
 			}
 		}
@@ -260,7 +265,7 @@ func buildCallGraph(pkgs []*Package, anns map[*types.Func]*FuncAnn) *CallGraph {
 
 	// Pass 2: walk every body, creating literal nodes, static/interface
 	// edges, and the address-taken set feeding func-value resolution.
-	b := &cgBuilder{g: g, concrete: concrete}
+	b := &cgBuilder{g: g, concrete: concrete, refs: refs}
 	for _, n := range append([]*cgNode(nil), g.all...) { // literals append to g.all
 		b.walkBody(n)
 	}
@@ -291,9 +296,38 @@ type dynSite struct {
 type cgBuilder struct {
 	g        *CallGraph
 	concrete []types.Type
+	refs     bool
 	dynSites []dynSite
 	taken    []*cgNode
 	takenSet map[*cgNode]bool
+}
+
+// initialisers returns a node whose body is pkg's package-level variable
+// initialisers, or nil when it declares none.
+func initialisers(pkg *Package) *cgNode {
+	var body []ast.Stmt
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, v := range spec.(*ast.ValueSpec).Values {
+					body = append(body, &ast.ExprStmt{X: v})
+				}
+			}
+		}
+	}
+	if len(body) == 0 {
+		return nil
+	}
+	return &cgNode{
+		pkg:  pkg,
+		doc:  &ast.FuncDecl{Name: ast.NewIdent("init"), Body: &ast.BlockStmt{List: body}},
+		name: pkg.Types.Name() + ".init$vars",
+		pos:  pkg.Fset.Position(body[0].Pos()),
+	}
 }
 
 func (b *cgBuilder) markTaken(n *cgNode) {
@@ -363,11 +397,11 @@ func (b *cgBuilder) walkBody(n *cgNode) {
 			return false
 		case *ast.Ident:
 			if fn, ok := info.Uses[x].(*types.Func); ok && !callFun[x] {
-				b.markTakenFunc(fn)
+				b.reference(n, fn, x)
 			}
 		case *ast.SelectorExpr:
 			if fn, ok := info.Uses[x.Sel].(*types.Func); ok && !callFun[x.Sel] {
-				b.markTakenFunc(fn)
+				b.reference(n, fn, x)
 			}
 		}
 		return true
@@ -375,8 +409,14 @@ func (b *cgBuilder) walkBody(n *cgNode) {
 	ast.Inspect(body, walk)
 }
 
-func (b *cgBuilder) markTakenFunc(fn *types.Func) {
-	b.markTaken(b.g.nodeFor(fn))
+// reference records fn used as a value at x in n's body: it joins the
+// address-taken set, and a reachability graph gives n an edge to it.
+func (b *cgBuilder) reference(n *cgNode, fn *types.Func, x ast.Node) {
+	callee := b.g.nodeFor(fn)
+	b.markTaken(callee)
+	if b.refs {
+		n.addEdge(callee, n.pkg.Fset.Position(x.Pos()), edgeRef)
+	}
 }
 
 func (b *cgBuilder) newLit(parent *cgNode, x *ast.FuncLit) *cgNode {

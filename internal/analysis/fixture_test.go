@@ -358,3 +358,12 @@ func TestDroppederrFixtures(t *testing.T) {
 func TestIgnoreFixtures(t *testing.T) {
 	testAnalyzerFixtures(t, []*Analyzer{Maporder, Wallclock, Globalrand, Droppederr}, "ignore")
 }
+
+// TestUnreachedFixtures pins the reachability roots and rules: mains
+// under cmd/ and bench/, package-level initialisers, method values,
+// methods called through standard-library interfaces and literals are
+// reached; test-only and dead-only callers are not; a reasoned
+// suppression holds, and one whose function is gone is stale.
+func TestUnreachedFixtures(t *testing.T) {
+	testAnalyzerFixtures(t, []*Analyzer{Unreached, Staleignore}, "unreached")
+}

@@ -298,3 +298,14 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 	return pkgs, nil
 }
+
+// LoadRoots loads the bench module, whose binary is a root of the
+// unreached analyzer but which is not itself analyzed (see WithRoots).
+// It returns nothing when dir has no bench module.
+func LoadRoots(dir string) ([]*Package, error) {
+	bench := filepath.Join(dir, "bench")
+	if _, err := os.Stat(filepath.Join(bench, "go.mod")); err != nil {
+		return nil, nil
+	}
+	return Load(bench, []string{"./..."})
+}

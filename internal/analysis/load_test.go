@@ -73,7 +73,7 @@ func TestRunOnCleanTree(t *testing.T) {
 	}
 	if diags := Run(pkgs, All, WithEscapes(escapes)); len(diags) != 0 {
 		for _, d := range diags {
-			t.Errorf("unexpected: %s", d)
+			t.Errorf("unexpected: %+v", d)
 		}
 	}
 }

@@ -57,8 +57,8 @@ func (p *Provider) OnProvisionFailure(fn func(*Instance)) { p.onFail = fn }
 func (p *Provider) OnPreemption(fn func(*Instance)) { p.onPreempt = fn }
 
 // Preemptions returns the number of instances preempted so far.
-func (p *Provider) Preemptions() int { return p.preemptions }
+func (p *Provider) Preemptions() int { return p.preemptions } //rbvet:ignore unreached — executor and cloud tests count preemptions through it
 
 // ProvisionFailures returns the number of failed provisioning requests so
 // far.
-func (p *Provider) ProvisionFailures() int { return p.failures }
+func (p *Provider) ProvisionFailures() int { return p.failures } //rbvet:ignore unreached — executor, cluster and cloud tests count failed requests through it

@@ -240,12 +240,6 @@ func (p *Provider) dispatch(op uint8, a, _ int64) {
 	}
 }
 
-// Pricing returns the provider's pricing parameters.
-func (p *Provider) Pricing() Pricing { return p.pricing }
-
-// Overheads returns the provider's latency parameters.
-func (p *Provider) Overheads() Overheads { return p.overheads }
-
 // Request asks for one instance of type it. onReady is invoked (on the
 // vclock loop) when the instance reaches Ready. The returned Instance is in
 // state Requested.

@@ -144,15 +144,8 @@ func (m *Manager) Retries() int { return m.retries }
 // GPUsPerNode returns the accelerator count of the worker instance type.
 func (m *Manager) GPUsPerNode() int { return m.instType.GPUs }
 
-// InstanceType returns the worker instance type the manager provisions,
-// so cost oracles can reprice node lifetimes independently.
-func (m *Manager) InstanceType() cloud.InstanceType { return m.instType }
-
 // Size returns the number of ready nodes.
 func (m *Manager) Size() int { return len(m.ready) }
-
-// Pending returns the number of nodes requested but not yet ready.
-func (m *Manager) Pending() int { return m.pending }
 
 // Ready returns the ready nodes sorted by ID for a caller done with the
 // slice before the next membership change, which edits it in place; a

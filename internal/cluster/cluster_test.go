@@ -49,16 +49,16 @@ func TestScaleUpTo(t *testing.T) {
 	if n := m.ScaleUpTo(3); n != 3 {
 		t.Fatalf("requested %d, want 3", n)
 	}
-	if m.Pending() != 3 || m.Size() != 0 {
-		t.Fatalf("pending=%d size=%d", m.Pending(), m.Size())
+	if m.pending != 3 || m.Size() != 0 {
+		t.Fatalf("pending=%d size=%d", m.pending, m.Size())
 	}
 	// Re-requesting the same target adds nothing.
 	if n := m.ScaleUpTo(3); n != 0 {
 		t.Fatalf("duplicate request added %d", n)
 	}
 	clock.Run(0)
-	if m.Size() != 3 || m.Pending() != 0 {
-		t.Fatalf("after provisioning: size=%d pending=%d", m.Size(), m.Pending())
+	if m.Size() != 3 || m.pending != 0 {
+		t.Fatalf("after provisioning: size=%d pending=%d", m.Size(), m.pending)
 	}
 	if clock.Now() != 15 {
 		t.Fatalf("provisioning completed at %v, want 15", clock.Now())
@@ -214,8 +214,8 @@ func TestPreemptionAutoReplaced(t *testing.T) {
 	if len(preempted) == 0 {
 		t.Fatal("no preemption observed")
 	}
-	if m.Size()+m.Pending() < 2 {
-		t.Fatalf("pool not healed: size=%d pending=%d", m.Size(), m.Pending())
+	if m.Size()+m.pending < 2 {
+		t.Fatalf("pool not healed: size=%d pending=%d", m.Size(), m.pending)
 	}
 	// Preempted nodes are no longer in the pool.
 	for _, n := range preempted {

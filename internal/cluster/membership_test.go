@@ -34,7 +34,7 @@ func TestMembershipMatchesReference(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			switch op := r.Intn(6); {
 			case op == 0:
-				m.ScaleUpTo(m.Size() + m.Pending() + 1 + r.Intn(3))
+				m.ScaleUpTo(m.Size() + m.pending + 1 + r.Intn(3))
 			case op == 1 && m.Size() > 0:
 				n := m.Ready()[r.Intn(m.Size())]
 				if err := m.Release(n.ID); err != nil {
@@ -51,11 +51,11 @@ func TestMembershipMatchesReference(t *testing.T) {
 				in := released[r.Intn(len(released))].Instance
 				state := in.State
 				in.State = cloud.Ready
-				size, pending := m.Size(), m.Pending()
+				size, pending := m.Size(), m.pending
 				provider.Preempt(in)
 				in.State = state
-				if m.Size() != size || m.Pending() != pending {
-					t.Fatalf("seed %d step %d: preempting a released node changed the pool: size %d→%d, pending %d→%d", seed, step, size, m.Size(), pending, m.Pending())
+				if m.Size() != size || m.pending != pending {
+					t.Fatalf("seed %d step %d: preempting a released node changed the pool: size %d→%d, pending %d→%d", seed, step, size, m.Size(), pending, m.pending)
 				}
 			case op == 4:
 				clock.Run(clock.Now() + 1)

@@ -45,7 +45,7 @@ func TestManagerResetMatchesNew(t *testing.T) {
 			}
 		}
 		m.ReleaseAll()
-		return fmt.Sprint(log, m.Size(), m.Pending(), m.Retries(), p.TotalCost(clock.Now()))
+		return fmt.Sprint(log, m.Size(), m.pending, m.Retries(), p.TotalCost(clock.Now()))
 	}
 	sizes := []int{3, 5, 2, 4}
 	fresh := new(Manager)

@@ -41,7 +41,7 @@ func Example() {
 		return
 	}
 	fmt.Println("stages:", len(res.Actual.Schedule))
-	fmt.Println("plan covers every stage:", res.Plan.Stages() == exp.Spec.NumStages())
+	fmt.Println("plan covers every stage:", len(res.Plan.Alloc) == exp.Spec.NumStages())
 	fmt.Println("met deadline:", res.Actual.JCT <= exp.Deadline.Seconds())
 	fmt.Println("one winner:", res.Actual.BestTrial >= 0)
 	// Output:

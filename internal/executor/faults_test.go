@@ -133,7 +133,8 @@ func TestFaultModelValidation(t *testing.T) {
 }
 
 func TestTrialRestore(t *testing.T) {
-	tr := trial.New(5, searchspace.Config{})
+	tr := new(trial.Trial)
+	tr.Init(5, searchspace.Config{})
 	if err := tr.Start(2, 1); err != nil {
 		t.Fatal(err)
 	}

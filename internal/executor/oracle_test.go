@@ -179,7 +179,8 @@ func TestBarrierRankingMatchesSortSlice(t *testing.T) {
 		n := 1 + r.Intn(40)
 		ranked := make([]*trial.Trial, n)
 		for i, id := range r.Perm(n) {
-			tr := trial.New(trial.ID(id), searchspace.Config{})
+			tr := new(trial.Trial)
+			tr.Init(trial.ID(id), searchspace.Config{})
 			if r.Intn(8) > 0 {
 				if err := tr.Start(1, 1); err != nil {
 					t.Fatal(err)

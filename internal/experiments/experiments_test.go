@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/planner"
 	"strings"
 	"testing"
 
@@ -420,4 +421,17 @@ func TestInstancesShape(t *testing.T) {
 		}
 	}
 	_ = r.String()
+}
+
+// fig9Static is a helper for tests: the static result at one sigma.
+func fig9Static(cfg Config, sigma float64, billing cloud.BillingModel) (planner.Result, error) {
+	w := fig9Workload(cfg, 0)
+	w.billing = billing
+	w.initLat = 0
+	w.model.IterNoiseStd = sigma
+	p, err := w.planner()
+	if err != nil {
+		return planner.Result{}, err
+	}
+	return p.PlanStatic()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cloud"
-	"repro/internal/planner"
 )
 
 // Fig9Result holds the straggler sweep of Figure 9: simulated cost of
@@ -87,19 +86,6 @@ func (r *Fig9Result) render() *table {
 		}
 	}
 	return t
-}
-
-// fig9Static is a helper for tests: the static result at one sigma.
-func fig9Static(cfg Config, sigma float64, billing cloud.BillingModel) (planner.Result, error) {
-	w := fig9Workload(cfg, 0)
-	w.billing = billing
-	w.initLat = 0
-	w.model.IterNoiseStd = sigma
-	p, err := w.planner()
-	if err != nil {
-		return planner.Result{}, err
-	}
-	return p.PlanStatic()
 }
 
 // String renders the result as an aligned text table.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -55,18 +54,6 @@ type Report struct {
 	Scenarios []ScenarioReport
 	// BatchDigest folds all scenario digests in index order.
 	BatchDigest Digest
-}
-
-// Failures returns the indices of failed scenarios, ascending.
-func (r *Report) Failures() []int {
-	var out []int
-	for i := range r.Scenarios {
-		if r.Scenarios[i].Failed() {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // RunBatch generates and executes opts.Scenarios scenarios from opts.Seed,

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +46,7 @@ func TestRenderedNotesGolden(t *testing.T) {
 			if err := a.Recorder.WriteCSV(&csv); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Recorder.WriteJSON(&js); err != nil {
+			if err := json.NewEncoder(&js).Encode(a.Recorder.Events()); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(csv.String(), g.mustContain) {

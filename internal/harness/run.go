@@ -503,12 +503,6 @@ func (r *Running) Plan() sim.Plan { return r.a.Plan.Clone() }
 // Estimate returns the planner's prediction (valid only when Planned).
 func (r *Running) Estimate() sim.Estimate { return r.a.Estimate }
 
-// Grants returns the arbitration decisions recorded so far. The slice is
-// a copy: stage transitions append concurrently with status reads.
-func (r *Running) Grants() []GrantDecision {
-	return append([]GrantDecision(nil), r.a.Grants...)
-}
-
 // Finish completes the run's bookkeeping once Done: result extraction,
 // the journal End record, and artifact assembly. The artifacts point
 // into the run's working set, so they are valid until Release.

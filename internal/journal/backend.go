@@ -55,12 +55,6 @@ func NewMemBackend() *MemBackend {
 	return &MemBackend{snaps: make(map[uint64][]byte)}
 }
 
-// NewMemBackendFrom returns an in-memory journal over the given framed
-// byte stream (corruption tests build damaged journals this way).
-func NewMemBackendFrom(data []byte) *MemBackend {
-	return &MemBackend{data: append([]byte(nil), data...), snaps: make(map[uint64][]byte)}
-}
-
 // Append implements Backend.
 func (m *MemBackend) Append(payload []byte) error {
 	m.data = append(m.data, frame(payload)...)
@@ -126,7 +120,7 @@ func (m *MemBackend) Truncate(n int) error {
 func (m *MemBackend) Close() error { return nil }
 
 // Data exposes the framed byte stream for corruption tests.
-func (m *MemBackend) Data() []byte { return append([]byte(nil), m.data...) }
+func (m *MemBackend) Data() []byte { return append([]byte(nil), m.data...) } //rbvet:ignore unreached — harness recycle tests compare journal bytes through it
 
 // Diff compares the trusted contents of two backends and returns an
 // empty string when they hold byte-identical records and snapshots —

@@ -128,7 +128,7 @@ func TestCorruptSegmentDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run `go test ./internal/journal -update` to generate)", err)
 			}
-			raw, err := NewMemBackendFrom(data).Load()
+			raw, err := (&MemBackend{data: data}).Load()
 			if err != nil {
 				t.Fatal(err)
 			}

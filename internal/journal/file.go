@@ -33,7 +33,7 @@ type FileOption func(*FileBackend)
 
 // WithSegmentBytes overrides the segment roll threshold (tests use tiny
 // segments to exercise rolling).
-func WithSegmentBytes(n int) FileOption {
+func WithSegmentBytes(n int) FileOption { //rbvet:ignore unreached — harness recovery tests force segment rolls through it
 	return func(f *FileBackend) {
 		if n > 0 {
 			f.segBytes = n

@@ -36,7 +36,7 @@ func FuzzJournalRoundTrip(f *testing.F) {
 		}
 		// As a framed stream: the scan stops cleanly; every trusted record
 		// must itself round-trip when it decodes at all.
-		raw, err := NewMemBackendFrom(data).Load()
+		raw, err := (&MemBackend{data: data}).Load()
 		if err != nil {
 			t.Fatalf("Load on arbitrary bytes errored (must report damage instead): %v", err)
 		}

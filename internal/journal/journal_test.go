@@ -340,7 +340,7 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	if damage == "" {
 		t.Fatal("torn crash resumed without damage report")
 	}
-	if !w2.Verifying() {
+	if !(int(w2.seq) < len(w2.prefix)) {
 		t.Fatal("resumed writer not in verify mode")
 	}
 	// The re-executed run streams the same records; snapshot counters must
@@ -348,7 +348,7 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	var n3 int
 	w2.SetSnapshotFunc(snapFnCounting(&n3))
 	feed(t, w2, recs)
-	if w2.Verifying() {
+	if int(w2.seq) < len(w2.prefix) {
 		t.Fatal("writer still verifying after full replay")
 	}
 	if w2.Seq() != wr.Seq() {
@@ -443,7 +443,7 @@ func TestResumeEmptyJournal(t *testing.T) {
 	if hdr != nil || damage != "" {
 		t.Fatalf("empty journal resumed with hdr=%v damage=%q", hdr, damage)
 	}
-	if w.Verifying() {
+	if int(w.seq) < len(w.prefix) {
 		t.Fatal("empty journal writer claims a prefix to verify")
 	}
 	// Degenerates to a fresh appending run.

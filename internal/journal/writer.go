@@ -113,10 +113,6 @@ func (w *Writer) Interval() uint64 { return w.interval }
 // Seq returns the number of records recorded (verified or appended).
 func (w *Writer) Seq() uint64 { return w.seq }
 
-// Verifying reports whether the Writer is still inside a resumed
-// journal's prefix (recovery has not yet reached the crash point).
-func (w *Writer) Verifying() bool { return int(w.seq) < len(w.prefix) }
-
 // Err returns the latched error, if any. The harness's clock-step loop
 // polls it so a crash or divergence inside an event callback stops the
 // run at the next step boundary.

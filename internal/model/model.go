@@ -178,12 +178,6 @@ func (m *Model) Asymptote(cfg searchspace.Config) float64 {
 	return m.Curve.AccFloor + (m.Curve.AccCeil-m.Curve.AccFloor)*m.Curve.quality(cfg)
 }
 
-// AccuracyAt returns the noiseless validation accuracy after cumIters
-// training iterations for cfg.
-func (m *Model) AccuracyAt(cfg searchspace.Config, cumIters int) float64 {
-	return m.Asymptote(cfg) * m.Growth(cumIters)
-}
-
 // Growth returns the learning curve's progress after cumIters training
 // iterations, 1 − exp(−cumIters/Tau): the share of its asymptote a
 // configuration has reached. It depends on nothing else, so a caller

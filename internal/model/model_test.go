@@ -279,3 +279,9 @@ func TestObserveOnMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// AccuracyAt returns the noiseless validation accuracy after cumIters
+// training iterations for cfg.
+func (m *Model) AccuracyAt(cfg searchspace.Config, cumIters int) float64 {
+	return m.Asymptote(cfg) * m.Growth(cumIters)
+}

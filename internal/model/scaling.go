@@ -51,13 +51,6 @@ func (p ScalingProfile) Speedup(g, nodes int) float64 {
 	return float64(g) / denom
 }
 
-// Efficiency returns Speedup(g, nodes)/g — the fraction of linear scaling
-// achieved. It is the quantity whose decline makes late-stage scale-up
-// cost-inefficient.
-func (p ScalingProfile) Efficiency(g, nodes int) float64 {
-	return p.Speedup(g, nodes) / float64(g)
-}
-
 // MinNodes returns the smallest number of nodes that g workers can span on
 // instances with gpusPerNode accelerators — the placement controller's
 // co-location target.
@@ -158,6 +151,6 @@ func (s *InterpolatedScaling) interp(i, j, g int) float64 {
 }
 
 // Samples returns copies of the sample points.
-func (s *InterpolatedScaling) Samples() (gpus []int, speedups []float64) {
+func (s *InterpolatedScaling) Samples() (gpus []int, speedups []float64) { //rbvet:ignore unreached — the profiler's reference refit test reads the fitted knots through it
 	return append([]int(nil), s.gpus...), append([]float64(nil), s.speedup...)
 }

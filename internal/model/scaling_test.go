@@ -69,9 +69,9 @@ func TestSpeedupPanics(t *testing.T) {
 
 func TestEfficiencyDecreasing(t *testing.T) {
 	p := ResNet50().Scaling
-	prev := p.Efficiency(1, 1)
+	prev := p.Speedup(1, 1) / float64(1)
 	for g := 2; g <= 32; g *= 2 {
-		e := p.Efficiency(g, 1)
+		e := p.Speedup(g, 1) / float64(g)
 		if e >= prev {
 			t.Errorf("efficiency not decreasing at %d GPUs: %v >= %v", g, e, prev)
 		}

@@ -111,15 +111,6 @@ func (n nodeCols) split() (ids, caps, free []int) {
 	return n[:k], n[k : 2*k], n[2*k:]
 }
 
-// NewController returns a controller for nodes with nodeGPUs accelerators
-// each. It panics if nodeGPUs < 1.
-func NewController(nodeGPUs int) *Controller {
-	if nodeGPUs < 1 {
-		panic(fmt.Sprintf("placement: nodeGPUs = %d", nodeGPUs))
-	}
-	return &Controller{nodeGPUs: nodeGPUs}
-}
-
 // Reset makes c the controller NewController(nodeGPUs) returns, with no
 // placements and nothing locked, keeping its buffers' capacity: a
 // recycled controller's first epochs carve their plans from the storage
@@ -138,15 +129,6 @@ func (c *Controller) Reset(nodeGPUs int) {
 		slots: c.slots[:0], spareSlots: c.spareSlots[:0],
 		loads: c.loads[:0], drain: c.drain[:0],
 	}
-}
-
-// Lock marks a trial's placement as in-flight: it cannot be displaced
-// until Unlock (§4.4.1 "reserved" list).
-func (c *Controller) Lock(t TrialID) {
-	if n := int(t) + 1; n > len(c.locked) {
-		c.locked = append(c.locked, make([]bool, n-len(c.locked))...)
-	}
-	c.locked[t] = true
 }
 
 // Unlock clears a trial's in-flight mark.

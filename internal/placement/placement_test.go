@@ -1234,3 +1234,21 @@ func TestUpdateMatchesReferenceOnResizedNodes(t *testing.T) {
 		t.Fatalf("%d of %d Updates failed: the stream must exercise both outcomes", failures, updates)
 	}
 }
+
+// NewController returns a controller for nodes with nodeGPUs accelerators
+// each. It panics if nodeGPUs < 1.
+func NewController(nodeGPUs int) *Controller {
+	if nodeGPUs < 1 {
+		panic(fmt.Sprintf("placement: nodeGPUs = %d", nodeGPUs))
+	}
+	return &Controller{nodeGPUs: nodeGPUs}
+}
+
+// Lock marks a trial's placement as in-flight: it cannot be displaced
+// until Unlock (§4.4.1 "reserved" list).
+func (c *Controller) Lock(t TrialID) {
+	if n := int(t) + 1; n > len(c.locked) {
+		c.locked = append(c.locked, make([]bool, n-len(c.locked))...)
+	}
+	c.locked[t] = true
+}

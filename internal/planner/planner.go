@@ -529,4 +529,4 @@ func fairFloor(max, trials int) (int, bool) {
 // EstimateCalls reports the total number of plan evaluations requested by
 // the Planner's searches, counting those the Simulator answered from its
 // memo.
-func (p *Planner) EstimateCalls() int64 { return atomic.LoadInt64(&p.estCalls) }
+func (p *Planner) EstimateCalls() int64 { return atomic.LoadInt64(&p.estCalls) } //rbvet:ignore unreached — BenchmarkPlanStatic and BenchmarkPlanElastic report estimates/op through it

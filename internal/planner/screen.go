@@ -146,4 +146,4 @@ func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep [
 
 // PrunedCandidates reports how many frontier candidates the analytic
 // screen excluded from Monte-Carlo estimation across the search so far.
-func (p *Planner) PrunedCandidates() int64 { return atomic.LoadInt64(&p.prunedCands) }
+func (p *Planner) PrunedCandidates() int64 { return atomic.LoadInt64(&p.prunedCands) } //rbvet:ignore unreached — BenchmarkPlanStatic and BenchmarkPlanElastic report pruned/op through it

@@ -49,7 +49,7 @@ type oracleDriver struct {
 }
 
 func (d *oracleDriver) observe(gpus int, factor float64, from vclock.Time, n int) {
-	pred := d.c.Config().Profile.IterDist(gpus).Mean()
+	pred := d.c.cfg.Profile.IterDist(gpus).Mean()
 	for i := 0; i < n; i++ {
 		d.c.ObserveIteration(gpus, factor*pred, from+vclock.Time(i))
 	}

@@ -24,7 +24,7 @@ func screenTestController(t *testing.T, disable bool) *Controller {
 // observeOnProfile feeds n observations that exactly match the profile's
 // prediction, so the re-fit reproduces the planning-time regime.
 func observeOnProfile(c *Controller, n int) {
-	pred := c.Config().Profile.IterDist(4).Mean()
+	pred := c.cfg.Profile.IterDist(4).Mean()
 	for i := 0; i < n; i++ {
 		c.ObserveIteration(4, pred, vclock.Time(i))
 	}
@@ -86,7 +86,7 @@ func TestPreScreenSkipsImmaterialTrigger(t *testing.T) {
 func TestPreScreenPassesMaterialSlowdown(t *testing.T) {
 	run := func(disable bool) Decision {
 		c := screenTestController(t, disable)
-		pred := c.Config().Profile.IterDist(4).Mean()
+		pred := c.cfg.Profile.IterDist(4).Mean()
 		for i := 0; i < 5; i++ {
 			c.ObserveIteration(4, 2*pred, vclock.Time(i))
 		}
@@ -114,7 +114,7 @@ func TestPreScreenPassesMaterialSlowdown(t *testing.T) {
 func TestPreScreenPassesSpeedupSlack(t *testing.T) {
 	run := func(disable bool) Decision {
 		c := screenTestController(t, disable)
-		pred := c.Config().Profile.IterDist(4).Mean()
+		pred := c.cfg.Profile.IterDist(4).Mean()
 		for i := 0; i < 5; i++ {
 			c.ObserveIteration(4, 0.4*pred, vclock.Time(i))
 		}
@@ -156,7 +156,7 @@ func TestPreScreenReadOnly(t *testing.T) {
 		c := screenTestController(t, false)
 		var st State
 		if material {
-			pred := c.Config().Profile.IterDist(4).Mean()
+			pred := c.cfg.Profile.IterDist(4).Mean()
 			for i := 0; i < 5; i++ {
 				c.ObserveIteration(4, 2*pred, vclock.Time(i))
 			}

@@ -378,9 +378,6 @@ func (c *Controller) Reset() {
 	}
 }
 
-// Config returns the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Decisions returns the replan decisions taken so far, in order: one
 // deep copy, its plans in one array it shares with nothing the
 // controller keeps, an unadopted decision's NewPlan sharing its
@@ -843,7 +840,7 @@ type PreScreenResult struct {
 // drift-reason decisions; this entry point exists for callers that want
 // the microsecond-scale feasibility read on its own (dashboards, the
 // planning benchmarks).
-func (c *Controller) PreScreen(state State) (PreScreenResult, error) {
+func (c *Controller) PreScreen(state State) (PreScreenResult, error) { //rbvet:ignore unreached — BenchmarkReplanPreScreen and the oracle tests drive the drift screen through it
 	if state.Stage < 0 || state.Stage >= c.cfg.Spec.NumStages()-1 {
 		return PreScreenResult{}, fmt.Errorf("replan: stage %d of %d has no tail to screen", state.Stage, c.cfg.Spec.NumStages())
 	}

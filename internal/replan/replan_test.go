@@ -92,7 +92,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := c.Config()
+	cfg := c.cfg
 	if cfg.Threshold != 0.25 || cfg.CooldownSeconds != 60 || cfg.Samples != sim.DefaultSamples {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
@@ -104,7 +104,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestOnProfileNeverTriggers(t *testing.T) {
 	c := newTestController(t, 1)
 	for i := 0; i < 100; i++ {
-		pred := c.Config().Profile.IterDist(4).Mean()
+		pred := c.cfg.Profile.IterDist(4).Mean()
 		if c.ObserveIteration(4, pred, vclock.Time(i)) {
 			t.Fatalf("detector fired on observation %d with zero drift", i)
 		}
@@ -113,7 +113,7 @@ func TestOnProfileNeverTriggers(t *testing.T) {
 
 func TestDriftTriggersAfterMinObservations(t *testing.T) {
 	c := newTestController(t, 1)
-	pred := c.Config().Profile.IterDist(4).Mean()
+	pred := c.cfg.Profile.IterDist(4).Mean()
 	for i := 0; i < 2; i++ {
 		if c.ObserveIteration(4, 2*pred, vclock.Time(i)) {
 			t.Fatalf("detector fired at observation %d, MinObservations is 3", i+1)
@@ -126,7 +126,7 @@ func TestDriftTriggersAfterMinObservations(t *testing.T) {
 
 func TestSpeedupAlsoTriggers(t *testing.T) {
 	c := newTestController(t, 1)
-	pred := c.Config().Profile.IterDist(2).Mean()
+	pred := c.cfg.Profile.IterDist(2).Mean()
 	fired := false
 	for i := 0; i < 10 && !fired; i++ {
 		fired = c.ObserveIteration(2, 0.4*pred, vclock.Time(i))
@@ -138,7 +138,7 @@ func TestSpeedupAlsoTriggers(t *testing.T) {
 
 func TestCooldownGatesTriggers(t *testing.T) {
 	c := newTestController(t, 1)
-	pred := c.Config().Profile.IterDist(4).Mean()
+	pred := c.cfg.Profile.IterDist(4).Mean()
 	for i := 0; i < 5; i++ {
 		c.ObserveIteration(4, 2*pred, vclock.Time(i))
 	}
@@ -173,7 +173,7 @@ func TestReplanRejectsLastStage(t *testing.T) {
 // rewrites the executing stage or any stage before it.
 func TestReplanPreservesPrefix(t *testing.T) {
 	c := newTestController(t, 1)
-	pred := c.Config().Profile.IterDist(1).Mean()
+	pred := c.cfg.Profile.IterDist(1).Mean()
 	for i := 0; i < 5; i++ {
 		c.ObserveIteration(1, 2*pred, vclock.Time(i))
 	}
@@ -184,8 +184,8 @@ func TestReplanPreservesPrefix(t *testing.T) {
 	if d.NewPlan.Alloc[0] != 8 || d.NewPlan.Alloc[1] != 2 {
 		t.Fatalf("replan rewrote executed stages: %v", d.NewPlan)
 	}
-	if d.NewPlan.Max() > c.Config().MaxGPUs {
-		t.Fatalf("replanned peak %d exceeds cap %d", d.NewPlan.Max(), c.Config().MaxGPUs)
+	if d.NewPlan.Max() > c.cfg.MaxGPUs {
+		t.Fatalf("replanned peak %d exceeds cap %d", d.NewPlan.Max(), c.cfg.MaxGPUs)
 	}
 	if !d.Adopted && !d.NewPlan.Equal(d.OldPlan) {
 		t.Fatalf("not adopted but plan changed: %v -> %v", d.OldPlan, d.NewPlan)
@@ -216,8 +216,8 @@ func TestReplanLostDeadlineInfeasible(t *testing.T) {
 // decisions; used to compare controllers across worker counts and replays.
 func driveController(t *testing.T, c *Controller) []Decision {
 	t.Helper()
-	pred1 := c.Config().Profile.IterDist(1).Mean()
-	pred4 := c.Config().Profile.IterDist(4).Mean()
+	pred1 := c.cfg.Profile.IterDist(1).Mean()
+	pred4 := c.cfg.Profile.IterDist(4).Mean()
 	for i := 0; i < 4; i++ {
 		c.ObserveIteration(4, 1.9*pred4, vclock.Time(10+i))
 	}

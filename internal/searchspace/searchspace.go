@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/stats"
@@ -59,7 +58,7 @@ func (c Config) index(name string) int {
 }
 
 // Len returns the number of values in the configuration.
-func (c Config) Len() int { return len(c.vals) }
+func (c Config) Len() int { return len(c.vals) } //rbvet:ignore unreached — asha and core tests check that a run returned a configuration through it
 
 // Float returns the named numeric value. It panics if the key is missing
 // or not numeric — configs are produced by Space.Sample, so a miss is a
@@ -233,16 +232,6 @@ func MustNew(dims ...Dimension) *Space {
 		panic(err)
 	}
 	return s
-}
-
-// Dimensions returns the dimension names in sorted order.
-func (s *Space) Dimensions() []string {
-	names := make([]string, len(s.dims))
-	for i, d := range s.dims {
-		names[i] = d.Name()
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Sample draws one configuration.

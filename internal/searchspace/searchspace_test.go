@@ -2,6 +2,7 @@ package searchspace
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -169,4 +170,14 @@ func TestQuickSampleComplete(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Dimensions returns the dimension names in sorted order.
+func (s *Space) Dimensions() []string {
+	names := make([]string, len(s.dims))
+	for i, d := range s.dims {
+		names[i] = d.Name()
+	}
+	sort.Strings(names)
+	return names
 }

@@ -154,13 +154,6 @@ func (a *Arbiter) Free() int {
 	return a.capacity - a.inUseLocked()
 }
 
-// Live returns the number of live experiments.
-func (a *Arbiter) Live() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.holds)
-}
-
 // Admit makes exp live, reserving the 1-GPU minimum its first stage is
 // guaranteed. It fails when no GPU is free — admission control must gate
 // on Free() — or on a duplicate admission.

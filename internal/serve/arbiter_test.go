@@ -261,3 +261,10 @@ func TestArbiterLogAllocs(t *testing.T) {
 		t.Fatalf("logging %d events took %d allocations and %d bytes, want %d and at most %d", n, allocs, bytes, wantAllocs, maxBytes)
 	}
 }
+
+// Live returns the number of live experiments.
+func (a *Arbiter) Live() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.holds)
+}

@@ -398,3 +398,10 @@ func BenchmarkEventsFeed(b *testing.B) {
 	b.ReportMetric(float64(w.flushes)/float64(b.N), "flushes/op")
 	b.ReportMetric(float64(exp.published()), "events/op")
 }
+
+// publish appends an event under the lock.
+func (e *Experiment) publish(ev Event) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.publishLocked(ev)
+}

@@ -131,13 +131,6 @@ func (e *Experiment) finalLocked() bool {
 	return e.state == StateDone || e.state == StateFailed
 }
 
-// publish appends an event under the lock.
-func (e *Experiment) publish(ev Event) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.publishLocked(ev)
-}
-
 // feed returns every event published from index i on, as a slice capped
 // at its length that the caller reads without the lock, and whether the
 // feed is finished (no more events will come). A feed that is not

@@ -78,8 +78,8 @@ func reinitSim(t *testing.T, mode EstimatorMode) *Simulator {
 	}
 	e.Release()
 	initModeSim(t, sm, 20, 1, 31, mode)
-	if sm.tab.index.len() != 0 || sm.tab.plans.len() != 0 {
-		t.Fatalf("a re-initialised table indexes %d segments and %d plan hashes, want 0", sm.tab.index.len(), sm.tab.plans.len())
+	if sm.tab.index.n != 0 || sm.tab.plans.n != 0 {
+		t.Fatalf("a re-initialised table indexes %d segments and %d plan hashes, want 0", sm.tab.index.n, sm.tab.plans.n)
 	}
 	return sm
 }

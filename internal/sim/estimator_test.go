@@ -258,8 +258,8 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 			t.Fatalf("a second store replaced the first entry: JCT %v", est.JCT)
 		}
 		tab.reset()
-		if tab.plans.len() != 0 || len(tab.entries) != 0 || len(tab.allocs) != 0 {
-			t.Fatalf("reset left %d hashes, %d entries, %d allocations", tab.plans.len(), len(tab.entries), len(tab.allocs))
+		if tab.plans.n != 0 || len(tab.entries) != 0 || len(tab.allocs) != 0 {
+			t.Fatalf("reset left %d hashes, %d entries, %d allocations", tab.plans.n, len(tab.entries), len(tab.allocs))
 		}
 	}
 }
@@ -325,7 +325,7 @@ func tableCounts(sm *Simulator) (segs, samples, moms int) {
 			}
 		}
 	}
-	return sm.tab.index.len(), samples, moms
+	return sm.tab.index.n, samples, moms
 }
 
 // TestSegmentCacheReusesAcrossPlans: two plans sharing a stage tuple

@@ -119,6 +119,3 @@ func (x *index[K, V]) reset() {
 		x.epoch = 1
 	}
 }
-
-// len returns the number of entries.
-func (x *index[K, V]) len() int { return x.n }

@@ -56,8 +56,8 @@ func indexOps[K indexKey](t *testing.T, ops []byte, nearWrap bool, key func(uint
 				t.Fatalf("step %d: get(%v) = %d, %v; reference %d, %v", step, k, v, ok, want, inRef)
 			}
 		}
-		if x.len() != len(ref) {
-			t.Fatalf("step %d: len %d, reference %d", step, x.len(), len(ref))
+		if x.n != len(ref) {
+			t.Fatalf("step %d: len %d, reference %d", step, x.n, len(ref))
 		}
 	}
 	for k, want := range ref {
@@ -109,8 +109,8 @@ func TestIndexEpochWrap(t *testing.T) {
 	if x.epoch != 1 {
 		t.Fatalf("epoch after the wrap is %d, want 1", x.epoch)
 	}
-	if v, ok := x.get(42); ok || x.len() != 0 {
-		t.Fatalf("a stamp from before the wrap reads as live: %d, %v (len %d)", v, ok, x.len())
+	if v, ok := x.get(42); ok || x.n != 0 {
+		t.Fatalf("a stamp from before the wrap reads as live: %d, %v (len %d)", v, ok, x.n)
 	}
 	if _, found := x.put(42); found {
 		t.Fatal("put after the wrap found a stale entry")

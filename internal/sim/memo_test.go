@@ -149,8 +149,8 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 			}
 			recycled := donor
 			initModeSim(t, recycled, 20, workers, 31, mode)
-			if recycled.tab.plans.len() != 0 {
-				t.Fatalf("a re-initialised table indexes %d plan hashes, want 0", recycled.tab.plans.len())
+			if recycled.tab.plans.n != 0 {
+				t.Fatalf("a re-initialised table indexes %d plan hashes, want 0", recycled.tab.plans.n)
 			}
 			fresh := modeSim(t, 20, workers, 31, mode)
 			for round := 0; round < 2; round++ { // misses, then memo hits

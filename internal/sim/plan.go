@@ -29,7 +29,7 @@ type Plan struct {
 func NewPlan(alloc ...int) Plan { return Plan{Alloc: append([]int(nil), alloc...)} }
 
 // Uniform returns a static plan allocating gpus to each of stages stages.
-func Uniform(gpus, stages int) Plan {
+func Uniform(gpus, stages int) Plan { //rbvet:ignore unreached — executor, planner and integration tests build static plans with it
 	a := make([]int, stages)
 	for i := range a {
 		a[i] = gpus
@@ -39,9 +39,6 @@ func Uniform(gpus, stages int) Plan {
 
 // Clone returns a deep copy of the plan.
 func (p Plan) Clone() Plan { return Plan{Alloc: append([]int(nil), p.Alloc...)} }
-
-// Stages returns the number of stages the plan covers.
-func (p Plan) Stages() int { return len(p.Alloc) }
 
 // Max returns the largest per-stage allocation (the peak cluster size in
 // GPUs). Zero for an empty plan.
@@ -56,7 +53,7 @@ func (p Plan) Max() int {
 }
 
 // IsStatic reports whether every stage receives the same allocation.
-func (p Plan) IsStatic() bool {
+func (p Plan) IsStatic() bool { //rbvet:ignore unreached — planner, experiments and core tests check plans are static through it
 	for i := 1; i < len(p.Alloc); i++ {
 		if p.Alloc[i] != p.Alloc[0] {
 			return false
@@ -113,7 +110,7 @@ func (p Plan) Equal(q Plan) bool {
 // Suffix returns a copy of the plan's allocations for stages
 // from..Stages()-1, aligned with spec.ExperimentSpec.Suffix. It panics if
 // from is out of [0, Stages()).
-func (p Plan) Suffix(from int) Plan {
+func (p Plan) Suffix(from int) Plan { //rbvet:ignore unreached — the replan reference tests cut plan tails with it
 	if from < 0 || from >= len(p.Alloc) {
 		panic(fmt.Sprintf("sim: plan suffix from stage %d of %d", from, len(p.Alloc)))
 	}
@@ -124,7 +121,7 @@ func (p Plan) Suffix(from int) Plan {
 // from..Stages()-1 are replaced by tail — the replanner's plan surgery:
 // executed and executing stages keep their allocations, only the future is
 // rewritten. It panics unless tail covers exactly the replaced stages.
-func (p Plan) Splice(from int, tail Plan) Plan {
+func (p Plan) Splice(from int, tail Plan) Plan { //rbvet:ignore unreached — the replan reference tests splice replanned tails with it
 	if from < 0 || from > len(p.Alloc) {
 		panic(fmt.Sprintf("sim: splice at stage %d of %d", from, len(p.Alloc)))
 	}

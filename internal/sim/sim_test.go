@@ -66,7 +66,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPlanHelpers(t *testing.T) {
 	p := NewPlan(8, 4, 2)
-	if p.Stages() != 3 || p.Max() != 8 || p.IsStatic() {
+	if len(p.Alloc) != 3 || p.Max() != 8 || p.IsStatic() {
 		t.Errorf("plan helpers wrong: %+v", p)
 	}
 	if Uniform(4, 3).IsStatic() != true {

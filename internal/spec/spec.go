@@ -57,11 +57,6 @@ func (s *ExperimentSpec) NumStages() int { return len(s.stages) }
 // Stage returns the i-th stage. It panics if i is out of range.
 func (s *ExperimentSpec) Stage(i int) Stage { return s.stages[i] }
 
-// Stages returns a copy of the stage list.
-func (s *ExperimentSpec) Stages() []Stage {
-	return append([]Stage(nil), s.stages...)
-}
-
 // TotalTrials returns the number of trials started in the first stage (the
 // experiment's population size). Zero for an empty spec.
 func (s *ExperimentSpec) TotalTrials() int {
@@ -69,17 +64,6 @@ func (s *ExperimentSpec) TotalTrials() int {
 		return 0
 	}
 	return s.stages[0].Trials
-}
-
-// TotalWork returns the total number of trial-iterations across all stages
-// (Σ trials_i × iters_i) — the resource-agnostic amount of training work
-// the job performs.
-func (s *ExperimentSpec) TotalWork() int {
-	total := 0
-	for _, st := range s.stages {
-		total += st.Trials * st.Iters
-	}
-	return total
 }
 
 // MaxIters returns the cumulative iterations executed by a trial that
@@ -96,7 +80,7 @@ func (s *ExperimentSpec) MaxIters() int {
 // — the remaining work an online replanner re-plans after the first `from`
 // stages have executed. The suffix of a valid spec is itself valid (trial
 // counts stay non-increasing). It panics if from is out of [0, NumStages).
-func (s *ExperimentSpec) Suffix(from int) *ExperimentSpec {
+func (s *ExperimentSpec) Suffix(from int) *ExperimentSpec { //rbvet:ignore unreached — the replan reference tests build tail specs with it
 	return s.SuffixInto(from, new(ExperimentSpec))
 }
 

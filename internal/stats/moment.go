@@ -209,9 +209,6 @@ func (s *QSketch) tail(p float64, j0, j1 int) float64 {
 	return s.Q[j1] + dq/(z1-z0)*(NormQuantile(p)-z1)
 }
 
-// Quantile returns the sketched distribution's p-th quantile.
-func (s *QSketch) Quantile(p float64) float64 { return s.quantile(p) }
-
 // MaxIID returns the sketch of the maximum of m independent copies of the
 // sketched distribution: quantile level p of the max is level p^(1/m) of
 // one copy. m <= 1 returns the sketch unchanged.

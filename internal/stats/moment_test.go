@@ -162,7 +162,7 @@ func TestQSketchQuantileMonotone(t *testing.T) {
 	s := SketchNormal(m)
 	prev := math.Inf(-1)
 	for p := 0.0001; p <= 0.9999; p += 0.005 {
-		q := s.Quantile(p)
+		q := s.quantile(p)
 		if q < prev {
 			t.Fatalf("quantile not monotone at p=%v: %v < %v", p, q, prev)
 		}
@@ -170,13 +170,13 @@ func TestQSketchQuantileMonotone(t *testing.T) {
 	}
 	for _, p := range []float64{1e-6, 0.001, 0.999, 1 - 1e-6} {
 		want := m.Mean + m.Std()*NormQuantile(p)
-		if got := s.Quantile(p); math.Abs(got-want) > 1e-9*math.Abs(want) {
+		if got := s.quantile(p); math.Abs(got-want) > 1e-9*math.Abs(want) {
 			t.Errorf("tail quantile(%v) = %v, want %v", p, got, want)
 		}
 	}
 	// A point-mass sketch clamps at the grid everywhere.
 	pm := SketchNormal(Moment{Mean: 7})
-	if pm.Quantile(1e-9) != 7 || pm.Quantile(1-1e-9) != 7 {
+	if pm.quantile(1e-9) != 7 || pm.quantile(1-1e-9) != 7 {
 		t.Error("point-mass sketch does not clamp")
 	}
 }

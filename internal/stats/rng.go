@@ -201,7 +201,7 @@ func (r *RNG) NormFloat64() float64 {
 }
 
 // Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
+func (r *RNG) Perm(n int) []int { //rbvet:ignore unreached — the executor oracle tests draw seeded orders with it
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
@@ -215,7 +215,7 @@ func (r *RNG) Perm(n int) []int {
 
 // Shuffle pseudo-randomizes the order of n elements using the provided swap
 // function, mirroring math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+func (r *RNG) Shuffle(n int, swap func(i, j int)) { //rbvet:ignore unreached — the executor and placement oracle tests draw seeded orders with it
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)

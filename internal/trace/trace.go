@@ -4,7 +4,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -458,12 +457,6 @@ func (r *Recorder) Count(kind Kind) int {
 		}
 	}
 	return n
-}
-
-// WriteJSON streams the events as a JSON array.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.Events())
 }
 
 // WriteCSV streams the events as CSV with a header row.

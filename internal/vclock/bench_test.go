@@ -134,8 +134,8 @@ func TestDispatchAllocs(t *testing.T) {
 		if fired == 0 {
 			t.Fatal("dispatcher never ran")
 		}
-		if c.Pending() != backlog {
-			t.Fatalf("pending = %d, want the %d-event backlog", c.Pending(), backlog)
+		if len(c.heap) != backlog {
+			t.Fatalf("pending = %d, want the %d-event backlog", len(c.heap), backlog)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func (f *fleet) dispatch(op uint8, a, _ int64) {
 
 // step executes one kernel event, tracking peak queue occupancy.
 func (f *fleet) step(t *testing.T) {
-	if p := f.clock.Pending(); p > f.peakPending {
+	if p := len(f.clock.heap); p > f.peakPending {
 		f.peakPending = p
 	}
 	if !f.clock.Step() {

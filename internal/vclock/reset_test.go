@@ -28,7 +28,7 @@ func TestResetMatchesNew(t *testing.T) {
 		c.Run(2)
 		c.After(1, func() { log = append(log, "after") })
 		c.Run(0)
-		return append(log, fmt.Sprintf("handles=%v seq=%d now=%v pending=%d", hs, c.Seq(), c.Now(), c.Pending()))
+		return append(log, fmt.Sprintf("handles=%v seq=%d now=%v pending=%d", hs, c.Seq(), c.Now(), len(c.heap)))
 	}
 	want := script(New())
 	c := New()
@@ -36,8 +36,8 @@ func TestResetMatchesNew(t *testing.T) {
 	c.At(c.Now()+3, func() {})
 	c.AtOp(c.Now()+4, 0, 1, 2, 3)
 	c.Reset()
-	if c.Now() != 0 || c.Seq() != 0 || c.Pending() != 0 || len(c.disp) != 0 {
-		t.Fatalf("reset clock: now %v seq %d pending %d dispatchers %d, want all zero", c.Now(), c.Seq(), c.Pending(), len(c.disp))
+	if c.Now() != 0 || c.Seq() != 0 || len(c.heap) != 0 || len(c.disp) != 0 {
+		t.Fatalf("reset clock: now %v seq %d pending %d dispatchers %d, want all zero", c.Now(), c.Seq(), len(c.heap), len(c.disp))
 	}
 	if slices.ContainsFunc(c.events[:cap(c.events)], func(e event) bool { return e.fn != nil }) ||
 		slices.ContainsFunc(c.disp[:cap(c.disp)], func(d Dispatcher) bool { return d != nil }) {

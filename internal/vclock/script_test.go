@@ -90,7 +90,7 @@ func (m *specModel) cancel(tag int, got bool) {
 // drainedTo checks the clock's queue length and that no pending event is
 // due at or before bound.
 func (m *specModel) drainedTo(bound Time) {
-	if p := m.c.Pending(); p != m.open {
+	if p := len(m.c.heap); p != m.open {
 		m.failf("Pending() = %d, model holds %d", p, m.open)
 	}
 	for _, e := range m.all {
@@ -218,7 +218,7 @@ func runScript(data []byte) (scriptResult, error) {
 			}
 		}
 		m.drainedTo(Time(bound))
-		if p := c.Pending(); p > r.peak {
+		if p := len(c.heap); p > r.peak {
 			r.peak = p
 		}
 		if r.fires > maxFires {
@@ -408,7 +408,7 @@ func TestOverflowCascade(t *testing.T) {
 			t.Fatalf("fired %v, want %v", got, want)
 		}
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", c.Pending())
+	if len(c.heap) != 0 {
+		t.Fatalf("pending = %d after drain", len(c.heap))
 	}
 }

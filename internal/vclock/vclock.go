@@ -29,17 +29,10 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
 type Time float64
-
-// Duration converts t to a time.Duration for presentation at package
-// boundaries.
-func (t Time) Duration() time.Duration {
-	return time.Duration(float64(t) * float64(time.Second))
-}
 
 // String formats the time as mm:ss.mmm for logs.
 func (t Time) String() string {
@@ -74,10 +67,6 @@ type Handle struct {
 	gen uint32
 }
 
-// Valid reports whether h refers to some scheduled event (it may have
-// fired since).
-func (h Handle) Valid() bool { return h.ref != 0 }
-
 // Timer is a handle to a scheduled event; Stop cancels it.
 type Timer struct {
 	c *Clock
@@ -86,7 +75,7 @@ type Timer struct {
 
 // Stop cancels the timer if it has not fired. It reports whether the
 // timer was still pending.
-func (t Timer) Stop() bool {
+func (t Timer) Stop() bool { //rbvet:ignore unreached — the kernel's script tests specify cancellation through it
 	if t.c == nil {
 		return false
 	}
@@ -134,9 +123,6 @@ func (c *Clock) Now() Time { return c.now }
 // scheduling cursor. Two identical runs have equal Seq at equal points,
 // so control-plane snapshots capture it as part of the clock state.
 func (c *Clock) Seq() uint64 { return c.seq }
-
-// Pending returns the number of events still queued.
-func (c *Clock) Pending() int { return len(c.heap) }
 
 // RegisterDispatcher adds d to the clock's dispatch table and returns
 // its id for use with AtOp. Several components (one per executor job,
@@ -230,7 +216,7 @@ func (c *Clock) release(idx int32) {
 // reports whether the event was cancelled. O(log n).
 //
 //rbvet:noalloc
-func (c *Clock) Cancel(h Handle) bool {
+func (c *Clock) Cancel(h Handle) bool { //rbvet:ignore unreached — the kernel's script and fuzz tests specify cancellation through it
 	idx := h.ref - 1
 	if idx < 0 || int(idx) >= len(c.events) || c.events[idx].gen != h.gen {
 		return false
@@ -268,7 +254,7 @@ func (c *Clock) Step() bool {
 // NaN horizon panics.
 //
 //rbvet:noalloc
-func (c *Clock) Run(horizon Time) int {
+func (c *Clock) Run(horizon Time) int { //rbvet:ignore unreached — tests of cloud, cluster, executor and harness drive the clock with it
 	if math.IsNaN(float64(horizon)) {
 		//rbvet:ignore noalloc — cold path: a NaN horizon is a caller bug and ends the run
 		panic("vclock: Run with NaN horizon")
@@ -302,7 +288,7 @@ func (c *Clock) RunUntil(cond func() bool) bool {
 // NaN or infinite. Unlike Run, Advance is always bounded — even at a
 // target of 0 — so it is safe against self-renewing event chains such
 // as spot preemption with automatic replacement.
-func (c *Clock) Advance(d float64) {
+func (c *Clock) Advance(d float64) { //rbvet:ignore unreached — tests of cloud and cluster advance the clock with it
 	if d < 0 {
 		panic("vclock: Advance with negative duration")
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestZeroClock(t *testing.T) {
@@ -21,8 +22,8 @@ func TestZeroClock(t *testing.T) {
 	fired := 0
 	h := c.At(2, func() { fired++ }).h
 	c.At(1, func() { fired++ })
-	if !c.Cancel(h) || c.Pending() != 1 {
-		t.Fatalf("cancel on zero clock: pending = %d", c.Pending())
+	if !c.Cancel(h) || len(c.heap) != 1 {
+		t.Fatalf("cancel on zero clock: pending = %d", len(c.heap))
 	}
 	c.At(3, func() { fired++ }) // reuses the cancelled slot
 	if n := c.Run(0); n != 2 || fired != 2 || c.Now() != 3 {
@@ -51,8 +52,8 @@ func TestAdvanceRejectsNonFinite(t *testing.T) {
 		fired := false
 		c.At(5, func() { fired = true })
 		mustPanic(t, fmt.Sprintf("Advance(%v)", d), func() { c.Advance(d) })
-		if fired || c.Now() != 0 || c.Pending() != 1 {
-			t.Fatalf("Advance(%v) moved the clock: fired=%v now=%v pending=%d", d, fired, c.Now(), c.Pending())
+		if fired || c.Now() != 0 || len(c.heap) != 1 {
+			t.Fatalf("Advance(%v) moved the clock: fired=%v now=%v pending=%d", d, fired, c.Now(), len(c.heap))
 		}
 	}
 	c := New()
@@ -66,8 +67,8 @@ func TestRunRejectsNaNHorizon(t *testing.T) {
 	c := New()
 	c.At(1, func() {})
 	mustPanic(t, "Run(NaN)", func() { c.Run(Time(math.NaN())) })
-	if c.Pending() != 1 {
-		t.Fatalf("Run(NaN) fired events: pending = %d", c.Pending())
+	if len(c.heap) != 1 {
+		t.Fatalf("Run(NaN) fired events: pending = %d", len(c.heap))
 	}
 }
 
@@ -198,8 +199,8 @@ func TestRunHorizon(t *testing.T) {
 	if len(fired) != 3 || fired[2] != 3 {
 		t.Fatalf("fired = %v", fired)
 	}
-	if c.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", c.Pending())
+	if len(c.heap) != 2 {
+		t.Fatalf("pending = %d, want 2", len(c.heap))
 	}
 }
 
@@ -361,7 +362,13 @@ func TestAdvanceZeroIsBounded(t *testing.T) {
 		t.Fatalf("now = %v", c.Now())
 	}
 	// The future chain is still pending, untouched.
-	if c.Pending() == 0 {
+	if len(c.heap) == 0 {
 		t.Fatal("future event dropped")
 	}
+}
+
+// Duration converts t to a time.Duration for presentation at package
+// boundaries.
+func (t Time) Duration() time.Duration {
+	return time.Duration(float64(t) * float64(time.Second))
 }
