@@ -27,7 +27,7 @@ printf "\n== Simulator determinism across worker counts ==\n"
 go test ./internal/sim -run "^(TestEstimateDeterministic|TestEstimateIndependentOfCallOrder|TestBreakdownDeterministic|TestSegmentDrawsMatchFullDAG)" -count=1 -timeout=10m -v
 
 printf "\n== Planner determinism and memo cache ==\n"
-go test ./internal/planner -run "^(TestPlanDeterministicAcrossWorkers|TestPlanMinJCTDeterministicAcrossWorkers|TestMemoCache)" -count=1 -timeout=10m -v
+go test ./internal/planner -run "^(TestPlanDeterministicAcrossWorkers|TestMemoCache)" -count=1 -timeout=10m -v
 
 printf "\n== Durable journal: codec goldens, corruption handling, crash-point recovery ==\n"
 go test ./internal/journal -count=1 -timeout=10m
