@@ -86,11 +86,16 @@ var cellGap = regexp.MustCompile(`\s{2,}`)
 
 // TestExperimentsTablesMatchOutput holds EXPERIMENTS.md to the program:
 // every numeric row of every table there must equal, cell for cell, a
-// row of the generated `-run all` output. EXPERIMENTS.md separates cells
+// row of the generated `-run all` output, which TestPaperTablesGolden
+// pins to results/experiments_full.txt. EXPERIMENTS.md separates cells
 // with "|", the output with runs of two or more spaces.
 func TestExperimentsTablesMatchOutput(t *testing.T) {
+	out, err := os.ReadFile(goldenPath("experiments_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	generated := make(map[string]bool)
-	for _, line := range strings.Split(string(render(t, "-run", "all")), "\n") {
+	for _, line := range strings.Split(string(timing.ReplaceAll(out, nil)), "\n") {
 		if line = strings.TrimSpace(line); line != "" {
 			generated[strings.Join(cellGap.Split(line, -1), "|")] = true
 		}

@@ -81,12 +81,14 @@ func main() {
 		fatal(err)
 	}
 	var opts []analysis.RunOption
-	if len(patterns) == 1 && patterns[0] == "./..." { // the whole module: bench's binary is a root too
+	// ./... from the module root is the whole module; bench's binary is a
+	// root too.
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil && len(patterns) == 1 && patterns[0] == "./..." {
 		roots, err := analysis.LoadRoots(dir)
 		if err != nil {
 			fatal(err)
 		}
-		opts = append(opts, analysis.WithRoots(roots))
+		opts = append(opts, analysis.WithModule(roots))
 	}
 	if !*fast {
 		escapes, err := analysis.LoadEscapes(dir, patterns)

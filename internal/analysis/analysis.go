@@ -43,10 +43,11 @@ type Analyzer struct {
 	// RunAll inspects the whole loaded package set at once. Analyzers
 	// with RunAll decide per report site whether a package is in scope.
 	RunAll func(*AllPass)
-	// Enabled, when set, reports whether the loaded packages (root-only
-	// ones included) suffice; if not, the analyzer and the staleness of
-	// its ignore directives are skipped.
-	Enabled func(pkgs []*Package) bool
+	// WholeModule marks an analyzer whose findings hold only when the
+	// loaded packages are the whole module (see WithModule); on any other
+	// load the analyzer and the staleness of its ignore directives are
+	// skipped.
+	WholeModule bool
 }
 
 // Diagnostic is one reported violation.
@@ -87,7 +88,7 @@ type AllPass struct {
 	// Escapes holds compiler escape-analysis facts for the noalloc
 	// analyzer; nil when the escape pass was skipped (rbvet -fast).
 	Escapes *EscapeFacts
-	// Roots holds the packages of WithRoots.
+	// Roots holds the root-only packages of WithModule.
 	Roots []*Package
 
 	diags *[]Diagnostic
@@ -172,6 +173,7 @@ type RunOption func(*runConfig)
 
 type runConfig struct {
 	escapes *EscapeFacts
+	module  bool
 	roots   []*Package
 }
 
@@ -182,10 +184,12 @@ func WithEscapes(e *EscapeFacts) RunOption {
 	return func(c *runConfig) { c.escapes = e }
 }
 
-// WithRoots supplies packages whose binaries are roots of the unreached
-// analyzer but which no analyzer reports on (see LoadRoots).
-func WithRoots(pkgs []*Package) RunOption {
-	return func(c *runConfig) { c.roots = pkgs }
+// WithModule declares that the packages are the whole module, which
+// enables the WholeModule analyzers, and supplies roots: packages whose
+// binaries are roots of the unreached analyzer but which no analyzer
+// reports on (see LoadRoots).
+func WithModule(roots []*Package) RunOption {
+	return func(c *runConfig) { c.module, c.roots = true, roots }
 }
 
 // Run executes the analyzers over the packages, applies ignore
@@ -203,9 +207,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts ...RunOption) []Diagnostic
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	all := append(append([]*Package(nil), pkgs...), cfg.roots...)
 	analyzers = slices.DeleteFunc(slices.Clone(analyzers), func(a *Analyzer) bool {
-		return a.Enabled != nil && !a.Enabled(all)
+		return a.WholeModule && !cfg.module
 	})
 	ran := byName(analyzers)
 

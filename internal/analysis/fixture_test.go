@@ -363,7 +363,17 @@ func TestIgnoreFixtures(t *testing.T) {
 // under cmd/ and bench/, package-level initialisers, method values,
 // methods called through standard-library interfaces and literals are
 // reached; test-only and dead-only callers are not; a reasoned
-// suppression holds, and one whose function is gone is stale.
+// suppression holds, and one whose function is gone is stale. A load
+// not declared the whole module reports nothing, stale directives
+// included.
 func TestUnreachedFixtures(t *testing.T) {
-	testAnalyzerFixtures(t, []*Analyzer{Unreached, Staleignore}, "unreached")
+	analyzers := []*Analyzer{Unreached, Staleignore}
+	for _, dir := range fixtures(t, "unreached") {
+		t.Run(filepath.Base(dir), func(t *testing.T) { runFixture(t, analyzers, dir, WithModule(nil)) })
+		t.Run(filepath.Base(dir)+"/subset", func(t *testing.T) {
+			if diags := Run(loadFixtureTree(t, dir), analyzers); len(diags) != 0 {
+				t.Fatalf("a load that is not the whole module reported %v", diags)
+			}
+		})
+	}
 }

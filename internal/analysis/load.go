@@ -300,7 +300,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 }
 
 // LoadRoots loads the bench module, whose binary is a root of the
-// unreached analyzer but which is not itself analyzed (see WithRoots).
+// unreached analyzer but which is not itself analyzed (see WithModule).
 // It returns nothing when dir has no bench module.
 func LoadRoots(dir string) ([]*Package, error) {
 	bench := filepath.Join(dir, "bench")

@@ -20,12 +20,13 @@ import (
 )
 
 // Unreached reports non-test functions under internal/ that no binary
-// reaches. It needs a root binary among the loaded packages.
+// reaches. Its findings hold only over the whole module, so it runs only
+// on a whole-module load: rbvet ./... from the module root.
 var Unreached = &Analyzer{
-	Name:    "unreached",
-	Doc:     "report non-test functions in internal/ that no main in cmd/, examples/ or bench/ reaches",
-	RunAll:  runUnreached,
-	Enabled: func(pkgs []*Package) bool { return slices.ContainsFunc(pkgs, isRootMain) },
+	Name:        "unreached",
+	Doc:         "report non-test functions in internal/ that no main in cmd/, examples/ or bench/ reaches",
+	RunAll:      runUnreached,
+	WholeModule: true,
 }
 
 // isRootMain reports whether pkg builds one of the root binaries.

@@ -111,8 +111,8 @@ func (n nodeCols) split() (ids, caps, free []int) {
 	return n[:k], n[k : 2*k], n[2*k:]
 }
 
-// Reset makes c the controller NewController(nodeGPUs) returns, with no
-// placements and nothing locked, keeping its buffers' capacity: a
+// Reset makes c an empty controller for nodes with nodeGPUs accelerators
+// each, with no placements and nothing locked, keeping its buffers' capacity: a
 // recycled controller's first epochs carve their plans from the storage
 // its last run grew. It panics if nodeGPUs < 1.
 func (c *Controller) Reset(nodeGPUs int) {
@@ -129,6 +129,15 @@ func (c *Controller) Reset(nodeGPUs int) {
 		slots: c.slots[:0], spareSlots: c.spareSlots[:0],
 		loads: c.loads[:0], drain: c.drain[:0],
 	}
+}
+
+// Lock marks a trial's placement as in-flight: it cannot be displaced
+// until Unlock (§4.4.1 "reserved" list).
+func (c *Controller) Lock(t TrialID) { //rbvet:ignore unreached — the §4.4.1 reserved list: the executor places only at stage barriers, where no reassignment is in flight, so nothing locks yet; the placement tests specify the displacement exclusion through it
+	if n := int(t) + 1; n > len(c.locked) {
+		c.locked = append(c.locked, make([]bool, n-len(c.locked))...)
+	}
+	c.locked[t] = true
 }
 
 // Unlock clears a trial's in-flight mark.

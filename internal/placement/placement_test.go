@@ -1243,12 +1243,3 @@ func NewController(nodeGPUs int) *Controller {
 	}
 	return &Controller{nodeGPUs: nodeGPUs}
 }
-
-// Lock marks a trial's placement as in-flight: it cannot be displaced
-// until Unlock (§4.4.1 "reserved" list).
-func (c *Controller) Lock(t TrialID) {
-	if n := int(t) + 1; n > len(c.locked) {
-		c.locked = append(c.locked, make([]bool, n-len(c.locked))...)
-	}
-	c.locked[t] = true
-}

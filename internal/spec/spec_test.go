@@ -330,7 +330,7 @@ func TestSuffixIntoReusesStorage(t *testing.T) {
 			t.Fatalf("SuffixInto(%d) = %v, Suffix %v", from, got, s.Suffix(from))
 		}
 	}
-	if &dst.stages[0] == &s.Stages()[1] {
+	if &dst.stages[0] == &s.stages[1] {
 		t.Fatal("SuffixInto aliases the receiver's stages")
 	}
 	if allocs := testing.AllocsPerRun(10, func() { s.SuffixInto(0, &dst) }); allocs != 0 {

@@ -77,8 +77,8 @@ type Trial struct {
 	nodes int
 }
 
-// Init makes t a pending trial for the given configuration, as New does
-// for a trial of its own: a caller carving many trials from one block
+// Init makes t a pending trial for the given configuration, discarding
+// whatever it held: a caller carving many trials from one block
 // initializes each in place.
 func (t *Trial) Init(id ID, config searchspace.Config) {
 	*t = Trial{id: id, config: config, state: Pending}
@@ -246,8 +246,9 @@ type storeSlot struct {
 	has bool
 }
 
-// Reset empties the store and sizes it for trials 0..n-1, as NewStore(n)
-// does, reusing its columns' storage when it is large enough.
+// Reset empties the store and sizes it for trials 0..n-1, so that storing
+// their checkpoints never grows it (other IDs are stored too, growing it
+// on first use), reusing its columns' storage when it is large enough.
 func (s *Store) Reset(n int) {
 	n = max(n, 0)
 	ckpts := s.ckpts
