@@ -383,7 +383,6 @@ func benchController(b *testing.B, samples int, mode sim.EstimatorMode) (ctl *re
 		Deadline:  900,
 		MaxGPUs:   128,
 		Samples:   samples,
-		Workers:   1,
 		Estimator: mode,
 		RNG:       stats.NewRNG(2),
 	}

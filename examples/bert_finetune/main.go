@@ -11,12 +11,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/profiler"
 	"repro/internal/searchspace"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -36,22 +37,27 @@ func main() {
 	}
 	fmt.Printf("  (profiling consumed %.0fs of simulated time)\n\n", rep.Duration)
 
-	for _, policy := range []core.Policy{core.PolicyStatic, core.PolicyRubberBand} {
-		exp := &core.Experiment{
+	cp := sim.DefaultCloudProfile()
+	cp.DatasetGB = m.Dataset.SizeGB
+	for _, policy := range []planner.Policy{planner.PolicyStatic, planner.PolicyRubberBand} {
+		a, err := harness.RunScenario(harness.Scenario{
+			BatchSeed:      5,
+			Spec:           spec.MustSHA(32, 1, 30, 3),
 			Model:          m,
 			Space:          searchspace.DefaultNLPSpace(),
-			Spec:           spec.MustSHA(32, 1, 30, 3),
-			Deadline:       20 * time.Minute,
-			Policy:         policy,
-			Seed:           5,
-			UseProfiler:    true, // plan from the measured profile
+			Profile:        cp,
 			RestoreSeconds: 2,
-		}
-		res, err := exp.Run()
+			Deadline:       20 * 60,
+			Policy:         policy,
+			UseProfiler:    true, // plan from the measured profile
+		})
 		if err != nil {
 			log.Fatalf("%v: %v", policy, err)
 		}
+		if !a.Planned {
+			log.Fatalf("%v: no plan meets the deadline", policy)
+		}
 		fmt.Printf("%-11s plan %v  cost $%.2f  JCT %.0fs  best acc %.1f%%\n",
-			policy, res.Plan, res.Actual.Cost, res.Actual.JCT, res.Actual.BestAccuracy*100)
+			policy, a.Plan, a.Result.Cost, a.Result.JCT, a.Result.BestAccuracy*100)
 	}
 }

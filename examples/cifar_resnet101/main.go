@@ -5,7 +5,7 @@
 //
 // The expected shape: RubberBand's cost is well below the static
 // baseline's at this tight deadline; the naive elastic policy demands a
-// huge first-stage cluster and still doesn't win.
+// large first-stage cluster and still doesn't win.
 //
 //	go run ./examples/cifar_resnet101
 package main
@@ -13,11 +13,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -40,32 +40,26 @@ func main() {
 	fmt.Printf("%-14s %-22s %-10s %-11s %-10s %-11s\n",
 		"policy", "plan", "JCT sim", "cost sim", "JCT real", "cost real")
 
-	for _, policy := range []core.Policy{core.PolicyStatic, core.PolicyNaiveElastic, core.PolicyRubberBand} {
-		exp := &core.Experiment{
+	for _, policy := range []planner.Policy{planner.PolicyStatic, planner.PolicyNaiveElastic, planner.PolicyRubberBand} {
+		sc := harness.Scenario{
+			BatchSeed:      11,
+			Spec:           sha,
 			Model:          m,
 			Space:          searchspace.DefaultVisionSpace(),
-			Spec:           sha,
-			Cloud:          cp,
-			Deadline:       20 * time.Minute,
-			Policy:         policy,
-			Seed:           11,
-			MaxGPUs:        128,
+			Profile:        cp,
 			RestoreSeconds: 2,
+			MaxGPUs:        128,
+			Deadline:       20 * 60,
+			Policy:         policy,
 		}
-		pres, _, err := exp.Plan()
+		a, err := harness.RunScenario(sc)
 		if err != nil {
 			log.Fatalf("%v: %v", policy, err)
 		}
-		if pres.Plan.Max() > 256 {
-			fmt.Printf("%-14s %-22s (execution skipped: needs %d GPUs)\n",
-				policy, pres.Plan, pres.Plan.Max())
-			continue
-		}
-		actual, err := exp.Execute(pres.Plan)
-		if err != nil {
-			log.Fatalf("%v: %v", policy, err)
+		if !a.Planned {
+			log.Fatalf("%v: no plan meets the deadline", policy)
 		}
 		fmt.Printf("%-14s %-22s %-10.0f $%-10.2f %-10.0f $%-10.2f\n",
-			policy, pres.Plan, pres.Estimate.JCT, pres.Estimate.Cost, actual.JCT, actual.Cost)
+			policy, a.Plan, a.Estimate.JCT, a.Estimate.Cost, a.Result.JCT, a.Result.Cost)
 	}
 }

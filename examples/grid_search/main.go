@@ -10,12 +10,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/executor"
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
@@ -42,7 +41,8 @@ func main() {
 	clock := vclock.New()
 	rng := stats.NewRNG(7)
 	cp := sim.DefaultCloudProfile()
-	provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cloud.DefaultOverheads(), m.Dataset.SizeGB)
+	cp.DatasetGB = m.Dataset.SizeGB
+	provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cloud.DefaultOverheads(), cp.DatasetGB)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,21 +70,24 @@ func main() {
 
 	// --- Successive Halving over the same search space, planned by
 	// RubberBand against the grid search's realized JCT as the deadline.
-	exp := &core.Experiment{
+	a, err := harness.RunScenario(harness.Scenario{
+		BatchSeed:      7,
+		Spec:           spec.MustSHA(27, 1, fullBudget, 3),
 		Model:          m,
 		Space:          space,
-		Spec:           spec.MustSHA(27, 1, fullBudget, 3),
-		Deadline:       time.Duration(gridRes.JCT * float64(time.Second)),
-		Policy:         core.PolicyRubberBand,
-		Seed:           7,
+		Profile:        cp,
 		RestoreSeconds: 2,
-	}
-	shaRes, err := exp.Run()
+		Deadline:       gridRes.JCT,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	if !a.Planned {
+		log.Fatal("no plan meets the grid search's JCT")
+	}
+	shaRes := a.Result
 	fmt.Printf("SHA + RubberBand: 27 -> 9 -> 3 -> 1   cost $%6.2f  JCT %5.0fs  best %.1f%%\n",
-		shaRes.Actual.Cost, shaRes.Actual.JCT, shaRes.Actual.BestAccuracy*100)
-	fmt.Printf("\nearly stopping + elastic allocation cut cost %.1fx — and random sampling\n", gridRes.Cost/shaRes.Actual.Cost)
+		shaRes.Cost, shaRes.JCT, shaRes.BestAccuracy*100)
+	fmt.Printf("\nearly stopping + elastic allocation cut cost %.1fx — and random sampling\n", gridRes.Cost/shaRes.Cost)
 	fmt.Println("covered the space better than the coarse 3-point-per-axis grid did")
 }

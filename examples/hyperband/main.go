@@ -1,8 +1,11 @@
 // hyperband runs a full Hyperband(R=27, η=3) experiment as a RubberBand
 // multi-job: each Successive Halving bracket is a declarative
 // specification (Figure 6's "collection of specifications"), planned
-// independently and executed *concurrently* on a shared virtual timeline
-// — the multi-job's completion time is the slowest bracket, not the sum.
+// independently and executed concurrently — the multi-job's completion
+// time is the slowest bracket, not the sum. The brackets share no
+// provider, cluster or random stream, so each runs on its own virtual
+// clock as scenario i of one batch, exactly as it would beside the
+// others.
 //
 // The brackets trade exploration (many configurations, aggressive
 // pruning) against exploitation (few configurations, full budgets);
@@ -15,11 +18,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -28,27 +31,40 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	exp := &core.Experiment{
-		Model:          model.ResNet101(),
-		Space:          searchspace.DefaultVisionSpace(),
-		Deadline:       15 * time.Minute,
-		Policy:         core.PolicyRubberBand,
-		Seed:           100,
-		RestoreSeconds: 2,
-	}
+	m := model.ResNet101()
+	cp := sim.DefaultCloudProfile()
+	cp.DatasetGB = m.Dataset.SizeGB
 
 	fmt.Printf("Hyperband(R=27, η=3): %d brackets, executed concurrently\n\n", len(brackets))
-	res, err := exp.RunMultiJob(brackets)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, b := range res.Brackets {
+	var totalCost, jct float64
+	var best *harness.Artifacts
+	for i, b := range brackets {
+		a, err := harness.RunScenario(harness.Scenario{
+			BatchSeed:      100,
+			Index:          i,
+			Spec:           b,
+			Model:          m,
+			Space:          searchspace.DefaultVisionSpace(),
+			Profile:        cp,
+			RestoreSeconds: 2,
+			Deadline:       15 * 60,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !a.Planned {
+			log.Fatalf("bracket %d: no plan meets the deadline", i)
+		}
 		fmt.Printf("bracket %d: spec %-28v plan %-18v cost $%5.2f  JCT %4.0fs  best %.1f%%\n",
-			i, b.Spec, b.Plan, b.Actual.Cost, b.Actual.JCT, b.Actual.BestAccuracy*100)
+			i, b, a.Plan, a.Result.Cost, a.Result.JCT, a.Result.BestAccuracy*100)
+		totalCost += a.Result.Cost
+		jct = max(jct, a.Result.JCT)
+		if best == nil || a.Result.BestAccuracy > best.Result.BestAccuracy {
+			best = a
+		}
 	}
 	fmt.Printf("\nmulti-job: total cost $%.2f, JCT %.0fs (slowest bracket, not the sum)\n",
-		res.TotalCost, res.JCT)
+		totalCost, jct)
 	fmt.Printf("global winner: %.1f%% accuracy, lr=%.4f\n",
-		res.BestAccuracy*100, res.BestConfig.Float("lr"))
+		best.Result.BestAccuracy*100, best.Result.BestConfig.Float("lr"))
 }

@@ -12,11 +12,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -26,29 +26,35 @@ func main() {
 	//    epochs (the paper's Table 2 workload).
 	sha := spec.MustSHA(32, 1, 50, 3)
 
-	// 2. Pick the model and the search space to sample configurations
-	//    from.
-	exp := &core.Experiment{
-		Model:    model.ResNet101(),
-		Space:    searchspace.DefaultVisionSpace(),
-		Spec:     sha,
-		Deadline: 20 * time.Minute,
-		Policy:   core.PolicyRubberBand,
-		Seed:     7,
+	// 2. Pick the model, the search space to sample configurations
+	//    from, and the cloud to run on.
+	m := model.ResNet101()
+	cp := sim.DefaultCloudProfile()
+	cp.DatasetGB = m.Dataset.SizeGB
+	sc := harness.Scenario{
+		BatchSeed: 7,
+		Spec:      sha,
+		Model:     m,
+		Space:     searchspace.DefaultVisionSpace(),
+		Profile:   cp,
+		Deadline:  20 * 60, // seconds
 	}
 
-	// 3. Plan and execute. RubberBand profiles the model's scaling,
-	//    searches the elastic allocation space, provisions the simulated
-	//    cluster stage by stage, and runs the tournament.
-	res, err := exp.Run()
+	// 3. Plan and execute. RubberBand searches the elastic allocation
+	//    space, provisions the simulated cluster stage by stage, and runs
+	//    the tournament.
+	a, err := harness.RunScenario(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if !a.Planned {
+		log.Fatal("no plan meets the deadline")
+	}
 
 	fmt.Printf("spec:      %v\n", sha)
-	fmt.Printf("plan:      %v GPUs across %d stages\n", res.Plan, sha.NumStages())
-	fmt.Printf("predicted: JCT %.0fs  cost $%.2f\n", res.Predicted.JCT, res.Predicted.Cost)
-	fmt.Printf("realized:  JCT %.0fs  cost $%.2f\n", res.Actual.JCT, res.Actual.Cost)
+	fmt.Printf("plan:      %v GPUs across %d stages\n", a.Plan, sha.NumStages())
+	fmt.Printf("predicted: JCT %.0fs  cost $%.2f\n", a.Estimate.JCT, a.Estimate.Cost)
+	fmt.Printf("realized:  JCT %.0fs  cost $%.2f\n", a.Result.JCT, a.Result.Cost)
 	fmt.Printf("winner:    %.1f%% accuracy with lr=%.4f\n",
-		res.Actual.BestAccuracy*100, res.Actual.BestConfig.Float("lr"))
+		a.Result.BestAccuracy*100, a.Result.BestConfig.Float("lr"))
 }

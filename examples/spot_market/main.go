@@ -14,10 +14,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
+	"repro/internal/executor"
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	sha := spec.MustSHA(16, 1, 30, 3)
-	run := func(market cloud.Market, preemptMean float64) (*core.Result, error) {
+	run := func(market cloud.Market, preemptMean float64) (*executor.Result, error) {
 		cp := sim.DefaultCloudProfile()
 		cp.Pricing.Market = market
 		cp.DatasetGB = model.ResNet101().Dataset.SizeGB
@@ -35,18 +35,23 @@ func main() {
 			QueueDelay:  stats.Deterministic{Value: 5},
 			InitLatency: stats.Deterministic{Value: 15},
 		}
-		exp := &core.Experiment{
+		a, err := harness.RunScenario(harness.Scenario{
+			BatchSeed:      17,
+			Spec:           sha,
 			Model:          model.ResNet101(),
 			Space:          searchspace.DefaultVisionSpace(),
-			Spec:           sha,
-			Cloud:          cp,
-			Deadline:       25 * time.Minute,
-			Policy:         core.PolicyRubberBand,
-			Seed:           17,
-			RestoreSeconds: 5,
+			Profile:        cp,
 			Faults:         cloud.FaultModel{PreemptionMeanSeconds: preemptMean},
+			RestoreSeconds: 5,
+			Deadline:       25 * 60,
+		})
+		if err != nil {
+			return nil, err
 		}
-		return exp.Run()
+		if !a.Planned {
+			return nil, fmt.Errorf("no plan meets the deadline")
+		}
+		return a.Result, nil
 	}
 
 	onDemand, err := run(cloud.OnDemand, 0)
@@ -54,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-26s cost $%5.2f  JCT %4.0fs  preemptions %d\n",
-		"on-demand (baseline)", onDemand.Actual.Cost, onDemand.Actual.JCT, onDemand.Actual.Preemptions)
+		"on-demand (baseline)", onDemand.Cost, onDemand.JCT, onDemand.Preemptions)
 
 	for _, mean := range []float64{0, 3600, 1200, 600, 300} {
 		res, err := run(cloud.Spot, mean)
@@ -66,7 +71,7 @@ func main() {
 			label = fmt.Sprintf("spot, preempt mean %4.0fs", mean)
 		}
 		fmt.Printf("%-26s cost $%5.2f  JCT %4.0fs  preemptions %d\n",
-			label, res.Actual.Cost, res.Actual.JCT, res.Actual.Preemptions)
+			label, res.Cost, res.JCT, res.Preemptions)
 	}
 	fmt.Println("\nspot capacity is ~3x cheaper; preemptions add replayed work and")
 	fmt.Println("restore latency, eroding the discount as reclamation intensifies.")

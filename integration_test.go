@@ -3,13 +3,13 @@ package repro
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/executor"
+	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -19,55 +19,69 @@ import (
 	"repro/internal/vclock"
 )
 
-// integrationExperiment is a mid-size job touching every subsystem.
-func integrationExperiment(policy core.Policy, seed uint64) *core.Experiment {
+// integrationScenario is a mid-size job touching every subsystem.
+func integrationScenario(policy planner.Policy, seed uint64) harness.Scenario {
 	cp := sim.DefaultCloudProfile()
 	cp.DatasetGB = model.CIFAR10.SizeGB
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	return &core.Experiment{
+	return harness.Scenario{
+		BatchSeed:      seed,
+		Spec:           spec.MustSHA(16, 1, 20, 2),
 		Model:          model.ResNet101(),
 		Space:          searchspace.DefaultVisionSpace(),
-		Spec:           spec.MustSHA(16, 1, 20, 2),
-		Cloud:          cp,
-		Deadline:       20 * time.Minute,
-		Policy:         policy,
-		Seed:           seed,
-		Samples:        10,
-		MaxGPUs:        64,
+		Profile:        cp,
 		RestoreSeconds: 2,
+		MaxGPUs:        64,
+		Samples:        10,
+		Deadline:       20 * 60,
+		Policy:         policy,
 	}
+}
+
+// runPlanned runs sc and fails the test unless the planner found a plan.
+func runPlanned(t *testing.T, sc harness.Scenario) *harness.Artifacts {
+	t.Helper()
+	a, err := harness.RunScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Planned {
+		t.Fatalf("%v: no plan meets the deadline", sc.Policy)
+	}
+	return a
 }
 
 // TestIntegrationFullPipeline drives profile→plan→execute across the
 // whole stack and cross-checks invariants that only hold when every
 // subsystem cooperates.
 func TestIntegrationFullPipeline(t *testing.T) {
-	e := integrationExperiment(core.PolicyRubberBand, 77)
+	e := integrationScenario(planner.PolicyRubberBand, 77)
 	e.UseProfiler = true
-	rec := trace.New()
-	e.Trace = rec
-
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
+	a := runPlanned(t, e)
+	res, rec := a.Result, a.Recorder
+	if a.ProfilingDuration <= 0 {
+		t.Error("no profiling time recorded")
+	}
+	if v := harness.CheckAll(a, harness.DefaultOracles()); len(v) > 0 {
+		t.Errorf("oracles: %v", v)
 	}
 
 	// 1. The plan respects the deadline in prediction and execution.
-	if res.Predicted.JCT > e.Deadline.Seconds() {
-		t.Errorf("predicted JCT %v over deadline", res.Predicted.JCT)
+	if a.Estimate.JCT > e.Deadline {
+		t.Errorf("predicted JCT %v over deadline", a.Estimate.JCT)
 	}
-	if res.Actual.JCT > e.Deadline.Seconds()*1.1 {
-		t.Errorf("realized JCT %v blew the deadline by >10%%", res.Actual.JCT)
+	if res.JCT > e.Deadline*1.1 {
+		t.Errorf("realized JCT %v blew the deadline by >10%%", res.JCT)
 	}
 
 	// 2. Prediction and execution agree.
-	if d := math.Abs(res.Actual.JCT-res.Predicted.JCT) / res.Predicted.JCT; d > 0.2 {
+	if d := math.Abs(res.JCT-a.Estimate.JCT) / a.Estimate.JCT; d > 0.2 {
 		t.Errorf("sim/real JCT divergence %.0f%%", d*100)
 	}
-	if d := math.Abs(res.Actual.Cost-res.Predicted.Cost) / res.Predicted.Cost; d > 0.25 {
+	if d := math.Abs(res.Cost-a.Estimate.Cost) / a.Estimate.Cost; d > 0.25 {
 		t.Errorf("sim/real cost divergence %.0f%%", d*100)
 	}
 
@@ -75,11 +89,11 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	// the final stage's teardown-to-total residue, which is zero because
 	// the last barrier coincides with job completion.
 	var stageCost float64
-	for _, row := range res.Actual.Schedule {
+	for _, row := range res.Schedule {
 		stageCost += row.Cost
 	}
-	if math.Abs(stageCost-res.Actual.Cost) > 0.01*res.Actual.Cost+1e-6 {
-		t.Errorf("stage costs %v != total %v", stageCost, res.Actual.Cost)
+	if math.Abs(stageCost-res.Cost) > 0.01*res.Cost+1e-6 {
+		t.Errorf("stage costs %v != total %v", stageCost, res.Cost)
 	}
 
 	// 4. The event trace reconstructs the schedule.
@@ -88,7 +102,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 		t.Fatalf("trace has %d stages, want %d", len(stages), e.Spec.NumStages())
 	}
 	for i, s := range stages {
-		row := res.Actual.Schedule[i]
+		row := res.Schedule[i]
 		if math.Abs(s.Duration()-float64(row.End-row.Start)) > 1e-9 {
 			t.Errorf("stage %d: trace duration %v != schedule %v", i, s.Duration(), row.End-row.Start)
 		}
@@ -119,40 +133,33 @@ func TestIntegrationFullPipeline(t *testing.T) {
 // TestIntegrationPolicyOrdering checks the headline cost ordering across
 // all three policies, realized end-to-end, at a tight deadline.
 func TestIntegrationPolicyOrdering(t *testing.T) {
-	costs := make(map[core.Policy]float64)
-	for _, policy := range []core.Policy{core.PolicyStatic, core.PolicyNaiveElastic, core.PolicyRubberBand} {
-		e := integrationExperiment(policy, 78)
-		e.Deadline = 8 * time.Minute
-		res, err := e.Run()
-		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-		costs[policy] = res.Actual.Cost
+	costs := make(map[planner.Policy]float64)
+	for _, policy := range []planner.Policy{planner.PolicyStatic, planner.PolicyNaiveElastic, planner.PolicyRubberBand} {
+		e := integrationScenario(policy, 78)
+		e.Deadline = 8 * 60
+		costs[policy] = runPlanned(t, e).Result.Cost
 	}
-	if costs[core.PolicyRubberBand] > costs[core.PolicyStatic]*1.02 {
-		t.Errorf("RubberBand %v above static %v", costs[core.PolicyRubberBand], costs[core.PolicyStatic])
+	if costs[planner.PolicyRubberBand] > costs[planner.PolicyStatic]*1.02 {
+		t.Errorf("RubberBand %v above static %v", costs[planner.PolicyRubberBand], costs[planner.PolicyStatic])
 	}
-	if costs[core.PolicyRubberBand] > costs[core.PolicyNaiveElastic]*1.02 {
-		t.Errorf("RubberBand %v above naive %v", costs[core.PolicyRubberBand], costs[core.PolicyNaiveElastic])
+	if costs[planner.PolicyRubberBand] > costs[planner.PolicyNaiveElastic]*1.02 {
+		t.Errorf("RubberBand %v above naive %v", costs[planner.PolicyRubberBand], costs[planner.PolicyNaiveElastic])
 	}
 }
 
-// TestIntegrationPreemptionUnderRealWorkload runs the full facade on spot
-// capacity with aggressive preemption and verifies the tournament's
+// TestIntegrationPreemptionUnderRealWorkload runs the full pipeline on
+// spot capacity with aggressive preemption and verifies the tournament's
 // integrity end to end.
 func TestIntegrationPreemptionUnderRealWorkload(t *testing.T) {
-	e := integrationExperiment(core.PolicyRubberBand, 80)
-	e.Cloud.Pricing.Market = cloud.Spot
+	e := integrationScenario(planner.PolicyRubberBand, 80)
+	e.Profile.Pricing.Market = cloud.Spot
 	e.Faults = cloud.FaultModel{PreemptionMeanSeconds: 300}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Actual.Preemptions == 0 {
+	res := runPlanned(t, e).Result
+	if res.Preemptions == 0 {
 		t.Skip("no preemption materialized at this seed")
 	}
 	completed := 0
-	for _, tr := range res.Actual.Trials {
+	for _, tr := range res.Trials {
 		if tr.State() == trial.Completed {
 			completed++
 			if tr.CumIters() != e.Spec.MaxIters() {
@@ -166,7 +173,7 @@ func TestIntegrationPreemptionUnderRealWorkload(t *testing.T) {
 }
 
 // TestIntegrationExecutorDirect drives the executor with manually wired
-// substrate (the way power users bypass the facade) and checks usage
+// substrate (the way power users bypass the harness) and checks usage
 // metering consistency between trace and provider.
 func TestIntegrationExecutorDirect(t *testing.T) {
 	clock := vclock.New()

@@ -14,7 +14,7 @@ func TestLoadModulePackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks module packages")
 	}
-	pkgs, err := Load("../..", []string{"./internal/placement", "./internal/core"})
+	pkgs, err := Load("../..", []string{"./internal/placement", "./internal/planner"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +24,8 @@ func TestLoadModulePackages(t *testing.T) {
 	}
 	for _, want := range []string{
 		"repro/internal/placement",
-		"repro/internal/core",
-		"repro/internal/core_test", // example_test.go is an external test package
+		"repro/internal/planner",
+		"repro/internal/planner_test", // metamorphic_test.go and others are an external test package
 	} {
 		if byPath[want] == nil {
 			t.Fatalf("missing package %s (got %v)", want, paths(pkgs))

@@ -1,4 +1,4 @@
-//rbvet:pkgpath repro/cmd/rbsweep
+//rbvet:pkgpath repro/cmd/rubberband
 package fixture
 
 import rand "math/rand/v2" // want `\[globalrand\] import of math/rand/v2 outside internal/stats`

@@ -24,8 +24,9 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -46,7 +47,8 @@ type File struct {
 	SHA SHASpec `json:"sha"`
 	// Cloud overrides the provider profile.
 	Cloud *CloudSpec `json:"cloud,omitempty"`
-	// Seed, Samples, MaxGPUs mirror core.Experiment.
+	// Seed, Samples, MaxGPUs set the scenario's BatchSeed, Samples and
+	// MaxGPUs.
 	Seed    uint64 `json:"seed,omitempty"`
 	Samples int    `json:"samples,omitempty"`
 	MaxGPUs int    `json:"max_gpus,omitempty"`
@@ -149,95 +151,118 @@ func (d DistSpec) Dist() (stats.Dist, error) {
 }
 
 // Parse decodes and validates a JSON document into a ready-to-run
-// experiment (including any requested fault injection).
-func Parse(data []byte) (*core.Experiment, error) {
+// scenario (including any requested fault injection).
+func Parse(data []byte) (harness.Scenario, error) {
 	var f File
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("config: %w", err)
+		return harness.Scenario{}, fmt.Errorf("config: %w", err)
 	}
 	return f.Build()
 }
 
 // Load reads and parses a JSON file.
-func Load(path string) (*core.Experiment, error) {
+func Load(path string) (harness.Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return harness.Scenario{}, err
 	}
 	return Parse(data)
 }
 
-// Build materializes the experiment.
-func (f File) Build() (*core.Experiment, error) {
-	var faults cloud.FaultModel
+// ParsePolicy maps a policy name, "rubberband" (or empty), "static" or
+// "naive", to its planner policy.
+func ParsePolicy(name string) (planner.Policy, error) {
+	switch name {
+	case "", "rubberband":
+		return planner.PolicyRubberBand, nil
+	case "static":
+		return planner.PolicyStatic, nil
+	case "naive":
+		return planner.PolicyNaiveElastic, nil
+	default:
+		return 0, fmt.Errorf("config: unknown policy %q", name)
+	}
+}
+
+// Build materializes the scenario.
+func (f File) Build() (sc harness.Scenario, err error) {
 	if f.Model == "" {
-		return nil, fmt.Errorf("config: missing model")
+		return sc, fmt.Errorf("config: missing model")
 	}
 	m, err := model.ByName(f.Model)
 	if err != nil {
-		return nil, err
+		return sc, err
+	}
+	if f.Batch > 0 {
+		m = atBatch(m, f.Batch)
 	}
 	if f.Deadline == "" {
-		return nil, fmt.Errorf("config: missing deadline")
+		return sc, fmt.Errorf("config: missing deadline")
 	}
 	deadline, err := time.ParseDuration(f.Deadline)
 	if err != nil {
-		return nil, fmt.Errorf("config: deadline: %w", err)
+		return sc, fmt.Errorf("config: deadline: %w", err)
+	}
+	if deadline <= 0 {
+		return sc, fmt.Errorf("config: non-positive deadline %v", deadline)
 	}
 	sha, err := spec.SHA(spec.SHAParams{N: f.SHA.N, R: f.SHA.R, MaxR: f.SHA.MaxR, Eta: f.SHA.Eta})
 	if err != nil {
-		return nil, err
+		return sc, err
 	}
-	var policy core.Policy
-	switch f.Policy {
-	case "", "rubberband":
-		policy = core.PolicyRubberBand
-	case "static":
-		policy = core.PolicyStatic
-	case "naive":
-		policy = core.PolicyNaiveElastic
-	default:
-		return nil, fmt.Errorf("config: unknown policy %q", f.Policy)
+	policy, err := ParsePolicy(f.Policy)
+	if err != nil {
+		return sc, err
 	}
 	space := searchspace.DefaultVisionSpace()
 	if m.Name == "bert" {
 		space = searchspace.DefaultNLPSpace()
 	}
 
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
+	sc = harness.Scenario{
+		BatchSeed:      f.Seed,
+		Spec:           sha,
+		Model:          m,
+		Space:          space,
+		Profile:        sim.DefaultCloudProfile(),
+		RestoreSeconds: f.RestoreSeconds,
+		MaxGPUs:        f.MaxGPUs,
+		Samples:        f.Samples,
+		Deadline:       deadline.Seconds(),
+		Policy:         policy,
+		UseProfiler:    f.UseProfiler,
+	}
+	sc.Profile.DatasetGB = m.Dataset.SizeGB
 	if f.Cloud != nil {
-		if cp, err = f.Cloud.apply(cp); err != nil {
-			return nil, err
+		if sc.Profile, err = f.Cloud.apply(sc.Profile); err != nil {
+			return sc, err
 		}
 		if f.Cloud.Faults != nil {
-			faults = cloud.FaultModel{
+			sc.Faults = cloud.FaultModel{
 				ProvisionFailureProb:  f.Cloud.Faults.ProvisionFailureProb,
 				PreemptionMeanSeconds: f.Cloud.Faults.PreemptionMeanSeconds,
 			}
-			if err := faults.Validate(); err != nil {
-				return nil, err
+			if err := sc.Faults.Validate(); err != nil {
+				return sc, err
 			}
 		}
 	}
+	return sc, nil
+}
 
-	return &core.Experiment{
-		Model:          m,
-		Batch:          f.Batch,
-		Space:          space,
-		Spec:           sha,
-		Cloud:          cp,
-		Deadline:       deadline,
-		Policy:         policy,
-		Seed:           f.Seed,
-		Samples:        f.Samples,
-		MaxGPUs:        f.MaxGPUs,
-		UseProfiler:    f.UseProfiler,
-		RestoreSeconds: f.RestoreSeconds,
-		Faults:         faults,
-	}, nil
+// atBatch returns a copy of m measured at the effective batch size
+// batch: its reference batch becomes batch, with the single-GPU latency
+// and straggler σ it has there, so the harness, which trains at the
+// model's reference batch, trains at batch.
+func atBatch(m *model.Model, batch int) *model.Model {
+	scale := float64(batch) / float64(m.BaseBatch)
+	c := *m
+	c.BaseBatch = batch
+	c.BaseIterSeconds *= scale
+	c.IterNoiseStd *= scale
+	return &c
 }
 
 // apply overlays the spec onto a base profile.

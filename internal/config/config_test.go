@@ -1,13 +1,16 @@
 package config
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
+	"repro/internal/harness"
+	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/stats"
 )
 
@@ -25,10 +28,10 @@ func TestParseMinimal(t *testing.T) {
 	if e.Model.Name != "resnet101" {
 		t.Errorf("model = %s", e.Model.Name)
 	}
-	if e.Deadline != 20*time.Minute {
+	if e.Deadline != (20 * time.Minute).Seconds() {
 		t.Errorf("deadline = %v", e.Deadline)
 	}
-	if e.Policy != core.PolicyRubberBand {
+	if e.Policy != planner.PolicyRubberBand {
 		t.Errorf("policy = %v", e.Policy)
 	}
 	if e.Spec.TotalTrials() != 32 || e.Spec.MaxIters() != 50 {
@@ -37,8 +40,8 @@ func TestParseMinimal(t *testing.T) {
 	if e.Faults != (cloud.FaultModel{}) {
 		t.Errorf("unexpected faults %+v", e.Faults)
 	}
-	// The built experiment actually plans.
-	if _, _, err := e.Plan(); err != nil {
+	// The built scenario actually plans.
+	if _, err := harness.PlanScenario(e); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -71,25 +74,29 @@ func TestParseFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Model.Name != "bert" || e.Batch != 64 || e.Policy != core.PolicyStatic {
-		t.Errorf("experiment = %+v", e)
+	if e.Model.Name != "bert" || e.Model.BaseBatch != 64 || e.Policy != planner.PolicyStatic {
+		t.Errorf("scenario = %+v", e)
 	}
-	if e.Cloud.Instance.Name != "p3.16xlarge" {
-		t.Errorf("instance = %s", e.Cloud.Instance.Name)
+	// Batch 64 retargets the model, not its latencies at that batch.
+	if got, want := e.Model.IterLatencyMean(64, 4, 1), model.BERT().IterLatencyMean(64, 4, 1); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("latency at batch 64: %v, want %v", got, want)
 	}
-	if e.Cloud.Pricing.Billing != cloud.PerFunction || e.Cloud.Pricing.Market != cloud.Spot {
-		t.Errorf("pricing = %+v", e.Cloud.Pricing)
+	if e.Profile.Instance.Name != "p3.16xlarge" {
+		t.Errorf("instance = %s", e.Profile.Instance.Name)
 	}
-	if e.Cloud.Pricing.MinChargeSeconds != 0 || e.Cloud.Pricing.DataPricePerGB != 0.01 {
-		t.Errorf("pricing = %+v", e.Cloud.Pricing)
+	if e.Profile.Pricing.Billing != cloud.PerFunction || e.Profile.Pricing.Market != cloud.Spot {
+		t.Errorf("pricing = %+v", e.Profile.Pricing)
 	}
-	if e.Cloud.DatasetGB != 42 {
-		t.Errorf("dataset = %v", e.Cloud.DatasetGB)
+	if e.Profile.Pricing.MinChargeSeconds != 0 || e.Profile.Pricing.DataPricePerGB != 0.01 {
+		t.Errorf("pricing = %+v", e.Profile.Pricing)
+	}
+	if e.Profile.DatasetGB != 42 {
+		t.Errorf("dataset = %v", e.Profile.DatasetGB)
 	}
 	if e.Faults.ProvisionFailureProb != 0.1 || e.Faults.PreemptionMeanSeconds != 900 {
 		t.Errorf("faults = %+v", e.Faults)
 	}
-	if !e.UseProfiler || e.RestoreSeconds != 2.5 || e.Seed != 9 {
+	if !e.UseProfiler || e.RestoreSeconds != 2.5 || e.BatchSeed != 9 || e.Samples != 7 || e.MaxGPUs != 64 {
 		t.Errorf("options = %+v", e)
 	}
 }
@@ -100,6 +107,7 @@ func TestParseRejects(t *testing.T) {
 		"unknown model":    `{"model": "vgg", "deadline": "1m", "sha": {"n":2,"r":1,"max_r":2,"eta":2}}`,
 		"missing deadline": `{"model": "bert", "sha": {"n":2,"r":1,"max_r":2,"eta":2}}`,
 		"bad deadline":     `{"model": "bert", "deadline": "soon", "sha": {"n":2,"r":1,"max_r":2,"eta":2}}`,
+		"zero deadline":    `{"model": "bert", "deadline": "0s", "sha": {"n":2,"r":1,"max_r":2,"eta":2}}`,
 		"bad sha":          `{"model": "bert", "deadline": "1m", "sha": {"n":0,"r":1,"max_r":2,"eta":2}}`,
 		"bad policy":       `{"model": "bert", "deadline": "1m", "policy": "magic", "sha": {"n":2,"r":1,"max_r":2,"eta":2}}`,
 		"unknown field":    `{"model": "bert", "deadline": "1m", "sha": {"n":2,"r":1,"max_r":2,"eta":2}, "wat": 1}`,

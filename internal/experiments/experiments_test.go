@@ -1,11 +1,12 @@
 package experiments
 
 import (
-	"repro/internal/planner"
 	"strings"
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/harness"
+	"repro/internal/planner"
 )
 
 // fastCfg keeps unit tests quick while exercising the exact experiment
@@ -230,9 +231,6 @@ func TestTable2Shape(t *testing.T) {
 	}
 	// Real execution tracks simulation within 20%.
 	for _, row := range []Table2Row{static, rb} {
-		if row.RealSkipped {
-			continue
-		}
 		if d := abs(row.JCTReal.Mean-row.JCTSim.Mean) / row.JCTSim.Mean; d > 0.2 {
 			t.Errorf("%v: JCT sim/real divergence %.0f%%", row.Policy, d*100)
 		}
@@ -434,4 +432,61 @@ func fig9Static(cfg Config, sigma float64, billing cloud.BillingModel) (planner.
 		return planner.Result{}, err
 	}
 	return p.PlanStatic()
+}
+
+// paperScenarios lists every scenario the experiments run through the
+// harness under cfg, in the order they run.
+func paperScenarios(t *testing.T, cfg Config) []harness.Scenario {
+	var out []harness.Scenario
+	for _, dl := range table2Deadlines(cfg.Fast) {
+		for _, policy := range table2Policies {
+			for s := 0; s < cfg.Seeds; s++ {
+				out = append(out, table2Scenario(cfg, policy, dl, s))
+			}
+		}
+	}
+	for wi, sc := range table4Workloads(cfg) {
+		for s := 0; s < cfg.Seeds; s++ {
+			sc.BatchSeed = table4Seed(cfg, wi, s)
+			for _, policy := range []planner.Policy{planner.PolicyStatic, planner.PolicyRubberBand} {
+				sc.Policy = policy
+				out = append(out, sc)
+			}
+		}
+	}
+	for s := 0; s < cfg.Seeds; s++ {
+		out = append(out, ashaScenario(cfg, s))
+	}
+	for _, pt := range spotPoints(cfg.Fast) {
+		for s := 0; s < cfg.Seeds; s++ {
+			out = append(out, spotScenario(cfg, pt, s))
+		}
+	}
+	fid, err := fidelityScenarios(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, fid...)
+}
+
+// TestPaperScenariosPassOracles holds the paper path to the chaos
+// harness's standard: every scenario the fast experiments run passes
+// every invariant oracle and replays to the same digest.
+func TestPaperScenariosPassOracles(t *testing.T) {
+	for i, sc := range paperScenarios(t, fastCfg().withDefaults()) {
+		a, err := harness.RunScenario(sc)
+		if err != nil {
+			t.Fatalf("scenario %d (%s %v %v): %v", i, sc.Model.Name, sc.Spec, sc.Policy, err)
+		}
+		for _, v := range harness.CheckAll(a, harness.DefaultOracles()) {
+			t.Errorf("scenario %d (%s %v %v): %s", i, sc.Model.Name, sc.Spec, sc.Policy, v)
+		}
+		again, err := harness.RunScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, e := harness.ComputeDigest(a), harness.ComputeDigest(again); d != e {
+			t.Errorf("scenario %d (%s %v %v): replay digest %016x != %016x", i, sc.Model.Name, sc.Spec, sc.Policy, e, d)
+		}
+	}
 }

@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/asha"
 	"repro/internal/cloud"
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/vclock"
@@ -43,52 +41,25 @@ type ASHARow struct {
 // ASHA runs the comparison.
 func ASHA(cfg Config) (*ASHAResult, error) {
 	cfg = cfg.withDefaults()
-	const (
-		r, maxR, eta = 1, 50, 3
-		nTrials      = 32
-		workers      = 8
+	const workers = 8
+	var (
+		rbCost, rbAcc, ashaCost, ashaAcc, sampled, finished []float64
+		sc                                                  harness.Scenario
 	)
-	deadline := 20 * time.Minute
-	shaSpec := spec.MustSHA(nTrials, r, maxR, eta)
-	if cfg.Fast {
-		shaSpec = spec.MustSHA(8, 1, 12, 3)
-	}
-
-	var rbCost, rbAcc, ashaCost, ashaAcc, sampled, finished []float64
 	for s := 0; s < cfg.Seeds; s++ {
-		seed := cfg.Seed + 500 + uint64(s)*1000
-
-		// RubberBand.
-		cp := sim.DefaultCloudProfile()
-		cp.DatasetGB = model.CIFAR10.SizeGB
-		cp.Overheads = cloud.Overheads{
-			QueueDelay:  stats.Deterministic{Value: 5},
-			InitLatency: stats.Deterministic{Value: 15},
-		}
-		exp := &core.Experiment{
-			Model:          model.ResNet101(),
-			Space:          searchspace.DefaultVisionSpace(),
-			Spec:           shaSpec,
-			Cloud:          cp,
-			Deadline:       deadline,
-			Policy:         core.PolicyRubberBand,
-			Seed:           seed,
-			Samples:        cfg.Samples,
-			MaxGPUs:        128,
-			RestoreSeconds: 2,
-		}
-		rbRes, err := exp.Run()
+		sc = ashaScenario(cfg, s)
+		a, err := runPlanned(sc)
 		if err != nil {
 			return nil, fmt.Errorf("asha experiment (rubberband): %w", err)
 		}
-		rbCost = append(rbCost, rbRes.Actual.Cost)
-		rbAcc = append(rbAcc, rbRes.Actual.BestAccuracy)
+		rbCost = append(rbCost, a.Result.Cost)
+		rbAcc = append(rbAcc, a.Result.BestAccuracy)
 
 		// ASHA on the same ladder and substrate.
+		cp := sc.Profile
 		clock := vclock.New()
-		rng := stats.NewRNG(seed + 2)
-		pricing := cp.Pricing
-		provider, err := cloud.NewProvider(clock, rng.Split(), pricing, cp.Overheads, cp.DatasetGB)
+		rng := stats.NewRNG(sc.BatchSeed + 2)
+		provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cp.Overheads, cp.DatasetGB)
 		if err != nil {
 			return nil, err
 		}
@@ -96,14 +67,13 @@ func ASHA(cfg Config) (*ASHAResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		maxIters := shaSpec.MaxIters()
 		ashaRes, err := asha.Run(asha.Config{
-			Model:    model.ResNet101(),
-			Batch:    model.ResNet101().BaseBatch,
-			Space:    searchspace.DefaultVisionSpace(),
-			MinIters: r, MaxIters: maxIters, Eta: eta,
+			Model:    sc.Model,
+			Batch:    sc.Model.BaseBatch,
+			Space:    sc.Space,
+			MinIters: 1, MaxIters: sc.Spec.MaxIters(), Eta: 3,
 			Workers:  workers,
-			Deadline: deadline.Seconds(),
+			Deadline: sc.Deadline,
 			Provider: provider,
 			Cluster:  mgr,
 			Clock:    clock,
@@ -119,7 +89,7 @@ func ASHA(cfg Config) (*ASHAResult, error) {
 	}
 
 	res := &ASHAResult{}
-	rb := ASHARow{Scheduler: "RubberBand", SampledConfigs: float64(shaSpec.TotalTrials()), FinishedConfigs: 1}
+	rb := ASHARow{Scheduler: "RubberBand", SampledConfigs: float64(sc.Spec.TotalTrials()), FinishedConfigs: 1}
 	rb.Cost.Mean, rb.Cost.Std = stats.MeanStd(rbCost)
 	rb.BestAccuracy.Mean, rb.BestAccuracy.Std = stats.MeanStd(rbAcc)
 	as := ASHARow{Scheduler: "ASHA (fixed cluster)"}
@@ -129,6 +99,26 @@ func ASHA(cfg Config) (*ASHAResult, error) {
 	as.FinishedConfigs, _ = stats.MeanStd(finished)
 	res.Rows = []ASHARow{rb, as}
 	return res, nil
+}
+
+// ashaScenario is RubberBand's arm of the ASHA comparison, repetition s:
+// SHA(32, 1, 50, η=3) under 20 minutes. ASHA runs the same ladder.
+func ashaScenario(cfg Config, s int) harness.Scenario {
+	sp := spec.MustSHA(32, 1, 50, 3)
+	if cfg.Fast {
+		sp = spec.MustSHA(8, 1, 12, 3)
+	}
+	return harness.Scenario{
+		BatchSeed:      cfg.Seed + 500 + uint64(s)*1000,
+		Spec:           sp,
+		Model:          model.ResNet101(),
+		Space:          searchspace.DefaultVisionSpace(),
+		Profile:        warmPoolProfile(model.CIFAR10.SizeGB),
+		RestoreSeconds: 2,
+		MaxGPUs:        128,
+		Samples:        cfg.Samples,
+		Deadline:       20 * 60,
+	}
 }
 
 // String renders the comparison.
@@ -165,58 +155,43 @@ type SpotRow struct {
 	Preemptions float64 // mean per run
 }
 
-// Spot runs the sweep.
-func Spot(cfg Config) (*SpotResult, error) {
-	cfg = cfg.withDefaults()
-	shaSpec := spec.MustSHA(16, 1, 30, 3)
-	if cfg.Fast {
-		shaSpec = spec.MustSHA(8, 1, 9, 3)
-	}
-	type point struct {
-		label   string
-		market  cloud.Market
-		preempt float64
-	}
-	points := []point{
+// spotPoint is one capacity of the spot sweep: a market and a mean
+// time between preemptions (zero: none).
+type spotPoint struct {
+	label   string
+	market  cloud.Market
+	preempt float64
+}
+
+// spotPoints returns the sweep's capacities.
+func spotPoints(fast bool) []spotPoint {
+	points := []spotPoint{
 		{"on-demand", cloud.OnDemand, 0},
 		{"spot, stable", cloud.Spot, 0},
 		{"spot, preempt 20m", cloud.Spot, 1200},
 		{"spot, preempt 10m", cloud.Spot, 600},
 		{"spot, preempt 5m", cloud.Spot, 300},
 	}
-	if cfg.Fast {
+	if fast {
 		points = points[:3]
 	}
+	return points
+}
+
+// Spot runs the sweep.
+func Spot(cfg Config) (*SpotResult, error) {
+	cfg = cfg.withDefaults()
 	res := &SpotResult{}
-	for _, pt := range points {
+	for _, pt := range spotPoints(cfg.Fast) {
 		var costs, jcts, preempts []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			cp := sim.DefaultCloudProfile()
-			cp.Pricing.Market = pt.market
-			cp.DatasetGB = model.CIFAR10.SizeGB
-			cp.Overheads = cloud.Overheads{
-				QueueDelay:  stats.Deterministic{Value: 5},
-				InitLatency: stats.Deterministic{Value: 15},
-			}
-			exp := &core.Experiment{
-				Model:          model.ResNet101(),
-				Space:          searchspace.DefaultVisionSpace(),
-				Spec:           shaSpec,
-				Cloud:          cp,
-				Deadline:       25 * time.Minute,
-				Policy:         core.PolicyRubberBand,
-				Seed:           cfg.Seed + 900 + uint64(s)*1000,
-				Samples:        cfg.Samples,
-				RestoreSeconds: 5,
-				Faults:         cloud.FaultModel{PreemptionMeanSeconds: pt.preempt},
-			}
-			out, err := exp.Run()
+			a, err := runPlanned(spotScenario(cfg, pt, s))
 			if err != nil {
 				return nil, fmt.Errorf("spot %s: %w", pt.label, err)
 			}
-			costs = append(costs, out.Actual.Cost)
-			jcts = append(jcts, out.Actual.JCT)
-			preempts = append(preempts, float64(out.Actual.Preemptions))
+			costs = append(costs, a.Result.Cost)
+			jcts = append(jcts, a.Result.JCT)
+			preempts = append(preempts, float64(a.Result.Preemptions))
 		}
 		row := SpotRow{Label: pt.label}
 		row.Cost.Mean, row.Cost.Std = stats.MeanStd(costs)
@@ -225,6 +200,27 @@ func Spot(cfg Config) (*SpotResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// spotScenario is the spot sweep's run at capacity pt, repetition s.
+func spotScenario(cfg Config, pt spotPoint, s int) harness.Scenario {
+	sp := spec.MustSHA(16, 1, 30, 3)
+	if cfg.Fast {
+		sp = spec.MustSHA(8, 1, 9, 3)
+	}
+	cp := warmPoolProfile(model.CIFAR10.SizeGB)
+	cp.Pricing.Market = pt.market
+	return harness.Scenario{
+		BatchSeed:      cfg.Seed + 900 + uint64(s)*1000,
+		Spec:           sp,
+		Model:          model.ResNet101(),
+		Space:          searchspace.DefaultVisionSpace(),
+		Profile:        cp,
+		Faults:         cloud.FaultModel{PreemptionMeanSeconds: pt.preempt},
+		RestoreSeconds: 5,
+		Samples:        cfg.Samples,
+		Deadline:       25 * 60,
+	}
 }
 
 // String renders the sweep.

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
-	"repro/internal/cloud"
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -31,17 +28,15 @@ type ErrSummary struct {
 	P50, P90, Max float64
 }
 
-// Fidelity runs the randomized validation.
-func Fidelity(cfg Config) (*FidelityResult, error) {
-	cfg = cfg.withDefaults()
+// fidelityScenarios draws the randomized workloads.
+func fidelityScenarios(cfg Config) ([]harness.Scenario, error) {
 	workloads := 12
 	if cfg.Fast {
 		workloads = 4
 	}
 	rng := stats.NewRNG(cfg.Seed + 4000)
 	models := []*model.Model{model.ResNet101(), model.ResNet152(), model.BERT()}
-
-	var jctErrs, costErrs []float64
+	var out []harness.Scenario
 	for w := 0; w < workloads; w++ {
 		m := models[w%len(models)]
 		n := []int{8, 16, 32}[rng.Intn(3)]
@@ -55,30 +50,38 @@ func Fidelity(cfg Config) (*FidelityResult, error) {
 		if m.Name == "bert" {
 			space = searchspace.DefaultNLPSpace()
 		}
-		cp := sim.DefaultCloudProfile()
-		cp.DatasetGB = m.Dataset.SizeGB
-		cp.Overheads = cloud.Overheads{
-			QueueDelay:  stats.Exponential{MeanValue: 5},
-			InitLatency: stats.Deterministic{Value: 15},
-		}
-		e := &core.Experiment{
+		cp := warmPoolProfile(m.Dataset.SizeGB)
+		cp.Overheads.QueueDelay = stats.Exponential{MeanValue: 5}
+		out = append(out, harness.Scenario{
+			BatchSeed:      cfg.Seed + uint64(w)*101,
+			Spec:           s,
 			Model:          m,
 			Space:          space,
-			Spec:           s,
-			Cloud:          cp,
-			Deadline:       45 * time.Minute,
-			Policy:         core.PolicyRubberBand,
-			Seed:           cfg.Seed + uint64(w)*101,
-			Samples:        cfg.Samples,
-			MaxGPUs:        64,
+			Profile:        cp,
 			RestoreSeconds: 2,
-		}
-		res, err := e.Run()
+			MaxGPUs:        64,
+			Samples:        cfg.Samples,
+			Deadline:       45 * 60,
+		})
+	}
+	return out, nil
+}
+
+// Fidelity runs the randomized validation.
+func Fidelity(cfg Config) (*FidelityResult, error) {
+	cfg = cfg.withDefaults()
+	scs, err := fidelityScenarios(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var jctErrs, costErrs []float64
+	for w, sc := range scs {
+		a, err := runPlanned(sc)
 		if err != nil {
-			return nil, fmt.Errorf("fidelity workload %d (%s, %v): %w", w, m.Name, s, err)
+			return nil, fmt.Errorf("fidelity workload %d (%s, %v): %w", w, sc.Model.Name, sc.Spec, err)
 		}
-		jctErrs = append(jctErrs, math.Abs(res.Actual.JCT-res.Predicted.JCT)/res.Predicted.JCT)
-		costErrs = append(costErrs, math.Abs(res.Actual.Cost-res.Predicted.Cost)/res.Predicted.Cost)
+		jctErrs = append(jctErrs, math.Abs(a.Result.JCT-a.Estimate.JCT)/a.Estimate.JCT)
+		costErrs = append(costErrs, math.Abs(a.Result.Cost-a.Estimate.Cost)/a.Estimate.Cost)
 	}
 
 	summarize := func(xs []float64) ErrSummary {
@@ -86,7 +89,7 @@ func Fidelity(cfg Config) (*FidelityResult, error) {
 		return ErrSummary{P50: s.P50, P90: s.P90, Max: s.Max}
 	}
 	return &FidelityResult{
-		Workloads: workloads,
+		Workloads: len(scs),
 		JCTErr:    summarize(jctErrs),
 		CostErr:   summarize(costErrs),
 	}, nil

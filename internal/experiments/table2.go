@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -15,17 +15,13 @@ import (
 
 // Table2Row is one policy/deadline row of Table 2.
 type Table2Row struct {
-	Policy      core.Policy
+	Policy      planner.Policy
 	DeadlineMin int
 	JCTSim      Stat
 	CostSim     Stat
 	JCTReal     Stat
 	CostReal    Stat
 	Acc         Stat
-	// RealSkipped marks rows whose end-to-end execution was skipped
-	// because the plan's peak cluster exceeds the resource cap (the
-	// paper's "*" rows for the naive elastic policy).
-	RealSkipped bool
 }
 
 // Table2Result reproduces Table 2: ResNet-101 on CIFAR-10,
@@ -39,47 +35,71 @@ type Table2Result struct {
 	Rows []Table2Row
 }
 
-// table2Experiment builds the §6.3.1 experiment for one policy/deadline/
-// seed.
-func table2Experiment(policy core.Policy, deadline time.Duration, seed uint64, samples int, fast bool) *core.Experiment {
+// table2Scenario builds the §6.3.1 experiment for one policy, deadline
+// and repetition s.
+func table2Scenario(cfg Config, policy planner.Policy, deadlineMin, s int) harness.Scenario {
 	m := model.ResNet101()
-	s := spec.MustSHA(32, 1, 50, 3)
-	if fast {
-		s = spec.MustSHA(8, 1, 12, 3)
+	sp := spec.MustSHA(32, 1, 50, 3)
+	if cfg.Fast {
+		sp = spec.MustSHA(8, 1, 12, 3)
 	}
+	return harness.Scenario{
+		BatchSeed:      cfg.Seed + uint64(s)*1000,
+		Spec:           sp,
+		Model:          m,
+		Space:          searchspace.DefaultVisionSpace(),
+		Profile:        warmPoolProfile(m.Dataset.SizeGB),
+		RestoreSeconds: 2,
+		MaxGPUs:        128,
+		Samples:        cfg.Samples,
+		Deadline:       float64(deadlineMin * 60),
+		Policy:         policy,
+	}
+}
+
+// warmPoolProfile is the §6.3 substrate: the default worker type over a
+// dataset of datasetGB, with the instance initialization and node
+// scale-up latency of 15 s a warm instance pool gives.
+func warmPoolProfile(datasetGB float64) sim.CloudProfile {
 	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
-	// §6.3.1: instance initialization and node scale-up latency of 15 s
-	// (warm instance pool).
+	cp.DatasetGB = datasetGB
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	return &core.Experiment{
-		Model:          m,
-		Space:          searchspace.DefaultVisionSpace(),
-		Spec:           s,
-		Cloud:          cp,
-		Deadline:       deadline,
-		Policy:         policy,
-		Seed:           seed,
-		Samples:        samples,
-		MaxGPUs:        128,
-		RestoreSeconds: 2,
+	return cp
+}
+
+// runPlanned runs sc through the harness and fails when the planner
+// found no plan for it.
+func runPlanned(sc harness.Scenario) (*harness.Artifacts, error) {
+	a, err := harness.RunScenario(sc)
+	if err != nil {
+		return nil, err
 	}
+	if !a.Planned {
+		return nil, planner.ErrInfeasible
+	}
+	return a, nil
+}
+
+// table2Policies are Table 2's policies in row order.
+var table2Policies = []planner.Policy{planner.PolicyStatic, planner.PolicyNaiveElastic, planner.PolicyRubberBand}
+
+// table2Deadlines returns Table 2's deadlines in minutes.
+func table2Deadlines(fast bool) []int {
+	if fast {
+		return []int{20}
+	}
+	return []int{20, 30, 40}
 }
 
 // Table2 runs the full grid.
 func Table2(cfg Config) (*Table2Result, error) {
 	cfg = cfg.withDefaults()
-	deadlines := []int{20, 30, 40}
-	if cfg.Fast {
-		deadlines = []int{20}
-	}
-	policies := []core.Policy{core.PolicyStatic, core.PolicyNaiveElastic, core.PolicyRubberBand}
 	res := &Table2Result{}
-	for _, dl := range deadlines {
-		for _, policy := range policies {
+	for _, dl := range table2Deadlines(cfg.Fast) {
+		for _, policy := range table2Policies {
 			row, err := table2Row(cfg, policy, dl)
 			if err != nil {
 				return nil, fmt.Errorf("table2 %v @%dm: %w", policy, dl, err)
@@ -90,46 +110,27 @@ func Table2(cfg Config) (*Table2Result, error) {
 	return res, nil
 }
 
-func table2Row(cfg Config, policy core.Policy, deadlineMin int) (Table2Row, error) {
+func table2Row(cfg Config, policy planner.Policy, deadlineMin int) (Table2Row, error) {
 	var jctSim, costSim, jctReal, costReal, accs []float64
-	skipped := false
 	for s := 0; s < cfg.Seeds; s++ {
-		e := table2Experiment(policy, time.Duration(deadlineMin)*time.Minute,
-			cfg.Seed+uint64(s)*1000, cfg.Samples, cfg.Fast)
-		pres, _, err := e.Plan()
+		// The 128-GPU cap keeps every plan executable: the paper skipped
+		// naive-elastic runs that demanded 512 GPUs (its "*" rows).
+		a, err := runPlanned(table2Scenario(cfg, policy, deadlineMin, s))
 		if err != nil {
 			return Table2Row{}, err
 		}
-		jctSim = append(jctSim, pres.Estimate.JCT)
-		costSim = append(costSim, pres.Estimate.Cost)
-
-		// The paper skips naive-elastic execution when the plan demands
-		// a prohibitively large cluster (512 GPUs at 20 minutes). Apply
-		// the same resource cap to real runs.
-		if pres.Plan.Max() > 256 {
-			skipped = true
-			continue
-		}
-		actual, err := e.Execute(pres.Plan)
-		if err != nil {
-			return Table2Row{}, err
-		}
-		jctReal = append(jctReal, actual.JCT)
-		costReal = append(costReal, actual.Cost)
-		accs = append(accs, actual.BestAccuracy*100)
+		jctSim = append(jctSim, a.Estimate.JCT)
+		costSim = append(costSim, a.Estimate.Cost)
+		jctReal = append(jctReal, a.Result.JCT)
+		costReal = append(costReal, a.Result.Cost)
+		accs = append(accs, a.Result.BestAccuracy*100)
 	}
-	row := Table2Row{
-		Policy:      policy,
-		DeadlineMin: deadlineMin,
-		RealSkipped: skipped,
-	}
+	row := Table2Row{Policy: policy, DeadlineMin: deadlineMin}
 	row.JCTSim.Mean, row.JCTSim.Std = stats.MeanStd(jctSim)
 	row.CostSim.Mean, row.CostSim.Std = stats.MeanStd(costSim)
-	if !skipped {
-		row.JCTReal.Mean, row.JCTReal.Std = stats.MeanStd(jctReal)
-		row.CostReal.Mean, row.CostReal.Std = stats.MeanStd(costReal)
-		row.Acc.Mean, row.Acc.Std = stats.MeanStd(accs)
-	}
+	row.JCTReal.Mean, row.JCTReal.Std = stats.MeanStd(jctReal)
+	row.CostReal.Mean, row.CostReal.Std = stats.MeanStd(costReal)
+	row.Acc.Mean, row.Acc.Std = stats.MeanStd(accs)
 	return row, nil
 }
 
@@ -141,17 +142,13 @@ func (r *Table2Result) render() *table {
 			"JCT (real)", "Cost (real)", "Acc (%)"},
 	}
 	for _, row := range r.Rows {
-		jr, cr, acc := "*", "*", "*"
-		if !row.RealSkipped {
-			jr = fmt.Sprintf("%s ± %02.0fs", mmss(row.JCTReal.Mean), row.JCTReal.Std)
-			cr = fmt.Sprintf("$%.2f ± %.2f", row.CostReal.Mean, row.CostReal.Std)
-			acc = meanStd(row.Acc.Mean, row.Acc.Std)
-		}
 		t.add(row.Policy.String(),
 			fmt.Sprintf("%d min", row.DeadlineMin),
 			fmt.Sprintf("%s ± %02.0fs", mmss(row.JCTSim.Mean), row.JCTSim.Std),
 			fmt.Sprintf("$%.2f ± %.2f", row.CostSim.Mean, row.CostSim.Std),
-			jr, cr, acc)
+			fmt.Sprintf("%s ± %02.0fs", mmss(row.JCTReal.Mean), row.JCTReal.Std),
+			fmt.Sprintf("$%.2f ± %.2f", row.CostReal.Mean, row.CostReal.Std),
+			meanStd(row.Acc.Mean, row.Acc.Std))
 	}
 	return t
 }
@@ -177,13 +174,12 @@ type Table3Row struct {
 // the realized schedule.
 func Table3(cfg Config) (*Table3Result, error) {
 	cfg = cfg.withDefaults()
-	e := table2Experiment(core.PolicyRubberBand, 20*time.Minute, cfg.Seed, cfg.Samples, cfg.Fast)
-	res, err := e.Run()
+	a, err := runPlanned(table2Scenario(cfg, planner.PolicyRubberBand, 20, 0))
 	if err != nil {
 		return nil, err
 	}
-	out := &Table3Result{Plan: res.Plan}
-	for _, row := range res.Actual.Schedule {
+	out := &Table3Result{Plan: a.Plan}
+	for _, row := range a.Result.Schedule {
 		out.Rows = append(out.Rows, Table3Row{
 			EpochStart:   row.IterStart,
 			EpochEnd:     row.IterEnd,

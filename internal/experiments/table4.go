@@ -4,23 +4,20 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cloud"
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
 // Table4Row is one model row.
 type Table4Row struct {
-	Model     string
-	Deadline  time.Duration
-	Fixed     Stat
-	Rubber    Stat
-	FixedPlan sim.Plan
-	RBPlan    sim.Plan
+	Model    string
+	Deadline time.Duration
+	Fixed    Stat
+	Rubber   Stat
 }
 
 // Table4Result reproduces Table 4: realized cost of fixed-cluster vs
@@ -34,16 +31,12 @@ type Table4Result struct {
 	Rows []Table4Row
 }
 
-// table4Workloads returns the three model workloads.
-func table4Workloads(fast bool) []struct {
-	model    *model.Model
-	space    *searchspace.Space
-	spec     *spec.ExperimentSpec
-	deadline time.Duration
-} {
+// table4Workloads returns the three model workloads; Table4 sets each
+// run's seed and policy.
+func table4Workloads(cfg Config) []harness.Scenario {
 	shaVision := spec.MustSHA(32, 1, 50, 3)
 	shaBERT := spec.MustSHA(32, 1, 30, 3)
-	if fast {
+	if cfg.Fast {
 		shaVision = spec.MustSHA(8, 1, 12, 3)
 		shaBERT = spec.MustSHA(8, 1, 9, 3)
 	}
@@ -54,56 +47,47 @@ func table4Workloads(fast bool) []struct {
 	// cluster for every policy. We scale those two deadlines to the same
 	// *tightness* (deadline ÷ minimum serial tail time) as the paper's,
 	// preserving the comparison the table makes. See EXPERIMENTS.md.
-	return []struct {
-		model    *model.Model
-		space    *searchspace.Space
-		spec     *spec.ExperimentSpec
-		deadline time.Duration
-	}{
-		{model.ResNet101(), searchspace.DefaultVisionSpace(), shaVision, 20 * time.Minute},
-		{model.ResNet152(), searchspace.DefaultVisionSpace(), shaVision, 25 * time.Minute},
-		{model.BERT(), searchspace.DefaultNLPSpace(), shaBERT, 7 * time.Minute},
+	workload := func(m *model.Model, space *searchspace.Space, sp *spec.ExperimentSpec, deadlineMin int) harness.Scenario {
+		return harness.Scenario{
+			Spec:           sp,
+			Model:          m,
+			Space:          space,
+			Profile:        warmPoolProfile(m.Dataset.SizeGB),
+			RestoreSeconds: 2,
+			MaxGPUs:        128,
+			Samples:        cfg.Samples,
+			Deadline:       float64(deadlineMin * 60),
+		}
+	}
+	return []harness.Scenario{
+		workload(model.ResNet101(), searchspace.DefaultVisionSpace(), shaVision, 20),
+		workload(model.ResNet152(), searchspace.DefaultVisionSpace(), shaVision, 25),
+		workload(model.BERT(), searchspace.DefaultNLPSpace(), shaBERT, 7),
 	}
 }
+
+// table4Seed is the seed of workload wi's repetition s.
+func table4Seed(cfg Config, wi, s int) uint64 { return cfg.Seed + uint64(wi)*7777 + uint64(s)*1000 }
 
 // Table4 runs the model sweep end-to-end.
 func Table4(cfg Config) (*Table4Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table4Result{}
-	for wi, w := range table4Workloads(cfg.Fast) {
-		row := Table4Row{Model: w.model.Name, Deadline: w.deadline}
+	for wi, sc := range table4Workloads(cfg) {
+		row := Table4Row{Model: sc.Model.Name, Deadline: time.Duration(sc.Deadline) * time.Second}
 		var fixed, rubber []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			seed := cfg.Seed + uint64(wi)*7777 + uint64(s)*1000
-			for _, policy := range []core.Policy{core.PolicyStatic, core.PolicyRubberBand} {
-				cp := sim.DefaultCloudProfile()
-				cp.DatasetGB = w.model.Dataset.SizeGB
-				cp.Overheads = cloud.Overheads{
-					QueueDelay:  stats.Deterministic{Value: 5},
-					InitLatency: stats.Deterministic{Value: 15},
-				}
-				e := &core.Experiment{
-					Model:          w.model,
-					Space:          w.space,
-					Spec:           w.spec,
-					Cloud:          cp,
-					Deadline:       w.deadline,
-					Policy:         policy,
-					Seed:           seed,
-					Samples:        cfg.Samples,
-					MaxGPUs:        128,
-					RestoreSeconds: 2,
-				}
-				out, err := e.Run()
+			sc.BatchSeed = table4Seed(cfg, wi, s)
+			for _, policy := range []planner.Policy{planner.PolicyStatic, planner.PolicyRubberBand} {
+				sc.Policy = policy
+				a, err := runPlanned(sc)
 				if err != nil {
-					return nil, fmt.Errorf("table4 %s %v: %w", w.model.Name, policy, err)
+					return nil, fmt.Errorf("table4 %s %v: %w", sc.Model.Name, policy, err)
 				}
-				if policy == core.PolicyStatic {
-					fixed = append(fixed, out.Actual.Cost)
-					row.FixedPlan = out.Plan
+				if policy == planner.PolicyStatic {
+					fixed = append(fixed, a.Result.Cost)
 				} else {
-					rubber = append(rubber, out.Actual.Cost)
-					row.RBPlan = out.Plan
+					rubber = append(rubber, a.Result.Cost)
 				}
 			}
 		}

@@ -321,7 +321,7 @@ func checkDeadline(a *Artifacts) []string {
 // the scatter ablation (slower than the profiled co-located latency), or
 // stochastic iteration latency.
 func driftExcused(a *Artifacts) bool {
-	return a.DriftClass != DriftNone || a.Result.Preemptions > 0 ||
+	return a.Scenario.Drift.Active() || a.Result.Preemptions > 0 ||
 		a.Scenario.DisablePlacement || a.Scenario.Model.IterNoiseStd > 0
 }
 

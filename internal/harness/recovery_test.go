@@ -6,16 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/planner"
 )
 
-// sweepScenarios pins the crash-point sweep's inputs: a plain scenario
-// and the drift-triggered replan scenario from the FuzzEndToEnd corpus
+// sweepScenarios pins the crash-point sweep's inputs: a plain scenario,
+// the drift-triggered replan scenario from the FuzzEndToEnd corpus
 // whose adopted tail means recovery must rebuild controller state, not
-// just executor state.
+// just executor state, and a paper-path scenario that plans statically
+// from a measured profile under an absolute deadline.
 func sweepScenarios() []Scenario {
+	profiled := paperScenario(planner.PolicyStatic, 30*60, 10)
+	profiled.UseProfiler = true
 	return []Scenario{
 		Generate(1, 0),
 		Generate(4, 50), // drift-triggered replan, tail adopted
+		profiled,
 	}
 }
 
@@ -110,7 +115,7 @@ func crashAndRecover(t *testing.T, sc Scenario, interval uint64, cp CrashPoint,
 }
 
 // TestCrashPointSweepMem is the exhaustive crash-point sweep on the
-// in-memory backend: for both pinned scenarios, kill and recover at
+// in-memory backend: for every pinned scenario, kill and recover at
 // every sweep point and require bit-identical recovery at each.
 func TestCrashPointSweepMem(t *testing.T) {
 	const interval = 7

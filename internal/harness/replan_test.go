@@ -81,9 +81,6 @@ func TestReplanBeatsStalePlanUnderSlowdown(t *testing.T) {
 	if !a.Planned {
 		t.Fatal("planner rejected the pinned deadline")
 	}
-	if a.DriftClass != DriftFeasible {
-		t.Fatalf("drift class %v, want feasible (the demo needs a recoverable deadline)", a.DriftClass)
-	}
 	adopted := 0
 	for _, d := range a.Result.Replans {
 		if d.Adopted {
@@ -153,11 +150,10 @@ func TestReplanDecisionsReplayable(t *testing.T) {
 	}
 }
 
-// TestReplanInfeasibleAfterDrift pins the other acceptance branch: a 3x
-// slowdown against a tight deadline is classified DriftInfeasible at plan
-// time, every decision reports infeasibility rather than adopting a
-// false-hope tail, and the oracles accept the (correctly labeled) missed
-// deadline.
+// TestReplanInfeasibleAfterDrift pins the other acceptance branch: under
+// a 3x slowdown against a tight deadline every decision reports
+// infeasibility rather than adopting a false-hope tail, and the oracles
+// accept the missed deadline.
 func TestReplanInfeasibleAfterDrift(t *testing.T) {
 	sc := driftScenario(t)
 	sc.Drift = DriftModel{Factor: 3.0, StartFraction: 0.2}
@@ -168,9 +164,6 @@ func TestReplanInfeasibleAfterDrift(t *testing.T) {
 	}
 	if !a.Planned {
 		t.Fatal("planner rejected the pinned deadline")
-	}
-	if a.DriftClass != DriftInfeasible {
-		t.Fatalf("drift class %v, want infeasible", a.DriftClass)
 	}
 	if len(a.Result.Replans) == 0 {
 		t.Fatal("no replan decisions under 3x drift")

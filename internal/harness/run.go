@@ -9,43 +9,12 @@ import (
 	"repro/internal/executor"
 	"repro/internal/journal"
 	"repro/internal/planner"
+	"repro/internal/profiler"
 	"repro/internal/replan"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
-
-// DriftClass labels a scenario's relationship between injected drift and
-// the sampled deadline, computed at plan time from analytic bounds (no
-// Monte-Carlo). Oracles use it to tell a legitimate
-// infeasible-after-drift outcome from a planner bug.
-type DriftClass int
-
-const (
-	// DriftNone means no drift was injected.
-	DriftNone DriftClass = iota
-	// DriftFeasible means drift was injected but the deadline may still
-	// be reachable under the drifted latency regime.
-	DriftFeasible
-	// DriftInfeasible means even a full static cluster at MaxGPUs running
-	// the whole job under the drifted regime would miss the deadline —
-	// no replan can save the run.
-	DriftInfeasible
-)
-
-// String renders the class for reports.
-func (d DriftClass) String() string {
-	switch d {
-	case DriftNone:
-		return "none"
-	case DriftFeasible:
-		return "feasible"
-	case DriftInfeasible:
-		return "infeasible"
-	default:
-		return fmt.Sprintf("DriftClass(%d)", int(d))
-	}
-}
 
 // maxSteps bounds the number of virtual-clock events one scenario may
 // execute. The largest generated scenarios finish in well under 100k
@@ -109,13 +78,13 @@ type RunConfig struct {
 type Artifacts struct {
 	Scenario Scenario
 	// Plan is the executed allocation plan. Planned reports whether it
-	// came from the elastic planner (true) or the 1-GPU-per-trial
-	// fallback used when the sampled deadline was infeasible.
+	// came from the planner (true), or is the scenario's own Plan or the
+	// 1-GPU-per-trial fallback used when the deadline was infeasible.
 	Plan    sim.Plan
 	Planned bool
 	// Estimate is the planner's prediction (valid only when Planned).
 	Estimate sim.Estimate
-	// Deadline is the sampled job deadline in seconds.
+	// Deadline is the job deadline in seconds.
 	Deadline float64
 	// Result is the realized execution outcome.
 	Result *executor.Result
@@ -131,8 +100,9 @@ type Artifacts struct {
 	GPN int
 	// Steps is the number of virtual-clock events executed.
 	Steps int
-	// DriftClass labels the scenario's drift-vs-deadline relationship.
-	DriftClass DriftClass
+	// ProfilingDuration is the simulated time the instrumentation step
+	// took (zero unless Scenario.UseProfiler).
+	ProfilingDuration float64
 	// Grants is the stage-boundary arbitration record of a gated run
 	// (empty for ungated runs). Replaying the same scenario under a gate
 	// that re-issues this sequence reproduces the digest bit for bit.
@@ -143,11 +113,12 @@ type Artifacts struct {
 func (a *Artifacts) finishedAt() vclock.Time { return vclock.Time(a.Result.JCT) }
 
 // RunScenario executes one scenario end-to-end: it builds the simulator,
-// plans under the sampled deadline (falling back to a minimal elastic
-// plan when the deadline is infeasible), wires a faulty provider and
-// cluster manager on a fresh virtual clock, and drives the executor to
-// completion. Every random stream is derived from (BatchSeed, Index), so
-// repeated calls produce bit-identical artifacts.
+// plans under the scenario's policy and deadline (executing the
+// scenario's own plan if it has one, and a minimal elastic plan if the
+// deadline is infeasible), wires a faulty provider and cluster manager
+// on a fresh virtual clock, and drives the executor to completion. Every
+// random stream is derived from (BatchSeed, Index), so repeated calls
+// produce bit-identical artifacts.
 func RunScenario(sc Scenario) (*Artifacts, error) { return Run(sc, RunConfig{}) }
 
 // Run starts sc under rc and drives it to completion. With rc.Journal
@@ -193,7 +164,6 @@ func runOn(ws *workingSet, sc Scenario, rc RunConfig, put func(*workingSet)) (*A
 // concurrent callers (an HTTP status endpoint) must synchronize
 // externally.
 type Running struct {
-	sc Scenario
 	a  *Artifacts
 	jw *journal.Writer
 	// ws is the working set the run's state comes from; Release returns
@@ -228,27 +198,16 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 	if gate != nil && sc.ReplanEnabled {
 		return fmt.Errorf("harness: arbitrated runs require ReplanEnabled=false (both rewrite the live plan)")
 	}
-	root := &ws.root
-	scenarioRootInto(sc.BatchSeed, sc.Index, root)
-
-	// Plan. The simulator gets its own stream; planning runs serially so
-	// scenario-level parallelism composes without nested pools.
-	var profile sim.TrainProfile = sim.ModelTrainProfile{
-		Model:       sc.Model,
-		Batch:       sc.Model.BaseBatch,
-		GPUsPerNode: sc.Profile.Instance.GPUs,
+	a := &Artifacts{GPN: sc.Profile.Instance.GPUs}
+	profile, err := prepareOn(ws, &sc, a)
+	if err != nil {
+		return err
 	}
-	simRNG := &ws.simRNG
-	root.StreamInto(streamSim, simRNG)
-	sm := &ws.plan
-	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
-		return fmt.Errorf("harness: simulator: %w", err)
-	}
-	deadline := sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor
-	ws.planner = planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: sc.MaxGPUs, Workers: 1}
-	p := &ws.planner
-	a := &Artifacts{Scenario: sc, Deadline: deadline, GPN: sc.Profile.Instance.GPUs}
-	if pres, perr := p.PlanElastic(); perr == nil {
+	a.Scenario = sc
+	deadline := a.Deadline
+	if len(sc.Plan.Alloc) > 0 {
+		a.Plan = sc.Plan.Clone()
+	} else if pres, perr := ws.planner.Plan(sc.Policy); perr == nil {
 		a.Plan, a.Estimate, a.Planned = pres.Plan, pres.Estimate, true
 	} else {
 		// Infeasible deadline (or an equally deliberate planner refusal):
@@ -260,26 +219,7 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 		}
 		a.Plan = sim.Plan{Alloc: alloc}
 	}
-
-	// Classify the injected drift against the deadline: if even the full
-	// static cluster running the whole job at the drifted latency misses
-	// the deadline, no replan can save the run and oracles must not treat
-	// an infeasible-after-drift outcome as a bug. StaticClusterJCT is
-	// analytic (means only, no Monte-Carlo), so this draws nothing. The
-	// planning Simulator is done, so it is re-initialised for the drifted
-	// profile.
-	if sc.Drift.Active() {
-		a.DriftClass = DriftFeasible
-		if sc.Drift.Factor > 1 {
-			if err := sm.Init(sc.Spec, sim.ScaledTrainProfile{Base: profile, Factor: sc.Drift.Factor},
-				sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
-				return fmt.Errorf("harness: drifted simulator: %w", err)
-			}
-			if deadline < sm.StaticClusterJCT(sc.MaxGPUs) {
-				a.DriftClass = DriftInfeasible
-			}
-		}
-	}
+	root := &ws.root
 
 	// Drift injection: a step function of virtual time only, so enabling
 	// it never perturbs any RNG stream.
@@ -325,7 +265,6 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 			Deadline:        deadline,
 			MaxGPUs:         sc.MaxGPUs,
 			Samples:         sc.Samples,
-			Workers:         1,
 			Estimator:       sc.Estimator,
 			RNG:             &ws.replanRNG,
 			Threshold:       sc.DriftThreshold,
@@ -419,7 +358,7 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 		}
 	}
 
-	job, err := ws.exec.Start(executor.Config{
+	job, err = ws.exec.Start(executor.Config{
 		Spec:             sc.Spec,
 		Plan:             a.Plan,
 		Model:            sc.Model,
@@ -440,10 +379,94 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 		return fmt.Errorf("harness: start: %w", err)
 	}
 	*dst = Running{
-		sc: sc, a: a, jw: jw, ws: ws, clock: clock, job: job,
+		a: a, jw: jw, ws: ws, clock: clock, job: job,
 		provider: provider, mgr: mgr, rec: rec,
 	}
 	return nil
+}
+
+// prepareOn builds sc's planning profile, Simulator and Planner on ws
+// and fills in a's Deadline and ProfilingDuration. It first resolves a
+// zero sc.MaxGPUs to the planner's default cap, so the oracles and the
+// replan controller see the cap the planner used. It returns the
+// training profile the planner sees: the model's analytic profile or,
+// with UseProfiler, the measured one.
+func prepareOn(ws *workingSet, sc *Scenario, a *Artifacts) (sim.TrainProfile, error) {
+	if sc.MaxGPUs == 0 {
+		sc.MaxGPUs = planner.DefaultMaxGPUs(sc.Spec)
+	}
+	root := &ws.root
+	scenarioRootInto(sc.BatchSeed, sc.Index, root)
+	gpn := sc.Profile.Instance.GPUs
+	var profile sim.TrainProfile = sim.ModelTrainProfile{
+		Model:       sc.Model,
+		Batch:       sc.Model.BaseBatch,
+		GPUsPerNode: gpn,
+	}
+	if sc.UseProfiler {
+		// Probe far enough to cover the largest per-trial allocation plans
+		// are likely to use.
+		rep, err := profiler.Profile(sc.Model, sc.Model.BaseBatch, profiler.Options{
+			MaxGPUs:     max(16, 4*gpn),
+			GPUsPerNode: gpn,
+		}, root.Stream(streamProfiler))
+		if err != nil {
+			return nil, fmt.Errorf("harness: profiler: %w", err)
+		}
+		profile, a.ProfilingDuration = rep.Profile, rep.Duration
+	}
+
+	// The simulator gets its own stream; planning runs serially so
+	// scenario-level parallelism composes without nested pools.
+	simRNG := &ws.simRNG
+	root.StreamInto(streamSim, simRNG)
+	sm := &ws.plan
+	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
+		return nil, fmt.Errorf("harness: simulator: %w", err)
+	}
+	a.Deadline = sc.Deadline
+	if a.Deadline <= 0 {
+		a.Deadline = sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor
+	}
+	ws.planner = planner.Planner{Sim: sm, Deadline: a.Deadline, MaxGPUs: sc.MaxGPUs, Workers: 1}
+	return profile, nil
+}
+
+// PlanScenario plans sc as Run would, without executing the plan. Unlike
+// Run, which falls back to a minimal plan, it returns the planner's
+// error: planner.ErrInfeasible when no plan within MaxGPUs meets the
+// deadline.
+func PlanScenario(sc Scenario) (res planner.Result, err error) {
+	err = onPlanner(sc, func(p *planner.Planner) (err error) {
+		res, err = p.Plan(sc.Policy)
+		return err
+	})
+	return res, err
+}
+
+// Breakdown decomposes plan's predicted time and cost by stage on sc's
+// planning Simulator, so the rows add up to the estimate PlanScenario
+// reports for the same plan.
+func Breakdown(sc Scenario, plan sim.Plan) (rows []sim.StageEstimate, err error) {
+	err = onPlanner(sc, func(p *planner.Planner) (err error) {
+		rows, err = p.Sim.Breakdown(plan)
+		return err
+	})
+	return rows, err
+}
+
+// onPlanner builds sc's Planner as Run does, on a working set from the
+// pool, and calls f with it.
+func onPlanner(sc Scenario, f func(*planner.Planner) error) error {
+	ws := getWorkingSet()
+	defer func() {
+		ws.reset()
+		putWorkingSet(ws)
+	}()
+	if _, err := prepareOn(ws, &sc, new(Artifacts)); err != nil {
+		return err
+	}
+	return f(&ws.planner)
 }
 
 // capGate is the scripted gate of cap-carrying scenarios: stage i is

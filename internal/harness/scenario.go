@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -46,14 +47,30 @@ type Scenario struct {
 	RestoreSeconds float64
 	// DisablePlacement scatters workers (the locality ablation path).
 	DisablePlacement bool
-	// MaxGPUs caps the planner's peak cluster size.
+	// MaxGPUs caps the planner's peak cluster size; zero selects
+	// planner.DefaultMaxGPUs.
 	MaxGPUs int
 	// Samples is the simulator's Monte-Carlo sample count.
 	Samples int
 	// DeadlineFactor scales the analytic static-cluster JCT bound into
-	// the job deadline. Factors near or below 1 are often infeasible,
-	// deliberately exercising the planner-failure fallback path.
+	// the job deadline when Deadline is zero. Factors near or below 1 are
+	// often infeasible, deliberately exercising the planner-failure
+	// fallback path.
 	DeadlineFactor float64
+	// Deadline, when positive, is the job deadline in seconds, and
+	// DeadlineFactor is ignored.
+	Deadline float64
+	// Policy selects the planner's search; the zero value is RubberBand's
+	// elastic planner.
+	Policy planner.Policy
+	// UseProfiler plans from a scaling profile the instrumentation step
+	// measures (§5) instead of the model's analytic ground truth.
+	// Profiling is neither billed nor taken from the deadline; its
+	// simulated time is reported in Artifacts.ProfilingDuration.
+	UseProfiler bool
+	// Plan, when non-empty, is executed as given and the planner does not
+	// run: the run counts as unplanned.
+	Plan sim.Plan
 	// Estimator selects the simulator's estimator mode, so the chaos
 	// sweep exercises both the incremental segment estimator and the
 	// analytic one.
@@ -100,6 +117,7 @@ const (
 	streamConfigs
 	streamReplan
 	streamCrash
+	streamProfiler
 )
 
 // scenarioRoot returns the root RNG of scenario (seed, index). Stream is

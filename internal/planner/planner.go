@@ -141,11 +141,56 @@ func (p *Planner) maxGPUs() int {
 	if p.MaxGPUs > 0 {
 		return p.MaxGPUs
 	}
-	n := 4 * p.Sim.Spec().TotalTrials()
-	if n < 64 {
-		n = 64
+	return DefaultMaxGPUs(p.Sim.Spec())
+}
+
+// DefaultMaxGPUs is the peak-GPU cap a Planner with zero MaxGPUs uses
+// for sp: max(64, 4 × first-stage trials).
+func DefaultMaxGPUs(sp *spec.ExperimentSpec) int {
+	return max(64, 4*sp.TotalTrials())
+}
+
+// Policy selects a planning search.
+type Policy int
+
+const (
+	// PolicyRubberBand is the elastic cost-minimizing search (§4.3,
+	// PlanElastic).
+	PolicyRubberBand Policy = iota
+	// PolicyStatic is the cost-optimal fixed-cluster baseline (§3.2,
+	// PlanStatic).
+	PolicyStatic
+	// PolicyNaiveElastic resizes the cluster but keeps a fixed per-trial
+	// allocation, as in prior work (§6.3.1, PlanNaiveElastic).
+	PolicyNaiveElastic
+)
+
+// String returns the policy name used in tables.
+func (p Policy) String() string {
+	switch p {
+	case PolicyRubberBand:
+		return "RubberBand"
+	case PolicyStatic:
+		return "Static"
+	case PolicyNaiveElastic:
+		return "Naive elastic"
+	default:
+		return fmt.Sprintf("Policy(%d)", int(p))
 	}
-	return n
+}
+
+// Plan runs the search policy selects.
+func (p *Planner) Plan(policy Policy) (Result, error) {
+	switch policy {
+	case PolicyRubberBand:
+		return p.PlanElastic()
+	case PolicyStatic:
+		return p.PlanStatic()
+	case PolicyNaiveElastic:
+		return p.PlanNaiveElastic()
+	default:
+		return Result{}, fmt.Errorf("planner: unknown policy %v", policy)
+	}
 }
 
 func (p *Planner) delta() float64 {

@@ -345,3 +345,12 @@ func TestMemoHitZeroAlloc(t *testing.T) {
 		t.Fatalf("memo hits allocate %v, want 0", allocs)
 	}
 }
+
+func TestPolicyString(t *testing.T) {
+	if PolicyRubberBand.String() != "RubberBand" ||
+		PolicyStatic.String() != "Static" ||
+		PolicyNaiveElastic.String() != "Naive elastic" ||
+		Policy(42).String() != "Policy(42)" {
+		t.Error("policy names wrong")
+	}
+}

@@ -135,37 +135,35 @@ var oracleScripts = map[string]func(d *oracleDriver){
 // TestReplanMatchesThreeSimulatorOracle: a controller deciding with one
 // Simulator per decision, its Simulators, re-fit and decision storage
 // recycled from decision to decision, commits exactly the decisions, pre-screens and detector state of
-// the three-Simulator controller, under both estimators and at one and
-// four workers, and leaves its random stream where it found it.
+// the three-Simulator controller, under both estimators, and leaves its
+// random stream where it found it.
 func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {
 	for name, script := range oracleScripts {
 		for _, est := range []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic} {
-			for _, workers := range []int{1, 4} {
-				var runs [2]*oracleDriver
-				for i := range runs {
-					cfg := testConfig(t, workers)
-					cfg.Estimator = est
-					c, err := NewController(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					runs[i] = &oracleDriver{t: t, c: c, ref: i == 1}
-					script(runs[i])
-					if *c.cfg.RNG != *stats.NewRNG(7) {
-						t.Fatalf("%s: the controller's random stream moved", name)
-					}
+			var runs [2]*oracleDriver
+			for i := range runs {
+				cfg := testConfig(t)
+				cfg.Estimator = est
+				c, err := NewController(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, want := runs[0], runs[1]
-				if !reflect.DeepEqual(got.c.Decisions(), want.c.Decisions()) {
-					t.Fatalf("%s estimator %v workers %d: decisions\n %+v\noracle\n %+v",
-						name, est, workers, got.c.Decisions(), want.c.Decisions())
+				runs[i] = &oracleDriver{t: t, c: c, ref: i == 1}
+				script(runs[i])
+				if *c.cfg.RNG != *stats.NewRNG(7) {
+					t.Fatalf("%s: the controller's random stream moved", name)
 				}
-				if !reflect.DeepEqual(got.screens, want.screens) {
-					t.Fatalf("%s estimator %v workers %d: pre-screens %+v, oracle %+v", name, est, workers, got.screens, want.screens)
-				}
-				if !reflect.DeepEqual(got.c.DetectorState(), want.c.DetectorState()) {
-					t.Fatalf("%s: detector state %+v, oracle %+v", name, got.c.DetectorState(), want.c.DetectorState())
-				}
+			}
+			got, want := runs[0], runs[1]
+			if !reflect.DeepEqual(got.c.Decisions(), want.c.Decisions()) {
+				t.Fatalf("%s estimator %v: decisions\n %+v\noracle\n %+v",
+					name, est, got.c.Decisions(), want.c.Decisions())
+			}
+			if !reflect.DeepEqual(got.screens, want.screens) {
+				t.Fatalf("%s estimator %v: pre-screens %+v, oracle %+v", name, est, got.screens, want.screens)
+			}
+			if !reflect.DeepEqual(got.c.DetectorState(), want.c.DetectorState()) {
+				t.Fatalf("%s: detector state %+v, oracle %+v", name, got.c.DetectorState(), want.c.DetectorState())
 			}
 		}
 	}
@@ -174,7 +172,7 @@ func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {
 // TestDecisionPlansShareStorage: an unadopted decision's NewPlan is its
 // OldPlan, storage included, and neither aliases the caller's plan.
 func TestDecisionPlansShareStorage(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	live := sim.NewPlan(4, 4, 4)
 	d, err := c.Replan(State{Stage: 0, Now: 1990, RemainingIters: 4, Plan: live}, ReasonDrift)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // either enabled or disabled, over the shared test config.
 func screenTestController(t *testing.T, disable bool) *Controller {
 	t.Helper()
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.disablePreScreen = disable
 	c, err := NewController(cfg)
 	if err != nil {

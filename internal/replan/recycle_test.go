@@ -52,7 +52,7 @@ func wideConfig(t *testing.T) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.Spec, cfg.MaxGPUs, cfg.Deadline = s, 32, 4000
 	return cfg
 }
@@ -84,7 +84,7 @@ func (p noisyProfile) IterDist(gpus int) stats.Dist {
 // other numbers, and its re-fits carry a spread, so a controller that
 // kept a score or the 1-GPU σ across Init would decide otherwise.
 func slowConfig(t *testing.T) Config {
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.Profile = noisyProfile{mean: 52, sigma: 6}
 	return cfg
 }
@@ -106,7 +106,7 @@ func TestControllerResetMatchesNew(t *testing.T) {
 		t.Fatalf("the larger run takes %d decisions, adopted none or not 4: %+v", len(wide.decisions), wide.decisions)
 	}
 	for name, script := range oracleScripts {
-		cfg := testConfig(t, 1)
+		cfg := testConfig(t)
 		want := runScript(t, new(Controller), cfg, script)
 		for _, prev := range []struct {
 			name   string
@@ -114,7 +114,7 @@ func TestControllerResetMatchesNew(t *testing.T) {
 			script func(*oracleDriver)
 		}{
 			{"larger", wideConfig(t), wideScript},
-			{"smaller", testConfig(t, 1), oracleScripts["lost-deadline"]},
+			{"smaller", testConfig(t), oracleScripts["lost-deadline"]},
 			{"slower-profile", slowConfig(t), screenQuietState},
 		} {
 			c := new(Controller)
@@ -136,7 +136,7 @@ func TestControllerResetMatchesNew(t *testing.T) {
 // keeps its Simulators, each with its table, for the next run.
 func TestResetDropsPointers(t *testing.T) {
 	c := new(Controller)
-	runScript(t, c, testConfig(t, 1), oracleScripts["provisioning"])
+	runScript(t, c, testConfig(t), oracleScripts["provisioning"])
 	c.SetObserver(func(Decision) {})
 	c.Reset()
 	if c.observer != nil || c.cfg != (Config{}) || len(c.decisions) != 0 || c.queueLat != (stats.Scaled{}) || c.initLat != (stats.Scaled{}) {
@@ -201,7 +201,7 @@ func allocConfig(t *testing.T) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.Profile = sim.MeasuredTrainProfile{BaseMean: 40, Scaling: sc}
 	return cfg
 }
@@ -284,7 +284,7 @@ func TestReplanDecisionAllocs(t *testing.T) {
 // OldPlan, as in the controller.
 func TestDecisionsIsADeepCopy(t *testing.T) {
 	c := new(Controller)
-	runScript(t, c, testConfig(t, 1), oracleScripts["preemption"])
+	runScript(t, c, testConfig(t), oracleScripts["preemption"])
 	got := c.Decisions()
 	want := slices.Clone(got)
 	for i := range want {

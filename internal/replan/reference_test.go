@@ -74,7 +74,7 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 	}
 
 	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)),
-		sim.WithWorkers(c.cfg.Workers), sim.WithEstimator(c.cfg.Estimator))
+		sim.WithWorkers(1), sim.WithEstimator(c.cfg.Estimator))
 	if err != nil {
 		return Decision{}, err
 	}
@@ -89,7 +89,7 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 		Sim:      sm,
 		Deadline: d.RemainingDeadline,
 		MaxGPUs:  c.cfg.MaxGPUs,
-		Workers:  c.cfg.Workers,
+		Workers:  1,
 		Delta:    adoptDelta,
 	}
 	res, perr := p.PlanElastic()

@@ -88,10 +88,6 @@ type Config struct {
 	// Samples is the replanning simulator's Monte-Carlo sample count.
 	// Zero selects sim.DefaultSamples.
 	Samples int
-	// Workers bounds replanning concurrency (simulator fan-out and
-	// candidate evaluation). Zero selects GOMAXPROCS; output is
-	// bit-identical at any setting.
-	Workers int
 	// Estimator selects the replanning simulator's estimator mode (the
 	// zero value is the segment estimator, whose warm-path cost is what
 	// makes mid-run replanning affordable).
@@ -599,14 +595,14 @@ func (c *Controller) refitProfiles() (sim.TrainProfile, sim.CloudProfile, error)
 //rbvet:noalloc
 func (c *Controller) suffix(from int) *spec.ExperimentSpec { return &c.suffixes[from] }
 
-// planner returns the controller's Planner, set to search sm for a tail
-// meeting deadline on the given number of workers.
-func (c *Controller) planner(sm *sim.Simulator, deadline float64, workers int) *planner.Planner {
+// planner returns the controller's Planner, set to search sm serially for
+// a tail meeting deadline.
+func (c *Controller) planner(sm *sim.Simulator, deadline float64) *planner.Planner {
 	c.pl = planner.Planner{
 		Sim:      sm,
 		Deadline: deadline,
 		MaxGPUs:  c.cfg.MaxGPUs,
-		Workers:  workers,
+		Workers:  1,
 		Delta:    adoptDelta,
 	}
 	return &c.pl
@@ -675,7 +671,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	c.cfg.RNG.StreamInto(uint64(seq), &rng)
 	sm := &c.sims.dec
 	if err := sm.Init(suffix, prof, cp, c.cfg.Samples, &rng,
-		sim.WithWorkers(c.cfg.Workers), sim.WithEstimator(c.cfg.Estimator)); err != nil {
+		sim.WithWorkers(1), sim.WithEstimator(c.cfg.Estimator)); err != nil {
 		return Decision{}, err
 	}
 
@@ -701,7 +697,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	d.StaleEstimate = staleEst
 	staleFeasible := staleEst.JCT <= d.RemainingDeadline
 
-	res, perr := c.planner(sm, d.RemainingDeadline, c.cfg.Workers).PlanElastic()
+	res, perr := c.planner(sm, d.RemainingDeadline).PlanElastic()
 	switch {
 	case perr == planner.ErrInfeasible:
 		// No planner tail fits; the job is infeasible-after-drift unless
@@ -798,7 +794,7 @@ func (c *Controller) screenTail(sm *sim.Simulator, prof sim.TrainProfile, cp sim
 	if err := c.initAnalytic(mini, suffix, prof, cp); err != nil {
 		return sim.Estimate{}, false, false
 	}
-	res, perr := c.planner(mini, remaining, 1).PlanElastic()
+	res, perr := c.planner(mini, remaining).PlanElastic()
 	switch {
 	case perr == planner.ErrInfeasible:
 		// No planner tail fits analytically while the stale one does; the

@@ -33,7 +33,7 @@ func testSpec(t *testing.T) *spec.ExperimentSpec {
 	return s
 }
 
-func testConfig(t *testing.T, workers int) Config {
+func testConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		Spec:     testSpec(t),
@@ -42,14 +42,13 @@ func testConfig(t *testing.T, workers int) Config {
 		Deadline: 2000,
 		MaxGPUs:  16,
 		Samples:  4,
-		Workers:  workers,
 		RNG:      stats.NewRNG(7),
 	}
 }
 
-func newTestController(t *testing.T, workers int) *Controller {
+func newTestController(t *testing.T) *Controller {
 	t.Helper()
-	c, err := NewController(testConfig(t, workers))
+	c, err := NewController(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig(t, 1)
+			cfg := testConfig(t)
 			tc.mutate(&cfg)
 			if _, err := NewController(cfg); err == nil {
 				t.Fatalf("NewController accepted %s", tc.name)
@@ -86,7 +85,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	base := testConfig(t, 1)
+	base := testConfig(t)
 	base.Samples = 0
 	c, err := NewController(base)
 	if err != nil {
@@ -102,7 +101,7 @@ func TestDefaultsApplied(t *testing.T) {
 // guarantee: observations exactly matching the prediction keep the EWMA at
 // exactly 1, so the detector never fires no matter how many arrive.
 func TestOnProfileNeverTriggers(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	for i := 0; i < 100; i++ {
 		pred := c.cfg.Profile.IterDist(4).Mean()
 		if c.ObserveIteration(4, pred, vclock.Time(i)) {
@@ -112,7 +111,7 @@ func TestOnProfileNeverTriggers(t *testing.T) {
 }
 
 func TestDriftTriggersAfterMinObservations(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	pred := c.cfg.Profile.IterDist(4).Mean()
 	for i := 0; i < 2; i++ {
 		if c.ObserveIteration(4, 2*pred, vclock.Time(i)) {
@@ -125,7 +124,7 @@ func TestDriftTriggersAfterMinObservations(t *testing.T) {
 }
 
 func TestSpeedupAlsoTriggers(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	pred := c.cfg.Profile.IterDist(2).Mean()
 	fired := false
 	for i := 0; i < 10 && !fired; i++ {
@@ -137,7 +136,7 @@ func TestSpeedupAlsoTriggers(t *testing.T) {
 }
 
 func TestCooldownGatesTriggers(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	pred := c.cfg.Profile.IterDist(4).Mean()
 	for i := 0; i < 5; i++ {
 		c.ObserveIteration(4, 2*pred, vclock.Time(i))
@@ -160,7 +159,7 @@ func TestCooldownGatesTriggers(t *testing.T) {
 }
 
 func TestReplanRejectsLastStage(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	if _, err := c.Replan(State{Stage: 2, Now: 0, Plan: sim.NewPlan(4, 4, 4)}, ReasonDrift); err == nil {
 		t.Fatal("Replan accepted the last stage")
 	}
@@ -172,7 +171,7 @@ func TestReplanRejectsLastStage(t *testing.T) {
 // TestReplanPreservesPrefix checks splice semantics: a decision never
 // rewrites the executing stage or any stage before it.
 func TestReplanPreservesPrefix(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	pred := c.cfg.Profile.IterDist(1).Mean()
 	for i := 0; i < 5; i++ {
 		c.ObserveIteration(1, 2*pred, vclock.Time(i))
@@ -196,7 +195,7 @@ func TestReplanPreservesPrefix(t *testing.T) {
 // negative before the tail starts, the decision is infeasible and keeps
 // the stale plan without running the planner.
 func TestReplanLostDeadlineInfeasible(t *testing.T) {
-	c := newTestController(t, 1)
+	c := newTestController(t)
 	d, err := c.Replan(State{Stage: 0, Now: 1990, RemainingIters: 4, Plan: sim.NewPlan(4, 4, 4)}, ReasonPreemption)
 	if err != nil {
 		t.Fatal(err)
@@ -234,21 +233,11 @@ func driveController(t *testing.T, c *Controller) []Decision {
 	return c.Decisions()
 }
 
-// TestDecisionsWorkerInvariant: the same observation sequence produces
-// bit-identical decisions at any replanning worker count.
-func TestDecisionsWorkerInvariant(t *testing.T) {
-	d1 := driveController(t, newTestController(t, 1))
-	d4 := driveController(t, newTestController(t, 4))
-	if !reflect.DeepEqual(d1, d4) {
-		t.Fatalf("decisions differ across worker counts:\n 1: %+v\n 4: %+v", d1, d4)
-	}
-}
-
 // TestDecisionsReplayable: re-driving a fresh controller reproduces the
 // exact decision sequence (same RNG seed, same observations).
 func TestDecisionsReplayable(t *testing.T) {
-	a := driveController(t, newTestController(t, 1))
-	b := driveController(t, newTestController(t, 1))
+	a := driveController(t, newTestController(t))
+	b := driveController(t, newTestController(t))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("replay diverged:\n first: %+v\n second: %+v", a, b)
 	}

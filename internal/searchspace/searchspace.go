@@ -58,7 +58,7 @@ func (c Config) index(name string) int {
 }
 
 // Len returns the number of values in the configuration.
-func (c Config) Len() int { return len(c.vals) } //rbvet:ignore unreached — asha and core tests check that a run returned a configuration through it
+func (c Config) Len() int { return len(c.vals) } //rbvet:ignore unreached — the asha tests check that a run returned a configuration through it
 
 // Float returns the named numeric value. It panics if the key is missing
 // or not numeric — configs are produced by Space.Sample, so a miss is a

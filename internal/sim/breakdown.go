@@ -4,7 +4,7 @@ import "repro/internal/cloud"
 
 // StageEstimate decomposes a plan prediction into per-stage terms: where
 // the time goes and where the money goes. Useful for inspecting why the
-// planner prefers one plan over another (cmd/rbplan -breakdown).
+// planner prefers one plan over another (rubberband plan -breakdown).
 type StageEstimate struct {
 	// Stage is the 0-based stage index.
 	Stage int

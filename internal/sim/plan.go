@@ -53,7 +53,7 @@ func (p Plan) Max() int {
 }
 
 // IsStatic reports whether every stage receives the same allocation.
-func (p Plan) IsStatic() bool { //rbvet:ignore unreached — planner, experiments and core tests check plans are static through it
+func (p Plan) IsStatic() bool { //rbvet:ignore unreached — planner, experiments and harness tests check plans are static through it
 	for i := 1; i < len(p.Alloc); i++ {
 		if p.Alloc[i] != p.Alloc[0] {
 			return false
