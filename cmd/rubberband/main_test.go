@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -9,6 +12,8 @@ import (
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this tree")
 
 // build compiles the command into a temporary directory.
 func build(t *testing.T) string {
@@ -76,5 +81,64 @@ func TestSubcommands(t *testing.T) {
 
 	if err := exec.Command(bin, "bogus").Run(); err == nil {
 		t.Error("an unknown subcommand succeeded")
+	}
+}
+
+// goldenRuns are the invocations TestGolden pins: the run flags that
+// reach every field of the job, the shorthand past the service limits
+// (-trials 128), an explicit plan, every policy's plan with its
+// breakdown, the default sweep and a job file.
+var goldenRuns = [][]string{
+	{"run", "-json"},
+	{"run", "-json", "-model", "bert", "-policy", "static", "-trials", "16", "-min-iters", "1", "-max-iters", "30", "-eta", "3"},
+	{"run", "-json", "-model", "resnet50", "-deadline", "15m", "-profile"},
+	{"run", "-json", "-trials", "8", "-max-iters", "12", "-plan", "8,4,2"},
+	{"run", "-json", "-trials", "128"},
+	{"plan", "-breakdown"},
+	{"sweep", "-format", "csv"},
+	{"run", "-json", "-config", filepath.Join("testdata", "full.json")},
+}
+
+// TestGolden pins the output of each of goldenRuns against
+// testdata/golden.txt, so a change to how the flags or a job file become
+// a scenario cannot move a result unnoticed. -update rewrites the file.
+func TestGolden(t *testing.T) {
+	bin := build(t)
+	var got []byte
+	for _, args := range goldenRuns {
+		cmd := exec.Command(bin, args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("rubberband %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+		}
+		got = append(append(got, "== rubberband "+strings.Join(args, " ")+"\n"...), out...)
+	}
+	path := filepath.Join("testdata", "golden.txt")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+		for i := range max(len(wl), len(gl)) {
+			var w, g string
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if w != g {
+				t.Fatalf("output moved from testdata/golden.txt (go test ./cmd/rubberband -run TestGolden -update rewrites it), line %d:\n  want %s\n  got  %s", i+1, w, g)
+			}
+		}
 	}
 }
