@@ -16,6 +16,7 @@
 //	rubberband -model resnet101 -deadline 20m
 //	rubberband -model bert -policy static -trials 16 -min-iters 1 -max-iters 30 -eta 3
 //	rubberband -model resnet50 -deadline 15m -profile -trace trace.csv
+//	rubberband -config job.json    (job.json: an rbserve POST body without the tenant)
 //	rubberband plan -model resnet101 -deadline 20m -breakdown
 //	rubberband plan -model resnet101 -deadline 20m -replan -drift 2.0
 //	rubberband sweep -model resnet50 -from 10m -to 40m -steps 7 -format csv
@@ -30,11 +31,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/harness"
-	"repro/internal/model"
 	"repro/internal/planner"
-	"repro/internal/searchspace"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -57,84 +56,65 @@ func main() {
 	}
 }
 
-// job holds the flags that describe a tuning job: the model and its
-// Successive Halving structure, the seed and the planner's simulator.
-type job struct {
-	model                           string
-	trials, minIters, maxIters, eta int
-	seed                            uint64
-	samples                         int
-	estimator                       string
+// jobFlags defines the job flags on fs: the model, the Successive
+// Halving shorthand (-trials, -min-iters, -max-iters, -eta), the seed
+// and, for the subcommands that only plan, the planner's simulator
+// flags; run plans with the defaults. It returns the submission the
+// flags fill, for the caller to add flags of its own to, and the
+// function that, once fs is parsed, builds its scenario under a
+// deadline. The job runs on the paper's cloud profile: p3.8xlarge
+// workers, a 60 s minimum charge, an exponential 10 s queue, a 15 s init
+// and a 2 s restore.
+func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams, samples int, planOnly bool) (*serve.Submission, func(time.Duration) (harness.Scenario, error)) {
+	minCharge, restore := 60.0, 2.0
+	sub := serve.Submission{
+		Samples:        samples,
+		Estimator:      "segment",
+		Instance:       "p3.8xlarge",
+		RestoreSeconds: &restore,
+		Cloud: &serve.CloudSpec{
+			MinChargeSeconds: &minCharge,
+			QueueDelay:       &serve.DistSpec{Type: "exponential", Mean: 10},
+			InitLatency:      &serve.DistSpec{Type: "deterministic", Value: 15},
+		},
+	}
+	fs.StringVar(&sub.Model, "model", model, "model to tune: resnet50, resnet101, resnet152, bert")
+	fs.IntVar(&sha.N, "trials", sha.N, "SHA initial trial count n")
+	fs.IntVar(&sha.R, "min-iters", sha.R, "SHA minimum per-trial work r")
+	fs.IntVar(&sha.MaxR, "max-iters", sha.MaxR, "SHA maximum cumulative work R")
+	fs.IntVar(&sha.Eta, "eta", sha.Eta, "SHA termination rate η")
+	fs.Uint64Var(&sub.Seed, "seed", 1, "random seed")
+	if planOnly {
+		fs.IntVar(&sub.Samples, "samples", samples, "simulator Monte-Carlo samples per plan")
+		fs.StringVar(&sub.Estimator, "estimator", sub.Estimator, "plan estimator: segment (incremental Monte-Carlo, cached stage segments) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
+	}
+	return &sub, func(deadline time.Duration) (harness.Scenario, error) {
+		sp, err := spec.SHA(sha)
+		if err != nil {
+			return harness.Scenario{}, err
+		}
+		sub.Deadline = deadline.String()
+		for i := range sp.NumStages() {
+			st := sp.Stage(i)
+			sub.Stages = append(sub.Stages, [2]int{st.Trials, st.Iters})
+		}
+		return serve.BuildScenario(sub)
+	}
 }
 
-// paperJob is the paper's Table 2 job, the default of run and plan.
-var paperJob = job{model: "resnet101", trials: 32, minIters: 1, maxIters: 50, eta: 3, seed: 1, samples: 20, estimator: "segment"}
-
-// flags defines the job flags on fs, with d's values as defaults, and
-// returns the job they fill in.
-func (d job) flags(fs *flag.FlagSet) *job {
-	j := d
-	fs.StringVar(&j.model, "model", d.model, "model to tune: resnet50, resnet101, resnet152, bert")
-	fs.IntVar(&j.trials, "trials", d.trials, "SHA initial trial count n")
-	fs.IntVar(&j.minIters, "min-iters", d.minIters, "SHA minimum per-trial work r")
-	fs.IntVar(&j.maxIters, "max-iters", d.maxIters, "SHA maximum cumulative work R")
-	fs.IntVar(&j.eta, "eta", d.eta, "SHA termination rate η")
-	fs.Uint64Var(&j.seed, "seed", d.seed, "random seed")
-	return &j
-}
-
-// simFlags adds the planner's simulator flags, which the subcommands
-// that only plan expose; run plans with the defaults.
-func (j *job) simFlags(fs *flag.FlagSet) *job {
-	fs.IntVar(&j.samples, "samples", j.samples, "simulator Monte-Carlo samples per plan")
-	fs.StringVar(&j.estimator, "estimator", j.estimator, "plan estimator: segment (incremental Monte-Carlo, cached stage segments) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
-	return j
-}
-
-// scenario builds the job's scenario on the default cloud profile under
-// a deadline of deadline.
-func (j *job) scenario(deadline time.Duration) (harness.Scenario, error) {
-	m, err := model.ByName(j.model)
-	if err != nil {
-		return harness.Scenario{}, err
-	}
-	sha, err := spec.SHA(spec.SHAParams{N: j.trials, R: j.minIters, MaxR: j.maxIters, Eta: j.eta})
-	if err != nil {
-		return harness.Scenario{}, err
-	}
-	mode, err := sim.ParseEstimator(j.estimator)
-	if err != nil {
-		return harness.Scenario{}, err
-	}
-	space := searchspace.DefaultVisionSpace()
-	if m.Name == "bert" {
-		space = searchspace.DefaultNLPSpace()
-	}
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
-	return harness.Scenario{
-		BatchSeed:      j.seed,
-		Spec:           sha,
-		Model:          m,
-		Space:          space,
-		Profile:        cp,
-		RestoreSeconds: 2,
-		Samples:        j.samples,
-		Estimator:      mode,
-		Deadline:       deadline.Seconds(),
-	}, nil
-}
+// paperSHA is the paper's Table 2 job, the default of run and plan.
+var paperSHA = spec.SHAParams{N: 32, R: 1, MaxR: 50, Eta: 3}
 
 // run plans and executes one job.
 func run(args []string) {
 	fs := flag.NewFlagSet("rubberband run", flag.ExitOnError)
-	j := paperJob.flags(fs)
+	sub, scenario := jobFlags(fs, "resnet101", paperSHA, 20, false)
+	fs.StringVar(&sub.Policy, "policy", "rubberband", "allocation policy: rubberband, static, naive")
+	fs.BoolVar(&sub.UseProfiler, "profile", false, "plan from a measured scaling profile (instrumentation step)")
 	var (
 		deadline  = fs.Duration("deadline", 20*time.Minute, "job time constraint")
-		policyStr = fs.String("policy", "rubberband", "allocation policy: rubberband, static, naive")
-		profile   = fs.Bool("profile", false, "plan from a measured scaling profile (instrumentation step)")
 		tracePath = fs.String("trace", "", "write the execution event trace as CSV to this path")
-		cfgPath   = fs.String("config", "", "load the experiment from a JSON file (overrides the other job flags)")
+		cfgPath   = fs.String("config", "", "load the experiment from a JSON job file, a POST /v1/experiments body without the tenant (overrides the other job flags)")
 		ganttPath = fs.String("gantt", "", "write per-trial activity spans as CSV to this path (for Gantt plots)")
 		planStr   = fs.String("plan", "", "execute this explicit per-stage GPU allocation (e.g. \"16,10,12,4\") instead of planning")
 		jsonOut   = fs.Bool("json", false, "emit the run result as JSON instead of text")
@@ -148,10 +128,9 @@ func run(args []string) {
 		err error
 	)
 	if *cfgPath != "" {
-		sc, err = config.Load(*cfgPath)
-	} else if sc, err = j.scenario(*deadline); err == nil {
-		sc.Policy, err = config.ParsePolicy(*policyStr)
-		sc.UseProfiler = *profile
+		sc, err = readJob(*cfgPath)
+	} else {
+		sc, err = scenario(*deadline)
 	}
 	if err != nil {
 		fatal(err)
@@ -194,6 +173,20 @@ func run(args []string) {
 		writeFile(*ganttPath, func(w io.Writer) error { return trace.WriteGanttCSV(w, spans) })
 		fmt.Printf("gantt: %d spans written to %s\n", len(spans), *ganttPath)
 	}
+}
+
+// readJob decodes the job file at path and builds its scenario.
+func readJob(path string) (harness.Scenario, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return harness.Scenario{}, err
+	}
+	defer f.Close()
+	sub, err := serve.DecodeSubmission(f)
+	if err != nil {
+		return harness.Scenario{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return serve.BuildScenario(sub)
 }
 
 // writeFile creates path and fills it with write.

@@ -28,7 +28,7 @@ func build(t *testing.T) string {
 // TestSubcommands drives each subcommand once: plan's breakdown adds up
 // to the RubberBand row it decomposes, sweep prints one row per step,
 // run executes an explicit plan without planning, and an unknown
-// subcommand fails.
+// subcommand or a missing job file fails.
 func TestSubcommands(t *testing.T) {
 	bin := build(t)
 	out, err := exec.Command(bin, "plan", "-trials", "8", "-max-iters", "12", "-samples", "5", "-breakdown").Output()
@@ -81,6 +81,9 @@ func TestSubcommands(t *testing.T) {
 
 	if err := exec.Command(bin, "bogus").Run(); err == nil {
 		t.Error("an unknown subcommand succeeded")
+	}
+	if err := exec.Command(bin, "run", "-config", filepath.Join(t.TempDir(), "missing.json")).Run(); err == nil {
+		t.Error("a missing job file ran")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/replan"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
@@ -23,7 +24,7 @@ import (
 // against the remaining deadline).
 func planCmd(args []string) {
 	fs := flag.NewFlagSet("rubberband plan", flag.ExitOnError)
-	j := paperJob.flags(fs).simFlags(fs)
+	_, scenario := jobFlags(fs, "resnet101", paperSHA, 20, true)
 	var (
 		deadline  = fs.Duration("deadline", 20*time.Minute, "job time constraint")
 		breakdown = fs.Bool("breakdown", false, "print the RubberBand plan's per-stage time/cost decomposition")
@@ -34,7 +35,7 @@ func planCmd(args []string) {
 	if err := fs.Parse(args); err != nil {
 		fatal(err)
 	}
-	sc, err := j.scenario(*deadline)
+	sc, err := scenario(*deadline)
 	if err != nil {
 		fatal(err)
 	}
@@ -134,7 +135,7 @@ func printBreakdown(sc harness.Scenario, plan sim.Plan) {
 // plotting tool with -format csv.
 func sweep(args []string) {
 	fs := flag.NewFlagSet("rubberband sweep", flag.ExitOnError)
-	j := job{model: "resnet50", trials: 64, minIters: 4, maxIters: 508, eta: 2, seed: 1, samples: 10, estimator: "segment"}.flags(fs).simFlags(fs)
+	_, scenario := jobFlags(fs, "resnet50", spec.SHAParams{N: 64, R: 4, MaxR: 508, Eta: 2}, 10, true)
 	var (
 		from   = fs.Duration("from", 10*time.Minute, "tightest deadline")
 		to     = fs.Duration("to", 40*time.Minute, "laxest deadline")
@@ -150,7 +151,7 @@ func sweep(args []string) {
 	if *to <= *from {
 		fatal(fmt.Errorf("-to must exceed -from"))
 	}
-	sc, err := j.scenario(*from)
+	sc, err := scenario(*from)
 	if err != nil {
 		fatal(err)
 	}

@@ -46,17 +46,13 @@ func fidelityScenarios(cfg Config) ([]harness.Scenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		space := searchspace.DefaultVisionSpace()
-		if m.Name == "bert" {
-			space = searchspace.DefaultNLPSpace()
-		}
 		cp := warmPoolProfile(m.Dataset.SizeGB)
 		cp.Overheads.QueueDelay = stats.Exponential{MeanValue: 5}
 		out = append(out, harness.Scenario{
 			BatchSeed:      cfg.Seed + uint64(w)*101,
 			Spec:           s,
 			Model:          m,
-			Space:          space,
+			Space:          searchspace.ForModel(m.Name),
 			Profile:        cp,
 			RestoreSeconds: 2,
 			MaxGPUs:        64,

@@ -169,10 +169,6 @@ func Generate(seed uint64, index int) Scenario {
 	// silenced, so both noisy and analytically tight runs occur.
 	m := pick(r, model.Zoo()...)
 	m.IterNoiseStd *= pick(r, 0.0, 0.5, 1.0)
-	space := searchspace.DefaultVisionSpace()
-	if m.Name == "bert" {
-		space = searchspace.DefaultNLPSpace()
-	}
 
 	// Cloud substrate: worker shape, billing model, market, minimum
 	// charge, data pricing and provisioning overheads.
@@ -227,7 +223,7 @@ func Generate(seed uint64, index int) Scenario {
 		Index:            index,
 		Spec:             s,
 		Model:            m,
-		Space:            space,
+		Space:            searchspace.ForModel(m.Name),
 		Profile:          profile,
 		Faults:           faults,
 		RestoreSeconds:   uniform(r, 0, 10),

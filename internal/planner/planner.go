@@ -179,6 +179,21 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy maps a policy name, "rubberband" (or empty), "static" or
+// "naive", to its policy.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "", "rubberband":
+		return PolicyRubberBand, nil
+	case "static":
+		return PolicyStatic, nil
+	case "naive":
+		return PolicyNaiveElastic, nil
+	default:
+		return 0, fmt.Errorf("unknown policy %q (want rubberband, static or naive)", name)
+	}
+}
+
 // Plan runs the search policy selects.
 func (p *Planner) Plan(policy Policy) (Result, error) {
 	switch policy {

@@ -39,6 +39,26 @@ func initResnetSim(t *testing.T, sm *sim.Simulator, s *spec.ExperimentSpec, samp
 	}
 }
 
+// TestParsePolicy maps each policy name, and the empty default, to its
+// policy and rejects any other name.
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]Policy{
+		"":           PolicyRubberBand,
+		"rubberband": PolicyRubberBand,
+		"static":     PolicyStatic,
+		"naive":      PolicyNaiveElastic,
+	} {
+		if got, err := ParsePolicy(name); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"magic", "RubberBand", "Static"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", name)
+		}
+	}
+}
+
 func TestFairStepDown(t *testing.T) {
 	cases := []struct {
 		alloc, trials int

@@ -273,6 +273,15 @@ func (s *Space) draw(r *stats.RNG, vals []float64) Config {
 	return Config{lay: s.lay, vals: vals}
 }
 
+// ForModel returns the default space for the zoo model named name: the
+// NLP space for bert and the vision space for every other model.
+func ForModel(name string) *Space {
+	if name == "bert" {
+		return DefaultNLPSpace()
+	}
+	return DefaultVisionSpace()
+}
+
 // DefaultVisionSpace returns the learning-rate / momentum / weight-decay
 // space used by the image-classification tuning workloads. Every call
 // returns the same Space, built once.

@@ -181,3 +181,16 @@ func (s *Space) Dimensions() []string {
 	sort.Strings(names)
 	return names
 }
+
+// TestForModel: bert tunes in the NLP space, every other zoo model in
+// the vision space.
+func TestForModel(t *testing.T) {
+	if ForModel("bert") != DefaultNLPSpace() {
+		t.Error("bert does not tune in the NLP space")
+	}
+	for _, name := range []string{"resnet50", "resnet101", "resnet152"} {
+		if ForModel(name) != DefaultVisionSpace() {
+			t.Errorf("%s does not tune in the vision space", name)
+		}
+	}
+}

@@ -9,9 +9,7 @@ import (
 
 // decodeSubmission decodes a request body the way handleSubmit does.
 func decodeSubmission(data []byte) (Submission, error) {
-	var sub Submission
-	err := json.NewDecoder(bytes.NewReader(data)).Decode(&sub)
-	return sub, err
+	return DecodeSubmission(bytes.NewReader(data))
 }
 
 // FuzzSubmission feeds arbitrary request bodies through the submit
@@ -21,7 +19,8 @@ func decodeSubmission(data []byte) (Submission, error) {
 // unchanged (replay tuples store the submission as JSON, so a lossy
 // encoding would replay a different experiment). The checked-in corpus
 // (testdata/fuzz/FuzzSubmission) holds the three submission shapes the
-// end-to-end benchmark sends.
+// end-to-end benchmark sends and one that sets every field of the
+// schema.
 func FuzzSubmission(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sub, err := decodeSubmission(data)

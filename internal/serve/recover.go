@@ -46,21 +46,23 @@ func (s *Server) Recover() (RecoverReport, error) {
 		return rep, err
 	}
 	for _, ref := range refs {
-		sc, err := readSidecar(filepath.Join(ref.Dir, "submission.json"))
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// A directory with no submission sidecar never held an
-				// admitted experiment; skip it.
-				continue
-			}
+		var (
+			sc subSidecar
+			t  ReplayTuple
+		)
+		if err := readSidecar(filepath.Join(ref.Dir, "submission.json"), &sc); errors.Is(err, os.ErrNotExist) {
+			// A directory with no submission sidecar never held an
+			// admitted experiment; skip it.
+			continue
+		} else if err != nil {
 			return rep, fmt.Errorf("serve: recover %s/%s: %w", ref.Tenant, ref.Run, err)
 		}
-		if t, ok, err := readReplay(filepath.Join(ref.Dir, "replay.json")); err != nil {
-			return rep, fmt.Errorf("serve: recover %s/%s: %w", ref.Tenant, ref.Run, err)
-		} else if ok {
+		if err := readSidecar(filepath.Join(ref.Dir, "replay.json"), &t); err == nil {
 			s.reg.adopt(newRecoveredDone(t), false)
 			rep.Adopted++
 			continue
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return rep, fmt.Errorf("serve: recover %s/%s: %w", ref.Tenant, ref.Run, err)
 		}
 		damaged, err := s.resume(sc)
 		if damaged {
@@ -120,6 +122,11 @@ func (s *Server) resume(side subSidecar) (damaged bool, err error) {
 		exp.fail(err)
 		return damage != "", err
 	}
+	if err := side.Submission.Validate(); err != nil {
+		s.finish(exp)
+		exp.fail(err)
+		return damage != "", err
+	}
 	sc, err := BuildScenario(side.Submission)
 	if err != nil {
 		s.finish(exp)
@@ -169,31 +176,15 @@ func grantPrefix(b journal.Backend) ([]harness.GrantDecision, error) {
 	return out, nil
 }
 
-// readSidecar loads a run's submission.json.
-func readSidecar(path string) (subSidecar, error) {
-	var side subSidecar
+// readSidecar decodes a run's sidecar, submission.json or replay.json,
+// into v.
+func readSidecar(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return side, err
+		return err
 	}
-	if err := json.Unmarshal(data, &side); err != nil {
-		return side, fmt.Errorf("parsing %s: %w", path, err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("parsing %s: %w", path, err)
 	}
-	return side, nil
-}
-
-// readReplay loads a run's replay.json when present.
-func readReplay(path string) (ReplayTuple, bool, error) {
-	var t ReplayTuple
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return t, false, nil
-	}
-	if err != nil {
-		return t, false, err
-	}
-	if err := json.Unmarshal(data, &t); err != nil {
-		return t, false, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return t, true, nil
+	return nil
 }

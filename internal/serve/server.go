@@ -138,8 +138,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // handleSubmit is POST /v1/experiments: validate, enqueue (429 +
 // Retry-After on a full tenant queue), and pump the admission loop.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var sub Submission
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&sub); err != nil {
+	sub, err := DecodeSubmission(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{Error: "bad submission: " + err.Error()})
 		return
 	}
@@ -273,7 +273,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 // handleTenant is GET /v1/tenants/{tenant}.
 func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	if !validName(name) {
+	if !journal.ValidName(name) {
 		writeJSON(w, http.StatusBadRequest, errBody{Error: "invalid tenant name"})
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -202,6 +203,28 @@ func TestServerRejections(t *testing.T) {
 		t.Fatalf("malformed body: %d", resp.StatusCode)
 	}
 
+	// The decoder is strict: a misspelt field is not dropped for its
+	// default, and a second object after the first is not ignored.
+	ok, err := json.Marshal(smallSub("acme", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"misspelt field": append(bytes.TrimSuffix(ok, []byte("}")), []byte(`,"estimater":"analytic"}`)...),
+		"trailing data":  append(append(ok, ' '), ok...),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d for %s", name, resp.StatusCode, body)
+		}
+	}
+
 	bad := smallSub("acme", 1)
 	bad.Model = "alexnet9000"
 	if resp, body := postSub(t, ts, bad); resp.StatusCode != http.StatusBadRequest {
@@ -244,6 +267,47 @@ func TestServerRejections(t *testing.T) {
 	}
 	if code := getJSON(t, ts, "/v1/tenants/Not-Valid", nil); code != http.StatusBadRequest {
 		t.Fatalf("invalid tenant name: %d", code)
+	}
+}
+
+// TestServerFullSchemaJournaledReplay: a submission off the idealised
+// cloud — spot billing, provider faults, an exponential queue, the
+// profiler, the static policy and a batch override — runs through the
+// server with the journal on, and its replay tuple verifies offline.
+func TestServerFullSchemaJournaledReplay(t *testing.T) {
+	s, ts := newTestServer(t, Config{Capacity: 8, DataDir: t.TempDir()})
+	sub := smallSub("acme", 11)
+	sub.Model, sub.Policy, sub.Batch, sub.UseProfiler = "resnet101", "static", 64, true
+	sub.Cloud = &CloudSpec{
+		Market:     "spot",
+		QueueDelay: &DistSpec{Type: "exponential", Mean: 8},
+		Faults:     &FaultSpec{ProvisionFailureProb: 0.2, PreemptionMeanSeconds: 300},
+	}
+	resp, body := postSub(t, ts, sub)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if code := getJSON(t, ts, "/v1/experiments/"+st.ID, &st); code != http.StatusOK || st.State != "done" {
+		t.Fatalf("status %d: %+v", code, st)
+	}
+	var tup ReplayTuple
+	if code := getJSON(t, ts, "/v1/experiments/"+st.ID+"/replay", &tup); code != http.StatusOK {
+		t.Fatalf("replay: %d", code)
+	}
+	if !reflect.DeepEqual(tup.Submission, sub) {
+		t.Fatalf("replay tuple holds %+v, submitted %+v", tup.Submission, sub)
+	}
+	d, err := VerifyReplay(tup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if DigestString(d) != st.Digest {
+		t.Fatalf("replayed digest %s, served %s", DigestString(d), st.Digest)
 	}
 }
 
