@@ -23,8 +23,8 @@ import (
 // -config` reads. It is a complete, self-contained experiment
 // description. BuildScenario maps it to a harness scenario as a pure
 // function, so the submission plus the recorded grant sequence is the
-// experiment's full replay tuple. Every field past Instance may be left
-// out; an absent field keeps the service's default.
+// experiment's full replay tuple. A field tagged omitempty may be left
+// out; an absent one keeps the service's default.
 type Submission struct {
 	// Tenant is the submitting tenant (journal.ValidName alphabet).
 	Tenant string `json:"tenant"`
