@@ -164,7 +164,7 @@ func BenchmarkExtensionInstances(b *testing.B) {
 // --- micro-benchmarks of the hot paths ---
 
 func benchSimulator(b *testing.B, samples int) *sim.Simulator {
-	return benchSimulatorMode(b, samples, 0, sim.EstimatorSegment) // 0 = GOMAXPROCS
+	return benchSimulatorWorkers(b, samples, 0) // 0 = GOMAXPROCS
 }
 
 // benchWorkload is the planning workload every planner, estimator and
@@ -180,21 +180,21 @@ func benchWorkload() (*spec.ExperimentSpec, sim.ModelTrainProfile, sim.CloudProf
 	return spec.MustSHA(64, 4, 508, 2), prof, cp
 }
 
-// benchSimulatorMode builds the benchmark workload's simulator with an
-// explicit estimator mode.
-func benchSimulatorMode(b *testing.B, samples, workers int, mode sim.EstimatorMode) *sim.Simulator {
+// benchSimulatorWorkers builds the benchmark workload's simulator with
+// an explicit Monte-Carlo worker bound.
+func benchSimulatorWorkers(b *testing.B, samples, workers int) *sim.Simulator {
 	b.Helper()
 	sm := new(sim.Simulator)
-	initBenchSimulator(b, sm, samples, workers, mode)
+	initBenchSimulator(b, sm, samples, workers)
 	return sm
 }
 
 // initBenchSimulator initialises sm in place as the Simulator
-// benchSimulatorMode returns for the same arguments.
-func initBenchSimulator(b *testing.B, sm *sim.Simulator, samples, workers int, mode sim.EstimatorMode) {
+// benchSimulatorWorkers returns for the same arguments.
+func initBenchSimulator(b *testing.B, sm *sim.Simulator, samples, workers int) {
 	b.Helper()
 	s, prof, cp := benchWorkload()
-	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers), sim.WithEstimator(mode)); err != nil {
+	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers)); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -209,25 +209,21 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkSimEstimate measures one repeated plan evaluation per
-// estimator mode: a hit in the Simulator's plan memo, which is how a
-// search meets a candidate it has already scored.
+// BenchmarkSimEstimate measures one repeated plan evaluation: a hit in
+// the Simulator's plan memo, which is how a search meets a candidate it
+// has already scored.
 func BenchmarkSimEstimate(b *testing.B) {
-	for _, mode := range benchEstimatorModes() {
-		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
-			sm := benchSimulatorMode(b, 20, 1, mode)
-			plan := sim.Uniform(32, sm.Spec().NumStages())
-			if _, err := sm.Estimate(plan); err != nil { // warm caches once
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sm.Estimate(plan); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	sm := benchSimulatorWorkers(b, 20, 1)
+	plan := sim.Uniform(32, sm.Spec().NumStages())
+	if _, err := sm.Estimate(plan); err != nil { // warm caches once
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sm.Estimate(plan); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -243,12 +239,10 @@ func BenchmarkPlanStatic(b *testing.B) {
 	reportSearchWork(b, p)
 }
 
-// reportSearchWork reports p's Monte-Carlo work per search: the plan
-// estimates it requested (memo hits included) and the candidates its
-// analytic screen kept from Monte-Carlo estimation.
+// reportSearchWork reports p's work per search: the plan estimates it
+// requested, memo hits included.
 func reportSearchWork(b *testing.B, p *planner.Planner) {
 	b.ReportMetric(float64(p.EstimateCalls())/float64(b.N), "estimates/op")
-	b.ReportMetric(float64(p.PrunedCandidates())/float64(b.N), "pruned/op")
 }
 
 // BenchmarkPlanElastic measures a full greedy plan compilation
@@ -264,19 +258,24 @@ func BenchmarkPlanElastic(b *testing.B) {
 	reportSearchWork(b, p)
 }
 
-// BenchmarkSimEstimateWorkers measures the Monte-Carlo fan-out at a
-// planning-heavy sample count across worker counts; the estimate is
+// BenchmarkSimEstimateWorkers measures the Monte-Carlo fallback's
+// fan-out at a planning-heavy sample count across worker counts, on the
+// benchmark workload with a queue delay of infinite variance (Pareto
+// alpha 1.5), which has no analytic moments; the estimate is
 // bit-identical at every setting, only wall-clock changes. Each
 // iteration re-initialises the Simulator first, so every estimate
 // builds and samples its segments anew on the kept table's storage.
 func BenchmarkSimEstimateWorkers(b *testing.B) {
+	s, prof, cp := benchWorkload()
+	cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("samples=200/workers=%d", w), func(b *testing.B) {
-			sm := benchSimulatorMode(b, 200, w, sim.EstimatorSegment)
-			plan := sim.Uniform(32, sm.Spec().NumStages())
-			b.ResetTimer()
+			var sm sim.Simulator
+			plan := sim.Uniform(32, s.NumStages())
 			for i := 0; i < b.N; i++ {
-				initBenchSimulator(b, sm, 200, w, sim.EstimatorSegment)
+				if err := sm.Init(s, prof, cp, 200, stats.NewRNG(1), sim.WithWorkers(w)); err != nil {
+					b.Fatal(err)
+				}
 				if _, err := sm.Estimate(plan); err != nil {
 					b.Fatal(err)
 				}
@@ -293,34 +292,10 @@ func BenchmarkSimEstimateWorkers(b *testing.B) {
 func BenchmarkPlanElastic100(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			sm := benchSimulatorMode(b, 100, w, sim.EstimatorSegment)
+			sm := benchSimulatorWorkers(b, 100, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: w}
-				if _, err := p.PlanElastic(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func benchEstimatorModes() []sim.EstimatorMode {
-	return []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic}
-}
-
-// BenchmarkPlanElastic100Estimator compares the estimator modes on the
-// speedup-claim configuration (samples=100, workers=1, shared simulator).
-// Both modes' caches, the plan memo among them, stay warm across
-// iterations, mirroring how a long-lived simulator serves successive
-// plan compilations.
-func BenchmarkPlanElastic100Estimator(b *testing.B) {
-	for _, mode := range benchEstimatorModes() {
-		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
-			sm := benchSimulatorMode(b, 100, 1, mode)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
 				if _, err := p.PlanElastic(); err != nil {
 					b.Fatal(err)
 				}
@@ -334,16 +309,12 @@ func BenchmarkPlanElastic100Estimator(b *testing.B) {
 // cold-start cost of one plan compilation, with no cross-iteration cache
 // reuse.
 func BenchmarkPlanElastic100Cold(b *testing.B) {
-	for _, mode := range benchEstimatorModes() {
-		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sm := benchSimulatorMode(b, 100, 1, mode)
-				p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
-				if _, err := p.PlanElastic(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		sm := benchSimulatorWorkers(b, 100, 1)
+		p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
+		if _, err := p.PlanElastic(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -352,18 +323,14 @@ func BenchmarkPlanElastic100Cold(b *testing.B) {
 // second iteration on, each search fills the table the previous one
 // filled, emptied by Init.
 func BenchmarkPlanElasticLifecycle(b *testing.B) {
-	for _, mode := range benchEstimatorModes() {
-		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
-			b.ReportAllocs()
-			var sm sim.Simulator
-			for i := 0; i < b.N; i++ {
-				initBenchSimulator(b, &sm, 20, 1, mode)
-				p := &planner.Planner{Sim: &sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
-				if _, err := p.PlanElastic(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	var sm sim.Simulator
+	for i := 0; i < b.N; i++ {
+		initBenchSimulator(b, &sm, 20, 1)
+		p := &planner.Planner{Sim: &sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
+		if _, err := p.PlanElastic(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -373,18 +340,17 @@ func BenchmarkPlanElasticLifecycle(b *testing.B) {
 // path: profile refit, tail re-plan under the remaining deadline, and
 // splice. reset initialises the controller again and feeds it the same
 // window, so the next decision is its first again.
-func benchController(b *testing.B, samples int, mode sim.EstimatorMode) (ctl *replan.Controller, state replan.State, reset func()) {
+func benchController(b *testing.B, samples int) (ctl *replan.Controller, state replan.State, reset func()) {
 	b.Helper()
 	s, prof, cp := benchWorkload()
 	cfg := replan.Config{
-		Spec:      s,
-		Profile:   prof,
-		Cloud:     cp,
-		Deadline:  900,
-		MaxGPUs:   128,
-		Samples:   samples,
-		Estimator: mode,
-		RNG:       stats.NewRNG(2),
+		Spec:     s,
+		Profile:  prof,
+		Cloud:    cp,
+		Deadline: 900,
+		MaxGPUs:  128,
+		Samples:  samples,
+		RNG:      stats.NewRNG(2),
 	}
 	plan := sim.Uniform(32, s.NumStages())
 	gpus := sim.GPUsPerTrial(plan.Alloc[0], s.Stage(0).Trials)
@@ -402,41 +368,37 @@ func benchController(b *testing.B, samples int, mode sim.EstimatorMode) (ctl *re
 	return ctl, replan.State{Stage: 0, Now: 100, RemainingIters: s.Stage(0).Iters, Plan: plan}, reset
 }
 
-// BenchmarkReplan measures one warm online replanning decision per
-// estimator mode: the controller's first decision after it is reset
-// and fed its observations again outside the timer, so every iteration
-// takes the same decision on recycled storage.
+// BenchmarkReplan measures one warm online replanning decision: the
+// controller's first decision after it is reset and fed its
+// observations again outside the timer, so every iteration takes the
+// same decision on recycled storage.
 func BenchmarkReplan(b *testing.B) {
-	for _, mode := range benchEstimatorModes() {
-		b.Run(fmt.Sprintf("estimator=%v", mode), func(b *testing.B) {
-			ctl, state, reset := benchController(b, 100, mode)
-			// Warm the controller and the package pools until their
-			// storage holds the decision: the tables the decision's
-			// Simulators draw reach their sizes over a few decisions.
-			for i := 0; i < 4; i++ {
-				reset()
-				if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				reset()
-				b.StartTimer()
-				if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ctl, state, reset := benchController(b, 100)
+	// Warm the controller and the package pools until their storage
+	// holds the decision: the tables the decision's Simulators draw
+	// reach their sizes over a few decisions.
+	for i := 0; i < 4; i++ {
+		reset()
+		if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		reset()
+		b.StartTimer()
+		if _, err := ctl.Replan(state, replan.ReasonDrift); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkReplanPreScreen measures one read-only analytic drift screen:
 // refit, stale-tail rescore and analytic mini-plan.
 func BenchmarkReplanPreScreen(b *testing.B) {
-	ctl, state, _ := benchController(b, 20, sim.EstimatorAnalytic)
+	ctl, state, _ := benchController(b, 20)
 	if _, err := ctl.PreScreen(state); err != nil {
 		b.Fatal(err)
 	}
@@ -450,10 +412,10 @@ func BenchmarkReplanPreScreen(b *testing.B) {
 }
 
 // BenchmarkPlanFrontier measures one warm analytic score of a
-// 128-candidate uniform frontier — the planner's phase-one workload.
+// 128-candidate uniform frontier, without the plan memo.
 func BenchmarkPlanFrontier(b *testing.B) {
 	const frontier = 128
-	sm := benchSimulatorMode(b, 20, 1, sim.EstimatorAnalytic)
+	sm := benchSimulatorWorkers(b, 20, 1)
 	plans := make([]sim.Plan, frontier)
 	for g := 1; g <= frontier; g++ {
 		plans[g-1] = sim.Uniform(g, sm.Spec().NumStages())

@@ -69,7 +69,6 @@ func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams, samples int, p
 	minCharge, restore := 60.0, 2.0
 	sub := serve.Submission{
 		Samples:        samples,
-		Estimator:      "segment",
 		Instance:       "p3.8xlarge",
 		RestoreSeconds: &restore,
 		Cloud: &serve.CloudSpec{
@@ -85,8 +84,7 @@ func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams, samples int, p
 	fs.IntVar(&sha.Eta, "eta", sha.Eta, "SHA termination rate η")
 	fs.Uint64Var(&sub.Seed, "seed", 1, "random seed")
 	if planOnly {
-		fs.IntVar(&sub.Samples, "samples", samples, "simulator Monte-Carlo samples per plan")
-		fs.StringVar(&sub.Estimator, "estimator", sub.Estimator, "plan estimator: segment (incremental Monte-Carlo, cached stage segments) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
+		fs.IntVar(&sub.Samples, "samples", samples, "Monte-Carlo samples per plan, used only where a latency has no finite moments")
 	}
 	return &sub, func(deadline time.Duration) (harness.Scenario, error) {
 		sp, err := spec.SHA(sha)

@@ -77,7 +77,6 @@ func printReplanDemo(sc harness.Scenario, plan sim.Plan, factor, threshold float
 		Deadline:  sc.Deadline,
 		MaxGPUs:   planner.DefaultMaxGPUs(sc.Spec),
 		Samples:   sc.Samples,
-		Estimator: sc.Estimator,
 		RNG:       stats.NewRNG(sc.BatchSeed),
 		Threshold: threshold,
 	})

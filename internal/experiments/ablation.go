@@ -9,10 +9,6 @@ import (
 // AblationResult reports planner design-choice ablations on the
 // SHA(64, 4, 508) ResNet-50 workload at a 15-minute deadline:
 //
-//   - Monte-Carlo samples per plan evaluation (1 / 5 / 20 / 100): more
-//     samples sharpen estimates; the chosen plan's cost should be stable
-//     past a small count, validating the paper's "small by default"
-//     setting.
 //   - Warm-start multipliers ({1} vs {1,2,3}): multi-start can only help.
 //   - Instance-boundary candidates (on vs off): under per-instance
 //     billing, disabling them stalls the greedy descent on sub-instance
@@ -64,28 +60,6 @@ func Ablation(cfg Config) (*AblationResult, error) {
 		return nil
 	}
 
-	samples := []int{1, 5, 20, 100}
-	if cfg.Fast {
-		samples = []int{1, 20}
-	}
-	for i, n := range samples {
-		w := base(uint64(i))
-		w.samples = n
-		p, err := w.planner()
-		if err != nil {
-			return nil, err
-		}
-		out, err := p.PlanElastic()
-		if err != nil {
-			return nil, fmt.Errorf("ablation samples=%d: %w", n, err)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Variant: fmt.Sprintf("mc-samples=%d", n),
-			Cost:    out.Estimate.Cost,
-			JCT:     out.Estimate.JCT,
-			Plan:    out.Plan.String(),
-		})
-	}
 	if err := addVariant("warm-start={1}", func(p *planner.Planner) {
 		p.WarmStartMultipliers = []int{1}
 	}, 10); err != nil {

@@ -63,7 +63,7 @@ func Registry() []Runner {
 		{"table2", "End-to-end cost across time constraints (static/naive/RubberBand)", func(c Config) (fmt.Stringer, error) { return Table2(c) }},
 		{"table3", "Example elastic cluster schedule for the 20-minute plan", func(c Config) (fmt.Stringer, error) { return Table3(c) }},
 		{"table4", "Cost across DL models (fixed vs RubberBand)", func(c Config) (fmt.Stringer, error) { return Table4(c) }},
-		{"ablation", "Planner design-choice ablations (samples, warm starts, step types)", func(c Config) (fmt.Stringer, error) { return Ablation(c) }},
+		{"ablation", "Planner design-choice ablations (warm starts, step types, selection)", func(c Config) (fmt.Stringer, error) { return Ablation(c) }},
 		{"asha", "Extension: ASHA (fixed-cluster prior work) vs RubberBand", func(c Config) (fmt.Stringer, error) { return ASHA(c) }},
 		{"spot", "Extension: spot-market preemption sweep with checkpoint recovery", func(c Config) (fmt.Stringer, error) { return Spot(c) }},
 		{"fidelity", "Sim-vs-real error distribution across randomized workloads", func(c Config) (fmt.Stringer, error) { return Fidelity(c) }},

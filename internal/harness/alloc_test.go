@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // budgetSeed and budgetRuns fix the scenario set the allocation budget
@@ -25,24 +23,21 @@ const (
 )
 
 // budgetSet returns the budget scenarios and checks that they cover the
-// replan controller on and off and both estimators.
+// replan controller on and off.
 func budgetSet(t testing.TB) []Scenario {
 	var scs []Scenario
-	var seen [2][2]bool // [replan][analytic]
+	var seen [2]bool // [replan]
 	for i := 0; i < budgetRuns; i++ {
 		sc := Generate(budgetSeed, i)
-		replan, analytic := 0, 0
+		replan := 0
 		if sc.ReplanEnabled {
 			replan = 1
 		}
-		if sc.Estimator == sim.EstimatorAnalytic {
-			analytic = 1
-		}
-		seen[replan][analytic] = true
+		seen[replan] = true
 		scs = append(scs, sc)
 	}
-	if seen != [2][2]bool{{true, true}, {true, true}} {
-		t.Fatalf("budget set covers (replan, analytic) %v, want every combination", seen)
+	if seen != [2]bool{true, true} {
+		t.Fatalf("budget set covers replan %v, want on and off", seen)
 	}
 	return scs
 }

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/replan"
-	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -84,14 +84,20 @@ func after(t testing.TB, prev, sc Scenario) outcome {
 
 // recycleSet returns the scenarios the recycling oracle runs, and checks
 // that they cover provisioning failures, preemptions, an adopted replan,
-// gated stages, both estimators and placement off.
+// gated stages, the Monte-Carlo fallback and placement off. The fallback
+// run is the preemption-replan scenario again, its queue delay swapped
+// for one without a finite variance, so it plans and replans on
+// Monte-Carlo estimates.
 func recycleSet(t *testing.T) []Scenario {
 	var scs []Scenario
 	for i := 0; i < 40; i++ {
 		scs = append(scs, Generate(4, i))
 	}
 	scs = append(scs, Generate(4, 50), Generate(4, 143)) // adopted replan, preemption replan
-	var failures, preempted, adopted, gated, analytic, segment, scatter bool
+	heavy := Generate(4, 143)
+	heavy.Profile.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+	scs = append(scs, heavy)
+	var failures, preempted, adopted, gated, fallback, scatter bool
 	for _, sc := range scs {
 		a, err := RunScenario(sc)
 		if err != nil {
@@ -101,13 +107,14 @@ func recycleSet(t *testing.T) []Scenario {
 		preempted = preempted || a.Result.Preemptions > 0
 		adopted = adopted || slices.ContainsFunc(a.Result.Replans, func(d replan.Decision) bool { return d.Adopted })
 		gated = gated || len(a.Grants) > 0
-		analytic = analytic || sc.Estimator == sim.EstimatorAnalytic
-		segment = segment || sc.Estimator != sim.EstimatorAnalytic
+		queue := stats.CompileLat(sc.Profile.Overheads.QueueDelay)
+		_, finite := queue.Moment()
+		fallback = fallback || (a.Planned && !finite)
 		scatter = scatter || sc.DisablePlacement
 	}
-	if !(failures && preempted && adopted && gated && analytic && segment && scatter) {
-		t.Fatalf("recycle set covers failures=%v preemptions=%v adopted replan=%v gates=%v analytic=%v segment=%v placement off=%v, want all",
-			failures, preempted, adopted, gated, analytic, segment, scatter)
+	if !(failures && preempted && adopted && gated && fallback && scatter) {
+		t.Fatalf("recycle set covers failures=%v preemptions=%v adopted replan=%v gates=%v fallback=%v placement off=%v, want all",
+			failures, preempted, adopted, gated, fallback, scatter)
 	}
 	return scs
 }

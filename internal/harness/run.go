@@ -265,7 +265,6 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 			Deadline:        deadline,
 			MaxGPUs:         sc.MaxGPUs,
 			Samples:         sc.Samples,
-			Estimator:       sc.Estimator,
 			RNG:             &ws.replanRNG,
 			Threshold:       sc.DriftThreshold,
 			CooldownSeconds: sc.ReplanCooldown,
@@ -421,7 +420,7 @@ func prepareOn(ws *workingSet, sc *Scenario, a *Artifacts) (sim.TrainProfile, er
 	simRNG := &ws.simRNG
 	root.StreamInto(streamSim, simRNG)
 	sm := &ws.plan
-	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1), sim.WithEstimator(sc.Estimator)); err != nil {
+	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1)); err != nil {
 		return nil, fmt.Errorf("harness: simulator: %w", err)
 	}
 	a.Deadline = sc.Deadline

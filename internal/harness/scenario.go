@@ -71,9 +71,10 @@ type Scenario struct {
 	// Plan, when non-empty, is executed as given and the planner does not
 	// run: the run counts as unplanned.
 	Plan sim.Plan
-	// Estimator selects the simulator's estimator mode, so the chaos
-	// sweep exercises both the incremental segment estimator and the
-	// analytic one.
+	// Estimator is ignored: every Simulator estimates analytically, with
+	// a Monte-Carlo fallback.
+	//
+	// Deprecated: kept only while the benchmark still names it.
 	Estimator sim.EstimatorMode
 	// Drift injects a mid-run latency regime change the planner did not
 	// see: every iteration starting after the drift onset runs Factor×
@@ -251,12 +252,10 @@ func Generate(seed uint64, index int) Scenario {
 	sc.ReplanCooldown = uniform(r, 5, 120)
 
 	// Appended after every pre-existing draw (same corpus-stability rule):
-	// a third of scenarios re-roll onto the analytic moment-propagation
-	// estimator, so the chaos sweep plans without Monte-Carlo sampling end
-	// to end and the oracles vet its estimates against real executions.
-	if r.Intn(3) == 0 {
-		sc.Estimator = sim.EstimatorAnalytic
-	}
+	// this draw once re-rolled a third of scenarios onto the analytic
+	// estimator, which is now the only one. It is still drawn so that
+	// every later draw keeps its value.
+	r.Intn(3)
 
 	// Appended after every pre-existing draw (same corpus-stability rule):
 	// a fifth of scenarios run behind a scripted stage-boundary arbiter
@@ -278,12 +277,12 @@ func Generate(seed uint64, index int) Scenario {
 func (sc Scenario) String() string {
 	return fmt.Sprintf(
 		"seed=%d index=%d spec=%v model=%s inst=%s billing=%v market=%v minCharge=%gs dataGB=%.1f "+
-			"faults={pfail=%.3f preemptMean=%.0fs} restore=%.1fs scatter=%v maxGPUs=%d deadlineFactor=%.2f estimator=%v "+
+			"faults={pfail=%.3f preemptMean=%.0fs} restore=%.1fs scatter=%v maxGPUs=%d deadlineFactor=%.2f "+
 			"drift={x%.1f@%.2f} replan=%v threshold=%.2f cooldown=%.0fs caps=%v",
 		sc.BatchSeed, sc.Index, sc.Spec, sc.Model.Name, sc.Profile.Instance.Name,
 		sc.Profile.Pricing.Billing, sc.Profile.Pricing.Market, sc.Profile.Pricing.MinChargeSeconds,
 		sc.Profile.DatasetGB, sc.Faults.ProvisionFailureProb, sc.Faults.PreemptionMeanSeconds,
-		sc.RestoreSeconds, sc.DisablePlacement, sc.MaxGPUs, sc.DeadlineFactor, sc.Estimator,
+		sc.RestoreSeconds, sc.DisablePlacement, sc.MaxGPUs, sc.DeadlineFactor,
 		sc.Drift.Factor, sc.Drift.StartFraction, sc.ReplanEnabled, sc.DriftThreshold, sc.ReplanCooldown,
 		sc.ArbiterCaps)
 }

@@ -22,8 +22,8 @@ func skipUnderRace(t *testing.T) {
 }
 
 // warmPlanner returns a serial planner, after one search, over the
-// micro-benchmarks' 64-trial, four-stage job: its static enumeration is
-// screened and its descents take a dozen steps.
+// micro-benchmarks' 64-trial, four-stage job, whose descents take a
+// dozen steps.
 func warmPlanner(t *testing.T) *Planner {
 	s := spec.MustSHA(64, 4, 508, 2)
 	p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 3000, Workers: 1}
@@ -53,7 +53,7 @@ func TestPlanStaticAllocs(t *testing.T) {
 func TestPlanElasticWarmAllocs(t *testing.T) {
 	skipUnderRace(t)
 	p := warmPlanner(t)
-	ss := p.newSearch()
+	ss := newSearch()
 	if _, err := p.planElastic(ss); err != nil {
 		t.Fatal(err)
 	}

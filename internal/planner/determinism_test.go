@@ -74,38 +74,38 @@ func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPlanElasticDeterministicPerEstimator re-runs the elastic policy's
-// determinism check under each estimator mode explicitly: within a mode
-// the chosen plan and bitwise estimate must not vary with worker count or
-// repetition. (The default-mode test above covers EstimatorSegment; this
-// pins EstimatorAnalytic and guards the default against silent drift.)
+// determinism check on each path of the estimator: analytic moments, and
+// the Monte-Carlo fallback a queue delay without a finite variance takes.
+// On each, the chosen plan and bitwise estimate must not vary with worker
+// count or repetition.
 func TestPlanElasticDeterministicPerEstimator(t *testing.T) {
-	build := func(workers int, mode sim.EstimatorMode) *Planner {
+	build := func(workers int, queue stats.Dist) *Planner {
 		s := spec.MustSHA(16, 2, 16, 2)
 		prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 		cp := sim.DefaultCloudProfile()
 		cp.Overheads = cloud.Overheads{
-			QueueDelay:  stats.Exponential{MeanValue: 5},
+			QueueDelay:  queue,
 			InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 		}
-		sm, err := sim.New(s, prof, cp, 10, stats.NewRNG(11), sim.WithWorkers(workers), sim.WithEstimator(mode))
+		sm, err := sim.New(s, prof, cp, 10, stats.NewRNG(11), sim.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &Planner{Sim: sm, Deadline: 1200, MaxGPUs: 32, Workers: workers}
 	}
-	for _, mode := range []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic} {
-		want, err := build(1, mode).PlanElastic()
+	for _, queue := range []stats.Dist{stats.Exponential{MeanValue: 5}, stats.Pareto{Scale: 2, Alpha: 1.5}} {
+		want, err := build(1, queue).PlanElastic()
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", queue, err)
 		}
 		for _, workers := range []int{2, 8} {
 			for run := 0; run < 2; run++ {
-				got, err := build(workers, mode).PlanElastic()
+				got, err := build(workers, queue).PlanElastic()
 				if err != nil {
-					t.Fatalf("%v workers=%d: %v", mode, workers, err)
+					t.Fatalf("%v workers=%d: %v", queue, workers, err)
 				}
 				if !got.Plan.Equal(want.Plan) || got.Estimate != want.Estimate {
-					t.Fatalf("%v workers=%d run=%d: %+v != serial %+v", mode, workers, run, got, want)
+					t.Fatalf("%v workers=%d run=%d: %+v != serial %+v", queue, workers, run, got, want)
 				}
 			}
 		}

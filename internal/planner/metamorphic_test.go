@@ -34,7 +34,7 @@ func scalePrices(cp sim.CloudProfile, k float64) sim.CloudProfile {
 
 // newPlanner mirrors the harness's planner construction for scenario sc
 // over the given cloud profile. Both sides of a metamorphic pair must pass
-// the same rngSeed so their Monte-Carlo draws align sample-for-sample.
+// the same rngSeed so any Monte-Carlo draws align sample-for-sample.
 func newPlanner(t *testing.T, sc harness.Scenario, cp sim.CloudProfile, rngSeed uint64, delta float64) (*planner.Planner, float64) {
 	t.Helper()
 	profile := sim.ModelTrainProfile{
@@ -43,7 +43,7 @@ func newPlanner(t *testing.T, sc harness.Scenario, cp sim.CloudProfile, rngSeed 
 		GPUsPerNode: cp.Instance.GPUs,
 	}
 	sm, err := sim.New(sc.Spec, profile, cp, sc.Samples, stats.NewRNG(rngSeed),
-		sim.WithWorkers(1), sim.WithEstimator(sc.Estimator))
+		sim.WithWorkers(1))
 	if err != nil {
 		t.Fatalf("simulator: %v", err)
 	}

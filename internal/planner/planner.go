@@ -69,11 +69,6 @@ type Planner struct {
 	// reduction instead of Equation 1's JCT-normalized marginal benefit;
 	// exposed for the design-choice ablation.
 	RawCostSelection bool
-	// DisableAnalyticPrune turns off the analytic batch-scoring phase
-	// entirely: every candidate is Monte-Carlo estimated, as in the
-	// single-phase search. Exposed as the reference mode for the
-	// shortlist-safety tests and the planning benchmarks.
-	DisableAnalyticPrune bool
 	// Workers bounds the goroutines that evaluate candidate plans
 	// concurrently (independent of the simulator's own Monte-Carlo worker
 	// pool). Zero selects GOMAXPROCS; 1 forces serial evaluation. Because
@@ -85,9 +80,6 @@ type Planner struct {
 	// estCalls counts estimate() invocations, for the search-efficiency
 	// diagnostic exposed by EstimateCalls.
 	estCalls int64
-	// prunedCands counts frontier candidates the analytic screen excluded
-	// from Monte-Carlo estimation (see PrunedCandidates).
-	prunedCands int64
 }
 
 // estimate evaluates a plan, counting the call. The Simulator memoizes
@@ -242,7 +234,7 @@ func (p *Planner) PlanStatic() (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	ss := p.newSearch()
+	ss := newSearch()
 	defer ss.release()
 	res, err := p.planStatic(ss)
 	if err != nil {
@@ -253,8 +245,8 @@ func (p *Planner) PlanStatic() (Result, error) {
 }
 
 // planStatic is PlanStatic's body on the search's scratch, so PlanElastic
-// shares one screen (and its evaluator) and one set of candidate columns
-// across the warm-start enumeration and every greedy descent. The
+// shares one set of candidate columns across the warm-start enumeration
+// and every greedy descent. The
 // returned plan aliases ss.static: callers clone it before it leaves the
 // search.
 func (p *Planner) planStatic(ss *searchScratch) (Result, error) {
@@ -268,7 +260,6 @@ func (p *Planner) planStatic(ss *searchScratch) (Result, error) {
 	for i, jct := range ss.jcts {
 		keep[i] = jct <= p.Deadline
 	}
-	p.pruneEnumeration(ss.screen, cands, keep, p.Deadline)
 	p.estimateAll(cands, keep, ests, errs)
 	best := Result{}
 	found := false
@@ -344,7 +335,7 @@ func (p *Planner) PlanElastic() (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	ss := p.newSearch()
+	ss := newSearch()
 	defer ss.release()
 	return p.planElastic(ss)
 }
@@ -385,15 +376,14 @@ func (p *Planner) planElastic(ss *searchScratch) (Result, error) {
 	return best, nil
 }
 
-// optimize is the greedy descent of Algorithm 2, two-phased: each
-// iteration analytically screens the candidate set (dropping steps that
-// surely violate the deadline or surely cannot reduce cost), evaluates
-// the shortlist concurrently (memoized, so candidates shared with earlier
-// iterations cost nothing), and selects the winner serially in candidate
-// order, keeping the descent deterministic at any worker count.
+// optimize is the greedy descent of Algorithm 2: each iteration
+// estimates the candidate set concurrently (memoized, so candidates
+// shared with earlier iterations cost nothing) and selects the winner
+// serially in candidate order, keeping the descent deterministic at any
+// worker count.
 //
 // A descent is a pure function of its current plan: the candidates come
-// from the raw allocation, every score and estimate is pure, and the
+// from the raw allocation, every estimate is pure, and the
 // selection runs in a fixed order. So once cur is a plan an earlier
 // descent of the same search had as its current plan, the rest of this
 // descent would replay that one step for step; optimize returns the
@@ -420,7 +410,6 @@ func (p *Planner) optimize(ss *searchScratch, start Result) (Result, error) {
 			return ss.finish(cur), nil
 		}
 		keep, ests, errs := ss.columns(len(cands))
-		p.pruneDescentStep(ss.screen, cands, keep, cur, p.Deadline)
 		p.estimateAll(cands, keep, ests, errs)
 		bestIdx := -1
 		bestBenefit := math.Inf(-1)
@@ -428,9 +417,6 @@ func (p *Planner) optimize(ss *searchScratch, start Result) (Result, error) {
 		for i := range cands {
 			if errs[i] != nil {
 				return Result{}, errs[i]
-			}
-			if !keep[i] {
-				continue
 			}
 			est := ests[i]
 			if est.JCT > p.Deadline {

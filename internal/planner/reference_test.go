@@ -24,7 +24,7 @@ func (p *Planner) mergedSearch() (Result, []Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, nil, err
 	}
-	ss := p.newSearch()
+	ss := newSearch()
 	defer ss.release()
 	res, err := p.planElastic(ss)
 	descents := append([]Result(nil), ss.done...)
@@ -38,8 +38,7 @@ func (p *Planner) referenceSearch() (Result, []Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, nil, err
 	}
-	scr := p.referenceScreen()
-	staticBest, err := p.referencePlanStatic(scr)
+	staticBest, err := p.referencePlanStatic()
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -61,7 +60,7 @@ func (p *Planner) referenceSearch() (Result, []Result, error) {
 		if warmEst.JCT > p.Deadline && mult != 1 {
 			continue
 		}
-		res, err := p.referenceDescent(scr, Result{Plan: warm, Estimate: warmEst})
+		res, err := p.referenceDescent(Result{Plan: warm, Estimate: warmEst})
 		if err != nil {
 			return Result{}, nil, err
 		}
@@ -73,18 +72,9 @@ func (p *Planner) referenceSearch() (Result, []Result, error) {
 	return best, descents, nil
 }
 
-// referenceScreen returns a fresh analytic screen, owned by one
-// reference search, or nil where the search runs unscreened.
-func (p *Planner) referenceScreen() *frontierScreen {
-	if p.DisableAnalyticPrune || p.Sim.Estimator() == sim.EstimatorAnalytic {
-		return nil
-	}
-	return &frontierScreen{eval: p.Sim.NewAnalyticEval(), sqrtN: math.Sqrt(float64(p.Sim.Samples()))}
-}
-
 // referencePlanStatic enumerates static sizes 1..MaxGPUs on fresh
 // columns, bracketing each size with its own StaticClusterJCT call.
-func (p *Planner) referencePlanStatic(scr *frontierScreen) (Result, error) {
+func (p *Planner) referencePlanStatic() (Result, error) {
 	n := p.maxGPUs()
 	stages := p.Sim.Spec().NumStages()
 	cands := make([]sim.Plan, n)
@@ -93,7 +83,6 @@ func (p *Planner) referencePlanStatic(scr *frontierScreen) (Result, error) {
 		cands[i] = sim.Uniform(i+1, stages)
 		keep[i] = p.Sim.StaticClusterJCT(i+1) <= p.Deadline
 	}
-	p.pruneEnumeration(scr, cands, keep, p.Deadline)
 	ests := make([]sim.Estimate, n)
 	errs := make([]error, n)
 	p.estimateAll(cands, keep, ests, errs)
@@ -117,7 +106,7 @@ func (p *Planner) referencePlanStatic(scr *frontierScreen) (Result, error) {
 
 // referenceDescent is one greedy descent of Algorithm 2 run to its end,
 // with no record of other descents.
-func (p *Planner) referenceDescent(scr *frontierScreen, cur Result) (Result, error) {
+func (p *Planner) referenceDescent(cur Result) (Result, error) {
 	gpn := p.Sim.Cloud().Instance.GPUs
 	if p.DisableInstanceStep {
 		gpn = 0
@@ -131,7 +120,6 @@ func (p *Planner) referenceDescent(scr *frontierScreen, cur Result) (Result, err
 		for i := range keep {
 			keep[i] = true
 		}
-		p.pruneDescentStep(scr, cands, keep, cur, p.Deadline)
 		ests := make([]sim.Estimate, len(cands))
 		errs := make([]error, len(cands))
 		p.estimateAll(cands, keep, ests, errs)
@@ -141,7 +129,7 @@ func (p *Planner) referenceDescent(scr *frontierScreen, cur Result) (Result, err
 			if errs[i] != nil {
 				return Result{}, errs[i]
 			}
-			if !keep[i] || ests[i].JCT > p.Deadline {
+			if ests[i].JCT > p.Deadline {
 				continue
 			}
 			benefit := marginalBenefit(cur.Estimate, ests[i])

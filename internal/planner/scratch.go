@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/sim"
@@ -17,8 +16,6 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // searchScratch is one plan search's working memory: everything a
 // search needs that it does not return. It holds
 //
-//   - the analytic screen and its evaluator (screen is nil when pruning
-//     is off) and the screen's per-candidate columns;
 //   - the current candidate set and its keep/estimate/error columns;
 //   - the static plans 1..n GPUs, their closed-form JCT column, and the
 //     warm starts;
@@ -33,12 +30,9 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // ests, the walked record, the steps, the static and warm-start
 // allocations) are overwritten before they are read and never cleared;
 // release drops only what can hold a foreign pointer — the results, the
-// current candidate, any error recorded, and the evaluator — before the
-// scratch goes back to the pool.
+// current candidate and any error recorded — before the scratch goes
+// back to the pool.
 type searchScratch struct {
-	scr    frontierScreen
-	screen *frontierScreen
-
 	cands candSet
 	keep  []bool
 	ests  []sim.Estimate
@@ -86,28 +80,12 @@ func (ss *searchScratch) walkedPlan(w walkedPlan) []int {
 	return ss.walkedAllocs[w.off : w.off+w.n]
 }
 
-// newSearch draws a search's scratch from the pool and binds its
-// analytic screen to p: nil when pruning is disabled, and under the
-// analytic estimator, whose phase two already evaluates candidates
-// analytically (memoized), so a scoring pre-pass would compute every
-// moment twice to save nothing.
-func (p *Planner) newSearch() *searchScratch {
-	ss := searchPool.Get().(*searchScratch)
-	if !p.DisableAnalyticPrune && p.Sim.Estimator() != sim.EstimatorAnalytic {
-		ss.scr.eval = p.Sim.NewAnalyticEval()
-		ss.scr.sqrtN = math.Sqrt(float64(p.Sim.Samples()))
-		ss.screen = &ss.scr
-	}
-	return ss
-}
+// newSearch draws a search's scratch from the pool.
+func newSearch() *searchScratch { return searchPool.Get().(*searchScratch) }
 
-// release drops the scratch's references to plans, results, errors and
-// the simulator and returns it to the pool.
+// release drops the scratch's references to plans, results and errors
+// and returns it to the pool.
 func (ss *searchScratch) release() {
-	if ss.screen != nil {
-		ss.scr.eval.Release()
-		ss.scr.eval, ss.screen = nil, nil
-	}
 	ss.cands.cur = sim.Plan{}
 	clearErrs(ss.errs[:cap(ss.errs)])
 	clear(ss.done)

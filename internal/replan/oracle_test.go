@@ -89,7 +89,8 @@ func (d *oracleDriver) last() sim.Plan {
 // oracleScripts are the decision sequences Replan is held to its oracle
 // on: drift slowdowns across stages, a preemption, a quiet regime whose
 // conditions 1–2 leave the call to the analytic mini-plan (twice at one
-// stage and tail, on the Simulators the first decision released), a
+// stage and tail, on the Simulators the first decision released; it is
+// screened exactly when the queue delay has finite moments), a
 // speed-up that accumulates slack, a lost deadline, and provisioning
 // drift.
 var oracleScripts = map[string]func(d *oracleDriver){
@@ -109,8 +110,10 @@ var oracleScripts = map[string]func(d *oracleDriver){
 		st := optimalState(d.t)
 		d.observe(4, 1, 0, 4)
 		for i := 0; i < 2; i++ {
-			if dec := d.decide(st, ReasonDrift); !dec.Screened {
-				d.t.Fatalf("quiet regime was not screened: %+v", dec)
+			queue := stats.CompileLat(d.c.cfg.Cloud.Overheads.QueueDelay)
+			_, finite := queue.Moment()
+			if dec := d.decide(st, ReasonDrift); dec.Screened != finite {
+				d.t.Fatalf("quiet regime screened %v, queue delay with finite moments %v: %+v", dec.Screened, finite, dec)
 			}
 		}
 	},
@@ -135,15 +138,18 @@ var oracleScripts = map[string]func(d *oracleDriver){
 // TestReplanMatchesThreeSimulatorOracle: a controller deciding with one
 // Simulator per decision, its Simulators, re-fit and decision storage
 // recycled from decision to decision, commits exactly the decisions, pre-screens and detector state of
-// the three-Simulator controller, under both estimators, and leaves its
-// random stream where it found it.
+// the three-Simulator controller, on analytic moments and on the
+// Monte-Carlo fallback a queue delay without a finite variance forces,
+// and leaves its random stream where it found it.
 func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {
 	for name, script := range oracleScripts {
-		for _, est := range []sim.EstimatorMode{sim.EstimatorSegment, sim.EstimatorAnalytic} {
+		for _, heavy := range []bool{false, true} {
 			var runs [2]*oracleDriver
 			for i := range runs {
 				cfg := testConfig(t)
-				cfg.Estimator = est
+				if heavy {
+					cfg.Cloud.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+				}
 				c, err := NewController(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -156,11 +162,11 @@ func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {
 			}
 			got, want := runs[0], runs[1]
 			if !reflect.DeepEqual(got.c.Decisions(), want.c.Decisions()) {
-				t.Fatalf("%s estimator %v: decisions\n %+v\noracle\n %+v",
-					name, est, got.c.Decisions(), want.c.Decisions())
+				t.Fatalf("%s heavy %v: decisions\n %+v\noracle\n %+v",
+					name, heavy, got.c.Decisions(), want.c.Decisions())
 			}
 			if !reflect.DeepEqual(got.screens, want.screens) {
-				t.Fatalf("%s estimator %v: pre-screens %+v, oracle %+v", name, est, got.screens, want.screens)
+				t.Fatalf("%s heavy %v: pre-screens %+v, oracle %+v", name, heavy, got.screens, want.screens)
 			}
 			if !reflect.DeepEqual(got.c.DetectorState(), want.c.DetectorState()) {
 				t.Fatalf("%s: detector state %+v, oracle %+v", name, got.c.DetectorState(), want.c.DetectorState())

@@ -63,7 +63,7 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 	// stale tail in microseconds under the re-fitted and planning-time
 	// profiles; when neither its feasibility nor its economics moved
 	// materially, a full replan would re-derive the same tail the original
-	// planner chose, so the decision is committed without Monte-Carlo.
+	// planner chose, so the decision is committed without one.
 	if reason == ReasonDrift && !c.cfg.disablePreScreen {
 		if est, material, ok := c.refScreenTail(prof, cp, suffix, staleTail, d.RemainingDeadline); ok && !material {
 			d.StaleEstimate = est
@@ -73,8 +73,7 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 		}
 	}
 
-	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)),
-		sim.WithWorkers(1), sim.WithEstimator(c.cfg.Estimator))
+	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)), sim.WithWorkers(1))
 	if err != nil {
 		return Decision{}, err
 	}

@@ -14,7 +14,7 @@
 //  1. re-fits the profiled scaling function from the accumulated
 //     observations (profiler.Fit),
 //  2. re-invokes planner.PlanElastic for the remaining stages under the
-//     remaining deadline via the (cheap, segment-estimator) simulator, and
+//     remaining deadline via the (cheap, analytic) simulator, and
 //  3. hands back a spliced plan — executed and executing stages keep
 //     their allocations, only future stages are rewritten — which the
 //     executor's placement controller transitions to at the next stage
@@ -70,8 +70,8 @@ const (
 )
 
 // Config parameterizes a Controller. Spec, Profile, Cloud, Deadline,
-// MaxGPUs, Samples and Estimator mirror the planning-time configuration
-// the original plan was compiled under.
+// MaxGPUs and Samples mirror the planning-time configuration the
+// original plan was compiled under.
 type Config struct {
 	// Spec is the full experiment structure being executed.
 	Spec *spec.ExperimentSpec
@@ -85,13 +85,10 @@ type Config struct {
 	// MaxGPUs caps the replanned peak cluster size (same cap as the
 	// original planning run).
 	MaxGPUs int
-	// Samples is the replanning simulator's Monte-Carlo sample count.
-	// Zero selects sim.DefaultSamples.
+	// Samples is the replanning simulator's Monte-Carlo sample count,
+	// used only where a latency lacks finite moments. Zero selects
+	// sim.DefaultSamples.
 	Samples int
-	// Estimator selects the replanning simulator's estimator mode (the
-	// zero value is the segment estimator, whose warm-path cost is what
-	// makes mid-run replanning affordable).
-	Estimator sim.EstimatorMode
 	// RNG is the controller's root random stream. Decision i seeds its
 	// simulator from RNG.Stream(i) — a pure derivation, so the parent
 	// stream never advances and replays are bit-identical.
@@ -104,7 +101,7 @@ type Config struct {
 	CooldownSeconds float64
 
 	// disablePreScreen turns the analytic drift pre-screen off: every
-	// drift trigger runs the full Monte-Carlo replan. The pre-screen tests
+	// drift trigger runs the full replan. The pre-screen tests
 	// set it to get the reference decision.
 	disablePreScreen bool
 }
@@ -120,8 +117,8 @@ const (
 	adoptDelta = 0.01
 	// preScreenTolerance is the relative movement in the stale tail's
 	// analytic JCT or cost (re-fitted vs planning-time profile) below
-	// which a drift trigger is judged immaterial and the Monte-Carlo
-	// replan is skipped.
+	// which a drift trigger is judged immaterial and the full replan is
+	// skipped.
 	preScreenTolerance = 0.05
 )
 
@@ -219,8 +216,8 @@ type Decision struct {
 	Infeasible bool
 	// Screened reports that the analytic drift pre-screen judged the
 	// trigger immaterial and kept the stale plan without running the
-	// Monte-Carlo replan; StaleEstimate is then the analytic estimate of
-	// the stale tail under the re-fitted profile.
+	// full replan; StaleEstimate is then the analytic estimate of the
+	// stale tail under the re-fitted profile.
 	Screened bool
 }
 
@@ -624,8 +621,9 @@ func (c *Controller) planner(sm *sim.Simulator, deadline float64) *planner.Plann
 //
 // One Simulator, under the re-fitted profiles and seeded from the
 // decision's stream, serves the whole decision: the pre-screen's
-// analytic score of the stale tail, the Monte-Carlo stale estimate and
-// the replan. Moments, segments and shares are pure functions of the
+// analytic score of the stale tail, the stale estimate and the replan,
+// the last two through the one Estimate, so the adoption test compares
+// like with like. Moments, segments and shares are pure functions of the
 // Simulator's configuration, so what one step leaves in its table cannot
 // change another's answer.
 func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
@@ -670,8 +668,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	var rng stats.RNG
 	c.cfg.RNG.StreamInto(uint64(seq), &rng)
 	sm := &c.sims.dec
-	if err := sm.Init(suffix, prof, cp, c.cfg.Samples, &rng,
-		sim.WithWorkers(1), sim.WithEstimator(c.cfg.Estimator)); err != nil {
+	if err := sm.Init(suffix, prof, cp, c.cfg.Samples, &rng, sim.WithWorkers(1)); err != nil {
 		return Decision{}, err
 	}
 
@@ -680,7 +677,7 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	// stale tail in microseconds under the re-fitted and planning-time
 	// profiles; when neither its feasibility nor its economics moved
 	// materially, a full replan would re-derive the same tail the original
-	// planner chose, so the decision is committed without Monte-Carlo.
+	// planner chose, so the decision is committed without one.
 	if reason == ReasonDrift && !c.cfg.disablePreScreen {
 		if est, material, ok := c.screenTail(sm, prof, cp, suffix, staleTail, d.RemainingDeadline); ok && !material {
 			d.StaleEstimate = est
@@ -730,8 +727,7 @@ func (c *Controller) remainingDeadline(state State, prof sim.TrainProfile) float
 // every latency has finite moments (analytic estimates consult no RNG),
 // so what it estimates is a pure function of its arguments.
 func (c *Controller) initAnalytic(sm *sim.Simulator, suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) error {
-	return sm.Init(suffix, prof, cp, c.cfg.Samples, analyticRoot,
-		sim.WithWorkers(1), sim.WithEstimator(sim.EstimatorAnalytic))
+	return sm.Init(suffix, prof, cp, c.cfg.Samples, analyticRoot, sim.WithWorkers(1))
 }
 
 // analyticTail analytically estimates a tail plan on sm. ok=false means
@@ -756,7 +752,7 @@ func (c *Controller) baseTail(suffix *spec.ExperimentSpec, tail sim.Plan) (sim.E
 }
 
 // screenTail is the analytic drift pre-screen. material is true when a
-// full Monte-Carlo replan could plausibly change the executed plan:
+// full replan could plausibly change the executed plan:
 //
 //  1. the stale tail's re-fitted analytic JCT approaches the remaining
 //     deadline (feasibility is at risk, a faster tail may be needed);
@@ -770,11 +766,12 @@ func (c *Controller) baseTail(suffix *spec.ExperimentSpec, tail sim.Plan) (sim.E
 //     remaining deadline.
 //
 // sm is a Simulator of the suffix under the re-fitted profiles prof and
-// cp; the stale tail's re-fitted score is taken on it analytically, whatever its
-// estimator. The mini-plan of condition 3 runs on an analytic Simulator
-// of its own (the controller's screen Simulator, re-initialised after the
-// planning-time score), so its plan memo never mixes with sm's. ok=false means the screen could not score the tail (no
-// finite moments) and the caller must run the full replan.
+// cp; the stale tail's re-fitted score is taken on it analytically. The
+// mini-plan of condition 3 runs on a Simulator of its own (the
+// controller's screen Simulator, re-initialised after the planning-time
+// score), so its plan memo never mixes with sm's. ok=false means the
+// screen could not score the tail (no finite moments) and the caller
+// must run the full replan.
 func (c *Controller) screenTail(sm *sim.Simulator, prof sim.TrainProfile, cp sim.CloudProfile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
 	refit, ok1 := analyticTail(sm, staleTail)
 	base, ok2 := c.baseTail(suffix, staleTail)
@@ -821,7 +818,7 @@ type PreScreenResult struct {
 	// when false a full replan is required and the other fields are zero.
 	Supported bool
 	// Material reports whether the screen would let a drift trigger
-	// proceed to the Monte-Carlo replan.
+	// proceed to the full replan.
 	Material bool
 	// RemainingDeadline is the tail's budget, as in Decision.
 	RemainingDeadline float64

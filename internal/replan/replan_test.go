@@ -315,3 +315,54 @@ func TestNoteMatchesFmt(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleAndNewTailsShareEstimator: a decision prices the stale tail
+// and the tail it adopts with the one estimator its search selects on,
+// so the adoption test compares like with like. With finite moments both
+// are analytic, so a Simulator of the suffix under the re-fitted profile
+// reproduces them bit for bit at any seed and sample count; with a queue
+// delay without a finite variance both are Monte-Carlo, reproduced by a
+// Simulator on the decision's own stream.
+func TestStaleAndNewTailsShareEstimator(t *testing.T) {
+	for _, heavy := range []bool{false, true} {
+		cfg := testConfig(t)
+		cfg.Deadline = 700 // the stale one-GPU tail misses it at the drifted latency
+		if heavy {
+			cfg.Cloud.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+		}
+		c, err := NewController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &oracleDriver{t: t, c: c}
+		d.observe(4, 2, 0, 5)
+		dec := d.decide(State{Stage: 0, Now: 30, RemainingIters: 3, Plan: sim.NewPlan(4, 1, 1)}, ReasonDrift)
+		if !dec.Adopted {
+			t.Fatalf("heavy %v: the decision kept its tail; the test is vacuous: %+v", heavy, dec)
+		}
+		prof, cp, err := c.refitProfiles()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng, samples := stats.NewRNG(99), 9
+		if heavy {
+			rng, samples = cfg.RNG.Stream(uint64(dec.Seq)), cfg.Samples
+		}
+		sm, err := sim.New(cfg.Spec.Suffix(1), prof, cp, samples, rng, sim.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []struct {
+			plan sim.Plan
+			got  sim.Estimate
+		}{{dec.OldPlan.Suffix(1), dec.StaleEstimate}, {dec.NewPlan.Suffix(1), dec.NewEstimate}} {
+			want, err := sm.Estimate(tail.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail.got != want {
+				t.Fatalf("heavy %v: tail %v priced %+v by the decision, %+v by Estimate", heavy, tail.plan, tail.got, want)
+			}
+		}
+	}
+}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/model"
 )
 
-// zooSubs returns n submissions cycling through the zoo models, stage
-// shapes and both estimators, so runs of different sizes follow each
-// other on the same working sets.
+// zooSubs returns n submissions cycling through the zoo models and stage
+// shapes, every third naming the deprecated estimator field, so runs of
+// different sizes follow each other on the same working sets.
 func zooSubs(tenant string, n int) []Submission {
 	shapes := [][][2]int{{{8, 2}, {4, 2}, {2, 4}}, {{4, 1}, {2, 1}}, {{16, 1}, {8, 2}, {4, 2}, {2, 3}}, {{3, 2}}}
 	zoo := model.Zoo()
@@ -50,8 +50,8 @@ func exactAllocs(t *testing.T) {
 // plus 5 % slack. A serve path that stops releasing its runs' working
 // sets takes several times the bytes and fails it.
 const (
-	servedBudgetAllocs = 39 * 105 / 100
-	servedBudgetBytes  = 5119 * 105 / 100
+	servedBudgetAllocs = 38 * 105 / 100
+	servedBudgetBytes  = 4831 * 105 / 100
 )
 
 // TestServedRunAllocationBudget pins what a warm server allocates per

@@ -46,8 +46,11 @@ type Submission struct {
 	DeadlineFactor float64 `json:"deadline_factor,omitempty"`
 	// Samples is the simulator's Monte-Carlo sample count (default 4).
 	Samples int `json:"samples,omitempty"`
-	// Estimator selects the estimator mode: "segment" (the default when
-	// empty) or "analytic".
+	// Estimator is validated ("segment", "analytic" or empty) and
+	// otherwise ignored: every plan is estimated analytically, with a
+	// Monte-Carlo fallback for latencies without finite moments.
+	//
+	// Deprecated: submissions need not set it.
 	Estimator string `json:"estimator,omitempty"`
 	// Instance names the cloud catalog worker type (default p3.2xlarge).
 	Instance string `json:"instance,omitempty"`
@@ -241,7 +244,7 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 		return sc, err
 	}
 	if sub.Estimator != "" {
-		if sc.Estimator, err = sim.ParseEstimator(sub.Estimator); err != nil {
+		if _, err = sim.ParseEstimator(sub.Estimator); err != nil {
 			return sc, err
 		}
 	}

@@ -37,13 +37,13 @@ func exactAllocs(t *testing.T) {
 	})
 }
 
-// TestWarmSegmentEstimateZeroAlloc: with every segment's samples in the
-// table and the pools warm, a segment-mode estimate allocates nothing,
-// whether the plan memo answers it (Estimate) or it is recombined from
-// the segments' samples (estimate).
+// TestWarmSegmentEstimateZeroAlloc: with every segment's samples and
+// moments in the table and the pools warm, an estimate allocates nothing,
+// whether the plan memo answers it (Estimate), the moments do (estimate)
+// or it is recombined from the segments' samples (estimateMC).
 func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
-	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
+	sm := stochasticSim(t, 20, 1, 31)
 	plans := testPlans(sm)
 	estimate := func() {
 		for _, p := range plans {
@@ -53,31 +53,32 @@ func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 			if _, err := sm.estimate(p); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := sm.estimateMC(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	estimate() // fill the segment table and the pools
 	if allocs := testing.AllocsPerRun(100, estimate); allocs != 0 {
-		t.Fatalf("warm segment-mode Estimate allocates %v per frontier, want 0", allocs)
+		t.Fatalf("warm estimates allocate %v per frontier, want 0", allocs)
 	}
 }
 
-// reinitSim returns modeSim(t, 20, 1, 31, mode)'s Simulator after a
+// reinitSim returns stochasticSim(t, 20, 1, 31)'s Simulator after a
 // first job: it filled its table with every test plan's segments, sample
-// vectors and moments in segment mode, and was then initialised in place
-// for mode, as an owner that keeps a Simulator re-initialises it.
-func reinitSim(t *testing.T, mode EstimatorMode) *Simulator {
-	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
-	e := sm.NewAnalyticEval()
+// vectors, moments and memo entry, and was then initialised in place for
+// the same job, as an owner that keeps a Simulator re-initialises it.
+func reinitSim(t *testing.T) *Simulator {
+	sm := stochasticSim(t, 20, 1, 31)
 	for _, p := range testPlans(sm) {
+		if _, err := sm.EstimateMC(p); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := sm.Estimate(p); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := e.Estimate(p); err != nil {
-			t.Fatal(err)
-		}
 	}
-	e.Release()
-	initModeSim(t, sm, 20, 1, 31, mode)
+	initStochasticSim(t, sm, 20, 1, 31)
 	if sm.tab.index.n != 0 || sm.tab.plans.n != 0 {
 		t.Fatalf("a re-initialised table indexes %d segments and %d plan hashes, want 0", sm.tab.index.n, sm.tab.plans.n)
 	}
@@ -90,7 +91,7 @@ func reinitSim(t *testing.T, mode EstimatorMode) *Simulator {
 func reinit(t testing.TB, s *Simulator) {
 	t.Helper()
 	rng := s.root
-	if err := s.Init(s.spec, s.profile, s.cloud, s.samples, &rng, WithWorkers(s.workers), WithEstimator(s.estimator)); err != nil {
+	if err := s.Init(s.spec, s.profile, s.cloud, s.samples, &rng, WithWorkers(s.workers)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,13 +126,13 @@ func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
 			}
 		})
 	}
-	sm := reinitSim(t, EstimatorSegment)
+	sm := reinitSim(t)
 	segs := tableSegments(t, sm, testPlans(sm))
 	if allocs := fill(sm, segs); allocs != 0 {
 		t.Fatalf("cold fills of %d segments on a re-initialised table allocate %d, want 0", len(segs), allocs)
 	}
 
-	sm = modeSim(t, 20, 1, 31, EstimatorSegment)
+	sm = stochasticSim(t, 20, 1, 31)
 	segs = tableSegments(t, sm, testPlans(sm)[1:2])
 	if allocs, chunks := fill(sm, segs), sm.tab.samples.n; allocs != 1 || chunks != 1 {
 		t.Fatalf("cold fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)
@@ -159,7 +160,7 @@ func mallocs(f func()) uint64 {
 func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 	skipUnderRace(t)
 	exactAllocs(t)
-	plan := testPlans(modeSim(t, 20, 1, 31, EstimatorAnalytic))[1]
+	plan := testPlans(stochasticSim(t, 20, 1, 31))[1]
 	run := func(sm *Simulator) (allocs uint64, segs int) {
 		segs = len(tableSegments(t, sm, []Plan{plan})) // build the segments uncounted
 		allocs = mallocs(func() {
@@ -169,10 +170,10 @@ func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 		})
 		return allocs, segs
 	}
-	fresh := func() *Simulator { return modeSim(t, 20, 1, 31, EstimatorAnalytic) }
+	fresh := func() *Simulator { return stochasticSim(t, 20, 1, 31) }
 	run(fresh()) // warm the evaluator pool
 	for i := 0; i < 5; i++ {
-		if allocs, segs := run(reinitSim(t, EstimatorAnalytic)); allocs != 0 {
+		if allocs, segs := run(reinitSim(t)); allocs != 0 {
 			t.Fatalf("analytic Estimate over %d segments on a re-initialised table allocates %d objects, want 0", segs, allocs)
 		}
 		if allocs, segs := run(fresh()); allocs != 4 {

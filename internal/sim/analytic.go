@@ -5,12 +5,12 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the analytic (moment-propagation) estimator: the same
-// segment decomposition and billing replay as the Monte-Carlo paths, but
-// carrying (mean, variance) pairs instead of sample vectors. A warm
-// evaluation touches no RNG, draws no samples, and allocates nothing —
-// it is the sub-microsecond scoring pass the planner's batched frontier
-// pruning is built on.
+// This file is the analytic (moment-propagation) estimator behind
+// Estimate: the same segment decomposition and billing replay as the
+// Monte-Carlo fallback, but carrying (mean, variance) pairs instead of
+// sample vectors. A warm evaluation touches no RNG, draws no samples, and
+// allocates nothing, so every candidate of a plan search costs
+// microseconds.
 
 // segMoment is the analytic counterpart of a segment's sample vector:
 // the moments of its zero-based duration, its SCALE finish (zero when
@@ -203,22 +203,31 @@ func (e *AnalyticEval) Release() {
 // — and a warm call (every segment and its moments in the table)
 // allocates nothing.
 func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
-	if err := e.sim.compile(p, &e.cp); err != nil {
+	if ok, err := e.fill(p); !ok || err != nil {
 		return Estimate{}, false, err
-	}
-	for i, m := range e.cp.moms {
-		if m == 0 {
-			e.cp.moms[i] = e.sim.segmentMoments(e.cp.segs[i])
-		}
-		if !e.cp.mom(i).ok {
-			return Estimate{}, false, nil
-		}
 	}
 	jct, cost := e.price(&e.cp)
 	return Estimate{
 		JCT: jct.Mean, JCTStd: jct.Std(),
 		Cost: cost.Mean, CostStd: cost.Std(),
 	}, true, nil
+}
+
+// fill compiles p into the evaluator's plan and fills every segment's
+// moments. ok=false means some latency lacks finite moments.
+func (e *AnalyticEval) fill(p Plan) (ok bool, err error) {
+	if err := e.sim.compile(p, &e.cp); err != nil {
+		return false, err
+	}
+	for i, m := range e.cp.moms {
+		if m == 0 {
+			e.cp.moms[i] = e.sim.segmentMoments(e.cp.segs[i])
+		}
+		if !e.cp.mom(i).ok {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // price mirrors priceSchedule with moments: stage durations chain into

@@ -1,4 +1,4 @@
-package planner_test
+package sim_test
 
 import (
 	"math"
@@ -6,18 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/planner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // TestAnalyticErrorOnCorpus bounds the analytic estimator's error on the
 // whole harness corpus rather than on fixtures: for every scenario of
-// harness.Generate(1, 0..127) the segment planner can plan, the chosen
+// harness.Generate(1, 0..127) the planner can plan, the chosen
 // PlanElastic plan is estimated analytically and by a 2,000-sample
-// segment Monte-Carlo run, and the relative JCT and cost errors are
-// summarized. Plans with a latency lacking finite moments fall back to
-// Monte-Carlo and are counted, not scored. The table is recorded in
-// results/analytic_corpus_error.md.
+// segment Monte-Carlo run (EstimateMC), and the relative JCT and cost
+// errors are summarized. Plans with a latency lacking finite moments,
+// which Estimate prices by Monte-Carlo, are counted, not scored. The
+// table is recorded in results/analytic_corpus_error.md.
 func TestAnalyticErrorOnCorpus(t *testing.T) {
 	const (
 		seed, corpus = 1, 128
@@ -31,14 +32,17 @@ func TestAnalyticErrorOnCorpus(t *testing.T) {
 	planned, fallbacks := 0, 0
 	for i := 0; i < corpus; i++ {
 		sc := harness.Generate(seed, i)
-		sc.Estimator = sim.EstimatorSegment
-		p, _ := newPlanner(t, sc, sc.Profile, seed, 0)
+		profile := sim.ModelTrainProfile{Model: sc.Model, Batch: sc.Model.BaseBatch, GPUsPerNode: sc.Profile.Instance.GPUs}
+		sm, err := sim.New(sc.Spec, profile, sc.Profile, sc.Samples, stats.NewRNG(seed), sim.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &planner.Planner{Sim: sm, Deadline: sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor, MaxGPUs: sc.MaxGPUs, Workers: 1}
 		res, err := p.PlanElastic()
 		if err != nil {
 			continue
 		}
 		planned++
-		profile := sim.ModelTrainProfile{Model: sc.Model, Batch: sc.Model.BaseBatch, GPUsPerNode: sc.Profile.Instance.GPUs}
 		mc, err := sim.New(sc.Spec, profile, sc.Profile, mcSamples, stats.NewRNG(seed), sim.WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +55,7 @@ func TestAnalyticErrorOnCorpus(t *testing.T) {
 			fallbacks++
 			continue
 		}
-		ref, err := mc.Estimate(res.Plan)
+		ref, err := mc.EstimateMC(res.Plan)
 		if err != nil {
 			t.Fatal(err)
 		}

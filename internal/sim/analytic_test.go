@@ -27,18 +27,17 @@ func analyticEstimate(t *testing.T, sm *Simulator, p Plan) Estimate {
 
 // TestAnalyticAgreesExactlyUnderDeterministicLatencies: with point-mass
 // latencies everywhere the moment pass is exact (every variance is zero),
-// so the analytic estimate must match the Monte-Carlo modes to float
+// so the analytic estimate must match the Monte-Carlo one to float
 // round-off, under both billing models and for all plan shapes.
 func TestAnalyticAgreesExactlyUnderDeterministicLatencies(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		ana := deterministicSim(t, 5, 2, EstimatorAnalytic, billing)
-		seg := deterministicSim(t, 5, 2, EstimatorSegment, billing)
-		for _, plan := range testPlans(ana) {
-			ae, err := ana.Estimate(plan)
+		sm := deterministicSim(t, 5, 2, billing)
+		for _, plan := range testPlans(sm) {
+			ae, err := sm.Estimate(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			se, err := seg.Estimate(plan)
+			se, err := sm.EstimateMC(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +65,7 @@ func TestAnalyticAgreesExactlyUnderDeterministicLatencies(t *testing.T) {
 func TestAnalyticWithinMonteCarloTolerance(t *testing.T) {
 	const samples = 400
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		ana := modeSim(t, samples, 4, 9, EstimatorAnalytic)
+		ana := stochasticSim(t, samples, 4, 9)
 		ana.cloud.Pricing.Billing = billing
 		for _, plan := range testPlans(ana) {
 			ae := analyticEstimate(t, ana, plan)
@@ -95,12 +94,11 @@ func TestAnalyticWithinMonteCarloTolerance(t *testing.T) {
 }
 
 // TestAnalyticFallsBackOnHeavyTails: a latency without a finite second
-// moment (Pareto α ≤ 2) makes the analytic mode fall back to the segment
-// Monte-Carlo path — Simulator.Estimate must return the segment-mode
-// answer bit for bit, and the evaluator must report ok=false rather than
-// inventing numbers.
+// moment (Pareto α ≤ 2) makes Estimate fall back to the segment
+// Monte-Carlo path — it must return the Monte-Carlo answer bit for bit,
+// and the evaluator must report ok=false rather than inventing numbers.
 func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
-	mk := func(mode EstimatorMode) *Simulator {
+	mk := func() *Simulator {
 		s := spec.MustSHA(16, 2, 16, 2)
 		prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 		cp := DefaultCloudProfile()
@@ -108,13 +106,13 @@ func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
 			QueueDelay:  stats.Pareto{Scale: 2, Alpha: 1.5}, // infinite variance
 			InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 		}
-		sm, err := New(s, prof, cp, 24, stats.NewRNG(7), WithWorkers(2), WithEstimator(mode))
+		sm, err := New(s, prof, cp, 24, stats.NewRNG(7), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sm
 	}
-	ana, seg := mk(EstimatorAnalytic), mk(EstimatorSegment)
+	ana, seg := mk(), mk()
 	for _, plan := range testPlans(ana) {
 		e := ana.NewAnalyticEval()
 		if _, ok, err := e.Estimate(plan); err != nil || ok {
@@ -124,7 +122,7 @@ func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se, err := seg.Estimate(plan)
+		se, err := seg.EstimateMC(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +136,7 @@ func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
 // must not depend on what the segment table holds, and a cold simulator
 // must agree with a warm one bit for bit.
 func TestAnalyticPureAcrossCacheState(t *testing.T) {
-	warm := modeSim(t, 30, 2, 13, EstimatorAnalytic)
+	warm := stochasticSim(t, 30, 2, 13)
 	plan := testPlans(warm)[1]
 	want, err := warm.Estimate(plan)
 	if err != nil {
@@ -157,7 +155,7 @@ func TestAnalyticPureAcrossCacheState(t *testing.T) {
 	if got != want {
 		t.Fatalf("estimate changed with cache state: %+v != %+v", got, want)
 	}
-	cold := modeSim(t, 30, 2, 13, EstimatorAnalytic)
+	cold := stochasticSim(t, 30, 2, 13)
 	cgot, err := cold.Estimate(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +169,8 @@ func TestAnalyticPureAcrossCacheState(t *testing.T) {
 // moments, not draws — changing the Monte-Carlo sample budget must not
 // move them at all.
 func TestAnalyticIndependentOfSampleBudget(t *testing.T) {
-	a := modeSim(t, 10, 1, 5, EstimatorAnalytic)
-	b := modeSim(t, 400, 4, 99, EstimatorAnalytic)
+	a := stochasticSim(t, 10, 1, 5)
+	b := stochasticSim(t, 400, 4, 99)
 	for _, plan := range testPlans(a) {
 		ea, eb := analyticEstimate(t, a, plan), analyticEstimate(t, b, plan)
 		if ea != eb {
@@ -184,11 +182,11 @@ func TestAnalyticIndependentOfSampleBudget(t *testing.T) {
 // TestCanonicalAllocSharesEverything: allocations that are behaviorally
 // identical (same per-trial GPU share, same cluster size) must share
 // segments, sample vectors, RNG streams, and moments — so their estimates
-// are bit-identical in segment and analytic modes. This is the property
-// the planner's frontier deduplication relies on.
+// are bit-identical analytically and by Monte-Carlo. This is the
+// property the planner's frontier deduplication relies on.
 func TestCanonicalAllocSharesEverything(t *testing.T) {
-	for _, mode := range []EstimatorMode{EstimatorSegment, EstimatorAnalytic} {
-		sm := modeSim(t, 30, 2, 17, mode)
+	for _, est := range estimators {
+		sm := stochasticSim(t, 30, 2, 17)
 		stages := sm.Spec().NumStages()
 		stage := -1
 		for i := 0; i < stages; i++ {
@@ -204,20 +202,20 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 		a, b := Uniform(8, stages), Uniform(8, stages)
 		a.Alloc[stage] = 2 * trials   // 2 GPUs per trial exactly
 		b.Alloc[stage] = 2*trials + 1 // one idle GPU: same behavior, same cost
-		ea, err := sm.Estimate(a)
+		ea, err := est.estimate(sm, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		segsBefore, _, _ := tableCounts(sm)
-		eb, err := sm.Estimate(b)
+		eb, err := est.estimate(sm, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ea != eb {
-			t.Fatalf("%v: equivalent allocations estimate differently: %+v != %+v", mode, ea, eb)
+			t.Fatalf("%s: equivalent allocations estimate differently: %+v != %+v", est.name, ea, eb)
 		}
 		if got, _, _ := tableCounts(sm); got != segsBefore {
-			t.Fatalf("%v: segment table grew from %d to %d on an equivalent allocation", mode, segsBefore, got)
+			t.Fatalf("%s: segment table grew from %d to %d on an equivalent allocation", est.name, segsBefore, got)
 		}
 	}
 }
@@ -226,7 +224,7 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 // moments live on the tuple-keyed segments — re-estimating a plan that
 // shares all but one stage fills exactly one new moment entry.
 func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
-	sm := modeSim(t, 10, 1, 21, EstimatorAnalytic)
+	sm := stochasticSim(t, 10, 1, 21)
 	stages := sm.Spec().NumStages()
 	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
@@ -242,12 +240,12 @@ func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestAnalyticEvalWarmZeroAlloc pins the warm analytic path — the
-// frontier screen's per-candidate cost — at zero heap allocations, for
+// TestAnalyticEvalWarmZeroAlloc pins the warm analytic path — a plan
+// search's per-candidate cost — at zero heap allocations, for
 // both billing models.
 func TestAnalyticEvalWarmZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := modeSim(t, 20, 1, 31, EstimatorAnalytic)
+		sm := stochasticSim(t, 20, 1, 31)
 		sm.cloud.Pricing.Billing = billing
 		plans := testPlans(sm)
 		e := sm.NewAnalyticEval()

@@ -69,11 +69,11 @@ type segment struct {
 	// train is the TRAIN latency (SYNC takes none).
 	train stats.Lat
 
-	// samples (segment mode) and mom refer to the segment's sample
+	// samples and mom refer to the segment's sample
 	// vector and moments in the table's slabs, 0 until filled. Each is
 	// filled on first use under Simulator.mu and never changes
-	// afterwards. mom is filled in analytic mode and, in segment mode, by
-	// the planner's analytic frontier screen.
+	// afterwards. mom is filled by every estimate, samples only by the
+	// Monte-Carlo fallback and Breakdown.
 	samples, mom ref
 }
 

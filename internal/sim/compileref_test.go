@@ -71,15 +71,15 @@ func (s *Simulator) refCompile(p Plan) (*refCompiled, error) {
 }
 
 // refEstimate is Estimate over the pointer-based compile, without the
-// plan memo or any table: the Monte-Carlo replay through
-// refPriceSchedule, or, under the analytic estimator with every moment
-// finite, refPrice.
-func (s *Simulator) refEstimate(p Plan) (Estimate, error) {
+// plan memo or any table: refPrice when every moment is finite, and
+// otherwise the Monte-Carlo replay through refPriceSchedule. mc asks for
+// the replay whatever the moments, as EstimateMC does.
+func (s *Simulator) refEstimate(p Plan, mc bool) (Estimate, error) {
 	cp, err := s.refCompile(p)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if s.estimator == EstimatorAnalytic {
+	if !mc {
 		ok := true
 		for _, m := range cp.moms {
 			ok = ok && m.ok
@@ -174,16 +174,16 @@ func sameEstimate(a, b Estimate) bool {
 // TestCompileMatchesPointerOracle holds the handle-based compile and
 // everything that reads it — sample fills, the Monte-Carlo replay, the
 // analytic evaluator and the plan memo — to the pointer-based oracle:
-// every estimate bit-identical, under both estimators and billing
+// every estimate bit-identical, analytic and Monte-Carlo, under both billing
 // models, at one and four workers, cold and warm, on a new Simulator's
 // table and after re-initialising it over that table, and the
 // Simulator's seed state untouched.
 func TestCompileMatchesPointerOracle(t *testing.T) {
-	for _, mode := range []EstimatorMode{EstimatorSegment, EstimatorAnalytic} {
+	for _, est := range estimators {
 		for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
 			for _, workers := range []int{1, 4} {
-				sm := deterministicSim(t, 8, workers, mode, billing)
-				stoch := modeSim(t, 16, workers, 41, mode)
+				sm := deterministicSim(t, 8, workers, billing)
+				stoch := stochasticSim(t, 16, workers, 41)
 				for _, s := range []*Simulator{sm, stoch} {
 					root := s.root
 					for pass := 0; pass < 3; pass++ { // cold, memoized, then cold again on the kept table
@@ -191,17 +191,17 @@ func TestCompileMatchesPointerOracle(t *testing.T) {
 							reinit(t, s)
 						}
 						for _, p := range testPlans(s) {
-							got, err := s.Estimate(p)
+							got, err := est.estimate(s, p)
 							if err != nil {
 								t.Fatal(err)
 							}
-							want, err := s.refEstimate(p)
+							want, err := s.refEstimate(p, est.mc)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if !sameEstimate(got, want) {
-								t.Fatalf("mode %v billing %v workers %d pass %d plan %v: estimate %+v, pointer oracle %+v",
-									mode, billing, workers, pass, p, got, want)
+								t.Fatalf("%s billing %v workers %d pass %d plan %v: estimate %+v, pointer oracle %+v",
+									est.name, billing, workers, pass, p, got, want)
 							}
 						}
 					}
@@ -216,27 +216,27 @@ func TestCompileMatchesPointerOracle(t *testing.T) {
 
 // FuzzCompileMatchesPointerOracle: random plans over a stochastic
 // Simulator estimate bit-identically through the handle-based compile
-// and the pointer-based oracle, in both estimator modes.
+// and the pointer-based oracle, analytically or by Monte-Carlo.
 func FuzzCompileMatchesPointerOracle(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(9), uint8(2), false)
 	f.Add(uint64(7), uint8(16), uint8(1), uint8(30), true)
 	f.Fuzz(func(t *testing.T, seed uint64, a, b, c uint8, analytic bool) {
-		mode := EstimatorSegment
-		if analytic {
-			mode = EstimatorAnalytic
+		est := estimators[0]
+		if !analytic {
+			est = estimators[1]
 		}
-		sm := modeSim(t, 8, 2, seed, mode)
+		sm := stochasticSim(t, 8, 2, seed)
 		n := sm.Spec().NumStages()
 		alloc := make([]int, n)
 		for i := range alloc {
 			alloc[i] = 1 + int([3]uint8{a, b, c}[i%3]+uint8(i))%32
 		}
 		p := Plan{Alloc: alloc}
-		got, err := sm.Estimate(p)
+		got, err := est.estimate(sm, p)
 		if err != nil {
 			t.Skip()
 		}
-		want, err := sm.refEstimate(p)
+		want, err := sm.refEstimate(p, est.mc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,48 +2,22 @@ package sim
 
 import "fmt"
 
-// EstimatorMode selects how Estimate evaluates a plan's stage segments:
-// by recombining their cached Monte-Carlo sample vectors, or by
-// propagating analytic moments through them. Both modes read the same
-// stage kernels, so under fully deterministic latency
-// profiles they agree to float round-off, and under stochastic profiles
-// to Monte-Carlo tolerance plus the moment-matching bias.
+// EstimatorMode names an estimator a submission may still ask for.
+//
+// Deprecated: Estimate has one path, analytic moments with a Monte-Carlo
+// fallback, whatever the mode. The type, ParseEstimator and
+// WithEstimator stay only so that old submissions keep validating.
 type EstimatorMode int
 
 const (
-	// EstimatorSegment (the default) derives each stage segment's RNG
-	// streams from the tuple (stage, alloc, previous instance count) and
-	// caches the segment's sampled duration/timing vector. A candidate
-	// plan that changes one stage re-samples only that segment and
-	// recombines the rest from cache, making greedy planning incremental.
-	// Because candidate plans that share a tuple draw identical samples
-	// (common random numbers), the noise in greedy pairwise comparisons
-	// is correlated away rather than added in quadrature.
+	// EstimatorSegment was the incremental segment Monte-Carlo mode.
 	EstimatorSegment EstimatorMode = iota
-	// EstimatorAnalytic draws no samples at all: it propagates
-	// (mean, variance) moments through the stage segments in closed form
-	// (segment.moments) and recombines them against an analytic
-	// billing model, yielding an estimate in microseconds. It agrees with
-	// the segment mode exactly under deterministic latencies and to
-	// statistical tolerance otherwise. Plans whose latencies lack finite
-	// moments (Pareto alpha <= 2, opaque dists without Var) fall back to
-	// EstimatorSegment Monte-Carlo transparently.
+	// EstimatorAnalytic was the moment-propagation mode.
 	EstimatorAnalytic
 )
 
-// String renders the mode as its flag spelling.
-func (m EstimatorMode) String() string {
-	switch m {
-	case EstimatorSegment:
-		return "segment"
-	case EstimatorAnalytic:
-		return "analytic"
-	}
-	return fmt.Sprintf("EstimatorMode(%d)", int(m))
-}
-
-// ParseEstimator parses a -estimator flag value ("segment" or
-// "analytic").
+// ParseEstimator parses an estimator name ("segment" or "analytic"), so
+// a submission naming any other estimator is still rejected.
 func ParseEstimator(s string) (EstimatorMode, error) {
 	switch s {
 	case "segment":
@@ -54,9 +28,8 @@ func ParseEstimator(s string) (EstimatorMode, error) {
 	return 0, fmt.Errorf("sim: unknown estimator %q (want \"segment\" or \"analytic\")", s)
 }
 
-// WithEstimator selects the estimator mode. The default is
-// EstimatorSegment; see EstimatorMode for the trade-off.
-func WithEstimator(m EstimatorMode) Option { return func(s *Simulator) { s.estimator = m } }
-
-// Estimator returns the simulator's estimator mode.
-func (s *Simulator) Estimator() EstimatorMode { return s.estimator }
+// WithEstimator configures nothing.
+//
+// Deprecated: every Simulator estimates analytically, with a Monte-Carlo
+// fallback; the mode is ignored.
+func WithEstimator(EstimatorMode) Option { return func(*Simulator) {} }

@@ -11,17 +11,9 @@ import (
 	"repro/internal/stats"
 )
 
-// modeSim is stochasticSim with an explicit estimator mode.
-func modeSim(t testing.TB, samples, workers int, seed uint64, mode EstimatorMode) *Simulator {
-	t.Helper()
-	sm := new(Simulator)
-	initModeSim(t, sm, samples, workers, seed, mode)
-	return sm
-}
-
-// initModeSim initialises sm in place as the Simulator modeSim returns
-// for the same arguments.
-func initModeSim(t testing.TB, sm *Simulator, samples, workers int, seed uint64, mode EstimatorMode) {
+// initStochasticSim initialises sm in place as the Simulator
+// stochasticSim returns for the same arguments.
+func initStochasticSim(t testing.TB, sm *Simulator, samples, workers int, seed uint64) {
 	t.Helper()
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
@@ -30,7 +22,7 @@ func initModeSim(t testing.TB, sm *Simulator, samples, workers int, seed uint64,
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed), WithWorkers(workers), WithEstimator(mode)); err != nil {
+	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed), WithWorkers(workers)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,8 +30,9 @@ func initModeSim(t testing.TB, sm *Simulator, samples, workers int, seed uint64,
 // deterministicSim returns a simulator whose every latency source is a
 // point mass: measured profile with zero straggler variance and constant
 // provisioning overheads. No estimator draws any random number, so the
-// two estimator modes must agree exactly.
-func deterministicSim(t testing.TB, samples, workers int, mode EstimatorMode, billing cloud.BillingModel) *Simulator {
+// analytic estimate, the Monte-Carlo one and Algorithm 1 must agree
+// exactly.
+func deterministicSim(t testing.TB, samples, workers int, billing cloud.BillingModel) *Simulator {
 	t.Helper()
 	s := spec.MustSHA(16, 2, 16, 2)
 	sc, err := model.NewInterpolatedScaling([]int{1, 2, 4, 8, 16}, []float64{1, 1.9, 3.6, 6.5, 11})
@@ -53,24 +46,37 @@ func deterministicSim(t testing.TB, samples, workers int, mode EstimatorMode, bi
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	sm, err := New(s, prof, cp, samples, stats.NewRNG(77), WithWorkers(workers), WithEstimator(mode))
+	sm, err := New(s, prof, cp, samples, stats.NewRNG(77), WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sm
 }
 
-func estimatorModes() []EstimatorMode {
-	return []EstimatorMode{EstimatorSegment, EstimatorAnalytic}
+// estimators are the two ways a test reaches an estimate: the public
+// Estimate (analytic, memoized) and the Monte-Carlo fallback, which is
+// what Estimate returns when a latency lacks finite moments; mc marks
+// the Monte-Carlo one.
+var estimators = []struct {
+	name     string
+	mc       bool
+	estimate func(*Simulator, Plan) (Estimate, error)
+}{
+	{"Estimate", false, (*Simulator).Estimate},
+	{"EstimateMC", true, (*Simulator).EstimateMC},
 }
 
-// TestParseEstimator round-trips both flag spellings and rejects others,
-// including the retired "full", with an error naming the valid modes.
+// TestParseEstimator round-trips both deprecated spellings, which
+// submissions may still name, and rejects others, including the retired
+// "full", with an error naming the valid ones.
 func TestParseEstimator(t *testing.T) {
-	for _, m := range estimatorModes() {
-		got, err := ParseEstimator(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseEstimator(%q) = %v, %v", m.String(), got, err)
+	for _, c := range []struct {
+		name string
+		mode EstimatorMode
+	}{{"segment", EstimatorSegment}, {"analytic", EstimatorAnalytic}} {
+		got, err := ParseEstimator(c.name)
+		if err != nil || got != c.mode {
+			t.Fatalf("ParseEstimator(%q) = %v, %v", c.name, got, err)
 		}
 	}
 	for _, bad := range []string{"fast", "full", ""} {
@@ -84,30 +90,30 @@ func TestParseEstimator(t *testing.T) {
 	}
 }
 
-// TestEstimatorModesDeterministicAcrossWorkers: the PR's core invariant
-// holds in both estimator modes — for a fixed seed, Estimate is
-// bit-identical at every worker count and across repeated calls on fresh
-// and reused simulators.
+// TestEstimatorModesDeterministicAcrossWorkers: the core invariant holds
+// for the analytic estimate and its Monte-Carlo fallback alike — for a
+// fixed seed, each is bit-identical at every worker count and across
+// repeated calls on fresh and reused simulators.
 func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
-	for _, mode := range estimatorModes() {
-		ref := modeSim(t, 40, 1, 42, mode)
+	for _, est := range estimators {
+		ref := stochasticSim(t, 40, 1, 42)
 		for _, plan := range testPlans(ref) {
-			want, err := ref.Estimate(plan)
+			want, err := est.estimate(ref, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want.JCTStd == 0 {
-				t.Fatalf("%v plan %v: degenerate estimate, test is vacuous", mode, plan)
+				t.Fatalf("%s plan %v: degenerate estimate, test is vacuous", est.name, plan)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				sm := modeSim(t, 40, workers, 42, mode)
+				sm := stochasticSim(t, 40, workers, 42)
 				for run := 0; run < 2; run++ {
-					got, err := sm.Estimate(plan)
+					got, err := est.estimate(sm, plan)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got != want {
-						t.Fatalf("%v plan %v workers=%d run=%d: %+v != serial %+v", mode, plan, workers, run, got, want)
+						t.Fatalf("%s plan %v workers=%d run=%d: %+v != serial %+v", est.name, plan, workers, run, got, want)
 					}
 				}
 			}
@@ -117,16 +123,16 @@ func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 
 // TestEstimatorsAgreeExactlyUnderDeterministicLatencies: with point-mass
 // latencies everywhere no draw carries randomness to diverge on, so the
-// segment estimator must return Algorithm 1's estimates and breakdowns
-// over the full DAG, up to the float round-off of zero-based versus
-// absolute stage times, under both billing models and for all plan
-// shapes (static, shrinking, queued waves).
+// Monte-Carlo estimate must return Algorithm 1's estimates and
+// breakdowns over the full DAG, up to the float round-off of zero-based
+// versus absolute stage times, under both billing models and for all
+// plan shapes (static, shrinking, queued waves).
 func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 	const rel = 1e-12
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		seg := deterministicSim(t, 5, 2, EstimatorSegment, billing)
+		seg := deterministicSim(t, 5, 2, billing)
 		for _, plan := range testPlans(seg) {
-			se, err := seg.Estimate(plan)
+			se, err := seg.EstimateMC(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +143,7 @@ func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 			if se.JCT <= 0 || se.Cost <= 0 {
 				t.Fatalf("billing %v plan %v: degenerate estimate %+v", billing, plan, se)
 			}
-			sb, err := seg.Breakdown(plan)
+			sb, err := seg.BreakdownMC(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,9 +166,9 @@ func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 // standard errors.
 func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 	const samples = 400
-	seg := modeSim(t, samples, 4, 9, EstimatorSegment)
+	seg := stochasticSim(t, samples, 4, 9)
 	for _, plan := range testPlans(seg) {
-		se, err := seg.Estimate(plan)
+		se, err := seg.EstimateMC(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,33 +186,33 @@ func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 	}
 }
 
-// TestSegmentEstimatesPureAcrossCacheState: an estimate must not depend
-// on what the segment table happens to hold — evaluating many other
-// plans (sharing and adding segments) between two estimates of the same
+// TestSegmentEstimatesPureAcrossCacheState: a Monte-Carlo estimate must
+// not depend on what the segment table happens to hold — evaluating many
+// other plans (sharing and adding segments) between two estimates of the same
 // plan must not change a bit, and a cold simulator must agree with a
 // warm one.
 func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
-	warm := modeSim(t, 30, 2, 13, EstimatorSegment)
+	warm := stochasticSim(t, 30, 2, 13)
 	plan := testPlans(warm)[1]
-	want, err := warm.Estimate(plan)
+	want, err := warm.EstimateMC(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stages := warm.Spec().NumStages()
 	for g := 1; g <= 32; g++ {
-		if _, err := warm.Estimate(Uniform(g, stages)); err != nil {
+		if _, err := warm.EstimateMC(Uniform(g, stages)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := warm.Estimate(plan)
+	got, err := warm.EstimateMC(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("estimate changed with cache state: %+v != %+v", got, want)
 	}
-	cold := modeSim(t, 30, 2, 13, EstimatorSegment)
-	cgot, err := cold.Estimate(plan)
+	cold := stochasticSim(t, 30, 2, 13)
+	cgot, err := cold.EstimateMC(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +275,7 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 // cohort stack, pricing a sample must not allocate.
 func TestPriceScheduleZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := deterministicSim(t, 8, 1, EstimatorSegment, billing)
+		sm := deterministicSim(t, 8, 1, billing)
 		plan := testPlans(sm)[1]
 		var cp compiledPlan
 		if err := sm.compile(plan, &cp); err != nil {
@@ -328,13 +334,13 @@ func tableCounts(sm *Simulator) (segs, samples, moms int) {
 	return sm.tab.index.n, samples, moms
 }
 
-// TestSegmentCacheReusesAcrossPlans: two plans sharing a stage tuple
-// must consult the profile only once for that tuple — the segment table
-// is what makes greedy candidate evaluation incremental.
+// TestSegmentCacheReusesAcrossPlans: two Monte-Carlo estimates of plans
+// sharing a stage tuple must consult the profile only once for that
+// tuple — the segment table is what makes the fallback incremental.
 func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
-	sm := modeSim(t, 10, 1, 21, EstimatorSegment)
+	sm := stochasticSim(t, 10, 1, 21)
 	stages := sm.Spec().NumStages()
-	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
+	if _, err := sm.EstimateMC(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
 	}
 	segsBefore, samplesBefore, _ := tableCounts(sm)
@@ -342,7 +348,7 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	// tuple is unchanged, so exactly one new segment may be built.
 	alloc := Uniform(16, stages).Alloc
 	alloc[stages-1] = 8
-	if _, err := sm.Estimate(Plan{Alloc: alloc}); err != nil {
+	if _, err := sm.EstimateMC(Plan{Alloc: alloc}); err != nil {
 		t.Fatal(err)
 	}
 	segs, samples, _ := tableCounts(sm)
@@ -357,12 +363,12 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 // TestCompileSnapshotsFills: compile resolves a plan under one table
 // lock and snapshots under it each segment's sample vector and moments
 // as far as they are filled. A plan no estimate has touched snapshots
-// none; once it has been estimated in both modes, a compile carries
-// every stage's fill, so neither sampleVectors nor AnalyticEval.Estimate
-// goes back to the table for it.
+// none; once it has been estimated both analytically and by Monte-Carlo,
+// a compile carries every stage's fill, so neither sampleVectors nor
+// AnalyticEval.Estimate goes back to the table for it.
 func TestCompileSnapshotsFills(t *testing.T) {
-	for _, p := range testPlans(modeSim(t, 20, 1, 31, EstimatorSegment)) {
-		sm := modeSim(t, 20, 1, 31, EstimatorSegment)
+	for _, p := range testPlans(stochasticSim(t, 20, 1, 31)) {
+		sm := stochasticSim(t, 20, 1, 31)
 		var cp compiledPlan
 		if err := sm.compile(p, &cp); err != nil {
 			t.Fatal(err)
@@ -377,7 +383,7 @@ func TestCompileSnapshotsFills(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Release()
-		if _, err := sm.estimate(p); err != nil {
+		if _, err := sm.EstimateMC(p); err != nil {
 			t.Fatal(err)
 		}
 		if err := sm.compile(p, &cp); err != nil {

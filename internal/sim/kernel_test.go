@@ -311,13 +311,13 @@ func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 			}
 		})
 	}
-	sm := reinitSim(t, EstimatorAnalytic)
+	sm := reinitSim(t)
 	segs := tableSegments(t, sm, testPlans(sm))
 	if allocs := fill(sm, segs); allocs != 0 {
 		t.Fatalf("cold moment fills of %d segments on a re-initialised table allocate %d, want 0", len(segs), allocs)
 	}
 
-	sm = modeSim(t, 20, 1, 31, EstimatorAnalytic)
+	sm = stochasticSim(t, 20, 1, 31)
 	segs = tableSegments(t, sm, testPlans(sm)[1:2])
 	if allocs, chunks := fill(sm, segs), sm.tab.moms.n; allocs != 1 || chunks != 1 {
 		t.Fatalf("cold moment fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)

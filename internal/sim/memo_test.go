@@ -34,12 +34,13 @@ func bitEqual(a, b Estimate) bool {
 // TestCanonicalPlansShareMemoEntry: plans that differ only within their
 // fair shares' classes share one plan-memo entry, and each one's
 // estimate computed on its own, on a fresh Simulator without the memo,
-// is bit-identical to the shared entry, in both estimator modes. This
-// is what makes the memo's canonical key sound.
+// is bit-identical to the shared entry; the Monte-Carlo fallback, which
+// keeps no memo, gives twins bit-identical estimates too. This is what
+// makes the memo's canonical key sound.
 func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 	rng := stats.NewRNG(61)
-	for _, mode := range estimatorModes() {
-		sm := modeSim(t, 20, 2, 31, mode)
+	for _, est := range estimators {
+		sm := stochasticSim(t, 20, 2, 31)
 		stages := sm.Spec().NumStages()
 		var plans []Plan
 		for i := 0; i < 12; i++ {
@@ -52,26 +53,26 @@ func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 		plans = append(plans, testPlans(sm)...)
 		merged := 0
 		for _, p := range plans {
-			want, err := sm.Estimate(p)
+			want, err := est.estimate(sm, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			entries := len(sm.tab.entries)
 			for k := 0; k < 4; k++ {
 				q := twin(sm, p, rng)
-				got, err := sm.Estimate(q)
+				got, err := est.estimate(sm, q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(sm.tab.entries) != entries {
-					t.Fatalf("%v: twin %v of %v took a memo entry of its own", mode, q, p)
+					t.Fatalf("%s: twin %v of %v took a memo entry of its own", est.name, q, p)
 				}
-				alone, err := modeSim(t, 20, 2, 31, mode).estimate(q)
+				alone, err := est.estimate(stochasticSim(t, 20, 2, 31), q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bitEqual(got, want) || !bitEqual(alone, want) {
-					t.Fatalf("%v: twin %v of %v reads %+v from the memo and computes %+v alone, want %+v", mode, q, p, got, alone, want)
+					t.Fatalf("%s: twin %v of %v reads %+v and computes %+v alone, want %+v", est.name, q, p, got, alone, want)
 				}
 				if !q.Equal(p) {
 					merged++
@@ -79,7 +80,7 @@ func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 			}
 		}
 		if merged == 0 {
-			t.Fatalf("%v: no twin differed from its plan; the test is vacuous", mode)
+			t.Fatalf("%s: no twin differed from its plan; the test is vacuous", est.name)
 		}
 	}
 }
@@ -88,7 +89,7 @@ func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 // returns its error every time and takes no memo entry, even when its
 // allocations wrap to a memoized plan's in 32 bits.
 func TestEstimateErrorsAreNotMemoized(t *testing.T) {
-	sm := modeSim(t, 20, 1, 31, EstimatorSegment)
+	sm := stochasticSim(t, 20, 1, 31)
 	if _, err := sm.Estimate(NewPlan(16, 8, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -104,34 +105,30 @@ func TestEstimateErrorsAreNotMemoized(t *testing.T) {
 	}
 }
 
-// TestRecycledPlanMemoMatchesFresh: a Simulator whose plan memo it
-// filled under another spec and estimator mode, re-initialised in place,
-// answers every plan exactly as a new Simulator does, at one worker and
-// at four. The two specs have the same stage
-// count, so every plan is valid under both and a memo entry that
+// TestRecycledPlanMemoMatchesFresh: a Simulator whose plan memo and
+// sample vectors it filled under another spec, re-initialised in place,
+// answers every plan exactly as a new Simulator does, analytically and
+// by Monte-Carlo, at one worker and at four. The two specs have the same
+// stage count, so every plan is valid under both and a memo entry that
 // survived the reset would be read back.
 func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
-	other := func(workers int, mode EstimatorMode) *Simulator {
+	other := func(workers int) *Simulator {
 		t.Helper()
 		m := model.ResNet50()
 		m.IterNoiseStd = 0.2
 		cp := DefaultCloudProfile()
 		cp.Pricing.Billing = cloud.PerFunction
 		sm, err := New(spec.MustSHA(8, 1, 8, 2), ModelTrainProfile{Model: m, Batch: 256, GPUsPerNode: 8}, cp, 9,
-			stats.NewRNG(5), WithWorkers(workers), WithEstimator(mode))
+			stats.NewRNG(5), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sm
 	}
 	for _, workers := range []int{1, 4} {
-		for _, mode := range estimatorModes() {
-			// The donor runs the other mode on the other spec.
-			donorMode := EstimatorAnalytic
-			if mode == EstimatorAnalytic {
-				donorMode = EstimatorSegment
-			}
-			donor := other(workers, donorMode)
+		for _, est := range estimators {
+			// The donor fills memo and sample vectors on the other spec.
+			donor := other(workers)
 			if donor.Spec().NumStages() != 4 {
 				t.Fatalf("donor spec has %d stages, want 4", donor.Spec().NumStages())
 			}
@@ -143,28 +140,31 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 				if _, err := donor.Estimate(p); err != nil {
 					t.Fatal(err)
 				}
+				if _, err := donor.EstimateMC(p); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if len(donor.tab.entries) != len(plans) {
 				t.Fatalf("donor memoized %d plans, want %d", len(donor.tab.entries), len(plans))
 			}
 			recycled := donor
-			initModeSim(t, recycled, 20, workers, 31, mode)
+			initStochasticSim(t, recycled, 20, workers, 31)
 			if recycled.tab.plans.n != 0 {
 				t.Fatalf("a re-initialised table indexes %d plan hashes, want 0", recycled.tab.plans.n)
 			}
-			fresh := modeSim(t, 20, workers, 31, mode)
+			fresh := stochasticSim(t, 20, workers, 31)
 			for round := 0; round < 2; round++ { // misses, then memo hits
 				for _, p := range plans {
-					got, err := recycled.Estimate(p)
+					got, err := est.estimate(recycled, p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := fresh.Estimate(p)
+					want, err := est.estimate(fresh, p)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bitEqual(got, want) {
-						t.Fatalf("workers %d %v round %d: %v re-initialised %+v, new %+v", workers, mode, round, p, got, want)
+						t.Fatalf("workers %d %s round %d: %v re-initialised %+v, new %+v", workers, est.name, round, p, got, want)
 					}
 				}
 			}

@@ -50,13 +50,13 @@ func testPlans(sm *Simulator) []Plan {
 	}
 }
 
-// TestEstimateDeterministicAcrossWorkers is the PR's core invariant: for a
-// fixed seed, Estimate is bit-identical at every worker count and across
-// repeated calls.
+// TestEstimateDeterministicAcrossWorkers is the core invariant of the
+// Monte-Carlo fan-out: for a fixed seed, the sampled estimate is
+// bit-identical at every worker count and across repeated calls.
 func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 	ref := stochasticSim(t, 40, 1, 42)
 	for _, plan := range testPlans(ref) {
-		want, err := ref.Estimate(plan)
+		want, err := ref.EstimateMC(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			sm := stochasticSim(t, 40, workers, 42)
 			for run := 0; run < 2; run++ {
-				got, err := sm.Estimate(plan)
+				got, err := sm.EstimateMC(plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,8 +78,8 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEstimateIndependentOfCallOrder: estimates are pure functions of the
-// plan — evaluating other plans first must not shift any stream. (The
+// TestEstimateIndependentOfCallOrder: Monte-Carlo estimates are pure
+// functions of the plan — evaluating other plans first must not shift any stream. (The
 // pre-parallel simulator violated this: a single shared RNG made every
 // estimate depend on the full call history.)
 func TestEstimateIndependentOfCallOrder(t *testing.T) {
@@ -89,7 +89,7 @@ func TestEstimateIndependentOfCallOrder(t *testing.T) {
 
 	want := make([]Estimate, len(plans))
 	for i, p := range plans {
-		est, err := a.Estimate(p)
+		est, err := a.EstimateMC(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestEstimateIndependentOfCallOrder(t *testing.T) {
 	}
 	// Reverse order on the twin simulator.
 	for i := len(plans) - 1; i >= 0; i-- {
-		got, err := b.Estimate(plans[i])
+		got, err := b.EstimateMC(plans[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,16 +113,16 @@ func TestEstimateIndependentOfCallOrder(t *testing.T) {
 // included, race each other, and checks every result against a serial
 // reference computed on a twin simulator with the same seed.
 func TestConcurrentEstimateRace(t *testing.T) {
-	for _, mode := range []EstimatorMode{EstimatorSegment, EstimatorAnalytic} {
-		ref := modeSim(t, 20, 4, 99, mode)
+	for _, est := range estimators {
+		ref := stochasticSim(t, 20, 4, 99)
 		plans := testPlans(ref)
 		want := make([]Estimate, len(plans))
 		for i, p := range plans {
-			est, err := ref.Estimate(p)
+			e, err := est.estimate(ref, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = est
+			want[i] = e
 		}
 		sizes := []int{6, 17, 32, 48, 64}
 		wantJCTs := make([][]float64, len(sizes))
@@ -130,7 +130,7 @@ func TestConcurrentEstimateRace(t *testing.T) {
 			wantJCTs[i] = ref.StaticClusterJCTs(n, nil)
 		}
 
-		sm := modeSim(t, 20, 4, 99, mode)
+		sm := stochasticSim(t, 20, 4, 99)
 		const goroutines = 8
 		const rounds = 10
 		errc := make(chan error, goroutines)
@@ -141,18 +141,18 @@ func TestConcurrentEstimateRace(t *testing.T) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					i := (g + r) % len(plans)
-					got, err := sm.Estimate(plans[i])
+					got, err := est.estimate(sm, plans[i])
 					if err != nil {
 						errc <- err
 						return
 					}
 					if got != want[i] {
-						t.Errorf("%v goroutine %d round %d plan %v: %+v != %+v", mode, g, r, plans[i], got, want[i])
+						t.Errorf("%s goroutine %d round %d plan %v: %+v != %+v", est.name, g, r, plans[i], got, want[i])
 						return
 					}
 					j := (g + 2*r) % len(sizes)
 					if got := sm.StaticClusterJCTs(sizes[j], nil); !slices.Equal(got, wantJCTs[j]) {
-						t.Errorf("%v goroutine %d round %d: StaticClusterJCTs(%d) = %v, want %v", mode, g, r, sizes[j], got, wantJCTs[j])
+						t.Errorf("%s goroutine %d round %d: StaticClusterJCTs(%d) = %v, want %v", est.name, g, r, sizes[j], got, wantJCTs[j])
 						return
 					}
 				}
@@ -166,38 +166,50 @@ func TestConcurrentEstimateRace(t *testing.T) {
 	}
 }
 
-// TestBreakdownDeterministicAndConsistent: Breakdown is repeatable and its
-// stage durations reproduce Estimate's mean JCT, because both average the
-// same per-plan sample streams.
+// TestBreakdownDeterministicAndConsistent: the Monte-Carlo Breakdown is
+// repeatable and its stage durations reproduce the Monte-Carlo estimate's
+// mean JCT, because both average the same per-plan sample streams; the
+// analytic Breakdown, which Breakdown returns when every moment is
+// finite, is repeatable and its durations add up to Estimate's JCT.
 func TestBreakdownDeterministicAndConsistent(t *testing.T) {
 	sm := stochasticSim(t, 25, 4, 5)
 	plan := testPlans(sm)[1]
-	rows1, err := sm.Breakdown(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows2, err := sm.Breakdown(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows1 {
-		if rows1[i] != rows2[i] {
-			t.Fatalf("stage %d: %+v != %+v across calls", i, rows1[i], rows2[i])
+	for _, c := range []struct {
+		name      string
+		breakdown func(Plan) ([]StageEstimate, error)
+		estimate  func(Plan) (Estimate, error)
+	}{
+		{"BreakdownMC", sm.BreakdownMC, sm.EstimateMC},
+		{"Breakdown", sm.Breakdown, sm.Estimate},
+	} {
+		rows1, err := c.breakdown(plan)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	est, err := sm.Estimate(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, r := range rows1 {
-		total += r.Duration
-	}
-	// Stage spans partition each sampled makespan, so the sums of their
-	// means must agree up to float summation order.
-	tol := 1e-6 * est.JCT
-	if diff := total - est.JCT; diff > tol || diff < -tol {
-		t.Fatalf("breakdown durations sum to %v, Estimate JCT %v", total, est.JCT)
+		rows2, err := c.breakdown(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows1 {
+			if rows1[i] != rows2[i] {
+				t.Fatalf("%s stage %d: %+v != %+v across calls", c.name, i, rows1[i], rows2[i])
+			}
+		}
+		est, err := c.estimate(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total float64
+		for _, r := range rows1 {
+			total += r.Duration
+		}
+		// Stage spans partition each sampled makespan, and the analytic
+		// JCT is the sum of the stages' mean spans, so the sums of their
+		// means must agree up to float summation order.
+		tol := 1e-6 * est.JCT
+		if diff := total - est.JCT; diff > tol || diff < -tol {
+			t.Fatalf("%s durations sum to %v, estimate JCT %v", c.name, total, est.JCT)
+		}
 	}
 }
 
@@ -213,14 +225,14 @@ func TestEstimateHeavyRepeatability(t *testing.T) {
 	ref := stochasticSim(t, 500, 1, 1234)
 	plans := testPlans(ref)
 	for _, plan := range plans {
-		want, err := ref.Estimate(plan)
+		want, err := ref.EstimateMC(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8, 16} {
 			sm := stochasticSim(t, 500, workers, 1234)
 			for rep := 0; rep < 5; rep++ {
-				got, err := sm.Estimate(plan)
+				got, err := sm.EstimateMC(plan)
 				if err != nil {
 					t.Fatal(err)
 				}

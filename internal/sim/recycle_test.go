@@ -14,15 +14,16 @@ import (
 )
 
 // recycleCase is one Simulator configuration of the recycle-equivalence
-// test. The cases differ in spec, training batch, sample count,
-// estimator mode and billing model, so a re-initialised Simulator's
-// table meets keys, vector lengths and iteration distributions its
-// previous job never had.
+// test. The cases differ in spec, training batch, sample count, queue
+// delay and billing model, so a re-initialised Simulator's table meets
+// keys, vector lengths and iteration distributions its previous job
+// never had. A heavy case's queue delay has no finite variance, so its
+// estimates and searches take the Monte-Carlo fallback.
 type recycleCase struct {
 	spec      *spec.ExperimentSpec
 	batch     int
 	samples   int
-	mode      sim.EstimatorMode
+	heavy     bool
 	billing   cloud.BillingModel
 	minCharge float64
 	maxGPUs   int
@@ -30,11 +31,11 @@ type recycleCase struct {
 
 func recycleCases() []recycleCase {
 	return []recycleCase{
-		{spec.MustSHA(16, 2, 16, 2), 512, 20, sim.EstimatorSegment, cloud.PerInstance, 60, 32},
-		{spec.MustSHA(8, 2, 12, 2), 256, 7, sim.EstimatorAnalytic, cloud.PerFunction, 0, 24},
-		{spec.MustSHA(12, 3, 10, 3), 1024, 13, sim.EstimatorSegment, cloud.PerFunction, 0, 36},
-		{spec.MustSHA(32, 4, 6, 4), 512, 5, sim.EstimatorAnalytic, cloud.PerInstance, 0, 48},
-		{spec.MustSHA(6, 2, 20, 3), 128, 9, sim.EstimatorSegment, cloud.PerInstance, 600, 16},
+		{spec.MustSHA(16, 2, 16, 2), 512, 20, true, cloud.PerInstance, 60, 32},
+		{spec.MustSHA(8, 2, 12, 2), 256, 7, false, cloud.PerFunction, 0, 24},
+		{spec.MustSHA(12, 3, 10, 3), 1024, 13, true, cloud.PerFunction, 0, 36},
+		{spec.MustSHA(32, 4, 6, 4), 512, 5, false, cloud.PerInstance, 0, 48},
+		{spec.MustSHA(6, 2, 20, 3), 128, 9, true, cloud.PerInstance, 600, 16},
 	}
 }
 
@@ -50,6 +51,9 @@ func (c recycleCase) job() (sim.TrainProfile, sim.CloudProfile) {
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
+	if c.heavy {
+		cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+	}
 	return sim.ModelTrainProfile{Model: m, Batch: c.batch, GPUsPerNode: 4}, cp
 }
 
@@ -58,7 +62,7 @@ func (c recycleCase) newSim(t *testing.T, workers int) *sim.Simulator {
 	t.Helper()
 	prof, cp := c.job()
 	sm, err := sim.New(c.spec, prof, cp, c.samples,
-		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers), sim.WithEstimator(c.mode))
+		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func (c recycleCase) initSim(t *testing.T, sm *sim.Simulator, workers int) {
 	t.Helper()
 	prof, cp := c.job()
 	if err := sm.Init(c.spec, prof, cp, c.samples,
-		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers), sim.WithEstimator(c.mode)); err != nil {
+		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,7 +112,7 @@ func (c recycleCase) searches(sm *sim.Simulator, workers int) string {
 
 // TestRecycledTablesMatchFresh: a Simulator re-initialised over a
 // table another job filled — its segments, plan memo and share column
-// under a different spec, profile, estimator and sample count — returns
+// under a different spec, profile, queue delay and sample count — returns
 // exactly what a new Simulator returns: Estimate, Breakdown and
 // PlanElastic, at one worker and at four. The same holds when a failed
 // Init comes between the two jobs, and the failed Init leaves the
@@ -126,7 +130,7 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 		}
 		for i, c := range cases {
 			// The neighbouring case j differs from c in spec, batch,
-			// sample count and estimator.
+			// sample count and queue delay.
 			j := i ^ 1
 			if j == len(cases) {
 				j = i - 1

@@ -14,18 +14,18 @@ import (
 // next: each is fully overwritten before it is read, so pooling saves
 // allocations and cannot change an estimate.
 var (
-	// estPool holds segment-mode Estimate's compiled plan, sample rows
+	// estPool holds the Monte-Carlo estimate's compiled plan, sample rows
 	// and pricing columns.
 	estPool = sync.Pool{New: func() any { return new(estScratch) }}
 	// fillPool holds a sample fill's per-worker RNG and latency
 	// buffers.
 	fillPool = sync.Pool{New: func() any { return new(fillScratch) }}
-	// evalPool holds analytic-mode Estimate's evaluators, rebound to the
+	// evalPool holds Estimate's analytic evaluators, rebound to the
 	// calling Simulator on every use.
 	evalPool = sync.Pool{New: func() any { return new(AnalyticEval) }}
 )
 
-// estScratch is one segment-mode estimate in flight: the plan resolved
+// estScratch is one Monte-Carlo estimate in flight: the plan resolved
 // to segments and their sample rows, the per-draw columns summarize
 // reduces, and priceSchedule's billing stack.
 type estScratch struct {

@@ -29,14 +29,14 @@ type Estimate struct {
 //
 //   - One mutex-guarded segment table memoizing pure computations: each
 //     stage segment's shape and compiled TRAIN latency plus its lazily
-//     filled sample vector (segment mode) and analytic moments, beside
+//     filled analytic moments and Monte-Carlo sample vector, beside
 //     them the profile's iteration distribution and mean per per-trial
 //     share, which segment builds and StaticClusterJCTs read, and the
 //     plan memo of whole-plan estimates keyed by canonical allocations.
 //     A plan resolves against the table under one acquisition of its
 //     lock (compile), which also snapshots each segment's filled sample
-//     vector and moments, so a warm Monte-Carlo estimate takes the lock
-//     three times (memo lookup, compile, memo store) and a warm analytic
+//     vector and moments, so a warm estimate takes the lock three times
+//     (memo lookup, compile, memo store) and a warm AnalyticEval
 //     evaluation once; only misses are filled outside it. The
 //     provisioning latencies every segment shares are compiled once,
 //     at construction. Every Monte-Carlo draw derives a private RNG
@@ -54,11 +54,11 @@ type Estimate struct {
 //     re-initialises it for each job fills its table without
 //     allocating. Scratch comes from package-level pools (see
 //     scratch.go), because concurrent calls on one Simulator each need
-//     their own: estPool (segment-mode Estimate's compiled plan, sample
-//     rows, and the per-draw JCT, cost and billing-cohort columns
-//     summarize reduces), fillPool (a sample fill's per-worker RNG and
-//     per-slot finish buffer) and evalPool (analytic-mode Estimate's
-//     evaluators).
+//     their own: evalPool (Estimate's analytic evaluators), estPool (the
+//     Monte-Carlo fallback's compiled plan, sample rows, and the
+//     per-draw JCT, cost and billing-cohort columns summarize reduces)
+//     and fillPool (a sample fill's per-worker RNG and per-slot finish
+//     buffer).
 //     Neither can carry a result from one use into another: Init
 //     empties the table, and every use of scratch fully overwrites what
 //     it reads before reading it.
@@ -72,9 +72,6 @@ type Simulator struct {
 	samples int
 	// workers bounds the Monte-Carlo fan-out; <= 0 selects GOMAXPROCS.
 	workers int
-	// estimator selects sampling or moment propagation (see
-	// EstimatorMode).
-	estimator EstimatorMode
 	// root is a snapshot of the seeding generator's state at construction.
 	// It is never advanced: streams are derived from it with
 	// stats.RNG.Stream, which is pure, so concurrent derivation is safe.
@@ -182,30 +179,29 @@ func (s *Simulator) Reset() {
 // Workers returns the resolved Monte-Carlo worker bound.
 func (s *Simulator) Workers() int { return par.Workers(s.workers) }
 
-// Samples returns the Monte-Carlo sample count; callers sizing safety
-// margins around sampled means divide the spread by its square root.
-func (s *Simulator) Samples() int { return s.samples }
-
 // Spec returns the simulated job's specification.
 func (s *Simulator) Spec() *spec.ExperimentSpec { return s.spec }
 
 // Cloud returns the simulator's cloud profile.
 func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 
-// Estimate predicts JCT and cost for the plan by drawing s.samples
-// Monte-Carlo samples of each stage segment and
-// replaying every sample against the billing model. Segment draws fan
-// out across the simulator's worker pool (WithWorkers) into
-// index-addressed slots and the recombination reduces in fixed index
+// Estimate predicts JCT and cost for the plan by propagating analytic
+// moments through its stage segments (AnalyticEval): no RNG is consulted,
+// so the estimate depends on neither the sample count nor the seed. A
+// plan some of whose latencies have no finite moments (Pareto alpha <= 2,
+// opaque distributions without a variance) falls back to segment Monte-
+// Carlo: s.samples draws of each stage segment, replayed against the
+// billing model. Those draws fan out across the simulator's worker pool
+// (WithWorkers) into index-addressed slots and reduce in fixed index
 // order, so the estimate is bit-identical at any worker count and across
-// repeated or concurrent calls, in both estimator modes.
+// repeated or concurrent calls on either path.
 //
 // The table memoizes each estimate under the plan's canonical
 // allocations (canonAlloc per stage), which is all an estimate depends
-// on in either mode: plans that differ only within a fair share's
-// representative class share one entry, and a search that scores a
-// candidate again reads it back without allocating. A plan that fails
-// validation returns its error and is not memoized.
+// on: plans that differ only within a fair share's representative class
+// share one entry, and a search that scores a candidate again reads it
+// back without allocating. A plan that fails validation returns its
+// error and is not memoized.
 //
 //rbvet:pure
 func (s *Simulator) Estimate(p Plan) (Estimate, error) {
@@ -234,23 +230,26 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 	return est, nil
 }
 
-// estimate computes Estimate's answer without the plan memo.
+// estimate computes Estimate's answer without the plan memo: the
+// analytic estimate, or the Monte-Carlo one when some latency lacks
+// finite moments.
 //
 //rbvet:pure
 func (s *Simulator) estimate(p Plan) (Estimate, error) {
-	if s.estimator == EstimatorAnalytic {
-		e := s.NewAnalyticEval()
-		est, ok, err := e.Estimate(p)
-		e.Release()
-		if err != nil {
-			return Estimate{}, err
-		}
-		if ok {
-			return est, nil
-		}
-		// Some latency lacks finite moments: fall back to segment-mode
-		// Monte-Carlo below.
+	e := s.NewAnalyticEval()
+	est, ok, err := e.Estimate(p)
+	e.Release()
+	if err != nil || ok {
+		return est, err
 	}
+	return s.estimateMC(p)
+}
+
+// estimateMC is the Monte-Carlo fallback of estimate: s.samples draws of
+// each stage segment, recombined and priced row by row.
+//
+//rbvet:pure
+func (s *Simulator) estimateMC(p Plan) (Estimate, error) {
 	es := estPool.Get().(*estScratch)
 	defer es.release()
 	if err := s.compile(p, &es.cp); err != nil {

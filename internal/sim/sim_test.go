@@ -178,21 +178,21 @@ func TestOversizedAllocRejected(t *testing.T) {
 	if err := NewPlan(1, big).Validate(2); err == nil || !strings.Contains(err.Error(), "stage 1 allocated 2147483648 GPUs") {
 		t.Fatalf("Validate(2^31) = %v, want the stage-1 allocation error", err)
 	}
-	for _, mode := range estimatorModes() {
-		sm := modeSim(t, 4, 1, 31, mode)
-		plan := Plan{Alloc: []int{big<<1 + 16, 8, 4, 2}}
-		if est, err := sm.Estimate(plan); err == nil {
-			t.Fatalf("%v: Estimate(%v) = %+v, want a validation error", mode, plan, est)
+	sm := stochasticSim(t, 4, 1, 31)
+	plan := Plan{Alloc: []int{big<<1 + 16, 8, 4, 2}}
+	for _, est := range estimators {
+		if got, err := est.estimate(sm, plan); err == nil {
+			t.Fatalf("%s(%v) = %+v, want a validation error", est.name, plan, got)
 		}
-		if _, err := sm.Breakdown(plan); err == nil {
-			t.Fatalf("%v: Breakdown(%v) accepted the plan", mode, plan)
-		}
-		e := sm.NewAnalyticEval()
-		_, _, err := e.Estimate(plan)
-		e.Release()
-		if err == nil {
-			t.Fatalf("%v: analytic Estimate(%v) accepted the plan", mode, plan)
-		}
+	}
+	if _, err := sm.Breakdown(plan); err == nil {
+		t.Fatalf("Breakdown(%v) accepted the plan", plan)
+	}
+	e := sm.NewAnalyticEval()
+	_, _, err := e.Estimate(plan)
+	e.Release()
+	if err == nil {
+		t.Fatalf("analytic Estimate(%v) accepted the plan", plan)
 	}
 }
 
