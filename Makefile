@@ -25,10 +25,11 @@ lint-fast:
 test:
 	go test ./...
 
-# Race-detector pass over the packages that fan work across goroutines
-# (Monte-Carlo sampling, candidate evaluation, stream derivation, the
-# chaos harness's scenario fan-out) and the packages whose run state is
-# pooled and recycled across the serve driver goroutines.
+# Race-detector pass. No plan search fans out any more: a Simulator and
+# its Planner belong to one goroutine. What runs concurrently is the
+# chaos harness's scenario fan-out (harness.RunBatch, one Simulator per
+# scenario), stream derivation, and the per-run state that is pooled and
+# recycled across the serve driver goroutines; these packages hold it.
 test-race:
 	go test -race -count=1 ./internal/sim ./internal/planner ./internal/stats ./internal/par ./internal/harness \
 		./internal/vclock ./internal/trace ./internal/executor ./internal/cloud ./internal/cluster ./internal/placement

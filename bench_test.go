@@ -10,8 +10,6 @@
 package repro
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/cloud"
@@ -163,8 +161,12 @@ func BenchmarkExtensionInstances(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths ---
 
+// benchSimulator builds the benchmark workload's simulator.
 func benchSimulator(b *testing.B, samples int) *sim.Simulator {
-	return benchSimulatorWorkers(b, samples, 0) // 0 = GOMAXPROCS
+	b.Helper()
+	sm := new(sim.Simulator)
+	initBenchSimulator(b, sm, samples)
+	return sm
 }
 
 // benchWorkload is the planning workload every planner, estimator and
@@ -180,40 +182,21 @@ func benchWorkload() (*spec.ExperimentSpec, sim.ModelTrainProfile, sim.CloudProf
 	return spec.MustSHA(64, 4, 508, 2), prof, cp
 }
 
-// benchSimulatorWorkers builds the benchmark workload's simulator with
-// an explicit Monte-Carlo worker bound.
-func benchSimulatorWorkers(b *testing.B, samples, workers int) *sim.Simulator {
-	b.Helper()
-	sm := new(sim.Simulator)
-	initBenchSimulator(b, sm, samples, workers)
-	return sm
-}
-
 // initBenchSimulator initialises sm in place as the Simulator
-// benchSimulatorWorkers returns for the same arguments.
-func initBenchSimulator(b *testing.B, sm *sim.Simulator, samples, workers int) {
+// benchSimulator returns for the same sample count.
+func initBenchSimulator(b *testing.B, sm *sim.Simulator, samples int) {
 	b.Helper()
 	s, prof, cp := benchWorkload()
-	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(1), sim.WithWorkers(workers)); err != nil {
+	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(1)); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// benchWorkerCounts returns the worker counts the parallel benchmarks
-// sweep: serial, and GOMAXPROCS when it adds parallelism.
-func benchWorkerCounts() []int {
-	counts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		counts = append(counts, n)
-	}
-	return counts
 }
 
 // BenchmarkSimEstimate measures one repeated plan evaluation: a hit in
 // the Simulator's plan memo, which is how a search meets a candidate it
 // has already scored.
 func BenchmarkSimEstimate(b *testing.B) {
-	sm := benchSimulatorWorkers(b, 20, 1)
+	sm := benchSimulator(b, 20)
 	plan := sim.Uniform(32, sm.Spec().NumStages())
 	if _, err := sm.Estimate(plan); err != nil { // warm caches once
 		b.Fatal(err)
@@ -258,29 +241,24 @@ func BenchmarkPlanElastic(b *testing.B) {
 	reportSearchWork(b, p)
 }
 
-// BenchmarkSimEstimateWorkers measures the Monte-Carlo fallback's
-// fan-out at a planning-heavy sample count across worker counts, on the
-// benchmark workload with a queue delay of infinite variance (Pareto
-// alpha 1.5), which has no analytic moments; the estimate is
-// bit-identical at every setting, only wall-clock changes. Each
-// iteration re-initialises the Simulator first, so every estimate
-// builds and samples its segments anew on the kept table's storage.
-func BenchmarkSimEstimateWorkers(b *testing.B) {
+// BenchmarkSimEstimateFallback measures the Monte-Carlo fallback at a
+// planning-heavy sample count, on the benchmark workload with a queue
+// delay of infinite variance (Pareto alpha 1.5), which has no analytic
+// moments. Each iteration re-initialises the Simulator first, so every
+// estimate builds and samples its segments anew on the kept table's
+// storage.
+func BenchmarkSimEstimateFallback(b *testing.B) {
 	s, prof, cp := benchWorkload()
 	cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("samples=200/workers=%d", w), func(b *testing.B) {
-			var sm sim.Simulator
-			plan := sim.Uniform(32, s.NumStages())
-			for i := 0; i < b.N; i++ {
-				if err := sm.Init(s, prof, cp, 200, stats.NewRNG(1), sim.WithWorkers(w)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sm.Estimate(plan); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var sm sim.Simulator
+	plan := sim.Uniform(32, s.NumStages())
+	for i := 0; i < b.N; i++ {
+		if err := sm.Init(s, prof, cp, 200, stats.NewRNG(1)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sm.Estimate(plan); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -290,17 +268,13 @@ func BenchmarkSimEstimateWorkers(b *testing.B) {
 // iterations; BenchmarkPlanElastic100Cold and
 // BenchmarkPlanElasticLifecycle measure cold compilations.
 func BenchmarkPlanElastic100(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			sm := benchSimulatorWorkers(b, 100, w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: w}
-				if _, err := p.PlanElastic(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	sm := benchSimulator(b, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128}
+		if _, err := p.PlanElastic(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -310,8 +284,8 @@ func BenchmarkPlanElastic100(b *testing.B) {
 // reuse.
 func BenchmarkPlanElastic100Cold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sm := benchSimulatorWorkers(b, 100, 1)
-		p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
+		sm := benchSimulator(b, 100)
+		p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128}
 		if _, err := p.PlanElastic(); err != nil {
 			b.Fatal(err)
 		}
@@ -326,8 +300,8 @@ func BenchmarkPlanElasticLifecycle(b *testing.B) {
 	b.ReportAllocs()
 	var sm sim.Simulator
 	for i := 0; i < b.N; i++ {
-		initBenchSimulator(b, &sm, 20, 1)
-		p := &planner.Planner{Sim: &sm, Deadline: 900, MaxGPUs: 128, Workers: 1}
+		initBenchSimulator(b, &sm, 20)
+		p := &planner.Planner{Sim: &sm, Deadline: 900, MaxGPUs: 128}
 		if _, err := p.PlanElastic(); err != nil {
 			b.Fatal(err)
 		}
@@ -395,27 +369,11 @@ func BenchmarkReplan(b *testing.B) {
 	}
 }
 
-// BenchmarkReplanPreScreen measures one read-only analytic drift screen:
-// refit, stale-tail rescore and analytic mini-plan.
-func BenchmarkReplanPreScreen(b *testing.B) {
-	ctl, state, _ := benchController(b, 20)
-	if _, err := ctl.PreScreen(state); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctl.PreScreen(state); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlanFrontier measures one warm analytic score of a
 // 128-candidate uniform frontier, without the plan memo.
 func BenchmarkPlanFrontier(b *testing.B) {
 	const frontier = 128
-	sm := benchSimulatorWorkers(b, 20, 1)
+	sm := benchSimulator(b, 20)
 	plans := make([]sim.Plan, frontier)
 	for g := 1; g <= frontier; g++ {
 		plans[g-1] = sim.Uniform(g, sm.Spec().NumStages())

@@ -16,9 +16,9 @@
 //
 // declares it impure by design — its body is excused and its taint does
 // not propagate to callers. The reason is the reviewed argument for why
-// the impurity cannot reach plan-affecting state (e.g. par.Workers
-// reads GOMAXPROCS, but results are index-addressed and bit-identical
-// at any worker count).
+// the impurity cannot reach plan-affecting state (e.g. par.ForEach
+// fans work across goroutines, but results are index-addressed and
+// bit-identical at any worker count).
 package analysis
 
 import (

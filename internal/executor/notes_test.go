@@ -44,8 +44,8 @@ func TestNotesMatchFmt(t *testing.T) {
 	}
 }
 
-// TestReplanNotesMatchFmt: the note of each replan outcome — screened,
-// infeasible, adopted, kept — built in the executor's buffer reads as
+// TestReplanNotesMatchFmt: the note of each replan outcome — infeasible,
+// adopted, kept — built in the executor's buffer reads as
 // its fmt format, for empty, one-stage and extreme plans and for
 // estimates and deadlines that are NaN, infinite, negative or halfway.
 func TestReplanNotesMatchFmt(t *testing.T) {
@@ -58,9 +58,6 @@ func TestReplanNotesMatchFmt(t *testing.T) {
 	}
 	format := func(d replan.Decision) string {
 		switch {
-		case d.Screened:
-			return fmt.Sprintf("%s: pre-screen immaterial, kept %v (analytic tail JCT %.0fs ≤ %.0fs)",
-				d.Reason, plan(d.OldPlan), d.StaleEstimate.JCT, d.RemainingDeadline)
 		case d.Infeasible:
 			return fmt.Sprintf("%s: infeasible under remaining deadline %.0fs, kept %v", d.Reason, d.RemainingDeadline, plan(d.OldPlan))
 		case d.Adopted:
@@ -72,7 +69,7 @@ func TestReplanNotesMatchFmt(t *testing.T) {
 	}
 	plans := []sim.Plan{{}, {Alloc: []int{1}}, {Alloc: []int{32, 16, 8, 4}}, {Alloc: []int{0, -1, math.MaxInt64, math.MinInt64}}}
 	vals := []float64{0, 0.5, 1.5, 2.5, -0.5, 1234.49, 1e21, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
-	for i := 0; i < 4*len(plans)*len(vals); i++ {
+	for i := 0; i < 3*len(plans)*len(vals); i++ {
 		v := vals[i%len(vals)]
 		d := replan.Decision{
 			Reason:            []replan.Reason{replan.ReasonDrift, replan.ReasonPreemption}[i%2],
@@ -82,12 +79,10 @@ func TestReplanNotesMatchFmt(t *testing.T) {
 			StaleEstimate:     sim.Estimate{JCT: v},
 			NewEstimate:       sim.Estimate{JCT: -v},
 		}
-		switch (i / 5) % 4 {
+		switch (i / 5) % 3 {
 		case 0:
-			d.Screened = true
-		case 1:
 			d.Infeasible = true
-		case 2:
+		case 1:
 			d.Adopted = true
 		}
 		note := []byte("stale note")

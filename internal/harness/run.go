@@ -415,19 +415,18 @@ func prepareOn(ws *workingSet, sc *Scenario, a *Artifacts) (sim.TrainProfile, er
 		profile, a.ProfilingDuration = rep.Profile, rep.Duration
 	}
 
-	// The simulator gets its own stream; planning runs serially so
-	// scenario-level parallelism composes without nested pools.
+	// The simulator gets its own stream.
 	simRNG := &ws.simRNG
 	root.StreamInto(streamSim, simRNG)
 	sm := &ws.plan
-	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG, sim.WithWorkers(1)); err != nil {
+	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG); err != nil {
 		return nil, fmt.Errorf("harness: simulator: %w", err)
 	}
 	a.Deadline = sc.Deadline
 	if a.Deadline <= 0 {
 		a.Deadline = sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor
 	}
-	ws.planner = planner.Planner{Sim: sm, Deadline: a.Deadline, MaxGPUs: sc.MaxGPUs, Workers: 1}
+	ws.planner = planner.Planner{Sim: sm, Deadline: a.Deadline, MaxGPUs: sc.MaxGPUs}
 	return profile, nil
 }
 

@@ -1,6 +1,5 @@
-// Package par provides the bounded fork-join helper shared by the
-// simulator's Monte-Carlo sampling loop and the planner's candidate
-// evaluation fan-out.
+// Package par provides the bounded fork-join helper harness.RunBatch
+// fans independent scenarios out with.
 //
 // The helpers here deliberately expose an index-addressed contract: work is
 // identified by a dense integer range, each index is visited exactly once,
@@ -12,21 +11,9 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// Workers resolves a worker-count knob: n > 0 is used as given, anything
-// else selects runtime.GOMAXPROCS(0).
-//
-//rbvet:impure(GOMAXPROCS only picks the worker count; the index-addressed contract makes results bit-identical at any count)
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // ForEach invokes fn(i) for every i in [0, n), fanning the calls across at
 // most workers goroutines, and returns once all calls have completed.
@@ -38,19 +25,6 @@ func Workers(n int) int {
 //
 //rbvet:impure(goroutine fan-out; each index runs exactly once and results are index-addressed, so scheduling order cannot leak)
 func ForEach(n, workers int, fn func(int)) {
-	ForEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach with the executing worker's pool slot passed to
-// fn as its first argument. The slot is a dense index in
-// [0, min(workers, n)) that identifies the goroutine, not the work item:
-// two calls running concurrently always see different slots, so callers
-// can give each slot a private scratch buffer and reuse it across the
-// indices that slot happens to process. Slot assignment is
-// scheduling-dependent; nothing deterministic may be derived from it.
-//
-//rbvet:impure(goroutine fan-out; slots only address scratch storage and every reduction happens in fixed index order afterwards)
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -59,7 +33,7 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -67,16 +41,16 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
 				}
-				fn(w, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -1,20 +1,9 @@
 package par
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-func TestWorkersResolution(t *testing.T) {
-	if Workers(3) != 3 {
-		t.Errorf("Workers(3) = %d", Workers(3))
-	}
-	want := runtime.GOMAXPROCS(0)
-	if Workers(0) != want || Workers(-1) != want {
-		t.Errorf("Workers(0)/Workers(-1) = %d/%d, want %d", Workers(0), Workers(-1), want)
-	}
-}
 
 // TestForEachVisitsEachIndexOnce checks the exactly-once contract across a
 // range of worker counts, including workers > n and the serial path.
@@ -49,8 +38,7 @@ func TestForEachIndexAddressedWrites(t *testing.T) {
 }
 
 // TestForEachConcurrentCalls exercises several ForEach pools running at
-// once, as happens when the planner fans out candidates whose Estimates
-// each fan out samples.
+// once: nested fan-outs each complete every index.
 func TestForEachConcurrentCalls(t *testing.T) {
 	var total int64
 	ForEach(10, 4, func(int) {

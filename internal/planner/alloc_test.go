@@ -26,7 +26,7 @@ func skipUnderRace(t *testing.T) {
 // dozen steps.
 func warmPlanner(t *testing.T) *Planner {
 	s := spec.MustSHA(64, 4, 508, 2)
-	p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 3000, Workers: 1}
+	p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 3000}
 	if _, err := p.PlanElastic(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPlanElasticWarmAllocs(t *testing.T) {
 // the search reads (about 260); the rest is the returned plan. The plan
 // memo lives in the kept table and the descent steps in the search's
 // scratch, so neither adds anything.
-const lifecycleAllocs = 268
+const lifecycleAllocs = 267
 
 // TestPlanElasticLifecycleAllocs pins the cold search of a kept
 // Simulator, the replanner's and the harness's pattern: Init,
@@ -98,7 +98,7 @@ func TestPlanElasticLifecycleAllocs(t *testing.T) {
 	s := spec.MustSHA(64, 4, 508, 2)
 	search := func(sm *sim.Simulator) {
 		initResnetSim(t, sm, s, 8, 3)
-		p := &Planner{Sim: sm, Deadline: 3000, Workers: 1}
+		p := &Planner{Sim: sm, Deadline: 3000}
 		if _, err := p.PlanElastic(); err != nil {
 			t.Fatal(err)
 		}

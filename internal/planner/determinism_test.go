@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,10 +11,11 @@ import (
 	"repro/internal/stats"
 )
 
-// stochasticPlanSim builds a simulator with genuinely random latencies so
-// planner determinism reflects the RNG stream plumbing, not constants.
-func stochasticPlanSim(t testing.TB, workers int) *sim.Simulator {
-	t.Helper()
+// TestPlanDeterministicAcrossWorkers: each policy's Result — plan and
+// bitwise estimate — is identical across fresh Planners and Simulators
+// and whatever the deprecated worker knobs say: Planner.Workers and
+// sim.WithWorkers change nothing while bench/ still sets them.
+func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 	cp := sim.DefaultCloudProfile()
@@ -23,50 +23,26 @@ func stochasticPlanSim(t testing.TB, workers int) *sim.Simulator {
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	sm, err := sim.New(s, prof, cp, 10, stats.NewRNG(11), sim.WithWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sm
-}
-
-func detPlanner(t testing.TB, workers int) *Planner {
-	return &Planner{
-		Sim:      stochasticPlanSim(t, workers),
-		Deadline: 1200,
-		MaxGPUs:  32,
-		Workers:  workers,
-	}
-}
-
-// TestPlanDeterministicAcrossWorkers: each policy's Result — plan and
-// bitwise estimate — is identical for workers 1, 2 and 8, and across two
-// consecutive runs on fresh planners.
-func TestPlanDeterministicAcrossWorkers(t *testing.T) {
-	policies := []struct {
-		name string
-		run  func(p *Planner) (Result, error)
-	}{
-		{"static", (*Planner).PlanStatic},
-		{"naive-elastic", (*Planner).PlanNaiveElastic},
-		{"elastic", (*Planner).PlanElastic},
-	}
-	for _, pol := range policies {
-		want, err := pol.run(detPlanner(t, 1))
+	build := func(workers int) *Planner {
+		sm, err := sim.New(s, prof, cp, 10, stats.NewRNG(11), sim.WithWorkers(workers))
 		if err != nil {
-			t.Fatalf("%s: %v", pol.name, err)
+			t.Fatal(err)
+		}
+		return &Planner{Sim: sm, Deadline: 1200, MaxGPUs: 32, Workers: workers}
+	}
+	for _, policy := range []Policy{PolicyStatic, PolicyNaiveElastic, PolicyRubberBand} {
+		want, err := build(1).Plan(policy)
+		if err != nil {
+			t.Fatalf("%v: %v", policy, err)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			for run := 0; run < 2; run++ {
-				got, err := pol.run(detPlanner(t, workers))
+				got, err := build(workers).Plan(policy)
 				if err != nil {
-					t.Fatalf("%s workers=%d: %v", pol.name, workers, err)
+					t.Fatalf("%v workers=%d: %v", policy, workers, err)
 				}
-				if !got.Plan.Equal(want.Plan) {
-					t.Fatalf("%s workers=%d run=%d: plan %v != serial %v", pol.name, workers, run, got.Plan, want.Plan)
-				}
-				if got.Estimate != want.Estimate {
-					t.Fatalf("%s workers=%d run=%d: estimate %+v != serial %+v", pol.name, workers, run, got.Estimate, want.Estimate)
+				if !got.Plan.Equal(want.Plan) || got.Estimate != want.Estimate {
+					t.Fatalf("%v workers=%d run=%d: %+v != %+v", policy, workers, run, got, want)
 				}
 			}
 		}
@@ -76,10 +52,10 @@ func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 // TestPlanElasticDeterministicPerEstimator re-runs the elastic policy's
 // determinism check on each path of the estimator: analytic moments, and
 // the Monte-Carlo fallback a queue delay without a finite variance takes.
-// On each, the chosen plan and bitwise estimate must not vary with worker
-// count or repetition.
+// On each, the chosen plan and bitwise estimate must not vary across
+// fresh Planners and Simulators or with repetition.
 func TestPlanElasticDeterministicPerEstimator(t *testing.T) {
-	build := func(workers int, queue stats.Dist) *Planner {
+	build := func(queue stats.Dist) *Planner {
 		s := spec.MustSHA(16, 2, 16, 2)
 		prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 		cp := sim.DefaultCloudProfile()
@@ -87,58 +63,30 @@ func TestPlanElasticDeterministicPerEstimator(t *testing.T) {
 			QueueDelay:  queue,
 			InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 		}
-		sm, err := sim.New(s, prof, cp, 10, stats.NewRNG(11), sim.WithWorkers(workers))
+		sm, err := sim.New(s, prof, cp, 10, stats.NewRNG(11))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Planner{Sim: sm, Deadline: 1200, MaxGPUs: 32, Workers: workers}
+		return &Planner{Sim: sm, Deadline: 1200, MaxGPUs: 32}
 	}
 	for _, queue := range []stats.Dist{stats.Exponential{MeanValue: 5}, stats.Pareto{Scale: 2, Alpha: 1.5}} {
-		want, err := build(1, queue).PlanElastic()
+		want, err := build(queue).PlanElastic()
 		if err != nil {
 			t.Fatalf("%v: %v", queue, err)
 		}
-		for _, workers := range []int{2, 8} {
+		for fresh := 0; fresh < 2; fresh++ {
+			p := build(queue)
 			for run := 0; run < 2; run++ {
-				got, err := build(workers, queue).PlanElastic()
+				got, err := p.PlanElastic()
 				if err != nil {
-					t.Fatalf("%v workers=%d: %v", queue, workers, err)
+					t.Fatalf("%v: %v", queue, err)
 				}
 				if !got.Plan.Equal(want.Plan) || got.Estimate != want.Estimate {
-					t.Fatalf("%v workers=%d run=%d: %+v != serial %+v", queue, workers, run, got, want)
+					t.Fatalf("%v planner %d run %d: %+v != first %+v", queue, fresh, run, got, want)
 				}
 			}
 		}
 	}
-}
-
-// TestConcurrentPlannersShareSimulator runs several planners against one
-// shared simulator and cloud profile at once (run under -race); every
-// result must match the serial reference.
-func TestConcurrentPlannersShareSimulator(t *testing.T) {
-	shared := stochasticPlanSim(t, 2)
-	want, err := (&Planner{Sim: shared, Deadline: 1200, MaxGPUs: 32, Workers: 1}).PlanElastic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 6
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			p := &Planner{Sim: shared, Deadline: 1200, MaxGPUs: 32, Workers: 1 + g%3}
-			got, err := p.PlanElastic()
-			if err != nil {
-				t.Errorf("goroutine %d: %v", g, err)
-				return
-			}
-			if !got.Plan.Equal(want.Plan) || got.Estimate != want.Estimate {
-				t.Errorf("goroutine %d: %+v != %+v", g, got, want)
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // countingProfile counts IterDist calls; the simulator consults the
@@ -182,41 +130,4 @@ func TestMemoCacheAvoidsResimulation(t *testing.T) {
 	if first != second {
 		t.Fatalf("memoized estimate %+v != original %+v", second, first)
 	}
-}
-
-// TestMemoConcurrentAccess hammers the memo from many goroutines over a
-// small plan set (race-detector target for the cache's locking).
-func TestMemoConcurrentAccess(t *testing.T) {
-	p := detPlanner(t, 2)
-	stages := p.Sim.Spec().NumStages()
-	plans := []sim.Plan{sim.Uniform(4, stages), sim.Uniform(8, stages), sim.Uniform(16, stages)}
-	want := make([]sim.Estimate, len(plans))
-	for i, pl := range plans {
-		est, err := p.estimate(pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = est
-	}
-	var wg sync.WaitGroup
-	const goroutines = 8
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < 20; r++ {
-				i := (g + r) % len(plans)
-				got, err := p.estimate(plans[i])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got != want[i] {
-					t.Errorf("plan %v: %+v != %+v", plans[i], got, want[i])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

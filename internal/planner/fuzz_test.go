@@ -61,14 +61,14 @@ func FuzzPlanElastic(f *testing.F) {
 		// one before it filled, emptied.
 		var kept sim.Simulator
 		newSim := func() *sim.Simulator {
-			if err := kept.Init(s, prof, cp, 3, stats.NewRNG(seed), sim.WithWorkers(1)); err != nil {
+			if err := kept.Init(s, prof, cp, 3, stats.NewRNG(seed)); err != nil {
 				t.Fatalf("sim: %v", err)
 			}
 			return &kept
 		}
 		sm := newSim()
 		deadline := sm.StaticClusterJCT(maxGPUs) * factor
-		p := &Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
+		p := &Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs}
 		res, descents, err := p.mergedSearch()
 
 		// Merged descents: the unmerged reference search, each warm-start
@@ -76,9 +76,9 @@ func FuzzPlanElastic(f *testing.F) {
 		// exactly, descent by descent and refusal included. The
 		// comparison follows a second merged search on another planner,
 		// which reuses the pooled scratch the first one released.
-		indep := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
+		indep := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs}
 		ires, idescents, ierr := indep.referenceSearch()
-		other := &Planner{Sim: newSim(), Deadline: 2 * deadline, MaxGPUs: maxGPUs + 3, Workers: 1}
+		other := &Planner{Sim: newSim(), Deadline: 2 * deadline, MaxGPUs: maxGPUs + 3}
 		_, _ = other.PlanElastic()
 		if !sameResult(res, err, ires, ierr) || !sameDescents(descents, idescents) {
 			t.Fatalf("merged search gave %v %+v (err %v, descents %v), independent descents %v %+v (err %v, descents %v)",
@@ -106,7 +106,7 @@ func FuzzPlanElastic(f *testing.F) {
 
 		// Replanning on the re-initialised, identically seeded simulator
 		// must be bit-identical.
-		p2 := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
+		p2 := &Planner{Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs}
 		res2, err2 := p2.PlanElastic()
 		if err2 != nil {
 			t.Fatalf("replan failed: %v", err2)

@@ -42,13 +42,12 @@ func newPlanner(t *testing.T, sc harness.Scenario, cp sim.CloudProfile, rngSeed 
 		Batch:       sc.Model.BaseBatch,
 		GPUsPerNode: cp.Instance.GPUs,
 	}
-	sm, err := sim.New(sc.Spec, profile, cp, sc.Samples, stats.NewRNG(rngSeed),
-		sim.WithWorkers(1))
+	sm, err := sim.New(sc.Spec, profile, cp, sc.Samples, stats.NewRNG(rngSeed))
 	if err != nil {
 		t.Fatalf("simulator: %v", err)
 	}
 	deadline := sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor
-	return &planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: sc.MaxGPUs, Delta: delta, Workers: 1}, deadline
+	return &planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: sc.MaxGPUs, Delta: delta}, deadline
 }
 
 // metamorphicScenarios yields up to n generated scenarios whose sampled

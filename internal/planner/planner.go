@@ -22,9 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
@@ -36,14 +34,12 @@ type Result struct {
 	Estimate sim.Estimate
 }
 
-// Planner searches the allocation-plan space for one job. A Planner runs
-// one search at a time (no caller shares one across goroutines); within
-// a search, candidate estimation fans out across Workers, and the
-// Simulator's plan memo, which every search reads through Estimate, is
-// guarded by the Simulator's own lock. Separate Planners may share a
-// Simulator, and with it its memo. Each search borrows its working
-// memory from a pool (searchScratch) and returns only plans it cloned
-// out of it.
+// Planner searches the allocation-plan space for one job. A search runs
+// serially on its caller's goroutine and estimates every candidate
+// through Sim, so a Planner belongs to whichever goroutine owns its
+// Simulator. Planners that take turns on one Simulator share its plan
+// memo. Each search borrows its working memory from a pool
+// (searchScratch) and returns only plans it cloned out of it.
 type Planner struct {
 	// Sim predicts JCT and cost for candidate plans.
 	Sim *sim.Simulator
@@ -69,12 +65,10 @@ type Planner struct {
 	// reduction instead of Equation 1's JCT-normalized marginal benefit;
 	// exposed for the design-choice ablation.
 	RawCostSelection bool
-	// Workers bounds the goroutines that evaluate candidate plans
-	// concurrently (independent of the simulator's own Monte-Carlo worker
-	// pool). Zero selects GOMAXPROCS; 1 forces serial evaluation. Because
-	// sim.Estimate is a pure function of the plan and every selection
-	// reduces in fixed candidate order, results are bit-identical at any
-	// worker count.
+	// Workers configures nothing.
+	//
+	// Deprecated: a search estimates its candidates serially, on its
+	// Simulator's goroutine; the worker bound is ignored.
 	Workers int
 
 	// estCalls counts estimate() invocations, for the search-efficiency
@@ -91,38 +85,24 @@ type Planner struct {
 // warm-start descent that reaches an earlier descent's plan skip the
 // rest of the walk entirely.
 func (p *Planner) estimate(plan sim.Plan) (sim.Estimate, error) {
-	atomic.AddInt64(&p.estCalls, 1)
+	p.estCalls++
 	return p.Sim.Estimate(plan)
 }
 
-// estimateAll estimates every kept candidate into the index-addressed
-// ests and errs, fanning out across p.Workers. A single worker loops
-// inline, without the fan-out's escaping closure.
+// estimateAll estimates every kept candidate into ests and errs, in
+// candidate order, writing errs[i] only for an error: the error column
+// holds nil everywhere else (see searchScratch.columns), so a clean
+// estimate stores no pointer.
 func (p *Planner) estimateAll(cands []sim.Plan, keep []bool, ests []sim.Estimate, errs []error) {
-	workers := par.Workers(p.Workers)
-	if workers == 1 {
-		for i := range cands {
-			if keep[i] {
-				p.estimateInto(cands, ests, errs, i)
-			}
+	for i := range cands {
+		if !keep[i] {
+			continue
 		}
-		return
-	}
-	par.ForEach(len(cands), workers, func(i int) {
-		if keep[i] {
-			p.estimateInto(cands, ests, errs, i)
+		est, err := p.estimate(cands[i])
+		ests[i] = est
+		if err != nil {
+			errs[i] = err
 		}
-	})
-}
-
-// estimateInto estimates candidate i into ests[i], writing errs[i] only
-// for an error: the error column holds nil everywhere else (see
-// searchScratch.columns), so a clean estimate stores no pointer.
-func (p *Planner) estimateInto(cands []sim.Plan, ests []sim.Estimate, errs []error, i int) {
-	est, err := p.estimate(cands[i])
-	ests[i] = est
-	if err != nil {
-		errs[i] = err
 	}
 }
 
@@ -227,9 +207,8 @@ func (p *Planner) validate() error {
 // PlanStatic finds the cost-optimal static allocation meeting the
 // deadline by one-dimensional enumeration (the warm-start procedure of
 // §4.3 and the paper's fixed-cluster baseline). Cluster sizes are
-// evaluated concurrently and reduced in ascending order, so the result
-// matches the serial enumeration exactly (ties go to the smallest
-// cluster). On a warm Planner it allocates only the returned plan.
+// evaluated in ascending order, and ties go to the smallest cluster. On
+// a warm Planner it allocates only the returned plan.
 func (p *Planner) PlanStatic() (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
@@ -297,26 +276,20 @@ func (p *Planner) PlanNaiveElastic() (Result, error) {
 	if kMax < 1 {
 		kMax = 1
 	}
-	plans := make([]sim.Plan, kMax)
-	ests := make([]sim.Estimate, kMax)
-	errs := make([]error, kMax)
-	par.ForEach(kMax, par.Workers(p.Workers), func(i int) {
-		k := i + 1
+	best := Result{}
+	found := false
+	for k := 1; k <= kMax; k++ {
 		alloc := make([]int, sp.NumStages())
 		for j := range alloc {
 			alloc[j] = sp.Stage(j).Trials * k
 		}
-		plans[i] = sim.Plan{Alloc: alloc}
-		ests[i], errs[i] = p.estimate(plans[i])
-	})
-	best := Result{}
-	found := false
-	for i := 0; i < kMax; i++ {
-		if errs[i] != nil {
-			return Result{}, errs[i]
+		plan := sim.Plan{Alloc: alloc}
+		est, err := p.estimate(plan)
+		if err != nil {
+			return Result{}, err
 		}
-		if ests[i].JCT <= p.Deadline && (!found || ests[i].Cost < best.Estimate.Cost) {
-			best = Result{Plan: plans[i], Estimate: ests[i]}
+		if est.JCT <= p.Deadline && (!found || est.Cost < best.Estimate.Cost) {
+			best = Result{Plan: plan, Estimate: est}
 			found = true
 		}
 	}
@@ -377,10 +350,9 @@ func (p *Planner) planElastic(ss *searchScratch) (Result, error) {
 }
 
 // optimize is the greedy descent of Algorithm 2: each iteration
-// estimates the candidate set concurrently (memoized, so candidates
-// shared with earlier iterations cost nothing) and selects the winner
-// serially in candidate order, keeping the descent deterministic at any
-// worker count.
+// estimates the candidate set (memoized, so candidates shared with
+// earlier iterations cost nothing) and selects the winner in candidate
+// order.
 //
 // A descent is a pure function of its current plan: the candidates come
 // from the raw allocation, every estimate is pure, and the
@@ -575,4 +547,4 @@ func fairFloor(max, trials int) (int, bool) {
 // EstimateCalls reports the total number of plan evaluations requested by
 // the Planner's searches, counting those the Simulator answered from its
 // memo.
-func (p *Planner) EstimateCalls() int64 { return atomic.LoadInt64(&p.estCalls) } //rbvet:ignore unreached — BenchmarkPlanStatic and BenchmarkPlanElastic report estimates/op through it
+func (p *Planner) EstimateCalls() int64 { return p.estCalls } //rbvet:ignore unreached — BenchmarkPlanStatic and BenchmarkPlanElastic report estimates/op through it

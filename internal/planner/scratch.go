@@ -9,8 +9,7 @@ import (
 // searchPool holds the working memory of finished searches. Planning a
 // job runs several short searches (the initial plan and every online
 // replan, each on a fresh Planner), so scratch owned by a Planner would be
-// allocated afresh by each of them; the pool outlives them all, the idiom
-// of the simulator's estimation scratch.
+// allocated afresh by each of them; the pool outlives them all.
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // searchScratch is one plan search's working memory: everything a

@@ -5,47 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
-// analyticSim returns a new Simulator that evaluates tails under the
-// given profiles analytically, as the controller's own analytic
-// Simulators do: the three-Simulator oracle builds one per use.
-func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) (*sim.Simulator, error) {
-	sm := new(sim.Simulator)
-	if err := c.initAnalytic(sm, suffix, prof, cp); err != nil {
-		return nil, err
-	}
-	return sm, nil
-}
-
-// refPreScreen is PreScreen over the three-Simulator screen.
-func (c *Controller) refPreScreen(state State) (PreScreenResult, error) {
-	prof, cp, err := c.refitProfiles()
-	if err != nil {
-		return PreScreenResult{}, err
-	}
-	st := c.cfg.Spec.Stage(state.Stage)
-	per := sim.GPUsPerTrial(state.Plan.Alloc[state.Stage], st.Trials)
-	remaining := c.cfg.Deadline - float64(state.Now) - float64(state.RemainingIters)*prof.IterDist(per).Mean()
-	if remaining <= 0 {
-		return PreScreenResult{Supported: true, Material: true, RemainingDeadline: remaining}, nil
-	}
-	suffix := c.cfg.Spec.Suffix(state.Stage + 1)
-	stale, material, ok := c.refScreenTail(prof, cp, suffix, state.Plan.Suffix(state.Stage+1), remaining)
-	return PreScreenResult{Supported: ok, Material: material, RemainingDeadline: remaining, Stale: stale}, nil
-}
-
 // oracleDriver runs one controller through a script, deciding either
-// with Replan and PreScreen or with their three-Simulator oracles.
+// with Replan or with its pre-screening oracle, refReplan.
 type oracleDriver struct {
 	t   *testing.T
 	c   *Controller
 	ref bool
-	// screens records every pre-screen the script asked for.
-	screens []PreScreenResult
+	// screened records, for each decision of a driver deciding with the
+	// oracle, whether its pre-screen kept the stale plan.
+	screened []bool
 }
 
 func (d *oracleDriver) observe(gpus int, factor float64, from vclock.Time, n int) {
@@ -57,20 +29,12 @@ func (d *oracleDriver) observe(gpus int, factor float64, from vclock.Time, n int
 
 func (d *oracleDriver) decide(st State, reason Reason) Decision {
 	d.t.Helper()
-	var ps PreScreenResult
+	var dec Decision
 	var err error
 	if d.ref {
-		ps, err = d.c.refPreScreen(st)
-	} else {
-		ps, err = d.c.PreScreen(st)
-	}
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	d.screens = append(d.screens, ps)
-	var dec Decision
-	if d.ref {
-		dec, err = d.c.refReplan(st, reason)
+		var screened bool
+		dec, screened, err = d.c.refReplan(st, reason)
+		d.screened = append(d.screened, screened)
 	} else {
 		dec, err = d.c.Replan(st, reason)
 	}
@@ -88,11 +52,11 @@ func (d *oracleDriver) last() sim.Plan {
 
 // oracleScripts are the decision sequences Replan is held to its oracle
 // on: drift slowdowns across stages, a preemption, a quiet regime whose
-// conditions 1–2 leave the call to the analytic mini-plan (twice at one
-// stage and tail, on the Simulators the first decision released; it is
-// screened exactly when the queue delay has finite moments), a
-// speed-up that accumulates slack, a lost deadline, and provisioning
-// drift.
+// conditions 1–2 leave the oracle's call to its analytic mini-plan
+// (twice at one stage and tail, on the Simulator the first decision
+// released; the oracle screens it exactly when the queue delay has
+// finite moments), a speed-up that accumulates slack, a lost deadline,
+// and provisioning drift.
 var oracleScripts = map[string]func(d *oracleDriver){
 	"slowdown": func(d *oracleDriver) {
 		d.observe(4, 2, 0, 5)
@@ -112,8 +76,9 @@ var oracleScripts = map[string]func(d *oracleDriver){
 		for i := 0; i < 2; i++ {
 			queue := stats.CompileLat(d.c.cfg.Cloud.Overheads.QueueDelay)
 			_, finite := queue.Moment()
-			if dec := d.decide(st, ReasonDrift); dec.Screened != finite {
-				d.t.Fatalf("quiet regime screened %v, queue delay with finite moments %v: %+v", dec.Screened, finite, dec)
+			dec := d.decide(st, ReasonDrift)
+			if d.ref && d.screened[i] != finite {
+				d.t.Fatalf("quiet regime screened %v, queue delay with finite moments %v: %+v", d.screened[i], finite, dec)
 			}
 		}
 	},
@@ -136,11 +101,12 @@ var oracleScripts = map[string]func(d *oracleDriver){
 }
 
 // TestReplanMatchesThreeSimulatorOracle: a controller deciding with one
-// Simulator per decision, its Simulators, re-fit and decision storage
-// recycled from decision to decision, commits exactly the decisions, pre-screens and detector state of
-// the three-Simulator controller, on analytic moments and on the
-// Monte-Carlo fallback a queue delay without a finite variance forces,
-// and leaves its random stream where it found it.
+// search per decision, its Simulator, re-fit and decision storage
+// recycled from decision to decision, commits exactly the decisions and
+// detector state of the controller that pre-screens drift triggers on
+// Simulators of their own, on analytic moments and on the Monte-Carlo
+// fallback a queue delay without a finite variance forces, and leaves
+// its random stream where it found it.
 func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {
 	for name, script := range oracleScripts {
 		for _, heavy := range []bool{false, true} {
@@ -164,9 +130,6 @@ func TestReplanMatchesThreeSimulatorOracle(t *testing.T) {
 			if !reflect.DeepEqual(got.c.Decisions(), want.c.Decisions()) {
 				t.Fatalf("%s heavy %v: decisions\n %+v\noracle\n %+v",
 					name, heavy, got.c.Decisions(), want.c.Decisions())
-			}
-			if !reflect.DeepEqual(got.screens, want.screens) {
-				t.Fatalf("%s heavy %v: pre-screens %+v, oracle %+v", name, heavy, got.screens, want.screens)
 			}
 			if !reflect.DeepEqual(got.c.DetectorState(), want.c.DetectorState()) {
 				t.Fatalf("%s: detector state %+v, oracle %+v", name, got.c.DetectorState(), want.c.DetectorState())

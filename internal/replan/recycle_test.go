@@ -14,11 +14,9 @@ import (
 )
 
 // scriptRun is everything a script decides on a controller: its
-// decisions, its pre-screens, its detector state and its rendered
-// notes.
+// decisions, its detector state and its rendered notes.
 type scriptRun struct {
 	decisions []Decision
-	screens   []PreScreenResult
 	state     DetectorState
 	notes     []string
 }
@@ -31,7 +29,7 @@ func runScript(t *testing.T, c *Controller, cfg Config, script func(*oracleDrive
 	}
 	d := &oracleDriver{t: t, c: c}
 	script(d)
-	out := scriptRun{decisions: c.Decisions(), screens: d.screens, state: c.DetectorState()}
+	out := scriptRun{decisions: c.Decisions(), state: c.DetectorState()}
 	for _, dec := range out.decisions {
 		out.notes = append(out.notes, dec.Note())
 	}
@@ -80,25 +78,25 @@ func (p noisyProfile) IterDist(gpus int) stats.Dist {
 }
 
 // slowConfig is testConfig under a slower, noisy planning-time profile:
-// a pre-screen on it scores the same stale tails as on testConfig, with
+// a decision on it estimates the same stale tails as on testConfig, with
 // other numbers, and its re-fits carry a spread, so a controller that
-// kept a score or the 1-GPU σ across Init would decide otherwise.
+// kept an estimate or the 1-GPU σ across Init would decide otherwise.
 func slowConfig(t *testing.T) Config {
 	cfg := testConfig(t)
 	cfg.Profile = noisyProfile{mean: 52, sigma: 6}
 	return cfg
 }
 
-// screenQuietState pre-screens the quiet regime's state.
-func screenQuietState(d *oracleDriver) {
+// decideQuietState decides the quiet regime's state.
+func decideQuietState(d *oracleDriver) {
 	d.observe(4, 1, 0, 4)
 	d.decide(optimalState(d.t), ReasonDrift)
 }
 
 // TestControllerResetMatchesNew: a controller initialised again after a
 // run — a larger one on another job, a smaller one, or one on the same
-// job under another, noisy profile that screened the same tail — decides,
-// screens, snapshots and renders exactly what a new controller does,
+// job under another, noisy profile that decided on the same tail —
+// decides, snapshots and renders exactly what a new controller does,
 // and the Decisions taken from the earlier run are left as they were.
 func TestControllerResetMatchesNew(t *testing.T) {
 	wide := runScript(t, new(Controller), wideConfig(t), wideScript)
@@ -115,7 +113,7 @@ func TestControllerResetMatchesNew(t *testing.T) {
 		}{
 			{"larger", wideConfig(t), wideScript},
 			{"smaller", testConfig(t), oracleScripts["lost-deadline"]},
-			{"slower-profile", slowConfig(t), screenQuietState},
+			{"slower-profile", slowConfig(t), decideQuietState},
 		} {
 			c := new(Controller)
 			first := runScript(t, c, prev.cfg, prev.script)
@@ -133,7 +131,7 @@ func TestControllerResetMatchesNew(t *testing.T) {
 
 // TestResetDropsPointers: a reset controller holds no observer, no
 // decision, no configuration and no Simulator state of its run. It
-// keeps its Simulators, each with its table, for the next run.
+// keeps its Simulator, with its table, for the next run.
 func TestResetDropsPointers(t *testing.T) {
 	c := new(Controller)
 	runScript(t, c, testConfig(t), oracleScripts["provisioning"])
@@ -145,14 +143,11 @@ func TestResetDropsPointers(t *testing.T) {
 	if slices.ContainsFunc(c.decisions[:cap(c.decisions)], func(d Decision) bool { return d.OldPlan.Alloc != nil || d.NewPlan.Alloc != nil }) {
 		t.Fatal("Reset kept the finished run's decisions")
 	}
-	sims := c.sims
-	if sims == nil {
-		t.Fatal("Reset dropped the controller's Simulators")
+	if c.sm == nil {
+		t.Fatal("Reset dropped the controller's Simulator")
 	}
-	for _, sm := range []*sim.Simulator{&sims.dec, &sims.screen} {
-		if sm.Spec() != nil {
-			t.Fatal("Reset kept a Simulator's job")
-		}
+	if c.sm.Spec() != nil {
+		t.Fatal("Reset kept the Simulator's job")
 	}
 	if c.pl.Sim != nil {
 		t.Fatal("Reset kept the Planner's Simulator")
@@ -180,13 +175,13 @@ func exactAllocs(t *testing.T) {
 // the 1-GPU σ of the run's first re-fit, which boxes the planning-time
 // distribution once per run (the whole of an infeasible decision), the
 // planner's returned plan of each search, and, for most of it, the
-// profile's iteration distributions that each Simulator's share column
+// profile's iteration distributions that the Simulator's share column
 // boxes once per per-trial share it reads.
 const (
-	screenedAllocs   = 22 * 105 / 100
+	screenedAllocs   = 18 * 105 / 100
 	infeasibleAllocs = 1 * 105 / 100
-	keptAllocs       = 20 * 105 / 100
-	adoptedAllocs    = 19 * 105 / 100
+	keptAllocs       = 18 * 105 / 100
+	adoptedAllocs    = 18 * 105 / 100
 )
 
 // allocConfig is testConfig with its flat profile measured: a profile
@@ -207,7 +202,9 @@ func allocConfig(t *testing.T) Config {
 }
 
 // TestReplanDecisionAllocs pins the allocations of each decision
-// outcome — screened, infeasible, kept and adopted — on a controller
+// outcome — infeasible, kept and adopted, and the quiet trigger the
+// deleted drift pre-screen used to screen, now a kept decision of its
+// own search — on a controller
 // that already took the same decision, reset and initialised again
 // before each one.
 func TestReplanDecisionAllocs(t *testing.T) {
@@ -225,7 +222,7 @@ func TestReplanDecisionAllocs(t *testing.T) {
 		{"screened", screenedAllocs, func(d *oracleDriver) (State, Reason) {
 			d.observe(4, 1, 0, 4)
 			return quiet, ReasonDrift
-		}, func(dec Decision) bool { return dec.Screened }},
+		}, func(dec Decision) bool { return !dec.Infeasible && !dec.Adopted }},
 		{"infeasible", infeasibleAllocs, func(d *oracleDriver) (State, Reason) {
 			d.observe(4, 1.5, 0, 4)
 			return State{Stage: 0, Now: 1990, RemainingIters: 4, Plan: sim.NewPlan(4, 4, 4)}, ReasonDrift
@@ -233,7 +230,7 @@ func TestReplanDecisionAllocs(t *testing.T) {
 		{"kept", keptAllocs, func(d *oracleDriver) (State, Reason) {
 			d.observe(4, 2, 0, 5)
 			return State{Stage: 0, Now: 30, RemainingIters: 3, Plan: sim.NewPlan(4, 4, 4)}, ReasonDrift
-		}, func(dec Decision) bool { return !dec.Screened && !dec.Infeasible && !dec.Adopted }},
+		}, func(dec Decision) bool { return !dec.Infeasible && !dec.Adopted }},
 		{"adopted", adoptedAllocs, func(d *oracleDriver) (State, Reason) {
 			d.c.ObserveProvision(60)
 			d.observe(4, 1.3, 0, 4)

@@ -7,25 +7,39 @@ import (
 	"repro/internal/planner"
 	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/stats"
 )
 
-// refReplan is Replan as it was before one Simulator served a whole
-// decision: the pre-screen scores the stale tail on two analytic
-// Simulators of its own (re-fitted and planning-time profiles) and runs
-// its mini-plan on the re-fitted one, and the Monte-Carlo Simulator is
-// built only after the screen. It commits exactly like Replan, so a
-// controller driven through it is the oracle Replan's decisions are
-// held to.
-func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
+// analyticRoot seeds the reference's analytic Simulators. Nothing
+// advances it.
+var analyticRoot = stats.NewRNG(1)
+
+// preScreenTolerance is the relative movement in the stale tail's
+// analytic JCT or cost (re-fitted vs planning-time profile) below which
+// the reference's drift pre-screen judges a trigger immaterial and
+// skips the full replan.
+const preScreenTolerance = 0.05
+
+// refReplan is Replan as it was before a decision became one search: a
+// drift trigger first goes through the analytic pre-screen, which scores
+// the stale tail on two analytic Simulators of its own (re-fitted and
+// planning-time profiles) and runs a mini-plan on the re-fitted one, and
+// the decision's own Simulator is built only after the screen. A
+// trigger the screen judges immaterial is committed without the full
+// replan, and screened reports it. It commits exactly like Replan, so a
+// controller driven through it is the oracle Replan's decisions are held
+// to: a screened decision keeps the stale tail, which the full replan
+// keeps too.
+func (c *Controller) refReplan(state State, reason Reason) (d Decision, screened bool, _ error) {
 	if state.Stage < 0 || state.Stage >= c.cfg.Spec.NumStages()-1 {
-		return Decision{}, fmt.Errorf("replan: stage %d of %d has no tail to replan", state.Stage, c.cfg.Spec.NumStages())
+		return Decision{}, false, fmt.Errorf("replan: stage %d of %d has no tail to replan", state.Stage, c.cfg.Spec.NumStages())
 	}
 	if err := state.Plan.Validate(c.cfg.Spec.NumStages()); err != nil {
-		return Decision{}, err
+		return Decision{}, false, err
 	}
 
 	seq := len(c.decisions)
-	d := Decision{
+	d = Decision{
 		Seq:     seq,
 		At:      state.Now,
 		Reason:  reason,
@@ -37,7 +51,7 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 
 	prof, cp, err := c.refitProfiles()
 	if err != nil {
-		return Decision{}, err
+		return Decision{}, false, err
 	}
 
 	// Predict the remainder of the executing stage under the re-fitted
@@ -52,7 +66,7 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 		// plan can fix that.
 		d.Infeasible = true
 		c.commit(d, state.Now)
-		return d, nil
+		return d, false, nil
 	}
 
 	suffix := c.cfg.Spec.Suffix(state.Stage + 1)
@@ -64,22 +78,21 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 	// profiles; when neither its feasibility nor its economics moved
 	// materially, a full replan would re-derive the same tail the original
 	// planner chose, so the decision is committed without one.
-	if reason == ReasonDrift && !c.cfg.disablePreScreen {
+	if reason == ReasonDrift {
 		if est, material, ok := c.refScreenTail(prof, cp, suffix, staleTail, d.RemainingDeadline); ok && !material {
 			d.StaleEstimate = est
-			d.Screened = true
 			c.commit(d, state.Now)
-			return d, nil
+			return d, true, nil
 		}
 	}
 
-	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)), sim.WithWorkers(1))
+	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)))
 	if err != nil {
-		return Decision{}, err
+		return Decision{}, false, err
 	}
 	staleEst, err := sm.Estimate(staleTail)
 	if err != nil {
-		return Decision{}, err
+		return Decision{}, false, err
 	}
 	d.StaleEstimate = staleEst
 	staleFeasible := staleEst.JCT <= d.RemainingDeadline
@@ -88,7 +101,6 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 		Sim:      sm,
 		Deadline: d.RemainingDeadline,
 		MaxGPUs:  c.cfg.MaxGPUs,
-		Workers:  1,
 		Delta:    adoptDelta,
 	}
 	res, perr := p.PlanElastic()
@@ -98,7 +110,7 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 		// the stale tail itself still makes the deadline.
 		d.Infeasible = !staleFeasible
 	case perr != nil:
-		return Decision{}, perr
+		return Decision{}, false, perr
 	default:
 		if !staleFeasible || res.Estimate.Cost < staleEst.Cost-adoptDelta {
 			d.Adopted = true
@@ -107,12 +119,39 @@ func (c *Controller) refReplan(state State, reason Reason) (Decision, error) {
 		}
 	}
 	c.commit(d, state.Now)
-	return d, nil
+	return d, false, nil
 }
 
-// refScreenTail is screenTail on three analytic Simulators: one per
-// profile for the stale tail's scores, the re-fitted one also running
-// the mini-plan.
+// analyticSim returns a new Simulator of suffix that evaluates tails
+// under the given profiles analytically. Its seed is never drawn from
+// while every latency has finite moments (analytic estimates consult no
+// RNG), so what it estimates is a pure function of its arguments.
+func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) (*sim.Simulator, error) {
+	return sim.New(suffix, prof, cp, c.cfg.Samples, analyticRoot)
+}
+
+// analyticTail analytically estimates a tail plan on sm. ok=false means
+// the profile's latencies lack finite moments.
+func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
+	est, ok, err := sm.NewAnalyticEval().Estimate(tail)
+	return est, err == nil && ok
+}
+
+// refScreenTail is the analytic drift pre-screen on analytic Simulators
+// of its own: one per profile for the stale tail's scores, the
+// re-fitted one also running the mini-plan. material is true when a
+// full replan could plausibly change the executed plan:
+//
+//  1. the stale tail's re-fitted analytic JCT approaches the remaining
+//     deadline;
+//  2. the tail's analytic JCT or cost moved by more than
+//     preScreenTolerance between the planning-time and re-fitted
+//     profiles;
+//  3. an analytic-only replan of the suffix finds a tail whose cost is
+//     within tolerance of beating the stale tail by adoptDelta.
+//
+// ok=false means the screen could not score the tail (no finite
+// moments) and the full replan must run.
 func (c *Controller) refScreenTail(prof sim.TrainProfile, cp sim.CloudProfile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
 	refitSim, err := c.analyticSim(suffix, prof, cp)
 	if err != nil {
@@ -141,7 +180,6 @@ func (c *Controller) refScreenTail(prof sim.TrainProfile, cp sim.CloudProfile, s
 		Sim:      refitSim,
 		Deadline: remaining,
 		MaxGPUs:  c.cfg.MaxGPUs,
-		Workers:  1,
 		Delta:    adoptDelta,
 	}
 	res, perr := p.PlanElastic()

@@ -25,14 +25,14 @@
 // clock's now). The controller draws no wall-clock time and no global
 // randomness; the replanning simulator for decision i seeds from
 // Config.RNG.Stream(i), a pure derivation, so decisions are bit-identical
-// across worker counts and across replays.
+// across runs and replays.
 //
 // Storage contract: a Controller keeps everything its decisions use —
 // the committed decisions and their plans, the re-fitted profile, the
-// per-stage suffix specs, its Simulators and its Planner — and Reset
+// per-stage suffix specs, its Simulator and its Planner — and Reset
 // keeps all of it for the next Init. So a decision on a recycled
-// controller allocates only the planner's returned plan per search and
-// the iteration distributions its Simulators' share columns box; what a
+// controller allocates only the planner's returned plan and the
+// iteration distributions its Simulator's share column boxes; what a
 // caller keeps (the trace note, the journal record) the caller copies,
 // and Decisions returns a deep copy that outlives the controller's next
 // run.
@@ -52,10 +52,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
-
-// analyticRoot seeds the controller's analytic Simulators. Init copies
-// it and nothing advances it.
-var analyticRoot = stats.NewRNG(1)
 
 // Reason classifies what initiated a replan decision.
 type Reason string
@@ -99,11 +95,6 @@ type Config struct {
 	// CooldownSeconds is the minimum virtual time between replan
 	// decisions. Zero selects 60.
 	CooldownSeconds float64
-
-	// disablePreScreen turns the analytic drift pre-screen off: every
-	// drift trigger runs the full replan. The pre-screen tests
-	// set it to get the reference decision.
-	disablePreScreen bool
 }
 
 const (
@@ -115,11 +106,6 @@ const (
 	// adoptDelta is the planner's minimum cost improvement in dollars,
 	// also used as the stale-vs-new adoption margin.
 	adoptDelta = 0.01
-	// preScreenTolerance is the relative movement in the stale tail's
-	// analytic JCT or cost (re-fitted vs planning-time profile) below
-	// which a drift trigger is judged immaterial and the full replan is
-	// skipped.
-	preScreenTolerance = 0.05
 )
 
 func (c Config) withDefaults() Config {
@@ -214,11 +200,6 @@ type Decision struct {
 	// included — meets the remaining deadline; the stale plan is kept
 	// and the job is infeasible-after-drift.
 	Infeasible bool
-	// Screened reports that the analytic drift pre-screen judged the
-	// trigger immaterial and kept the stale plan without running the
-	// full replan; StaleEstimate is then the analytic estimate of the
-	// stale tail under the re-fitted profile.
-	Screened bool
 }
 
 // Note renders the decision compactly for trace events: the text
@@ -234,10 +215,6 @@ func (d Decision) Note() string { return string(d.AppendNote(nil)) }
 func (d Decision) AppendNote(b []byte) []byte {
 	b = append(append(b, d.Reason...), ": "...)
 	switch {
-	case d.Screened: // "%s: pre-screen immaterial, kept %v (analytic tail JCT %.0fs ≤ %.0fs)"
-		b = d.OldPlan.AppendString(append(b, "pre-screen immaterial, kept "...))
-		b = appendSeconds(append(b, " (analytic tail JCT "...), d.StaleEstimate.JCT)
-		b = append(appendSeconds(append(b, " ≤ "...), d.RemainingDeadline), ')')
 	case d.Infeasible: // "%s: infeasible under remaining deadline %.0fs, kept %v"
 		b = appendSeconds(append(b, "infeasible under remaining deadline "...), d.RemainingDeadline)
 		b = d.OldPlan.AppendString(append(b, ", kept "...))
@@ -297,22 +274,15 @@ type Controller struct {
 	queueLat, initLat stats.Scaled
 	// suffixes[i] is the spec of stages i.., built by Init.
 	suffixes []spec.ExperimentSpec
-	// sims are the controller's Simulators, allocated by the first Init
-	// and kept by Reset, so each keeps its segment table from one use to
-	// the next; pl is the Planner of whichever search runs.
-	sims *simulators
-	pl   planner.Planner
+	// sm is the Simulator every decision runs on, allocated by the first
+	// Init and kept by Reset, so it keeps its segment table and scratch
+	// from one decision to the next; pl is the Planner of its search.
+	sm *sim.Simulator
+	pl planner.Planner
 
 	// observer, when non-nil, receives every committed decision — the
 	// write-ahead journaling hook.
 	observer func(Decision)
-}
-
-// simulators are a Controller's Simulators, each initialised for its
-// use: dec serves a decision (or a read-only pre-screen), and screen the
-// pre-screen's planning-time score and then its analytic mini-plan.
-type simulators struct {
-	dec, screen sim.Simulator
 }
 
 // NewController validates the configuration and returns a fresh
@@ -330,8 +300,8 @@ func NewController(cfg Config) (*Controller, error) {
 // runs. On error c is left reset.
 func (c *Controller) Init(cfg Config) error {
 	c.Reset()
-	if c.sims == nil {
-		c.sims = new(simulators)
+	if c.sm == nil {
+		c.sm = new(sim.Simulator)
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -349,15 +319,14 @@ func (c *Controller) Init(cfg Config) error {
 // Reset returns c to the zero controller, ready for the next Init,
 // keeping the capacity of every buffer: the detector's columns, the
 // decisions and their plan storage, the re-fit's columns, the suffix
-// specs and its Simulators, each reset with its segment table kept. It
+// specs and its Simulator, reset with its segment table kept. It
 // drops the observer, every decision and every pointer into the
 // finished run, so a Reset controller pins nothing of it. Reset must not
 // overlap another call on c, and Decisions taken before it stay valid:
 // they are copies.
 func (c *Controller) Reset() {
-	if c.sims != nil {
-		c.sims.dec.Reset()
-		c.sims.screen.Reset()
+	if c.sm != nil {
+		c.sm.Reset()
 	}
 	clear(c.decisions)
 	*c = Controller{
@@ -367,7 +336,7 @@ func (c *Controller) Reset() {
 		obs:       c.obs[:0],
 		fit:       c.fit,
 		suffixes:  c.suffixes[:0],
-		sims:      c.sims,
+		sm:        c.sm,
 	}
 }
 
@@ -592,19 +561,6 @@ func (c *Controller) refitProfiles() (sim.TrainProfile, sim.CloudProfile, error)
 //rbvet:noalloc
 func (c *Controller) suffix(from int) *spec.ExperimentSpec { return &c.suffixes[from] }
 
-// planner returns the controller's Planner, set to search sm serially for
-// a tail meeting deadline.
-func (c *Controller) planner(sm *sim.Simulator, deadline float64) *planner.Planner {
-	c.pl = planner.Planner{
-		Sim:      sm,
-		Deadline: deadline,
-		MaxGPUs:  c.cfg.MaxGPUs,
-		Workers:  1,
-		Delta:    adoptDelta,
-	}
-	return &c.pl
-}
-
 // Replan computes and commits one replan decision for the given executor
 // state: re-fit from observations, re-plan the remaining stages under the
 // remaining deadline, splice. The stale tail is kept unless it misses the
@@ -619,13 +575,10 @@ func (c *Controller) planner(sm *sim.Simulator, deadline float64) *planner.Plann
 // unless the decision adopted a new tail, and a caller that keeps either
 // past Reset copies it (Decisions does).
 //
-// One Simulator, under the re-fitted profiles and seeded from the
-// decision's stream, serves the whole decision: the pre-screen's
-// analytic score of the stale tail, the stale estimate and the replan,
-// the last two through the one Estimate, so the adoption test compares
-// like with like. Moments, segments and shares are pure functions of the
-// Simulator's configuration, so what one step leaves in its table cannot
-// change another's answer.
+// A decision is three steps: re-fit, Estimate the stale tail, and one
+// PlanElastic search for a new one. One Simulator, under the re-fitted
+// profiles and seeded from the decision's stream, serves the estimate
+// and the search, so the adoption test compares like with like.
 func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	if state.Stage < 0 || state.Stage >= c.cfg.Spec.NumStages()-1 {
 		return Decision{}, fmt.Errorf("replan: stage %d of %d has no tail to replan", state.Stage, c.cfg.Spec.NumStages())
@@ -667,24 +620,9 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 
 	var rng stats.RNG
 	c.cfg.RNG.StreamInto(uint64(seq), &rng)
-	sm := &c.sims.dec
-	if err := sm.Init(suffix, prof, cp, c.cfg.Samples, &rng, sim.WithWorkers(1)); err != nil {
+	sm := c.sm
+	if err := sm.Init(suffix, prof, cp, c.cfg.Samples, &rng); err != nil {
 		return Decision{}, err
-	}
-
-	// Analytic drift pre-screen (drift triggers only — a preemption
-	// changed the capacity itself and must always replan): rescore the
-	// stale tail in microseconds under the re-fitted and planning-time
-	// profiles; when neither its feasibility nor its economics moved
-	// materially, a full replan would re-derive the same tail the original
-	// planner chose, so the decision is committed without one.
-	if reason == ReasonDrift && !c.cfg.disablePreScreen {
-		if est, material, ok := c.screenTail(sm, prof, cp, suffix, staleTail, d.RemainingDeadline); ok && !material {
-			d.StaleEstimate = est
-			d.Screened = true
-			c.commit(d, state.Now)
-			return d, nil
-		}
 	}
 
 	staleEst, err := sm.Estimate(staleTail)
@@ -694,7 +632,8 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	d.StaleEstimate = staleEst
 	staleFeasible := staleEst.JCT <= d.RemainingDeadline
 
-	res, perr := c.planner(sm, d.RemainingDeadline).PlanElastic()
+	c.pl = planner.Planner{Sim: sm, Deadline: d.RemainingDeadline, MaxGPUs: c.cfg.MaxGPUs, Delta: adoptDelta}
+	res, perr := c.pl.PlanElastic()
 	switch {
 	case perr == planner.ErrInfeasible:
 		// No planner tail fits; the job is infeasible-after-drift unless
@@ -720,141 +659,6 @@ func (c *Controller) remainingDeadline(state State, prof sim.TrainProfile) float
 	st := c.cfg.Spec.Stage(state.Stage)
 	per := sim.GPUsPerTrial(state.Plan.Alloc[state.Stage], st.Trials)
 	return c.cfg.Deadline - float64(state.Now) - float64(state.RemainingIters)*sim.IterMean(prof, per)
-}
-
-// initAnalytic makes sm a Simulator of suffix that evaluates tails under
-// the given profiles analytically. Its seed is never drawn from while
-// every latency has finite moments (analytic estimates consult no RNG),
-// so what it estimates is a pure function of its arguments.
-func (c *Controller) initAnalytic(sm *sim.Simulator, suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) error {
-	return sm.Init(suffix, prof, cp, c.cfg.Samples, analyticRoot, sim.WithWorkers(1))
-}
-
-// analyticTail analytically estimates a tail plan on sm. ok=false means
-// the profile's latencies lack finite moments.
-func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
-	e := sm.NewAnalyticEval()
-	est, ok, err := e.Estimate(tail)
-	e.Release()
-	return est, err == nil && ok
-}
-
-// baseTail returns the stale tail's analytic estimate under the
-// planning-time profiles, taken on the controller's screen Simulator.
-// ok=false means the profile's latencies lack finite moments or no
-// Simulator could be built.
-func (c *Controller) baseTail(suffix *spec.ExperimentSpec, tail sim.Plan) (sim.Estimate, bool) {
-	sm := &c.sims.screen
-	if err := c.initAnalytic(sm, suffix, c.cfg.Profile, c.cfg.Cloud); err != nil {
-		return sim.Estimate{}, false
-	}
-	return analyticTail(sm, tail)
-}
-
-// screenTail is the analytic drift pre-screen. material is true when a
-// full replan could plausibly change the executed plan:
-//
-//  1. the stale tail's re-fitted analytic JCT approaches the remaining
-//     deadline (feasibility is at risk, a faster tail may be needed);
-//  2. the tail's analytic JCT or cost moved by more than
-//     preScreenTolerance between the planning-time and re-fitted
-//     profiles (the latency regime the plan was optimized for is gone);
-//  3. an analytic-only replan of the suffix finds a tail whose cost is
-//     within tolerance of beating the stale tail by the adoption margin
-//     adoptDelta — this catches slack accumulated by a speed-up drift,
-//     where the profiles barely move but a cheaper tail now fits the
-//     remaining deadline.
-//
-// sm is a Simulator of the suffix under the re-fitted profiles prof and
-// cp; the stale tail's re-fitted score is taken on it analytically. The
-// mini-plan of condition 3 runs on a Simulator of its own (the
-// controller's screen Simulator, re-initialised after the planning-time
-// score), so its plan memo never mixes with sm's. ok=false means the
-// screen could not score the tail (no finite moments) and the caller
-// must run the full replan.
-func (c *Controller) screenTail(sm *sim.Simulator, prof sim.TrainProfile, cp sim.CloudProfile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
-	refit, ok1 := analyticTail(sm, staleTail)
-	base, ok2 := c.baseTail(suffix, staleTail)
-	if !ok1 || !ok2 {
-		return sim.Estimate{}, false, false
-	}
-	const tol = preScreenTolerance
-	if refit.JCT*(1+tol) >= remaining ||
-		math.Abs(refit.JCT-base.JCT) > tol*base.JCT ||
-		math.Abs(refit.Cost-base.Cost) > tol*base.Cost {
-		return refit, true, true
-	}
-	// Conditions 1–2 are quiet; check 3 with an analytic-only replan
-	// under the re-fitted profiles. The mini-plan is deterministic and
-	// costs microseconds per candidate.
-	mini := &c.sims.screen
-	if err := c.initAnalytic(mini, suffix, prof, cp); err != nil {
-		return sim.Estimate{}, false, false
-	}
-	res, perr := c.planner(mini, remaining).PlanElastic()
-	switch {
-	case perr == planner.ErrInfeasible:
-		// No planner tail fits analytically while the stale one does; the
-		// full replan would keep the stale tail. Immaterial.
-	case perr != nil:
-		material = true
-	default:
-		// An analytic optimum that IS the stale tail can never be adopted:
-		// the full replan estimates both through the same memoized
-		// simulator, and a plan is never cheaper than itself by
-		// adoptDelta. A different optimum is material when its cost is
-		// within tolerance of beating the stale tail by the adoption
-		// margin.
-		material = !res.Plan.Equal(staleTail) &&
-			res.Estimate.Cost < refit.Cost-adoptDelta+tol*refit.Cost
-	}
-	return refit, material, true
-}
-
-// PreScreenResult is the outcome of the read-only analytic drift
-// pre-screen (see Controller.PreScreen).
-type PreScreenResult struct {
-	// Supported reports whether the analytic screen could score the tail;
-	// when false a full replan is required and the other fields are zero.
-	Supported bool
-	// Material reports whether the screen would let a drift trigger
-	// proceed to the full replan.
-	Material bool
-	// RemainingDeadline is the tail's budget, as in Decision.
-	RemainingDeadline float64
-	// Stale is the analytic estimate of the stale tail under the
-	// re-fitted profile.
-	Stale sim.Estimate
-}
-
-// PreScreen runs the analytic drift pre-screen for state without
-// committing anything: no decision is recorded, no cooldown armed, no
-// random stream consumed. Replan applies the same screen internally to
-// drift-reason decisions; this entry point exists for callers that want
-// the microsecond-scale feasibility read on its own (dashboards, the
-// planning benchmarks).
-func (c *Controller) PreScreen(state State) (PreScreenResult, error) { //rbvet:ignore unreached — BenchmarkReplanPreScreen and the oracle tests drive the drift screen through it
-	if state.Stage < 0 || state.Stage >= c.cfg.Spec.NumStages()-1 {
-		return PreScreenResult{}, fmt.Errorf("replan: stage %d of %d has no tail to screen", state.Stage, c.cfg.Spec.NumStages())
-	}
-	if err := state.Plan.Validate(c.cfg.Spec.NumStages()); err != nil {
-		return PreScreenResult{}, err
-	}
-	prof, cp, err := c.refitProfiles()
-	if err != nil {
-		return PreScreenResult{}, err
-	}
-	remaining := c.remainingDeadline(state, prof)
-	if remaining <= 0 {
-		return PreScreenResult{Supported: true, Material: true, RemainingDeadline: remaining}, nil
-	}
-	suffix := c.suffix(state.Stage + 1)
-	sm := &c.sims.dec
-	if err := c.initAnalytic(sm, suffix, prof, cp); err != nil {
-		return PreScreenResult{RemainingDeadline: remaining}, nil
-	}
-	stale, material, ok := c.screenTail(sm, prof, cp, suffix, sim.Plan{Alloc: state.Plan.Alloc[state.Stage+1:]}, remaining)
-	return PreScreenResult{Supported: ok, Material: material, RemainingDeadline: remaining, Stale: stale}, nil
 }
 
 // commit records the decision and arms the cooldown.

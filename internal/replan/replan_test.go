@@ -212,7 +212,7 @@ func TestReplanLostDeadlineInfeasible(t *testing.T) {
 }
 
 // driveController feeds a fixed observation sequence and takes two replan
-// decisions; used to compare controllers across worker counts and replays.
+// decisions; used to compare controllers across replays.
 func driveController(t *testing.T, c *Controller) []Decision {
 	t.Helper()
 	pred1 := c.cfg.Profile.IterDist(1).Mean()
@@ -250,9 +250,6 @@ func TestDecisionsReplayable(t *testing.T) {
 // byte.
 func fmtNote(d Decision) string {
 	switch {
-	case d.Screened:
-		return fmt.Sprintf("%s: pre-screen immaterial, kept %v (analytic tail JCT %.0fs ≤ %.0fs)",
-			d.Reason, fmtPlan(d.OldPlan), d.StaleEstimate.JCT, d.RemainingDeadline)
 	case d.Infeasible:
 		return fmt.Sprintf("%s: infeasible under remaining deadline %.0fs, kept %v", d.Reason, d.RemainingDeadline, fmtPlan(d.OldPlan))
 	case d.Adopted:
@@ -299,12 +296,10 @@ func TestNoteMatchesFmt(t *testing.T) {
 			StaleEstimate:     sim.Estimate{JCT: val()},
 			NewEstimate:       sim.Estimate{JCT: val()},
 		}
-		switch i % 4 {
+		switch i % 3 {
 		case 0:
-			d.Screened = true
-		case 1:
 			d.Infeasible = true
-		case 2:
+		case 1:
 			d.Adopted = true
 		}
 		if got, want := d.Note(), fmtNote(d); got != want {
@@ -348,7 +343,7 @@ func TestStaleAndNewTailsShareEstimator(t *testing.T) {
 		if heavy {
 			rng, samples = cfg.RNG.Stream(uint64(dec.Seq)), cfg.Samples
 		}
-		sm, err := sim.New(cfg.Spec.Suffix(1), prof, cp, samples, rng, sim.WithWorkers(1))
+		sm, err := sim.New(cfg.Spec.Suffix(1), prof, cp, samples, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,29 +25,18 @@ type segMoment struct {
 // segmentMoments returns the ref of the analytic moments of the segment
 // h refers to, filling them on first use. The value is a pure function
 // of the segment (itself a pure function of the simulator configuration
-// and the key), so benign double computation under concurrent misses is
-// harmless. A miss stores the moments in a record carved from the
+// and the key). A miss stores the moments in a record carved from the
 // table's moment slab.
 //
 //rbvet:pure
 func (s *Simulator) segmentMoments(h ref) ref {
-	s.mu.Lock()
 	sg := s.tab.segs.at(h)
-	v := sg.mom
-	s.mu.Unlock()
-	if v != 0 {
-		return v
-	}
-	m := sg.moments(&s.prov)
-	s.mu.Lock()
 	if sg.mom == 0 {
 		var run []segMoment
 		run, sg.mom = s.tab.moms.take(1)
-		run[0] = m
+		run[0] = sg.moments(&s.prov)
 	}
-	v = sg.mom
-	s.mu.Unlock()
-	return v
+	return sg.mom
 }
 
 // moments propagates (mean, variance) pairs through the segment's stage
@@ -163,30 +152,19 @@ type birthGroup struct {
 
 // AnalyticEval evaluates plans analytically against one Simulator. It
 // owns the compiled-plan buffer and the billing stack, so it is cheap to
-// reuse and must not be shared across goroutines concurrently; create
-// one per search or worker (NewAnalyticEval).
+// reuse; like its Simulator, it belongs to one goroutine at a time.
 type AnalyticEval struct {
 	sim    *Simulator
 	cp     compiledPlan
 	groups []birthGroup
 }
 
-// NewAnalyticEval returns an analytic evaluator bound to s, drawn from
-// the package's evaluator pool. A caller that is done with it may hand it
-// back with Release; one that does not simply leaves it to the garbage
-// collector.
-func (s *Simulator) NewAnalyticEval() *AnalyticEval {
-	e := evalPool.Get().(*AnalyticEval)
-	e.sim = s
-	return e
-}
-
-// Release drops the evaluator's Simulator and returns it to the pool.
-// Its compiled plan holds refs, not pointers, so nothing else needs
-// clearing. The evaluator must not be used afterwards.
-func (e *AnalyticEval) Release() {
-	e.sim = nil
-	evalPool.Put(e)
+// NewAnalyticEval returns a new analytic evaluator bound to s. Estimate
+// evaluates on one the Simulator keeps; this one is for callers that want
+// the analytic estimate on its own, without the plan memo or the
+// Monte-Carlo fallback.
+func (s *Simulator) NewAnalyticEval() *AnalyticEval { //rbvet:ignore unreached — the replan reference and the estimator tests score plans analytically, without the fallback, through it
+	return &AnalyticEval{sim: s}
 }
 
 // Estimate analytically predicts JCT and cost for the plan: E[JCT] and

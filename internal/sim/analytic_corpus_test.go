@@ -33,17 +33,17 @@ func TestAnalyticErrorOnCorpus(t *testing.T) {
 	for i := 0; i < corpus; i++ {
 		sc := harness.Generate(seed, i)
 		profile := sim.ModelTrainProfile{Model: sc.Model, Batch: sc.Model.BaseBatch, GPUsPerNode: sc.Profile.Instance.GPUs}
-		sm, err := sim.New(sc.Spec, profile, sc.Profile, sc.Samples, stats.NewRNG(seed), sim.WithWorkers(1))
+		sm, err := sim.New(sc.Spec, profile, sc.Profile, sc.Samples, stats.NewRNG(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &planner.Planner{Sim: sm, Deadline: sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor, MaxGPUs: sc.MaxGPUs, Workers: 1}
+		p := &planner.Planner{Sim: sm, Deadline: sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor, MaxGPUs: sc.MaxGPUs}
 		res, err := p.PlanElastic()
 		if err != nil {
 			continue
 		}
 		planned++
-		mc, err := sim.New(sc.Spec, profile, sc.Profile, mcSamples, stats.NewRNG(seed), sim.WithWorkers(1))
+		mc, err := sim.New(sc.Spec, profile, sc.Profile, mcSamples, stats.NewRNG(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

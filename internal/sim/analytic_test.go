@@ -31,7 +31,7 @@ func analyticEstimate(t *testing.T, sm *Simulator, p Plan) Estimate {
 // round-off, under both billing models and for all plan shapes.
 func TestAnalyticAgreesExactlyUnderDeterministicLatencies(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := deterministicSim(t, 5, 2, billing)
+		sm := deterministicSim(t, 5, billing)
 		for _, plan := range testPlans(sm) {
 			ae, err := sm.Estimate(plan)
 			if err != nil {
@@ -65,7 +65,7 @@ func TestAnalyticAgreesExactlyUnderDeterministicLatencies(t *testing.T) {
 func TestAnalyticWithinMonteCarloTolerance(t *testing.T) {
 	const samples = 400
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		ana := stochasticSim(t, samples, 4, 9)
+		ana := stochasticSim(t, samples, 9)
 		ana.cloud.Pricing.Billing = billing
 		for _, plan := range testPlans(ana) {
 			ae := analyticEstimate(t, ana, plan)
@@ -106,7 +106,7 @@ func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
 			QueueDelay:  stats.Pareto{Scale: 2, Alpha: 1.5}, // infinite variance
 			InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 		}
-		sm, err := New(s, prof, cp, 24, stats.NewRNG(7), WithWorkers(2))
+		sm, err := New(s, prof, cp, 24, stats.NewRNG(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
 // must not depend on what the segment table holds, and a cold simulator
 // must agree with a warm one bit for bit.
 func TestAnalyticPureAcrossCacheState(t *testing.T) {
-	warm := stochasticSim(t, 30, 2, 13)
+	warm := stochasticSim(t, 30, 13)
 	plan := testPlans(warm)[1]
 	want, err := warm.Estimate(plan)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestAnalyticPureAcrossCacheState(t *testing.T) {
 	if got != want {
 		t.Fatalf("estimate changed with cache state: %+v != %+v", got, want)
 	}
-	cold := stochasticSim(t, 30, 2, 13)
+	cold := stochasticSim(t, 30, 13)
 	cgot, err := cold.Estimate(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +169,8 @@ func TestAnalyticPureAcrossCacheState(t *testing.T) {
 // moments, not draws — changing the Monte-Carlo sample budget must not
 // move them at all.
 func TestAnalyticIndependentOfSampleBudget(t *testing.T) {
-	a := stochasticSim(t, 10, 1, 5)
-	b := stochasticSim(t, 400, 4, 99)
+	a := stochasticSim(t, 10, 5)
+	b := stochasticSim(t, 400, 99)
 	for _, plan := range testPlans(a) {
 		ea, eb := analyticEstimate(t, a, plan), analyticEstimate(t, b, plan)
 		if ea != eb {
@@ -186,7 +186,7 @@ func TestAnalyticIndependentOfSampleBudget(t *testing.T) {
 // property the planner's frontier deduplication relies on.
 func TestCanonicalAllocSharesEverything(t *testing.T) {
 	for _, est := range estimators {
-		sm := stochasticSim(t, 30, 2, 17)
+		sm := stochasticSim(t, 30, 17)
 		stages := sm.Spec().NumStages()
 		stage := -1
 		for i := 0; i < stages; i++ {
@@ -224,7 +224,7 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 // moments live on the tuple-keyed segments — re-estimating a plan that
 // shares all but one stage fills exactly one new moment entry.
 func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
-	sm := stochasticSim(t, 10, 1, 21)
+	sm := stochasticSim(t, 10, 21)
 	stages := sm.Spec().NumStages()
 	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
 // both billing models.
 func TestAnalyticEvalWarmZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := stochasticSim(t, 20, 1, 31)
+		sm := stochasticSim(t, 20, 31)
 		sm.cloud.Pricing.Billing = billing
 		plans := testPlans(sm)
 		e := sm.NewAnalyticEval()

@@ -68,7 +68,7 @@ func billingSim(t testing.TB, seed uint64, minCharge float64) *Simulator {
 		QueueDelay:  stats.Exponential{MeanValue: 4},
 		InitLatency: stats.Normal{Mu: 10, Sigma: 3},
 	}
-	sm, err := New(s, normalProfile{mu: 6, sigma: 2}, cp, 9, stats.NewRNG(seed), WithWorkers(1))
+	sm, err := New(s, normalProfile{mu: 6, sigma: 2}, cp, 9, stats.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,9 @@ type StageEstimate struct {
 // when a latency lacks finite moments, their averages over the
 // Monte-Carlo fallback's s.samples draws per segment, where sample k
 // condenses exactly the draws the fallback's k-th sample prices.
-// Repeated or concurrent calls return identical results.
+// Repeated calls return identical results.
 func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
-	e := s.NewAnalyticEval()
-	defer e.Release()
+	e := s.evaluator()
 	ok, err := e.fill(p)
 	if err != nil {
 		return nil, err
@@ -54,12 +53,12 @@ func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
 
 // breakdownMC is Breakdown's Monte-Carlo decomposition of p.
 func (s *Simulator) breakdownMC(p Plan) ([]StageEstimate, error) {
-	var cp compiledPlan
-	if err := s.compile(p, &cp); err != nil {
+	cp := &s.scr.eval.cp
+	if err := s.compile(p, cp); err != nil {
 		return nil, err
 	}
-	s.sampleVectors(&cp)
-	return s.breakdown(&cp, p), nil
+	s.sampleVectors(cp)
+	return s.breakdown(cp, p), nil
 }
 
 // breakdown averages per-stage durations and compute-cost attribution

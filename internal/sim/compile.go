@@ -2,7 +2,6 @@ package sim
 
 import (
 	"repro/internal/cloud"
-	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/stats"
 )
@@ -47,7 +46,7 @@ type provLats struct {
 // that single SYNC, so a segment evaluates zero-based (the previous
 // barrier is time zero) and plan-level quantities recombine from
 // per-segment samples. A segment's shape and latencies are immutable
-// after construction and safe for concurrent use.
+// after construction.
 //
 // The record is kept to 80 bytes (TestSegmentRecordSize): the shape is
 // int32, the SCALE and INIT latencies, which only the cloud profile
@@ -71,9 +70,9 @@ type segment struct {
 
 	// samples and mom refer to the segment's sample
 	// vector and moments in the table's slabs, 0 until filled. Each is
-	// filled on first use under Simulator.mu and never changes
-	// afterwards. mom is filled by every estimate, samples only by the
-	// Monte-Carlo fallback and Breakdown.
+	// filled on first use and never changes afterwards. mom is filled by
+	// every estimate, samples only by the Monte-Carlo fallback and
+	// Breakdown.
 	samples, mom ref
 }
 
@@ -104,7 +103,7 @@ type segSample struct {
 //rbvet:noalloc
 func (sg *segment) eval(prov *provLats, r *stats.RNG, lat []float64) (segSample, []float64) {
 	if n := int(max(sg.grow, sg.trials)); cap(lat) < n {
-		//rbvet:ignore noalloc — cold path: grows once per worker slot to the widest stage; steady-state draws reuse lat
+		//rbvet:ignore noalloc — cold path: grows once to the widest stage; steady-state draws reuse lat
 		lat = make([]float64, n)
 	}
 	var out segSample
@@ -154,7 +153,7 @@ func (sg *segment) eval(prov *provLats, r *stats.RNG, lat []float64) (segSample,
 // plan-level constants the cost model needs, and each segment's sample
 // vector and moments as compile found them: 0 until filled (see
 // sampleVectors and AnalyticEval.Estimate). Its columns are refs into
-// tab's slabs, not pointers, so a compiled plan in pooled scratch is
+// tab's slabs, not pointers, so a compiled plan kept in scratch is
 // never cleared and storing into it takes no write barrier.
 type compiledPlan struct {
 	tab  *segTable
@@ -166,8 +165,7 @@ type compiledPlan struct {
 	maxInstances int32
 }
 
-// seg returns stage i's segment. Its shape and latencies are immutable,
-// so it may be read without the lock.
+// seg returns stage i's segment.
 func (cp *compiledPlan) seg(i int) *segment { return cp.tab.segs.at(cp.segs[i]) }
 
 // row returns stage i's Monte-Carlo draw k; stage i's vector is filled.
@@ -178,10 +176,9 @@ func (cp *compiledPlan) mom(i int) *segMoment { return cp.tab.moms.at(cp.moms[i]
 
 // compile resolves a plan into cp, a buffer the caller owns, composing
 // table-shared segments and reusing cp's columns, so a warm compile into
-// a reused buffer allocates nothing. The whole plan resolves under one
-// acquisition of s.mu, which also snapshots each segment's filled sample
-// vector and moments. A segment missing from the table is built outside
-// the lock and stored first-write-wins when the walk resumes under it.
+// a reused buffer allocates nothing. It also snapshots each segment's
+// filled sample vector and moments. A segment missing from the table is
+// built and stored.
 //
 //rbvet:noalloc
 func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
@@ -190,17 +187,14 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 	}
 	cp.segs, cp.vecs, cp.moms, cp.maxInstances = cp.segs[:0], cp.vecs[:0], cp.moms[:0], 0
 	var prev int32
-	s.mu.Lock()
 	t := s.tab
 	cp.tab = t
 	for i, alloc := range p.Alloc {
 		key := segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev}
 		h, _ := t.index.get(key)
 		if h == 0 {
-			s.mu.Unlock()
 			built := s.buildSegment(key)
-			s.mu.Lock()
-			h = t.storeLocked(&built)
+			h = t.store(&built)
 		}
 		sg := t.segs.at(h)
 		cp.segs = append(cp.segs, h)
@@ -209,7 +203,6 @@ func (s *Simulator) compile(p Plan, cp *compiledPlan) error {
 		prev = sg.instances
 		cp.maxInstances = max(cp.maxInstances, sg.instances)
 	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -229,12 +222,11 @@ func canonAlloc(alloc, trials int) int {
 	return alloc
 }
 
-// storeLocked stores built under its key unless another caller stored
-// that key first, and returns the stored segment's ref: the first write
-// wins, so every caller shares one segment per key and with it the
-// segment's lazily filled samples and moments. The record is carved from
-// the table's segment slab. The caller holds the Simulator's lock.
-func (t *segTable) storeLocked(built *segment) ref {
+// store stores built under its key unless the key is stored already,
+// and returns the stored segment's ref, so every plan shares one
+// segment per key and with it the segment's lazily filled samples and
+// moments. The record is carved from the table's segment slab.
+func (t *segTable) store(built *segment) ref {
 	h, found := t.index.put(built.key)
 	if !found {
 		run, r := t.segs.take(1)
@@ -293,58 +285,22 @@ func (s *Simulator) segStream(key segKey) (r stats.RNG) {
 
 // segmentSamples returns the ref of the s.samples-long sample vector of
 // the segment h refers to, filling it on first use. Sample k always
-// draws from the k-th stream of the tuple's family and slots are
-// index-addressed, so the vector is bit-identical at any worker count. A
-// miss carves the vector from the table's sample slab under the lock and
-// fills it outside; streams and latency buffers come from fillPool.
+// draws from the k-th stream of the tuple's family, so the vector does
+// not depend on when it is filled. A miss carves the vector from the
+// table's sample slab.
 func (s *Simulator) segmentSamples(h ref) ref {
-	s.mu.Lock()
-	t := s.tab
-	sg := t.segs.at(h)
-	v := sg.samples
-	var fresh []segSample
-	if v == 0 {
-		fresh, v = t.samples.take(s.samples)
+	sg := s.tab.segs.at(h)
+	if sg.samples != 0 {
+		return sg.samples
 	}
-	s.mu.Unlock()
-	if fresh == nil {
-		return v
+	fresh, v := s.tab.samples.take(s.samples)
+	sc := &s.scr
+	sc.base = s.segStream(sg.key)
+	for k := range fresh {
+		sc.draw(sg, &s.prov, fresh, k)
 	}
-	fs := fillPool.Get().(*fillScratch)
-	fs.base = s.segStream(sg.key)
-	n := s.workerSlots()
-	if len(fs.slots) < n {
-		fs.slots = append(fs.slots, make([]fillSlot, n-len(fs.slots))...)
-	}
-	if n == 1 {
-		// Serial fill without the fan-out's closure, which would escape.
-		for k := range fresh {
-			fs.draw(sg, &s.prov, fresh, 0, k)
-		}
-	} else {
-		par.ForEachWorker(s.samples, s.Workers(), func(w, k int) { fs.draw(sg, &s.prov, fresh, w, k) })
-	}
-	fillPool.Put(fs)
-	s.mu.Lock()
-	if sg.samples == 0 {
-		sg.samples = v
-	}
-	v = sg.samples
-	s.mu.Unlock()
+	sg.samples = v
 	return v
-}
-
-// workerSlots returns the number of distinct worker slots a Monte-Carlo
-// fan-out over s.samples can occupy (see par.ForEachWorker).
-func (s *Simulator) workerSlots() int {
-	n := s.Workers()
-	if n > s.samples {
-		n = s.samples
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // sampleVectors fills the sample vectors compile found unfilled, so

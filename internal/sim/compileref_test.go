@@ -174,40 +174,38 @@ func sameEstimate(a, b Estimate) bool {
 // TestCompileMatchesPointerOracle holds the handle-based compile and
 // everything that reads it — sample fills, the Monte-Carlo replay, the
 // analytic evaluator and the plan memo — to the pointer-based oracle:
-// every estimate bit-identical, analytic and Monte-Carlo, under both billing
-// models, at one and four workers, cold and warm, on a new Simulator's
-// table and after re-initialising it over that table, and the
-// Simulator's seed state untouched.
+// every estimate bit-identical, analytic and Monte-Carlo, under both
+// billing models, cold and warm, on a new Simulator's table and after
+// re-initialising it over that table, and the Simulator's seed state
+// untouched.
 func TestCompileMatchesPointerOracle(t *testing.T) {
 	for _, est := range estimators {
 		for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-			for _, workers := range []int{1, 4} {
-				sm := deterministicSim(t, 8, workers, billing)
-				stoch := stochasticSim(t, 16, workers, 41)
-				for _, s := range []*Simulator{sm, stoch} {
-					root := s.root
-					for pass := 0; pass < 3; pass++ { // cold, memoized, then cold again on the kept table
-						if pass == 2 {
-							reinit(t, s)
+			sm := deterministicSim(t, 8, billing)
+			stoch := stochasticSim(t, 16, 41)
+			for _, s := range []*Simulator{sm, stoch} {
+				root := s.root
+				for pass := 0; pass < 3; pass++ { // cold, memoized, then cold again on the kept table
+					if pass == 2 {
+						reinit(t, s)
+					}
+					for _, p := range testPlans(s) {
+						got, err := est.estimate(s, p)
+						if err != nil {
+							t.Fatal(err)
 						}
-						for _, p := range testPlans(s) {
-							got, err := est.estimate(s, p)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, err := s.refEstimate(p, est.mc)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !sameEstimate(got, want) {
-								t.Fatalf("%s billing %v workers %d pass %d plan %v: estimate %+v, pointer oracle %+v",
-									est.name, billing, workers, pass, p, got, want)
-							}
+						want, err := s.refEstimate(p, est.mc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameEstimate(got, want) {
+							t.Fatalf("%s billing %v pass %d plan %v: estimate %+v, pointer oracle %+v",
+								est.name, billing, pass, p, got, want)
 						}
 					}
-					if s.root != root {
-						t.Fatal("estimating moved the Simulator's seed state")
-					}
+				}
+				if s.root != root {
+					t.Fatal("estimating moved the Simulator's seed state")
 				}
 			}
 		}
@@ -225,7 +223,7 @@ func FuzzCompileMatchesPointerOracle(f *testing.F) {
 		if !analytic {
 			est = estimators[1]
 		}
-		sm := stochasticSim(t, 8, 2, seed)
+		sm := stochasticSim(t, 8, seed)
 		n := sm.Spec().NumStages()
 		alloc := make([]int, n)
 		for i := range alloc {

@@ -13,7 +13,7 @@ import (
 
 // initStochasticSim initialises sm in place as the Simulator
 // stochasticSim returns for the same arguments.
-func initStochasticSim(t testing.TB, sm *Simulator, samples, workers int, seed uint64) {
+func initStochasticSim(t testing.TB, sm *Simulator, samples int, seed uint64) {
 	t.Helper()
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
@@ -22,7 +22,7 @@ func initStochasticSim(t testing.TB, sm *Simulator, samples, workers int, seed u
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed), WithWorkers(workers)); err != nil {
+	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -32,7 +32,7 @@ func initStochasticSim(t testing.TB, sm *Simulator, samples, workers int, seed u
 // provisioning overheads. No estimator draws any random number, so the
 // analytic estimate, the Monte-Carlo one and Algorithm 1 must agree
 // exactly.
-func deterministicSim(t testing.TB, samples, workers int, billing cloud.BillingModel) *Simulator {
+func deterministicSim(t testing.TB, samples int, billing cloud.BillingModel) *Simulator {
 	t.Helper()
 	s := spec.MustSHA(16, 2, 16, 2)
 	sc, err := model.NewInterpolatedScaling([]int{1, 2, 4, 8, 16}, []float64{1, 1.9, 3.6, 6.5, 11})
@@ -46,7 +46,7 @@ func deterministicSim(t testing.TB, samples, workers int, billing cloud.BillingM
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	sm, err := New(s, prof, cp, samples, stats.NewRNG(77), WithWorkers(workers))
+	sm, err := New(s, prof, cp, samples, stats.NewRNG(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,13 @@ func TestParseEstimator(t *testing.T) {
 	}
 }
 
-// TestEstimatorModesDeterministicAcrossWorkers: the core invariant holds
-// for the analytic estimate and its Monte-Carlo fallback alike — for a
-// fixed seed, each is bit-identical at every worker count and across
-// repeated calls on fresh and reused simulators.
+// TestEstimatorModesDeterministicAcrossWorkers: the analytic estimate
+// and its Monte-Carlo fallback are each bit-identical across repeated
+// calls on fresh and reused simulators, and the deprecated WithWorkers
+// option changes neither.
 func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 	for _, est := range estimators {
-		ref := stochasticSim(t, 40, 1, 42)
+		ref := stochasticSim(t, 40, 42)
 		for _, plan := range testPlans(ref) {
 			want, err := est.estimate(ref, plan)
 			if err != nil {
@@ -106,14 +106,14 @@ func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s plan %v: degenerate estimate, test is vacuous", est.name, plan)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				sm := stochasticSim(t, 40, workers, 42)
+				sm := stochasticSim(t, 40, 42, WithWorkers(workers))
 				for run := 0; run < 2; run++ {
 					got, err := est.estimate(sm, plan)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got != want {
-						t.Fatalf("%s plan %v workers=%d run=%d: %+v != serial %+v", est.name, plan, workers, run, got, want)
+						t.Fatalf("%s plan %v workers=%d run=%d: %+v != %+v", est.name, plan, workers, run, got, want)
 					}
 				}
 			}
@@ -130,7 +130,7 @@ func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 	const rel = 1e-12
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		seg := deterministicSim(t, 5, 2, billing)
+		seg := deterministicSim(t, 5, billing)
 		for _, plan := range testPlans(seg) {
 			se, err := seg.EstimateMC(plan)
 			if err != nil {
@@ -166,7 +166,7 @@ func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 // standard errors.
 func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 	const samples = 400
-	seg := stochasticSim(t, samples, 4, 9)
+	seg := stochasticSim(t, samples, 9)
 	for _, plan := range testPlans(seg) {
 		se, err := seg.EstimateMC(plan)
 		if err != nil {
@@ -192,7 +192,7 @@ func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 // plan must not change a bit, and a cold simulator must agree with a
 // warm one.
 func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
-	warm := stochasticSim(t, 30, 2, 13)
+	warm := stochasticSim(t, 30, 13)
 	plan := testPlans(warm)[1]
 	want, err := warm.EstimateMC(plan)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
 	if got != want {
 		t.Fatalf("estimate changed with cache state: %+v != %+v", got, want)
 	}
-	cold := stochasticSim(t, 30, 2, 13)
+	cold := stochasticSim(t, 30, 13)
 	cgot, err := cold.EstimateMC(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 // cohort stack, pricing a sample must not allocate.
 func TestPriceScheduleZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := deterministicSim(t, 8, 1, billing)
+		sm := deterministicSim(t, 8, billing)
 		plan := testPlans(sm)[1]
 		var cp compiledPlan
 		if err := sm.compile(plan, &cp); err != nil {
@@ -297,7 +297,7 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 // timings buffer, Graph.SampleInto over a full execution DAG allocates
 // nothing per draw.
 func TestGraphSampleZeroAlloc(t *testing.T) {
-	sm := stochasticSim(t, 8, 1, 3)
+	sm := stochasticSim(t, 8, 3)
 	b, err := buildFullDAG(sm, testPlans(sm)[1])
 	if err != nil {
 		t.Fatal(err)
@@ -316,8 +316,6 @@ func TestGraphSampleZeroAlloc(t *testing.T) {
 // tableCounts returns the size of sm's segment table and how many of its
 // segments have their sample vector and analytic moments filled.
 func tableCounts(sm *Simulator) (segs, samples, moms int) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	if sm.tab == nil {
 		return 0, 0, 0
 	}
@@ -338,7 +336,7 @@ func tableCounts(sm *Simulator) (segs, samples, moms int) {
 // sharing a stage tuple must consult the profile only once for that
 // tuple — the segment table is what makes the fallback incremental.
 func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
-	sm := stochasticSim(t, 10, 1, 21)
+	sm := stochasticSim(t, 10, 21)
 	stages := sm.Spec().NumStages()
 	if _, err := sm.EstimateMC(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
@@ -360,15 +358,14 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestCompileSnapshotsFills: compile resolves a plan under one table
-// lock and snapshots under it each segment's sample vector and moments
-// as far as they are filled. A plan no estimate has touched snapshots
+// TestCompileSnapshotsFills: compile resolves a plan and snapshots each
+// segment's sample vector and moments as far as they are filled. A plan no estimate has touched snapshots
 // none; once it has been estimated both analytically and by Monte-Carlo,
 // a compile carries every stage's fill, so neither sampleVectors nor
 // AnalyticEval.Estimate goes back to the table for it.
 func TestCompileSnapshotsFills(t *testing.T) {
-	for _, p := range testPlans(stochasticSim(t, 20, 1, 31)) {
-		sm := stochasticSim(t, 20, 1, 31)
+	for _, p := range testPlans(stochasticSim(t, 20, 31)) {
+		sm := stochasticSim(t, 20, 31)
 		var cp compiledPlan
 		if err := sm.compile(p, &cp); err != nil {
 			t.Fatal(err)
@@ -382,7 +379,6 @@ func TestCompileSnapshotsFills(t *testing.T) {
 		if _, _, err := e.Estimate(p); err != nil {
 			t.Fatal(err)
 		}
-		e.Release()
 		if _, err := sm.EstimateMC(p); err != nil {
 			t.Fatal(err)
 		}

@@ -174,7 +174,7 @@ func BenchmarkSegTable(b *testing.B) {
 	}
 	fill := func(t *segTable) {
 		for i := range segs {
-			t.storeLocked(&segs[i])
+			t.store(&segs[i])
 		}
 	}
 	b.Run("hit", func(b *testing.B) {
@@ -202,7 +202,7 @@ func BenchmarkSegTable(b *testing.B) {
 				b.StartTimer()
 			}
 			if h, _ := t.index.get(keys[k]); h == 0 {
-				t.storeLocked(&segs[k])
+				t.store(&segs[k])
 			}
 		}
 	})

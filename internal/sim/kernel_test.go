@@ -128,21 +128,14 @@ func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Sim
 	return sm
 }
 
-// segmentFor returns the table's segment for key, building it outside
-// the lock on a miss and storing it first-write-wins, as compile does
-// for each stage of a plan.
+// segmentFor returns the table's segment for key, building and storing
+// it on a miss, as compile does for each stage of a plan.
 func (s *Simulator) segmentFor(key segKey) *segment {
-	s.mu.Lock()
 	h, _ := s.tab.index.get(key)
-	s.mu.Unlock()
 	if h == 0 {
 		built := s.buildSegment(key)
-		s.mu.Lock()
-		h = s.tab.storeLocked(&built)
-		s.mu.Unlock()
+		h = s.tab.store(&built)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.tab.segs.at(h)
 }
 
@@ -317,7 +310,7 @@ func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 		t.Fatalf("cold moment fills of %d segments on a re-initialised table allocate %d, want 0", len(segs), allocs)
 	}
 
-	sm = stochasticSim(t, 20, 1, 31)
+	sm = stochasticSim(t, 20, 31)
 	segs = tableSegments(t, sm, testPlans(sm)[1:2])
 	if allocs, chunks := fill(sm, segs), sm.tab.moms.n; allocs != 1 || chunks != 1 {
 		t.Fatalf("cold moment fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)
@@ -327,7 +320,7 @@ func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 // benchSegments returns the distinct segments of the test plans on a
 // stochastic simulator.
 func benchSegments(b *testing.B) (*Simulator, []segKey) {
-	sm := stochasticSim(b, 20, 1, 7)
+	sm := stochasticSim(b, 20, 7)
 	var keys []segKey
 	for _, p := range testPlans(sm) {
 		var cp compiledPlan

@@ -40,7 +40,7 @@ func bitEqual(a, b Estimate) bool {
 func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 	rng := stats.NewRNG(61)
 	for _, est := range estimators {
-		sm := stochasticSim(t, 20, 2, 31)
+		sm := stochasticSim(t, 20, 31)
 		stages := sm.Spec().NumStages()
 		var plans []Plan
 		for i := 0; i < 12; i++ {
@@ -67,7 +67,7 @@ func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 				if len(sm.tab.entries) != entries {
 					t.Fatalf("%s: twin %v of %v took a memo entry of its own", est.name, q, p)
 				}
-				alone, err := est.estimate(stochasticSim(t, 20, 2, 31), q)
+				alone, err := est.estimate(stochasticSim(t, 20, 31), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 // returns its error every time and takes no memo entry, even when its
 // allocations wrap to a memoized plan's in 32 bits.
 func TestEstimateErrorsAreNotMemoized(t *testing.T) {
-	sm := stochasticSim(t, 20, 1, 31)
+	sm := stochasticSim(t, 20, 31)
 	if _, err := sm.Estimate(NewPlan(16, 8, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,64 +108,62 @@ func TestEstimateErrorsAreNotMemoized(t *testing.T) {
 // TestRecycledPlanMemoMatchesFresh: a Simulator whose plan memo and
 // sample vectors it filled under another spec, re-initialised in place,
 // answers every plan exactly as a new Simulator does, analytically and
-// by Monte-Carlo, at one worker and at four. The two specs have the same
+// by Monte-Carlo. The two specs have the same
 // stage count, so every plan is valid under both and a memo entry that
 // survived the reset would be read back.
 func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
-	other := func(workers int) *Simulator {
+	other := func() *Simulator {
 		t.Helper()
 		m := model.ResNet50()
 		m.IterNoiseStd = 0.2
 		cp := DefaultCloudProfile()
 		cp.Pricing.Billing = cloud.PerFunction
 		sm, err := New(spec.MustSHA(8, 1, 8, 2), ModelTrainProfile{Model: m, Batch: 256, GPUsPerNode: 8}, cp, 9,
-			stats.NewRNG(5), WithWorkers(workers))
+			stats.NewRNG(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sm
 	}
-	for _, workers := range []int{1, 4} {
-		for _, est := range estimators {
-			// The donor fills memo and sample vectors on the other spec.
-			donor := other(workers)
-			if donor.Spec().NumStages() != 4 {
-				t.Fatalf("donor spec has %d stages, want 4", donor.Spec().NumStages())
+	for _, est := range estimators {
+		// The donor fills memo and sample vectors on the other spec.
+		donor := other()
+		if donor.Spec().NumStages() != 4 {
+			t.Fatalf("donor spec has %d stages, want 4", donor.Spec().NumStages())
+		}
+		var plans []Plan
+		for _, a := range []int{1, 2, 3, 8, 16, 24} {
+			plans = append(plans, Uniform(a, 4), NewPlan(2*a, a, a, 1))
+		}
+		for _, p := range plans {
+			if _, err := donor.Estimate(p); err != nil {
+				t.Fatal(err)
 			}
-			var plans []Plan
-			for _, a := range []int{1, 2, 3, 8, 16, 24} {
-				plans = append(plans, Uniform(a, 4), NewPlan(2*a, a, a, 1))
+			if _, err := donor.EstimateMC(p); err != nil {
+				t.Fatal(err)
 			}
+		}
+		if len(donor.tab.entries) != len(plans) {
+			t.Fatalf("donor memoized %d plans, want %d", len(donor.tab.entries), len(plans))
+		}
+		recycled := donor
+		initStochasticSim(t, recycled, 20, 31)
+		if recycled.tab.plans.n != 0 {
+			t.Fatalf("a re-initialised table indexes %d plan hashes, want 0", recycled.tab.plans.n)
+		}
+		fresh := stochasticSim(t, 20, 31)
+		for round := 0; round < 2; round++ { // misses, then memo hits
 			for _, p := range plans {
-				if _, err := donor.Estimate(p); err != nil {
+				got, err := est.estimate(recycled, p)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := donor.EstimateMC(p); err != nil {
+				want, err := est.estimate(fresh, p)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if len(donor.tab.entries) != len(plans) {
-				t.Fatalf("donor memoized %d plans, want %d", len(donor.tab.entries), len(plans))
-			}
-			recycled := donor
-			initStochasticSim(t, recycled, 20, workers, 31)
-			if recycled.tab.plans.n != 0 {
-				t.Fatalf("a re-initialised table indexes %d plan hashes, want 0", recycled.tab.plans.n)
-			}
-			fresh := stochasticSim(t, 20, workers, 31)
-			for round := 0; round < 2; round++ { // misses, then memo hits
-				for _, p := range plans {
-					got, err := est.estimate(recycled, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := est.estimate(fresh, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bitEqual(got, want) {
-						t.Fatalf("workers %d %s round %d: %v re-initialised %+v, new %+v", workers, est.name, round, p, got, want)
-					}
+				if !bitEqual(got, want) {
+					t.Fatalf("%s round %d: %v re-initialised %+v, new %+v", est.name, round, p, got, want)
 				}
 			}
 		}

@@ -193,7 +193,7 @@ func tableCompiled(segs []segment, rows [][]segSample) *compiledPlan {
 func algorithm1Estimate(t testing.TB, s *Simulator, p Plan) Estimate {
 	t.Helper()
 	cp, _ := algorithm1(t, s, p)
-	return s.summarize(&estScratch{cp: *cp})
+	return s.summarize(cp)
 }
 
 // algorithm1Breakdown is the reference Breakdown over Algorithm 1 draws.
@@ -265,7 +265,7 @@ func near(a, b, rel float64) bool {
 // and condense to the same sync-to-sync duration, SCALE finish and
 // training GPU-seconds.
 func TestSegmentDrawsMatchFullDAG(t *testing.T) {
-	sm := stochasticSim(t, 60, 1, 19)
+	sm := stochasticSim(t, 60, 19)
 	stages := sm.Spec().NumStages()
 	grow := Uniform(3, stages) // scales up mid-job: a second SCALE
 	for i := stages / 2; i < stages; i++ {
@@ -310,7 +310,7 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 // stream, both give the same segSample bit for bit, and both propagate
 // the same duration, SCALE-finish and training-time moments.
 func TestSegmentProgramsMatchFullDAG(t *testing.T) {
-	sm := stochasticSim(t, 60, 1, 19)
+	sm := stochasticSim(t, 60, 19)
 	stages := sm.Spec().NumStages()
 	grow := Uniform(3, stages) // scales up mid-job: a second SCALE
 	for i := stages / 2; i < stages; i++ {

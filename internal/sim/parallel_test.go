@@ -15,7 +15,7 @@ import (
 // stochasticSim returns a simulator whose latency distributions are
 // genuinely random, so determinism tests exercise the RNG stream plumbing
 // rather than degenerate constants.
-func stochasticSim(t testing.TB, samples, workers int, seed uint64) *Simulator {
+func stochasticSim(t testing.TB, samples int, seed uint64, opts ...Option) *Simulator {
 	t.Helper()
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
@@ -24,7 +24,7 @@ func stochasticSim(t testing.TB, samples, workers int, seed uint64) *Simulator {
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	sm, err := New(s, prof, cp, samples, stats.NewRNG(seed), WithWorkers(workers))
+	sm, err := New(s, prof, cp, samples, stats.NewRNG(seed), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,12 @@ func testPlans(sm *Simulator) []Plan {
 	}
 }
 
-// TestEstimateDeterministicAcrossWorkers is the core invariant of the
-// Monte-Carlo fan-out: for a fixed seed, the sampled estimate is
-// bit-identical at every worker count and across repeated calls.
+// TestEstimateDeterministicAcrossWorkers: the Monte-Carlo estimate is
+// bit-identical across repeated calls and whatever worker bound the
+// deprecated WithWorkers names: sampling is serial, and the option
+// changes nothing while bench/ still passes it.
 func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
-	ref := stochasticSim(t, 40, 1, 42)
+	ref := stochasticSim(t, 40, 42)
 	for _, plan := range testPlans(ref) {
 		want, err := ref.EstimateMC(plan)
 		if err != nil {
@@ -64,14 +65,14 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("plan %v: degenerate deterministic estimate, test is vacuous", plan)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			sm := stochasticSim(t, 40, workers, 42)
+			sm := stochasticSim(t, 40, 42, WithWorkers(workers))
 			for run := 0; run < 2; run++ {
 				got, err := sm.EstimateMC(plan)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("plan %v workers=%d run=%d: %+v != serial %+v", plan, workers, run, got, want)
+					t.Fatalf("plan %v workers=%d run=%d: %+v != %+v", plan, workers, run, got, want)
 				}
 			}
 		}
@@ -83,8 +84,8 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 // pre-parallel simulator violated this: a single shared RNG made every
 // estimate depend on the full call history.)
 func TestEstimateIndependentOfCallOrder(t *testing.T) {
-	a := stochasticSim(t, 30, 2, 7)
-	b := stochasticSim(t, 30, 2, 7)
+	a := stochasticSim(t, 30, 7)
+	b := stochasticSim(t, 30, 7)
 	plans := testPlans(a)
 
 	want := make([]Estimate, len(plans))
@@ -107,14 +108,14 @@ func TestEstimateIndependentOfCallOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentEstimateRace hammers one cold shared Simulator from many
-// goroutines (run under -race) with estimates and StaticClusterJCTs
-// columns, so the segment table's first-write-wins fills, share column
-// included, race each other, and checks every result against a serial
-// reference computed on a twin simulator with the same seed.
+// TestConcurrentEstimateRace runs goroutines that each own a cold
+// Simulator of the same job at once (run under -race), with estimates
+// and StaticClusterJCTs columns, and checks every result against a
+// serial reference: Simulators share no state, the scratch of their
+// estimates included, so goroutines that each own one need no lock.
 func TestConcurrentEstimateRace(t *testing.T) {
 	for _, est := range estimators {
-		ref := stochasticSim(t, 20, 4, 99)
+		ref := stochasticSim(t, 20, 99)
 		plans := testPlans(ref)
 		want := make([]Estimate, len(plans))
 		for i, p := range plans {
@@ -130,20 +131,19 @@ func TestConcurrentEstimateRace(t *testing.T) {
 			wantJCTs[i] = ref.StaticClusterJCTs(n, nil)
 		}
 
-		sm := stochasticSim(t, 20, 4, 99)
 		const goroutines = 8
 		const rounds = 10
-		errc := make(chan error, goroutines)
 		var wg sync.WaitGroup
 		wg.Add(goroutines)
 		for g := 0; g < goroutines; g++ {
+			sm := stochasticSim(t, 20, 99)
 			go func(g int) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					i := (g + r) % len(plans)
 					got, err := est.estimate(sm, plans[i])
 					if err != nil {
-						errc <- err
+						t.Error(err)
 						return
 					}
 					if got != want[i] {
@@ -159,10 +159,6 @@ func TestConcurrentEstimateRace(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		close(errc)
-		for err := range errc {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -172,7 +168,7 @@ func TestConcurrentEstimateRace(t *testing.T) {
 // analytic Breakdown, which Breakdown returns when every moment is
 // finite, is repeatable and its durations add up to Estimate's JCT.
 func TestBreakdownDeterministicAndConsistent(t *testing.T) {
-	sm := stochasticSim(t, 25, 4, 5)
+	sm := stochasticSim(t, 25, 5)
 	plan := testPlans(sm)[1]
 	for _, c := range []struct {
 		name      string
@@ -214,7 +210,7 @@ func TestBreakdownDeterministicAndConsistent(t *testing.T) {
 }
 
 // TestEstimateHeavyRepeatability is the gated heavy check run by
-// tools/repro/run.sh: large sample counts, high worker counts, many
+// tools/repro/run.sh: large sample counts, fresh Simulators, many
 // repetitions, all bit-identical.
 //
 //rbvet:impure(the env var only gates whether the heavy check runs at all; it never reaches a simulated value)
@@ -222,22 +218,22 @@ func TestEstimateHeavyRepeatability(t *testing.T) {
 	if os.Getenv("RB_RUN_REPEATABILITY") == "" {
 		t.Skip("set RB_RUN_REPEATABILITY=1 to run the heavy repeatability check")
 	}
-	ref := stochasticSim(t, 500, 1, 1234)
+	ref := stochasticSim(t, 500, 1234)
 	plans := testPlans(ref)
 	for _, plan := range plans {
 		want, err := ref.EstimateMC(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 8, 16} {
-			sm := stochasticSim(t, 500, workers, 1234)
+		for fresh := 0; fresh < 4; fresh++ {
+			sm := stochasticSim(t, 500, 1234)
 			for rep := 0; rep < 5; rep++ {
 				got, err := sm.EstimateMC(plan)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("plan %v workers=%d rep=%d: %+v != %+v", plan, workers, rep, got, want)
+					t.Fatalf("plan %v Simulator %d rep=%d: %+v != %+v", plan, fresh, rep, got, want)
 				}
 			}
 		}

@@ -57,12 +57,12 @@ func (c recycleCase) job() (sim.TrainProfile, sim.CloudProfile) {
 	return sim.ModelTrainProfile{Model: m, Batch: c.batch, GPUsPerNode: 4}, cp
 }
 
-// newSim builds the case's simulator at the given worker count.
-func (c recycleCase) newSim(t *testing.T, workers int) *sim.Simulator {
+// newSim builds the case's simulator.
+func (c recycleCase) newSim(t *testing.T) *sim.Simulator {
 	t.Helper()
 	prof, cp := c.job()
 	sm, err := sim.New(c.spec, prof, cp, c.samples,
-		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers))
+		stats.NewRNG(uint64(c.samples)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func (c recycleCase) newSim(t *testing.T, workers int) *sim.Simulator {
 }
 
 // initSim makes sm the case's simulator in place.
-func (c recycleCase) initSim(t *testing.T, sm *sim.Simulator, workers int) {
+func (c recycleCase) initSim(t *testing.T, sm *sim.Simulator) {
 	t.Helper()
 	prof, cp := c.job()
 	if err := sm.Init(c.spec, prof, cp, c.samples,
-		stats.NewRNG(uint64(c.samples)), sim.WithWorkers(workers)); err != nil {
+		stats.NewRNG(uint64(c.samples))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,13 +85,13 @@ func (c recycleCase) initSim(t *testing.T, sm *sim.Simulator, workers int) {
 // shrinking plan and a sub-trial plan — and renders every result. The
 // rendering prints floats in their shortest round-tripping form, so two
 // renderings are equal exactly when every value is bit-identical.
-func (c recycleCase) searches(sm *sim.Simulator, workers int) string {
+func (c recycleCase) searches(sm *sim.Simulator) string {
 	stages := c.spec.NumStages()
 	full, err := sm.Estimate(sim.Uniform(c.maxGPUs, stages))
 	if err != nil {
 		return err.Error()
 	}
-	p := &planner.Planner{Sim: sm, Deadline: 1.5 * full.JCT, MaxGPUs: c.maxGPUs, Workers: workers}
+	p := &planner.Planner{Sim: sm, Deadline: 1.5 * full.JCT, MaxGPUs: c.maxGPUs}
 	res, err := p.PlanElastic()
 	out := fmt.Sprintf("plan %v %+v %v\n", res.Plan, res.Estimate, err)
 	shrink := make([]int, stages)
@@ -114,48 +114,46 @@ func (c recycleCase) searches(sm *sim.Simulator, workers int) string {
 // table another job filled — its segments, plan memo and share column
 // under a different spec, profile, queue delay and sample count — returns
 // exactly what a new Simulator returns: Estimate, Breakdown and
-// PlanElastic, at one worker and at four. The same holds when a failed
+// PlanElastic. The same holds when a failed
 // Init comes between the two jobs, and the failed Init leaves the
 // Simulator without a job.
 func TestRecycledTablesMatchFresh(t *testing.T) {
 	cases := recycleCases()
 	prof, cp := cases[0].job()
-	for _, workers := range []int{1, 4} {
-		want := make([]string, len(cases))
-		for i, c := range cases {
-			want[i] = c.searches(c.newSim(t, workers), workers)
-			if !strings.HasPrefix(want[i], "plan (") || strings.HasPrefix(want[i], "plan ()") {
-				t.Fatalf("workers %d case %d: the search found no plan:\n%s", workers, i, want[i])
-			}
+	want := make([]string, len(cases))
+	for i, c := range cases {
+		want[i] = c.searches(c.newSim(t))
+		if !strings.HasPrefix(want[i], "plan (") || strings.HasPrefix(want[i], "plan ()") {
+			t.Fatalf("case %d: the search found no plan:\n%s", i, want[i])
 		}
-		for i, c := range cases {
-			// The neighbouring case j differs from c in spec, batch,
-			// sample count and queue delay.
-			j := i ^ 1
-			if j == len(cases) {
-				j = i - 1
+	}
+	for i, c := range cases {
+		// The neighbouring case j differs from c in spec, batch,
+		// sample count and queue delay.
+		j := i ^ 1
+		if j == len(cases) {
+			j = i - 1
+		}
+		other := cases[j]
+		for _, failed := range []bool{false, true} {
+			var sm sim.Simulator
+			other.initSim(t, &sm)
+			other.searches(&sm)
+			if failed {
+				if err := sm.Init(c.spec, nil, cp, c.samples, stats.NewRNG(1)); err == nil {
+					t.Fatal("Init accepted a nil training profile")
+				}
+				if sm.Spec() != nil {
+					t.Fatal("a failed Init kept the Simulator's job")
+				}
+				if err := sm.Init(c.spec, prof, sim.CloudProfile{}, c.samples, stats.NewRNG(1)); err == nil {
+					t.Fatal("Init accepted an invalid cloud profile")
+				}
 			}
-			other := cases[j]
-			for _, failed := range []bool{false, true} {
-				var sm sim.Simulator
-				other.initSim(t, &sm, workers)
-				other.searches(&sm, workers)
-				if failed {
-					if err := sm.Init(c.spec, nil, cp, c.samples, stats.NewRNG(1)); err == nil {
-						t.Fatal("Init accepted a nil training profile")
-					}
-					if sm.Spec() != nil {
-						t.Fatal("a failed Init kept the Simulator's job")
-					}
-					if err := sm.Init(c.spec, prof, sim.CloudProfile{}, c.samples, stats.NewRNG(1)); err == nil {
-						t.Fatal("Init accepted an invalid cloud profile")
-					}
-				}
-				c.initSim(t, &sm, workers)
-				if got := c.searches(&sm, workers); got != want[i] {
-					t.Fatalf("workers %d case %d re-initialised after case %d (failed Init between: %v):\n%s\nnew Simulator:\n%s",
-						workers, i, j, failed, got, want[i])
-				}
+			c.initSim(t, &sm)
+			if got := c.searches(&sm); got != want[i] {
+				t.Fatalf("case %d re-initialised after case %d (failed Init between: %v):\n%s\nnew Simulator:\n%s",
+					i, j, failed, got, want[i])
 			}
 		}
 	}
@@ -164,32 +162,29 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 // TestInitMatchesNew: one Simulator initialised in place for every case
 // in turn, forwards then backwards, returns for each exactly what a
 // Simulator from New returns — StaticClusterJCTs, Estimate, Breakdown
-// and PlanElastic — at one worker and at four, whatever job, sample
-// count, estimator, worker count and billing model it was initialised
-// for last. Reset leaves it ready for another Init.
+// and PlanElastic — whatever job, sample count and billing model it was
+// initialised for last. Reset leaves it ready for another Init.
 func TestInitMatchesNew(t *testing.T) {
 	cases := recycleCases()
-	render := func(c recycleCase, sm *sim.Simulator, workers int) string {
+	render := func(c recycleCase, sm *sim.Simulator) string {
 		return fmt.Sprintf("static %v %v\n", sm.StaticClusterJCTs(c.maxGPUs, nil), sm.StaticClusterJCT(c.maxGPUs)) +
-			c.searches(sm, workers)
+			c.searches(sm)
 	}
-	for _, workers := range []int{1, 4} {
-		want := make([]string, len(cases))
-		for i, c := range cases {
-			want[i] = render(c, c.newSim(t, workers), workers)
+	want := make([]string, len(cases))
+	for i, c := range cases {
+		want[i] = render(c, c.newSim(t))
+	}
+	var sm sim.Simulator
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}} {
+		for _, i := range order {
+			cases[i].initSim(t, &sm)
+			if got := render(cases[i], &sm); got != want[i] {
+				t.Fatalf("case %d initialised in place:\n%s\nfrom New:\n%s", i, got, want[i])
+			}
 		}
-		var sm sim.Simulator
-		for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}} {
-			for _, i := range order {
-				cases[i].initSim(t, &sm, workers)
-				if got := render(cases[i], &sm, workers); got != want[i] {
-					t.Fatalf("workers %d case %d initialised in place:\n%s\nfrom New:\n%s", workers, i, got, want[i])
-				}
-			}
-			sm.Reset()
-			if sm.Spec() != nil {
-				t.Fatal("Reset kept the Simulator's job")
-			}
+		sm.Reset()
+		if sm.Spec() != nil {
+			t.Fatal("Reset kept the Simulator's job")
 		}
 	}
 }

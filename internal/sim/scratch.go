@@ -1,63 +1,71 @@
 package sim
 
 import (
-	"sync"
-
+	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
-// Pooled scratch. Estimate and Breakdown run concurrently on one
-// Simulator (a planner's workers score candidates in parallel), so each
-// call needs scratch of its own for as long as it runs, and one per
-// Simulator would not do; these pools are package-level and hand each
-// call its own. No pooled value carries a result from one use to the
-// next: each is fully overwritten before it is read, so pooling saves
-// allocations and cannot change an estimate.
-var (
-	// estPool holds the Monte-Carlo estimate's compiled plan, sample rows
-	// and pricing columns.
-	estPool = sync.Pool{New: func() any { return new(estScratch) }}
-	// fillPool holds a sample fill's per-worker RNG and latency
-	// buffers.
-	fillPool = sync.Pool{New: func() any { return new(fillScratch) }}
-	// evalPool holds Estimate's analytic evaluators, rebound to the
-	// calling Simulator on every use.
-	evalPool = sync.Pool{New: func() any { return new(AnalyticEval) }}
-)
-
-// estScratch is one Monte-Carlo estimate in flight: the plan resolved
-// to segments and their sample rows, the per-draw columns summarize
-// reduces, and priceSchedule's billing stack.
-type estScratch struct {
-	cp          compiledPlan
+// scratch is the working memory of a Simulator's estimates, kept for the
+// Simulator's whole life: Init and Reset keep it, so an owner that
+// re-initialises a Simulator for each job estimates without allocating.
+// No value in it carries a result from one use to the next: each is
+// fully overwritten before it is read, so keeping it saves allocations
+// and cannot change an estimate.
+type scratch struct {
+	// eval is Estimate's analytic evaluator. Its compiled plan also
+	// serves the Monte-Carlo fallback and Breakdown, which run only after
+	// the evaluator is done with it.
+	eval AnalyticEval
+	// jcts and costs are the Monte-Carlo fallback's per-draw columns,
+	// which summarize reduces, and stack is priceSchedule's billing
+	// stack.
 	jcts, costs []float64
 	stack       []cohort
+	// base is the root stream of the segment a sample fill draws, rng
+	// the stream of its current draw and lat the buffer segment.eval
+	// draws a segment's INIT and TRAIN latencies into.
+	base, rng stats.RNG
+	lat       []float64
 }
 
-// release returns the scratch to the pool. Its compiled plan holds refs,
-// not pointers, so nothing needs clearing.
-func (es *estScratch) release() { estPool.Put(es) }
-
-// fillSlot is one sampling worker's private stream and the buffer
-// segment.eval draws a segment's INIT and TRAIN latencies into.
-type fillSlot struct {
-	rng stats.RNG
-	lat []float64
+// reserve sizes the scratch for plans of sp, so that estimating them
+// allocates no scratch: the compiled plan's three columns (carved from
+// one array) and the billing stack hold a stage each, and the latency
+// buffer the widest stage's trials. It allocates only when an earlier
+// job left less capacity.
+func (sc *scratch) reserve(sp *spec.ExperimentSpec) {
+	n, trials := sp.NumStages(), 0
+	for i := 0; i < n; i++ {
+		trials = max(trials, sp.Stage(i).Trials)
+	}
+	if cp := &sc.eval.cp; cap(cp.segs) < n {
+		refs := make([]ref, 3*n)
+		cp.segs, cp.vecs, cp.moms = refs[:0:n], refs[n:n:2*n], refs[2*n:2*n:3*n]
+	}
+	sc.eval.groups = reserve(sc.eval.groups, n)
+	sc.lat = reserve(sc.lat, trials)
 }
 
-// fillScratch holds one sample fill: the segment tuple's root stream and
-// a slot per worker.
-type fillScratch struct {
-	base  stats.RNG
-	slots []fillSlot
+// evaluator returns s's analytic evaluator, bound to s.
+func (s *Simulator) evaluator() *AnalyticEval {
+	e := &s.scr.eval
+	e.sim = s
+	return e
 }
 
 // draw fills v[k] with draw k of sg, whose Simulator's provisioning
-// latencies are prov, on worker slot w's stream and buffer.
-func (fs *fillScratch) draw(sg *segment, prov *provLats, v []segSample, w, k int) {
-	sl := &fs.slots[w]
-	fs.base.StreamInto(uint64(k), &sl.rng)
-	v[k], sl.lat = sg.eval(prov, &sl.rng, sl.lat)
+// latencies are prov, on the stream derived from the fill's root stream.
+func (sc *scratch) draw(sg *segment, prov *provLats, v []segSample, k int) {
+	sc.base.StreamInto(uint64(k), &sc.rng)
+	v[k], sc.lat = sg.eval(prov, &sc.rng, sc.lat)
+}
+
+// reserve returns s emptied, with capacity for at least n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // resize returns s with length n, reusing its capacity when it suffices.

@@ -29,7 +29,7 @@ func searchSim(t *testing.T, prof sim.TrainProfile, samples int, seed uint64) *s
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	sm, err := sim.New(spec.MustSHA(16, 2, 16, 2), prof, cp, samples, stats.NewRNG(seed), sim.WithWorkers(1))
+	sm, err := sim.New(spec.MustSHA(16, 2, 16, 2), prof, cp, samples, stats.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func searchSim(t *testing.T, prof sim.TrainProfile, samples int, seed uint64) *s
 func TestPlanElasticFillsNoSampleVector(t *testing.T) {
 	prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 	sm := searchSim(t, prof, 20, 3)
-	p := &planner.Planner{Sim: sm, Deadline: 1200, MaxGPUs: 32, Workers: 1}
+	p := &planner.Planner{Sim: sm, Deadline: 1200, MaxGPUs: 32}
 	res, err := p.PlanElastic()
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestHeavyTailedProfilePlansThroughFallback(t *testing.T) {
 		t.Fatal("no static size meets the deadline; the test is vacuous")
 	}
 
-	p := &planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1}
+	p := &planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs}
 	static, err := p.PlanStatic()
 	if err != nil {
 		t.Fatal(err)

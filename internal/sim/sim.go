@@ -3,9 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"repro/internal/par"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -23,45 +21,34 @@ type Estimate struct {
 // Simulator predicts JCT and cost for allocation plans over one job.
 // Construct with New or Init; the zero value is not usable.
 //
-// A Simulator's configuration is immutable after construction and it is
-// safe for concurrent use by multiple goroutines. The state it mutates is
-// of two kinds, and neither can change a result:
+// A Simulator belongs to one goroutine at a time: no two calls on it may
+// overlap. Separate Simulators share nothing, so goroutines that each
+// own one run freely. Its configuration is immutable after
+// construction, and the state it mutates is of two kinds, neither of
+// which can change a result:
 //
-//   - One mutex-guarded segment table memoizing pure computations: each
-//     stage segment's shape and compiled TRAIN latency plus its lazily
-//     filled analytic moments and Monte-Carlo sample vector, beside
-//     them the profile's iteration distribution and mean per per-trial
-//     share, which segment builds and StaticClusterJCTs read, and the
-//     plan memo of whole-plan estimates keyed by canonical allocations.
-//     A plan resolves against the table under one acquisition of its
-//     lock (compile), which also snapshots each segment's filled sample
-//     vector and moments, so a warm estimate takes the lock three times
-//     (memo lookup, compile, memo store) and a warm AnalyticEval
-//     evaluation once; only misses are filled outside it. The
-//     provisioning latencies every segment shares are compiled once,
-//     at construction. Every Monte-Carlo draw derives a private RNG
-//     stream from the construction-time seed state, keyed by (stream
-//     family, sample index), so Estimate and Breakdown are pure
-//     functions of the configuration and the plan, independent of table
-//     state, call order, goroutine or worker count.
-//   - Storage the Simulator keeps for its whole life, and scratch
-//     borrowed per call. The table's storage (its key index and plan
-//     memo index, epoch-stamped open-addressing tables that reset in
-//     O(1); the slabs its segment records, sample vectors and moments
-//     are carved from; and the plan memo's columns; see table.go and
-//     index.go) is allocated by the first Init and emptied by every
-//     later Init and by Reset, so an owner that keeps a Simulator and
-//     re-initialises it for each job fills its table without
-//     allocating. Scratch comes from package-level pools (see
-//     scratch.go), because concurrent calls on one Simulator each need
-//     their own: evalPool (Estimate's analytic evaluators), estPool (the
-//     Monte-Carlo fallback's compiled plan, sample rows, and the
-//     per-draw JCT, cost and billing-cohort columns summarize reduces)
-//     and fillPool (a sample fill's per-worker RNG and per-slot finish
-//     buffer).
-//     Neither can carry a result from one use into another: Init
-//     empties the table, and every use of scratch fully overwrites what
-//     it reads before reading it.
+//   - One segment table memoizing pure computations: each stage
+//     segment's shape and compiled TRAIN latency plus its lazily filled
+//     analytic moments and Monte-Carlo sample vector, beside them the
+//     profile's iteration distribution and mean per per-trial share,
+//     which segment builds and StaticClusterJCTs read, and the plan memo
+//     of whole-plan estimates keyed by canonical allocations. The
+//     provisioning latencies every segment shares are compiled once, at
+//     construction. Every Monte-Carlo draw derives a private RNG stream
+//     from the construction-time seed state, keyed by (stream family,
+//     sample index), so Estimate and Breakdown are pure functions of the
+//     configuration and the plan, independent of table state and call
+//     order.
+//   - Storage the Simulator keeps for its whole life. The table's
+//     storage (its key index and plan memo index, epoch-stamped
+//     open-addressing tables that reset in O(1); the slabs its segment
+//     records, sample vectors and moments are carved from; and the plan
+//     memo's columns; see table.go and index.go) and the scratch of its
+//     estimates (see scratch.go) are allocated by the first Init and
+//     kept by every later Init and by Reset, so an owner that keeps a
+//     Simulator and re-initialises it for each job fills its table
+//     without allocating. Init empties the table, and every use of
+//     scratch fully overwrites what it reads before reading it.
 //
 // A warm Estimate therefore allocates nothing, and a search on a
 // re-initialised Simulator allocates only the plans it keeps.
@@ -70,35 +57,30 @@ type Simulator struct {
 	profile TrainProfile
 	cloud   CloudProfile
 	samples int
-	// workers bounds the Monte-Carlo fan-out; <= 0 selects GOMAXPROCS.
-	workers int
 	// root is a snapshot of the seeding generator's state at construction.
 	// It is never advanced: streams are derived from it with
-	// stats.RNG.Stream, which is pure, so concurrent derivation is safe.
+	// stats.RNG.Stream, which is pure.
 	root stats.RNG
 	// prov is the cloud profile's provisioning latencies, compiled once
 	// by Init and shared by every segment of the table.
 	prov provLats
 
-	// mu guards tab and everything in it, including the lazily filled
-	// fields of its segments. Misses are computed outside the lock and
-	// stored first-write-wins: every value is a pure function of its key
-	// and the configuration, so double computation under concurrent
-	// misses is benign. The table, plan memo included, is unbounded; one
+	// tab is the segment table. It is unbounded, plan memo included; one
 	// search touches at most a few thousand segments and plans. tab is
 	// nil until the first Init.
-	mu  sync.Mutex
 	tab *segTable
+	// scr is the estimates' scratch, kept across Init and Reset.
+	scr scratch
 }
 
 // Option configures optional Simulator behavior in New.
 type Option func(*Simulator)
 
-// WithWorkers bounds the worker pool Estimate and Breakdown fan Monte-
-// Carlo samples across. n <= 0 (the default) selects GOMAXPROCS; 1 forces
-// fully serial sampling. The estimate is bit-identical at every worker
-// count — the knob trades goroutine overhead against wall-clock time only.
-func WithWorkers(n int) Option { return func(s *Simulator) { s.workers = n } }
+// WithWorkers configures nothing.
+//
+// Deprecated: a Simulator samples serially on its owner's goroutine;
+// the worker bound is ignored.
+func WithWorkers(int) Option { return func(*Simulator) {} }
 
 // DefaultSamples is the Monte-Carlo sample count used when the caller does
 // not override it. The paper keeps this small by default so that plans are
@@ -147,6 +129,7 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 	}
 	*s = Simulator{
 		tab:     s.tab,
+		scr:     s.scr,
 		spec:    sp,
 		profile: profile,
 		cloud:   cp,
@@ -160,6 +143,7 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 	for _, o := range opts {
 		o(s)
 	}
+	s.scr.reserve(sp)
 	return nil
 }
 
@@ -173,11 +157,8 @@ func (s *Simulator) Reset() {
 	if tab != nil {
 		tab.reset()
 	}
-	*s = Simulator{tab: tab}
+	*s = Simulator{tab: tab, scr: s.scr}
 }
-
-// Workers returns the resolved Monte-Carlo worker bound.
-func (s *Simulator) Workers() int { return par.Workers(s.workers) }
 
 // Spec returns the simulated job's specification.
 func (s *Simulator) Spec() *spec.ExperimentSpec { return s.spec }
@@ -191,10 +172,9 @@ func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 // plan some of whose latencies have no finite moments (Pareto alpha <= 2,
 // opaque distributions without a variance) falls back to segment Monte-
 // Carlo: s.samples draws of each stage segment, replayed against the
-// billing model. Those draws fan out across the simulator's worker pool
-// (WithWorkers) into index-addressed slots and reduce in fixed index
-// order, so the estimate is bit-identical at any worker count and across
-// repeated or concurrent calls on either path.
+// billing model. Each draw takes its own stream and the draws reduce in
+// fixed index order, so the estimate is bit-identical across repeated
+// calls on either path.
 //
 // The table memoizes each estimate under the plan's canonical
 // allocations (canonAlloc per stage), which is all an estimate depends
@@ -214,19 +194,14 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 		key = append(key, int32(canonAlloc(a, s.spec.Stage(i).Trials)))
 	}
 	h := planHash(key)
-	s.mu.Lock()
-	est, ok := s.tab.plan(h, key)
-	s.mu.Unlock()
-	if ok {
+	if est, ok := s.tab.plan(h, key); ok {
 		return est, nil
 	}
 	est, err := s.estimate(p)
 	if err != nil {
 		return Estimate{}, err
 	}
-	s.mu.Lock()
 	s.tab.storePlan(h, key, est)
-	s.mu.Unlock()
 	return est, nil
 }
 
@@ -236,9 +211,7 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 //
 //rbvet:pure
 func (s *Simulator) estimate(p Plan) (Estimate, error) {
-	e := s.NewAnalyticEval()
-	est, ok, err := e.Estimate(p)
-	e.Release()
+	est, ok, err := s.evaluator().Estimate(p)
 	if err != nil || ok {
 		return est, err
 	}
@@ -250,25 +223,26 @@ func (s *Simulator) estimate(p Plan) (Estimate, error) {
 //
 //rbvet:pure
 func (s *Simulator) estimateMC(p Plan) (Estimate, error) {
-	es := estPool.Get().(*estScratch)
-	defer es.release()
-	if err := s.compile(p, &es.cp); err != nil {
+	cp := &s.scr.eval.cp
+	if err := s.compile(p, cp); err != nil {
 		return Estimate{}, err
 	}
-	return s.summarize(es), nil
+	return s.summarize(cp), nil
 }
 
-// summarize fills es's compiled plan's missing sample vectors, prices
-// each of its s.samples Monte-Carlo rows and reduces them to the estimate's means and standard
-// deviations, summed in sorted order as stats.Summarize does.
-func (s *Simulator) summarize(es *estScratch) Estimate {
-	s.sampleVectors(&es.cp)
-	es.jcts, es.costs = resize(es.jcts, s.samples), resize(es.costs, s.samples)
+// summarize fills cp's missing sample vectors, prices each of its
+// s.samples Monte-Carlo rows and reduces them to the estimate's means
+// and standard deviations, summed in sorted order as stats.Summarize
+// does.
+func (s *Simulator) summarize(cp *compiledPlan) Estimate {
+	s.sampleVectors(cp)
+	sc := &s.scr
+	sc.jcts, sc.costs = resize(sc.jcts, s.samples), resize(sc.costs, s.samples)
 	for k := 0; k < s.samples; k++ {
-		es.jcts[k], es.costs[k], es.stack = s.priceSchedule(&es.cp, k, es.stack)
+		sc.jcts[k], sc.costs[k], sc.stack = s.priceSchedule(cp, k, sc.stack)
 	}
-	jct, jctStd := stats.MeanStdInPlace(es.jcts)
-	cost, costStd := stats.MeanStdInPlace(es.costs)
+	jct, jctStd := stats.MeanStdInPlace(sc.jcts)
+	cost, costStd := stats.MeanStdInPlace(sc.costs)
 	return Estimate{JCT: jct, JCTStd: jctStd, Cost: cost, CostStd: costStd}
 }
 
@@ -319,54 +293,30 @@ func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
 // meanLats returns the table's share column for per-trial shares 1..n
 // (entry per-1), every entry's mean filled: the profile's mean iteration
 // latency at that share, MeanIterLatency(per). The means are taken with
-// IterMean outside the lock, so filling them boxes no distribution, and
-// a filled mean never changes, so the returned column's means may be
-// read without the lock.
+// IterMean, so filling them boxes no distribution.
 func (s *Simulator) meanLats(n int) []iterShare {
-	s.mu.Lock()
 	t := s.tab
 	for per := t.full + 1; per <= n; per++ {
-		if t.share(per).hasMean {
-			continue
-		}
-		s.mu.Unlock()
-		mean := IterMean(s.profile, per)
-		s.mu.Lock()
 		if sh := t.share(per); !sh.hasMean {
-			sh.mean, sh.hasMean = mean, true
+			sh.mean, sh.hasMean = IterMean(s.profile, per), true
 		}
 	}
 	t.full = max(t.full, n)
-	col := t.shares[:n]
-	s.mu.Unlock()
-	return col
+	return t.shares[:n]
 }
 
 // iterShare returns the table's entry for per GPUs per trial with its
-// distribution filled. A miss asks the profile outside the lock and
-// stores first-write-wins: the entry is a pure function of the profile.
-// A mean meanLats filled is left as it is, since callers of meanLats read
-// it without the lock.
+// distribution filled. A mean meanLats filled is left as it is: it is
+// the distribution's mean either way.
 func (s *Simulator) iterShare(per int) iterShare {
-	s.mu.Lock()
-	sh := *s.tab.share(per)
-	s.mu.Unlock()
-	if sh.dist != nil {
-		return sh
-	}
-	d := s.profile.IterDist(per)
-	mean := d.Mean()
-	s.mu.Lock()
 	e := s.tab.share(per)
 	if e.dist == nil {
-		e.dist = d
+		e.dist = s.profile.IterDist(per)
+		if !e.hasMean {
+			e.mean, e.hasMean = e.dist.Mean(), true
+		}
 	}
-	if !e.hasMean {
-		e.mean, e.hasMean = mean, true
-	}
-	sh = *e
-	s.mu.Unlock()
-	return sh
+	return *e
 }
 
 // StaticClusterJCT is a quick analytic lower-bound estimate of a static

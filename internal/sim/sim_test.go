@@ -178,7 +178,7 @@ func TestOversizedAllocRejected(t *testing.T) {
 	if err := NewPlan(1, big).Validate(2); err == nil || !strings.Contains(err.Error(), "stage 1 allocated 2147483648 GPUs") {
 		t.Fatalf("Validate(2^31) = %v, want the stage-1 allocation error", err)
 	}
-	sm := stochasticSim(t, 4, 1, 31)
+	sm := stochasticSim(t, 4, 31)
 	plan := Plan{Alloc: []int{big<<1 + 16, 8, 4, 2}}
 	for _, est := range estimators {
 		if got, err := est.estimate(sm, plan); err == nil {
@@ -190,7 +190,6 @@ func TestOversizedAllocRejected(t *testing.T) {
 	}
 	e := sm.NewAnalyticEval()
 	_, _, err := e.Estimate(plan)
-	e.Release()
 	if err == nil {
 		t.Fatalf("analytic Estimate(%v) accepted the plan", plan)
 	}

@@ -22,8 +22,7 @@ const (
 // tables (see index), and records, vectors and moments are carved from
 // slabs; all of them, and the memo's columns, keep their capacity, so a
 // re-initialised Simulator's table fills without allocating and resets in time
-// independent of the largest table it ever held. Every field is guarded
-// by the owning Simulator's mu.
+// independent of the largest table it ever held.
 //
 // The table links its parts by handles, never pointers: the index maps
 // a key to its record's ref, and a record refers to its sample vector
@@ -180,8 +179,7 @@ type slab[T any] struct {
 // ref is a handle to a value carved from a slab: its chunk in the top
 // refChunkBits bits and its offset in the chunk below them, plus one, so
 // the zero ref is no value. Element k of a run taken at h is at h+k.
-// Chunks never move, so a ref resolves to the same value until rewind,
-// from any goroutine that obtained it under the table's lock.
+// Chunks never move, so a ref resolves to the same value until rewind.
 type ref uint32
 
 // refOffBits is the width of a ref's offset: a chunk may hold up to
