@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cloud"
@@ -394,17 +395,18 @@ func BenchmarkPlanFrontier(b *testing.B) {
 	}
 }
 
-// placementShape is 32 trials of 4 GPUs over 16 nodes of 8 GPUs, as an
-// allocation column of 64 trials whose first 32 are live.
-func placementShape() ([]int32, []*cluster.Node) {
-	cnodes := make([]*cluster.Node, 16)
+// placementShape is trials trials of 4 GPUs over trials/2 nodes of 8
+// GPUs, as an allocation column of 2*trials trials whose first trials
+// are live.
+func placementShape(trials int) ([]int32, []*cluster.Node) {
+	cnodes := make([]*cluster.Node, trials/2)
 	for i := range cnodes {
 		cnodes[i] = &cluster.Node{ID: cluster.NodeID(i), GPUs: 8}
 	}
-	allocs := make([]int32, 64)
+	allocs := make([]int32, 2*trials)
 	for i := range allocs {
 		allocs[i] = -1
-		if i < 32 {
+		if i < trials {
 			allocs[i] = 4
 		}
 	}
@@ -414,7 +416,7 @@ func placementShape() ([]int32, []*cluster.Node) {
 // BenchmarkPlacementUpdate measures one cold placement epoch: 32 trials
 // placed across 16 nodes by a fresh controller (Algorithm 3).
 func BenchmarkPlacementUpdate(b *testing.B) {
-	allocs, cnodes := placementShape()
+	allocs, cnodes := placementShape(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := new(placement.Controller)
@@ -426,21 +428,27 @@ func BenchmarkPlacementUpdate(b *testing.B) {
 }
 
 // BenchmarkPlacementHandoff measures the executor's most frequent epoch,
-// a warm queue hand-off on the same shape: one trial leaves its slot and
-// a queued trial of the same size joins.
+// a warm queue hand-off on the same shape at 8, 32 and 64 live trials:
+// one trial leaves its slot and a queued trial of the same size joins.
+// Its cost should not grow with the trial count.
 func BenchmarkPlacementHandoff(b *testing.B) {
-	allocs, cnodes := placementShape()
-	c := new(placement.Controller)
-	c.Reset(8)
-	if _, err := c.Update(allocs, cnodes); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		allocs[i%64], allocs[(i+32)%64] = -1, 4
-		if _, err := c.Update(allocs, cnodes); err != nil {
-			b.Fatal(err)
-		}
+	for _, trials := range []int{8, 32, 64} {
+		b.Run(fmt.Sprintf("trials=%d", trials), func(b *testing.B) {
+			allocs, cnodes := placementShape(trials)
+			c := new(placement.Controller)
+			c.Reset(8)
+			if _, err := c.Update(allocs, cnodes); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				allocs[i%(2*trials)], allocs[(i+trials)%(2*trials)] = -1, 4
+				if _, err := c.Update(allocs, cnodes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -68,34 +68,43 @@ func Moves(prev, next Plan) int {
 }
 
 // Controller computes placement plans over scheduling epochs. It owns
-// every buffer an epoch needs, so a warm Update allocates only the
-// assignments of the trials it (re)places.
+// every buffer an epoch needs, so a warm Update allocates nothing.
 type Controller struct {
 	nodeGPUs int
-	// current is the latest plan; spare is the buffer the next Update
-	// builds into, swapped with current on success.
-	current, spare Plan
-	locked         []bool
+	// current is the latest plan, which Update edits in place and Remove
+	// drops trials from. Its entries past its length, up to its
+	// capacity, are nil.
+	current Plan
+	locked  []bool
 	// cols are the nodes of the latest successful Update, with their free
 	// GPUs kept in step with current: Remove returns a trial's slots, so
-	// the next Update only applies what changed (see nodes). next is the
-	// buffer an Update builds the new columns in, swapped with cols on
-	// success, so a failed Update leaves them untouched.
-	cols, next nodeCols
-	// Update's scratch: the placement queue and the trials placed this
-	// epoch.
+	// the next Update only applies what changed (see nodes).
+	cols nodeCols
+	// gangs holds each trial's slot storage, carved from slab (carve).
+	gangs []gangStore
+	slab  []Slot
+	// Update's scratch: the placement queue, the trials placed this
+	// epoch, and the gangs it dropped, which a failed Update restores.
 	queue     []TrialID
 	placedNow []bool
-	// slots and spareSlots back the assignments of current and spare:
-	// Update carves every assignment of the plan it builds, preserved
-	// gangs copied, from spareSlots, and commit swaps the two. A plan's
-	// assignments therefore stay put until the Update after next, and a
-	// failed Update leaves current's untouched.
-	slots, spareSlots []Slot
+	undo      []edit
 	// loads and drain are DrainOrder's scratch: the nodes' loads and the
 	// order it returns.
 	loads []nodeLoad
 	drain []cluster.NodeID
+}
+
+// gangStore is one trial's slot storage: two halves of len(buf)/2 slots
+// each, its gangs written to them in turn, the latest to half side.
+type gangStore struct {
+	buf  []Slot
+	side int
+}
+
+// edit is one gang an Update dropped: trial t held prev.
+type edit struct {
+	t    TrialID
+	prev Assignment
 }
 
 // nodeCols are the live nodes' columns in one slab of three equal parts:
@@ -120,13 +129,12 @@ func (c *Controller) Reset(nodeGPUs int) {
 		panic(fmt.Sprintf("placement: nodeGPUs = %d", nodeGPUs))
 	}
 	clear(c.current)
-	clear(c.spare)
+	clear(c.gangs)
 	*c = Controller{
 		nodeGPUs: nodeGPUs,
-		current:  c.current[:0], spare: c.spare[:0], locked: c.locked[:0],
-		cols: c.cols[:0], next: c.next[:0],
-		queue: c.queue[:0], placedNow: c.placedNow[:0],
-		slots: c.slots[:0], spareSlots: c.spareSlots[:0],
+		current:  c.current[:0], locked: c.locked[:0], cols: c.cols[:0],
+		gangs: c.gangs[:0], slab: c.slab[:0],
+		queue: c.queue[:0], placedNow: c.placedNow[:0], undo: c.undo[:0],
 		loads: c.loads[:0], drain: c.drain[:0],
 	}
 }
@@ -168,27 +176,24 @@ func (c *Controller) Remove(t TrialID) {
 // allocation order, displacing smaller unlocked trials when necessary;
 // absent trials are dropped. The returned plan, indexed like allocs,
 // becomes the current plan and stays valid until the next Update or
-// Remove. Update builds into a spare buffer, so a failed Update leaves
-// the current plan untouched. An error, naming the lowest TrialID at
-// fault, is returned if an allocation is zero, demand exceeds capacity
-// or a locked trial's allocation changed. Node IDs are distinct, in any
-// order.
+// Remove. An error, naming the lowest TrialID at fault, is returned if
+// an allocation is zero, demand exceeds capacity or a locked trial's
+// allocation changed; a failed Update leaves the current plan as it
+// was. Node IDs are distinct, in any order.
 //
-// Free capacity is carried over from the previous epoch rather than
-// rebuilt: the nodes' columns start from the current plan's, a gang that
-// is not preserved returns its slots, and only a changed node set costs
-// a merge (see nodes).
+// Update edits the current plan in place: only the gangs that are not
+// preserved return their slots and are placed again, so a queue
+// hand-off copies no preserved gang, and a failed Update undoes its
+// placements and the drops it logged (see rollback). Free capacity is carried over
+// from the previous epoch rather than rebuilt, and only a changed node
+// set costs a merge (see nodes).
 func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error) {
-	demand, live, slots := 0, 0, 0
+	demand := 0
 	for t, g := range allocs {
 		if g == 0 {
 			return nil, fmt.Errorf("placement: trial %d allocated %d GPUs", t, g)
 		}
-		if g > 0 {
-			demand += int(g)
-			live++
-			slots += (int(g) + c.nodeGPUs - 1) / c.nodeGPUs
-		}
+		demand += max(int(g), 0)
 	}
 	capacity := 0
 	for _, n := range nodes {
@@ -197,81 +202,70 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 	if demand > capacity {
 		return nil, fmt.Errorf("placement: demand %d GPUs exceeds capacity %d", demand, capacity)
 	}
-	same := c.nodes(nodes)
+	cols, same := c.nodes(nodes)
 
-	// Start from assignments that can be preserved: trials present in the
+	// Keep the assignments that can be preserved: trials present in the
 	// current plan with an unchanged allocation and whose nodes all still
-	// exist (remove_discrepancies). Every other gang returns its slots.
-	// The current plan's slots all lie on c.cols's nodes, so on an
-	// unchanged node set every gang is on live nodes.
-	c.spare = resize(c.spare, len(allocs))
-	if cap(c.spareSlots) < slots {
-		// Room for every gang at its fewest slots: unless a trial is
-		// displaced and placed again, the plan fits.
-		c.spareSlots = make([]Slot, 0, slots)
-	}
-	c.spareSlots = c.spareSlots[:0]
-	plan := c.spare
-	kept := 0
+	// exist (remove_discrepancies). Every other gang is dropped and
+	// returns its slots, and every trial of allocs left without a gang
+	// joins the queue of trials to place. The current plan's slots all
+	// lie on c.cols's nodes, so on an unchanged node set every gang is
+	// on live nodes.
+	n := len(c.current)
+	c.current = extend(c.current, len(allocs))
+	c.gangs = extend(c.gangs, len(allocs))
+	c.undo, c.queue = c.undo[:0], c.queue[:0]
 	for i, a := range c.current {
-		if a == nil {
-			continue
-		}
 		t, want := TrialID(i), -1
 		if i < len(allocs) {
 			want = int(allocs[i])
 		}
-		held, onLive := 0, true
-		for _, s := range a {
-			held += s.GPUs
-			onLive = onLive && (same || c.next.pos(s.Node) >= 0)
+		if a != nil {
+			held, onLive := 0, true
+			for _, s := range a {
+				held += s.GPUs
+				onLive = onLive && (same || cols.pos(s.Node) >= 0)
+			}
+			switch {
+			case held == want && onLive:
+				continue
+			case !c.isLocked(t):
+				c.drop(cols, c.current, t)
+			case want < 0:
+				return c.rollback(cols, n, 0, fmt.Errorf("placement: locked trial %d removed from allocation", t))
+			default:
+				return c.rollback(cols, n, 0, fmt.Errorf("placement: locked trial %d needs reallocation", t))
+			}
 		}
-		switch {
-		case held == want && onLive:
-			plan[t] = append(c.carve(len(a)), a...)
-			kept++
-		case !c.isLocked(t):
-			c.next.release(a)
-		case want < 0:
-			return nil, fmt.Errorf("placement: locked trial %d removed from allocation", t)
-		default:
-			return nil, fmt.Errorf("placement: locked trial %d needs reallocation", t)
+		if want > 0 {
+			c.queue = append(c.queue, t)
 		}
 	}
-
-	// Fast path: everything preserved.
-	if kept == live {
-		c.commit(plan)
-		return plan, nil
-	}
+	// Every trial past allocs was dropped.
+	plan := c.current[:len(allocs)]
 
 	// Free capacity now excludes exactly the preserved slots. It can be
-	// negative only where a node's capacity shrank under them.
-	ids, _, free := c.next.split()
+	// negative only where a node's capacity shrank under them, which
+	// fails the Update unless every gang was preserved.
+	ids, _, free := cols.split()
 	for j, f := range free {
-		if f < 0 {
-			return nil, fmt.Errorf("placement: preserved plan oversubscribes node %d", ids[j])
+		if f < 0 && len(c.queue) > 0 {
+			return c.rollback(cols, n, 0, fmt.Errorf("placement: preserved plan oversubscribes node %d", ids[j]))
 		}
 	}
 
-	// Queue of trials to place, largest first (Algorithm 3's
-	// sort_by_alloc descending). Trials placed during this epoch cannot
-	// themselves be displaced — each queued trial gets exactly one
-	// placement opportunity, which guarantees termination.
-	c.queue = c.queue[:0]
-	for t, g := range allocs {
-		if g >= 0 && plan[t] == nil {
-			c.queue = append(c.queue, TrialID(t))
-		}
-	}
+	// Place the queue largest first (Algorithm 3's sort_by_alloc
+	// descending). Trials placed during this epoch cannot themselves be
+	// displaced — each queued trial gets exactly one placement
+	// opportunity, which guarantees termination.
 	sortTrials(c.queue, allocs)
 
 	c.placedNow = resize(c.placedNow, len(allocs))
 	for head := 0; head < len(c.queue); head++ {
 		t, queued := c.queue[head], len(c.queue)
-		asg, err := c.place(t, int(allocs[t]), plan)
+		asg, err := c.place(cols, t, int(allocs[t]), plan)
 		if err != nil {
-			return nil, err
+			return c.rollback(cols, n, head+1, err)
 		}
 		plan[t] = asg
 		c.placedNow[t] = true
@@ -279,53 +273,88 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 			sortTrials(c.queue[head+1:], allocs)
 		}
 	}
-	c.commit(plan)
+	c.current = plan
+	if !same {
+		c.cols = append(c.cols[:0], cols...)
+	}
 	return plan, nil
 }
 
-// commit makes plan the current plan and the columns built for it the
-// current columns.
-func (c *Controller) commit(plan Plan) {
-	c.current, c.spare = plan, c.current
-	c.cols, c.next = c.next, c.cols
-	c.slots, c.spareSlots = c.spareSlots, c.slots
+// drop takes trial t's gang out of plan, returning its slots to cols,
+// and logs it.
+func (c *Controller) drop(cols nodeCols, plan Plan, t TrialID) {
+	c.undo = append(c.undo, edit{t, plan[t]})
+	cols.release(plan[t])
+	plan[t] = nil
 }
 
-// carve returns an empty assignment with room for n slots, carved from
-// the storage of the plan being built, which Update sizes for the
-// plan's gangs. When the storage is full (a displaced trial placed
-// again) it moves on to a fresh array at least twice as large;
-// assignments already carved keep the old one.
+// rollback undoes a failed Update and returns err. It drops the gangs
+// of the first placed trials of the queue, each handing its storage
+// half back (see carve), then takes the logged gangs back, latest
+// first, so the current plan, cut back to its n entries, and the
+// current columns are as the last Update left them.
+func (c *Controller) rollback(cols nodeCols, n, placed int, err error) (Plan, error) {
+	for _, t := range c.queue[:placed] {
+		c.gangs[t].side ^= 1
+		cols.release(c.current[t])
+		c.current[t] = nil
+	}
+	for i := len(c.undo) - 1; i >= 0; i-- {
+		e := c.undo[i]
+		cols.add(e.prev, -1)
+		c.current[e.t] = e.prev
+	}
+	c.current = c.current[:n]
+	return nil, err
+}
+
+// carve returns an empty assignment with room for n slots for trial t,
+// in the half of its storage its latest gang does not use. So the gangs
+// of the returned plan, and of any copy of it, stay intact through the
+// next Update, failed or not: a trial is placed at most once per Update.
+// A trial whose gang outgrows its halves moves on to a fresh pair from
+// the slab, which moves on to a fresh array when full, at least twice as
+// large and with room for a 1-slot pair per trial; storage carved
+// earlier keeps the old one.
 //
 //rbvet:noalloc
-func (c *Controller) carve(n int) Assignment {
-	b := c.spareSlots
-	if len(b)+n > cap(b) {
-		//rbvet:ignore noalloc — cold path: grows until the storage holds an epoch's widest plan
-		b = make([]Slot, 0, max(2*cap(b), n))
+func (c *Controller) carve(t TrialID, n int) Assignment {
+	g := &c.gangs[t]
+	if len(g.buf) < 2*n {
+		b := c.slab
+		if len(b)+2*n > cap(b) {
+			//rbvet:ignore noalloc — cold path: grows until the slab holds a run's gangs
+			b = make([]Slot, 0, max(2*cap(b), 2*n, 2*len(c.gangs)))
+		}
+		c.slab = b[:len(b)+2*n]
+		g.buf = b[len(b) : len(b)+2*n : len(b)+2*n]
 	}
-	c.spareSlots = b[:len(b)+n]
-	return b[len(b) : len(b) : len(b)+n]
+	g.side ^= 1
+	lo := g.side * len(g.buf) / 2
+	return g.buf[lo : lo : lo+n]
 }
 
-// nodes fills c.next with the columns of nodes and the free capacity the
-// current plan leaves on them, and reports whether the node set is the
-// one c.cols holds: the same IDs and capacities, in ascending order. Then
-// the columns are copied; otherwise carry merges them with c.cols. Gangs
-// on removed nodes are for Update to drop.
-func (c *Controller) nodes(nodes []*cluster.Node) bool {
+// nodes returns the columns Update works on and whether they are c.cols
+// itself: they are when nodes is the node set c.cols holds, the same IDs
+// and capacities in ascending order. Otherwise carry builds the columns
+// of nodes past c.cols's end, in the same storage, so a failed Update
+// leaves c.cols untouched. Gangs on removed nodes are for Update to drop.
+func (c *Controller) nodes(nodes []*cluster.Node) (nodeCols, bool) {
 	ids, caps, _ := c.cols.split()
 	same := len(nodes) == len(ids)
 	for i := 0; same && i < len(nodes); i++ {
 		same = int(nodes[i].ID) == ids[i] && nodes[i].GPUs == caps[i]
 	}
 	if same {
-		c.next = append(c.next[:0], c.cols...)
-		return true
+		return c.cols, true
 	}
-	c.next = resize(c.next, 3*len(nodes))
-	c.next.carry(nodes, c.cols)
-	return false
+	k, m := len(c.cols), 3*len(nodes)
+	if cap(c.cols) < k+m {
+		c.cols = append(make(nodeCols, 0, k+m), c.cols...)
+	}
+	cols := c.cols[k : k+m]
+	cols.carry(nodes, c.cols)
+	return cols, false
 }
 
 // carry fills the columns, already sized for nodes, with the nodes' IDs
@@ -374,11 +403,17 @@ func (n nodeCols) pos(id cluster.NodeID) int {
 // nodes no longer among the columns.
 //
 //rbvet:noalloc
-func (n nodeCols) release(a Assignment) {
+func (n nodeCols) release(a Assignment) { n.add(a, 1) }
+
+// add adds sign times each slot's GPUs to its node's free capacity,
+// skipping slots on nodes not among the columns.
+//
+//rbvet:noalloc
+func (n nodeCols) add(a Assignment, sign int) {
 	_, _, free := n.split()
 	for _, s := range a {
 		if i := n.pos(s.Node); i >= 0 {
-			free[i] += s.GPUs
+			free[i] += sign * s.GPUs
 		}
 	}
 }
@@ -394,14 +429,22 @@ func resize[S ~[]E, E any](buf S, n int) S {
 	return buf
 }
 
-// place assigns want GPUs to trial t, mutating plan and c.next's free GPUs. It may
-// displace smaller trials — excluding locked trials and trials already
-// placed this epoch — which are removed from plan (their capacity returned
-// to c.next) and appended to c.queue for their own placement attempt.
-// Nodes hold nodeGPUs GPUs, so each unit lands on a node of its own.
-func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
-	ids, _, free := c.next.split()
-	asg := c.carve((want + c.nodeGPUs - 1) / c.nodeGPUs)
+// extend returns buf with length at least n, its elements kept and the
+// ones it adds zero: buf's elements past its length, up to its
+// capacity, must be zero.
+func extend[S ~[]E, E any](buf S, n int) S {
+	return slices.Grow(buf, max(n-len(buf), 0))[:max(n, len(buf))]
+}
+
+// place assigns want GPUs to trial t, mutating plan and cols's free GPUs.
+// It may displace smaller trials — excluding locked trials and trials
+// already placed this epoch — which are dropped from plan and appended
+// to c.queue for their own placement attempt. Nodes hold nodeGPUs GPUs,
+// so each unit lands on a node of its own. On failure the units already
+// placed return their GPUs.
+func (c *Controller) place(cols nodeCols, t TrialID, want int, plan Plan) (Assignment, error) {
+	ids, _, free := cols.split()
+	asg := c.carve(t, (want+c.nodeGPUs-1)/c.nodeGPUs)
 	for remaining := want; remaining > 0; {
 		// The unit is a full node for whole-node chunks, or the entire
 		// remainder (which must then be co-located on a single node).
@@ -410,12 +453,12 @@ func (c *Controller) place(t TrialID, want int, plan Plan) (Assignment, error) {
 		if !ok {
 			// Displace: free the smallest displaceable trial whose
 			// removal opens a node with enough room.
-			victim, vok := c.pickVictim(plan, unit, t)
+			victim, vok := c.pickVictim(cols, plan, unit, t)
 			if !vok {
+				cols.release(asg)
 				return nil, fmt.Errorf("placement: cannot fit %d GPUs for trial %d", unit, t)
 			}
-			c.next.release(plan[victim])
-			plan[victim] = nil
+			c.drop(cols, plan, victim)
 			c.queue = append(c.queue, victim)
 			continue
 		}
@@ -448,8 +491,8 @@ func bestFit(free []int, unit int) (int, bool) {
 // and trials placed this epoch are not displaceable.
 //
 //rbvet:noalloc
-func (c *Controller) pickVictim(plan Plan, unit int, t TrialID) (TrialID, bool) {
-	_, _, free := c.next.split()
+func (c *Controller) pickVictim(cols nodeCols, plan Plan, unit int, t TrialID) (TrialID, bool) {
+	_, _, free := cols.split()
 	victim := TrialID(-1)
 	victimGPUs := int(^uint(0) >> 1)
 	for i, asg := range plan {
@@ -465,7 +508,7 @@ func (c *Controller) pickVictim(plan Plan, unit int, t TrialID) (TrialID, bool) 
 		}
 		// Would removing cand open enough room somewhere?
 		for _, s := range asg {
-			if free[c.next.pos(s.Node)]+s.GPUs >= unit {
+			if free[cols.pos(s.Node)]+s.GPUs >= unit {
 				victim, victimGPUs = cand, g
 				break
 			}

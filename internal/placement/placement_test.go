@@ -887,10 +887,11 @@ func (b *byteOps) Intn(n int) int {
 // replacement, scale-up) — and requires identical plans, and identical
 // success or failure, at every Update. It also holds the plan lifetime
 // contract: the last plan Update returned stays intact until the next
-// Update or Remove, including across a failed Update, and requires the
-// free capacity the controller carries across epochs to equal the
-// per-epoch rebuild after every op. It returns the Update and failure
-// counts.
+// Update or Remove, including across a failed Update, and the gangs it
+// holds stay intact through the next Update, as the executor's barrier
+// copy of it needs. It also requires the free capacity the controller
+// carries across epochs to equal the per-epoch rebuild after every op.
+// It returns the Update and failure counts.
 func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures int) {
 	t.Helper()
 	gpn := []int{1, 2, 4, 8}[r.Intn(4)]
@@ -899,7 +900,9 @@ func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures i
 	nextNode := cluster.NodeID(len(nodes))
 	allocs := map[TrialID]int{}
 	nextTrial := TrialID(0)
-	var last, snap Plan // the live returned plan and its deep copy
+	// The live returned plan, its deep copy and a shallow copy of it,
+	// taken when it was returned.
+	var last, snap, barrier Plan
 	checkLast := func(op int, what string) {
 		t.Helper()
 		if last != nil && !slices.EqualFunc(last, snap, slices.Equal) {
@@ -911,6 +914,9 @@ func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures i
 		checkLast(op, "the next Update")
 		got, err := c.Update(column(allocs, int(nextTrial)+r.Intn(3)), nodes)
 		want, werr := ref.Update(maps.Clone(allocs), nodes)
+		if !slices.EqualFunc(barrier, snap, slices.Equal) {
+			t.Fatalf("op %d: the Update after a plan changed its gangs: %v, was %v", op, barrier, snap)
+		}
 		updates++
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("op %d: error %v, reference %v", op, err, werr)
@@ -923,7 +929,7 @@ func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures i
 		if !matchesRef(got, want) {
 			t.Fatalf("op %d: plan %v, reference %v", op, got, want)
 		}
-		last, snap = got, clonePlan(got)
+		last, snap, barrier = got, clonePlan(got), slices.Clone(got)
 	}
 	for op := 0; op < ops; op++ {
 		switch k := r.Intn(12); {
@@ -1114,8 +1120,8 @@ func (h *handoffShape) handoff() {
 	h.k++
 }
 
-// TestUpdateHandoffAllocs: once both plan buffers, both slot buffers and
-// the scratch exist, a hand-off Update carves the newcomer's Assignment
+// TestUpdateHandoffAllocs: once the plan, the slot storage and the
+// scratch exist, a hand-off Update carves the newcomer's Assignment
 // from the slot storage and allocates nothing, and neither does an
 // Update that preserves everything.
 func TestUpdateHandoffAllocs(t *testing.T) {
@@ -1175,10 +1181,8 @@ func TestUpdateScratchFollowsLiveNodes(t *testing.T) {
 			}
 		}
 	}
-	for _, cols := range []nodeCols{cs.cols, cs.next} {
-		if cap(cols) > 3*len(sparse) {
-			t.Fatalf("node columns sized %d for %d live nodes (3 columns each)", cap(cols), len(sparse))
-		}
+	if cap(cs.cols) > 3*len(sparse) {
+		t.Fatalf("node columns sized %d for %d live nodes (3 columns each)", cap(cs.cols), len(sparse))
 	}
 	drain := cs.DrainOrder(sparse)
 	wantDrain := cd.DrainOrder(dense)

@@ -69,12 +69,40 @@ var known = [...]Kind{
 }
 
 // KindCode returns the code of a known kind, which KnownKind maps back
-// to it, or false for a kind outside the known set.
+// to it, or false for a kind outside the known set. Every Record asks, so
+// it switches rather than scans; TestKindCodes holds it to known's order.
 func KindCode(k Kind) (uint8, bool) {
-	for c, kk := range known {
-		if kk == k {
-			return uint8(c), true
-		}
+	switch k {
+	case KindStageStart:
+		return 0, true
+	case KindStageEnd:
+		return 1, true
+	case KindTrialStart:
+		return 2, true
+	case KindTrialIter:
+		return 3, true
+	case KindTrialPause:
+		return 4, true
+	case KindTrialKill:
+		return 5, true
+	case KindTrialDone:
+		return 6, true
+	case KindScaleUp:
+		return 7, true
+	case KindScaleDown:
+		return 8, true
+	case KindNodeReady:
+		return 9, true
+	case KindCheckpoint:
+		return 10, true
+	case KindRestore:
+		return 11, true
+	case KindProfilePoint:
+		return 12, true
+	case KindDriftTrigger:
+		return 13, true
+	case KindReplan:
+		return 14, true
 	}
 	return 0, false
 }

@@ -11,20 +11,15 @@ import (
 
 // specEvent is the model's record of one scheduled event.
 type specEvent struct {
-	at        Time
-	seq       uint64
-	fired     bool
-	cancelled bool
+	at    Time
+	seq   uint64
+	fired bool
 }
-
-func (e *specEvent) pending() bool { return !e.fired && !e.cancelled }
 
 // specModel tracks every event a script schedules and checks each kernel
 // observation against the kernel's specification:
-//   - every uncancelled event fires exactly once, at its scheduled time,
-//     in strictly increasing (at, seq) order;
-//   - a cancelled event never fires;
-//   - Cancel returns true exactly when the event was pending;
+//   - every event fires exactly once, at its scheduled time, in strictly
+//     increasing (at, seq) order;
 //   - Pending equals the number of model events still pending, and a
 //     bounded drain (Advance, Run) leaves none at or before its bound.
 //
@@ -61,30 +56,16 @@ func (m *specModel) fire(tag int) {
 		return
 	case e.fired:
 		m.failf("event %d fired twice", tag)
-	case e.cancelled:
-		m.failf("cancelled event %d fired", tag)
 	case m.c.Now() != e.at:
 		m.failf("event %d fired at %v, scheduled for %v", tag, m.c.Now(), e.at)
 	case m.last != nil && (e.at < m.last.at || e.at == m.last.at && e.seq <= m.last.seq):
 		m.failf("event %d (at %v, seq %d) fired after (at %v, seq %d)", tag, e.at, e.seq, m.last.at, m.last.seq)
 	}
-	if e.pending() {
+	if !e.fired {
 		m.open--
 	}
 	e.fired = true
 	m.last = e
-}
-
-// cancel checks Cancel's result for tag: true exactly when pending.
-func (m *specModel) cancel(tag int, got bool) {
-	e := m.tags[tag]
-	if want := e.pending(); got != want {
-		m.failf("Cancel(event %d) = %v, want %v", tag, got, want)
-	}
-	if got && e.pending() {
-		e.cancelled = true
-		m.open--
-	}
 }
 
 // drainedTo checks the clock's queue length and that no pending event is
@@ -94,22 +75,19 @@ func (m *specModel) drainedTo(bound Time) {
 		m.failf("Pending() = %d, model holds %d", p, m.open)
 	}
 	for _, e := range m.all {
-		if e.pending() && e.at <= bound {
+		if !e.fired && e.at <= bound {
 			m.failf("event (at %v, seq %d) still pending after a drain to %v", e.at, e.seq, bound)
 			return
 		}
 	}
 }
 
-// tagged pairs a script event's tag with the handle that cancels it.
-type tagged[H any] struct {
-	tag int
-	h   H
-}
-
 // scriptResult is what a script run reports besides spec violations.
 type scriptResult struct {
-	fires, dogFires int
+	fires int
+	// dogFires counts watchdogs that fired while their event was still
+	// pending: an event lost or reordered.
+	dogFires int
 	// peak is the largest number of events pending at once between
 	// script ops.
 	peak int
@@ -120,31 +98,31 @@ type scriptResult struct {
 // kernel's specification (see specModel), returning the first
 // violation. The byte stream decodes into triples (opcode byte, uint16
 // payload); the opcode space covers scheduling (near, same-instant, and
-// far-future), opcode-dispatch scheduling, cancellation of both closure
-// and opcode events, single steps, bounded Advance, horizon Run, and
-// RunUntil — every public way to move the clock. An opcode event
-// scheduled with an odd payload also arms a watchdog opcode event
-// (tagged -1-tag) that the event cancels when it fires, the executor's
-// schedule/cancel churn pattern.
+// far-future), opcode-dispatch scheduling, single steps, bounded
+// Advance, horizon Run, and RunUntil — every public way to move the
+// clock. An opcode event scheduled with an odd payload also arms a
+// watchdog opcode event (tagged -1-tag) that the event disarms when it
+// fires, the executor's pattern for abandoned events: the watchdog
+// still fires, and finds itself stale.
 func runScript(data []byte) (scriptResult, error) {
 	c := New()
 	m := &specModel{c: c, tags: map[int]*specEvent{}}
 	var r scriptResult
-	var timers []tagged[Timer]
-	var ophs []tagged[Handle]
-	dogs := map[int64]Handle{}
+	armed := map[int64]bool{} // watchdogs by event tag, while armed
 	nextTag := 0
 	const maxFires = 1 << 15
 	fire := func(tag int) {
 		r.fires++
-		if tag < 0 {
-			r.dogFires++
-		}
 		m.fire(tag)
 	}
 	id := c.RegisterDispatcher(func(op uint8, a, b int64) {
-		if h, ok := dogs[a]; op == 1 && ok {
-			m.cancel(int(-1-a), c.Cancel(h))
+		switch op {
+		case 1:
+			delete(armed, a)
+		case 2:
+			if armed[-1-a] {
+				r.dogFires++
+			}
 		}
 		fire(int(a))
 	})
@@ -152,7 +130,7 @@ func runScript(data []byte) (scriptResult, error) {
 		tag := nextTag
 		nextTag++
 		at := c.Now() + Time(delay)
-		timers = append(timers, tagged[Timer]{tag, c.At(at, func() {
+		c.At(at, func() {
 			fire(tag)
 			if spawn && r.fires < maxFires {
 				child := nextTag
@@ -163,14 +141,14 @@ func runScript(data []byte) (scriptResult, error) {
 				c.At(cat, func() { fire(child) })
 				m.scheduled(child, cat)
 			}
-		})})
+		})
 		m.scheduled(tag, at)
 	}
 	for len(data) >= 3 && m.err == nil {
 		op, arg := data[0], binary.LittleEndian.Uint16(data[1:3])
 		data = data[3:]
 		bound := math.Inf(-1)
-		switch op % 8 {
+		switch op % 6 {
 		case 0: // schedule a closure event within ~2 minutes
 			schedule(float64(arg)/512, false)
 		case 1: // schedule a spawning closure event (fires schedule more)
@@ -179,32 +157,23 @@ func runScript(data []byte) (scriptResult, error) {
 			tag := nextTag
 			nextTag++
 			at := c.Now() + Time(arg)*0.03
-			ophs = append(ophs, tagged[Handle]{tag, c.AtOp(at, id, 1, int64(tag), 0)})
+			c.AtOp(at, id, 1, int64(tag), 0)
 			m.scheduled(tag, at)
 			if arg&1 == 1 {
-				dogs[int64(tag)] = c.AtOp(at+90, id, 2, int64(-1-tag), 0)
+				armed[int64(tag)] = true
+				c.AtOp(at+90, id, 2, int64(-1-tag), 0)
 				m.scheduled(-1-tag, at+90)
 			}
 		case 3: // schedule far in the future (up to ~73 virtual days)
 			schedule(float64(arg)*97.0, false)
-		case 4: // cancel a closure timer
-			if len(timers) > 0 {
-				t := timers[int(arg)%len(timers)]
-				m.cancel(t.tag, t.h.Stop())
-			}
-		case 5: // cancel an opcode event via its raw handle
-			if len(ophs) > 0 {
-				o := ophs[int(arg)%len(ophs)]
-				m.cancel(o.tag, c.Cancel(o.h))
-			}
-		case 6: // advance a bounded window
+		case 4: // advance a bounded window
 			target := c.Now() + Time(arg)/256
 			c.Advance(float64(arg) / 256)
 			if c.Now() != target {
 				m.failf("Advance stopped at %v, want %v", c.Now(), target)
 			}
 			bound = float64(target)
-		case 7: // mixed drains: step, horizon run, or RunUntil a fire quota
+		case 5: // mixed drains: step, horizon run, or RunUntil a fire quota
 			switch arg % 3 {
 			case 0:
 				c.Step()
@@ -238,9 +207,9 @@ func runScript(data []byte) (scriptResult, error) {
 const populationScale = 2048
 
 // populationScript is a seeded script that schedules populationScale
-// watchdogged opcode events (each cancels its watchdog when it fires)
-// before draining any, interleaved with short advances so firing,
-// cancelling and scheduling all happen at population scale.
+// watchdogged opcode events (each disarms its watchdog when it fires)
+// before draining any, interleaved with short advances so firing and
+// scheduling both happen at population scale.
 func populationScript(seed uint64) []byte {
 	var data []byte
 	for i := 0; i < populationScale; i++ {
@@ -249,14 +218,14 @@ func populationScript(seed uint64) []byte {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		data = append(data, 2, byte(z)|1, byte(z>>8)) // odd payload: watchdogged
 		if i%64 == 63 {
-			data = append(data, 6, byte(z>>16), 0) // advance < 1 s
+			data = append(data, 4, byte(z>>16), 0) // advance < 1 s
 		}
 	}
-	return append(data, 7, 2, 0) // RunUntil a small fire quota
+	return append(data, 5, 2, 0) // RunUntil a small fire quota
 }
 
 // TestKernelDifferentialRandomScripts drives the kernel through
-// randomized schedule/cancel/advance scripts, plus one seeded
+// randomized schedule/advance scripts, plus one seeded
 // population-scale script, and holds every run to the specification
 // runScript checks.
 func TestKernelDifferentialRandomScripts(t *testing.T) {
@@ -286,7 +255,7 @@ func TestKernelDifferentialRandomScripts(t *testing.T) {
 		t.Fatalf("population script peaked at %d pending events, want >= %d", r.peak, populationScale)
 	}
 	if r.dogFires != 0 {
-		t.Fatalf("%d watchdogs fired: their events were lost or reordered", r.dogFires)
+		t.Fatalf("%d armed watchdogs fired: their events were lost or reordered", r.dogFires)
 	}
 }
 
@@ -384,22 +353,18 @@ func TestQuickSameTickFIFO(t *testing.T) {
 	}
 }
 
-// TestOverflowCascade schedules events weeks of virtual time ahead,
-// cancels one, and checks the rest fire in global order after a near
-// event.
+// TestOverflowCascade schedules events weeks of virtual time ahead and
+// checks they fire in global order after a near event.
 func TestOverflowCascade(t *testing.T) {
 	c := New()
 	var got []Time
 	record := func(at Time) func() { return func() { got = append(got, at) } }
-	far := []Time{2_000_000, 1_000_000, 3_000_000}
-	var timers []Timer
-	for _, at := range far {
-		timers = append(timers, c.At(at, record(at)))
+	for _, at := range []Time{2_000_000, 1_000_000, 3_000_000} {
+		c.At(at, record(at))
 	}
 	c.At(5, record(5))
-	timers[2].Stop() // cancel the farthest
 	c.Run(0)
-	want := []Time{5, 1_000_000, 2_000_000}
+	want := []Time{5, 1_000_000, 2_000_000, 3_000_000}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}

@@ -9,13 +9,15 @@
 // event.
 //
 // The queue is a binary min-heap of slab indices ordered by exact
-// (time, sequence). Schedule, cancel and fire are O(log n) in the
-// number of pending events, which in a real experiment is a few dozen
-// at most. Cancel removes the event eagerly, so the heap holds only
-// pending events and pops them in exactly (time, sequence) order.
+// (time, sequence). Schedule and fire are O(log n) in the number of
+// pending events, which in a real experiment is a few dozen at most,
+// and each sift moves a hole, one write per level. Events cannot be
+// cancelled: a component that abandons one (the executor's stranded
+// iterations) lets it fire and ignores it, so the heap tracks no
+// positions.
 //
-// Events are stored in a slab indexed by small integer handles; firing
-// an event performs no heap allocation. Callbacks come in two forms:
+// Events are stored in a slab reused through a free list; firing an
+// event performs no heap allocation. Callbacks come in two forms:
 // closures (At, After) for control-plane convenience, and pre-resolved
 // opcode dispatch (RegisterDispatcher, AtOp) for hot loops that must
 // not allocate per event — the stats.Lat opcode pattern applied
@@ -42,44 +44,17 @@ func (t Time) String() string {
 	return fmt.Sprintf("%02d:%06.3f", m, s)
 }
 
-// event is one slab slot: a scheduled callback and its heap position.
-// Slots are reused through a free list; gen increments on every release
-// so stale handles cannot cancel a recycled slot.
+// event is one slab slot: a scheduled callback. Slots are reused
+// through a free list.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among simultaneous events
 	fn  func() // closure payload (nil for opcode events)
 	a,
 	b int64 // opcode arguments
-	next int32  // free-list link as slab index + 1 (0 end)
-	pos  int32  // heap position while pending
-	disp int32  // dispatcher id (-1 for closure events)
-	gen  uint32 // handle generation, bumped on release
-	op   uint8  // opcode
-}
-
-// Handle identifies a scheduled event without allocating. The zero
-// Handle is invalid. Handles stay safe across slot reuse: cancelling a
-// fired or already-cancelled event is a no-op returning false, because
-// its generation no longer matches the slot's.
-type Handle struct {
-	ref int32 // slab index + 1; 0 = no event
-	gen uint32
-}
-
-// Timer is a handle to a scheduled event; Stop cancels it.
-type Timer struct {
-	c *Clock
-	h Handle
-}
-
-// Stop cancels the timer if it has not fired. It reports whether the
-// timer was still pending.
-func (t Timer) Stop() bool { //rbvet:ignore unreached — the kernel's script tests specify cancellation through it
-	if t.c == nil {
-		return false
-	}
-	return t.c.Cancel(t.h)
+	next int32 // free-list link as slab index + 1 (0 end)
+	disp int32 // dispatcher id (-1 for closure events)
+	op   uint8 // opcode
 }
 
 // Dispatcher is a pre-resolved opcode handler. Hot loops register one
@@ -107,9 +82,8 @@ func New() *Clock { return &Clock{} }
 // Reset returns the clock to the state New gives — time zero, no events,
 // no dispatchers — keeping the event slab's and the heap's capacity, so a
 // recycled clock schedules its next run without growing them again. It
-// drops every callback it held, and it hands out the same handles, in
-// the same order, as a new clock would: a slot is claimed by appending
-// to the emptied slab, exactly as on a fresh one.
+// drops every callback it held, and it claims slab slots in the same
+// order as a new clock would: by appending to the emptied slab.
 func (c *Clock) Reset() {
 	clear(c.events)
 	clear(c.disp)
@@ -139,18 +113,17 @@ func (c *Clock) RegisterDispatcher(d Dispatcher) DispatchID {
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past (before Now) panics — it would mean causality violation in the
 // simulation.
-func (c *Clock) At(at Time, fn func()) Timer {
-	h := c.schedule(at, fn, -1, 0, 0, 0)
-	return Timer{c: c, h: h}
+func (c *Clock) At(at Time, fn func()) {
+	c.schedule(at, fn, -1, 0, 0, 0)
 }
 
 // After schedules fn to run d seconds after the current time. Negative d
 // panics.
-func (c *Clock) After(d float64, fn func()) Timer {
+func (c *Clock) After(d float64, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative delay %v", d))
 	}
-	return c.At(c.now+Time(d), fn)
+	c.At(c.now+Time(d), fn)
 }
 
 // AtOp schedules an opcode event at absolute virtual time at: when it
@@ -159,8 +132,8 @@ func (c *Clock) After(d float64, fn func()) Timer {
 // dispatch path.
 //
 //rbvet:noalloc
-func (c *Clock) AtOp(at Time, id DispatchID, op uint8, a, b int64) Handle {
-	return c.schedule(at, nil, int32(id), op, a, b)
+func (c *Clock) AtOp(at Time, id DispatchID, op uint8, a, b int64) {
+	c.schedule(at, nil, int32(id), op, a, b)
 }
 
 // finite reports whether t is a real instant: neither NaN nor ±Inf.
@@ -168,62 +141,27 @@ func finite(t Time) bool {
 	return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0)
 }
 
-// schedule validates, claims a slab slot, and enqueues.
-func (c *Clock) schedule(at Time, fn func(), disp int32, op uint8, a, b int64) Handle {
+// schedule validates, claims a slab slot from the free list, and
+// enqueues. The appends grow the slab and the heap only until they have
+// held the run's peak pending count.
+func (c *Clock) schedule(at Time, fn func(), disp int32, op uint8, a, b int64) {
 	if at < c.now {
 		panic(fmt.Sprintf("vclock: scheduling at %v before now %v", at, c.now))
 	}
 	if !finite(at) {
 		panic(fmt.Sprintf("vclock: invalid time %v", at))
 	}
-	idx := c.alloc()
-	e := &c.events[idx]
-	e.at, e.seq = at, c.seq
-	e.fn, e.disp, e.op, e.a, e.b = fn, disp, op, a, b
-	c.seq++
-	c.push(idx)
-	return Handle{ref: idx + 1, gen: e.gen}
-}
-
-// alloc claims a slab slot from the free list, growing the slab when it
-// is exhausted.
-func (c *Clock) alloc() int32 {
-	if c.free > 0 {
-		idx := c.free - 1
+	idx := c.free - 1
+	if idx >= 0 {
 		c.free = c.events[idx].next
-		return idx
+	} else {
+		idx = int32(len(c.events))
+		c.events = append(c.events, event{})
 	}
-	return c.grow()
-}
-
-// grow appends a fresh slab slot. Kept out of alloc so the steady-state
-// schedule path stays allocation-free once the slab has warmed up.
-func (c *Clock) grow() int32 {
-	c.events = append(c.events, event{})
-	return int32(len(c.events) - 1)
-}
-
-// release returns a slot to the free list and invalidates handles to it.
-func (c *Clock) release(idx int32) {
-	e := &c.events[idx]
-	e.fn = nil
-	e.gen++
-	e.next = c.free
-	c.free = idx + 1
-}
-
-// Cancel cancels the event h refers to if it is still pending. It
-// reports whether the event was cancelled. O(log n).
-//
-//rbvet:noalloc
-func (c *Clock) Cancel(h Handle) bool { //rbvet:ignore unreached — the kernel's script and fuzz tests specify cancellation through it
-	idx := h.ref - 1
-	if idx < 0 || int(idx) >= len(c.events) || c.events[idx].gen != h.gen {
-		return false
-	}
-	c.remove(c.events[idx].pos)
-	c.release(idx)
-	return true
+	c.events[idx] = event{at: at, seq: c.seq, fn: fn, a: a, b: b, disp: disp, op: op}
+	c.seq++
+	c.heap = append(c.heap, idx)
+	c.up(int32(len(c.heap)-1), idx)
 }
 
 // Step pops and executes the earliest event, advancing Now to its time.
@@ -234,12 +172,14 @@ func (c *Clock) Step() bool {
 	if len(c.heap) == 0 {
 		return false
 	}
-	idx := c.heap[0]
-	c.remove(0)
+	idx, last := c.heap[0], c.heap[len(c.heap)-1]
+	if c.heap = c.heap[:len(c.heap)-1]; len(c.heap) > 0 {
+		c.down(last) // the last leaf fills the root's hole
+	}
 	e := &c.events[idx]
 	c.now = e.at
 	fn, disp, op, a, b := e.fn, e.disp, e.op, e.a, e.b
-	c.release(idx)
+	e.fn, e.next, c.free = nil, c.free, idx+1 // the slot joins the free list
 	if disp >= 0 {
 		c.disp[disp](op, a, b)
 	} else {
@@ -304,69 +244,55 @@ func (c *Clock) Advance(d float64) { //rbvet:ignore unreached — tests of cloud
 	}
 }
 
-// push adds a freshly scheduled event to the heap. The append grows the
-// heap only until it has held the run's peak pending count.
-func (c *Clock) push(idx int32) {
-	i := int32(len(c.heap))
-	c.heap = append(c.heap, idx)
-	c.events[idx].pos = i
-	c.up(i)
-}
-
-// remove deletes heap position i, moving the tail into the hole and
-// restoring the heap order around it.
-func (c *Clock) remove(i int32) {
-	n := int32(len(c.heap)) - 1
-	c.swap(i, n)
-	c.heap = c.heap[:n]
-	if i < n {
-		c.down(i)
-		c.up(i)
-	}
-}
-
-// less orders heap positions i and j by their events' (at, seq): the
-// kernel's total firing order.
-func (c *Clock) less(i, j int32) bool {
-	a, b := &c.events[c.heap[i]], &c.events[c.heap[j]]
+// less reports whether event x fires before event y: the kernel's total
+// firing order, exact (at, seq).
+func (c *Clock) less(x, y int32) bool {
+	a, b := &c.events[x], &c.events[y]
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (c *Clock) swap(i, j int32) {
+// up sifts event idx from the hole at heap position i toward the root,
+// moving each later parent down into the hole, and writes idx where the
+// hole stops.
+//
+//rbvet:noalloc
+func (c *Clock) up(i, idx int32) {
 	h := c.heap
-	h[i], h[j] = h[j], h[i]
-	c.events[h[i]].pos = i
-	c.events[h[j]].pos = j
-}
-
-func (c *Clock) up(i int32) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !c.less(i, p) {
-			return
+		if !c.less(idx, h[p]) {
+			break
 		}
-		c.swap(i, p)
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = idx
 }
 
-func (c *Clock) down(i int32) {
-	n := int32(len(c.heap))
+// down sifts event idx from a hole at the root toward the leaves,
+// moving each earlier child up into the hole, and writes idx where the
+// hole stops.
+//
+//rbvet:noalloc
+func (c *Clock) down(idx int32) {
+	h := c.heap
+	n, i := int32(len(h)), int32(0)
 	for {
 		m := 2*i + 1
 		if m >= n {
-			return
+			break
 		}
-		if r := m + 1; r < n && c.less(r, m) {
+		if r := m + 1; r < n && c.less(h[r], h[m]) {
 			m = r
 		}
-		if !c.less(m, i) {
-			return
+		if !c.less(h[m], idx) {
+			break
 		}
-		c.swap(i, m)
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = idx
 }

@@ -20,13 +20,13 @@ func TestZeroClock(t *testing.T) {
 	// The zero value needs no constructor: its slab, free list and heap
 	// all start empty and grow on first use.
 	fired := 0
-	h := c.At(2, func() { fired++ }).h
+	c.At(2, func() { fired++ })
 	c.At(1, func() { fired++ })
-	if !c.Cancel(h) || len(c.heap) != 1 {
-		t.Fatalf("cancel on zero clock: pending = %d", len(c.heap))
+	if !c.Step() || fired != 1 || len(c.heap) != 1 {
+		t.Fatalf("step on zero clock: fired %d, pending = %d", fired, len(c.heap))
 	}
-	c.At(3, func() { fired++ }) // reuses the cancelled slot
-	if n := c.Run(0); n != 2 || fired != 2 || c.Now() != 3 {
+	c.At(3, func() { fired++ }) // reuses the fired event's slot
+	if n := c.Run(0); n != 2 || fired != 3 || c.Now() != 3 {
 		t.Fatalf("zero clock ran %d events, fired %d, now %v", n, fired, c.Now())
 	}
 }
@@ -142,49 +142,6 @@ func TestNegativeAfterPanics(t *testing.T) {
 	c.After(-1, func() {})
 }
 
-func TestTimerStop(t *testing.T) {
-	c := New()
-	fired := false
-	timer := c.At(5, func() { fired = true })
-	if !timer.Stop() {
-		t.Fatal("Stop returned false for pending timer")
-	}
-	if timer.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-	c.Run(0)
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	c := New()
-	timer := c.At(1, func() {})
-	c.Run(0)
-	if timer.Stop() {
-		t.Fatal("Stop after fire returned true")
-	}
-}
-
-func TestStaleHandleAfterSlotReuse(t *testing.T) {
-	// A handle to a fired event must stay dead even after its slab slot is
-	// recycled for a new event: the generation counter, not the index,
-	// carries identity.
-	c := New()
-	old := c.At(1, func() {})
-	c.Run(0)
-	fired := false
-	c.At(2, func() { fired = true }) // reuses the freed slot
-	if old.Stop() {
-		t.Fatal("stale handle cancelled a recycled slot")
-	}
-	c.Run(0)
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
 func TestRunHorizon(t *testing.T) {
 	c := New()
 	var fired []Time
@@ -263,24 +220,6 @@ func TestOpcodeDispatch(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("call %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestOpcodeCancel(t *testing.T) {
-	c := New()
-	fired := 0
-	id := c.RegisterDispatcher(func(op uint8, a, b int64) { fired++ })
-	h := c.AtOp(5, id, 1, 0, 0)
-	c.AtOp(6, id, 2, 0, 0)
-	if !c.Cancel(h) {
-		t.Fatal("Cancel returned false for pending opcode event")
-	}
-	if c.Cancel(h) {
-		t.Fatal("second Cancel returned true")
-	}
-	c.Run(0)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
 	}
 }
 
