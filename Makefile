@@ -80,6 +80,7 @@ fuzz-short:
 	go test ./internal/sim -run='^$$' -fuzz=FuzzEvalMatchesPerDraw -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz=FuzzCompileMatchesPointerOracle -fuzztime=10s
 	go test ./internal/stats -run='^$$' -fuzz=FuzzMeanStdMatchesReference -fuzztime=10s
+	go test ./internal/stats -run='^$$' -fuzz=FuzzMaxIndepMatchesClark -fuzztime=10s
 	go test ./internal/trace -run='^$$' -fuzz=FuzzRecorderMatchesReference -fuzztime=10s
 	go test ./internal/serve -run='^$$' -fuzz=FuzzSubmission -fuzztime=30s
 	go test ./internal/placement -run='^$$' -fuzz=FuzzUpdateMatchesReference -fuzztime=30s

@@ -211,7 +211,10 @@ func BenchmarkSimEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanStatic measures the warm-start enumeration.
+// BenchmarkPlanStatic measures the warm-start enumeration on a warm
+// Simulator: every estimate it requests is a plan-memo hit, and every
+// size the JCT bound keeps past the first feasible one costs a static
+// cost floor. estimates/op counts only the sizes the floor did not skip.
 func BenchmarkPlanStatic(b *testing.B) {
 	p := &planner.Planner{Sim: benchSimulator(b, 5), Deadline: 900, MaxGPUs: 128}
 	b.ResetTimer()

@@ -89,15 +89,12 @@ func (p *Planner) estimate(plan sim.Plan) (sim.Estimate, error) {
 	return p.Sim.Estimate(plan)
 }
 
-// estimateAll estimates every kept candidate into ests and errs, in
+// estimateAll estimates every candidate into ests and errs, in
 // candidate order, writing errs[i] only for an error: the error column
 // holds nil everywhere else (see searchScratch.columns), so a clean
 // estimate stores no pointer.
-func (p *Planner) estimateAll(cands []sim.Plan, keep []bool, ests []sim.Estimate, errs []error) {
+func (p *Planner) estimateAll(cands []sim.Plan, ests []sim.Estimate, errs []error) {
 	for i := range cands {
-		if !keep[i] {
-			continue
-		}
 		est, err := p.estimate(cands[i])
 		ests[i] = est
 		if err != nil {
@@ -224,33 +221,38 @@ func (p *Planner) PlanStatic() (Result, error) {
 }
 
 // planStatic is PlanStatic's body on the search's scratch, so PlanElastic
-// shares one set of candidate columns across the warm-start enumeration
-// and every greedy descent. The
+// shares one set of static plans with its warm starts and descents. The
 // returned plan aliases ss.static: callers clone it before it leaves the
 // search.
+//
+// Two closed-form bounds keep sizes from being estimated. The mean JCT
+// ignores provisioning overheads and straggler inflation, so it
+// lower-bounds the estimated JCT: a size already over the deadline
+// cannot become feasible. The Simulator's static cost floor
+// lower-bounds the estimated cost: a size whose floor exceeds the
+// cheapest feasible cost found so far cannot win, since only a strictly
+// cheaper size replaces the best. Neither bound moves the result.
 func (p *Planner) planStatic(ss *searchScratch) (Result, error) {
 	n := p.maxGPUs()
 	cands := ss.staticPlans(n, p.Sim.Spec().NumStages())
-	// The closed-form mean JCT ignores provisioning overheads and
-	// straggler inflation, so it lower-bounds the estimate: anything
-	// already over the deadline cannot become feasible.
 	ss.jcts = p.Sim.StaticClusterJCTs(n, ss.jcts)
-	keep, ests, errs := ss.columns(n)
-	for i, jct := range ss.jcts {
-		keep[i] = jct <= p.Deadline
-	}
-	p.estimateAll(cands, keep, ests, errs)
 	best := Result{}
 	found := false
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if !keep[i] || ests[i].JCT > p.Deadline {
+	for i, jct := range ss.jcts {
+		if jct > p.Deadline {
 			continue
 		}
-		if !found || ests[i].Cost < best.Estimate.Cost {
-			best = Result{Plan: cands[i], Estimate: ests[i]}
+		if found {
+			if floor, ok := p.Sim.StaticCostFloor(i + 1); ok && floor > best.Estimate.Cost {
+				continue
+			}
+		}
+		est, err := p.estimate(cands[i])
+		if err != nil {
+			return Result{}, err
+		}
+		if est.JCT <= p.Deadline && (!found || est.Cost < best.Estimate.Cost) {
+			best = Result{Plan: cands[i], Estimate: est}
 			found = true
 		}
 	}
@@ -381,8 +383,8 @@ func (p *Planner) optimize(ss *searchScratch, start Result) (Result, error) {
 		if len(cands) == 0 {
 			return ss.finish(cur), nil
 		}
-		keep, ests, errs := ss.columns(len(cands))
-		p.estimateAll(cands, keep, ests, errs)
+		ests, errs := ss.columns(len(cands))
+		p.estimateAll(cands, ests, errs)
 		bestIdx := -1
 		bestBenefit := math.Inf(-1)
 		var bestEst sim.Estimate
@@ -546,5 +548,6 @@ func fairFloor(max, trials int) (int, bool) {
 
 // EstimateCalls reports the total number of plan evaluations requested by
 // the Planner's searches, counting those the Simulator answered from its
-// memo.
+// memo. A static size the enumeration skips on its cost floor is never
+// requested, so it is not counted.
 func (p *Planner) EstimateCalls() int64 { return p.estCalls } //rbvet:ignore unreached — BenchmarkPlanStatic and BenchmarkPlanElastic report estimates/op through it

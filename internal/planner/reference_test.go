@@ -6,15 +6,21 @@ import (
 	"repro/internal/sim"
 )
 
-// The unmerged search: PlanElastic as it ran before descents merged and
-// searches ran on pooled scratch. The static enumeration prices every
-// size through StaticClusterJCT, and each warm-start descent runs to its
-// end on its own, every step on freshly allocated candidates and
-// columns. It is the oracle the merged search is held to, bit for bit.
+// The unmerged search: PlanElastic as it ran before descents merged,
+// searches ran on pooled scratch and the static enumeration pruned by
+// cost. The static enumeration brackets every size through
+// StaticClusterJCT and estimates every size it keeps, and each
+// warm-start descent runs to its end on its own, every step on freshly
+// allocated candidates and columns. It is the oracle the merged search
+// is held to, bit for bit.
 
 // ReferenceSearch runs the unmerged search on p: its result, each
 // warm-start descent's result in descent order, and its error.
 func ReferenceSearch(p *Planner) (Result, []Result, error) { return p.referenceSearch() }
+
+// ReferencePlanStatic runs the unpruned static enumeration on p: every
+// size the JCT bound keeps is estimated.
+func ReferencePlanStatic(p *Planner) (Result, error) { return p.referencePlanStatic() }
 
 // MergedSearch runs PlanElastic's search on p and also returns each
 // descent's result, as the merged search recorded it, in descent order.
@@ -85,7 +91,11 @@ func (p *Planner) referencePlanStatic() (Result, error) {
 	}
 	ests := make([]sim.Estimate, n)
 	errs := make([]error, n)
-	p.estimateAll(cands, keep, ests, errs)
+	for i := range cands {
+		if keep[i] {
+			ests[i], errs[i] = p.estimate(cands[i])
+		}
+	}
 	best, found := Result{}, false
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -116,13 +126,9 @@ func (p *Planner) referenceDescent(cur Result) (Result, error) {
 		if len(cands) == 0 {
 			return cur, nil
 		}
-		keep := make([]bool, len(cands))
-		for i := range keep {
-			keep[i] = true
-		}
 		ests := make([]sim.Estimate, len(cands))
 		errs := make([]error, len(cands))
-		p.estimateAll(cands, keep, ests, errs)
+		p.estimateAll(cands, ests, errs)
 		bestIdx, bestBenefit := -1, math.Inf(-1)
 		var bestEst sim.Estimate
 		for i := range cands {

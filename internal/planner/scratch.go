@@ -15,7 +15,7 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // searchScratch is one plan search's working memory: everything a
 // search needs that it does not return. It holds
 //
-//   - the current candidate set and its keep/estimate/error columns;
+//   - the current candidate set and its estimate and error columns;
 //   - the static plans 1..n GPUs, their closed-form JCT column, and the
 //     warm starts;
 //   - the walked-path record: every plan a descent had as its current
@@ -25,15 +25,14 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 //     grows during a search, so a step's plan stays valid until release.
 //
 // Every plan the search returns is cloned out of it, so nothing the
-// caller holds aliases scratch. Columns that hold no pointer (keep,
-// ests, the walked record, the steps, the static and warm-start
+// caller holds aliases scratch. Columns that hold no pointer (ests,
+// the walked record, the steps, the static and warm-start
 // allocations) are overwritten before they are read and never cleared;
 // release drops only what can hold a foreign pointer — the results, the
 // current candidate and any error recorded — before the scratch goes
 // back to the pool.
 type searchScratch struct {
 	cands candSet
-	keep  []bool
 	ests  []sim.Estimate
 	errs  []error
 
@@ -108,17 +107,14 @@ func (ss *searchScratch) finish(r Result) Result {
 	return r
 }
 
-// columns returns the keep, estimate and error columns for n
-// candidates: every candidate kept, no error recorded. Estimates are
-// written before they are read; errors only where one occurs (see
-// estimateInto), so the column stays nil between searches' errors.
-func (ss *searchScratch) columns(n int) ([]bool, []sim.Estimate, []error) {
-	ss.keep, ss.ests, ss.errs = grow(ss.keep, n), grow(ss.ests, n), grow(ss.errs, n)
-	for i := range ss.keep {
-		ss.keep[i] = true
-	}
+// columns returns the estimate and error columns for n candidates, no
+// error recorded. Estimates are written before they are read; errors
+// only where one occurs (see estimateAll), so the column stays nil
+// between searches' errors.
+func (ss *searchScratch) columns(n int) ([]sim.Estimate, []error) {
+	ss.ests, ss.errs = grow(ss.ests, n), grow(ss.errs, n)
 	clearErrs(ss.errs)
-	return ss.keep, ss.ests, ss.errs
+	return ss.ests, ss.errs
 }
 
 // staticPlans returns the static plans of 1..n GPUs over stages stages,

@@ -254,15 +254,8 @@ func (t *segTable) store(built *segment) ref {
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) segment {
 	st := s.spec.Stage(int(key.stage))
-	alloc, gpn := int(key.alloc), s.cloud.Instance.GPUs
-	per := 1 // GPUs per TRAIN
-	var need int
-	if alloc >= st.Trials {
-		per = alloc / st.Trials
-		need = placement.NodesNeeded(st.Trials, per, gpn)
-	} else {
-		need = placement.NodesNeeded(alloc, 1, gpn)
-	}
+	alloc := int(key.alloc)
+	per, need := stageShape(st.Trials, alloc, s.cloud.Instance.GPUs)
 	return segment{
 		key:       key,
 		grow:      int32(max(need-int(key.prev), 0)),
@@ -272,6 +265,19 @@ func (s *Simulator) buildSegment(key segKey) segment {
 		instances: int32(need),
 		train:     stats.SumLat(s.iterShare(per).dist, st.Iters),
 	}
+}
+
+// stageShape returns the GPUs per TRAIN and the instances of a stage of
+// trials trials on alloc GPUs, on instances of gpn GPUs each: a stage
+// with at least one GPU per trial gives each trial alloc/trials GPUs,
+// a smaller one runs one GPU per slot, and the cluster is packed the way
+// the placement controller packs it (co-located trials).
+func stageShape(trials, alloc, gpn int) (per, instances int) {
+	if alloc >= trials {
+		per = alloc / trials
+		return per, placement.NodesNeeded(trials, per, gpn)
+	}
+	return 1, placement.NodesNeeded(alloc, 1, gpn)
 }
 
 // segStream returns the root generator of a segment tuple's stream

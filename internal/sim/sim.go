@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cloud"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -273,11 +274,7 @@ func (s *Simulator) MeanIterLatency(gpus int) float64 {
 // stage. With the shares filled and buf large enough it allocates
 // nothing.
 func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
-	minTrials := s.spec.Stage(0).Trials
-	for i := 1; i < s.spec.NumStages(); i++ {
-		minTrials = min(minTrials, s.spec.Stage(i).Trials)
-	}
-	shares := s.meanLats(max(n/minTrials, 1)) // every share 1..n/minTrials occurs
+	shares := s.staticShares(n)
 	mean := func(per int) float64 { return shares[per-1].mean }
 	jcts := resize(buf, n)
 	clear(jcts)
@@ -288,6 +285,90 @@ func (s *Simulator) StaticClusterJCTs(n int, buf []float64) []float64 {
 		}
 	}
 	return jcts
+}
+
+// staticShares returns the share column, means filled, for every
+// per-trial share a static plan of at most n GPUs gives a trial:
+// 1..n/minTrials, where minTrials is the smallest stage's trial count.
+func (s *Simulator) staticShares(n int) []iterShare {
+	minTrials := s.spec.Stage(0).Trials
+	for i := 1; i < s.spec.NumStages(); i++ {
+		minTrials = min(minTrials, s.spec.Stage(i).Trials)
+	}
+	return s.meanLats(max(n/minTrials, 1))
+}
+
+// StaticCostFloor returns a lower bound on Estimate(Uniform(g,
+// stages)).Cost, the cost of the static plan with g GPUs in every stage,
+// and whether the bound holds. The bound is the data ingress of the
+// peak instance count plus, per stage, the stage's instances (sized as
+// buildSegment sizes them) billed for its closed-form JCT
+// (staticStageJCT) under per-instance billing, or its training
+// GPU-seconds under per-function billing, scaled by 1 − 1e-9 to absorb
+// rounding.
+//
+// The analytic estimate only adds to these terms: an instance's
+// lifetime spans the INIT and the joined TRAINs of every stage it
+// lives through; Clark's and the sketch's maxima are no smaller than
+// the largest mean they join, so a stage's join takes at least its
+// waves of mean TRAINs; and the minimum charge's Gaussian clamp is no
+// smaller than the lifetime it clamps. A Monte-Carlo sample mean has no such order, so the bound is
+// refused (false) whenever a latency might send Estimate to its
+// fallback: a profile not known to return normal or deterministic
+// iteration latencies, a negative iteration mean, or provisioning
+// latencies without finite moments, a non-negative mean and
+// non-negative samples. It reads the share column StaticClusterJCTs
+// fills, so after StaticClusterJCTs(n) it fills nothing for g <= n.
+//
+//rbvet:noalloc
+func (s *Simulator) StaticCostFloor(g int) (float64, bool) {
+	if g < 1 || !gaussianProfile(s.profile) || !nonNegMoments(&s.prov.scale) || !nonNegMoments(&s.prov.init) {
+		return 0, false
+	}
+	shares := s.staticShares(g)
+	mean := func(per int) float64 { return shares[per-1].mean }
+	inst, pr := s.cloud.Instance, s.cloud.Pricing
+	perFunction := pr.Billing == cloud.PerFunction
+	rate := inst.PricePerHour(pr.Market) / 3600
+	if perFunction {
+		rate = inst.PricePerGPUSecond(pr.Market)
+	}
+	var sum float64
+	peak := 0
+	for i := 0; i < s.spec.NumStages(); i++ {
+		st := s.spec.Stage(i)
+		per, need := stageShape(st.Trials, g, inst.GPUs)
+		if !(mean(per) >= 0) {
+			return 0, false
+		}
+		peak = max(peak, need)
+		if perFunction {
+			sum += float64(st.Trials*per) * float64(st.Iters) * mean(per) * rate
+		} else {
+			sum += float64(need) * staticStageJCT(st, g, mean) * rate
+		}
+	}
+	return (float64(peak)*pr.DataIngressCost(s.cloud.DatasetGB) + sum) * (1 - 1e-9), true
+}
+
+// gaussianProfile reports whether p is a profile type known to return
+// only normal or deterministic iteration latencies, whose TRAIN
+// latencies always have finite moments.
+func gaussianProfile(p TrainProfile) bool {
+	switch p := p.(type) {
+	case ModelTrainProfile, MeasuredTrainProfile, *MeasuredTrainProfile:
+		return true
+	case ScaledTrainProfile:
+		return gaussianProfile(p.Base)
+	}
+	return false
+}
+
+// nonNegMoments reports whether l has finite moments and a
+// non-negative mean and never samples below zero.
+func nonNegMoments(l *stats.Lat) bool {
+	m, ok := l.Moment()
+	return ok && m.Mean >= 0 && l.NonNeg()
 }
 
 // meanLats returns the table's share column for per-trial shares 1..n

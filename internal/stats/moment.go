@@ -101,10 +101,22 @@ func NormQuantile(p float64) float64 {
 	return x - u/(1+x*u/2)
 }
 
+// tailAlpha is the standardized gap past which MaxIndep skips the
+// normal density and CDF: at |α| >= tailAlpha, normPDF(α) is exactly 0
+// (exp underflows past |α| ≈ 38.6) and NormCDF(α) exactly 1 or 0 (erfc
+// rounds it to 1 past α ≈ 8.3 and underflows below α ≈ −38.5), so the
+// cut changes no bit.
+const tailAlpha = 40
+
 // MaxIndep returns the moments of max(X, Y) for independent X, Y under
 // Clark's Gaussian moment matching (Clark 1961). When both variables are
 // degenerate (zero variance) the result is the exact pointwise maximum,
-// so deterministic DAGs propagate exactly.
+// so deterministic DAGs propagate exactly. When one side dominates by
+// tailAlpha standard deviations or more, the density and CDF take the
+// values they would return there without being evaluated, and the rest
+// of the formula runs unchanged.
+//
+//rbvet:noalloc
 func MaxIndep(x, y Moment) Moment {
 	a2 := x.Var + y.Var
 	if a2 <= 0 {
@@ -115,7 +127,14 @@ func MaxIndep(x, y Moment) Moment {
 	}
 	a := math.Sqrt(a2)
 	alpha := (x.Mean - y.Mean) / a
-	phi, cdf := normPDF(alpha), NormCDF(alpha)
+	var phi, cdf float64
+	switch {
+	case alpha >= tailAlpha:
+		cdf = 1
+	case alpha <= -tailAlpha: // phi and cdf stay 0
+	default:
+		phi, cdf = normPDF(alpha), NormCDF(alpha)
+	}
 	mean := x.Mean*cdf + y.Mean*(1-cdf) + a*phi
 	second := (x.Mean*x.Mean+x.Var)*cdf + (y.Mean*y.Mean+y.Var)*(1-cdf) + (x.Mean+y.Mean)*a*phi
 	v := second - mean*mean
