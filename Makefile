@@ -1,11 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast bench bench-smoke experiments examples repro record fuzz-short clean
+.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast loc bench bench-smoke experiments examples repro record fuzz-short clean
 
 all: build vet lint test test-race test-serve bench-smoke
 
 build:
 	go build ./...
+
+# Non-test and test Go line counts outside bench/ and testdata/.
+loc:
+	bash tools/loc.sh
 
 vet:
 	go vet ./...

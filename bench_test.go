@@ -28,7 +28,7 @@ import (
 
 // benchCfg matches the experiment tests' fast configuration.
 func benchCfg() experiments.Config {
-	return experiments.Config{Seed: 1, Seeds: 2, Samples: 5, Fast: true}
+	return experiments.Config{Seed: 1, Seeds: 2, Fast: true}
 }
 
 // BenchmarkFig4Scaling regenerates Figure 4 (model scaling curves).
@@ -163,10 +163,10 @@ func BenchmarkExtensionInstances(b *testing.B) {
 // --- micro-benchmarks of the hot paths ---
 
 // benchSimulator builds the benchmark workload's simulator.
-func benchSimulator(b *testing.B, samples int) *sim.Simulator {
+func benchSimulator(b *testing.B) *sim.Simulator {
 	b.Helper()
 	sm := new(sim.Simulator)
-	initBenchSimulator(b, sm, samples)
+	initBenchSimulator(b, sm)
 	return sm
 }
 
@@ -184,11 +184,11 @@ func benchWorkload() (*spec.ExperimentSpec, sim.ModelTrainProfile, sim.CloudProf
 }
 
 // initBenchSimulator initialises sm in place as the Simulator
-// benchSimulator returns for the same sample count.
-func initBenchSimulator(b *testing.B, sm *sim.Simulator, samples int) {
+// benchSimulator returns.
+func initBenchSimulator(b *testing.B, sm *sim.Simulator) {
 	b.Helper()
 	s, prof, cp := benchWorkload()
-	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(1)); err != nil {
+	if err := sm.Init(s, prof, cp); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -197,7 +197,7 @@ func initBenchSimulator(b *testing.B, sm *sim.Simulator, samples int) {
 // the Simulator's plan memo, which is how a search meets a candidate it
 // has already scored.
 func BenchmarkSimEstimate(b *testing.B) {
-	sm := benchSimulator(b, 20)
+	sm := benchSimulator(b)
 	plan := sim.Uniform(32, sm.Spec().NumStages())
 	if _, err := sm.Estimate(plan); err != nil { // warm caches once
 		b.Fatal(err)
@@ -216,7 +216,7 @@ func BenchmarkSimEstimate(b *testing.B) {
 // size the JCT bound keeps past the first feasible one costs a static
 // cost floor. estimates/op counts only the sizes the floor did not skip.
 func BenchmarkPlanStatic(b *testing.B) {
-	p := &planner.Planner{Sim: benchSimulator(b, 5), Deadline: 900, MaxGPUs: 128}
+	p := &planner.Planner{Sim: benchSimulator(b), Deadline: 900, MaxGPUs: 128}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.PlanStatic(); err != nil {
@@ -235,7 +235,7 @@ func reportSearchWork(b *testing.B, p *planner.Planner) {
 // BenchmarkPlanElastic measures a full greedy plan compilation
 // (Algorithm 2 with multi-warm-start).
 func BenchmarkPlanElastic(b *testing.B) {
-	p := &planner.Planner{Sim: benchSimulator(b, 5), Deadline: 900, MaxGPUs: 128}
+	p := &planner.Planner{Sim: benchSimulator(b), Deadline: 900, MaxGPUs: 128}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.PlanElastic(); err != nil {
@@ -245,34 +245,14 @@ func BenchmarkPlanElastic(b *testing.B) {
 	reportSearchWork(b, p)
 }
 
-// BenchmarkSimEstimateFallback measures the Monte-Carlo fallback at a
-// planning-heavy sample count, on the benchmark workload with a queue
-// delay of infinite variance (Pareto alpha 1.5), which has no analytic
-// moments. Each iteration re-initialises the Simulator first, so every
-// estimate builds and samples its segments anew on the kept table's
-// storage.
-func BenchmarkSimEstimateFallback(b *testing.B) {
-	s, prof, cp := benchWorkload()
-	cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
-	var sm sim.Simulator
-	plan := sim.Uniform(32, s.NumStages())
-	for i := 0; i < b.N; i++ {
-		if err := sm.Init(s, prof, cp, 200, stats.NewRNG(1)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sm.Estimate(plan); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlanElastic100 measures a full greedy compilation at
-// samples=100 on a shared Simulator, a fresh Planner per iteration.
+// BenchmarkPlanElastic100 measures a full greedy compilation on a
+// shared Simulator, a fresh Planner per iteration (the name recalls the
+// sample count searches once ran at).
 // The Simulator's segment table and plan memo stay warm across
 // iterations; BenchmarkPlanElastic100Cold and
 // BenchmarkPlanElasticLifecycle measure cold compilations.
 func BenchmarkPlanElastic100(b *testing.B) {
-	sm := benchSimulator(b, 100)
+	sm := benchSimulator(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128}
@@ -283,12 +263,12 @@ func BenchmarkPlanElastic100(b *testing.B) {
 }
 
 // BenchmarkPlanElastic100Cold rebuilds the Simulator every iteration, so
-// every segment is compiled and sampled from scratch — the honest
+// every segment is compiled and its moments filled from scratch — the honest
 // cold-start cost of one plan compilation, with no cross-iteration cache
 // reuse.
 func BenchmarkPlanElastic100Cold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sm := benchSimulator(b, 100)
+		sm := benchSimulator(b)
 		p := &planner.Planner{Sim: sm, Deadline: 900, MaxGPUs: 128}
 		if _, err := p.PlanElastic(); err != nil {
 			b.Fatal(err)
@@ -304,7 +284,7 @@ func BenchmarkPlanElasticLifecycle(b *testing.B) {
 	b.ReportAllocs()
 	var sm sim.Simulator
 	for i := 0; i < b.N; i++ {
-		initBenchSimulator(b, &sm, 20)
+		initBenchSimulator(b, &sm)
 		p := &planner.Planner{Sim: &sm, Deadline: 900, MaxGPUs: 128}
 		if _, err := p.PlanElastic(); err != nil {
 			b.Fatal(err)
@@ -318,7 +298,7 @@ func BenchmarkPlanElasticLifecycle(b *testing.B) {
 // path: profile refit, tail re-plan under the remaining deadline, and
 // splice. reset initialises the controller again and feeds it the same
 // window, so the next decision is its first again.
-func benchController(b *testing.B, samples int) (ctl *replan.Controller, state replan.State, reset func()) {
+func benchController(b *testing.B) (ctl *replan.Controller, state replan.State, reset func()) {
 	b.Helper()
 	s, prof, cp := benchWorkload()
 	cfg := replan.Config{
@@ -327,8 +307,6 @@ func benchController(b *testing.B, samples int) (ctl *replan.Controller, state r
 		Cloud:    cp,
 		Deadline: 900,
 		MaxGPUs:  128,
-		Samples:  samples,
-		RNG:      stats.NewRNG(2),
 	}
 	plan := sim.Uniform(32, s.NumStages())
 	gpus := sim.GPUsPerTrial(plan.Alloc[0], s.Stage(0).Trials)
@@ -351,7 +329,7 @@ func benchController(b *testing.B, samples int) (ctl *replan.Controller, state r
 // observations again outside the timer, so every iteration takes the
 // same decision on recycled storage.
 func BenchmarkReplan(b *testing.B) {
-	ctl, state, reset := benchController(b, 100)
+	ctl, state, reset := benchController(b)
 	// Warm the controller and the package pools until their storage
 	// holds the decision: the tables the decision's Simulators draw
 	// reach their sizes over a few decisions.
@@ -373,27 +351,32 @@ func BenchmarkReplan(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanFrontier measures one warm analytic score of a
-// 128-candidate uniform frontier, without the plan memo.
+// BenchmarkPlanFrontier measures one analytic score of a 128-candidate
+// uniform frontier on a Simulator re-initialised outside the timer:
+// every segment built and its moments filled, and every plan memoized,
+// on the storage the previous iteration's table kept.
 func BenchmarkPlanFrontier(b *testing.B) {
 	const frontier = 128
-	sm := benchSimulator(b, 20)
+	var sm sim.Simulator
+	initBenchSimulator(b, &sm)
 	plans := make([]sim.Plan, frontier)
 	for g := 1; g <= frontier; g++ {
 		plans[g-1] = sim.Uniform(g, sm.Spec().NumStages())
 	}
-	eval := sm.NewAnalyticEval()
 	score := func() {
 		for _, p := range plans {
-			if _, _, err := eval.Estimate(p); err != nil {
+			if _, err := sm.Estimate(p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	score() // fill the segment table
+	score() // grow the table's storage
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		initBenchSimulator(b, &sm)
+		b.StartTimer()
 		score()
 	}
 }

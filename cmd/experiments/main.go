@@ -5,7 +5,7 @@
 //
 //	experiments -run fig9          # one experiment
 //	experiments -run all           # everything, in paper order
-//	experiments -run table2 -seeds 3 -samples 20
+//	experiments -run table2 -seeds 3
 //	experiments -list              # show available experiments
 //
 // Absolute numbers depend on the simulated substrate; the qualitative
@@ -24,13 +24,12 @@ import (
 
 func main() {
 	var (
-		run     = flag.String("run", "all", "experiment to run (see -list), or \"all\"")
-		list    = flag.Bool("list", false, "list available experiments and exit")
-		seed    = flag.Uint64("seed", 1, "base random seed")
-		seeds   = flag.Int("seeds", 3, "repetitions for mean±std cells")
-		samples = flag.Int("samples", 20, "simulator Monte-Carlo samples per plan")
-		fast    = flag.Bool("fast", false, "reduced sweeps (smoke test)")
-		format  = flag.String("format", "text", "output format: text or csv")
+		run    = flag.String("run", "all", "experiment to run (see -list), or \"all\"")
+		list   = flag.Bool("list", false, "list available experiments and exit")
+		seed   = flag.Uint64("seed", 1, "base random seed")
+		seeds  = flag.Int("seeds", 3, "repetitions for mean±std cells")
+		fast   = flag.Bool("fast", false, "reduced sweeps (smoke test)")
+		format = flag.String("format", "text", "output format: text or csv")
 	)
 	flag.Parse()
 	if *format != "text" && *format != "csv" {
@@ -45,7 +44,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Seed: *seed, Seeds: *seeds, Samples: *samples, Fast: *fast}
+	cfg := experiments.Config{Seed: *seed, Seeds: *seeds, Fast: *fast}
 	var runners []experiments.Runner
 	if *run == "all" {
 		runners = experiments.Registry()

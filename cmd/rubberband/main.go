@@ -57,18 +57,15 @@ func main() {
 }
 
 // jobFlags defines the job flags on fs: the model, the Successive
-// Halving shorthand (-trials, -min-iters, -max-iters, -eta), the seed
-// and, for the subcommands that only plan, the planner's simulator
-// flags; run plans with the defaults. It returns the submission the
-// flags fill, for the caller to add flags of its own to, and the
+// Halving shorthand (-trials, -min-iters, -max-iters, -eta) and the
+// seed. It returns the submission the flags fill, for the caller to add flags of its own to, and the
 // function that, once fs is parsed, builds its scenario under a
 // deadline. The job runs on the paper's cloud profile: p3.8xlarge
 // workers, a 60 s minimum charge, an exponential 10 s queue, a 15 s init
 // and a 2 s restore.
-func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams, samples int, planOnly bool) (*serve.Submission, func(time.Duration) (harness.Scenario, error)) {
+func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams) (*serve.Submission, func(time.Duration) (harness.Scenario, error)) {
 	minCharge, restore := 60.0, 2.0
 	sub := serve.Submission{
-		Samples:        samples,
 		Instance:       "p3.8xlarge",
 		RestoreSeconds: &restore,
 		Cloud: &serve.CloudSpec{
@@ -83,9 +80,6 @@ func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams, samples int, p
 	fs.IntVar(&sha.MaxR, "max-iters", sha.MaxR, "SHA maximum cumulative work R")
 	fs.IntVar(&sha.Eta, "eta", sha.Eta, "SHA termination rate η")
 	fs.Uint64Var(&sub.Seed, "seed", 1, "random seed")
-	if planOnly {
-		fs.IntVar(&sub.Samples, "samples", samples, "Monte-Carlo samples per plan, used only where a latency has no finite moments")
-	}
 	return &sub, func(deadline time.Duration) (harness.Scenario, error) {
 		sp, err := spec.SHA(sha)
 		if err != nil {
@@ -106,7 +100,7 @@ var paperSHA = spec.SHAParams{N: 32, R: 1, MaxR: 50, Eta: 3}
 // run plans and executes one job.
 func run(args []string) {
 	fs := flag.NewFlagSet("rubberband run", flag.ExitOnError)
-	sub, scenario := jobFlags(fs, "resnet101", paperSHA, 20, false)
+	sub, scenario := jobFlags(fs, "resnet101", paperSHA)
 	fs.StringVar(&sub.Policy, "policy", "rubberband", "allocation policy: rubberband, static, naive")
 	fs.BoolVar(&sub.UseProfiler, "profile", false, "plan from a measured scaling profile (instrumentation step)")
 	var (

@@ -31,7 +31,7 @@ func build(t *testing.T) string {
 // subcommand or a missing job file fails.
 func TestSubcommands(t *testing.T) {
 	bin := build(t)
-	out, err := exec.Command(bin, "plan", "-trials", "8", "-max-iters", "12", "-samples", "5", "-breakdown").Output()
+	out, err := exec.Command(bin, "plan", "-trials", "8", "-max-iters", "12", "-breakdown").Output()
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}

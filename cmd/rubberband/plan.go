@@ -11,7 +11,6 @@ import (
 	"repro/internal/replan"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -24,7 +23,7 @@ import (
 // against the remaining deadline).
 func planCmd(args []string) {
 	fs := flag.NewFlagSet("rubberband plan", flag.ExitOnError)
-	_, scenario := jobFlags(fs, "resnet101", paperSHA, 20, true)
+	_, scenario := jobFlags(fs, "resnet101", paperSHA)
 	var (
 		deadline  = fs.Duration("deadline", 20*time.Minute, "job time constraint")
 		breakdown = fs.Bool("breakdown", false, "print the RubberBand plan's per-stage time/cost decomposition")
@@ -76,8 +75,6 @@ func printReplanDemo(sc harness.Scenario, plan sim.Plan, factor, threshold float
 		Cloud:     sc.Profile,
 		Deadline:  sc.Deadline,
 		MaxGPUs:   planner.DefaultMaxGPUs(sc.Spec),
-		Samples:   sc.Samples,
-		RNG:       stats.NewRNG(sc.BatchSeed),
 		Threshold: threshold,
 	})
 	if err != nil {
@@ -134,7 +131,7 @@ func printBreakdown(sc harness.Scenario, plan sim.Plan) {
 // plotting tool with -format csv.
 func sweep(args []string) {
 	fs := flag.NewFlagSet("rubberband sweep", flag.ExitOnError)
-	_, scenario := jobFlags(fs, "resnet50", spec.SHAParams{N: 64, R: 4, MaxR: 508, Eta: 2}, 10, true)
+	_, scenario := jobFlags(fs, "resnet50", spec.SHAParams{N: 64, R: 4, MaxR: 508, Eta: 2})
 	var (
 		from   = fs.Duration("from", 10*time.Minute, "tightest deadline")
 		to     = fs.Duration("to", 40*time.Minute, "laxest deadline")

@@ -48,7 +48,7 @@ func main() {
 				},
 			}
 			prof := sim.ModelTrainProfile{Model: m, Batch: 512, GPUsPerNode: it.GPUs}
-			sm, err := sim.New(sha, prof, cp, 50, stats.NewRNG(uint64(sigma*10)+1))
+			sm, err := sim.New(sha, prof, cp, 0, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

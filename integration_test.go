@@ -35,7 +35,6 @@ func integrationScenario(policy planner.Policy, seed uint64) harness.Scenario {
 		Profile:        cp,
 		RestoreSeconds: 2,
 		MaxGPUs:        64,
-		Samples:        10,
 		Deadline:       20 * 60,
 		Policy:         policy,
 	}

@@ -82,7 +82,7 @@ var effectNames = []struct {
 var memoizedRoots = map[string]string{
 	"(*repro/internal/sim.Simulator).buildSegment":   "segment table (sim.segs)",
 	"(*repro/internal/sim.Simulator).segmentMoments": "segment table's moments (segment.mom)",
-	"(*repro/internal/sim.segment).eval":             "segment table's sample vectors (segment.samples)",
+	"(*repro/internal/sim.segment).eval":             "Monte-Carlo oracle's sample vectors (monteCarlo.vecs, test code)",
 	"(*repro/internal/sim.Simulator).estimate":       "plan memo (segTable.plans)",
 	"(*repro/internal/sim.segment).moments":          "stage kernel's moments (segment.mom)",
 }

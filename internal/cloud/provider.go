@@ -125,11 +125,14 @@ func (in *Instance) Billing() bool { return in.billing }
 // requests after a sampled queueing delay, runs initialization, and meters
 // cost. All methods must be called from the vclock event loop goroutine.
 type Provider struct {
-	clock     *vclock.Clock
-	rng       *stats.RNG
-	pricing   Pricing
-	overheads Overheads
-	datasetGB float64
+	clock   *vclock.Clock
+	rng     *stats.RNG
+	pricing Pricing
+	// queue and init are the overheads' queueing delay and
+	// initialization latency, compiled once by Init; each draw consumes
+	// the stream exactly as the distribution's own Sample does.
+	queue, init stats.Lat
+	datasetGB   float64
 
 	// instances holds every instance ever requested, indexed by ID: IDs
 	// are issued 0, 1, 2, … and an instance is never removed. onReady
@@ -183,7 +186,8 @@ func (p *Provider) Init(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, ov
 	}
 	p.Reset()
 	p.clock, p.rng = clock, rng
-	p.pricing, p.overheads, p.datasetGB = pricing, overheads, datasetGB
+	p.pricing, p.datasetGB = pricing, datasetGB
+	p.queue, p.init = stats.CompileLat(overheads.QueueDelay), stats.CompileLat(overheads.InitLatency)
 	p.dispID = clock.RegisterDispatcher(p.dispatch)
 	return nil
 }
@@ -254,7 +258,7 @@ func (p *Provider) Request(it InstanceType, onReady func(*Instance)) *Instance {
 	p.instances = append(p.instances, in)
 	p.onReady = append(p.onReady, onReady)
 
-	queue := p.overheads.QueueDelay.Sample(p.rng)
+	queue := p.queue.Sample(p.rng)
 	p.after(queue, opQueued, in)
 	return in
 }
@@ -303,7 +307,7 @@ func (p *Provider) queued(in *Instance) {
 	in.billStart = p.clock.Now()
 	in.billing = true
 	p.dataCost += p.pricing.DataIngressCost(p.datasetGB)
-	p.after(p.overheads.InitLatency.Sample(p.rng), opInitDone, in)
+	p.after(p.init.Sample(p.rng), opInitDone, in)
 }
 
 // initDone ends an instance's initialization: unless it was cancelled

@@ -29,8 +29,8 @@ type AblationRow struct {
 // Ablation runs the planner variants.
 func Ablation(cfg Config) (*AblationResult, error) {
 	cfg = cfg.withDefaults()
-	base := func(seedOff uint64) workload {
-		w := fig9Workload(cfg, 200+seedOff)
+	base := func() workload {
+		w := fig9Workload(cfg)
 		w.deadline = 900
 		w.queue = 5
 		w.initLat = 15
@@ -38,8 +38,8 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	}
 
 	res := &AblationResult{}
-	addVariant := func(name string, mutate func(*planner.Planner), seedOff uint64) error {
-		w := base(seedOff)
+	addVariant := func(name string, mutate func(*planner.Planner)) error {
+		w := base()
 		p, err := w.planner()
 		if err != nil {
 			return err
@@ -62,26 +62,26 @@ func Ablation(cfg Config) (*AblationResult, error) {
 
 	if err := addVariant("warm-start={1}", func(p *planner.Planner) {
 		p.WarmStartMultipliers = []int{1}
-	}, 10); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	if err := addVariant("warm-start={1,2,3}", nil, 10); err != nil {
+	if err := addVariant("warm-start={1,2,3}", nil); err != nil {
 		return nil, err
 	}
 	if err := addVariant("instance-step=off", func(p *planner.Planner) {
 		p.DisableInstanceStep = true
-	}, 11); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	if err := addVariant("instance-step=on", nil, 11); err != nil {
+	if err := addVariant("instance-step=on", nil); err != nil {
 		return nil, err
 	}
 	if err := addVariant("selection=raw-cost", func(p *planner.Planner) {
 		p.RawCostSelection = true
-	}, 12); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	if err := addVariant("selection=eq1-normalized", nil, 12); err != nil {
+	if err := addVariant("selection=eq1-normalized", nil); err != nil {
 		return nil, err
 	}
 	return res, nil

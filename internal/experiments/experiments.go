@@ -24,8 +24,6 @@ type Config struct {
 	// Seeds is the number of repetitions for mean ± std rows (default 3,
 	// matching the paper).
 	Seeds int
-	// Samples is the simulator Monte-Carlo sample count (default 20).
-	Samples int
 	// Fast shrinks sweeps for tests and smoke runs: fewer sweep points
 	// and smaller jobs, same code paths.
 	Fast bool
@@ -34,9 +32,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Seeds <= 0 {
 		c.Seeds = 3
-	}
-	if c.Samples <= 0 {
-		c.Samples = 20
 	}
 	return c
 }

@@ -12,7 +12,7 @@ import (
 // fastCfg keeps unit tests quick while exercising the exact experiment
 // code paths; the cmd/experiments binary runs the full-size versions.
 func fastCfg() Config {
-	return Config{Seed: 1, Seeds: 2, Samples: 5, Fast: true}
+	return Config{Seed: 1, Seeds: 2, Fast: true}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -423,7 +423,7 @@ func TestInstancesShape(t *testing.T) {
 
 // fig9Static is a helper for tests: the static result at one sigma.
 func fig9Static(cfg Config, sigma float64, billing cloud.BillingModel) (planner.Result, error) {
-	w := fig9Workload(cfg, 0)
+	w := fig9Workload(cfg)
 	w.billing = billing
 	w.initLat = 0
 	w.model.IterNoiseStd = sigma

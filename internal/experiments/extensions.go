@@ -116,7 +116,6 @@ func ashaScenario(cfg Config, s int) harness.Scenario {
 		Profile:        warmPoolProfile(model.CIFAR10.SizeGB),
 		RestoreSeconds: 2,
 		MaxGPUs:        128,
-		Samples:        cfg.Samples,
 		Deadline:       20 * 60,
 	}
 }
@@ -218,7 +217,6 @@ func spotScenario(cfg Config, pt spotPoint, s int) harness.Scenario {
 		Profile:        cp,
 		Faults:         cloud.FaultModel{PreemptionMeanSeconds: pt.preempt},
 		RestoreSeconds: 5,
-		Samples:        cfg.Samples,
 		Deadline:       25 * 60,
 	}
 }

@@ -56,7 +56,6 @@ func fidelityScenarios(cfg Config) ([]harness.Scenario, error) {
 			Profile:        cp,
 			RestoreSeconds: 2,
 			MaxGPUs:        64,
-			Samples:        cfg.Samples,
 			Deadline:       45 * 60,
 		})
 	}

@@ -30,8 +30,8 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 	res := &Fig10Result{Prices: prices, Cost: make(map[string]map[string][]float64)}
 	for _, ds := range datasets {
 		res.Cost[ds.Name] = map[string][]float64{"static": nil, "elastic": nil}
-		for i, price := range prices {
-			w := fig9Workload(cfg, uint64(16+i))
+		for _, price := range prices {
+			w := fig9Workload(cfg)
 			w.dataPrice = price
 			w.datasetGB = ds.SizeGB
 			w.initLat = 15

@@ -29,8 +29,8 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 	res := &Fig11Result{Trials: trials, Cost: make(map[string]map[string][]float64)}
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
 		res.Cost[billing.String()] = map[string][]float64{"static": nil, "elastic": nil}
-		for i, k := range trials {
-			w := fig9Workload(cfg, uint64(32+i))
+		for _, k := range trials {
+			w := fig9Workload(cfg)
 			w.billing = billing
 			w.spec = spec.MustSHA(k, 4, 508, 2)
 			if cfg.Fast {

@@ -43,11 +43,11 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 	m.IterNoiseStd = 1
 
 	res := &Fig12Result{InitLatencies: inits, Deadlines: deadlines, Cost: make(map[string]map[string][]float64)}
-	for ii, initLat := range inits {
+	for _, initLat := range inits {
 		key := fmt.Sprintf("%gs", initLat)
 		res.Cost[key] = map[string][]float64{"static": nil, "elastic": nil}
-		for di, deadline := range deadlines {
-			w := workloadFig12(cfg, m, n, maxR, initLat, deadline, maxGPUs, uint64(ii*16+di))
+		for _, deadline := range deadlines {
+			w := workloadFig12(m, n, maxR, initLat, deadline, maxGPUs)
 			static, elastic, err := w.policyCosts()
 			if err != nil {
 				return nil, fmt.Errorf("fig12 init=%v deadline=%v: %w", initLat, deadline, err)
@@ -59,7 +59,7 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 	return res, nil
 }
 
-func workloadFig12(cfg Config, m *model.Model, n, maxR int, initLat, deadline float64, maxGPUs int, seedOff uint64) workload {
+func workloadFig12(m *model.Model, n, maxR int, initLat, deadline float64, maxGPUs int) workload {
 	mm := *m
 	return workload{
 		spec:  spec.MustSHA(n, 4, maxR, 2),
@@ -76,8 +76,6 @@ func workloadFig12(cfg Config, m *model.Model, n, maxR int, initLat, deadline fl
 		initLat:  initLat,
 		deadline: deadline,
 		maxGPUs:  maxGPUs,
-		samples:  cfg.Samples,
-		seed:     cfg.Seed + 64 + seedOff,
 	}
 }
 

@@ -35,12 +35,12 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 			"elastic": {"per-instance": nil, "per-function": nil},
 		},
 	}
-	for i, sigma := range sigmas {
+	for _, sigma := range sigmas {
 		// Plans are compiled once under the conventional per-instance
 		// model; the same plans are then priced under each billing
 		// regime, isolating the meter's effect from plan adaptation —
 		// the comparison Figure 9 draws.
-		w := fig9Workload(cfg, uint64(i))
+		w := fig9Workload(cfg)
 		w.initLat = 0 // §6.1.1: instance initialization fixed at 0 s
 		w.model.IterNoiseStd = sigma
 		static, elastic, err := w.policyCosts()

@@ -55,9 +55,9 @@ func Instances(cfg Config) (*InstancesResult, error) {
 	}
 
 	res := &InstancesResult{Deadlines: deadlines}
-	for di, dl := range deadlines {
+	for _, dl := range deadlines {
 		sel, err := planner.SelectInstanceType(cloud.DefaultCatalog(), s, profiles, base,
-			dl, cfg.Samples, cfg.Seed+uint64(di), 256)
+			dl, 256)
 		if err != nil && err != planner.ErrInfeasible {
 			return nil, fmt.Errorf("instances deadline=%v: %w", dl, err)
 		}

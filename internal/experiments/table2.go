@@ -51,7 +51,6 @@ func table2Scenario(cfg Config, policy planner.Policy, deadlineMin, s int) harne
 		Profile:        warmPoolProfile(m.Dataset.SizeGB),
 		RestoreSeconds: 2,
 		MaxGPUs:        128,
-		Samples:        cfg.Samples,
 		Deadline:       float64(deadlineMin * 60),
 		Policy:         policy,
 	}

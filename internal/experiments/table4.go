@@ -55,7 +55,6 @@ func table4Workloads(cfg Config) []harness.Scenario {
 			Profile:        warmPoolProfile(m.Dataset.SizeGB),
 			RestoreSeconds: 2,
 			MaxGPUs:        128,
-			Samples:        cfg.Samples,
 			Deadline:       float64(deadlineMin * 60),
 		}
 	}

@@ -24,8 +24,6 @@ type workload struct {
 	initLat   float64 // instance initialization latency (s)
 	deadline  float64 // time constraint (s)
 	maxGPUs   int
-	samples   int
-	seed      uint64
 }
 
 // simulator builds the plan simulator for the workload.
@@ -49,7 +47,7 @@ func (w workload) simulator() (*sim.Simulator, error) {
 		DatasetGB: w.datasetGB,
 	}
 	prof := sim.ModelTrainProfile{Model: w.model, Batch: w.batch, GPUsPerNode: it.GPUs}
-	return sim.New(w.spec, prof, cp, w.samples, stats.NewRNG(w.seed))
+	return sim.New(w.spec, prof, cp, 0, nil)
 }
 
 // planner builds a planner over a fresh simulator.
@@ -82,7 +80,7 @@ func (w workload) policyCosts() (static, elastic planner.Result, err error) {
 
 // fig9Workload is the §6.1.1/§6.1.2/§6.1.3 base job: SHA(n=64, r=4,
 // R=508), ResNet-50 at batch 512 over p3.8xlarge workers.
-func fig9Workload(cfg Config, seedOff uint64) workload {
+func fig9Workload(cfg Config) workload {
 	m := model.ResNet50()
 	s := spec.MustSHA(64, 4, 508, 2)
 	deadline := 900.0 // tight enough that elasticity matters (§6.1)
@@ -100,7 +98,5 @@ func fig9Workload(cfg Config, seedOff uint64) workload {
 		billing:  cloud.PerInstance,
 		deadline: deadline,
 		maxGPUs:  256,
-		samples:  cfg.Samples,
-		seed:     cfg.Seed + seedOff,
 	}
 }

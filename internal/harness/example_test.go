@@ -30,7 +30,6 @@ func ExampleRunScenario() {
 		Model:     model.ResNet101(),
 		Space:     searchspace.DefaultVisionSpace(),
 		Profile:   cp,
-		Samples:   5,
 		Deadline:  15 * 60,
 	}
 	a, err := harness.RunScenario(sc)

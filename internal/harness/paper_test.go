@@ -34,7 +34,6 @@ func paperScenario(policy planner.Policy, deadline float64, seed uint64) Scenari
 		Model:     m,
 		Space:     searchspace.DefaultVisionSpace(),
 		Profile:   cp,
-		Samples:   5,
 		Deadline:  deadline,
 		Policy:    policy,
 	}

@@ -84,10 +84,10 @@ func after(t testing.TB, prev, sc Scenario) outcome {
 
 // recycleSet returns the scenarios the recycling oracle runs, and checks
 // that they cover provisioning failures, preemptions, an adopted replan,
-// gated stages, the Monte-Carlo fallback and placement off. The fallback
-// run is the preemption-replan scenario again, its queue delay swapped
-// for one without a finite variance, so it plans and replans on
-// Monte-Carlo estimates.
+// gated stages, a heavy-tailed queue delay and placement off. The
+// heavy-tailed run is the preemption-replan scenario again, its queue
+// delay swapped for a Pareto with α = 2.5, so it plans and replans on
+// the moments of a heavy tail with a finite variance.
 func recycleSet(t *testing.T) []Scenario {
 	var scs []Scenario
 	for i := 0; i < 40; i++ {
@@ -95,9 +95,9 @@ func recycleSet(t *testing.T) []Scenario {
 	}
 	scs = append(scs, Generate(4, 50), Generate(4, 143)) // adopted replan, preemption replan
 	heavy := Generate(4, 143)
-	heavy.Profile.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+	heavy.Profile.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 2.5}
 	scs = append(scs, heavy)
-	var failures, preempted, adopted, gated, fallback, scatter bool
+	var failures, preempted, adopted, gated, heavyTail, scatter bool
 	for _, sc := range scs {
 		a, err := RunScenario(sc)
 		if err != nil {
@@ -107,14 +107,13 @@ func recycleSet(t *testing.T) []Scenario {
 		preempted = preempted || a.Result.Preemptions > 0
 		adopted = adopted || slices.ContainsFunc(a.Result.Replans, func(d replan.Decision) bool { return d.Adopted })
 		gated = gated || len(a.Grants) > 0
-		queue := stats.CompileLat(sc.Profile.Overheads.QueueDelay)
-		_, finite := queue.Moment()
-		fallback = fallback || (a.Planned && !finite)
+		_, pareto := sc.Profile.Overheads.QueueDelay.(stats.Pareto)
+		heavyTail = heavyTail || (a.Planned && pareto)
 		scatter = scatter || sc.DisablePlacement
 	}
-	if !(failures && preempted && adopted && gated && fallback && scatter) {
-		t.Fatalf("recycle set covers failures=%v preemptions=%v adopted replan=%v gates=%v fallback=%v placement off=%v, want all",
-			failures, preempted, adopted, gated, fallback, scatter)
+	if !(failures && preempted && adopted && gated && heavyTail && scatter) {
+		t.Fatalf("recycle set covers failures=%v preemptions=%v adopted replan=%v gates=%v heavy tail=%v placement off=%v, want all",
+			failures, preempted, adopted, gated, heavyTail, scatter)
 	}
 	return scs
 }

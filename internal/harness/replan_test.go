@@ -58,7 +58,6 @@ func driftScenario(t *testing.T) Scenario {
 			},
 		},
 		MaxGPUs:        32,
-		Samples:        4,
 		DeadlineFactor: 2.2,
 		Drift:          DriftModel{Factor: 2.0, StartFraction: 0.15},
 		ReplanEnabled:  true,

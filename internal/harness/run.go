@@ -257,15 +257,12 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 	var ctl *replan.Controller
 	if sc.ReplanEnabled && a.Planned {
 		ctl = &ws.ctl
-		root.StreamInto(streamReplan, &ws.replanRNG)
 		if err := ctl.Init(replan.Config{
 			Spec:            sc.Spec,
 			Profile:         profile,
 			Cloud:           sc.Profile,
 			Deadline:        deadline,
 			MaxGPUs:         sc.MaxGPUs,
-			Samples:         sc.Samples,
-			RNG:             &ws.replanRNG,
 			Threshold:       sc.DriftThreshold,
 			CooldownSeconds: sc.ReplanCooldown,
 		}); err != nil {
@@ -415,11 +412,8 @@ func prepareOn(ws *workingSet, sc *Scenario, a *Artifacts) (sim.TrainProfile, er
 		profile, a.ProfilingDuration = rep.Profile, rep.Duration
 	}
 
-	// The simulator gets its own stream.
-	simRNG := &ws.simRNG
-	root.StreamInto(streamSim, simRNG)
 	sm := &ws.plan
-	if err := sm.Init(sc.Spec, profile, sc.Profile, sc.Samples, simRNG); err != nil {
+	if err := sm.Init(sc.Spec, profile, sc.Profile); err != nil {
 		return nil, fmt.Errorf("harness: simulator: %w", err)
 	}
 	a.Deadline = sc.Deadline

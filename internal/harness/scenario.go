@@ -50,7 +50,9 @@ type Scenario struct {
 	// MaxGPUs caps the planner's peak cluster size; zero selects
 	// planner.DefaultMaxGPUs.
 	MaxGPUs int
-	// Samples is the simulator's Monte-Carlo sample count.
+	// Samples is ignored: a Simulator draws no random numbers.
+	//
+	// Deprecated: kept only while the benchmark still names it.
 	Samples int
 	// DeadlineFactor scales the analytic static-cluster JCT bound into
 	// the job deadline when Deadline is zero. Factors near or below 1 are
@@ -71,8 +73,7 @@ type Scenario struct {
 	// Plan, when non-empty, is executed as given and the planner does not
 	// run: the run counts as unplanned.
 	Plan sim.Plan
-	// Estimator is ignored: every Simulator estimates analytically, with
-	// a Monte-Carlo fallback.
+	// Estimator is ignored: every Simulator estimates analytically.
 	//
 	// Deprecated: kept only while the benchmark still names it.
 	Estimator sim.EstimatorMode
@@ -110,13 +111,17 @@ func (d DriftModel) Active() bool { return d.Factor > 0 && d.Factor != 1 }
 
 // Stream indices for the per-scenario RNG tree. Generate and RunScenario
 // never share a stream, so adding draws to one phase cannot shift another.
+//
+// The blank slots once seeded the planning and replanning Simulators,
+// which draw no random numbers any more. They keep their places so
+// every later stream keeps its index, and every digest its value.
 const (
 	streamGenerate = iota
-	streamSim
+	_
 	streamProvider
 	streamExecutor
 	streamConfigs
-	streamReplan
+	_
 	streamCrash
 	streamProfiler
 )
@@ -230,7 +235,6 @@ func Generate(seed uint64, index int) Scenario {
 		RestoreSeconds:   uniform(r, 0, 10),
 		DisablePlacement: r.Intn(5) == 0,
 		MaxGPUs:          maxGPUs,
-		Samples:          4,
 		DeadlineFactor:   uniform(r, 0.8, 2.5),
 	}
 	// This draw selects nothing any more. It is still consumed so every

@@ -27,18 +27,16 @@ import (
 type workingSet struct {
 	plan    sim.Simulator
 	planner planner.Planner
-	// ctl is the run's replan controller, replanRNG its root stream.
-	ctl       replan.Controller
-	replanRNG stats.RNG
-	clock     vclock.Clock
-	rec       trace.Recorder
-	exec      executor.Workspace
-	provider  cloud.Provider
-	mgr       cluster.Manager
+	// ctl is the run's replan controller.
+	ctl      replan.Controller
+	clock    vclock.Clock
+	rec      trace.Recorder
+	exec     executor.Workspace
+	provider cloud.Provider
+	mgr      cluster.Manager
 	// root is the scenario's root stream; the others are derived from it
-	// for the simulators, the executor, the provider and the sampled
-	// configurations.
-	root, simRNG, execRNG, provRNG, cfgRNG stats.RNG
+	// for the executor, the provider and the sampled configurations.
+	root, execRNG, provRNG, cfgRNG stats.RNG
 	// configs and vals are the run's configurations and the value slab
 	// they share.
 	configs []searchspace.Config

@@ -26,7 +26,7 @@ func skipUnderRace(t *testing.T) {
 // dozen steps.
 func warmPlanner(t *testing.T) *Planner {
 	s := spec.MustSHA(64, 4, 508, 2)
-	p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 3000}
+	p := &Planner{Sim: resnetSim(t, s), Deadline: 3000}
 	if _, err := p.PlanElastic(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPlanElasticLifecycleAllocs(t *testing.T) {
 	skipUnderRace(t)
 	s := spec.MustSHA(64, 4, 508, 2)
 	search := func(sm *sim.Simulator) {
-		initResnetSim(t, sm, s, 8, 3)
+		initResnetSim(t, sm, s)
 		p := &Planner{Sim: sm, Deadline: 3000}
 		if _, err := p.PlanElastic(); err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ func keptSizes(sm *sim.Simulator, n int, deadline float64) []int {
 func TestStaticFloorBoundsKeptSizes(t *testing.T) {
 	var kept, estimated int64
 	for _, sc := range metamorphicScenarios(t, 7, 12) {
-		p, deadline := newPlanner(t, sc, sc.Profile, 7, 0.01)
+		p, deadline := newPlanner(t, sc, sc.Profile, 0.01)
 		sizes := keptSizes(p.Sim, sc.MaxGPUs, deadline)
 		for _, g := range sizes {
 			floor, ok := p.Sim.StaticCostFloor(g)
@@ -45,7 +45,7 @@ func TestStaticFloorBoundsKeptSizes(t *testing.T) {
 				t.Errorf("%s: static cost floor %v at %d GPUs exceeds the estimated cost %v", sc, floor, g, est.Cost)
 			}
 		}
-		search, _ := newPlanner(t, sc, sc.Profile, 7, 0.01)
+		search, _ := newPlanner(t, sc, sc.Profile, 0.01)
 		if _, err := search.PlanStatic(); err != nil {
 			t.Fatal(err)
 		}
@@ -55,20 +55,34 @@ func TestStaticFloorBoundsKeptSizes(t *testing.T) {
 	t.Logf("PlanStatic estimated %d of %d kept sizes", estimated, kept)
 }
 
+// paretoProfile is a training profile whose iteration latency at g GPUs
+// is Pareto with minimum base/g and tail index alpha.
+type paretoProfile struct{ base, alpha float64 }
+
+func (p paretoProfile) IterDist(gpus int) stats.Dist {
+	return stats.Pareto{Scale: p.base / float64(gpus), Alpha: p.alpha}
+}
+
 // TestPlanStaticWithoutFloorEstimatesEveryKeptSize: under a Pareto
-// α = 1.8 queue delay the Simulator prices static plans by Monte-Carlo,
-// whose sample mean the floor does not bound, so the floor reports
-// itself unusable and PlanStatic estimates every size the JCT bound
-// keeps, returning what the unpruned enumeration returns.
+// α = 2.5 iteration profile, which is not one of the profiles known to
+// return normal or deterministic latencies, the floor reports itself
+// unusable, and PlanStatic estimates every size the JCT bound keeps,
+// returning what the unpruned enumeration returns. A Pareto α = 1.8
+// queue delay, which the floor used to refuse, is refused by the
+// Simulator itself.
 func TestPlanStaticWithoutFloorEstimatesEveryKeptSize(t *testing.T) {
+	cp := sim.DefaultCloudProfile()
+	cp.Overheads = cloud.Overheads{
+		QueueDelay:  stats.Pareto{Scale: 2, Alpha: 1.8},
+		InitLatency: stats.Deterministic{Value: 15},
+	}
+	resnet := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
+	if _, err := sim.New(spec.MustSHA(16, 2, 16, 2), resnet, cp, 0, nil); err == nil {
+		t.Fatal("the Simulator accepted a Pareto α = 1.8 queue delay")
+	}
+	cp.Overheads.QueueDelay = stats.Exponential{MeanValue: 5}
 	newSim := func() *sim.Simulator {
-		cp := sim.DefaultCloudProfile()
-		cp.Overheads = cloud.Overheads{
-			QueueDelay:  stats.Pareto{Scale: 2, Alpha: 1.8},
-			InitLatency: stats.Deterministic{Value: 15},
-		}
-		prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-		sm, err := sim.New(spec.MustSHA(16, 2, 16, 2), prof, cp, 4, stats.NewRNG(3))
+		sm, err := sim.New(spec.MustSHA(16, 2, 16, 2), paretoProfile{base: 4, alpha: 2.5}, cp, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +97,14 @@ func TestPlanStaticWithoutFloorEstimatesEveryKeptSize(t *testing.T) {
 	}
 	for _, g := range sizes {
 		if floor, ok := sm.StaticCostFloor(g); ok {
-			t.Fatalf("static cost floor %v at %d GPUs reported usable under a Pareto queue delay", floor, g)
+			t.Fatalf("static cost floor %v at %d GPUs reported usable under a Pareto profile", floor, g)
 		}
 	}
 	p := &planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: maxGPUs}
 	got, gerr := p.PlanStatic()
+	if gerr != nil {
+		t.Fatal(gerr)
+	}
 	if n := p.EstimateCalls(); n != int64(len(sizes)) {
 		t.Fatalf("PlanStatic estimated %d sizes, want all %d the JCT bound keeps", n, len(sizes))
 	}

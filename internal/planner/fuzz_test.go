@@ -13,9 +13,9 @@ import (
 )
 
 // FuzzPlanElastic fuzzes the elastic planner over sanitized experiment
-// shapes, deadlines and queueing latencies (odd rawTail draws a Pareto
-// queue delay without a finite variance, so the search runs on the
-// Monte-Carlo fallback) and checks its contract: any returned plan is
+// shapes, deadlines and queueing latencies (odd rawTail draws a
+// heavy-tailed Pareto queue delay with α = 2.5, whose variance is
+// finite) and checks its contract: any returned plan is
 // valid for the spec, fits under MaxGPUs, meets the deadline by its own
 // estimate, replanning from an identical simulator is bit-identical, and
 // the merged search agrees exactly with the unmerged reference
@@ -54,14 +54,14 @@ func FuzzPlanElastic(f *testing.F) {
 			InitLatency: stats.Deterministic{Value: 15},
 		}
 		if rawTail%2 == 1 {
-			cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+			cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 2.5}
 		}
 		// newSim re-initialises the one Simulator every search below
 		// runs on, so each search after the first runs on the table the
 		// one before it filled, emptied.
 		var kept sim.Simulator
 		newSim := func() *sim.Simulator {
-			if err := kept.Init(s, prof, cp, 3, stats.NewRNG(seed)); err != nil {
+			if err := kept.Init(s, prof, cp); err != nil {
 				t.Fatalf("sim: %v", err)
 			}
 			return &kept

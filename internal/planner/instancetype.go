@@ -6,7 +6,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 )
 
 // InstanceChoice is one instance type's best plan under a deadline.
@@ -48,8 +47,6 @@ func SelectInstanceType(
 	profiles ProfileBuilder,
 	base sim.CloudProfile,
 	deadline float64,
-	samples int,
-	seed uint64,
 	maxGPUs int,
 ) (*InstanceSelection, error) {
 	if catalog == nil || profiles == nil {
@@ -67,7 +64,7 @@ func SelectInstanceType(
 		}
 		cp := base
 		cp.Instance = it
-		sm, err := sim.New(s, profiles(it), cp, samples, stats.NewRNG(seed))
+		sm, err := sim.New(s, profiles(it), cp, 0, nil)
 		if err != nil {
 			return nil, err
 		}

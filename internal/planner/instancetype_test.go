@@ -28,7 +28,7 @@ func selectionInputs(t *testing.T) (*cloud.Catalog, *spec.ExperimentSpec, Profil
 
 func TestSelectInstanceType(t *testing.T) {
 	catalog, s, profiles, base := selectionInputs(t)
-	sel, err := SelectInstanceType(catalog, s, profiles, base, 600, 5, 1, 128)
+	sel, err := SelectInstanceType(catalog, s, profiles, base, 600, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +60,17 @@ func TestSelectInstanceType(t *testing.T) {
 
 func TestSelectInstanceTypeInfeasible(t *testing.T) {
 	catalog, s, profiles, base := selectionInputs(t)
-	if _, err := SelectInstanceType(catalog, s, profiles, base, 1, 3, 1, 32); err != ErrInfeasible {
+	if _, err := SelectInstanceType(catalog, s, profiles, base, 1, 32); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestSelectInstanceTypeValidation(t *testing.T) {
 	catalog, s, profiles, base := selectionInputs(t)
-	if _, err := SelectInstanceType(nil, s, profiles, base, 600, 3, 1, 32); err == nil {
+	if _, err := SelectInstanceType(nil, s, profiles, base, 600, 32); err == nil {
 		t.Error("nil catalog accepted")
 	}
-	if _, err := SelectInstanceType(catalog, s, nil, base, 600, 3, 1, 32); err == nil {
+	if _, err := SelectInstanceType(catalog, s, nil, base, 600, 32); err == nil {
 		t.Error("nil profile builder accepted")
 	}
 }
@@ -82,7 +82,7 @@ func TestSelectInstanceTypeTradeoffDirection(t *testing.T) {
 	// modeled trade-off, not catalog order.
 	catalog, _, profiles, base := selectionInputs(t)
 	s := spec.MustSHA(64, 4, 508, 2) // long multi-GPU survivor tail
-	sel, err := SelectInstanceType(catalog, s, profiles, base, 900, 5, 2, 256)
+	sel, err := SelectInstanceType(catalog, s, profiles, base, 900, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,12 @@ func TestMergedDescentsMatchIndependent(t *testing.T) {
 	var outs []outcome
 	var saved, pruned int64
 	for _, sc := range metamorphicScenarios(t, 7, 12) {
-		merged, _ := newPlanner(t, sc, sc.Profile, 7, 0.01)
-		ref, _ := newPlanner(t, sc, sc.Profile, 7, 0.01)
+		merged, _ := newPlanner(t, sc, sc.Profile, 0.01)
+		ref, _ := newPlanner(t, sc, sc.Profile, 0.01)
 		// The static enumerations on their own, to tell the floor's
 		// savings from the descents'.
-		static, _ := newPlanner(t, sc, sc.Profile, 7, 0.01)
-		refStatic, _ := newPlanner(t, sc, sc.Profile, 7, 0.01)
+		static, _ := newPlanner(t, sc, sc.Profile, 0.01)
+		refStatic, _ := newPlanner(t, sc, sc.Profile, 0.01)
 		gotStatic, gerr := static.PlanStatic()
 		wantStatic, err := planner.ReferencePlanStatic(refStatic)
 		if !planner.SameResult(gotStatic, gerr, wantStatic, err) {

@@ -33,16 +33,15 @@ func scalePrices(cp sim.CloudProfile, k float64) sim.CloudProfile {
 }
 
 // newPlanner mirrors the harness's planner construction for scenario sc
-// over the given cloud profile. Both sides of a metamorphic pair must pass
-// the same rngSeed so any Monte-Carlo draws align sample-for-sample.
-func newPlanner(t *testing.T, sc harness.Scenario, cp sim.CloudProfile, rngSeed uint64, delta float64) (*planner.Planner, float64) {
+// over the given cloud profile.
+func newPlanner(t *testing.T, sc harness.Scenario, cp sim.CloudProfile, delta float64) (*planner.Planner, float64) {
 	t.Helper()
 	profile := sim.ModelTrainProfile{
 		Model:       sc.Model,
 		Batch:       sc.Model.BaseBatch,
 		GPUsPerNode: cp.Instance.GPUs,
 	}
-	sm, err := sim.New(sc.Spec, profile, cp, sc.Samples, stats.NewRNG(rngSeed))
+	sm, err := sim.New(sc.Spec, profile, cp, 0, nil)
 	if err != nil {
 		t.Fatalf("simulator: %v", err)
 	}
@@ -58,7 +57,7 @@ func metamorphicScenarios(t *testing.T, seed uint64, n int) []harness.Scenario {
 	var out []harness.Scenario
 	for i := 0; i < 200 && len(out) < n; i++ {
 		sc := harness.Generate(seed, i)
-		p, _ := newPlanner(t, sc, sc.Profile, seed, 0.01)
+		p, _ := newPlanner(t, sc, sc.Profile, 0.01)
 		if _, err := p.PlanElastic(); err == nil {
 			out = append(out, sc)
 		}
@@ -76,8 +75,8 @@ func metamorphicScenarios(t *testing.T, seed uint64, n int) []harness.Scenario {
 func TestPriceScalingElastic(t *testing.T) {
 	const k = 2.0
 	for _, sc := range metamorphicScenarios(t, 31, 5) {
-		base, _ := newPlanner(t, sc, sc.Profile, 31, 0.01)
-		scaled, _ := newPlanner(t, sc, scalePrices(sc.Profile, k), 31, 0.01*k)
+		base, _ := newPlanner(t, sc, sc.Profile, 0.01)
+		scaled, _ := newPlanner(t, sc, scalePrices(sc.Profile, k), 0.01*k)
 		r1, err1 := base.PlanElastic()
 		r2, err2 := scaled.PlanElastic()
 		if err1 != nil || err2 != nil {
@@ -100,13 +99,13 @@ func TestPriceScalingElastic(t *testing.T) {
 // tightens (an infeasible tight deadline satisfies the relation vacuously).
 func TestDeadlineTighteningNeverLowersCost(t *testing.T) {
 	for _, sc := range metamorphicScenarios(t, 35, 6) {
-		loose, deadline := newPlanner(t, sc, sc.Profile, 35, 0.01)
+		loose, deadline := newPlanner(t, sc, sc.Profile, 0.01)
 		rl, err := loose.PlanElastic()
 		if err != nil {
 			t.Fatalf("%d/%d: %v", sc.BatchSeed, sc.Index, err)
 		}
 		for _, shrink := range []float64{0.9, 0.75, 0.5} {
-			tight, _ := newPlanner(t, sc, sc.Profile, 35, 0.01)
+			tight, _ := newPlanner(t, sc, sc.Profile, 0.01)
 			tight.Deadline = deadline * shrink
 			rt, err := tight.PlanElastic()
 			if err == planner.ErrInfeasible {
@@ -135,7 +134,7 @@ func TestPlanInvariantUnderTrialPermutation(t *testing.T) {
 		if sc.Faults != (cloud.FaultModel{}) || sc.Spec.TotalTrials() < 2 {
 			continue
 		}
-		p, _ := newPlanner(t, sc, sc.Profile, 17, 0.01)
+		p, _ := newPlanner(t, sc, sc.Profile, 0.01)
 		res, err := p.PlanElastic()
 		if err != nil {
 			continue

@@ -14,16 +14,16 @@ import (
 
 // resnetSim builds a deterministic-overhead simulator over a ResNet-50
 // style job for planner tests.
-func resnetSim(t *testing.T, s *spec.ExperimentSpec, samples int, seed uint64) *sim.Simulator {
+func resnetSim(t *testing.T, s *spec.ExperimentSpec) *sim.Simulator {
 	t.Helper()
 	sm := new(sim.Simulator)
-	initResnetSim(t, sm, s, samples, seed)
+	initResnetSim(t, sm, s)
 	return sm
 }
 
 // initResnetSim initialises sm in place as the Simulator resnetSim
-// returns for the same arguments.
-func initResnetSim(t *testing.T, sm *sim.Simulator, s *spec.ExperimentSpec, samples int, seed uint64) {
+// returns for the same spec.
+func initResnetSim(t *testing.T, sm *sim.Simulator, s *spec.ExperimentSpec) {
 	t.Helper()
 	m := model.ResNet50()
 	m.IterNoiseStd = 0.1
@@ -34,7 +34,7 @@ func initResnetSim(t *testing.T, sm *sim.Simulator, s *spec.ExperimentSpec, samp
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed)); err != nil {
+	if err := sm.Init(s, prof, cp); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,7 +127,7 @@ func TestPlannerValidate(t *testing.T) {
 	if _, err := p.PlanStatic(); err == nil {
 		t.Error("nil simulator accepted")
 	}
-	p.Sim = resnetSim(t, spec.MustSHA(8, 2, 8, 2), 3, 1)
+	p.Sim = resnetSim(t, spec.MustSHA(8, 2, 8, 2))
 	if _, err := p.PlanStatic(); err == nil {
 		t.Error("zero deadline accepted")
 	}
@@ -135,7 +135,7 @@ func TestPlannerValidate(t *testing.T) {
 
 func TestPlanStaticFeasible(t *testing.T) {
 	s := spec.MustSHA(16, 4, 32, 2)
-	sm := resnetSim(t, s, 5, 2)
+	sm := resnetSim(t, s)
 	p := &Planner{Sim: sm, Deadline: 3600}
 	res, err := p.PlanStatic()
 	if err != nil {
@@ -151,8 +151,8 @@ func TestPlanStaticFeasible(t *testing.T) {
 
 func TestPlanStaticTighterDeadlineCostsMore(t *testing.T) {
 	s := spec.MustSHA(16, 4, 32, 2)
-	loose := &Planner{Sim: resnetSim(t, s, 5, 3), Deadline: 7200}
-	tight := &Planner{Sim: resnetSim(t, s, 5, 3), Deadline: 150}
+	loose := &Planner{Sim: resnetSim(t, s), Deadline: 7200}
+	tight := &Planner{Sim: resnetSim(t, s), Deadline: 150}
 	rl, err := loose.PlanStatic()
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestPlanStaticTighterDeadlineCostsMore(t *testing.T) {
 
 func TestPlanStaticInfeasible(t *testing.T) {
 	s := spec.MustSHA(16, 4, 32, 2)
-	p := &Planner{Sim: resnetSim(t, s, 3, 4), Deadline: 1, MaxGPUs: 32}
+	p := &Planner{Sim: resnetSim(t, s), Deadline: 1, MaxGPUs: 32}
 	if _, err := p.PlanStatic(); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -183,7 +183,7 @@ func TestPlanElasticNeverWorseThanStatic(t *testing.T) {
 	// or beat it in predicted cost.
 	s := spec.MustSHA(32, 2, 32, 2)
 	for _, deadline := range []float64{1200, 2400, 4800} {
-		sm := resnetSim(t, s, 5, 5)
+		sm := resnetSim(t, s)
 		p := &Planner{Sim: sm, Deadline: deadline}
 		st, err := p.PlanStatic()
 		if err != nil {
@@ -208,7 +208,7 @@ func TestPlanElasticShrinksLaterStages(t *testing.T) {
 	// elastic plan should allocate no more to late stages than to early
 	// ones.
 	s := spec.MustSHA(64, 4, 508, 2)
-	sm := resnetSim(t, s, 5, 6)
+	sm := resnetSim(t, s)
 	p := &Planner{Sim: sm, Deadline: 900}
 	res, err := p.PlanElastic()
 	if err != nil {
@@ -228,7 +228,7 @@ func TestPlanElasticBeatsStaticMeaningfully(t *testing.T) {
 	// late stages dominate; require at least 10% here to confirm the
 	// optimizer is actually moving.
 	s := spec.MustSHA(64, 4, 508, 2)
-	sm := resnetSim(t, s, 5, 7)
+	sm := resnetSim(t, s)
 	p := &Planner{Sim: sm, Deadline: 900, MaxGPUs: 256}
 	st, err := p.PlanStatic()
 	if err != nil {
@@ -246,7 +246,7 @@ func TestPlanElasticBeatsStaticMeaningfully(t *testing.T) {
 
 func TestPlanNaiveElastic(t *testing.T) {
 	s := spec.MustSHA(16, 4, 32, 2)
-	sm := resnetSim(t, s, 5, 8)
+	sm := resnetSim(t, s)
 	p := &Planner{Sim: sm, Deadline: 3600, MaxGPUs: 128}
 	res, err := p.PlanNaiveElastic()
 	if err != nil {
@@ -266,7 +266,7 @@ func TestPlanNaiveElastic(t *testing.T) {
 
 func TestPlanNaiveElasticInfeasible(t *testing.T) {
 	s := spec.MustSHA(16, 4, 32, 2)
-	p := &Planner{Sim: resnetSim(t, s, 3, 9), Deadline: 1, MaxGPUs: 64}
+	p := &Planner{Sim: resnetSim(t, s), Deadline: 1, MaxGPUs: 64}
 	if _, err := p.PlanNaiveElastic(); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -347,7 +347,7 @@ func TestCandidatesDistinctAndUnaliased(t *testing.T) {
 // buffer and allocates nothing.
 func TestMemoHitZeroAlloc(t *testing.T) {
 	s := spec.MustSHA(16, 2, 16, 2)
-	p := &Planner{Sim: resnetSim(t, s, 8, 3), Deadline: 1e6}
+	p := &Planner{Sim: resnetSim(t, s), Deadline: 1e6}
 	plan := sim.NewPlan(16, 8, 4, 2)
 	want, err := p.estimate(plan) // miss: fills the memo
 	if err != nil {

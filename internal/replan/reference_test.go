@@ -7,12 +7,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 )
-
-// analyticRoot seeds the reference's analytic Simulators. Nothing
-// advances it.
-var analyticRoot = stats.NewRNG(1)
 
 // preScreenTolerance is the relative movement in the stale tail's
 // analytic JCT or cost (re-fitted vs planning-time profile) below which
@@ -86,7 +81,7 @@ func (c *Controller) refReplan(state State, reason Reason) (d Decision, screened
 		}
 	}
 
-	sm, err := sim.New(suffix, prof, cp, c.cfg.Samples, c.cfg.RNG.Stream(uint64(seq)))
+	sm, err := sim.New(suffix, prof, cp, 0, nil)
 	if err != nil {
 		return Decision{}, false, err
 	}
@@ -123,18 +118,16 @@ func (c *Controller) refReplan(state State, reason Reason) (d Decision, screened
 }
 
 // analyticSim returns a new Simulator of suffix that evaluates tails
-// under the given profiles analytically. Its seed is never drawn from
-// while every latency has finite moments (analytic estimates consult no
-// RNG), so what it estimates is a pure function of its arguments.
+// under the given profiles.
 func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) (*sim.Simulator, error) {
-	return sim.New(suffix, prof, cp, c.cfg.Samples, analyticRoot)
+	return sim.New(suffix, prof, cp, 0, nil)
 }
 
 // analyticTail analytically estimates a tail plan on sm. ok=false means
 // the profile's latencies lack finite moments.
 func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
-	est, ok, err := sm.NewAnalyticEval().Estimate(tail)
-	return est, err == nil && ok
+	est, err := sm.Estimate(tail)
+	return est, err == nil
 }
 
 // refScreenTail is the analytic drift pre-screen on analytic Simulators

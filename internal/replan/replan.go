@@ -22,10 +22,9 @@
 //
 // Purity and determinism contract: every Decision is a pure function of
 // (the observation sequence so far, the decision's ordinal, the virtual
-// clock's now). The controller draws no wall-clock time and no global
-// randomness; the replanning simulator for decision i seeds from
-// Config.RNG.Stream(i), a pure derivation, so decisions are bit-identical
-// across runs and replays.
+// clock's now). The controller draws no wall-clock time and no
+// randomness at all: its simulator estimates on analytic moments, so
+// decisions are bit-identical across runs and replays.
 //
 // Storage contract: a Controller keeps everything its decisions use —
 // the committed decisions and their plans, the re-fitted profile, the
@@ -65,9 +64,9 @@ const (
 	ReasonPreemption Reason = "preemption"
 )
 
-// Config parameterizes a Controller. Spec, Profile, Cloud, Deadline,
-// MaxGPUs and Samples mirror the planning-time configuration the
-// original plan was compiled under.
+// Config parameterizes a Controller. Spec, Profile, Cloud, Deadline and
+// MaxGPUs mirror the planning-time configuration the original plan was
+// compiled under.
 type Config struct {
 	// Spec is the full experiment structure being executed.
 	Spec *spec.ExperimentSpec
@@ -81,14 +80,6 @@ type Config struct {
 	// MaxGPUs caps the replanned peak cluster size (same cap as the
 	// original planning run).
 	MaxGPUs int
-	// Samples is the replanning simulator's Monte-Carlo sample count,
-	// used only where a latency lacks finite moments. Zero selects
-	// sim.DefaultSamples.
-	Samples int
-	// RNG is the controller's root random stream. Decision i seeds its
-	// simulator from RNG.Stream(i) — a pure derivation, so the parent
-	// stream never advances and replays are bit-identical.
-	RNG *stats.RNG
 	// Threshold is the relative EWMA deviation |ewma−1| that triggers a
 	// replan. Zero selects 0.25.
 	Threshold float64
@@ -109,9 +100,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Samples <= 0 {
-		c.Samples = sim.DefaultSamples
-	}
 	if c.Threshold <= 0 {
 		c.Threshold = 0.25
 	}
@@ -127,8 +115,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("replan: nil spec")
 	case c.Profile == nil:
 		return fmt.Errorf("replan: nil profile")
-	case c.RNG == nil:
-		return fmt.Errorf("replan: nil rng")
 	case c.Deadline <= 0 || math.IsInf(c.Deadline, 0) || math.IsNaN(c.Deadline):
 		return fmt.Errorf("replan: deadline %v", c.Deadline)
 	case c.MaxGPUs < 1:
@@ -618,10 +604,8 @@ func (c *Controller) Replan(state State, reason Reason) (Decision, error) {
 	suffix := c.suffix(state.Stage + 1)
 	staleTail := sim.Plan{Alloc: old.Alloc[state.Stage+1:]}
 
-	var rng stats.RNG
-	c.cfg.RNG.StreamInto(uint64(seq), &rng)
 	sm := c.sm
-	if err := sm.Init(suffix, prof, cp, c.cfg.Samples, &rng); err != nil {
+	if err := sm.Init(suffix, prof, cp); err != nil {
 		return Decision{}, err
 	}
 

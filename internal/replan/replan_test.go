@@ -41,8 +41,6 @@ func testConfig(t *testing.T) Config {
 		Cloud:    sim.DefaultCloudProfile(),
 		Deadline: 2000,
 		MaxGPUs:  16,
-		Samples:  4,
-		RNG:      stats.NewRNG(7),
 	}
 }
 
@@ -62,7 +60,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"nil spec", func(c *Config) { c.Spec = nil }},
 		{"nil profile", func(c *Config) { c.Profile = nil }},
-		{"nil rng", func(c *Config) { c.RNG = nil }},
 		{"zero deadline", func(c *Config) { c.Deadline = 0 }},
 		{"nan deadline", func(c *Config) { c.Deadline = math.NaN() }},
 		{"inf deadline", func(c *Config) { c.Deadline = math.Inf(1) }},
@@ -85,14 +82,12 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	base := testConfig(t)
-	base.Samples = 0
-	c, err := NewController(base)
+	c, err := NewController(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := c.cfg
-	if cfg.Threshold != 0.25 || cfg.CooldownSeconds != 60 || cfg.Samples != sim.DefaultSamples {
+	if cfg.Threshold != 0.25 || cfg.CooldownSeconds != 60 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -313,17 +308,16 @@ func TestNoteMatchesFmt(t *testing.T) {
 
 // TestStaleAndNewTailsShareEstimator: a decision prices the stale tail
 // and the tail it adopts with the one estimator its search selects on,
-// so the adoption test compares like with like. With finite moments both
-// are analytic, so a Simulator of the suffix under the re-fitted profile
-// reproduces them bit for bit at any seed and sample count; with a queue
-// delay without a finite variance both are Monte-Carlo, reproduced by a
-// Simulator on the decision's own stream.
+// so the adoption test compares like with like: both are analytic, so a
+// Simulator of the suffix under the re-fitted profile reproduces them
+// bit for bit, under a light-tailed queue delay and under a heavy-tailed
+// one (Pareto α = 2.5, finite variance).
 func TestStaleAndNewTailsShareEstimator(t *testing.T) {
 	for _, heavy := range []bool{false, true} {
 		cfg := testConfig(t)
 		cfg.Deadline = 700 // the stale one-GPU tail misses it at the drifted latency
 		if heavy {
-			cfg.Cloud.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+			cfg.Cloud.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 2.5}
 		}
 		c, err := NewController(cfg)
 		if err != nil {
@@ -339,11 +333,7 @@ func TestStaleAndNewTailsShareEstimator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng, samples := stats.NewRNG(99), 9
-		if heavy {
-			rng, samples = cfg.RNG.Stream(uint64(dec.Seq)), cfg.Samples
-		}
-		sm, err := sim.New(cfg.Spec.Suffix(1), prof, cp, samples, rng)
+		sm, err := sim.New(cfg.Spec.Suffix(1), prof, cp, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

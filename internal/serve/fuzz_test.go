@@ -19,8 +19,9 @@ func decodeSubmission(data []byte) (Submission, error) {
 // unchanged (replay tuples store the submission as JSON, so a lossy
 // encoding would replay a different experiment). The checked-in corpus
 // (testdata/fuzz/FuzzSubmission) holds the three submission shapes the
-// end-to-end benchmark sends and one that sets every field of the
-// schema.
+// end-to-end benchmark sends, one that sets every field of the schema,
+// and two with a Pareto queue delay: α = 1.5, which Validate refuses
+// (no finite variance), and α = 2.5, which it accepts.
 func FuzzSubmission(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sub, err := decodeSubmission(data)

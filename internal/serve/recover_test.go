@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -273,5 +274,55 @@ func TestRecoverFailsRetiredEstimator(t *testing.T) {
 	}
 	if rep.Resumed != 0 || len(rep.Failed) != 1 || rep.Failed[0] != st.ID {
 		t.Fatalf("recover report = %+v, want %s failed", rep, st.ID)
+	}
+}
+
+// TestRecoverFailsInfiniteVarianceLatency: an unfinished run whose
+// submission.json asks for a Pareto α = 1.5 queue delay, which the
+// planner cannot estimate, fails validation, so recovery lists it in
+// Failed and resumes the other unfinished run; VerifyReplay refuses a
+// tuple of that submission with the validation error.
+func TestRecoverFailsInfiniteVarianceLatency(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Capacity: 8, DataDir: dataDir}
+	subs := []Submission{smallSub("acme", 402), smallSub("acme", 403)}
+	_, totalA := refRun(t, subs[0])
+	_, totalB := refRun(t, subs[1])
+	sA, tsA := newTestServer(t, cfg)
+	sA.armJournal = func(_ string, jw *journal.Writer) { jw.SetCrashPoint(min(totalA, totalB)/2, 0) }
+	ids := make([]string, len(subs))
+	for i, sub := range subs {
+		resp, body := postSub(t, tsA, sub)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		}
+		var st Status
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	sA.Drain()
+	sA.Close()
+
+	bad := subs[0]
+	bad.Cloud = &CloudSpec{QueueDelay: &DistSpec{Type: "pareto", Scale: 2, Alpha: 1.5}}
+	side, err := json.Marshal(subSidecar{ID: ids[0], Submission: bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, bad.Tenant, ids[0], "submission.json"), side, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sB, _ := newTestServer(t, cfg)
+	rep, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != 1 || len(rep.Failed) != 1 || rep.Failed[0] != ids[0] {
+		t.Fatalf("recover report = %+v, want %s failed and %s resumed", rep, ids[0], ids[1])
+	}
+	if _, err := VerifyReplay(ReplayTuple{Submission: bad}); err == nil || !strings.Contains(err.Error(), "queue_delay") {
+		t.Fatalf("VerifyReplay of the pareto 1.5 submission: %v, want the queue_delay validation error", err)
 	}
 }

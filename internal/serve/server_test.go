@@ -270,6 +270,36 @@ func TestServerRejections(t *testing.T) {
 	}
 }
 
+// TestServerHeavyTailedQueueDelay: a "pareto" queue delay without a
+// finite variance (α = 1.5) gets a 400 naming queue_delay, since the
+// planner has no moments to plan it on; one with a finite variance
+// (α = 2.5) is accepted, planned and run to done.
+func TestServerHeavyTailedQueueDelay(t *testing.T) {
+	s, ts := newTestServer(t, Config{Capacity: 2})
+	sub := smallSub("acme", 11)
+	sub.DeadlineFactor = 10 // room for the queue delay the static bound leaves out
+	sub.Cloud = &CloudSpec{QueueDelay: &DistSpec{Type: "pareto", Scale: 2, Alpha: 1.5}}
+	if resp, body := postSub(t, ts, sub); resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("queue_delay")) {
+		t.Fatalf("pareto 1.5 queue delay: %d %s, want a 400 naming queue_delay", resp.StatusCode, body)
+	}
+	sub.Cloud.QueueDelay.Alpha = 2.5
+	resp, body := postSub(t, ts, sub)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("pareto 2.5 queue delay: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if code := getJSON(t, ts, "/v1/experiments/"+st.ID, &st); code != http.StatusOK {
+		t.Fatalf("status: %d", code)
+	}
+	if st.State != "done" || !st.Planned {
+		t.Fatalf("pareto 2.5 queue delay: final status %+v, want a planned run done", st)
+	}
+}
+
 // TestServerFullSchemaJournaledReplay: a submission off the idealised
 // cloud — spot billing, provider faults, an exponential queue, the
 // profiler, the static policy and a batch override — runs through the

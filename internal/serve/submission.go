@@ -44,11 +44,13 @@ type Submission struct {
 	// into the job deadline (values near 1 are tight). Exactly one of
 	// DeadlineFactor and Deadline is set.
 	DeadlineFactor float64 `json:"deadline_factor,omitempty"`
-	// Samples is the simulator's Monte-Carlo sample count (default 4).
+	// Samples is range-checked (0-64) and otherwise ignored: every plan
+	// is estimated analytically, and a Simulator draws no samples.
+	//
+	// Deprecated: submissions need not set it.
 	Samples int `json:"samples,omitempty"`
 	// Estimator is validated ("segment", "analytic" or empty) and
-	// otherwise ignored: every plan is estimated analytically, with a
-	// Monte-Carlo fallback for latencies without finite moments.
+	// otherwise ignored: every plan is estimated analytically.
 	//
 	// Deprecated: submissions need not set it.
 	Estimator string `json:"estimator,omitempty"`
@@ -111,7 +113,8 @@ type DistSpec struct {
 	// Lo and Hi bound the uniform distribution.
 	Lo float64 `json:"lo,omitempty"`
 	Hi float64 `json:"hi,omitempty"`
-	// Scale and Alpha parameterize the Pareto distribution.
+	// Scale and Alpha parameterize the Pareto distribution; Alpha must
+	// exceed 2, so its variance is finite.
 	Scale float64 `json:"scale,omitempty"`
 	Alpha float64 `json:"alpha,omitempty"`
 }
@@ -221,7 +224,6 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 		Space:          searchspace.ForModel(m.Name),
 		RestoreSeconds: 2,
 		MaxGPUs:        sub.MaxGPUs,
-		Samples:        sub.Samples,
 		DeadlineFactor: sub.DeadlineFactor,
 		UseProfiler:    sub.UseProfiler,
 	}
@@ -247,9 +249,6 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 		if _, err = sim.ParseEstimator(sub.Estimator); err != nil {
 			return sc, err
 		}
-	}
-	if sc.Samples == 0 {
-		sc.Samples = 4
 	}
 	if r := sub.RestoreSeconds; r != nil {
 		if *r < 0 {
@@ -370,6 +369,10 @@ func (d DistSpec) Dist() (stats.Dist, error) {
 		}
 		return stats.Uniform{Lo: d.Lo, Hi: d.Hi}, nil
 	case "pareto":
+		// The planner's analytic estimate needs a finite variance.
+		if !(d.Alpha > 2) {
+			return nil, fmt.Errorf("pareto alpha %v, want more than 2 (a finite variance)", d.Alpha)
+		}
 		p, err := stats.NewPareto(d.Scale, d.Alpha)
 		if err != nil {
 			return nil, err

@@ -104,7 +104,7 @@ func TestDecodeSubmission(t *testing.T) {
 			if e.Faults.ProvisionFailureProb != 0.1 || e.Faults.PreemptionMeanSeconds != 900 {
 				t.Errorf("faults = %+v", e.Faults)
 			}
-			if !e.UseProfiler || e.RestoreSeconds != 2.5 || e.BatchSeed != 9 || e.Samples != 7 || e.MaxGPUs != 64 {
+			if !e.UseProfiler || e.RestoreSeconds != 2.5 || e.BatchSeed != 9 || e.MaxGPUs != 64 {
 				t.Errorf("options = %+v", e)
 			}
 		}},
@@ -200,6 +200,8 @@ func TestDistSpecRejects(t *testing.T) {
 		{Type: "uniform", Lo: 4, Hi: 2},
 		{Type: "pareto", Scale: 0, Alpha: 2},
 		{Type: "pareto", Scale: 1, Alpha: 1},
+		{Type: "pareto", Scale: 1, Alpha: 1.5}, // finite mean, infinite variance
+		{Type: "pareto", Scale: 1, Alpha: 2},
 		{Type: "mystery"},
 	}
 	for _, d := range bad {

@@ -25,12 +25,11 @@ func exactAllocs(t *testing.T) {
 	})
 }
 
-// TestWarmSegmentEstimateZeroAlloc: with every segment's samples and
-// moments in the table, an estimate allocates nothing,
-// whether the plan memo answers it (Estimate), the moments do (estimate)
-// or it is recombined from the segments' samples (estimateMC).
+// TestWarmSegmentEstimateZeroAlloc: with every segment's moments in the
+// table, an estimate allocates nothing, whether the plan memo answers it
+// (Estimate) or the moments do (estimate).
 func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
-	sm := stochasticSim(t, 20, 31)
+	sm := stochasticSim(t)
 	plans := testPlans(sm)
 	estimate := func() {
 		for _, p := range plans {
@@ -38,9 +37,6 @@ func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := sm.estimate(p); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sm.estimateMC(p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -51,21 +47,18 @@ func TestWarmSegmentEstimateZeroAlloc(t *testing.T) {
 	}
 }
 
-// reinitSim returns stochasticSim(t, 20, 31)'s Simulator after a
-// first job: it filled its table with every test plan's segments, sample
-// vectors, moments and memo entry, and was then initialised in place for
-// the same job, as an owner that keeps a Simulator re-initialises it.
+// reinitSim returns stochasticSim(t)'s Simulator after a first job: it
+// filled its table with every test plan's segments, moments and memo
+// entry, and was then initialised in place for the same job, as an
+// owner that keeps a Simulator re-initialises it.
 func reinitSim(t *testing.T) *Simulator {
-	sm := stochasticSim(t, 20, 31)
+	sm := stochasticSim(t)
 	for _, p := range testPlans(sm) {
-		if _, err := sm.EstimateMC(p); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := sm.Estimate(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	initStochasticSim(t, sm, 20, 31)
+	initStochasticSim(t, sm)
 	if sm.tab.index.n != 0 || sm.tab.plans.n != 0 {
 		t.Fatalf("a re-initialised table indexes %d segments and %d plan hashes, want 0", sm.tab.index.n, sm.tab.plans.n)
 	}
@@ -77,8 +70,7 @@ func reinitSim(t *testing.T) *Simulator {
 // and kept.
 func reinit(t testing.TB, s *Simulator) {
 	t.Helper()
-	rng := s.root
-	if err := s.Init(s.spec, s.profile, s.cloud, s.samples, &rng); err != nil {
+	if err := s.Init(s.spec, s.profile, s.cloud); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,33 +88,6 @@ func tableSegments(t *testing.T, sm *Simulator, plans []Plan) []ref {
 		segs = append(segs, cp.segs...)
 	}
 	return segs
-}
-
-// TestColdSampleFillAllocatesOnlyVector: a segment's sample vector is
-// the only storage its fill takes, and it comes from the table's sample
-// slab — streams and timing buffers are the Simulator's scratch. On a
-// re-initialised Simulator's table cold fills allocate nothing; on a new
-// Simulator's they allocate the slab's first chunk and nothing else.
-func TestColdSampleFillAllocatesOnlyVector(t *testing.T) {
-	exactAllocs(t)
-	fill := func(sm *Simulator, segs []ref) uint64 {
-		return mallocs(func() {
-			for _, h := range segs {
-				sm.segmentSamples(h)
-			}
-		})
-	}
-	sm := reinitSim(t)
-	segs := tableSegments(t, sm, testPlans(sm))
-	if allocs := fill(sm, segs); allocs != 0 {
-		t.Fatalf("cold fills of %d segments on a re-initialised table allocate %d, want 0", len(segs), allocs)
-	}
-
-	sm = stochasticSim(t, 20, 31)
-	segs = tableSegments(t, sm, testPlans(sm)[1:2])
-	if allocs, chunks := fill(sm, segs), sm.tab.samples.n; allocs != 1 || chunks != 1 {
-		t.Fatalf("cold fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)
-	}
 }
 
 // mallocs returns the heap objects f allocates. MemStats.Mallocs counts
@@ -145,7 +110,7 @@ func mallocs(f func()) uint64 {
 // column and allocation column.
 func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 	exactAllocs(t)
-	plan := testPlans(stochasticSim(t, 20, 31))[1]
+	plan := testPlans(stochasticSim(t))[1]
 	run := func(sm *Simulator) (allocs uint64, segs int) {
 		segs = len(tableSegments(t, sm, []Plan{plan})) // build the segments uncounted
 		allocs = mallocs(func() {
@@ -155,7 +120,7 @@ func TestFreshAnalyticEstimatePoolsScratch(t *testing.T) {
 		})
 		return allocs, segs
 	}
-	fresh := func() *Simulator { return stochasticSim(t, 20, 31) }
+	fresh := func() *Simulator { return stochasticSim(t) }
 	for i := 0; i < 5; i++ {
 		if allocs, segs := run(reinitSim(t)); allocs != 0 {
 			t.Fatalf("analytic Estimate over %d segments on a re-initialised table allocates %d objects, want 0", segs, allocs)

@@ -1,22 +1,25 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/cloud"
 	"repro/internal/stats"
 )
 
 // This file is the analytic (moment-propagation) estimator behind
-// Estimate: the same segment decomposition and billing replay as the
-// Monte-Carlo fallback, but carrying (mean, variance) pairs instead of
-// sample vectors. A warm evaluation touches no RNG, draws no samples, and
-// allocates nothing, so every candidate of a plan search costs
-// microseconds.
+// Estimate: the execution DAG's stage segments carry (mean, variance)
+// pairs, which recombine across stages and replay against the billing
+// model. A warm evaluation touches no RNG and allocates nothing, so
+// every candidate of a plan search costs microseconds. Algorithm 1, the
+// Monte-Carlo estimator over the same segments, is the oracle the tests
+// hold it to.
 
-// segMoment is the analytic counterpart of a segment's sample vector:
-// the moments of its zero-based duration, its SCALE finish (zero when
-// the cluster does not grow into the stage), and its total training
-// GPU-slot seconds. ok=false marks a segment whose latencies lack finite
-// moments; such plans fall back to Monte-Carlo.
+// segMoment is a segment's analytic summary: the moments of its
+// zero-based duration, its SCALE finish (zero when the cluster does not
+// grow into the stage), and its total training GPU-slot seconds. ok=false
+// marks a segment whose moments the pass cannot propagate (see
+// segment.moments); Estimate refuses plans with such a segment.
 type segMoment struct {
 	dur, scaleFin, trainSec stats.Moment
 	ok                      bool
@@ -40,7 +43,7 @@ func (s *Simulator) segmentMoments(h ref) ref {
 }
 
 // moments propagates (mean, variance) pairs through the segment's stage
-// in closed form: the analytic counterpart of eval. The propagation
+// in closed form. The propagation
 // treats each finish as a shared barrier plus an independent remainder
 // (see "Barrier decomposition" in DESIGN.md), so a join never
 // double-counts the variance its inputs share, and it reproduces that
@@ -60,7 +63,9 @@ func (s *Simulator) segmentMoments(h ref) ref {
 // the segment reports ok=false. Stochastic joins are moment-matched
 // (stats.MaxIIDMoment for bit-equal siblings, stats.MaxIndep across
 // distinct ones); deterministic stages propagate exactly. ok=false also
-// marks a latency without finite moments. The additions of a zero
+// marks a TRAIN latency without finite moments; prov's latencies have
+// finite moments and never sample below zero, which Init checks. The
+// additions of a zero
 // moment repeat the general pass's arithmetic (time zero as a barrier,
 // the SYNC's zero latency), which can turn −0 into +0.
 //
@@ -71,16 +76,10 @@ func (sg *segment) moments(prov *provLats) segMoment {
 	if !ok {
 		return segMoment{}
 	}
-	nonneg := sg.train.NonNeg()
 	var scale, init stats.Moment
 	if grow > 0 {
-		var oks, oki bool
-		scale, oks = prov.scale.Moment()
-		init, oki = prov.init.Moment()
-		if !oks || !oki {
-			return segMoment{}
-		}
-		nonneg = nonneg && prov.scale.NonNeg() && prov.init.NonNeg()
+		scale, _ = prov.scale.Moment()
+		init, _ = prov.init.Moment()
 	}
 
 	v := segMoment{ok: true}
@@ -113,7 +112,7 @@ func (sg *segment) moments(prov *provLats) segMoment {
 	case opening == trials:
 		join = stats.MaxIIDMoment(train, trials)
 	default:
-		if !nonneg {
+		if !sg.train.NonNeg() {
 			return segMoment{}
 		}
 		// Slots [0, deep) hold q+1 TRAINs, the rest q. Each slot tail's
@@ -150,77 +149,71 @@ type birthGroup struct {
 	count   int
 }
 
-// AnalyticEval evaluates plans analytically against one Simulator. It
-// owns the compiled-plan buffer and the billing stack, so it is cheap to
-// reuse; like its Simulator, it belongs to one goroutine at a time.
-type AnalyticEval struct {
-	sim    *Simulator
-	cp     compiledPlan
-	groups []birthGroup
-}
-
-// NewAnalyticEval returns a new analytic evaluator bound to s. Estimate
-// evaluates on one the Simulator keeps; this one is for callers that want
-// the analytic estimate on its own, without the plan memo or the
-// Monte-Carlo fallback.
-func (s *Simulator) NewAnalyticEval() *AnalyticEval { //rbvet:ignore unreached — the replan reference and the estimator tests score plans analytically, without the fallback, through it
-	return &AnalyticEval{sim: s}
-}
-
-// Estimate analytically predicts JCT and cost for the plan: E[JCT] and
-// E[cost] in Estimate.JCT/Cost, with JCTStd/CostStd the analytic
-// standard deviations of the same distributions the Monte-Carlo modes
-// sample. ok=false means some latency lacks finite moments and the
-// caller should fall back to a sampling estimator; the error mirrors
-// Simulator.Estimate's plan validation.
-//
-// The evaluation is exact under deterministic latencies and
-// moment-matched otherwise (see segment.moments); CostStd
+// estimate computes Estimate's answer without the plan memo: p's
+// segments' moments, recombined and priced. JCTStd and CostStd are the
+// analytic standard deviations of the distributions the Monte-Carlo
+// oracle samples. The evaluation is exact under deterministic latencies
+// and moment-matched otherwise (see segment.moments); CostStd
 // additionally treats per-group instance charges as independent, which
-// the validation tests bound. It is deterministic — no RNG is consulted
-// — and a warm call (every segment and its moments in the table)
-// allocates nothing.
-func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
-	if ok, err := e.fill(p); !ok || err != nil {
-		return Estimate{}, false, err
+// the validation tests bound.
+//
+//rbvet:pure
+func (s *Simulator) estimate(p Plan) (Estimate, error) {
+	cp, err := s.fill(p)
+	if err != nil {
+		return Estimate{}, err
 	}
-	jct, cost := e.price(&e.cp)
+	jct, cost := s.price(cp)
 	return Estimate{
 		JCT: jct.Mean, JCTStd: jct.Std(),
 		Cost: cost.Mean, CostStd: cost.Std(),
-	}, true, nil
+	}, nil
 }
 
-// fill compiles p into the evaluator's plan and fills every segment's
-// moments. ok=false means some latency lacks finite moments.
-func (e *AnalyticEval) fill(p Plan) (ok bool, err error) {
-	if err := e.sim.compile(p, &e.cp); err != nil {
-		return false, err
+// fill compiles p into the scratch's plan, fills every segment's
+// moments and returns the plan, or an error naming the first stage
+// whose moments do not exist.
+func (s *Simulator) fill(p Plan) (*compiledPlan, error) {
+	cp := &s.scr.cp
+	if err := s.compile(p, cp); err != nil {
+		return nil, err
 	}
-	for i, m := range e.cp.moms {
+	for i, m := range cp.moms {
 		if m == 0 {
-			e.cp.moms[i] = e.sim.segmentMoments(e.cp.segs[i])
+			cp.moms[i] = s.segmentMoments(cp.segs[i])
 		}
-		if !e.cp.mom(i).ok {
-			return false, nil
+		if !cp.mom(i).ok {
+			return nil, s.momentErr(i, cp.seg(i))
 		}
 	}
-	return true, nil
+	return cp, nil
 }
 
-// price mirrors priceSchedule with moments: stage durations chain into
-// the JCT by independent summation; per-instance billing replays LIFO
-// lifetimes (a group's lifetime is the stage-prefix difference minus its
-// own SCALE finish — an independent-prefix subtraction, since a stage's
-// duration decomposes as its SCALE finish plus an independent remainder)
-// with the minimum charge applied via the Gaussian clamp; per-function
-// billing sums training GPU-seconds.
-func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
-	pr := e.sim.cloud.Pricing
-	cost = stats.Moment{Mean: float64(cp.maxInstances) * pr.DataIngressCost(e.sim.cloud.DatasetGB)}
+// momentErr explains why stage i's segment sg has no moments: its
+// TRAIN latency has none, or the stage runs in waves and its TRAIN
+// latency may be negative.
+func (s *Simulator) momentErr(i int, sg *segment) error {
+	d := s.iterShare(int(sg.trainGPUs)).dist
+	if _, ok := sg.train.Moment(); !ok {
+		return fmt.Errorf("sim: stage %d: TRAIN latency (iterations of %v) has no finite moments", i, d)
+	}
+	return fmt.Errorf("sim: stage %d: queued TRAINs (iterations of %v) may take negative time", i, d)
+}
+
+// price recombines a filled compiled plan's moments: stage durations
+// chain into the JCT by independent summation; per-instance billing
+// replays LIFO lifetimes (a group's lifetime is the stage-prefix
+// difference minus its own SCALE finish — an independent-prefix
+// subtraction, since a stage's duration decomposes as its SCALE finish
+// plus an independent remainder) with the minimum charge applied via
+// the Gaussian clamp; per-function billing sums training GPU-seconds.
+// The billing stack is the scratch's.
+func (s *Simulator) price(cp *compiledPlan) (jct, cost stats.Moment) {
+	pr := s.cloud.Pricing
+	cost = stats.Moment{Mean: float64(cp.maxInstances) * pr.DataIngressCost(s.cloud.DatasetGB)}
 
 	if pr.Billing == cloud.PerFunction {
-		pg := e.sim.cloud.Instance.PricePerGPUSecond(pr.Market)
+		pg := s.cloud.Instance.PricePerGPUSecond(pr.Market)
 		for i := range cp.segs {
 			m := cp.mom(i)
 			jct = jct.AddIndep(m.dur)
@@ -229,8 +222,8 @@ func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
 		return jct, cost
 	}
 
-	perHour := e.sim.cloud.Instance.PricePerHour(pr.Market)
-	groups := e.groups[:0]
+	perHour := s.cloud.Instance.PricePerHour(pr.Market)
+	groups := s.scr.groups[:0]
 	alive := 0
 	var pre stats.Moment // absolute start moment of the current stage
 	for i := range cp.segs {
@@ -250,7 +243,7 @@ func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
 				if alive-want < n {
 					n = alive - want
 				}
-				cost = cost.AddIndep(e.charge(*top, pre, n, perHour))
+				cost = cost.AddIndep(s.charge(*top, pre, n, perHour))
 				top.count -= n
 				alive -= n
 				if top.count == 0 {
@@ -261,9 +254,9 @@ func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
 		pre = pre.AddIndep(m.dur)
 	}
 	for _, g := range groups {
-		cost = cost.AddIndep(e.charge(g, pre, g.count, perHour))
+		cost = cost.AddIndep(s.charge(g, pre, g.count, perHour))
 	}
-	e.groups = groups[:0]
+	s.scr.groups = groups[:0]
 	return pre, cost
 }
 
@@ -272,8 +265,8 @@ func (e *AnalyticEval) price(cp *compiledPlan) (jct, cost stats.Moment) {
 // independent-prefix subtractions, clamped below by the minimum charge.
 // The n lifetimes are one shared random variable, so the group total
 // scales linearly (mean ×n, std ×n).
-func (e *AnalyticEval) charge(g birthGroup, death stats.Moment, n int, perHour float64) stats.Moment {
+func (s *Simulator) charge(g birthGroup, death stats.Moment, n int, perHour float64) stats.Moment {
 	life := death.SubIndepPrefix(g.pre).SubIndepPrefix(g.sf)
-	billed := stats.ClampBelow(life, e.sim.cloud.Pricing.MinChargeSeconds)
+	billed := stats.ClampBelow(life, s.cloud.Pricing.MinChargeSeconds)
 	return billed.Scale(float64(n) / 3600 * perHour)
 }

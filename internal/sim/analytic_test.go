@@ -2,42 +2,38 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/model"
-	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
-// analyticEstimate evaluates p on a fresh evaluator, failing the test on
-// error or on an unexpected fallback.
+// analyticEstimate evaluates p without the plan memo, failing the test
+// on error.
 func analyticEstimate(t *testing.T, sm *Simulator, p Plan) Estimate {
 	t.Helper()
-	e := sm.NewAnalyticEval()
-	est, ok, err := e.Estimate(p)
+	est, err := sm.estimate(p)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("plan %v: analytic estimator unexpectedly unsupported", p)
+		t.Fatalf("plan %v: %v", p, err)
 	}
 	return est
 }
 
 // TestAnalyticAgreesExactlyUnderDeterministicLatencies: with point-mass
 // latencies everywhere the moment pass is exact (every variance is zero),
-// so the analytic estimate must match the Monte-Carlo one to float
+// so the analytic estimate must match the Monte-Carlo oracle to float
 // round-off, under both billing models and for all plan shapes.
 func TestAnalyticAgreesExactlyUnderDeterministicLatencies(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := deterministicSim(t, 5, billing)
+		sm := deterministicSim(t, billing)
+		mc := newMonteCarlo(sm, 5, stats.NewRNG(77))
 		for _, plan := range testPlans(sm) {
 			ae, err := sm.Estimate(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			se, err := sm.EstimateMC(plan)
+			se, err := mc.estimate(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,11 +61,12 @@ func TestAnalyticAgreesExactlyUnderDeterministicLatencies(t *testing.T) {
 func TestAnalyticWithinMonteCarloTolerance(t *testing.T) {
 	const samples = 400
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		ana := stochasticSim(t, samples, 9)
+		ana := stochasticSim(t)
 		ana.cloud.Pricing.Billing = billing
+		mc := newMonteCarlo(ana, samples, stats.NewRNG(9))
 		for _, plan := range testPlans(ana) {
 			ae := analyticEstimate(t, ana, plan)
-			fe := algorithm1Estimate(t, ana, plan)
+			fe := algorithm1Estimate(t, mc, plan)
 			if ae.JCTStd <= 0 {
 				t.Fatalf("billing %v plan %v: degenerate analytic spread %+v", billing, plan, ae)
 			}
@@ -93,41 +90,60 @@ func TestAnalyticWithinMonteCarloTolerance(t *testing.T) {
 	}
 }
 
-// TestAnalyticFallsBackOnHeavyTails: a latency without a finite second
-// moment (Pareto α ≤ 2) makes Estimate fall back to the segment
-// Monte-Carlo path — it must return the Monte-Carlo answer bit for bit,
-// and the evaluator must report ok=false rather than inventing numbers.
-func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
-	mk := func() *Simulator {
-		s := spec.MustSHA(16, 2, 16, 2)
-		prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
+// TestInitRefusesUnsupportedProvisioning: a provisioning latency the
+// analytic estimate cannot bound — nil, without a finite variance
+// (Pareto α ≤ 2), with a negative mean, or able to sample below zero —
+// is refused by New with an error naming the latency, and the same
+// Simulator re-initialised with it is left unusable; a Pareto with
+// α > 2 is accepted and estimated analytically, its spread finite.
+func TestInitRefusesUnsupportedProvisioning(t *testing.T) {
+	s, prof, _ := stochasticJob()
+	ok := cloud.Overheads{QueueDelay: stats.Exponential{MeanValue: 5}, InitLatency: stats.Normal{Mu: 15, Sigma: 3}}
+	for _, c := range []struct {
+		name  string
+		lat   stats.Dist
+		queue bool // the queue delay, else the init latency
+	}{
+		{"nil queue delay", nil, true},
+		{"nil init latency", nil, false},
+		{"pareto 1.5 queue delay", stats.Pareto{Scale: 2, Alpha: 1.5}, true},
+		{"pareto 1.5 init latency", stats.Pareto{Scale: 2, Alpha: 1.5}, false},
+		{"negative-mean normal queue delay", stats.Normal{Mu: -5}, true},
+		{"negative-mean normal init latency", stats.Normal{Mu: -5}, false},
+		{"uniform below zero queue delay", stats.Uniform{Lo: -1, Hi: 5}, true},
+		{"uniform below zero init latency", stats.Uniform{Lo: -1, Hi: 5}, false},
+	} {
 		cp := DefaultCloudProfile()
-		cp.Overheads = cloud.Overheads{
-			QueueDelay:  stats.Pareto{Scale: 2, Alpha: 1.5}, // infinite variance
-			InitLatency: stats.Normal{Mu: 15, Sigma: 3},
+		cp.Overheads = ok
+		want := "init latency"
+		if c.queue {
+			cp.Overheads.QueueDelay, want = c.lat, "queue delay"
+		} else {
+			cp.Overheads.InitLatency = c.lat
 		}
-		sm, err := New(s, prof, cp, 24, stats.NewRNG(7))
-		if err != nil {
-			t.Fatal(err)
+		_, err := New(s, prof, cp, 0, nil)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: New error %v, want one naming the %s", c.name, err, want)
 		}
-		return sm
+		sm := stochasticSim(t)
+		if err := sm.Init(s, prof, cp); err == nil {
+			t.Fatalf("%s: Init accepted it", c.name)
+		}
+		if sm.spec != nil || sm.tab.index.n != 0 {
+			t.Fatalf("%s: a refused Init left the Simulator set up", c.name)
+		}
 	}
-	ana, seg := mk(), mk()
-	for _, plan := range testPlans(ana) {
-		e := ana.NewAnalyticEval()
-		if _, ok, err := e.Estimate(plan); err != nil || ok {
-			t.Fatalf("plan %v: evaluator ok=%v err=%v, want unsupported", plan, ok, err)
-		}
-		ae, err := ana.Estimate(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		se, err := seg.EstimateMC(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ae != se {
-			t.Fatalf("plan %v: analytic fallback %+v != segment %+v", plan, ae, se)
+	cp := DefaultCloudProfile()
+	cp.Overheads = ok
+	cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 2.5}
+	sm, err := New(s, prof, cp, 0, nil)
+	if err != nil {
+		t.Fatalf("pareto 2.5 queue delay refused: %v", err)
+	}
+	for _, plan := range testPlans(sm) {
+		est := analyticEstimate(t, sm, plan)
+		if !(est.JCTStd > 0) || math.IsInf(est.JCTStd, 0) || math.IsInf(est.CostStd, 0) {
+			t.Fatalf("plan %v: pareto 2.5 estimate %+v, want a finite positive spread", plan, est)
 		}
 	}
 }
@@ -136,7 +152,7 @@ func TestAnalyticFallsBackOnHeavyTails(t *testing.T) {
 // must not depend on what the segment table holds, and a cold simulator
 // must agree with a warm one bit for bit.
 func TestAnalyticPureAcrossCacheState(t *testing.T) {
-	warm := stochasticSim(t, 30, 13)
+	warm := stochasticSim(t)
 	plan := testPlans(warm)[1]
 	want, err := warm.Estimate(plan)
 	if err != nil {
@@ -155,7 +171,7 @@ func TestAnalyticPureAcrossCacheState(t *testing.T) {
 	if got != want {
 		t.Fatalf("estimate changed with cache state: %+v != %+v", got, want)
 	}
-	cold := stochasticSim(t, 30, 13)
+	cold := stochasticSim(t)
 	cgot, err := cold.Estimate(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +182,18 @@ func TestAnalyticPureAcrossCacheState(t *testing.T) {
 }
 
 // TestAnalyticIndependentOfSampleBudget: the analytic numbers come from
-// moments, not draws — changing the Monte-Carlo sample budget must not
-// move them at all.
+// moments, not draws — the sample budget and seed New still accepts,
+// deprecated, must not move them at all.
 func TestAnalyticIndependentOfSampleBudget(t *testing.T) {
-	a := stochasticSim(t, 10, 5)
-	b := stochasticSim(t, 400, 99)
+	s, prof, cp := stochasticJob()
+	a, err := New(s, prof, cp, 10, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(s, prof, cp, 200, stats.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, plan := range testPlans(a) {
 		ea, eb := analyticEstimate(t, a, plan), analyticEstimate(t, b, plan)
 		if ea != eb {
@@ -181,12 +204,13 @@ func TestAnalyticIndependentOfSampleBudget(t *testing.T) {
 
 // TestCanonicalAllocSharesEverything: allocations that are behaviorally
 // identical (same per-trial GPU share, same cluster size) must share
-// segments, sample vectors, RNG streams, and moments — so their estimates
-// are bit-identical analytically and by Monte-Carlo. This is the
-// property the planner's frontier deduplication relies on.
+// segments and moments, and in the oracle sample vectors and RNG
+// streams — so their estimates are bit-identical analytically and by
+// Monte-Carlo. This is the property the planner's frontier
+// deduplication relies on.
 func TestCanonicalAllocSharesEverything(t *testing.T) {
 	for _, est := range estimators {
-		sm := stochasticSim(t, 30, 17)
+		sm := stochasticSim(t)
 		stages := sm.Spec().NumStages()
 		stage := -1
 		for i := 0; i < stages; i++ {
@@ -202,40 +226,41 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 		a, b := Uniform(8, stages), Uniform(8, stages)
 		a.Alloc[stage] = 2 * trials   // 2 GPUs per trial exactly
 		b.Alloc[stage] = 2*trials + 1 // one idle GPU: same behavior, same cost
-		ea, err := est.estimate(sm, a)
+		estimate := est.on(sm, 20, 31)
+		ea, err := estimate(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		segsBefore, _, _ := tableCounts(sm)
-		eb, err := est.estimate(sm, b)
+		segsBefore, _ := tableCounts(sm)
+		eb, err := estimate(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ea != eb {
 			t.Fatalf("%s: equivalent allocations estimate differently: %+v != %+v", est.name, ea, eb)
 		}
-		if got, _, _ := tableCounts(sm); got != segsBefore {
+		if got, _ := tableCounts(sm); got != segsBefore {
 			t.Fatalf("%s: segment table grew from %d to %d on an equivalent allocation", est.name, segsBefore, got)
 		}
 	}
 }
 
-// TestAnalyticMomentCacheReusesAcrossPlans: like the sample vectors, the
-// moments live on the tuple-keyed segments — re-estimating a plan that
-// shares all but one stage fills exactly one new moment entry.
+// TestAnalyticMomentCacheReusesAcrossPlans: the moments live on the
+// tuple-keyed segments — estimating a plan that shares all but one stage
+// with an estimated one fills exactly one new moment entry.
 func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
-	sm := stochasticSim(t, 10, 21)
+	sm := stochasticSim(t)
 	stages := sm.Spec().NumStages()
 	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, before := tableCounts(sm)
+	_, before := tableCounts(sm)
 	alloc := Uniform(16, stages).Alloc
 	alloc[stages-1] = 8
 	if _, err := sm.Estimate(Plan{Alloc: alloc}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, got := tableCounts(sm); got != before+1 {
+	if _, got := tableCounts(sm); got != before+1 {
 		t.Fatalf("filled moments grew from %d to %d, want exactly one new entry", before, got)
 	}
 }
@@ -245,18 +270,15 @@ func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
 // both billing models.
 func TestAnalyticEvalWarmZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := stochasticSim(t, 20, 31)
+		sm := stochasticSim(t)
 		sm.cloud.Pricing.Billing = billing
 		plans := testPlans(sm)
-		e := sm.NewAnalyticEval()
 		for _, p := range plans { // fill the segment table
-			if _, ok, err := e.Estimate(p); err != nil || !ok {
-				t.Fatalf("billing %v plan %v: ok=%v err=%v", billing, p, ok, err)
-			}
+			analyticEstimate(t, sm, p)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			for _, p := range plans {
-				if _, _, err := e.Estimate(p); err != nil {
+				if _, err := sm.estimate(p); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/stats"
 )
 
-// This file holds priceSchedule's cohort replay to the per-instance
-// replay it replaced: one stack entry per alive instance, each instance
-// charged on its own.
+// This file holds the Monte-Carlo oracle's cohort billing replay
+// (priceSchedule) to the per-instance replay it replaced: one stack
+// entry per alive instance, each instance charged on its own.
 
 // refPriceSchedule is the per-instance LIFO billing replay: a growth
 // pushes one birth time per new instance, a shrink pops and charges
@@ -48,11 +48,12 @@ func refPriceSchedule(s *Simulator, cp *refCompiled, k int) (jct, cost float64) 
 	return stageStart, cost
 }
 
-// billingSim returns a per-instance-billed simulator over six short
+// billingMC returns the Monte-Carlo oracle, 9 draws per segment from
+// seed's streams, over a per-instance-billed simulator of six short
 // stages, with stochastic provisioning and a minimum charge of minCharge
 // seconds. Stages last tens of seconds, so a 60 s minimum charge catches
 // many lifetimes.
-func billingSim(t testing.TB, seed uint64, minCharge float64) *Simulator {
+func billingMC(t testing.TB, seed uint64, minCharge float64) *monteCarlo {
 	t.Helper()
 	s, err := spec.New(
 		spec.Stage{Trials: 12, Iters: 2}, spec.Stage{Trials: 8, Iters: 1}, spec.Stage{Trials: 6, Iters: 3},
@@ -68,11 +69,11 @@ func billingSim(t testing.TB, seed uint64, minCharge float64) *Simulator {
 		QueueDelay:  stats.Exponential{MeanValue: 4},
 		InitLatency: stats.Normal{Mu: 10, Sigma: 3},
 	}
-	sm, err := New(s, normalProfile{mu: 6, sigma: 2}, cp, 9, stats.NewRNG(seed))
+	sm, err := New(s, normalProfile{mu: 6, sigma: 2}, cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
+	return newMonteCarlo(sm, 9, stats.NewRNG(seed))
 }
 
 // billingPattern summarizes what a plan's billing replay exercises:
@@ -86,14 +87,14 @@ type billingPattern struct {
 // checkCohortBilling compares priceSchedule with refPriceSchedule on
 // every sample of plan, bit for bit, and reports the billing pattern the
 // plan exercised.
-func checkCohortBilling(t testing.TB, sm *Simulator, plan Plan) billingPattern {
+func checkCohortBilling(t testing.TB, mc *monteCarlo, plan Plan) billingPattern {
 	t.Helper()
-	var cp compiledPlan
-	if err := sm.compile(plan, &cp); err != nil {
+	sm := mc.s
+	if err := mc.compile(plan); err != nil {
 		t.Fatal(err)
 	}
-	sm.sampleVectors(&cp)
-	v := cp.view(sm.samples)
+	cp := &mc.cp
+	v := cp.view(mc.rows)
 	var pat billingPattern
 	shrunk := false
 	for i := 1; i < len(v.segs); i++ {
@@ -105,9 +106,9 @@ func checkCohortBilling(t testing.TB, sm *Simulator, plan Plan) billingPattern {
 		}
 	}
 	var stack []cohort
-	for k := 0; k < sm.samples; k++ {
+	for k := 0; k < mc.samples; k++ {
 		var jct, cost float64
-		jct, cost, stack = sm.priceSchedule(&cp, k, stack)
+		jct, cost, stack = sm.priceSchedule(cp, mc.rows, k, stack)
 		wantJCT, wantCost := refPriceSchedule(sm, v, k)
 		if math.Float64bits(jct) != math.Float64bits(wantJCT) || math.Float64bits(cost) != math.Float64bits(wantCost) {
 			t.Fatalf("plan %v draw %d: cohort replay (%v, %v), per-instance replay (%v, %v)", plan, k, jct, cost, wantJCT, wantCost)
@@ -131,12 +132,12 @@ func TestCohortBillingMatchesPerInstance(t *testing.T) {
 	r := stats.NewRNG(11)
 	var regrows, short int
 	for trial := 0; trial < 200; trial++ {
-		sm := billingSim(t, uint64(trial), []float64{0, 60, 600}[trial%3])
-		alloc := make([]int, sm.spec.NumStages())
+		mc := billingMC(t, uint64(trial), []float64{0, 60, 600}[trial%3])
+		alloc := make([]int, mc.s.spec.NumStages())
 		for i := range alloc {
 			alloc[i] = 1 + r.Intn(40)
 		}
-		pat := checkCohortBilling(t, sm, Plan{Alloc: alloc})
+		pat := checkCohortBilling(t, mc, Plan{Alloc: alloc})
 		if pat.regrows {
 			regrows++
 		}
@@ -155,11 +156,11 @@ func FuzzCohortBilling(f *testing.F) {
 	f.Add(uint64(2), uint64(0x2802_1c02_2801), uint16(0))
 	f.Add(uint64(3), uint64(0x0101_3001_0140), uint16(600))
 	f.Fuzz(func(t *testing.T, seed, rawAlloc uint64, minCharge uint16) {
-		sm := billingSim(t, seed, float64(minCharge))
-		alloc := make([]int, sm.spec.NumStages())
+		mc := billingMC(t, seed, float64(minCharge))
+		alloc := make([]int, mc.s.spec.NumStages())
 		for i := range alloc {
 			alloc[i] = 1 + int(rawAlloc>>(8*i)&0xff)%48
 		}
-		checkCohortBilling(t, sm, Plan{Alloc: alloc})
+		checkCohortBilling(t, mc, Plan{Alloc: alloc})
 	})
 }

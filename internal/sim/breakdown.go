@@ -24,62 +24,25 @@ type StageEstimate struct {
 }
 
 // Breakdown predicts per-stage durations and compute-cost attribution for
-// a plan on the estimator Estimate uses, so its rows decompose the
-// estimate a search reports: each stage's expected duration and cost
-// from its analytic moments, whose durations add up to Estimate's JCT;
-// when a latency lacks finite moments, their averages over the
-// Monte-Carlo fallback's s.samples draws per segment, where sample k
-// condenses exactly the draws the fallback's k-th sample prices.
-// Repeated calls return identical results.
+// a plan on the analytic moments Estimate uses, so its rows decompose
+// the estimate a search reports: each stage's expected duration and
+// cost, whose durations add up to Estimate's JCT. It refuses the plans
+// Estimate refuses, with the same error. Repeated calls return identical
+// results.
 func (s *Simulator) Breakdown(p Plan) ([]StageEstimate, error) {
-	e := s.evaluator()
-	ok, err := e.fill(p)
+	cp, err := s.fill(p)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return s.breakdownMC(p)
-	}
-	out := s.stageRows(&e.cp, p)
+	out := s.stageRows(cp, p)
 	var prev int32
-	for i := range e.cp.segs {
-		sg, m := e.cp.seg(i), e.cp.mom(i)
+	for i := range cp.segs {
+		sg, m := cp.seg(i), cp.mom(i)
 		out[i].Duration = m.dur.Mean
 		out[i].Cost = s.stageCost(sg, prev, m.dur.Mean, m.scaleFin.Mean, m.trainSec.Mean)
 		prev = sg.instances
 	}
 	return out, nil
-}
-
-// breakdownMC is Breakdown's Monte-Carlo decomposition of p.
-func (s *Simulator) breakdownMC(p Plan) ([]StageEstimate, error) {
-	cp := &s.scr.eval.cp
-	if err := s.compile(p, cp); err != nil {
-		return nil, err
-	}
-	s.sampleVectors(cp)
-	return s.breakdown(cp, p), nil
-}
-
-// breakdown averages per-stage durations and compute-cost attribution
-// over the s.samples Monte-Carlo rows of a compiled plan with its sample
-// vectors filled (cp.row(i, k) is stage i's draw k).
-func (s *Simulator) breakdown(cp *compiledPlan, p Plan) []StageEstimate {
-	out := s.stageRows(cp, p)
-	for k := 0; k < s.samples; k++ {
-		var prev int32
-		for i := range cp.segs {
-			sg, row := cp.seg(i), cp.row(i, k)
-			out[i].Duration += row.dur
-			out[i].Cost += s.stageCost(sg, prev, row.dur, row.scaleFin, row.trainSec)
-			prev = sg.instances
-		}
-	}
-	for i := range out {
-		out[i].Duration /= float64(s.samples)
-		out[i].Cost /= float64(s.samples)
-	}
-	return out
 }
 
 // stageRows returns cp's rows with each stage's shape filled and its
@@ -100,8 +63,8 @@ func (s *Simulator) stageRows(cp *compiledPlan, p Plan) []StageEstimate {
 
 // stageCost attributes compute cost to one stage of segment sg, entered
 // with prev instances, that lasts dur with its SCALE request serviced at
-// scaleFin and trainSec training GPU-slot seconds. It mirrors
-// priceSchedule: under per-function billing the stage pays its training
+// scaleFin and trainSec training GPU-slot seconds. It mirrors price:
+// under per-function billing the stage pays its training
 // GPU-time; under per-instance billing machines carried over bill the
 // whole span, and newly provisioned ones start billing when the SCALE
 // request is serviced (queueing is unbilled).

@@ -14,7 +14,7 @@ func TestBreakdownSumsToEstimate(t *testing.T) {
 	// deterministic job (no Monte-Carlo disagreement between the calls).
 	s := spec.Empty().AddStage(4, 10).AddStage(2, 20)
 	cp := testCloud(cloud.PerInstance, 5, 15)
-	sm := mustSim(t, s, constProfile{1}, cp, 3)
+	sm := mustSim(t, s, constProfile{1}, cp)
 	plan := NewPlan(4, 4)
 
 	rows, err := sm.Breakdown(plan)
@@ -51,7 +51,7 @@ func TestBreakdownSumsToEstimate(t *testing.T) {
 func TestBreakdownPerFunction(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10)
 	cp := testCloud(cloud.PerFunction, 0, 0)
-	sm := mustSim(t, s, constProfile{1}, cp, 2)
+	sm := mustSim(t, s, constProfile{1}, cp)
 	rows, err := sm.Breakdown(NewPlan(4))
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestBreakdownPerFunction(t *testing.T) {
 
 func TestBreakdownRejectsBadPlan(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10)
-	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0), 2)
+	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0))
 	if _, err := sm.Breakdown(NewPlan(4, 4)); err == nil {
 		t.Fatal("bad plan accepted")
 	}

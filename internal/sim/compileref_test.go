@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // refCompiled is the compiled plan as it was before handles: per-stage
-// segment, sample-vector and moment pointers.
+// segment and moment pointers, and the Monte-Carlo oracle's sample
+// vectors.
 type refCompiled struct {
 	segs         []*segment
 	vecs         [][]segSample
@@ -18,19 +20,12 @@ type refCompiled struct {
 }
 
 // view resolves a compiled plan's refs to the pointers the pointer-based
-// compiled plan held: nil for an unfilled vector or moment.
-func (cp *compiledPlan) view(samples int) *refCompiled {
-	v := &refCompiled{maxInstances: cp.maxInstances}
+// compiled plan held, nil for unfilled moments, beside the oracle's
+// sample vectors rows.
+func (cp *compiledPlan) view(rows [][]segSample) *refCompiled {
+	v := &refCompiled{maxInstances: cp.maxInstances, vecs: rows}
 	for i := range cp.segs {
 		v.segs = append(v.segs, cp.seg(i))
-		var vec []segSample
-		if h := cp.vecs[i]; h != 0 {
-			vec = make([]segSample, samples)
-			for k := range vec {
-				vec[k] = cp.row(i, k)
-			}
-		}
-		v.vecs = append(v.vecs, vec)
 		var m *segMoment
 		if cp.moms[i] != 0 {
 			m = cp.mom(i)
@@ -41,9 +36,10 @@ func (cp *compiledPlan) view(samples int) *refCompiled {
 }
 
 // refCompile is the pointer-based compile: every stage's segment built
-// afresh, outside any table, its sample vector drawn serially from the
-// tuple's stream family and its moments computed, all held by pointer.
-func (s *Simulator) refCompile(p Plan) (*refCompiled, error) {
+// afresh, outside any table, and its moments computed, both held by
+// pointer, and, for a Monte-Carlo oracle mc, its sample vector drawn
+// serially from the tuple's stream family under mc's root.
+func (s *Simulator) refCompile(p Plan, mc *monteCarlo) (*refCompiled, error) {
 	if err := p.Validate(s.spec.NumStages()); err != nil {
 		return nil, err
 	}
@@ -52,17 +48,19 @@ func (s *Simulator) refCompile(p Plan) (*refCompiled, error) {
 	for i, alloc := range p.Alloc {
 		key := segKey{stage: int32(i), alloc: int32(canonAlloc(alloc, s.spec.Stage(i).Trials)), prev: prev}
 		sg := s.buildSegment(key)
-		vec := make([]segSample, s.samples)
-		base := s.segStream(key)
-		var r stats.RNG
-		var lat []float64
-		for k := range vec {
-			base.StreamInto(uint64(k), &r)
-			vec[k], lat = sg.eval(&s.prov, &r, lat)
+		if mc != nil {
+			vec := make([]segSample, mc.samples)
+			base := mc.segStream(key)
+			var r stats.RNG
+			var lat []float64
+			for k := range vec {
+				base.StreamInto(uint64(k), &r)
+				vec[k], lat = sg.eval(&s.prov, &r, lat)
+			}
+			cp.vecs = append(cp.vecs, vec)
 		}
 		m := sg.moments(&s.prov)
 		cp.segs = append(cp.segs, &sg)
-		cp.vecs = append(cp.vecs, vec)
 		cp.moms = append(cp.moms, &m)
 		prev = sg.instances
 		cp.maxInstances = max(cp.maxInstances, sg.instances)
@@ -70,26 +68,25 @@ func (s *Simulator) refCompile(p Plan) (*refCompiled, error) {
 	return cp, nil
 }
 
-// refEstimate is Estimate over the pointer-based compile, without the
-// plan memo or any table: refPrice when every moment is finite, and
-// otherwise the Monte-Carlo replay through refPriceSchedule. mc asks for
-// the replay whatever the moments, as EstimateMC does.
-func (s *Simulator) refEstimate(p Plan, mc bool) (Estimate, error) {
-	cp, err := s.refCompile(p)
+// refEstimate is an estimate over the pointer-based compile, without
+// the plan memo or any table: for a nil mc, Estimate's, refPrice over
+// the moments (an error when some moment does not exist); otherwise the
+// oracle mc's, the Monte-Carlo replay through refPriceSchedule.
+func (s *Simulator) refEstimate(p Plan, mc *monteCarlo) (Estimate, error) {
+	cp, err := s.refCompile(p, mc)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if !mc {
-		ok := true
-		for _, m := range cp.moms {
-			ok = ok && m.ok
+	if mc == nil {
+		for i, m := range cp.moms {
+			if !m.ok {
+				return Estimate{}, fmt.Errorf("stage %d has no moments", i)
+			}
 		}
-		if ok {
-			jct, cost := s.refPrice(cp)
-			return Estimate{JCT: jct.Mean, JCTStd: jct.Std(), Cost: cost.Mean, CostStd: cost.Std()}, nil
-		}
+		jct, cost := s.refPrice(cp)
+		return Estimate{JCT: jct.Mean, JCTStd: jct.Std(), Cost: cost.Mean, CostStd: cost.Std()}, nil
 	}
-	jcts, costs := make([]float64, s.samples), make([]float64, s.samples)
+	jcts, costs := make([]float64, mc.samples), make([]float64, mc.samples)
 	for k := range jcts {
 		if s.cloud.Pricing.Billing == cloud.PerFunction {
 			jcts[k], costs[k] = refPricePerFunction(s, cp, k)
@@ -117,9 +114,8 @@ func refPricePerFunction(s *Simulator, cp *refCompiled, k int) (jct, cost float6
 	return jct, cost
 }
 
-// refPrice is AnalyticEval.price over the pointer-based compile.
+// refPrice is price over the pointer-based compile.
 func (s *Simulator) refPrice(cp *refCompiled) (jct, cost stats.Moment) {
-	e := &AnalyticEval{sim: s}
 	pr := s.cloud.Pricing
 	cost = stats.Moment{Mean: float64(cp.maxInstances) * pr.DataIngressCost(s.cloud.DatasetGB)}
 	if pr.Billing == cloud.PerFunction {
@@ -147,7 +143,7 @@ func (s *Simulator) refPrice(cp *refCompiled) (jct, cost stats.Moment) {
 			for alive > want {
 				top := &groups[len(groups)-1]
 				n := min(top.count, alive-want)
-				cost = cost.AddIndep(e.charge(*top, pre, n, perHour))
+				cost = cost.AddIndep(s.charge(*top, pre, n, perHour))
 				top.count -= n
 				alive -= n
 				if top.count == 0 {
@@ -158,7 +154,7 @@ func (s *Simulator) refPrice(cp *refCompiled) (jct, cost stats.Moment) {
 		pre = pre.AddIndep(cp.moms[i].dur)
 	}
 	for _, g := range groups {
-		cost = cost.AddIndep(e.charge(g, pre, g.count, perHour))
+		cost = cost.AddIndep(s.charge(g, pre, g.count, perHour))
 	}
 	return pre, cost
 }
@@ -172,29 +168,36 @@ func sameEstimate(a, b Estimate) bool {
 }
 
 // TestCompileMatchesPointerOracle holds the handle-based compile and
-// everything that reads it — sample fills, the Monte-Carlo replay, the
-// analytic evaluator and the plan memo — to the pointer-based oracle:
-// every estimate bit-identical, analytic and Monte-Carlo, under both
-// billing models, cold and warm, on a new Simulator's table and after
-// re-initialising it over that table, and the Simulator's seed state
-// untouched.
+// everything that reads it — the analytic estimate and the plan memo,
+// and the Monte-Carlo oracle's sample fills and replay — to the
+// pointer-based compile: every estimate bit-identical, analytic and
+// Monte-Carlo, under both billing models, cold and warm, on a new
+// Simulator's table and after re-initialising it over that table, and
+// the oracle's seed state untouched.
 func TestCompileMatchesPointerOracle(t *testing.T) {
 	for _, est := range estimators {
 		for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-			sm := deterministicSim(t, 8, billing)
-			stoch := stochasticSim(t, 16, 41)
-			for _, s := range []*Simulator{sm, stoch} {
-				root := s.root
+			for _, c := range []struct {
+				s             *Simulator
+				samples, seed int
+			}{{deterministicSim(t, billing), 8, 77}, {stochasticSim(t), 16, 41}} {
+				s := c.s
+				var mc *monteCarlo
+				estimate := s.Estimate
+				if est.mc {
+					mc = newMonteCarlo(s, c.samples, stats.NewRNG(uint64(c.seed)))
+					estimate = mc.estimate
+				}
 				for pass := 0; pass < 3; pass++ { // cold, memoized, then cold again on the kept table
 					if pass == 2 {
 						reinit(t, s)
 					}
 					for _, p := range testPlans(s) {
-						got, err := est.estimate(s, p)
+						got, err := estimate(p)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := s.refEstimate(p, est.mc)
+						want, err := s.refEstimate(p, mc)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -204,8 +207,8 @@ func TestCompileMatchesPointerOracle(t *testing.T) {
 						}
 					}
 				}
-				if s.root != root {
-					t.Fatal("estimating moved the Simulator's seed state")
+				if mc != nil && mc.root != *stats.NewRNG(uint64(c.seed)) {
+					t.Fatal("estimating moved the oracle's seed state")
 				}
 			}
 		}
@@ -214,27 +217,29 @@ func TestCompileMatchesPointerOracle(t *testing.T) {
 
 // FuzzCompileMatchesPointerOracle: random plans over a stochastic
 // Simulator estimate bit-identically through the handle-based compile
-// and the pointer-based oracle, analytically or by Monte-Carlo.
+// and the pointer-based one, analytically or by Monte-Carlo.
 func FuzzCompileMatchesPointerOracle(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(9), uint8(2), false)
 	f.Add(uint64(7), uint8(16), uint8(1), uint8(30), true)
 	f.Fuzz(func(t *testing.T, seed uint64, a, b, c uint8, analytic bool) {
-		est := estimators[0]
+		sm := stochasticSim(t)
+		var mc *monteCarlo
+		estimate := sm.Estimate
 		if !analytic {
-			est = estimators[1]
+			mc = newMonteCarlo(sm, 8, stats.NewRNG(seed))
+			estimate = mc.estimate
 		}
-		sm := stochasticSim(t, 8, seed)
 		n := sm.Spec().NumStages()
 		alloc := make([]int, n)
 		for i := range alloc {
 			alloc[i] = 1 + int([3]uint8{a, b, c}[i%3]+uint8(i))%32
 		}
 		p := Plan{Alloc: alloc}
-		got, err := est.estimate(sm, p)
+		got, err := estimate(p)
 		if err != nil {
 			t.Skip()
 		}
-		want, err := sm.refEstimate(p, est.mc)
+		want, err := sm.refEstimate(p, mc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,9 @@ import "fmt"
 
 // EstimatorMode names an estimator a submission may still ask for.
 //
-// Deprecated: Estimate has one path, analytic moments with a Monte-Carlo
-// fallback, whatever the mode. The type, ParseEstimator and
-// WithEstimator stay only so that old submissions keep validating.
+// Deprecated: Estimate has one path, analytic moments, whatever the
+// mode. The type, ParseEstimator and WithEstimator stay only so that old
+// submissions and the benchmark module keep working.
 type EstimatorMode int
 
 const (
@@ -18,6 +18,8 @@ const (
 
 // ParseEstimator parses an estimator name ("segment" or "analytic"), so
 // a submission naming any other estimator is still rejected.
+//
+// Deprecated: the mode it returns selects nothing.
 func ParseEstimator(s string) (EstimatorMode, error) {
 	switch s {
 	case "segment":
@@ -30,6 +32,6 @@ func ParseEstimator(s string) (EstimatorMode, error) {
 
 // WithEstimator configures nothing.
 //
-// Deprecated: every Simulator estimates analytically, with a Monte-Carlo
-// fallback; the mode is ignored.
+// Deprecated: every Simulator estimates analytically; the mode is
+// ignored.
 func WithEstimator(EstimatorMode) Option { return func(*Simulator) {} }

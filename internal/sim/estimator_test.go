@@ -12,27 +12,20 @@ import (
 )
 
 // initStochasticSim initialises sm in place as the Simulator
-// stochasticSim returns for the same arguments.
-func initStochasticSim(t testing.TB, sm *Simulator, samples int, seed uint64) {
+// stochasticSim returns.
+func initStochasticSim(t testing.TB, sm *Simulator) {
 	t.Helper()
-	s := spec.MustSHA(16, 2, 16, 2)
-	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-	cp := DefaultCloudProfile()
-	cp.Overheads = cloud.Overheads{
-		QueueDelay:  stats.Exponential{MeanValue: 5},
-		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
-	}
-	if err := sm.Init(s, prof, cp, samples, stats.NewRNG(seed)); err != nil {
+	if err := sm.Init(stochasticJob()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // deterministicSim returns a simulator whose every latency source is a
 // point mass: measured profile with zero straggler variance and constant
-// provisioning overheads. No estimator draws any random number, so the
-// analytic estimate, the Monte-Carlo one and Algorithm 1 must agree
-// exactly.
-func deterministicSim(t testing.TB, samples int, billing cloud.BillingModel) *Simulator {
+// provisioning overheads. No draw carries randomness, so the analytic
+// estimate, the segment Monte-Carlo oracle and Algorithm 1 over the full
+// DAG must agree exactly.
+func deterministicSim(t testing.TB, billing cloud.BillingModel) *Simulator {
 	t.Helper()
 	s := spec.MustSHA(16, 2, 16, 2)
 	sc, err := model.NewInterpolatedScaling([]int{1, 2, 4, 8, 16}, []float64{1, 1.9, 3.6, 6.5, 11})
@@ -46,24 +39,30 @@ func deterministicSim(t testing.TB, samples int, billing cloud.BillingModel) *Si
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
-	sm, err := New(s, prof, cp, samples, stats.NewRNG(77))
+	sm, err := New(s, prof, cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sm
 }
 
-// estimators are the two ways a test reaches an estimate: the public
-// Estimate (analytic, memoized) and the Monte-Carlo fallback, which is
-// what Estimate returns when a latency lacks finite moments; mc marks
-// the Monte-Carlo one.
-var estimators = []struct {
-	name     string
-	mc       bool
-	estimate func(*Simulator, Plan) (Estimate, error)
-}{
-	{"Estimate", false, (*Simulator).Estimate},
-	{"EstimateMC", true, (*Simulator).EstimateMC},
+// estimator is one way a test reaches an estimate: the public Estimate
+// (analytic, memoized) or, when mc is set, the Monte-Carlo oracle.
+type estimator struct {
+	name string
+	mc   bool
+}
+
+// estimators are both estimators.
+var estimators = []estimator{{"Estimate", false}, {"Monte-Carlo", true}}
+
+// on returns e's estimate of sm's plans; the oracle draws samples draws
+// per segment from seed's streams.
+func (e estimator) on(sm *Simulator, samples int, seed uint64) func(Plan) (Estimate, error) {
+	if e.mc {
+		return newMonteCarlo(sm, samples, stats.NewRNG(seed)).estimate
+	}
+	return sm.Estimate
 }
 
 // TestParseEstimator round-trips both deprecated spellings, which
@@ -91,14 +90,14 @@ func TestParseEstimator(t *testing.T) {
 }
 
 // TestEstimatorModesDeterministicAcrossWorkers: the analytic estimate
-// and its Monte-Carlo fallback are each bit-identical across repeated
+// and the Monte-Carlo oracle are each bit-identical across repeated
 // calls on fresh and reused simulators, and the deprecated WithWorkers
 // option changes neither.
 func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 	for _, est := range estimators {
-		ref := stochasticSim(t, 40, 42)
+		ref := stochasticSim(t)
 		for _, plan := range testPlans(ref) {
-			want, err := est.estimate(ref, plan)
+			want, err := est.on(ref, 40, 42)(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,9 +105,9 @@ func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s plan %v: degenerate estimate, test is vacuous", est.name, plan)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				sm := stochasticSim(t, 40, 42, WithWorkers(workers))
+				estimate := est.on(stochasticSim(t, WithWorkers(workers)), 40, 42)
 				for run := 0; run < 2; run++ {
-					got, err := est.estimate(sm, plan)
+					got, err := estimate(plan)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -123,16 +122,16 @@ func TestEstimatorModesDeterministicAcrossWorkers(t *testing.T) {
 
 // TestEstimatorsAgreeExactlyUnderDeterministicLatencies: with point-mass
 // latencies everywhere no draw carries randomness to diverge on, so the
-// Monte-Carlo estimate must return Algorithm 1's estimates and
+// segment Monte-Carlo oracle must return Algorithm 1's estimates and
 // breakdowns over the full DAG, up to the float round-off of zero-based
 // versus absolute stage times, under both billing models and for all
 // plan shapes (static, shrinking, queued waves).
 func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 	const rel = 1e-12
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		seg := deterministicSim(t, 5, billing)
-		for _, plan := range testPlans(seg) {
-			se, err := seg.EstimateMC(plan)
+		seg := newMonteCarlo(deterministicSim(t, billing), 5, stats.NewRNG(77))
+		for _, plan := range testPlans(seg.s) {
+			se, err := seg.estimate(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +142,7 @@ func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 			if se.JCT <= 0 || se.Cost <= 0 {
 				t.Fatalf("billing %v plan %v: degenerate estimate %+v", billing, plan, se)
 			}
-			sb, err := seg.BreakdownMC(plan)
+			sb, err := seg.breakdownOf(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,15 +159,15 @@ func TestEstimatorsAgreeExactlyUnderDeterministicLatencies(t *testing.T) {
 }
 
 // TestEstimatorsAgreeToMonteCarloTolerance: under stochastic latencies
-// the segment estimator and Algorithm 1 over the full DAG draw different
+// the segment oracle and Algorithm 1 over the full DAG draw different
 // streams, so they are distinct unbiased estimators of the same
 // quantities; at a large sample count their means must agree to a few
 // standard errors.
 func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 	const samples = 400
-	seg := stochasticSim(t, samples, 9)
-	for _, plan := range testPlans(seg) {
-		se, err := seg.EstimateMC(plan)
+	seg := stochasticMC(t, samples, 9)
+	for _, plan := range testPlans(seg.s) {
+		se, err := seg.estimate(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,32 +186,32 @@ func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 }
 
 // TestSegmentEstimatesPureAcrossCacheState: a Monte-Carlo estimate must
-// not depend on what the segment table happens to hold — evaluating many
-// other plans (sharing and adding segments) between two estimates of the same
-// plan must not change a bit, and a cold simulator must agree with a
-// warm one.
+// not depend on what the segment table and the oracle's vectors happen
+// to hold — evaluating many other plans (sharing and adding segments)
+// between two estimates of the same plan must not change a bit, and a
+// cold oracle must agree with a warm one.
 func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
-	warm := stochasticSim(t, 30, 13)
-	plan := testPlans(warm)[1]
-	want, err := warm.EstimateMC(plan)
+	warm := stochasticMC(t, 30, 13)
+	plan := testPlans(warm.s)[1]
+	want, err := warm.estimate(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := warm.Spec().NumStages()
+	stages := warm.s.Spec().NumStages()
 	for g := 1; g <= 32; g++ {
-		if _, err := warm.EstimateMC(Uniform(g, stages)); err != nil {
+		if _, err := warm.estimate(Uniform(g, stages)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := warm.EstimateMC(plan)
+	got, err := warm.estimate(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("estimate changed with cache state: %+v != %+v", got, want)
 	}
-	cold := stochasticSim(t, 30, 13)
-	cgot, err := cold.EstimateMC(plan)
+	cold := stochasticMC(t, 30, 13)
+	cgot, err := cold.estimate(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,21 +270,19 @@ func TestPlanKeyCollisionFree(t *testing.T) {
 }
 
 // TestPriceScheduleZeroAlloc pins the steady-state allocation count of
-// the billing replay to zero under both billing models: with a warm
-// cohort stack, pricing a sample must not allocate.
+// the oracle's billing replay to zero under both billing models: with a
+// warm cohort stack, pricing a sample must not allocate.
 func TestPriceScheduleZeroAlloc(t *testing.T) {
 	for _, billing := range []cloud.BillingModel{cloud.PerInstance, cloud.PerFunction} {
-		sm := deterministicSim(t, 8, billing)
-		plan := testPlans(sm)[1]
-		var cp compiledPlan
-		if err := sm.compile(plan, &cp); err != nil {
+		sm := deterministicSim(t, billing)
+		mc := newMonteCarlo(sm, 8, stats.NewRNG(77))
+		if err := mc.compile(testPlans(sm)[1]); err != nil {
 			t.Fatal(err)
 		}
-		sm.sampleVectors(&cp)
 		var stack []cohort
-		_, _, stack = sm.priceSchedule(&cp, 0, stack) // warm the buffer
+		_, _, stack = sm.priceSchedule(&mc.cp, mc.rows, 0, stack) // warm the buffer
 		allocs := testing.AllocsPerRun(100, func() {
-			_, _, stack = sm.priceSchedule(&cp, 1, stack)
+			_, _, stack = sm.priceSchedule(&mc.cp, mc.rows, 1, stack)
 		})
 		if allocs != 0 {
 			t.Fatalf("billing %v: priceSchedule allocates %v per sample, want 0", billing, allocs)
@@ -297,7 +294,7 @@ func TestPriceScheduleZeroAlloc(t *testing.T) {
 // timings buffer, Graph.SampleInto over a full execution DAG allocates
 // nothing per draw.
 func TestGraphSampleZeroAlloc(t *testing.T) {
-	sm := stochasticSim(t, 8, 3)
+	sm := stochasticSim(t)
 	b, err := buildFullDAG(sm, testPlans(sm)[1])
 	if err != nil {
 		t.Fatal(err)
@@ -314,82 +311,74 @@ func TestGraphSampleZeroAlloc(t *testing.T) {
 }
 
 // tableCounts returns the size of sm's segment table and how many of its
-// segments have their sample vector and analytic moments filled.
-func tableCounts(sm *Simulator) (segs, samples, moms int) {
+// segments have their analytic moments filled.
+func tableCounts(sm *Simulator) (segs, moms int) {
 	if sm.tab == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	for i := 0; i < sm.tab.segs.chunksUsed(); i++ {
 		for _, sg := range sm.tab.segs.usedOf(i) {
-			if sg.samples != 0 {
-				samples++
-			}
 			if sg.mom != 0 {
 				moms++
 			}
 		}
 	}
-	return sm.tab.index.n, samples, moms
+	return sm.tab.index.n, moms
 }
 
 // TestSegmentCacheReusesAcrossPlans: two Monte-Carlo estimates of plans
-// sharing a stage tuple must consult the profile only once for that
-// tuple — the segment table is what makes the fallback incremental.
+// sharing a stage tuple must build and draw only one new segment — the
+// segment table and the oracle's vectors are what make Algorithm 1
+// incremental across a search's plans.
 func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
-	sm := stochasticSim(t, 10, 21)
-	stages := sm.Spec().NumStages()
-	if _, err := sm.EstimateMC(Uniform(16, stages)); err != nil {
+	mc := stochasticMC(t, 10, 21)
+	stages := mc.s.Spec().NumStages()
+	if _, err := mc.estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
 	}
-	segsBefore, samplesBefore, _ := tableCounts(sm)
+	segsBefore, _ := tableCounts(mc.s)
+	vecsBefore := len(mc.vecs)
 	// Decrement only the final stage: every earlier (stage, alloc, prev)
 	// tuple is unchanged, so exactly one new segment may be built.
 	alloc := Uniform(16, stages).Alloc
 	alloc[stages-1] = 8
-	if _, err := sm.EstimateMC(Plan{Alloc: alloc}); err != nil {
+	if _, err := mc.estimate(Plan{Alloc: alloc}); err != nil {
 		t.Fatal(err)
 	}
-	segs, samples, _ := tableCounts(sm)
-	if segs != segsBefore+1 {
+	if segs, _ := tableCounts(mc.s); segs != segsBefore+1 {
 		t.Fatalf("segment table grew from %d to %d, want exactly one new segment", segsBefore, segs)
 	}
-	if samples != samplesBefore+1 {
-		t.Fatalf("filled sample vectors grew from %d to %d, want exactly one new vector", samplesBefore, samples)
+	if vecs := len(mc.vecs); vecs != vecsBefore+1 {
+		t.Fatalf("drawn sample vectors grew from %d to %d, want exactly one new vector", vecsBefore, vecs)
 	}
 }
 
 // TestCompileSnapshotsFills: compile resolves a plan and snapshots each
-// segment's sample vector and moments as far as they are filled. A plan no estimate has touched snapshots
-// none; once it has been estimated both analytically and by Monte-Carlo,
-// a compile carries every stage's fill, so neither sampleVectors nor
-// AnalyticEval.Estimate goes back to the table for it.
+// segment's moments as far as they are filled. A plan no estimate has
+// touched snapshots none; once it has been estimated, a compile carries
+// every stage's moments, so fill does not go back to the table for
+// them.
 func TestCompileSnapshotsFills(t *testing.T) {
-	for _, p := range testPlans(stochasticSim(t, 20, 31)) {
-		sm := stochasticSim(t, 20, 31)
+	for _, p := range testPlans(stochasticSim(t)) {
+		sm := stochasticSim(t)
 		var cp compiledPlan
 		if err := sm.compile(p, &cp); err != nil {
 			t.Fatal(err)
 		}
 		for i := range cp.segs {
-			if cp.vecs[i] != 0 || cp.moms[i] != 0 {
+			if cp.moms[i] != 0 {
 				t.Fatalf("plan %v stage %d: cold compile snapshot a fill", p, i)
 			}
 		}
-		e := sm.NewAnalyticEval()
-		if _, _, err := e.Estimate(p); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sm.EstimateMC(p); err != nil {
+		if _, err := sm.estimate(p); err != nil {
 			t.Fatal(err)
 		}
 		if err := sm.compile(p, &cp); err != nil {
 			t.Fatal(err)
 		}
 		for i := range cp.segs {
-			sg := cp.seg(i)
-			if cp.vecs[i] != sg.samples || sg.samples == 0 || cp.moms[i] != sg.mom || sg.mom == 0 {
-				t.Fatalf("plan %v stage %d: warm compile snapshot vector %d moments %d, table holds %d and %d",
-					p, i, cp.vecs[i], cp.moms[i], sg.samples, sg.mom)
+			if sg := cp.seg(i); cp.moms[i] != sg.mom || sg.mom == 0 {
+				t.Fatalf("plan %v stage %d: warm compile snapshot moments %d, table holds %d", p, i, cp.moms[i], sg.mom)
 			}
 		}
 	}

@@ -1,17 +1,10 @@
 package sim
 
-// EstimateMC is the Monte-Carlo estimate Estimate falls back to when a
-// latency has no finite moments, without the plan memo: the tests that
-// check the sampling path itself reach it here.
-func (s *Simulator) EstimateMC(p Plan) (Estimate, error) { return s.estimateMC(p) }
+import "repro/internal/stats"
 
-// SampleFills returns how many of s's table segments have their Monte-
-// Carlo sample vector filled.
-func SampleFills(s *Simulator) int {
-	_, samples, _ := tableCounts(s)
-	return samples
+// EstimateMC is the segment Monte-Carlo oracle's estimate of p on s,
+// samples draws per segment from root's streams: the external tests
+// that hold the analytic estimate to Algorithm 1 reach the oracle here.
+func EstimateMC(s *Simulator, samples int, root *stats.RNG, p Plan) (Estimate, error) {
+	return newMonteCarlo(s, samples, root).estimate(p)
 }
-
-// BreakdownMC is the Monte-Carlo decomposition Breakdown falls back to
-// when a latency has no finite moments.
-func (s *Simulator) BreakdownMC(p Plan) ([]StageEstimate, error) { return s.breakdownMC(p) }

@@ -107,7 +107,7 @@ func TestStaticCostFloorOnCorpus(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sc := harness.Generate(7, i)
 		prof := sim.ModelTrainProfile{Model: sc.Model, Batch: sc.Model.BaseBatch, GPUsPerNode: sc.Profile.Instance.GPUs}
-		sm, err := sim.New(sc.Spec, prof, sc.Profile, sc.Samples, stats.NewRNG(7))
+		sm, err := sim.New(sc.Spec, prof, sc.Profile, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,17 +120,27 @@ func TestStaticCostFloorOnCorpus(t *testing.T) {
 // cannot tell which distributions it returns.
 type opaqueProfile struct{ sim.TrainProfile }
 
-// TestStaticCostFloorRefusesFallback: when a latency the Simulator
-// prices may lack finite moments (a Pareto α = 1.8 queue delay or
-// iteration latency) or a profile's distributions are unknown, the floor
-// reports itself unusable at every size.
+// TestStaticCostFloorRefusesFallback: when an iteration latency may lack
+// finite moments (a Pareto α = 1.8 profile) or a profile's
+// distributions are unknown, the floor reports itself unusable at every
+// size. Provisioning latencies without finite moments (a Pareto α = 1.8
+// queue delay or init latency) never reach it: the Simulator refuses
+// them.
 func TestStaticCostFloorRefusesFallback(t *testing.T) {
 	resnet := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
+	for name, ov := range map[string]cloud.Overheads{
+		"pareto queue": {QueueDelay: stats.Pareto{Scale: 2, Alpha: 1.8}, InitLatency: stats.Deterministic{Value: 15}},
+		"pareto init":  {QueueDelay: stats.Deterministic{Value: 5}, InitLatency: stats.Pareto{Scale: 2, Alpha: 1.8}},
+	} {
+		cp := sim.DefaultCloudProfile()
+		cp.Overheads = ov
+		if _, err := sim.New(spec.MustSHA(16, 2, 16, 2), resnet, cp, 0, nil); err == nil {
+			t.Fatalf("%s: the Simulator accepted it", name)
+		}
+	}
 	cases := map[string]*sim.Simulator{
-		"pareto queue":   searchSimWith(t, resnet, cloud.Overheads{QueueDelay: stats.Pareto{Scale: 2, Alpha: 1.8}, InitLatency: stats.Deterministic{Value: 15}}),
-		"pareto init":    searchSimWith(t, resnet, cloud.Overheads{QueueDelay: stats.Deterministic{Value: 5}, InitLatency: stats.Pareto{Scale: 2, Alpha: 1.8}}),
-		"pareto profile": searchSim(t, paretoProfile{base: 1, alpha: 1.8}, 4, 1),
-		"opaque profile": searchSim(t, opaqueProfile{resnet}, 4, 1),
+		"pareto profile": searchSim(t, paretoProfile{base: 1, alpha: 1.8}),
+		"opaque profile": searchSim(t, opaqueProfile{resnet}),
 	}
 	for name, sm := range cases {
 		sm.StaticClusterJCTs(64, nil)
@@ -140,16 +150,4 @@ func TestStaticCostFloorRefusesFallback(t *testing.T) {
 			}
 		}
 	}
-}
-
-// searchSimWith is searchSim's job under prof with the given overheads.
-func searchSimWith(t *testing.T, prof sim.TrainProfile, ov cloud.Overheads) *sim.Simulator {
-	t.Helper()
-	cp := sim.DefaultCloudProfile()
-	cp.Overheads = ov
-	sm, err := sim.New(spec.MustSHA(16, 2, 16, 2), prof, cp, 4, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sm
 }

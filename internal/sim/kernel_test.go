@@ -12,8 +12,9 @@ import (
 	"repro/internal/stats"
 )
 
-// This file checks the closed-form stage kernel (segment.eval and
-// segment.moments) against the general reference it replaced: the same
+// This file checks the closed-form stage kernel (the Monte-Carlo
+// oracle's segment.eval and Estimate's segment.moments) against the
+// general reference it replaced: the same
 // stage emitted node by node as a Program, sampled by
 // Program.SampleInto and moment-propagated by Program.MomentsInto.
 
@@ -110,8 +111,8 @@ type distProfile struct{ d stats.Dist }
 func (p distProfile) IterDist(int) stats.Dist { return p.d }
 
 // kernelSim returns a simulator over a four-stage spec of 24, 9, 2 and 1
-// trials on gpn-GPU instances.
-func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Simulator {
+// trials on gpn-GPU instances, and the Monte-Carlo oracle over it.
+func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) (*Simulator, *monteCarlo) {
 	t.Helper()
 	s, err := spec.New(spec.Stage{Trials: 24, Iters: 3}, spec.Stage{Trials: 9, Iters: 2},
 		spec.Stage{Trials: 2, Iters: 4}, spec.Stage{Trials: 1, Iters: 1})
@@ -121,11 +122,11 @@ func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) *Sim
 	cp := DefaultCloudProfile()
 	cp.Instance.GPUs = gpn
 	cp.Overheads = oh
-	sm, err := New(s, distProfile{train}, cp, 3, stats.NewRNG(uint64(gpn)))
+	sm, err := New(s, distProfile{train}, cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
+	return sm, newMonteCarlo(sm, 3, stats.NewRNG(uint64(gpn)))
 }
 
 // segmentFor returns the table's segment for key, building and storing
@@ -150,7 +151,8 @@ func sameBits(a, b stats.Moment) bool {
 // opcode, the kernel draws the same segSample as the reference program
 // bitwise on several streams, and propagates the same moments bitwise,
 // including ok=false where moments do not exist or a queued stage cannot
-// prove its latencies non-negative.
+// prove its latencies non-negative. The provisioning latencies are the
+// ones Init accepts: finite moments, never below zero.
 func TestStageKernelMatchesProgram(t *testing.T) {
 	trains := []stats.Dist{
 		stats.Normal{Mu: 30, Sigma: 4},
@@ -168,14 +170,13 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 		{QueueDelay: stats.Deterministic{Value: 0}, InitLatency: stats.Deterministic{Value: 0}},
 		{QueueDelay: stats.LogNormal{Mu: 1, Sigma: 0.5}, InitLatency: stats.Uniform{Lo: 2, Hi: 4}},
 		{QueueDelay: stats.Pareto{Scale: 1, Alpha: 3}, InitLatency: stats.Exponential{MeanValue: 3}},
-		{QueueDelay: stats.Deterministic{Value: 4}, InitLatency: stats.Uniform{Lo: -1, Hi: 3}},
 	}
 	const streams = 3
 	var shapes, finite int
 	for _, gpn := range []int{1, 4, 8} {
 		for ti, train := range trains {
 			for oi, oh := range overheads {
-				sm := kernelSim(t, gpn, train, oh)
+				sm, mc := kernelSim(t, gpn, train, oh)
 				for stage := int32(0); stage < int32(sm.spec.NumStages()); stage++ {
 					trials := int32(sm.spec.Stage(int(stage)).Trials)
 					for alloc := int32(1); alloc <= 3*trials; alloc++ {
@@ -186,7 +187,7 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 							if sg.nodes() != ref.prog.Len() {
 								t.Fatalf("%s: kernel has %d nodes, program %d", name, sg.nodes(), ref.prog.Len())
 							}
-							base := sm.segStream(key)
+							base := mc.segStream(key)
 							var fin []float64
 							var buf []Timing
 							for k := uint64(0); k < streams; k++ {
@@ -249,7 +250,7 @@ func TestSumLatMatchesSumIters(t *testing.T) {
 // is re-initialised over that table allocates nothing.
 func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 	exactAllocs(t)
-	sm := kernelSim(t, 4, stats.Normal{Mu: 30, Sigma: 4}, cloud.DefaultOverheads())
+	sm, _ := kernelSim(t, 4, stats.Normal{Mu: 30, Sigma: 4}, cloud.DefaultOverheads())
 	keys := []segKey{{0, 24, 0}, {0, 7, 3}, {1, 18, 2}, {3, 1, 0}}
 	for _, key := range keys {
 		if allocs := testing.AllocsPerRun(50, func() { sm.buildSegment(key) }); allocs != 0 {
@@ -278,8 +279,8 @@ func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 
 // TestSegmentRecordSize pins the segment record at 80 bytes on 64-bit
 // targets: the int32 shape, the provisioning latencies kept by the
-// Simulator rather than referenced from every record, and 32-bit refs
-// for the filled sample vector and moments. The record's TRAIN latency
+// Simulator rather than referenced from every record, and a 32-bit ref
+// for the filled moments. The record's TRAIN latency
 // may hold a pointer, so its size on other word sizes differs and is
 // not pinned.
 func TestSegmentRecordSize(t *testing.T) {
@@ -310,7 +311,7 @@ func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 		t.Fatalf("cold moment fills of %d segments on a re-initialised table allocate %d, want 0", len(segs), allocs)
 	}
 
-	sm = stochasticSim(t, 20, 31)
+	sm = stochasticSim(t)
 	segs = tableSegments(t, sm, testPlans(sm)[1:2])
 	if allocs, chunks := fill(sm, segs), sm.tab.moms.n; allocs != 1 || chunks != 1 {
 		t.Fatalf("cold moment fills of %d segments on a fresh table allocate %d objects into %d chunks, want the one first chunk", len(segs), allocs, chunks)
@@ -320,7 +321,7 @@ func TestColdMomentFillAllocatesOnlySegMoment(t *testing.T) {
 // benchSegments returns the distinct segments of the test plans on a
 // stochastic simulator.
 func benchSegments(b *testing.B) (*Simulator, []segKey) {
-	sm := stochasticSim(b, 20, 7)
+	sm := stochasticSim(b)
 	var keys []segKey
 	for _, p := range testPlans(sm) {
 		var cp compiledPlan

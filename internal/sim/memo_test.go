@@ -34,13 +34,14 @@ func bitEqual(a, b Estimate) bool {
 // TestCanonicalPlansShareMemoEntry: plans that differ only within their
 // fair shares' classes share one plan-memo entry, and each one's
 // estimate computed on its own, on a fresh Simulator without the memo,
-// is bit-identical to the shared entry; the Monte-Carlo fallback, which
+// is bit-identical to the shared entry; the Monte-Carlo oracle, which
 // keeps no memo, gives twins bit-identical estimates too. This is what
 // makes the memo's canonical key sound.
 func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 	rng := stats.NewRNG(61)
 	for _, est := range estimators {
-		sm := stochasticSim(t, 20, 31)
+		sm := stochasticSim(t)
+		estimate := est.on(sm, 20, 31)
 		stages := sm.Spec().NumStages()
 		var plans []Plan
 		for i := 0; i < 12; i++ {
@@ -53,21 +54,21 @@ func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 		plans = append(plans, testPlans(sm)...)
 		merged := 0
 		for _, p := range plans {
-			want, err := est.estimate(sm, p)
+			want, err := estimate(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			entries := len(sm.tab.entries)
 			for k := 0; k < 4; k++ {
 				q := twin(sm, p, rng)
-				got, err := est.estimate(sm, q)
+				got, err := estimate(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(sm.tab.entries) != entries {
 					t.Fatalf("%s: twin %v of %v took a memo entry of its own", est.name, q, p)
 				}
-				alone, err := est.estimate(stochasticSim(t, 20, 31), q)
+				alone, err := est.on(stochasticSim(t), 20, 31)(q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +90,7 @@ func TestCanonicalPlansShareMemoEntry(t *testing.T) {
 // returns its error every time and takes no memo entry, even when its
 // allocations wrap to a memoized plan's in 32 bits.
 func TestEstimateErrorsAreNotMemoized(t *testing.T) {
-	sm := stochasticSim(t, 20, 31)
+	sm := stochasticSim(t)
 	if _, err := sm.Estimate(NewPlan(16, 8, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,10 @@ func TestEstimateErrorsAreNotMemoized(t *testing.T) {
 	}
 }
 
-// TestRecycledPlanMemoMatchesFresh: a Simulator whose plan memo and
-// sample vectors it filled under another spec, re-initialised in place,
+// TestRecycledPlanMemoMatchesFresh: a Simulator whose segment table and
+// plan memo it filled under another spec, re-initialised in place,
 // answers every plan exactly as a new Simulator does, analytically and
-// by Monte-Carlo. The two specs have the same
+// through the Monte-Carlo oracle. The two specs have the same
 // stage count, so every plan is valid under both and a memo entry that
 // survived the reset would be read back.
 func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
@@ -118,16 +119,16 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 		m.IterNoiseStd = 0.2
 		cp := DefaultCloudProfile()
 		cp.Pricing.Billing = cloud.PerFunction
-		sm, err := New(spec.MustSHA(8, 1, 8, 2), ModelTrainProfile{Model: m, Batch: 256, GPUsPerNode: 8}, cp, 9,
-			stats.NewRNG(5))
+		sm, err := New(spec.MustSHA(8, 1, 8, 2), ModelTrainProfile{Model: m, Batch: 256, GPUsPerNode: 8}, cp, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sm
 	}
 	for _, est := range estimators {
-		// The donor fills memo and sample vectors on the other spec.
+		// The donor fills its table and memo on the other spec.
 		donor := other()
+		donorMC := newMonteCarlo(donor, 9, stats.NewRNG(5))
 		if donor.Spec().NumStages() != 4 {
 			t.Fatalf("donor spec has %d stages, want 4", donor.Spec().NumStages())
 		}
@@ -139,7 +140,7 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 			if _, err := donor.Estimate(p); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := donor.EstimateMC(p); err != nil {
+			if _, err := donorMC.estimate(p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,18 +148,18 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 			t.Fatalf("donor memoized %d plans, want %d", len(donor.tab.entries), len(plans))
 		}
 		recycled := donor
-		initStochasticSim(t, recycled, 20, 31)
+		initStochasticSim(t, recycled)
 		if recycled.tab.plans.n != 0 {
 			t.Fatalf("a re-initialised table indexes %d plan hashes, want 0", recycled.tab.plans.n)
 		}
-		fresh := stochasticSim(t, 20, 31)
+		recycledEst, freshEst := est.on(recycled, 20, 31), est.on(stochasticSim(t), 20, 31)
 		for round := 0; round < 2; round++ { // misses, then memo hits
 			for _, p := range plans {
-				got, err := est.estimate(recycled, p)
+				got, err := recycledEst(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := est.estimate(fresh, p)
+				want, err := freshEst(p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/stats"
 )
 
-// This file holds the reference estimator the production segment path is
-// checked against: Algorithm 1 run over a plan's whole execution DAG, the
-// graph Figure 7 draws, sampled node by node from the plan's own RNG
-// stream family with no segment table, no compiled programs and no
-// cross-plan draw sharing.
+// This file holds the reference the segment kernel and the segment
+// Monte-Carlo oracle are checked against: Algorithm 1 run over a plan's
+// whole execution DAG, the graph Figure 7 draws, sampled node by node
+// from the plan's own RNG stream family with no segment table, no
+// compiled programs and no cross-plan draw sharing.
 
 // fullDAG is a plan's whole execution DAG plus the per-stage node IDs
 // that condense one sampled schedule into per-stage segSamples.
@@ -114,17 +114,16 @@ func buildFullDAG(s *Simulator, p Plan) (*fullDAG, error) {
 }
 
 // planStream returns the root of the plan's own stream family, keyed by a
-// hash of its raw allocation vector.
-func planStream(s *Simulator, p Plan) *stats.RNG {
+// hash of its raw allocation vector under m's root.
+func planStream(m *monteCarlo, p Plan) *stats.RNG {
 	words := make([]uint64, len(p.Alloc))
 	for i, a := range p.Alloc {
 		words[i] = uint64(a)
 	}
-	root := s.root
-	return root.Stream(stats.Hash64(words...))
+	return m.root.Stream(stats.Hash64(words...))
 }
 
-// algorithm1 draws s.samples schedules of the plan's full DAG, draw k from
+// algorithm1 draws m.samples schedules of the plan's full DAG, draw k from
 // the k-th stream of the plan's family, and condenses each stage of each
 // draw to a segSample: the sync-to-sync duration, the SCALE finish
 // relative to the stage start, and the TRAIN GPU-slot seconds. rows[i][k]
@@ -132,9 +131,9 @@ func planStream(s *Simulator, p Plan) *stats.RNG {
 // billing metadata (instances, SCALE presence, per-trial GPUs) and the
 // rows, in a table of its own, so pricing it never consults the
 // Simulator's segment table.
-func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSample) {
+func algorithm1(t testing.TB, m *monteCarlo, p Plan) (*compiledPlan, [][]segSample) {
 	t.Helper()
-	b, err := buildFullDAG(s, p)
+	b, err := buildFullDAG(m.s, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +148,11 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 	}
 	rows := make([][]segSample, stages)
 	for i := range rows {
-		rows[i] = make([]segSample, s.samples)
+		rows[i] = make([]segSample, m.samples)
 	}
-	base := planStream(s, p)
+	base := planStream(m, p)
 	var buf []Timing
-	for k := 0; k < s.samples; k++ {
+	for k := 0; k < m.samples; k++ {
 		buf, _ = b.graph.SampleInto(base.Stream(uint64(k)), buf)
 		start := 0.0
 		for i := 0; i < stages; i++ {
@@ -168,39 +167,37 @@ func algorithm1(t testing.TB, s *Simulator, p Plan) (*compiledPlan, [][]segSampl
 			start = buf[b.syncID[i]].Finish
 		}
 	}
-	return tableCompiled(segs, rows), rows
+	return tableCompiled(segs), rows
 }
 
-// tableCompiled stores segments and their sample rows in a fresh table
-// of their own and returns the compiled plan referring to them, every
-// sample vector filled.
-func tableCompiled(segs []segment, rows [][]segSample) *compiledPlan {
+// tableCompiled stores segments in a fresh table of their own and
+// returns the compiled plan referring to them.
+func tableCompiled(segs []segment) *compiledPlan {
 	t := new(segTable)
 	cp := &compiledPlan{tab: t}
 	for i := range segs {
 		run, h := t.segs.take(1)
 		run[0] = segs[i]
-		vec, v := t.samples.take(len(rows[i]))
-		copy(vec, rows[i])
-		cp.segs, cp.vecs, cp.moms = append(cp.segs, h), append(cp.vecs, v), append(cp.moms, 0)
+		cp.segs, cp.moms = append(cp.segs, h), append(cp.moms, 0)
 		cp.maxInstances = max(cp.maxInstances, segs[i].instances)
 	}
 	return cp
 }
 
-// algorithm1Estimate is the reference Estimate: every Algorithm 1 draw
-// priced with priceSchedule and reduced like Estimate's own samples.
-func algorithm1Estimate(t testing.TB, s *Simulator, p Plan) Estimate {
+// algorithm1Estimate is the reference estimate: every Algorithm 1 draw
+// priced with priceSchedule and reduced like the segment oracle's own
+// samples.
+func algorithm1Estimate(t testing.TB, m *monteCarlo, p Plan) Estimate {
 	t.Helper()
-	cp, _ := algorithm1(t, s, p)
-	return s.summarize(cp)
+	cp, rows := algorithm1(t, m, p)
+	return m.summarize(cp, rows)
 }
 
-// algorithm1Breakdown is the reference Breakdown over Algorithm 1 draws.
-func algorithm1Breakdown(t testing.TB, s *Simulator, p Plan) []StageEstimate {
+// algorithm1Breakdown is the reference breakdown over Algorithm 1 draws.
+func algorithm1Breakdown(t testing.TB, m *monteCarlo, p Plan) []StageEstimate {
 	t.Helper()
-	cp, _ := algorithm1(t, s, p)
-	return s.breakdown(cp, p)
+	cp, rows := algorithm1(t, m, p)
+	return m.breakdown(cp, rows, p)
 }
 
 // sumIters is the latency distribution of n i.i.d. iterations drawn from
@@ -265,7 +262,8 @@ func near(a, b, rel float64) bool {
 // and condense to the same sync-to-sync duration, SCALE finish and
 // training GPU-seconds.
 func TestSegmentDrawsMatchFullDAG(t *testing.T) {
-	sm := stochasticSim(t, 60, 19)
+	mc := stochasticMC(t, 60, 19)
+	sm := mc.s
 	stages := sm.Spec().NumStages()
 	grow := Uniform(3, stages) // scales up mid-job: a second SCALE
 	for i := stages / 2; i < stages; i++ {
@@ -273,7 +271,7 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 	}
 	for _, plan := range append(testPlans(sm), grow) {
 		fullDAGChecked(t, sm, plan)
-		ref, want := algorithm1(t, sm, plan)
+		ref, want := algorithm1(t, mc, plan)
 		var cp compiledPlan
 		if err := sm.compile(plan, &cp); err != nil {
 			t.Fatal(err)
@@ -288,9 +286,9 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 		if cp.maxInstances != ref.maxInstances {
 			t.Fatalf("plan %v: peak instances %d, full DAG %d", plan, cp.maxInstances, ref.maxInstances)
 		}
-		base := planStream(sm, plan)
+		base := planStream(mc, plan)
 		var buf []float64
-		for k := 0; k < sm.samples; k++ {
+		for k := 0; k < mc.samples; k++ {
 			r := base.Stream(uint64(k))
 			for i := range cp.segs {
 				var got segSample
@@ -310,7 +308,8 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 // stream, both give the same segSample bit for bit, and both propagate
 // the same duration, SCALE-finish and training-time moments.
 func TestSegmentProgramsMatchFullDAG(t *testing.T) {
-	sm := stochasticSim(t, 60, 19)
+	mc := stochasticMC(t, 60, 19)
+	sm := mc.s
 	stages := sm.Spec().NumStages()
 	grow := Uniform(3, stages) // scales up mid-job: a second SCALE
 	for i := stages / 2; i < stages; i++ {
@@ -341,10 +340,10 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 				t.Fatalf("plan %v stage %d: segment {nodes %d trials %d}, full DAG {nodes %d trials %d}",
 					plan, i, sg.nodes(), sg.trials, ref.prog.Len(), ref.trainHi-ref.trainLo)
 			}
-			base := sm.segStream(sg.key)
+			base := mc.segStream(sg.key)
 			var fin []float64
 			var wbuf []Timing
-			for k := 0; k < sm.samples; k++ {
+			for k := 0; k < mc.samples; k++ {
 				var got, want segSample
 				got, fin = sg.eval(&sm.prov, base.Stream(uint64(k)), fin)
 				want, wbuf = ref.eval(base.Stream(uint64(k)), wbuf)

@@ -12,11 +12,10 @@ import (
 	"repro/internal/stats"
 )
 
-// stochasticSim returns a simulator whose latency distributions are
-// genuinely random, so determinism tests exercise the RNG stream plumbing
-// rather than degenerate constants.
-func stochasticSim(t testing.TB, samples int, seed uint64, opts ...Option) *Simulator {
-	t.Helper()
+// stochasticJob is a job whose latency distributions are genuinely
+// random, so estimates exercise the moment propagation's joins and the
+// oracle's stream plumbing rather than degenerate constants.
+func stochasticJob() (*spec.ExperimentSpec, TrainProfile, CloudProfile) {
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 	cp := DefaultCloudProfile()
@@ -24,11 +23,25 @@ func stochasticSim(t testing.TB, samples int, seed uint64, opts ...Option) *Simu
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
-	sm, err := New(s, prof, cp, samples, stats.NewRNG(seed), opts...)
+	return s, prof, cp
+}
+
+// stochasticSim returns a simulator of stochasticJob.
+func stochasticSim(t testing.TB, opts ...Option) *Simulator {
+	t.Helper()
+	s, prof, cp := stochasticJob()
+	sm, err := New(s, prof, cp, 0, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sm
+}
+
+// stochasticMC returns the Monte-Carlo oracle over a new stochasticSim,
+// samples draws per segment from seed's streams.
+func stochasticMC(t testing.TB, samples int, seed uint64) *monteCarlo {
+	t.Helper()
+	return newMonteCarlo(stochasticSim(t), samples, stats.NewRNG(seed))
 }
 
 // testPlans covers the three plan shapes the planner emits: static,
@@ -50,14 +63,14 @@ func testPlans(sm *Simulator) []Plan {
 	}
 }
 
-// TestEstimateDeterministicAcrossWorkers: the Monte-Carlo estimate is
-// bit-identical across repeated calls and whatever worker bound the
-// deprecated WithWorkers names: sampling is serial, and the option
-// changes nothing while bench/ still passes it.
+// TestEstimateDeterministicAcrossWorkers: the Monte-Carlo oracle is
+// bit-identical across repeated calls on fresh oracles and whatever
+// worker bound the deprecated WithWorkers names on the Simulator it
+// samples: the option changes nothing while bench/ still passes it.
 func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
-	ref := stochasticSim(t, 40, 42)
-	for _, plan := range testPlans(ref) {
-		want, err := ref.EstimateMC(plan)
+	ref := stochasticMC(t, 40, 42)
+	for _, plan := range testPlans(ref.s) {
+		want, err := ref.estimate(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,9 +78,9 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("plan %v: degenerate deterministic estimate, test is vacuous", plan)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			sm := stochasticSim(t, 40, 42, WithWorkers(workers))
+			mc := newMonteCarlo(stochasticSim(t, WithWorkers(workers)), 40, stats.NewRNG(42))
 			for run := 0; run < 2; run++ {
-				got, err := sm.EstimateMC(plan)
+				got, err := mc.estimate(plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,25 +93,29 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestEstimateIndependentOfCallOrder: Monte-Carlo estimates are pure
-// functions of the plan — evaluating other plans first must not shift any stream. (The
-// pre-parallel simulator violated this: a single shared RNG made every
-// estimate depend on the full call history.)
+// functions of the plan — evaluating other plans first must not shift
+// any stream, and neither must the Simulator's own analytic estimates
+// in between. (The pre-parallel simulator violated this: a single
+// shared RNG made every estimate depend on the full call history.)
 func TestEstimateIndependentOfCallOrder(t *testing.T) {
-	a := stochasticSim(t, 30, 7)
-	b := stochasticSim(t, 30, 7)
-	plans := testPlans(a)
+	a := stochasticMC(t, 30, 7)
+	b := stochasticMC(t, 30, 7)
+	plans := testPlans(a.s)
 
 	want := make([]Estimate, len(plans))
 	for i, p := range plans {
-		est, err := a.EstimateMC(p)
+		est, err := a.estimate(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = est
 	}
-	// Reverse order on the twin simulator.
+	// Reverse order on the twin oracle.
 	for i := len(plans) - 1; i >= 0; i-- {
-		got, err := b.EstimateMC(plans[i])
+		if _, err := b.s.Estimate(plans[i]); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.estimate(plans[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +132,12 @@ func TestEstimateIndependentOfCallOrder(t *testing.T) {
 // estimates included, so goroutines that each own one need no lock.
 func TestConcurrentEstimateRace(t *testing.T) {
 	for _, est := range estimators {
-		ref := stochasticSim(t, 20, 99)
+		ref := stochasticSim(t)
 		plans := testPlans(ref)
 		want := make([]Estimate, len(plans))
+		estimate := est.on(ref, 20, 99)
 		for i, p := range plans {
-			e, err := est.estimate(ref, p)
+			e, err := estimate(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,12 +154,13 @@ func TestConcurrentEstimateRace(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(goroutines)
 		for g := 0; g < goroutines; g++ {
-			sm := stochasticSim(t, 20, 99)
+			sm := stochasticSim(t)
+			estimate := est.on(sm, 20, 99)
 			go func(g int) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					i := (g + r) % len(plans)
-					got, err := est.estimate(sm, plans[i])
+					got, err := estimate(plans[i])
 					if err != nil {
 						t.Error(err)
 						return
@@ -162,20 +181,20 @@ func TestConcurrentEstimateRace(t *testing.T) {
 	}
 }
 
-// TestBreakdownDeterministicAndConsistent: the Monte-Carlo Breakdown is
-// repeatable and its stage durations reproduce the Monte-Carlo estimate's
-// mean JCT, because both average the same per-plan sample streams; the
-// analytic Breakdown, which Breakdown returns when every moment is
-// finite, is repeatable and its durations add up to Estimate's JCT.
+// TestBreakdownDeterministicAndConsistent: Breakdown is repeatable and
+// its durations add up to Estimate's JCT; so are the Monte-Carlo
+// oracle's, whose stage durations reproduce its estimate's mean JCT
+// because both average the same per-plan sample streams.
 func TestBreakdownDeterministicAndConsistent(t *testing.T) {
-	sm := stochasticSim(t, 25, 5)
+	mc := stochasticMC(t, 25, 5)
+	sm := mc.s
 	plan := testPlans(sm)[1]
 	for _, c := range []struct {
 		name      string
 		breakdown func(Plan) ([]StageEstimate, error)
 		estimate  func(Plan) (Estimate, error)
 	}{
-		{"BreakdownMC", sm.BreakdownMC, sm.EstimateMC},
+		{"Monte-Carlo", mc.breakdownOf, mc.estimate},
 		{"Breakdown", sm.Breakdown, sm.Estimate},
 	} {
 		rows1, err := c.breakdown(plan)
@@ -210,25 +229,25 @@ func TestBreakdownDeterministicAndConsistent(t *testing.T) {
 }
 
 // TestEstimateHeavyRepeatability is the gated heavy check run by
-// tools/repro/run.sh: large sample counts, fresh Simulators, many
-// repetitions, all bit-identical.
+// tools/repro/run.sh: the Monte-Carlo oracle at a large sample count,
+// on fresh Simulators, over many repetitions, all bit-identical.
 //
 //rbvet:impure(the env var only gates whether the heavy check runs at all; it never reaches a simulated value)
 func TestEstimateHeavyRepeatability(t *testing.T) {
 	if os.Getenv("RB_RUN_REPEATABILITY") == "" {
 		t.Skip("set RB_RUN_REPEATABILITY=1 to run the heavy repeatability check")
 	}
-	ref := stochasticSim(t, 500, 1234)
-	plans := testPlans(ref)
+	ref := stochasticMC(t, 500, 1234)
+	plans := testPlans(ref.s)
 	for _, plan := range plans {
-		want, err := ref.EstimateMC(plan)
+		want, err := ref.estimate(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for fresh := 0; fresh < 4; fresh++ {
-			sm := stochasticSim(t, 500, 1234)
+			mc := stochasticMC(t, 500, 1234)
 			for rep := 0; rep < 5; rep++ {
-				got, err := sm.EstimateMC(plan)
+				got, err := mc.estimate(plan)
 				if err != nil {
 					t.Fatal(err)
 				}

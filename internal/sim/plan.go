@@ -4,11 +4,13 @@
 // The simulator synthesizes a DAG-based execution model from the
 // experiment specification and the plan, parameterized by a profiled
 // training-latency scaling function and a cloud profile (provisioning
-// overheads, instance pricing, billing granularity, data price). Repeated
-// critical-path sampling over the DAG (Algorithm 1) yields JCT estimates;
-// replaying each sampled schedule against the billing model yields cost
-// estimates. The planner (package planner) uses these estimates as a black
-// box to search the plan space.
+// overheads, instance pricing, billing granularity, data price).
+// Propagating analytic moments through the DAG's stage segments yields
+// JCT estimates, and replaying them against the billing model yields
+// cost estimates; the paper's critical-path sampling (Algorithm 1) is
+// the oracle the package's tests hold them to. The planner (package
+// planner) uses these estimates as a black box to search the plan
+// space.
 package sim
 
 import (

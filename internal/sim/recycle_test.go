@@ -14,15 +14,14 @@ import (
 )
 
 // recycleCase is one Simulator configuration of the recycle-equivalence
-// test. The cases differ in spec, training batch, sample count, queue
-// delay and billing model, so a re-initialised Simulator's table meets
-// keys, vector lengths and iteration distributions its previous job
-// never had. A heavy case's queue delay has no finite variance, so its
-// estimates and searches take the Monte-Carlo fallback.
+// test. The cases differ in spec, training batch, queue delay and
+// billing model, so a re-initialised Simulator's table meets keys and
+// iteration distributions its previous job never had. A heavy case's
+// queue delay is a Pareto with α = 2.5, a heavy tail with a finite
+// variance.
 type recycleCase struct {
 	spec      *spec.ExperimentSpec
 	batch     int
-	samples   int
 	heavy     bool
 	billing   cloud.BillingModel
 	minCharge float64
@@ -31,11 +30,11 @@ type recycleCase struct {
 
 func recycleCases() []recycleCase {
 	return []recycleCase{
-		{spec.MustSHA(16, 2, 16, 2), 512, 20, true, cloud.PerInstance, 60, 32},
-		{spec.MustSHA(8, 2, 12, 2), 256, 7, false, cloud.PerFunction, 0, 24},
-		{spec.MustSHA(12, 3, 10, 3), 1024, 13, true, cloud.PerFunction, 0, 36},
-		{spec.MustSHA(32, 4, 6, 4), 512, 5, false, cloud.PerInstance, 0, 48},
-		{spec.MustSHA(6, 2, 20, 3), 128, 9, true, cloud.PerInstance, 600, 16},
+		{spec.MustSHA(16, 2, 16, 2), 512, true, cloud.PerInstance, 60, 32},
+		{spec.MustSHA(8, 2, 12, 2), 256, false, cloud.PerFunction, 0, 24},
+		{spec.MustSHA(12, 3, 10, 3), 1024, true, cloud.PerFunction, 0, 36},
+		{spec.MustSHA(32, 4, 6, 4), 512, false, cloud.PerInstance, 0, 48},
+		{spec.MustSHA(6, 2, 20, 3), 128, true, cloud.PerInstance, 600, 16},
 	}
 }
 
@@ -52,7 +51,7 @@ func (c recycleCase) job() (sim.TrainProfile, sim.CloudProfile) {
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
 	}
 	if c.heavy {
-		cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 1.5}
+		cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 2.5}
 	}
 	return sim.ModelTrainProfile{Model: m, Batch: c.batch, GPUsPerNode: 4}, cp
 }
@@ -61,8 +60,7 @@ func (c recycleCase) job() (sim.TrainProfile, sim.CloudProfile) {
 func (c recycleCase) newSim(t *testing.T) *sim.Simulator {
 	t.Helper()
 	prof, cp := c.job()
-	sm, err := sim.New(c.spec, prof, cp, c.samples,
-		stats.NewRNG(uint64(c.samples)))
+	sm, err := sim.New(c.spec, prof, cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +71,7 @@ func (c recycleCase) newSim(t *testing.T) *sim.Simulator {
 func (c recycleCase) initSim(t *testing.T, sm *sim.Simulator) {
 	t.Helper()
 	prof, cp := c.job()
-	if err := sm.Init(c.spec, prof, cp, c.samples,
-		stats.NewRNG(uint64(c.samples))); err != nil {
+	if err := sm.Init(c.spec, prof, cp); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +109,7 @@ func (c recycleCase) searches(sm *sim.Simulator) string {
 
 // TestRecycledTablesMatchFresh: a Simulator re-initialised over a
 // table another job filled — its segments, plan memo and share column
-// under a different spec, profile, queue delay and sample count — returns
+// under a different spec, profile and queue delay — returns
 // exactly what a new Simulator returns: Estimate, Breakdown and
 // PlanElastic. The same holds when a failed
 // Init comes between the two jobs, and the failed Init leaves the
@@ -128,8 +125,8 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 		}
 	}
 	for i, c := range cases {
-		// The neighbouring case j differs from c in spec, batch,
-		// sample count and queue delay.
+		// The neighbouring case j differs from c in spec, batch and
+		// queue delay.
 		j := i ^ 1
 		if j == len(cases) {
 			j = i - 1
@@ -140,13 +137,13 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 			other.initSim(t, &sm)
 			other.searches(&sm)
 			if failed {
-				if err := sm.Init(c.spec, nil, cp, c.samples, stats.NewRNG(1)); err == nil {
+				if err := sm.Init(c.spec, nil, cp); err == nil {
 					t.Fatal("Init accepted a nil training profile")
 				}
 				if sm.Spec() != nil {
 					t.Fatal("a failed Init kept the Simulator's job")
 				}
-				if err := sm.Init(c.spec, prof, sim.CloudProfile{}, c.samples, stats.NewRNG(1)); err == nil {
+				if err := sm.Init(c.spec, prof, sim.CloudProfile{}); err == nil {
 					t.Fatal("Init accepted an invalid cloud profile")
 				}
 			}
@@ -162,7 +159,7 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 // TestInitMatchesNew: one Simulator initialised in place for every case
 // in turn, forwards then backwards, returns for each exactly what a
 // Simulator from New returns — StaticClusterJCTs, Estimate, Breakdown
-// and PlanElastic — whatever job, sample count and billing model it was
+// and PlanElastic — whatever job and billing model it was
 // initialised for last. Reset leaves it ready for another Init.
 func TestInitMatchesNew(t *testing.T) {
 	cases := recycleCases()

@@ -12,15 +12,18 @@ import (
 // Estimate is the simulator's prediction for one plan.
 type Estimate struct {
 	// JCT is the expected job completion time in seconds, and JCTStd its
-	// sample standard deviation across Monte-Carlo draws.
+	// standard deviation.
 	JCT, JCTStd float64
 	// Cost is the expected total dollar cost (compute plus data ingress)
 	// and CostStd its standard deviation.
 	Cost, CostStd float64
 }
 
-// Simulator predicts JCT and cost for allocation plans over one job.
-// Construct with New or Init; the zero value is not usable.
+// Simulator predicts JCT and cost for allocation plans over one job by
+// propagating analytic moments through the plan's execution DAG. It
+// draws no random numbers: an estimate is a pure function of the job,
+// the profiles and the plan. Construct with New or Init; the zero value
+// is not usable.
 //
 // A Simulator belongs to one goroutine at a time: no two calls on it may
 // overlap. Separate Simulators share nothing, so goroutines that each
@@ -30,26 +33,24 @@ type Estimate struct {
 //
 //   - One segment table memoizing pure computations: each stage
 //     segment's shape and compiled TRAIN latency plus its lazily filled
-//     analytic moments and Monte-Carlo sample vector, beside them the
-//     profile's iteration distribution and mean per per-trial share,
-//     which segment builds and StaticClusterJCTs read, and the plan memo
-//     of whole-plan estimates keyed by canonical allocations. The
-//     provisioning latencies every segment shares are compiled once, at
-//     construction. Every Monte-Carlo draw derives a private RNG stream
-//     from the construction-time seed state, keyed by (stream family,
-//     sample index), so Estimate and Breakdown are pure functions of the
+//     analytic moments, beside them the profile's iteration
+//     distribution and mean per per-trial share, which segment builds
+//     and StaticClusterJCTs read, and the plan memo of whole-plan
+//     estimates keyed by canonical allocations. The provisioning
+//     latencies every segment shares are compiled once, at
+//     construction. So Estimate and Breakdown are pure functions of the
 //     configuration and the plan, independent of table state and call
 //     order.
 //   - Storage the Simulator keeps for its whole life. The table's
 //     storage (its key index and plan memo index, epoch-stamped
 //     open-addressing tables that reset in O(1); the slabs its segment
-//     records, sample vectors and moments are carved from; and the plan
-//     memo's columns; see table.go and index.go) and the scratch of its
-//     estimates (see scratch.go) are allocated by the first Init and
-//     kept by every later Init and by Reset, so an owner that keeps a
-//     Simulator and re-initialises it for each job fills its table
-//     without allocating. Init empties the table, and every use of
-//     scratch fully overwrites what it reads before reading it.
+//     records and moments are carved from; and the plan memo's columns;
+//     see table.go and index.go) and the scratch of its estimates (see
+//     scratch.go) are allocated by the first Init and kept by every
+//     later Init and by Reset, so an owner that keeps a Simulator and
+//     re-initialises it for each job fills its table without
+//     allocating. Init empties the table, and every use of scratch fully
+//     overwrites what it reads before reading it.
 //
 // A warm Estimate therefore allocates nothing, and a search on a
 // re-initialised Simulator allocates only the plans it keeps.
@@ -57,11 +58,6 @@ type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
 	cloud   CloudProfile
-	samples int
-	// root is a snapshot of the seeding generator's state at construction.
-	// It is never advanced: streams are derived from it with
-	// stats.RNG.Stream, which is pure.
-	root stats.RNG
 	// prov is the cloud profile's provisioning latencies, compiled once
 	// by Init and shared by every segment of the table.
 	prov provLats
@@ -75,24 +71,24 @@ type Simulator struct {
 }
 
 // Option configures optional Simulator behavior in New.
+//
+// Deprecated: no option configures anything; WithWorkers and
+// WithEstimator are ignored.
 type Option func(*Simulator)
 
 // WithWorkers configures nothing.
 //
-// Deprecated: a Simulator samples serially on its owner's goroutine;
+// Deprecated: a Simulator estimates serially on its owner's goroutine;
 // the worker bound is ignored.
 func WithWorkers(int) Option { return func(*Simulator) {} }
 
-// DefaultSamples is the Monte-Carlo sample count used when the caller does
-// not override it. The paper keeps this small by default so that plans are
-// generated quickly (§5).
-const DefaultSamples = 20
-
 // New returns a simulator for the given job: a new Simulator put through
-// Init.
+// Init. Its samples, rng and opts parameters are deprecated and ignored
+// (a Simulator draws no random numbers); they stay only while the
+// benchmark module still passes them, and other callers pass 0, nil.
 func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples int, rng *stats.RNG, opts ...Option) (*Simulator, error) {
 	sm := new(Simulator)
-	if err := sm.Init(s, profile, cp, samples, rng, opts...); err != nil {
+	if err := sm.Init(s, profile, cp); err != nil {
 		return nil, err
 	}
 	return sm, nil
@@ -100,15 +96,18 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 
 // Init makes s a simulator for the given job in place, so an owner that
 // builds Simulators repeatedly (a replan decision, a run's planning) can
-// keep one and allocate none. samples <= 0 selects DefaultSamples. The
-// rng seeds every Monte-Carlo stream the simulator will ever draw; its
-// state is copied, so the caller may keep using (or discard) the
-// generator afterwards without perturbing the simulator. The table s
-// holds is emptied first, so an initialised Simulator answers exactly as
-// a new one would; the first Init allocates it. Init must not overlap
-// any other call on s; on error s is left reset (see Reset) and unusable
-// until the next successful Init.
-func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples int, rng *stats.RNG, opts ...Option) error {
+// keep one and allocate none. The table s holds is emptied first, so an
+// initialised Simulator answers exactly as a new one would; the first
+// Init allocates it. Init must not overlap any other call on s; on
+// error s is left reset (see Reset) and unusable until the next
+// successful Init.
+//
+// Init refuses a provisioning latency (the cloud profile's queue delay
+// or init latency) that is nil, lacks finite moments (a Pareto with
+// alpha <= 2), has a negative mean or may sample below zero: the
+// analytic estimate and the static cost floor hold only for latencies
+// with a finite variance that never run backwards.
+func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile) error {
 	s.Reset()
 	if s.tab == nil {
 		s.tab = new(segTable)
@@ -122,11 +121,15 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 	if err := cp.Validate(); err != nil {
 		return err
 	}
-	if samples <= 0 {
-		samples = DefaultSamples
+	prov := provLats{
+		scale: stats.CompileLat(cp.Overheads.QueueDelay),
+		init:  stats.CompileLat(cp.Overheads.InitLatency),
 	}
-	if rng == nil {
-		rng = stats.NewRNG(0)
+	if err := checkProv("queue delay", cp.Overheads.QueueDelay, &prov.scale); err != nil {
+		return err
+	}
+	if err := checkProv("init latency", cp.Overheads.InitLatency, &prov.init); err != nil {
+		return err
 	}
 	*s = Simulator{
 		tab:     s.tab,
@@ -134,17 +137,22 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 		spec:    sp,
 		profile: profile,
 		cloud:   cp,
-		samples: samples,
-		root:    *rng,
-		prov: provLats{
-			scale: stats.CompileLat(cp.Overheads.QueueDelay),
-			init:  stats.CompileLat(cp.Overheads.InitLatency),
-		},
-	}
-	for _, o := range opts {
-		o(s)
+		prov:    prov,
 	}
 	s.scr.reserve(sp)
+	return nil
+}
+
+// checkProv returns an error naming the provisioning latency d, compiled
+// as l, unless it is non-nil and has finite moments, a non-negative mean
+// and non-negative samples.
+func checkProv(name string, d stats.Dist, l *stats.Lat) error {
+	if d == nil {
+		return fmt.Errorf("sim: nil %s", name)
+	}
+	if !nonNegMoments(l) {
+		return fmt.Errorf("sim: %s %v: want finite moments, a non-negative mean and no negative samples", name, d)
+	}
 	return nil
 }
 
@@ -168,21 +176,19 @@ func (s *Simulator) Spec() *spec.ExperimentSpec { return s.spec }
 func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 
 // Estimate predicts JCT and cost for the plan by propagating analytic
-// moments through its stage segments (AnalyticEval): no RNG is consulted,
-// so the estimate depends on neither the sample count nor the seed. A
-// plan some of whose latencies have no finite moments (Pareto alpha <= 2,
-// opaque distributions without a variance) falls back to segment Monte-
-// Carlo: s.samples draws of each stage segment, replayed against the
-// billing model. Each draw takes its own stream and the draws reduce in
-// fixed index order, so the estimate is bit-identical across repeated
-// calls on either path.
+// moments through its stage segments (see analytic.go). No RNG is
+// consulted, so the estimate is bit-identical across repeated calls. A
+// plan that fails validation returns its error, and so does a plan
+// with a stage whose moments the analytic pass cannot propagate: a
+// TRAIN latency without finite moments (Pareto alpha <= 2, an opaque
+// distribution without a variance), or a stage running in several
+// waves whose latencies are not provably non-negative.
 //
 // The table memoizes each estimate under the plan's canonical
 // allocations (canonAlloc per stage), which is all an estimate depends
 // on: plans that differ only within a fair share's representative class
 // share one entry, and a search that scores a candidate again reads it
-// back without allocating. A plan that fails validation returns its
-// error and is not memoized.
+// back without allocating. An error is not memoized.
 //
 //rbvet:pure
 func (s *Simulator) Estimate(p Plan) (Estimate, error) {
@@ -204,59 +210,6 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 	}
 	s.tab.storePlan(h, key, est)
 	return est, nil
-}
-
-// estimate computes Estimate's answer without the plan memo: the
-// analytic estimate, or the Monte-Carlo one when some latency lacks
-// finite moments.
-//
-//rbvet:pure
-func (s *Simulator) estimate(p Plan) (Estimate, error) {
-	est, ok, err := s.evaluator().Estimate(p)
-	if err != nil || ok {
-		return est, err
-	}
-	return s.estimateMC(p)
-}
-
-// estimateMC is the Monte-Carlo fallback of estimate: s.samples draws of
-// each stage segment, recombined and priced row by row.
-//
-//rbvet:pure
-func (s *Simulator) estimateMC(p Plan) (Estimate, error) {
-	cp := &s.scr.eval.cp
-	if err := s.compile(p, cp); err != nil {
-		return Estimate{}, err
-	}
-	return s.summarize(cp), nil
-}
-
-// summarize fills cp's missing sample vectors, prices each of its
-// s.samples Monte-Carlo rows and reduces them to the estimate's means
-// and standard deviations, summed in sorted order as stats.Summarize
-// does.
-func (s *Simulator) summarize(cp *compiledPlan) Estimate {
-	s.sampleVectors(cp)
-	sc := &s.scr
-	sc.jcts, sc.costs = resize(sc.jcts, s.samples), resize(sc.costs, s.samples)
-	for k := 0; k < s.samples; k++ {
-		sc.jcts[k], sc.costs[k], sc.stack = s.priceSchedule(cp, k, sc.stack)
-	}
-	jct, jctStd := stats.MeanStdInPlace(sc.jcts)
-	cost, costStd := stats.MeanStdInPlace(sc.costs)
-	return Estimate{JCT: jct, JCTStd: jctStd, Cost: cost, CostStd: costStd}
-}
-
-// instanceCharge bills one instance held from birth to death.
-func (s *Simulator) instanceCharge(birth, death float64) float64 {
-	lifetime := death - birth
-	if lifetime < 0 {
-		lifetime = 0
-	}
-	if lifetime < s.cloud.Pricing.MinChargeSeconds {
-		lifetime = s.cloud.Pricing.MinChargeSeconds
-	}
-	return lifetime / 3600 * s.cloud.Instance.PricePerHour(s.cloud.Pricing.Market)
 }
 
 // MeanIterLatency returns the profile's expected iteration latency at the
@@ -312,17 +265,17 @@ func (s *Simulator) staticShares(n int) []iterShare {
 // lives through; Clark's and the sketch's maxima are no smaller than
 // the largest mean they join, so a stage's join takes at least its
 // waves of mean TRAINs; and the minimum charge's Gaussian clamp is no
-// smaller than the lifetime it clamps. A Monte-Carlo sample mean has no such order, so the bound is
-// refused (false) whenever a latency might send Estimate to its
-// fallback: a profile not known to return normal or deterministic
-// iteration latencies, a negative iteration mean, or provisioning
-// latencies without finite moments, a non-negative mean and
-// non-negative samples. It reads the share column StaticClusterJCTs
-// fills, so after StaticClusterJCTs(n) it fills nothing for g <= n.
+// smaller than the lifetime it clamps. Init has already refused
+// provisioning latencies without finite moments, a non-negative mean
+// and non-negative samples, so the bound is refused (false) only for a
+// profile not known to return normal or deterministic iteration
+// latencies, or a negative iteration mean. It reads the share column
+// StaticClusterJCTs fills, so after StaticClusterJCTs(n) it fills
+// nothing for g <= n.
 //
 //rbvet:noalloc
 func (s *Simulator) StaticCostFloor(g int) (float64, bool) {
-	if g < 1 || !gaussianProfile(s.profile) || !nonNegMoments(&s.prov.scale) || !nonNegMoments(&s.prov.init) {
+	if g < 1 || !gaussianProfile(s.profile) {
 		return 0, false
 	}
 	shares := s.staticShares(g)

@@ -39,9 +39,9 @@ func (l linearProfile) IterDist(g int) stats.Dist {
 	return stats.Deterministic{Value: l.base / float64(g)}
 }
 
-func mustSim(t *testing.T, s *spec.ExperimentSpec, p TrainProfile, cp CloudProfile, samples int) *Simulator {
+func mustSim(t *testing.T, s *spec.ExperimentSpec, p TrainProfile, cp CloudProfile) *Simulator {
 	t.Helper()
-	sm, err := New(s, p, cp, samples, stats.NewRNG(1))
+	sm, err := New(s, p, cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ func TestPlanValidate(t *testing.T) {
 // TestOversizedAllocRejected: an allocation above math.MaxInt32 does not
 // fit the 32-bit segment and plan keys. Truncated, 2^32+16 GPUs would
 // alias 16 GPUs: the same segments, the same estimate and the same
-// canonical plan key. Validation, and with it Estimate, Breakdown and
-// the analytic evaluator, must reject it.
+// canonical plan key. Validation, and with it Estimate, its memo-free
+// estimate, Breakdown and the Monte-Carlo oracle, must reject it.
 func TestOversizedAllocRejected(t *testing.T) {
 	if math.MaxInt == math.MaxInt32 {
 		t.Skip("int cannot exceed math.MaxInt32 on this target")
@@ -178,20 +178,18 @@ func TestOversizedAllocRejected(t *testing.T) {
 	if err := NewPlan(1, big).Validate(2); err == nil || !strings.Contains(err.Error(), "stage 1 allocated 2147483648 GPUs") {
 		t.Fatalf("Validate(2^31) = %v, want the stage-1 allocation error", err)
 	}
-	sm := stochasticSim(t, 4, 31)
+	sm := stochasticSim(t)
 	plan := Plan{Alloc: []int{big<<1 + 16, 8, 4, 2}}
 	for _, est := range estimators {
-		if got, err := est.estimate(sm, plan); err == nil {
+		if got, err := est.on(sm, 4, 31)(plan); err == nil {
 			t.Fatalf("%s(%v) = %+v, want a validation error", est.name, plan, got)
 		}
 	}
 	if _, err := sm.Breakdown(plan); err == nil {
 		t.Fatalf("Breakdown(%v) accepted the plan", plan)
 	}
-	e := sm.NewAnalyticEval()
-	_, _, err := e.Estimate(plan)
-	if err == nil {
-		t.Fatalf("analytic Estimate(%v) accepted the plan", plan)
+	if _, err := sm.estimate(plan); err == nil {
+		t.Fatalf("estimate(%v) accepted the plan", plan)
 	}
 }
 
@@ -208,7 +206,7 @@ func TestGPUsPerTrial(t *testing.T) {
 
 func TestBuildDAGStructure(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10).AddStage(2, 20)
-	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 5, 15), 4)
+	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 5, 15))
 	g := fullDAGChecked(t, sm, NewPlan(4, 2))
 	var counts [4]int
 	for _, n := range g.Nodes() {
@@ -231,7 +229,7 @@ func TestBuildDAGScaleUpMidJob(t *testing.T) {
 	// Growing allocation forces a second SCALE with the right number of
 	// INIT nodes (p3.8xlarge: 4 GPUs per instance).
 	s := spec.Empty().AddStage(2, 1).AddStage(2, 1)
-	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0), 4)
+	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0))
 	g := fullDAGChecked(t, sm, NewPlan(4, 16)) // 1 instance -> 4 instances
 	scales, inits := 0, 0
 	for _, n := range g.Nodes() {
@@ -256,7 +254,7 @@ func TestEstimateJCTExact(t *testing.T) {
 	// Stage 1: 2 trials, 20 iters, 4 GPUs -> 2 GPUs each, still 1 s/iter
 	// under constProfile = 20 s. Plus queue 5 + init 15 up front.
 	s := spec.Empty().AddStage(4, 10).AddStage(2, 20)
-	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 5, 15), 3)
+	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 5, 15))
 	est, err := sm.Estimate(NewPlan(4, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +271,7 @@ func TestEstimateJCTExact(t *testing.T) {
 func TestEstimateSerialQueueing(t *testing.T) {
 	// 4 trials on 2 GPUs: two waves of serial execution.
 	s := spec.Empty().AddStage(4, 10)
-	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0), 2)
+	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0))
 	est, err := sm.Estimate(NewPlan(2))
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +285,7 @@ func TestEstimatePerInstanceCostExact(t *testing.T) {
 	// One p3.8xlarge (4 GPUs) for the whole 30 s job, zero overheads.
 	s := spec.Empty().AddStage(4, 10).AddStage(2, 20)
 	cp := testCloud(cloud.PerInstance, 0, 0)
-	sm := mustSim(t, s, constProfile{1}, cp, 2)
+	sm := mustSim(t, s, constProfile{1}, cp)
 	est, err := sm.Estimate(NewPlan(4, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +301,7 @@ func TestEstimatePerInstanceShrinkBillsLIFO(t *testing.T) {
 	// (1 instance) for 20 s: cost = 2*10s + 1*20s of instance time.
 	s := spec.Empty().AddStage(8, 10).AddStage(1, 20)
 	cp := testCloud(cloud.PerInstance, 0, 0)
-	sm := mustSim(t, s, linearProfile{1}, cp, 2)
+	sm := mustSim(t, s, linearProfile{1}, cp)
 	// Stage 0: 8 trials at 1 GPU, 10 iters, 1 s/iter = 10 s.
 	// Stage 1: 1 trial at 4 GPUs, 20 iters at 0.25 s = 5 s.
 	est, err := sm.Estimate(NewPlan(8, 4))
@@ -332,8 +330,8 @@ func TestEstimatePerFunctionCheaperUnderIdle(t *testing.T) {
 	perFn := testCloud(cloud.PerFunction, 0, 0)
 	plan := Uniform(16, s.NumStages())
 
-	smI := mustSim(t, s, prof, perInst, 50)
-	smF := mustSim(t, s, prof, perFn, 50)
+	smI := mustSim(t, s, prof, perInst)
+	smF := mustSim(t, s, prof, perFn)
 	estI, err := smI.Estimate(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +350,7 @@ func TestEstimateDataIngress(t *testing.T) {
 	cp := testCloud(cloud.PerInstance, 0, 0)
 	cp.Pricing.DataPricePerGB = 0.01
 	cp.DatasetGB = 150
-	sm := mustSim(t, s, constProfile{1}, cp, 2)
+	sm := mustSim(t, s, constProfile{1}, cp)
 	est, err := sm.Estimate(NewPlan(4)) // 1 instance
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +367,7 @@ func TestEstimateMinimumCharge(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10)
 	cp := testCloud(cloud.PerInstance, 0, 0)
 	cp.Pricing.MinChargeSeconds = 60
-	sm := mustSim(t, s, constProfile{1}, cp, 2)
+	sm := mustSim(t, s, constProfile{1}, cp)
 	est, err := sm.Estimate(NewPlan(4))
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +380,7 @@ func TestEstimateMinimumCharge(t *testing.T) {
 
 func TestEstimateRejectsBadPlan(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10)
-	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0), 2)
+	sm := mustSim(t, s, constProfile{1}, testCloud(cloud.PerInstance, 0, 0))
 	if _, err := sm.Estimate(NewPlan(4, 4)); err == nil {
 		t.Error("plan with wrong stage count accepted")
 	}
@@ -398,7 +396,7 @@ func TestElasticCheaperThanStaticWhenSublinear(t *testing.T) {
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 	s := spec.MustSHA(64, 4, 508, 2)
 	cp := testCloud(cloud.PerInstance, 0, 0)
-	sm := mustSim(t, s, prof, cp, 30)
+	sm := mustSim(t, s, prof, cp)
 
 	static := Uniform(64, s.NumStages())
 	alloc := make([]int, s.NumStages())
@@ -427,7 +425,7 @@ func TestElasticCheaperThanStaticWhenSublinear(t *testing.T) {
 func TestStaticClusterJCTMonotone(t *testing.T) {
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
 	s := spec.MustSHA(16, 4, 32, 2)
-	sm := mustSim(t, s, prof, testCloud(cloud.PerInstance, 0, 0), 2)
+	sm := mustSim(t, s, prof, testCloud(cloud.PerInstance, 0, 0))
 	prev := math.Inf(1)
 	for _, g := range []int{1, 2, 4, 8, 16, 32} {
 		jct := sm.StaticClusterJCT(g)
@@ -538,14 +536,14 @@ func TestIterMeanMatchesIterDist(t *testing.T) {
 // stage.
 func TestQuickEstimateSane(t *testing.T) {
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-	f := func(nRaw, gRaw uint8, seed uint64) bool {
+	f := func(nRaw, gRaw uint8) bool {
 		n := int(nRaw%32) + 1
 		gpus := int(gRaw%32) + 1
 		s, err := spec.SHA(spec.SHAParams{N: n, R: 2, MaxR: 16, Eta: 2})
 		if err != nil {
 			return false
 		}
-		sm, err := New(s, prof, testCloud(cloud.PerInstance, 1, 2), 3, stats.NewRNG(seed))
+		sm, err := New(s, prof, testCloud(cloud.PerInstance, 1, 2), 0, nil)
 		if err != nil {
 			return false
 		}

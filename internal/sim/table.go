@@ -16,27 +16,26 @@ const (
 )
 
 // segTable is one Simulator's segment table, kept for the Simulator's
-// whole life and emptied by each Init and Reset: the key index, the segment records and the sample vectors and moments they
-// refer to, the profile's iteration distribution per per-trial share,
-// and the plan memo. Both indexes are epoch-stamped open-addressing
-// tables (see index), and records, vectors and moments are carved from
-// slabs; all of them, and the memo's columns, keep their capacity, so a
-// re-initialised Simulator's table fills without allocating and resets in time
-// independent of the largest table it ever held.
+// whole life and emptied by each Init and Reset: the key index, the
+// segment records and the moments they refer to, the profile's
+// iteration distribution per per-trial share, and the plan memo. Both
+// indexes are epoch-stamped open-addressing tables (see index), and
+// records and moments are carved from slabs; all of them, and the
+// memo's columns, keep their capacity, so a re-initialised Simulator's
+// table fills without allocating and resets in time independent of the
+// largest table it ever held.
 //
 // The table links its parts by handles, never pointers: the index maps
-// a key to its record's ref, and a record refers to its sample vector
-// and moments by ref into their slabs, as a compiled plan does (see
-// compiledPlan). So the index, the vectors, the moments and every
-// compiled plan are pointer-free: storing into them takes no write
-// barrier and emptying them clears nothing. The one pointer a record
-// can hold is a TRAIN latency that boxes its distribution, which reset
-// clears.
+// a key to its record's ref, and a record refers to its moments by ref
+// into their slab, as a compiled plan does (see compiledPlan). So the
+// index, the moments and every compiled plan are pointer-free: storing
+// into them takes no write barrier and emptying them clears nothing.
+// The one pointer a record can hold is a TRAIN latency that boxes its
+// distribution, which reset clears.
 type segTable struct {
-	index   index[segKey, ref]
-	segs    slab[segment]
-	samples slab[segSample]
-	moms    slab[segMoment]
+	index index[segKey, ref]
+	segs  slab[segment]
+	moms  slab[segMoment]
 	// plans is the plan memo's index: a hash of a plan's canonical
 	// allocations (see planHash) maps to the newest entry with that
 	// hash, and each entry links to the previous one, so a collision
@@ -130,10 +129,10 @@ type iterShare struct {
 
 // reset empties the table for its Simulator's next job. Both indexes
 // empty in O(1) (see index.reset), and the slabs rewind. Records,
-// vectors, moments and memo entries are overwritten before they are
-// read, so the only storage cleared is what holds a pointer the kept
-// table must not keep alive: a record's TRAIN latency when it boxes a distribution, and the
-// share column's distributions.
+// moments and memo entries are overwritten before they are read, so the
+// only storage cleared is what holds a pointer the kept table must not
+// keep alive: a record's TRAIN latency when it boxes a distribution,
+// and the share column's distributions.
 func (t *segTable) reset() {
 	t.index.reset()
 	t.plans.reset()
@@ -147,7 +146,6 @@ func (t *segTable) reset() {
 		}
 	}
 	t.segs.rewind()
-	t.samples.rewind()
 	t.moms.rewind()
 	clear(t.shares)
 	t.shares, t.full = t.shares[:0], 0

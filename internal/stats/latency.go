@@ -22,7 +22,8 @@ const (
 // Lat is a latency distribution compiled for repeated sampling and
 // moment propagation: an opcode with inline parameters for the built-in
 // distribution types, the wrapped Dist for the rest. It is the one
-// encoding every simulation sampler and moment pass shares. Sample
+// encoding the provider's overhead draws, the simulator's moment pass
+// and its Monte-Carlo test oracle share. Sample
 // consumes RNG draws exactly as the encoded distribution's own Sample
 // does, so a compiled latency is bit-identical to the Dist it came from.
 // A Lat is immutable after CompileLat and safe for concurrent use (each
@@ -199,9 +200,8 @@ func (l *Lat) Moment() (Moment, bool) {
 
 // NonNeg reports whether the latency provably never samples below zero,
 // the precondition for dominance pruning in a moment pass. Unknown
-// distribution types answer false, which only disables pruning (forcing
-// Monte-Carlo fallback where a prune would have been required), never a
-// wrong moment.
+// distribution types answer false, which only disables pruning (a moment
+// pass that needed the prune reports no moments), never a wrong moment.
 //
 //rbvet:pure
 func (l *Lat) NonNeg() bool {

@@ -97,7 +97,7 @@ func (r *RNG) State() [4]uint64 { return r.s }
 // repeated splitmix64 rounds. Callers use it to derive Stream indices from
 // structured keys (for example a plan's allocation vector) so that every
 // distinct key selects a distinct, deterministic stream family.
-func Hash64(words ...uint64) uint64 {
+func Hash64(words ...uint64) uint64 { //rbvet:ignore unreached — the Monte-Carlo oracle in internal/sim's tests keys its segment and plan stream families with it
 	h := 0x9e3779b97f4a7c15 ^ uint64(len(words))
 	for _, w := range words {
 		h = splitmix64(&h) ^ w

@@ -45,12 +45,12 @@ CGO_ENABLED=1 go test -race ./internal/sim ./internal/planner ./internal/stats .
 
 # Optional heavy tests
 if [ "${RB_RUN_REPEATABILITY:-0}" = "1" ]; then
-  printf "\n== Heavy repeatability test (500 samples, 4 fresh Simulators, 5 reps) ==\n"
+  printf "\n== Heavy repeatability test (Monte-Carlo oracle, 500 samples, 4 fresh Simulators, 5 reps) ==\n"
   RB_RUN_REPEATABILITY=1 go test ./internal/sim -run "^TestEstimateHeavyRepeatability$" -count=1 -timeout=20m -v
 fi
 if [ "${RB_RUN_BENCH:-0}" = "1" ]; then
-  printf "\n== Planning and fallback benchmarks ==\n"
-  go test -run '^$' -bench 'PlanElastic100|SimEstimateFallback' -benchtime 3s -benchmem .
+  printf "\n== Planning benchmarks ==\n"
+  go test -run '^$' -bench 'PlanElastic100' -benchtime 3s -benchmem .
 fi
 
 printf "\nAll requested checks completed.\n"
