@@ -69,10 +69,14 @@ test-serve:
 # Bounded chaos pass for CI: a fixed scenario batch through every
 # invariant oracle with replay and crash/recovery equivalence, then 30s
 # of native fuzzing per target. A reported failure reproduces with
-# `go run ./cmd/rbfuzz -seed S -index I`.
+# `go run ./cmd/rbfuzz -seed S -index I`. The two batches must print
+# their pinned digests: a change that moves a decision fails here, and
+# the change that re-pins them on purpose updates both lines.
 fuzz-short:
-	go run ./cmd/rbfuzz -seed 1 -n 128
-	go run ./cmd/rbfuzz -seed 1 -n 32 -crash
+	go run ./cmd/rbfuzz -seed 1 -n 128 | tee /dev/stderr | \
+		grep -qxF 'rbfuzz: 128 scenario(s), 0 failure(s), batch digest 8f63be16091233d6'
+	go run ./cmd/rbfuzz -seed 1 -n 32 -crash | tee /dev/stderr | \
+		grep -qxF 'rbfuzz: 32 scenario(s), 0 failure(s), batch digest 89d7160b38dc5422'
 	go test ./internal/harness -run='^$$' -fuzz=FuzzEndToEnd -fuzztime=30s
 	go test ./internal/vclock -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=30s
 	go test ./internal/harness -run='^$$' -fuzz=FuzzRecover -fuzztime=30s

@@ -173,9 +173,9 @@ func benchSimulator(b *testing.B) *sim.Simulator {
 // benchWorkload is the planning workload every planner, estimator and
 // replan micro-benchmark runs on: ResNet50 on a 64-trial, 4-stage SHA
 // under deterministic provisioning overheads.
-func benchWorkload() (*spec.ExperimentSpec, sim.ModelTrainProfile, sim.CloudProfile) {
+func benchWorkload() (*spec.ExperimentSpec, sim.ModelTrainProfile, cloud.Profile) {
 	prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-	cp := sim.DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},

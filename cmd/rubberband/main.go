@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/harness"
 	"repro/internal/planner"
 	"repro/internal/serve"
@@ -58,22 +59,12 @@ func main() {
 
 // jobFlags defines the job flags on fs: the model, the Successive
 // Halving shorthand (-trials, -min-iters, -max-iters, -eta) and the
-// seed. It returns the submission the flags fill, for the caller to add flags of its own to, and the
-// function that, once fs is parsed, builds its scenario under a
-// deadline. The job runs on the paper's cloud profile: p3.8xlarge
-// workers, a 60 s minimum charge, an exponential 10 s queue, a 15 s init
-// and a 2 s restore.
+// seed. It returns the submission the flags fill, for the caller to add
+// flags of its own to, and the function that, once fs is parsed, builds
+// its scenario under a deadline. The job runs on the paper's cloud,
+// cloud.PaperProfile over the model's dataset.
 func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams) (*serve.Submission, func(time.Duration) (harness.Scenario, error)) {
-	minCharge, restore := 60.0, 2.0
-	sub := serve.Submission{
-		Instance:       "p3.8xlarge",
-		RestoreSeconds: &restore,
-		Cloud: &serve.CloudSpec{
-			MinChargeSeconds: &minCharge,
-			QueueDelay:       &serve.DistSpec{Type: "exponential", Mean: 10},
-			InitLatency:      &serve.DistSpec{Type: "deterministic", Value: 15},
-		},
-	}
+	var sub serve.Submission
 	fs.StringVar(&sub.Model, "model", model, "model to tune: resnet50, resnet101, resnet152, bert")
 	fs.IntVar(&sha.N, "trials", sha.N, "SHA initial trial count n")
 	fs.IntVar(&sha.R, "min-iters", sha.R, "SHA minimum per-trial work r")
@@ -90,7 +81,12 @@ func jobFlags(fs *flag.FlagSet, model string, sha spec.SHAParams) (*serve.Submis
 			st := sp.Stage(i)
 			sub.Stages = append(sub.Stages, [2]int{st.Trials, st.Iters})
 		}
-		return serve.BuildScenario(sub)
+		sc, err := serve.BuildScenario(sub)
+		if err != nil {
+			return sc, err
+		}
+		sc.Profile = cloud.PaperProfile(sc.Model.Dataset.SizeGB)
+		return sc, nil
 	}
 }
 
@@ -134,13 +130,15 @@ func run(args []string) {
 		}
 	}
 
-	if !*jsonOut {
-		fmt.Printf("job: %s on %s, spec %v, deadline %v, policy %v\n",
-			sc.Model.Name, sc.Model.Dataset.Name, sc.Spec, time.Duration(sc.Deadline*float64(time.Second)), sc.Policy)
-	}
 	a, err := harness.RunScenario(sc)
 	if err != nil {
 		fatal(err)
+	}
+	if !*jsonOut {
+		// The resolved deadline: a job file may give a deadline_factor,
+		// which only the run turns into seconds.
+		fmt.Printf("job: %s on %s, spec %v, deadline %v, policy %v\n",
+			sc.Model.Name, sc.Model.Dataset.Name, sc.Spec, time.Duration(a.Deadline*float64(time.Second)), sc.Policy)
 	}
 	if len(sc.Plan.Alloc) == 0 && !a.Planned {
 		fatal(planner.ErrInfeasible)

@@ -79,6 +79,21 @@ func TestSubcommands(t *testing.T) {
 		t.Errorf("run -plan 8,4,2: %+v", res)
 	}
 
+	// A deadline_factor job's deadline exists only once the run
+	// resolves it: the job line prints that one, not the zero the job
+	// file leaves in the scenario.
+	job := filepath.Join(t.TempDir(), "factor.json")
+	doc := `{"model": "resnet50", "stages": [[4, 1], [2, 1], [1, 2]], "seed": 3, "max_gpus": 4, "deadline_factor": 2}`
+	if err := os.WriteFile(job, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err = exec.Command(bin, "run", "-config", job).Output(); err != nil {
+		t.Fatalf("run -config with a deadline_factor: %v\n%s", err, out)
+	}
+	if line, _, _ := strings.Cut(string(out), "\n"); !strings.HasPrefix(line, "job: ") || strings.Contains(line, "deadline 0s") {
+		t.Errorf("job line %q, want the resolved deadline", line)
+	}
+
 	if err := exec.Command(bin, "bogus").Run(); err == nil {
 		t.Error("an unknown subcommand succeeded")
 	}

@@ -12,12 +12,12 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cloud"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/planner"
 	"repro/internal/profiler"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -37,19 +37,17 @@ func main() {
 	}
 	fmt.Printf("  (profiling consumed %.0fs of simulated time)\n\n", rep.Duration)
 
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
+	cp := cloud.PaperProfile(m.Dataset.SizeGB)
 	for _, policy := range []planner.Policy{planner.PolicyStatic, planner.PolicyRubberBand} {
 		a, err := harness.RunScenario(harness.Scenario{
-			BatchSeed:      5,
-			Spec:           spec.MustSHA(32, 1, 30, 3),
-			Model:          m,
-			Space:          searchspace.DefaultNLPSpace(),
-			Profile:        cp,
-			RestoreSeconds: 2,
-			Deadline:       20 * 60,
-			Policy:         policy,
-			UseProfiler:    true, // plan from the measured profile
+			BatchSeed:   5,
+			Spec:        spec.MustSHA(32, 1, 30, 3),
+			Model:       m,
+			Space:       searchspace.DefaultNLPSpace(),
+			Profile:     cp,
+			Deadline:    20 * 60,
+			Policy:      policy,
+			UseProfiler: true, // plan from the measured profile
 		})
 		if err != nil {
 			log.Fatalf("%v: %v", policy, err)

@@ -19,7 +19,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/planner"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -29,8 +28,7 @@ func main() {
 	sha := spec.MustSHA(32, 1, 50, 3)
 
 	// 15-second provisioning from a warm pool, as in the paper's setup.
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
+	cp := cloud.PaperProfile(m.Dataset.SizeGB)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},
@@ -42,15 +40,14 @@ func main() {
 
 	for _, policy := range []planner.Policy{planner.PolicyStatic, planner.PolicyNaiveElastic, planner.PolicyRubberBand} {
 		sc := harness.Scenario{
-			BatchSeed:      11,
-			Spec:           sha,
-			Model:          m,
-			Space:          searchspace.DefaultVisionSpace(),
-			Profile:        cp,
-			RestoreSeconds: 2,
-			MaxGPUs:        128,
-			Deadline:       20 * 60,
-			Policy:         policy,
+			BatchSeed: 11,
+			Spec:      sha,
+			Model:     m,
+			Space:     searchspace.DefaultVisionSpace(),
+			Profile:   cp,
+			MaxGPUs:   128,
+			Deadline:  20 * 60,
+			Policy:    policy,
 		}
 		a, err := harness.RunScenario(sc)
 		if err != nil {

@@ -40,9 +40,8 @@ func main() {
 	// no pruning. Run it on the simulated cloud with a static cluster.
 	clock := vclock.New()
 	rng := stats.NewRNG(7)
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
-	provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cloud.DefaultOverheads(), cp.DatasetGB)
+	cp := cloud.PaperProfile(m.Dataset.SizeGB)
+	provider, err := cloud.NewProvider(clock, rng.Split(), cp)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,13 +70,12 @@ func main() {
 	// --- Successive Halving over the same search space, planned by
 	// RubberBand against the grid search's realized JCT as the deadline.
 	a, err := harness.RunScenario(harness.Scenario{
-		BatchSeed:      7,
-		Spec:           spec.MustSHA(27, 1, fullBudget, 3),
-		Model:          m,
-		Space:          space,
-		Profile:        cp,
-		RestoreSeconds: 2,
-		Deadline:       gridRes.JCT,
+		BatchSeed: 7,
+		Spec:      spec.MustSHA(27, 1, fullBudget, 3),
+		Model:     m,
+		Space:     space,
+		Profile:   cp,
+		Deadline:  gridRes.JCT,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cloud"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -32,22 +32,20 @@ func main() {
 		log.Fatal(err)
 	}
 	m := model.ResNet101()
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
+	cp := cloud.PaperProfile(m.Dataset.SizeGB)
 
 	fmt.Printf("Hyperband(R=27, η=3): %d brackets, executed concurrently\n\n", len(brackets))
 	var totalCost, jct float64
 	var best *harness.Artifacts
 	for i, b := range brackets {
 		a, err := harness.RunScenario(harness.Scenario{
-			BatchSeed:      100,
-			Index:          i,
-			Spec:           b,
-			Model:          m,
-			Space:          searchspace.DefaultVisionSpace(),
-			Profile:        cp,
-			RestoreSeconds: 2,
-			Deadline:       15 * 60,
+			BatchSeed: 100,
+			Index:     i,
+			Spec:      b,
+			Model:     m,
+			Space:     searchspace.DefaultVisionSpace(),
+			Profile:   cp,
+			Deadline:  15 * 60,
 		})
 		if err != nil {
 			log.Fatal(err)

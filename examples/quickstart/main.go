@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cloud"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -29,8 +29,8 @@ func main() {
 	// 2. Pick the model, the search space to sample configurations
 	//    from, and the cloud to run on.
 	m := model.ResNet101()
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = m.Dataset.SizeGB
+	cp := cloud.PaperProfile(m.Dataset.SizeGB)
+	cp.RestoreSeconds = 0 // checkpoints restore instantly in this demo
 	sc := harness.Scenario{
 		BatchSeed: 7,
 		Spec:      sha,

@@ -20,7 +20,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -28,22 +27,21 @@ import (
 func main() {
 	sha := spec.MustSHA(16, 1, 30, 3)
 	run := func(market cloud.Market, preemptMean float64) (*executor.Result, error) {
-		cp := sim.DefaultCloudProfile()
+		cp := cloud.PaperProfile(model.ResNet101().Dataset.SizeGB)
 		cp.Pricing.Market = market
-		cp.DatasetGB = model.ResNet101().Dataset.SizeGB
 		cp.Overheads = cloud.Overheads{
 			QueueDelay:  stats.Deterministic{Value: 5},
 			InitLatency: stats.Deterministic{Value: 15},
 		}
+		cp.Faults.PreemptionMeanSeconds = preemptMean
+		cp.RestoreSeconds = 5
 		a, err := harness.RunScenario(harness.Scenario{
-			BatchSeed:      17,
-			Spec:           sha,
-			Model:          model.ResNet101(),
-			Space:          searchspace.DefaultVisionSpace(),
-			Profile:        cp,
-			Faults:         cloud.FaultModel{PreemptionMeanSeconds: preemptMean},
-			RestoreSeconds: 5,
-			Deadline:       25 * 60,
+			BatchSeed: 17,
+			Spec:      sha,
+			Model:     model.ResNet101(),
+			Space:     searchspace.DefaultVisionSpace(),
+			Profile:   cp,
+			Deadline:  25 * 60,
 		})
 		if err != nil {
 			return nil, err

@@ -36,7 +36,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			cp := sim.CloudProfile{
+			cp := cloud.Profile{
 				Instance: it,
 				Pricing: cloud.Pricing{
 					Billing:          billing,

@@ -21,22 +21,20 @@ import (
 
 // integrationScenario is a mid-size job touching every subsystem.
 func integrationScenario(policy planner.Policy, seed uint64) harness.Scenario {
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = model.CIFAR10.SizeGB
+	cp := cloud.PaperProfile(model.CIFAR10.SizeGB)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Deterministic{Value: 15},
 	}
 	return harness.Scenario{
-		BatchSeed:      seed,
-		Spec:           spec.MustSHA(16, 1, 20, 2),
-		Model:          model.ResNet101(),
-		Space:          searchspace.DefaultVisionSpace(),
-		Profile:        cp,
-		RestoreSeconds: 2,
-		MaxGPUs:        64,
-		Deadline:       20 * 60,
-		Policy:         policy,
+		BatchSeed: seed,
+		Spec:      spec.MustSHA(16, 1, 20, 2),
+		Model:     model.ResNet101(),
+		Space:     searchspace.DefaultVisionSpace(),
+		Profile:   cp,
+		MaxGPUs:   64,
+		Deadline:  20 * 60,
+		Policy:    policy,
 	}
 }
 
@@ -152,7 +150,7 @@ func TestIntegrationPolicyOrdering(t *testing.T) {
 func TestIntegrationPreemptionUnderRealWorkload(t *testing.T) {
 	e := integrationScenario(planner.PolicyRubberBand, 80)
 	e.Profile.Pricing.Market = cloud.Spot
-	e.Faults = cloud.FaultModel{PreemptionMeanSeconds: 300}
+	e.Profile.Faults = cloud.FaultModel{PreemptionMeanSeconds: 300}
 	res := runPlanned(t, e).Result
 	if res.Preemptions == 0 {
 		t.Skip("no preemption materialized at this seed")
@@ -182,11 +180,11 @@ func TestIntegrationExecutorDirect(t *testing.T) {
 		QueueDelay:  stats.Deterministic{Value: 1},
 		InitLatency: stats.Deterministic{Value: 1},
 	}
-	provider, err := cloud.NewProvider(clock, rng.Split(), pricing, ov, 0)
+	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
+	provider, err := cloud.NewProvider(clock, rng.Split(), cloud.Profile{Instance: it, Pricing: pricing, Overheads: ov})
 	if err != nil {
 		t.Fatal(err)
 	}

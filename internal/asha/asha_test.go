@@ -21,11 +21,11 @@ func harness(t *testing.T, seed uint64) (*cloud.Provider, *cluster.Manager, *vcl
 		QueueDelay:  stats.Deterministic{Value: 2},
 		InitLatency: stats.Deterministic{Value: 10},
 	}
-	provider, err := cloud.NewProvider(clock, stats.NewRNG(seed), pricing, ov, 0)
+	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
+	provider, err := cloud.NewProvider(clock, stats.NewRNG(seed), cloud.Profile{Instance: it, Pricing: pricing, Overheads: ov})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,29 +22,15 @@ type FaultModel struct {
 	PreemptionMeanSeconds float64
 }
 
-// Validate checks the fault parameters. NaN values are rejected
-// explicitly: every comparison against NaN is false, so without these
-// checks a NaN probability or mean would slip through the range tests and
-// poison the provider's arithmetic (a NaN preemption delay panics the
-// virtual clock).
+// Validate checks the fault parameters: a failure probability in [0, 1)
+// and a preemption mean in [0, MaxSeconds]. NaN fails both: a NaN or
+// unbounded preemption mean would overflow or poison the provider's
+// delays, and a NaN or infinite delay panics the virtual clock.
 func (f FaultModel) Validate() error {
 	if math.IsNaN(f.ProvisionFailureProb) || f.ProvisionFailureProb < 0 || f.ProvisionFailureProb >= 1 {
-		return fmt.Errorf("cloud: provision failure probability %v outside [0,1)", f.ProvisionFailureProb)
+		return fmt.Errorf("cloud: provision_failure_prob %v outside [0, 1)", f.ProvisionFailureProb)
 	}
-	if math.IsNaN(f.PreemptionMeanSeconds) || math.IsInf(f.PreemptionMeanSeconds, 0) || f.PreemptionMeanSeconds < 0 {
-		return fmt.Errorf("cloud: invalid preemption mean %v", f.PreemptionMeanSeconds)
-	}
-	return nil
-}
-
-// SetFaults installs a fault model. It affects only instances requested
-// after the call.
-func (p *Provider) SetFaults(f FaultModel) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p.faults = f
-	return nil
+	return checkSeconds("preemption_mean_seconds", f.PreemptionMeanSeconds)
 }
 
 // OnProvisionFailure registers fn to be invoked whenever a provisioning

@@ -31,10 +31,9 @@ func TestFaultModelValidate(t *testing.T) {
 }
 
 func TestProvisionFailureCallback(t *testing.T) {
-	p, clock := testProvider(t, DefaultPricing(), detOverheads(1, 0), 0)
-	if err := p.SetFaults(FaultModel{ProvisionFailureProb: 0.999999}); err != nil {
-		t.Fatal(err)
-	}
+	prof := testProfile(DefaultPricing(), detOverheads(1, 0), 0)
+	prof.Faults.ProvisionFailureProb = 0.999999
+	p, clock := testProviderOn(t, prof)
 	it, _ := DefaultCatalog().Lookup("p3.2xlarge")
 	var failed *Instance
 	p.OnProvisionFailure(func(in *Instance) { failed = in })
@@ -58,10 +57,9 @@ func TestProvisionFailureCallback(t *testing.T) {
 
 func TestPreemptionStopsBilling(t *testing.T) {
 	pricing := Pricing{Billing: PerInstance, MinChargeSeconds: 0}
-	p, clock := testProvider(t, pricing, detOverheads(0, 0), 0)
-	if err := p.SetFaults(FaultModel{PreemptionMeanSeconds: 100}); err != nil {
-		t.Fatal(err)
-	}
+	prof := testProfile(pricing, detOverheads(0, 0), 0)
+	prof.Faults.PreemptionMeanSeconds = 100
+	p, clock := testProviderOn(t, prof)
 	it, _ := DefaultCatalog().Lookup("p3.2xlarge")
 	var preempted *Instance
 	p.OnPreemption(func(in *Instance) { preempted = in })
@@ -88,10 +86,9 @@ func TestPreemptionStopsBilling(t *testing.T) {
 }
 
 func TestPreemptionSkipsReleasedInstances(t *testing.T) {
-	p, clock := testProvider(t, DefaultPricing(), detOverheads(0, 0), 0)
-	if err := p.SetFaults(FaultModel{PreemptionMeanSeconds: 1000}); err != nil {
-		t.Fatal(err)
-	}
+	prof := testProfile(DefaultPricing(), detOverheads(0, 0), 0)
+	prof.Faults.PreemptionMeanSeconds = 1000
+	p, clock := testProviderOn(t, prof)
 	it, _ := DefaultCatalog().Lookup("p3.2xlarge")
 	fired := false
 	p.OnPreemption(func(*Instance) { fired = true })
@@ -115,10 +112,18 @@ func TestNewStatesString(t *testing.T) {
 	}
 }
 
-func TestSetFaultsRejectsInvalid(t *testing.T) {
-	p, _ := testProvider(t, DefaultPricing(), detOverheads(0, 0), 0)
-	if err := p.SetFaults(FaultModel{ProvisionFailureProb: 2}); err == nil {
-		t.Fatal("invalid fault model accepted")
+// TestInitRejectsInvalidFaults: a provider refuses a profile whose fault
+// model is out of range, at Init, before any request.
+func TestInitRejectsInvalidFaults(t *testing.T) {
+	for _, f := range []FaultModel{
+		{ProvisionFailureProb: 2},
+		{PreemptionMeanSeconds: 1e308},
+	} {
+		prof := testProfile(DefaultPricing(), detOverheads(0, 0), 0)
+		prof.Faults = f
+		if err := new(Provider).Init(vclock.New(), stats.NewRNG(1), prof); err == nil {
+			t.Errorf("fault model %+v accepted", f)
+		}
 	}
 }
 

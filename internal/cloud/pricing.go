@@ -81,8 +81,8 @@ func (p Pricing) DataIngressCost(datasetGB float64) float64 {
 
 // Validate checks that the pricing parameters are sane.
 func (p Pricing) Validate() error {
-	if p.MinChargeSeconds < 0 {
-		return fmt.Errorf("cloud: negative minimum charge %v", p.MinChargeSeconds)
+	if err := checkSeconds("min_charge_seconds", p.MinChargeSeconds); err != nil {
+		return err
 	}
 	if p.DataPricePerGB < 0 {
 		return fmt.Errorf("cloud: negative data price %v", p.DataPricePerGB)

@@ -125,14 +125,14 @@ func (in *Instance) Billing() bool { return in.billing }
 // requests after a sampled queueing delay, runs initialization, and meters
 // cost. All methods must be called from the vclock event loop goroutine.
 type Provider struct {
-	clock   *vclock.Clock
-	rng     *stats.RNG
-	pricing Pricing
+	clock *vclock.Clock
+	rng   *stats.RNG
+	// profile is the cloud the provider simulates, as Init received it.
+	profile Profile
 	// queue and init are the overheads' queueing delay and
 	// initialization latency, compiled once by Init; each draw consumes
 	// the stream exactly as the distribution's own Sample does.
 	queue, init stats.Lat
-	datasetGB   float64
 
 	// instances holds every instance ever requested, indexed by ID: IDs
 	// are issued 0, 1, 2, … and an instance is never removed. onReady
@@ -150,19 +150,19 @@ type Provider struct {
 	// dataCost accumulates ingress charges as instances provision.
 	dataCost float64
 
-	// Fault injection (see faults.go).
-	faults      FaultModel
+	// Fault injection (see faults.go); the model is the profile's.
 	onFail      func(*Instance)
 	onPreempt   func(*Instance)
 	failures    int
 	preemptions int
 }
 
-// NewProvider returns a provider bound to the given virtual clock.
-// datasetGB is the training dataset size each instance must ingress once.
-func NewProvider(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads Overheads, datasetGB float64) (*Provider, error) {
+// NewProvider returns a provider bound to the given virtual clock that
+// simulates the cloud prof: its pricing, overheads, dataset ingress and
+// faults.
+func NewProvider(clock *vclock.Clock, rng *stats.RNG, prof Profile) (*Provider, error) {
 	p := new(Provider)
-	if err := p.Init(clock, rng, pricing, overheads, datasetGB); err != nil {
+	if err := p.Init(clock, rng, prof); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -170,30 +170,25 @@ func NewProvider(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads
 
 // Init makes p the provider NewProvider returns for the same arguments,
 // reusing p's storage: a provider recycled across runs keeps its
-// instance slab, sized by its last run's ledger (see Reset).
-func (p *Provider) Init(clock *vclock.Clock, rng *stats.RNG, pricing Pricing, overheads Overheads, datasetGB float64) error {
-	if err := pricing.Validate(); err != nil {
+// instance slab, sized by its last run's ledger (see Reset). It refuses
+// a profile that fails Validate; a nil queue delay or init latency is
+// zero. Every request of the run, its faults included, draws from prof.
+func (p *Provider) Init(clock *vclock.Clock, rng *stats.RNG, prof Profile) error {
+	if err := prof.Validate(); err != nil {
 		return err
 	}
-	if datasetGB < 0 {
-		return fmt.Errorf("cloud: negative dataset size %v", datasetGB)
-	}
-	if overheads.QueueDelay == nil {
-		overheads.QueueDelay = stats.Deterministic{Value: 0}
-	}
-	if overheads.InitLatency == nil {
-		overheads.InitLatency = stats.Deterministic{Value: 0}
-	}
 	p.Reset()
-	p.clock, p.rng = clock, rng
-	p.pricing, p.datasetGB = pricing, datasetGB
-	p.queue, p.init = stats.CompileLat(overheads.QueueDelay), stats.CompileLat(overheads.InitLatency)
+	p.clock, p.rng, p.profile = clock, rng, prof
+	p.queue, p.init = stats.CompileLat(prof.Overheads.QueueDelay), stats.CompileLat(prof.Overheads.InitLatency)
 	p.dispID = clock.RegisterDispatcher(p.dispatch)
 	return nil
 }
 
-// Reset drops the provider's run: its ledger, callbacks, fault model,
-// clock and counters. It keeps the ledger's storage, and a ledger that
+// Profile returns the cloud the provider simulates, as Init received it.
+func (p *Provider) Profile() Profile { return p.profile }
+
+// Reset drops the provider's run: its ledger, callbacks, profile, clock
+// and counters. It keeps the ledger's storage, and a ledger that
 // outgrew its slab gets one slab that holds it whole, so the next run's
 // instance records come from one chunk. Records handed out before are
 // reused: the caller must be done with them. After DetachInstances there
@@ -295,7 +290,7 @@ func (p *Provider) queued(in *Instance) {
 	if in.State == Terminated {
 		return // cancelled while queued
 	}
-	if p.faults.ProvisionFailureProb > 0 && p.rng.Float64() < p.faults.ProvisionFailureProb {
+	if pf := p.profile.Faults.ProvisionFailureProb; pf > 0 && p.rng.Float64() < pf {
 		in.State = Failed
 		p.failures++
 		if p.onFail != nil {
@@ -306,7 +301,7 @@ func (p *Provider) queued(in *Instance) {
 	in.State = Initializing
 	in.billStart = p.clock.Now()
 	in.billing = true
-	p.dataCost += p.pricing.DataIngressCost(p.datasetGB)
+	p.dataCost += p.profile.Pricing.DataIngressCost(p.profile.DatasetGB)
 	p.after(p.init.Sample(p.rng), opInitDone, in)
 }
 
@@ -332,10 +327,10 @@ func (p *Provider) initDone(in *Instance) {
 //
 //rbvet:noalloc
 func (p *Provider) armPreemption(in *Instance) {
-	if p.faults.PreemptionMeanSeconds <= 0 {
+	if p.profile.Faults.PreemptionMeanSeconds <= 0 {
 		return
 	}
-	delay := stats.Exponential{MeanValue: p.faults.PreemptionMeanSeconds}.Sample(p.rng)
+	delay := stats.Exponential{MeanValue: p.profile.Faults.PreemptionMeanSeconds}.Sample(p.rng)
 	p.after(delay, opPreempt, in)
 }
 
@@ -405,7 +400,7 @@ func (p *Provider) ComputeCost(now vclock.Time) float64 {
 		if !in.billing {
 			continue // cancelled while queued: hardware never allocated
 		}
-		total += p.pricing.InstanceCost(in.Type, in.BilledLifetime(now), in.GPUSecondsUsed)
+		total += p.profile.Pricing.InstanceCost(in.Type, in.BilledLifetime(now), in.GPUSecondsUsed)
 	}
 	return total
 }

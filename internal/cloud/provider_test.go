@@ -10,12 +10,28 @@ import (
 
 func testProvider(t *testing.T, pricing Pricing, ov Overheads, datasetGB float64) (*Provider, *vclock.Clock) {
 	t.Helper()
+	return testProviderOn(t, testProfile(pricing, ov, datasetGB))
+}
+
+// testProviderOn returns a new provider of prof on a new clock.
+func testProviderOn(t *testing.T, prof Profile) (*Provider, *vclock.Clock) {
+	t.Helper()
 	clock := vclock.New()
-	p, err := NewProvider(clock, stats.NewRNG(1), pricing, ov, datasetGB)
+	p, err := NewProvider(clock, stats.NewRNG(1), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p, clock
+}
+
+// testProfile returns a p3.8xlarge profile with the given pricing,
+// overheads and dataset, no faults and no restore.
+func testProfile(pricing Pricing, ov Overheads, datasetGB float64) Profile {
+	it, err := DefaultCatalog().Lookup("p3.8xlarge")
+	if err != nil {
+		panic(err)
+	}
+	return Profile{Instance: it, Pricing: pricing, Overheads: ov, DatasetGB: datasetGB}
 }
 
 func detOverheads(queue, init float64) Overheads {
@@ -175,11 +191,14 @@ func TestProviderInstancesIsACopy(t *testing.T) {
 
 func TestProviderRejectsBadConfig(t *testing.T) {
 	clock := vclock.New()
-	if _, err := NewProvider(clock, stats.NewRNG(1), Pricing{MinChargeSeconds: -1}, Overheads{}, 0); err == nil {
+	if _, err := NewProvider(clock, stats.NewRNG(1), testProfile(Pricing{MinChargeSeconds: -1}, Overheads{}, 0)); err == nil {
 		t.Error("invalid pricing accepted")
 	}
-	if _, err := NewProvider(clock, stats.NewRNG(1), DefaultPricing(), Overheads{}, -5); err == nil {
+	if _, err := NewProvider(clock, stats.NewRNG(1), testProfile(DefaultPricing(), Overheads{}, -5)); err == nil {
 		t.Error("negative dataset size accepted")
+	}
+	if _, err := NewProvider(clock, stats.NewRNG(1), Profile{Pricing: DefaultPricing()}); err == nil {
+		t.Error("a profile without a worker instance type accepted")
 	}
 }
 

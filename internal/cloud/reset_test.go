@@ -20,10 +20,9 @@ func TestProviderResetMatchesNew(t *testing.T) {
 	}
 	script := func(p *Provider, clock *vclock.Clock, seed uint64, bursts []int) string {
 		ov := Overheads{QueueDelay: stats.Exponential{MeanValue: 20}, InitLatency: stats.Normal{Mu: 60, Sigma: 15}}
-		if err := p.Init(clock, stats.NewRNG(seed), DefaultPricing(), ov, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.SetFaults(FaultModel{ProvisionFailureProb: 0.3, PreemptionMeanSeconds: 500}); err != nil {
+		prof := Profile{Instance: it, Pricing: DefaultPricing(), Overheads: ov, DatasetGB: 3,
+			Faults: FaultModel{ProvisionFailureProb: 0.3, PreemptionMeanSeconds: 500}}
+		if err := p.Init(clock, stats.NewRNG(seed), prof); err != nil {
 			t.Fatal(err)
 		}
 		var log []string

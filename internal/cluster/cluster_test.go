@@ -11,18 +11,28 @@ import (
 
 func testManager(t *testing.T, queue, initLat float64) (*Manager, *vclock.Clock, *cloud.Provider) {
 	t.Helper()
+	return testManagerFaults(t, queue, initLat, cloud.FaultModel{})
+}
+
+// testManagerFaults is testManager on a provider that injects faults.
+func testManagerFaults(t *testing.T, queue, initLat float64, faults cloud.FaultModel) (*Manager, *vclock.Clock, *cloud.Provider) {
+	t.Helper()
 	clock := vclock.New()
-	ov := cloud.Overheads{
-		QueueDelay:  stats.Deterministic{Value: queue},
-		InitLatency: stats.Deterministic{Value: initLat},
-	}
-	pricing := cloud.DefaultPricing()
-	pricing.MinChargeSeconds = 0
-	provider, err := cloud.NewProvider(clock, stats.NewRNG(1), pricing, ov, 0)
+	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
+	prof := cloud.Profile{
+		Instance: it,
+		Pricing:  cloud.DefaultPricing(),
+		Overheads: cloud.Overheads{
+			QueueDelay:  stats.Deterministic{Value: queue},
+			InitLatency: stats.Deterministic{Value: initLat},
+		},
+		Faults: faults,
+	}
+	prof.Pricing.MinChargeSeconds = 0
+	provider, err := cloud.NewProvider(clock, stats.NewRNG(1), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +45,7 @@ func testManager(t *testing.T, queue, initLat float64) (*Manager, *vclock.Clock,
 
 func TestNewManagerValidation(t *testing.T) {
 	clock := vclock.New()
-	provider, _ := cloud.NewProvider(clock, stats.NewRNG(1), cloud.DefaultPricing(), cloud.Overheads{}, 0)
+	provider, _ := cloud.NewProvider(clock, stats.NewRNG(1), cloud.PaperProfile(0))
 	if _, err := NewManager(nil, cloud.InstanceType{GPUs: 4}, clock); err == nil {
 		t.Error("nil provider accepted")
 	}
@@ -192,10 +202,7 @@ func TestScaleUpWhileScaling(t *testing.T) {
 }
 
 func TestPreemptionAutoReplaced(t *testing.T) {
-	m, clock, provider := testManager(t, 0, 0)
-	if err := provider.SetFaults(cloud.FaultModel{PreemptionMeanSeconds: 50}); err != nil {
-		t.Fatal(err)
-	}
+	m, clock, _ := testManagerFaults(t, 0, 0, cloud.FaultModel{PreemptionMeanSeconds: 50})
 	var preempted []*Node
 	m.SetPreemptionHandler(func(n *Node) { preempted = append(preempted, n) })
 	m.ScaleUpTo(2)
@@ -228,10 +235,7 @@ func TestPreemptionAutoReplaced(t *testing.T) {
 }
 
 func TestProvisionFailureRetried(t *testing.T) {
-	m, clock, provider := testManager(t, 1, 0)
-	if err := provider.SetFaults(cloud.FaultModel{ProvisionFailureProb: 0.5}); err != nil {
-		t.Fatal(err)
-	}
+	m, clock, provider := testManagerFaults(t, 1, 0, cloud.FaultModel{ProvisionFailureProb: 0.5})
 	m.ScaleUpTo(4)
 	clock.Run(0)
 	if m.Size() != 4 {

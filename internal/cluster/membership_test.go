@@ -19,12 +19,11 @@ import (
 func TestMembershipMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := stats.NewRNG(uint64(seed))
-		m, clock, provider := testManager(t, 1, 2)
+		var faults cloud.FaultModel
 		if seed%2 == 0 {
-			if err := provider.SetFaults(cloud.FaultModel{ProvisionFailureProb: 0.3}); err != nil {
-				t.Fatal(err)
-			}
+			faults.ProvisionFailureProb = 0.3
 		}
+		m, clock, provider := testManagerFaults(t, 1, 2, faults)
 		type snapshot struct {
 			nodes []*Node
 			ids   []NodeID

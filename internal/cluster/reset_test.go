@@ -20,10 +20,9 @@ func TestManagerResetMatchesNew(t *testing.T) {
 	}
 	script := func(m *Manager, p *cloud.Provider, clock *vclock.Clock, seed uint64, sizes []int) string {
 		ov := cloud.Overheads{QueueDelay: stats.Exponential{MeanValue: 10}, InitLatency: stats.Deterministic{Value: 15}}
-		if err := p.Init(clock, stats.NewRNG(seed), cloud.DefaultPricing(), ov, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.SetFaults(cloud.FaultModel{ProvisionFailureProb: 0.3, PreemptionMeanSeconds: 200}); err != nil {
+		prof := cloud.Profile{Instance: it, Pricing: cloud.DefaultPricing(), Overheads: ov,
+			Faults: cloud.FaultModel{ProvisionFailureProb: 0.3, PreemptionMeanSeconds: 200}}
+		if err := p.Init(clock, stats.NewRNG(seed), prof); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Init(p, it, clock); err != nil {

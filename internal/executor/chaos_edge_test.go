@@ -15,34 +15,17 @@ import (
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/trial"
 	"repro/internal/vclock"
 )
 
-// newHarnessOn is newHarness with a chosen worker instance type.
-func newHarnessOn(t *testing.T, instName string, seed uint64) *harness {
+// newHarnessOn is newHarness with a chosen worker instance type, no
+// provisioning latency and a checkpoint restore of restore seconds.
+func newHarnessOn(t *testing.T, instName string, restore float64, seed uint64) *harness {
 	t.Helper()
-	clock := vclock.New()
-	pricing := cloud.DefaultPricing()
-	pricing.MinChargeSeconds = 0
-	ov := cloud.Overheads{
-		QueueDelay:  stats.Deterministic{Value: 0},
-		InitLatency: stats.Deterministic{Value: 0},
-	}
-	provider, err := cloud.NewProvider(clock, stats.NewRNG(seed), pricing, ov, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := cloud.DefaultCatalog().Lookup(instName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := cluster.NewManager(provider, it, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &harness{clock: clock, provider: provider, cluster: mgr}
+	prof := testProfile(t, instName, 0, 0)
+	prof.RestoreSeconds = restore
+	return newHarnessProfile(t, prof, seed)
 }
 
 // preemptGangNode reclaims one node of the trial's current gang.
@@ -108,7 +91,7 @@ func TestScatterHandoffKeepsLedgerWithinCapacity(t *testing.T) {
 	// stagger trial finishes, so queue hand-offs happen while other
 	// trials are mid-iteration. Every hand-off re-places; the billing
 	// ledger must never exceed physical capacity.
-	h := newHarnessOn(t, "p3.2xlarge", 77)
+	h := newHarnessOn(t, "p3.2xlarge", 0, 77)
 	s := spec.Empty().AddStage(6, 3)
 	m := quietModel()
 	m.IterNoiseStd = 0.6
@@ -127,12 +110,11 @@ func TestPreemptionRacingSyncBarrier(t *testing.T) {
 	// the second's node: its pending completion event is stale and must
 	// be discarded, the finished trial keeps its results, and the stage
 	// replays only for the victim.
-	h := newHarnessOn(t, "p3.2xlarge", 60)
+	h := newHarnessOn(t, "p3.2xlarge", 3, 60)
 	s := spec.Empty().AddStage(2, 2).AddStage(1, 2)
 	m := quietModel()
 	m.IterNoiseStd = 0
 	cfg := runConfig(t, h, s, sim.NewPlan(2, 1), m, 60)
-	cfg.RestoreSeconds = 3
 	job, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,12 +170,11 @@ func TestPreemptionDuringFinalStageLastIteration(t *testing.T) {
 	// The stage-1 survivor loses its node one iteration before the
 	// finish line: it must roll back to the stage-1 checkpoint, replay
 	// the whole stage on the replacement node, and still complete.
-	h := newHarnessOn(t, "p3.2xlarge", 61)
+	h := newHarnessOn(t, "p3.2xlarge", 2, 61)
 	s := spec.Empty().AddStage(2, 2).AddStage(1, 3)
 	m := quietModel()
 	m.IterNoiseStd = 0
 	cfg := runConfig(t, h, s, sim.NewPlan(2, 1), m, 61)
-	cfg.RestoreSeconds = 2
 	job, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,12 +220,11 @@ func TestRepeatedPreemptionOfRecoveringTrial(t *testing.T) {
 	// The same trial is preempted twice: once mid-stage, then again
 	// right after it restarts on the replacement node. Each recovery
 	// rolls back to the stage checkpoint; the run must still converge.
-	h := newHarnessOn(t, "p3.2xlarge", 62)
+	h := newHarnessOn(t, "p3.2xlarge", 1, 62)
 	s := spec.Empty().AddStage(1, 2)
 	m := quietModel()
 	m.IterNoiseStd = 0
 	cfg := runConfig(t, h, s, sim.NewPlan(1), m, 62)
-	cfg.RestoreSeconds = 1
 	job, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +265,9 @@ func TestRepeatedPreemptionOfRecoveringTrial(t *testing.T) {
 // same migration count at the next stage start.
 func TestBarrierSnapshotMatchesReturnedPlan(t *testing.T) {
 	for _, scatter := range []bool{false, true} {
-		h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 200}, 31)
+		h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 200}, 3, 31)
 		s := spec.MustSHA(8, 2, 16, 2)
 		cfg := runConfig(t, h, s, sim.NewPlan(4, 8, 8, 4), quietModel(), 31)
-		cfg.RestoreSeconds = 3
 		cfg.DisablePlacement = scatter
 		job, err := Start(cfg)
 		if err != nil {

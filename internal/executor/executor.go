@@ -55,9 +55,6 @@ type Config struct {
 	// number of nodes instead of co-locating them — the Table 1 ablation
 	// baseline.
 	DisablePlacement bool
-	// RestoreSeconds is the latency of restoring a checkpoint into a
-	// freshly placed worker gang at stage transitions.
-	RestoreSeconds float64
 	// Trace, if non-nil, records execution events.
 	Trace *trace.Recorder
 	// LatencyScale, if non-nil, multiplies every sampled iteration
@@ -93,8 +90,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("executor: nil substrate component")
 	case c.Batch < 1:
 		return fmt.Errorf("executor: batch %d", c.Batch)
-	case c.RestoreSeconds < 0:
-		return fmt.Errorf("executor: negative restore latency")
 	case c.StageGate != nil && c.Replan != nil:
 		return fmt.Errorf("executor: StageGate and Replan both set")
 	}
@@ -755,7 +750,7 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 			r.fail(fmt.Errorf("executor: trial %d missing checkpoint at stage %d", t.ID(), r.stage))
 			return
 		}
-		restore = r.cfg.RestoreSeconds
+		restore = r.cfg.Provider.Profile().RestoreSeconds
 		r.tr.Record(now, trace.KindRestore, r.stage, int(t.ID()), "")
 	}
 	// Persist a stage-start checkpoint so a preemption mid-stage can

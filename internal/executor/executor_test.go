@@ -25,23 +25,41 @@ type harness struct {
 
 func newHarness(t testing.TB, billing cloud.BillingModel, queue, initLat float64, seed uint64) *harness {
 	t.Helper()
+	prof := testProfile(t, "p3.8xlarge", queue, initLat)
+	prof.Pricing.Billing = billing
+	return newHarnessProfile(t, prof, seed)
+}
+
+// testProfile returns a profile of instName workers on on-demand
+// per-instance billing with no minimum charge, deterministic queue delay
+// and init latency, no dataset, no faults and no restore.
+func testProfile(t testing.TB, instName string, queue, initLat float64) cloud.Profile {
+	t.Helper()
+	it, err := cloud.DefaultCatalog().Lookup(instName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := cloud.Profile{
+		Instance: it,
+		Pricing:  cloud.DefaultPricing(),
+		Overheads: cloud.Overheads{
+			QueueDelay:  stats.Deterministic{Value: queue},
+			InitLatency: stats.Deterministic{Value: initLat},
+		},
+	}
+	prof.Pricing.MinChargeSeconds = 0
+	return prof
+}
+
+// newHarnessProfile builds the substrate of a run on the cloud prof.
+func newHarnessProfile(t testing.TB, prof cloud.Profile, seed uint64) *harness {
+	t.Helper()
 	clock := vclock.New()
-	pricing := cloud.DefaultPricing()
-	pricing.Billing = billing
-	pricing.MinChargeSeconds = 0
-	ov := cloud.Overheads{
-		QueueDelay:  stats.Deterministic{Value: queue},
-		InitLatency: stats.Deterministic{Value: initLat},
-	}
-	provider, err := cloud.NewProvider(clock, stats.NewRNG(seed), pricing, ov, 0)
+	provider, err := cloud.NewProvider(clock, stats.NewRNG(seed), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := cluster.NewManager(provider, it, clock)
+	mgr, err := cluster.NewManager(provider, prof.Instance, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +117,6 @@ func TestValidation(t *testing.T) {
 	bad.Batch = 0
 	if _, err := Run(bad); err == nil {
 		t.Error("zero batch accepted")
-	}
-	bad = good
-	bad.RestoreSeconds = -1
-	if _, err := Run(bad); err == nil {
-		t.Error("negative restore accepted")
 	}
 }
 
@@ -308,11 +321,12 @@ func TestPlacementAblationThroughput(t *testing.T) {
 func TestRestoreLatencyCharged(t *testing.T) {
 	s := spec.MustSHA(4, 2, 8, 2)
 	run := func(restore float64) float64 {
-		h := newHarness(t, cloud.PerInstance, 0, 0, 10)
+		prof := testProfile(t, "p3.8xlarge", 0, 0)
+		prof.RestoreSeconds = restore
+		h := newHarnessProfile(t, prof, 10)
 		m := quietModel()
 		m.IterNoiseStd = 0
 		cfg := runConfig(t, h, s, sim.Uniform(4, s.NumStages()), m, 10)
-		cfg.RestoreSeconds = restore
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"repro/internal/stats"
+	"repro/internal/vclock"
 	"testing"
 
 	"repro/internal/cloud"
@@ -11,18 +13,17 @@ import (
 	"repro/internal/trial"
 )
 
-// faultHarness builds a harness whose provider injects the given faults.
-func faultHarness(t *testing.T, faults cloud.FaultModel, seed uint64) *harness {
+// faultHarness builds a harness whose provider injects the given faults
+// and restores checkpoints in restore seconds.
+func faultHarness(t *testing.T, faults cloud.FaultModel, restore float64, seed uint64) *harness {
 	t.Helper()
-	h := newHarness(t, cloud.PerInstance, 2, 5, seed)
-	if err := h.provider.SetFaults(faults); err != nil {
-		t.Fatal(err)
-	}
-	return h
+	prof := testProfile(t, "p3.8xlarge", 2, 5)
+	prof.Faults, prof.RestoreSeconds = faults, restore
+	return newHarnessProfile(t, prof, seed)
 }
 
 func TestProvisionFailuresRetried(t *testing.T) {
-	h := faultHarness(t, cloud.FaultModel{ProvisionFailureProb: 0.4}, 21)
+	h := faultHarness(t, cloud.FaultModel{ProvisionFailureProb: 0.4}, 0, 21)
 	s := spec.MustSHA(8, 2, 8, 2)
 	res, err := Run(runConfig(t, h, s, sim.Uniform(8, s.NumStages()), quietModel(), 21))
 	if err != nil {
@@ -49,11 +50,10 @@ func TestPreemptionRecovery(t *testing.T) {
 	// Aggressive preemption: mean time-to-preempt well inside the job's
 	// runtime, so several nodes are lost mid-stage. The job must still
 	// complete with the correct tournament structure.
-	h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 400}, 22)
+	h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 400}, 3, 22)
 	s := spec.MustSHA(8, 2, 16, 2)
 	m := quietModel()
 	cfg := runConfig(t, h, s, sim.Uniform(8, s.NumStages()), m, 22)
-	cfg.RestoreSeconds = 3
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +82,9 @@ func TestPreemptionCostsTime(t *testing.T) {
 	// work, so JCT must grow.
 	s := spec.MustSHA(8, 2, 16, 2)
 	run := func(preempt float64) *Result {
-		h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: preempt}, 23)
+		h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: preempt}, 3, 23)
 		m := quietModel()
 		cfg := runConfig(t, h, s, sim.Uniform(8, s.NumStages()), m, 23)
-		cfg.RestoreSeconds = 3
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +104,7 @@ func TestPreemptionCostsTime(t *testing.T) {
 func TestPreemptionDeterministic(t *testing.T) {
 	s := spec.MustSHA(8, 2, 8, 2)
 	runOnce := func() *Result {
-		h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 350}, 24)
+		h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 350}, 0, 24)
 		res, err := Run(runConfig(t, h, s, sim.Uniform(8, s.NumStages()), quietModel(), 24))
 		if err != nil {
 			t.Fatal(err)
@@ -119,14 +118,17 @@ func TestPreemptionDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultModelValidation: a provider refuses a cloud whose fault model
+// is out of range, so no run starts on it.
 func TestFaultModelValidation(t *testing.T) {
-	h := newHarness(t, cloud.PerInstance, 0, 0, 25)
 	for _, f := range []cloud.FaultModel{
 		{ProvisionFailureProb: -0.1},
 		{ProvisionFailureProb: 1.0},
 		{PreemptionMeanSeconds: -1},
 	} {
-		if err := h.provider.SetFaults(f); err == nil {
+		prof := testProfile(t, "p3.8xlarge", 0, 0)
+		prof.Faults = f
+		if _, err := cloud.NewProvider(vclock.New(), stats.NewRNG(25), prof); err == nil {
 			t.Errorf("invalid fault model accepted: %+v", f)
 		}
 	}
@@ -175,7 +177,7 @@ func TestTrialRestore(t *testing.T) {
 // in core tests; here verify the executor surfaces preemption counts in
 // the model path too.
 func TestPreemptionCountSurfaced(t *testing.T) {
-	h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 200}, 26)
+	h := faultHarness(t, cloud.FaultModel{PreemptionMeanSeconds: 200}, 0, 26)
 	s := spec.Empty().AddStage(4, 20)
 	m := model.ResNet101()
 	m.IterNoiseStd = 0.1

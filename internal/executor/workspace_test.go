@@ -27,11 +27,10 @@ type wsJob struct {
 // log with its notes.
 func runOn(t *testing.T, w *Workspace, j wsJob) (string, *Result) {
 	t.Helper()
-	h := faultHarness(t, j.faults, j.seed)
+	h := faultHarness(t, j.faults, 3, j.seed)
 	cfg := runConfig(t, h, j.s, j.plan, quietModel(), j.seed)
 	cfg.Trace = trace.New()
 	cfg.DisablePlacement = j.scatter
-	cfg.RestoreSeconds = 3
 	job, err := w.Start(cfg)
 	if err != nil {
 		t.Fatal(err)

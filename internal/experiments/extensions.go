@@ -59,7 +59,7 @@ func ASHA(cfg Config) (*ASHAResult, error) {
 		cp := sc.Profile
 		clock := vclock.New()
 		rng := stats.NewRNG(sc.BatchSeed + 2)
-		provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cp.Overheads, cp.DatasetGB)
+		provider, err := cloud.NewProvider(clock, rng.Split(), cp)
 		if err != nil {
 			return nil, err
 		}
@@ -109,14 +109,13 @@ func ashaScenario(cfg Config, s int) harness.Scenario {
 		sp = spec.MustSHA(8, 1, 12, 3)
 	}
 	return harness.Scenario{
-		BatchSeed:      cfg.Seed + 500 + uint64(s)*1000,
-		Spec:           sp,
-		Model:          model.ResNet101(),
-		Space:          searchspace.DefaultVisionSpace(),
-		Profile:        warmPoolProfile(model.CIFAR10.SizeGB),
-		RestoreSeconds: 2,
-		MaxGPUs:        128,
-		Deadline:       20 * 60,
+		BatchSeed: cfg.Seed + 500 + uint64(s)*1000,
+		Spec:      sp,
+		Model:     model.ResNet101(),
+		Space:     searchspace.DefaultVisionSpace(),
+		Profile:   warmPoolProfile(model.CIFAR10.SizeGB),
+		MaxGPUs:   128,
+		Deadline:  20 * 60,
 	}
 }
 
@@ -209,15 +208,15 @@ func spotScenario(cfg Config, pt spotPoint, s int) harness.Scenario {
 	}
 	cp := warmPoolProfile(model.CIFAR10.SizeGB)
 	cp.Pricing.Market = pt.market
+	cp.Faults.PreemptionMeanSeconds = pt.preempt
+	cp.RestoreSeconds = 5
 	return harness.Scenario{
-		BatchSeed:      cfg.Seed + 900 + uint64(s)*1000,
-		Spec:           sp,
-		Model:          model.ResNet101(),
-		Space:          searchspace.DefaultVisionSpace(),
-		Profile:        cp,
-		Faults:         cloud.FaultModel{PreemptionMeanSeconds: pt.preempt},
-		RestoreSeconds: 5,
-		Deadline:       25 * 60,
+		BatchSeed: cfg.Seed + 900 + uint64(s)*1000,
+		Spec:      sp,
+		Model:     model.ResNet101(),
+		Space:     searchspace.DefaultVisionSpace(),
+		Profile:   cp,
+		Deadline:  25 * 60,
 	}
 }
 

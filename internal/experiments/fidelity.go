@@ -49,14 +49,13 @@ func fidelityScenarios(cfg Config) ([]harness.Scenario, error) {
 		cp := warmPoolProfile(m.Dataset.SizeGB)
 		cp.Overheads.QueueDelay = stats.Exponential{MeanValue: 5}
 		out = append(out, harness.Scenario{
-			BatchSeed:      cfg.Seed + uint64(w)*101,
-			Spec:           s,
-			Model:          m,
-			Space:          searchspace.ForModel(m.Name),
-			Profile:        cp,
-			RestoreSeconds: 2,
-			MaxGPUs:        64,
-			Deadline:       45 * 60,
+			BatchSeed: cfg.Seed + uint64(w)*101,
+			Spec:      s,
+			Model:     m,
+			Space:     searchspace.ForModel(m.Name),
+			Profile:   cp,
+			MaxGPUs:   64,
+			Deadline:  45 * 60,
 		})
 	}
 	return out, nil

@@ -8,7 +8,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 )
 
 // InstancesResult holds the instance-type selection extension: the
@@ -48,11 +47,7 @@ func Instances(cfg Config) (*InstancesResult, error) {
 	profiles := func(it cloud.InstanceType) sim.TrainProfile {
 		return sim.ModelTrainProfile{Model: m, Batch: 512, GPUsPerNode: it.GPUs}
 	}
-	base := sim.DefaultCloudProfile()
-	base.Overheads = cloud.Overheads{
-		QueueDelay:  stats.Deterministic{Value: 5},
-		InitLatency: stats.Deterministic{Value: 15},
-	}
+	base := warmPoolProfile(0)
 
 	res := &InstancesResult{Deadlines: deadlines}
 	for _, dl := range deadlines {

@@ -76,11 +76,11 @@ func table1Throughput(cfg Config, gpusPerTrial int, scatter bool) (Stat, error) 
 			QueueDelay:  stats.Deterministic{Value: 0},
 			InitLatency: stats.Deterministic{Value: 0},
 		}
-		provider, err := cloud.NewProvider(clock, rng.Split(), pricing, ov, 0)
+		it, err := cloud.DefaultCatalog().Lookup("p3.16xlarge")
 		if err != nil {
 			return Stat{}, err
 		}
-		it, err := cloud.DefaultCatalog().Lookup("p3.16xlarge")
+		provider, err := cloud.NewProvider(clock, rng.Split(), cloud.Profile{Instance: it, Pricing: pricing, Overheads: ov})
 		if err != nil {
 			return Stat{}, err
 		}

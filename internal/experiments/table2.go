@@ -44,24 +44,22 @@ func table2Scenario(cfg Config, policy planner.Policy, deadlineMin, s int) harne
 		sp = spec.MustSHA(8, 1, 12, 3)
 	}
 	return harness.Scenario{
-		BatchSeed:      cfg.Seed + uint64(s)*1000,
-		Spec:           sp,
-		Model:          m,
-		Space:          searchspace.DefaultVisionSpace(),
-		Profile:        warmPoolProfile(m.Dataset.SizeGB),
-		RestoreSeconds: 2,
-		MaxGPUs:        128,
-		Deadline:       float64(deadlineMin * 60),
-		Policy:         policy,
+		BatchSeed: cfg.Seed + uint64(s)*1000,
+		Spec:      sp,
+		Model:     m,
+		Space:     searchspace.DefaultVisionSpace(),
+		Profile:   warmPoolProfile(m.Dataset.SizeGB),
+		MaxGPUs:   128,
+		Deadline:  float64(deadlineMin * 60),
+		Policy:    policy,
 	}
 }
 
-// warmPoolProfile is the §6.3 substrate: the default worker type over a
+// warmPoolProfile is the §6.3 substrate: the paper's cloud over a
 // dataset of datasetGB, with the instance initialization and node
 // scale-up latency of 15 s a warm instance pool gives.
-func warmPoolProfile(datasetGB float64) sim.CloudProfile {
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = datasetGB
+func warmPoolProfile(datasetGB float64) cloud.Profile {
+	cp := cloud.PaperProfile(datasetGB)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},

@@ -49,13 +49,12 @@ func table4Workloads(cfg Config) []harness.Scenario {
 	// preserving the comparison the table makes. See EXPERIMENTS.md.
 	workload := func(m *model.Model, space *searchspace.Space, sp *spec.ExperimentSpec, deadlineMin int) harness.Scenario {
 		return harness.Scenario{
-			Spec:           sp,
-			Model:          m,
-			Space:          space,
-			Profile:        warmPoolProfile(m.Dataset.SizeGB),
-			RestoreSeconds: 2,
-			MaxGPUs:        128,
-			Deadline:       float64(deadlineMin * 60),
+			Spec:     sp,
+			Model:    m,
+			Space:    space,
+			Profile:  warmPoolProfile(m.Dataset.SizeGB),
+			MaxGPUs:  128,
+			Deadline: float64(deadlineMin * 60),
 		}
 	}
 	return []harness.Scenario{

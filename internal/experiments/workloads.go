@@ -32,7 +32,7 @@ func (w workload) simulator() (*sim.Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := sim.CloudProfile{
+	cp := cloud.Profile{
 		Instance: it,
 		Pricing: cloud.Pricing{
 			Billing:          w.billing,

@@ -7,7 +7,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -18,8 +17,8 @@ import (
 // The printed facts are structural (and deterministic for the fixed
 // seed), not machine-dependent timings.
 func ExampleRunScenario() {
-	cp := sim.DefaultCloudProfile()
-	cp.DatasetGB = model.CIFAR10.SizeGB
+	cp := cloud.PaperProfile(model.CIFAR10.SizeGB)
+	cp.RestoreSeconds = 0 // checkpoints restore instantly in this example
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},

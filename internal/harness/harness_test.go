@@ -68,7 +68,7 @@ func cleanArtifacts(t *testing.T) *Artifacts {
 	t.Helper()
 	for i := 0; i < 100; i++ {
 		sc := Generate(7, i)
-		if sc.Faults != (cloud.FaultModel{}) {
+		if sc.Profile.Faults != (cloud.FaultModel{}) {
 			continue
 		}
 		a, err := RunScenario(sc)
@@ -173,7 +173,7 @@ func TestHarnessCatchesScatterRegression(t *testing.T) {
 func TestPipelineErrorReported(t *testing.T) {
 	// A scenario whose run aborts must surface an error, not pass.
 	sc := Generate(1, 0)
-	sc.Faults.ProvisionFailureProb = 2
+	sc.Profile.Faults.ProvisionFailureProb = 2
 	if _, err := RunScenario(sc); err == nil {
 		t.Fatal("invalid fault model did not abort the run")
 	}

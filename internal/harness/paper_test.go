@@ -21,9 +21,9 @@ import (
 // planner's default GPU cap.
 func paperScenario(policy planner.Policy, deadline float64, seed uint64) Scenario {
 	m := model.ResNet101()
-	cp := sim.DefaultCloudProfile()
+	cp := cloud.PaperProfile(m.Dataset.SizeGB)
 	cp.Pricing.MinChargeSeconds = 0
-	cp.DatasetGB = m.Dataset.SizeGB
+	cp.RestoreSeconds = 0 // checkpoints restore instantly in these tests
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},
 		InitLatency: stats.Deterministic{Value: 15},

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/model"
 	"repro/internal/searchspace"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -49,7 +48,7 @@ func driftScenario(t *testing.T) Scenario {
 		Spec:      s,
 		Model:     &m,
 		Space:     searchspace.DefaultVisionSpace(),
-		Profile: sim.CloudProfile{
+		Profile: cloud.Profile{
 			Instance: it,
 			Pricing:  cloud.DefaultPricing(),
 			Overheads: cloud.Overheads{
@@ -190,7 +189,7 @@ func TestReplanInfeasibleAfterDrift(t *testing.T) {
 func TestZeroDriftReplanIsNoOp(t *testing.T) {
 	for _, idx := range []int{37, 48, 61, 68} {
 		sc := Generate(13, idx)
-		if sc.Drift.Active() || sc.Faults != (cloud.FaultModel{}) || sc.DisablePlacement || sc.Model.IterNoiseStd > 0 {
+		if sc.Drift.Active() || sc.Profile.Faults != (cloud.FaultModel{}) || sc.DisablePlacement || sc.Model.IterNoiseStd > 0 {
 			t.Fatalf("generator drifted: scenario 13/%d no longer deterministic-clean\n  %s", idx, sc)
 		}
 		on, off := sc, sc

@@ -278,12 +278,8 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 	execRNG, provRNG := &ws.execRNG, &ws.provRNG
 	root.StreamInto(streamExecutor, execRNG)
 	root.StreamInto(streamProvider, provRNG)
-	if err := provider.Init(clock, provRNG,
-		sc.Profile.Pricing, sc.Profile.Overheads, sc.Profile.DatasetGB); err != nil {
+	if err := provider.Init(clock, provRNG, sc.Profile); err != nil {
 		return fmt.Errorf("harness: provider: %w", err)
-	}
-	if err := provider.SetFaults(sc.Faults); err != nil {
-		return fmt.Errorf("harness: faults: %w", err)
 	}
 	if err := mgr.Init(provider, sc.Profile.Instance, clock); err != nil {
 		return fmt.Errorf("harness: cluster: %w", err)
@@ -365,7 +361,6 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 		Clock:            clock,
 		RNG:              execRNG,
 		DisablePlacement: sc.DisablePlacement,
-		RestoreSeconds:   sc.RestoreSeconds,
 		Trace:            rec,
 		LatencyScale:     latencyScale,
 		Replan:           ctl,

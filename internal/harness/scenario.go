@@ -38,13 +38,10 @@ type Scenario struct {
 	Model *model.Model
 	// Space is the hyperparameter space configurations are drawn from.
 	Space *searchspace.Space
-	// Profile bundles instance type, pricing table and provisioning
-	// overheads.
-	Profile sim.CloudProfile
-	// Faults is the injected provider fault model.
-	Faults cloud.FaultModel
-	// RestoreSeconds is the checkpoint-restore latency at migrations.
-	RestoreSeconds float64
+	// Profile is the cloud the job runs on: instance type, pricing,
+	// provisioning overheads, dataset, faults and restore latency. The
+	// provider, the executor and the Simulators all read this one value.
+	Profile cloud.Profile
 	// DisablePlacement scatters workers (the locality ablation path).
 	DisablePlacement bool
 	// MaxGPUs caps the planner's peak cluster size; zero selects
@@ -193,7 +190,7 @@ func Generate(seed uint64, index int) Scenario {
 	if qm := uniform(r, 0, 20); qm > 1 {
 		queue = stats.Exponential{MeanValue: qm}
 	}
-	profile := sim.CloudProfile{
+	profile := cloud.Profile{
 		Instance: it,
 		Pricing:  pricing,
 		Overheads: cloud.Overheads{
@@ -208,7 +205,7 @@ func Generate(seed uint64, index int) Scenario {
 	// kept well above typical iteration latencies so recovery always makes
 	// expected forward progress (the runner's event bound catches
 	// livelock regardless).
-	var faults cloud.FaultModel
+	faults := &profile.Faults
 	switch r.Intn(4) {
 	case 1:
 		faults.ProvisionFailureProb = uniform(r, 0.05, 0.4)
@@ -223,6 +220,9 @@ func Generate(seed uint64, index int) Scenario {
 	if maxGPUs > 32 {
 		maxGPUs = 32
 	}
+	// The restore must be drawn here, after maxGPUs and before the
+	// placement ablation: moving the draw shifts every later field.
+	profile.RestoreSeconds = uniform(r, 0, 10)
 
 	sc := Scenario{
 		BatchSeed:        seed,
@@ -231,8 +231,6 @@ func Generate(seed uint64, index int) Scenario {
 		Model:            m,
 		Space:            searchspace.ForModel(m.Name),
 		Profile:          profile,
-		Faults:           faults,
-		RestoreSeconds:   uniform(r, 0, 10),
 		DisablePlacement: r.Intn(5) == 0,
 		MaxGPUs:          maxGPUs,
 		DeadlineFactor:   uniform(r, 0.8, 2.5),
@@ -285,8 +283,8 @@ func (sc Scenario) String() string {
 			"drift={x%.1f@%.2f} replan=%v threshold=%.2f cooldown=%.0fs caps=%v",
 		sc.BatchSeed, sc.Index, sc.Spec, sc.Model.Name, sc.Profile.Instance.Name,
 		sc.Profile.Pricing.Billing, sc.Profile.Pricing.Market, sc.Profile.Pricing.MinChargeSeconds,
-		sc.Profile.DatasetGB, sc.Faults.ProvisionFailureProb, sc.Faults.PreemptionMeanSeconds,
-		sc.RestoreSeconds, sc.DisablePlacement, sc.MaxGPUs, sc.DeadlineFactor,
+		sc.Profile.DatasetGB, sc.Profile.Faults.ProvisionFailureProb, sc.Profile.Faults.PreemptionMeanSeconds,
+		sc.Profile.RestoreSeconds, sc.DisablePlacement, sc.MaxGPUs, sc.DeadlineFactor,
 		sc.Drift.Factor, sc.Drift.StartFraction, sc.ReplanEnabled, sc.DriftThreshold, sc.ReplanCooldown,
 		sc.ArbiterCaps)
 }

@@ -9,11 +9,12 @@
 //     nodes, taking whole nodes where possible.
 //   - Assignments of trials whose allocation did not change are preserved
 //     across scheduling epochs on a best-effort basis.
-//   - Trials whose reassignment has been issued but not yet confirmed by
-//     their workers are locked: their resources cannot be perturbed.
 //   - When a trial cannot be placed on free capacity, already-placed
-//     smaller, unlocked trials are displaced to make room; displaced
-//     trials re-enter the queue for their own placement attempt.
+//     smaller trials are displaced to make room; displaced trials
+//     re-enter the queue for their own placement attempt.
+//
+// The executor places only at stage barriers, where no reassignment is
+// in flight, so the controller keeps no §4.4.1 reserved list.
 package placement
 
 import (
@@ -75,7 +76,6 @@ type Controller struct {
 	// drops trials from. Its entries past its length, up to its
 	// capacity, are nil.
 	current Plan
-	locked  []bool
 	// cols are the nodes of the latest successful Update, with their free
 	// GPUs kept in step with current: Remove returns a trial's slots, so
 	// the next Update only applies what changed (see nodes).
@@ -121,7 +121,7 @@ func (n nodeCols) split() (ids, caps, free []int) {
 }
 
 // Reset makes c an empty controller for nodes with nodeGPUs accelerators
-// each, with no placements and nothing locked, keeping its buffers' capacity: a
+// each, with no placements, keeping its buffers' capacity: a
 // recycled controller's first epochs carve their plans from the storage
 // its last run grew. It panics if nodeGPUs < 1.
 func (c *Controller) Reset(nodeGPUs int) {
@@ -132,31 +132,11 @@ func (c *Controller) Reset(nodeGPUs int) {
 	clear(c.gangs)
 	*c = Controller{
 		nodeGPUs: nodeGPUs,
-		current:  c.current[:0], locked: c.locked[:0], cols: c.cols[:0],
+		current:  c.current[:0], cols: c.cols[:0],
 		gangs: c.gangs[:0], slab: c.slab[:0],
 		queue: c.queue[:0], placedNow: c.placedNow[:0], undo: c.undo[:0],
 		loads: c.loads[:0], drain: c.drain[:0],
 	}
-}
-
-// Lock marks a trial's placement as in-flight: it cannot be displaced
-// until Unlock (§4.4.1 "reserved" list).
-func (c *Controller) Lock(t TrialID) { //rbvet:ignore unreached — the §4.4.1 reserved list: the executor places only at stage barriers, where no reassignment is in flight, so nothing locks yet; the placement tests specify the displacement exclusion through it
-	if n := int(t) + 1; n > len(c.locked) {
-		c.locked = append(c.locked, make([]bool, n-len(c.locked))...)
-	}
-	c.locked[t] = true
-}
-
-// Unlock clears a trial's in-flight mark.
-func (c *Controller) Unlock(t TrialID) {
-	if int(t) < len(c.locked) {
-		c.locked[t] = false
-	}
-}
-
-func (c *Controller) isLocked(t TrialID) bool {
-	return int(t) < len(c.locked) && c.locked[t]
 }
 
 // Remove drops a trial (terminated or finished) from the plan, freeing its
@@ -166,20 +146,18 @@ func (c *Controller) Remove(t TrialID) {
 		c.cols.release(c.current[t])
 		c.current[t] = nil
 	}
-	c.Unlock(t)
 }
 
 // Update computes a placement plan satisfying allocs (GPUs by TrialID,
 // negative for absent trials) over the given nodes, implementing
 // Algorithm 3. Trials already placed with an unchanged allocation keep
 // their assignment; others are (re)placed best-fit in descending
-// allocation order, displacing smaller unlocked trials when necessary;
+// allocation order, displacing smaller trials when necessary;
 // absent trials are dropped. The returned plan, indexed like allocs,
 // becomes the current plan and stays valid until the next Update or
 // Remove. An error, naming the lowest TrialID at fault, is returned if
-// an allocation is zero, demand exceeds capacity or a locked trial's
-// allocation changed; a failed Update leaves the current plan as it
-// was. Node IDs are distinct, in any order.
+// an allocation is zero or demand exceeds capacity; a failed Update
+// leaves the current plan as it was. Node IDs are distinct, in any order.
 //
 // Update edits the current plan in place: only the gangs that are not
 // preserved return their slots and are placed again, so a queue
@@ -226,16 +204,10 @@ func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error)
 				held += s.GPUs
 				onLive = onLive && (same || cols.pos(s.Node) >= 0)
 			}
-			switch {
-			case held == want && onLive:
+			if held == want && onLive {
 				continue
-			case !c.isLocked(t):
-				c.drop(cols, c.current, t)
-			case want < 0:
-				return c.rollback(cols, n, 0, fmt.Errorf("placement: locked trial %d removed from allocation", t))
-			default:
-				return c.rollback(cols, n, 0, fmt.Errorf("placement: locked trial %d needs reallocation", t))
 			}
+			c.drop(cols, c.current, t)
 		}
 		if want > 0 {
 			c.queue = append(c.queue, t)
@@ -437,8 +409,8 @@ func extend[S ~[]E, E any](buf S, n int) S {
 }
 
 // place assigns want GPUs to trial t, mutating plan and cols's free GPUs.
-// It may displace smaller trials — excluding locked trials and trials
-// already placed this epoch — which are dropped from plan and appended
+// It may displace smaller trials — excluding trials already placed this
+// epoch — which are dropped from plan and appended
 // to c.queue for their own placement attempt. Nodes hold nodeGPUs GPUs,
 // so each unit lands on a node of its own. On failure the units already
 // placed return their GPUs.
@@ -487,8 +459,8 @@ func bestFit(free []int, unit int) (int, bool) {
 
 // pickVictim chooses the smallest displaceable trial (other than t) whose
 // removal would let some node fit unit GPUs, breaking equal-GPU ties by
-// the smallest TrialID (mirroring bestFit and sortTrials). Locked trials
-// and trials placed this epoch are not displaceable.
+// the smallest TrialID (mirroring bestFit and sortTrials). Trials placed
+// this epoch are not displaceable.
 //
 //rbvet:noalloc
 func (c *Controller) pickVictim(cols nodeCols, plan Plan, unit int, t TrialID) (TrialID, bool) {
@@ -497,7 +469,7 @@ func (c *Controller) pickVictim(cols nodeCols, plan Plan, unit int, t TrialID) (
 	victimGPUs := int(^uint(0) >> 1)
 	for i, asg := range plan {
 		cand := TrialID(i)
-		if asg == nil || cand == t || c.isLocked(cand) || c.placedNow[cand] {
+		if asg == nil || cand == t || c.placedNow[cand] {
 			continue
 		}
 		// Candidates come in TrialID order, so an equal-GPU candidate

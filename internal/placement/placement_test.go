@@ -232,45 +232,6 @@ func TestDisplacementMakesRoom(t *testing.T) {
 	}
 }
 
-func TestLockedTrialNotDisplaced(t *testing.T) {
-	c := NewController(4)
-	nodes := mkNodes(2, 4)
-	if _, err := update(c, map[TrialID]int{0: 3, 1: 3}, nodes); err != nil {
-		t.Fatal(err)
-	}
-	c.Lock(0)
-	c.Lock(1)
-	// A 4-GPU trial cannot be placed without displacing a locked trial.
-	if _, err := update(c, map[TrialID]int{0: 3, 1: 3, 2: 4}, nodes); err == nil {
-		t.Fatal("placement succeeded despite locked trials blocking")
-	}
-	// After unlocking, displacement succeeds... but capacity (3+3+4=10)
-	// exceeds 8, so shrink trial 1 away first.
-	c.Unlock(0)
-	c.Unlock(1)
-	allocs := map[TrialID]int{0: 3, 2: 4}
-	plan, err := update(c, allocs, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPlan(t, plan, allocs, nodes, 4)
-}
-
-func TestLockedTrialReallocationErrors(t *testing.T) {
-	c := NewController(4)
-	nodes := mkNodes(1, 4)
-	if _, err := update(c, map[TrialID]int{0: 2}, nodes); err != nil {
-		t.Fatal(err)
-	}
-	c.Lock(0)
-	if _, err := update(c, map[TrialID]int{0: 4}, nodes); err == nil {
-		t.Fatal("locked reallocation accepted")
-	}
-	if _, err := update(c, map[TrialID]int{}, nodes); err == nil {
-		t.Fatal("locked removal accepted")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(1, 4)
@@ -615,7 +576,6 @@ func TestMoves(t *testing.T) {
 type refController struct {
 	nodeGPUs int
 	current  mapPlan
-	locked   map[TrialID]bool
 }
 
 // mapAssignment and mapPlan are the reference's forms of Assignment and
@@ -634,7 +594,7 @@ func (a mapAssignment) GPUs() int {
 }
 
 func newRefController(nodeGPUs int) *refController {
-	return &refController{nodeGPUs: nodeGPUs, current: make(mapPlan), locked: make(map[TrialID]bool)}
+	return &refController{nodeGPUs: nodeGPUs, current: make(mapPlan)}
 }
 
 func cloneAssignment(a mapAssignment) mapAssignment {
@@ -683,12 +643,7 @@ func matchesRef(got Plan, want mapPlan) bool {
 	return true
 }
 
-func (c *refController) Lock(t TrialID)   { c.locked[t] = true }
-func (c *refController) Unlock(t TrialID) { delete(c.locked, t) }
-func (c *refController) Remove(t TrialID) {
-	delete(c.current, t)
-	delete(c.locked, t)
-}
+func (c *refController) Remove(t TrialID) { delete(c.current, t) }
 
 func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (mapPlan, error) {
 	demand := 0
@@ -713,9 +668,6 @@ func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (m
 	for t, a := range c.current {
 		want, live := allocs[t]
 		if !live {
-			if c.locked[t] {
-				return nil, fmt.Errorf("placement: locked trial %d removed from allocation", t)
-			}
 			continue
 		}
 		ok := a.GPUs() == want
@@ -726,8 +678,6 @@ func (c *refController) Update(allocs map[TrialID]int, nodes []*cluster.Node) (m
 		}
 		if ok {
 			plan[t] = cloneAssignment(a)
-		} else if c.locked[t] {
-			return nil, fmt.Errorf("placement: locked trial %d needs reallocation", t)
 		}
 	}
 	if len(plan) == len(allocs) {
@@ -814,7 +764,7 @@ func (c *refController) pickVictim(plan mapPlan, free map[cluster.NodeID]int, un
 	victim := TrialID(-1)
 	victimGPUs := int(^uint(0) >> 1)
 	for cand, asg := range plan {
-		if cand == t || c.locked[cand] || placedNow[cand] {
+		if cand == t || placedNow[cand] {
 			continue
 		}
 		g := asg.GPUs()
@@ -883,7 +833,7 @@ func (b *byteOps) Intn(n int) int {
 // checkAgainstReference drives the controller and the map-based
 // reference through ops random steps — Update after reshaping the
 // allocation, queue hand-offs (one trial leaves and one of the same size
-// joins), Remove, Lock/Unlock and node churn (preemption-style loss,
+// joins), Remove and node churn (preemption-style loss,
 // replacement, scale-up) — and requires identical plans, and identical
 // success or failure, at every Update. It also holds the plan lifetime
 // contract: the last plan Update returned stays intact until the next
@@ -960,22 +910,13 @@ func checkAgainstReference(t *testing.T, r intner, ops int) (updates, failures i
 			nextTrial++
 			delete(allocs, leaver)
 			doUpdate(op)
-		case k < 9: // a trial finishes or is terminated
+		case k < 10: // a trial finishes or is terminated
 			checkLast(op, "Remove")
 			last = nil
 			id := TrialID(r.Intn(int(nextTrial) + 1))
 			c.Remove(id)
 			ref.Remove(id)
 			delete(allocs, id)
-		case k < 10:
-			id := TrialID(r.Intn(int(nextTrial) + 1))
-			if r.Intn(2) == 0 {
-				c.Lock(id)
-				ref.Lock(id)
-			} else {
-				c.Unlock(id)
-				ref.Unlock(id)
-			}
 		default: // node churn
 			if r.Intn(2) == 0 && len(nodes) > 1 {
 				i := r.Intn(len(nodes))
@@ -1013,8 +954,7 @@ func FuzzUpdateMatchesReference(f *testing.F) {
 }
 
 // TestReturnedPlanNotAliased pins the plan lifetime contract: a plan
-// Update returned survives lock changes, node churn and failed Updates
-// untouched, and stays valid until the next Update or Remove — Remove
+// Update returned survives node churn and failed Updates untouched, and stays valid until the next Update or Remove — Remove
 // edits it in place, and a successful Update reuses its buffer. So the
 // executor copies the plan before the barrier's Removes, and its
 // migration count reads that copy.
@@ -1026,14 +966,15 @@ func TestReturnedPlanNotAliased(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := clonePlan(prev)
-	c.Lock(0)
-	if _, err := update(c, map[TrialID]int{1: 2, 2: 1, 3: 1}, nodes); err == nil {
-		t.Fatal("dropping locked trial 0 accepted")
+	// Every gang is dropped and three are placed again before the fourth
+	// finds no node and no displaceable trial: the rollback must restore
+	// the plan as it was.
+	if _, err := update(c, map[TrialID]int{0: 3, 1: 3, 2: 3, 3: 3}, nodes); err == nil {
+		t.Fatal("unplaceable allocation accepted")
 	}
 	if _, err := update(c, map[TrialID]int{0: 2, 1: 2, 2: 1, 3: 1, 4: 9}, nodes); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
-	c.Unlock(0)
 	if !slices.EqualFunc(prev, snap, slices.Equal) {
 		t.Fatalf("a failed Update changed the returned plan: %v, was %v", prev, snap)
 	}
@@ -1074,19 +1015,7 @@ func TestUpdateErrorNamesLowestTrial(t *testing.T) {
 		if _, err := update(c, map[TrialID]int{3: 1, 5: 2, 7: 2}, nodes); err != nil {
 			t.Fatal(err)
 		}
-		c.Lock(7)
-		c.Lock(5)
-		// Both locked trials dropped together.
-		_, err := update(c, map[TrialID]int{3: 1}, nodes)
-		if err == nil || !strings.Contains(err.Error(), "locked trial 5 ") {
-			t.Fatalf("run %d: error %v, want locked trial 5", run, err)
-		}
-		// Both locked trials reallocated together.
-		_, err = update(c, map[TrialID]int{3: 1, 5: 1, 7: 1}, nodes)
-		if err == nil || !strings.Contains(err.Error(), "locked trial 5 ") {
-			t.Fatalf("run %d: error %v, want locked trial 5", run, err)
-		}
-		_, err = update(c, map[TrialID]int{3: 1, 5: 2, 7: 2, 8: 0, 9: 0}, nodes)
+		_, err := update(c, map[TrialID]int{3: 1, 5: 2, 7: 2, 8: 0, 9: 0}, nodes)
 		if err == nil || !strings.Contains(err.Error(), "trial 8 ") {
 			t.Fatalf("run %d: error %v, want trial 8", run, err)
 		}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/stats"
 )
 
-// TestResetMatchesNew: a controller reset after epochs with locked,
-// removed and displaced trials places a random epoch sequence exactly as
+// TestResetMatchesNew: a controller reset after epochs with removed and
+// displaced trials places a random epoch sequence exactly as
 // a new controller does, epoch by epoch.
 func TestResetMatchesNew(t *testing.T) {
-	script := func(c *Controller, seed uint64, lock bool) []string {
+	script := func(c *Controller, seed uint64) []string {
 		r := stats.NewRNG(seed)
 		nodes := mkNodes(6, 4)
 		var log []string
@@ -29,17 +29,14 @@ func TestResetMatchesNew(t *testing.T) {
 			if victim := TrialID(r.Intn(12)); epoch%3 == 0 {
 				c.Remove(victim)
 			}
-			if lock && epoch%7 == 3 {
-				c.Lock(TrialID(r.Intn(12)))
-			}
 		}
 		return append(log, fmt.Sprint(c.DrainOrder(nodes)))
 	}
-	want := script(NewController(4), 3, false)
+	want := script(NewController(4), 3)
 	c := NewController(8)
-	script(c, 11, true)
+	script(c, 11)
 	c.Reset(4)
-	if got := script(c, 3, false); !slices.Equal(got, want) {
+	if got := script(c, 3); !slices.Equal(got, want) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("epoch %d on a reset controller: %s, new controller %s", i, got[i], want[i])

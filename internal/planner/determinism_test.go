@@ -18,7 +18,7 @@ import (
 func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-	cp := sim.DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
@@ -58,7 +58,7 @@ func TestPlanElasticDeterministicPerEstimator(t *testing.T) {
 	build := func(queue stats.Dist) *Planner {
 		s := spec.MustSHA(16, 2, 16, 2)
 		prof := sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-		cp := sim.DefaultCloudProfile()
+		cp := cloud.PaperProfile(0)
 		cp.Overheads = cloud.Overheads{
 			QueueDelay:  queue,
 			InitLatency: stats.Normal{Mu: 15, Sigma: 3},
@@ -105,7 +105,7 @@ func (c *countingProfile) IterDist(g int) stats.Dist {
 func TestMemoCacheAvoidsResimulation(t *testing.T) {
 	prof := &countingProfile{inner: sim.ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}}
 	s := spec.MustSHA(16, 2, 16, 2)
-	sm, err := sim.New(s, prof, sim.DefaultCloudProfile(), 0, nil)
+	sm, err := sim.New(s, prof, cloud.PaperProfile(0), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

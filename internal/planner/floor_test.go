@@ -71,7 +71,7 @@ func (p paretoProfile) IterDist(gpus int) stats.Dist {
 // queue delay, which the floor used to refuse, is refused by the
 // Simulator itself.
 func TestPlanStaticWithoutFloorEstimatesEveryKeptSize(t *testing.T) {
-	cp := sim.DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Pareto{Scale: 2, Alpha: 1.8},
 		InitLatency: stats.Deterministic{Value: 15},

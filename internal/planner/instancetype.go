@@ -45,7 +45,7 @@ func SelectInstanceType(
 	catalog *cloud.Catalog,
 	s *spec.ExperimentSpec,
 	profiles ProfileBuilder,
-	base sim.CloudProfile,
+	base cloud.Profile,
 	deadline float64,
 	maxGPUs int,
 ) (*InstanceSelection, error) {

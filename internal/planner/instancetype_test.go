@@ -10,14 +10,14 @@ import (
 	"repro/internal/stats"
 )
 
-func selectionInputs(t *testing.T) (*cloud.Catalog, *spec.ExperimentSpec, ProfileBuilder, sim.CloudProfile) {
+func selectionInputs(t *testing.T) (*cloud.Catalog, *spec.ExperimentSpec, ProfileBuilder, cloud.Profile) {
 	t.Helper()
 	m := model.ResNet50()
 	m.IterNoiseStd = 0.1
 	profiles := func(it cloud.InstanceType) sim.TrainProfile {
 		return sim.ModelTrainProfile{Model: m, Batch: 512, GPUsPerNode: it.GPUs}
 	}
-	base := sim.DefaultCloudProfile()
+	base := cloud.PaperProfile(0)
 	base.Pricing.MinChargeSeconds = 0
 	base.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},

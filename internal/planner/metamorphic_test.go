@@ -25,7 +25,7 @@ import (
 // scalePrices returns a copy of cp with every dollar-denominated rate
 // multiplied by k. Time-denominated knobs (billing minimum, overheads)
 // are deliberately untouched: they are not prices.
-func scalePrices(cp sim.CloudProfile, k float64) sim.CloudProfile {
+func scalePrices(cp cloud.Profile, k float64) cloud.Profile {
 	cp.Instance.OnDemandPerHour *= k
 	cp.Instance.SpotPerHour *= k
 	cp.Pricing.DataPricePerGB *= k
@@ -34,7 +34,7 @@ func scalePrices(cp sim.CloudProfile, k float64) sim.CloudProfile {
 
 // newPlanner mirrors the harness's planner construction for scenario sc
 // over the given cloud profile.
-func newPlanner(t *testing.T, sc harness.Scenario, cp sim.CloudProfile, delta float64) (*planner.Planner, float64) {
+func newPlanner(t *testing.T, sc harness.Scenario, cp cloud.Profile, delta float64) (*planner.Planner, float64) {
 	t.Helper()
 	profile := sim.ModelTrainProfile{
 		Model:       sc.Model,
@@ -131,7 +131,7 @@ func TestPlanInvariantUnderTrialPermutation(t *testing.T) {
 	tested := 0
 	for i := 0; i < 200 && tested < 4; i++ {
 		sc := harness.Generate(17, i)
-		if sc.Faults != (cloud.FaultModel{}) || sc.Spec.TotalTrials() < 2 {
+		if sc.Profile.Faults != (cloud.FaultModel{}) || sc.Spec.TotalTrials() < 2 {
 			continue
 		}
 		p, _ := newPlanner(t, sc, sc.Profile, 0.01)
@@ -146,8 +146,7 @@ func TestPlanInvariantUnderTrialPermutation(t *testing.T) {
 
 		run := func(assign []searchspace.Config) *executor.Result {
 			clock := vclock.New()
-			provider, err := cloud.NewProvider(clock, stats.NewRNG(7),
-				sc.Profile.Pricing, sc.Profile.Overheads, sc.Profile.DatasetGB)
+			provider, err := cloud.NewProvider(clock, stats.NewRNG(7), sc.Profile)
 			if err != nil {
 				t.Fatalf("%d/%d: provider: %v", sc.BatchSeed, sc.Index, err)
 			}
@@ -166,7 +165,6 @@ func TestPlanInvariantUnderTrialPermutation(t *testing.T) {
 				Clock:            clock,
 				RNG:              stats.NewRNG(8),
 				DisablePlacement: sc.DisablePlacement,
-				RestoreSeconds:   sc.RestoreSeconds,
 				Trace:            trace.New(),
 			})
 			if err != nil {

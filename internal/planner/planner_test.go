@@ -28,7 +28,7 @@ func initResnetSim(t *testing.T, sm *sim.Simulator, s *spec.ExperimentSpec) {
 	m := model.ResNet50()
 	m.IterNoiseStd = 0.1
 	prof := sim.ModelTrainProfile{Model: m, Batch: 512, GPUsPerNode: 4}
-	cp := sim.DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Pricing.MinChargeSeconds = 0
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},

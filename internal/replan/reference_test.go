@@ -3,6 +3,7 @@ package replan
 import (
 	"fmt"
 	"math"
+	"repro/internal/cloud"
 
 	"repro/internal/planner"
 	"repro/internal/sim"
@@ -119,7 +120,7 @@ func (c *Controller) refReplan(state State, reason Reason) (d Decision, screened
 
 // analyticSim returns a new Simulator of suffix that evaluates tails
 // under the given profiles.
-func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp sim.CloudProfile) (*sim.Simulator, error) {
+func (c *Controller) analyticSim(suffix *spec.ExperimentSpec, prof sim.TrainProfile, cp cloud.Profile) (*sim.Simulator, error) {
 	return sim.New(suffix, prof, cp, 0, nil)
 }
 
@@ -145,7 +146,7 @@ func analyticTail(sm *sim.Simulator, tail sim.Plan) (sim.Estimate, bool) {
 //
 // ok=false means the screen could not score the tail (no finite
 // moments) and the full replan must run.
-func (c *Controller) refScreenTail(prof sim.TrainProfile, cp sim.CloudProfile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
+func (c *Controller) refScreenTail(prof sim.TrainProfile, cp cloud.Profile, suffix *spec.ExperimentSpec, staleTail sim.Plan, remaining float64) (stale sim.Estimate, material, ok bool) {
 	refitSim, err := c.analyticSim(suffix, prof, cp)
 	if err != nil {
 		return sim.Estimate{}, false, false

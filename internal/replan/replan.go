@@ -44,6 +44,7 @@ import (
 	"slices"
 	"strconv"
 
+	"repro/internal/cloud"
 	"repro/internal/planner"
 	"repro/internal/profiler"
 	"repro/internal/sim"
@@ -73,8 +74,8 @@ type Config struct {
 	// Profile is the planning-time training profile (pre-drift
 	// predictions; the denominator of every drift ratio).
 	Profile sim.TrainProfile
-	// Cloud is the provider profile plans are priced against.
-	Cloud sim.CloudProfile
+	// Cloud is the cloud plans are priced against: the run's profile.
+	Cloud cloud.Profile
 	// Deadline is the job's absolute time constraint in virtual seconds.
 	Deadline float64
 	// MaxGPUs caps the replanned peak cluster size (same cap as the
@@ -522,14 +523,14 @@ func (c *Controller) observations() []profiler.Observation {
 // preemption before any iteration completed) the planning-time profile is
 // reused unchanged. The re-fitted profiles point into the controller's
 // storage: they are valid until the next re-fit.
-func (c *Controller) refitProfiles() (sim.TrainProfile, sim.CloudProfile, error) {
+func (c *Controller) refitProfiles() (sim.TrainProfile, cloud.Profile, error) {
 	prof := c.cfg.Profile
 	if c.totalObs > 0 {
 		if !c.hasSigma {
 			c.sigma, c.hasSigma = profiler.BaseSigma(c.cfg.Profile), true
 		}
 		if err := c.fit.Refit(c.cfg.Profile, c.sigma, c.cfg.MaxGPUs, c.observations()); err != nil {
-			return nil, sim.CloudProfile{}, err
+			return nil, cloud.Profile{}, err
 		}
 		prof = &c.fit.Profile
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"repro/internal/cloud"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func testConfig(t *testing.T) Config {
 	return Config{
 		Spec:     testSpec(t),
 		Profile:  flatProfile{mean: 40},
-		Cloud:    sim.DefaultCloudProfile(),
+		Cloud:    cloud.PaperProfile(0),
 		Deadline: 2000,
 		MaxGPUs:  16,
 	}

@@ -20,8 +20,11 @@ func decodeSubmission(data []byte) (Submission, error) {
 // encoding would replay a different experiment). The checked-in corpus
 // (testdata/fuzz/FuzzSubmission) holds the three submission shapes the
 // end-to-end benchmark sends, one that sets every field of the schema,
-// and two with a Pareto queue delay: α = 1.5, which Validate refuses
-// (no finite variance), and α = 2.5, which it accepts.
+// two with a Pareto queue delay: α = 1.5, which Validate refuses (no
+// finite variance), and α = 2.5, which it accepts, and three with a
+// 1e308 s restore, provisioning latency or preemption mean, which once
+// validated and then overflowed the virtual clock mid-run, and which
+// Validate now refuses past cloud.MaxSeconds.
 func FuzzSubmission(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sub, err := decodeSubmission(data)

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -274,6 +276,68 @@ func TestRecoverFailsRetiredEstimator(t *testing.T) {
 	}
 	if rep.Resumed != 0 || len(rep.Failed) != 1 || rep.Failed[0] != st.ID {
 		t.Fatalf("recover report = %+v, want %s failed", rep, st.ID)
+	}
+}
+
+// TestRecoverFailsUnboundedDuration: unfinished runs whose
+// submission.json sets a cloud duration past cloud.MaxSeconds — each of
+// the three that once overflowed the virtual clock mid-run — fail
+// validation, so recovery lists them in Failed instead of resuming them
+// into a panic, and resumes the run beside them.
+func TestRecoverFailsUnboundedDuration(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Capacity: 8, DataDir: dataDir}
+	bad := unboundedDurations()
+	fields := []string{"preemption_mean_seconds", "queue_delay", "restore_seconds"}
+	subs := make([]Submission, len(fields)+1)
+	total := uint64(math.MaxUint64)
+	for i := range subs {
+		subs[i] = smallSub("acme", 410+uint64(i))
+		_, n := refRun(t, subs[i])
+		total = min(total, n)
+	}
+	sA, tsA := newTestServer(t, cfg)
+	sA.armJournal = func(_ string, jw *journal.Writer) { jw.SetCrashPoint(total/2, 0) }
+	ids := make([]string, len(subs))
+	for i, sub := range subs {
+		resp, body := postSub(t, tsA, sub)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		}
+		var st Status
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	sA.Drain()
+	sA.Close()
+
+	for i, field := range fields {
+		sub := bad[field]
+		sub.Seed = subs[i].Seed
+		side, err := json.Marshal(subSidecar{ID: ids[i], Submission: sub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dataDir, sub.Tenant, ids[i], "submission.json"), side, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := VerifyReplay(ReplayTuple{Submission: sub}); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("VerifyReplay with %s = 1e308: %v, want the validation error naming it", field, err)
+		}
+	}
+	sB, _ := newTestServer(t, cfg)
+	rep, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := slices.Clone(rep.Failed)
+	slices.Sort(failed)
+	want := slices.Clone(ids[:len(fields)])
+	slices.Sort(want)
+	if rep.Resumed != 1 || !slices.Equal(failed, want) {
+		t.Fatalf("recover report = %+v, want %v failed and %s resumed", rep, want, ids[len(fields)])
 	}
 }
 

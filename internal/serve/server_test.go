@@ -76,6 +76,27 @@ func smallSub(tenant string, seed uint64) Submission {
 	}
 }
 
+// unboundedDurations are the three submissions whose durations once
+// passed validation and then overflowed the virtual clock mid-run, each
+// with the field its 400 must name.
+func unboundedDurations() map[string]Submission {
+	restore := 1e308
+	restored := smallSub("acme", 1)
+	restored.RestoreSeconds = &restore
+	slow := smallSub("acme", 1)
+	slow.Cloud = &CloudSpec{
+		QueueDelay:  &DistSpec{Type: "deterministic", Value: 1e308},
+		InitLatency: &DistSpec{Type: "deterministic", Value: 1e308},
+	}
+	preempted := smallSub("acme", 1)
+	preempted.Cloud = &CloudSpec{Faults: &FaultSpec{PreemptionMeanSeconds: 1e308}}
+	return map[string]Submission{
+		"restore_seconds":         restored,
+		"queue_delay":             slow,
+		"preemption_mean_seconds": preempted,
+	}
+}
+
 // TestServerSubmitLifecycle: one experiment end to end over HTTP —
 // accepted, executed, streamed, and its replay tuple verifies offline.
 func TestServerSubmitLifecycle(t *testing.T) {
@@ -236,6 +257,14 @@ func TestServerRejections(t *testing.T) {
 	if resp, body := postSub(t, ts, retired); resp.StatusCode != http.StatusBadRequest ||
 		!bytes.Contains(body, []byte("segment")) || !bytes.Contains(body, []byte("analytic")) {
 		t.Fatalf("retired estimator: %d %s", resp.StatusCode, body)
+	}
+
+	// A cloud duration past cloud.MaxSeconds gets a 400 naming its
+	// field, not a run that overflows the virtual clock.
+	for field, sub := range unboundedDurations() {
+		if resp, body := postSub(t, ts, sub); resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(field)) {
+			t.Fatalf("%s = 1e308: %d %s", field, resp.StatusCode, body)
+		}
 	}
 
 	greedy := smallSub("acme", 1)

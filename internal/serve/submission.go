@@ -67,15 +67,16 @@ type Submission struct {
 	// model's ground truth.
 	UseProfiler bool `json:"use_profiler,omitempty"`
 	// RestoreSeconds is the checkpoint-restore latency per migration
-	// (default 2).
+	// (default 2, at most cloud.MaxSeconds).
 	RestoreSeconds *float64 `json:"restore_seconds,omitempty"`
 	// Cloud overrides the provider's pricing, overheads and faults.
 	Cloud *CloudSpec `json:"cloud,omitempty"`
 }
 
-// CloudSpec overrides the provider profile. The defaults are on-demand,
+// CloudSpec overrides the cloud profile. The defaults are on-demand,
 // per-instance billing with no minimum charge and no data price, zero
-// queue delay, a 5 s init and no faults.
+// queue delay, a 5 s init and no faults. Every duration it sets must lie
+// in [0, cloud.MaxSeconds].
 type CloudSpec struct {
 	// Billing is "per-instance" (default) or "per-function".
 	Billing string `json:"billing,omitempty"`
@@ -194,10 +195,13 @@ func zooModel(name string) (*model.Model, error) {
 
 // BuildScenario maps a submission to its harness scenario as a pure
 // function, checking what a scenario needs to be well formed; Validate
-// adds the service's limits. The default cloud is p3.2xlarge workers on
-// deterministic on-demand per-instance billing with zero queue delay,
-// so a served experiment spends the service's nondeterminism budget
-// entirely on the arbiter's grants.
+// adds the service's limits. restore_seconds and cloud decode into the
+// scenario's one cloud.Profile, which Profile.Validate checks whole
+// (every duration in [0, cloud.MaxSeconds]; an error names the field).
+// The default cloud is p3.2xlarge workers on on-demand per-instance
+// billing with no minimum charge, zero queue delay, a 5 s init, a 2 s
+// restore and no faults, so a served experiment spends the service's
+// nondeterminism budget entirely on the arbiter's grants.
 func BuildScenario(sub Submission) (harness.Scenario, error) {
 	m, err := zooModel(sub.Model)
 	if err != nil {
@@ -222,7 +226,6 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 		Spec:           sp,
 		Model:          m,
 		Space:          searchspace.ForModel(m.Name),
-		RestoreSeconds: 2,
 		MaxGPUs:        sub.MaxGPUs,
 		DeadlineFactor: sub.DeadlineFactor,
 		UseProfiler:    sub.UseProfiler,
@@ -250,12 +253,6 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 			return sc, err
 		}
 	}
-	if r := sub.RestoreSeconds; r != nil {
-		if *r < 0 {
-			return sc, fmt.Errorf("restore_seconds %v, want 0 or more", *r)
-		}
-		sc.RestoreSeconds = *r
-	}
 	instance := sub.Instance
 	if instance == "" {
 		instance = "p3.2xlarge"
@@ -264,27 +261,25 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 	if err != nil {
 		return sc, fmt.Errorf("instance %q: %w", sub.Instance, err)
 	}
-	sc.Profile = sim.CloudProfile{
+	sc.Profile = cloud.Profile{
 		Instance: it,
 		Pricing:  cloud.Pricing{Billing: cloud.PerInstance, Market: cloud.OnDemand},
 		Overheads: cloud.Overheads{
 			QueueDelay:  stats.Deterministic{Value: 0},
 			InitLatency: stats.Deterministic{Value: 5},
 		},
-		DatasetGB: m.Dataset.SizeGB,
+		DatasetGB:      m.Dataset.SizeGB,
+		RestoreSeconds: 2,
+	}
+	if r := sub.RestoreSeconds; r != nil {
+		sc.Profile.RestoreSeconds = *r
 	}
 	if c := sub.Cloud; c != nil {
-		if sc.Profile, err = c.apply(sc.Profile); err != nil {
+		if err := c.apply(&sc.Profile); err != nil {
 			return sc, err
 		}
-		if c.Faults != nil {
-			sc.Faults = cloud.FaultModel(*c.Faults)
-			if err := sc.Faults.Validate(); err != nil {
-				return sc, err
-			}
-		}
 	}
-	return sc, nil
+	return sc, sc.Profile.Validate()
 }
 
 // atBatch returns a copy of m measured at the effective batch size
@@ -300,21 +295,22 @@ func atBatch(m *model.Model, batch int) *model.Model {
 	return &c
 }
 
-// apply overlays the spec onto a base profile.
-func (c *CloudSpec) apply(cp sim.CloudProfile) (sim.CloudProfile, error) {
+// apply overlays the spec onto the profile cp. Profile.Validate checks
+// the values; apply refuses only what it cannot decode.
+func (c *CloudSpec) apply(cp *cloud.Profile) error {
 	switch c.Billing {
 	case "", "per-instance":
 	case "per-function":
 		cp.Pricing.Billing = cloud.PerFunction
 	default:
-		return cp, fmt.Errorf("unknown billing %q", c.Billing)
+		return fmt.Errorf("unknown billing %q", c.Billing)
 	}
 	switch c.Market {
 	case "", "on-demand":
 	case "spot":
 		cp.Pricing.Market = cloud.Spot
 	default:
-		return cp, fmt.Errorf("unknown market %q", c.Market)
+		return fmt.Errorf("unknown market %q", c.Market)
 	}
 	if c.MinChargeSeconds != nil {
 		cp.Pricing.MinChargeSeconds = *c.MinChargeSeconds
@@ -326,18 +322,21 @@ func (c *CloudSpec) apply(cp sim.CloudProfile) (sim.CloudProfile, error) {
 	if c.QueueDelay != nil {
 		d, err := c.QueueDelay.Dist()
 		if err != nil {
-			return cp, fmt.Errorf("queue_delay: %w", err)
+			return fmt.Errorf("queue_delay: %w", err)
 		}
 		cp.Overheads.QueueDelay = d
 	}
 	if c.InitLatency != nil {
 		d, err := c.InitLatency.Dist()
 		if err != nil {
-			return cp, fmt.Errorf("init_latency: %w", err)
+			return fmt.Errorf("init_latency: %w", err)
 		}
 		cp.Overheads.InitLatency = d
 	}
-	return cp, cp.Validate()
+	if c.Faults != nil {
+		cp.Faults = cloud.FaultModel(*c.Faults)
+	}
+	return nil
 }
 
 // Dist builds the stats.Dist the spec describes.

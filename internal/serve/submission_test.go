@@ -28,7 +28,9 @@ func buildDoc(doc string) (harness.Scenario, error) {
 }
 
 // TestDecodeSubmission decodes and builds a minimal job document, which
-// keeps every default, and one that sets every field.
+// keeps every default, and one that sets every field: the document
+// cmd/rubberband/testdata/full.json holds, whose faults and restore land
+// on the scenario's one cloud profile.
 func TestDecodeSubmission(t *testing.T) {
 	cases := []struct {
 		name, doc string
@@ -51,8 +53,8 @@ func TestDecodeSubmission(t *testing.T) {
 			if e.Spec.TotalTrials() != 32 || e.Spec.MaxIters() != 50 {
 				t.Errorf("spec = %v", e.Spec)
 			}
-			if e.Faults != (cloud.FaultModel{}) {
-				t.Errorf("unexpected faults %+v", e.Faults)
+			if e.Profile.Faults != (cloud.FaultModel{}) || e.Profile.RestoreSeconds != 2 {
+				t.Errorf("cloud = %+v, want the served default's 2 s restore and no faults", e.Profile)
 			}
 			// The built scenario actually plans.
 			if _, err := harness.PlanScenario(e); err != nil {
@@ -101,10 +103,13 @@ func TestDecodeSubmission(t *testing.T) {
 			if e.Profile.DatasetGB != 42 {
 				t.Errorf("dataset = %v", e.Profile.DatasetGB)
 			}
-			if e.Faults.ProvisionFailureProb != 0.1 || e.Faults.PreemptionMeanSeconds != 900 {
-				t.Errorf("faults = %+v", e.Faults)
+			if e.Profile.Faults != (cloud.FaultModel{ProvisionFailureProb: 0.1, PreemptionMeanSeconds: 900}) {
+				t.Errorf("faults = %+v", e.Profile.Faults)
 			}
-			if !e.UseProfiler || e.RestoreSeconds != 2.5 || e.BatchSeed != 9 || e.MaxGPUs != 64 {
+			if e.Profile.RestoreSeconds != 2.5 {
+				t.Errorf("restore = %v", e.Profile.RestoreSeconds)
+			}
+			if !e.UseProfiler || e.BatchSeed != 9 || e.MaxGPUs != 64 {
 				t.Errorf("options = %+v", e)
 			}
 		}},
@@ -125,30 +130,34 @@ func TestDecodeSubmission(t *testing.T) {
 func TestDecodeSubmissionRejects(t *testing.T) {
 	const ok = `"model": "bert", "deadline": "1m", "stages": [[2,1],[1,1]]`
 	cases := map[string]string{
-		"missing model":    `{"deadline": "1m", "stages": [[2,1],[1,1]]}`,
-		"unknown model":    `{"model": "vgg", "deadline": "1m", "stages": [[2,1],[1,1]]}`,
-		"missing deadline": `{"model": "bert", "stages": [[2,1],[1,1]]}`,
-		"bad deadline":     `{"model": "bert", "deadline": "soon", "stages": [[2,1],[1,1]]}`,
-		"zero deadline":    `{"model": "bert", "deadline": "0s", "stages": [[2,1],[1,1]]}`,
-		"both deadlines":   `{` + ok + `, "deadline_factor": 2}`,
-		"bad stages":       `{"model": "bert", "deadline": "1m", "stages": [[0,1]]}`,
-		"growing stages":   `{"model": "bert", "deadline": "1m", "stages": [[1,1],[2,1]]}`,
-		"no stages":        `{"model": "bert", "deadline": "1m"}`,
-		"sha block":        `{"model": "bert", "deadline": "1m", "sha": {"n":2,"r":1,"max_r":2,"eta":2}}`,
-		"bad policy":       `{` + ok + `, "policy": "magic"}`,
-		"unknown field":    `{` + ok + `, "wat": 1}`,
-		"misspelt field":   `{` + ok + `, "estimater": "analytic"}`,
-		"bad estimator":    `{` + ok + `, "estimator": "full"}`,
-		"bad instance":     `{` + ok + `, "instance": "zz"}`,
-		"negative batch":   `{` + ok + `, "batch": -1}`,
-		"negative restore": `{` + ok + `, "restore_seconds": -1}`,
-		"bad billing":      `{` + ok + `, "cloud": {"billing": "weird"}}`,
-		"bad market":       `{` + ok + `, "cloud": {"market": "gray"}}`,
-		"bad min charge":   `{` + ok + `, "cloud": {"min_charge_seconds": -1}}`,
-		"bad dist":         `{` + ok + `, "cloud": {"queue_delay": {"type": "zeta"}}}`,
-		"bad faults":       `{` + ok + `, "cloud": {"faults": {"provision_failure_prob": 2}}}`,
-		"not json":         `{`,
-		"trailing data":    `{` + ok + `} {}`,
+		"missing model":     `{"deadline": "1m", "stages": [[2,1],[1,1]]}`,
+		"unknown model":     `{"model": "vgg", "deadline": "1m", "stages": [[2,1],[1,1]]}`,
+		"missing deadline":  `{"model": "bert", "stages": [[2,1],[1,1]]}`,
+		"bad deadline":      `{"model": "bert", "deadline": "soon", "stages": [[2,1],[1,1]]}`,
+		"zero deadline":     `{"model": "bert", "deadline": "0s", "stages": [[2,1],[1,1]]}`,
+		"both deadlines":    `{` + ok + `, "deadline_factor": 2}`,
+		"bad stages":        `{"model": "bert", "deadline": "1m", "stages": [[0,1]]}`,
+		"growing stages":    `{"model": "bert", "deadline": "1m", "stages": [[1,1],[2,1]]}`,
+		"no stages":         `{"model": "bert", "deadline": "1m"}`,
+		"sha block":         `{"model": "bert", "deadline": "1m", "sha": {"n":2,"r":1,"max_r":2,"eta":2}}`,
+		"bad policy":        `{` + ok + `, "policy": "magic"}`,
+		"unknown field":     `{` + ok + `, "wat": 1}`,
+		"misspelt field":    `{` + ok + `, "estimater": "analytic"}`,
+		"bad estimator":     `{` + ok + `, "estimator": "full"}`,
+		"bad instance":      `{` + ok + `, "instance": "zz"}`,
+		"negative batch":    `{` + ok + `, "batch": -1}`,
+		"negative restore":  `{` + ok + `, "restore_seconds": -1}`,
+		"unbounded restore": `{` + ok + `, "restore_seconds": 1e308}`,
+		"unbounded overheads": `{` + ok + `, "cloud": {"queue_delay": {"type": "deterministic", "value": 1e308},
+		  "init_latency": {"type": "deterministic", "value": 1e308}}}`,
+		"unbounded preemption mean": `{` + ok + `, "cloud": {"faults": {"preemption_mean_seconds": 1e308}}}`,
+		"bad billing":               `{` + ok + `, "cloud": {"billing": "weird"}}`,
+		"bad market":                `{` + ok + `, "cloud": {"market": "gray"}}`,
+		"bad min charge":            `{` + ok + `, "cloud": {"min_charge_seconds": -1}}`,
+		"bad dist":                  `{` + ok + `, "cloud": {"queue_delay": {"type": "zeta"}}}`,
+		"bad faults":                `{` + ok + `, "cloud": {"faults": {"provision_failure_prob": 2}}}`,
+		"not json":                  `{`,
+		"trailing data":             `{` + ok + `} {}`,
 	}
 	for name, doc := range cases {
 		if _, err := buildDoc(doc); err == nil {

@@ -113,7 +113,7 @@ func TestInitRefusesUnsupportedProvisioning(t *testing.T) {
 		{"uniform below zero queue delay", stats.Uniform{Lo: -1, Hi: 5}, true},
 		{"uniform below zero init latency", stats.Uniform{Lo: -1, Hi: 5}, false},
 	} {
-		cp := DefaultCloudProfile()
+		cp := cloud.PaperProfile(0)
 		cp.Overheads = ok
 		want := "init latency"
 		if c.queue {
@@ -133,7 +133,7 @@ func TestInitRefusesUnsupportedProvisioning(t *testing.T) {
 			t.Fatalf("%s: a refused Init left the Simulator set up", c.name)
 		}
 	}
-	cp := DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Overheads = ok
 	cp.Overheads.QueueDelay = stats.Pareto{Scale: 2, Alpha: 2.5}
 	sm, err := New(s, prof, cp, 0, nil)

@@ -61,10 +61,9 @@ func billingMC(t testing.TB, seed uint64, minCharge float64) *monteCarlo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := DefaultCloudProfile()
+	cp := cloud.PaperProfile(3)
 	cp.Pricing.Billing = cloud.PerInstance
 	cp.Pricing.MinChargeSeconds = minCharge
-	cp.DatasetGB = 3
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Exponential{MeanValue: 4},
 		InitLatency: stats.Normal{Mu: 10, Sigma: 3},

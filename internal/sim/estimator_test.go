@@ -33,7 +33,7 @@ func deterministicSim(t testing.TB, billing cloud.BillingModel) *Simulator {
 		t.Fatal(err)
 	}
 	prof := MeasuredTrainProfile{BaseMean: 4, BaseStd: 0, Scaling: sc}
-	cp := DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Pricing.Billing = billing
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Deterministic{Value: 5},

@@ -76,7 +76,7 @@ func TestStaticCostFloorBoundsEstimate(t *testing.T) {
 					for oname, ov := range overheads {
 						for pname, prof := range profiles {
 							for si, sp := range specs {
-								cp := sim.CloudProfile{
+								cp := cloud.Profile{
 									Instance:  it,
 									Pricing:   cloud.Pricing{Billing: billing, Market: market, MinChargeSeconds: minCharge, DataPricePerGB: 0.02},
 									Overheads: ov,
@@ -132,7 +132,7 @@ func TestStaticCostFloorRefusesFallback(t *testing.T) {
 		"pareto queue": {QueueDelay: stats.Pareto{Scale: 2, Alpha: 1.8}, InitLatency: stats.Deterministic{Value: 15}},
 		"pareto init":  {QueueDelay: stats.Deterministic{Value: 5}, InitLatency: stats.Pareto{Scale: 2, Alpha: 1.8}},
 	} {
-		cp := sim.DefaultCloudProfile()
+		cp := cloud.PaperProfile(0)
 		cp.Overheads = ov
 		if _, err := sim.New(spec.MustSHA(16, 2, 16, 2), resnet, cp, 0, nil); err == nil {
 			t.Fatalf("%s: the Simulator accepted it", name)

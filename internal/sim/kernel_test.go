@@ -119,7 +119,7 @@ func kernelSim(t testing.TB, gpn int, train stats.Dist, oh cloud.Overheads) (*Si
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Instance.GPUs = gpn
 	cp.Overheads = oh
 	sm, err := New(s, distProfile{train}, cp, 0, nil)

@@ -117,7 +117,7 @@ func TestRecycledPlanMemoMatchesFresh(t *testing.T) {
 		t.Helper()
 		m := model.ResNet50()
 		m.IterNoiseStd = 0.2
-		cp := DefaultCloudProfile()
+		cp := cloud.PaperProfile(0)
 		cp.Pricing.Billing = cloud.PerFunction
 		sm, err := New(spec.MustSHA(8, 1, 8, 2), ModelTrainProfile{Model: m, Batch: 256, GPUsPerNode: 8}, cp, 0, nil)
 		if err != nil {

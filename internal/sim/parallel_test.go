@@ -15,10 +15,10 @@ import (
 // stochasticJob is a job whose latency distributions are genuinely
 // random, so estimates exercise the moment propagation's joins and the
 // oracle's stream plumbing rather than degenerate constants.
-func stochasticJob() (*spec.ExperimentSpec, TrainProfile, CloudProfile) {
+func stochasticJob() (*spec.ExperimentSpec, TrainProfile, cloud.Profile) {
 	s := spec.MustSHA(16, 2, 16, 2)
 	prof := ModelTrainProfile{Model: model.ResNet50(), Batch: 512, GPUsPerNode: 4}
-	cp := DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},

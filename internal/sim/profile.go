@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
-	"repro/internal/cloud"
 	"repro/internal/model"
 	"repro/internal/stats"
 )
@@ -98,44 +95,5 @@ func (p ScaledTrainProfile) IterDist(gpus int) stats.Dist {
 		return stats.Normal{Mu: v.Mu * p.Factor, Sigma: v.Sigma * p.Factor}
 	default:
 		return stats.Scaled{D: v, Factor: p.Factor}
-	}
-}
-
-// CloudProfile bundles the provider parameters the simulator prices a plan
-// against (§4.1).
-type CloudProfile struct {
-	// Instance is the homogeneous worker instance type.
-	Instance cloud.InstanceType
-	// Pricing selects billing model, market, minimum charge and data
-	// price.
-	Pricing cloud.Pricing
-	// Overheads are the provisioning latency distributions.
-	Overheads cloud.Overheads
-	// DatasetGB is the dataset each instance ingresses once.
-	DatasetGB float64
-}
-
-// Validate checks the cloud profile.
-func (c CloudProfile) Validate() error {
-	if c.Instance.GPUs < 1 {
-		return fmt.Errorf("sim: worker instance %q has %d GPUs", c.Instance.Name, c.Instance.GPUs)
-	}
-	if c.DatasetGB < 0 {
-		return fmt.Errorf("sim: negative dataset size")
-	}
-	return c.Pricing.Validate()
-}
-
-// DefaultCloudProfile returns p3.8xlarge workers with the paper's default
-// pricing and overheads.
-func DefaultCloudProfile() CloudProfile {
-	it, err := cloud.DefaultCatalog().Lookup("p3.8xlarge")
-	if err != nil {
-		panic(err) // static data; unreachable
-	}
-	return CloudProfile{
-		Instance:  it,
-		Pricing:   cloud.DefaultPricing(),
-		Overheads: cloud.DefaultOverheads(),
 	}
 }

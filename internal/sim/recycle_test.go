@@ -39,13 +39,12 @@ func recycleCases() []recycleCase {
 }
 
 // job returns the case's training and cloud profiles.
-func (c recycleCase) job() (sim.TrainProfile, sim.CloudProfile) {
+func (c recycleCase) job() (sim.TrainProfile, cloud.Profile) {
 	m := model.ResNet50()
 	m.IterNoiseStd = 0.1
-	cp := sim.DefaultCloudProfile()
+	cp := cloud.PaperProfile(2)
 	cp.Pricing.Billing = c.billing
 	cp.Pricing.MinChargeSeconds = c.minCharge
-	cp.DatasetGB = 2
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},
@@ -143,7 +142,7 @@ func TestRecycledTablesMatchFresh(t *testing.T) {
 				if sm.Spec() != nil {
 					t.Fatal("a failed Init kept the Simulator's job")
 				}
-				if err := sm.Init(c.spec, prof, sim.CloudProfile{}); err == nil {
+				if err := sm.Init(c.spec, prof, cloud.Profile{}); err == nil {
 					t.Fatal("Init accepted an invalid cloud profile")
 				}
 			}

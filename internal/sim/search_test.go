@@ -24,7 +24,7 @@ func (p paretoProfile) IterDist(gpus int) stats.Dist {
 // stochastic provisioning overheads.
 func searchSim(t *testing.T, prof sim.TrainProfile) *sim.Simulator {
 	t.Helper()
-	cp := sim.DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	cp.Overheads = cloud.Overheads{
 		QueueDelay:  stats.Exponential{MeanValue: 5},
 		InitLatency: stats.Normal{Mu: 15, Sigma: 3},

@@ -57,7 +57,7 @@ type Estimate struct {
 type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
-	cloud   CloudProfile
+	cloud   cloud.Profile
 	// prov is the cloud profile's provisioning latencies, compiled once
 	// by Init and shared by every segment of the table.
 	prov provLats
@@ -86,7 +86,7 @@ func WithWorkers(int) Option { return func(*Simulator) {} }
 // Init. Its samples, rng and opts parameters are deprecated and ignored
 // (a Simulator draws no random numbers); they stay only while the
 // benchmark module still passes them, and other callers pass 0, nil.
-func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples int, rng *stats.RNG, opts ...Option) (*Simulator, error) {
+func New(s *spec.ExperimentSpec, profile TrainProfile, cp cloud.Profile, samples int, rng *stats.RNG, opts ...Option) (*Simulator, error) {
 	sm := new(Simulator)
 	if err := sm.Init(s, profile, cp); err != nil {
 		return nil, err
@@ -106,8 +106,9 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 // or init latency) that is nil, lacks finite moments (a Pareto with
 // alpha <= 2), has a negative mean or may sample below zero: the
 // analytic estimate and the static cost floor hold only for latencies
-// with a finite variance that never run backwards.
-func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile) error {
+// with a finite variance that never run backwards. It also refuses a
+// profile that fails cloud.Profile.Validate.
+func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp cloud.Profile) error {
 	s.Reset()
 	if s.tab == nil {
 		s.tab = new(segTable)
@@ -118,9 +119,6 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 	if profile == nil {
 		return fmt.Errorf("sim: nil train profile")
 	}
-	if err := cp.Validate(); err != nil {
-		return err
-	}
 	prov := provLats{
 		scale: stats.CompileLat(cp.Overheads.QueueDelay),
 		init:  stats.CompileLat(cp.Overheads.InitLatency),
@@ -129,6 +127,9 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp Cloud
 		return err
 	}
 	if err := checkProv("init latency", cp.Overheads.InitLatency, &prov.init); err != nil {
+		return err
+	}
+	if err := cp.Validate(); err != nil {
 		return err
 	}
 	*s = Simulator{
@@ -172,8 +173,10 @@ func (s *Simulator) Reset() {
 // Spec returns the simulated job's specification.
 func (s *Simulator) Spec() *spec.ExperimentSpec { return s.spec }
 
-// Cloud returns the simulator's cloud profile.
-func (s *Simulator) Cloud() CloudProfile { return s.cloud }
+// Cloud returns the cloud the simulator prices plans against, as Init
+// received it: the executor's restore latency and the provider's faults
+// are fields of the same value.
+func (s *Simulator) Cloud() cloud.Profile { return s.cloud }
 
 // Estimate predicts JCT and cost for the plan by propagating analytic
 // moments through its stage segments (see analytic.go). No RNG is

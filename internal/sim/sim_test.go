@@ -15,8 +15,8 @@ import (
 
 // testCloud returns a cloud profile with deterministic overheads for exact
 // assertions.
-func testCloud(billing cloud.BillingModel, queue, initLat float64) CloudProfile {
-	cp := DefaultCloudProfile()
+func testCloud(billing cloud.BillingModel, queue, initLat float64) cloud.Profile {
+	cp := cloud.PaperProfile(0)
 	cp.Pricing.Billing = billing
 	cp.Pricing.MinChargeSeconds = 0
 	cp.Overheads = cloud.Overheads{
@@ -39,7 +39,7 @@ func (l linearProfile) IterDist(g int) stats.Dist {
 	return stats.Deterministic{Value: l.base / float64(g)}
 }
 
-func mustSim(t *testing.T, s *spec.ExperimentSpec, p TrainProfile, cp CloudProfile) *Simulator {
+func mustSim(t *testing.T, s *spec.ExperimentSpec, p TrainProfile, cp cloud.Profile) *Simulator {
 	t.Helper()
 	sm, err := New(s, p, cp, 0, nil)
 	if err != nil {
@@ -50,7 +50,7 @@ func mustSim(t *testing.T, s *spec.ExperimentSpec, p TrainProfile, cp CloudProfi
 
 func TestNewValidation(t *testing.T) {
 	good := spec.MustSHA(8, 1, 4, 2)
-	cp := DefaultCloudProfile()
+	cp := cloud.PaperProfile(0)
 	if _, err := New(good, nil, cp, 0, nil); err == nil {
 		t.Error("nil profile accepted")
 	}

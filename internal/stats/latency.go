@@ -35,12 +35,14 @@ type Lat struct {
 	d      Dist // opRepeat's summand or opDist's distribution
 }
 
-// CompileLat encodes d. Compiling a distribution already held in an
-// interface allocates nothing.
+// CompileLat encodes d; a nil d is the point mass at zero. Compiling a
+// distribution already held in an interface allocates nothing.
 //
 //rbvet:pure
 func CompileLat(d Dist) Lat {
 	switch v := d.(type) {
+	case nil:
+		return Lat{op: opDet}
 	case Deterministic:
 		return Lat{op: opDet, p0: v.Value}
 	case Normal:
