@@ -63,7 +63,7 @@ func (h *hasher) str(s string) {
 	}
 }
 
-func (h *hasher) kind(k trace.Kind) { h.str(string(k)) }
+func (h *hasher) kind(k trace.Kind) { h.str(k.String()) }
 
 // ComputeDigest fingerprints the artifacts of one run.
 func ComputeDigest(a *Artifacts) Digest {
@@ -133,7 +133,7 @@ func ComputeDigest(a *Artifacts) Digest {
 	for _, d := range a.Result.Replans {
 		h.i64(int64(d.Seq))
 		h.f64(float64(d.At))
-		h.str(string(d.Reason))
+		h.str(d.Reason.String())
 		h.i64(int64(d.Stage))
 		h.f64(d.Ratio)
 		h.f64(d.RemainingDeadline)

@@ -31,7 +31,7 @@ func decisionRecord(d replan.Decision) *journal.Decision {
 	return &journal.Decision{
 		Seq:               int64(d.Seq),
 		At:                float64(d.At),
-		Reason:            string(d.Reason),
+		Reason:            uint8(d.Reason),
 		Stage:             int64(d.Stage),
 		Ratio:             d.Ratio,
 		RemainingDeadline: d.RemainingDeadline,

@@ -20,14 +20,14 @@ type outcome struct {
 	digest     Digest
 	notes      string
 	violations []string
-	journal    []byte
+	journal    [][]byte
 	snapshots  map[uint64][]byte
 }
 
 // equal reports whether two outcomes match in every part.
 func (o outcome) equal(p outcome) bool {
 	return o.digest == p.digest && o.notes == p.notes &&
-		slices.Equal(o.violations, p.violations) && bytes.Equal(o.journal, p.journal) &&
+		slices.Equal(o.violations, p.violations) && slices.EqualFunc(o.journal, p.journal, bytes.Equal) &&
 		maps.EqualFunc(o.snapshots, p.snapshots, bytes.Equal)
 }
 
@@ -61,7 +61,7 @@ func driveOn(t testing.TB, ws *workingSet, sc Scenario) (out outcome, next *work
 	if len(raw.Snapshots) == 0 {
 		t.Fatalf("no journal snapshot taken\n  %s", sc)
 	}
-	out = outcome{digest: ComputeDigest(a), notes: csv.String(), journal: b.Data(), snapshots: raw.Snapshots}
+	out = outcome{digest: ComputeDigest(a), notes: csv.String(), journal: raw.Records, snapshots: raw.Snapshots}
 	for _, v := range CheckAll(a, DefaultOracles()) {
 		out.violations = append(out.violations, v.String())
 	}
@@ -141,7 +141,7 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 			if got := after(t, scs[prev], sc); !got.equal(want[i]) {
 				t.Errorf("scenario 4/%d after 4/%d: digest %016x, fresh %016x (notes equal %v, violations %v vs %v, journal equal %v)",
 					sc.Index, scs[prev].Index, uint64(got.digest), uint64(want[i].digest),
-					got.notes == want[i].notes, got.violations, want[i].violations, bytes.Equal(got.journal, want[i].journal))
+					got.notes == want[i].notes, got.violations, want[i].violations, slices.EqualFunc(got.journal, want[i].journal, bytes.Equal))
 			}
 		}
 	}
@@ -260,7 +260,7 @@ func FuzzRecycledRun(f *testing.F) {
 		if got, want := after(t, a, b), fresh(t, b); !got.equal(want) {
 			t.Fatalf("run after %d/%d: digest %016x, fresh %016x (notes equal %v, journal equal %v)\n  %s",
 				a.BatchSeed, a.Index, uint64(got.digest), uint64(want.digest),
-				got.notes == want.notes, bytes.Equal(got.journal, want.journal), b)
+				got.notes == want.notes, slices.EqualFunc(got.journal, want.journal, bytes.Equal), b)
 		}
 	})
 }

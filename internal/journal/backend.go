@@ -119,9 +119,6 @@ func (m *MemBackend) Truncate(n int) error {
 // Close implements Backend.
 func (m *MemBackend) Close() error { return nil }
 
-// Data exposes the framed byte stream for corruption tests.
-func (m *MemBackend) Data() []byte { return append([]byte(nil), m.data...) } //rbvet:ignore unreached — harness recycle tests compare journal bytes through it
-
 // Diff compares the trusted contents of two backends and returns an
 // empty string when they hold byte-identical records and snapshots —
 // the recovery-equivalence oracle's journal check. A damaged backend

@@ -35,11 +35,6 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
 func (e *enc) i64s(vs []int64) {
 	e.u32(uint32(len(vs)))
 	for _, v := range vs {
@@ -125,27 +120,6 @@ func (d *dec) mustBool(err *error) bool {
 		return false
 	}
 	return v == 1
-}
-
-func (d *dec) mustStr(err *error) string {
-	if *err != nil {
-		return ""
-	}
-	n, e := d.u32()
-	if e != nil {
-		*err = e
-		return ""
-	}
-	if n > maxLen {
-		*err = fmt.Errorf("journal: string length %d exceeds limit %d", n, maxLen)
-		return ""
-	}
-	b, e := d.take(int(n))
-	if e != nil {
-		*err = e
-		return ""
-	}
-	return string(b)
 }
 
 // mustLen reads a u32 element count, guarded by maxLen.

@@ -45,7 +45,7 @@ const (
 	tagGrant    = 6
 )
 
-// maxLen bounds every length-prefixed field (plans, strings, trial lists)
+// maxLen bounds every length-prefixed field (plans, trial lists)
 // so a corrupt or adversarial length prefix cannot drive allocation.
 const maxLen = 1 << 20
 
@@ -104,15 +104,6 @@ type TraceEvent struct {
 	Nodes int64
 }
 
-// kindCode returns the wire code of a known trace kind: its trace code
-// plus one, so 0 stays free for kinds that travel as strings. The trace
-// package fixes the code order; appending new kinds there is
-// forward-compatible, reordering is not.
-func kindCode(k trace.Kind) (byte, bool) {
-	c, ok := trace.KindCode(k)
-	return c + 1, ok
-}
-
 // FromTrace converts a trace event to its journal record. Observed events
 // carry no note (notes are rendered on read, for display only), and a
 // note on any other event is dropped.
@@ -124,17 +115,12 @@ func FromTrace(e trace.Event) *TraceEvent {
 	}
 }
 
-// Encode implements Record. Known kinds encode as one code byte; unknown
-// kinds carry the string (code 0), so new event kinds journal before the
-// code table learns them.
+// Encode implements Record. The kind encodes as one wire byte, its
+// value plus one: the trace package fixes the values, and wire code 0
+// is never written.
 func (e *TraceEvent) Encode() []byte {
 	b := newEnc(tagTrace)
-	if c, ok := kindCode(e.Kind); ok {
-		b.u8(c)
-	} else {
-		b.u8(0)
-		b.str(string(e.Kind))
-	}
+	b.u8(byte(e.Kind) + 1)
 	b.f64(e.At)
 	b.i64(e.Stage)
 	b.i64(e.Trial)
@@ -143,9 +129,9 @@ func (e *TraceEvent) Encode() []byte {
 	return b.bytes()
 }
 
-// Reason wire codes for Decision records.
+// Reason codes for Decision records: the values of replan.ReasonDrift
+// and replan.ReasonPreemption, which this package cannot import.
 const (
-	reasonOther      = 0 // carries the string
 	reasonDrift      = 1
 	reasonPreemption = 2
 )
@@ -155,7 +141,7 @@ const (
 type Decision struct {
 	Seq               int64
 	At                float64
-	Reason            string
+	Reason            uint8 // reasonDrift or reasonPreemption
 	Stage             int64
 	Ratio             float64
 	RemainingDeadline float64
@@ -174,15 +160,7 @@ func (d *Decision) Encode() []byte {
 	b := newEnc(tagDecision)
 	b.i64(d.Seq)
 	b.f64(d.At)
-	switch d.Reason {
-	case "drift":
-		b.u8(reasonDrift)
-	case "preemption":
-		b.u8(reasonPreemption)
-	default:
-		b.u8(reasonOther)
-		b.str(d.Reason)
-	}
+	b.u8(d.Reason)
 	b.i64(d.Stage)
 	b.f64(d.Ratio)
 	b.f64(d.RemainingDeadline)
@@ -244,10 +222,10 @@ func (e *End) Encode() []byte {
 }
 
 // DecodeRecord parses one canonical record payload. It rejects trailing
-// bytes, unknown tags, non-canonical encodings (a known kind or reason
-// spelled as a string, flag bits outside the defined set) and any
-// length prefix past maxLen — Decode(Encode(r)) re-encoding byte-identically
-// is the codec's contract.
+// bytes, unknown tags, kind and reason codes that name no kind or
+// reason, flag bits outside the defined set and any length prefix past
+// maxLen — Decode(Encode(r)) re-encoding byte-identically is the
+// codec's contract.
 func DecodeRecord(payload []byte) (Record, error) {
 	d := newDec(payload)
 	tag, err := d.u8()
@@ -273,15 +251,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 		e := &TraceEvent{}
 		var c byte
 		if c, err = d.u8(); err == nil {
-			if c == 0 {
-				s := d.mustStr(&err)
-				if _, known := kindCode(trace.Kind(s)); known {
-					return nil, fmt.Errorf("journal: non-canonical kind string %q", s)
-				}
-				e.Kind = trace.Kind(s)
-			} else if k, ok := trace.KnownKind(c - 1); ok {
-				e.Kind = k
-			} else {
+			if e.Kind = trace.Kind(c - 1); c == 0 || !e.Kind.Valid() {
 				return nil, fmt.Errorf("journal: unknown kind code %d", c)
 			}
 		}
@@ -295,23 +265,9 @@ func DecodeRecord(payload []byte) (Record, error) {
 		dec := &Decision{}
 		dec.Seq = d.mustI64(&err)
 		dec.At = d.mustF64(&err)
-		var c byte
 		if err == nil {
-			if c, err = d.u8(); err == nil {
-				switch c {
-				case reasonDrift:
-					dec.Reason = "drift"
-				case reasonPreemption:
-					dec.Reason = "preemption"
-				case reasonOther:
-					s := d.mustStr(&err)
-					if s == "drift" || s == "preemption" {
-						return nil, fmt.Errorf("journal: non-canonical reason string %q", s)
-					}
-					dec.Reason = s
-				default:
-					return nil, fmt.Errorf("journal: unknown reason code %d", c)
-				}
+			if dec.Reason, err = d.u8(); err == nil && dec.Reason != reasonDrift && dec.Reason != reasonPreemption {
+				return nil, fmt.Errorf("journal: unknown reason code %d", dec.Reason)
 			}
 		}
 		dec.Stage = d.mustI64(&err)

@@ -10,24 +10,25 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/replan"
 	"repro/internal/trace"
 )
 
 // sampleRecords covers every record type with edge-shaped payloads:
-// empty and populated slices, both reason/kind encodings, negative
-// numbers, and non-finite floats (encoded by IEEE-754 bits).
+// empty and populated slices, both reasons, the first and last kinds,
+// negative numbers, and non-finite floats (encoded by IEEE-754 bits).
 func sampleRecords() []Record {
 	return []Record{
 		&Header{BatchSeed: 4, Index: 2, Interval: 7, Deadline: 1234.5, Planned: true, Alloc: []int64{4, 2, 1}},
 		&Header{BatchSeed: 0, Index: -1, Interval: 0, Deadline: 0, Planned: false, Alloc: nil},
 		&TraceEvent{At: 10.25, Kind: trace.KindTrialIter, Stage: 1, Trial: 3, GPUs: 2, Nodes: 1},
-		&TraceEvent{At: 0, Kind: trace.Kind("future-kind"), Stage: -1, Trial: -1, GPUs: 0, Nodes: 0},
-		&Decision{Seq: 1, At: 99.5, Reason: "drift", Stage: 1, Ratio: 1.7, RemainingDeadline: 55,
+		&TraceEvent{At: 0, Kind: trace.KindStageStart, Stage: -1, Trial: -1, GPUs: 0, Nodes: 0},
+		&TraceEvent{At: 3, Kind: trace.KindReplan, Stage: 2, Trial: -1, GPUs: 0, Nodes: 0},
+		&Decision{Seq: 1, At: 99.5, Reason: reasonDrift, Stage: 1, Ratio: 1.7, RemainingDeadline: 55,
 			OldAlloc: []int64{8, 4}, NewAlloc: []int64{8, 8}, StaleJCT: 100, StaleCost: 12,
 			NewJCT: 90, NewCost: 14, Adopted: true},
-		&Decision{Seq: 2, At: 120, Reason: "preemption", Infeasible: true,
+		&Decision{Seq: 2, At: 120, Reason: reasonPreemption, Infeasible: true,
 			StaleJCT: math.Inf(1), NewJCT: math.NaN()},
-		&Decision{Seq: 3, At: 1, Reason: "operator-override", OldAlloc: []int64{1}, NewAlloc: []int64{2}},
 		&End{JCT: 812.75, Cost: 19.5, BestTrial: 6},
 		&End{JCT: 0, Cost: 0, BestTrial: -1},
 		&Grant{Stage: 1, Want: 8, Granted: 3, At: 42.5},
@@ -111,52 +112,15 @@ func TestDecodeRejects(t *testing.T) {
 		{"wrong version", mutate(hdr, 1, 9), "version"},
 		{"non-boolean planned", mutate(hdr, 35, 2), "bool"},
 		{"oversized alloc length", mutate(mutate(hdr, 38, 0xff), 39, 0xff), ""},
-		{"non-canonical kind string", func() []byte {
-			b := newEnc(tagTrace)
-			b.u8(0)
-			b.str(string(trace.KindTrialIter))
-			b.f64(0)
-			b.i64(0)
-			b.i64(0)
-			b.i64(0)
-			b.i64(0)
-			return b.bytes()
-		}(), "non-canonical kind"},
-		{"unknown kind code", func() []byte {
-			b := newEnc(tagTrace)
-			b.u8(200)
-			b.f64(0)
-			b.i64(0)
-			b.i64(0)
-			b.i64(0)
-			b.i64(0)
-			return b.bytes()
-		}(), "unknown kind code"},
-		{"non-canonical reason string", func() []byte {
-			d := &Decision{Reason: "x"}
-			p := d.Encode()
-			// The reason byte is at offset 17 (tag+seq+at); 0 keeps the
-			// string form, so swap the string in.
-			b := newEnc(tagDecision)
-			b.i64(0)
-			b.f64(0)
-			b.u8(reasonOther)
-			b.str("drift")
-			b.i64(0)
-			b.f64(0)
-			b.f64(0)
-			b.i64s(nil)
-			b.i64s(nil)
-			b.f64(0)
-			b.f64(0)
-			b.f64(0)
-			b.f64(0)
-			b.u8(0)
-			_ = p
-			return b.bytes()
-		}(), "non-canonical reason"},
+		{"kind code 0", kindPayload(0), "unknown kind code 0"},
+		{"reserved kind code 10", kindPayload(10), "unknown kind code 10"},
+		{"reserved kind code 13", kindPayload(13), "unknown kind code 13"},
+		{"kind code past KindReplan", kindPayload(byte(trace.KindReplan) + 2), "unknown kind code 16"},
+		{"unknown kind code", kindPayload(200), "unknown kind code 200"},
+		{"reason code 0", reasonPayload(0), "unknown reason code 0"},
+		{"reason code 3", reasonPayload(3), "unknown reason code 3"},
 		{"undefined decision flags", func() []byte {
-			p := (&Decision{Reason: "drift"}).Encode()
+			p := (&Decision{Reason: reasonDrift}).Encode()
 			return mutate(p, len(p)-1, 0x80)
 		}(), "undefined decision flags"},
 	}
@@ -171,6 +135,31 @@ func TestDecodeRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReasonCodesMatchReplan: the journal's reason codes are the values
+// of the replan reasons they stand for, which decisionRecord passes
+// through unchanged.
+func TestReasonCodesMatchReplan(t *testing.T) {
+	if reasonDrift != uint8(replan.ReasonDrift) || reasonPreemption != uint8(replan.ReasonPreemption) {
+		t.Fatalf("reason codes %d, %d; replan reasons %d, %d",
+			reasonDrift, reasonPreemption, replan.ReasonDrift, replan.ReasonPreemption)
+	}
+}
+
+// kindPayload is a trace record with wire kind code c.
+func kindPayload(c byte) []byte {
+	p := (&TraceEvent{Kind: trace.KindTrialIter}).Encode()
+	p[1] = c
+	return p
+}
+
+// reasonPayload is a decision record with reason code c. The reason
+// byte follows the tag, the sequence number and the time.
+func reasonPayload(c byte) []byte {
+	p := (&Decision{Reason: reasonDrift}).Encode()
+	p[17] = c
+	return p
 }
 
 // feed streams n trace records through w, snapshotting via whatever
@@ -297,7 +286,7 @@ func TestWriterCrashTorn(t *testing.T) {
 	// The torn frame is strictly shorter than the record's full frame, so
 	// the fatal record itself never decodes.
 	full := frameOverhead + len(recs[2].Encode())
-	torn := len(b.Data()) - (frameOverhead*2 + len(recs[0].Encode()) + len(recs[1].Encode()))
+	torn := len(b.data) - (frameOverhead*2 + len(recs[0].Encode()) + len(recs[1].Encode()))
 	if torn <= 0 || torn >= full {
 		t.Fatalf("torn bytes %d, want in (0, %d)", torn, full)
 	}

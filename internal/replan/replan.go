@@ -53,17 +53,30 @@ import (
 	"repro/internal/vclock"
 )
 
-// Reason classifies what initiated a replan decision.
-type Reason string
+// Reason classifies what initiated a replan decision. Its value is the
+// journal's code for it.
+type Reason uint8
 
 const (
 	// ReasonDrift is a drift-detector trigger: the EWMA of the
 	// observed-vs-predicted iteration-latency ratio left the threshold
 	// band around 1.
-	ReasonDrift Reason = "drift"
+	ReasonDrift Reason = 1
 	// ReasonPreemption is a provider preemption event.
-	ReasonPreemption Reason = "preemption"
+	ReasonPreemption Reason = 2
 )
+
+// String returns the reason's name, the text the trace note and the
+// digest carry, or "reason(N)" for a value that names no reason.
+func (r Reason) String() string {
+	switch r {
+	case ReasonDrift:
+		return "drift"
+	case ReasonPreemption:
+		return "preemption"
+	}
+	return "reason(" + strconv.Itoa(int(r)) + ")"
+}
 
 // Config parameterizes a Controller. Spec, Profile, Cloud, Deadline and
 // MaxGPUs mirror the planning-time configuration the original plan was
@@ -200,7 +213,7 @@ func (d Decision) Note() string { return string(d.AppendNote(nil)) }
 //
 //rbvet:noalloc
 func (d Decision) AppendNote(b []byte) []byte {
-	b = append(append(b, d.Reason...), ": "...)
+	b = append(append(b, d.Reason.String()...), ": "...)
 	switch {
 	case d.Infeasible: // "%s: infeasible under remaining deadline %.0fs, kept %v"
 		b = appendSeconds(append(b, "infeasible under remaining deadline "...), d.RemainingDeadline)

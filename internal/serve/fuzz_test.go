@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // decodeSubmission decodes a request body the way handleSubmit does.
@@ -14,10 +16,12 @@ func decodeSubmission(data []byte) (Submission, error) {
 
 // FuzzSubmission feeds arbitrary request bodies through the submit
 // handler's decode and Validate, and holds every accepted submission to
-// two properties: BuildScenario maps it to a scenario (validation admits
-// nothing the service cannot run), and it survives a JSON round trip
-// unchanged (replay tuples store the submission as JSON, so a lossy
-// encoding would replay a different experiment). The checked-in corpus
+// three properties: BuildScenario maps it to a scenario (validation
+// admits nothing the service cannot run), the scenario runs without a
+// panic (harness.RunScenario may return an error, such as an exhausted
+// event budget), and it survives a JSON round trip unchanged (replay
+// tuples store the submission as JSON, so a lossy encoding would replay
+// a different experiment). The checked-in corpus
 // (testdata/fuzz/FuzzSubmission) holds the three submission shapes the
 // end-to-end benchmark sends, one that sets every field of the schema,
 // two with a Pareto queue delay: α = 1.5, which Validate refuses (no
@@ -31,9 +35,11 @@ func FuzzSubmission(f *testing.F) {
 		if err != nil || sub.Validate() != nil {
 			return
 		}
-		if _, err := BuildScenario(sub); err != nil {
+		sc, err := BuildScenario(sub)
+		if err != nil {
 			t.Fatalf("valid submission rejected by BuildScenario: %v\n  body: %s", err, data)
 		}
+		_, _ = harness.RunScenario(sc) // an error is allowed, a panic is not
 		enc, err := json.Marshal(sub)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)

@@ -80,7 +80,8 @@ func (s *Server) Recover() (RecoverReport, error) {
 // resume re-drives one unfinished run from its journal. The recovered
 // experiment is admitted into the live arbiter; the journaled grant
 // prefix is scripted (and byte-verified by the resumed writer), and any
-// stages beyond the crash point arbitrate live.
+// stages beyond the crash point arbitrate live. A panic in the run fails
+// this experiment only, as in drive.
 func (s *Server) resume(side subSidecar) (damaged bool, err error) {
 	exp := newExperiment(side.ID, side.Submission)
 	s.reg.adopt(exp, true)
@@ -93,16 +94,13 @@ func (s *Server) resume(side subSidecar) (damaged bool, err error) {
 		s.reg.Complete(exp)
 		return false, err
 	}
+	defer s.settle(exp, &err)
 	dir, err := journal.RunDir(s.cfg.DataDir, exp.Sub.Tenant, exp.ID)
 	if err != nil {
-		s.finish(exp)
-		exp.fail(err)
 		return false, err
 	}
 	fb, err := journal.NewFileBackend(dir)
 	if err != nil {
-		s.finish(exp)
-		exp.fail(err)
 		return false, err
 	}
 	defer func() {
@@ -112,42 +110,25 @@ func (s *Server) resume(side subSidecar) (damaged bool, err error) {
 	}()
 	script, err := grantPrefix(fb)
 	if err != nil {
-		s.finish(exp)
-		exp.fail(err)
 		return false, err
 	}
 	jw, hdr, damage, err := journal.Resume(fb, s.cfg.SnapshotInterval)
+	damaged = damage != ""
 	if err != nil {
-		s.finish(exp)
-		exp.fail(err)
-		return damage != "", err
+		return damaged, err
 	}
 	if err := side.Submission.Validate(); err != nil {
-		s.finish(exp)
-		exp.fail(err)
-		return damage != "", err
+		return damaged, err
 	}
 	sc, err := BuildScenario(side.Submission)
 	if err != nil {
-		s.finish(exp)
-		exp.fail(err)
-		return damage != "", err
+		return damaged, err
 	}
 	if hdr != nil && (hdr.BatchSeed != sc.BatchSeed || hdr.Index != int64(sc.Index)) {
-		err := fmt.Errorf("serve: journal header (seed=%d index=%d) does not match submission (seed=%d index=%d)",
+		return damaged, fmt.Errorf("serve: journal header (seed=%d index=%d) does not match submission (seed=%d index=%d)",
 			hdr.BatchSeed, hdr.Index, sc.BatchSeed, sc.Index)
-		s.finish(exp)
-		exp.fail(err)
-		return damage != "", err
 	}
-	if s.armJournal != nil {
-		s.armJournal(exp.ID, jw)
-	}
-	s.run(exp, sc, jw, dir, script)
-	if exp.State() == StateFailed {
-		return damage != "", fmt.Errorf("serve: recovery run failed")
-	}
-	return damage != "", nil
+	return damaged, s.run(exp, sc, jw, dir, script)
 }
 
 // grantPrefix decodes the trusted records of a crashed journal and

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
@@ -196,6 +197,13 @@ func mustGet(t *testing.T, s *Server, id string) *Experiment {
 	return exp
 }
 
+// State returns the experiment's current lifecycle state.
+func (e *Experiment) State() ExpState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.state
+}
+
 // TestZeroSnapshotIntervalSelectsDefault: a zero Config.SnapshotInterval
 // selects the default of 64 rather than disabling snapshots, so a
 // journaled experiment's run header records interval 64.
@@ -388,5 +396,74 @@ func TestRecoverFailsInfiniteVarianceLatency(t *testing.T) {
 	}
 	if _, err := VerifyReplay(ReplayTuple{Submission: bad}); err == nil || !strings.Contains(err.Error(), "queue_delay") {
 		t.Fatalf("VerifyReplay of the pareto 1.5 submission: %v, want the queue_delay validation error", err)
+	}
+}
+
+// TestPanicFailsOnlyItsExperiment: a panic in one experiment's driver
+// fails that experiment with the panic's value and nothing else. The
+// other tenants' experiments complete, the fleet log keeps its
+// invariants, every admission is released, and the server goes on
+// serving. A restarted server meets the same panic when it resumes the
+// experiment's journal, and its Recover reports the experiment failed.
+func TestPanicFailsOnlyItsExperiment(t *testing.T) {
+	const capacity, bad = 8, "exp-0002"
+	cfg := Config{Capacity: capacity, DataDir: t.TempDir()}
+	arm := func(id string, _ *journal.Writer) {
+		if id == bad {
+			panic("injected")
+		}
+	}
+	s, ts := newTestServer(t, cfg)
+	s.armJournal = arm
+	subs := []Submission{
+		smallSub("acme", 401), smallSub("beta", 402), smallSub("ceta", 403),
+		smallSub("acme", 404), smallSub("beta", 405),
+	}
+	submitAll := func(subs []Submission) {
+		t.Helper()
+		for i, sub := range subs {
+			if resp, body := postSub(t, ts, sub); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit %d: %d %s", i, resp.StatusCode, body)
+			}
+		}
+		s.Drain()
+	}
+	submitAll(subs)
+	// The server still admits and runs work after the panic.
+	submitAll([]Submission{smallSub("ceta", 406)})
+	total := len(subs) + 1
+
+	for i := 0; i < total; i++ {
+		id := fmt.Sprintf("exp-%04d", i)
+		st := mustGet(t, s, id).StatusIn(s.reg)
+		switch {
+		case id == bad && (st.State != "failed" || st.Error != "panic: injected"):
+			t.Fatalf("%s reads %s (%q), want failed with the panic", id, st.State, st.Error)
+		case id != bad && st.State != "done":
+			t.Fatalf("%s reads %s (%q), want done", id, st.State, st.Error)
+		}
+	}
+	if live := s.arb.Live(); live != 0 || s.arb.InUse() != 0 {
+		t.Fatalf("%d experiments hold %d GPUs after the drain", live, s.arb.InUse())
+	}
+	if vs := harness.CheckFleetInvariants(s.FleetLog(), capacity, total); len(vs) != 0 {
+		t.Fatalf("fleet oracle: %v", vs)
+	}
+	s.Close()
+
+	s2, _ := newTestServer(t, cfg)
+	s2.armJournal = arm
+	rep, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Adopted != total-1 || rep.Resumed != 0 || !slices.Equal(rep.Failed, []string{bad}) {
+		t.Fatalf("recover report = %+v, want %d adopted and %s failed", rep, total-1, bad)
+	}
+	if st := mustGet(t, s2, bad).StatusIn(s2.reg); st.State != "failed" || st.Error != "panic: injected" {
+		t.Fatalf("recovered %s reads %s (%q)", bad, st.State, st.Error)
+	}
+	if live := s2.arb.Live(); live != 0 {
+		t.Fatalf("%d experiments still hold GPUs after recovery", live)
 	}
 }

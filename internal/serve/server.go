@@ -340,22 +340,36 @@ func (s *Server) pump() {
 // drive runs one admitted experiment start to finish.
 func (s *Server) drive(exp *Experiment) {
 	defer s.wg.Done()
+	var err error
+	defer s.settle(exp, &err)
+	// BuildScenario cannot fail here (submissions are validated before
+	// enqueue); settle fails the experiment if it does.
 	sc, err := BuildScenario(exp.Sub)
 	if err != nil {
-		// Unreachable: submissions are validated before enqueue. Release
-		// the admission either way.
-		s.finish(exp)
-		exp.fail(err)
 		return
 	}
 	jw, dir, cleanup, err := s.openJournal(exp)
 	if err != nil {
-		s.finish(exp)
-		exp.fail(err)
 		return
 	}
 	defer cleanup()
-	s.run(exp, sc, jw, dir, nil)
+	err = s.run(exp, sc, jw, dir, nil)
+}
+
+// settle ends an admitted experiment's driver, drive or resume, which
+// defer it before anything else, so it runs after their other deferred
+// calls (the journal is closed by then). It recovers a panic in the
+// driver, so that one experiment's panic fails only that experiment,
+// then fails exp with the panic's value or with *err, if either, and
+// releases exp's admission: a driver releases it here and nowhere else.
+func (s *Server) settle(exp *Experiment, err *error) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("panic: %v", v)
+	}
+	if *err != nil {
+		exp.fail(*err)
+	}
+	s.finish(exp)
 }
 
 // finish releases an experiment's admission: arbiter hold, registry live
@@ -385,9 +399,6 @@ func (s *Server) openJournal(exp *Experiment) (*journal.Writer, string, func(), 
 		return nil, "", nil, err
 	}
 	jw := journal.NewWriter(fb, s.cfg.SnapshotInterval)
-	if s.armJournal != nil {
-		s.armJournal(exp.ID, jw)
-	}
 	cleanup := func() {
 		if err := fb.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "rbserve: closing journal:", err)
@@ -397,12 +408,15 @@ func (s *Server) openJournal(exp *Experiment) (*journal.Writer, string, func(), 
 }
 
 // run drives exp's scenario on its own virtual clock, arbitrating every
-// stage boundary through the shared arbiter. script, when non-empty,
-// replays a recovered journal's grant prefix before going live — the
-// resumed run's re-execution consumes exactly the grants the crashed
-// generation was given, then fresh stages arbitrate normally.
-func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, dir string, script []harness.GrantDecision) {
-	defer s.finish(exp)
+// stage boundary through the shared arbiter, and returns the error that
+// fails it, if any. script, when non-empty, replays a recovered
+// journal's grant prefix before going live — the resumed run's
+// re-execution consumes exactly the grants the crashed generation was
+// given, then fresh stages arbitrate normally.
+func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, dir string, script []harness.GrantDecision) error {
+	if jw != nil && s.armJournal != nil {
+		s.armJournal(exp.ID, jw)
+	}
 	si := 0
 	gate := func(req harness.GrantRequest) int {
 		var g int
@@ -427,8 +441,7 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 	exp.markAdmitted()
 	run, err := harness.StartScenario(sc, harness.RunConfig{Journal: jw, Gate: gate})
 	if err != nil {
-		exp.fail(err)
-		return
+		return err
 	}
 	exp.notePlan(run)
 	// Mirror live progress every progressEvery virtual events: cheap
@@ -436,8 +449,7 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 	const progressEvery = 256
 	for !run.Done() {
 		if err := run.Step(); err != nil {
-			exp.fail(err)
-			return
+			return err
 		}
 		if st := run.Steps(); st%progressEvery == 0 {
 			exp.progress(run.Stage(), run.Now(), run.CostSoFar())
@@ -445,8 +457,7 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 	}
 	a, err := run.Finish()
 	if err != nil {
-		exp.fail(err)
-		return
+		return err
 	}
 	d := harness.ComputeDigest(a)
 	exp.complete(a, d)
@@ -461,6 +472,7 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 	// keep out of the artifacts: the run's working set can serve the next
 	// experiment.
 	run.Release()
+	return nil
 }
 
 // subSidecar is the submission.json schema: the experiment's identity

@@ -227,13 +227,6 @@ func (e *Experiment) fail(err error) {
 	e.publishLocked(Event{Type: "failed", Error: e.errMsg})
 }
 
-// State returns the current lifecycle state.
-func (e *Experiment) State() ExpState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state
-}
-
 // Wait blocks until the experiment reaches a final state.
 func (e *Experiment) Wait() {
 	for {

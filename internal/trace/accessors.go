@@ -13,13 +13,9 @@ func (r *Recorder) Filter(kind Kind) []Event {
 	if r == nil {
 		return nil
 	}
-	c, ok := r.lookup(kind)
-	if !ok {
-		return nil
-	}
 	var out []Event
 	for i, m := range r.meta {
-		if metaCode(m) == c {
+		if metaKind(m) == kind {
 			out = append(out, r.FieldsAt(i))
 		}
 	}

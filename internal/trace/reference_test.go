@@ -15,9 +15,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// refRecorder is the recorder Recorder replaced: one Kind string, two
-// int32 gang columns and a float64 accuracy column per event, 49 bytes
-// in all. It is the oracle for the compact columns, whose every view
+// refRecorder is the recorder Recorder replaced: a kind column (a Kind
+// string then), two int32 gang columns and a float64 accuracy column
+// per event. It is the oracle for the compact columns, whose every view
 // must match it.
 type refRecorder struct {
 	at       []vclock.Time
@@ -140,9 +140,15 @@ func (r *refRecorder) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// refKinds are the kinds the differential tests record: every known
-// kind and a few the recorder must intern, the empty kind among them.
-var refKinds = append(known[:len(known):len(known)], "custom", "", "replan_v2", "trial iter")
+// refKinds are the kinds the differential tests record: every kind.
+var refKinds = func() (ks []Kind) {
+	for k := KindStageStart; k <= KindReplan; k++ {
+		if k.Valid() {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}()
 
 // gangCounts are the gang sizes the differential tests record: ordinary
 // ones and the extremes of the 32-bit columns and past them.
@@ -230,12 +236,12 @@ func compareRecorders(t *testing.T, got *Recorder, want *refRecorder) {
 	if g, w := got.Events(), want.Events(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("Events differ:\n%+v\nreference\n%+v", g, w)
 	}
-	for _, k := range append(refKinds, "never_recorded") {
+	for _, k := range refKinds {
 		if g, w := got.Count(k), want.Count(k); g != w {
-			t.Fatalf("Count(%q) = %d, reference %d", k, g, w)
+			t.Fatalf("Count(%v) = %d, reference %d", k, g, w)
 		}
 		if g, w := got.Filter(k), want.Filter(k); !reflect.DeepEqual(g, w) {
-			t.Fatalf("Filter(%q) = %+v, reference %+v", k, g, w)
+			t.Fatalf("Filter(%v) = %+v, reference %+v", k, g, w)
 		}
 	}
 	if g, w := got.ByTrial(), want.ByTrial(); !reflect.DeepEqual(g, w) {
@@ -276,10 +282,10 @@ func runReference(t *testing.T, data []byte) {
 }
 
 // TestRecorderMatchesReference: over random operation sequences that
-// record every known kind, interned unknown kinds, free-form notes from
-// strings and from reused buffers, non-finite accuracies and extreme
-// gang shapes, the compact recorder and the reference agree in every
-// view, and so does every copy Freeze took along the way.
+// record every kind, free-form notes from strings and from reused
+// buffers, non-finite accuracies and extreme gang shapes, the compact
+// recorder and the reference agree in every view, and so does every
+// copy Freeze took along the way.
 func TestRecorderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		data := make([]byte, 8*int(seed%97))
@@ -304,10 +310,10 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 }
 
 // TestRecorderEventBytes pins an event's column storage at 24 bytes:
-// the sum of the element sizes of the per-event columns. The sparse side
-// tables (interned kinds, the note arena) hold nothing per event.
+// the sum of the element sizes of the per-event columns. The note arena
+// holds nothing per event.
 func TestRecorderEventBytes(t *testing.T) {
-	sparse := map[string]bool{"interned": true, "text": true}
+	sparse := map[string]bool{"text": true}
 	var size uintptr
 	rt := reflect.TypeOf(Recorder{})
 	for i := 0; i < rt.NumField(); i++ {
@@ -350,7 +356,7 @@ func TestStageRange(t *testing.T) {
 			}()
 		}
 	}
-	if r.Len() != 15 || r.Count("never_recorded") != 0 {
+	if r.Len() != 15 {
 		t.Fatalf("a panicking record left %d events, want 15", r.Len())
 	}
 	r.Record(4, KindStageEnd, 0, -1, "")
@@ -371,14 +377,13 @@ func TestFreezeIsExactAndIndependent(t *testing.T) {
 	r.SetObserver(func(Event) {})
 	r.Record(1, KindStageStart, 0, -1, "4 trials")
 	r.RecordIter(2, 0, 3, 0.5)
-	r.Record(3, Kind("custom"), 1, 2, "")
+	r.Record(3, KindCheckpoint, 1, 2, "")
 	r.RecordBytes(4, KindReplan, 1, -1, []byte("kept [4 2]"))
 	r.AddBusy(2)
 	f := r.Freeze()
 	for name, c := range map[string][2]int{
 		"at": {len(f.at), cap(f.at)}, "arg": {len(f.arg), cap(f.arg)}, "trial": {len(f.trial), cap(f.trial)},
-		"meta": {len(f.meta), cap(f.meta)}, "interned": {len(f.interned), cap(f.interned)},
-		"text": {len(f.text), cap(f.text)},
+		"meta": {len(f.meta), cap(f.meta)}, "text": {len(f.text), cap(f.text)},
 	} {
 		if c[0] != c[1] {
 			t.Errorf("frozen %s has length %d, capacity %d", name, c[0], c[1])
@@ -389,7 +394,7 @@ func TestFreezeIsExactAndIndependent(t *testing.T) {
 		t.Fatalf("frozen copy %+v (busy %v), recorder %+v", f.Events(), f.BusyGPUSeconds(), want)
 	}
 	r.Reset()
-	r.Record(9, Kind("other"), 2, 5, "a much longer note than any before")
+	r.Record(9, KindRestore, 2, 5, "a much longer note than any before")
 	r.RecordIter(9, 2, 5, 0.25)
 	f.Record(5, KindStageEnd, 1, -1, "frozen's own")
 	if got := f.Events(); !reflect.DeepEqual(got[:len(want)], want) || len(got) != len(want)+1 || r.Len() != 2 {
@@ -400,25 +405,30 @@ func TestFreezeIsExactAndIndependent(t *testing.T) {
 	}
 }
 
-// TestKindCodes: the known kinds code as their declaration order, and a
-// code past them names no known kind.
+// TestKindCodes: every code up to KindReplan spells, in String and in
+// JSON, as the kind with that code always has (the digest folds these
+// names, and the journal's wire codes are the codes plus one); the two
+// reserved codes and every code past KindReplan name no kind.
 func TestKindCodes(t *testing.T) {
-	for c, k := range known {
-		if got, ok := KindCode(k); !ok || int(got) != c {
-			t.Fatalf("KindCode(%q) = %d/%v, want %d", k, got, ok, c)
+	names := []string{
+		"stage_start", "stage_end", "trial_start", "trial_iter", "trial_pause", "trial_kill",
+		"trial_done", "scale_up", "scale_down", "", "checkpoint", "restore", "", "drift_trigger", "replan",
+	}
+	for c := 0; c <= math.MaxUint8; c++ {
+		k, want := Kind(c), ""
+		if c < len(names) {
+			want = names[c]
 		}
-		if got, ok := KnownKind(uint8(c)); !ok || got != k {
-			t.Fatalf("KnownKind(%d) = %q/%v, want %q", c, got, ok, k)
+		if k.Valid() != (want != "") {
+			t.Fatalf("Kind(%d).Valid() = %v", c, k.Valid())
 		}
-	}
-	if c, _ := KindCode(KindTrialIter); c != iterCode {
-		t.Fatalf("iterCode %d, KindTrialIter codes as %d", iterCode, c)
-	}
-	if _, ok := KindCode("custom"); ok {
-		t.Fatal("an unknown kind has a known code")
-	}
-	if k, ok := KnownKind(uint8(len(known))); ok {
-		t.Fatalf("code %d names %q", len(known), k)
+		if want == "" {
+			want = "kind(" + strconv.Itoa(c) + ")"
+		}
+		text, err := k.MarshalText()
+		if k.String() != want || string(text) != want || err != nil {
+			t.Fatalf("Kind(%d) spells %q, MarshalText %q (%v), want %q", c, k.String(), text, err, want)
+		}
 	}
 }
 

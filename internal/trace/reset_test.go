@@ -6,14 +6,13 @@ import (
 )
 
 // TestResetMatchesNew: a reset recorder records exactly what a new one
-// does, with none of the events, notes, interned kinds, busy time or
-// observer it had.
+// does, with none of the events, notes, busy time or observer it had.
 func TestResetMatchesNew(t *testing.T) {
 	script := func(r *Recorder) {
 		r.Record(1, KindStageStart, 0, -1, "4 trials")
 		r.RecordIter(2, 0, 3, 0.5)
 		r.RecordGang(3, KindTrialStart, 0, 1, 4, 2)
-		r.Record(4, Kind("custom_b"), 1, 2, "")
+		r.Record(4, KindCheckpoint, 1, 2, "")
 		r.AddBusy(2)
 	}
 	want := New()
@@ -21,8 +20,8 @@ func TestResetMatchesNew(t *testing.T) {
 	r := New()
 	observed := 0
 	r.SetObserver(func(Event) { observed++ })
-	r.Record(9, Kind("custom_a"), 0, 0, "old text")
-	r.Record(9, Kind("custom_b"), 0, 0, "more old text")
+	r.Record(9, KindRestore, 0, 0, "old text")
+	r.Record(9, KindCheckpoint, 0, 0, "more old text")
 	r.AddBusy(7)
 	r.Reset()
 	script(r)
@@ -32,11 +31,8 @@ func TestResetMatchesNew(t *testing.T) {
 	if got, w := r.Events(), want.Events(); !reflect.DeepEqual(got, w) {
 		t.Fatalf("reset recorder holds\n%+v\nnew one\n%+v", got, w)
 	}
-	if r.Count("custom_a") != 0 || r.BusyGPUSeconds() != want.BusyGPUSeconds() || len(r.interned) != len(want.interned) {
-		t.Fatalf("reset recorder kept state: custom_a %d, busy %v, interned %v", r.Count("custom_a"), r.BusyGPUSeconds(), r.interned)
-	}
-	if r.interned[:cap(r.interned)][1] != "" {
-		t.Fatal("reset recorder still holds a kind it dropped")
+	if r.Count(KindRestore) != 0 || r.BusyGPUSeconds() != want.BusyGPUSeconds() {
+		t.Fatalf("reset recorder kept state: restore %d, busy %v", r.Count(KindRestore), r.BusyGPUSeconds())
 	}
 	if string(r.text) != string(want.text) {
 		t.Fatalf("reset recorder holds notes %q, new one %q", r.text, want.text)

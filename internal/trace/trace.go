@@ -7,35 +7,75 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"repro/internal/vclock"
 )
 
-// Kind classifies an event.
-type Kind string
+// Kind classifies an event. A kind's value is its code: the recorder
+// packs it into an event's meta word, and the journal's wire code for
+// it is that value plus one. The order is therefore fixed: append new
+// kinds, never reorder or reuse a slot.
+type Kind uint8
 
-// Event kinds emitted by the executor and cluster manager.
+// Event kinds, all recorded by the executor. Codes 9 and 12 are
+// reserved, so that the kinds after them keep the codes journals hold.
 const (
-	KindStageStart   Kind = "stage_start"
-	KindStageEnd     Kind = "stage_end"
-	KindTrialStart   Kind = "trial_start"
-	KindTrialIter    Kind = "trial_iter"
-	KindTrialPause   Kind = "trial_pause"
-	KindTrialKill    Kind = "trial_kill"
-	KindTrialDone    Kind = "trial_done"
-	KindScaleUp      Kind = "scale_up"
-	KindScaleDown    Kind = "scale_down"
-	KindNodeReady    Kind = "node_ready"
-	KindCheckpoint   Kind = "checkpoint"
-	KindRestore      Kind = "restore"
-	KindProfilePoint Kind = "profile_point"
+	KindStageStart Kind = iota
+	KindStageEnd
+	KindTrialStart
+	KindTrialIter
+	KindTrialPause
+	KindTrialKill
+	KindTrialDone
+	KindScaleUp
+	KindScaleDown
+	_
+	KindCheckpoint
+	KindRestore
+	_
 	// KindDriftTrigger marks the replan controller's drift detector firing
 	// (EWMA of observed-vs-predicted latency past its threshold, or a
 	// preemption-initiated trigger). KindReplan marks the resulting replan
 	// decision; its note carries the spliced plan and adoption outcome.
-	KindDriftTrigger Kind = "drift_trigger"
-	KindReplan       Kind = "replan"
+	KindDriftTrigger
+	KindReplan
 )
+
+// kindNames spells each kind, indexed by its code; a reserved code has
+// no name.
+var kindNames = [...]string{
+	KindStageStart:   "stage_start",
+	KindStageEnd:     "stage_end",
+	KindTrialStart:   "trial_start",
+	KindTrialIter:    "trial_iter",
+	KindTrialPause:   "trial_pause",
+	KindTrialKill:    "trial_kill",
+	KindTrialDone:    "trial_done",
+	KindScaleUp:      "scale_up",
+	KindScaleDown:    "scale_down",
+	KindCheckpoint:   "checkpoint",
+	KindRestore:      "restore",
+	KindDriftTrigger: "drift_trigger",
+	KindReplan:       "replan",
+}
+
+// Valid reports whether k is a kind: a code up to KindReplan that is
+// not reserved.
+func (k Kind) Valid() bool { return int(k) < len(kindNames) && kindNames[k] != "" }
+
+// String returns the kind's name, the text the digest folds and the CSV
+// and JSON views print, or "kind(N)" for a code that names no kind.
+func (k Kind) String() string {
+	if k.Valid() {
+		return kindNames[k]
+	}
+	return "kind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// MarshalText implements encoding.TextMarshaler, so JSON spells a kind
+// by its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // Event is one recorded occurrence.
 type Event struct {
@@ -44,9 +84,9 @@ type Event struct {
 	Stage int         `json:"stage"`
 	Trial int         `json:"trial"`
 	// Note is presentation-only text for humans: it is rendered when an
-	// event is read for display (EventAt, Events, WriteCSV, WriteJSON),
-	// and is empty in the note-free views (FieldsAt, the oracle
-	// accessors, the observer) that digests and journals consume.
+	// event is read for display (EventAt, Events, WriteCSV), and is empty
+	// in the note-free views (FieldsAt, the oracle accessors, the
+	// observer) that digests and journals consume.
 	Note string `json:"note,omitempty"`
 	// GPUs and Nodes carry the structured gang shape for events that
 	// describe a placement (KindTrialStart): the trial's total GPU count
@@ -54,66 +94,6 @@ type Event struct {
 	// recorded without placement information.
 	GPUs  int `json:"gpus,omitempty"`
 	Nodes int `json:"nodes,omitempty"`
-}
-
-// known lists the event kinds every recorder codes without interning,
-// in declaration order: kind code c < len(known) is known[c]. The
-// journal's wire code of a known kind is its code plus one (see
-// KindCode), so the order is fixed: append new kinds, never reorder.
-var known = [...]Kind{
-	KindStageStart, KindStageEnd, KindTrialStart,
-	KindTrialIter, KindTrialPause, KindTrialKill,
-	KindTrialDone, KindScaleUp, KindScaleDown,
-	KindNodeReady, KindCheckpoint, KindRestore,
-	KindProfilePoint, KindDriftTrigger, KindReplan,
-}
-
-// KindCode returns the code of a known kind, which KnownKind maps back
-// to it, or false for a kind outside the known set. Every Record asks, so
-// it switches rather than scans; TestKindCodes holds it to known's order.
-func KindCode(k Kind) (uint8, bool) {
-	switch k {
-	case KindStageStart:
-		return 0, true
-	case KindStageEnd:
-		return 1, true
-	case KindTrialStart:
-		return 2, true
-	case KindTrialIter:
-		return 3, true
-	case KindTrialPause:
-		return 4, true
-	case KindTrialKill:
-		return 5, true
-	case KindTrialDone:
-		return 6, true
-	case KindScaleUp:
-		return 7, true
-	case KindScaleDown:
-		return 8, true
-	case KindNodeReady:
-		return 9, true
-	case KindCheckpoint:
-		return 10, true
-	case KindRestore:
-		return 11, true
-	case KindProfilePoint:
-		return 12, true
-	case KindDriftTrigger:
-		return 13, true
-	case KindReplan:
-		return 14, true
-	}
-	return 0, false
-}
-
-// KnownKind returns the known kind with code c, or false when c codes no
-// known kind.
-func KnownKind(c uint8) (Kind, bool) {
-	if int(c) < len(known) {
-		return known[c], true
-	}
-	return "", false
 }
 
 // noteForm says how an event's note is rendered on read.
@@ -130,7 +110,7 @@ const (
 	noteGang
 )
 
-// The meta column packs an event's kind code into bits 0–7, its note
+// The meta column packs an event's kind into bits 0–7, its note
 // form into bits 8–9 and its stage, signed, into bits 10–31.
 const (
 	formShift  = 8
@@ -143,7 +123,7 @@ const (
 )
 
 // packMeta packs a note form and stage into a meta word, for the kind
-// code to be or-ed in.
+// to be or-ed in.
 func packMeta(form noteForm, stage int) uint32 {
 	if stage < MinStage || stage > MaxStage {
 		stageOutOfRange(stage)
@@ -162,8 +142,8 @@ func arenaOverflow(n int) {
 	panic(fmt.Sprintf("trace: note arena of %d bytes past 4 GiB", n))
 }
 
-// metaCode, metaForm and metaStage unpack a meta word.
-func metaCode(m uint32) uint8    { return uint8(m) }
+// metaKind, metaForm and metaStage unpack a meta word.
+func metaKind(m uint32) Kind     { return Kind(m) }
 func metaForm(m uint32) noteForm { return noteForm(m >> formShift & 3) }
 func metaStage(m uint32) int32   { return int32(m) >> stageShift }
 
@@ -176,12 +156,12 @@ func metaStage(m uint32) int32   { return int32(m) >> stageShift }
 // (8); one argument word (8) that holds whatever its note form renders
 // (the accuracy's bits for RecordIter, the gang shape for RecordGang,
 // the span of a free-form note in the note arena otherwise); its trial
-// (4); and a meta word (4) that packs its kind code (8 bits), note form
-// (2 bits) and stage (22 bits, signed: MinStage to MaxStage; a stage
-// outside them panics, as a 257th kind does). Recording never formats
-// text: hot-path notes are kept in the typed argument and rendered on
-// read, and the few events with free-form text copy it into a byte
-// arena, so a warm recorder records notes without allocating. The zero
+// (4); and a meta word (4) that packs its kind (8 bits), note form (2
+// bits) and stage (22 bits, signed: MinStage to MaxStage; a stage
+// outside them panics). Recording never formats text: hot-path notes
+// are kept in the typed argument and rendered on read, and the few
+// events with free-form text copy it into a byte arena, so a warm
+// recorder records notes without allocating. The zero
 // value is ready to use; a nil *Recorder is also valid and discards
 // everything, so callers need no nil checks. Freeze hands out a copy at
 // exactly its size that shares nothing with the recorder, so one
@@ -191,9 +171,6 @@ type Recorder struct {
 	arg   []uint64
 	trial []int32
 	meta  []uint32
-	// interned holds the kinds outside the known set this recorder has
-	// seen, in first-use order: code len(known)+i is interned[i].
-	interned []Kind
 	// text is the arena free-form notes are copied into; a noted event's
 	// argument word holds its note's span there.
 	text []byte
@@ -209,22 +186,20 @@ func New() *Recorder { return &Recorder{} }
 
 // Reset empties the recorder, keeping its columns' and arena's
 // capacity: a recycled recorder records its next run without growing
-// them again. It drops the observer, the notes and the interned kinds,
-// so nothing recorded before carries into what is recorded next. No-op
-// on a nil recorder.
+// them again. It drops the observer and the notes, so nothing recorded
+// before carries into what is recorded next. No-op on a nil recorder.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	clear(r.interned)
 	*r = Recorder{
 		at: r.at[:0], arg: r.arg[:0], trial: r.trial[:0], meta: r.meta[:0],
-		interned: r.interned[:0], text: r.text[:0],
+		text: r.text[:0],
 	}
 }
 
-// Freeze returns a copy of r — its events, notes, interned kinds and
-// busy time, every column and side table at exactly its length —
+// Freeze returns a copy of r — its events, notes and busy time, every
+// column and the arena at exactly its length —
 // without r's observer. The copy shares nothing with r, so r may be
 // reset and record another run while the copy lives on unchanged. Nil
 // on a nil recorder.
@@ -234,7 +209,7 @@ func (r *Recorder) Freeze() *Recorder {
 	}
 	return &Recorder{
 		at: exact(r.at), arg: exact(r.arg), trial: exact(r.trial), meta: exact(r.meta),
-		interned: exact(r.interned), text: exact(r.text),
+		text:           exact(r.text),
 		busyGPUSeconds: r.busyGPUSeconds,
 	}
 }
@@ -260,41 +235,6 @@ func (r *Recorder) SetObserver(fn func(Event)) {
 	r.observer = fn
 }
 
-// code returns kind's code in this recorder, interning a kind outside
-// the known set on its first use. A recorder codes at most 256 kinds.
-func (r *Recorder) code(kind Kind) uint8 {
-	if c, ok := r.lookup(kind); ok {
-		return c
-	}
-	if len(known)+len(r.interned) > math.MaxUint8 {
-		panic(fmt.Sprintf("trace: recorder holds too many event kinds to code %q", kind))
-	}
-	r.interned = append(r.interned, kind)
-	return uint8(len(known) + len(r.interned) - 1)
-}
-
-// lookup returns kind's code in this recorder without interning it, or
-// false when no recorded event has that kind.
-func (r *Recorder) lookup(kind Kind) (uint8, bool) {
-	if c, ok := KindCode(kind); ok {
-		return c, true
-	}
-	for i, k := range r.interned {
-		if k == kind {
-			return uint8(len(known) + i), true
-		}
-	}
-	return 0, false
-}
-
-// kindOf returns the kind coded c in this recorder.
-func (r *Recorder) kindOf(c uint8) Kind {
-	if int(c) < len(known) {
-		return known[c]
-	}
-	return r.interned[int(c)-len(known)]
-}
-
 // packGang packs a gang shape into an argument word, each count
 // truncated to 32 bits.
 func packGang(gpus, nodes int) uint64 {
@@ -303,10 +243,6 @@ func packGang(gpus, nodes int) uint64 {
 
 // gangOf unpacks the gang shape of argument word a.
 func gangOf(a uint64) (gpus, nodes int32) { return int32(a >> 32), int32(a) }
-
-// iterCode is KindTrialIter's code, which RecordIter stores without a
-// lookup.
-const iterCode = 3
 
 // add appends a note-free event with meta word m and argument word arg
 // to every column and notifies the observer.
@@ -347,7 +283,7 @@ func recordText[T string | []byte](r *Recorder, at vclock.Time, kind Kind, stage
 	if r == nil {
 		return
 	}
-	m := packMeta(noteText, stage) | uint32(r.code(kind))
+	m := packMeta(noteText, stage) | uint32(kind)
 	start := len(r.text)
 	r.text = append(r.text, note...)
 	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial}, m, r.span(start))
@@ -374,7 +310,7 @@ func (r *Recorder) RecordIter(at vclock.Time, stage, trial int, acc float64) {
 	if r == nil {
 		return
 	}
-	r.add(Event{At: at, Kind: KindTrialIter, Stage: stage, Trial: trial}, packMeta(noteAcc, stage)|iterCode, math.Float64bits(acc))
+	r.add(Event{At: at, Kind: KindTrialIter, Stage: stage, Trial: trial}, packMeta(noteAcc, stage)|uint32(KindTrialIter), math.Float64bits(acc))
 }
 
 // RecordGang appends an event carrying a structured gang shape (total
@@ -389,7 +325,7 @@ func (r *Recorder) RecordGang(at vclock.Time, kind Kind, stage, trial, gpus, nod
 		return
 	}
 	m := packMeta(noteGang, stage)
-	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, GPUs: gpus, Nodes: nodes}, m|uint32(r.code(kind)), packGang(gpus, nodes))
+	r.add(Event{At: at, Kind: kind, Stage: stage, Trial: trial, GPUs: gpus, Nodes: nodes}, m|uint32(kind), packGang(gpus, nodes))
 }
 
 // AddBusy accumulates gpuSeconds of productive GPU time.
@@ -423,7 +359,7 @@ func (r *Recorder) FieldsAt(i int) Event {
 	m := r.meta[i]
 	e := Event{
 		At:    r.at[i],
-		Kind:  r.kindOf(metaCode(m)),
+		Kind:  metaKind(m),
 		Stage: int(metaStage(m)),
 		Trial: int(r.trial[i]),
 	}
@@ -474,13 +410,9 @@ func (r *Recorder) Count(kind Kind) int {
 	if r == nil {
 		return 0
 	}
-	c, ok := r.lookup(kind)
-	if !ok {
-		return 0
-	}
 	n := 0
 	for _, m := range r.meta {
-		if metaCode(m) == c {
+		if metaKind(m) == kind {
 			n++
 		}
 	}

@@ -60,11 +60,14 @@ func TestWriteJSON(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back []Event
+	var back []struct {
+		Kind  string
+		Trial int
+	}
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || back[0].Kind != KindCheckpoint || back[0].Trial != 7 {
+	if len(back) != 1 || back[0].Kind != "checkpoint" || back[0].Trial != 7 {
 		t.Fatalf("round trip = %+v", back)
 	}
 }
