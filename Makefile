@@ -49,12 +49,12 @@ test-replan:
 	go test -race -count=1 ./internal/planner -run 'TestPriceScaling|TestDeadlineTightening|TestPlanInvariant'
 
 # Durability suite: the journal codec/backends, the exhaustive
-# crash-point sweep (kill + bit-identical recovery at every journal
-# offset, both backends), and the journaling-invisibility property test,
-# all under the race detector.
+# crash-point sweep (kill + bit-identical recovery at journal writes,
+# both backends), the inputs-only, sync and tamper checks, and the
+# journaling-invisibility property test, all under the race detector.
 test-recovery:
 	go test -race -count=1 ./internal/journal
-	go test -race -count=1 ./internal/harness -run 'TestCrashPointSweep|TestReplanScenarioJournals|TestSnapshotIntervalInvisible|TestCrashRecover|TestResumeRefuses'
+	go test -race -count=1 ./internal/harness -run 'TestCrashPointSweep|TestReplanScenarioAdopts|TestSnapshotIntervalInvisible|TestCrashRecover|TestResumeRefuses|TestJournalHoldsInputsOnly|TestCrashSyncsNothingAfter|TestTamperedJournalDiverges|TestEventFold'
 
 # Multi-tenant control-plane suite: the arbiter/registry unit and
 # property tests, the HTTP backpressure suite (429 + Retry-After, FIFO

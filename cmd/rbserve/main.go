@@ -44,7 +44,7 @@ func main() {
 		capacity  = flag.Int("capacity", 64, "shared cluster capacity in GPUs")
 		policy    = flag.String("policy", "slack", "arbitration policy: slack (deadline-slack) or fifo (static shares)")
 		dataDir   = flag.String("data", "", "durable data root (empty: in-memory only, no crash recovery)")
-		interval  = flag.Uint64("snapshot-interval", 64, "journal snapshot interval in records (0 selects the default, 64)")
+		interval  = flag.Uint64("snapshot-interval", 64, "journal snapshot interval in observed events (0 selects the default, 64)")
 		maxQueued = flag.Int("max-queued", 16, "per-tenant submission queue bound")
 		maxLive   = flag.Int("max-live", 4, "per-tenant concurrently-live bound")
 		maxGPUs   = flag.Int("max-gpus", 32, "per-submission peak GPU cap")

@@ -3,6 +3,7 @@ package harness
 import (
 	"math"
 
+	"repro/internal/replan"
 	"repro/internal/trace"
 )
 
@@ -65,6 +66,40 @@ func (h *hasher) str(s string) {
 
 func (h *hasher) kind(k trace.Kind) { h.str(k.String()) }
 
+// event folds one trace event's fields, notes left out, for
+// ComputeDigest and for a journaled run's event fold alike.
+func (h *hasher) event(e trace.Event) {
+	h.f64(float64(e.At))
+	h.kind(e.Kind)
+	h.i64(int64(e.Stage))
+	h.i64(int64(e.Trial))
+	h.i64(int64(e.GPUs))
+	h.i64(int64(e.Nodes))
+}
+
+// decision folds one replan decision's full payload, as event does an
+// event. Booleans fold as 0/1, so a flipped adoption flips the hash.
+func (h *hasher) decision(d *replan.Decision) {
+	h.i64(int64(d.Seq))
+	h.f64(float64(d.At))
+	h.str(d.Reason.String())
+	h.i64(int64(d.Stage))
+	h.f64(d.Ratio)
+	h.f64(d.RemainingDeadline)
+	for _, g := range d.OldPlan.Alloc {
+		h.i64(int64(g))
+	}
+	for _, g := range d.NewPlan.Alloc {
+		h.i64(int64(g))
+	}
+	h.f64(d.StaleEstimate.JCT)
+	h.f64(d.StaleEstimate.Cost)
+	h.f64(d.NewEstimate.JCT)
+	h.f64(d.NewEstimate.Cost)
+	h.i64(b2i(d.Adopted))
+	h.i64(b2i(d.Infeasible))
+}
+
 // ComputeDigest fingerprints the artifacts of one run.
 func ComputeDigest(a *Artifacts) Digest {
 	h := newHasher()
@@ -85,13 +120,7 @@ func ComputeDigest(a *Artifacts) Digest {
 	// notes are presentation-only.
 	h.i64(int64(a.Recorder.Len()))
 	for i := 0; i < a.Recorder.Len(); i++ {
-		e := a.Recorder.FieldsAt(i)
-		h.f64(float64(e.At))
-		h.kind(e.Kind)
-		h.i64(int64(e.Stage))
-		h.i64(int64(e.Trial))
-		h.i64(int64(e.GPUs))
-		h.i64(int64(e.Nodes))
+		h.event(a.Recorder.FieldsAt(i))
 	}
 	h.f64(a.Recorder.BusyGPUSeconds())
 
@@ -124,31 +153,13 @@ func ComputeDigest(a *Artifacts) Digest {
 		}
 	}
 
-	// Replan decisions and the plan actually executed. Booleans fold as
-	// 0/1 so any flip in adoption or feasibility flips the digest.
+	// Replan decisions and the plan actually executed.
 	for _, g := range a.Result.FinalPlan.Alloc {
 		h.i64(int64(g))
 	}
 	h.i64(int64(len(a.Result.Replans)))
-	for _, d := range a.Result.Replans {
-		h.i64(int64(d.Seq))
-		h.f64(float64(d.At))
-		h.str(d.Reason.String())
-		h.i64(int64(d.Stage))
-		h.f64(d.Ratio)
-		h.f64(d.RemainingDeadline)
-		for _, g := range d.OldPlan.Alloc {
-			h.i64(int64(g))
-		}
-		for _, g := range d.NewPlan.Alloc {
-			h.i64(int64(g))
-		}
-		h.f64(d.StaleEstimate.JCT)
-		h.f64(d.StaleEstimate.Cost)
-		h.f64(d.NewEstimate.JCT)
-		h.f64(d.NewEstimate.Cost)
-		h.i64(b2i(d.Adopted))
-		h.i64(b2i(d.Infeasible))
+	for i := range a.Result.Replans {
+		h.decision(&a.Result.Replans[i])
 	}
 
 	// Arbiter grants (stage-boundary reallocation of gated runs). Folded

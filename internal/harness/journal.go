@@ -25,37 +25,18 @@ func allocI64(alloc []int) []int64 {
 	return out
 }
 
-// decisionRecord converts a replan decision into its journal record,
-// which carries the full payload a trace event's note only renders.
-func decisionRecord(d replan.Decision) *journal.Decision {
-	return &journal.Decision{
-		Seq:               int64(d.Seq),
-		At:                float64(d.At),
-		Reason:            uint8(d.Reason),
-		Stage:             int64(d.Stage),
-		Ratio:             d.Ratio,
-		RemainingDeadline: d.RemainingDeadline,
-		OldAlloc:          allocI64(d.OldPlan.Alloc),
-		NewAlloc:          allocI64(d.NewPlan.Alloc),
-		StaleJCT:          d.StaleEstimate.JCT,
-		StaleCost:         d.StaleEstimate.Cost,
-		NewJCT:            d.NewEstimate.JCT,
-		NewCost:           d.NewEstimate.Cost,
-		Adopted:           d.Adopted,
-		Infeasible:        d.Infeasible,
-	}
-}
-
 // captureSnapshot reads the full control-plane state for a journal
-// snapshot: clock cursor, live plan and trial states, accrued billing,
-// replan EWMAs, and RNG stream cursors. It is a pure read — no RNG
-// draws, no mutation — so snapshotting never perturbs the run. job is
-// nil for snapshots taken during executor.Start's first records, in
-// every run alike, so recovery still verifies byte-identically.
-func captureSnapshot(clock *vclock.Clock, job *executor.Job, provider *cloud.Provider,
+// snapshot: the event fold, clock cursor, live plan and trial states,
+// accrued billing, replan EWMAs, and RNG stream cursors. It is a pure
+// read — no RNG draws, no mutation — so snapshotting never perturbs the
+// run. job is nil for snapshots taken during executor.Start's first
+// events, in every run alike, so recovery still verifies
+// byte-identically.
+func captureSnapshot(fold hasher, clock *vclock.Clock, job *executor.Job, provider *cloud.Provider,
 	rec *trace.Recorder, ctl *replan.Controller, execRNG, provRNG *stats.RNG) *journal.Snapshot {
 	now := clock.Now()
 	s := &journal.Snapshot{
+		Fold:           uint64(fold),
 		VNow:           float64(now),
 		ClockSeq:       clock.Seq(),
 		Stage:          -1,
@@ -100,9 +81,10 @@ func captureSnapshot(clock *vclock.Clock, job *executor.Job, provider *cloud.Pro
 }
 
 // CrashPoint describes one injected control-plane kill: the run dies
-// when it is about to journal record Seq (0-based), leaving the journal
-// with exactly Seq records plus Torn bytes of the fatal record's frame —
-// a mid-write crash when Torn > 0, a clean kill at a record boundary
+// when it is about to make durable journal write Seq (0-based; records
+// and snapshots count alike), leaving the journal with exactly the Seq
+// writes before it plus Torn bytes of the fatal write's frame — a
+// mid-write crash when Torn > 0, a clean kill at a write boundary
 // otherwise.
 type CrashPoint struct {
 	Seq  uint64
@@ -115,8 +97,9 @@ type RecoveryOutcome struct {
 	// the digest of the run killed at Crash and resumed from its journal.
 	Baseline  Digest
 	Recovered Digest
-	// Records is the total journal length of the completed run.
-	Records uint64
+	// Writes is the number of durable writes, records and snapshots,
+	// the completed run made.
+	Writes uint64
 	// Crash is the injected kill.
 	Crash CrashPoint
 	// Damage is what Resume reported on the crashed journal (non-empty
@@ -128,7 +111,7 @@ type RecoveryOutcome struct {
 //
 //  1. an uninterrupted journaled reference run on its own backend,
 //  2. a run killed at a crash point chosen by pick (given the reference
-//     journal's total record count),
+//     journal's total write count),
 //  3. verified recovery resumed from the crashed journal.
 //
 // mk builds a fresh backend per role ("baseline", "crashed"); tests pass
@@ -136,7 +119,7 @@ type RecoveryOutcome struct {
 // are the recovery-equivalence oracle's findings: empty means the
 // recovered run's digest is bit-identical to the uninterrupted one's and
 // both journals hold byte-identical records and snapshots.
-func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) CrashPoint,
+func CrashRecover(sc Scenario, interval uint64, pick func(totalWrites uint64) CrashPoint,
 	mk func(role string) (journal.Backend, error)) (RecoveryOutcome, []string, error) {
 	var out RecoveryOutcome
 
@@ -152,8 +135,8 @@ func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) C
 		return out, nil, fmt.Errorf("baseline journaled run: %w", err)
 	}
 	out.Baseline = ComputeDigest(ab)
-	out.Records = wb.Seq()
-	out.Crash = pick(out.Records)
+	out.Writes = wb.Seq()
+	out.Crash = pick(out.Writes)
 
 	// Killed run. The crash surfaces as journal.ErrCrash; everything in
 	// memory is dropped and only the backend survives.
@@ -165,7 +148,7 @@ func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) C
 	wc := journal.NewWriter(crashed, interval)
 	wc.SetCrashPoint(out.Crash.Seq, out.Crash.Torn)
 	if _, err := Run(sc, RunConfig{Journal: wc}); !errors.Is(err, journal.ErrCrash) {
-		return out, nil, fmt.Errorf("crash at record %d did not kill the run (err=%v)", out.Crash.Seq, err)
+		return out, nil, fmt.Errorf("crash at write %d did not kill the run (err=%v)", out.Crash.Seq, err)
 	}
 
 	// Verified recovery: resume from the journal tail and re-drive the
@@ -184,19 +167,19 @@ func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) C
 	}
 	ar, err := Run(sc, RunConfig{Journal: w2})
 	if err != nil {
-		return out, nil, fmt.Errorf("recovery from crash at record %d (torn %d, damage %q): %w",
+		return out, nil, fmt.Errorf("recovery from crash at write %d (torn %d, damage %q): %w",
 			out.Crash.Seq, out.Crash.Torn, damage, err)
 	}
 	out.Recovered = ComputeDigest(ar)
 
 	if out.Recovered != out.Baseline {
 		problems = append(problems, fmt.Sprintf(
-			"recovered digest %016x != uninterrupted digest %016x (crash at record %d/%d, torn %d)",
-			uint64(out.Recovered), uint64(out.Baseline), out.Crash.Seq, out.Records, out.Crash.Torn))
+			"recovered digest %016x != uninterrupted digest %016x (crash at write %d/%d, torn %d)",
+			uint64(out.Recovered), uint64(out.Baseline), out.Crash.Seq, out.Writes, out.Crash.Torn))
 	}
-	if w2.Seq() != out.Records {
+	if w2.Seq() != out.Writes {
 		problems = append(problems, fmt.Sprintf(
-			"recovered journal has %d records, uninterrupted has %d", w2.Seq(), out.Records))
+			"recovered journal made %d writes, uninterrupted made %d", w2.Seq(), out.Writes))
 	}
 	diff, err := journal.Diff(base, crashed)
 	if err != nil {
@@ -204,7 +187,7 @@ func CrashRecover(sc Scenario, interval uint64, pick func(totalRecords uint64) C
 	}
 	if diff != "" {
 		problems = append(problems, fmt.Sprintf(
-			"recovered journal differs from uninterrupted journal: %s (crash at record %d, torn %d)",
+			"recovered journal differs from uninterrupted journal: %s (crash at write %d, torn %d)",
 			diff, out.Crash.Seq, out.Crash.Torn))
 	}
 	return out, problems, nil
@@ -217,7 +200,7 @@ var crashIntervals = []uint64{1, 7, 32, 0}
 
 // checkRecovery is the recovery-equivalence oracle: it derives a seeded
 // crash point for the scenario (a virtual instant, expressed as the
-// journal sequence reached at that point in the run), kills and recovers
+// journal write reached at that point in the run), kills and recovers
 // the control plane there on an in-memory backend, and requires the
 // recovered run to be bit-identical to the uninterrupted one — digest
 // and journal both. want is the scenario's plain (unjournaled) digest;
@@ -232,7 +215,7 @@ func checkRecovery(sc Scenario, want Digest) []Violation {
 	}
 	pick := func(total uint64) CrashPoint {
 		// total ≥ 2 (header + End); crash anywhere in [1, total-1] so the
-		// kill always loses real state but the header survives. Seq 0
+		// kill always loses a write but the header survives. Seq 0
 		// (nothing durable) is covered by the sweep tests.
 		seq := 1 + uint64(frac*float64(total-1))
 		if seq >= total {

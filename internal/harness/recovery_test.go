@@ -2,6 +2,8 @@ package harness
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,25 +14,70 @@ import (
 // sweepScenarios pins the crash-point sweep's inputs: a plain scenario,
 // the drift-triggered replan scenario from the FuzzEndToEnd corpus
 // whose adopted tail means recovery must rebuild controller state, not
-// just executor state, and a paper-path scenario that plans statically
-// from a measured profile under an absolute deadline.
+// just executor state, a gated scenario whose grants are journaled
+// inputs, and a paper-path scenario that plans statically from a
+// measured profile under an absolute deadline.
 func sweepScenarios() []Scenario {
 	profiled := paperScenario(planner.PolicyStatic, 30*60, 10)
 	profiled.UseProfiler = true
 	return []Scenario{
 		Generate(1, 0),
-		Generate(4, 50), // drift-triggered replan, tail adopted
+		Generate(4, 50),  // drift-triggered replan, tail adopted
+		Generate(42, 13), // arbiter caps on every stage
 		profiled,
 	}
 }
 
-// sweepPoints enumerates the crash points for a journal of total
-// records: the extremes (0 = nothing durable, 1 = header only,
-// total-1 = one record short of completion), every k-th record, and
-// every snapshot boundary ±1 — the seams where a recovery
-// implementation that is even one record off will diverge. Torn frames
-// alternate with clean kills across the sweep.
-func sweepPoints(total, interval uint64) []CrashPoint {
+// writeLog is an in-memory journal backend that logs every durable
+// write — a record's type, or "snapshot" — and every sync, in order.
+// It embeds the MemBackend, so it tears writes as the MemBackend does.
+type writeLog struct {
+	*journal.MemBackend
+	log []string
+}
+
+func newWriteLog() *writeLog { return &writeLog{MemBackend: journal.NewMemBackend()} }
+
+func (b *writeLog) Append(p []byte) error {
+	name := "undecodable"
+	if rec, err := journal.DecodeRecord(p); err == nil {
+		name = fmt.Sprintf("%T", rec)[len("*journal."):]
+	}
+	b.log = append(b.log, name)
+	return b.MemBackend.Append(p)
+}
+
+func (b *writeLog) PutSnapshot(seq uint64, p []byte) error {
+	b.log = append(b.log, "Snapshot")
+	return b.MemBackend.PutSnapshot(seq, p)
+}
+
+func (b *writeLog) Sync() error {
+	b.log = append(b.log, "sync")
+	return b.MemBackend.Sync()
+}
+
+// writes returns the logged writes, syncs left out: entry i is durable
+// write i, the unit of CrashPoint.Seq.
+func (b *writeLog) writes() []string {
+	var out []string
+	for _, w := range b.log {
+		if w != "sync" {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// sweepPoints enumerates the crash points for a reference run whose
+// durable writes are writes: the extremes (0 = nothing durable, 1 =
+// header only, total-1 = one write short of completion), every k-th
+// write, every snapshot ±1 and the write right after every Grant — the
+// seams where a recovery implementation that is even one write off will
+// diverge. Torn frames alternate with clean kills across the sweep, and
+// the final snapshot is always torn.
+func sweepPoints(writes []string) []CrashPoint {
+	total := uint64(len(writes))
 	set := map[uint64]bool{0: true, 1: true, total - 1: true}
 	k := total / 24
 	if k == 0 {
@@ -39,12 +86,19 @@ func sweepPoints(total, interval uint64) []CrashPoint {
 	for s := uint64(0); s < total; s += k {
 		set[s] = true
 	}
-	if interval > 0 {
-		for b := interval; b < total; b += interval {
-			set[b-1] = true
-			set[b] = true
-			if b+1 < total {
-				set[b+1] = true
+	lastSnap := uint64(0)
+	for i, w := range writes {
+		s := uint64(i)
+		switch w {
+		case "Snapshot":
+			lastSnap = s
+			set[s-1], set[s] = true, true
+			if s+1 < total {
+				set[s+1] = true
+			}
+		case "Grant":
+			if s+1 < total {
+				set[s+1] = true
 			}
 		}
 	}
@@ -56,7 +110,7 @@ func sweepPoints(total, interval uint64) []CrashPoint {
 	out := make([]CrashPoint, len(seqs))
 	for i, s := range seqs {
 		torn := 0
-		if i%2 == 1 {
+		if i%2 == 1 || (s == lastSnap && s > 0) {
 			torn = 1 + int(s%37)
 		}
 		out[i] = CrashPoint{Seq: s, Torn: torn}
@@ -68,9 +122,9 @@ func sweepPoints(total, interval uint64) []CrashPoint {
 // from mk, recovers it, and fails the test unless the recovered run is
 // bit-identical to the uninterrupted reference — digest and journal
 // both. ref is the reference journal's backend, wantDigest its digest,
-// wantRecords its record count.
+// wantWrites its durable write count.
 func crashAndRecover(t *testing.T, sc Scenario, interval uint64, cp CrashPoint,
-	ref journal.Backend, wantDigest Digest, wantRecords uint64,
+	ref journal.Backend, wantDigest Digest, wantWrites uint64,
 	mk func() journal.Backend) {
 	t.Helper()
 	crashed := mk()
@@ -78,7 +132,7 @@ func crashAndRecover(t *testing.T, sc Scenario, interval uint64, cp CrashPoint,
 	wc := journal.NewWriter(crashed, interval)
 	wc.SetCrashPoint(cp.Seq, cp.Torn)
 	if _, err := Run(sc, RunConfig{Journal: wc}); !errors.Is(err, journal.ErrCrash) {
-		t.Fatalf("crash at %d/%d: run did not die (err=%v)", cp.Seq, wantRecords, err)
+		t.Fatalf("crash at %d/%d: run did not die (err=%v)", cp.Seq, wantWrites, err)
 	}
 
 	w2, hdr, damage, err := journal.Resume(crashed, interval)
@@ -100,10 +154,10 @@ func crashAndRecover(t *testing.T, sc Scenario, interval uint64, cp CrashPoint,
 	}
 	if got := ComputeDigest(a); got != wantDigest {
 		t.Errorf("crash at %d/%d torn %d: recovered digest %016x != uninterrupted %016x",
-			cp.Seq, wantRecords, cp.Torn, uint64(got), uint64(wantDigest))
+			cp.Seq, wantWrites, cp.Torn, uint64(got), uint64(wantDigest))
 	}
-	if w2.Seq() != wantRecords {
-		t.Errorf("crash at %d: recovered journal has %d records, want %d", cp.Seq, w2.Seq(), wantRecords)
+	if w2.Seq() != wantWrites {
+		t.Errorf("crash at %d: recovered journal made %d writes, want %d", cp.Seq, w2.Seq(), wantWrites)
 	}
 	diff, err := journal.Diff(ref, crashed)
 	if err != nil {
@@ -114,86 +168,273 @@ func crashAndRecover(t *testing.T, sc Scenario, interval uint64, cp CrashPoint,
 	}
 }
 
+// sweepRef runs sc journaled on a write log and returns it with the
+// run's digest.
+func sweepRef(t *testing.T, sc Scenario, interval uint64) (*writeLog, Digest) {
+	t.Helper()
+	ref := newWriteLog()
+	a, err := Run(sc, RunConfig{Journal: journal.NewWriter(ref, interval)})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	return ref, ComputeDigest(a)
+}
+
 // TestCrashPointSweepMem is the exhaustive crash-point sweep on the
-// in-memory backend: for every pinned scenario, kill and recover at
-// every sweep point and require bit-identical recovery at each.
+// in-memory backend: for every pinned scenario, at snapshot intervals 7
+// and 1 (a snapshot after every event), kill and recover at every sweep
+// point and require bit-identical recovery at each.
 func TestCrashPointSweepMem(t *testing.T) {
-	const interval = 7
+	grants := false
 	for _, sc := range sweepScenarios() {
-		ref := journal.NewMemBackend()
-		w := journal.NewWriter(ref, interval)
-		a, err := Run(sc, RunConfig{Journal: w})
-		if err != nil {
-			t.Fatalf("reference run: %v", err)
+		for _, interval := range []uint64{7, 1} {
+			ref, want := sweepRef(t, sc, interval)
+			writes := ref.writes()
+			grants = grants || slices.Contains(writes, "Grant")
+			points := sweepPoints(writes)
+			t.Logf("seed=%d index=%d interval %d: %d writes, %d crash points",
+				sc.BatchSeed, sc.Index, interval, len(writes), len(points))
+			for _, cp := range points {
+				crashAndRecover(t, sc, interval, cp, ref, want, uint64(len(writes)),
+					func() journal.Backend { return journal.NewMemBackend() })
+			}
 		}
-		want, total := ComputeDigest(a), w.Seq()
-		points := sweepPoints(total, interval)
-		t.Logf("seed=%d index=%d: %d records, %d crash points", sc.BatchSeed, sc.Index, total, len(points))
-		for _, cp := range points {
-			crashAndRecover(t, sc, interval, cp, ref, want, total,
-				func() journal.Backend { return journal.NewMemBackend() })
-		}
+	}
+	if !grants {
+		t.Fatal("no sweep scenario journaled a grant; pick a new gated pin")
 	}
 }
 
 // TestCrashPointSweepFile runs the sweep's seam points on the
 // file-backed journal with segments small enough that every run rolls
-// many times, so crashes land mid-segment, at segment boundaries, and in
-// snapshot files alike. The full point set stays on the in-memory
-// backend; disk covers the representative seams.
+// several times, so crashes land mid-segment, at segment boundaries, in
+// snapshot files and right after grants alike: the replan-adopting
+// scenario and a gated one, each with its final snapshot torn. The full
+// point set stays on the in-memory backend; disk covers the seams.
 func TestCrashPointSweepFile(t *testing.T) {
 	const interval = 7
-	sc := Generate(4, 50) // replan-adopting scenario: hardest recovery
-	ref := journal.NewMemBackend()
-	w := journal.NewWriter(ref, interval)
-	a, err := Run(sc, RunConfig{Journal: w})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	want, total := ComputeDigest(a), w.Seq()
-	points := []CrashPoint{
-		{Seq: 0}, {Seq: 1, Torn: 5},
-		{Seq: interval - 1}, {Seq: interval, Torn: 3}, {Seq: interval + 1},
-		{Seq: total / 2}, {Seq: total / 2, Torn: 17},
-		{Seq: total - 1, Torn: 7},
-	}
-	for _, cp := range points {
-		crashAndRecover(t, sc, interval, cp, ref, want, total, func() journal.Backend {
-			fb, err := journal.NewFileBackend(t.TempDir(), journal.WithSegmentBytes(256))
-			if err != nil {
-				t.Fatal(err)
+	for _, sc := range []Scenario{Generate(4, 50), findCapScenario(t, 106)} {
+		ref, want := sweepRef(t, sc, interval)
+		writes := ref.writes()
+		total := uint64(len(writes))
+		points := []CrashPoint{{Seq: 0}, {Seq: 1, Torn: 5}, {Seq: total / 2}, {Seq: total / 2, Torn: 17}, {Seq: total - 1, Torn: 7}}
+		lastSnap, afterGrant := uint64(0), uint64(0)
+		for i, w := range writes {
+			switch {
+			case w == "Snapshot":
+				lastSnap = uint64(i)
+			case w == "Grant" && afterGrant == 0 && i+1 < len(writes):
+				afterGrant = uint64(i + 1)
 			}
-			return fb
-		})
+		}
+		if lastSnap == 0 || (len(sc.ArbiterCaps) > 0 && afterGrant == 0) {
+			t.Fatalf("seed=%d index=%d: writes %v hold no snapshot or no grant to crash at", sc.BatchSeed, sc.Index, writes)
+		}
+		points = append(points, CrashPoint{Seq: lastSnap, Torn: 11}, CrashPoint{Seq: lastSnap + 1})
+		if afterGrant > 0 {
+			points = append(points, CrashPoint{Seq: afterGrant}, CrashPoint{Seq: afterGrant, Torn: 3})
+		}
+		for _, cp := range points {
+			crashAndRecover(t, sc, interval, cp, ref, want, total, func() journal.Backend {
+				fb, err := journal.NewFileBackend(t.TempDir(), journal.WithSegmentBytes(96))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fb
+			})
+		}
 	}
 }
 
-// TestReplanScenarioJournalsAdoptedDecision guards the sweep's pinned
-// replan scenario against corpus drift: (4, 50) must actually journal an
-// adopted replan decision, or the "recovery rebuilds controller state"
-// coverage silently evaporates.
-func TestReplanScenarioJournalsAdoptedDecision(t *testing.T) {
+// TestReplanScenarioAdoptsDecision guards the sweep's pinned replan
+// scenario against corpus drift: (4, 50) must actually adopt a replan
+// decision, or the "recovery rebuilds controller state" coverage
+// silently evaporates.
+func TestReplanScenarioAdoptsDecision(t *testing.T) {
+	a, err := RunScenario(Generate(4, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range a.Result.Replans {
+		if d.Adopted {
+			return
+		}
+	}
+	t.Fatalf("scenario (4, 50) adopted none of its %d replan decisions; pick a new replan-adopting pin", len(a.Result.Replans))
+}
+
+// TestJournalHoldsInputsOnly: a journaled run writes its header, its
+// grants and its End as records, each synced before the Writer returns,
+// and nothing else but snapshots.
+func TestJournalHoldsInputsOnly(t *testing.T) {
+	for _, sc := range []Scenario{Generate(4, 50), findCapScenario(t, 105)} {
+		b := newWriteLog()
+		a, err := Run(sc, RunConfig{Journal: journal.NewWriter(b, 7)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records []string
+		for i, w := range b.log {
+			switch w {
+			case "Header", "Grant", "End":
+				records = append(records, w)
+				if i+1 == len(b.log) || b.log[i+1] != "sync" {
+					t.Fatalf("seed=%d index=%d: %s record (log entry %d) not synced before the next write: %v",
+						sc.BatchSeed, sc.Index, w, i, b.log)
+				}
+			case "Snapshot":
+			case "sync":
+				if i == 0 || b.log[i-1] == "Snapshot" || b.log[i-1] == "sync" {
+					t.Fatalf("seed=%d index=%d: sync at log entry %d follows no record", sc.BatchSeed, sc.Index, i)
+				}
+			default:
+				t.Fatalf("seed=%d index=%d: journal holds a %s record", sc.BatchSeed, sc.Index, w)
+			}
+		}
+		if want := 2 + len(a.Grants); len(records) != want || records[0] != "Header" || records[len(records)-1] != "End" {
+			t.Fatalf("seed=%d index=%d: records %v, want a header, %d grants and an End", sc.BatchSeed, sc.Index, records, len(a.Grants))
+		}
+	}
+}
+
+// TestEventFoldFollowsTheTrace: on a run without replan decisions the
+// event fold is the fold of the recorded trace, so the End carries the
+// fold of every event and each snapshot the fold of its first Seq
+// events, the bytes ComputeDigest folds for them.
+func TestEventFoldFollowsTheTrace(t *testing.T) {
+	sc := findCapScenario(t, 105)
 	b := journal.NewMemBackend()
-	w := journal.NewWriter(b, 7)
-	if _, err := Run(Generate(4, 50), RunConfig{Journal: w}); err != nil {
+	a, err := Run(sc, RunConfig{Journal: journal.NewWriter(b, 7)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	raw, err := b.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	adopted := false
-	for _, p := range raw.Records {
+	folds := make([]hasher, a.Recorder.Len()+1)
+	folds[0] = newHasher()
+	for i := range a.Recorder.Len() {
+		folds[i+1] = folds[i]
+		folds[i+1].event(a.Recorder.FieldsAt(i))
+	}
+	rec, err := journal.DecodeRecord(raw.Records[len(raw.Records)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := rec.(*journal.End); end.Fold != uint64(folds[len(folds)-1]) {
+		t.Fatalf("End fold %016x, trace fold %016x", end.Fold, uint64(folds[len(folds)-1]))
+	}
+	if len(raw.Snapshots) == 0 {
+		t.Fatal("run took no snapshot")
+	}
+	for seq, p := range raw.Snapshots {
 		rec, err := journal.DecodeRecord(p)
 		if err != nil {
-			t.Fatalf("journaled record undecodable: %v", err)
+			t.Fatal(err)
 		}
-		if d, ok := rec.(*journal.Decision); ok && d.Adopted {
-			adopted = true
+		if got := rec.(*journal.Snapshot).Fold; got != uint64(folds[seq]) {
+			t.Fatalf("snapshot %d fold %016x, fold of its events %016x", seq, got, uint64(folds[seq]))
 		}
 	}
-	if !adopted {
-		t.Fatal("scenario (4, 50) journaled no adopted replan decision; pick a new replan-adopting pin")
+}
+
+// TestCrashSyncsNothingAfter: an injected crash, here at the write
+// right after a gated run's first grant, syncs exactly the records
+// written before it and nothing after.
+func TestCrashSyncsNothingAfter(t *testing.T) {
+	sc := findCapScenario(t, 106)
+	ref, _ := sweepRef(t, sc, 7)
+	writes := ref.writes()
+	at := slices.Index(writes, "Grant") + 1
+	if at == 0 {
+		t.Fatal("gated run wrote no grant")
+	}
+	crashed := newWriteLog()
+	w := journal.NewWriter(crashed, 7)
+	w.SetCrashPoint(uint64(at), 0)
+	if _, err := Run(sc, RunConfig{Journal: w}); !errors.Is(err, journal.ErrCrash) {
+		t.Fatalf("crash at %d: err = %v", at, err)
+	}
+	if got := crashed.writes(); !slices.Equal(got, writes[:at]) {
+		t.Fatalf("crashed journal wrote %v, want %v", got, writes[:at])
+	}
+	records := 0
+	for _, w := range writes[:at] {
+		if w != "Snapshot" {
+			records++
+		}
+	}
+	if syncs := len(crashed.log) - at; syncs != records {
+		t.Fatalf("%d syncs for the %d records written before the crash (log %v)", syncs, records, crashed.log)
+	}
+}
+
+// TestTamperedJournalDiverges: recovery re-derives the inputs and the
+// event fold, so a journal altered behind its CRCs — one stored
+// snapshot's fold, the End's fold, one Grant — fails with ErrDiverged.
+func TestTamperedJournalDiverges(t *testing.T) {
+	sc := findCapScenario(t, 106)
+	ref, _ := sweepRef(t, sc, 7)
+	raw, err := ref.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastSnap uint64
+	for seq := range raw.Snapshots {
+		lastSnap = max(lastSnap, seq)
+	}
+	for _, target := range []string{"Snapshot", "End", "Grant"} {
+		t.Run(target, func(t *testing.T) {
+			tampered := journal.NewMemBackend()
+			done := false
+			for _, p := range raw.Records {
+				rec, err := journal.DecodeRecord(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch r := rec.(type) {
+				case *journal.End:
+					if target == "End" {
+						r.Fold ^= 1
+						done = true
+					}
+				case *journal.Grant:
+					if target == "Grant" && !done && r.Granted > 1 {
+						r.Granted--
+						done = true
+					}
+				}
+				if err := tampered.Append(rec.Encode()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for seq, p := range raw.Snapshots {
+				if target == "Snapshot" && seq == lastSnap {
+					rec, err := journal.DecodeRecord(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := rec.(*journal.Snapshot)
+					s.Fold ^= 1 << 63
+					p = s.Encode()
+					done = true
+				}
+				if err := tampered.PutSnapshot(seq, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !done {
+				t.Fatalf("journal holds no %s to tamper with", target)
+			}
+			w, _, damage, err := journal.Resume(tampered, 7)
+			if err != nil || damage != "" {
+				t.Fatalf("resume: damage %q, err %v", damage, err)
+			}
+			if _, err := Run(sc, RunConfig{Journal: w}); !errors.Is(err, journal.ErrDiverged) {
+				t.Fatalf("recovery over a tampered %s: err = %v, want ErrDiverged", target, err)
+			}
+		})
 	}
 }
 
@@ -242,8 +483,8 @@ func TestCrashRecoverEmptyJournal(t *testing.T) {
 // written by one scenario must not silently recover as another.
 func TestResumeRefusesForeignJournal(t *testing.T) {
 	b := journal.NewMemBackend()
-	w := journal.NewWriter(b, 0)
-	w.SetCrashPoint(40, 0)
+	w := journal.NewWriter(b, 7)
+	w.SetCrashPoint(3, 0) // the header and two snapshots are durable
 	if _, err := Run(Generate(1, 0), RunConfig{Journal: w}); !errors.Is(err, journal.ErrCrash) {
 		t.Fatalf("crash injection failed: %v", err)
 	}
@@ -261,17 +502,18 @@ func TestResumeRefusesForeignJournal(t *testing.T) {
 	}
 }
 
-// FuzzRecover lets the fuzzer pick the scenario, crash offset, torn
+// FuzzRecover lets the fuzzer pick the scenario, crash write, torn
 // length and snapshot interval: every reachable crash point must either
 // recover bit-identically or fail loudly — never complete with a
 // different digest or journal. The checked-in corpus seeds the pinned
-// sweep scenarios at their seam offsets.
+// sweep scenarios at their seams; a seed's crash write is its third
+// argument modulo the run's write count.
 func FuzzRecover(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint64(0), uint64(3), uint64(1))
-	f.Add(uint64(1), uint64(0), uint64(1), uint64(0), uint64(2))
-	f.Add(uint64(4), uint64(50), uint64(48), uint64(17), uint64(2)) // replan mid-journal
-	f.Add(uint64(4), uint64(50), uint64(136), uint64(0), uint64(0)) // one record short of End
-	f.Add(uint64(42), uint64(13), uint64(7), uint64(39), uint64(3))
+	f.Add(uint64(1), uint64(0), uint64(0), uint64(3), uint64(1))    // torn header: nothing durable
+	f.Add(uint64(1), uint64(0), uint64(1), uint64(0), uint64(2))    // interval 7: killed at the first snapshot
+	f.Add(uint64(4), uint64(50), uint64(48), uint64(17), uint64(2)) // replan scenario, interval 7: write 6 of 21, a torn snapshot
+	f.Add(uint64(4), uint64(50), uint64(1), uint64(0), uint64(0))   // interval 0: killed at End, only the header durable
+	f.Add(uint64(42), uint64(13), uint64(3), uint64(39), uint64(3)) // gated, interval 32: torn snapshot right after the second grant
 	f.Fuzz(func(t *testing.T, seed, rawIndex, rawSeq, rawTorn, rawInterval uint64) {
 		sc := Generate(seed, int(rawIndex%64))
 		interval := []uint64{0, 1, 7, 32}[rawInterval%4]

@@ -58,10 +58,12 @@ type GrantDecision struct {
 
 // RunConfig bundles the optional knobs of a scenario run.
 type RunConfig struct {
-	// Journal, if non-nil, streams every executor state transition and
-	// replan decision through the writer (write-ahead), captures
-	// snapshots at its interval, and closes the run with an End record.
-	// A crash or divergence latched by the writer aborts the run at the
+	// Journal, if non-nil, records the run's inputs through the writer
+	// (the header and every grant, each durable before it takes effect),
+	// folds every trace event and replan decision into one fingerprint,
+	// captures snapshots carrying it at the writer's interval of events,
+	// and closes the run with an End record carrying the final fold. A
+	// crash or divergence latched by the writer aborts the run at the
 	// next step boundary.
 	Journal *journal.Writer
 	// Gate, if non-nil, arbitrates every stage-boundary allocation. The
@@ -166,6 +168,8 @@ func runOn(ws *workingSet, sc Scenario, rc RunConfig, put func(*workingSet)) (*A
 type Running struct {
 	a  *Artifacts
 	jw *journal.Writer
+	// fold is the journaled run's event fold (nil when unjournaled).
+	fold *hasher
 	// ws is the working set the run's state comes from; Release returns
 	// it to the pool and clears it and the pointers into it below.
 	ws       *workingSet
@@ -287,21 +291,24 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 	root.StreamInto(streamConfigs, &ws.cfgRNG)
 	ws.configs, ws.vals = sc.Space.SampleNInto(&ws.cfgRNG, sc.Spec.TotalTrials(), ws.configs, ws.vals)
 
-	// Journal wiring. Observers latch errors inside the writer; the step
-	// loop below polls jw.Err so a crash or divergence inside an event
-	// callback stops the run at the next step boundary (the moral
-	// equivalent of the process dying between scheduler events). The
-	// snapshot closure must be registered before executor.Start because
-	// Start already records events; it reads through the job pointer,
-	// which is nil for those first records in every run alike.
+	// Journal wiring, on journaled runs only: the observers fold each
+	// event and decision into the run's event fold and count it with the
+	// writer, which snapshots every interval events. Errors latch in the
+	// writer, and the step loop below polls jw.Err, so a crash or
+	// divergence inside a callback stops the run at the next step. The
+	// observers precede executor.Start, which already records events;
+	// the snapshot closure reads through job, nil for those in every run.
 	var job *executor.Job
+	var fold *hasher
 	if jw != nil {
+		h := newHasher()
+		fold = &h
 		if ctl != nil {
-			ctl.SetObserver(func(d replan.Decision) { jw.Observe(decisionRecord(d)) })
+			ctl.SetObserver(func(d replan.Decision) { fold.decision(&d); jw.Event() })
 		}
-		rec.SetObserver(func(e trace.Event) { jw.Observe(journal.FromTrace(e)) })
+		rec.SetObserver(func(e trace.Event) { fold.event(e); jw.Event() })
 		jw.SetSnapshotFunc(func() *journal.Snapshot {
-			return captureSnapshot(clock, job, provider, rec, ctl, execRNG, provRNG)
+			return captureSnapshot(*fold, clock, job, provider, rec, ctl, execRNG, provRNG)
 		})
 	}
 
@@ -342,7 +349,9 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 			}
 			a.Grants = append(a.Grants, GrantDecision{Stage: stage, Want: planned, Granted: g, At: now})
 			if jw != nil {
-				jw.Observe(&journal.Grant{
+				// Durable before the executor applies it.
+				//rbvet:ignore droppederr — the writer latches the error and the step loop stops the run on it
+				_ = jw.Record(&journal.Grant{
 					Stage: int64(stage), Want: int64(planned), Granted: int64(g), At: now,
 				})
 			}
@@ -370,7 +379,7 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 		return fmt.Errorf("harness: start: %w", err)
 	}
 	*dst = Running{
-		a: a, jw: jw, ws: ws, clock: clock, job: job,
+		a: a, jw: jw, fold: fold, ws: ws, clock: clock, job: job,
 		provider: provider, mgr: mgr, rec: rec,
 	}
 	return nil
@@ -526,11 +535,12 @@ func (r *Running) Finish() (*Artifacts, error) {
 	}
 	if r.jw != nil {
 		// Close the journal: an End record marks a completed (rather than
-		// crashed) run.
+		// crashed) run, and its fold checks the whole event history.
 		if err := r.jw.Record(&journal.End{
 			JCT:       res.JCT,
 			Cost:      res.Cost,
 			BestTrial: int64(res.BestTrial),
+			Fold:      uint64(*r.fold),
 		}); err != nil {
 			return nil, err
 		}

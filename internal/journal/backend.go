@@ -12,13 +12,14 @@ import (
 type Raw struct {
 	// Records holds the payload of every trusted record, in order.
 	Records [][]byte
-	// Snapshots maps record-sequence numbers to snapshot payloads. A
-	// snapshot at seq was captured immediately after record seq was
-	// appended.
+	// Snapshots maps event counts to readable snapshot payloads: the
+	// snapshot at n was captured after the run's n-th observed event.
+	// Load always returns a non-nil map.
 	Snapshots map[uint64][]byte
 	// Damage is empty for a clean journal; otherwise it describes the
-	// first untrusted byte (torn tail, CRC mismatch, partial segment).
-	// Records and Snapshots hold only what precedes the damage.
+	// first untrusted byte (torn tail, CRC mismatch, partial segment) or
+	// the first unreadable snapshot. Records hold only what precedes the
+	// damage.
 	Damage string
 }
 
@@ -26,16 +27,21 @@ type Raw struct {
 // are not safe for concurrent use; the control plane is single-threaded
 // by design.
 type Backend interface {
-	// Append durably appends one record payload (the backend frames it).
+	// Append appends one record payload (the backend frames it).
 	Append(payload []byte) error
-	// PutSnapshot stores the snapshot taken right after record seq,
-	// replacing any previous snapshot at that sequence.
+	// Sync makes every record appended so far durable: it returns once
+	// they would survive the process, or the machine, dying.
+	Sync() error
+	// PutSnapshot stores the snapshot taken at event count seq,
+	// replacing any previous snapshot at that count.
 	PutSnapshot(seq uint64, payload []byte) error
 	// Load scans the store and returns every trusted record and
 	// snapshot, stopping cleanly at the first damaged byte.
 	Load() (*Raw, error)
 	// Truncate discards everything after the first n records — torn
-	// bytes included — so subsequent Appends continue from record n.
+	// bytes included — so subsequent Appends continue from record n, and
+	// drops unreadable snapshots. Readable ones stay: each is still a
+	// valid checkpoint of the run, whatever its event count.
 	Truncate(n int) error
 	// Close releases backend resources. The backend is unusable after.
 	Close() error
@@ -68,9 +74,19 @@ func (m *MemBackend) AppendRaw(b []byte) error {
 	return nil
 }
 
+// Sync implements Backend: memory has nothing to flush.
+func (m *MemBackend) Sync() error { return nil }
+
 // PutSnapshot implements Backend.
 func (m *MemBackend) PutSnapshot(seq uint64, payload []byte) error {
 	m.snaps[seq] = frame(payload)
+	return nil
+}
+
+// PutSnapshotRaw implements RawAppender: it stores b as the snapshot at
+// seq without framing, the torn-snapshot fault-injection hook.
+func (m *MemBackend) PutSnapshotRaw(seq uint64, b []byte) error {
+	m.snaps[seq] = append([]byte(nil), b...)
 	return nil
 }
 
@@ -84,22 +100,14 @@ func (m *MemBackend) Load() (*Raw, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
-		ps, _, dmg := readFrames(m.snaps[seq])
-		if dmg != "" || len(ps) != 1 {
-			if raw.Damage == "" {
-				raw.Damage = fmt.Sprintf("snapshot %d unreadable: %s", seq, dmg)
-			}
-			continue
-		}
-		raw.Snapshots[seq] = ps[0]
+		raw.addSnapshot(seq, m.snaps[seq])
 	}
 	return raw, nil
 }
 
 // Truncate implements Backend.
 func (m *MemBackend) Truncate(n int) error {
-	_, consumed, _ := readFrames(m.data)
-	records, _, _ := readFrames(m.data[:consumed])
+	records, _, _ := readFrames(m.data)
 	if n > len(records) {
 		return fmt.Errorf("journal: truncate to %d records, only %d valid", n, len(records))
 	}
@@ -108,8 +116,8 @@ func (m *MemBackend) Truncate(n int) error {
 		off += frameOverhead + len(records[i])
 	}
 	m.data = m.data[:off]
-	for seq := range m.snaps {
-		if seq > uint64(n) {
+	for seq, fr := range m.snaps {
+		if !readable(fr) {
 			delete(m.snaps, seq)
 		}
 	}
@@ -118,6 +126,25 @@ func (m *MemBackend) Truncate(n int) error {
 
 // Close implements Backend.
 func (m *MemBackend) Close() error { return nil }
+
+// readable reports whether data is exactly one trusted frame, which is
+// what a stored snapshot must be.
+func readable(data []byte) bool {
+	ps, _, dmg := readFrames(data)
+	return dmg == "" && len(ps) == 1
+}
+
+// addSnapshot adds the snapshot stored as data at seq to raw, or, when
+// data is unreadable, reports it as damage (the first damage wins).
+func (raw *Raw) addSnapshot(seq uint64, data []byte) {
+	if !readable(data) {
+		if raw.Damage == "" {
+			raw.Damage = fmt.Sprintf("snapshot %d unreadable", seq)
+		}
+		return
+	}
+	raw.Snapshots[seq] = data[frameOverhead:]
+}
 
 // Diff compares the trusted contents of two backends and returns an
 // empty string when they hold byte-identical records and snapshots —

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden segment files under testdata/")
@@ -21,11 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden segment files 
 func goldenRecords() []Record {
 	return []Record{
 		&Header{BatchSeed: 7, Index: 1, Interval: 2, Deadline: 600, Planned: true, Alloc: []int64{3, 1}},
-		&TraceEvent{At: 1.5, Kind: trace.KindStageStart, Stage: 0, Trial: -1, GPUs: 3, Nodes: 1},
-		&TraceEvent{At: 2.5, Kind: trace.KindTrialStart, Stage: 0, Trial: 0, GPUs: 1, Nodes: 1},
-		&TraceEvent{At: 9.25, Kind: trace.KindTrialIter, Stage: 0, Trial: 0, GPUs: 1, Nodes: 1},
+		&Grant{Stage: 0, Want: 3, Granted: 3, At: 1.5},
 		&Grant{Stage: 1, Want: 3, Granted: 2, At: 10.5},
-		&End{JCT: 42.5, Cost: 3.25, BestTrial: 0},
+		&Grant{Stage: 2, Want: 2, Granted: 1, At: 19.25},
+		&Grant{Stage: 3, Want: 1, Granted: 1, At: 30},
+		&End{JCT: 42.5, Cost: 3.25, BestTrial: 0, Fold: 0x6a09e667f3bcc908},
 	}
 }
 

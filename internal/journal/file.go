@@ -9,16 +9,16 @@ import (
 	"strings"
 )
 
-// DefaultSegmentBytes is the roll threshold for segment files. At the
-// fixed-width trace-record size (~50 framed bytes) one segment holds
-// roughly 5,000 records; see DESIGN.md for the capacity math.
+// DefaultSegmentBytes is the roll threshold for segment files. A framed
+// Grant is 41 bytes, so one segment holds about 6,000 of them: a run
+// writes one per stage plus its header and End, and fits in one segment.
 const DefaultSegmentBytes = 256 << 10
 
 // FileBackend stores the journal in a directory: records in rolling
 // segment files journal-NNNNNN.seg (a record never spans segments) and
-// snapshots in snap-<seq>.snap files. Opening an existing directory
-// resumes it; Load re-validates every frame from disk, so recovery
-// trusts nothing but the bytes.
+// snapshots in snap-<event count>.snap files. Opening an existing
+// directory resumes it; Load re-validates every frame from disk, so
+// recovery trusts nothing but the bytes.
 type FileBackend struct {
 	dir      string
 	segBytes int
@@ -26,6 +26,7 @@ type FileBackend struct {
 	cur     *os.File
 	curSize int
 	segIdx  int
+	rolled  bool // a segment was created since the last Sync
 }
 
 // FileOption configures a FileBackend.
@@ -107,6 +108,7 @@ func (f *FileBackend) roll() error {
 	}
 	f.cur = file
 	f.curSize = 0
+	f.rolled = true
 	return nil
 }
 
@@ -122,6 +124,32 @@ func (f *FileBackend) Append(payload []byte) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	f.curSize += len(fr)
+	return nil
+}
+
+// Sync implements Backend: it fsyncs the active segment and, after a
+// roll, the directory, so the new segment's name is durable too.
+func (f *FileBackend) Sync() error {
+	if f.cur != nil {
+		if err := f.cur.Sync(); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+	}
+	if !f.rolled {
+		return nil
+	}
+	d, err := os.Open(f.dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	f.rolled = false
 	return nil
 }
 
@@ -142,16 +170,31 @@ func (f *FileBackend) AppendRaw(b []byte) error {
 	return nil
 }
 
+// snapName returns the path of the snapshot at event count seq.
+func (f *FileBackend) snapName(seq uint64) string {
+	return filepath.Join(f.dir, fmt.Sprintf("snap-%020d.snap", seq))
+}
+
 // PutSnapshot implements Backend. The snapshot is written to a temp file
-// and renamed into place, so a crash mid-write never leaves a torn
-// snapshot under the final name.
+// and renamed into place, so a crash mid-write leaves no torn snapshot
+// under the final name. Snapshots are not synced: one lost to a machine
+// crash, or found unreadable, is re-persisted by recovery.
 func (f *FileBackend) PutSnapshot(seq uint64, payload []byte) error {
-	final := filepath.Join(f.dir, fmt.Sprintf("snap-%020d.snap", seq))
+	final := f.snapName(seq)
 	tmp := final + ".tmp"
 	if err := os.WriteFile(tmp, frame(payload), 0o644); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	return nil
+}
+
+// PutSnapshotRaw implements RawAppender: it writes b, unframed, under
+// the snapshot's final name.
+func (f *FileBackend) PutSnapshotRaw(seq uint64, b []byte) error {
+	if err := os.WriteFile(f.snapName(seq), b, 0o644); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
@@ -199,6 +242,35 @@ func (f *FileBackend) scan() ([][]byte, []recLoc, string, error) {
 	return payloads, locs, "", nil
 }
 
+// snapshots calls fn with the event count, path and contents of every
+// snapshot file, in count order. Files that do not parse as snapshot
+// names are skipped: the directory may hold foreign files.
+func (f *FileBackend) snapshots(fn func(seq uint64, path string, data []byte) error) error {
+	entries, err := os.ReadDir(f.dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	for _, e := range entries { // ReadDir sorts by name: zero-padded counts
+		name := e.Name()
+		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
+			continue
+		}
+		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 10, 64)
+		if err != nil {
+			continue
+		}
+		path := filepath.Join(f.dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		if err := fn(seq, path, data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Load implements Backend.
 func (f *FileBackend) Load() (*Raw, error) {
 	payloads, _, damage, err := f.scan()
@@ -206,36 +278,12 @@ func (f *FileBackend) Load() (*Raw, error) {
 		return nil, err
 	}
 	raw := &Raw{Records: payloads, Snapshots: make(map[uint64][]byte), Damage: damage}
-
-	entries, err := os.ReadDir(f.dir)
+	err = f.snapshots(func(seq uint64, _ string, data []byte) error {
+		raw.addSnapshot(seq, data)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "snap-") && strings.HasSuffix(e.Name(), ".snap") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		seqStr := strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap")
-		seq, err := strconv.ParseUint(seqStr, 10, 64)
-		if err != nil {
-			continue // foreign file; not ours to interpret
-		}
-		data, err := os.ReadFile(filepath.Join(f.dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-		ps, _, dmg := readFrames(data)
-		if dmg != "" || len(ps) != 1 {
-			if raw.Damage == "" {
-				raw.Damage = fmt.Sprintf("snapshot %d unreadable: %s", seq, dmg)
-			}
-			continue
-		}
-		raw.Snapshots[seq] = ps[0]
+		return nil, err
 	}
 	return raw, nil
 }
@@ -284,27 +332,15 @@ func (f *FileBackend) Truncate(n int) error {
 		f.curSize = 0
 	}
 
-	// Drop snapshots past the new tail.
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-			continue
+	return f.snapshots(func(_ uint64, path string, data []byte) error {
+		if readable(data) {
+			return nil
 		}
-		seq, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 10, 64)
-		if perr != nil {
-			continue
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("journal: %w", err)
 		}
-		if seq > uint64(n) {
-			if err := os.Remove(filepath.Join(f.dir, name)); err != nil {
-				return fmt.Errorf("journal: %w", err)
-			}
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Close implements Backend.

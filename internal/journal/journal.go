@@ -1,45 +1,40 @@
-// Package journal is the durable write-ahead log and snapshot store of
-// the control plane: every state transition the executor and the replan
-// controller make is appended as a typed, CRC-framed record, and periodic
-// snapshots capture the full control-plane state (virtual clock cursor,
-// trial/gang state, accrued billing, replan EWMAs, RNG stream cursors).
+// Package journal is the durable log and snapshot store of the control
+// plane. It keeps a run's inputs, not its outputs: a Header (identity
+// and executed plan), one Grant per stage-boundary arbitration and an
+// End, each a typed, CRC-framed record synced before it takes effect.
+// The harness folds every trace event and replan decision into one
+// fingerprint instead; periodic snapshots carry it beside the
+// control-plane state (clock cursor, trial state, billing, replan
+// EWMAs, RNG cursors), and End carries its final value.
 //
-// Recovery is deterministic re-execution validated against the log —
-// state-machine replication with the chaos harness's purity guarantee as
-// the replication substrate. Because the whole pipeline is a pure
-// function of (seed, plan), re-running the scenario rebuilds the exact
-// in-memory state; the journal's role is to make that rebuild
-// *verifiable*: every regenerated record must match the journaled prefix
-// byte for byte, and at every snapshot point the rebuilt state must
-// encode to the stored snapshot exactly. Any divergence — nondeterminism,
-// a corrupted record, a foreign journal — fails loudly instead of
+// Recovery is deterministic re-execution validated against the journal.
+// The pipeline is a pure function of (seed, plan, grants), so re-running
+// the scenario rebuilds the exact state; the journal feeds the rebuild
+// its inputs and makes it *verifiable*: every regenerated input must
+// match the journaled record byte for byte, and every rebuilt snapshot
+// and End must equal the stored one. A differing input is caught at its
+// record, a differing event history at the next snapshot (within one
+// snapshot interval) or at End. Any divergence fails loudly instead of
 // silently resuming a different run. Past the journaled tail the writer
-// switches back to appending, so a recovered run leaves behind the same
-// journal an uninterrupted run would have written.
+// appends, so a recovered run leaves behind the journal an
+// uninterrupted run would have written.
 //
-// Two backends implement the same framed format: MemBackend for tests
-// and FileBackend, which stores records in rolling segment files
-// (journal-NNNNNN.seg) and snapshots in per-sequence files
-// (snap-*.snap). Decoding stops cleanly at the first torn or
-// CRC-corrupt record and reports the damage; nothing after a damaged
-// record is ever trusted.
+// MemBackend (tests) and FileBackend (rolling journal-NNNNNN.seg
+// segments, snap-*.snap snapshots) store the same framed format.
+// Decoding stops cleanly at the first torn or CRC-corrupt record and
+// reports the damage; nothing after it is ever trusted.
 package journal
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "fmt"
 
 // Version is the journal format version, embedded in every run header.
 // Decoders reject records from a different version rather than guessing.
-const Version = 1
+const Version = 2
 
-// Record type tags (the first payload byte of every record).
+// Record type tags (the first payload byte of every record). Tags 2 and
+// 3, version 1's trace-event and decision records, are retired.
 const (
 	tagHeader   = 1
-	tagTrace    = 2
-	tagDecision = 3
 	tagEnd      = 4
 	tagSnapshot = 5
 	tagGrant    = 6
@@ -66,8 +61,8 @@ type Header struct {
 	// run.
 	BatchSeed uint64
 	Index     int64
-	// Interval is the snapshot interval in records (0 = no snapshots).
-	// Stored so a resumed writer snapshots at the same points.
+	// Interval is the snapshot interval in observed events (0 = no
+	// snapshots). Stored so a resumed writer snapshots at the same points.
 	Interval uint64
 	// Deadline is the sampled job deadline in seconds.
 	Deadline float64
@@ -88,96 +83,6 @@ func (h *Header) Encode() []byte {
 	b.f64(h.Deadline)
 	b.bool(h.Planned)
 	b.i64s(h.Alloc)
-	return b.bytes()
-}
-
-// TraceEvent is one executor state transition, mirroring trace.Event with
-// the digest-relevant fields only. Presentation notes are deliberately
-// not journaled: they are excluded from run digests, and keeping records
-// fixed-width makes segment capacity math exact.
-type TraceEvent struct {
-	At    float64
-	Kind  trace.Kind
-	Stage int64
-	Trial int64
-	GPUs  int64
-	Nodes int64
-}
-
-// FromTrace converts a trace event to its journal record. Observed events
-// carry no note (notes are rendered on read, for display only), and a
-// note on any other event is dropped.
-func FromTrace(e trace.Event) *TraceEvent {
-	return &TraceEvent{
-		At: float64(e.At), Kind: e.Kind,
-		Stage: int64(e.Stage), Trial: int64(e.Trial),
-		GPUs: int64(e.GPUs), Nodes: int64(e.Nodes),
-	}
-}
-
-// Encode implements Record. The kind encodes as one wire byte, its
-// value plus one: the trace package fixes the values, and wire code 0
-// is never written.
-func (e *TraceEvent) Encode() []byte {
-	b := newEnc(tagTrace)
-	b.u8(byte(e.Kind) + 1)
-	b.f64(e.At)
-	b.i64(e.Stage)
-	b.i64(e.Trial)
-	b.i64(e.GPUs)
-	b.i64(e.Nodes)
-	return b.bytes()
-}
-
-// Reason codes for Decision records: the values of replan.ReasonDrift
-// and replan.ReasonPreemption, which this package cannot import.
-const (
-	reasonDrift      = 1
-	reasonPreemption = 2
-)
-
-// Decision is a replan decision's full payload — the part of controller
-// state a trace event's note only renders as text.
-type Decision struct {
-	Seq               int64
-	At                float64
-	Reason            uint8 // reasonDrift or reasonPreemption
-	Stage             int64
-	Ratio             float64
-	RemainingDeadline float64
-	OldAlloc          []int64
-	NewAlloc          []int64
-	StaleJCT          float64
-	StaleCost         float64
-	NewJCT            float64
-	NewCost           float64
-	Adopted           bool
-	Infeasible        bool
-}
-
-// Encode implements Record.
-func (d *Decision) Encode() []byte {
-	b := newEnc(tagDecision)
-	b.i64(d.Seq)
-	b.f64(d.At)
-	b.u8(d.Reason)
-	b.i64(d.Stage)
-	b.f64(d.Ratio)
-	b.f64(d.RemainingDeadline)
-	b.i64s(d.OldAlloc)
-	b.i64s(d.NewAlloc)
-	b.f64(d.StaleJCT)
-	b.f64(d.StaleCost)
-	b.f64(d.NewJCT)
-	b.f64(d.NewCost)
-	var flags byte
-	if d.Adopted {
-		flags |= 1
-	}
-	if d.Infeasible {
-		flags |= 2
-	}
-	b.u8(flags)
 	return b.bytes()
 }
 
@@ -205,11 +110,13 @@ func (g *Grant) Encode() []byte {
 }
 
 // End closes a journal: the run completed and produced a result. A
-// journal without an End record is a crashed run.
+// journal without an End record is a crashed run. Fold is the run's
+// final event fold, so recovery checks the whole event history at End.
 type End struct {
 	JCT       float64
 	Cost      float64
 	BestTrial int64
+	Fold      uint64
 }
 
 // Encode implements Record.
@@ -218,12 +125,12 @@ func (e *End) Encode() []byte {
 	b.f64(e.JCT)
 	b.f64(e.Cost)
 	b.i64(e.BestTrial)
+	b.u64(e.Fold)
 	return b.bytes()
 }
 
 // DecodeRecord parses one canonical record payload. It rejects trailing
-// bytes, unknown tags, kind and reason codes that name no kind or
-// reason, flag bits outside the defined set and any length prefix past
+// bytes, unknown tags, non-canonical booleans and any length prefix past
 // maxLen — Decode(Encode(r)) re-encoding byte-identically is the
 // codec's contract.
 func DecodeRecord(payload []byte) (Record, error) {
@@ -247,54 +154,12 @@ func DecodeRecord(payload []byte) (Record, error) {
 		h.Planned = d.mustBool(&err)
 		h.Alloc = d.mustI64s(&err)
 		rec = h
-	case tagTrace:
-		e := &TraceEvent{}
-		var c byte
-		if c, err = d.u8(); err == nil {
-			if e.Kind = trace.Kind(c - 1); c == 0 || !e.Kind.Valid() {
-				return nil, fmt.Errorf("journal: unknown kind code %d", c)
-			}
-		}
-		e.At = d.mustF64(&err)
-		e.Stage = d.mustI64(&err)
-		e.Trial = d.mustI64(&err)
-		e.GPUs = d.mustI64(&err)
-		e.Nodes = d.mustI64(&err)
-		rec = e
-	case tagDecision:
-		dec := &Decision{}
-		dec.Seq = d.mustI64(&err)
-		dec.At = d.mustF64(&err)
-		if err == nil {
-			if dec.Reason, err = d.u8(); err == nil && dec.Reason != reasonDrift && dec.Reason != reasonPreemption {
-				return nil, fmt.Errorf("journal: unknown reason code %d", dec.Reason)
-			}
-		}
-		dec.Stage = d.mustI64(&err)
-		dec.Ratio = d.mustF64(&err)
-		dec.RemainingDeadline = d.mustF64(&err)
-		dec.OldAlloc = d.mustI64s(&err)
-		dec.NewAlloc = d.mustI64s(&err)
-		dec.StaleJCT = d.mustF64(&err)
-		dec.StaleCost = d.mustF64(&err)
-		dec.NewJCT = d.mustF64(&err)
-		dec.NewCost = d.mustF64(&err)
-		if err == nil {
-			var flags byte
-			if flags, err = d.u8(); err == nil {
-				if flags&^byte(3) != 0 {
-					return nil, fmt.Errorf("journal: undefined decision flags %#x", flags)
-				}
-				dec.Adopted = flags&1 != 0
-				dec.Infeasible = flags&2 != 0
-			}
-		}
-		rec = dec
 	case tagEnd:
 		e := &End{}
 		e.JCT = d.mustF64(&err)
 		e.Cost = d.mustF64(&err)
 		e.BestTrial = d.mustI64(&err)
+		e.Fold = d.mustU64(&err)
 		rec = e
 	case tagGrant:
 		g := &Grant{}

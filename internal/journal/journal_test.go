@@ -9,31 +9,24 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/replan"
-	"repro/internal/trace"
 )
 
 // sampleRecords covers every record type with edge-shaped payloads:
-// empty and populated slices, both reasons, the first and last kinds,
-// negative numbers, and non-finite floats (encoded by IEEE-754 bits).
+// empty and populated slices, zero and all-ones folds, negative
+// numbers, and non-finite floats (encoded by IEEE-754 bits).
 func sampleRecords() []Record {
 	return []Record{
 		&Header{BatchSeed: 4, Index: 2, Interval: 7, Deadline: 1234.5, Planned: true, Alloc: []int64{4, 2, 1}},
 		&Header{BatchSeed: 0, Index: -1, Interval: 0, Deadline: 0, Planned: false, Alloc: nil},
-		&TraceEvent{At: 10.25, Kind: trace.KindTrialIter, Stage: 1, Trial: 3, GPUs: 2, Nodes: 1},
-		&TraceEvent{At: 0, Kind: trace.KindStageStart, Stage: -1, Trial: -1, GPUs: 0, Nodes: 0},
-		&TraceEvent{At: 3, Kind: trace.KindReplan, Stage: 2, Trial: -1, GPUs: 0, Nodes: 0},
-		&Decision{Seq: 1, At: 99.5, Reason: reasonDrift, Stage: 1, Ratio: 1.7, RemainingDeadline: 55,
-			OldAlloc: []int64{8, 4}, NewAlloc: []int64{8, 8}, StaleJCT: 100, StaleCost: 12,
-			NewJCT: 90, NewCost: 14, Adopted: true},
-		&Decision{Seq: 2, At: 120, Reason: reasonPreemption, Infeasible: true,
-			StaleJCT: math.Inf(1), NewJCT: math.NaN()},
-		&End{JCT: 812.75, Cost: 19.5, BestTrial: 6},
+		&Header{BatchSeed: math.MaxUint64, Index: 63, Interval: 64, Deadline: math.Inf(1), Alloc: []int64{-1}},
+		&End{JCT: 812.75, Cost: 19.5, BestTrial: 6, Fold: 0xcbf29ce484222325},
 		&End{JCT: 0, Cost: 0, BestTrial: -1},
+		&End{JCT: math.NaN(), Cost: math.Inf(-1), BestTrial: math.MaxInt64, Fold: math.MaxUint64},
 		&Grant{Stage: 1, Want: 8, Granted: 3, At: 42.5},
 		&Grant{Stage: 0, Want: 1, Granted: 1, At: 0},
-		&Snapshot{Seq: 14, VNow: 310.5, ClockSeq: 800, Stage: 1, Alloc: []int64{4, 2},
+		&Grant{Stage: -1, Want: 0, Granted: -5, At: math.NaN()},
+		&Grant{Stage: math.MaxInt64, Want: math.MinInt64, Granted: 1 << 40, At: math.Inf(1)},
+		&Snapshot{Seq: 14, Fold: 0x9e3779b97f4a7c15, VNow: 310.5, ClockSeq: 800, Stage: 1, Alloc: []int64{4, 2},
 			Trials: []TrialSnap{
 				{ID: 0, State: 3, CumIters: 12, HasAcc: true, Acc: 0.91},
 				{ID: 1, State: 1, CumIters: 4},
@@ -43,6 +36,7 @@ func sampleRecords() []Record {
 		&Snapshot{Seq: 7, Stage: -1, HasReplan: true, TotalObs: 30,
 			Allocs:       []AllocEWMA{{GPUs: 1, EWMA: 1.2, Count: 10}, {GPUs: 2, EWMA: 0.8, Count: 20}},
 			OverheadEWMA: 3.5, OverheadCount: 4, Armed: true, LastReplan: 150, Decisions: 2},
+		&Snapshot{Seq: math.MaxUint64, Fold: math.MaxUint64, Stage: -1, VNow: math.NaN()},
 	}
 }
 
@@ -75,12 +69,12 @@ func hasNaN(payload []byte) bool {
 		return false
 	}
 	switch r := rec.(type) {
-	case *Decision:
-		for _, f := range []float64{r.Ratio, r.StaleJCT, r.StaleCost, r.NewJCT, r.NewCost} {
-			if math.IsNaN(f) {
-				return true
-			}
-		}
+	case *End:
+		return math.IsNaN(r.JCT)
+	case *Grant:
+		return math.IsNaN(r.At)
+	case *Snapshot:
+		return math.IsNaN(r.VNow)
 	}
 	return false
 }
@@ -112,17 +106,13 @@ func TestDecodeRejects(t *testing.T) {
 		{"wrong version", mutate(hdr, 1, 9), "version"},
 		{"non-boolean planned", mutate(hdr, 35, 2), "bool"},
 		{"oversized alloc length", mutate(mutate(hdr, 38, 0xff), 39, 0xff), ""},
-		{"kind code 0", kindPayload(0), "unknown kind code 0"},
-		{"reserved kind code 10", kindPayload(10), "unknown kind code 10"},
-		{"reserved kind code 13", kindPayload(13), "unknown kind code 13"},
-		{"kind code past KindReplan", kindPayload(byte(trace.KindReplan) + 2), "unknown kind code 16"},
-		{"unknown kind code", kindPayload(200), "unknown kind code 200"},
-		{"reason code 0", reasonPayload(0), "unknown reason code 0"},
-		{"reason code 3", reasonPayload(3), "unknown reason code 3"},
-		{"undefined decision flags", func() []byte {
-			p := (&Decision{Reason: reasonDrift}).Encode()
-			return mutate(p, len(p)-1, 0x80)
-		}(), "undefined decision flags"},
+		{"retired trace tag", []byte{2, 0}, "unknown record tag 2"},
+		{"retired decision tag", []byte{3, 0}, "unknown record tag 3"},
+		{"version 1 header", mutate(hdr, 1, 1), "header version 1"},
+		{"non-boolean snapshot flag", func() []byte {
+			p := (&Snapshot{Stage: -1}).Encode()
+			return mutate(p, len(p)-1, 2)
+		}(), "bool"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,51 +127,59 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestReasonCodesMatchReplan: the journal's reason codes are the values
-// of the replan reasons they stand for, which decisionRecord passes
-// through unchanged.
-func TestReasonCodesMatchReplan(t *testing.T) {
-	if reasonDrift != uint8(replan.ReasonDrift) || reasonPreemption != uint8(replan.ReasonPreemption) {
-		t.Fatalf("reason codes %d, %d; replan reasons %d, %d",
-			reasonDrift, reasonPreemption, replan.ReasonDrift, replan.ReasonPreemption)
-	}
-}
-
-// kindPayload is a trace record with wire kind code c.
-func kindPayload(c byte) []byte {
-	p := (&TraceEvent{Kind: trace.KindTrialIter}).Encode()
-	p[1] = c
-	return p
-}
-
-// reasonPayload is a decision record with reason code c. The reason
-// byte follows the tag, the sequence number and the time.
-func reasonPayload(c byte) []byte {
-	p := (&Decision{Reason: reasonDrift}).Encode()
-	p[17] = c
-	return p
-}
-
-// feed streams n trace records through w, snapshotting via whatever
-// snapshot function is registered.
+// feed streams a run through w: each record through Record and each
+// nil entry, an observed event, through Event, which snapshots via
+// whatever snapshot function is registered.
 func feed(t *testing.T, w *Writer, recs []Record) {
 	t.Helper()
 	for i, r := range recs {
-		if err := w.Record(r); err != nil {
-			t.Fatalf("record %d: %v", i, err)
+		if err := stream(w, r); err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
 	}
 }
 
-// testRun builds a deterministic record sequence: one header, n trace
-// events, one end.
+// stream sends one step of a run to w and returns the latched error.
+func stream(w *Writer, r Record) error {
+	if r == nil {
+		w.Event()
+		return w.Err()
+	}
+	return w.Record(r)
+}
+
+// feedUntilErr streams recs through w until the first error.
+func feedUntilErr(w *Writer, recs []Record) error {
+	for _, r := range recs {
+		if err := stream(w, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// testRun builds a deterministic run: a header, n observed events (nil
+// entries) with a grant before every second one, and an end.
 func testRun(n int) []Record {
 	recs := []Record{&Header{BatchSeed: 9, Index: 3, Interval: 3, Deadline: 500, Planned: true, Alloc: []int64{2, 1}}}
 	for i := 0; i < n; i++ {
-		recs = append(recs, &TraceEvent{At: float64(i), Kind: trace.KindTrialIter,
-			Stage: 0, Trial: int64(i % 3), GPUs: 1, Nodes: 1})
+		if i%2 == 0 {
+			recs = append(recs, &Grant{Stage: int64(i / 2), Want: 4, Granted: int64(1 + i%3), At: float64(i)})
+		}
+		recs = append(recs, nil)
 	}
-	return append(recs, &End{JCT: float64(n), Cost: 1.5, BestTrial: 0})
+	return append(recs, &End{JCT: float64(n), Cost: 1.5, BestTrial: 0, Fold: uint64(n)})
+}
+
+// inputs returns the records of a run built by testRun, events left out.
+func inputs(recs []Record) []Record {
+	var out []Record
+	for _, r := range recs {
+		if r != nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // snapFnCounting returns a snapshot function that fabricates a
@@ -198,29 +196,31 @@ func TestWriterSnapshotInterval(t *testing.T) {
 	w := NewWriter(b, 3)
 	var snaps int
 	w.SetSnapshotFunc(snapFnCounting(&snaps))
-	feed(t, w, testRun(8)) // 10 records: snapshots at 3, 6, 9
-	if snaps != 3 {
-		t.Fatalf("snapshot function invoked %d times, want 3", snaps)
+	feed(t, w, testRun(8)) // 8 events: snapshots at 3 and 6
+	if snaps != 2 {
+		t.Fatalf("snapshot function invoked %d times, want 2", snaps)
 	}
 	raw, err := b.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seq := range []uint64{3, 6, 9} {
-		if _, ok := raw.Snapshots[seq]; !ok {
-			t.Errorf("no snapshot at seq %d (have %v)", seq, keys(raw.Snapshots))
-		}
+	if got := keys(raw.Snapshots); !reflect.DeepEqual(got, []uint64{3, 6}) {
+		t.Fatalf("snapshots at %v, want [3 6]", got)
 	}
-	if len(raw.Snapshots) != 3 {
-		t.Fatalf("%d snapshots stored, want 3", len(raw.Snapshots))
-	}
-	// The stored snapshot carries its sequence.
+	// The stored snapshot carries its event count.
 	rec, err := DecodeRecord(raw.Snapshots[6])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := rec.(*Snapshot); s.Seq != 6 {
 		t.Fatalf("snapshot at key 6 encodes Seq %d", s.Seq)
+	}
+	// Only the inputs are records; every record and snapshot is a write.
+	if want := len(inputs(testRun(8))); len(raw.Records) != want {
+		t.Fatalf("%d records, want the %d inputs", len(raw.Records), want)
+	}
+	if w.Seq() != uint64(len(raw.Records)+2) {
+		t.Fatalf("Seq = %d, want %d records + 2 snapshots", w.Seq(), len(raw.Records))
 	}
 }
 
@@ -238,12 +238,7 @@ func TestWriterCrashClean(t *testing.T) {
 	w := NewWriter(b, 0)
 	w.SetCrashPoint(4, 0)
 	recs := testRun(8)
-	var got error
-	for _, r := range recs {
-		if got = w.Record(r); got != nil {
-			break
-		}
-	}
+	got := feedUntilErr(w, recs)
 	if got != ErrCrash {
 		t.Fatalf("crash surfaced as %v, want ErrCrash", got)
 	}
@@ -268,11 +263,7 @@ func TestWriterCrashTorn(t *testing.T) {
 	w := NewWriter(b, 0)
 	w.SetCrashPoint(2, 1_000_000) // clamped below the full frame
 	recs := testRun(8)
-	for _, r := range recs {
-		if w.Record(r) != nil {
-			break
-		}
-	}
+	_ = feedUntilErr(w, recs)
 	raw, err := b.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +276,34 @@ func TestWriterCrashTorn(t *testing.T) {
 	}
 	// The torn frame is strictly shorter than the record's full frame, so
 	// the fatal record itself never decodes.
-	full := frameOverhead + len(recs[2].Encode())
-	torn := len(b.data) - (frameOverhead*2 + len(recs[0].Encode()) + len(recs[1].Encode()))
+	in := inputs(recs)
+	full := frameOverhead + len(in[2].Encode())
+	torn := len(b.data) - (frameOverhead*2 + len(in[0].Encode()) + len(in[1].Encode()))
 	if torn <= 0 || torn >= full {
 		t.Fatalf("torn bytes %d, want in (0, %d)", torn, full)
+	}
+}
+
+// TestWriterCrashCountsSnapshots: crash points count snapshots as
+// writes, so a kill lands between two snapshots as well as at a record.
+func TestWriterCrashCountsSnapshots(t *testing.T) {
+	// testRun(8) at interval 3 writes: header, grant, grant, snapshot 3,
+	// grant, ... — write 3 is the first snapshot.
+	b := NewMemBackend()
+	w := NewWriter(b, 3)
+	var n int
+	w.SetSnapshotFunc(snapFnCounting(&n))
+	w.SetCrashPoint(3, 0)
+	if err := feedUntilErr(w, testRun(8)); err != ErrCrash {
+		t.Fatalf("crash surfaced as %v, want ErrCrash", err)
+	}
+	raw, err := b.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Records) != 3 || len(raw.Snapshots) != 0 || raw.Damage != "" {
+		t.Fatalf("crashed journal: %d records, snapshots %v, damage %q; want 3 records and no snapshot",
+			len(raw.Records), keys(raw.Snapshots), raw.Damage)
 	}
 }
 
@@ -302,17 +317,13 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	wr.SetSnapshotFunc(snapFnCounting(&n1))
 	feed(t, wr, recs)
 
-	// Crash at record 7 with a torn tail.
+	// Crash at write 7 with a torn tail.
 	crashed := NewMemBackend()
 	wc := NewWriter(crashed, 3)
 	var n2 int
 	wc.SetSnapshotFunc(snapFnCounting(&n2))
 	wc.SetCrashPoint(7, 3)
-	for _, r := range recs {
-		if wc.Record(r) != nil {
-			break
-		}
-	}
+	_ = feedUntilErr(wc, recs)
 
 	// Resume: damage reported and truncated, header returned, interval
 	// adopted from the header record (not passed by the caller).
@@ -329,7 +340,7 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	if damage == "" {
 		t.Fatal("torn crash resumed without damage report")
 	}
-	if !(int(w2.seq) < len(w2.prefix)) {
+	if !(int(w2.records) < len(w2.prefix)) {
 		t.Fatal("resumed writer not in verify mode")
 	}
 	// The re-executed run streams the same records; snapshot counters must
@@ -337,11 +348,11 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	var n3 int
 	w2.SetSnapshotFunc(snapFnCounting(&n3))
 	feed(t, w2, recs)
-	if int(w2.seq) < len(w2.prefix) {
+	if int(w2.records) < len(w2.prefix) {
 		t.Fatal("writer still verifying after full replay")
 	}
 	if w2.Seq() != wr.Seq() {
-		t.Fatalf("recovered journal has %d records, reference %d", w2.Seq(), wr.Seq())
+		t.Fatalf("recovered journal made %d writes, reference %d", w2.Seq(), wr.Seq())
 	}
 	diff, err := Diff(ref, crashed)
 	if err != nil {
@@ -352,31 +363,75 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	}
 }
 
+// TestResumeRepersistsTornSnapshot: a crash that tears a snapshot
+// leaves it unreadable under its final name, on both backends. Load
+// reports it, Resume drops it, and the re-executed run persists it
+// again, so the recovered journal equals the uninterrupted one.
+func TestResumeRepersistsTornSnapshot(t *testing.T) {
+	recs := testRun(10)
+	ref := NewMemBackend()
+	wr := NewWriter(ref, 3)
+	var n int
+	wr.SetSnapshotFunc(snapFnCounting(&n))
+	feed(t, wr, recs)
+	for name, b := range map[string]Backend{"mem": NewMemBackend(), "file": newFileBackend(t)} {
+		t.Run(name, func(t *testing.T) {
+			// Write 8 is the last snapshot, at event 9: six records and
+			// snapshots 3 and 6 come before it.
+			w := NewWriter(b, 3)
+			var nc int
+			w.SetSnapshotFunc(snapFnCounting(&nc))
+			w.SetCrashPoint(8, 5)
+			if err := feedUntilErr(w, recs); err != ErrCrash {
+				t.Fatalf("crash surfaced as %v", err)
+			}
+			raw, err := b.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(raw.Damage, "snapshot 9 unreadable") || len(raw.Snapshots) != 2 {
+				t.Fatalf("damage %q, snapshots %v; want snapshot 9 reported unreadable", raw.Damage, keys(raw.Snapshots))
+			}
+			w2, _, damage, err := Resume(b, 0)
+			if err != nil || damage == "" {
+				t.Fatalf("resume: damage %q, err %v", damage, err)
+			}
+			var nr int
+			w2.SetSnapshotFunc(snapFnCounting(&nr))
+			feed(t, w2, recs)
+			if diff, err := Diff(ref, b); err != nil || diff != "" {
+				t.Fatalf("recovered journal differs from reference: %q (err %v)", diff, err)
+			}
+		})
+	}
+}
+
+// newFileBackend returns a file backend over a fresh directory, with
+// segments small enough to roll every few records.
+func newFileBackend(t *testing.T) Backend {
+	fb, err := NewFileBackend(t.TempDir(), WithSegmentBytes(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fb.Close() })
+	return fb
+}
+
 func TestResumeDivergenceDetected(t *testing.T) {
 	recs := testRun(10)
 	b := NewMemBackend()
 	w := NewWriter(b, 0)
-	w.SetCrashPoint(8, 0)
-	for _, r := range recs {
-		if w.Record(r) != nil {
-			break
-		}
-	}
+	w.SetCrashPoint(6, 0)
+	_ = feedUntilErr(w, recs)
 	w2, _, _, err := Resume(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay a mutated record inside the prefix: byte-verification must
+	// Replay a mutated input inside the prefix: byte-verification must
 	// refuse it.
 	mutated := append([]Record{}, recs...)
-	mutated[5] = &TraceEvent{At: 5, Kind: trace.KindTrialIter, Stage: 0, Trial: 2, GPUs: 9, Nodes: 9}
-	var got error
-	for _, r := range mutated {
-		if got = w2.Record(r); got != nil {
-			break
-		}
-	}
-	if !strings.Contains(got.Error(), "diverged") {
+	mutated[4] = &Grant{Stage: 1, Want: 4, Granted: 4, At: 2}
+	if got := feedUntilErr(w2, mutated); got == nil || !strings.Contains(got.Error(), "diverged") {
 		t.Fatalf("divergent replay error = %v, want ErrDiverged", got)
 	}
 }
@@ -388,11 +443,7 @@ func TestResumeSnapshotDivergenceDetected(t *testing.T) {
 	var n1 int
 	w.SetSnapshotFunc(snapFnCounting(&n1))
 	w.SetCrashPoint(8, 0)
-	for _, r := range recs {
-		if w.Record(r) != nil {
-			break
-		}
-	}
+	_ = feedUntilErr(w, recs)
 	w2, _, _, err := Resume(b, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -402,12 +453,7 @@ func TestResumeSnapshotDivergenceDetected(t *testing.T) {
 	// point rather than silently resuming a different run.
 	n2 := 100
 	w2.SetSnapshotFunc(snapFnCounting(&n2))
-	var got error
-	for _, r := range recs {
-		if got = w2.Record(r); got != nil {
-			break
-		}
-	}
+	got := feedUntilErr(w2, recs)
 	if got == nil || !strings.Contains(got.Error(), "snapshot") || !strings.Contains(got.Error(), "diverged") {
 		t.Fatalf("snapshot divergence error = %v", got)
 	}
@@ -432,7 +478,7 @@ func TestResumeEmptyJournal(t *testing.T) {
 	if hdr != nil || damage != "" {
 		t.Fatalf("empty journal resumed with hdr=%v damage=%q", hdr, damage)
 	}
-	if int(w.seq) < len(w.prefix) {
+	if int(w.records) < len(w.prefix) {
 		t.Fatal("empty journal writer claims a prefix to verify")
 	}
 	// Degenerates to a fresh appending run.
@@ -482,7 +528,7 @@ func TestFileSegmentRolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(segs) < 3 {
-		t.Fatalf("%d segments after 32 records at 128-byte roll threshold, want several", len(segs))
+		t.Fatalf("%d segments after %d records at 128-byte roll threshold, want several", len(segs), len(inputs(recs)))
 	}
 	// No record spans segments: every segment parses cleanly on its own.
 	total := 0
@@ -497,8 +543,8 @@ func TestFileSegmentRolling(t *testing.T) {
 		}
 		total += len(ps)
 	}
-	if total != len(recs) {
-		t.Fatalf("segments hold %d records, wrote %d", total, len(recs))
+	if total != len(inputs(recs)) {
+		t.Fatalf("segments hold %d records, wrote %d", total, len(inputs(recs)))
 	}
 
 	// Reopening the directory resumes the last segment and appending
@@ -515,14 +561,14 @@ func TestFileSegmentRolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) != len(recs)+1 || raw.Damage != "" {
+	if len(raw.Records) != len(inputs(recs))+1 || raw.Damage != "" {
 		t.Fatalf("after reopen+append: %d records, damage %q", len(raw.Records), raw.Damage)
 	}
 }
 
 // TestTruncate exercises Truncate on both backends: records past n and
-// snapshots past seq n are discarded, and appends continue cleanly from
-// the cut.
+// unreadable snapshots are discarded, readable snapshots stay whatever
+// their event count, and appends continue cleanly from the cut.
 func TestTruncate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -545,6 +591,9 @@ func TestTruncate(t *testing.T) {
 			var n int
 			w.SetSnapshotFunc(snapFnCounting(&n))
 			feed(t, w, recs)
+			if err := b.(RawAppender).PutSnapshotRaw(24, []byte{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
 
 			if err := b.Truncate(9); err != nil {
 				t.Fatal(err)
@@ -556,10 +605,8 @@ func TestTruncate(t *testing.T) {
 			if len(raw.Records) != 9 || raw.Damage != "" {
 				t.Fatalf("after truncate: %d records, damage %q", len(raw.Records), raw.Damage)
 			}
-			for seq := range raw.Snapshots {
-				if seq > 9 {
-					t.Errorf("snapshot %d survived truncation to 9 records", seq)
-				}
+			if got := keys(raw.Snapshots); !reflect.DeepEqual(got, []uint64{4, 8, 12, 16, 20}) {
+				t.Errorf("snapshots %v after truncation, want the five readable ones", got)
 			}
 			if err := b.Append((&End{JCT: 1}).Encode()); err != nil {
 				t.Fatal(err)
@@ -591,12 +638,8 @@ func TestFileTornTailTruncatedOnResume(t *testing.T) {
 	}
 	recs := testRun(6)
 	w := NewWriter(fb, 0)
-	w.SetCrashPoint(5, 9)
-	for _, r := range recs {
-		if w.Record(r) != nil {
-			break
-		}
-	}
+	w.SetCrashPoint(4, 9) // the End record
+	_ = feedUntilErr(w, recs)
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +661,7 @@ func TestFileTornTailTruncatedOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) != len(recs) || raw.Damage != "" {
-		t.Fatalf("recovered file journal: %d records damage %q, want %d clean", len(raw.Records), raw.Damage, len(recs))
+	if len(raw.Records) != len(inputs(recs)) || raw.Damage != "" {
+		t.Fatalf("recovered file journal: %d records damage %q, want %d clean", len(raw.Records), raw.Damage, len(inputs(recs)))
 	}
 }

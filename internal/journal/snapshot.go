@@ -19,20 +19,24 @@ type AllocEWMA struct {
 	Count int64
 }
 
-// Snapshot captures the full control-plane state at a journal sequence
-// point: the virtual clock cursor (time and scheduling sequence), the
-// live execution plan and per-trial state, accrued billing, the replan
-// controller's EWMAs, and the RNG stream cursors of the two mutable
-// generators (executor and provider).
+// Snapshot captures the full control-plane state after a run's Seq-th
+// observed event: the event fold so far, the virtual clock cursor (time
+// and scheduling sequence), the live execution plan and per-trial
+// state, accrued billing, the replan controller's EWMAs, and the RNG
+// stream cursors of the two mutable generators (executor and provider).
 //
 // Snapshots are verified fingerprints, not restore images: recovery
-// re-executes the pure pipeline and, at every snapshot sequence, the
-// rebuilt state must encode to the stored snapshot byte for byte. Any
-// mismatch means the rebuild diverged and recovery fails loudly.
+// re-executes the pure pipeline and, at every snapshot's event count,
+// the rebuilt state must encode to the stored snapshot byte for byte.
+// Any mismatch means the rebuild diverged and recovery fails loudly.
 type Snapshot struct {
-	// Seq is the record sequence the snapshot follows: it was captured
-	// immediately after record Seq-1 (0-based) was appended.
+	// Seq is the number of events (trace events and replan decisions)
+	// the run had observed when the snapshot was captured.
 	Seq uint64
+	// Fold is the cumulative fingerprint of those Seq events (the
+	// harness folds each one as its run digest does), so a snapshot
+	// checks the event history as well as the state it led to.
+	Fold uint64
 	// VNow and ClockSeq are the virtual clock's cursor: current time and
 	// the number of events ever scheduled.
 	VNow     float64
@@ -78,6 +82,7 @@ type Snapshot struct {
 func (s *Snapshot) Encode() []byte {
 	b := newEnc(tagSnapshot)
 	b.u64(s.Seq)
+	b.u64(s.Fold)
 	b.f64(s.VNow)
 	b.u64(s.ClockSeq)
 	b.i64(s.Stage)
@@ -124,6 +129,7 @@ func decodeSnapshot(d *dec) (*Snapshot, error) {
 	var err error
 	s := &Snapshot{}
 	s.Seq = d.mustU64(&err)
+	s.Fold = d.mustU64(&err)
 	s.VNow = d.mustF64(&err)
 	s.ClockSeq = d.mustU64(&err)
 	s.Stage = d.mustI64(&err)

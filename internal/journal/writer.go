@@ -7,9 +7,9 @@ import (
 )
 
 // ErrCrash is the injected control-plane kill: a Writer with an armed
-// crash point returns it (wrapped in nothing) instead of appending the
-// crash record, simulating the process dying mid-run with only the
-// already-framed bytes durable. The chaos harness's crash/restart fault
+// crash point returns it (wrapped in nothing) instead of making the
+// crash write, simulating the process dying mid-run with only the
+// already-written bytes durable. The chaos harness's crash/restart fault
 // model checks for it with errors.Is.
 var ErrCrash = errors.New("journal: injected crash")
 
@@ -21,19 +21,21 @@ var ErrCrash = errors.New("journal: injected crash")
 var ErrDiverged = errors.New("journal: replay diverged from journal")
 
 // RawAppender is implemented by backends that can persist raw bytes
-// without framing — the torn-write fault-injection hook used to simulate
-// a crash mid-append.
+// without framing — the fault-injection hooks that tear a record or a
+// snapshot, as a crash mid-write does.
 type RawAppender interface {
 	AppendRaw(b []byte) error
+	PutSnapshotRaw(seq uint64, b []byte) error
 }
 
-// Writer is the journaling front end: records stream through Record,
-// snapshots are captured every Interval records via the registered
-// snapshot function, and crash points can be armed for fault injection.
+// Writer is the journaling front end: input records stream through
+// Record, observed events are counted through Event, snapshots are
+// captured every Interval events via the registered snapshot function,
+// and crash points can be armed for fault injection.
 //
 // A Writer returned by Resume starts in verify mode: each regenerated
 // record is byte-compared against the journaled prefix (and each rebuilt
-// snapshot against the stored one) instead of being appended; after the
+// snapshot against the stored one) instead of being written; after the
 // prefix is exhausted the Writer switches to appending, so a recovered
 // run leaves behind exactly the journal an uninterrupted run would have
 // written. The first error — divergence, crash, backend failure — is
@@ -46,7 +48,8 @@ type Writer struct {
 
 	prefix [][]byte
 	snaps  map[uint64][]byte
-	seq    uint64
+	// writes counts records and snapshots, the unit of crash points.
+	records, events, writes uint64
 
 	crashArmed bool
 	crashSeq   uint64
@@ -56,18 +59,19 @@ type Writer struct {
 }
 
 // NewWriter returns an appending Writer over an empty (or to-be-
-// overwritten) backend. interval is the snapshot interval in records
-// (0 disables snapshots).
+// overwritten) backend. interval is the snapshot interval in observed
+// events (0 disables snapshots).
 func NewWriter(b Backend, interval uint64) *Writer {
 	return &Writer{b: b, interval: interval, snaps: make(map[uint64][]byte)}
 }
 
 // Resume opens an existing journal for recovery. It loads and validates
-// every frame, truncates any damage (torn tail, CRC-corrupt suffix) so
-// appends continue cleanly from the last trusted record, and returns a
-// Writer in verify mode over the trusted prefix, the decoded run header
-// (nil when the journal holds no complete record), and a description of
-// the damage that was truncated (empty for a clean journal).
+// every frame, truncates any damage (torn tail, CRC-corrupt suffix,
+// unreadable snapshots) so appends continue cleanly from the last
+// trusted record, and returns a Writer in verify mode over the trusted
+// prefix, the decoded run header (nil when the journal holds no
+// complete record), and a description of the damage that was truncated
+// (empty for a clean journal).
 //
 // interval is the configured snapshot interval, used only when the
 // journal holds no header yet (a crash before anything durable): a
@@ -75,8 +79,9 @@ func NewWriter(b Backend, interval uint64) *Writer {
 // the original run's points.
 //
 // The caller must re-execute the run that wrote the journal and stream
-// its records through Writer.Record; the Writer verifies the prefix and
-// then appends the remainder.
+// its records and events through the Writer; the Writer verifies the
+// prefix and the stored snapshots, re-persists any snapshot that is
+// missing, and then appends the remainder.
 func Resume(b Backend, interval uint64) (*Writer, *Header, string, error) {
 	raw, err := b.Load()
 	if err != nil {
@@ -89,9 +94,6 @@ func Resume(b Backend, interval uint64) (*Writer, *Header, string, error) {
 		}
 	}
 	w := &Writer{b: b, interval: interval, prefix: raw.Records, snaps: raw.Snapshots}
-	if w.snaps == nil {
-		w.snaps = make(map[uint64][]byte)
-	}
 	if len(raw.Records) == 0 {
 		return w, nil, damage, nil
 	}
@@ -107,11 +109,13 @@ func Resume(b Backend, interval uint64) (*Writer, *Header, string, error) {
 	return w, hdr, damage, nil
 }
 
-// Interval returns the snapshot interval in records (0 = disabled).
+// Interval returns the snapshot interval in observed events (0 =
+// disabled).
 func (w *Writer) Interval() uint64 { return w.interval }
 
-// Seq returns the number of records recorded (verified or appended).
-func (w *Writer) Seq() uint64 { return w.seq }
+// Seq returns the number of durable writes made so far, verified or
+// appended: records and snapshots alike, the unit of SetCrashPoint.
+func (w *Writer) Seq() uint64 { return w.writes }
 
 // Err returns the latched error, if any. The harness's clock-step loop
 // polls it so a crash or divergence inside an event callback stops the
@@ -125,81 +129,85 @@ func (w *Writer) Err() error { return w.err }
 func (w *Writer) SetSnapshotFunc(fn func() *Snapshot) { w.snapFn = fn }
 
 // SetCrashPoint arms fault injection: the Writer returns ErrCrash when
-// it is about to record the record whose sequence number is seq, leaving
-// the journal with exactly seq records plus torn bytes of the fatal
-// record's frame (clamped below a complete frame; 0 = clean kill at a
-// record boundary).
+// it is about to make durable write seq (0-based, records and snapshots
+// counted alike, see Seq), leaving the journal with exactly the seq
+// writes before it plus torn bytes of the fatal write's frame (clamped
+// below a complete frame; 0 = clean kill at a write boundary).
 func (w *Writer) SetCrashPoint(seq uint64, torn int) {
 	w.crashArmed = true
 	w.crashSeq = seq
 	w.crashTorn = torn
 }
 
-// Record streams one record through the Writer: verified against the
-// resumed prefix or durably appended, with snapshot capture/verification
-// at interval boundaries. The first error is latched.
+// crash reports whether the next write is the armed crash point. If it
+// is, it latches ErrCrash; a torn crash of a fresh write (a crash inside
+// a verified prefix writes nothing new) first leaves a prefix of
+// payload's frame, clamped below a complete frame, through tear.
+func (w *Writer) crash(payload []byte, fresh bool, tear func(RawAppender, []byte) error) bool {
+	if !w.crashArmed || w.writes != w.crashSeq {
+		return false
+	}
+	w.err = ErrCrash
+	if ra, ok := w.b.(RawAppender); ok && fresh && w.crashTorn > 0 {
+		fr := frame(payload)
+		if err := tear(ra, fr[:min(w.crashTorn, len(fr)-1)]); err != nil {
+			w.err = err
+		}
+	}
+	return true
+}
+
+// Record streams one input record through the Writer: verified against
+// the resumed prefix, or appended and synced, so the input is durable
+// before the run acts on it. The first error is latched.
 func (w *Writer) Record(r Record) error {
 	if w.err != nil {
 		return w.err
 	}
 	payload := r.Encode()
-	if w.crashArmed && w.seq == w.crashSeq {
-		// Simulated kill: the record is lost; at most a torn prefix of its
-		// frame reaches the store (and only when actually appending — a
-		// crash inside a verified prefix writes nothing new).
-		if w.crashTorn > 0 && int(w.seq) >= len(w.prefix) {
-			if ra, ok := w.b.(RawAppender); ok {
-				fr := frame(payload)
-				t := w.crashTorn
-				if t >= len(fr) {
-					t = len(fr) - 1
-				}
-				if err := ra.AppendRaw(fr[:t]); err != nil {
-					w.err = err
-					return err
-				}
-			}
-		}
-		w.err = ErrCrash
+	fresh := w.records >= uint64(len(w.prefix))
+	if w.crash(payload, fresh, func(ra RawAppender, b []byte) error { return ra.AppendRaw(b) }) {
 		return w.err
 	}
-	if int(w.seq) < len(w.prefix) {
-		if !bytes.Equal(payload, w.prefix[w.seq]) {
+	if !fresh {
+		if !bytes.Equal(payload, w.prefix[w.records]) {
 			w.err = fmt.Errorf("record %d: regenerated %d bytes != journaled %d bytes: %w",
-				w.seq, len(payload), len(w.prefix[w.seq]), ErrDiverged)
+				w.records, len(payload), len(w.prefix[w.records]), ErrDiverged)
 			return w.err
 		}
-	} else {
-		if err := w.b.Append(payload); err != nil {
-			w.err = err
-			return err
-		}
+	} else if err := w.b.Append(payload); err != nil {
+		w.err = err
+		return err
+	} else if err := w.b.Sync(); err != nil {
+		w.err = err
+		return err
 	}
-	w.seq++
-	if w.interval > 0 && w.seq%w.interval == 0 {
-		if err := w.snapshot(); err != nil {
-			w.err = err
-			return err
-		}
-	}
+	w.records++
+	w.writes++
 	return nil
 }
 
-// Observe is Record for event-callback call sites that cannot propagate
-// an error (trace and replan observers return nothing): the first
-// failure is latched and re-surfaced by Err, which the run's step loop
-// polls between clock events.
-func (w *Writer) Observe(r Record) {
-	if err := w.Record(r); err != nil {
-		w.err = err
+// Event counts one observed trace event or replan decision and, every
+// interval events, captures a snapshot. Observers cannot propagate an
+// error, so a failure is latched and re-surfaced by Err, which the run's
+// step loop polls between clock events.
+func (w *Writer) Event() {
+	if w.err != nil {
+		return
+	}
+	w.events++
+	if w.interval > 0 && w.events%w.interval == 0 {
+		if err := w.snapshot(); err != nil {
+			w.err = err
+		}
 	}
 }
 
-// snapshot captures the control-plane state at the current sequence and
-// either verifies it against the stored snapshot (recovery) or persists
-// it. A snapshot missing from a resumed journal (dropped with a damaged
-// tail) is re-persisted so the recovered journal matches the
-// uninterrupted one's.
+// snapshot captures the control-plane state at the current event count
+// and either verifies it against the stored snapshot (recovery) or
+// persists it. A snapshot missing from a resumed journal (lost in the
+// crash, or dropped as unreadable) is re-persisted so the recovered
+// journal matches the uninterrupted one's.
 func (w *Writer) snapshot() error {
 	if w.snapFn == nil {
 		return nil
@@ -208,18 +216,23 @@ func (w *Writer) snapshot() error {
 	if s == nil {
 		return nil
 	}
-	s.Seq = w.seq
+	s.Seq = w.events
 	payload := s.Encode()
-	if stored, ok := w.snaps[w.seq]; ok {
+	stored, ok := w.snaps[w.events]
+	if w.crash(payload, !ok, func(ra RawAppender, b []byte) error { return ra.PutSnapshotRaw(s.Seq, b) }) {
+		return w.err
+	}
+	if ok {
 		if !bytes.Equal(payload, stored) {
-			return fmt.Errorf("snapshot at record %d: rebuilt state (%d bytes) != stored snapshot (%d bytes): %w",
-				w.seq, len(payload), len(stored), ErrDiverged)
+			return fmt.Errorf("snapshot at event %d: rebuilt state (%d bytes) != stored snapshot (%d bytes): %w",
+				w.events, len(payload), len(stored), ErrDiverged)
 		}
-		return nil
+	} else {
+		if err := w.b.PutSnapshot(w.events, payload); err != nil {
+			return err
+		}
+		w.snaps[w.events] = payload
 	}
-	if err := w.b.PutSnapshot(w.seq, payload); err != nil {
-		return err
-	}
-	w.snaps[w.seq] = payload
+	w.writes++
 	return nil
 }

@@ -32,7 +32,7 @@
 // keeps all of it for the next Init. So a decision on a recycled
 // controller allocates only the planner's returned plan and the
 // iteration distributions its Simulator's share column boxes; what a
-// caller keeps (the trace note, the journal record) the caller copies,
+// caller keeps (the trace note) the caller copies,
 // and Decisions returns a deep copy that outlives the controller's next
 // run.
 package replan
@@ -53,8 +53,7 @@ import (
 	"repro/internal/vclock"
 )
 
-// Reason classifies what initiated a replan decision. Its value is the
-// journal's code for it.
+// Reason classifies what initiated a replan decision.
 type Reason uint8
 
 const (
@@ -185,8 +184,8 @@ type Decision struct {
 	RemainingDeadline float64
 	// OldPlan is the full plan before the decision; NewPlan after it
 	// (equal to OldPlan, and sharing its storage, unless Adopted). Both
-	// are read-only: the journal, the trace note and the digest only read
-	// them, and a caller that wants to edit one clones it first.
+	// are read-only: the journal's event fold, the trace note and the
+	// digest only read them, and a caller that wants to edit one clones it first.
 	OldPlan, NewPlan sim.Plan
 	// StaleEstimate prices OldPlan's remaining tail under the re-fitted
 	// profile (zero Estimate when the remaining deadline was already
@@ -281,7 +280,7 @@ type Controller struct {
 	pl planner.Planner
 
 	// observer, when non-nil, receives every committed decision — the
-	// write-ahead journaling hook.
+	// hook a journaled run's event fold hangs on.
 	observer func(Decision)
 }
 
@@ -394,11 +393,11 @@ func (c *Controller) carve(alloc []int) sim.Plan {
 }
 
 // SetObserver registers fn to receive every subsequently committed
-// decision, synchronously and in decision order. The journal writer
-// subscribes here so replan decisions hit the write-ahead log with their
-// full payload (trace events only carry the rendered note). The decision
-// fn receives refers to the controller's storage: fn copies what it
-// keeps.
+// decision, synchronously and in decision order. A journaled run
+// subscribes here to fold each decision's full payload (trace events
+// only carry the rendered note) into its journal's event fold. The
+// decision fn receives refers to the controller's storage: fn copies
+// what it keeps.
 func (c *Controller) SetObserver(fn func(Decision)) { c.observer = fn }
 
 // AllocState is the drift detector's state for one per-trial allocation.

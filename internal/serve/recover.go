@@ -24,14 +24,17 @@ type RecoverReport struct {
 	// prefix.
 	Damaged []string
 	// Failed lists experiment ids whose recovery could not complete
-	// (divergence, unreadable sidecar); they are registered as failed.
+	// (divergence, unreadable sidecar) or that had failed in an earlier
+	// generation (failed.json present, adopted without re-running); they
+	// are registered as failed.
 	Failed []string
 }
 
 // Recover scans DataDir for experiments from previous process
 // generations and brings the server back to a consistent state:
-// completed runs (replay.json present) are adopted as done, and
-// unfinished runs are resumed by verified re-execution — the journaled
+// completed runs (replay.json present) are adopted as done, failed runs
+// (failed.json present) as failed, and unfinished runs are resumed by
+// verified re-execution — the journaled
 // prefix (including every Grant record) is byte-compared while the run
 // is re-driven, then fresh stages arbitrate live. Resumption is
 // sequential in (tenant, id) order, so recovered grant appends are
@@ -49,20 +52,30 @@ func (s *Server) Recover() (RecoverReport, error) {
 		var (
 			sc subSidecar
 			t  ReplayTuple
+			f  failSidecar
 		)
-		if err := readSidecar(filepath.Join(ref.Dir, "submission.json"), &sc); errors.Is(err, os.ErrNotExist) {
+		if ok, err := readSidecar(ref, "submission.json", &sc); err != nil {
+			return rep, err
+		} else if !ok {
 			// A directory with no submission sidecar never held an
 			// admitted experiment; skip it.
 			continue
-		} else if err != nil {
-			return rep, fmt.Errorf("serve: recover %s/%s: %w", ref.Tenant, ref.Run, err)
 		}
-		if err := readSidecar(filepath.Join(ref.Dir, "replay.json"), &t); err == nil {
+		if ok, err := readSidecar(ref, "replay.json", &t); err != nil {
+			return rep, err
+		} else if ok {
 			s.reg.adopt(newRecoveredDone(t), false)
 			rep.Adopted++
 			continue
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return rep, fmt.Errorf("serve: recover %s/%s: %w", ref.Tenant, ref.Run, err)
+		}
+		if ok, err := readSidecar(ref, "failed.json", &f); err != nil {
+			return rep, err
+		} else if ok {
+			exp := newExperiment(sc.ID, sc.Submission)
+			exp.fail(errors.New(f.Error))
+			s.reg.adopt(exp, false)
+			rep.Failed = append(rep.Failed, sc.ID)
+			continue
 		}
 		damaged, err := s.resume(sc)
 		if damaged {
@@ -157,15 +170,37 @@ func grantPrefix(b journal.Backend) ([]harness.GrantDecision, error) {
 	return out, nil
 }
 
-// readSidecar decodes a run's sidecar, submission.json or replay.json,
-// into v.
-func readSidecar(path string, v any) error {
-	data, err := os.ReadFile(path)
+// failSidecar is the failed.json schema: why an experiment failed.
+type failSidecar struct {
+	ID    string `json:"id"`
+	Error string `json:"error"`
+}
+
+// persistFailure writes exp's failed.json sidecar for Recover to adopt.
+// An injected journal.ErrCrash models the process dying, which writes
+// nothing, so that run resumes.
+func (s *Server) persistFailure(exp *Experiment, err error) {
+	if s.cfg.DataDir == "" || errors.Is(err, journal.ErrCrash) || !journal.ValidName(exp.Sub.Tenant) {
+		return
+	}
+	path := filepath.Join(s.cfg.DataDir, exp.Sub.Tenant, exp.ID, "failed.json")
+	if werr := writeSidecar(path, failSidecar{ID: exp.ID, Error: err.Error()}); werr != nil && !errors.Is(werr, os.ErrNotExist) {
+		fmt.Fprintln(os.Stderr, "rbserve: writing failure sidecar:", werr)
+	}
+}
+
+// readSidecar decodes ref's sidecar name (submission.json, replay.json
+// or failed.json) into v and reports whether it exists.
+func readSidecar(ref journal.RunRef, name string, v any) (bool, error) {
+	data, err := os.ReadFile(filepath.Join(ref.Dir, name))
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
 	if err != nil {
-		return err
+		return false, fmt.Errorf("serve: recover %s/%s: %s: %w", ref.Tenant, ref.Run, name, err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return nil
+	return true, nil
 }

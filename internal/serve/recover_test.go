@@ -19,8 +19,8 @@ import (
 func grantAll(req harness.GrantRequest) int { return req.Want }
 
 // refRun executes sub's scenario uncontended and journaled offline,
-// returning the reference digest and the journal's total record count
-// (for picking crash points).
+// returning the reference digest and the journal's total write count,
+// records and snapshots (for picking crash points).
 func refRun(t *testing.T, sub Submission) (harness.Digest, uint64) {
 	t.Helper()
 	sc, err := BuildScenario(sub)
@@ -403,8 +403,9 @@ func TestRecoverFailsInfiniteVarianceLatency(t *testing.T) {
 // fails that experiment with the panic's value and nothing else. The
 // other tenants' experiments complete, the fleet log keeps its
 // invariants, every admission is released, and the server goes on
-// serving. A restarted server meets the same panic when it resumes the
-// experiment's journal, and its Recover reports the experiment failed.
+// serving. The failure is durable: a restarted server's Recover adopts
+// the experiment as failed from its failed.json sidecar without running
+// it again, and reports it in Failed.
 func TestPanicFailsOnlyItsExperiment(t *testing.T) {
 	const capacity, bad = 8, "exp-0002"
 	cfg := Config{Capacity: capacity, DataDir: t.TempDir()}
@@ -452,7 +453,12 @@ func TestPanicFailsOnlyItsExperiment(t *testing.T) {
 	s.Close()
 
 	s2, _ := newTestServer(t, cfg)
-	s2.armJournal = arm
+	s2.armJournal = func(id string, jw *journal.Writer) {
+		if id == bad {
+			t.Errorf("restarted server ran the failed experiment %s again", id)
+		}
+		arm(id, jw)
+	}
 	rep, err := s2.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,9 @@ type Config struct {
 	// experiment journals under DataDir/<tenant>/<id>/ with submission and
 	// replay sidecars, and Recover resumes unfinished runs from it.
 	DataDir string
-	// SnapshotInterval is the journal snapshot interval in records; 0
-	// selects the default of 64.
+	// SnapshotInterval is the journal snapshot interval in observed
+	// events (trace events and replan decisions); 0 selects the default
+	// of 64.
 	SnapshotInterval uint64
 }
 
@@ -360,14 +361,16 @@ func (s *Server) drive(exp *Experiment) {
 // defer it before anything else, so it runs after their other deferred
 // calls (the journal is closed by then). It recovers a panic in the
 // driver, so that one experiment's panic fails only that experiment,
-// then fails exp with the panic's value or with *err, if either, and
-// releases exp's admission: a driver releases it here and nowhere else.
+// then fails exp with the panic's value or with *err, if either,
+// durably (persistFailure), and releases exp's admission: a driver
+// releases it here and nowhere else.
 func (s *Server) settle(exp *Experiment, err *error) {
 	if v := recover(); v != nil {
 		*err = fmt.Errorf("panic: %v", v)
 	}
 	if *err != nil {
 		exp.fail(*err)
+		s.persistFailure(exp, *err)
 	}
 	s.finish(exp)
 }

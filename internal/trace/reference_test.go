@@ -407,8 +407,8 @@ func TestFreezeIsExactAndIndependent(t *testing.T) {
 
 // TestKindCodes: every code up to KindReplan spells, in String and in
 // JSON, as the kind with that code always has (the digest folds these
-// names, and the journal's wire codes are the codes plus one); the two
-// reserved codes and every code past KindReplan name no kind.
+// names); the two reserved codes and every code past KindReplan name no
+// kind.
 func TestKindCodes(t *testing.T) {
 	names := []string{
 		"stage_start", "stage_end", "trial_start", "trial_iter", "trial_pause", "trial_kill",

@@ -12,14 +12,13 @@ import (
 	"repro/internal/vclock"
 )
 
-// Kind classifies an event. A kind's value is its code: the recorder
-// packs it into an event's meta word, and the journal's wire code for
-// it is that value plus one. The order is therefore fixed: append new
-// kinds, never reorder or reuse a slot.
+// Kind classifies an event. A kind's value is its code, which the
+// recorder packs into an event's meta word. Append new kinds; never
+// reorder or reuse a slot.
 type Kind uint8
 
 // Event kinds, all recorded by the executor. Codes 9 and 12 are
-// reserved, so that the kinds after them keep the codes journals hold.
+// reserved: they belonged to retired kinds.
 const (
 	KindStageStart Kind = iota
 	KindStageEnd
@@ -177,7 +176,7 @@ type Recorder struct {
 	// busyGPUSeconds accumulates task-occupied GPU time, for utilization.
 	busyGPUSeconds float64
 	// observer, when non-nil, receives every event as it is recorded —
-	// the write-ahead journaling hook.
+	// the hook a journaled run's event fold hangs on.
 	observer func(Event)
 }
 
@@ -225,9 +224,9 @@ func exact[S ~[]E, E any](s S) S {
 }
 
 // SetObserver registers fn to receive every subsequently recorded event,
-// synchronously and in record order, without its note. The journal
-// writer subscribes here so executor state transitions hit the
-// write-ahead log as they happen. No-op on a nil recorder.
+// synchronously and in record order, without its note. A journaled run
+// subscribes here to fold every event into the fingerprint its journal
+// snapshots and End record carry. No-op on a nil recorder.
 func (r *Recorder) SetObserver(fn func(Event)) {
 	if r == nil {
 		return
