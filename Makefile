@@ -50,11 +50,12 @@ test-replan:
 
 # Durability suite: the journal codec/backends, the exhaustive
 # crash-point sweep (kill + bit-identical recovery at journal writes,
-# both backends), the inputs-only, sync and tamper checks, and the
-# journaling-invisibility property test, all under the race detector.
+# both backends), the inputs-only, sync and tamper checks, the depth of
+# the snapshot state fold, and the journaling-invisibility property
+# test, all under the race detector.
 test-recovery:
 	go test -race -count=1 ./internal/journal
-	go test -race -count=1 ./internal/harness -run 'TestCrashPointSweep|TestReplanScenarioAdopts|TestSnapshotIntervalInvisible|TestCrashRecover|TestResumeRefuses|TestJournalHoldsInputsOnly|TestCrashSyncsNothingAfter|TestTamperedJournalDiverges|TestEventFold'
+	go test -race -count=1 ./internal/harness -run 'TestCrashPointSweep|TestReplanScenarioAdopts|TestSnapshotIntervalInvisible|TestCrashRecover|TestResumeRefuses|TestJournalHoldsInputsOnly|TestCrashSyncsNothingAfter|TestTamperedJournalDiverges|TestEventFold|TestSnapshotState'
 
 # Multi-tenant control-plane suite: the arbiter/registry unit and
 # property tests, the HTTP backpressure suite (429 + Retry-After, FIFO

@@ -152,7 +152,7 @@ func TestGatedJournalRecordsGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []GrantDecision
-	for _, payload := range raw.Records {
+	for _, payload := range raw.Writes {
 		rec, err := journal.DecodeRecord(payload)
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestGatedCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		var prefix []GrantDecision
-		for _, payload := range raw.Records {
+		for _, payload := range raw.Writes {
 			rec, err := journal.DecodeRecord(payload)
 			if err != nil {
 				t.Fatal(err)

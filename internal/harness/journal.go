@@ -25,59 +25,69 @@ func allocI64(alloc []int) []int64 {
 	return out
 }
 
-// captureSnapshot reads the full control-plane state for a journal
-// snapshot: the event fold, clock cursor, live plan and trial states,
-// accrued billing, replan EWMAs, and RNG stream cursors. It is a pure
-// read — no RNG draws, no mutation — so snapshotting never perturbs the
-// run. job is nil for snapshots taken during executor.Start's first
-// events, in every run alike, so recovery still verifies
-// byte-identically.
-func captureSnapshot(fold hasher, clock *vclock.Clock, job *executor.Job, provider *cloud.Provider,
-	rec *trace.Recorder, ctl *replan.Controller, execRNG, provRNG *stats.RNG) *journal.Snapshot {
+// snapshotState folds the full control-plane state into a journal
+// snapshot's State: the clock cursor, accrued billing and metering, the
+// cursors of the two RNG streams the run mutates, the live plan, trial
+// states and scheduler fold (executor.Job.StateFold), and the replan
+// detector state. Every list folds its length first, so no two states
+// fold the same bytes. It is a pure read — no RNG draws, no mutation —
+// so snapshotting never perturbs the run. job is nil for snapshots
+// taken during executor.Start's first events, in every run alike, so
+// recovery still verifies byte-identically.
+func snapshotState(clock *vclock.Clock, job *executor.Job, provider *cloud.Provider,
+	rec *trace.Recorder, ctl *replan.Controller, execRNG, provRNG *stats.RNG) uint64 {
+	h := newHasher()
 	now := clock.Now()
-	s := &journal.Snapshot{
-		Fold:           uint64(fold),
-		VNow:           float64(now),
-		ClockSeq:       clock.Seq(),
-		Stage:          -1,
-		TotalCost:      provider.TotalCost(now),
-		DataCost:       provider.DataCost(),
-		Instances:      int64(provider.NumInstances()),
-		BusyGPUSeconds: rec.BusyGPUSeconds(),
-		ExecRNG:        execRNG.State(),
-		ProviderRNG:    provRNG.State(),
+	h.f64(float64(now))
+	h.u64(clock.Seq())
+	h.f64(provider.TotalCost(now))
+	h.f64(provider.DataCost())
+	h.i64(int64(provider.NumInstances()))
+	h.f64(rec.BusyGPUSeconds())
+	for _, w := range execRNG.State() {
+		h.u64(w)
 	}
-	if job != nil {
-		s.Stage = int64(job.Stage())
-		s.Alloc = allocI64(job.CurrentPlan().Alloc)
-		s.ExecFold = job.StateFold()
-		for _, t := range job.Trials() {
+	for _, w := range provRNG.State() {
+		h.u64(w)
+	}
+	if job == nil {
+		h.i64(-1)
+	} else {
+		h.i64(int64(job.Stage()))
+		alloc := job.CurrentPlan().Alloc
+		h.u64(uint64(len(alloc)))
+		for _, g := range alloc {
+			h.i64(int64(g))
+		}
+		h.u64(job.StateFold())
+		trials := job.Trials()
+		h.u64(uint64(len(trials)))
+		for _, t := range trials {
 			acc, ok := t.LatestAccuracy()
-			s.Trials = append(s.Trials, journal.TrialSnap{
-				ID:       int64(t.ID()),
-				State:    int64(t.State()),
-				CumIters: int64(t.CumIters()),
-				HasAcc:   ok,
-				Acc:      acc,
-			})
+			h.i64(int64(t.ID()))
+			h.i64(int64(t.State()))
+			h.i64(int64(t.CumIters()))
+			h.i64(b2i(ok))
+			h.f64(acc)
 		}
 	}
+	h.i64(b2i(ctl != nil))
 	if ctl != nil {
 		ds := ctl.DetectorState()
-		s.HasReplan = true
-		s.TotalObs = int64(ds.TotalObs)
+		h.i64(int64(ds.TotalObs))
+		h.u64(uint64(len(ds.Allocs)))
 		for _, a := range ds.Allocs {
-			s.Allocs = append(s.Allocs, journal.AllocEWMA{
-				GPUs: int64(a.GPUs), EWMA: a.EWMA, Count: int64(a.Count),
-			})
+			h.i64(int64(a.GPUs))
+			h.f64(a.EWMA)
+			h.i64(int64(a.Count))
 		}
-		s.OverheadEWMA = ds.OverheadEWMA
-		s.OverheadCount = int64(ds.OverheadCount)
-		s.Armed = ds.Armed
-		s.LastReplan = float64(ds.LastReplan)
-		s.Decisions = int64(ds.Decisions)
+		h.f64(ds.OverheadEWMA)
+		h.i64(int64(ds.OverheadCount))
+		h.i64(b2i(ds.Armed))
+		h.f64(float64(ds.LastReplan))
+		h.i64(int64(ds.Decisions))
 	}
-	return s
+	return uint64(h)
 }
 
 // CrashPoint describes one injected control-plane kill: the run dies

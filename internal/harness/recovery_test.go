@@ -206,11 +206,10 @@ func TestCrashPointSweepMem(t *testing.T) {
 }
 
 // TestCrashPointSweepFile runs the sweep's seam points on the
-// file-backed journal with segments small enough that every run rolls
-// several times, so crashes land mid-segment, at segment boundaries, in
-// snapshot files and right after grants alike: the replan-adopting
-// scenario and a gated one, each with its final snapshot torn. The full
-// point set stays on the in-memory backend; disk covers the seams.
+// file-backed journal, so crashes land mid-file, in inline snapshots
+// and right after grants alike: the replan-adopting scenario and a
+// gated one, each with its final snapshot torn. The full point set
+// stays on the in-memory backend; disk covers the seams.
 func TestCrashPointSweepFile(t *testing.T) {
 	const interval = 7
 	for _, sc := range []Scenario{Generate(4, 50), findCapScenario(t, 106)} {
@@ -236,7 +235,7 @@ func TestCrashPointSweepFile(t *testing.T) {
 		}
 		for _, cp := range points {
 			crashAndRecover(t, sc, interval, cp, ref, want, total, func() journal.Backend {
-				fb, err := journal.NewFileBackend(t.TempDir(), journal.WithSegmentBytes(96))
+				fb, err := journal.NewFileBackend(t.TempDir())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,24 +317,86 @@ func TestEventFoldFollowsTheTrace(t *testing.T) {
 		folds[i+1] = folds[i]
 		folds[i+1].event(a.Recorder.FieldsAt(i))
 	}
-	rec, err := journal.DecodeRecord(raw.Records[len(raw.Records)-1])
+	rec, err := journal.DecodeRecord(raw.Writes[len(raw.Writes)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if end := rec.(*journal.End); end.Fold != uint64(folds[len(folds)-1]) {
 		t.Fatalf("End fold %016x, trace fold %016x", end.Fold, uint64(folds[len(folds)-1]))
 	}
-	if len(raw.Snapshots) == 0 {
+	snaps := snapshotsIn(t, raw)
+	if len(snaps) == 0 {
 		t.Fatal("run took no snapshot")
 	}
-	for seq, p := range raw.Snapshots {
+	for _, s := range snaps {
+		if s.Fold != uint64(folds[s.Seq]) {
+			t.Fatalf("snapshot %d fold %016x, fold of its events %016x", s.Seq, s.Fold, uint64(folds[s.Seq]))
+		}
+	}
+}
+
+// snapshotsIn decodes the snapshots among raw's writes, in write order.
+func snapshotsIn(t testing.TB, raw *journal.Raw) []*journal.Snapshot {
+	t.Helper()
+	var out []*journal.Snapshot
+	for i, p := range raw.Writes {
 		rec, err := journal.DecodeRecord(p)
 		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if s, ok := rec.(*journal.Snapshot); ok {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestSnapshotStateSeesEachPart: a snapshot's State is a pure read of
+// the control-plane state, and it moves when one part it covers does —
+// either RNG cursor or the replan detector alone, or a step of the run —
+// so recovery's byte check of a snapshot is as deep as the state it
+// folds.
+func TestSnapshotStateSeesEachPart(t *testing.T) {
+	sc := Generate(4, 50)
+	r, err := StartScenario(sc, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64 && !r.Done(); i++ {
+		if err := r.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.(*journal.Snapshot).Fold; got != uint64(folds[seq]) {
-			t.Fatalf("snapshot %d fold %016x, fold of its events %016x", seq, got, uint64(folds[seq]))
+	}
+	ws := r.ws
+	if r.job == nil || !sc.ReplanEnabled {
+		t.Fatalf("scenario (4, 50) has no running job or no replan controller after 64 steps")
+	}
+	state := func() uint64 {
+		return snapshotState(r.clock, r.job, r.provider, r.rec, &ws.ctl, &ws.execRNG, &ws.provRNG)
+	}
+	seen := map[uint64]string{state(): "start"}
+	if _, ok := seen[state()]; !ok {
+		t.Fatal("snapshotState is not a pure read: two calls differ")
+	}
+	for _, p := range []struct {
+		part    string
+		perturb func()
+	}{
+		{"executor RNG", func() { ws.execRNG.Uint64() }},
+		{"provider RNG", func() { ws.provRNG.Uint64() }},
+		{"replan detector", func() { ws.ctl.ObserveIteration(1, 1e6, r.clock.Now()) }},
+		{"one step", func() {
+			if err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		p.perturb()
+		got := state()
+		if prev, dup := seen[got]; dup {
+			t.Errorf("State %016x after perturbing the %s equals the State after %s", got, p.part, prev)
 		}
+		seen[got] = p.part
 	}
 }
 
@@ -381,14 +442,14 @@ func TestTamperedJournalDiverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lastSnap uint64
-	for seq := range raw.Snapshots {
-		lastSnap = max(lastSnap, seq)
+	for _, s := range snapshotsIn(t, raw) {
+		lastSnap = max(lastSnap, s.Seq)
 	}
 	for _, target := range []string{"Snapshot", "End", "Grant"} {
 		t.Run(target, func(t *testing.T) {
 			tampered := journal.NewMemBackend()
 			done := false
-			for _, p := range raw.Records {
+			for _, p := range raw.Writes {
 				rec, err := journal.DecodeRecord(p)
 				if err != nil {
 					t.Fatal(err)
@@ -404,23 +465,13 @@ func TestTamperedJournalDiverges(t *testing.T) {
 						r.Granted--
 						done = true
 					}
+				case *journal.Snapshot:
+					if target == "Snapshot" && r.Seq == lastSnap {
+						r.Fold ^= 1 << 63
+						done = true
+					}
 				}
 				if err := tampered.Append(rec.Encode()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for seq, p := range raw.Snapshots {
-				if target == "Snapshot" && seq == lastSnap {
-					rec, err := journal.DecodeRecord(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s := rec.(*journal.Snapshot)
-					s.Fold ^= 1 << 63
-					p = s.Encode()
-					done = true
-				}
-				if err := tampered.PutSnapshot(seq, p); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -21,14 +20,12 @@ type outcome struct {
 	notes      string
 	violations []string
 	journal    [][]byte
-	snapshots  map[uint64][]byte
 }
 
 // equal reports whether two outcomes match in every part.
 func (o outcome) equal(p outcome) bool {
 	return o.digest == p.digest && o.notes == p.notes &&
-		slices.Equal(o.violations, p.violations) && slices.EqualFunc(o.journal, p.journal, bytes.Equal) &&
-		maps.EqualFunc(o.snapshots, p.snapshots, bytes.Equal)
+		slices.Equal(o.violations, p.violations) && slices.EqualFunc(o.journal, p.journal, bytes.Equal)
 }
 
 // driveOn runs sc to completion on ws, journaling it with a short
@@ -58,10 +55,10 @@ func driveOn(t testing.TB, ws *workingSet, sc Scenario) (out outcome, next *work
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Snapshots) == 0 {
+	if len(snapshotsIn(t, raw)) == 0 {
 		t.Fatalf("no journal snapshot taken\n  %s", sc)
 	}
-	out = outcome{digest: ComputeDigest(a), notes: csv.String(), journal: raw.Records, snapshots: raw.Snapshots}
+	out = outcome{digest: ComputeDigest(a), notes: csv.String(), journal: raw.Writes}
 	for _, v := range CheckAll(a, DefaultOracles()) {
 		out.violations = append(out.violations, v.String())
 	}
@@ -232,7 +229,7 @@ func TestReleaseContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(raw.Snapshots)
+		return len(snapshotsIn(t, raw))
 	}
 	before := snaps()
 	for i := 0; i < 16; i++ {

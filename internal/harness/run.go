@@ -307,8 +307,11 @@ func startOn(ws *workingSet, sc Scenario, rc RunConfig, dst *Running) error {
 			ctl.SetObserver(func(d replan.Decision) { fold.decision(&d); jw.Event() })
 		}
 		rec.SetObserver(func(e trace.Event) { fold.event(e); jw.Event() })
-		jw.SetSnapshotFunc(func() *journal.Snapshot {
-			return captureSnapshot(*fold, clock, job, provider, rec, ctl, execRNG, provRNG)
+		jw.SetSnapshotFunc(func() journal.Snapshot {
+			return journal.Snapshot{
+				Fold:  uint64(*fold),
+				State: snapshotState(clock, job, provider, rec, ctl, execRNG, provRNG),
+			}
 		})
 	}
 

@@ -122,23 +122,6 @@ func (d *dec) mustBool(err *error) bool {
 	return v == 1
 }
 
-// mustLen reads a u32 element count, guarded by maxLen.
-func (d *dec) mustLen(err *error) int {
-	if *err != nil {
-		return 0
-	}
-	n, e := d.u32()
-	if e != nil {
-		*err = e
-		return 0
-	}
-	if n > maxLen {
-		*err = fmt.Errorf("journal: element count %d exceeds limit %d", n, maxLen)
-		return 0
-	}
-	return int(n)
-}
-
 func (d *dec) mustI64s(err *error) []int64 {
 	if *err != nil {
 		return nil
@@ -158,20 +141,6 @@ func (d *dec) mustI64s(err *error) []int64 {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = d.mustI64(err)
-		if *err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-func (d *dec) mustU64s(err *error, n int) []uint64 {
-	if *err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.mustU64(err)
 		if *err != nil {
 			return nil
 		}

@@ -9,25 +9,26 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden segment files under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden journal files under testdata/")
 
-// goldenRecords is the fixed record sequence every golden segment is
-// built from. Changing it (or any record encoding) invalidates the
-// goldens; regenerate with `go test ./internal/journal -update` and
-// review the diff — an unintended golden change means the on-disk format
-// changed.
+// goldenRecords is the fixed write sequence, records and one inline
+// snapshot, that every golden journal file is built from. Changing it
+// (or any record encoding) invalidates the goldens; regenerate with
+// `go test ./internal/journal -update` and review the diff — an
+// unintended golden change means the on-disk format changed.
 func goldenRecords() []Record {
 	return []Record{
 		&Header{BatchSeed: 7, Index: 1, Interval: 2, Deadline: 600, Planned: true, Alloc: []int64{3, 1}},
 		&Grant{Stage: 0, Want: 3, Granted: 3, At: 1.5},
 		&Grant{Stage: 1, Want: 3, Granted: 2, At: 10.5},
+		&Snapshot{Seq: 2, Fold: 0xbb67ae8584caa73b, State: 0x3c6ef372fe94f82b},
 		&Grant{Stage: 2, Want: 2, Granted: 1, At: 19.25},
 		&Grant{Stage: 3, Want: 1, Granted: 1, At: 30},
 		&End{JCT: 42.5, Cost: 3.25, BestTrial: 0, Fold: 0x6a09e667f3bcc908},
 	}
 }
 
-// goldenStream frames goldenRecords into one segment byte stream.
+// goldenStream frames goldenRecords into one journal byte stream.
 func goldenStream() []byte {
 	var out []byte
 	for _, r := range goldenRecords() {
@@ -86,7 +87,7 @@ func corruptions() []corruption {
 	}
 }
 
-// TestGoldenSegments pins the segment byte format: the checked-in golden
+// TestGoldenSegments pins the journal byte format: the checked-in golden
 // files must equal what the current encoder produces. A failure here
 // means the on-disk format changed — which breaks recovery of existing
 // journals — and must be deliberate (bump Version, regenerate with
@@ -130,8 +131,8 @@ func TestCorruptSegmentDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(raw.Records) != c.wantRecords {
-				t.Fatalf("%d trusted records, want %d (damage %q)", len(raw.Records), c.wantRecords, raw.Damage)
+			if len(raw.Writes) != c.wantRecords {
+				t.Fatalf("%d trusted writes, want %d (damage %q)", len(raw.Writes), c.wantRecords, raw.Damage)
 			}
 			if c.wantDamage == "" {
 				if raw.Damage != "" {
@@ -143,7 +144,7 @@ func TestCorruptSegmentDecode(t *testing.T) {
 			// Every trusted record decodes and matches the golden sequence
 			// prefix exactly: damage never reorders or substitutes records.
 			want := goldenRecords()
-			for i, p := range raw.Records {
+			for i, p := range raw.Writes {
 				rec, err := DecodeRecord(p)
 				if err != nil {
 					t.Fatalf("trusted record %d undecodable: %v", i, err)
@@ -157,8 +158,8 @@ func TestCorruptSegmentDecode(t *testing.T) {
 }
 
 // TestCorruptSegmentOnDisk runs the same damaged bytes through the file
-// backend: a damaged segment costs the suffix (and all later segments),
-// never a panic, and Truncate repairs the directory for appending.
+// backend: damage costs the suffix, never a panic, and Truncate repairs
+// the file for appending.
 func TestCorruptSegmentOnDisk(t *testing.T) {
 	for _, c := range corruptions() {
 		if c.file == "valid.seg" || c.file == "empty.seg" {
@@ -170,13 +171,7 @@ func TestCorruptSegmentOnDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "journal-000000.seg"), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			// A later segment that would be perfectly valid on its own: it
-			// must be discarded, because order can't be trusted past damage.
-			if err := os.WriteFile(filepath.Join(dir, "journal-000001.seg"),
-				frame((&End{JCT: 1}).Encode()), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			fb, err := NewFileBackend(dir)
@@ -188,11 +183,9 @@ func TestCorruptSegmentOnDisk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(raw.Records) != c.wantRecords {
-				t.Fatalf("%d trusted records, want %d", len(raw.Records), c.wantRecords)
-			}
-			if raw.Damage == "" || !strings.Contains(raw.Damage, "discarded") {
-				t.Fatalf("damage %q does not report the discarded later segment", raw.Damage)
+			if len(raw.Writes) != c.wantRecords || !strings.Contains(raw.Damage, c.wantDamage) {
+				t.Fatalf("%d trusted writes, damage %q; want %d and damage mentioning %q",
+					len(raw.Writes), raw.Damage, c.wantRecords, c.wantDamage)
 			}
 			if err := fb.Truncate(c.wantRecords); err != nil {
 				t.Fatal(err)
@@ -204,8 +197,8 @@ func TestCorruptSegmentOnDisk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(raw.Records) != c.wantRecords+1 || raw.Damage != "" {
-				t.Fatalf("after repair: %d records damage %q", len(raw.Records), raw.Damage)
+			if len(raw.Writes) != c.wantRecords+1 || raw.Damage != "" {
+				t.Fatalf("after repair: %d writes damage %q", len(raw.Writes), raw.Damage)
 			}
 		})
 	}

@@ -32,30 +32,43 @@ func frame(payload []byte) []byte {
 }
 
 // readFrames parses consecutive frames out of data. It returns the valid
-// payloads, the number of bytes they consumed (the safe truncation
-// point), and a damage description — empty when data ends exactly at a
+// payloads and a damage description — empty when data ends exactly at a
 // frame boundary.
-func readFrames(data []byte) (payloads [][]byte, consumed int, damage string) {
+func readFrames(data []byte) (payloads [][]byte, damage string) {
 	off := 0
 	for off < len(data) {
 		rest := len(data) - off
 		if rest < frameOverhead {
-			return payloads, off, fmt.Sprintf("torn frame header: %d trailing bytes at offset %d", rest, off)
+			return payloads, fmt.Sprintf("torn frame header: %d trailing bytes at offset %d", rest, off)
 		}
 		n := binary.LittleEndian.Uint32(data[off:])
 		want := binary.LittleEndian.Uint32(data[off+4:])
 		if n > maxLen {
-			return payloads, off, fmt.Sprintf("implausible record length %d at offset %d", n, off)
+			return payloads, fmt.Sprintf("implausible record length %d at offset %d", n, off)
 		}
 		if rest < frameOverhead+int(n) {
-			return payloads, off, fmt.Sprintf("torn record: length %d but only %d bytes remain at offset %d", n, rest-frameOverhead, off)
+			return payloads, fmt.Sprintf("torn record: length %d but only %d bytes remain at offset %d", n, rest-frameOverhead, off)
 		}
 		payload := data[off+frameOverhead : off+frameOverhead+int(n)]
 		if got := crc32.Checksum(payload, crcTable); got != want {
-			return payloads, off, fmt.Sprintf("CRC mismatch at offset %d: stored %08x, computed %08x", off, want, got)
+			return payloads, fmt.Sprintf("CRC mismatch at offset %d: stored %08x, computed %08x", off, want, got)
 		}
 		payloads = append(payloads, payload)
 		off += frameOverhead + int(n)
 	}
-	return payloads, off, ""
+	return payloads, ""
+}
+
+// frameEnd returns the byte offset just past the first n trusted frames
+// of data, the cut that keeps exactly n writes.
+func frameEnd(data []byte, n int) (int, error) {
+	payloads, _ := readFrames(data)
+	if n > len(payloads) {
+		return 0, fmt.Errorf("journal: truncate to %d writes, only %d valid", n, len(payloads))
+	}
+	off := 0
+	for _, p := range payloads[:n] {
+		off += frameOverhead + len(p)
+	}
+	return off, nil
 }

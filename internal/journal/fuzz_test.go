@@ -40,7 +40,7 @@ func FuzzJournalRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Load on arbitrary bytes errored (must report damage instead): %v", err)
 		}
-		for i, p := range raw.Records {
+		for i, p := range raw.Writes {
 			if rec, err := DecodeRecord(p); err == nil {
 				if !bytes.Equal(rec.Encode(), p) {
 					t.Fatalf("framed record %d: non-canonical accept", i)

@@ -1,35 +1,37 @@
-// Package journal is the durable log and snapshot store of the control
-// plane. It keeps a run's inputs, not its outputs: a Header (identity
-// and executed plan), one Grant per stage-boundary arbitration and an
-// End, each a typed, CRC-framed record synced before it takes effect.
-// The harness folds every trace event and replan decision into one
-// fingerprint instead; periodic snapshots carry it beside the
-// control-plane state (clock cursor, trial state, billing, replan
-// EWMAs, RNG cursors), and End carries its final value.
+// Package journal is the durable log of the control plane. It keeps a
+// run's inputs, not its outputs: a Header (identity and executed plan),
+// one Grant per stage-boundary arbitration and an End, each a typed,
+// CRC-framed record synced before it takes effect. The harness folds
+// every trace event and replan decision into one fingerprint instead,
+// and folds the control-plane state (clock cursor, plan, trial states,
+// scheduler fold, billing, RNG cursors, replan detector) into another;
+// a Snapshot every interval events carries both, inline in the same
+// log, and End carries the final event fold.
 //
 // Recovery is deterministic re-execution validated against the journal.
 // The pipeline is a pure function of (seed, plan, grants), so re-running
 // the scenario rebuilds the exact state; the journal feeds the rebuild
-// its inputs and makes it *verifiable*: every regenerated input must
-// match the journaled record byte for byte, and every rebuilt snapshot
-// and End must equal the stored one. A differing input is caught at its
-// record, a differing event history at the next snapshot (within one
-// snapshot interval) or at End. Any divergence fails loudly instead of
-// silently resuming a different run. Past the journaled tail the writer
-// appends, so a recovered run leaves behind the journal an
-// uninterrupted run would have written.
+// its inputs and makes it *verifiable*: the i-th regenerated write,
+// record or snapshot, must match the i-th journaled one byte for byte.
+// A differing input is caught at its record, a differing event history
+// or state at the next snapshot (within one snapshot interval) or at
+// End. Any divergence fails loudly instead of silently resuming a
+// different run. Past the journaled tail the writer appends, so a
+// recovered run leaves behind the journal an uninterrupted run would
+// have written.
 //
-// MemBackend (tests) and FileBackend (rolling journal-NNNNNN.seg
-// segments, snap-*.snap snapshots) store the same framed format.
-// Decoding stops cleanly at the first torn or CRC-corrupt record and
-// reports the damage; nothing after it is ever trusted.
+// A run's journal is one ordered list of framed writes. MemBackend
+// (tests) keeps it in memory and FileBackend in one file per run
+// directory; both store the same bytes. Decoding stops cleanly at the
+// first torn or CRC-corrupt frame and reports the damage; nothing after
+// it is ever trusted.
 package journal
 
 import "fmt"
 
 // Version is the journal format version, embedded in every run header.
 // Decoders reject records from a different version rather than guessing.
-const Version = 2
+const Version = 3
 
 // Record type tags (the first payload byte of every record). Tags 2 and
 // 3, version 1's trace-event and decision records, are retired.
@@ -40,8 +42,8 @@ const (
 	tagGrant    = 6
 )
 
-// maxLen bounds every length-prefixed field (plans, trial lists)
-// so a corrupt or adversarial length prefix cannot drive allocation.
+// maxLen bounds every length prefix (a frame's, a plan allocation's) so
+// a corrupt or adversarial length prefix cannot drive allocation.
 const maxLen = 1 << 20
 
 // Record is one typed journal entry. Encodings are canonical: for every
@@ -129,6 +131,33 @@ func (e *End) Encode() []byte {
 	return b.bytes()
 }
 
+// Snapshot fingerprints the run after its Seq-th observed event: Fold is
+// the cumulative fold of those events and State the fold of the
+// control-plane state they led to. Snapshots are verified fingerprints,
+// not restore images: recovery re-executes the pure pipeline and the
+// rebuilt snapshot must encode to the journaled one byte for byte.
+type Snapshot struct {
+	// Seq is the number of events (trace events and replan decisions)
+	// the run had observed when the snapshot was taken.
+	Seq uint64
+	// Fold is the cumulative fingerprint of those Seq events (the
+	// harness folds each one as its run digest does).
+	Fold uint64
+	// State is the harness's fingerprint of the control-plane state:
+	// clock cursor, live plan, trial states, scheduler fold, billing,
+	// RNG cursors and replan detector state.
+	State uint64
+}
+
+// Encode implements Record.
+func (s *Snapshot) Encode() []byte {
+	b := newEnc(tagSnapshot)
+	b.u64(s.Seq)
+	b.u64(s.Fold)
+	b.u64(s.State)
+	return b.bytes()
+}
+
 // DecodeRecord parses one canonical record payload. It rejects trailing
 // bytes, unknown tags, non-canonical booleans and any length prefix past
 // maxLen — Decode(Encode(r)) re-encoding byte-identically is the
@@ -169,10 +198,10 @@ func DecodeRecord(payload []byte) (Record, error) {
 		g.At = d.mustF64(&err)
 		rec = g
 	case tagSnapshot:
-		s, serr := decodeSnapshot(d)
-		if serr != nil {
-			return nil, serr
-		}
+		s := &Snapshot{}
+		s.Seq = d.mustU64(&err)
+		s.Fold = d.mustU64(&err)
+		s.State = d.mustU64(&err)
 		rec = s
 	default:
 		return nil, fmt.Errorf("journal: unknown record tag %d", tag)

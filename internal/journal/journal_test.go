@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -26,17 +24,9 @@ func sampleRecords() []Record {
 		&Grant{Stage: 0, Want: 1, Granted: 1, At: 0},
 		&Grant{Stage: -1, Want: 0, Granted: -5, At: math.NaN()},
 		&Grant{Stage: math.MaxInt64, Want: math.MinInt64, Granted: 1 << 40, At: math.Inf(1)},
-		&Snapshot{Seq: 14, Fold: 0x9e3779b97f4a7c15, VNow: 310.5, ClockSeq: 800, Stage: 1, Alloc: []int64{4, 2},
-			Trials: []TrialSnap{
-				{ID: 0, State: 3, CumIters: 12, HasAcc: true, Acc: 0.91},
-				{ID: 1, State: 1, CumIters: 4},
-			},
-			TotalCost: 4.5, DataCost: 0.25, Instances: 3, BusyGPUSeconds: 1200,
-			ExecRNG: [4]uint64{1, 2, 3, 4}, ProviderRNG: [4]uint64{5, 6, 7, 8}},
-		&Snapshot{Seq: 7, Stage: -1, HasReplan: true, TotalObs: 30,
-			Allocs:       []AllocEWMA{{GPUs: 1, EWMA: 1.2, Count: 10}, {GPUs: 2, EWMA: 0.8, Count: 20}},
-			OverheadEWMA: 3.5, OverheadCount: 4, Armed: true, LastReplan: 150, Decisions: 2},
-		&Snapshot{Seq: math.MaxUint64, Fold: math.MaxUint64, Stage: -1, VNow: math.NaN()},
+		&Snapshot{Seq: 14, Fold: 0x9e3779b97f4a7c15, State: 0xcbf29ce484222325},
+		&Snapshot{Seq: 7},
+		&Snapshot{Seq: math.MaxUint64, Fold: math.MaxUint64, State: math.MaxUint64},
 	}
 }
 
@@ -73,8 +63,6 @@ func hasNaN(payload []byte) bool {
 		return math.IsNaN(r.JCT)
 	case *Grant:
 		return math.IsNaN(r.At)
-	case *Snapshot:
-		return math.IsNaN(r.VNow)
 	}
 	return false
 }
@@ -109,10 +97,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"retired trace tag", []byte{2, 0}, "unknown record tag 2"},
 		{"retired decision tag", []byte{3, 0}, "unknown record tag 3"},
 		{"version 1 header", mutate(hdr, 1, 1), "header version 1"},
-		{"non-boolean snapshot flag", func() []byte {
-			p := (&Snapshot{Stage: -1}).Encode()
-			return mutate(p, len(p)-1, 2)
-		}(), "bool"},
+		{"version 2 header", mutate(hdr, 1, 2), "header version 2, want 3"},
+		{"truncated snapshot", (&Snapshot{Seq: 3}).Encode()[:20], "truncated"},
+		{"trailing bytes after snapshot", append((&Snapshot{}).Encode(), 0), "trailing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,11 +171,28 @@ func inputs(recs []Record) []Record {
 
 // snapFnCounting returns a snapshot function that fabricates a
 // deterministic snapshot per sequence and counts invocations.
-func snapFnCounting(count *int) func() *Snapshot {
-	return func() *Snapshot {
+func snapFnCounting(count *int) func() Snapshot {
+	return func() Snapshot {
 		*count++
-		return &Snapshot{Stage: -1, VNow: float64(*count)}
+		return Snapshot{State: uint64(*count)}
 	}
+}
+
+// snapshotSeqs returns the event counts of the snapshots among raw's
+// writes, in write order.
+func snapshotSeqs(t *testing.T, raw *Raw) []uint64 {
+	t.Helper()
+	var out []uint64
+	for i, p := range raw.Writes {
+		rec, err := DecodeRecord(p)
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if s, ok := rec.(*Snapshot); ok {
+			out = append(out, s.Seq)
+		}
+	}
+	return out
 }
 
 func TestWriterSnapshotInterval(t *testing.T) {
@@ -204,33 +208,22 @@ func TestWriterSnapshotInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := keys(raw.Snapshots); !reflect.DeepEqual(got, []uint64{3, 6}) {
+	// Each snapshot is inline, carries its event count, and follows the
+	// records written before its event.
+	if got := snapshotSeqs(t, raw); !reflect.DeepEqual(got, []uint64{3, 6}) {
 		t.Fatalf("snapshots at %v, want [3 6]", got)
 	}
-	// The stored snapshot carries its event count.
-	rec, err := DecodeRecord(raw.Snapshots[6])
-	if err != nil {
-		t.Fatal(err)
+	// testRun(8)'s header and first two grants precede event 3.
+	if rec, err := DecodeRecord(raw.Writes[3]); err != nil || *rec.(*Snapshot) != (Snapshot{Seq: 3, State: 1}) {
+		t.Fatalf("write 3 is %v (err %v), want the snapshot at event 3", rec, err)
 	}
-	if s := rec.(*Snapshot); s.Seq != 6 {
-		t.Fatalf("snapshot at key 6 encodes Seq %d", s.Seq)
+	// The inputs and the snapshots are the writes, in one list.
+	if want := len(inputs(testRun(8))) + 2; len(raw.Writes) != want {
+		t.Fatalf("%d writes, want the %d inputs and 2 snapshots", len(raw.Writes), want-2)
 	}
-	// Only the inputs are records; every record and snapshot is a write.
-	if want := len(inputs(testRun(8))); len(raw.Records) != want {
-		t.Fatalf("%d records, want the %d inputs", len(raw.Records), want)
+	if w.Seq() != uint64(len(raw.Writes)) {
+		t.Fatalf("Seq = %d, want %d writes", w.Seq(), len(raw.Writes))
 	}
-	if w.Seq() != uint64(len(raw.Records)+2) {
-		t.Fatalf("Seq = %d, want %d records + 2 snapshots", w.Seq(), len(raw.Records))
-	}
-}
-
-func keys(m map[uint64][]byte) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func TestWriterCrashClean(t *testing.T) {
@@ -253,8 +246,8 @@ func TestWriterCrashClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) != 4 || raw.Damage != "" {
-		t.Fatalf("crashed journal has %d records, damage %q; want 4 clean records", len(raw.Records), raw.Damage)
+	if len(raw.Writes) != 4 || raw.Damage != "" {
+		t.Fatalf("crashed journal has %d writes, damage %q; want 4 clean writes", len(raw.Writes), raw.Damage)
 	}
 }
 
@@ -268,8 +261,8 @@ func TestWriterCrashTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) != 2 {
-		t.Fatalf("%d trusted records, want 2", len(raw.Records))
+	if len(raw.Writes) != 2 {
+		t.Fatalf("%d trusted writes, want 2", len(raw.Writes))
 	}
 	if raw.Damage == "" {
 		t.Fatal("torn crash left no damage — the torn frame must be visible")
@@ -301,9 +294,9 @@ func TestWriterCrashCountsSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) != 3 || len(raw.Snapshots) != 0 || raw.Damage != "" {
-		t.Fatalf("crashed journal: %d records, snapshots %v, damage %q; want 3 records and no snapshot",
-			len(raw.Records), keys(raw.Snapshots), raw.Damage)
+	if len(raw.Writes) != 3 || len(snapshotSeqs(t, raw)) != 0 || raw.Damage != "" {
+		t.Fatalf("crashed journal: %d writes, snapshots %v, damage %q; want 3 records and no snapshot",
+			len(raw.Writes), snapshotSeqs(t, raw), raw.Damage)
 	}
 }
 
@@ -340,7 +333,7 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	if damage == "" {
 		t.Fatal("torn crash resumed without damage report")
 	}
-	if !(int(w2.records) < len(w2.prefix)) {
+	if !(int(w2.writes) < len(w2.prefix)) {
 		t.Fatal("resumed writer not in verify mode")
 	}
 	// The re-executed run streams the same records; snapshot counters must
@@ -348,7 +341,7 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 	var n3 int
 	w2.SetSnapshotFunc(snapFnCounting(&n3))
 	feed(t, w2, recs)
-	if int(w2.records) < len(w2.prefix) {
+	if int(w2.writes) < len(w2.prefix) {
 		t.Fatal("writer still verifying after full replay")
 	}
 	if w2.Seq() != wr.Seq() {
@@ -364,9 +357,11 @@ func TestResumeVerifyThenAppend(t *testing.T) {
 }
 
 // TestResumeRepersistsTornSnapshot: a crash that tears a snapshot
-// leaves it unreadable under its final name, on both backends. Load
-// reports it, Resume drops it, and the re-executed run persists it
-// again, so the recovered journal equals the uninterrupted one.
+// leaves a torn inline frame at the journal's tail, on both backends.
+// Load stops before it, Resume truncates it, and the re-executed run
+// appends the snapshot again, so the recovered journal equals the
+// uninterrupted one. The file backend is reopened between the crash and
+// the recovery, as a restarted process would.
 func TestResumeRepersistsTornSnapshot(t *testing.T) {
 	recs := testRun(10)
 	ref := NewMemBackend()
@@ -374,10 +369,22 @@ func TestResumeRepersistsTornSnapshot(t *testing.T) {
 	var n int
 	wr.SetSnapshotFunc(snapFnCounting(&n))
 	feed(t, wr, recs)
-	for name, b := range map[string]Backend{"mem": NewMemBackend(), "file": newFileBackend(t)} {
+	// Write 8 is the last snapshot, at event 9: six records and
+	// snapshots 3 and 6 come before it.
+	refRaw, err := ref.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := DecodeRecord(refRaw.Writes[8]); err != nil || rec.(*Snapshot).Seq != 9 {
+		t.Fatalf("reference write 8 is %v (err %v), want the snapshot at event 9", rec, err)
+	}
+	for _, name := range []string{"mem", "file"} {
 		t.Run(name, func(t *testing.T) {
-			// Write 8 is the last snapshot, at event 9: six records and
-			// snapshots 3 and 6 come before it.
+			var b Backend = NewMemBackend()
+			dir := t.TempDir()
+			if name == "file" {
+				b = openFile(t, dir)
+			}
 			w := NewWriter(b, 3)
 			var nc int
 			w.SetSnapshotFunc(snapFnCounting(&nc))
@@ -385,12 +392,18 @@ func TestResumeRepersistsTornSnapshot(t *testing.T) {
 			if err := feedUntilErr(w, recs); err != ErrCrash {
 				t.Fatalf("crash surfaced as %v", err)
 			}
+			if name == "file" {
+				if err := b.Close(); err != nil {
+					t.Fatal(err)
+				}
+				b = openFile(t, dir)
+			}
 			raw, err := b.Load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(raw.Damage, "snapshot 9 unreadable") || len(raw.Snapshots) != 2 {
-				t.Fatalf("damage %q, snapshots %v; want snapshot 9 reported unreadable", raw.Damage, keys(raw.Snapshots))
+			if !strings.Contains(raw.Damage, "torn") || len(raw.Writes) != 8 {
+				t.Fatalf("damage %q, %d writes; want the torn snapshot after 8 writes", raw.Damage, len(raw.Writes))
 			}
 			w2, _, damage, err := Resume(b, 0)
 			if err != nil || damage == "" {
@@ -406,15 +419,35 @@ func TestResumeRepersistsTornSnapshot(t *testing.T) {
 	}
 }
 
-// newFileBackend returns a file backend over a fresh directory, with
-// segments small enough to roll every few records.
-func newFileBackend(t *testing.T) Backend {
-	fb, err := NewFileBackend(t.TempDir(), WithSegmentBytes(128))
+// openFile opens a file backend over dir, closed when the test ends.
+func openFile(t *testing.T, dir string) *FileBackend {
+	t.Helper()
+	fb, err := NewFileBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = fb.Close() })
 	return fb
+}
+
+// TestResumeRefusesOldVersion: a journal whose header is of version 2,
+// the format before snapshots moved inline, is refused with the
+// decoder's version error rather than verified or appended to.
+func TestResumeRefusesOldVersion(t *testing.T) {
+	hdr := (&Header{BatchSeed: 9, Index: 3, Interval: 3}).Encode()
+	hdr[1], hdr[2] = 2, 0 // the little-endian version field
+	for _, b := range []Backend{NewMemBackend(), openFile(t, t.TempDir())} {
+		if err := b.Append(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Append((&Grant{Stage: 0, Want: 2, Granted: 2}).Encode()); err != nil {
+			t.Fatal(err)
+		}
+		w, _, _, err := Resume(b, 3)
+		if err == nil || !strings.Contains(err.Error(), "header version 2, want 3") {
+			t.Fatalf("%T: Resume on a version 2 journal = (%v, %v), want the version error", b, w, err)
+		}
+	}
 }
 
 func TestResumeDivergenceDetected(t *testing.T) {
@@ -478,7 +511,7 @@ func TestResumeEmptyJournal(t *testing.T) {
 	if hdr != nil || damage != "" {
 		t.Fatalf("empty journal resumed with hdr=%v damage=%q", hdr, damage)
 	}
-	if int(w.records) < len(w.prefix) {
+	if int(w.writes) < len(w.prefix) {
 		t.Fatal("empty journal writer claims a prefix to verify")
 	}
 	// Degenerates to a fresh appending run.
@@ -486,15 +519,9 @@ func TestResumeEmptyJournal(t *testing.T) {
 }
 
 // TestMemFileEquivalence drives the identical record/snapshot sequence
-// through both backends — the file one with segments tiny enough to roll
-// several times — and requires byte-identical Load results.
+// through both backends and requires byte-identical Load results.
 func TestMemFileEquivalence(t *testing.T) {
-	mem := NewMemBackend()
-	fb, err := NewFileBackend(t.TempDir(), WithSegmentBytes(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
+	mem, fb := NewMemBackend(), openFile(t, t.TempDir())
 	recs := testRun(40)
 	for _, b := range []Backend{mem, fb} {
 		w := NewWriter(b, 5)
@@ -511,49 +538,29 @@ func TestMemFileEquivalence(t *testing.T) {
 	}
 }
 
-func TestFileSegmentRolling(t *testing.T) {
+// TestFileBackendKeepsOneFile: a journaled run, snapshots included,
+// leaves exactly one file in its directory, and reopening the directory
+// continues that file without disturbing what it holds.
+func TestFileBackendKeepsOneFile(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := NewFileBackend(dir, WithSegmentBytes(128))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fb := openFile(t, dir)
 	recs := testRun(30)
-	w := NewWriter(fb, 0)
+	w := NewWriter(fb, 4)
+	var n int
+	w.SetSnapshotFunc(snapFnCounting(&n))
 	feed(t, w, recs)
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 3 {
-		t.Fatalf("%d segments after %d records at 128-byte roll threshold, want several", len(segs), len(inputs(recs)))
-	}
-	// No record spans segments: every segment parses cleanly on its own.
-	total := 0
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, _, damage := readFrames(data)
-		if damage != "" {
-			t.Fatalf("segment %s damaged: %s", filepath.Base(seg), damage)
-		}
-		total += len(ps)
-	}
-	if total != len(inputs(recs)) {
-		t.Fatalf("segments hold %d records, wrote %d", total, len(inputs(recs)))
+	if len(entries) != 1 || entries[0].Name() != journalFile {
+		t.Fatalf("run directory holds %v, want only %s", entries, journalFile)
 	}
 
-	// Reopening the directory resumes the last segment and appending
-	// continues without corrupting earlier records.
-	fb2, err := NewFileBackend(dir, WithSegmentBytes(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb2.Close()
+	fb2 := openFile(t, dir)
 	if err := fb2.Append((&End{JCT: 99}).Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -561,28 +568,21 @@ func TestFileSegmentRolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) != len(inputs(recs))+1 || raw.Damage != "" {
-		t.Fatalf("after reopen+append: %d records, damage %q", len(raw.Records), raw.Damage)
+	if want := w.Seq() + 1; uint64(len(raw.Writes)) != want || raw.Damage != "" {
+		t.Fatalf("after reopen+append: %d writes, damage %q; want %d", len(raw.Writes), raw.Damage, want)
 	}
 }
 
-// TestTruncate exercises Truncate on both backends: records past n and
-// unreadable snapshots are discarded, readable snapshots stay whatever
-// their event count, and appends continue cleanly from the cut.
+// TestTruncate exercises Truncate on both backends: writes past n, torn
+// bytes included, are discarded and appends continue cleanly from the
+// cut.
 func TestTruncate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func(t *testing.T) Backend
 	}{
 		{"mem", func(t *testing.T) Backend { return NewMemBackend() }},
-		{"file", func(t *testing.T) Backend {
-			fb, err := NewFileBackend(t.TempDir(), WithSegmentBytes(128))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = fb.Close() })
-			return fb
-		}},
+		{"file", func(t *testing.T) Backend { return openFile(t, t.TempDir()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mk(t)
@@ -591,7 +591,7 @@ func TestTruncate(t *testing.T) {
 			var n int
 			w.SetSnapshotFunc(snapFnCounting(&n))
 			feed(t, w, recs)
-			if err := b.(RawAppender).PutSnapshotRaw(24, []byte{1, 2, 3}); err != nil {
+			if err := b.(RawAppender).AppendRaw([]byte{1, 2, 3}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -602,11 +602,11 @@ func TestTruncate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(raw.Records) != 9 || raw.Damage != "" {
-				t.Fatalf("after truncate: %d records, damage %q", len(raw.Records), raw.Damage)
+			if len(raw.Writes) != 9 || raw.Damage != "" {
+				t.Fatalf("after truncate: %d writes, damage %q", len(raw.Writes), raw.Damage)
 			}
-			if got := keys(raw.Snapshots); !reflect.DeepEqual(got, []uint64{4, 8, 12, 16, 20}) {
-				t.Errorf("snapshots %v after truncation, want the five readable ones", got)
+			if got := snapshotSeqs(t, raw); !reflect.DeepEqual(got, []uint64{4, 8}) {
+				t.Errorf("snapshots %v in the first 9 writes, want [4 8]", got)
 			}
 			if err := b.Append((&End{JCT: 1}).Encode()); err != nil {
 				t.Fatal(err)
@@ -615,8 +615,8 @@ func TestTruncate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(raw.Records) != 10 || raw.Damage != "" {
-				t.Fatalf("append after truncate: %d records, damage %q", len(raw.Records), raw.Damage)
+			if len(raw.Writes) != 10 || raw.Damage != "" {
+				t.Fatalf("append after truncate: %d writes, damage %q", len(raw.Writes), raw.Damage)
 			}
 
 			// Truncating past the journal's length is refused.
@@ -628,11 +628,11 @@ func TestTruncate(t *testing.T) {
 }
 
 // TestFileTornTailTruncatedOnResume runs the full crash shape on disk: a
-// torn frame at the tail of the last segment, truncated by Resume so the
+// torn frame at the tail of the journal file, truncated by Resume so the
 // next append continues from the last trusted record.
 func TestFileTornTailTruncatedOnResume(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := NewFileBackend(dir, WithSegmentBytes(1<<20))
+	fb, err := NewFileBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func TestFileTornTailTruncatedOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) != len(inputs(recs)) || raw.Damage != "" {
-		t.Fatalf("recovered file journal: %d records damage %q, want %d clean", len(raw.Records), raw.Damage, len(inputs(recs)))
+	if len(raw.Writes) != len(inputs(recs)) || raw.Damage != "" {
+		t.Fatalf("recovered file journal: %d writes damage %q, want %d clean", len(raw.Writes), raw.Damage, len(inputs(recs)))
 	}
 }

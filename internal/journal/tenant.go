@@ -8,9 +8,10 @@ import (
 )
 
 // Per-tenant journal layout. A multi-tenant control plane keeps one
-// journal directory per admitted experiment, two levels under a root:
+// journal directory per admitted experiment, two levels under a root,
+// holding the run's one journal file:
 //
-//	root/<tenant>/<run>/journal-NNNNNN.seg …
+//	root/<tenant>/<run>/journal-000000.seg
 //
 // Tenant and run names are restricted to a filesystem-safe alphabet so a
 // submitted tenant string can never traverse outside the root or collide

@@ -21,22 +21,21 @@ var ErrCrash = errors.New("journal: injected crash")
 var ErrDiverged = errors.New("journal: replay diverged from journal")
 
 // RawAppender is implemented by backends that can persist raw bytes
-// without framing — the fault-injection hooks that tear a record or a
-// snapshot, as a crash mid-write does.
+// without framing — the fault-injection hook that tears a write, as a
+// crash mid-write does.
 type RawAppender interface {
 	AppendRaw(b []byte) error
-	PutSnapshotRaw(seq uint64, b []byte) error
 }
 
 // Writer is the journaling front end: input records stream through
 // Record, observed events are counted through Event, snapshots are
-// captured every Interval events via the registered snapshot function,
-// and crash points can be armed for fault injection.
+// taken every Interval events via the registered snapshot function, and
+// crash points can be armed for fault injection.
 //
-// A Writer returned by Resume starts in verify mode: each regenerated
-// record is byte-compared against the journaled prefix (and each rebuilt
-// snapshot against the stored one) instead of being written; after the
-// prefix is exhausted the Writer switches to appending, so a recovered
+// A Writer returned by Resume starts in verify mode: the i-th write the
+// re-executed run makes, record or snapshot, is byte-compared against
+// the i-th journaled one instead of being written; after the journaled
+// writes are exhausted the Writer switches to appending, so a recovered
 // run leaves behind exactly the journal an uninterrupted run would have
 // written. The first error — divergence, crash, backend failure — is
 // latched: every subsequent Record returns it, so callbacks may ignore
@@ -44,12 +43,12 @@ type RawAppender interface {
 type Writer struct {
 	b        Backend
 	interval uint64
-	snapFn   func() *Snapshot
+	snapFn   func() Snapshot
 
+	// prefix holds the journaled writes a resumed Writer verifies.
 	prefix [][]byte
-	snaps  map[uint64][]byte
 	// writes counts records and snapshots, the unit of crash points.
-	records, events, writes uint64
+	writes, events uint64
 
 	crashArmed bool
 	crashSeq   uint64
@@ -62,16 +61,17 @@ type Writer struct {
 // overwritten) backend. interval is the snapshot interval in observed
 // events (0 disables snapshots).
 func NewWriter(b Backend, interval uint64) *Writer {
-	return &Writer{b: b, interval: interval, snaps: make(map[uint64][]byte)}
+	return &Writer{b: b, interval: interval}
 }
 
 // Resume opens an existing journal for recovery. It loads and validates
-// every frame, truncates any damage (torn tail, CRC-corrupt suffix,
-// unreadable snapshots) so appends continue cleanly from the last
-// trusted record, and returns a Writer in verify mode over the trusted
-// prefix, the decoded run header (nil when the journal holds no
-// complete record), and a description of the damage that was truncated
-// (empty for a clean journal).
+// every frame, truncates any damage (torn tail, CRC-corrupt suffix) so
+// appends continue cleanly from the last trusted write, and returns a
+// Writer in verify mode over the trusted writes, the decoded run header
+// (nil when the journal holds no complete write), and a description of
+// the damage that was truncated (empty for a clean journal). A journal
+// whose header is of another Version is refused with the decoder's
+// version error.
 //
 // interval is the configured snapshot interval, used only when the
 // journal holds no header yet (a crash before anything durable): a
@@ -80,8 +80,7 @@ func NewWriter(b Backend, interval uint64) *Writer {
 //
 // The caller must re-execute the run that wrote the journal and stream
 // its records and events through the Writer; the Writer verifies the
-// prefix and the stored snapshots, re-persists any snapshot that is
-// missing, and then appends the remainder.
+// journaled writes and then appends the remainder.
 func Resume(b Backend, interval uint64) (*Writer, *Header, string, error) {
 	raw, err := b.Load()
 	if err != nil {
@@ -89,15 +88,15 @@ func Resume(b Backend, interval uint64) (*Writer, *Header, string, error) {
 	}
 	damage := raw.Damage
 	if damage != "" {
-		if err := b.Truncate(len(raw.Records)); err != nil {
+		if err := b.Truncate(len(raw.Writes)); err != nil {
 			return nil, nil, damage, err
 		}
 	}
-	w := &Writer{b: b, interval: interval, prefix: raw.Records, snaps: raw.Snapshots}
-	if len(raw.Records) == 0 {
+	w := &Writer{b: b, interval: interval, prefix: raw.Writes}
+	if len(raw.Writes) == 0 {
 		return w, nil, damage, nil
 	}
-	rec, err := DecodeRecord(raw.Records[0])
+	rec, err := DecodeRecord(raw.Writes[0])
 	if err != nil {
 		return nil, nil, damage, fmt.Errorf("journal: undecodable header record: %w", err)
 	}
@@ -125,8 +124,8 @@ func (w *Writer) Err() error { return w.err }
 // SetSnapshotFunc registers the state-capture callback invoked at every
 // snapshot interval. The callback must be a pure read of control-plane
 // state (no RNG draws, no mutation) so that snapshotting is invisible to
-// the run's digest. A nil return skips the snapshot.
-func (w *Writer) SetSnapshotFunc(fn func() *Snapshot) { w.snapFn = fn }
+// the run's digest. The Writer sets the snapshot's Seq.
+func (w *Writer) SetSnapshotFunc(fn func() Snapshot) { w.snapFn = fn }
 
 // SetCrashPoint arms fault injection: the Writer returns ErrCrash when
 // it is about to make durable write seq (0-based, records and snapshots
@@ -139,56 +138,64 @@ func (w *Writer) SetCrashPoint(seq uint64, torn int) {
 	w.crashTorn = torn
 }
 
-// crash reports whether the next write is the armed crash point. If it
-// is, it latches ErrCrash; a torn crash of a fresh write (a crash inside
-// a verified prefix writes nothing new) first leaves a prefix of
-// payload's frame, clamped below a complete frame, through tear.
-func (w *Writer) crash(payload []byte, fresh bool, tear func(RawAppender, []byte) error) bool {
-	if !w.crashArmed || w.writes != w.crashSeq {
-		return false
-	}
-	w.err = ErrCrash
-	if ra, ok := w.b.(RawAppender); ok && fresh && w.crashTorn > 0 {
-		fr := frame(payload)
-		if err := tear(ra, fr[:min(w.crashTorn, len(fr)-1)]); err != nil {
-			w.err = err
-		}
-	}
-	return true
-}
-
-// Record streams one input record through the Writer: verified against
-// the resumed prefix, or appended and synced, so the input is durable
-// before the run acts on it. The first error is latched.
-func (w *Writer) Record(r Record) error {
+// put makes the next write, a snapshot or a record: it verifies
+// payload against the journaled write at the same position or, past the
+// journaled writes, persists it. An armed crash point at this write
+// latches ErrCrash instead; a torn crash of a fresh write (a crash
+// inside the verified writes writes nothing new) first leaves a prefix
+// of payload's frame, clamped below a complete frame. The first error
+// is latched.
+func (w *Writer) put(payload []byte, snapshot bool) error {
 	if w.err != nil {
 		return w.err
 	}
-	payload := r.Encode()
-	fresh := w.records >= uint64(len(w.prefix))
-	if w.crash(payload, fresh, func(ra RawAppender, b []byte) error { return ra.AppendRaw(b) }) {
+	fresh := w.writes >= uint64(len(w.prefix))
+	if w.crashArmed && w.writes == w.crashSeq {
+		w.err = ErrCrash
+		if ra, ok := w.b.(RawAppender); ok && fresh && w.crashTorn > 0 {
+			fr := frame(payload)
+			if err := ra.AppendRaw(fr[:min(w.crashTorn, len(fr)-1)]); err != nil {
+				w.err = err
+			}
+		}
 		return w.err
 	}
 	if !fresh {
-		if !bytes.Equal(payload, w.prefix[w.records]) {
-			w.err = fmt.Errorf("record %d: regenerated %d bytes != journaled %d bytes: %w",
-				w.records, len(payload), len(w.prefix[w.records]), ErrDiverged)
+		if journaled := w.prefix[w.writes]; !bytes.Equal(payload, journaled) {
+			kind := "record"
+			if snapshot {
+				kind = "snapshot"
+			}
+			w.err = fmt.Errorf("write %d (%s after event %d): regenerated %d bytes != journaled %d bytes: %w",
+				w.writes, kind, w.events, len(payload), len(journaled), ErrDiverged)
 			return w.err
 		}
-	} else if err := w.b.Append(payload); err != nil {
-		w.err = err
-		return err
-	} else if err := w.b.Sync(); err != nil {
+	} else if err := w.persist(payload, snapshot); err != nil {
 		w.err = err
 		return err
 	}
-	w.records++
 	w.writes++
 	return nil
 }
 
+// persist appends a fresh write: a snapshot as it is, a record synced,
+// so the input is durable before the run acts on it.
+func (w *Writer) persist(payload []byte, snapshot bool) error {
+	if snapshot {
+		return w.b.PutSnapshot(w.events, payload)
+	}
+	if err := w.b.Append(payload); err != nil {
+		return err
+	}
+	return w.b.Sync()
+}
+
+// Record streams one input record through the Writer: verified against
+// the resumed journal, or appended and synced.
+func (w *Writer) Record(r Record) error { return w.put(r.Encode(), false) }
+
 // Event counts one observed trace event or replan decision and, every
-// interval events, captures a snapshot. Observers cannot propagate an
+// interval events, takes a snapshot. Observers cannot propagate an
 // error, so a failure is latched and re-surfaced by Err, which the run's
 // step loop polls between clock events.
 func (w *Writer) Event() {
@@ -196,43 +203,11 @@ func (w *Writer) Event() {
 		return
 	}
 	w.events++
-	if w.interval > 0 && w.events%w.interval == 0 {
-		if err := w.snapshot(); err != nil {
-			w.err = err
-		}
-	}
-}
-
-// snapshot captures the control-plane state at the current event count
-// and either verifies it against the stored snapshot (recovery) or
-// persists it. A snapshot missing from a resumed journal (lost in the
-// crash, or dropped as unreadable) is re-persisted so the recovered
-// journal matches the uninterrupted one's.
-func (w *Writer) snapshot() error {
-	if w.snapFn == nil {
-		return nil
+	if w.interval == 0 || w.events%w.interval != 0 || w.snapFn == nil {
+		return
 	}
 	s := w.snapFn()
-	if s == nil {
-		return nil
-	}
 	s.Seq = w.events
-	payload := s.Encode()
-	stored, ok := w.snaps[w.events]
-	if w.crash(payload, !ok, func(ra RawAppender, b []byte) error { return ra.PutSnapshotRaw(s.Seq, b) }) {
-		return w.err
-	}
-	if ok {
-		if !bytes.Equal(payload, stored) {
-			return fmt.Errorf("snapshot at event %d: rebuilt state (%d bytes) != stored snapshot (%d bytes): %w",
-				w.events, len(payload), len(stored), ErrDiverged)
-		}
-	} else {
-		if err := w.b.PutSnapshot(w.events, payload); err != nil {
-			return err
-		}
-		w.snaps[w.events] = payload
-	}
-	w.writes++
-	return nil
+	//rbvet:ignore droppederr — put latches the error, and Err re-surfaces it
+	_ = w.put(s.Encode(), true)
 }

@@ -144,7 +144,7 @@ func (s *Server) resume(side subSidecar) (damaged bool, err error) {
 	return damaged, s.run(exp, sc, jw, dir, script)
 }
 
-// grantPrefix decodes the trusted records of a crashed journal and
+// grantPrefix decodes the trusted writes of a crashed journal and
 // returns its Grant sequence — the arbitration decisions the previous
 // generation's run consumed before dying. The resumed re-execution
 // replays exactly these.
@@ -154,11 +154,11 @@ func grantPrefix(b journal.Backend) ([]harness.GrantDecision, error) {
 		return nil, err
 	}
 	var out []harness.GrantDecision
-	for _, payload := range raw.Records {
+	for _, payload := range raw.Writes {
 		rec, err := journal.DecodeRecord(payload)
 		if err != nil {
-			// Damage inside the trusted set would have been truncated by
-			// Load; an undecodable record here is real corruption.
+			// Load stops before damage; an undecodable write here is
+			// real corruption, or a journal of another Version.
 			return nil, fmt.Errorf("serve: grant prescan: %w", err)
 		}
 		if g, ok := rec.(*journal.Grant); ok {

@@ -231,10 +231,10 @@ func TestZeroSnapshotIntervalSelectsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Records) == 0 {
+	if len(raw.Writes) == 0 {
 		t.Fatal("empty journal")
 	}
-	rec, err := journal.DecodeRecord(raw.Records[0])
+	rec, err := journal.DecodeRecord(raw.Writes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +284,98 @@ func TestRecoverFailsRetiredEstimator(t *testing.T) {
 	}
 	if rep.Resumed != 0 || len(rep.Failed) != 1 || rep.Failed[0] != st.ID {
 		t.Fatalf("recover report = %+v, want %s failed", rep, st.ID)
+	}
+}
+
+// TestRecoverFailsOldFormatJournal: an unfinished run whose journal
+// header is of version 2, the format before snapshots moved inline, is
+// refused with the version error. Recovery lists it in Failed, never
+// arms its journal writer or re-runs it, and leaves its journal as it
+// found it.
+func TestRecoverFailsOldFormatJournal(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Capacity: 8, DataDir: dataDir}
+	sub := smallSub("acme", 405)
+	_, total := refRun(t, sub)
+	sA, tsA := newTestServer(t, cfg)
+	sA.armJournal = func(_ string, jw *journal.Writer) { jw.SetCrashPoint(total/2, 0) }
+	resp, body := postSub(t, tsA, sub)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	sA.Drain()
+	sA.Close()
+
+	// Rewrite the crashed journal with its header's version field set to
+	// 2, re-framed so every CRC still holds.
+	dir := filepath.Join(dataDir, sub.Tenant, st.ID)
+	fb, err := journal.NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := fb.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Writes) < 2 {
+		t.Fatalf("crashed journal holds %d writes", len(raw.Writes))
+	}
+	raw.Writes[0][1], raw.Writes[0][2] = 2, 0 // the header's little-endian version
+	if err := fb.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range raw.Writes {
+		if err := fb.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journals []string
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".json") {
+			journals = append(journals, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(journals) != 1 {
+		t.Fatalf("run directory holds %v, want one journal file beside its sidecars", entries)
+	}
+	before, err := os.ReadFile(journals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sB, _ := newTestServer(t, cfg)
+	armed := false
+	sB.armJournal = func(string, *journal.Writer) { armed = true }
+	rep, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != 0 || len(rep.Failed) != 1 || rep.Failed[0] != st.ID {
+		t.Fatalf("recover report = %+v, want %s failed", rep, st.ID)
+	}
+	if armed {
+		t.Fatal("recovery armed the old-format journal's writer")
+	}
+	if got := mustGet(t, sB, st.ID).StatusIn(sB.reg); got.State != "failed" || !strings.Contains(got.Error, "header version 2, want 3") {
+		t.Fatalf("status %+v, want failed with the version error", got)
+	}
+	after, err := os.ReadFile(journals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, after) {
+		t.Fatal("recovery changed the old-format journal")
 	}
 }
 
