@@ -88,9 +88,7 @@ fuzz-short:
 	go test ./internal/planner -run='^$$' -fuzz=FuzzPlanElastic -fuzztime=30s
 	go test ./internal/sim -run='^$$' -fuzz=FuzzCohortBilling -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz=FuzzIndexMatchesMap -fuzztime=10s
-	go test ./internal/sim -run='^$$' -fuzz=FuzzEvalMatchesPerDraw -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz=FuzzCompileMatchesPointerOracle -fuzztime=10s
-	go test ./internal/stats -run='^$$' -fuzz=FuzzMeanStdMatchesReference -fuzztime=10s
 	go test ./internal/stats -run='^$$' -fuzz=FuzzMaxIndepMatchesClark -fuzztime=10s
 	go test ./internal/trace -run='^$$' -fuzz=FuzzRecorderMatchesReference -fuzztime=10s
 	go test ./internal/serve -run='^$$' -fuzz=FuzzSubmission -fuzztime=30s

@@ -7,9 +7,10 @@ import (
 // Globalrand forbids math/rand outside internal/stats. All randomness in
 // the planning stack must flow through stats.RNG, whose SplitMix64-keyed
 // streams make sampling a pure function of (seed, stream key) — the
-// property that keeps Monte-Carlo estimates bit-identical at any worker
-// count. math/rand's global generator (and per-rand.Rand state seeded
-// ad hoc) would reintroduce hidden shared state.
+// property that keeps every run, and so its replay digest, bit-identical
+// however runs are scheduled across goroutines. math/rand's global
+// generator (and per-rand.Rand state seeded ad hoc) would reintroduce
+// hidden shared state.
 var Globalrand = &Analyzer{
 	Name: "globalrand",
 	Doc:  "forbid math/rand imports outside internal/stats (randomness flows through stats.RNG)",

@@ -97,8 +97,7 @@ func checkSeconds(name string, v float64) error {
 // is bounded by its mean alone: the provider draws it, and the Simulator
 // refuses it.
 func checkLatency(name string, d stats.Dist) error {
-	l := stats.CompileLat(d)
-	m, ok := l.Moment()
+	m, ok := stats.DistMoment(d)
 	if !ok {
 		m = stats.Moment{Mean: d.Mean()}
 	}

@@ -127,12 +127,10 @@ func (in *Instance) Billing() bool { return in.billing }
 type Provider struct {
 	clock *vclock.Clock
 	rng   *stats.RNG
-	// profile is the cloud the provider simulates, as Init received it.
+	// profile is the cloud the provider simulates, as Init received it;
+	// its overheads' queueing delay and initialization latency are drawn
+	// from rng (see stats.Draw).
 	profile Profile
-	// queue and init are the overheads' queueing delay and
-	// initialization latency, compiled once by Init; each draw consumes
-	// the stream exactly as the distribution's own Sample does.
-	queue, init stats.Lat
 
 	// instances holds every instance ever requested, indexed by ID: IDs
 	// are issued 0, 1, 2, … and an instance is never removed. onReady
@@ -179,7 +177,6 @@ func (p *Provider) Init(clock *vclock.Clock, rng *stats.RNG, prof Profile) error
 	}
 	p.Reset()
 	p.clock, p.rng, p.profile = clock, rng, prof
-	p.queue, p.init = stats.CompileLat(prof.Overheads.QueueDelay), stats.CompileLat(prof.Overheads.InitLatency)
 	p.dispID = clock.RegisterDispatcher(p.dispatch)
 	return nil
 }
@@ -253,8 +250,7 @@ func (p *Provider) Request(it InstanceType, onReady func(*Instance)) *Instance {
 	p.instances = append(p.instances, in)
 	p.onReady = append(p.onReady, onReady)
 
-	queue := p.queue.Sample(p.rng)
-	p.after(queue, opQueued, in)
+	p.after(stats.Draw(p.profile.Overheads.QueueDelay, p.rng), opQueued, in)
 	return in
 }
 
@@ -302,7 +298,7 @@ func (p *Provider) queued(in *Instance) {
 	in.billStart = p.clock.Now()
 	in.billing = true
 	p.dataCost += p.profile.Pricing.DataIngressCost(p.profile.DatasetGB)
-	p.after(p.init.Sample(p.rng), opInitDone, in)
+	p.after(stats.Draw(p.profile.Overheads.InitLatency, p.rng), opInitDone, in)
 }
 
 // initDone ends an instance's initialization: unless it was cancelled

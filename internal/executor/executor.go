@@ -236,8 +236,8 @@ type restartEntry struct {
 	alloc int
 }
 
-// Opcodes for the run's event dispatcher — the stats.Lat opcode
-// pattern applied to the training hot loop. Every steady-state event a
+// Opcodes for the run's event dispatcher in the training hot loop.
+// Every steady-state event a
 // trial schedules is one of these, carrying (trial, generation) packed
 // into the first operand; firing one goes through vclock's zero-alloc
 // dispatch path instead of a per-event closure.

@@ -37,15 +37,15 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	if created {
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			return nil, errors.Join(err, f.Close())
 		}
 	}
 	return &FileBackend{path: path, f: f}, nil
 }
 
-// syncDir fsyncs a directory, making the names in it durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, making the names in it durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)

@@ -74,8 +74,7 @@ var oracleScripts = map[string]func(d *oracleDriver){
 		st := optimalState(d.t)
 		d.observe(4, 1, 0, 4)
 		for i := 0; i < 2; i++ {
-			queue := stats.CompileLat(d.c.cfg.Cloud.Overheads.QueueDelay)
-			_, finite := queue.Moment()
+			_, finite := stats.DistMoment(d.c.cfg.Cloud.Overheads.QueueDelay)
 			dec := d.decide(st, ReasonDrift)
 			if d.ref && d.screened[i] != finite {
 				d.t.Fatalf("quiet regime screened %v, queue delay with finite moments %v: %+v", d.screened[i], finite, dec)

@@ -24,9 +24,11 @@ type RecoverReport struct {
 	// prefix.
 	Damaged []string
 	// Failed lists experiment ids whose recovery could not complete
-	// (divergence, unreadable sidecar) or that had failed in an earlier
-	// generation (failed.json present, adopted without re-running); they
-	// are registered as failed.
+	// (divergence, an undecodable submission or failure sidecar) or that
+	// had failed in an earlier generation (failed.json present, adopted
+	// without re-running); they are registered as failed. A run whose
+	// submission sidecar is undecodable is listed by its directory's
+	// name.
 	Failed []string
 }
 
@@ -34,7 +36,10 @@ type RecoverReport struct {
 // generations and brings the server back to a consistent state:
 // completed runs (replay.json present) are adopted as done, failed runs
 // (failed.json present) as failed, and unfinished runs are resumed by
-// verified re-execution — the journaled
+// verified re-execution. An undecodable replay.json counts as absent, so
+// its run resumes and rewrites it; an undecodable failed.json or
+// submission.json fails its run. Only an unreadable DataDir fails the
+// whole pass. The journaled
 // prefix (including every Grant record) is byte-compared while the run
 // is re-driven, then fresh stages arbitrate live. Resumption is
 // sequential in (tenant, id) order, so recovered grant appends are
@@ -54,27 +59,26 @@ func (s *Server) Recover() (RecoverReport, error) {
 			t  ReplayTuple
 			f  failSidecar
 		)
-		if ok, err := readSidecar(ref, "submission.json", &sc); err != nil {
-			return rep, err
-		} else if !ok {
+		ok, err := readSidecar(ref, "submission.json", &sc)
+		if err != nil {
+			s.adoptFailed(&rep, newExperiment(ref.Run, Submission{Tenant: ref.Tenant}), err)
+			continue
+		}
+		if !ok {
 			// A directory with no submission sidecar never held an
 			// admitted experiment; skip it.
 			continue
 		}
-		if ok, err := readSidecar(ref, "replay.json", &t); err != nil {
-			return rep, err
-		} else if ok {
+		if ok, err := readSidecar(ref, "replay.json", &t); ok && err == nil {
 			s.reg.adopt(newRecoveredDone(t), false)
 			rep.Adopted++
 			continue
 		}
-		if ok, err := readSidecar(ref, "failed.json", &f); err != nil {
-			return rep, err
-		} else if ok {
-			exp := newExperiment(sc.ID, sc.Submission)
-			exp.fail(errors.New(f.Error))
-			s.reg.adopt(exp, false)
-			rep.Failed = append(rep.Failed, sc.ID)
+		if ok, err := readSidecar(ref, "failed.json", &f); ok || err != nil {
+			if err == nil {
+				err = errors.New(f.Error)
+			}
+			s.adoptFailed(&rep, newExperiment(sc.ID, sc.Submission), err)
 			continue
 		}
 		damaged, err := s.resume(sc)
@@ -88,6 +92,13 @@ func (s *Server) Recover() (RecoverReport, error) {
 		rep.Resumed++
 	}
 	return rep, nil
+}
+
+// adoptFailed registers exp as failed with err and lists it in rep.
+func (s *Server) adoptFailed(rep *RecoverReport, exp *Experiment, err error) {
+	exp.fail(err)
+	s.reg.adopt(exp, false)
+	rep.Failed = append(rep.Failed, exp.ID)
 }
 
 // resume re-drives one unfinished run from its journal. The recovered

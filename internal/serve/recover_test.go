@@ -565,3 +565,77 @@ func TestPanicFailsOnlyItsExperiment(t *testing.T) {
 		t.Fatalf("%d experiments still hold GPUs after recovery", live)
 	}
 }
+
+// TestRecoverTornSidecars: a sidecar torn by a crash fails at most its
+// own run, never the recovery pass. Generation A completes four runs;
+// then exp-0000's replay.json is emptied, exp-0001's replay.json is
+// replaced by a torn failed.json and exp-0002's submission.json is
+// emptied. Generation B adopts exp-0003, resumes exp-0000 from its
+// journal (which rewrites its replay sidecar byte for byte), and lists
+// exp-0001 and exp-0002 as failed, the latter under its directory's
+// tenant. No sidecar write leaves a temporary file behind.
+func TestRecoverTornSidecars(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Capacity: 64, DataDir: dataDir}
+	sA, tsA := newTestServer(t, cfg)
+	for i := 0; i < 4; i++ {
+		if resp, body := postSub(t, tsA, smallSub("acme", uint64(501+i))); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	sA.Drain()
+	sA.Close()
+
+	run := func(id string) string { return filepath.Join(dataDir, "acme", id) }
+	replay, err := os.ReadFile(filepath.Join(run("exp-0000"), "replay.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string]string{
+		filepath.Join(run("exp-0000"), "replay.json"):     "",
+		filepath.Join(run("exp-0001"), "failed.json"):     `{"id": "exp-00`,
+		filepath.Join(run("exp-0002"), "submission.json"): "",
+	} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(run("exp-0001"), "replay.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	sB, _ := newTestServer(t, cfg)
+	rep, err := sB.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rep.Adopted != 1 || rep.Resumed != 1 || !slices.Equal(rep.Failed, []string{"exp-0001", "exp-0002"}) {
+		t.Fatalf("recover report = %+v, want 1 adopted, 1 resumed, exp-0001 and exp-0002 failed", rep)
+	}
+	if st := mustGet(t, sB, "exp-0000").State(); st != StateDone {
+		t.Fatalf("exp-0000 state = %v, want done", st)
+	}
+	if got, err := os.ReadFile(filepath.Join(run("exp-0000"), "replay.json")); err != nil || !slices.Equal(got, replay) {
+		t.Fatalf("resumed exp-0000's replay sidecar = %q (%v), want it rewritten as before", got, err)
+	}
+	for _, id := range []string{"exp-0001", "exp-0002"} {
+		st := mustGet(t, sB, id).StatusIn(sB.reg)
+		if st.State != "failed" || !strings.Contains(st.Error, "unexpected end of JSON input") {
+			t.Fatalf("%s status %+v, want failed with the decode error", id, st)
+		}
+	}
+	if tenant := mustGet(t, sB, "exp-0002").Sub.Tenant; tenant != "acme" {
+		t.Fatalf("exp-0002 tenant %q, want the directory's acme", tenant)
+	}
+	for i := 0; i < 4; i++ {
+		entries, err := os.ReadDir(run(fmt.Sprintf("exp-%04d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".tmp") {
+				t.Fatalf("exp-%04d: sidecar write left %s behind", i, e.Name())
+			}
+		}
+	}
+}

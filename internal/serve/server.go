@@ -485,11 +485,32 @@ type subSidecar struct {
 	Submission Submission `json:"submission"`
 }
 
-// writeSidecar marshals v to path.
+// writeSidecar marshals v to path atomically: it writes a temporary
+// file beside path, syncs it, renames it over path and syncs the
+// directory, so a crash leaves the old sidecar or the new one whole,
+// never a torn one.
 func writeSidecar(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(data, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return errors.Join(err, os.Remove(tmp))
+	}
+	return journal.SyncDir(filepath.Dir(path))
 }

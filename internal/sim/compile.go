@@ -24,29 +24,31 @@ func (k segKey) hash() uint64 {
 	return (uint64(uint32(k.stage)) | uint64(uint32(k.alloc))<<32) ^ uint64(uint32(k.prev))*0xff51afd7ed558ccd
 }
 
-// provLats are the cloud profile's SCALE (queueing) and INIT_INSTANCE
-// latencies, compiled once per Simulator. They depend on nothing else,
-// so every segment of the Simulator refers to the one copy.
+// provLats are the moments of the cloud profile's SCALE (queueing) and
+// INIT_INSTANCE latencies, taken once per Simulator. They depend on
+// nothing else, so every segment of the Simulator refers to the one
+// copy.
 type provLats struct {
-	scale, init stats.Lat
+	scale, init stats.Moment
 }
 
 // segment is one stage's sub-DAG of the execution DAG (§4.2, Figure 7)
-// held in closed form: the stage's fork-join shape and its three
-// compiled latencies, plus the metadata the cost model needs to price
+// held in closed form: the stage's fork-join shape and the moments of
+// its TRAIN latency, plus the metadata the cost model needs to price
 // the stage against the billing rules. Every stage has the same shape:
 // a SCALE request and grow parallel INIT_INSTANCEs after it when the
 // cluster grows, trials TRAINs in opening slots, and a closing SYNC
 // barrier. All cross-stage edges of the full execution DAG pass through
 // that single SYNC, so a segment evaluates zero-based (the previous
 // barrier is time zero) and plan-level quantities recombine from
-// per-segment moments. A segment's shape and latencies are immutable
-// after construction.
+// per-segment moments. A segment's shape and TRAIN moments are
+// immutable after construction.
 //
-// The record is kept to 80 bytes (TestSegmentRecordSize): the shape is
-// int32, the SCALE and INIT latencies, which only the cloud profile
-// fixes, stay with the Simulator (provLats), and the filled moments are
-// a ref into the table's moment slab.
+// The record is kept to 56 bytes and holds no pointer
+// (TestSegmentRecordSize): the shape is int32, the SCALE and INIT
+// moments, which only the cloud profile fixes, stay with the Simulator
+// (provLats), and the filled moments are a ref into the table's moment
+// slab.
 type segment struct {
 	key segKey
 	// grow is the INIT_INSTANCE count, one per instance the cluster
@@ -60,8 +62,11 @@ type segment struct {
 	trainGPUs int32
 	// instances is the cluster size (machines) during the stage.
 	instances int32
-	// train is the TRAIN latency (SYNC takes none).
-	train stats.Lat
+	// train is the TRAIN latency's moments (SYNC takes none), valid
+	// when trainOK: the latency has finite moments. trainNonNeg reports
+	// that it provably never samples below zero.
+	train                stats.Moment
+	trainOK, trainNonNeg bool
 
 	// mom refers to the segment's moments in the table's moment slab,
 	// 0 until filled. It is filled on first use and never changes
@@ -149,7 +154,7 @@ func (t *segTable) store(built *segment) ref {
 }
 
 // buildSegment resolves one stage's zero-based sub-DAG of the execution
-// DAG (§4.2, Figure 7) to its shape and compiled latencies. The stage
+// DAG (§4.2, Figure 7) to its shape and TRAIN moments. The stage
 // opens with a blocking SCALE request plus parallel INIT_INSTANCEs if the
 // cluster must grow, runs parallel TRAINs (chained serially by slot when
 // the stage has fewer GPUs than trials), and closes with a SYNC barrier;
@@ -159,23 +164,29 @@ func (t *segTable) store(built *segment) ref {
 // match execution. Deprovisioning is a zero-latency, zero-cost event and
 // is not represented (the cost model's per-stage instance counts account
 // for it). The build allocates nothing: the record is returned by value
-// for compile to store, the provisioning latencies were compiled once,
-// in New and stay with the Simulator, and the iteration distribution
-// comes from the table's share column.
+// for compile to store, the provisioning moments were taken once, in
+// Init, and stay with the Simulator, and the iteration distribution
+// comes from the table's share column. A TRAIN runs the stage's
+// iterations back to back, so its latency is their total (SumMoment);
+// it is non-negative when one iteration is (Iters is at least 1).
 //
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) segment {
 	st := s.spec.Stage(int(key.stage))
 	alloc := int(key.alloc)
 	per, need := stageShape(st.Trials, alloc, s.cloud.Instance.GPUs)
+	d := s.iterShare(per).dist
+	train, ok := stats.SumMoment(d, st.Iters)
 	return segment{
-		key:       key,
-		grow:      int32(max(need-int(key.prev), 0)),
-		trials:    int32(st.Trials),
-		opening:   int32(min(alloc, st.Trials)),
-		trainGPUs: int32(per),
-		instances: int32(need),
-		train:     stats.SumLat(s.iterShare(per).dist, st.Iters),
+		key:         key,
+		grow:        int32(max(need-int(key.prev), 0)),
+		trials:      int32(st.Trials),
+		opening:     int32(min(alloc, st.Trials)),
+		trainGPUs:   int32(per),
+		instances:   int32(need),
+		train:       train,
+		trainOK:     ok,
+		trainNonNeg: stats.NonNeg(d),
 	}
 }
 

@@ -51,11 +51,12 @@ func (s *Simulator) refCompile(p Plan, mc *monteCarlo) (*refCompiled, error) {
 		if mc != nil {
 			vec := make([]segSample, mc.samples)
 			base := mc.segStream(key)
+			d := s.segDists(&sg)
 			var r stats.RNG
 			var lat []float64
 			for k := range vec {
 				base.StreamInto(uint64(k), &r)
-				vec[k], lat = sg.eval(&s.prov, &r, lat)
+				vec[k], lat = sg.eval(&d, &r, lat)
 			}
 			cp.vecs = append(cp.vecs, vec)
 		}

@@ -188,11 +188,12 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 								t.Fatalf("%s: kernel has %d nodes, program %d", name, sg.nodes(), ref.prog.Len())
 							}
 							base := mc.segStream(key)
+							d := sm.segDists(&sg)
 							var fin []float64
 							var buf []Timing
 							for k := uint64(0); k < streams; k++ {
 								var got, want segSample
-								got, fin = sg.eval(&sm.prov, base.Stream(k), fin)
+								got, fin = sg.eval(&d, base.Stream(k), fin)
 								want, buf = ref.eval(base.Stream(k), buf)
 								if math.Float64bits(got.dur) != math.Float64bits(want.dur) ||
 									math.Float64bits(got.scaleFin) != math.Float64bits(want.scaleFin) ||
@@ -224,17 +225,24 @@ func TestStageKernelMatchesProgram(t *testing.T) {
 	t.Logf("%d segment shapes, %d with finite moments", shapes, finite)
 }
 
-// TestSumLatMatchesSumIters: the compiled iteration total draws and
-// propagates exactly what compiling the reference distribution does.
-func TestSumLatMatchesSumIters(t *testing.T) {
+// TestSumMomentMatchesSumIters: the iteration total's moments are, bit
+// for bit, those of the distribution the Monte-Carlo oracle draws it
+// from, and its non-negativity is the oracle distribution's.
+func TestSumMomentMatchesSumIters(t *testing.T) {
 	for _, d := range []stats.Dist{
-		stats.Deterministic{Value: 2}, stats.Normal{Mu: 3, Sigma: 1},
+		stats.Deterministic{Value: 2}, stats.Deterministic{Value: -1}, stats.Normal{Mu: 3, Sigma: 1},
 		stats.Exponential{MeanValue: 1}, stats.LogNormal{Mu: 1, Sigma: 0.2},
+		stats.Uniform{Lo: -2, Hi: 6}, stats.Pareto{Scale: 2, Alpha: 1.5},
+		stats.Scaled{D: stats.Exponential{MeanValue: 2}, Factor: 3},
 	} {
-		for _, n := range []int{0, 1, 7, 100} {
-			got, want := stats.SumLat(d, n), stats.CompileLat(sumIters(d, n))
-			if got != want {
-				t.Fatalf("%v x %d: SumLat %+v, compiled sumIters %+v", d, n, got, want)
+		for _, n := range []int{1, 7, 100} {
+			got, gok := stats.SumMoment(d, n)
+			want, wok := stats.DistMoment(sumIters(d, n))
+			if gok != wok || gok && !sameBits(got, want) {
+				t.Fatalf("%v x %d: SumMoment (%+v, %v), sumIters (%+v, %v)", d, n, got, gok, want, wok)
+			}
+			if g, w := stats.NonNeg(d), latNonNeg(sumIters(d, n)); g != w {
+				t.Fatalf("%v x %d: NonNeg %v, sumIters %v", d, n, g, w)
 			}
 		}
 	}
@@ -277,18 +285,14 @@ func TestColdSegmentBuildAllocatesOnlySegment(t *testing.T) {
 	}
 }
 
-// TestSegmentRecordSize pins the segment record at 80 bytes on 64-bit
-// targets: the int32 shape, the provisioning latencies kept by the
-// Simulator rather than referenced from every record, and a 32-bit ref
-// for the filled moments. The record's TRAIN latency
-// may hold a pointer, so its size on other word sizes differs and is
-// not pinned.
+// TestSegmentRecordSize pins the segment record at 56 bytes: the int32
+// shape, the TRAIN latency's moments and flags, the provisioning
+// moments kept by the Simulator rather than copied into every record,
+// and a 32-bit ref for the filled moments. The record holds no pointer,
+// so its size is the same on every word size.
 func TestSegmentRecordSize(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("record size is pinned for 64-bit targets only")
-	}
-	if got := unsafe.Sizeof(segment{}); got != 80 {
-		t.Fatalf("segment record is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(segment{}); got != 56 {
+		t.Fatalf("segment record is %d bytes, want 56", got)
 	}
 }
 
@@ -359,16 +363,18 @@ func BenchmarkSegmentBuild(b *testing.B) {
 func BenchmarkSegmentSample(b *testing.B) {
 	sm, keys := benchSegments(b)
 	segs := make([]*segment, len(keys))
+	dists := make([]segDists, len(keys))
 	for i, key := range keys {
 		segs[i] = sm.segmentFor(key)
+		dists[i] = sm.segDists(segs[i])
 	}
 	r := stats.NewRNG(1)
 	var fin []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, sg := range segs {
-			sampleSink, fin = sg.eval(&sm.prov, r, fin)
+		for j, sg := range segs {
+			sampleSink, fin = sg.eval(&dists[j], r, fin)
 		}
 	}
 }

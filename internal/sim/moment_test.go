@@ -7,8 +7,8 @@ import (
 	"repro/internal/stats"
 )
 
-// The first half of this file is the analytic counterpart of SampleInto: one linear pass
-// over a compiled Program that propagates (mean, variance) pairs instead
+// The first half of this file is the analytic counterpart of SampleInto:
+// one linear pass over a compiled Program that propagates (mean, variance) pairs instead
 // of Monte-Carlo draws. The pass is exact for deterministic latencies and
 // moment-matched (Clark maxima + quantile-sketch gang barriers)
 // otherwise; the tests below check it against Monte-Carlo sampling to
@@ -118,13 +118,13 @@ func (sc *MomentScratch) Finish(i int) stats.Moment {
 // Latency returns node i's latency moment after a successful pass.
 func (sc *MomentScratch) Latency(i int) stats.Moment { return sc.lat[i] }
 
-// SupportsMoments reports whether every latency opcode in the program has
+// SupportsMoments reports whether every latency in the program has
 // finite analytic moments. It is a pure function of the program.
 //
 //rbvet:pure
 func (p *Program) SupportsMoments() bool {
 	for i := range p.lat {
-		if _, ok := p.lat[i].Moment(); !ok {
+		if _, ok := stats.DistMoment(p.lat[i]); !ok {
 			return false
 		}
 	}
@@ -137,10 +137,10 @@ func (p *Program) SupportsMoments() bool {
 // readable via the accessors) and returns the makespan moment, taken over
 // the program's sinks.
 //
-// It reports ok=false — leaving the caller to fall back to Monte-Carlo —
-// when a latency lacks finite moments (Pareto alpha <= 2, opaque dists
-// without Var) or when pruning a dominated dependency would require a
-// non-negativity proof the latencies don't provide.
+// It reports ok=false when a latency lacks finite moments (Pareto
+// alpha <= 2, an opaque dist with an infinite variance) or when pruning
+// a dominated dependency would require a non-negativity proof the
+// latencies don't provide.
 //
 // Deterministic programs propagate exactly. Stochastic maxima are
 // moment-matched: equal-moment sibling groups via the iid quantile
@@ -154,12 +154,12 @@ func (p *Program) MomentsInto(sc *MomentScratch) (stats.Moment, bool) {
 	sc.reset(p.n)
 	allNonneg := true
 	for i := range p.lat {
-		m, ok := p.lat[i].Moment()
+		m, ok := stats.DistMoment(p.lat[i])
 		if !ok {
 			return stats.Moment{}, false
 		}
 		sc.lat[i] = m
-		allNonneg = allNonneg && p.lat[i].NonNeg()
+		allNonneg = allNonneg && latNonNeg(p.lat[i])
 	}
 
 	for i := 0; i < p.n; i++ {
@@ -479,8 +479,8 @@ func TestMomentsSerialAgainstMC(t *testing.T) {
 	}
 }
 
-// TestMomentsMixedDists: every supported latency opcode propagates to
-// Monte-Carlo tolerance, including opRepeat and opaque Varer dists.
+// TestMomentsMixedDists: every supported latency kind propagates to
+// Monte-Carlo tolerance, a repeated sum included.
 func TestMomentsMixedDists(t *testing.T) {
 	p := Compile(momentMixedGraph())
 	var sc MomentScratch
@@ -493,15 +493,15 @@ func TestMomentsMixedDists(t *testing.T) {
 }
 
 // momentMixedGraph builds a fork-join stage whose latencies cover every
-// opcode with finite moments, including opRepeat and an opaque Varer.
+// kind with finite moments, a repeated sum included.
 func momentMixedGraph() *Graph {
 	g := newGraph()
 	a := g.AddNode(Scale, 0, -1, 0, stats.Uniform{Lo: 2, Hi: 8})
 	b := g.AddNode(InitInstance, 0, -1, 0, stats.Exponential{MeanValue: 4}, a.ID)
 	c := g.AddNode(InitInstance, 0, -1, 0, stats.LogNormal{Mu: 1.5, Sigma: 0.3}, a.ID)
-	d := g.AddNode(Train, 0, 0, 1, stats.Repeat{D: stats.Normal{Mu: 3, Sigma: 0.4}, N: 20}, b.ID, c.ID)
+	d := g.AddNode(Train, 0, 0, 1, repeat{d: stats.Normal{Mu: 3, Sigma: 0.4}, n: 20}, b.ID, c.ID)
 	e := g.AddNode(Train, 0, 1, 1, stats.Pareto{Scale: 5, Alpha: 4}, b.ID, c.ID)
-	f := g.AddNode(Train, 0, 2, 1, stats.Shifted{D: stats.Uniform{Lo: 0, Hi: 6}, Offset: 50}, b.ID, c.ID)
+	f := g.AddNode(Train, 0, 2, 1, stats.Uniform{Lo: 50, Hi: 56}, b.ID, c.ID)
 	g.AddNode(Sync, 0, -1, 0, stats.Deterministic{Value: 0}, d.ID, e.ID, f.ID)
 	return g
 }
@@ -527,8 +527,8 @@ func TestMomentsTrackedNodes(t *testing.T) {
 	checkMoments(t, "train finish", sc.Finish(5), fin, 0.01, 0.3)
 }
 
-// TestMomentsUnsupported: infinite-variance and Varer-less latencies
-// report ok=false rather than wrong numbers, and SupportsMoments agrees.
+// TestMomentsUnsupported: infinite-variance latencies report ok=false
+// rather than wrong numbers, and SupportsMoments agrees.
 func TestMomentsUnsupported(t *testing.T) {
 	g := newGraph()
 	g.AddNode(Train, 0, 0, 1, stats.Pareto{Scale: 1, Alpha: 1.5})

@@ -29,36 +29,50 @@ type segSample struct {
 	dur, scaleFin, trainSec float64
 }
 
-// eval draws one execution of the segment and condenses it to its
-// segSample. It samples the stage's nodes in DAG order — SCALE, the
-// INITs, then the TRAINs — and, exactly as a node-by-node pass over the
-// sub-DAG would, starts each node at the largest of zero and its
-// dependencies' finishes and takes the span as the largest finish. The
-// INITs and the TRAINs are each drawn into lat in one batch (one opcode
-// dispatch, the same stream consumption as a draw per node); each TRAIN's
-// latency is then overwritten by its finish, so TRAIN tr starts at the
-// finish of TRAIN tr−opening, the previous one in its slot. prov holds
-// the Simulator's SCALE and INIT latencies. lat is scratch, reused when
-// it holds max(grow, trials) and returned for the next draw.
+// segDists are the latencies one draw of a segment samples: the cloud
+// profile's SCALE and INIT latencies and the TRAIN's iteration total.
+type segDists struct {
+	scale, init, train stats.Dist
+}
+
+// segDists returns the latencies sg's draws sample on s: a TRAIN runs
+// its stage's iterations at sg's per-trial share back to back
+// (sumIters).
+func (s *Simulator) segDists(sg *segment) segDists {
+	iters := s.spec.Stage(int(sg.key.stage)).Iters
+	return segDists{
+		scale: s.cloud.Overheads.QueueDelay,
+		init:  s.cloud.Overheads.InitLatency,
+		train: sumIters(s.iterShare(int(sg.trainGPUs)).dist, iters),
+	}
+}
+
+// eval draws one execution of the segment from the latencies d and
+// condenses it to its segSample. It samples the stage's nodes in DAG
+// order — SCALE, the INITs, then the TRAINs — and, exactly as a
+// node-by-node pass over the sub-DAG would, starts each node at the
+// largest of zero and its dependencies' finishes and takes the span as
+// the largest finish. Each TRAIN's finish is kept in lat, so TRAIN tr
+// starts at the finish of TRAIN tr−opening, the previous one in its
+// slot. lat is scratch, reused when it holds trials and returned for
+// the next draw.
 //
 //rbvet:pure
-func (sg *segment) eval(prov *provLats, r *stats.RNG, lat []float64) (segSample, []float64) {
-	if n := int(max(sg.grow, sg.trials)); cap(lat) < n {
+func (sg *segment) eval(d *segDists, r *stats.RNG, lat []float64) (segSample, []float64) {
+	if n := int(sg.trials); cap(lat) < n {
 		lat = make([]float64, n)
 	}
 	var out segSample
 	var span, open float64 // largest finish so far; the opening TRAINs' start
 	if sg.grow > 0 {
 		var start float64 // the INITs' start, once the SCALE finishes
-		out.scaleFin = start + prov.scale.Sample(r)
+		out.scaleFin = start + d.scale.Sample(r)
 		if out.scaleFin > start {
 			start = out.scaleFin
 		}
 		span = start
-		inits := lat[:sg.grow]
-		prov.init.SampleInto(r, inits)
-		for _, d := range inits {
-			if f := start + d; f > open {
+		for k := int32(0); k < sg.grow; k++ {
+			if f := start + d.init.Sample(r); f > open {
 				open = f
 			}
 		}
@@ -67,7 +81,6 @@ func (sg *segment) eval(prov *provLats, r *stats.RNG, lat []float64) (segSample,
 		}
 	}
 	fin := lat[:sg.trials]
-	sg.train.SampleInto(r, fin)
 	for tr := range fin {
 		start := open
 		if prev := tr - int(sg.opening); prev >= 0 {
@@ -76,7 +89,7 @@ func (sg *segment) eval(prov *provLats, r *stats.RNG, lat []float64) (segSample,
 				start = f
 			}
 		}
-		f := start + fin[tr]
+		f := start + d.train.Sample(r)
 		fin[tr] = f
 		out.trainSec += f - start
 		if f > span {
@@ -146,9 +159,10 @@ func (m *monteCarlo) vector(sg *segment) []segSample {
 	}
 	v := make([]segSample, m.samples)
 	m.base = m.segStream(sg.key)
+	d := m.s.segDists(sg)
 	for k := range v {
 		m.base.StreamInto(uint64(k), &m.rng)
-		v[k], m.lat = sg.eval(&m.s.prov, &m.rng, m.lat)
+		v[k], m.lat = sg.eval(&d, &m.rng, m.lat)
 	}
 	m.vecs[sg.key] = v
 	return v

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -201,8 +202,8 @@ func algorithm1Breakdown(t testing.TB, m *monteCarlo, p Plan) []StageEstimate {
 }
 
 // sumIters is the latency distribution of n i.i.d. iterations drawn from
-// d, the reference for stats.SumLat: normal and deterministic iteration
-// latencies collapse analytically, others sum draws via stats.Repeat.
+// d, whose moments stats.SumMoment takes: normal and deterministic
+// iteration latencies collapse analytically, others sum draws (repeat).
 func sumIters(d stats.Dist, n int) stats.Dist {
 	if n < 0 {
 		panic("sim: negative iteration count")
@@ -213,8 +214,41 @@ func sumIters(d stats.Dist, n int) stats.Dist {
 	case stats.Normal:
 		return stats.Normal{Mu: float64(n) * v.Mu, Sigma: math.Sqrt(float64(n)) * v.Sigma}
 	default:
-		return stats.Repeat{D: d, N: n}
+		return repeat{d: d, n: n}
 	}
+}
+
+// repeat is the distribution of the sum of n independent draws from d:
+// n iterations of latency d back to back.
+type repeat struct {
+	d stats.Dist
+	n int
+}
+
+// Sample draws n values from d and returns their sum.
+func (s repeat) Sample(r *stats.RNG) float64 {
+	var sum float64
+	for i := 0; i < s.n; i++ {
+		sum += s.d.Sample(r)
+	}
+	return sum
+}
+
+// Mean returns n times d's mean.
+func (s repeat) Mean() float64 { return float64(s.n) * s.d.Mean() }
+
+// Var returns n times d's variance (independent draws).
+func (s repeat) Var() float64 { return float64(s.n) * s.d.Var() }
+
+func (s repeat) String() string { return fmt.Sprintf("sum(%d x %s)", s.n, s.d) }
+
+// latNonNeg is stats.NonNeg extended to repeat: a sum of draws that are
+// never negative is never negative.
+func latNonNeg(d stats.Dist) bool {
+	if r, ok := d.(repeat); ok {
+		return stats.NonNeg(r.d)
+	}
+	return stats.NonNeg(d)
 }
 
 // nodes returns the node count of the segment's stage: SCALE and the
@@ -292,7 +326,9 @@ func TestSegmentDrawsMatchFullDAG(t *testing.T) {
 			r := base.Stream(uint64(k))
 			for i := range cp.segs {
 				var got segSample
-				got, buf = cp.seg(i).eval(&sm.prov, r, buf)
+				sg := cp.seg(i)
+				d := sm.segDists(sg)
+				got, buf = sg.eval(&d, r, buf)
 				w := want[i][k]
 				if !near(got.dur, w.dur, 1e-12) || !near(got.scaleFin, w.scaleFin, 1e-12) || !near(got.trainSec, w.trainSec, 1e-12) {
 					t.Fatalf("plan %v draw %d stage %d: segment %+v, full DAG %+v", plan, k, i, got, w)
@@ -341,11 +377,12 @@ func TestSegmentProgramsMatchFullDAG(t *testing.T) {
 					plan, i, sg.nodes(), sg.trials, ref.prog.Len(), ref.trainHi-ref.trainLo)
 			}
 			base := mc.segStream(sg.key)
+			d := sm.segDists(sg)
 			var fin []float64
 			var wbuf []Timing
 			for k := 0; k < mc.samples; k++ {
 				var got, want segSample
-				got, fin = sg.eval(&sm.prov, base.Stream(uint64(k)), fin)
+				got, fin = sg.eval(&d, base.Stream(uint64(k)), fin)
 				want, wbuf = ref.eval(base.Stream(uint64(k)), wbuf)
 				if got != want {
 					t.Fatalf("plan %v stage %d draw %d: kernel %+v, CompileRange %+v", plan, i, k, got, want)

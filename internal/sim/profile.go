@@ -74,13 +74,11 @@ func (p MeasuredTrainProfile) IterDist(gpus int) stats.Dist {
 
 // ScaledTrainProfile wraps a TrainProfile, multiplying every iteration
 // latency by Factor — the model of a uniform slowdown (Factor > 1) or
-// speedup (Factor < 1) relative to the profiled behaviour. The harness's
-// drifted-feasibility classifier and the replanner's synthetic-drift demos
-// plan against it. Deterministic and Normal base distributions scale in
-// closed form (multiplying a truncated normal's sample by a positive
-// factor equals sampling the scaled parameters), so scaled profiles stay
-// on stats.Lat's inline opcodes; anything else falls back to
-// stats.Scaled.
+// speedup (Factor < 1) relative to the profiled behaviour. Deterministic
+// and Normal base distributions scale in closed form (multiplying a
+// truncated normal's sample by a positive factor equals sampling the
+// scaled parameters), so a scaled profile's TRAIN totals still collapse
+// in stats.SumMoment; anything else is wrapped in stats.Scaled.
 type ScaledTrainProfile struct {
 	Base   TrainProfile
 	Factor float64

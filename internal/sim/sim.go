@@ -119,14 +119,12 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp cloud
 	if profile == nil {
 		return fmt.Errorf("sim: nil train profile")
 	}
-	prov := provLats{
-		scale: stats.CompileLat(cp.Overheads.QueueDelay),
-		init:  stats.CompileLat(cp.Overheads.InitLatency),
-	}
-	if err := checkProv("queue delay", cp.Overheads.QueueDelay, &prov.scale); err != nil {
+	var prov provLats
+	var err error
+	if prov.scale, err = provMoment("queue delay", cp.Overheads.QueueDelay); err != nil {
 		return err
 	}
-	if err := checkProv("init latency", cp.Overheads.InitLatency, &prov.init); err != nil {
+	if prov.init, err = provMoment("init latency", cp.Overheads.InitLatency); err != nil {
 		return err
 	}
 	if err := cp.Validate(); err != nil {
@@ -144,17 +142,18 @@ func (s *Simulator) Init(sp *spec.ExperimentSpec, profile TrainProfile, cp cloud
 	return nil
 }
 
-// checkProv returns an error naming the provisioning latency d, compiled
-// as l, unless it is non-nil and has finite moments, a non-negative mean
-// and non-negative samples.
-func checkProv(name string, d stats.Dist, l *stats.Lat) error {
+// provMoment returns the moments of the provisioning latency d, or an
+// error naming it unless it is non-nil and has moments, a non-negative
+// mean and non-negative samples.
+func provMoment(name string, d stats.Dist) (stats.Moment, error) {
 	if d == nil {
-		return fmt.Errorf("sim: nil %s", name)
+		return stats.Moment{}, fmt.Errorf("sim: nil %s", name)
 	}
-	if !nonNegMoments(l) {
-		return fmt.Errorf("sim: %s %v: want finite moments, a non-negative mean and no negative samples", name, d)
+	m, ok := stats.DistMoment(d)
+	if !ok || !(m.Mean >= 0) || !stats.NonNeg(d) {
+		return stats.Moment{}, fmt.Errorf("sim: %s %v: want finite moments, a non-negative mean and no negative samples", name, d)
 	}
-	return nil
+	return m, nil
 }
 
 // Reset empties s's table and drops everything Init gave it, leaving a
@@ -318,13 +317,6 @@ func gaussianProfile(p TrainProfile) bool {
 		return gaussianProfile(p.Base)
 	}
 	return false
-}
-
-// nonNegMoments reports whether l has finite moments and a
-// non-negative mean and never samples below zero.
-func nonNegMoments(l *stats.Lat) bool {
-	m, ok := l.Moment()
-	return ok && m.Mean >= 0 && l.NonNeg()
 }
 
 // meanLats returns the table's share column for per-trial shares 1..n

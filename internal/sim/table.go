@@ -29,9 +29,9 @@ const (
 // a key to its record's ref, and a record refers to its moments by ref
 // into their slab, as a compiled plan does (see compiledPlan). So the
 // index, the moments and every compiled plan are pointer-free: storing
-// into them takes no write barrier and emptying them clears nothing.
-// The one pointer a record can hold is a TRAIN latency that boxes its
-// distribution, which reset clears.
+// into them takes no write barrier and emptying them clears nothing. A
+// record holds its TRAIN latency's moments, not the distribution, so
+// records are pointer-free too.
 type segTable struct {
 	index index[segKey, ref]
 	segs  slab[segment]
@@ -47,7 +47,7 @@ type segTable struct {
 	allocs  []int32
 	// shares[per-1] is the profile's iteration latency at per GPUs per
 	// trial (dist nil, hasMean false: not yet asked for). buildSegment
-	// compiles a segment's TRAIN latency from it and meanLats reads its
+	// takes a segment's TRAIN moments from it and meanLats reads its
 	// means, so the profile builds each distribution once per table.
 	// full counts the leading shares whose means are known to be filled.
 	shares []iterShare
@@ -131,20 +131,11 @@ type iterShare struct {
 // empty in O(1) (see index.reset), and the slabs rewind. Records,
 // moments and memo entries are overwritten before they are read, so the
 // only storage cleared is what holds a pointer the kept table must not
-// keep alive: a record's TRAIN latency when it boxes a distribution,
-// and the share column's distributions.
+// keep alive: the share column's distributions.
 func (t *segTable) reset() {
 	t.index.reset()
 	t.plans.reset()
 	t.entries, t.allocs = t.entries[:0], t.allocs[:0]
-	for i := 0; i < t.segs.chunksUsed(); i++ {
-		used := t.segs.usedOf(i)
-		for j := range used {
-			if used[j].train.Boxed() {
-				used[j].train = stats.Lat{}
-			}
-		}
-	}
 	t.segs.rewind()
 	t.moms.rewind()
 	clear(t.shares)
@@ -216,24 +207,6 @@ func (sl *slab[T]) ref(off int) ref {
 func (sl *slab[T]) at(h ref) *T {
 	h--
 	return &sl.chunks[h>>refOffBits][h&(1<<refOffBits-1)]
-}
-
-// chunksUsed returns how many chunks hold taken values.
-func (sl *slab[T]) chunksUsed() int {
-	if sl.cur < sl.n && sl.off > 0 {
-		return sl.cur + 1
-	}
-	return sl.cur
-}
-
-// usedOf returns the taken prefix of chunk i < chunksUsed(). A chunk
-// before the current one counts whole: a run that did not fit its tail
-// left that tail as rewind found it.
-func (sl *slab[T]) usedOf(i int) []T {
-	if i == sl.cur {
-		return sl.chunks[i][:sl.off]
-	}
-	return sl.chunks[i]
 }
 
 // rewind makes every chunk available again.

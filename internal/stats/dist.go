@@ -14,8 +14,22 @@ type Dist interface {
 	Sample(r *RNG) float64
 	// Mean returns the distribution's expected value.
 	Mean() float64
+	// Var returns the distribution's variance: +Inf or NaN where it is
+	// not finite.
+	Var() float64
 	// String describes the distribution for logs and traces.
 	String() string
+}
+
+// Draw samples d from r; a nil d is the point mass at zero and draws
+// nothing.
+//
+//rbvet:noalloc
+func Draw(d Dist, r *RNG) float64 {
+	if d == nil {
+		return 0
+	}
+	return d.Sample(r)
 }
 
 // Deterministic is a point-mass distribution: every sample equals Value.
@@ -52,8 +66,8 @@ func (n Normal) Sample(r *RNG) float64 {
 }
 
 // Mean returns mu. For the small sigma/mu ratios used in the experiments
-// the truncation bias is negligible, and the planner's Monte-Carlo
-// estimates do not rely on this analytic value.
+// the truncation bias is negligible; the analytic estimator's tolerance
+// tests bound the residual.
 func (n Normal) Mean() float64 { return n.Mu }
 
 func (n Normal) String() string { return fmt.Sprintf("normal(mu=%g, sigma=%g)", n.Mu, n.Sigma) }
@@ -170,30 +184,6 @@ func (p Pareto) Mean() float64 { return p.Alpha * p.Scale / (p.Alpha - 1) }
 
 func (p Pareto) String() string { return fmt.Sprintf("pareto(xm=%g, alpha=%g)", p.Scale, p.Alpha) }
 
-// Repeat is the distribution of the sum of N independent draws from D. It
-// is the general-case form of "run N iterations of latency D back to
-// back"; callers with normal or deterministic D should collapse the sum
-// analytically instead (see SumLat), which keeps sampling cost
-// independent of N.
-type Repeat struct {
-	D Dist
-	N int
-}
-
-// Sample draws N values from D and returns their sum.
-func (s Repeat) Sample(r *RNG) float64 {
-	var sum float64
-	for i := 0; i < s.N; i++ {
-		sum += s.D.Sample(r)
-	}
-	return sum
-}
-
-// Mean returns N times the wrapped mean.
-func (s Repeat) Mean() float64 { return float64(s.N) * s.D.Mean() }
-
-func (s Repeat) String() string { return fmt.Sprintf("sum(%d x %s)", s.N, s.D) }
-
 // Scaled wraps a distribution and multiplies every sample and the mean by
 // Factor. It lets the simulator reuse a profiled per-iteration latency
 // distribution at a different allocation via a scaling function.
@@ -210,21 +200,6 @@ func (s Scaled) Mean() float64 { return s.Factor * s.D.Mean() }
 
 func (s Scaled) String() string { return fmt.Sprintf("%g*%s", s.Factor, s.D) }
 
-// Shifted adds Offset to every sample of the wrapped distribution; useful
-// for fixed setup components on top of a stochastic latency.
-type Shifted struct {
-	D      Dist
-	Offset float64
-}
-
-// Sample draws from the wrapped distribution plus the offset.
-func (s Shifted) Sample(r *RNG) float64 { return s.Offset + s.D.Sample(r) }
-
-// Mean returns the wrapped mean plus the offset.
-func (s Shifted) Mean() float64 { return s.Offset + s.D.Mean() }
-
-func (s Shifted) String() string { return fmt.Sprintf("%g+%s", s.Offset, s.D) }
-
 // Var returns 0: a point mass has no spread.
 func (d Deterministic) Var() float64 { return 0 }
 
@@ -233,10 +208,10 @@ func (d Deterministic) Var() float64 { return 0 }
 // analytic estimator's tolerance tests bound the residual bias.
 func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
 
-// Var returns (exp(sigma²)−1)·exp(2mu+sigma²).
+// Var returns (exp(sigma²)−1)·Mean².
 func (l LogNormal) Var() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
+	m := l.Mean()
+	return (math.Exp(l.Sigma*l.Sigma) - 1) * m * m
 }
 
 // Var returns (Hi−Lo)²/12.
@@ -249,8 +224,7 @@ func (u Uniform) Var() float64 {
 func (e Exponential) Var() float64 { return e.MeanValue * e.MeanValue }
 
 // Var returns the Pareto variance, which is finite only for alpha > 2;
-// below that it returns +Inf, which the analytic estimator treats as
-// "unsupported — fall back to Monte-Carlo".
+// below that it returns +Inf, and DistMoment reports no moments.
 func (p Pareto) Var() float64 {
 	if p.Alpha <= 2 {
 		return math.Inf(1)
@@ -259,33 +233,5 @@ func (p Pareto) Var() float64 {
 	return p.Scale * p.Scale * p.Alpha / (am1 * am1 * (p.Alpha - 2))
 }
 
-// Var returns N times the wrapped variance (independent draws), or NaN
-// when the wrapped distribution carries no analytic variance.
-func (s Repeat) Var() float64 {
-	v, ok := s.D.(Varer)
-	if !ok {
-		return math.NaN()
-	}
-	return float64(s.N) * v.Var()
-}
-
-// Var returns Factor² times the wrapped variance, or NaN when the wrapped
-// distribution carries no analytic variance.
-func (s Scaled) Var() float64 {
-	v, ok := s.D.(Varer)
-	if !ok {
-		return math.NaN()
-	}
-	return s.Factor * s.Factor * v.Var()
-}
-
-// Var returns the wrapped variance unchanged (shifting moves only the
-// mean), or NaN when the wrapped distribution carries no analytic
-// variance.
-func (s Shifted) Var() float64 {
-	v, ok := s.D.(Varer)
-	if !ok {
-		return math.NaN()
-	}
-	return v.Var()
-}
+// Var returns Factor² times the wrapped variance.
+func (s Scaled) Var() float64 { return s.Factor * s.Factor * s.D.Var() }

@@ -114,16 +114,6 @@ func TestScaled(t *testing.T) {
 	}
 }
 
-func TestShifted(t *testing.T) {
-	d := Shifted{D: Deterministic{Value: 4}, Offset: 1.5}
-	if v := d.Sample(NewRNG(1)); v != 5.5 {
-		t.Fatalf("shifted sample %v != 5.5", v)
-	}
-	if d.Mean() != 5.5 {
-		t.Fatalf("shifted mean %v != 5.5", d.Mean())
-	}
-}
-
 // Property: samples from all standard distributions are non-negative when
 // configured with non-negative parameters (latencies must never be
 // negative).
@@ -228,7 +218,6 @@ func TestDistStrings(t *testing.T) {
 		LogNormal{Mu: 0, Sigma: 1}, Uniform{Lo: 0, Hi: 1},
 		Exponential{MeanValue: 1}, p,
 		Scaled{D: Deterministic{Value: 1}, Factor: 2},
-		Shifted{D: Deterministic{Value: 1}, Offset: 2},
 	} {
 		if d.String() == "" {
 			t.Errorf("%T has empty String", d)

@@ -3,7 +3,7 @@ package stats
 import "math"
 
 // Moment is a (mean, variance) pair — the sufficient statistic the
-// analytic estimator propagates in place of Monte-Carlo sample vectors.
+// analytic estimator propagates through the execution DAG.
 // The algebra below covers exactly the operations a fork-join execution
 // DAG needs: sums of independent terms, positive scaling, and maxima of
 // independent terms (Clark's Gaussian moment matching, with the quantile
@@ -44,8 +44,7 @@ func (m Moment) Scale(c float64) Moment {
 
 // IsFinite reports whether both moments are finite — the precondition for
 // every analytic propagation step. Distributions with infinite variance
-// (Pareto with alpha <= 2) fail it and force the caller back to
-// Monte-Carlo estimation.
+// (Pareto with alpha <= 2) fail it, and the estimator refuses them.
 func (m Moment) IsFinite() bool {
 	return !math.IsInf(m.Mean, 0) && !math.IsNaN(m.Mean) &&
 		!math.IsInf(m.Var, 0) && !math.IsNaN(m.Var) && m.Var >= 0
@@ -313,21 +312,81 @@ func computeMaxIIDCoeffs(n int) Moment {
 	return s.Moment()
 }
 
-// Varer is the optional moment interface a Dist may implement: Var
-// returns the distribution's variance. The analytic estimator requires
-// finite variances; distributions that do not implement Varer (or report
-// an infinite variance) force Monte-Carlo fallback.
-type Varer interface {
-	Var() float64
+// DistMoment returns d's (mean, variance) and whether they exist; a nil
+// d is the point mass at zero. The built-in distribution types report
+// their closed forms, which exist for all parameters but a Pareto's
+// alpha <= 2; any other type, Scaled among them, has moments only when
+// both are finite.
+//
+//rbvet:pure
+func DistMoment(d Dist) (Moment, bool) {
+	switch v := d.(type) {
+	case nil:
+		return Moment{}, true
+	case Pareto:
+		if v.Alpha <= 2 {
+			return Moment{}, false
+		}
+	case Deterministic, Normal, LogNormal, Uniform, Exponential:
+	default:
+		m := Moment{Mean: d.Mean(), Var: d.Var()}
+		return m, m.IsFinite()
+	}
+	return Moment{Mean: d.Mean(), Var: d.Var()}, true
 }
 
-// DistMoment extracts (mean, variance) from a distribution, reporting
-// whether the distribution supports finite analytic moments.
-func DistMoment(d Dist) (Moment, bool) {
-	v, ok := d.(Varer)
-	if !ok {
+// SumMoment returns the (mean, variance) of the total of n i.i.d. draws
+// from d and whether they exist. A normal or deterministic summand
+// collapses analytically: the sum of n normals is N(nμ, √n·σ), whose
+// variance is taken as (√n·σ)², truncated at zero as each draw would be.
+// Any other summand needs finite moments, which scale by n. A nil d has
+// none. It panics if n < 0.
+//
+//rbvet:pure
+func SumMoment(d Dist, n int) (Moment, bool) {
+	if n < 0 {
+		panic("stats: negative iteration count")
+	}
+	k := float64(n)
+	switch v := d.(type) {
+	case nil:
+		return Moment{}, false
+	case Deterministic:
+		return Moment{Mean: k * v.Value}, true
+	case Normal:
+		sigma := math.Sqrt(k) * v.Sigma
+		return Moment{Mean: k * v.Mu, Var: sigma * sigma}, true
+	}
+	m := Moment{Mean: d.Mean(), Var: d.Var()}
+	if !m.IsFinite() {
 		return Moment{}, false
 	}
-	m := Moment{Mean: d.Mean(), Var: v.Var()}
-	return m, m.IsFinite()
+	return Moment{Mean: m.Mean * k, Var: m.Var * k}, true
+}
+
+// NonNeg reports whether d provably never samples below zero, the
+// precondition for dominance pruning in a moment pass; a nil d is zero.
+// Unknown distribution types answer false, which only disables pruning
+// (a moment pass that needed the prune reports no moments), never a
+// wrong moment.
+//
+//rbvet:pure
+func NonNeg(d Dist) bool {
+	switch v := d.(type) {
+	case nil:
+		return true
+	case Deterministic:
+		return v.Value >= 0
+	case Uniform:
+		return v.Lo >= 0
+	case Exponential:
+		return v.MeanValue >= 0
+	case Normal, LogNormal, Pareto:
+		return true // Normal samples truncate at zero
+	case Scaled:
+		return v.Factor >= 0 && NonNeg(v.D)
+	case *Scaled:
+		return v.Factor >= 0 && NonNeg(v.D)
+	}
+	return false
 }

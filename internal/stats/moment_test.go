@@ -19,7 +19,7 @@ func sampleMoment(n int, sample func(r *RNG) float64) Moment {
 	return Moment{Mean: mean, Var: sq/float64(n) - mean*mean}
 }
 
-// TestDistVarAgainstSamples: every Varer implementation must agree with
+// TestDistVarAgainstSamples: every distribution's moments must agree with
 // the sampled variance of its own Sample method to Monte-Carlo tolerance.
 func TestDistVarAgainstSamples(t *testing.T) {
 	dists := []Dist{
@@ -29,9 +29,8 @@ func TestDistVarAgainstSamples(t *testing.T) {
 		Uniform{Lo: 2, Hi: 9},
 		Exponential{MeanValue: 5},
 		Pareto{Scale: 2, Alpha: 4},
-		Repeat{D: Normal{Mu: 4, Sigma: 0.5}, N: 12},
 		Scaled{D: Exponential{MeanValue: 3}, Factor: 2.5},
-		Shifted{D: Uniform{Lo: 0, Hi: 4}, Offset: 10},
+		Scaled{D: LogNormal{Mu: 0.5, Sigma: 0.3}, Factor: 4},
 	}
 	const n = 200000
 	for _, d := range dists {
@@ -57,20 +56,136 @@ func TestDistMomentRejectsInfiniteVariance(t *testing.T) {
 	if _, ok := DistMoment(Pareto{Scale: 1, Alpha: 1.5}); ok {
 		t.Error("Pareto alpha=1.5 reported a finite moment")
 	}
-	if _, ok := DistMoment(Repeat{D: fakeDist{}, N: 3}); ok {
-		t.Error("Repeat over a Varer-less dist reported a finite moment")
+	if _, ok := DistMoment(Scaled{D: Pareto{Scale: 1, Alpha: 1.5}, Factor: 2}); ok {
+		t.Error("Scaled over an infinite-variance Pareto reported a finite moment")
 	}
-	if _, ok := DistMoment(Scaled{D: fakeDist{}, Factor: 2}); ok {
-		t.Error("Scaled over a Varer-less dist reported a finite moment")
+	if _, ok := SumMoment(Pareto{Scale: 1, Alpha: 2}, 3); ok {
+		t.Error("a sum of Pareto alpha=2 draws reported a finite moment")
+	}
+	if _, ok := SumMoment(nil, 3); ok {
+		t.Error("a sum of nil draws reported a moment")
 	}
 }
 
-// fakeDist is a Dist with no Var method.
-type fakeDist struct{}
+// TestDistMomentClosedForms: each built-in type's moments are its closed
+// forms bit for bit, a lognormal's variance taken as (exp(σ²)−1)·mean²,
+// and a nil distribution is the point mass at zero.
+func TestDistMomentClosedForms(t *testing.T) {
+	ln := LogNormal{Mu: 1.3, Sigma: 0.7}
+	lnMean := math.Exp(1.3 + 0.7*0.7/2)
+	for _, c := range []struct {
+		d    Dist
+		want Moment
+	}{
+		{nil, Moment{}},
+		{Deterministic{Value: 4}, Moment{Mean: 4}},
+		{Normal{Mu: 3, Sigma: 0.5}, Moment{Mean: 3, Var: 0.25}},
+		{ln, Moment{Mean: lnMean, Var: (math.Exp(0.7*0.7) - 1) * lnMean * lnMean}},
+		{Uniform{Lo: 2, Hi: 8}, Moment{Mean: 5, Var: 3}},
+		{Exponential{MeanValue: 6}, Moment{Mean: 6, Var: 36}},
+		{Pareto{Scale: 2, Alpha: 3}, Moment{Mean: 3, Var: 3}},
+		{Scaled{D: ln, Factor: 2}, Moment{Mean: 2 * lnMean, Var: 4 * ((math.Exp(0.7*0.7) - 1) * lnMean * lnMean)}},
+	} {
+		m, ok := DistMoment(c.d)
+		if !ok || math.Float64bits(m.Mean) != math.Float64bits(c.want.Mean) || math.Float64bits(m.Var) != math.Float64bits(c.want.Var) {
+			t.Errorf("%v: DistMoment (%+v, %v), want %+v", c.d, m, ok, c.want)
+		}
+	}
+}
 
-func (fakeDist) Sample(*RNG) float64 { return 1 }
-func (fakeDist) Mean() float64       { return 1 }
-func (fakeDist) String() string      { return "fake" }
+// TestSumMoment: a normal or deterministic total collapses with the
+// variance taken as (√n·σ)², which can differ from n·σ² in the last
+// bit; any other total scales the summand's moments by n.
+func TestSumMoment(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 7, 100} {
+		k := float64(n)
+		sigma := math.Sqrt(k) * 0.3
+		for _, c := range []struct {
+			d    Dist
+			want Moment
+		}{
+			{Deterministic{Value: 2.5}, Moment{Mean: k * 2.5}},
+			{Normal{Mu: 1.1, Sigma: 0.3}, Moment{Mean: k * 1.1, Var: sigma * sigma}},
+			{Exponential{MeanValue: 3}, Moment{Mean: 3 * k, Var: 9 * k}},
+			{Uniform{Lo: 5, Hi: 9}, Moment{Mean: 7 * k, Var: 16.0 / 12 * k}},
+		} {
+			m, ok := SumMoment(c.d, n)
+			if !ok || m != c.want {
+				t.Errorf("%v x %d: SumMoment (%+v, %v), want %+v", c.d, n, m, ok, c.want)
+			}
+		}
+	}
+}
+
+// TestNonNeg: a latency is provably non-negative when its type cannot
+// sample below zero or its parameters keep it there, a Scaled one when
+// its factor is non-negative and its base is provably non-negative, by
+// value or by pointer; unknown types are not.
+func TestNonNeg(t *testing.T) {
+	for _, c := range []struct {
+		d    Dist
+		want bool
+	}{
+		{nil, true},
+		{Deterministic{Value: 0}, true},
+		{Deterministic{Value: -1}, false},
+		{Normal{Mu: -5, Sigma: 1}, true},
+		{LogNormal{Mu: -1, Sigma: 2}, true},
+		{Pareto{Scale: 1, Alpha: 1.5}, true},
+		{Uniform{Lo: 0, Hi: 1}, true},
+		{Uniform{Lo: -1, Hi: 1}, false},
+		{Exponential{MeanValue: 2}, true},
+		{Exponential{MeanValue: -2}, false},
+		{Scaled{D: Exponential{MeanValue: 2}, Factor: 3}, true},
+		{Scaled{D: Exponential{MeanValue: 2}, Factor: -1}, false},
+		{Scaled{D: Uniform{Lo: -1, Hi: 2}, Factor: 2}, false},
+		{&Scaled{D: Normal{Mu: 4, Sigma: 1}, Factor: 0.5}, true},
+		{&Scaled{D: Uniform{Lo: -1, Hi: 2}, Factor: 2}, false},
+		{Scaled{D: Scaled{D: Deterministic{Value: 1}, Factor: 2}, Factor: 3}, true},
+		{offset{Exponential{MeanValue: 1}}, false},
+	} {
+		if got := NonNeg(c.d); got != c.want {
+			t.Errorf("NonNeg(%v) = %v, want %v", c.d, got, c.want)
+		}
+	}
+}
+
+// TestScaledPointerMatchesValue: a *Scaled — how an owner passes a
+// scaled distribution it rewrites in place without boxing it anew —
+// samples, reports moments and proves non-negativity exactly as the
+// Scaled value does.
+func TestScaledPointerMatchesValue(t *testing.T) {
+	for _, s := range []Scaled{
+		{D: Exponential{MeanValue: 2}, Factor: 3},
+		{D: Normal{Mu: 4, Sigma: 1}, Factor: 0.5},
+		{D: Uniform{Lo: -1, Hi: 2}, Factor: 2},
+		{D: Exponential{MeanValue: 2}, Factor: -1},
+		{D: LogNormal{Mu: 1, Sigma: 0.4}, Factor: 1.5},
+	} {
+		if got, want := NonNeg(&s), NonNeg(s); got != want {
+			t.Errorf("%v: NonNeg by pointer %v, by value %v", s, got, want)
+		}
+		gm, gok := DistMoment(&s)
+		wm, wok := DistMoment(s)
+		if gm != wm || gok != wok {
+			t.Errorf("%v: DistMoment by pointer %v %v, by value %v %v", s, gm, gok, wm, wok)
+		}
+		r1, r2 := NewRNG(5), NewRNG(5)
+		for i := 0; i < 16; i++ {
+			if a, b := Draw(&s, r1), s.Sample(r2); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%v: draw %d by pointer %v, by value %v", s, i, a, b)
+			}
+		}
+	}
+}
+
+// offset is a distribution type NonNeg does not know.
+type offset struct{ d Dist }
+
+func (o offset) Sample(r *RNG) float64 { return 1 + o.d.Sample(r) }
+func (o offset) Mean() float64         { return 1 + o.d.Mean() }
+func (o offset) Var() float64          { return o.d.Var() }
+func (o offset) String() string        { return "1+" + o.d.String() }
 
 // TestNormQuantileRoundTrip: the quantile function inverts the CDF to
 // high precision across the body and the tails.

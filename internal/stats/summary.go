@@ -78,21 +78,15 @@ func MeanStd(xs []float64) (mean, std float64) {
 
 // MeanStdInPlace sorts xs ascending in place and returns its mean and
 // sample standard deviation (n-1 denominator), both summed in sorted
-// order — the arithmetic of Summarize, bit for bit, without its copy. A
-// short column with no NaN and no zero is sorted by insertion, any other
-// by sort.Float64s; both leave the same column (see insertionSortable).
-// It returns zeros when xs is empty.
+// order — the arithmetic of Summarize, bit for bit, without its copy. It
+// returns zeros when xs is empty.
 //
 //rbvet:noalloc
 func MeanStdInPlace(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	if insertionSortable(xs) {
-		insertionSort(xs)
-	} else {
-		sort.Float64s(xs)
-	}
+	sort.Float64s(xs)
 	var sum float64
 	for _, x := range xs {
 		sum += x
@@ -107,40 +101,4 @@ func MeanStdInPlace(xs []float64) (mean, std float64) {
 		std = math.Sqrt(ss / float64(len(xs)-1))
 	}
 	return mean, std
-}
-
-// maxInsertionSort bounds the columns MeanStdInPlace sorts by insertion:
-// a Monte-Carlo estimate reduces columns of 4 to 20 draws.
-const maxInsertionSort = 32
-
-// insertionSortable reports whether xs is short and holds no NaN and no
-// zero. Then elements that compare equal under < are bit-identical, so
-// any correct sort, insertion sort included, leaves exactly the column
-// sort.Float64s does. A NaN needs sort.Float64s's NaN-first order, and
-// above 12 elements its pdqsort may order −0 and +0 differently.
-//
-//rbvet:noalloc
-func insertionSortable(xs []float64) bool {
-	if len(xs) > maxInsertionSort {
-		return false
-	}
-	for _, x := range xs {
-		if x != x || x == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// insertionSort sorts xs ascending with plain < comparisons.
-//
-//rbvet:noalloc
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		x, j := xs[i], i
-		for ; j > 0 && x < xs[j-1]; j-- {
-			xs[j] = xs[j-1]
-		}
-		xs[j] = x
-	}
 }

@@ -150,69 +150,14 @@ func TestMeanStdInPlaceMatchesSummarize(t *testing.T) {
 	}
 }
 
-// meanStdReference is MeanStdInPlace as it was before short columns were
-// insertion-sorted: sort.Float64s, then the sums in sorted order. It is
-// the oracle checkMeanStd holds MeanStdInPlace to.
-func meanStdReference(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(xs)
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return mean, std
-}
-
-// checkMeanStd requires MeanStdInPlace to give the reference's mean, std
-// and sorted column, bit for bit.
-func checkMeanStd(t *testing.T, xs []float64) {
-	t.Helper()
-	got, want := append([]float64(nil), xs...), append([]float64(nil), xs...)
-	gm, gs := MeanStdInPlace(got)
-	wm, ws := meanStdReference(want)
-	if math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(gs) != math.Float64bits(ws) {
-		t.Fatalf("%v: MeanStdInPlace (%v, %v), reference (%v, %v)", xs, gm, gs, wm, ws)
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%v: sorted to %v, reference %v", xs, got, want)
-		}
-	}
-}
-
 // specials are the values whose order sort.Float64s defines beyond <:
 // NaN sorts first, and −0 and +0 compare equal.
 var specials = []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 5e-324}
 
-// decodeColumn turns fuzz bytes into a column of at most 64 values, two
-// bytes each: a first byte below len(specials) picks a special value,
-// any other pair a small multiple of 1/8, so equal values are common.
-func decodeColumn(data []byte) []float64 {
-	xs := make([]float64, 0, 64)
-	for i := 0; i+1 < len(data) && len(xs) < 64; i += 2 {
-		if int(data[i]) < len(specials) {
-			xs = append(xs, specials[data[i]])
-			continue
-		}
-		xs = append(xs, float64(int16(uint16(data[i])<<8|uint16(data[i+1])))/8)
-	}
-	return xs
-}
-
 // TestMeanStdInPlaceMatchesSortFloat64s: every column of 0 to 64 values,
-// short or long, with and without NaN, ±0 and ±Inf, and with many
-// repeats, sorts and reduces exactly as the reference does.
+// with and without NaN, ±0 and ±Inf, and with many repeats, is left
+// exactly as sort.Float64s leaves it, and its mean and std are the sums
+// over that order.
 func TestMeanStdInPlaceMatchesSortFloat64s(t *testing.T) {
 	r := NewRNG(11)
 	for n := 0; n <= 64; n++ {
@@ -228,25 +173,36 @@ func TestMeanStdInPlaceMatchesSortFloat64s(t *testing.T) {
 					xs[i] = math.Exp(3 * r.NormFloat64())
 				}
 			}
-			checkMeanStd(t, xs)
+			want := append([]float64(nil), xs...)
+			sort.Float64s(want)
+			var wm, ws, sum, ss float64
+			for _, x := range want {
+				sum += x
+			}
+			if n > 0 {
+				wm = sum / float64(n)
+			}
+			for _, x := range want {
+				ss += (x - wm) * (x - wm)
+			}
+			if n > 1 {
+				ws = math.Sqrt(ss / float64(n-1))
+			}
+			gm, gs := MeanStdInPlace(xs)
+			if math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(gs) != math.Float64bits(ws) {
+				t.Fatalf("%v: MeanStdInPlace (%v, %v), want (%v, %v)", want, gm, gs, wm, ws)
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("sorted to %v, sort.Float64s %v", xs, want)
+				}
+			}
 		}
 	}
 }
 
-// FuzzMeanStdMatchesReference runs checkMeanStd over columns the fuzzer
-// mutates (see decodeColumn).
-func FuzzMeanStdMatchesReference(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 9, 1, 1, 0, 2, 0, 9, 2})
-	f.Add([]byte{2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 9, 9})
-	f.Add([]byte{3, 0, 4, 0, 20, 7, 200, 1, 6, 0, 5, 0, 7, 0, 40, 40})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkMeanStd(t, decodeColumn(data))
-	})
-}
-
-// BenchmarkMeanStdInPlace reduces a Monte-Carlo estimate's column of n
-// draws, as Simulator.Estimate does twice per estimate.
+// BenchmarkMeanStdInPlace reduces a column of n values, as the profiler
+// and the experiment tables do.
 func BenchmarkMeanStdInPlace(b *testing.B) {
 	for _, n := range []int{4, 16, 20} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

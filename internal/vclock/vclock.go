@@ -20,8 +20,7 @@
 // event performs no heap allocation. Callbacks come in two forms:
 // closures (At, After) for control-plane convenience, and pre-resolved
 // opcode dispatch (RegisterDispatcher, AtOp) for hot loops that must
-// not allocate per event — the stats.Lat opcode pattern applied
-// to event scheduling.
+// not allocate per event.
 //
 // Virtual time is expressed in float64 seconds. The kernel is
 // single-threaded by design: callbacks run on the caller's goroutine,
