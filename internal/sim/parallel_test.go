@@ -92,11 +92,10 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEstimateIndependentOfCallOrder: Monte-Carlo estimates are pure
-// functions of the plan — evaluating other plans first must not shift
-// any stream, and neither must the Simulator's own analytic estimates
-// in between. (The pre-parallel simulator violated this: a single
-// shared RNG made every estimate depend on the full call history.)
+// TestEstimateIndependentOfCallOrder: the Monte-Carlo oracle's
+// estimates are pure functions of the plan — evaluating other plans
+// first must not shift any stream, and neither must the Simulator's
+// analytic estimates in between.
 func TestEstimateIndependentOfCallOrder(t *testing.T) {
 	a := stochasticMC(t, 30, 7)
 	b := stochasticMC(t, 30, 7)
