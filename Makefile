@@ -1,8 +1,9 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast loc bench bench-smoke experiments examples repro record fuzz-short clean
+.PHONY: all build test test-shuffle test-race test-replan test-recovery test-serve vet lint lint-fast loc bench bench-smoke experiments examples repro record fuzz-short clean
 
-all: build vet lint test test-race test-serve bench-smoke
+# Everything CI's test steps run, but fuzzing and the benchmarks.
+all: build loc vet lint test test-shuffle test-race test-replan test-recovery test-serve bench-smoke
 
 build:
 	go build ./...
@@ -31,6 +32,11 @@ lint-fast:
 test:
 	go test ./...
 
+# Tier-1 in random test order: pooled and recycled state must not leak
+# between tests.
+test-shuffle:
+	go test -shuffle=on -count=1 ./...
+
 # Race-detector pass. No plan search fans out any more: a Simulator and
 # its Planner belong to one goroutine. What runs concurrently is the
 # chaos harness's scenario fan-out (harness.RunBatch, one Simulator per
@@ -57,10 +63,11 @@ test-recovery:
 	go test -race -count=1 ./internal/journal
 	go test -race -count=1 ./internal/harness -run 'TestCrashPointSweep|TestReplanScenarioAdopts|TestSnapshotIntervalInvisible|TestCrashRecover|TestResumeRefuses|TestJournalHoldsInputsOnly|TestCrashSyncsNothingAfter|TestTamperedJournalDiverges|TestEventFold|TestSnapshotState'
 
-# Multi-tenant control-plane suite: the arbiter/registry unit and
+# Multi-tenant control-plane suite: the admission ledger's unit and
 # property tests, the HTTP backpressure suite (429 + Retry-After, FIFO
 # drain, 100+ concurrent experiments with offline replay verification),
-# the slack-vs-FIFO arbiter differential, and crash recovery across
+# consistent /v1/stats snapshots and no admission after Close under
+# concurrent submits, the slack-vs-FIFO arbiter differential, and crash recovery across
 # process generations — all under the race detector (the HTTP layer is
 # the one deliberately concurrent surface above the deterministic core).
 # RB_HEAVY_TESTS=1 additionally runs the p99 status-latency SLO test.

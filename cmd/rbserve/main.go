@@ -1,6 +1,6 @@
 // Command rbserve is the multi-tenant tuning-as-a-service control
 // plane: a long-running HTTP/JSON API in front of a cross-experiment
-// arbiter sharing one simulated cluster across tenants.
+// admission ledger sharing one simulated cluster across tenants.
 //
 // Usage:
 //
@@ -73,9 +73,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "rbserve: recovery:", err)
 			os.Exit(1)
 		}
-		if rep.Adopted+rep.Resumed+len(rep.Failed) > 0 {
-			fmt.Fprintf(os.Stderr, "rbserve: recovered %d completed, resumed %d unfinished, %d damaged, %d failed\n",
-				rep.Adopted, rep.Resumed, len(rep.Damaged), len(rep.Failed))
+		if rep.Adopted+rep.Resumed+rep.Requeued+len(rep.Failed) > 0 {
+			fmt.Fprintf(os.Stderr, "rbserve: recovered %d completed, resumed %d unfinished, requeued %d never started, %d damaged, %d failed\n",
+				rep.Adopted, rep.Resumed, rep.Requeued, len(rep.Damaged), len(rep.Failed))
 		}
 	}
 

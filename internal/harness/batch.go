@@ -24,8 +24,6 @@ type Options struct {
 	// from the surviving journal, and required to finish bit-identical to
 	// the uninterrupted run (digest and journal both).
 	CrashCheck bool
-	// Oracles overrides the oracle set (nil means DefaultOracles).
-	Oracles []Oracle
 	// Mutate, when non-nil, adjusts each generated scenario before it
 	// runs (CLI overrides such as forcing the replan controller on or
 	// off). It is applied to the replay too, so determinism checks hold
@@ -64,13 +62,9 @@ func RunBatch(opts Options) *Report {
 	if opts.Scenarios < 0 {
 		opts.Scenarios = 0
 	}
-	oracles := opts.Oracles
-	if oracles == nil {
-		oracles = DefaultOracles()
-	}
 	reports := make([]ScenarioReport, opts.Scenarios)
 	par.ForEach(opts.Scenarios, opts.Workers, func(i int) {
-		reports[i] = runOne(opts, oracles, i)
+		reports[i] = runOne(opts, i)
 	})
 	rep := &Report{Seed: opts.Seed, Scenarios: reports}
 	digests := make([]Digest, len(reports))
@@ -85,16 +79,12 @@ func RunBatch(opts Options) *Report {
 // seeded by opts.Seed, for drilling into one failure without re-running
 // the whole batch. The report is identical to entry i of RunBatch's.
 func RunIndex(opts Options, i int) ScenarioReport {
-	oracles := opts.Oracles
-	if oracles == nil {
-		oracles = DefaultOracles()
-	}
-	return runOne(opts, oracles, i)
+	return runOne(opts, i)
 }
 
-// runOne executes scenario i of the batch, applies the oracles, and —
-// when requested — replays it to check bit-identical determinism.
-func runOne(opts Options, oracles []Oracle, i int) ScenarioReport {
+// runOne executes scenario i of the batch, applies DefaultOracles, and
+// — when requested — replays it to check bit-identical determinism.
+func runOne(opts Options, i int) ScenarioReport {
 	sc := Generate(opts.Seed, i)
 	if opts.Mutate != nil {
 		opts.Mutate(&sc)
@@ -107,7 +97,7 @@ func runOne(opts Options, oracles []Oracle, i int) ScenarioReport {
 	}
 	out.Steps = a.Steps
 	out.Digest = ComputeDigest(a)
-	out.Violations = CheckAll(a, oracles)
+	out.Violations = CheckAll(a, DefaultOracles())
 	if opts.Replay {
 		b, err := RunScenario(sc)
 		if err != nil {

@@ -172,7 +172,7 @@ func TestEventsFlushOncePerWakeup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := s.reg.Submit(smallSub("acme", 1), nil) // queued, never pumped
+	exp, err := s.led.submit(smallSub("acme", 1), nil) // queued, never pumped
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestEventsConcurrentStreamers(t *testing.T) {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
 	id := <-admitted
-	exp, ok := s.reg.Get(id)
+	exp, ok := s.led.get(id)
 	if !ok {
 		t.Fatal("admitted experiment not registered")
 	}
@@ -381,7 +381,7 @@ func BenchmarkEventsFeed(b *testing.B) {
 	defer s.Close()
 	sub := smallSub("acme", 1)
 	sub.Stages = [][2]int{{8, 1}, {4, 1}, {2, 1}, {1, 1}}
-	exp, err := s.reg.Submit(sub, nil)
+	exp, err := s.led.submit(sub, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 // FleetJob is one experiment in a deterministic in-process fleet run.
 type FleetJob struct {
-	ID       string
 	Tenant   string
 	Scenario harness.Scenario
 }
@@ -23,7 +22,7 @@ type FleetJobResult struct {
 	Err         error
 }
 
-// FleetResult bundles a fleet run's outcomes and the arbiter log.
+// FleetResult bundles a fleet run's outcomes and the ledger's log.
 type FleetResult struct {
 	Jobs []FleetJobResult
 	Log  []harness.FleetEvent
@@ -40,64 +39,73 @@ func (r *FleetResult) Met() int {
 	return n
 }
 
-// RunFleet executes jobs against one shared arbiter without HTTP or
-// goroutines: admission is FIFO as capacity frees, and execution
-// interleaves the live runs by always stepping the one with the smallest
-// (virtual time, submission index) — a deterministic schedule, so the
-// differential tests (slack vs FIFO policy on identical fleets) compare
-// exactly one changed variable. Every stage boundary arbitrates through
-// Arbiter.Exchange with the harness-computed deadline slack, exactly as
-// the live server's drivers do.
+// RunFleet executes jobs against one shared ledger without HTTP or
+// goroutines: every job is submitted up front, admission is the
+// server's own (ledger.admit, round-robin across tenants as GPUs free),
+// and execution interleaves the live runs by always stepping the one
+// with the smallest (virtual time, submission index) — a deterministic
+// schedule, so the differential tests (slack vs FIFO policy on
+// identical fleets) compare exactly one changed variable. Every stage
+// boundary arbitrates through ledger.exchange with the harness-computed
+// deadline slack, exactly as the live server's drivers do.
 func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error) {
-	arb, err := NewArbiter(capacity, policy)
+	l, err := newLedger(capacity, policy, Quota{MaxQueued: len(jobs), MaxLive: capacity})
 	if err != nil {
 		return nil, err
 	}
 	res := &FleetResult{Jobs: make([]FleetJobResult, len(jobs))}
-	for i := range jobs {
-		res.Jobs[i].ID = jobs[i].ID
-		arb.Note("submit", jobs[i].ID, jobs[i].Tenant)
+	index := make(map[*Experiment]int, len(jobs))
+	for i, j := range jobs {
+		exp, err := l.submit(Submission{Tenant: j.Tenant}, nil)
+		if err != nil {
+			return nil, err
+		}
+		index[exp] = i
+		res.Jobs[i].ID = exp.ID
 	}
 
 	type liveRun struct {
 		idx int
+		exp *Experiment
 		run *harness.Running
 	}
 	var live []*liveRun
-	next := 0 // next job to admit (FIFO)
 
-	admit := func() error {
-		for next < len(jobs) && arb.Free() >= 1 {
-			j := jobs[next]
-			idx := next
-			next++
-			if err := arb.Admit(j.ID, j.Tenant); err != nil {
-				return err
+	admit := func() {
+		for {
+			exp := l.admit()
+			if exp == nil {
+				return
 			}
+			idx := index[exp]
 			gate := func(req harness.GrantRequest) int {
 				slack := req.Deadline - req.Now - req.PredictedRemaining
-				g, gerr := arb.Exchange(j.ID, req.Stage, req.Want, slack)
+				g, gerr := l.exchange(exp.ID, req.Stage, req.Want, slack)
 				if gerr != nil {
 					return req.Want
 				}
 				return g
 			}
-			run, err := harness.StartScenario(j.Scenario, harness.RunConfig{Gate: gate})
+			run, err := harness.StartScenario(jobs[idx].Scenario, harness.RunConfig{Gate: gate})
 			if err != nil {
-				res.Jobs[idx].Err = fmt.Errorf("start %s: %w", j.ID, err)
-				arb.Done(j.ID)
+				res.Jobs[idx].Err = fmt.Errorf("start %s: %w", exp.ID, err)
+				l.release(exp)
 				continue
 			}
-			live = append(live, &liveRun{idx: idx, run: run})
+			live = append(live, &liveRun{idx: idx, exp: exp, run: run})
 		}
-		return nil
 	}
 
-	finish := func(li int) error {
+	// finish ends live[li]: its artifacts, or err when the run failed,
+	// then the release and the admissions it makes room for.
+	finish := func(li int, err error) {
 		lr := live[li]
 		live = append(live[:li], live[li+1:]...)
-		a, err := lr.run.Finish()
 		jr := &res.Jobs[lr.idx]
+		var a *harness.Artifacts
+		if err == nil {
+			a, err = lr.run.Finish()
+		}
 		if err != nil {
 			jr.Err = err
 		} else {
@@ -105,13 +113,11 @@ func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error
 			jr.Digest = harness.ComputeDigest(a)
 			jr.DeadlineMet = a.Result.JCT <= a.Deadline
 		}
-		arb.Done(jobs[lr.idx].ID)
-		return admit()
+		l.release(lr.exp)
+		admit()
 	}
 
-	if err := admit(); err != nil {
-		return nil, err
-	}
+	admit()
 	for len(live) > 0 {
 		// Pick the live run with the smallest virtual clock, ties broken
 		// by submission index.
@@ -124,27 +130,14 @@ func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error
 		}
 		lr := live[pick]
 		if lr.run.Done() {
-			if err := finish(pick); err != nil {
-				return nil, err
-			}
+			finish(pick, nil)
 			continue
 		}
-		if err := lr.run.Step(); err != nil {
-			res.Jobs[lr.idx].Err = err
-			live = append(live[:pick], live[pick+1:]...)
-			arb.Done(jobs[lr.idx].ID)
-			if err := admit(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if lr.run.Done() {
-			if err := finish(pick); err != nil {
-				return nil, err
-			}
+		if err := lr.run.Step(); err != nil || lr.run.Done() {
+			finish(pick, err)
 		}
 	}
-	res.Log = arb.Log()
+	res.Log = l.fleetLog()
 	return res, nil
 }
 
@@ -157,7 +150,7 @@ func fleetJobs(t *testing.T, subs []Submission) []FleetJob {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs[i] = FleetJob{ID: fmt.Sprintf("job-%02d", i), Tenant: sub.Tenant, Scenario: sc}
+		jobs[i] = FleetJob{Tenant: sub.Tenant, Scenario: sc}
 	}
 	return jobs
 }

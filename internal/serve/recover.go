@@ -19,6 +19,10 @@ type RecoverReport struct {
 	// Resumed counts unfinished runs re-driven to completion by verified
 	// re-execution of their journals.
 	Resumed int
+	// Requeued counts accepted submissions whose journals hold nothing
+	// (never started, or killed before their first write), put back in
+	// their tenant queues.
+	Requeued int
 	// Damaged lists experiment ids whose journals had truncated damage
 	// (torn tail, corrupt suffix) — recovered anyway from the trusted
 	// prefix.
@@ -35,15 +39,17 @@ type RecoverReport struct {
 // Recover scans DataDir for experiments from previous process
 // generations and brings the server back to a consistent state:
 // completed runs (replay.json present) are adopted as done, failed runs
-// (failed.json present) as failed, and unfinished runs are resumed by
-// verified re-execution. An undecodable replay.json counts as absent, so
-// its run resumes and rewrites it; an undecodable failed.json or
-// submission.json fails its run. Only an unreadable DataDir fails the
-// whole pass. The journaled
-// prefix (including every Grant record) is byte-compared while the run
-// is re-driven, then fresh stages arbitrate live. Resumption is
-// sequential in (tenant, id) order, so recovered grant appends are
-// deterministic given the journals. Call before serving traffic.
+// (failed.json present) as failed, accepted runs whose journal holds no
+// write go back into their tenant queues in id order, and unfinished
+// runs are resumed by verified re-execution. An undecodable replay.json
+// counts as absent, so its run resumes and rewrites it; an undecodable
+// failed.json or submission.json fails its run. Only an unreadable
+// DataDir fails the whole pass. The journaled prefix (including every
+// Grant record) is byte-compared while the run is re-driven, then fresh
+// stages arbitrate live. Resumption is sequential in (tenant, id) order,
+// so recovered grant appends are deterministic given the journals; the
+// requeued runs are pumped once at the end. Call before serving
+// traffic.
 func (s *Server) Recover() (RecoverReport, error) {
 	var rep RecoverReport
 	if s.cfg.DataDir == "" {
@@ -53,6 +59,7 @@ func (s *Server) Recover() (RecoverReport, error) {
 	if err != nil {
 		return rep, err
 	}
+	var queued []*Experiment
 	for _, ref := range refs {
 		var (
 			sc subSidecar
@@ -66,11 +73,11 @@ func (s *Server) Recover() (RecoverReport, error) {
 		}
 		if !ok {
 			// A directory with no submission sidecar never held an
-			// admitted experiment; skip it.
+			// accepted experiment; skip it.
 			continue
 		}
 		if ok, err := readSidecar(ref, "replay.json", &t); ok && err == nil {
-			s.reg.adopt(newRecoveredDone(t), false)
+			s.led.adopt(newRecoveredDone(t))
 			rep.Adopted++
 			continue
 		}
@@ -81,91 +88,113 @@ func (s *Server) Recover() (RecoverReport, error) {
 			s.adoptFailed(&rep, newExperiment(sc.ID, sc.Submission), err)
 			continue
 		}
-		damaged, err := s.resume(sc)
-		if damaged {
+		exp := newExperiment(sc.ID, sc.Submission)
+		fb, raw, err := s.openRun(exp)
+		if err != nil {
+			s.adoptFailed(&rep, exp, err)
+			continue
+		}
+		if len(raw.Writes) == 0 && raw.Damage == "" {
+			// Accepted but never started, or killed before its first
+			// write: it waits in its queue again.
+			if err := errors.Join(fb.Close(), exp.Sub.Validate()); err != nil {
+				s.adoptFailed(&rep, exp, err)
+				continue
+			}
+			queued = append(queued, exp)
+			continue
+		}
+		if raw.Damage != "" {
 			rep.Damaged = append(rep.Damaged, sc.ID)
 		}
-		if err != nil {
+		// Resumption is sequential on a server that serves nothing yet,
+		// so no GPU is held here unless more unfinished runs exist than
+		// cluster GPUs; such a run fails rather than wedge recovery.
+		if err := s.led.resume(exp); err != nil {
+			s.adoptFailed(&rep, exp, errors.Join(err, fb.Close()))
+			continue
+		}
+		if err := s.resume(exp, fb, raw); err != nil {
 			rep.Failed = append(rep.Failed, sc.ID)
 			continue
 		}
 		rep.Resumed++
 	}
+	// Requeued only now, so no resumed run's release admits one while
+	// another still has to resume.
+	for _, exp := range queued {
+		s.led.requeue(exp)
+	}
+	rep.Requeued = len(queued)
+	s.pump()
 	return rep, nil
 }
 
 // adoptFailed registers exp as failed with err and lists it in rep.
 func (s *Server) adoptFailed(rep *RecoverReport, exp *Experiment, err error) {
 	exp.fail(err)
-	s.reg.adopt(exp, false)
+	s.led.adopt(exp)
 	rep.Failed = append(rep.Failed, exp.ID)
 }
 
-// resume re-drives one unfinished run from its journal. The recovered
-// experiment is admitted into the live arbiter; the journaled grant
-// prefix is scripted (and byte-verified by the resumed writer), and any
-// stages beyond the crash point arbitrate live. A panic in the run fails
-// this experiment only, as in drive.
-func (s *Server) resume(side subSidecar) (damaged bool, err error) {
-	exp := newExperiment(side.ID, side.Submission)
-	s.reg.adopt(exp, true)
-	s.arb.Note("submit", exp.ID, exp.Sub.Tenant)
-	if err := s.arb.Admit(exp.ID, exp.Sub.Tenant); err != nil {
-		// Sequential resumption on a quiesced server: only possible when
-		// more unfinished runs exist than cluster GPUs. Fail this run
-		// rather than wedge recovery.
-		exp.fail(err)
-		s.reg.Complete(exp)
-		return false, err
-	}
-	defer s.settle(exp, &err)
+// openRun opens exp's journal in its run directory and loads it.
+func (s *Server) openRun(exp *Experiment) (*journal.FileBackend, *journal.Raw, error) {
 	dir, err := journal.RunDir(s.cfg.DataDir, exp.Sub.Tenant, exp.ID)
 	if err != nil {
-		return false, err
+		return nil, nil, err
 	}
 	fb, err := journal.NewFileBackend(dir)
 	if err != nil {
-		return false, err
+		return nil, nil, err
 	}
+	raw, err := fb.Load()
+	if err != nil {
+		return nil, nil, errors.Join(err, fb.Close())
+	}
+	return fb, raw, nil
+}
+
+// resume re-drives one unfinished run, already admitted, from its
+// journal fb, whose trusted writes are raw. The journaled grant prefix
+// is scripted (and byte-verified by the resumed writer), and any stages
+// beyond the crash point arbitrate live. A panic in the run fails this
+// experiment only, as in drive.
+func (s *Server) resume(exp *Experiment, fb *journal.FileBackend, raw *journal.Raw) (err error) {
+	defer s.settle(exp, &err)
 	defer func() {
 		if cerr := fb.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "rbserve: closing recovered journal:", cerr)
 		}
 	}()
-	script, err := grantPrefix(fb)
+	script, err := grantPrefix(raw.Writes)
 	if err != nil {
-		return false, err
+		return err
 	}
-	jw, hdr, damage, err := journal.Resume(fb, s.cfg.SnapshotInterval)
-	damaged = damage != ""
+	jw, hdr, _, err := journal.Resume(fb, s.cfg.SnapshotInterval)
 	if err != nil {
-		return damaged, err
+		return err
 	}
-	if err := side.Submission.Validate(); err != nil {
-		return damaged, err
+	if err := exp.Sub.Validate(); err != nil {
+		return err
 	}
-	sc, err := BuildScenario(side.Submission)
+	sc, err := BuildScenario(exp.Sub)
 	if err != nil {
-		return damaged, err
+		return err
 	}
 	if hdr != nil && (hdr.BatchSeed != sc.BatchSeed || hdr.Index != int64(sc.Index)) {
-		return damaged, fmt.Errorf("serve: journal header (seed=%d index=%d) does not match submission (seed=%d index=%d)",
+		return fmt.Errorf("serve: journal header (seed=%d index=%d) does not match submission (seed=%d index=%d)",
 			hdr.BatchSeed, hdr.Index, sc.BatchSeed, sc.Index)
 	}
-	return damaged, s.run(exp, sc, jw, dir, script)
+	return s.run(exp, sc, jw, filepath.Join(s.cfg.DataDir, exp.Sub.Tenant, exp.ID), script)
 }
 
 // grantPrefix decodes the trusted writes of a crashed journal and
 // returns its Grant sequence — the arbitration decisions the previous
 // generation's run consumed before dying. The resumed re-execution
 // replays exactly these.
-func grantPrefix(b journal.Backend) ([]harness.GrantDecision, error) {
-	raw, err := b.Load()
-	if err != nil {
-		return nil, err
-	}
+func grantPrefix(writes [][]byte) ([]harness.GrantDecision, error) {
 	var out []harness.GrantDecision
-	for _, payload := range raw.Writes {
+	for _, payload := range writes {
 		rec, err := journal.DecodeRecord(payload)
 		if err != nil {
 			// Load stops before damage; an undecodable write here is

@@ -123,7 +123,7 @@ func TestServerCrashRecoveryAcrossGenerations(t *testing.T) {
 	if len(rep.Damaged) != 1 || rep.Damaged[0] != "exp-0002" {
 		t.Fatalf("damaged = %v, want [exp-0002] (torn tail)", rep.Damaged)
 	}
-	if live := sB.arb.Live(); live != 0 {
+	if live := sB.led.stats().Live; live != 0 {
 		t.Fatalf("%d experiments still hold GPUs after recovery", live)
 	}
 
@@ -148,7 +148,7 @@ func TestServerCrashRecoveryAcrossGenerations(t *testing.T) {
 	}
 
 	// New submissions never collide with recovered ids.
-	exp, err := sB.reg.Submit(smallSub("acme", 999), nil)
+	exp, err := sB.led.submit(smallSub("acme", 999), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +174,14 @@ func TestServerCrashRecoveryAcrossGenerations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		script, err := grantPrefix(fb)
+		raw, err := fb.Load()
 		if cerr := fb.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		script, err := grantPrefix(raw.Writes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +194,7 @@ func TestServerCrashRecoveryAcrossGenerations(t *testing.T) {
 // mustGet looks an experiment up in a server's registry.
 func mustGet(t *testing.T, s *Server, id string) *Experiment {
 	t.Helper()
-	exp, ok := s.reg.Get(id)
+	exp, ok := s.led.get(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
@@ -367,7 +371,7 @@ func TestRecoverFailsOldFormatJournal(t *testing.T) {
 	if armed {
 		t.Fatal("recovery armed the old-format journal's writer")
 	}
-	if got := mustGet(t, sB, st.ID).StatusIn(sB.reg); got.State != "failed" || !strings.Contains(got.Error, "header version 2, want 3") {
+	if got := sB.status(mustGet(t, sB, st.ID)); got.State != "failed" || !strings.Contains(got.Error, "header version 2, want 3") {
 		t.Fatalf("status %+v, want failed with the version error", got)
 	}
 	after, err := os.ReadFile(journals[0])
@@ -528,7 +532,7 @@ func TestPanicFailsOnlyItsExperiment(t *testing.T) {
 
 	for i := 0; i < total; i++ {
 		id := fmt.Sprintf("exp-%04d", i)
-		st := mustGet(t, s, id).StatusIn(s.reg)
+		st := s.status(mustGet(t, s, id))
 		switch {
 		case id == bad && (st.State != "failed" || st.Error != "panic: injected"):
 			t.Fatalf("%s reads %s (%q), want failed with the panic", id, st.State, st.Error)
@@ -536,8 +540,8 @@ func TestPanicFailsOnlyItsExperiment(t *testing.T) {
 			t.Fatalf("%s reads %s (%q), want done", id, st.State, st.Error)
 		}
 	}
-	if live := s.arb.Live(); live != 0 || s.arb.InUse() != 0 {
-		t.Fatalf("%d experiments hold %d GPUs after the drain", live, s.arb.InUse())
+	if live := s.led.stats().Live; live != 0 || s.led.stats().InUse != 0 {
+		t.Fatalf("%d experiments hold %d GPUs after the drain", live, s.led.stats().InUse)
 	}
 	if vs := harness.CheckFleetInvariants(s.FleetLog(), capacity, total); len(vs) != 0 {
 		t.Fatalf("fleet oracle: %v", vs)
@@ -558,10 +562,10 @@ func TestPanicFailsOnlyItsExperiment(t *testing.T) {
 	if rep.Adopted != total-1 || rep.Resumed != 0 || !slices.Equal(rep.Failed, []string{bad}) {
 		t.Fatalf("recover report = %+v, want %d adopted and %s failed", rep, total-1, bad)
 	}
-	if st := mustGet(t, s2, bad).StatusIn(s2.reg); st.State != "failed" || st.Error != "panic: injected" {
+	if st := s2.status(mustGet(t, s2, bad)); st.State != "failed" || st.Error != "panic: injected" {
 		t.Fatalf("recovered %s reads %s (%q)", bad, st.State, st.Error)
 	}
-	if live := s2.arb.Live(); live != 0 {
+	if live := s2.led.stats().Live; live != 0 {
 		t.Fatalf("%d experiments still hold GPUs after recovery", live)
 	}
 }
@@ -619,7 +623,7 @@ func TestRecoverTornSidecars(t *testing.T) {
 		t.Fatalf("resumed exp-0000's replay sidecar = %q (%v), want it rewritten as before", got, err)
 	}
 	for _, id := range []string{"exp-0001", "exp-0002"} {
-		st := mustGet(t, sB, id).StatusIn(sB.reg)
+		st := sB.status(mustGet(t, sB, id))
 		if st.State != "failed" || !strings.Contains(st.Error, "unexpected end of JSON input") {
 			t.Fatalf("%s status %+v, want failed with the decode error", id, st)
 		}
@@ -636,6 +640,114 @@ func TestRecoverTornSidecars(t *testing.T) {
 			if strings.HasSuffix(e.Name(), ".tmp") {
 				t.Fatalf("exp-%04d: sidecar write left %s behind", i, e.Name())
 			}
+		}
+	}
+}
+
+// TestRecoverRequeuesQueuedSubmission: a submission accepted (202) but
+// still queued when its process dies is neither lost nor has its id
+// reissued. Generation A's only GPU is held, so acme's submission
+// queues; generation B finds its submission sidecar with no journal,
+// puts it back in acme's queue, runs it to done, and issues the next
+// submission a fresh id.
+func TestRecoverRequeuesQueuedSubmission(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Capacity: 1, DataDir: dataDir}
+	sA, tsA := newTestServer(t, cfg)
+	// Hold the only GPU with an admission that has no driver.
+	blocker, err := sA.led.submit(smallSub("hold", 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sA.led.admit(); got != blocker {
+		t.Fatalf("admit = %v, want the blocker", got)
+	}
+	defer sA.led.release(blocker)
+	resp, body := postSub(t, tsA, smallSub("acme", 601))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "queued" || st.QueuePos != 1 {
+		t.Fatalf("accepted status = %+v, want queued at position 1", st)
+	}
+
+	// Generation B: generation A died with the submission still queued.
+	sB, tsB := newTestServer(t, cfg)
+	rep, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requeued != 1 || rep.Resumed != 0 || len(rep.Failed) != 0 {
+		t.Fatalf("recover report = %+v, want the queued submission requeued", rep)
+	}
+	sB.Drain()
+	var got Status
+	if code := getJSON(t, tsB, "/v1/experiments/"+st.ID, &got); code != http.StatusOK || got.State != "done" {
+		t.Fatalf("GET %s after restart: %d %+v, want it done", st.ID, code, got)
+	}
+	resp, body = postSub(t, tsB, smallSub("bravo", 602))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var next Status
+	if err := json.Unmarshal(body, &next); err != nil {
+		t.Fatal(err)
+	}
+	if next.ID <= st.ID {
+		t.Fatalf("bravo's submission was issued %s, not past the recovered %s", next.ID, st.ID)
+	}
+	sB.Drain()
+	if vs := harness.CheckFleetInvariants(sB.FleetLog(), cfg.Capacity, 2); len(vs) != 0 {
+		t.Fatalf("fleet oracle: %v", vs)
+	}
+}
+
+// TestRecoverRequeuesAfterResuming: on a one-GPU cluster, a queued
+// submission found ahead of two crashed runs (in directory order) waits
+// in its queue until both have resumed, so neither finds the GPU taken
+// by it.
+func TestRecoverRequeuesAfterResuming(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Capacity: 1, DataDir: dataDir}
+	subs := []Submission{smallSub("bbb", 611), smallSub("ccc", 612)}
+	_, totalB := refRun(t, subs[0])
+	_, totalC := refRun(t, subs[1])
+	sA, tsA := newTestServer(t, cfg)
+	sA.armJournal = func(_ string, jw *journal.Writer) { jw.SetCrashPoint(min(totalB, totalC)/2, 0) }
+	for _, sub := range subs {
+		if resp, body := postSub(t, tsA, sub); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		}
+	}
+	sA.Drain()
+	sA.Close()
+	// An accepted submission of an earlier tenant, still queued when its
+	// process died: its submission sidecar alone.
+	queued := subSidecar{ID: "exp-0007", Submission: smallSub("aaa", 613)}
+	dir, err := journal.RunDir(dataDir, "aaa", queued.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSidecar(filepath.Join(dir, "submission.json"), queued); err != nil {
+		t.Fatal(err)
+	}
+
+	sB, _ := newTestServer(t, cfg)
+	rep, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != 2 || rep.Requeued != 1 || len(rep.Failed) != 0 {
+		t.Fatalf("recover report = %+v, want 2 resumed and 1 requeued", rep)
+	}
+	sB.Drain()
+	for _, id := range []string{"exp-0000", "exp-0001", "exp-0007"} {
+		if st := mustGet(t, sB, id).State(); st != StateDone {
+			t.Fatalf("%s state = %v, want done", id, st)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func TestServedRunAllocationBudget(t *testing.T) {
 	subs := zooSubs("budget", n)
 	serve := func() {
 		for _, sub := range subs {
-			exp, err := s.reg.Submit(sub, nil)
+			exp, err := s.led.submit(sub, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,14 +129,14 @@ func TestConcurrentRecycledRunsMatchReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	exps := s.reg.All()
+	exps := s.led.all()
 	if len(exps) != tenants*perTenant {
 		t.Fatalf("%d experiments registered, want %d", len(exps), tenants*perTenant)
 	}
 	for _, e := range exps {
 		tup, ok := e.Tuple()
 		if !ok {
-			t.Fatalf("%s did not complete: %+v", e.ID, e.StatusIn(s.reg))
+			t.Fatalf("%s did not complete: %+v", e.ID, s.status(e))
 		}
 		if _, err := VerifyReplay(tup); err != nil {
 			t.Errorf("%s: %v", e.ID, err)

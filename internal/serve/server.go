@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/journal"
@@ -16,17 +15,18 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Capacity is the shared simulated cluster size in GPUs. It also
-	// bounds globally-live experiments, so every live experiment can hold
-	// its 1-GPU minimum.
+	// Capacity is the shared simulated cluster size in GPUs. Every live
+	// experiment holds at least 1 GPU, so it also bounds how many are
+	// live at once.
 	Capacity int
 	// Policy selects the arbitration rule (default PolicySlack).
 	Policy Policy
 	// Quota is the per-tenant admission quota (zero value: DefaultQuota).
 	Quota Quota
-	// DataDir, when non-empty, is the durable root: every admitted
-	// experiment journals under DataDir/<tenant>/<id>/ with submission and
-	// replay sidecars, and Recover resumes unfinished runs from it.
+	// DataDir, when non-empty, is the durable root: every accepted
+	// experiment's submission sidecar is written under
+	// DataDir/<tenant>/<id>/ before its 202, an admitted one journals
+	// there, and Recover requeues or resumes unfinished runs from it.
 	DataDir string
 	// SnapshotInterval is the journal snapshot interval in observed
 	// events (trace events and replan decisions); 0 selects the default
@@ -34,25 +34,15 @@ type Config struct {
 	SnapshotInterval uint64
 }
 
-// Server is the control plane: a Registry for admission, an Arbiter for
-// GPUs, and one driver goroutine per live experiment stepping its
-// virtual clock. HTTP handlers only read experiment state and enqueue
-// submissions; everything that mutates shared resources goes through the
-// registry, the arbiter, or the pump.
+// Server is the control plane: one admission ledger (tenant queues,
+// experiment index, GPU holds, fleet log) and one driver goroutine per
+// live experiment stepping its virtual clock. HTTP handlers only read
+// experiment state and submit; every admission decision is one call
+// into the ledger.
 type Server struct {
 	cfg Config
-	reg *Registry
-	arb *Arbiter
+	led *ledger
 	mux *http.ServeMux
-
-	// pumpMu serializes admission (NextRunnable → Admit → spawn) so two
-	// pumps cannot interleave their picks.
-	pumpMu sync.Mutex
-	wg     sync.WaitGroup
-
-	mu      sync.Mutex
-	closed  bool
-	rejects int
 
 	// armJournal, when set (in-package tests only), sees every
 	// experiment's journal writer before the run starts — the crash
@@ -60,7 +50,7 @@ type Server struct {
 	armJournal func(id string, jw *journal.Writer)
 }
 
-// NewServer builds a server over a fresh registry and arbiter.
+// NewServer builds a server over a fresh ledger.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Quota == (Quota{}) {
 		cfg.Quota = DefaultQuota()
@@ -68,16 +58,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.SnapshotInterval == 0 {
 		cfg.SnapshotInterval = 64
 	}
-	arb, err := NewArbiter(cfg.Capacity, cfg.Policy)
+	led, err := newLedger(cfg.Capacity, cfg.Policy, cfg.Quota)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg: cfg,
-		reg: NewRegistry(cfg.Quota, cfg.Capacity),
-		arb: arb,
-		mux: http.NewServeMux(),
-	}
+	s := &Server{cfg: cfg, led: led, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/experiments", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/experiments/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/experiments/{id}/events", s.handleEvents)
@@ -90,30 +75,26 @@ func NewServer(cfg Config) (*Server, error) {
 // Handler returns the HTTP API surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// FleetLog returns the arbiter's event log — the input of the
-// harness fleet-fairness oracle.
-func (s *Server) FleetLog() []harness.FleetEvent { return s.arb.Log() }
+// FleetLog returns the ledger's event log — the input of the harness
+// fleet-fairness oracle.
+func (s *Server) FleetLog() []harness.FleetEvent { return s.led.fleetLog() }
 
 // Close stops admitting queued work and waits for every live driver to
-// finish its (virtual-time) run.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+// finish its (virtual-time) run. Once it returns, no experiment is
+// admitted and no driver starts.
+func (s *Server) Close() { s.led.close() }
 
 // Drain blocks until every submitted experiment has reached a final
 // state and the queues are empty — the test-side quiesce point before
 // inspecting the fleet log.
 func (s *Server) Drain() {
 	for {
-		exps := s.reg.All()
+		exps := s.led.all()
 		for _, e := range exps {
 			e.Wait()
 		}
-		live, queued, total := s.reg.Stats()
-		if live == 0 && queued == 0 && total == len(exps) {
+		st := s.led.stats()
+		if st.Live == 0 && st.Queued == 0 && st.Total == len(exps) {
 			return
 		}
 	}
@@ -154,48 +135,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	exp, err := s.led.submit(sub, s.persistSubmission)
+	var bl *ErrBacklog
+	switch {
+	case errors.Is(err, errClosed):
 		writeJSON(w, http.StatusServiceUnavailable, errBody{Error: "server shutting down"})
 		return
-	}
-	// The submit event is recorded inside the registry lock, before the
-	// experiment becomes visible to any pump, so the fleet log never shows
-	// an admission without its submission.
-	exp, err := s.reg.Submit(sub, func(e *Experiment) {
-		s.arb.Note("submit", e.ID, sub.Tenant)
-	})
-	var bl *ErrBacklog
-	if errors.As(err, &bl) {
-		s.mu.Lock()
-		s.rejects++
-		rid := fmt.Sprintf("reject-%04d", s.rejects)
-		s.mu.Unlock()
-		s.arb.Note("reject", rid, sub.Tenant)
+	case errors.As(err, &bl):
 		w.Header().Set("Retry-After", strconv.Itoa(bl.RetryAfterSeconds))
 		writeJSON(w, http.StatusTooManyRequests, errBody{
 			Error: bl.Error(), RetryAfter: bl.RetryAfterSeconds,
 		})
 		return
-	}
-	if err != nil {
+	case err != nil:
 		writeJSON(w, http.StatusInternalServerError, errBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, exp.StatusIn(s.reg))
+	writeJSON(w, http.StatusAccepted, s.status(exp))
 	s.pump()
 }
 
 // handleStatus is GET /v1/experiments/{id}.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.reg.Get(r.PathValue("id"))
+	exp, ok := s.led.get(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errBody{Error: "unknown experiment"})
 		return
 	}
-	writeJSON(w, http.StatusOK, exp.StatusIn(s.reg))
+	writeJSON(w, http.StatusOK, s.status(exp))
 }
 
 // handleEvents is GET /v1/experiments/{id}/events: the event feed as
@@ -207,7 +174,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // client sees each event as soon as the handler catches up, and a
 // finished feed leaves in one write when the handler returns.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.reg.Get(r.PathValue("id"))
+	exp, ok := s.led.get(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errBody{Error: "unknown experiment"})
 		return
@@ -258,7 +225,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleReplay is GET /v1/experiments/{id}/replay: the completed
 // experiment's (seed, spec, decisions) tuple — 409 until it is done.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.reg.Get(r.PathValue("id"))
+	exp, ok := s.led.get(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errBody{Error: "unknown experiment"})
 		return
@@ -278,69 +245,35 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errBody{Error: "invalid tenant name"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.reg.Tenant(name))
-}
-
-// FleetStats is the JSON body of GET /v1/stats.
-type FleetStats struct {
-	Capacity int    `json:"capacity"`
-	Policy   string `json:"policy"`
-	InUse    int    `json:"in_use"`
-	Free     int    `json:"free"`
-	Live     int    `json:"live"`
-	Queued   int    `json:"queued"`
-	Total    int    `json:"total"`
+	writeJSON(w, http.StatusOK, s.led.tenant(name))
 }
 
 // handleStats is GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	live, queued, total := s.reg.Stats()
-	writeJSON(w, http.StatusOK, FleetStats{
-		Capacity: s.arb.Capacity(),
-		Policy:   s.cfg.Policy.String(),
-		InUse:    s.arb.InUse(),
-		Free:     s.arb.Free(),
-		Live:     live,
-		Queued:   queued,
-		Total:    total,
-	})
+	writeJSON(w, http.StatusOK, s.led.stats())
 }
 
-// pump runs the admission loop: while a GPU is free and the registry has
-// runnable work, admit the next experiment and spawn its driver. Called
-// after every submission, grant (a shrunken hold frees GPUs), and
-// completion. pumpMu serializes picks; the Free check races only with
-// concurrent grants, and a lost race requeues the pick at the head of
-// its tenant queue (FIFO preserved) to retry on the next pump.
-func (s *Server) pump() {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return
+// status snapshots exp for the status endpoint, with its queue position
+// while it is queued.
+func (s *Server) status(exp *Experiment) Status {
+	st := exp.status()
+	if st.State == StateQueued.String() {
+		st.QueuePos = s.led.queuePos(exp)
 	}
-	for {
-		if s.arb.Free() < 1 {
-			return
-		}
-		exp := s.reg.NextRunnable()
-		if exp == nil {
-			return
-		}
-		if err := s.arb.Admit(exp.ID, exp.Sub.Tenant); err != nil {
-			s.reg.requeueFront(exp)
-			return
-		}
-		s.wg.Add(1)
+	return st
+}
+
+// pump admits queued experiments while a GPU is free and starts a
+// driver for each. Called after every submission, grant (a shrunken
+// hold frees GPUs), and completion.
+func (s *Server) pump() {
+	for exp := s.led.admit(); exp != nil; exp = s.led.admit() {
 		go s.drive(exp)
 	}
 }
 
 // drive runs one admitted experiment start to finish.
 func (s *Server) drive(exp *Experiment) {
-	defer s.wg.Done()
 	var err error
 	defer s.settle(exp, &err)
 	// BuildScenario cannot fail here (submissions are validated before
@@ -362,8 +295,9 @@ func (s *Server) drive(exp *Experiment) {
 // calls (the journal is closed by then). It recovers a panic in the
 // driver, so that one experiment's panic fails only that experiment,
 // then fails exp with the panic's value or with *err, if either,
-// durably (persistFailure), and releases exp's admission: a driver
-// releases it here and nowhere else.
+// durably (persistFailure), releases exp's admission — a driver
+// releases it here and nowhere else — and pumps whatever the freed GPUs
+// can now admit.
 func (s *Server) settle(exp *Experiment, err *error) {
 	if v := recover(); v != nil {
 		*err = fmt.Errorf("panic: %v", v)
@@ -372,29 +306,35 @@ func (s *Server) settle(exp *Experiment, err *error) {
 		exp.fail(*err)
 		s.persistFailure(exp, *err)
 	}
-	s.finish(exp)
-}
-
-// finish releases an experiment's admission: arbiter hold, registry live
-// slot, and a pump for whatever the freed GPUs can now admit.
-func (s *Server) finish(exp *Experiment) {
-	s.arb.Done(exp.ID)
-	s.reg.Complete(exp)
+	s.led.release(exp)
 	s.pump()
 }
 
-// openJournal prepares the experiment's durable state under
-// DataDir/<tenant>/<id>/: the submission sidecar and a file-backed
-// journal writer. With no DataDir everything returns zero values.
+// persistSubmission writes exp's submission sidecar under
+// DataDir/<tenant>/<id>/ (nothing without a DataDir). The ledger runs
+// it inside submit, so an experiment is durable before anything can
+// admit it or its client hears 202, and a restart finds it even if it
+// never started.
+func (s *Server) persistSubmission(exp *Experiment) error {
+	if s.cfg.DataDir == "" {
+		return nil
+	}
+	dir, err := journal.RunDir(s.cfg.DataDir, exp.Sub.Tenant, exp.ID)
+	if err != nil {
+		return err
+	}
+	return writeSidecar(filepath.Join(dir, "submission.json"), subSidecar{ID: exp.ID, Submission: exp.Sub})
+}
+
+// openJournal opens the experiment's file-backed journal writer under
+// DataDir/<tenant>/<id>/, beside its submission sidecar. With no
+// DataDir everything returns zero values.
 func (s *Server) openJournal(exp *Experiment) (*journal.Writer, string, func(), error) {
 	if s.cfg.DataDir == "" {
 		return nil, "", func() {}, nil
 	}
 	dir, err := journal.RunDir(s.cfg.DataDir, exp.Sub.Tenant, exp.ID)
 	if err != nil {
-		return nil, "", nil, err
-	}
-	if err := writeSidecar(filepath.Join(dir, "submission.json"), subSidecar{ID: exp.ID, Submission: exp.Sub}); err != nil {
 		return nil, "", nil, err
 	}
 	fb, err := journal.NewFileBackend(dir)
@@ -411,7 +351,7 @@ func (s *Server) openJournal(exp *Experiment) (*journal.Writer, string, func(), 
 }
 
 // run drives exp's scenario on its own virtual clock, arbitrating every
-// stage boundary through the shared arbiter, and returns the error that
+// stage boundary through the ledger, and returns the error that
 // fails it, if any. script, when non-empty, replays a recovered
 // journal's grant prefix before going live — the resumed run's
 // re-execution consumes exactly the grants the crashed generation was
@@ -428,7 +368,7 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 			si++
 		} else {
 			slack := req.Deadline - req.Now - req.PredictedRemaining
-			live, err := s.arb.Exchange(exp.ID, req.Stage, req.Want, slack)
+			live, err := s.led.exchange(exp.ID, req.Stage, req.Want, slack)
 			if err != nil {
 				// Unreachable while the driver holds the admission; grant
 				// in full rather than wedge the run.
@@ -479,7 +419,7 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 }
 
 // subSidecar is the submission.json schema: the experiment's identity
-// half of the replay tuple, durable before the first journal record.
+// half of the replay tuple, durable before its client hears 202.
 type subSidecar struct {
 	ID         string     `json:"id"`
 	Submission Submission `json:"submission"`

@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/harness"
@@ -18,7 +22,9 @@ import (
 )
 
 // newTestServer builds a server and its HTTP front end, both torn down
-// with the test.
+// with the test. Once closed, the server's fleet log must pass the
+// fleet oracle (the per-test wait bound is left to the tests that pin
+// one).
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := NewServer(cfg)
@@ -29,6 +35,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
+		if vs := harness.CheckFleetInvariants(s.FleetLog(), cfg.Capacity, math.MaxInt); len(vs) != 0 {
+			t.Errorf("fleet oracle after Close: %v", vs)
+		}
 	})
 	return s, ts
 }
@@ -566,10 +575,10 @@ func TestServerHundredConcurrentExperiments(t *testing.T) {
 	for i := 0; i < total; i++ {
 		<-parked
 	}
-	if live := s.arb.Live(); live < 100 {
+	if live := s.led.stats().Live; live < 100 {
 		t.Fatalf("%d experiments live concurrently, want >= 100", live)
 	}
-	if used := s.arb.InUse(); used > capacity {
+	if used := s.led.stats().InUse; used > capacity {
 		t.Fatalf("%d/%d GPUs held", used, capacity)
 	}
 
@@ -577,7 +586,7 @@ func TestServerHundredConcurrentExperiments(t *testing.T) {
 	s.Drain()
 
 	// Every experiment completed; every replay tuple verifies offline.
-	exps := s.reg.All()
+	exps := s.led.all()
 	if len(exps) != total {
 		t.Fatalf("%d experiments registered, want %d", len(exps), total)
 	}
@@ -585,7 +594,7 @@ func TestServerHundredConcurrentExperiments(t *testing.T) {
 	for _, e := range exps {
 		tup, ok := e.Tuple()
 		if !ok {
-			t.Fatalf("%s did not complete: %+v", e.ID, e.StatusIn(s.reg))
+			t.Fatalf("%s did not complete: %+v", e.ID, s.status(e))
 		}
 		if _, err := VerifyReplay(tup); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -617,7 +626,7 @@ func TestEventsFromBounds(t *testing.T) {
 		if resp, body := postSub(t, ts, smallSub("acme", seed)); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit: %d %s", resp.StatusCode, body)
 		}
-		exp, ok := s.reg.Get(<-admitted)
+		exp, ok := s.led.get(<-admitted)
 		if !ok {
 			t.Fatal("admitted experiment not registered")
 		}
@@ -676,5 +685,153 @@ func TestEventsFromBounds(t *testing.T) {
 				t.Fatalf("from=%d: %d events, want %d", from, n, c.lines)
 			}
 		})
+	}
+}
+
+// serveJSON runs one request through h in process and returns the
+// response code and body.
+func serveJSON(h http.Handler, method, path string, v any) (int, []byte) {
+	var body io.Reader
+	if v != nil {
+		data, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		body = bytes.NewReader(data)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// TestStatsConsistentUnderLoad: every /v1/stats body read while tenants
+// submit concurrently and drivers exchange grants is one snapshot of the
+// ledger: in_use + free = capacity and live ≤ capacity.
+func TestStatsConsistentUnderLoad(t *testing.T) {
+	const tenants, perTenant, capacity = 4, 8, 6
+	s, _ := newTestServer(t, Config{
+		Capacity: capacity,
+		Quota:    Quota{MaxQueued: perTenant, MaxLive: 3, MaxGPUs: 4},
+	})
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for ti := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range perTenant {
+				sub := smallSub(fmt.Sprintf("tenant-%d", ti), uint64(100*ti+j))
+				if code, body := serveJSON(h, http.MethodPost, "/v1/experiments", sub); code != http.StatusAccepted {
+					t.Errorf("%s submit %d: %d %s", sub.Tenant, j, code, body)
+				}
+			}
+		}()
+	}
+	stop, reads := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		defer func() { reads <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var fs FleetStats
+			if code, body := serveJSON(h, http.MethodGet, "/v1/stats", nil); code != http.StatusOK || json.Unmarshal(body, &fs) != nil {
+				t.Errorf("stats: %d %s", code, body)
+				return
+			}
+			if fs.InUse+fs.Free != capacity || fs.Live > capacity || fs.InUse > capacity {
+				t.Errorf("inconsistent stats: %+v", fs)
+				return
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	s.Drain()
+	close(stop)
+	if n := <-reads; n == 0 {
+		t.Fatal("no stats read while the fleet ran")
+	}
+}
+
+// TestCloseStopsAdmission: once Close returns, the fleet log gains no
+// admit event and no driver starts, though submitters keep posting (and
+// get 503); every experiment admitted before it has finished.
+func TestCloseStopsAdmission(t *testing.T) {
+	const tenants, capacity = 4, 2
+	s, err := NewServer(Config{Capacity: capacity, Quota: Quota{MaxQueued: 1 << 20, MaxLive: capacity, MaxGPUs: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	admits := func() int {
+		n := 0
+		for _, e := range s.FleetLog() {
+			if e.Kind == "admit" {
+				n++
+			}
+		}
+		return n
+	}
+	var refused atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for ti := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; ; j++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch code, body := serveJSON(h, http.MethodPost, "/v1/experiments", smallSub(fmt.Sprintf("tenant-%d", ti), uint64(j))); code {
+				case http.StatusAccepted:
+				case http.StatusServiceUnavailable:
+					refused.Add(1)
+				default:
+					t.Errorf("submit: %d %s", code, body)
+					return
+				}
+			}
+		}()
+	}
+	for admits() < 2*capacity {
+		runtime.Gosched()
+	}
+	s.Close()
+	closedAdmits := admits()
+	// Every admitted experiment has finished; the rest are still queued.
+	check := func(when string) {
+		t.Helper()
+		admitted := map[string]bool{}
+		for _, e := range s.FleetLog() {
+			if e.Kind == "admit" {
+				admitted[e.Exp] = true
+			}
+		}
+		for _, e := range s.led.all() {
+			st := e.State()
+			if admitted[e.ID] != (st == StateDone || st == StateFailed) || st == StateRunning {
+				t.Fatalf("%s: %s is %v (admitted %v)", when, e.ID, st, admitted[e.ID])
+			}
+		}
+	}
+	check("at Close")
+	for refused.Load() < 64 {
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	if n := admits(); n != closedAdmits {
+		t.Fatalf("%d admissions after Close returned", n-closedAdmits)
+	}
+	check("after the submitters stopped")
+	if vs := harness.CheckFleetInvariants(s.FleetLog(), capacity, math.MaxInt); len(vs) != 0 {
+		t.Fatalf("fleet oracle: %v", vs)
 	}
 }

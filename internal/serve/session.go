@@ -307,11 +307,12 @@ type Status struct {
 	FinishedAt  float64 `json:"finished_at,omitempty"`
 }
 
-// StatusIn snapshots the experiment for the status endpoint; reg
-// supplies the queue position for queued experiments.
-func (e *Experiment) StatusIn(reg *Registry) Status {
+// status snapshots the experiment for the status endpoint; the server
+// adds the queue position of a queued one.
+func (e *Experiment) status() Status {
 	e.mu.Lock()
-	st := Status{
+	defer e.mu.Unlock()
+	return Status{
 		ID: e.ID, Tenant: e.Sub.Tenant, Name: e.Sub.Name, State: e.state.String(),
 		Deadline: e.deadline, Planned: e.planned,
 		PredictedJCT: e.predJCT, PredictedCost: e.predCost,
@@ -319,10 +320,4 @@ func (e *Experiment) StatusIn(reg *Registry) Status {
 		JCT: e.jct, Cost: e.cost, BestTrial: e.bestTrl, Digest: e.digest, Error: e.errMsg,
 		SubmittedAt: e.submittedAt, StartedAt: e.startedAt, FinishedAt: e.finishedAt,
 	}
-	queued := e.state == StateQueued
-	e.mu.Unlock()
-	if queued && reg != nil {
-		st.QueuePos = reg.QueuePos(e)
-	}
-	return st
 }
